@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"ecfd/internal/bench"
@@ -105,17 +106,25 @@ func explainPlans(seed int64) error {
 	if err := d.Install(); err != nil {
 		return err
 	}
-	if _, err := d.LoadData(gen.Dataset(gen.Config{Rows: 1000, Noise: 5, Seed: seed})); err != nil {
+	cfg := gen.Config{Rows: 1000, Noise: 5, Seed: seed}
+	rids, err := d.LoadData(gen.Dataset(cfg))
+	if err != nil {
 		return err
 	}
 	if _, err := d.BatchDetect(); err != nil {
+		return err
+	}
+	// One 8+8 update leaves the staging tables at their working size, so
+	// the incremental statements plan as they do in a running session.
+	if _, _, err := d.ApplyUpdates(gen.Updates(cfg, 8, 0), rids[:8]); err != nil {
 		return err
 	}
 
 	eng := sqldriver.Engine(dsn)
 	qsvSelect, qsvUpdate, qmvInsert, mvUpdate := d.SQL()
 	qsvSlice, qmvRange, mvSlice := d.ParallelSQL()
-	for _, s := range []struct{ name, q string }{
+	type named struct{ name, q string }
+	stmts := []named{
 		{"Qsv (select form)", qsvSelect},
 		{"Qsv (SV update)", qsvUpdate},
 		{"Qmv (Aux insert)", qmvInsert},
@@ -125,7 +134,16 @@ func explainPlans(seed int64) error {
 		{"MV RID slice (parallel)", mvSlice},
 		{"Violations (ORDER BY RID)", fmt.Sprintf(
 			"SELECT RID FROM %s WHERE SV = 1 OR MV = 1 ORDER BY RID", d.DataTable())},
-	} {
+	}
+	inc := d.IncrementalSQL()
+	for i, q := range inc {
+		head, _, _ := strings.Cut(q, "\n")
+		if len(head) > 60 {
+			head = head[:60] + "…"
+		}
+		stmts = append(stmts, named{fmt.Sprintf("incremental %d/%d: %s", i+1, len(inc), head), q})
+	}
+	for _, s := range stmts {
 		plan, err := eng.Explain(s.q)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)

@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"ecfd/internal/gen"
 )
 
 // tinyOpts keeps unit-test runs fast: ~1% of paper scale.
@@ -185,5 +189,49 @@ func TestFigMixedShape(t *testing.T) {
 	}
 	if mixed.Series["writer_rows_s"] <= 0 {
 		t.Error("mixed point: writer made no progress")
+	}
+}
+
+// TestFig7IncrementalBeatsBatch asserts the shape of the paper's
+// Fig. 7 rather than plotting it: for a small ΔD (8 insertions and 8
+// deletions against 20 000 tuples), maintaining the flags incrementally
+// costs well under half of detecting from scratch. Medians of five
+// interleaved runs, so a slow phase of the host hits both sides.
+func TestFig7IncrementalBeatsBatch(t *testing.T) {
+	cfg := gen.Config{Rows: 20000, Noise: 5, Seed: 1}
+	d, live, cleanup, err := setup(gen.Constraints(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	if _, err := d.BatchDetect(); err != nil {
+		t.Fatal(err)
+	}
+	const runs, delta = 5, 8
+	var batch, inc []time.Duration
+	for i := 0; i < runs; i++ {
+		start := time.Now()
+		if _, err := d.BatchDetect(); err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, time.Since(start))
+
+		ins := gen.Updates(cfg, delta, int64(i))
+		start = time.Now()
+		rids, _, err := d.ApplyUpdates(ins, live[:delta])
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc = append(inc, time.Since(start))
+		live = append(live[delta:], rids...)
+	}
+	median := func(ds []time.Duration) time.Duration {
+		sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
+		return ds[len(ds)/2]
+	}
+	mb, mi := median(batch), median(inc)
+	t.Logf("BatchDetect %v, ApplyUpdates(%d+%d) %v: ratio %.2f", mb, delta, delta, mi, float64(mi)/float64(mb))
+	if 2*mi >= mb {
+		t.Errorf("incremental maintenance of a %d+%d update took %v, not under half of BatchDetect's %v", delta, delta, mi, mb)
 	}
 }

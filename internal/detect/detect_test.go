@@ -545,3 +545,50 @@ func TestFDViolationsThroughSQL(t *testing.T) {
 		t.Errorf("Aux pattern = (%d, %s), want (1, Ithaca)", cid, ctp)
 	}
 }
+
+// recordingExecer records statement texts and argument counts.
+type recordingExecer struct {
+	texts []string
+	nargs []int
+}
+
+func (r *recordingExecer) Exec(q string, args ...any) (sql.Result, error) {
+	r.texts = append(r.texts, q)
+	r.nargs = append(r.nargs, len(args))
+	return nil, nil
+}
+
+func (r *recordingExecer) Prepare(string) (*sql.Stmt, error) {
+	return nil, fmt.Errorf("not prepared in this test")
+}
+
+// TestLoadDelRidsTextIndependentOfRIDs: staging ΔD⁻ binds the RIDs as
+// parameters, so two updates of the same size share one statement text
+// (one plan-cache entry) whatever they delete, and a long list splits
+// into insertBatch-wide statements.
+func TestLoadDelRidsTextIndependentOfRIDs(t *testing.T) {
+	d, err := New(openDB(t), core.CustSchema(), core.Fig2Constraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b recordingExecer
+	if err := d.loadDelRids(&a, []int64{17, 18, 19}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.loadDelRids(&b, []int64{40001, 7, 7}); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.texts) != 2 || strings.Join(a.texts, ";") != strings.Join(b.texts, ";") {
+		t.Fatalf("statement texts depend on the RIDs:\n%q\n%q", a.texts, b.texts)
+	}
+	if a.nargs[1] != 3 || strings.Count(a.texts[1], "?") != 3 {
+		t.Fatalf("RIDs not bound as parameters: %q with %d args", a.texts[1], a.nargs[1])
+	}
+	var long recordingExecer
+	if err := d.loadDelRids(&long, make([]int64, insertBatch+5)); err != nil {
+		t.Fatal(err)
+	}
+	if len(long.texts) != 3 || long.nargs[1] != insertBatch || long.nargs[2] != 5 {
+		t.Fatalf("long list not chunked: %d statements, args %v", len(long.texts), long.nargs)
+	}
+}

@@ -119,6 +119,7 @@ type statements struct {
 	// round trip (one driver call, one plan-cache entry) instead of one
 	// per statement. Parameter indexes run through the script in order.
 	batchScript string
+	incStmts    []string
 	incScript   string
 }
 

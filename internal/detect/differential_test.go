@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ecfd/internal/core"
 	"ecfd/internal/gen"
 	"ecfd/internal/relation"
 	"ecfd/internal/sqldb"
@@ -37,14 +38,17 @@ import (
 //
 // All legs assign identical RID sequences (same insert batches in the
 // same order), so Violations() must render to the same bytes — not
-// just the same multiset. The whole differential runs with batch
-// kernels on and forced off, pinning every kernel path end to end.
+// just the same multiset — and the incremental leg's flags must equal
+// the naive §II oracle's on the same rows: the legs share the generated
+// SQL, so a wrong guard in it would move them all together. The whole
+// differential runs with batch kernels on and forced off, pinning every
+// kernel path end to end, over two workloads (diffWorkloads).
 func TestDetectThreeWayDifferential(t *testing.T) {
 	recoveries := 0
-	run := func(t *testing.T) {
-		rng := rand.New(rand.NewSource(157))
-		for trial := 0; trial < 6; trial++ {
-			inst, sigma := randomInstanceAndSigma(rng, 45)
+	run := func(t *testing.T, w diffWorkload) {
+		rng := rand.New(rand.NewSource(w.seed))
+		for trial := 0; trial < w.trials; trial++ {
+			inst, sigma := w.instance(rng)
 			dInc := newDetector(t, sigma, inst)
 			dBatch := newDetector(t, sigma, inst)
 			dPar := newDetector(t, sigma, inst)
@@ -104,23 +108,7 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 			}
 
 			for step := 0; step < 4; step++ {
-				// One combined update ΔD = (ΔD⁻, ΔD⁺): a random subset of
-				// current RIDs leaves, a random batch arrives.
-				rids, err := dInc.RIDs()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var doomed []int64
-				if len(rids) > 0 && rng.Intn(4) > 0 {
-					k := 1 + rng.Intn(len(rids)/3+1)
-					for _, i := range rng.Perm(len(rids))[:k] {
-						doomed = append(doomed, rids[i])
-					}
-				}
-				var batch *relation.Relation
-				if rng.Intn(5) > 0 {
-					batch = randomRows(rng, inst.Schema, 1+rng.Intn(12))
-				}
+				batch, doomed := w.update(t, rng, dInc, sigma, step)
 
 				// Fifth leg — MVCC snapshot stability: a reader that pinned
 				// its snapshot (read-only transaction) before the update
@@ -214,6 +202,7 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 					}
 				}
 
+				assertMatchesNaive(t, dInc, sigma, fmt.Sprintf("%s trial %d step %d", w.name, trial, step))
 				vInc := violationCSV(t, dInc)
 				vBatch := violationCSV(t, dBatch)
 				vPar := violationCSV(t, dPar)
@@ -244,24 +233,185 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 			sqldriver.Unregister(dsn)
 		}
 	}
-	t.Run("kernels=on", run)
-	t.Run("kernels=off", func(t *testing.T) {
-		sqldb.DisableBatchKernels = true
-		defer func() { sqldb.DisableBatchKernels = false }()
-		run(t)
-	})
+	for _, w := range diffWorkloads {
+		w := w
+		t.Run(w.name+"/kernels=on", func(t *testing.T) { run(t, w) })
+		t.Run(w.name+"/kernels=off", func(t *testing.T) {
+			sqldb.DisableBatchKernels = true
+			defer func() { sqldb.DisableBatchKernels = false }()
+			run(t, w)
+		})
+	}
 	if recoveries == 0 {
 		t.Error("no crash ever fired: the durable leg exercised no recovery")
 	}
 	t.Logf("durable leg: %d crash recoveries across both kernel modes", recoveries)
 }
 
-// durStepApplied reports whether the interrupted atomic update's
-// commit unit reached the log before the crash. ApplyUpdates leaves
-// this step's batch in the ins staging table until the next step
-// truncates it, so a surviving batch (its RIDs continue savedRID) or
-// a vanished doomed row means the unit committed; a step with neither
-// inserts nor deletes is a semantic no-op either way.
+// diffWorkload is one source of instances, constraint sets and update
+// sequences for TestDetectThreeWayDifferential.
+type diffWorkload struct {
+	name     string
+	seed     int64
+	trials   int
+	instance func(rng *rand.Rand) (*relation.Relation, []*core.ECFD)
+	// update draws step's combined update ΔD = (ΔD⁺, ΔD⁻) against the
+	// incremental leg's current state. A non-empty ΔD⁻ must lead with a
+	// RID that exists (durStepApplied probes it).
+	update func(t *testing.T, rng *rand.Rand, d *Detector, sigma []*core.ECFD, step int) (*relation.Relation, []int64)
+}
+
+var diffWorkloads = []diffWorkload{
+	{
+		// Every constraint carries an embedded FD; a random subset of
+		// the current RIDs leaves, a random batch arrives.
+		name: "random", seed: 157, trials: 6,
+		instance: func(rng *rand.Rand) (*relation.Relation, []*core.ECFD) {
+			return randomInstanceAndSigma(rng, 45)
+		},
+		update: func(t *testing.T, rng *rand.Rand, d *Detector, _ []*core.ECFD, _ int) (*relation.Relation, []int64) {
+			rids, err := d.RIDs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doomed []int64
+			if len(rids) > 0 && rng.Intn(4) > 0 {
+				k := 1 + rng.Intn(len(rids)/3+1)
+				for _, i := range rng.Perm(len(rids))[:k] {
+					doomed = append(doomed, rids[i])
+				}
+			}
+			var batch *relation.Relation
+			if rng.Intn(5) > 0 {
+				batch = randomRows(rng, d.schema, 1+rng.Intn(12))
+			}
+			return batch, doomed
+		},
+	},
+	{
+		// Where the FD guard and the monotone key pruning could go wrong:
+		// Σ is mostly Yp-only patterns around a single embedded FD
+		// (sigma[0]), cells are NULL one time in seven, ΔD⁻ repeats RIDs
+		// and names RIDs that do not exist, and every other step empties
+		// a violating group and refills it in the same update.
+		name: "yp-only+nulls", seed: 163, trials: 4,
+		instance: func(rng *rand.Rand) (*relation.Relation, []*core.ECFD) {
+			inst, _ := randomInstanceAndSigma(rng, 45)
+			punchNulls(rng, inst)
+			s := inst.Schema
+			attrs := []string{"A", "B", "C", "D"}
+			perm := rng.Perm(len(attrs))
+			fd := &core.ECFD{Name: "fd", Schema: s, X: []string{attrs[perm[0]]}, Y: []string{attrs[perm[1]]},
+				Tableau: []core.PatternTuple{{LHS: []core.Pattern{core.Any()}, RHS: []core.Pattern{core.Any()}}}}
+			sigma := []*core.ECFD{fd}
+			for i := 0; i < 3+rng.Intn(3); i++ {
+				perm := rng.Perm(len(attrs))
+				e := &core.ECFD{Name: fmt.Sprintf("yp%d", i+1), Schema: s, X: []string{attrs[perm[0]]}, YP: []string{attrs[perm[1]]}}
+				for j := 0; j < 1+rng.Intn(3); j++ {
+					e.Tableau = append(e.Tableau, core.PatternTuple{
+						LHS: []core.Pattern{randomPattern(rng)}, RHS: []core.Pattern{randomPattern(rng)}})
+				}
+				sigma = append(sigma, e)
+			}
+			return inst, sigma
+		},
+		update: func(t *testing.T, rng *rand.Rand, d *Detector, sigma []*core.ECFD, step int) (*relation.Relation, []int64) {
+			rids, err := d.RIDs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := d.currentData()
+			if err != nil {
+				t.Fatal(err)
+			}
+			flags, err := d.FlagsByRID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := randomRows(rng, d.schema, 1+rng.Intn(8))
+			punchNulls(rng, batch)
+			var doomed []int64
+			xi, yi := d.schema.Index(sigma[0].X[0]), d.schema.Index(sigma[0].Y[0])
+			refill := -1
+			if step%2 == 1 {
+				for i, rid := range rids {
+					if flags[rid][1] {
+						refill = i
+						break
+					}
+				}
+			}
+			if refill >= 0 {
+				// Every row of the MV-flagged row's group leaves; rows with
+				// the same X value arrive — agreeing on Y (the group comes
+				// back clean) or not (it comes back violating).
+				x := data.Rows[refill][xi]
+				for i, row := range data.Rows {
+					if relation.Identical(row[xi], x) {
+						doomed = append(doomed, rids[i])
+					}
+				}
+				split := rng.Intn(2) == 0
+				for i := 0; i < 3; i++ {
+					row := batch.Rows[0].Clone()
+					row[xi], row[yi] = x, relation.Text("u")
+					if split && i == 2 {
+						row[yi] = relation.Text("v")
+					}
+					batch.Rows = append(batch.Rows, row)
+				}
+			} else if len(rids) > 0 {
+				for _, i := range rng.Perm(len(rids))[:1+rng.Intn(len(rids)/4+1)] {
+					doomed = append(doomed, rids[i])
+				}
+			}
+			if len(doomed) > 0 {
+				doomed = append(doomed, doomed[0], doomed[len(doomed)-1], 0, rids[len(rids)-1]+1000)
+			}
+			return batch, doomed
+		},
+	},
+}
+
+// punchNulls replaces about one cell in seven by NULL.
+func punchNulls(rng *rand.Rand, r *relation.Relation) {
+	for _, row := range r.Rows {
+		for j := range row {
+			if rng.Intn(7) == 0 {
+				row[j] = relation.Null()
+			}
+		}
+	}
+}
+
+// assertMatchesNaive compares d's flags with the naive oracle's on the
+// rows d currently holds.
+func assertMatchesNaive(t *testing.T, d *Detector, sigma []*core.ECFD, where string) {
+	t.Helper()
+	data, err := d.currentData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rids, err := d.RIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags, err := d.FlagsByRID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := core.NaiveDetect(data, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rid := range rids {
+		if got := flags[rid]; got[0] != naive.SV[i] || got[1] != naive.MV[i] {
+			t.Fatalf("%s: RID %d %v: SQL (SV=%v MV=%v) vs naive (SV=%v MV=%v)\nsigma: %s",
+				where, rid, data.Rows[i], got[0], got[1], naive.SV[i], naive.MV[i], sigmaString(sigma))
+		}
+	}
+}
+
 func durStepApplied(t *testing.T, db *sql.DB, d *Detector, batch *relation.Relation, doomed []int64, savedRID int64) bool {
 	t.Helper()
 	switch {
@@ -346,6 +496,76 @@ func TestBatchDetectStatementsFullyBatched(t *testing.T) {
 		plan, _ := eng.Explain(stmts[name])
 		if !strings.Contains(plan, "[spine: 10-col keys shared with distinct source]") {
 			t.Fatalf("%s grouping does not share the distinct key spine:\n%s", name, plan)
+		}
+	}
+}
+
+// TestIncrementalStatementsDeltaDriven is the EXPLAIN acceptance for
+// the incremental script: every statement starts from ΔD. No statement
+// scans the whole data table, except the recompute of the touched
+// groups and the MV clearing, which visit it once per FD-bearing
+// pattern tuple only — the FD guard is decided on the pattern tuple,
+// above the data scan; the two statements that start from ΔD⁻ reach
+// their rows from the staged RIDs through the RID index.
+func TestIncrementalStatementsDeltaDriven(t *testing.T) {
+	dsn := fmt.Sprintf("detect_delta_%d", dsnSeq.Add(1))
+	db, err := sql.Open(sqldriver.DriverName, dsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defer sqldriver.Unregister(dsn)
+	d, err := New(db, gen.Schema(), gen.Constraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Install(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := gen.Config{Rows: 1000, Noise: 5, Seed: 23}
+	rids, err := d.LoadData(gen.Dataset(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.BatchDetect(); err != nil {
+		t.Fatal(err)
+	}
+	// One update leaves the staging tables at their working size: the
+	// plans below are the ones the next update runs.
+	if _, _, err := d.ApplyUpdates(gen.Updates(cfg, 8, 0), rids[:8]); err != nil {
+		t.Fatal(err)
+	}
+	eng := sqldriver.Engine(dsn)
+	wholeData := fmt.Sprintf("(%d rows)", len(rids))
+	fdGuard := fmt.Sprintf("or-group(%d terms)", d.schema.Width())
+	ridProbe := fmt.Sprintf("index probe t via idx_%s_rid", d.dataTable)
+
+	stmts := d.IncrementalSQL()
+	if len(stmts) > 15 {
+		t.Fatalf("the incremental script grew to %d statements", len(stmts))
+	}
+	for i, q := range stmts {
+		plan, err := eng.Explain(q)
+		if err != nil {
+			t.Fatalf("statement %d: %v\n%s", i, err, q)
+		}
+		guarded := false
+		for _, line := range strings.Split(plan, "\n") {
+			line = strings.TrimSpace(line)
+			if strings.HasPrefix(line, "scan c ") && strings.Contains(line, fdGuard) {
+				guarded = true
+			}
+			if !strings.HasPrefix(line, "scan ") || !strings.Contains(line, wholeData) {
+				continue
+			}
+			if q != d.stmts.auxRecompute && q != d.stmts.mvClear {
+				t.Errorf("statement %d scans the whole data table:\n%s", i, plan)
+			} else if !guarded {
+				t.Errorf("statement %d scans the data table above the FD guard:\n%s", i, plan)
+			}
+		}
+		if (q == d.stmts.keysFromDel || q == d.stmts.deleteRows) && !strings.Contains(plan, ridProbe) {
+			t.Errorf("statement %d does not reach its rows through the RID index:\n%s", i, plan)
 		}
 	}
 }

@@ -67,6 +67,17 @@ func TestIncrementalStatementSetFixed(t *testing.T) {
 			t.Errorf("statement %d is empty", i)
 		}
 	}
+	// The maintenance script itself: the same texts in the same order,
+	// and no more of them than the paper's §V-B steps take.
+	sa, sb := small.IncrementalSQL(), large.IncrementalSQL()
+	if len(sa) > 15 || len(sa) != len(sb) {
+		t.Fatalf("incremental script: %d statements (%d with the larger Σ), want at most 15", len(sa), len(sb))
+	}
+	for i := range sa {
+		if sa[i] != sb[i] {
+			t.Errorf("incremental script statement %d differs with |Σ|", i)
+		}
+	}
 }
 
 // TestWiderSchemaWiderQueries sanity-checks the complement: the

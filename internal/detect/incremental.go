@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"ecfd/internal/relation"
@@ -58,22 +57,20 @@ func (d *Detector) InsertRaw(batch *relation.Relation) ([]int64, error) {
 	return d.bulkInsert(d.db, d.dataTable, batch)
 }
 
-// DeleteRaw removes tuples by RID without maintaining flags or Aux.
+// DeleteRaw removes tuples by RID without maintaining flags or Aux. It
+// stages the RIDs like ApplyUpdates does and runs the same fixed
+// deletion statement, so the rows are reached through the RID index.
 func (d *Detector) DeleteRaw(rids []int64) error {
 	if len(rids) == 0 {
 		return nil
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "DELETE FROM %s WHERE %s IN (", d.dataTable, ColRID)
-	for i, rid := range rids {
-		if i > 0 {
-			b.WriteString(", ")
+	return d.runAtomic(func(ex execer) error {
+		if err := d.loadDelRids(ex, rids); err != nil {
+			return err
 		}
-		fmt.Fprintf(&b, "%d", rid)
-	}
-	b.WriteString(")")
-	_, err := d.db.Exec(b.String())
-	return err
+		_, err := ex.Exec(d.stmts.deleteRows)
+		return err
+	})
 }
 
 // ApplyUpdates applies a combined update ΔD = (ΔD⁻, ΔD⁺) — the shape
@@ -118,39 +115,29 @@ func (d *Detector) ApplyUpdates(insBatch *relation.Relation, delRids []int64) ([
 	return rids, IncStats{Applied: applied, Elapsed: time.Since(start)}, nil
 }
 
-// loadDelRids fills the ΔD⁻ staging table.
+// loadDelRids fills the ΔD⁻ staging table. The RIDs bind as parameters
+// of the placeholderRows shape bulkInsert uses: one statement text per
+// batch width, so a repeated update size is served by the plan cache.
 func (d *Detector) loadDelRids(ex execer, rids []int64) error {
 	if _, err := ex.Exec("TRUNCATE TABLE " + d.delTable); err != nil {
 		return err
 	}
-	var b strings.Builder
-	n := 0
-	flush := func() error {
-		if n == 0 {
-			return nil
+	for len(rids) > 0 {
+		chunk := rids
+		if len(chunk) > insertBatch {
+			chunk = chunk[:insertBatch]
 		}
-		if _, err := ex.Exec(b.String()); err != nil {
+		rids = rids[len(chunk):]
+		args := make([]any, len(chunk))
+		for i, rid := range chunk {
+			args[i] = rid
+		}
+		q := fmt.Sprintf("INSERT INTO %s VALUES %s", d.delTable, placeholderRows(len(chunk), 1))
+		if _, err := ex.Exec(q, args...); err != nil {
 			return err
 		}
-		b.Reset()
-		n = 0
-		return nil
 	}
-	for _, rid := range rids {
-		if n == 0 {
-			fmt.Fprintf(&b, "INSERT INTO %s VALUES ", d.delTable)
-		} else {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "(%d)", rid)
-		n++
-		if n >= insertBatch {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
+	return nil
 }
 
 // RIDs returns every row id currently in the data table, ordered.

@@ -16,8 +16,8 @@ func (d *Detector) generateSQL() {
 		qmvInsert:    d.genQmvInsert(),
 		mvUpdate:     d.genMVUpdate(),
 		resetFlags:   fmt.Sprintf("UPDATE %s SET %s = 0, %s = 0", d.dataTable, ColSV, ColMV),
-		keysFromIns:  d.genKeys(d.insTable, ""),
-		keysFromDel:  d.genKeys(d.dataTable, fmt.Sprintf("t.%s IN (SELECT %s FROM %s)", ColRID, ColRID, d.delTable)),
+		keysFromIns:  d.genKeysFromIns(),
+		keysFromDel:  d.genKeysFromDel(),
 		auxDeleteAff: d.genAuxDeleteAffected(),
 		auxSaveOld:   d.genAuxSaveOld(),
 		auxNewComp:   d.genAuxNewCompute(),
@@ -27,7 +27,7 @@ func (d *Detector) generateSQL() {
 		mvClear:      d.genMVClear(),
 		svOnIns:      d.genSVUpdate(d.insTable),
 		mergeIns:     fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", d.dataTable, d.insTable),
-		deleteRows: fmt.Sprintf("DELETE FROM %s WHERE %s IN (SELECT %s FROM %s)",
+		deleteRows: fmt.Sprintf("DELETE FROM %s t WHERE t.%s IN (SELECT d.%s FROM %s d)",
 			d.dataTable, ColRID, ColRID, d.delTable),
 		qsvRIDsSlice:    d.genQsvRIDsSlice(),
 		qmvGroupsCIDRng: d.genQmvGroupsCIDRange(),
@@ -53,7 +53,7 @@ func (d *Detector) generateSQL() {
 	// The incremental-maintenance pipeline (§V-B steps): parameter
 	// placeholders index through the script in order, so the two
 	// RID-threshold parameters (mvSetNew, mvSetOld) bind as ?1 and ?2.
-	d.stmts.incScript = strings.Join([]string{
+	d.stmts.incStmts = []string{
 		d.stmts.svOnIns,
 		"TRUNCATE TABLE " + d.keysTable,
 		d.stmts.keysFromDel, // before the doomed rows disappear
@@ -69,7 +69,8 @@ func (d *Detector) generateSQL() {
 		d.stmts.mvSetNew,
 		d.stmts.mvSetOld,
 		d.stmts.mvClear,
-	}, ";\n")
+	}
+	d.stmts.incScript = strings.Join(d.stmts.incStmts, ";\n")
 	// The sharded pipelines (ShardedDetector): each shard runs the same
 	// fixed statements over its partition, split into per-phase scripts
 	// around the coordinator's gather/merge/broadcast points. The Qmv
@@ -123,6 +124,13 @@ func (d *Detector) SQL() (qsvSelect, qsvUpdate, qmvInsert, mvUpdate string) {
 // pruned through the data table's ordered RID index.
 func (d *Detector) ParallelSQL() (qsvRIDsSlice, qmvGroupsCIDRange, mvRIDsSlice string) {
 	return d.stmts.qsvRIDsSlice, d.stmts.qmvGroupsCIDRng, d.stmts.mvRIDsSlice
+}
+
+// IncrementalSQL returns the statements of the incremental-maintenance
+// script in execution order, for inspection and testing. The two '?'
+// placeholders (mvSetNew, mvSetOld) both bind the first RID of ΔD⁺.
+func (d *Detector) IncrementalSQL() []string {
+	return append([]string(nil), d.stmts.incStmts...)
 }
 
 // setProbe renders EXISTS (or NOT EXISTS) over a pattern-set table:
@@ -210,12 +218,26 @@ func (d *Detector) macro(dataTable, extraWhere string) string {
 	for _, a := range d.schema.Attrs {
 		cols = append(cols, fmt.Sprintf("%s AS %s_RV", d.caseProj("R", a.Name), a.Name))
 	}
-	where := d.lhsMatch()
+	where := d.fdGuard() + "\n    AND " + d.lhsMatch()
 	if extraWhere != "" {
 		where = extraWhere + "\n    AND " + where
 	}
 	return fmt.Sprintf("SELECT DISTINCT %s\n  FROM %s t, %s c\n  WHERE %s",
 		strings.Join(cols, ",\n    "), dataTable, d.encTable, where)
+}
+
+// fdGuard renders "pattern tuple c carries an embedded FD": some
+// attribute is in Y (a positive RHS code). A Yp-only pattern constrains
+// each tuple by itself — Qsv's business; its macro rows blank every RHS
+// column, so its groups hold one distinct row and can never enter
+// Aux(D). Reading only c, the guard is decided once per pattern tuple,
+// before any data row is visited.
+func (d *Detector) fdGuard() string {
+	var disj []string
+	for _, a := range d.schema.Attrs {
+		disj = append(disj, fmt.Sprintf("c.%s_R > 0", a.Name))
+	}
+	return "(" + strings.Join(disj, " OR ") + ")"
 }
 
 // groupCols lists the Aux grouping key: CID plus every blanked LHS
@@ -343,18 +365,38 @@ func (d *Detector) genCheckMVRIDs() string {
 }
 
 // genKeys collects the group keys touched by an update batch: the
-// (cid, p) projections of every (tuple, pattern) match in the batch.
-func (d *Detector) genKeys(sourceTable, extraWhere string) string {
+// (cid, p) projections of the (tuple, pattern) matches of the batch
+// rows t selected by from/where, over the FD-bearing patterns only.
+func (d *Detector) genKeys(from, where string) string {
 	cols := []string{"c.CID"}
 	for _, a := range d.schema.Attrs {
 		cols = append(cols, d.caseProj("L", a.Name))
 	}
-	where := d.lhsMatch()
-	if extraWhere != "" {
-		where = extraWhere + "\n    AND " + where
-	}
-	return fmt.Sprintf("INSERT INTO %s SELECT DISTINCT %s FROM %s t, %s c WHERE %s",
-		d.keysTable, strings.Join(cols, ",\n    "), sourceTable, d.encTable, where)
+	return fmt.Sprintf("INSERT INTO %s SELECT DISTINCT %s FROM %s, %s c WHERE %s\n    AND %s\n    AND %s",
+		d.keysTable, strings.Join(cols, ",\n    "), from, d.encTable, d.fdGuard(), d.lhsMatch(), where)
+}
+
+// The two collectors prune by monotonicity against the Aux(D) of before
+// the update: a group's violation state can only change if its row set
+// does, an insertion only ever adds (distinct) rows and a deletion only
+// removes them. So an insertion into a group already in Aux cannot
+// clear it, and a deletion from a group not in Aux cannot create it;
+// neither needs a recompute. (A group that both loses and gains rows is
+// collected by whichever side can change it.)
+
+// genKeysFromIns collects the keys ΔD⁺ touches that are not violating
+// yet.
+func (d *Detector) genKeysFromIns() string {
+	return d.genKeys(d.insTable+" t", "NOT "+d.auxProbe(d.auxTable))
+}
+
+// genKeysFromDel collects the keys of currently violating groups ΔD⁻
+// touches. The doomed rows are reached from the staged RIDs through
+// the data table's RID index — the join is driven by ΔD⁻, not by D.
+func (d *Detector) genKeysFromDel() string {
+	return d.genKeys(
+		fmt.Sprintf("%s d, %s t", d.delTable, d.dataTable),
+		fmt.Sprintf("t.%s = d.%s AND %s", ColRID, ColRID, d.auxProbe(d.auxTable)))
 }
 
 // auxMatch renders the column-wise equality of two Aux-shaped rows
@@ -443,8 +485,10 @@ func (d *Detector) genMVSetOldRows() string {
 // genMVClear clears MV on tuples in touched groups that no longer
 // match any Aux pattern at all (they may still be violating through an
 // untouched group, which the NOT EXISTS over the full Aux preserves).
+// Touched keys only ever belong to FD-bearing patterns, so the guard
+// keeps the data scan off the others.
 func (d *Detector) genMVClear() string {
 	return fmt.Sprintf(
-		"UPDATE %s t SET %s = 0 WHERE t.%s = 1 AND EXISTS (SELECT 1 FROM %s c WHERE %s) AND NOT EXISTS (SELECT 1 FROM %s c WHERE %s)",
-		d.dataTable, ColMV, ColMV, d.encTable, d.keysProbe(), d.encTable, d.auxProbe(d.auxTable))
+		"UPDATE %s t SET %s = 0 WHERE t.%s = 1 AND EXISTS (SELECT 1 FROM %s c WHERE %s AND %s) AND NOT EXISTS (SELECT 1 FROM %s c WHERE %s)",
+		d.dataTable, ColMV, ColMV, d.encTable, d.fdGuard(), d.keysProbe(), d.encTable, d.auxProbe(d.auxTable))
 }

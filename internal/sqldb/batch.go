@@ -774,17 +774,19 @@ type predInst struct {
 // probeInst is the bound state of one probe kernel.
 type probeInst struct {
 	k *kprobe
-	// Index-probe state: the epoch's index structure and the row fence
-	// cutting shared buckets to this epoch's row count.
-	d       *indexData
-	fence   int
-	set     map[string]bool
-	vals    []relation.Value   // constant part values this entry
-	con     []bool             // part i is constant this entry
-	condT   []bool             // pkCase condition held this entry
-	colvs   [][]relation.Value // column vectors for vectorized parts
-	rowVals []relation.Value   // per-row key scratch
-	keyBuf  []byte
+	// Index-probe state (k.d.idx != nil): how the epoch's index answers
+	// equality. On its ordered path bind narrows eq.s to the entry's
+	// constant key prefix, and tailVals is the per-row scratch for the
+	// remaining index columns.
+	eq       eqView
+	tailVals []relation.Value
+	set      map[string]bool
+	vals     []relation.Value   // constant part values this entry
+	con      []bool             // part i is constant this entry
+	condT    []bool             // pkCase condition held this entry
+	colvs    [][]relation.Value // column vectors for vectorized parts
+	rowVals  []relation.Value   // per-row key scratch
+	keyBuf   []byte
 	// Per-entry key plan: pfx holds the encoded constant key prefix
 	// (the leading parts of the encode order — index column order for
 	// index probes, natural order for hash probes — that are constant
@@ -936,7 +938,7 @@ func (p *predInst) bind(en *env, t *Table) error {
 func (pb *probeInst) bind(en *env, t *Table, state *uint8) error {
 	k := pb.k
 	if k.d.idx != nil {
-		pb.d, pb.fence = en.td(k.d.t).lookupEq(k.d.t, k.d.idx)
+		pb.eq = en.td(k.d.t).lookupEq(k.d.t, k.d.idx)
 	} else {
 		hb, err := k.d.ensureHash(en)
 		if err != nil {
@@ -1014,13 +1016,20 @@ func (pb *probeInst) bind(en *env, t *Table, state *uint8) error {
 			pb.rowVals[i] = pb.vals[i]
 		}
 	}
+	if pb.eq.ordered() {
+		// The ordered path searches only below the constant prefix.
+		pb.eq.s = pb.eq.within(pb.eq.s, 0, pb.pfxVals)
+	}
 	// Small-set scan: an index probe whose single per-row part is the
 	// index's last column materializes the entry's matching values once
-	// and compares per row instead of hashing per row.
+	// and compares per row instead of probing per row.
 	if d := k.d; d.idx != nil && len(pb.tail) == 1 && len(pb.pfxVals) == n-1 && n >= 2 &&
 		k.parts[pb.tail[0]].kind == pkCol {
 		td := en.td(d.t)
-		pos := td.eqPrefixRange(d.t, d.idx, pb.pfxVals, relation.Value{}, relation.Value{}, false, false)
+		pos := pb.eq.s
+		if !pb.eq.ordered() {
+			pos = td.eqPrefixRange(d.t, d.idx, pb.pfxVals, relation.Value{}, relation.Value{}, false, false)
+		}
 		if len(pos) <= probeScanSetMax {
 			valCol := d.idx.Cols[n-1]
 			inner := td.rows
@@ -1073,7 +1082,13 @@ rowLoop:
 		if fr != nil {
 			fr.rows[src] = rows[ri]
 		}
-		key := append(pb.keyBuf[:0], pb.pfx...)
+		ordered := pb.eq.ordered() // only ever set for index probes
+		key := pb.keyBuf[:0]
+		if ordered {
+			pb.tailVals = pb.tailVals[:0]
+		} else {
+			key = append(key, pb.pfx...)
+		}
 		for _, i := range pb.tail {
 			part := &k.parts[i]
 			v := pb.rowVals[i] // constants were planted at bind
@@ -1115,16 +1130,23 @@ rowLoop:
 					continue rowLoop
 				}
 			}
+			if ordered {
+				pb.tailVals = append(pb.tailVals, v)
+				continue
+			}
 			key = relation.AppendKey(key, v)
 			key = append(key, 0x1f)
 		}
 		pb.keyBuf = key
 		var hit bool
-		if pb.d != nil {
+		switch {
+		case ordered:
+			hit = len(pb.eq.within(pb.eq.s, len(pb.pfxVals), pb.tailVals)) > 0
+		case k.d.idx != nil:
 			// Per-probe locking inside probe(): no structure lock is held
 			// across the surrounding closure evaluations.
-			hit = len(pb.d.probe(string(key), pb.fence)) > 0
-		} else {
+			hit = len(pb.eq.probeKey(key)) > 0
+		default:
 			hit = pb.set[string(key)]
 		}
 		if hit != k.neg {

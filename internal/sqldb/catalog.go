@@ -166,14 +166,20 @@ type indexSlot struct {
 
 // indexData holds one epoch-lineage's built structures for an index:
 //
-//   - m, a hash map from encoded key to ascending row positions,
-//     covering rows [0, mCover) — answers equality probes in O(1);
 //   - sorted, row positions ordered by the index-column values (ties
 //     by position). sorted[:f] is a valid in-order view of rows
 //     [0, f) for every fence f with sBase <= f <= len(sorted); a
 //     non-monotone extension has to rebuild the array and raises
 //     sBase to its own fence, sending older pinned readers to a
-//     transient sort.
+//     transient sort. It serves range scans, ORDER BY and — by binary
+//     search — equality probes;
+//   - m, a hash map from encoded key to ascending row positions,
+//     covering rows [0, mCover) — answers equality probes in O(1). It
+//     is built only for a reader sorted cannot serve (never built, or
+//     rebased past the reader's fence): see lookupEq. A DELETE/UPDATE/
+//     TRUNCATE fork carries m over only when sorted is not built, so a
+//     table whose index is read in order never pays per-key bucket
+//     upkeep.
 //
 // Both grow monotonically under mu; they are never shrunk or
 // reordered in place, so a header snapshotted under RLock stays
@@ -645,15 +651,7 @@ func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.
 // filter-and-remap pass.
 func (db *DB) applyDelete(t *Table, dels []int) {
 	td := db.curW.tds[t]
-	nrows := make([]relation.Tuple, 0, len(td.rows)-len(dels))
-	di := 0
-	for ri, row := range td.rows {
-		if di < len(dels) && dels[di] == ri {
-			di++
-			continue
-		}
-		nrows = append(nrows, row)
-	}
+	nrows := withoutPositions(td.rows, dels)
 	ntd := &tableData{
 		rows:    nrows,
 		version: td.version + 1,
@@ -804,7 +802,7 @@ func (d *colData) forkUpdated(pos []int, setCols []int, vals [][]relation.Value)
 }
 
 // forkDeleted forks the cache for a DELETE: each built vector is
-// filtered in one pass; its new length is exactly the compacted cover
+// compacted run by run; its new length is exactly the compacted cover
 // of the positions it described.
 func (d *colData) forkDeleted(dels []int) *colData {
 	d.mu.RLock()
@@ -815,21 +813,33 @@ func (d *colData) forkDeleted(dels []int) *colData {
 	}
 	nd.vecs = make([][]relation.Value, len(d.vecs))
 	for ci, v := range d.vecs {
-		if v == nil {
-			continue
+		if v != nil {
+			nd.vecs[ci] = withoutPositions(v, dels)
 		}
-		keep := make([]relation.Value, 0, len(v))
-		di := 0
-		for ri := range v {
-			if di < len(dels) && dels[di] == ri {
-				di++
-				continue
-			}
-			keep = append(keep, v[ri])
-		}
-		nd.vecs[ci] = keep
 	}
 	return nd
+}
+
+// withoutPositions returns a fresh copy of v minus the elements at the
+// ascending positions dels (those beyond len(v) are ignored), copying
+// the surviving runs between deleted positions wholesale. The copy
+// keeps room for as many elements as were deleted (up to a quarter of
+// its length, append's own growth step), so a table that deletes and
+// inserts in equal measure does not reallocate on the next append.
+func withoutPositions[T any](v []T, dels []int) []T {
+	dels = dels[:sort.SearchInts(dels, len(v))]
+	n := len(v) - len(dels)
+	spare := len(dels)
+	if spare > n/4 {
+		spare = n / 4
+	}
+	out := make([]T, 0, n+spare)
+	from := 0
+	for _, d := range dels {
+		out = append(out, v[from:d]...)
+		from = d + 1
+	}
+	return append(out, v[from:]...)
 }
 
 // forkTruncated forks the cache for TRUNCATE: built vectors become
@@ -863,20 +873,111 @@ func (td *tableData) indexData(idx *Index) *indexData {
 	return nil
 }
 
-// lookupEq ensures the equality map covers this epoch's rows and
-// returns the structure plus the fence to probe at. Callers probe
-// with d.probe(key, fence) — per probe, never holding the structure
-// lock across expression evaluation.
-func (td *tableData) lookupEq(t *Table, idx *Index) (*indexData, int) {
+// eqView is one reader's equality-probe access to an index: the
+// in-order positions cut to the reader's fence when they serve it
+// (s != nil), the hash map d otherwise. It is small on purpose — every
+// probe kernel of every statement execution holds one.
+type eqView struct {
+	s   []int
+	td  *tableData
+	idx *Index
+	d   *indexData
+}
+
+// ordered reports whether probes binary-search the in-order positions.
+func (v *eqView) ordered() bool { return v.s != nil }
+
+// lookupEq resolves how this epoch's equality probes on idx are
+// answered, from what is already built: the equality map if it covers
+// the fence; else the in-order positions if something ranged or
+// ordered over the index built them and they serve the fence — by
+// binary search, nothing encoded or hashed; else the map is built (or
+// extended) now. Since DML forks keep only the order when both exist,
+// an index that is read in order settles on the order and no per-key
+// structure follows its table through DML, while an index only ever
+// probed for equality keeps its O(1) map. Callers probe per row
+// through the view, never holding the structure lock across
+// expression evaluation.
+func (td *tableData) lookupEq(t *Table, idx *Index) eqView {
 	d := td.indexData(idx)
 	f := len(td.rows)
 	d.mu.RLock()
-	ok := d.m != nil && d.mCover >= f
+	s := d.sorted
+	mapped := d.m != nil && d.mCover >= f
+	ordered := !mapped && s != nil && d.sBase <= f
 	d.mu.RUnlock()
-	if !ok {
+	if ordered {
+		if len(s) < f {
+			s = td.orderedOf(t, idx) // appended since: extend to the fence
+		}
+		return eqView{s: s[:f], td: td, idx: idx}
+	}
+	if !mapped {
 		d.extendEq(idx, td.rows, f)
 	}
-	return d, f
+	return eqView{td: td, idx: idx, d: d}
+}
+
+// probe returns the ascending row positions whose index columns equal
+// vals — one value per index column, in index order, none NULL.
+// keyBuf is the caller's scratch for the map path's key encoding.
+func (v *eqView) probe(vals []relation.Value, keyBuf *[]byte) []int {
+	if v.ordered() {
+		return v.within(v.s, 0, vals)
+	}
+	key := relation.AppendKeyOf((*keyBuf)[:0], vals)
+	*keyBuf = key
+	return v.probeKey(key)
+}
+
+// probeKey is probe on the map path, for callers that encode the key
+// themselves.
+func (v *eqView) probeKey(key []byte) []int {
+	return v.d.probe(key, len(v.td.rows))
+}
+
+// within is eqRange over the view's index, on the ordered path.
+func (v *eqView) within(s []int, k0 int, vals []relation.Value) []int {
+	return eqRange(v.td.rows, v.idx.Cols, s, k0, vals)
+}
+
+// eqRange narrows s — positions in index order that agree on the first
+// k0 index columns — to those whose next len(vals) index columns
+// compare equal to vals. Equality via Compare == 0 is Identical, which
+// is what the map's key encoding implements: exact across numeric
+// kinds, NaN self-equal. NULL rows sort outside every equal region of a
+// non-NULL probe, and callers never probe with NULL.
+func eqRange(rows []relation.Tuple, cols []int, s []int, k0 int, vals []relation.Value) []int {
+	// Two hand-rolled binary searches: this runs once per probed row,
+	// and sort.Search would allocate its closure each time.
+	cmp := func(ri int) int {
+		row := rows[ri]
+		for j := range vals {
+			if c := relation.Compare(row[cols[k0+j]], vals[j]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cmp(s[mid]) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	from := lo
+	for hi = len(s); lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if cmp(s[mid]) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return s[from:lo]
 }
 
 // extendEq builds (or grows) the equality map to cover fence f.
@@ -919,9 +1020,9 @@ func (d *indexData) extendEq(idx *Index, rows []relation.Tuple, f int) {
 // RLock and used after release: bucket growth only appends positions
 // >= every older fence at the end, and forks replace bucket arrays
 // wholesale, so the snapshotted cells are stable.
-func (d *indexData) probe(key string, fence int) []int {
+func (d *indexData) probe(key []byte, fence int) []int {
 	d.mu.RLock()
-	b := d.m[key]
+	b := d.m[string(key)] // no copy: a map index converts in place
 	d.mu.RUnlock()
 	if n := len(b); n == 0 || b[n-1] < fence {
 		return b
@@ -1058,46 +1159,30 @@ func (td *tableData) rangeOf(t *Table, idx *Index, lo, hi relation.Value, hasLo,
 }
 
 // eqPrefixRange returns the positions whose first k index columns
-// compare equal to vals (one value per index column, in index order)
-// and whose (k+1)-th column lies within lo/hi (each optional), as a
-// subslice of the in-order positions — the compound-bound form of
-// rangeOf. Equality via Compare == 0 is exact here because callers
-// guard NULL and NaN keys (probeRows): for non-NULL, non-NaN operands
-// Compare(a, b) == 0 ⇔ Equal(a, b), and NULL/NaN *rows* sort outside
-// the equal region. The range bound stays conservative-inclusive like
-// rangeOf — exclusivity is the retained filter's job.
+// compare equal to vals (one value per index column, in index order;
+// see eqRange) and whose (k+1)-th column lies within lo/hi (each
+// optional), as a subslice of the in-order positions — the
+// compound-bound form of rangeOf. The range bound stays
+// conservative-inclusive like rangeOf — exclusivity is the retained
+// filter's job.
 func (td *tableData) eqPrefixRange(t *Table, idx *Index, vals []relation.Value, lo, hi relation.Value, hasLo, hasHi bool) []int {
-	s := td.orderedOf(t, idx)
 	rows := td.rows
-	k := len(vals)
-	// cmpPrefix ranks a row against the equality prefix.
-	cmpPrefix := func(ri int) int {
-		row := rows[ri]
-		for j := 0; j < k; j++ {
-			if c := relation.Compare(row[idx.Cols[j]], vals[j]); c != 0 {
-				return c
-			}
-		}
-		return 0
+	s := eqRange(rows, idx.Cols, td.orderedOf(t, idx), 0, vals)
+	if !hasLo && !hasHi {
+		return s
 	}
-	var next int
-	if k < len(idx.Cols) {
-		next = idx.Cols[k]
+	next := idx.Cols[len(vals)]
+	from, to := 0, len(s)
+	if hasLo {
+		from = sort.Search(len(s), func(i int) bool {
+			return relation.Compare(rows[s[i]][next], lo) >= 0
+		})
 	}
-	from := sort.Search(len(s), func(i int) bool {
-		c := cmpPrefix(s[i])
-		if c != 0 {
-			return c > 0
-		}
-		return !hasLo || relation.Compare(rows[s[i]][next], lo) >= 0
-	})
-	to := sort.Search(len(s), func(i int) bool {
-		c := cmpPrefix(s[i])
-		if c != 0 {
-			return c > 0
-		}
-		return hasHi && relation.Compare(rows[s[i]][next], hi) > 0
-	})
+	if hasHi {
+		to = sort.Search(len(s), func(i int) bool {
+			return relation.Compare(rows[s[i]][next], hi) > 0
+		})
+	}
 	if to < from {
 		to = from
 	}
@@ -1105,14 +1190,36 @@ func (td *tableData) eqPrefixRange(t *Table, idx *Index, vals []relation.Value, 
 }
 
 // forkUpdated forks the structures for an UPDATE that assigned this
-// index's columns at positions pos: buckets and order entries for the
-// covered changed positions are re-keyed against the new rows. Bucket
-// arrays touched by the re-keying are always freshly allocated — the
-// old lineage keeps reading its snapshotted headers.
+// index's columns at positions pos: order entries (or, for an index
+// never read in order, buckets) for the covered changed positions are
+// re-keyed against the new rows. Bucket arrays touched by the re-keying
+// are always freshly allocated — the old lineage keeps reading its
+// snapshotted headers.
 func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, pos []int) *indexData {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
+	if d.sorted != nil {
+		cover := len(d.sorted)
+		doomed := make(map[int]bool, len(pos))
+		var add []int
+		for _, ri := range pos {
+			if ri < cover {
+				doomed[ri] = true
+				add = append(add, ri)
+			}
+		}
+		keep := make([]int, 0, cover)
+		for _, ri := range d.sorted {
+			if !doomed[ri] {
+				keep = append(keep, ri)
+			}
+		}
+		sort.Slice(add, func(a, b int) bool { return lessPosIn(idx.Cols, newRows, add[a], add[b]) })
+		nd.sorted = mergeSortedIn(idx.Cols, newRows, keep, add)
+		nd.sBase = len(nd.sorted)
+		return nd // equality probes binary-search it: no map to carry
+	}
 	if d.m != nil {
 		nm := make(map[string][]int, len(d.m))
 		for k, b := range d.m {
@@ -1134,48 +1241,37 @@ func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, p
 		}
 		nd.m, nd.mCover = nm, d.mCover
 	}
-	if d.sorted != nil {
-		cover := len(d.sorted)
-		doomed := make(map[int]bool, len(pos))
-		var add []int
-		for _, ri := range pos {
-			if ri < cover {
-				doomed[ri] = true
-				add = append(add, ri)
-			}
-		}
-		keep := make([]int, 0, cover)
-		for _, ri := range d.sorted {
-			if !doomed[ri] {
-				keep = append(keep, ri)
-			}
-		}
-		sort.Slice(add, func(a, b int) bool { return lessPosIn(idx.Cols, newRows, add[a], add[b]) })
-		nd.sorted = mergeSortedIn(idx.Cols, newRows, keep, add)
-		nd.sBase = len(nd.sorted)
-	}
 	return nd
 }
 
 // forkDeleted forks the structures for a DELETE: surviving positions
-// are filtered and remapped in one pass per structure — no key
-// encoding, no re-sort, no rehash.
+// are filtered and remapped in one pass — no key encoding, no re-sort,
+// and for an index read in order no per-key work at all.
 func (d *indexData) forkDeleted(dels []int) *indexData {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
-	remap := func(ri int) int { return ri - sort.SearchInts(dels, ri) }
-	deleted := func(ri int) bool {
-		i := sort.SearchInts(dels, ri)
-		return i < len(dels) && dels[i] == ri
+	// below counts the deleted positions under ri; deleted reports
+	// whether ri itself is one, given that count.
+	below := func(ri int) int { return sort.SearchInts(dels, ri) }
+	deleted := func(ri, i int) bool { return i < len(dels) && dels[i] == ri }
+	if d.sorted != nil {
+		keep := make([]int, 0, len(d.sorted))
+		for _, ri := range d.sorted {
+			if i := below(ri); !deleted(ri, i) {
+				keep = append(keep, ri-i)
+			}
+		}
+		nd.sorted, nd.sBase = keep, len(keep)
+		return nd // equality probes binary-search it: no map to carry
 	}
 	if d.m != nil {
 		nm := make(map[string][]int, len(d.m))
 		for k, b := range d.m {
 			var keep []int
 			for _, ri := range b {
-				if !deleted(ri) {
-					keep = append(keep, remap(ri))
+				if i := below(ri); !deleted(ri, i) {
+					keep = append(keep, ri-i)
 				}
 			}
 			if len(keep) > 0 {
@@ -1183,16 +1279,7 @@ func (d *indexData) forkDeleted(dels []int) *indexData {
 			}
 		}
 		nd.m = nm
-		nd.mCover = d.mCover - sort.SearchInts(dels, d.mCover)
-	}
-	if d.sorted != nil {
-		keep := make([]int, 0, len(d.sorted))
-		for _, ri := range d.sorted {
-			if !deleted(ri) {
-				keep = append(keep, remap(ri))
-			}
-		}
-		nd.sorted, nd.sBase = keep, len(keep)
+		nd.mCover = d.mCover - below(d.mCover)
 	}
 	return nd
 }
@@ -1203,11 +1290,11 @@ func (d *indexData) forkTruncated() *indexData {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
-	if d.m != nil {
-		nd.m = make(map[string][]int)
-	}
-	if d.sorted != nil {
+	switch {
+	case d.sorted != nil:
 		nd.sorted = make([]int, 0)
+	case d.m != nil:
+		nd.m = make(map[string][]int)
 	}
 	return nd
 }

@@ -153,6 +153,9 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 		}
 	}
 
+	if len(newRows) == 0 {
+		return 0, nil // nothing selected: no WAL record, no epoch
+	}
 	if err := db.logInsert(t.Name, newRows); err != nil {
 		return 0, err
 	}
@@ -169,6 +172,258 @@ func (db *DB) execInsert(ins *Insert, params []relation.Value) (int64, error) {
 	return db.runInsert(p, params)
 }
 
+// --- target-row selection (UPDATE and DELETE) ---
+
+// rowSelect decides which rows of a DML target a WHERE clause selects.
+// UPDATE and DELETE share it: both first collect the target positions
+// against the unmodified epoch and then apply a copy-on-write
+// transition, so the statement sees a consistent snapshot of its own
+// target.
+type rowSelect struct {
+	t     *Table
+	where compiledExpr
+	// semi, when non-nil, is the joint semi-join select over
+	// [target] + subquery sources: running it and collecting the
+	// distinct target row indices is equivalent to filtering rows with
+	// the WHERE clause, but lets the planner drive the join from the
+	// small side (the paper's pattern tables, an update's staged ΔD)
+	// instead of probing the subquery once per data row.
+	semi *compiledSelect
+	// filterSel is the planned single-source select over the target with
+	// the same WHERE: when the semi-join path is not taken, the row
+	// selection runs through the batched executor (kernel filters over
+	// the column vectors, e.g. the detector's RID-slice and MV = 0
+	// guards) instead of the per-row closure loop. nil when the WHERE
+	// does not plan; the closure loop remains the fallback, and is what
+	// DisablePlanner forces for the differential suites.
+	filterSel *compiledSelect
+}
+
+// disableSemiJoinUpdate / forceSemiJoinUpdate are test hooks for the
+// differential suite; production code leaves both false.
+var (
+	disableSemiJoinUpdate = false
+	forceSemiJoinUpdate   = false
+)
+
+// compileRowSelect compiles the WHERE of a DML statement over table
+// (bound as alias when given). The returned compiler resolves names in
+// the target's scope, for the caller's own expressions (SET values).
+func (db *DB) compileRowSelect(table, alias string, where Expr, ep *epoch) (*rowSelect, *compiler, error) {
+	t, err := ep.table(table)
+	if err != nil {
+		return nil, nil, err
+	}
+	name := alias
+	if name == "" {
+		name = table
+	}
+	c := &compiler{db: db, ep: ep, scopes: []*scopeInfo{
+		{sources: []sourceInfo{{name: name, cols: t.Schema.Names()}}},
+	}}
+	rs := &rowSelect{t: t}
+	if where == nil {
+		return rs, c, nil
+	}
+	if rs.where, err = c.compileExpr(where); err != nil {
+		return nil, nil, err
+	}
+	target := TableRef{Table: table, Alias: alias}
+	rs.semi = db.trySemiJoin(target, where, ep)
+	synth := &Select{
+		Exprs: []SelectExpr{{Expr: &Literal{Val: relation.Int(1)}}},
+		From:  []TableRef{target},
+		Where: where,
+	}
+	fc := &compiler{db: db, ep: ep}
+	if cs, err := fc.compileSubSelect(synth); err == nil && cs.planOK && !cs.grouped {
+		rs.filterSel = cs
+	}
+	return rs, c, nil
+}
+
+// trySemiJoin builds the joint semi-join select for a DML statement
+// whose WHERE contains, as a top-level conjunct, a plain EXISTS over
+// base tables or a positive `x IN (SELECT e FROM ...)` — the latter is
+// the former with the equality x = e added, since a WHERE conjunct only
+// ever asks whether IN is true. Returns nil when the shape does not
+// qualify; the row-filter path then applies.
+func (db *DB) trySemiJoin(target TableRef, where Expr, ep *epoch) *compiledSelect {
+	var conjs []Expr
+	splitConjuncts(where, &conjs)
+	exIdx := -1
+	var sub *Select
+	var subWhere Expr
+	for i, cj := range conjs {
+		var cand *Select
+		var link Expr
+		switch x := cj.(type) {
+		case *Exists:
+			if x.Neg {
+				continue
+			}
+			cand = x.Sub
+		case *InSelect:
+			if x.Neg || len(x.Sub.Exprs) != 1 || x.Sub.Exprs[0].Star {
+				continue
+			}
+			cand = x.Sub
+			link = &Binary{Op: "=", L: x.X, R: x.Sub.Exprs[0].Expr}
+		default:
+			continue
+		}
+		if !semiJoinable(cand) {
+			continue
+		}
+		collides := false
+		for _, tr := range cand.From {
+			if strings.EqualFold(tr.Name(), target.Name()) {
+				collides = true
+				break
+			}
+		}
+		if collides {
+			continue
+		}
+		exIdx, sub, subWhere = i, cand, conjoin(cand.Where, link)
+		break
+	}
+	if exIdx < 0 {
+		return nil
+	}
+	for i, cj := range conjs {
+		if i != exIdx {
+			subWhere = conjoin(subWhere, cj)
+		}
+	}
+	synth := &Select{
+		Exprs: []SelectExpr{{Expr: &Literal{Val: relation.Int(1)}}},
+		From:  append([]TableRef{target}, sub.From...),
+		Where: subWhere,
+	}
+	c := &compiler{db: db, ep: ep}
+	cs, err := c.compileSubSelect(synth)
+	if err != nil || !cs.planOK {
+		// Merging scopes can introduce ambiguities the nested form did
+		// not have (unqualified names resolving into both scopes); the
+		// row-filter path stays available.
+		return nil
+	}
+	return cs
+}
+
+// semiJoinable reports whether a subquery can be folded into a joint
+// join: base tables only, no grouping/aggregation/limit (those change
+// emptiness semantics or row multiplicity guarantees).
+func semiJoinable(sub *Select) bool {
+	if len(sub.From) == 0 || len(sub.GroupBy) > 0 || sub.Having != nil ||
+		sub.Limit != nil || sub.Offset != nil || selectHasAggregate(sub) {
+		return false
+	}
+	for _, tr := range sub.From {
+		if tr.Sub != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// useSemiJoin reports whether the selection would take the semi-join
+// path given the epoch's table sizes: worth it when a subquery source
+// is meaningfully smaller than the target, so the join is driven from
+// that side instead of probing the subquery once per target row. Shared
+// by positions (against db.curW) and EXPLAIN (against a pinned
+// snapshot) so the reported access path is the one that actually
+// executes.
+func (rs *rowSelect) useSemiJoin(ep *epoch) bool {
+	if rs.semi == nil || DisablePlanner || disableSemiJoinUpdate {
+		return false
+	}
+	target := len(ep.tds[rs.t].rows)
+	minSub := target + 1
+	for _, src := range rs.semi.sources[1:] {
+		if n := len(ep.tds[src.table].rows); n < minSub {
+			minSub = n
+		}
+	}
+	return forceSemiJoinUpdate || minSub*4 <= target
+}
+
+// positions returns the selected target row positions in the writer
+// head, ascending and unique — the order applyUpdate and applyDelete
+// require regardless of the scan's visit order.
+func (rs *rowSelect) positions(db *DB, params []relation.Value) ([]int, error) {
+	tRows := db.curW.tds[rs.t].rows
+	// Planned selection: semi-join (the target joins the subquery
+	// sources, driven from the small side) or the single-source batched
+	// scan (simple WHERE conjuncts run as kernel filters).
+	var sel *compiledSelect
+	switch {
+	case rs.useSemiJoin(db.curW):
+		sel = rs.semi
+	case rs.filterSel != nil && !DisablePlanner:
+		sel = rs.filterSel
+	}
+	if sel != nil {
+		matched := make(map[int]bool)
+		err := sel.semiScan(newEnv(db, db.curW, params), func(idx []int) error {
+			matched[idx[0]] = true
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		ris := make([]int, 0, len(matched))
+		for ri := range matched {
+			ris = append(ris, ri)
+		}
+		sort.Ints(ris)
+		return ris, nil
+	}
+	ris := make([]int, 0, len(tRows))
+	if rs.where == nil {
+		for ri := range tRows {
+			ris = append(ris, ri)
+		}
+		return ris, nil
+	}
+	en := newEnv(db, db.curW, params)
+	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
+	fr := &en.frames[0]
+	for ri, row := range tRows {
+		fr.rows[0] = row
+		v, err := rs.where(en)
+		if err != nil {
+			return nil, err
+		}
+		if v.Truth() {
+			ris = append(ris, ri)
+		}
+	}
+	return ris, nil
+}
+
+// describe renders the access path positions would take right now, for
+// EXPLAIN.
+func (rs *rowSelect) describe(ep *epoch, b *strings.Builder) {
+	plan := func(title string, cs *compiledSelect) {
+		b.WriteString("  " + title + ":\n")
+		for _, line := range cs.describePlan(ep) {
+			b.WriteString("    " + line + "\n")
+		}
+	}
+	switch {
+	case rs.useSemiJoin(ep):
+		plan("semi-join row selection", rs.semi)
+	case rs.filterSel != nil && !DisablePlanner:
+		plan("planned row selection", rs.filterSel)
+	case rs.where == nil:
+		b.WriteString("  every row (no filter)\n")
+	default:
+		b.WriteString("  full scan with row filter\n")
+	}
+}
+
 // --- UPDATE ---
 
 type setter struct {
@@ -182,52 +437,17 @@ type setter struct {
 }
 
 type updatePlan struct {
-	t       *Table
-	table   string
-	where   compiledExpr
+	sel     *rowSelect
 	setters []setter
-	// semi, when non-nil, is the joint semi-join select over
-	// [target] + EXISTS-subquery sources: running it and collecting the
-	// distinct target row indices is equivalent to filtering rows with
-	// the WHERE clause, but lets the planner drive the join from the
-	// small side (the paper's pattern tables) instead of probing the
-	// EXISTS once per data row.
-	semi *compiledSelect
-	// filterSel is the planned single-source select over the target with
-	// the same WHERE: when the semi-join path is not taken, the row
-	// selection runs through the batched executor (kernel filters over
-	// the column vectors, e.g. the detector's RID-slice and MV = 0
-	// guards) instead of the per-row closure loop. nil when the WHERE
-	// does not plan; the closure loop remains the fallback.
-	filterSel *compiledSelect
 }
 
-// disableSemiJoinUpdate / forceSemiJoinUpdate are test hooks for the
-// differential suite; production code leaves both false.
-var (
-	disableSemiJoinUpdate = false
-	forceSemiJoinUpdate   = false
-)
-
 func (db *DB) compileUpdate(up *Update, ep *epoch) (*updatePlan, error) {
-	t, err := ep.table(up.Table)
+	sel, c, err := db.compileRowSelect(up.Table, up.Alias, up.Where, ep)
 	if err != nil {
 		return nil, err
 	}
-	name := up.Alias
-	if name == "" {
-		name = up.Table
-	}
-	c := &compiler{db: db, ep: ep, scopes: []*scopeInfo{
-		{sources: []sourceInfo{{name: name, cols: t.Schema.Names()}}},
-	}}
-
-	p := &updatePlan{t: t, table: up.Table}
-	if up.Where != nil {
-		if p.where, err = c.compileExpr(up.Where); err != nil {
-			return nil, err
-		}
-	}
+	t := sel.t
+	p := &updatePlan{sel: sel}
 	p.setters = make([]setter, len(up.Set))
 	for i, a := range up.Set {
 		j := t.Schema.Index(a.Column)
@@ -246,134 +466,23 @@ func (db *DB) compileUpdate(up *Update, ep *epoch) (*updatePlan, error) {
 			}
 		}
 	}
-	p.semi = db.trySemiJoinUpdate(up, name, ep)
-	if up.Where != nil {
-		synth := &Select{
-			Exprs: []SelectExpr{{Expr: &Literal{Val: relation.Int(1)}}},
-			From:  []TableRef{{Table: up.Table, Alias: up.Alias}},
-			Where: up.Where,
-		}
-		fc := &compiler{db: db, ep: ep}
-		if cs, err := fc.compileSubSelect(synth); err == nil && cs.planOK && !cs.grouped {
-			p.filterSel = cs
-		}
-	}
 	return p, nil
-}
-
-// trySemiJoinUpdate builds the joint semi-join select for an UPDATE
-// whose WHERE contains a plain EXISTS over base tables. Returns nil
-// when the shape does not qualify; the row-filter path then applies.
-func (db *DB) trySemiJoinUpdate(up *Update, name string, ep *epoch) *compiledSelect {
-	if up.Where == nil {
-		return nil
-	}
-	var conjs []Expr
-	splitConjuncts(up.Where, &conjs)
-	exIdx := -1
-	var sub *Select
-	for i, cj := range conjs {
-		ex, ok := cj.(*Exists)
-		if !ok || ex.Neg || !semiJoinable(ex.Sub) {
-			continue
-		}
-		collides := false
-		for _, tr := range ex.Sub.From {
-			if strings.EqualFold(tr.Name(), name) {
-				collides = true
-				break
-			}
-		}
-		if collides {
-			continue
-		}
-		exIdx, sub = i, ex.Sub
-		break
-	}
-	if exIdx < 0 {
-		return nil
-	}
-	where := sub.Where
-	for i, cj := range conjs {
-		if i == exIdx {
-			continue
-		}
-		if where == nil {
-			where = cj
-		} else {
-			where = &Binary{Op: "AND", L: where, R: cj}
-		}
-	}
-	synth := &Select{
-		Exprs: []SelectExpr{{Expr: &Literal{Val: relation.Int(1)}}},
-		From:  append([]TableRef{{Table: up.Table, Alias: up.Alias}}, sub.From...),
-		Where: where,
-	}
-	c := &compiler{db: db, ep: ep}
-	cs, err := c.compileSubSelect(synth)
-	if err != nil || !cs.planOK {
-		// Merging scopes can introduce ambiguities the nested form did
-		// not have (unqualified names resolving into both scopes); the
-		// row-filter path stays available.
-		return nil
-	}
-	return cs
-}
-
-// semiJoinable reports whether an EXISTS subquery can be folded into a
-// joint join: base tables only, no grouping/aggregation/limit (those
-// change emptiness semantics or row multiplicity guarantees).
-func semiJoinable(sub *Select) bool {
-	if len(sub.From) == 0 || len(sub.GroupBy) > 0 || sub.Having != nil ||
-		sub.Limit != nil || sub.Offset != nil || selectHasAggregate(sub) {
-		return false
-	}
-	for _, tr := range sub.From {
-		if tr.Sub != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// useSemiJoin reports whether the update would take the semi-join
-// path given the epoch's table sizes: worth it when a subquery source
-// is meaningfully smaller than the target, so the join is driven from
-// that side instead of probing the EXISTS once per target row. Shared
-// by runUpdate (against db.curW) and EXPLAIN (against a pinned
-// snapshot) so the reported access path is the one that actually
-// executes.
-func (p *updatePlan) useSemiJoin(ep *epoch) bool {
-	if p.semi == nil || DisablePlanner || disableSemiJoinUpdate {
-		return false
-	}
-	target := len(ep.tds[p.t].rows)
-	minSub := target + 1
-	for _, src := range p.semi.sources[1:] {
-		if n := len(ep.tds[src.table].rows); n < minSub {
-			minSub = n
-		}
-	}
-	return forceSemiJoinUpdate || minSub*4 <= target
 }
 
 func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	if err := db.writable(); err != nil {
 		return 0, err
 	}
-	t := p.t
-	// Two phases: evaluate against the unmodified epoch, then apply a
-	// copy-on-write transition, so the statement sees a consistent
-	// snapshot of its own target.
-	tRows := db.curW.tds[t].rows
-	en := newEnv(db, db.curW, params)
-	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
-	fr := &en.frames[0]
-	type change struct {
-		ri   int
-		vals []relation.Value
+	t := p.sel.t
+	pos, err := p.sel.positions(db, params)
+	if err != nil {
+		return 0, err
 	}
-	var changes []change
+	if len(pos) == 0 {
+		return 0, nil
+	}
+	// The new values evaluate against the unmodified epoch too.
+	vals := make([][]relation.Value, len(pos))
 	allConst := true
 	for _, s := range p.setters {
 		if !s.isConst {
@@ -381,105 +490,42 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 			break
 		}
 	}
-	var constVals []relation.Value
 	if allConst {
-		constVals = make([]relation.Value, len(p.setters))
+		constVals := make([]relation.Value, len(p.setters))
 		for i, s := range p.setters {
 			constVals[i] = s.constVal
 		}
-	}
-	evalRow := func(ri int) error {
-		if allConst {
-			changes = append(changes, change{ri: ri, vals: constVals})
-			return nil
-		}
-		vals := make([]relation.Value, len(p.setters))
-		for i, s := range p.setters {
-			if s.isConst {
-				vals[i] = s.constVal
-				continue
-			}
-			v, err := s.ex(en)
-			if err != nil {
-				return err
-			}
-			if vals[i], err = coerce(v, t.Schema.Attrs[s.col].Kind, t.Schema.Attrs[s.col].Name); err != nil {
-				return err
-			}
-		}
-		changes = append(changes, change{ri: ri, vals: vals})
-		return nil
-	}
-
-	useSemi := p.useSemiJoin(db.curW)
-
-	// Planned row selection: semi-join (the target joins the EXISTS
-	// sources, driven from the small side) or the single-source batched
-	// scan (simple WHERE conjuncts run as kernel filters). Both collect
-	// the distinct target row indices, deduped and sorted — evalRow and
-	// the index-maintenance bracket below depend on ascending, unique
-	// positions regardless of the scan's visit order.
-	var sel *compiledSelect
-	switch {
-	case useSemi:
-		sel = p.semi
-	case p.filterSel != nil && !DisablePlanner:
-		sel = p.filterSel
-	}
-	if sel != nil {
-		sen := newEnv(db, db.curW, params)
-		matched := make(map[int]bool)
-		err := sel.semiScan(sen, func(idx []int) error {
-			matched[idx[0]] = true
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		ris := make([]int, 0, len(matched))
-		for ri := range matched {
-			ris = append(ris, ri)
-		}
-		sort.Ints(ris)
-		for _, ri := range ris {
-			fr.rows[0] = tRows[ri]
-			if err := evalRow(ri); err != nil {
-				return 0, err
-			}
+		for i := range vals {
+			vals[i] = constVals
 		}
 	} else {
-		for ri, row := range tRows {
-			fr.rows[0] = row
-			if p.where != nil {
-				v, err := p.where(en)
+		tRows := db.curW.tds[t].rows
+		en := newEnv(db, db.curW, params)
+		en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
+		fr := &en.frames[0]
+		for i, ri := range pos {
+			fr.rows[0] = tRows[ri]
+			rv := make([]relation.Value, len(p.setters))
+			for j, s := range p.setters {
+				if s.isConst {
+					rv[j] = s.constVal
+					continue
+				}
+				v, err := s.ex(en)
 				if err != nil {
 					return 0, err
 				}
-				if !v.Truth() {
-					continue
+				if rv[j], err = coerce(v, t.Schema.Attrs[s.col].Kind, t.Schema.Attrs[s.col].Name); err != nil {
+					return 0, err
 				}
 			}
-			if err := evalRow(ri); err != nil {
-				return 0, err
-			}
+			vals[i] = rv
 		}
-	}
-
-	if len(changes) == 0 {
-		return 0, nil
 	}
 	// applyUpdate forks the next epoch copy-on-write: changed tuples are
 	// cloned and patched, shared structures (column vectors, indexes)
 	// fork only where the assigned columns overlap — so a flag update
-	// never touches a RID index, mirroring the old incremental
-	// maintenance. changes is ascending in ri on both the semi-join and
-	// the filter path.
-	pos := make([]int, len(changes))
-	vals := make([][]relation.Value, len(changes))
-	for i, ch := range changes {
-		pos[i] = ch.ri
-		vals[i] = ch.vals
-	}
+	// never touches a RID index.
 	setCols := make([]int, len(p.setters))
 	for i, s := range p.setters {
 		setCols[i] = s.col
@@ -489,7 +535,7 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	}
 	db.backupForTx(t)
 	db.applyUpdate(t, pos, setCols, vals)
-	return int64(len(changes)), nil
+	return int64(len(pos)), nil
 }
 
 func (db *DB) execUpdate(up *Update, params []relation.Value) (int64, error) {
@@ -503,53 +549,25 @@ func (db *DB) execUpdate(up *Update, params []relation.Value) (int64, error) {
 // --- DELETE ---
 
 type deletePlan struct {
-	t     *Table
-	where compiledExpr
+	sel *rowSelect
 }
 
 func (db *DB) compileDelete(del *Delete, ep *epoch) (*deletePlan, error) {
-	t, err := ep.table(del.Table)
+	sel, _, err := db.compileRowSelect(del.Table, del.Alias, del.Where, ep)
 	if err != nil {
 		return nil, err
 	}
-	name := del.Alias
-	if name == "" {
-		name = del.Table
-	}
-	c := &compiler{db: db, ep: ep, scopes: []*scopeInfo{
-		{sources: []sourceInfo{{name: name, cols: t.Schema.Names()}}},
-	}}
-	p := &deletePlan{t: t}
-	if del.Where != nil {
-		if p.where, err = c.compileExpr(del.Where); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return &deletePlan{sel: sel}, nil
 }
 
 func (db *DB) runDelete(p *deletePlan, params []relation.Value) (int64, error) {
 	if err := db.writable(); err != nil {
 		return 0, err
 	}
-	t := p.t
-	en := newEnv(db, db.curW, params)
-	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
-	fr := &en.frames[0]
-	var dropped []int
-	for ri, row := range db.curW.tds[t].rows {
-		drop := true
-		if p.where != nil {
-			fr.rows[0] = row
-			v, err := p.where(en)
-			if err != nil {
-				return 0, err
-			}
-			drop = v.Truth()
-		}
-		if drop {
-			dropped = append(dropped, ri)
-		}
+	t := p.sel.t
+	dropped, err := p.sel.positions(db, params)
+	if err != nil {
+		return 0, err
 	}
 	if len(dropped) == 0 {
 		return 0, nil
@@ -558,10 +576,8 @@ func (db *DB) runDelete(p *deletePlan, params []relation.Value) (int64, error) {
 		return 0, err
 	}
 	db.backupForTx(t)
-	// dropped is ascending by construction; applyDelete compacts the
-	// rows copy-on-write and filters/remaps built indexes instead of
-	// rebuilding (a one-row DELETE costs one pass of integer rewrites,
-	// no key encoding or re-sort).
+	// applyDelete compacts the rows copy-on-write and filters/remaps
+	// built indexes instead of rebuilding.
 	db.applyDelete(t, dropped)
 	return int64(len(dropped)), nil
 }

@@ -84,11 +84,14 @@ func (db *DB) execStmtLocked(stmt Statement, params []relation.Value) (int64, er
 		if err != nil {
 			return 0, err
 		}
+		n := int64(len(db.curW.tds[t].rows))
+		if n == 0 {
+			return 0, nil // already empty: no WAL record, no epoch
+		}
 		if err := db.logTruncate(t.Name); err != nil {
 			return 0, err
 		}
 		db.backupForTx(t)
-		n := int64(len(db.curW.tds[t].rows))
 		db.applyTruncate(t)
 		return n, nil
 	case *Insert:

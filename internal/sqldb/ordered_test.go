@@ -576,3 +576,107 @@ func TestRangeElisionDifferential(t *testing.T) {
 		t.Fatalf("NaN-bound elision diverges: %q vs %q", p, canonical(nres))
 	}
 }
+
+// TestEqualityProbesFromOrderedIndex: an index whose in-order positions
+// are built answers equality probes by binary search and never builds
+// or maintains the hash map. Under interleaved append / delete / update
+// / truncate forks it must agree — on NULL, NaN, duplicate and
+// mixed-kind keys, through the planner's join probe, the decorrelated
+// EXISTS closure and the probe kernel — with a twin that only ever
+// built the map, and with an unindexed oracle.
+func TestEqualityProbesFromOrderedIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	newTwin := func(indexed bool) *DB {
+		db := NewDB()
+		mustExec(t, db, `CREATE TABLE e (k REAL, g INTEGER, w INTEGER)`)
+		mustExec(t, db, `CREATE TABLE probe (v REAL)`)
+		if indexed {
+			mustExec(t, db, `CREATE INDEX idx_e_k ON e (k)`)
+			mustExec(t, db, `CREATE INDEX idx_e_kg ON e (k, g)`)
+		}
+		mustExec(t, db, `INSERT INTO probe VALUES (0.5), (1), (1.5), (7), (?), (?)`,
+			relation.Float(math.NaN()), relation.Null())
+		return db
+	}
+	ordered, mapped, ref := newTwin(true), newTwin(true), newTwin(false)
+	all := func(q string, params ...relation.Value) {
+		for _, db := range []*DB{ordered, mapped, ref} {
+			mustExec(t, db, q, params...)
+		}
+	}
+	key := func() relation.Value {
+		switch rng.Intn(10) {
+		case 0:
+			return relation.Null()
+		case 1:
+			return relation.Float(math.NaN())
+		}
+		return relation.Float(float64(rng.Intn(5)) / 2) // 0, 0.5, … 2: many duplicates
+	}
+	insert := func(w int) {
+		all(`INSERT INTO e VALUES (?, ?, ?)`, key(), relation.Int(int64(rng.Intn(3))), relation.Int(int64(w)))
+	}
+	for i := 0; i < 30; i++ {
+		insert(i)
+	}
+	// Order first: from here on the ordered twin serves every equality
+	// probe from the in-order positions.
+	mustQuery(t, ordered, `SELECT k FROM e ORDER BY k`)
+	mustQuery(t, ordered, `SELECT k, g FROM e ORDER BY k, g`)
+
+	probes := []relation.Value{relation.Float(0.5), relation.Int(1), relation.Float(1.5),
+		relation.Float(7), relation.Float(math.NaN()), relation.Null()}
+	for step := 0; step < 150; step++ {
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3:
+			insert(1000 + step)
+		case 4, 5:
+			all(`DELETE FROM e WHERE w % 5 = ?`, relation.Int(int64(rng.Intn(5))))
+		case 6, 7:
+			all(`UPDATE e SET k = ? WHERE w % 4 = ?`, key(), relation.Int(int64(rng.Intn(4))))
+		case 8:
+			all(`UPDATE e SET g = g + 1 WHERE k = ?`, key())
+		default:
+			if rng.Intn(5) == 0 {
+				all(`TRUNCATE TABLE e`)
+			}
+		}
+		for _, kernels := range []bool{true, false} {
+			DisableBatchKernels = !kernels
+			for _, q := range []string{
+				`SELECT w FROM e WHERE k = ?`,
+				`SELECT w FROM e WHERE k = ? AND g = 1`,
+				`SELECT p.v FROM probe p WHERE EXISTS (SELECT 1 FROM e WHERE e.k = p.v)`,
+				`SELECT p.v FROM probe p WHERE NOT EXISTS (SELECT 1 FROM e WHERE e.k = p.v AND e.g = 2)`,
+			} {
+				params := [][]relation.Value{nil}
+				if strings.Contains(q, "?") {
+					params = params[:0]
+					for _, v := range probes {
+						params = append(params, []relation.Value{v})
+					}
+				}
+				for _, ps := range params {
+					want := canonical(mustQuery(t, ref, q, ps...))
+					if got := canonical(mustQuery(t, ordered, q, ps...)); got != want {
+						t.Fatalf("step %d kernels=%v: ordered index diverges on %q %v: %q, want %q", step, kernels, q, ps, got, want)
+					}
+					if got := canonical(mustQuery(t, mapped, q, ps...)); got != want {
+						t.Fatalf("step %d kernels=%v: mapped index diverges on %q %v: %q, want %q", step, kernels, q, ps, got, want)
+					}
+				}
+			}
+			DisableBatchKernels = false
+		}
+		for _, name := range []string{"idx_e_k", "idx_e_kg"} {
+			verifyIndexConsistent(t, ordered, "e", name)
+			verifyIndexConsistent(t, mapped, "e", name)
+			if _, d, _ := testEpochIndex(t, ordered, "e", name); d.m != nil || d.sorted == nil {
+				t.Fatalf("step %d: %s of the ordered twin: map built %v, order built %v", step, name, d.m != nil, d.sorted != nil)
+			}
+			if _, d, _ := testEpochIndex(t, mapped, "e", name); d.m == nil || d.sorted != nil {
+				t.Fatalf("step %d: %s of the mapped twin: map built %v, order built %v", step, name, d.m != nil, d.sorted != nil)
+			}
+		}
+	}
+}

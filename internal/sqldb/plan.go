@@ -443,8 +443,10 @@ type probePlan struct {
 	pfxPerm   []int // prefix position → probe key position
 	pfxLo     compiledExpr
 	pfxHi     compiledExpr
-	pfxRngCol int              // schema position of the ranged column (EXPLAIN)
-	pfxVals   []relation.Value // scratch, in index-column order
+	pfxRngCol int // schema position of the ranged column (EXPLAIN)
+	// pfxVals is the probe key in index-column order (scratch), for
+	// either index.
+	pfxVals []relation.Value
 }
 
 type planState struct {
@@ -605,7 +607,9 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 			probe.vals = make([]relation.Value, len(probe.keys))
 			if t := cs.sources[s].table; t != nil {
 				probe.idx, probe.perm = probeIndex(ep.tds[t], probe.buildCols)
-				if probe.idx == nil {
+				if probe.idx != nil {
+					probe.pfxVals = make([]relation.Value, len(probe.perm))
+				} else {
 					// No exact-cover index: a compound index whose leading
 					// columns are the probe columns still beats the hash
 					// build — binary-searched equality, optionally tightened
@@ -1177,14 +1181,11 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows []relation.Tup
 	}
 	if p.idx != nil {
 		t := cs.sources[lv.src].table
-		id, fence := en.td(t).lookupEq(t, p.idx)
-		key := p.keyBuf[:0]
-		for _, pi := range p.perm {
-			key = relation.AppendKey(key, p.vals[pi])
-			key = append(key, 0x1f)
+		eq := en.td(t).lookupEq(t, p.idx)
+		for j, pi := range p.perm {
+			p.pfxVals[j] = p.vals[pi]
 		}
-		p.keyBuf = key
-		return id.probe(string(key), fence), false, nil
+		return eq.probe(p.pfxVals, &p.keyBuf), false, nil
 	}
 	if p.pfx != nil {
 		// Compound-prefix probe: binary-searched equality on the index's
@@ -1288,7 +1289,7 @@ outer:
 
 // semiScan runs the planned join over base-table sources and yields
 // per-source row indices for every combination passing WHERE, without
-// materializing output rows. The semi-join UPDATE path uses it to
+// materializing output rows. DML row selection (rowSelect) uses it to
 // collect the target row set.
 func (cs *compiledSelect) semiScan(en *env, yield func(idx []int) error) error {
 	if !cs.planOK || cs.grouped || cs.limit != nil || cs.offset != nil {
@@ -1454,8 +1455,9 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 
 // Explain parses and compiles a single statement and reports the plan
 // the engine would run: join order, per-level access paths (scan, hash
-// join, index probe), predicate placement, and for UPDATE whether the
-// semi-join strategy is available.
+// join, index probe), predicate placement, and for UPDATE and DELETE
+// the row selection that would execute right now (rowSelect.describe
+// mirrors the runtime choice, reading the same table sizes).
 func (db *DB) Explain(sqlText string) (string, error) {
 	stmts, err := ParseScript(sqlText)
 	if err != nil {
@@ -1485,28 +1487,15 @@ func (db *DB) Explain(sqlText string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		b.WriteString("UPDATE " + p.t.Name + "\n")
-		// Mirror runUpdate's runtime choice exactly (useSemiJoin reads
-		// the same table sizes), so the reported access path is the one
-		// that would execute right now.
-		switch {
-		case p.useSemiJoin(ep):
-			b.WriteString("  semi-join row selection:\n")
-			for _, line := range p.semi.describePlan(ep) {
-				b.WriteString("    " + line + "\n")
-			}
-		case p.filterSel != nil && !DisablePlanner:
-			b.WriteString("  planned row selection:\n")
-			for _, line := range p.filterSel.describePlan(ep) {
-				b.WriteString("    " + line + "\n")
-			}
-		case p.where == nil:
-			b.WriteString("  full table update (no filter)\n")
-		default:
-			b.WriteString("  full scan with row filter\n")
-		}
+		b.WriteString("UPDATE " + p.sel.t.Name + "\n")
+		p.sel.describe(ep, &b)
 	case *Delete:
-		b.WriteString("DELETE: full scan with row filter\n")
+		p, err := db.compileDelete(s, ep)
+		if err != nil {
+			return "", err
+		}
+		b.WriteString("DELETE " + p.sel.t.Name + "\n")
+		p.sel.describe(ep, &b)
 	case *Insert:
 		if s.Query != nil {
 			c := &compiler{db: db, ep: ep}

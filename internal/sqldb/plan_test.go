@@ -277,3 +277,131 @@ func TestPreparedNumParams(t *testing.T) {
 		t.Fatalf("NumParams = %d, want 1", got)
 	}
 }
+
+// TestDeletePlannedSelectionDifferential: DELETE selects its rows
+// through the same planned selection as UPDATE — batched single-source
+// scan, or a semi-join driven from an EXISTS / IN (SELECT …) source —
+// and must remove exactly the rows the forced nested loop removes,
+// under random predicates over NULL- and NaN-bearing data, whichever
+// side of the size heuristic the tables fall on.
+func TestDeletePlannedSelectionDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	semiSeen := 0
+	for trial := 0; trial < 120; trial++ {
+		seed := rng.Int63()
+		setup := func() *DB {
+			r := rand.New(rand.NewSource(seed))
+			db := NewDB()
+			mustExec(t, db, `CREATE TABLE d (rid INTEGER, a INTEGER, x REAL)`)
+			mustExec(t, db, `CREATE TABLE pat (p INTEGER, q REAL)`)
+			mustExec(t, db, `CREATE INDEX idx_d_rid ON d (rid)`)
+			val := func(n int) relation.Value {
+				if r.Intn(9) == 0 {
+					return relation.Null()
+				}
+				return relation.Int(int64(r.Intn(n)))
+			}
+			real := func() relation.Value {
+				switch r.Intn(8) {
+				case 0:
+					return relation.Null()
+				case 1:
+					return relation.Float(math.NaN())
+				}
+				return relation.Float(float64(r.Intn(6)) / 2)
+			}
+			for i, n := 0, 10+r.Intn(60); i < n; i++ {
+				mustExec(t, db, `INSERT INTO d VALUES (?, ?, ?)`, relation.Int(int64(i)), val(8), real())
+			}
+			for i, n := 0, r.Intn(12); i < n; i++ {
+				mustExec(t, db, `INSERT INTO pat VALUES (?, ?)`, val(70), real())
+			}
+			return db
+		}
+		leaf := func() string {
+			switch rng.Intn(9) {
+			case 0:
+				return fmt.Sprintf("t.a = %d", rng.Intn(8))
+			case 1:
+				return fmt.Sprintf("t.rid >= %d", rng.Intn(60))
+			case 2:
+				return fmt.Sprintf("t.rid IN (%d, %d, %d)", rng.Intn(60), rng.Intn(60), rng.Intn(60))
+			case 3:
+				return "t.rid IN (SELECT c.p FROM pat c)"
+			case 4:
+				return fmt.Sprintf("t.rid IN (SELECT c.p FROM pat c WHERE c.q < %d)", rng.Intn(3))
+			case 5:
+				return "t.x IN (SELECT c.q FROM pat c)"
+			case 6:
+				return "EXISTS (SELECT 1 FROM pat c WHERE c.p = t.rid AND c.q >= 1)"
+			case 7:
+				return "t.a NOT IN (SELECT c.p FROM pat c)"
+			default:
+				return "t.x IS NULL"
+			}
+		}
+		where := leaf()
+		for i := rng.Intn(3); i > 0; i-- {
+			op := " AND "
+			if rng.Intn(3) == 0 {
+				op = " OR "
+			}
+			where = "(" + where + op + leaf() + ")"
+		}
+		q := "DELETE FROM d t WHERE " + where
+
+		planned, nested := setup(), setup()
+		forceSemiJoinUpdate = trial%3 == 0
+		if plan, err := planned.Explain(q); err != nil {
+			t.Fatalf("trial %d: %v\n%s", trial, err, q)
+		} else if strings.Contains(plan, "semi-join row selection") {
+			semiSeen++
+		}
+		nPlanned := mustExec(t, planned, q)
+		forceSemiJoinUpdate = false
+		DisablePlanner = true
+		nNested := mustExec(t, nested, q)
+		DisablePlanner = false
+
+		a := canonical(mustQuery(t, planned, `SELECT rid, a, x FROM d`))
+		b := canonical(mustQuery(t, nested, `SELECT rid, a, x FROM d`))
+		if nPlanned != nNested || a != b {
+			t.Fatalf("trial %d: %s\nplanned deleted %d, nested %d\nplanned left: %s\nnested left:  %s",
+				trial, q, nPlanned, nNested, a, b)
+		}
+		verifyIndexConsistent(t, planned, "d", "idx_d_rid")
+	}
+	if semiSeen == 0 {
+		t.Error("no trial took the semi-join row selection")
+	}
+}
+
+// TestExplainDeleteInSubqueryDriver: a DELETE whose rows are named by a
+// small staged key set is driven from that set through the target's
+// index — the plan shape the detector's deletion of ΔD⁻ depends on.
+func TestExplainDeleteInSubqueryDriver(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE d (rid INTEGER, v INTEGER)`)
+	mustExec(t, db, `CREATE TABLE doomed (rid INTEGER)`)
+	mustExec(t, db, `CREATE INDEX idx_d_rid ON d (rid)`)
+	for i := 0; i < 100; i++ {
+		mustExec(t, db, `INSERT INTO d VALUES (?, 0)`, relation.Int(int64(i)))
+	}
+	mustExec(t, db, `INSERT INTO doomed VALUES (3), (97), (3), (1000)`)
+	q := `DELETE FROM d t WHERE t.rid IN (SELECT x.rid FROM doomed x)`
+	plan, err := db.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"DELETE d", "semi-join row selection", "scan x (4 rows)", "index probe t via idx_d_rid"} {
+		if !strings.Contains(plan, want) {
+			t.Fatalf("plan lacks %q:\n%s", want, plan)
+		}
+	}
+	if n := mustExec(t, db, q); n != 2 {
+		t.Fatalf("deleted %d rows, want 2 (a repeated and an absent key delete nothing extra)", n)
+	}
+	if got := flat(mustQuery(t, db, `SELECT COUNT(*) FROM d WHERE rid = 3 OR rid = 97`)); got != "0" {
+		t.Fatalf("doomed rows survive: %s", got)
+	}
+}

@@ -20,8 +20,9 @@ type hashBuild struct {
 // loop-invariant key state (see probeKey). Keyed by the *Exists node on
 // the env, so concurrent executions of the same plan never share it.
 type probeScratch struct {
-	vals   []relation.Value
-	keyBuf []byte
+	vals    []relation.Value
+	idxVals []relation.Value // vals in index-column order (index probes)
+	keyBuf  []byte
 	// Invariant-key cache: patRow identifies the pattern-site row the
 	// cached state was computed for; condBits has bit i set when part
 	// i's CASE condition held; invVals holds the values of fully
@@ -75,6 +76,7 @@ func (pk *probeKey) scratch(en *env) *probeScratch {
 		}
 		ps = &probeScratch{
 			vals:    make([]relation.Value, len(pk.parts)),
+			idxVals: make([]relation.Value, len(pk.parts)),
 			invVals: make([]relation.Value, len(pk.parts)),
 		}
 		en.probes[pk.x] = ps
@@ -409,12 +411,12 @@ func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 	if d.idx != nil {
 		idx, perm, t := d.idx, d.perm, d.t
 		return func(en *env) (relation.Value, error) {
-			// lookupEq resolves the epoch's index structure (building or
-			// extending the shared map under its own lock) and the row
-			// fence; probe() then takes a short per-probe read lock — no
-			// structure lock is ever held across key evaluation. The key
-			// scratch is per env: closures are shared across goroutines.
-			id, fence := en.td(t).lookupEq(t, idx)
+			// lookupEq resolves how the epoch's index answers the probe
+			// (in-order positions, or the shared map built or extended
+			// under its own lock); no structure lock is ever held across
+			// key evaluation. The key scratch is per env: closures are
+			// shared across goroutines.
+			eq := en.td(t).lookupEq(t, idx)
 			ps := pk.scratch(en)
 			ok, err := pk.eval(en, ps)
 			if err != nil {
@@ -423,13 +425,10 @@ func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 			if !ok {
 				return relation.Bool(neg), nil // NULL key never matches
 			}
-			keyBuf := ps.keyBuf[:0]
-			for _, pi := range perm {
-				keyBuf = relation.AppendKey(keyBuf, ps.vals[pi])
-				keyBuf = append(keyBuf, 0x1f)
+			for j, pi := range perm {
+				ps.idxVals[j] = ps.vals[pi]
 			}
-			ps.keyBuf = keyBuf
-			return relation.Bool((len(id.probe(string(keyBuf), fence)) > 0) != neg), nil
+			return relation.Bool((len(eq.probe(ps.idxVals, &ps.keyBuf)) > 0) != neg), nil
 		}, nil
 	}
 
@@ -692,6 +691,9 @@ func (c *compiler) compileInSelect(x *InSelect) (compiledExpr, error) {
 			if r[0].IsNull() {
 				b.hasNull = true
 				continue
+			}
+			if isNaN(r[0]) {
+				continue // NaN = x never holds, though NaN keys would collide
 			}
 			b.set[r[0].Key()] = true
 		}

@@ -400,3 +400,41 @@ func TestWALShortWriteDiscardsPartialUnit(t *testing.T) {
 		t.Fatalf("partial unit should have been discarded at failure time, got %+v", st)
 	}
 }
+
+// TestNoOpStatementsLeaveNoTrace: a statement that changes nothing —
+// TRUNCATE of an empty table, INSERT … SELECT, UPDATE or DELETE that
+// select no row — appends no WAL record and publishes no epoch. The
+// detector's update script truncates five scratch tables per update,
+// most of them already empty.
+func TestNoOpStatementsLeaveNoTrace(t *testing.T) {
+	fs := NewMemFS(7)
+	db := memOpen(t, fs, WALOptions{Fsync: FsyncAlways})
+	defer db.Close()
+	seedSmall(t, db)
+	walExec(t, db, "CREATE TABLE scratch (a INT)")
+
+	_, before := walFileBytes(t, fs, db)
+	seq := db.Stats().EpochSeq
+	for _, q := range []string{
+		"TRUNCATE TABLE scratch",
+		"INSERT INTO scratch SELECT a FROM t WHERE a > 100",
+		"UPDATE t SET b = 'x' WHERE a > 100",
+		"DELETE FROM t WHERE a > 100",
+		"DELETE FROM scratch",
+	} {
+		if n, err := db.Exec(q); err != nil || n != 0 {
+			t.Fatalf("%s: affected %d, err %v", q, n, err)
+		}
+	}
+	if _, after := walFileBytes(t, fs, db); len(after) != len(before) {
+		t.Fatalf("no-op statements grew the WAL by %d bytes", len(after)-len(before))
+	}
+	if got := db.Stats().EpochSeq; got != seq {
+		t.Fatalf("no-op statements published %d epoch(s)", got-seq)
+	}
+	// The same statements with something to do still do it.
+	walExec(t, db, "INSERT INTO scratch SELECT a FROM t", "TRUNCATE TABLE scratch")
+	if got := db.Stats().EpochSeq; got != seq+2 {
+		t.Fatalf("effective statements published %d epoch(s), want 2", got-seq)
+	}
+}
