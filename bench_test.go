@@ -141,8 +141,8 @@ func BenchmarkConcurrentDetect(b *testing.B) {
 
 // BenchmarkShardedDetect10k measures the sharded scatter-gather
 // BatchDetect on the Fig. 5(a) workload (10k rows, 5 % noise, base Σ)
-// at 4 shards — the benchguard-tracked sharded unit, directly
-// comparable to BenchmarkBatchDetect10k. Deterministic: fixed seed,
+// at 4 shards — the sharded unit, directly comparable to
+// BenchmarkBatchDetect10k. Deterministic: fixed seed,
 // fixed shard and worker counts.
 func BenchmarkShardedDetect10k(b *testing.B) {
 	name := fmt.Sprintf("bench_shard10k_%d", rand.Int63())
@@ -244,9 +244,9 @@ func BenchmarkFigMixed(b *testing.B) { benchFigure(b, "mixed") }
 // each op commits one bulk UPDATE (forking a fresh epoch and its
 // copy-on-write structures) and then runs 1000 point SELECTs against
 // the new epoch. The interleave is deterministic — no racing
-// goroutines — so the number is stable enough for the benchguard
-// baseline on a single-core host; the scheduler-dependent concurrent
-// version lives in `ecfdbench -fig mixed`.
+// goroutines — so the number is stable on a single-core host; the
+// scheduler-dependent concurrent version lives in `ecfdbench -fig
+// mixed`.
 func BenchmarkMixedRead(b *testing.B) {
 	const rows = 20_000
 	db := sqldb.NewDB()
@@ -381,7 +381,7 @@ func BenchmarkMaxSS(b *testing.B) {
 // BenchmarkServerCheck measures the service's advisory hot path end to
 // end: one HTTP round trip carrying an 8-tuple check batch against a
 // 10k-row session — admission gate, JSON decode, the two fixed check
-// probes, JSON encode. The benchguard-tracked server unit.
+// probes, JSON encode.
 func BenchmarkServerCheck(b *testing.B) {
 	srv := server.New(server.Options{})
 	defer srv.Close()

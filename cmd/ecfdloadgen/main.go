@@ -9,9 +9,8 @@
 //	ecfdloadgen [-addr http://127.0.0.1:8080] [-clients 8] [-duration 10s]
 //	            [-rows 10000] [-batch 8] [-mode check] [-json out.json]
 //
-// -json writes the result in the bench.Report figure format so the
-// benchguard trajectory tooling can ingest server latency alongside the
-// paper figures.
+// -json writes the result in the bench.Report figure format, the same
+// as `ecfdbench -json` writes for the paper figures.
 package main
 
 import (

@@ -81,22 +81,36 @@ func TestFigWithWorkers(t *testing.T) {
 }
 
 func TestFig5aShape(t *testing.T) {
-	f, err := Run("5a", tinyOpts)
-	if err != nil {
+	// The first detection in a process pays the cold start (page faults,
+	// the first GC cycles), which at this scale outweighs a tenfold |D|:
+	// one run is discarded, and each point is the median of three, so the
+	// growth assertion is about |D|.
+	if _, err := Run("5a", tinyOpts); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Points) != 10 {
-		t.Fatalf("Fig 5a has %d points, want 10", len(f.Points))
-	}
-	for _, p := range f.Points {
-		if p.Series["batch"] <= 0 {
-			t.Errorf("point %s: non-positive time", p.X)
+	var batch [10][]float64
+	for run := 0; run < 3; run++ {
+		f, err := Run("5a", tinyOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Points) != 10 {
+			t.Fatalf("Fig 5a has %d points, want 10", len(f.Points))
+		}
+		for i, p := range f.Points {
+			if p.Series["batch"] <= 0 {
+				t.Errorf("point %s: non-positive time", p.X)
+			}
+			batch[i] = append(batch[i], p.Series["batch"])
 		}
 	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
+	}
 	// Monotone-ish: the largest |D| should cost more than the smallest.
-	if f.Points[9].Series["batch"] <= f.Points[0].Series["batch"]*0.8 {
-		t.Errorf("batch time should grow with |D|: %v vs %v",
-			f.Points[0].Series["batch"], f.Points[9].Series["batch"])
+	if small, large := median(batch[0]), median(batch[9]); large <= small*0.8 {
+		t.Errorf("batch time should grow with |D|: %v vs %v", small, large)
 	}
 }
 

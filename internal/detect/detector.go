@@ -180,8 +180,8 @@ func (d *Detector) DataTable() string { return d.dataTable }
 // opened with). With an engine bound, ParallelDetect pins one MVCC
 // snapshot per read phase and runs every worker's statements directly
 // against it (Prepared.QueryAt) — one pin per pass instead of one
-// read-only transaction per slice task, which BENCH_pr8 showed costing
-// ~20% at 8 workers on one CPU. Purely an optimization: results are
+// read-only transaction per slice task, which cost ~20% at 8 workers
+// on one CPU (ROADMAP perf log, PR 9). Purely an optimization: results are
 // identical with or without the binding.
 func (d *Detector) BindEngine(eng *sqldb.DB) { d.eng = eng }
 

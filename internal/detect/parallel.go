@@ -191,7 +191,7 @@ func runTasks(workers int, tasks []func() error) error {
 // engine bound it pins one MVCC epoch at construction and every task
 // queries that snapshot through the engine's prepared-plan cache — the
 // per-task read-only-transaction pin (and its connection churn) that
-// BENCH_pr8 showed creeping to ~20% at 8 workers is gone. Without an
+// crept to ~20% at 8 workers (ROADMAP perf log, PR 9) is gone. Without an
 // engine it falls back to plain handle queries: each task is a single
 // statement, which pins its own snapshot for exactly its duration.
 type phaseReader struct {

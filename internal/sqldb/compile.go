@@ -41,15 +41,6 @@ type env struct {
 	// semiScan, one per select (a select cannot contain itself, so reuse
 	// across its sequential invocations within one statement is safe).
 	scratch map[*compiledSelect][]relation.Tuple
-	// spineWant/spine are the group-key spine handshake: a grouped
-	// select whose GROUP BY is the first k output columns of its single
-	// derived DISTINCT source sets spineWant[sub]=k before running it;
-	// the sub's inline dedup then records, per emitted row, the k-column
-	// prefix of the dedup key it hashed anyway into spine[sub], and
-	// execGrouped reuses those bytes as group keys instead of
-	// re-evaluating and re-encoding the columns.
-	spineWant map[*compiledSelect]int
-	spine     map[*compiledSelect][]string
 }
 
 // td returns the epoch's data for a table handle.
@@ -104,6 +95,10 @@ type compiler struct {
 	// compiler, so a shared AST node is never reused across statements
 	// or catalog versions.
 	decorr map[*Exists]*decorrProbe
+	// skipAggArgs makes walkBindings pass over the arguments of this
+	// scope's aggregate calls, leaving the bindings a grouped select
+	// reads from a group's representative row (streamableGroup).
+	skipAggArgs bool
 }
 
 type scopeInfo struct {
@@ -254,6 +249,9 @@ func (c *compiler) walkBindings(e Expr, report func(binding)) error {
 		}
 		return c.walkBindings(x.Else, report)
 	case *FuncCall:
+		if c.skipAggArgs && aggNames[x.Name] {
+			return nil
+		}
 		for _, a := range x.Args {
 			if err := c.walkBindings(a, report); err != nil {
 				return err

@@ -481,34 +481,35 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	if len(pos) == 0 {
 		return 0, nil
 	}
-	// The new values evaluate against the unmodified epoch too.
-	vals := make([][]relation.Value, len(pos))
+	// The new values evaluate against the unmodified epoch too. Only rows
+	// the statement changes are written: a matched row whose assigned
+	// cells already hold the new values (sameCell) is neither logged nor
+	// cloned, and when none is left the statement leaves no WAL unit and
+	// no epoch, like an empty INSERT … SELECT. The detector's flag
+	// statements match whole slices of D to flip a few percent of it.
+	// Rows-affected stays the matched count.
+	matched := int64(len(pos))
+	tRows := db.curW.tds[t].rows
+	setCols := make([]int, len(p.setters))
+	rv := make([]relation.Value, len(p.setters)) // shared by every row when all setters are literals
 	allConst := true
-	for _, s := range p.setters {
-		if !s.isConst {
-			allConst = false
-			break
-		}
+	for j, s := range p.setters {
+		setCols[j], rv[j] = s.col, s.constVal
+		allConst = allConst && s.isConst
 	}
-	if allConst {
-		constVals := make([]relation.Value, len(p.setters))
-		for i, s := range p.setters {
-			constVals[i] = s.constVal
-		}
-		for i := range vals {
-			vals[i] = constVals
-		}
-	} else {
-		tRows := db.curW.tds[t].rows
-		en := newEnv(db, db.curW, params)
+	var en *env
+	if !allConst {
+		en = newEnv(db, db.curW, params)
 		en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
-		fr := &en.frames[0]
-		for i, ri := range pos {
-			fr.rows[0] = tRows[ri]
-			rv := make([]relation.Value, len(p.setters))
+	}
+	var vals [][]relation.Value
+	n := 0
+	for _, ri := range pos {
+		row := tRows[ri]
+		if !allConst {
+			en.frames[0].rows[0] = row
 			for j, s := range p.setters {
 				if s.isConst {
-					rv[j] = s.constVal
 					continue
 				}
 				v, err := s.ex(en)
@@ -519,23 +520,49 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 					return 0, err
 				}
 			}
-			vals[i] = rv
 		}
+		for j, c := range setCols {
+			if !sameCell(&row[c], &rv[j]) {
+				pos[n] = ri
+				n++
+				if allConst {
+					vals = append(vals, rv)
+				} else {
+					vals = append(vals, append([]relation.Value(nil), rv...))
+				}
+				break
+			}
+		}
+	}
+	if pos = pos[:n]; n == 0 {
+		return matched, nil
 	}
 	// applyUpdate forks the next epoch copy-on-write: changed tuples are
 	// cloned and patched, shared structures (column vectors, indexes)
 	// fork only where the assigned columns overlap — so a flag update
 	// never touches a RID index.
-	setCols := make([]int, len(p.setters))
-	for i, s := range p.setters {
-		setCols[i] = s.col
-	}
 	if err := db.logUpdate(t.Name, pos, setCols, vals); err != nil {
 		return 0, err
 	}
 	db.backupForTx(t)
 	db.applyUpdate(t, pos, setCols, vals)
-	return int64(len(pos)), nil
+	return matched, nil
+}
+
+// sameCell reports whether storing v over old would leave the cell as
+// it is: the same kind and an identical value (NULL over NULL and NaN
+// over NaN included; Int 1 over Float 1.0 is a change of kind).
+func sameCell(old, v *relation.Value) bool {
+	if old.K != v.K {
+		return false
+	}
+	switch v.K {
+	case relation.KindInt, relation.KindBool:
+		return old.I == v.I
+	case relation.KindText:
+		return old.S == v.S
+	}
+	return relation.Identical(*old, *v)
 }
 
 func (db *DB) execUpdate(up *Update, params []relation.Value) (int64, error) {

@@ -146,17 +146,16 @@ type compiledSelect struct {
 	// pattern site) replay from a per-site-row cache instead of
 	// re-evaluating per emitted row. Built for ungrouped selects only.
 	proj *projSpec
-	// Group-key spine sharing: when spineSub is non-nil, this grouped
-	// select's GROUP BY is exactly the first spineCols output columns
-	// (in order) of its single derived DISTINCT source, it has no WHERE
-	// of its own, and the source dedupes inline — so the group key of
-	// every input row is a byte prefix of the dedup key the source
-	// already encoded. exec asks the source to record those prefixes
-	// (env.spineWant/spine) and execGrouped groups on them directly.
-	// The Qmv grouping re-hashes a 10-column subset of the macro's
-	// 19-column DISTINCT key; this elides that second encoding pass.
-	spineSub  *compiledSelect
-	spineCols int
+	// Streamed grouping: when streamCols > 0, this grouped select has no
+	// WHERE, its GROUP BY is exactly the first streamCols output columns
+	// (in order) of its single derived DISTINCT source, and outside
+	// aggregate arguments it reads no other column of that source (see
+	// streamableGroup). The source then materializes nothing: execStreamed
+	// consumes its matches one scratch row at a time, and the group key of
+	// a row is the leading part of the dedup key it encodes anyway. The
+	// detector's Qmv grouping keeps 150 of 42 000 distinct macro rows;
+	// this is what stops it building the other 41 850.
+	streamCols int
 }
 
 // errFound is the sentinel execExists uses to abort the join loop at
@@ -303,34 +302,7 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 		}
 		cs.groupBy = append(cs.groupBy, ge)
 	}
-	// Detect the spine-sharing shape (see the compiledSelect fields):
-	// GROUP BY over a lone derived DISTINCT source, keyed by that
-	// source's leading output columns in order, with no outer WHERE.
-	// The source must emit its dedup set unsliced (no ORDER BY, LIMIT
-	// or OFFSET) so recorded key prefixes stay row-aligned.
-	if len(sel.GroupBy) > 0 && sel.Where == nil && len(cs.sources) == 1 {
-		if sub := cs.sources[0].sub; sub != nil && sub.distinct && !sub.grouped &&
-			len(sub.orderBy) == 0 && sub.limit == nil && sub.offset == nil &&
-			len(sel.GroupBy) <= len(sub.cols) {
-			eligible := true
-			for i, g := range sel.GroupBy {
-				ref, ok := g.(*ColumnRef)
-				if !ok {
-					eligible = false
-					break
-				}
-				b, err := inner.resolve(ref)
-				if err != nil || b != (binding{depth: cs.depth, src: 0, col: i}) {
-					eligible = false
-					break
-				}
-			}
-			if eligible {
-				cs.spineSub = sub
-				cs.spineCols = len(sel.GroupBy)
-			}
-		}
-	}
+	cs.streamCols = inner.streamableGroup(sel, cs)
 
 	// Output expressions. astOuts keeps the AST per output slot (nil
 	// for star-expanded columns) so the batch-aware projection can
@@ -406,6 +378,62 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 	return cs, nil
 }
 
+// streamableGroup returns the GROUP BY width k when sel (compiled so
+// far into cs, with c holding its scope) takes the streamed grouping —
+// see compiledSelect.streamCols — and 0 otherwise. The shape: no WHERE,
+// one derived source that is DISTINCT and emits its dedup set unsliced
+// (ungrouped, no ORDER BY, LIMIT or OFFSET), GROUP BY naming that
+// source's first k columns in order. And because a streamed group keeps
+// only those k columns of its representative, nothing outside an
+// aggregate argument — select list, HAVING, ORDER BY, correlated
+// subqueries included — may read any other column of the source.
+func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
+	k := len(sel.GroupBy)
+	if k == 0 || sel.Where != nil || len(cs.sources) != 1 {
+		return 0
+	}
+	sub := cs.sources[0].sub
+	if sub == nil || !sub.dedupsInline() || sub.limit != nil || sub.offset != nil || k > len(sub.cols) {
+		return 0
+	}
+	for i, g := range sel.GroupBy {
+		ref, ok := g.(*ColumnRef)
+		if !ok {
+			return 0
+		}
+		if b, err := c.resolve(ref); err != nil || b != (binding{depth: cs.depth, src: 0, col: i}) {
+			return 0
+		}
+	}
+	bare := &compiler{db: c.db, ep: c.ep, scopes: c.scopes, skipAggArgs: true}
+	keyOnly := true
+	check := func(e Expr) {
+		err := bare.walkBindings(e, func(b binding) {
+			if b.depth == cs.depth && b.col >= k {
+				keyOnly = false
+			}
+		})
+		if err != nil {
+			keyOnly = false
+		}
+	}
+	for _, se := range sel.Exprs {
+		if se.Star {
+			keyOnly = keyOnly && k == len(sub.cols)
+			continue
+		}
+		check(se.Expr)
+	}
+	check(sel.Having)
+	for _, o := range sel.OrderBy {
+		check(o.Expr)
+	}
+	if !keyOnly {
+		return 0
+	}
+	return k
+}
+
 func selectHasAggregate(sel *Select) bool {
 	found := false
 	var walk func(Expr)
@@ -464,64 +492,193 @@ func (cs *compiledSelect) exec(en *env) ([]relation.Tuple, error) {
 	if len(en.frames) != cs.depth {
 		return nil, fmt.Errorf("sql: internal: frame depth %d, want %d", len(en.frames), cs.depth)
 	}
+	var out []relation.Tuple
+	var err error
+	if cs.dedupsInline() {
+		out, err = cs.execDistinct(en)
+	} else {
+		out, err = cs.execRows(en)
+	}
+	if err != nil {
+		return nil, err
+	}
 
-	// Materialize sources. When this select shares its group-key spine
-	// with a derived DISTINCT source, ask the source (via env.spineWant)
-	// to record the key prefixes while it dedupes, and collect them for
-	// execGrouped. A length mismatch (defensive; the shape should
-	// guarantee alignment) silently falls back to re-encoding.
+	// OFFSET / LIMIT.
+	if cs.offset != nil {
+		v, err := cs.offset(en)
+		if err != nil {
+			return nil, err
+		}
+		n := int(v.I)
+		if n > len(out) {
+			n = len(out)
+		}
+		if n > 0 {
+			out = out[n:]
+		}
+	}
+	if cs.limit != nil {
+		v, err := cs.limit(en)
+		if err != nil {
+			return nil, err
+		}
+		if n := int(v.I); n >= 0 && n < len(out) {
+			out = out[:n]
+		}
+	}
+	return out, nil
+}
+
+// slab cuts runs of T from shared chunks: high-cardinality
+// materializations (distinct projections, per-group state) otherwise pay
+// one allocator round trip per run, which the profile shows as pure GC
+// overhead. Chunks start at two runs and quadruple up to 512, so a
+// three-row result does not zero 512 rows.
+type slab[T any] struct {
+	chunk int // elements in the latest chunk
+	free  []T
+}
+
+func (s *slab[T]) alloc(n int) []T {
+	if len(s.free) < n {
+		s.chunk = min(max(4*s.chunk, 2*n), 512*n)
+		s.free = make([]T, s.chunk)
+	}
+	run := s.free[:n:n]
+	s.free = s.free[n:]
+	return run
+}
+
+// streams reports whether execution takes the streamed grouping. It
+// stays off under DisablePlanner so the forced nested-loop differential
+// leg materializes the source and groups it as an independent reference.
+func (cs *compiledSelect) streams() bool { return cs.streamCols > 0 && !DisablePlanner }
+
+// materialize returns the rows of every FROM source, running the
+// derived ones.
+func (cs *compiledSelect) materialize(en *env) ([][]relation.Tuple, error) {
 	srcRows := make([][]relation.Tuple, len(cs.sources))
-	var spine []string
 	for i, src := range cs.sources {
 		if src.table != nil {
 			srcRows[i] = en.rows(src.table)
 			continue
 		}
-		wantSpine := cs.spineSub != nil && src.sub == cs.spineSub && !DisablePlanner
-		if wantSpine {
-			if en.spineWant == nil {
-				en.spineWant = make(map[*compiledSelect]int)
-			}
-			en.spineWant[src.sub] = cs.spineCols
-		}
 		rows, err := src.sub.exec(en)
-		if wantSpine {
-			delete(en.spineWant, src.sub)
-			spine = en.spine[src.sub]
-			delete(en.spine, src.sub)
-			if len(spine) != len(rows) {
-				spine = nil
-			}
-		}
 		if err != nil {
 			return nil, err
 		}
 		srcRows[i] = rows
 	}
+	return srcRows, nil
+}
 
-	fr := frame{rows: make([]relation.Tuple, len(cs.sources))}
-	en.frames = append(en.frames, fr)
+// projScratchFor returns the env's cache for the batch-aware projection,
+// which replays site-invariant output parts per pattern row; nil when
+// the select has none. It stays off under DisablePlanner so the forced
+// nested-loop differential leg evaluates the plain outs closures as an
+// independent reference.
+func (cs *compiledSelect) projScratchFor(en *env) *projScratch {
+	if cs.proj == nil || DisablePlanner {
+		return nil
+	}
+	return cs.proj.scratch(en, cs)
+}
+
+// evalOuts evaluates the output row of the current frame into dst.
+func (cs *compiledSelect) evalOuts(en *env, ps *projScratch, dst relation.Tuple) error {
+	if ps != nil {
+		return cs.proj.evalOuts(en, cs, ps, dst)
+	}
+	for i, oe := range cs.outs {
+		v, err := oe(en)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
+}
+
+// dedupsInline: DISTINCT without ORDER BY dedupes while it scans. The
+// Fig. 4 macro emits one row per (tuple, pattern) match but only
+// |Aux|-many distinct ones, so this skips almost all of the row
+// allocation.
+func (cs *compiledSelect) dedupsInline() bool {
+	return cs.distinct && len(cs.orderBy) == 0 && !cs.grouped
+}
+
+// feedDistinct scans a select that dedupes inline and hands sink the
+// output row of every match, in a scratch row the next match
+// overwrites; the sink decides new-vs-duplicate on the exact key.
+// Matches the raw pre-dedup proves to be repeats never reach it: when
+// the projection plan shows the output row is a pure function of (site
+// row, a known set of scan columns), a repeated raw combination skips
+// output evaluation and key encoding entirely — the Qmv macro's matches
+// are overwhelmingly repeats of a few distinct pattern projections.
+func (cs *compiledSelect) feedDistinct(en *env, sink func(row relation.Tuple) error) error {
+	srcRows, err := cs.materialize(en)
+	if err != nil {
+		return err
+	}
+	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, len(cs.sources))})
+	defer func() { en.frames = en.frames[:cs.depth] }()
+
+	ps := cs.projScratchFor(en)
+	var rawSeen map[string]bool // per-execution: see projSpec.preDedup
+	if ps != nil && cs.proj.preKeyOK {
+		rawSeen = make(map[string]bool)
+	}
+	row := make(relation.Tuple, len(cs.outs))
+	return cs.scan(en, srcRows, func() error {
+		if rawSeen != nil {
+			skip, err := cs.proj.preDedup(en, cs, ps, rawSeen)
+			if err != nil || skip {
+				return err
+			}
+		}
+		if err := cs.evalOuts(en, ps, row); err != nil {
+			return err
+		}
+		return sink(row)
+	})
+}
+
+// execDistinct materializes the first occurrence of each distinct row.
+func (cs *compiledSelect) execDistinct(en *env) ([]relation.Tuple, error) {
+	var out []relation.Tuple
+	seen := make(map[string]bool)
+	var rows slab[relation.Value]
+	var keyBuf []byte
+	err := cs.feedDistinct(en, func(row relation.Tuple) error {
+		keyBuf = relation.AppendKeyOf(keyBuf[:0], row)
+		if seen[string(keyBuf)] {
+			return nil
+		}
+		seen[string(keyBuf)] = true
+		kept := rows.alloc(len(row))
+		copy(kept, row)
+		out = append(out, kept)
+		return nil
+	})
+	return out, err
+}
+
+// execRows runs every select that does not dedupe inline: joins,
+// grouping, DISTINCT before ORDER BY, sorting.
+func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
+	var srcRows [][]relation.Tuple
+	var err error
+	if !cs.streams() { // execStreamed consumes its one source unmaterialized
+		if srcRows, err = cs.materialize(en); err != nil {
+			return nil, err
+		}
+	}
+	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, len(cs.sources))})
 	defer func() { en.frames = en.frames[:cs.depth] }()
 
 	var out []relation.Tuple
 	var sortKeys [][]relation.Value
-	// Output rows allocate from slabs: high-cardinality materializations
-	// (the Qmv macro's distinct projections) otherwise pay one allocator
-	// round trip per row, which the profile shows as pure GC overhead.
-	var slab []relation.Value
-	allocRow := func() relation.Tuple {
-		n := len(cs.outs)
-		if len(slab) < n {
-			size := 512 * n
-			if size < n {
-				size = n
-			}
-			slab = make([]relation.Value, size)
-		}
-		row := relation.Tuple(slab[:n:n])
-		slab = slab[n:]
-		return row
-	}
+	var rows slab[relation.Value]
 
 	// When the planner serves ORDER BY through in-order index iteration
 	// (schedule.orderServed), rows are emitted already sorted: skip key
@@ -533,31 +690,10 @@ func (cs *compiledSelect) exec(en *env) ([]relation.Tuple, error) {
 		orderServed = en.scheduleFor(cs, srcRows).orderServed
 	}
 
-	// The batch-aware projection replays site-invariant output parts
-	// from a per-pattern cache. It stays off under DisablePlanner so
-	// the forced nested-loop differential leg evaluates the plain outs
-	// closures as an independent reference.
-	var projPS *projScratch
-	if cs.proj != nil && !DisablePlanner {
-		projPS = cs.proj.scratch(en, cs)
-	}
-	evalOuts := func(dst relation.Tuple) error {
-		if projPS != nil {
-			return cs.proj.evalOuts(en, cs, projPS, dst)
-		}
-		for i, oe := range cs.outs {
-			v, err := oe(en)
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-		}
-		return nil
-	}
-
+	ps := cs.projScratchFor(en)
 	emit := func() error {
-		row := allocRow()
-		if err := evalOuts(row); err != nil {
+		row := relation.Tuple(rows.alloc(len(cs.outs)))
+		if err := cs.evalOuts(en, ps, row); err != nil {
 			return err
 		}
 		if len(cs.orderBy) > 0 && !orderServed {
@@ -579,96 +715,20 @@ func (cs *compiledSelect) exec(en *env) ([]relation.Tuple, error) {
 		return nil
 	}
 
-	// DISTINCT without ORDER BY dedupes inline: output values land in a
-	// reused scratch row and only the first occurrence of each key is
-	// materialized. The Fig. 4 macro emits one row per (tuple, pattern)
-	// match but only |Aux|-many distinct ones, so this skips almost all
-	// of the row allocation.
-	dedupInline := cs.distinct && len(cs.orderBy) == 0 && !cs.grouped
-	// spineCols > 0 when a grouped caller asked this select to record
-	// the leading-column prefix of each emitted row's dedup key (one
-	// recorded string per output row, in emission order).
-	spineCols := 0
-	var spineKeys []string
-	if dedupInline && en.spineWant != nil {
-		spineCols = en.spineWant[cs]
+	switch {
+	case cs.streams():
+		err = cs.execStreamed(en, emit)
+	case cs.grouped:
+		err = cs.execGrouped(en, srcRows, emit)
+	default:
+		err = cs.scan(en, srcRows, emit)
 	}
-	if dedupInline {
-		seen := make(map[string]bool)
-		scratchRow := make(relation.Tuple, len(cs.outs))
-		var keyBuf []byte
-		// Raw pre-dedup: when the projection plan proves the output row
-		// is a pure function of (site row, a known set of scan columns),
-		// a repeated raw combination skips output evaluation and the
-		// 2|R|+1-value key hash entirely — the Qmv macro's matches are
-		// overwhelmingly repeats of a few distinct pattern projections.
-		var rawSeen map[string]bool // per-execution: see projSpec.preDedup
-		if projPS != nil && cs.proj.preKeyOK {
-			rawSeen = make(map[string]bool)
-		}
-		emit = func() error {
-			if rawSeen != nil {
-				skip, err := cs.proj.preDedup(en, cs, projPS, rawSeen)
-				if err != nil {
-					return err
-				}
-				if skip {
-					return nil
-				}
-			}
-			if err := evalOuts(scratchRow); err != nil {
-				return err
-			}
-			if spineCols > 0 {
-				// Same bytes AppendKeyOf would produce, built value by
-				// value so the offset after the spineCols-th separator
-				// is known: that prefix IS the caller's group key.
-				keyBuf = keyBuf[:0]
-				cut := 0
-				for i, v := range scratchRow {
-					keyBuf = relation.AppendKey(keyBuf, v)
-					keyBuf = append(keyBuf, 0x1f)
-					if i+1 == spineCols {
-						cut = len(keyBuf)
-					}
-				}
-				if seen[string(keyBuf)] {
-					return nil
-				}
-				seen[string(keyBuf)] = true
-				spineKeys = append(spineKeys, string(keyBuf[:cut]))
-			} else {
-				keyBuf = relation.AppendKeyOf(keyBuf[:0], scratchRow)
-				if seen[string(keyBuf)] {
-					return nil
-				}
-				seen[string(keyBuf)] = true
-			}
-			row := allocRow()
-			copy(row, scratchRow)
-			out = append(out, row)
-			return nil
-		}
-	}
-
-	if cs.grouped {
-		if err := cs.execGrouped(en, srcRows, spine, emit); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := cs.scan(en, srcRows, emit); err != nil {
-			return nil, err
-		}
-	}
-	if spineCols > 0 {
-		if en.spine == nil {
-			en.spine = make(map[*compiledSelect][]string)
-		}
-		en.spine[cs] = spineKeys
+	if err != nil {
+		return nil, err
 	}
 
 	// DISTINCT before ORDER BY.
-	if cs.distinct && !dedupInline {
+	if cs.distinct {
 		seen := make(map[string]bool, len(out))
 		dedup := out[:0]
 		var dedupKeys [][]relation.Value
@@ -711,30 +771,6 @@ func (cs *compiledSelect) exec(en *env) ([]relation.Tuple, error) {
 		}
 		out = sorted
 	}
-
-	// OFFSET / LIMIT.
-	if cs.offset != nil {
-		v, err := cs.offset(en)
-		if err != nil {
-			return nil, err
-		}
-		n := int(v.I)
-		if n > len(out) {
-			n = len(out)
-		}
-		if n > 0 {
-			out = out[n:]
-		}
-	}
-	if cs.limit != nil {
-		v, err := cs.limit(en)
-		if err != nil {
-			return nil, err
-		}
-		if n := int(v.I); n >= 0 && n < len(out) {
-			out = out[:n]
-		}
-	}
 	return out, nil
 }
 
@@ -765,68 +801,37 @@ func (cs *compiledSelect) joinLoop(en *env, src [][]relation.Tuple, i int, yield
 
 // execGrouped evaluates GROUP BY / aggregate semantics: one output row
 // per group passing HAVING, non-aggregate expressions evaluated on a
-// representative row of the group. spine, when non-nil, holds one
-// precomputed group key per row of the single source (the prefix of
-// the derived DISTINCT source's dedup key — see spineSub): grouping
-// then consumes those keys directly instead of re-evaluating and
-// re-encoding the GROUP BY columns per row.
-func (cs *compiledSelect) execGrouped(en *env, src [][]relation.Tuple, spine []string, emit func() error) error {
+// representative row of the group.
+func (cs *compiledSelect) execGrouped(en *env, src [][]relation.Tuple, emit func() error) error {
 	type group struct {
 		rep  []relation.Tuple
-		accs []*aggAcc
+		accs []aggAcc
 	}
-	groups := make(map[string]*group)
-	var order []string
+	index := make(map[string]int)
+	var groups []group // first-seen order
 
 	fr := &en.frames[cs.depth]
-	if spine != nil && len(cs.sources) == 1 && cs.where == nil {
-		// The spine shape has one source and no WHERE, so the scan is
-		// a plain in-order iteration; drive it directly with the
-		// recorded keys (spine[ri] aligns with src[0][ri]).
-		for ri, row := range src[0] {
-			fr.rows[0] = row
-			key := spine[ri]
-			g := groups[key]
-			if g == nil {
-				g = &group{rep: append([]relation.Tuple(nil), fr.rows...), accs: newAccs(cs.aggs)}
-				groups[key] = g
-				order = append(order, key)
+	var keyBuf []byte
+	err := cs.scan(en, src, func() error {
+		keyBuf = keyBuf[:0]
+		for _, ge := range cs.groupBy {
+			v, err := ge(en)
+			if err != nil {
+				return err
 			}
-			for i, spec := range cs.aggs {
-				if err := g.accs[i].add(en, spec); err != nil {
-					return err
-				}
-			}
+			keyBuf = relation.AppendKey(keyBuf, v)
+			keyBuf = append(keyBuf, 0x1f)
 		}
-	} else {
-		var keyBuf []byte
-		err := cs.scan(en, src, func() error {
-			keyBuf = keyBuf[:0]
-			for _, ge := range cs.groupBy {
-				v, err := ge(en)
-				if err != nil {
-					return err
-				}
-				keyBuf = relation.AppendKey(keyBuf, v)
-				keyBuf = append(keyBuf, 0x1f)
-			}
-			g := groups[string(keyBuf)]
-			if g == nil {
-				key := string(keyBuf)
-				g = &group{rep: append([]relation.Tuple(nil), fr.rows...), accs: newAccs(cs.aggs)}
-				groups[key] = g
-				order = append(order, key)
-			}
-			for i, spec := range cs.aggs {
-				if err := g.accs[i].add(en, spec); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
+		gi, ok := index[string(keyBuf)]
+		if !ok {
+			gi = len(groups)
+			index[string(keyBuf)] = gi
+			groups = append(groups, group{rep: append([]relation.Tuple(nil), fr.rows...), accs: make([]aggAcc, len(cs.aggs))})
 		}
+		return cs.accumulate(en, groups[gi].accs)
+	})
+	if err != nil {
+		return err
 	}
 
 	// A global aggregate over an empty input still yields one row.
@@ -835,55 +840,157 @@ func (cs *compiledSelect) execGrouped(en *env, src [][]relation.Tuple, spine []s
 		for i, s := range cs.sources {
 			rep[i] = make(relation.Tuple, s.width) // all NULLs
 		}
-		groups[""] = &group{rep: rep, accs: newAccs(cs.aggs)}
-		order = append(order, "")
+		groups = append(groups, group{rep: rep, accs: make([]aggAcc, len(cs.aggs))})
 	}
 
-	for _, key := range order {
-		g := groups[key]
+	fin := cs.beginGroups(en)
+	defer delete(en.aggs, cs)
+	for _, g := range groups {
 		copy(fr.rows, g.rep)
-		vals := make([]relation.Value, len(cs.aggs))
-		for i, spec := range cs.aggs {
-			vals[i] = g.accs[i].final(spec)
-		}
-		en.aggs[cs] = vals
-		if cs.having != nil {
-			hv, err := cs.having(en)
-			if err != nil {
-				return err
-			}
-			if !hv.Truth() {
-				continue
-			}
-		}
-		if err := emit(); err != nil {
+		if err := cs.finishGroup(en, fin, g.accs, emit); err != nil {
 			return err
 		}
 	}
-	delete(en.aggs, cs)
 	return nil
 }
 
-// aggAcc accumulates one aggregate over one group.
+// execStreamed is execGrouped for the streamed shape (streamCols): the
+// derived DISTINCT source feeds its matches through feedDistinct instead
+// of returning rows, and one map lookup per match both dedupes it and
+// finds its group. A match's dedup key is encoded once, as the group
+// key (the first streamCols columns) followed by the remainder; the
+// group's state remembers the remainders seen — the first inline, a set
+// allocated only if a second distinct one arrives — so a
+// repeat is recognised without a set of full keys, and a new row is
+// accumulated at once from the scratch row. A group keeps its
+// accumulators and, as representative, only its key columns: the shape
+// guarantees nothing else of the representative is ever read. Groups
+// finalise in first-seen order, like execGrouped's.
+func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
+	type group struct {
+		rep      relation.Tuple // key columns only
+		accs     []aggAcc
+		rem      string // remainder of the group's first row
+		moreRems map[string]struct{}
+		next     *group // first-seen order
+	}
+	k := cs.streamCols
+	index := make(map[string]*group)
+	var first, last *group
+	var groups slab[group]
+	var reps slab[relation.Value]
+	var accs slab[aggAcc]
+	readsRow := false
+	for _, spec := range cs.aggs {
+		readsRow = readsRow || !spec.star
+	}
+
+	// The source is compiled at this select's depth: it runs in place of
+	// the frame exec pushed, which comes back for the aggregate arguments
+	// (bound to the scratch row) and for finalisation.
+	outer := en.frames[cs.depth]
+	en.frames = en.frames[:cs.depth]
+	var keyBuf []byte
+	err := cs.sources[0].sub.feedDistinct(en, func(row relation.Tuple) error {
+		keyBuf = relation.AppendKeyOf(keyBuf[:0], row[:k])
+		cut := len(keyBuf)
+		keyBuf = relation.AppendKeyOf(keyBuf, row[k:])
+		rem := keyBuf[cut:]
+		g := index[string(keyBuf[:cut])]
+		switch {
+		case g == nil:
+			g = &groups.alloc(1)[0]
+			g.rep, g.accs = reps.alloc(k), accs.alloc(len(cs.aggs))
+			copy(g.rep, row)
+			key := string(keyBuf) // one string per group: map key and first remainder
+			index[key[:cut]], g.rem = g, key[cut:]
+			if last == nil {
+				first = g
+			} else {
+				last.next = g
+			}
+			last = g
+		case g.rem == string(rem):
+			return nil
+		default:
+			if _, dup := g.moreRems[string(rem)]; dup {
+				return nil
+			}
+			if g.moreRems == nil {
+				g.moreRems = make(map[string]struct{})
+			}
+			g.moreRems[string(rem)] = struct{}{}
+		}
+		if !readsRow {
+			return cs.accumulate(en, g.accs)
+		}
+		inner := en.frames[cs.depth]
+		outer.rows[0] = row
+		en.frames[cs.depth] = outer
+		err := cs.accumulate(en, g.accs)
+		en.frames[cs.depth] = inner
+		return err
+	})
+	en.frames = append(en.frames, outer)
+	if err != nil {
+		return err
+	}
+
+	fin := cs.beginGroups(en)
+	defer delete(en.aggs, cs)
+	for g := first; g != nil; g = g.next {
+		outer.rows[0] = g.rep
+		if err := cs.finishGroup(en, fin, g.accs, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// accumulate feeds the current frame's row to one group's accumulators.
+func (cs *compiledSelect) accumulate(en *env, accs []aggAcc) error {
+	for i, spec := range cs.aggs {
+		if err := accs[i].add(en, spec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// beginGroups installs the slot the aggregate closures read their
+// group's final values from; finishGroup refills it per group, and the
+// caller deletes en.aggs[cs] when the last group is out.
+func (cs *compiledSelect) beginGroups(en *env) []relation.Value {
+	fin := make([]relation.Value, len(cs.aggs))
+	en.aggs[cs] = fin
+	return fin
+}
+
+// finishGroup finalises one group whose representative the caller has
+// bound in the frame: aggregate values, HAVING, emit.
+func (cs *compiledSelect) finishGroup(en *env, fin []relation.Value, accs []aggAcc, emit func() error) error {
+	for i, spec := range cs.aggs {
+		fin[i] = accs[i].final(spec)
+	}
+	if cs.having != nil {
+		hv, err := cs.having(en)
+		if err != nil || !hv.Truth() {
+			return err
+		}
+	}
+	return emit()
+}
+
+// aggAcc accumulates one aggregate over one group; the zero value is
+// ready to use.
 type aggAcc struct {
 	rows     int64
 	nonNull  int64
 	sumI     int64
 	sumF     float64
 	isFloat  bool
-	min, max relation.Value
-	distinct map[string]bool
-}
-
-func newAccs(specs []*aggSpec) []*aggAcc {
-	out := make([]*aggAcc, len(specs))
-	for i, s := range specs {
-		out[i] = &aggAcc{}
-		if s.distinct {
-			out[i].distinct = make(map[string]bool)
-		}
-	}
-	return out
+	extreme  relation.Value  // MIN or MAX so far, by spec.name
+	distinct map[string]bool // COUNT(DISTINCT x) etc.: made on first use
 }
 
 func (a *aggAcc) add(en *env, spec *aggSpec) error {
@@ -903,6 +1010,9 @@ func (a *aggAcc) add(en *env, spec *aggSpec) error {
 		if a.distinct[k] {
 			return nil
 		}
+		if a.distinct == nil {
+			a.distinct = make(map[string]bool)
+		}
 		a.distinct[k] = true
 	}
 	a.nonNull++
@@ -914,11 +1024,15 @@ func (a *aggAcc) add(en *env, spec *aggSpec) error {
 		a.sumI += v.I
 		a.sumF += float64(v.I)
 	}
-	if a.min.IsNull() || relation.Compare(v, a.min) < 0 {
-		a.min = v
-	}
-	if a.max.IsNull() || relation.Compare(v, a.max) > 0 {
-		a.max = v
+	switch spec.name {
+	case "MIN":
+		if a.extreme.IsNull() || relation.Compare(v, a.extreme) < 0 {
+			a.extreme = v
+		}
+	case "MAX":
+		if a.extreme.IsNull() || relation.Compare(v, a.extreme) > 0 {
+			a.extreme = v
+		}
 	}
 	return nil
 }
@@ -943,10 +1057,8 @@ func (a *aggAcc) final(spec *aggSpec) relation.Value {
 			return relation.Null()
 		}
 		return relation.Float(a.sumF / float64(a.nonNull))
-	case "MIN":
-		return a.min
-	case "MAX":
-		return a.max
+	case "MIN", "MAX":
+		return a.extreme
 	default:
 		return relation.Null()
 	}

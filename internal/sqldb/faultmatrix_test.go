@@ -42,6 +42,11 @@ func faultScript() []scriptOp {
 	add("upd-t", "UPDATE t SET b = 'patched' WHERE a >= 2 AND a <= 5")
 	add("del-t", "DELETE FROM t WHERE a = 7")
 	add("upd-u", "UPDATE u SET v = -1 WHERE k >= 3")
+	// UPDATE writes only the rows it changes: a = 4, 5 already hold
+	// 'patched', so the first logs two of its four matches and the second
+	// is no WAL unit at all.
+	add("upd-t-half", "UPDATE t SET b = 'patched' WHERE a >= 4 AND a <= 8")
+	add("upd-t-noop", "UPDATE t SET b = 'patched' WHERE a >= 2 AND a <= 8")
 
 	ops = append(ops, scriptOp{"tx-commit", func(db *DB) error {
 		tx, err := db.Begin()

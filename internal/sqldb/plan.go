@@ -1431,8 +1431,8 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 		}
 	}
 	if cs.grouped {
-		if cs.spineSub != nil {
-			out = append(out, fmt.Sprintf("group/aggregate [spine: %d-col keys shared with distinct source]", cs.spineCols))
+		if cs.streamCols > 0 {
+			out = append(out, fmt.Sprintf("group/aggregate [streamed: distinct source feeds %d-col groups, no rows materialised]", cs.streamCols))
 		} else {
 			out = append(out, "group/aggregate")
 		}

@@ -489,25 +489,25 @@ func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 // and (3) the forced all-pairs nested loop. exact compares the emitted
 // sequences byte-for-byte (valid when an ORDER BY pins the order);
 // otherwise results canonicalize to multisets.
-func runThreeWays(t *testing.T, db *DB, q string, exact bool) (batch, row, nested string) {
+func runThreeWays(t *testing.T, db *DB, q string, exact bool, params ...relation.Value) (batch, row, nested string) {
 	t.Helper()
 	canon := canonical
 	if exact {
 		canon = flat
 	}
 	DisablePlanner, DisableBatchKernels = false, false
-	b, err := db.Query(q)
+	b, err := db.Query(q, params...)
 	if err != nil {
 		t.Fatalf("batch %q: %v", q, err)
 	}
 	DisableBatchKernels = true
-	r, err := db.Query(q)
+	r, err := db.Query(q, params...)
 	DisableBatchKernels = false
 	if err != nil {
 		t.Fatalf("row %q: %v", q, err)
 	}
 	DisablePlanner = true
-	n, err := db.Query(q)
+	n, err := db.Query(q, params...)
 	DisablePlanner = false
 	if err != nil {
 		t.Fatalf("nested %q: %v", q, err)

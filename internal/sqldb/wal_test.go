@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -401,29 +402,36 @@ func TestWALShortWriteDiscardsPartialUnit(t *testing.T) {
 	}
 }
 
-// TestNoOpStatementsLeaveNoTrace: a statement that changes nothing —
-// TRUNCATE of an empty table, INSERT … SELECT, UPDATE or DELETE that
-// select no row — appends no WAL record and publishes no epoch. The
+// Statements with nothing to do leave no WAL unit and no epoch:
+// TRUNCATE of an empty table, INSERT … SELECT of nothing, DML matching
+// no row — and an UPDATE every matched row of which already holds the
+// assigned values, which still reports the rows it matched. The
 // detector's update script truncates five scratch tables per update,
-// most of them already empty.
+// most of them already empty, and its flag statements match whole
+// slices of the data to flip a few rows.
 func TestNoOpStatementsLeaveNoTrace(t *testing.T) {
 	fs := NewMemFS(7)
 	db := memOpen(t, fs, WALOptions{Fsync: FsyncAlways})
-	defer db.Close()
-	seedSmall(t, db)
+	seedSmall(t, db) // t = (1, 'one', 1.5), (2, 'TWO', 2.5)
 	walExec(t, db, "CREATE TABLE scratch (a INT)")
 
 	_, before := walFileBytes(t, fs, db)
 	seq := db.Stats().EpochSeq
-	for _, q := range []string{
-		"TRUNCATE TABLE scratch",
-		"INSERT INTO scratch SELECT a FROM t WHERE a > 100",
-		"UPDATE t SET b = 'x' WHERE a > 100",
-		"DELETE FROM t WHERE a > 100",
-		"DELETE FROM scratch",
+	for _, c := range []struct {
+		q       string
+		matched int64
+	}{
+		{"TRUNCATE TABLE scratch", 0},
+		{"INSERT INTO scratch SELECT a FROM t WHERE a > 100", 0},
+		{"UPDATE t SET b = 'x' WHERE a > 100", 0},
+		{"DELETE FROM t WHERE a > 100", 0},
+		{"DELETE FROM scratch", 0},
+		{"UPDATE t SET b = 'TWO' WHERE a = 2", 1},
+		{"UPDATE t SET a = a + 0, c = c * 1", 2},
+		{"UPDATE t SET b = 'TWO', c = 2.5 WHERE EXISTS (SELECT 1 FROM t u WHERE u.a = t.a AND u.b = 'TWO')", 1},
 	} {
-		if n, err := db.Exec(q); err != nil || n != 0 {
-			t.Fatalf("%s: affected %d, err %v", q, n, err)
+		if n, err := db.Exec(c.q); err != nil || n != c.matched {
+			t.Fatalf("%s: affected %d, want %d, err %v", c.q, n, c.matched, err)
 		}
 	}
 	if _, after := walFileBytes(t, fs, db); len(after) != len(before) {
@@ -436,5 +444,127 @@ func TestNoOpStatementsLeaveNoTrace(t *testing.T) {
 	walExec(t, db, "INSERT INTO scratch SELECT a FROM t", "TRUNCATE TABLE scratch")
 	if got := db.Stats().EpochSeq; got != seq+2 {
 		t.Fatalf("effective statements published %d epoch(s), want 2", got-seq)
+	}
+	db.Close()
+}
+
+// An UPDATE that changes some of the rows it matches logs and rewrites
+// exactly those: its WAL unit is as long as that of the UPDATE matching
+// only them, it reports every matched row, and the log replays to the
+// same state.
+func TestUpdateWritesOnlyChangedRows(t *testing.T) {
+	grow := func(q string) (n int64, walBytes int, fs *MemFS, db *DB) {
+		fs = NewMemFS(7)
+		db = memOpen(t, fs, WALOptions{Fsync: FsyncAlways})
+		seedSmall(t, db)
+		walExec(t, db, "INSERT INTO t VALUES (4, 'TWO', 4.5), (5, 'five', 5.5)")
+		_, before := walFileBytes(t, fs, db)
+		seq := db.Stats().EpochSeq
+		n, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := db.Stats().EpochSeq; got != seq+1 {
+			t.Fatalf("%s published %d epoch(s), want 1", q, got-seq)
+		}
+		_, after := walFileBytes(t, fs, db)
+		return n, len(after) - len(before), fs, db
+	}
+	// Four rows match; a = 2 and a = 4 already hold 'TWO'.
+	n, half, fs, db := grow("UPDATE t SET b = 'TWO'")
+	m, only, _, ref := grow("UPDATE t SET b = 'TWO' WHERE a = 1 OR a = 5")
+	defer ref.Close()
+	if n != 4 || m != 2 {
+		t.Fatalf("affected %d and %d rows, want the matched 4 and 2", n, m)
+	}
+	if half != only {
+		t.Fatalf("UPDATE changing 2 of its 4 matches logged %d bytes, the UPDATE of those 2 rows %d", half, only)
+	}
+	want := fingerprint(db)
+	if want != fingerprint(ref) {
+		t.Fatalf("the two UPDATEs leave different states:\n%s\nvs\n%s", want, fingerprint(ref))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := memOpen(t, fs, WALOptions{Fsync: FsyncAlways})
+	defer db2.Close()
+	if got := fingerprint(db2); got != want {
+		t.Fatalf("recovered state differs:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// "Already holds the value" means kind and value: an INTEGER 1 that a
+// bulk load left in a FLOAT column is rewritten by SET x = 1.0, while
+// NULL over NULL and NaN over NaN are not changes.
+func TestUpdateKindChangeIsAChange(t *testing.T) {
+	db := NewDB()
+	schema, err := relation.NewSchema("r",
+		relation.Attribute{Name: "X", Kind: relation.KindFloat},
+		relation.Attribute{Name: "Y", Kind: relation.KindFloat},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := relation.New(schema)
+	r.Rows = append(r.Rows, relation.Tuple{relation.Int(1), relation.Float(math.NaN())}, relation.Tuple{relation.Float(1), relation.Null()})
+	if err := db.LoadRelation(r); err != nil {
+		t.Fatal(err)
+	}
+	seq := db.Stats().EpochSeq
+	mustExec(t, db, "UPDATE r SET Y = Y")
+	if got := db.Stats().EpochSeq; got != seq {
+		t.Fatalf("NaN over NaN and NULL over NULL published %d epoch(s)", got-seq)
+	}
+	if n := mustExec(t, db, "UPDATE r SET X = 1.0"); n != 2 {
+		t.Fatalf("affected %d rows, want 2", n)
+	}
+	if got := db.Stats().EpochSeq; got != seq+1 {
+		t.Fatalf("INTEGER 1 -> FLOAT 1.0 published %d epoch(s), want 1", got-seq)
+	}
+	snap, err := db.Snapshot("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range snap.Rows {
+		if row[0].K != relation.KindFloat || row[0].F != 1 {
+			t.Fatalf("row %d holds %v of kind %s, want FLOAT 1", i, row[0], row[0].K)
+		}
+	}
+}
+
+// Inside a transaction the rule is the same, and rollback restores the
+// rows an UPDATE did change.
+func TestNoOpUpdateInTransaction(t *testing.T) {
+	fs := NewMemFS(9)
+	db := memOpen(t, fs, WALOptions{Fsync: FsyncAlways})
+	defer db.Close()
+	seedSmall(t, db)
+	want := fingerprint(db)
+	_, before := walFileBytes(t, fs, db)
+
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := db.Stats().EpochSeq
+	walExec(t, db, "UPDATE t SET b = 'TWO' WHERE a = 2")
+	if got := db.Stats().EpochSeq; got != seq {
+		t.Fatalf("no-op UPDATE in a transaction published %d epoch(s)", got-seq)
+	}
+	if n, err := db.Exec("UPDATE t SET b = 'TWO'"); err != nil || n != 2 {
+		t.Fatalf("affected %d, err %v", n, err)
+	}
+	if fingerprint(db) == want {
+		t.Fatal("the changing UPDATE changed nothing")
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(db); got != want {
+		t.Fatalf("rollback did not restore the rows:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if _, after := walFileBytes(t, fs, db); len(after) != len(before) {
+		t.Fatalf("rolled-back transaction grew the WAL by %d bytes", len(after)-len(before))
 	}
 }
