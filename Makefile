@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet faultmatrix mvccstress bench-short bench-json serversmoke explain ci
+.PHONY: build test race vet faultmatrix mvccstress difffuzz bench-short bench-json serversmoke explain ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,14 @@ faultmatrix:
 # -count=1 so the interleavings actually rerun.
 mvccstress:
 	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent' ./internal/sqldb/
+
+# The randomized kernel differentials (batch kernels vs per-row closures
+# vs nested loop) on a seed no earlier run has used. The seed is printed
+# first: `go test ./internal/sqldb/ -run <test> -args -seed=<seed>`
+# replays a failure; without -seed the tests keep their fixed seeds.
+difffuzz:
+	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential' ./internal/sqldb/ -args -seed=$$seed
 
 # Quick perf signal: the two acceptance benchmarks plus the planner
 # ablation, a few iterations each.

@@ -42,7 +42,7 @@ import (
 // the naive §II oracle's on the same rows: the legs share the generated
 // SQL, so a wrong guard in it would move them all together. The whole
 // differential runs with batch kernels on and forced off, pinning every
-// kernel path end to end, over two workloads (diffWorkloads).
+// kernel path end to end, over three workloads (diffWorkloads).
 func TestDetectThreeWayDifferential(t *testing.T) {
 	recoveries := 0
 	run := func(t *testing.T, w diffWorkload) {
@@ -371,6 +371,25 @@ var diffWorkloads = []diffWorkload{
 			return batch, doomed
 		},
 	},
+	{
+		// The benchmark's shape on a data table large enough that the
+		// engine's probe kernels answer the touched-keys and Aux probes
+		// from per-entry value sets (sqldb's candidate threshold is 4096
+		// rows; the two workloads above stay far below it): the generated
+		// customer data under gen.Constraints, small ΔD⁺ / ΔD⁻ against it.
+		name: "gen-5k", seed: 173, trials: 1,
+		instance: func(rng *rand.Rand) (*relation.Relation, []*core.ECFD) {
+			return gen.Dataset(gen.Config{Rows: 5000, Noise: 5, Seed: rng.Int63()}), gen.Constraints()
+		},
+		update: func(t *testing.T, rng *rand.Rand, d *Detector, _ []*core.ECFD, step int) (*relation.Relation, []int64) {
+			rids, err := d.RIDs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := gen.Updates(gen.Config{Noise: 5, Seed: rng.Int63()}, 1+rng.Intn(12), int64(step))
+			return batch, gen.DeleteSample(rng, rids, 1+rng.Intn(12))
+		},
+	},
 }
 
 // punchNulls replaces about one cell in seven by NULL.
@@ -506,8 +525,11 @@ func TestBatchDetectStatementsFullyBatched(t *testing.T) {
 // scans the whole data table, except the recompute of the touched
 // groups and the MV clearing, which visit it once per FD-bearing
 // pattern tuple only — the FD guard is decided on the pattern tuple,
-// above the data scan; the two statements that start from ΔD⁻ reach
-// their rows from the staged RIDs through the RID index.
+// above the data scan, and the scan's touched-keys probe (alias k) is
+// one whose entries answer from the value sets of the few touched keys
+// (TestApplyUpdatesProbeRowsBounded counts what is left); the two
+// statements that start from ΔD⁻ reach their rows from the staged RIDs
+// through the RID index.
 func TestIncrementalStatementsDeltaDriven(t *testing.T) {
 	dsn := fmt.Sprintf("detect_delta_%d", dsnSeq.Add(1))
 	db, err := sql.Open(sqldriver.DriverName, dsn)
@@ -559,14 +581,68 @@ func TestIncrementalStatementsDeltaDriven(t *testing.T) {
 			if !strings.HasPrefix(line, "scan ") || !strings.Contains(line, wholeData) {
 				continue
 			}
-			if q != d.stmts.auxRecompute && q != d.stmts.mvClear {
+			switch {
+			case q != d.stmts.auxRecompute && q != d.stmts.mvClear:
 				t.Errorf("statement %d scans the whole data table:\n%s", i, plan)
-			} else if !guarded {
+			case !guarded:
 				t.Errorf("statement %d scans the data table above the FD guard:\n%s", i, plan)
+			case !strings.Contains(line, "value-set probe k"):
+				t.Errorf("statement %d: the touched-keys probe of the data scan cannot answer from value sets:\n%s", i, plan)
 			}
 		}
 		if (q == d.stmts.keysFromDel || q == d.stmts.deleteRows) && !strings.Contains(plan, ridProbe) {
 			t.Errorf("statement %d does not reach its rows through the RID index:\n%s", i, plan)
 		}
 	}
+}
+
+// TestApplyUpdatesProbeRowsBounded pins, on the engine's deterministic
+// work counter, that an update's probes are paid for by the groups it
+// touches, not by |D|: the recompute and the MV clearing still visit the
+// data table once per FD-bearing pattern tuple, but they decide nearly
+// every (tuple, pattern) pair from the value sets of the few touched
+// keys, and at most 15 % of the pairs reach an exact probe of the keys
+// table or of Aux. Sending every pair there, as the probe kernel did
+// before it built value sets, reads above 100 %.
+func TestApplyUpdatesProbeRowsBounded(t *testing.T) {
+	dsn := fmt.Sprintf("detect_proberows_%d", dsnSeq.Add(1))
+	db, err := sql.Open(sqldriver.DriverName, dsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	defer sqldriver.Unregister(dsn)
+	sigma := gen.Constraints()
+	d, err := New(db, gen.Schema(), sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Install(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := gen.Config{Rows: 6000, Noise: 5, Seed: 29} // above sqldb's 4096-candidate threshold
+	rids, err := d.LoadData(gen.Dataset(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.BatchDetect(); err != nil {
+		t.Fatal(err)
+	}
+	var fdPatterns int64
+	if err := db.QueryRow(fmt.Sprintf("SELECT COUNT(*) FROM %s c WHERE %s", d.encTable, d.fdGuard())).Scan(&fdPatterns); err != nil {
+		t.Fatal(err)
+	}
+	eng := sqldriver.Engine(dsn)
+	before := eng.Stats().ProbeRows
+	if _, _, err := d.ApplyUpdates(gen.Updates(cfg, 8, 0), rids[:8]); err != nil {
+		t.Fatal(err)
+	}
+	probed := eng.Stats().ProbeRows - before
+	pairs := fdPatterns * int64(len(rids))
+	t.Logf("%d of %d (FD-bearing pattern, tuple) pairs reached an exact probe", probed, pairs)
+	if probed > pairs*15/100 {
+		t.Errorf("one 8+8 update sent %d rows to an exact probe, over 15%% of the %d × %d (FD-bearing pattern, tuple) pairs",
+			probed, fdPatterns, len(rids))
+	}
+	assertMatchesNaive(t, d, sigma, "after the update")
 }

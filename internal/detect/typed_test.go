@@ -1,9 +1,12 @@
 package detect
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"ecfd/internal/core"
+	"ecfd/internal/gen"
 	"ecfd/internal/relation"
 )
 
@@ -89,6 +92,13 @@ func TestTypedAttributesBatch(t *testing.T) {
 	}
 }
 
+// TestTypedAttributesIncremental maintains flags over the INTEGER / REAL
+// schema: first the smallest conflict and its repair, then a randomized
+// insert/delete sequence on a table above the engine's 4096-candidate
+// threshold — where the touched-keys and Aux probes answer from value
+// sets whose members are TOTEXT renderings of numbers, two per-row key
+// parts for the (GRID, NODE) → VOLT groups, NULL LHS cells included —
+// each step against the naive oracle.
 func TestTypedAttributesIncremental(t *testing.T) {
 	s := intSchema()
 	sigma := intSigma(s)
@@ -116,6 +126,48 @@ func TestTypedAttributesIncremental(t *testing.T) {
 	}
 	if _, _, total, _ := d.Counts(); total != 0 {
 		t.Errorf("after delete: %d violations, want 0", total)
+	}
+
+	rng := rand.New(rand.NewSource(179))
+	volts := []float64{110, 220, 110.5}
+	reading := func() relation.Tuple {
+		grid, node := int64(1+rng.Intn(3)), int64(rng.Intn(500))
+		row := relation.Tuple{relation.Int(grid), relation.Int(node),
+			relation.Float(volts[(grid+node)%3]), relation.Text([]string{"core", "edge"}[rng.Intn(2)])}
+		if rng.Intn(20) == 0 {
+			row[2] = relation.Float(volts[rng.Intn(3)]) // a reading off its node's voltage
+		}
+		if rng.Intn(25) == 0 {
+			row[0] = relation.Int(9)
+		}
+		for j := range row {
+			if rng.Intn(30) == 0 {
+				row[j] = relation.Null()
+			}
+		}
+		return row
+	}
+	readings := func(n int) *relation.Relation {
+		r := relation.New(s)
+		for i := 0; i < n; i++ {
+			r.MustInsert(reading())
+		}
+		return r
+	}
+	if _, _, err := d.InsertTuples(readings(4600)); err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesNaive(t, d, sigma, "after the bulk insert")
+	for step := 0; step < 6; step++ {
+		live, err := d.RIDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		doomed := gen.DeleteSample(rng, live, 1+rng.Intn(10))
+		if _, _, err := d.ApplyUpdates(readings(1+rng.Intn(10)), doomed); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		assertMatchesNaive(t, d, sigma, fmt.Sprintf("step %d", step))
 	}
 }
 

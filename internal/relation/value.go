@@ -195,6 +195,9 @@ func Equal(a, b Value) bool {
 // use this so they can never disagree with index order; SQL
 // expression equality stays on Equal.
 func Identical(a, b Value) bool {
+	if a.K == KindText && b.K == KindText {
+		return a.S == b.S // the common pair, ahead of the NULL / NaN ladder
+	}
 	if a.K == KindNull || b.K == KindNull {
 		return a.K == b.K
 	}

@@ -1,6 +1,10 @@
 package sqldb
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"ecfd/internal/relation"
 )
 
@@ -501,6 +505,12 @@ type kprobe struct {
 	needsRow bool // some part evaluates a closure against the level row
 }
 
+// setsOK reports whether an entry of the probe may answer from value
+// sets (probeInst.bindSets): every per-row part is then a column read —
+// no closure whose evaluation, and error, a dropped row would skip — and
+// the probe side is the whole table, with no build-time filter to apply.
+func (k *kprobe) setsOK() bool { return !k.needsRow && len(k.d.filters) == 0 }
+
 // extractKPred compiles the generalized kernel candidates of one plan
 // part, one per source orientation that works. Returns nil when the
 // part's shape does not qualify for any source — the closure path is
@@ -744,7 +754,8 @@ type orGroupK struct {
 	nTerms int
 	terms  []orTermK
 	// entry state
-	pass bool // some alternative holds for every row: group filters nothing
+	pass  bool // some alternative holds for every row: group filters nothing
+	cands int  // candidate rows the level filters this entry
 }
 
 type orTermK struct {
@@ -792,24 +803,149 @@ type probeInst struct {
 	// index probes, natural order for hash probes — that are constant
 	// for the entry, e.g. the pattern's CID), tail the part indices
 	// still encoded per row.
-	pfx  []byte
-	tail []int
-	// Small-set scan: when an index probe's only per-row part is a
-	// plain column (the `s.CID = c.CID AND s.VAL = t.A` shape with CID
-	// bound), the entry's matching inner values are materialized once
-	// via the index's ordered prefix search, and each row Identical-
-	// scans that tiny set instead of encoding a key and hashing.
-	// Identical mirrors the key encoding exactly (exact numerics, NaN
-	// self-equal), so hit/miss never diverges from the hash path.
-	scanVals []relation.Value
-	scanOn   bool
-	scanCol  int // part index of the per-row column
-	pfxVals  []relation.Value
+	pfx     []byte
+	tail    []int
+	pfxVals []relation.Value
+	// vs is the value-set prefilter (bindSets), nil until an entry builds
+	// one: most instances never do, and pay one word for it.
+	vs *probeSets
 }
 
-// probeScanSetMax bounds the materialized per-entry value set: beyond
-// this many matching inner rows the hash path stays cheaper.
-const probeScanSetMax = 24
+// probeSets is the value-set state of a probe instance: parts lists the
+// per-row key parts of the current entry — empty when the entry probes
+// every candidate exactly — sets[i] holds the values part i can take in
+// a matching probe-side row, and hits is the NOT EXISTS scratch.
+type probeSets struct {
+	parts []int
+	sets  []valueSet
+	hits  []int
+}
+
+// The value-set thresholds: an entry builds sets when its level is about
+// to filter at least probeSetMinCands candidates and at most
+// probeSetRowsMax probe-side rows have to be walked for them. Measured on
+// 40 000 rows of gen data under gen.Constraints (8+8 updates touch ~28
+// keys, 64+64 ~170; Aux holds 130 rows), interleaved with the parent:
+//
+//   - probeSetMinCands: the walk is paid per entry, so the entry's
+//     candidates have to pay it back. Detector.Check enters these probes
+//     once per (staged tuple, pattern) over the 13 pattern rows: with no
+//     floor serve_check_10k allocated 1.3 % more per request in 3 runs of
+//     3 and gained nothing (a cruder prototype lost 6.6 % p50 there). A
+//     few selection vectors is above every staging table and below every
+//     data scan.
+//   - probeSetRowsMax: at 64 the 8+8 update already ran at 0.45× the
+//     parent, but the 64+64 update and every Aux probe stayed exact; 256
+//     took that update's recompute from 30–50 ms to 21–23 ms and
+//     BatchDetect's MV update from 5 to 1.9 ms. Walking 256 rows costs
+//     microseconds against ≥ 4096 exact probes at ~100 ns.
+//   - probeTextScanMax: over 40 000 five-character values a == scan took
+//     0.40 / 0.55 / 1.4 / 2.0 / 6.8 ms at 1 / 2 / 4 / 8 / 24 members, a
+//     map on the raw text 0.75–1.1 ms at any size.
+//   - probeScanSetMax: numbers have no raw form to hash, so they scan
+//     with Identical up to the size the exact probe wins back.
+const (
+	probeScanSetMax  = 24
+	probeTextScanMax = 4
+	probeSetRowsMax  = 256
+	probeSetMinCands = 4 * batchChunk
+)
+
+// valueSet is the set of distinct non-NULL values one key column takes
+// among the probe-side rows that agree with an entry's constant key
+// parts. Membership is Identical — what the key encoding and the ordered
+// index implement — and TEXT never is Identical to a number, so the two
+// kinds are kept apart: text compares on the raw string, no encoding.
+type valueSet struct {
+	texts  []string
+	nums   []relation.Value
+	hashed bool                // more than probeTextScanMax texts: m answers
+	m      map[string]struct{} // allocated once per instance, cleared per entry
+}
+
+func (s *valueSet) reset() {
+	s.texts, s.nums = s.texts[:0], s.nums[:0]
+	if s.hashed {
+		clear(s.m)
+		s.hashed = false
+	}
+}
+
+// add inserts a non-NULL value. It reports false when the set would
+// need more than probeScanSetMax numeric members: those only scan
+// linearly, and past that size the exact probe is cheaper.
+func (s *valueSet) add(v relation.Value) bool {
+	if v.K != relation.KindText {
+		for _, w := range s.nums {
+			if relation.Identical(v, w) {
+				return true
+			}
+		}
+		s.nums = append(s.nums, v)
+		return len(s.nums) <= probeScanSetMax
+	}
+	if s.hashed {
+		s.m[v.S] = struct{}{}
+		return true
+	}
+	for _, w := range s.texts {
+		if w == v.S {
+			return true
+		}
+	}
+	s.texts = append(s.texts, v.S)
+	if len(s.texts) > probeTextScanMax {
+		if s.m == nil {
+			s.m = make(map[string]struct{}, 2*len(s.texts))
+		}
+		for _, w := range s.texts {
+			s.m[w] = struct{}{}
+		}
+		s.hashed = true
+	}
+	return true
+}
+
+// filter keeps the rows of sel whose key value — colv's, seen through
+// part's COALESCE(TOTEXT(col), lit) when it has one — is a member
+// (want) or is not. A NULL key value is a member of nothing.
+func (s *valueSet) filter(part *kprobePart, colv []relation.Value, sel []int, want bool) []int {
+	coalesce := part.kind == pkCase && part.resKind == resTextCoalesce
+	out := sel[:0]
+	for _, ri := range sel {
+		v := &colv[ri]
+		if coalesce && v.K != relation.KindText {
+			tv := part.nullLit
+			if v.K != relation.KindNull {
+				tv = relation.Text(v.String())
+			}
+			v = &tv
+		}
+		in := false
+		switch {
+		case v.K == relation.KindText && s.hashed:
+			_, in = s.m[v.S]
+		case v.K == relation.KindText:
+			for _, w := range s.texts {
+				if w == v.S {
+					in = true
+					break
+				}
+			}
+		case v.K != relation.KindNull:
+			for _, w := range s.nums {
+				if relation.Identical(*v, w) {
+					in = true
+					break
+				}
+			}
+		}
+		if in == want {
+			out = append(out, ri)
+		}
+	}
+	return out
+}
 
 // newPredInst instantiates the bind-state tree for a compiled kpred.
 func newPredInst(k *kpred) predInst {
@@ -850,11 +986,39 @@ func newOrGroupK(pc *planConjunct, ci, s int) *orGroupK {
 	return g
 }
 
-// enter resets the group's per-entry state. No expression evaluates
-// here — terms bind lazily, at the first filter moment a candidate
-// row reaches them, mirroring the row path's evaluation order.
-func (g *orGroupK) enter() {
-	g.pass = false
+// describe renders the group for EXPLAIN: its arity and, by the name
+// their subquery gives the probe side, the probes an entry may answer
+// from value sets (kprobe.setsOK — whether one does is decided per
+// entry, from the row counts bind sees).
+func (g *orGroupK) describe() string {
+	var names []string
+	var walk func(preds []predInst)
+	walk = func(preds []predInst) {
+		for i := range preds {
+			p := &preds[i]
+			if p.probe != nil && p.probe.k.setsOK() {
+				if name := p.probe.k.d.x.Sub.From[0].Name(); !slices.Contains(names, name) {
+					names = append(names, name)
+				}
+			}
+			walk(p.or)
+		}
+	}
+	for ti := range g.terms {
+		walk(g.terms[ti].preds)
+	}
+	if len(names) == 0 {
+		return fmt.Sprintf("or-group(%d terms)", g.nTerms)
+	}
+	return fmt.Sprintf("or-group(%d terms: value-set probe %s)", g.nTerms, strings.Join(names, ", "))
+}
+
+// enter resets the group's per-entry state for a level entry over
+// cands candidate rows. No expression evaluates here — terms bind
+// lazily, at the first filter moment a candidate row reaches them,
+// mirroring the row path's evaluation order.
+func (g *orGroupK) enter(cands int) {
+	g.pass, g.cands = false, cands
 	for ti := range g.terms {
 		g.terms[ti].bound = false
 	}
@@ -877,7 +1041,7 @@ func (g *orGroupK) bindTerm(en *env, t *Table, tm *orTermK) error {
 	}
 	for pi := range tm.preds {
 		p := &tm.preds[pi]
-		if err := p.bind(en, t); err != nil {
+		if err := p.bind(en, t, g.cands); err != nil {
 			return err
 		}
 		if p.state == pNever {
@@ -891,7 +1055,7 @@ func (g *orGroupK) bindTerm(en *env, t *Table, tm *orTermK) error {
 	return nil
 }
 
-func (p *predInst) bind(en *env, t *Table) error {
+func (p *predInst) bind(en *env, t *Table, cands int) error {
 	k := p.k
 	switch {
 	case k.inv != nil:
@@ -915,12 +1079,12 @@ func (p *predInst) bind(en *env, t *Table) error {
 		p.state = pNormal
 		p.colv = en.column(t, k.simple.col)
 	case k.probe != nil:
-		return p.probe.bind(en, t, &p.state)
+		return p.probe.bind(en, t, cands, &p.state)
 	default: // nested OR
 		p.state = pNever
 		for i := range p.or {
 			sub := &p.or[i]
-			if err := sub.bind(en, t); err != nil {
+			if err := sub.bind(en, t, cands); err != nil {
 				return err
 			}
 			if sub.state == pAlways {
@@ -935,16 +1099,13 @@ func (p *predInst) bind(en *env, t *Table) error {
 	return nil
 }
 
-func (pb *probeInst) bind(en *env, t *Table, state *uint8) error {
+// bind resolves the probe for one level entry over cands candidate
+// rows: the constant key parts, the key plan of the exact probe and,
+// when they pay (bindSets), the value sets that stand in front of it.
+func (pb *probeInst) bind(en *env, t *Table, cands int, state *uint8) error {
 	k := pb.k
-	if k.d.idx != nil {
-		pb.eq = en.td(k.d.t).lookupEq(k.d.t, k.d.idx)
-	} else {
-		hb, err := k.d.ensureHash(en)
-		if err != nil {
-			return err
-		}
-		pb.set = hb.set
+	if pb.vs != nil {
+		pb.vs.parts = pb.vs.parts[:0] // the previous entry's sets are not this one's
 	}
 	*state = pNormal
 	constNull := false
@@ -996,7 +1157,6 @@ func (pb *probeInst) bind(en *env, t *Table, state *uint8) error {
 	pb.pfx = pb.pfx[:0]
 	pb.tail = pb.tail[:0]
 	pb.pfxVals = pb.pfxVals[:0]
-	pb.scanOn = false
 	n := len(k.parts)
 	inPrefix := true
 	for j := 0; j < n; j++ {
@@ -1016,63 +1176,157 @@ func (pb *probeInst) bind(en *env, t *Table, state *uint8) error {
 			pb.rowVals[i] = pb.vals[i]
 		}
 	}
+	// Sets first: an entry they answer on their own — constant, or a
+	// single per-row part — never consults the index or the hash build,
+	// so it does not resolve (build, refresh) one either.
+	inner := en.td(k.d.t)
+	sets := cands >= probeSetMinCands && k.setsOK()
+	if sets && len(inner.rows) <= probeSetRowsMax {
+		pb.bindSets(inner.rows, nil, len(inner.rows), state)
+		if *state != pNormal || len(pb.vs.parts) == 1 {
+			return nil
+		}
+		sets = false
+	}
+	if k.d.idx == nil {
+		hb, err := k.d.ensureHash(en)
+		if err != nil {
+			return err
+		}
+		pb.set = hb.set
+		return nil
+	}
+	pb.eq = inner.lookupEq(k.d.t, k.d.idx)
 	if pb.eq.ordered() {
 		// The ordered path searches only below the constant prefix.
 		pb.eq.s = pb.eq.within(pb.eq.s, 0, pb.pfxVals)
 	}
-	// Small-set scan: an index probe whose single per-row part is the
-	// index's last column materializes the entry's matching values once
-	// and compares per row instead of probing per row.
-	if d := k.d; d.idx != nil && len(pb.tail) == 1 && len(pb.pfxVals) == n-1 && n >= 2 &&
-		k.parts[pb.tail[0]].kind == pkCol {
-		td := en.td(d.t)
+	if sets && len(pb.pfxVals) > 0 {
+		// Too many rows to walk, but the entry's constants lead the index
+		// order: the rows below that prefix are the only ones that can
+		// agree with them.
 		pos := pb.eq.s
 		if !pb.eq.ordered() {
-			pos = td.eqPrefixRange(d.t, d.idx, pb.pfxVals, relation.Value{}, relation.Value{}, false, false)
+			pos = inner.eqPrefixRange(k.d.t, k.d.idx, pb.pfxVals, relation.Value{}, relation.Value{}, false, false)
 		}
-		if len(pos) <= probeScanSetMax {
-			valCol := d.idx.Cols[n-1]
-			inner := td.rows
-			pb.scanVals = pb.scanVals[:0]
-			for _, p := range pos {
-				pb.scanVals = append(pb.scanVals, inner[p][valCol])
-			}
-			pb.scanCol = pb.tail[0]
-			pb.scanOn = true
+		if len(pos) <= probeSetRowsMax {
+			pb.bindSets(inner.rows, pos, len(pos), state)
 		}
 	}
 	return nil
 }
 
+// bindSets specialises the entry over a tiny probe side: one walk keeps
+// the probe-side rows that agree with every constant key part (the
+// bound CID, the '@' blanks) and collects, per remaining part, the
+// values those rows hold. A candidate whose value is outside any of the
+// sets matches no probe-side row, so filter decides it from the column
+// vector alone — nothing encoded, hashed or locked — and only what is
+// inside all of them needs the exact probe; with a single per-row part
+// membership is the exact answer, and with none, or no agreeing row, the
+// probe is constant for the entry. k.setsOK() holds: every per-row part
+// reads a column vector bind already fetched.
+//
+// Tiny is at most probeSetRowsMax rows to walk, n of them: bind passes
+// the whole table (pos nil) or, for a larger table whose index order the
+// entry's constants lead, the n positions the index finds below that
+// prefix — the set tables of a large tableau hold thousands of rows, a
+// handful per CID. That second source only keeps what the old small-set
+// scan served on such tables (`ecfdbench -fig 5c`, about 2× in two runs);
+// no workload of the repo benchmark has a large tableau, so it is covered
+// by TestValueSetProbeDifferential and otherwise unmeasured.
+func (pb *probeInst) bindSets(rows []relation.Tuple, pos []int, n int, state *uint8) {
+	k := pb.k
+	if pb.vs == nil {
+		pb.vs = &probeSets{sets: make([]valueSet, len(k.parts))}
+	}
+	vs := pb.vs
+	for i := range k.parts {
+		if !pb.con[i] {
+			vs.parts = append(vs.parts, i)
+			vs.sets[i].reset()
+		}
+	}
+	agree := false
+rows:
+	for j := 0; j < n; j++ {
+		p := j
+		if pos != nil {
+			p = pos[j]
+		}
+		r := rows[p]
+		for i, col := range k.d.keyCols {
+			switch {
+			case !pb.con[i]:
+				if r[col].IsNull() {
+					continue rows // a NULL key column matches nothing
+				}
+			case !relation.Identical(r[col], pb.vals[i]):
+				continue rows
+			}
+		}
+		agree = true
+		for _, i := range vs.parts {
+			if !vs.sets[i].add(r[k.d.keyCols[i]]) {
+				vs.parts = vs.parts[:0] // too wide to scan: probe exactly
+				return
+			}
+		}
+	}
+	if !agree || len(vs.parts) == 0 {
+		vs.parts = vs.parts[:0]
+		if agree != k.neg {
+			*state = pAlways
+		} else {
+			*state = pNever
+		}
+	}
+}
+
 // filter keeps the rows of sel whose probe result (hit != neg) holds.
 // Order is preserved; sel is tightened in place.
 func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, rows []relation.Tuple, sel []int) ([]int, error) {
-	k := pb.k
-	out := sel[:0]
-	if pb.scanOn {
-		colv := pb.colvs[pb.scanCol]
-		neg := k.neg
-		for _, ri := range sel {
-			v := colv[ri]
-			if v.K == relation.KindNull {
-				if neg {
-					out = append(out, ri) // NULL key never matches
-				}
-				continue
-			}
-			hit := false
-			for _, w := range pb.scanVals {
-				if relation.Identical(v, w) {
-					hit = true
-					break
-				}
-			}
-			if hit != neg {
-				out = append(out, ri)
-			}
-		}
-		return out, nil
+	k, vs := pb.k, pb.vs
+	switch {
+	case vs == nil || len(vs.parts) == 0:
+		return pb.probeExact(en, cs, src, rows, sel, k.neg)
+	case len(vs.parts) == 1:
+		i := vs.parts[0]
+		return vs.sets[i].filter(&k.parts[i], pb.colvs[i], sel, !k.neg), nil
 	}
+	// Several per-row parts: the sets bound the hits from above, the
+	// exact probe settles the candidates inside all of them.
+	hits := sel
+	if k.neg {
+		hits = append(vs.hits[:0], sel...)
+	}
+	for _, i := range vs.parts {
+		hits = vs.sets[i].filter(&k.parts[i], pb.colvs[i], hits, true)
+	}
+	hits, err := pb.probeExact(en, cs, src, rows, hits, false)
+	if err != nil || !k.neg {
+		return hits, err
+	}
+	// NOT EXISTS keeps everything but the hits, an ordered subsequence.
+	vs.hits = hits[:0]
+	out := sel[:0]
+	for _, ri := range sel {
+		if len(hits) > 0 && hits[0] == ri {
+			hits = hits[1:]
+			continue
+		}
+		out = append(out, ri)
+	}
+	return out, nil
+}
+
+// probeExact answers the probe for every row of sel from the index or
+// the hash build — key encoded or searched per row — and keeps the rows
+// whose hit differs from neg.
+func (pb *probeInst) probeExact(en *env, cs *compiledSelect, src int, rows []relation.Tuple, sel []int, neg bool) ([]int, error) {
+	k := pb.k
+	en.probeRows += int64(len(sel))
+	out := sel[:0]
 	var fr *frame
 	if k.needsRow {
 		fr = &en.frames[cs.depth]
@@ -1124,7 +1378,7 @@ rowLoop:
 				}
 				if v.IsNull() {
 					pb.keyBuf = key
-					if k.neg {
+					if neg {
 						out = append(out, ri)
 					}
 					continue rowLoop
@@ -1149,7 +1403,7 @@ rowLoop:
 		default:
 			hit = pb.set[string(key)]
 		}
-		if hit != k.neg {
+		if hit != neg {
 			out = append(out, ri)
 		}
 	}

@@ -65,6 +65,9 @@ type DB struct {
 	epochMu      sync.Mutex
 	retired      map[*epoch]int64
 	retiredBytes int64
+
+	// probeRows backs Stats.ProbeRows.
+	probeRows atomic.Int64
 }
 
 // epoch is one immutable version of the whole database: the table
@@ -356,6 +359,12 @@ type Stats struct {
 	RetiredEpochs int
 	// RetiredBytes approximates the heap those retired epochs hold.
 	RetiredBytes int64
+	// ProbeRows counts the candidate rows the batch probe kernels sent to
+	// an exact probe — key encoded, hash build or index consulted — since
+	// the database opened, each statement adding its share when it ends.
+	// It is a work counter, not a clock: the same statements over the same
+	// data always add the same amount.
+	ProbeRows int64
 	// Recovery reports what WAL recovery did when the database opened.
 	Recovery RecoveryStats
 }
@@ -372,6 +381,7 @@ func (db *DB) Stats() Stats {
 		LiveEpochs:    1 + r,
 		RetiredEpochs: r,
 		RetiredBytes:  b,
+		ProbeRows:     db.probeRows.Load(),
 		Recovery:      db.recov,
 	}
 }

@@ -41,6 +41,18 @@ type env struct {
 	// semiScan, one per select (a select cannot contain itself, so reuse
 	// across its sequential invocations within one statement is safe).
 	scratch map[*compiledSelect][]relation.Tuple
+	// probeRows counts the rows this statement sent to an exact probe;
+	// publish adds it to the DB-wide counter (Stats.ProbeRows) once, so
+	// concurrent readers do not share a cache line per selection vector.
+	probeRows int64
+}
+
+// publish folds the statement's work counters into the DB's. Deferred by
+// whoever creates the env of a planned statement.
+func (en *env) publish() {
+	if en.probeRows != 0 {
+		en.db.probeRows.Add(en.probeRows)
+	}
 }
 
 // td returns the epoch's data for a table handle.

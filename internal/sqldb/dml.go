@@ -122,6 +122,7 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 
 	var newRows []relation.Tuple
 	en := newEnv(db, db.curW, params)
+	defer en.publish()
 	if p.query != nil {
 		rows, err := p.query.exec(en)
 		if err != nil {
@@ -366,7 +367,9 @@ func (rs *rowSelect) positions(db *DB, params []relation.Value) ([]int, error) {
 	}
 	if sel != nil {
 		matched := make(map[int]bool)
-		err := sel.semiScan(newEnv(db, db.curW, params), func(idx []int) error {
+		en := newEnv(db, db.curW, params)
+		defer en.publish()
+		err := sel.semiScan(en, func(idx []int) error {
 			matched[idx[0]] = true
 			return nil
 		})

@@ -220,6 +220,7 @@ func (db *DB) execSelect(sel *Select, params []relation.Value, ep *epoch) (*Resu
 		return nil, err
 	}
 	en := newEnv(db, ep, params)
+	defer en.publish()
 	rows, err := cs.exec(en)
 	if err != nil {
 		return nil, err

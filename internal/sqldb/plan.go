@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -1088,7 +1089,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 	var gs *groupScratch
 	if len(lv.groups) > 0 {
 		for _, g := range lv.groups {
-			g.enter() // state reset only; terms bind lazily at filter time
+			g.enter(n) // state reset only; terms bind lazily at filter time
 		}
 		gs = st.gsc[pos]
 		if len(gs.mask) < len(rows) {
@@ -1382,21 +1383,28 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 			batchBits = append(batchBits, bit)
 		}
 		if len(lv.groups) > 0 {
-			// Aggregate equal-arity groups: `3 × or-group(2 terms)`.
-			var arities []int
-			counts := map[int]int{}
-			for _, g := range lv.groups {
-				if counts[g.nTerms] == 0 {
-					arities = append(arities, g.nTerms)
-				}
-				counts[g.nTerms]++
+			// Aggregate groups that render alike, `3 × or-group(2 terms)`,
+			// in order of arity.
+			type groupBit struct {
+				desc     string
+				arity, n int
 			}
-			sort.Ints(arities)
-			for _, a := range arities {
-				if c := counts[a]; c == 1 {
-					batchBits = append(batchBits, fmt.Sprintf("or-group(%d terms)", a))
+			var bits []groupBit
+			for _, g := range lv.groups {
+				d := g.describe()
+				i := slices.IndexFunc(bits, func(b groupBit) bool { return b.desc == d })
+				if i < 0 {
+					i = len(bits)
+					bits = append(bits, groupBit{desc: d, arity: g.nTerms})
+				}
+				bits[i].n++
+			}
+			sort.SliceStable(bits, func(i, j int) bool { return bits[i].arity < bits[j].arity })
+			for _, b := range bits {
+				if b.n == 1 {
+					batchBits = append(batchBits, b.desc)
 				} else {
-					batchBits = append(batchBits, fmt.Sprintf("%d × or-group(%d terms)", c, a))
+					batchBits = append(batchBits, fmt.Sprintf("%d × %s", b.n, b.desc))
 				}
 			}
 		}

@@ -205,6 +205,7 @@ func (p *Prepared) queryEpoch(ep *epoch, params []relation.Value) (*Result, erro
 		return nil, fmt.Errorf("sql: Query requires a SELECT statement")
 	}
 	en := newEnv(p.db, ep, params)
+	defer en.publish()
 	rows, err := cs.exec(en)
 	if err != nil {
 		return nil, err
@@ -243,6 +244,7 @@ func (db *DB) execPreparedLocked(p *Prepared, i int, params []relation.Value) (i
 	switch pl := plan.(type) {
 	case *compiledSelect:
 		en := newEnv(db, db.curW, params)
+		defer en.publish()
 		rows, err := pl.exec(en)
 		if err != nil {
 			return 0, err
