@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet faultmatrix mvccstress difffuzz bench-short bench-json serversmoke explain ci
+.PHONY: build test race vet faultmatrix mvccstress difffuzz bench-short bench-json explain ci
 
 build:
 	$(GO) build ./...
@@ -47,12 +47,6 @@ bench-short:
 # `bash benchmark/run.sh` (BENCHMARK.json, benchmark/README.md).
 bench-json:
 	$(GO) run ./cmd/ecfdbench -scale 0.1 -json
-
-# Server smoke: boot ecfdserver, drive a short closed-loop check load
-# at 8 clients against a 10k-row session, and fail unless it sustains
-# the ROADMAP's >=500 QPS floor. CI uploads the latency JSON.
-serversmoke: build
-	./scripts/serversmoke.sh
 
 # Query plans of the detector's fixed statement set.
 explain:

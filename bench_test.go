@@ -7,12 +7,8 @@ package ecfd
 // the engine design choices called out in DESIGN.md §5.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"testing"
 
@@ -20,7 +16,6 @@ import (
 	"ecfd/internal/detect"
 	"ecfd/internal/gen"
 	"ecfd/internal/relation"
-	"ecfd/internal/server"
 	"ecfd/internal/sqldb"
 )
 
@@ -102,151 +97,26 @@ func batchDetectSigma(b *testing.B, rows int, sigma []*ECFD) {
 func BenchmarkBatchDetect2k(b *testing.B)  { batchDetectOnce(b, 2_000) }
 func BenchmarkBatchDetect10k(b *testing.B) { batchDetectOnce(b, 10_000) }
 
-// BenchmarkConcurrentDetect measures ParallelDetect on the Fig. 5(a)
-// workload (10k rows, 5 % noise, base Σ) across worker counts. The
-// worker pool fans the read-only violation queries over the engine's
-// shared read lock; scaling beyond one worker requires actual cores
-// (GOMAXPROCS), so read the series together with the recorded host
-// core count.
-func BenchmarkConcurrentDetect(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			name := fmt.Sprintf("bench_conc_%d_%d", workers, rand.Int63())
-			db, err := OpenMemory(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			defer CloseMemory(name)
-			d, err := detect.New(db, gen.Schema(), gen.Constraints())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := d.Install(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.LoadData(gen.Dataset(gen.Config{Rows: 10_000, Noise: 5, Seed: 1})); err != nil {
-				b.Fatal(err)
-			}
-			d.BindEngine(Engine(name))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.ParallelDetect(workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardedDetect10k measures the sharded scatter-gather
-// BatchDetect on the Fig. 5(a) workload (10k rows, 5 % noise, base Σ)
-// at 4 shards — the sharded unit, directly comparable to
-// BenchmarkBatchDetect10k. Deterministic: fixed seed,
-// fixed shard and worker counts.
-func BenchmarkShardedDetect10k(b *testing.B) {
-	name := fmt.Sprintf("bench_shard10k_%d", rand.Int63())
-	db, err := OpenMemory(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	defer CloseMemory(name)
-	s, err := NewShardedDetector(db, gen.Schema(), gen.Constraints(), ShardOptions{Shards: 4, Workers: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Install(); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.LoadData(gen.Dataset(gen.Config{Rows: 10_000, Noise: 5, Seed: 1})); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.BatchDetect(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLargeScaleDetect is the ≥1M-row single-store vs sharded
-// comparison — the first step toward the ROADMAP's 10M-row target.
-// Generating and double-loading a million rows takes minutes of setup,
-// so it only runs when ECFD_SLOWBENCH is set:
+// BenchmarkLargeScaleDetect is BatchDetect over ≥1M rows — the first
+// step toward the ROADMAP's 10M-row target. Generating and loading a
+// million rows takes minutes of setup, so it only runs when
+// ECFD_SLOWBENCH is set:
 //
 //	ECFD_SLOWBENCH=1 go test -bench LargeScaleDetect -benchtime 1x .
 func BenchmarkLargeScaleDetect(b *testing.B) {
 	if os.Getenv("ECFD_SLOWBENCH") == "" {
 		b.Skip("set ECFD_SLOWBENCH=1 to run the 1M-row benchmark")
 	}
-	const rows = 1_000_000
-	data := gen.Dataset(gen.Config{Rows: rows, Noise: 5, Seed: 1})
-	b.Run("single", func(b *testing.B) {
-		name := fmt.Sprintf("bench_large_%d", rand.Int63())
-		db, err := OpenMemory(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		defer CloseMemory(name)
-		d, err := detect.New(db, gen.Schema(), gen.Constraints())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := d.Install(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.LoadData(data); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := d.BatchDetect(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		name := fmt.Sprintf("bench_large_sh_%d", rand.Int63())
-		db, err := OpenMemory(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		defer CloseMemory(name)
-		s, err := NewShardedDetector(db, gen.Schema(), gen.Constraints(), ShardOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		if err := s.Install(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.LoadData(data); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.BatchDetect(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	batchDetectOnce(b, 1_000_000)
 }
-
-// BenchmarkFigMixed — reader p50/p99 with and without a streaming
-// writer (figure "mixed"), the MVCC snapshot-isolation workload.
-func BenchmarkFigMixed(b *testing.B) { benchFigure(b, "mixed") }
 
 // BenchmarkMixedRead measures the MVCC read path under write churn:
 // each op commits one bulk UPDATE (forking a fresh epoch and its
 // copy-on-write structures) and then runs 1000 point SELECTs against
 // the new epoch. The interleave is deterministic — no racing
-// goroutines — so the number is stable on a single-core host; the
-// scheduler-dependent concurrent version lives in `ecfdbench -fig
-// mixed`.
+// goroutines — so the number is stable on a single-core host; readers
+// racing a live writer are the repository benchmark's serve_mixed_10k
+// workload.
 func BenchmarkMixedRead(b *testing.B) {
 	const rows = 20_000
 	db := sqldb.NewDB()
@@ -374,92 +244,6 @@ func BenchmarkMaxSS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := MaxSS(schema, sigma, int64(i)); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServerCheck measures the service's advisory hot path end to
-// end: one HTTP round trip carrying an 8-tuple check batch against a
-// 10k-row session — admission gate, JSON decode, the two fixed check
-// probes, JSON encode.
-func BenchmarkServerCheck(b *testing.B) {
-	srv := server.New(server.Options{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	post := func(path string, in, out any) {
-		b.Helper()
-		var body *bytes.Reader
-		if in != nil {
-			raw, err := json.Marshal(in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			body = bytes.NewReader(raw)
-		} else {
-			body = bytes.NewReader(nil)
-		}
-		resp, err := http.Post(ts.URL+path, "application/json", body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			b.Fatalf("%s: HTTP %d", path, resp.StatusCode)
-		}
-		if out != nil {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	var sess server.SessionInfo
-	post("/v1/sessions", server.CreateSessionRequest{
-		Gen: &server.GenSpec{Rows: 10_000, Noise: 5, Seed: 1},
-	}, &sess)
-	post("/v1/sessions/"+sess.ID+"/detect", nil, nil)
-
-	batch := gen.Dataset(gen.Config{Rows: 8, Noise: 5, Seed: 99})
-	rows := make([][]any, batch.Len())
-	for i, t := range batch.Rows {
-		row := make([]any, len(t))
-		for j, v := range t {
-			switch v.K {
-			case relation.KindNull:
-				row[j] = nil
-			case relation.KindInt:
-				row[j] = v.I
-			case relation.KindBool:
-				row[j] = v.I != 0
-			case relation.KindFloat:
-				row[j] = v.F
-			default:
-				row[j] = v.S
-			}
-		}
-		rows[i] = row
-	}
-	body, err := json.Marshal(server.RowsPayload{Rows: rows})
-	if err != nil {
-		b.Fatal(err)
-	}
-	url := ts.URL + "/v1/sessions/" + sess.ID + "/check"
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var out server.CheckResponse
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			b.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || len(out.Results) != len(rows) {
-			b.Fatalf("HTTP %d, %d results", resp.StatusCode, len(out.Results))
 		}
 	}
 }

@@ -1,24 +1,16 @@
 // Command ecfdbench regenerates the paper's experimental figures
 // (§VI, Figs. 5–7). Each figure prints as an aligned table of the same
 // series the paper plots, or — with -json — as one machine-readable
-// JSON report suitable for BENCH_*.json trajectory files compared
-// across PRs.
+// JSON report. Performance numbers of this implementation come from the
+// repository benchmark (bash benchmark/run.sh), not from here.
 //
 // Usage:
 //
-//	ecfdbench [-fig 5a|5b|5c|6a|6b|6c|7a|7b|par|shard|wal|mixed|all] [-scale 0.1]
-//	          [-seed 42] [-parallel N] [-json] [-explain]
+//	ecfdbench [-fig 5a|5b|5c|6a|6b|6c|7a|7b|all] [-scale 0.1]
+//	          [-seed 42] [-json] [-explain]
 //
 // Scale 1.0 is paper scale (|D| up to 100k tuples); the default 0.1
-// completes the full suite in minutes. -parallel N runs every measured
-// batch detection through the concurrent detector with N workers
-// (-1 = GOMAXPROCS); figure "par" sweeps the worker count on the
-// Fig. 5(a) workload; "shard" sweeps the shard count K of the
-// partitioned scatter-gather detector on the same workload against a
-// single-store BatchDetect baseline; "wal" measures durable ingest under each fsync
-// policy plus concurrent-writer group commit; "mixed" measures reader
-// point-query latency (p50/p99) with and without a streaming writer,
-// exercising the MVCC epoch snapshots. -explain skips the sweeps and
+// completes the full suite in minutes. -explain skips the sweeps and
 // prints the engine's query plans for the detector's fixed statement
 // set (join order, hash/index access paths, semi-join updates).
 package main
@@ -38,10 +30,9 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure id (5a 5b 5c 6a 6b 6c 7a 7b par shard wal mixed server) or 'all'")
+	fig := flag.String("fig", "all", "figure id (5a 5b 5c 6a 6b 6c 7a 7b) or 'all'")
 	scale := flag.Float64("scale", 0.1, "dataset scale relative to the paper (1.0 = |D| up to 100k)")
 	seed := flag.Int64("seed", 42, "generator seed")
-	parallel := flag.Int("parallel", 0, "batch-detection workers (0 = serial, -1 = GOMAXPROCS)")
 	asJSON := flag.Bool("json", false, "emit figure series as machine-readable JSON")
 	explain := flag.Bool("explain", false, "print the query plans of the detector's fixed statements and exit")
 	flag.Parse()
@@ -54,7 +45,7 @@ func main() {
 		return
 	}
 
-	opt := bench.Options{Scale: *scale, Seed: *seed, Workers: *parallel}
+	opt := bench.Options{Scale: *scale, Seed: *seed}
 	ids := []string{*fig}
 	if *fig == "all" {
 		ids = bench.FigureIDs()

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -28,38 +29,62 @@ import (
 	"ecfd/internal/server"
 )
 
+// errUsage is run's answer to a command line it could not accept; the
+// reason has been printed by then.
+var errUsage = errors.New("usage: ecfdserver [-addr :8080] [-workers N] [-queue N] [-timeout 30s]")
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "concurrent data-path requests (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-request deadline")
-	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on the ?timeout= override")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: ecfdserver [-addr :8080] [-workers N] [-queue N] [-timeout 30s]")
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], func(addr net.Addr) { log.Printf("ecfdserver listening on %s", addr) })
+	if errors.Is(err, errUsage) {
 		os.Exit(2)
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run is the whole process: parse args, listen, call ready with the
+// bound address, serve until ctx is done, then stop accepting, drain
+// the in-flight requests (bounded) and close every session. It returns
+// once the serving goroutine has exited.
+func run(ctx context.Context, args []string, ready func(net.Addr)) error {
+	fs := flag.NewFlagSet("ecfdserver", flag.ContinueOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	workers := fs.Int("workers", 0, "concurrent data-path requests (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 0, "admission queue depth (0 = 4x workers)")
+	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
+	maxTimeout := fs.Duration("max-timeout", 5*time.Minute, "cap on the ?timeout= override")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, errUsage)
+		return errUsage
+	}
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fmt.Errorf("listen: %w", err)
+	}
 	srv := server.New(server.Options{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 	})
+	defer srv.Close()
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	ready(ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("ecfdserver listening on %s", *addr)
-		errCh <- httpSrv.ListenAndServe()
-	}()
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
 
 	select {
 	case <-ctx.Done():
@@ -69,11 +94,9 @@ func main() {
 		if err := httpSrv.Shutdown(shCtx); err != nil {
 			log.Printf("shutdown: %v", err)
 		}
-	case err := <-errCh:
-		if !errors.Is(err, http.ErrServerClosed) {
-			srv.Close()
-			log.Fatalf("serve: %v", err)
-		}
+		<-served // http.ErrServerClosed, as soon as Shutdown was called
+		return nil
+	case err := <-served:
+		return fmt.Errorf("serve: %w", err)
 	}
-	srv.Close()
 }

@@ -28,7 +28,7 @@
 //   - Detection as a service: NewServer exposes sessions, detection,
 //     incremental updates, advisory checks and streamed violations
 //     over HTTP/JSON with admission control (cmd/ecfdserver is the
-//     standalone binary, cmd/ecfdloadgen the load driver).
+//     standalone binary).
 //
 // See the examples/ directory for runnable walkthroughs and DESIGN.md
 // for the paper-to-code map.
@@ -309,8 +309,8 @@ func StatsOf(name string) EngineStats { return sqldriver.Engine(name).Stats() }
 // updates, probe candidate tuples (check) and stream violations over
 // JSON, all gated by a bounded worker pool with typed queue_full
 // rejection. It implements http.Handler; the caller owns the listener.
-// cmd/ecfdserver wraps it as a standalone binary and cmd/ecfdloadgen
-// drives it; see internal/server for the wire protocol.
+// cmd/ecfdserver wraps it as a standalone binary; see internal/server
+// for the wire protocol.
 type Server = server.Server
 
 // ServerOptions configures NewServer (worker pool size, admission
@@ -321,20 +321,6 @@ type ServerOptions = server.Options
 // NewServer builds a detection service handler. Close it to tear down
 // every session and release the engines.
 func NewServer(opts ServerOptions) *Server { return server.New(opts) }
-
-// ServerLoadOptions and ServerLoadResult configure and report a
-// closed-loop load run against a live detection service (RunServerLoad
-// is what cmd/ecfdloadgen and the "server" benchmark figure run).
-type (
-	ServerLoadOptions = server.LoadOptions
-	ServerLoadResult  = server.LoadResult
-)
-
-// RunServerLoad drives a closed-loop load against the server at
-// opts.BaseURL and reports QPS and latency percentiles.
-func RunServerLoad(opts ServerLoadOptions) (*ServerLoadResult, error) {
-	return server.RunLoad(opts)
-}
 
 // DiscoverOptions tunes constraint discovery; zero values select
 // sensible defaults.

@@ -12,37 +12,21 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"ecfd/internal/core"
 	"ecfd/internal/detect"
 	"ecfd/internal/gen"
-	"ecfd/internal/relation"
-	"ecfd/internal/sqldb"
 	"ecfd/internal/sqldriver"
 )
 
 // Options scales and seeds an experiment run. Scale 1.0 is paper scale
 // (|D| up to 100k); the CLI defaults lower so a full suite finishes in
-// minutes on a laptop. Workers != 0 replaces every measured batch
-// detection with ParallelDetect(Workers) (-1 = GOMAXPROCS).
+// minutes on a laptop.
 type Options struct {
-	Scale   float64
-	Seed    int64
-	Workers int
-}
-
-// detect runs the configured batch detection: serial BatchDetect by
-// default, the fanned-out ParallelDetect when Workers is set.
-func (o Options) detect(d *detect.Detector) (detect.BatchStats, error) {
-	if o.Workers != 0 {
-		return d.ParallelDetect(o.Workers)
-	}
-	return d.BatchDetect()
+	Scale float64
+	Seed  int64
 }
 
 func (o Options) scale(n int) int {
@@ -72,8 +56,8 @@ type Figure struct {
 	Points []Point  `json:"points"`
 }
 
-// Report is the machine-readable form of a benchmark run, consumed by
-// the BENCH_*.json trajectory files compared across PRs.
+// Report is the machine-readable form of a run: the series of every
+// regenerated figure, for plotting against the paper's.
 type Report struct {
 	Scale   float64   `json:"scale"`
 	Seed    int64     `json:"seed"`
@@ -110,8 +94,6 @@ var Runners = map[string]func(Options) (*Figure, error){
 	"5a": Fig5a, "5b": Fig5b, "5c": Fig5c,
 	"6a": Fig6a, "6b": Fig6b, "6c": Fig6c,
 	"7a": Fig7a, "7b": Fig7b,
-	"par": FigPar, "shard": FigShard, "wal": FigWAL, "mixed": FigMixed,
-	"server": FigServer,
 }
 
 // FigureIDs lists the runnable figures in paper order.
@@ -138,13 +120,6 @@ var dsnSeq atomic.Int64
 // setup builds a detector over a fresh in-memory database loaded with
 // a generated dataset, and returns it with the assigned RIDs.
 func setup(sigma []*core.ECFD, cfg gen.Config) (*detect.Detector, []int64, func(), error) {
-	return setupWith(sigma, gen.Dataset(cfg))
-}
-
-// setupWith is setup over a pre-generated dataset — figures that build
-// several stores from the same data (FigPar, FigShard) generate once
-// and share, so the measured loop is detection, not the generator.
-func setupWith(sigma []*core.ECFD, data *relation.Relation) (*detect.Detector, []int64, func(), error) {
 	dsn := fmt.Sprintf("bench_%d", dsnSeq.Add(1))
 	db, err := sql.Open(sqldriver.DriverName, dsn)
 	if err != nil {
@@ -163,50 +138,12 @@ func setupWith(sigma []*core.ECFD, data *relation.Relation) (*detect.Detector, [
 		cleanup()
 		return nil, nil, nil, err
 	}
-	rids, err := d.LoadData(data)
+	rids, err := d.LoadData(gen.Dataset(cfg))
 	if err != nil {
 		cleanup()
 		return nil, nil, nil, err
 	}
-	// Engine binding lets ParallelDetect share one snapshot pin per read
-	// phase across its workers.
-	d.BindEngine(sqldriver.Engine(dsn))
 	return d, rids, cleanup, nil
-}
-
-// setupSharded builds a sharded detector over a fresh coordinator
-// database with the generated dataset scattered across k shards.
-func setupSharded(sigma []*core.ECFD, cfg gen.Config, opts detect.ShardOptions) (*detect.ShardedDetector, func(), error) {
-	return setupShardedWith(sigma, gen.Dataset(cfg), opts)
-}
-
-// setupShardedWith is setupSharded over a pre-generated dataset.
-func setupShardedWith(sigma []*core.ECFD, data *relation.Relation, opts detect.ShardOptions) (*detect.ShardedDetector, func(), error) {
-	dsn := fmt.Sprintf("bench_shard_%d", dsnSeq.Add(1))
-	db, err := sql.Open(sqldriver.DriverName, dsn)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := detect.NewSharded(db, gen.Schema(), sigma, opts)
-	if err != nil {
-		db.Close()
-		sqldriver.Unregister(dsn)
-		return nil, nil, err
-	}
-	cleanup := func() {
-		s.Close()
-		db.Close()
-		sqldriver.Unregister(dsn)
-	}
-	if err := s.Install(); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	if _, err := s.LoadData(data); err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	return s, cleanup, nil
 }
 
 // Fig5a — BatchDetect scalability in |D| (10k–100k, noise 5 %, base Σ).
@@ -218,7 +155,7 @@ func Fig5a(opt Options) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := opt.detect(d)
+		st, err := d.BatchDetect()
 		cleanup()
 		if err != nil {
 			return nil, err
@@ -239,7 +176,7 @@ func Fig5b(opt Options) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := opt.detect(d)
+		st, err := d.BatchDetect()
 		cleanup()
 		if err != nil {
 			return nil, err
@@ -261,7 +198,7 @@ func Fig5c(opt Options) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := opt.detect(d)
+		st, err := d.BatchDetect()
 		cleanup()
 		if err != nil {
 			return nil, err
@@ -304,7 +241,7 @@ func incVsBatch(sigma []*core.ECFD, cfg gen.Config, delta int, opt Options) (map
 		cleanup()
 		return nil, err
 	}
-	bst, err := opt.detect(d)
+	bst, err := d.BatchDetect()
 	cleanup()
 	if err != nil {
 		return nil, err
@@ -338,7 +275,7 @@ func incVsBatch(sigma []*core.ECFD, cfg gen.Config, delta int, opt Options) (map
 		cleanup()
 		return nil, err
 	}
-	bst, err = opt.detect(d)
+	bst, err = d.BatchDetect()
 	cleanup()
 	if err != nil {
 		return nil, err
@@ -456,7 +393,7 @@ func Fig7a(opt Options) (*Figure, error) {
 			cleanup()
 			return nil, err
 		}
-		bst, err := opt.detect(d)
+		bst, err := d.BatchDetect()
 		cleanup()
 		if err != nil {
 			return nil, err
@@ -538,360 +475,10 @@ func Fig7b(opt Options) (*Figure, error) {
 	return f, nil
 }
 
-// FigPar — concurrent detection scaling on the Fig. 5(a) workload:
-// ParallelDetect at 1/2/4/8 workers against the serial BatchDetect
-// baseline. "speedup" is throughput relative to one parallel worker;
-// on a single-core host it stays flat at ~1.0 — the worker pool only
-// helps when the scheduler has cores to spread the read locks over.
-func FigPar(opt Options) (*Figure, error) {
-	f := &Figure{ID: "par", Title: "Parallel detection scaling (Fig. 5(a) workload)",
-		XLabel: "workers", YLabel: "seconds", Names: []string{"parallel", "batch", "speedup"}}
-	rows := opt.scale(100_000)
-	data := gen.Dataset(gen.Config{Rows: rows, Noise: 5, Seed: opt.Seed})
-
-	d, _, cleanup, err := setupWith(gen.Constraints(), data)
-	if err != nil {
-		return nil, err
-	}
-	bst, err := d.BatchDetect()
-	cleanup()
-	if err != nil {
-		return nil, err
-	}
-
-	var oneWorker float64
-	for _, w := range []int{1, 2, 4, 8} {
-		d, _, cleanup, err := setupWith(gen.Constraints(), data)
-		if err != nil {
-			return nil, err
-		}
-		st, err := d.ParallelDetect(w)
-		cleanup()
-		if err != nil {
-			return nil, err
-		}
-		secs := st.Elapsed.Seconds()
-		if w == 1 {
-			oneWorker = secs
-		}
-		f.Points = append(f.Points, Point{X: fmt.Sprint(w), Series: map[string]float64{
-			"parallel": secs, "batch": bst.Elapsed.Seconds(), "speedup": oneWorker / secs}})
-	}
-	return f, nil
-}
-
-// FigShard — shard-per-core detection scaling on the Fig. 5(a)
-// workload: the sharded scatter-gather BatchDetect at K ∈ {1, 2, 4, 8}
-// partitions against the single-store serial BatchDetect baseline.
-// "speedup" is throughput relative to that serial baseline — unlike
-// FigPar's workers, each shard is a fully private store (own epochs,
-// indexes, column caches), so this is the figure that shows whether
-// horizontal partitioning beats in-store read concurrency. On a
-// single-core host it stays near 1.0 (flat-or-better); the multi-core
-// CI job tracks the ≥1.7× acceptance at K=4.
-func FigShard(opt Options) (*Figure, error) {
-	f := &Figure{ID: "shard", Title: "Sharded detection scaling (Fig. 5(a) workload)",
-		XLabel: "shards", YLabel: "seconds", Names: []string{"sharded", "batch", "speedup"}}
-	rows := opt.scale(100_000)
-	// One dataset for the serial baseline and every K — regenerating per
-	// point both wasted the bulk of the figure's wall clock and let the
-	// generator drift into the measurement.
-	data := gen.Dataset(gen.Config{Rows: rows, Noise: 5, Seed: opt.Seed})
-
-	d, _, cleanup, err := setupWith(gen.Constraints(), data)
-	if err != nil {
-		return nil, err
-	}
-	bst, err := d.BatchDetect()
-	cleanup()
-	if err != nil {
-		return nil, err
-	}
-	batchSecs := bst.Elapsed.Seconds()
-
-	for _, k := range []int{1, 2, 4, 8} {
-		s, cleanup, err := setupShardedWith(gen.Constraints(), data, detect.ShardOptions{Shards: k})
-		if err != nil {
-			return nil, err
-		}
-		st, err := s.BatchDetect()
-		cleanup()
-		if err != nil {
-			return nil, err
-		}
-		secs := st.Elapsed.Seconds()
-		f.Points = append(f.Points, Point{X: fmt.Sprint(k), Series: map[string]float64{
-			"sharded": secs, "batch": batchSecs, "speedup": batchSecs / secs}})
-	}
-	return f, nil
-}
-
-// FigWAL — the ingest cost of durability: LoadData + BatchDetect on
-// the Fig. 5(a) workload with the engine volatile ("off") and durable
-// under each WAL fsync policy. "load" is dominated by per-batch commit
-// units (fsync=always pays one fsync per 500-row insert); "batch" runs
-// the Fig. 4 queries, whose SV/MV updates also log, so detection under
-// a WAL measures the DML logging overhead on real work.
-func FigWAL(opt Options) (*Figure, error) {
-	f := &Figure{ID: "wal", Title: "Durable ingest: WAL fsync policies (Fig. 5(a) workload)",
-		XLabel: "config", YLabel: "seconds", Names: []string{"load", "batch"}}
-	rows := opt.scale(20_000)
-	cfg := gen.Config{Rows: rows, Noise: 5, Seed: opt.Seed}
-	data := gen.Dataset(cfg)
-
-	configs := []struct{ name, dsnOpts string }{
-		{"volatile", ""},
-		{"fsync=off", "?wal=%s&fsync=off"},
-		{"fsync=batched", "?wal=%s&fsync=batched&fsync_every=64"},
-		{"fsync=always", "?wal=%s&fsync=always"},
-	}
-	for _, c := range configs {
-		point, err := func() (Point, error) {
-			dsn := fmt.Sprintf("bench_wal_%d", dsnSeq.Add(1))
-			if c.dsnOpts != "" {
-				dir, err := os.MkdirTemp("", "ecfdwal")
-				if err != nil {
-					return Point{}, err
-				}
-				defer os.RemoveAll(dir)
-				dsn += fmt.Sprintf(c.dsnOpts, dir)
-			}
-			db, err := sql.Open(sqldriver.DriverName, dsn)
-			if err != nil {
-				return Point{}, err
-			}
-			defer sqldriver.Unregister(dsn)
-			defer db.Close()
-			d, err := detect.New(db, gen.Schema(), gen.Constraints())
-			if err != nil {
-				return Point{}, err
-			}
-			if err := d.Install(); err != nil {
-				return Point{}, err
-			}
-			loadStart := time.Now()
-			if _, err := d.LoadData(data); err != nil {
-				return Point{}, err
-			}
-			loadSecs := time.Since(loadStart).Seconds()
-			st, err := opt.detect(d)
-			if err != nil {
-				return Point{}, err
-			}
-			return Point{X: c.name, Series: map[string]float64{
-				"load": loadSecs, "batch": st.Elapsed.Seconds()}}, nil
-		}()
-		if err != nil {
-			return nil, fmt.Errorf("wal config %s: %w", c.name, err)
-		}
-		f.Points = append(f.Points, point)
-	}
-
-	// Concurrent ingest under fsync=always: every single-row autocommit
-	// INSERT is one WAL commit unit that must be durable before it
-	// acknowledges, but concurrent writers join a group commit — the
-	// leader's one fsync covers every unit appended while it slept, so
-	// the same total row count lands faster as writers are added.
-	total := opt.scale(1_500)
-	for _, w := range []int{1, 2, 4} {
-		secs, err := concurrentIngest(total, w)
-		if err != nil {
-			return nil, fmt.Errorf("wal ingest w=%d: %w", w, err)
-		}
-		f.Points = append(f.Points, Point{X: fmt.Sprintf("always w=%d", w),
-			Series: map[string]float64{"ingest": secs}})
-	}
-	f.Names = append(f.Names, "ingest")
-	return f, nil
-}
-
-// concurrentIngest inserts `total` rows through `writers` concurrent
-// single-row autocommit statements into a fsync=always database and
-// reports the wall-clock seconds. The detector's RID allocator is
-// serial, so this drives the engine directly.
-func concurrentIngest(total, writers int) (float64, error) {
-	dir, err := os.MkdirTemp("", "ecfdingest")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	db, err := sqldb.Open(sqldb.WALOptions{Dir: dir, Fsync: sqldb.FsyncAlways})
-	if err != nil {
-		return 0, err
-	}
-	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE ing (id INTEGER, val TEXT)"); err != nil {
-		return 0, err
-	}
-	ins, err := db.Prepare("INSERT INTO ing VALUES (?, 'x')")
-	if err != nil {
-		return 0, err
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, writers)
-	start := time.Now()
-	for wi := 0; wi < writers; wi++ {
-		lo := wi * total / writers
-		hi := (wi + 1) * total / writers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for id := lo; id < hi; id++ {
-				if _, err := ins.Exec(relation.Int(int64(id))); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	secs := time.Since(start).Seconds()
-	close(errs)
-	for err := range errs {
-		return 0, err
-	}
-	return secs, nil
-}
-
-// FigMixed — reader latency under a streaming writer. A fixed pool of
-// point-query readers runs twice over the same indexed table: first
-// against a quiescent database (the read-only baseline), then with one
-// writer streaming bulk UPDATEs. Readers pin epochs with an atomic
-// load and hold no lock, so the p99 under writes should stay within
-// small factors of the baseline (the acceptance bound is 2×); the
-// writer's throughput is reported alongside. All latencies are
-// milliseconds, throughput is rows/second.
-func FigMixed(opt Options) (*Figure, error) {
-	const (
-		readers   = 4
-		window    = 300 * time.Millisecond
-		writeSpan = 1_000 // rows per streaming UPDATE statement
-	)
-	f := &Figure{ID: "mixed", Title: "Reader latency under a streaming writer (MVCC epochs)",
-		XLabel: "workload", YLabel: "read latency ms / writer rows/s",
-		Names: []string{"p50", "p99", "writer_rows_s"}}
-	rows := opt.scale(50_000)
-
-	db := sqldb.NewDB()
-	if _, err := db.Exec("CREATE TABLE d (id INTEGER, grp INTEGER, val TEXT)"); err != nil {
-		return nil, err
-	}
-	if _, err := db.Exec("CREATE INDEX idx_d_id ON d (id)"); err != nil {
-		return nil, err
-	}
-	for i := 0; i < rows; i += 500 {
-		q := "INSERT INTO d VALUES "
-		for j := i; j < i+500 && j < rows; j++ {
-			if j > i {
-				q += ", "
-			}
-			q += fmt.Sprintf("(%d, %d, 'v%d')", j, j%10, j%7)
-		}
-		if _, err := db.Exec(q); err != nil {
-			return nil, err
-		}
-	}
-	point, err := db.Prepare("SELECT val FROM d WHERE id = ?")
-	if err != nil {
-		return nil, err
-	}
-	upd, err := db.Prepare("UPDATE d SET val = 'w' WHERE id >= ? AND id < ?")
-	if err != nil {
-		return nil, err
-	}
-
-	run := func(withWriter bool, x string) (Point, error) {
-		stop := make(chan struct{})
-		var wrote atomic.Int64
-		var wwg sync.WaitGroup
-		if withWriter {
-			wwg.Add(1)
-			go func() {
-				defer wwg.Done()
-				for lo := 0; ; lo = (lo + writeSpan) % rows {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					n, err := upd.Exec(relation.Int(int64(lo)), relation.Int(int64(lo+writeSpan)))
-					if err != nil {
-						return
-					}
-					wrote.Add(n)
-				}
-			}()
-		}
-		lats := make([][]time.Duration, readers)
-		errs := make(chan error, readers)
-		var rwg sync.WaitGroup
-		start := time.Now()
-		for g := 0; g < readers; g++ {
-			rwg.Add(1)
-			go func(g int) {
-				defer rwg.Done()
-				rng := rand.New(rand.NewSource(opt.Seed + int64(g)))
-				for time.Since(start) < window {
-					id := relation.Int(int64(rng.Intn(rows)))
-					t0 := time.Now()
-					if _, err := point.Query(id); err != nil {
-						errs <- err
-						return
-					}
-					lats[g] = append(lats[g], time.Since(t0))
-				}
-			}(g)
-		}
-		rwg.Wait()
-		elapsed := time.Since(start)
-		close(stop)
-		wwg.Wait()
-		close(errs)
-		for err := range errs {
-			return Point{}, err
-		}
-		var all []time.Duration
-		for _, l := range lats {
-			all = append(all, l...)
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-		pct := func(p float64) float64 {
-			if len(all) == 0 {
-				return 0
-			}
-			i := int(p * float64(len(all)-1))
-			return float64(all[i]) / float64(time.Millisecond)
-		}
-		series := map[string]float64{"p50": pct(0.50), "p99": pct(0.99)}
-		if withWriter {
-			series["writer_rows_s"] = float64(wrote.Load()) / elapsed.Seconds()
-		}
-		return Point{X: x, Series: series}, nil
-	}
-
-	ro, err := run(false, "read-only")
-	if err != nil {
-		return nil, err
-	}
-	mixed, err := run(true, "mixed")
-	if err != nil {
-		return nil, err
-	}
-	f.Points = append(f.Points, ro, mixed)
-	return f, nil
-}
-
 func sweep(opt Options, from, to, step int) []int {
 	var out []int
 	for v := from; v <= to; v += step {
 		out = append(out, opt.scale(v))
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -13,70 +13,25 @@ import (
 // tinyOpts keeps unit-test runs fast: ~1% of paper scale.
 var tinyOpts = Options{Scale: 0.01, Seed: 1}
 
+// TestRunUnknownFigure: an id outside the paper's eight is refused
+// with the list of the figures there are.
 func TestRunUnknownFigure(t *testing.T) {
-	if _, err := Run("9z", tinyOpts); err == nil {
-		t.Error("unknown figure must error")
+	for _, id := range []string{"9z", "par"} {
+		_, err := Run(id, tinyOpts)
+		if err == nil {
+			t.Fatalf("figure %q must error", id)
+		}
+		if want := "[5a 5b 5c 6a 6b 6c 7a 7b]"; !strings.Contains(err.Error(), want) {
+			t.Errorf("figure %q: error %q does not name %s", id, err, want)
+		}
 	}
 }
 
 func TestFigureIDs(t *testing.T) {
 	ids := FigureIDs()
-	want := []string{"5a", "5b", "5c", "6a", "6b", "6c", "7a", "7b", "mixed", "par", "server", "shard", "wal"}
+	want := []string{"5a", "5b", "5c", "6a", "6b", "6c", "7a", "7b"}
 	if strings.Join(ids, ",") != strings.Join(want, ",") {
 		t.Errorf("FigureIDs = %v", ids)
-	}
-}
-
-// TestFigParShape checks the parallel-scaling figure: four worker
-// counts, positive times, speedup anchored at 1.0 for one worker.
-func TestFigParShape(t *testing.T) {
-	f, err := Run("par", tinyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Points) != 4 {
-		t.Fatalf("Fig par has %d points, want 4", len(f.Points))
-	}
-	for _, p := range f.Points {
-		if p.Series["parallel"] <= 0 || p.Series["batch"] <= 0 {
-			t.Errorf("point %s: non-positive time", p.X)
-		}
-	}
-	if s := f.Points[0].Series["speedup"]; s != 1.0 {
-		t.Errorf("one-worker speedup = %v, want 1.0", s)
-	}
-}
-
-// TestFigShardShape checks the shard-scaling figure: four shard
-// counts, positive times, speedups relative to one serial baseline.
-func TestFigShardShape(t *testing.T) {
-	f, err := Run("shard", tinyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Points) != 4 {
-		t.Fatalf("Fig shard has %d points, want 4", len(f.Points))
-	}
-	for _, p := range f.Points {
-		if p.Series["sharded"] <= 0 || p.Series["batch"] <= 0 || p.Series["speedup"] <= 0 {
-			t.Errorf("point %s: non-positive series", p.X)
-		}
-	}
-}
-
-// TestFigWithWorkers runs a batch figure through the parallel
-// detector to cover the Options.Workers plumbing.
-func TestFigWithWorkers(t *testing.T) {
-	opt := tinyOpts
-	opt.Workers = 2
-	f, err := Run("5a", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range f.Points {
-		if p.Series["batch"] <= 0 {
-			t.Errorf("point %s: non-positive time", p.X)
-		}
 	}
 }
 
@@ -154,55 +109,6 @@ func TestPrint(t *testing.T) {
 		if !strings.Contains(out, frag) {
 			t.Errorf("Print output missing %q:\n%s", frag, out)
 		}
-	}
-}
-
-// TestFigWALShape checks the durable-ingest figure: one point per
-// durability configuration (positive load and detect times), then one
-// concurrent-ingest point per writer count (positive wall time) under
-// fsync=always group commit.
-func TestFigWALShape(t *testing.T) {
-	f, err := Run("wal", tinyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Points) != 7 {
-		t.Fatalf("Fig wal has %d points, want 4 configs + 3 ingest", len(f.Points))
-	}
-	for _, p := range f.Points[:4] {
-		if p.Series["load"] <= 0 || p.Series["batch"] <= 0 {
-			t.Errorf("point %s: non-positive time", p.X)
-		}
-	}
-	for _, p := range f.Points[4:] {
-		if p.Series["ingest"] <= 0 {
-			t.Errorf("point %s: non-positive ingest time", p.X)
-		}
-	}
-}
-
-// TestFigMixedShape checks the reader-latency figure: a read-only
-// baseline point and a mixed point, positive latencies, and a writer
-// that actually wrote.
-func TestFigMixedShape(t *testing.T) {
-	f, err := Run("mixed", tinyOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Points) != 2 {
-		t.Fatalf("Fig mixed has %d points, want 2", len(f.Points))
-	}
-	ro, mixed := f.Points[0], f.Points[1]
-	if ro.X != "read-only" || mixed.X != "mixed" {
-		t.Fatalf("unexpected point order: %s, %s", ro.X, mixed.X)
-	}
-	for _, p := range f.Points {
-		if p.Series["p50"] <= 0 || p.Series["p99"] < p.Series["p50"] {
-			t.Errorf("point %s: implausible latencies %+v", p.X, p.Series)
-		}
-	}
-	if mixed.Series["writer_rows_s"] <= 0 {
-		t.Error("mixed point: writer made no progress")
 	}
 }
 

@@ -27,7 +27,6 @@ func (s *Server) doLoad(ctx context.Context, sess *session, w http.ResponseWrite
 	if err != nil {
 		return apiErrorf(CodeInternal, "load: %v", err)
 	}
-	sess.rows.Add(int64(len(rids)))
 	out := RIDRange{Count: int64(len(rids))}
 	if len(rids) > 0 {
 		out.FirstRID = rids[0]
@@ -120,7 +119,6 @@ func (s *Server) doUpdates(ctx context.Context, sess *session, w http.ResponseWr
 	if err != nil {
 		return apiErrorf(CodeInternal, "updates: %v", err)
 	}
-	sess.rows.Add(int64(len(rids)) - int64(len(req.Delete)))
 	out := UpdatesResponse{
 		Applied:   st.Applied,
 		ElapsedMS: float64(st.Elapsed) / float64(time.Millisecond),

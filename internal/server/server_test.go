@@ -534,3 +534,40 @@ func TestHealthzReportsEngineStats(t *testing.T) {
 		t.Fatalf("engine stats missing from healthz: %+v", eng)
 	}
 }
+
+// TestSessionRowsIsTheTableCount: the row count a session reports is
+// the engine's, whatever the requests claimed — RIDs that do not exist
+// and a RID named twice in one delete list remove nothing extra.
+func TestSessionRowsIsTheTableCount(t *testing.T) {
+	c := newTestClient(t, Options{})
+	var sess SessionInfo
+	c.mustOK("POST", "/v1/sessions", CreateSessionRequest{Spec: testSpec}, &sess)
+	base := "/v1/sessions/" + sess.ID
+	c.mustOK("POST", base+"/load", RowsPayload{Rows: [][]any{
+		{"212", "5551234", "Ann", "1 Main St", "CHI", "60601"},
+		{"312", "5555678", "Bob", "2 Oak Ave", "CHI", "60602"},
+	}}, nil)
+	c.mustOK("POST", base+"/detect", nil, nil)
+
+	assertRows := func(want int64) {
+		t.Helper()
+		var info SessionInfo
+		c.mustOK("GET", base, nil, &info)
+		var health HealthResponse
+		c.mustOK("GET", "/healthz", nil, &health)
+		if len(health.Sessions) != 1 {
+			t.Fatalf("healthz: %+v", health)
+		}
+		if got := health.Sessions[0].Rows; info.Rows != want || got != want {
+			t.Fatalf("rows: session says %d, healthz says %d, the table holds %d", info.Rows, got, want)
+		}
+	}
+	assertRows(2)
+	c.mustOK("POST", base+"/updates", UpdatesRequest{Delete: []int64{999, 999, 1000}}, nil)
+	assertRows(2)
+	c.mustOK("POST", base+"/updates", UpdatesRequest{
+		Insert: [][]any{{"415", "5550000", "Joe", "4 Pine St", "SF", "94101"}},
+		Delete: []int64{1, 1, 999},
+	}, nil)
+	assertRows(2)
+}

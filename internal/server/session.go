@@ -36,10 +36,15 @@ type session struct {
 	workers int
 	created time.Time
 
-	mu   sync.Mutex
-	rows atomic.Int64
+	mu sync.Mutex
 
 	closed atomic.Bool
+}
+
+// rowCount is |D| as the engine's published epoch has it.
+func (s *session) rowCount() int64 {
+	n, _ := s.eng.TableLen(s.det.DataTable()) // cannot fail: Install created the table and nothing drops it
+	return int64(n)
 }
 
 func (s *session) info() SessionInfo {
@@ -55,7 +60,7 @@ func (s *session) info() SessionInfo {
 		Columns:     cols,
 		Constraints: len(s.det.Sigma()),
 		Workers:     s.workers,
-		Rows:        s.rows.Load(),
+		Rows:        s.rowCount(),
 		Created:     s.created.UTC().Format(time.RFC3339),
 	}
 }
@@ -66,7 +71,7 @@ func (s *session) health() SessionHealth {
 		ID:    s.id,
 		Name:  s.name,
 		Table: s.det.DataTable(),
-		Rows:  s.rows.Load(),
+		Rows:  s.rowCount(),
 		Engine: EngineHealth{
 			EpochSeq:      st.EpochSeq,
 			LiveEpochs:    st.LiveEpochs,
@@ -194,7 +199,6 @@ func (r *registry) create(req *CreateSessionRequest) (*session, *APIError) {
 		if _, err := det.LoadData(data); err != nil {
 			return fail(err)
 		}
-		s.rows.Store(int64(data.Len()))
 	}
 
 	r.mu.Lock()

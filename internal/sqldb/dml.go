@@ -165,14 +165,6 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 	return int64(len(newRows)), nil
 }
 
-func (db *DB) execInsert(ins *Insert, params []relation.Value) (int64, error) {
-	p, err := db.compileInsert(ins, db.curW)
-	if err != nil {
-		return 0, err
-	}
-	return db.runInsert(p, params)
-}
-
 // --- target-row selection (UPDATE and DELETE) ---
 
 // rowSelect decides which rows of a DML target a WHERE clause selects.
@@ -568,14 +560,6 @@ func sameCell(old, v *relation.Value) bool {
 	return relation.Identical(*old, *v)
 }
 
-func (db *DB) execUpdate(up *Update, params []relation.Value) (int64, error) {
-	p, err := db.compileUpdate(up, db.curW)
-	if err != nil {
-		return 0, err
-	}
-	return db.runUpdate(p, params)
-}
-
 // --- DELETE ---
 
 type deletePlan struct {
@@ -610,12 +594,4 @@ func (db *DB) runDelete(p *deletePlan, params []relation.Value) (int64, error) {
 	// built indexes instead of rebuilding.
 	db.applyDelete(t, dropped)
 	return int64(len(dropped)), nil
-}
-
-func (db *DB) execDelete(del *Delete, params []relation.Value) (int64, error) {
-	p, err := db.compileDelete(del, db.curW)
-	if err != nil {
-		return 0, err
-	}
-	return db.runDelete(p, params)
 }

@@ -34,32 +34,9 @@ func (db *DB) Exec(sqlText string, params ...relation.Value) (int64, error) {
 	return p.Exec(params...)
 }
 
-// QueryStmt runs a parsed SELECT. Like Prepared.Query it pins the
-// current epoch and takes no lock, so queries execute concurrently
-// with each other and with writers.
-func (db *DB) QueryStmt(sel *Select, params ...relation.Value) (*Result, error) {
-	ep := db.pin()
-	defer db.unpin(ep)
-	return db.execSelect(sel, params, ep)
-}
-
-// ExecStmt runs one parsed statement. If the statement's WAL unit
-// joined a group commit, the statement waits for the group fsync
-// (outside db.mu) before acknowledging.
-func (db *DB) ExecStmt(stmt Statement, params ...relation.Value) (int64, error) {
-	db.mu.Lock()
-	n, err := db.execStmtLocked(stmt, params)
-	p := db.takePending()
-	db.mu.Unlock()
-	if p != nil {
-		if werr := db.awaitDurable(p); werr != nil && err == nil {
-			return 0, werr
-		}
-	}
-	return n, err
-}
-
-func (db *DB) execStmtLocked(stmt Statement, params []relation.Value) (int64, error) {
+// execDDLLocked runs one of the four statement kinds that execute
+// directly rather than through a compiled plan. Callers hold db.mu.
+func (db *DB) execDDLLocked(stmt Statement) (int64, error) {
 	switch s := stmt.(type) {
 	case *CreateTable:
 		db.mu.Unlock()
@@ -94,18 +71,6 @@ func (db *DB) execStmtLocked(stmt Statement, params []relation.Value) (int64, er
 		db.backupForTx(t)
 		db.applyTruncate(t)
 		return n, nil
-	case *Insert:
-		return db.execInsert(s, params)
-	case *Update:
-		return db.execUpdate(s, params)
-	case *Delete:
-		return db.execDelete(s, params)
-	case *Select:
-		res, err := db.execSelect(s, params, db.curW)
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(res.Rows)), nil
 	default:
 		return 0, fmt.Errorf("sql: unhandled statement %T", stmt)
 	}
@@ -208,24 +173,6 @@ type compiledSource struct {
 	table *Table
 	sub   *compiledSelect
 	width int
-}
-
-// execSelect compiles and runs a select at the top level against one
-// epoch (a reader's pinned snapshot, or the writer head for selects
-// inside mutating scripts).
-func (db *DB) execSelect(sel *Select, params []relation.Value, ep *epoch) (*Result, error) {
-	c := &compiler{db: db, ep: ep}
-	cs, err := c.compileSubSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	en := newEnv(db, ep, params)
-	defer en.publish()
-	rows, err := cs.exec(en)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Cols: cs.cols, Rows: rows}, nil
 }
 
 func newEnv(db *DB, ep *epoch, params []relation.Value) *env {

@@ -235,7 +235,7 @@ func (db *DB) execPreparedLocked(p *Prepared, i int, params []relation.Value) (i
 		// DDL executes directly; it also bumps ddlVersion, so any plan
 		// compiled before it (including later statements of this very
 		// script) recompiles against the new catalog.
-		return db.execStmtLocked(p.stmts[i], params)
+		return db.execDDLLocked(p.stmts[i])
 	}
 	plan, err := db.planFor(p, i, db.curW)
 	if err != nil {

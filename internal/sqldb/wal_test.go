@@ -4,9 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ecfd/internal/relation"
 )
@@ -566,5 +570,146 @@ func TestNoOpUpdateInTransaction(t *testing.T) {
 	}
 	if _, after := walFileBytes(t, fs, db); len(after) != len(before) {
 		t.Fatalf("rolled-back transaction grew the WAL by %d bytes", len(after)-len(before))
+	}
+}
+
+// syncGateFS is a WALFS whose files call gate before every Sync, so a
+// test can count the flushes and hold one open while writers queue.
+type syncGateFS struct {
+	WALFS
+	gate func()
+}
+
+func (g syncGateFS) Create(path string) (WALFile, error) {
+	f, err := g.WALFS.Create(path)
+	return syncGateFile{f, g.gate}, err
+}
+
+func (g syncGateFS) OpenAppend(path string) (WALFile, error) {
+	f, err := g.WALFS.OpenAppend(path)
+	return syncGateFile{f, g.gate}, err
+}
+
+type syncGateFile struct {
+	WALFile
+	gate func()
+}
+
+func (f syncGateFile) Sync() error {
+	f.gate()
+	return f.WALFile.Sync()
+}
+
+// TestWALGroupCommitConcurrentWriters drives fsync=always group commit
+// from several goroutines at once: single-row autocommit INSERTs
+// through one Prepared. Each Sync is held until every writer with a
+// statement still to issue has its unit registered, so a leader always
+// finds units that arrived during its flush (they stay queued for the
+// next round) and every other writer waits as a follower. An
+// acknowledged row must be visible to its writer at once and must
+// survive — a power cut on MemFS, Close + reopen on the OS filesystem —
+// and the writers together must have paid fewer flushes than commits.
+func TestWALGroupCommitConcurrentWriters(t *testing.T) {
+	const perWriter = 40
+	for _, tc := range []struct {
+		name    string
+		mem     *MemFS
+		writers int
+	}{
+		{"memfs/1", NewMemFS(1), 1},
+		{"memfs/8", NewMemFS(2), 8},
+		{"osfs/4", nil, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				db     *DB
+				syncs  atomic.Int64
+				active atomic.Int64 // writers with a statement still to issue after their current one
+				stuck  atomic.Bool  // a gate timed out: stop holding syncs, the test has failed
+			)
+			gate := func() {
+				syncs.Add(1)
+				if active.Load() == 0 {
+					return // Open, DDL, Close: no group to wait for
+				}
+				gc := &db.wal.gc
+				for deadline := time.Now().Add(5 * time.Second); !stuck.Load() && time.Now().Before(deadline); runtime.Gosched() {
+					gc.mu.Lock()
+					queued := len(gc.pendings)
+					gc.mu.Unlock()
+					if int64(queued) >= active.Load() {
+						return
+					}
+				}
+				if !stuck.Swap(true) {
+					t.Error("sync gate: the active writers never all registered a unit")
+				}
+			}
+			opts := WALOptions{Dir: t.TempDir(), FS: syncGateFS{OSFS{}, gate}, Fsync: FsyncAlways}
+			if tc.mem != nil {
+				opts.Dir, opts.FS = "/wal", syncGateFS{tc.mem, gate}
+			}
+			var err error
+			if db, err = Open(opts); err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			walExec(t, db, "CREATE TABLE ing (id INTEGER, val TEXT)")
+			ins, err := db.Prepare("INSERT INTO ing VALUES (?, 'x')")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel, err := db.Prepare("SELECT val FROM ing WHERE id = ?")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			before := syncs.Load()
+			active.Store(int64(tc.writers))
+			var wg sync.WaitGroup
+			for w := 0; w < tc.writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var left sync.Once
+					leave := func() { left.Do(func() { active.Add(-1) }) }
+					defer leave()
+					for i := 0; i < perWriter; i++ {
+						if i == perWriter-1 {
+							leave()
+						}
+						id := relation.Int(int64(w*perWriter + i))
+						if _, err := ins.Exec(id); err != nil {
+							t.Errorf("writer %d: insert %d: %v", w, i, err)
+							return
+						}
+						if res, err := sel.Query(id); err != nil || len(res.Rows) != 1 {
+							t.Errorf("writer %d: acknowledged row %d not visible: %v %v", w, i, res, err)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			commits := int64(tc.writers * perWriter)
+			if n := syncs.Load() - before; tc.writers == 1 && n != commits {
+				t.Errorf("one writer: %d syncs for %d commits, want one each", n, commits)
+			} else if tc.writers > 1 && n >= commits {
+				t.Errorf("%d writers: %d syncs for %d commits, want fewer", tc.writers, n, commits)
+			}
+
+			if tc.mem != nil {
+				tc.mem.Crash() // power cut: only synced bytes survive
+			} else if err := db.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			db2, err := Open(opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer db2.Close()
+			res, err := db2.Query("SELECT id FROM ing")
+			if err != nil || int64(len(res.Rows)) != commits {
+				t.Fatalf("after reopen: %d of %d acknowledged rows (%v)", len(res.Rows), commits, err)
+			}
+		})
 	}
 }

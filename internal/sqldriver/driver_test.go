@@ -281,33 +281,41 @@ func TestValueConversions(t *testing.T) {
 	}
 }
 
-// TestDurableDSNRoundTrip drives the wal= DSN grammar end to end: a
-// durable engine persists through Unregister (which closes it) and a
-// reopen of the same DSN recovers the data from the WAL directory.
+// TestDurableDSNRoundTrip drives the wal= DSN grammar end to end, once
+// per fsync policy spelling: a durable engine persists through
+// Unregister (which closes it) and a reopen of the same DSN recovers
+// the data from the WAL directory.
 func TestDurableDSNRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	dsn := "t_durable?wal=" + dir + "&fsync=batched&fsync_every=2&checkpoint=4096"
-	db := open(t, dsn)
-	if _, err := db.Exec(`CREATE TABLE kv (k TEXT, v INTEGER)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(`INSERT INTO kv VALUES ('a', 1), ('b', 2)`); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	Unregister(dsn)
+	for _, tc := range []struct{ name, opts string }{
+		{"batched", "&fsync=batched&fsync_every=2&checkpoint=4096"},
+		{"off", "&fsync=off"},
+		{"always", "&fsync=always"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dsn := "t_durable?wal=" + t.TempDir() + tc.opts
+			db := open(t, dsn)
+			if _, err := db.Exec(`CREATE TABLE kv (k TEXT, v INTEGER)`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec(`INSERT INTO kv VALUES ('a', 1), ('b', 2)`); err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+			Unregister(dsn)
 
-	db2 := open(t, dsn)
-	defer Unregister(dsn)
-	var n int64
-	if err := db2.QueryRow(`SELECT COUNT(*) FROM kv`).Scan(&n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("recovered %d rows, want 2", n)
-	}
-	if !Engine(dsn).Durable() {
-		t.Error("engine behind a wal= DSN must report durable")
+			db2 := open(t, dsn)
+			defer Unregister(dsn)
+			var n int64
+			if err := db2.QueryRow(`SELECT COUNT(*) FROM kv`).Scan(&n); err != nil {
+				t.Fatal(err)
+			}
+			if n != 2 {
+				t.Fatalf("recovered %d rows, want 2", n)
+			}
+			if !Engine(dsn).Durable() {
+				t.Error("engine behind a wal= DSN must report durable")
+			}
+		})
 	}
 }
 
