@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet faultmatrix mvccstress difffuzz bench-short bench-json explain ci
+.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz bench-short bench-json explain ci
 
 build:
 	$(GO) build ./...
@@ -8,13 +8,22 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector run: the engine's concurrent read path and the parallel
-# detector are only correct if this stays clean.
+# Race-detector run: the engine's concurrent read path is only correct
+# if this stays clean, and the differential suites run in parallel here
+# (t.Parallel), one execution mode per engine.
 race:
 	$(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...
+
+# The engine's execution mode belongs to a DB (sqldb.Mode). This fails —
+# printing the line — when a package-level switch (a mutable bool named
+# Disable*/disable*/force*) reappears in non-test internal/sqldb: such a
+# variable is a data race beside the lock-free read path and stops the
+# differential suites from running in parallel.
+noglobals:
+	@! git grep -nE '^(var[ (]|[[:space:]]+)(Disable|disable|force)[A-Za-z]*[[:space:]]*(=|bool)' -- 'internal/sqldb/*.go' ':!*_test.go'
 
 # The crash-recovery matrix: every WAL/snapshot/recovery unit test,
 # the crash-at-every-I/O-point and error-kind fault matrices, and the
@@ -52,4 +61,4 @@ bench-json:
 explain:
 	$(GO) run ./cmd/ecfdbench -explain
 
-ci: vet build test race
+ci: vet noglobals build test race

@@ -2,9 +2,8 @@ package ecfd
 
 // One testing.B benchmark per figure of the paper's evaluation (§VI),
 // at a reduced scale so `go test -bench=.` completes in minutes; run
-// cmd/ecfdbench for configurable-scale sweeps and EXPERIMENTS.md for
-// recorded paper-vs-measured series. Two ablation benchmarks quantify
-// the engine design choices called out in DESIGN.md §5.
+// cmd/ecfdbench for configurable-scale sweeps. One ablation benchmark
+// (BenchmarkPlanner) quantifies the engine's optimizer as a whole.
 
 import (
 	"fmt"
@@ -17,6 +16,7 @@ import (
 	"ecfd/internal/gen"
 	"ecfd/internal/relation"
 	"ecfd/internal/sqldb"
+	"ecfd/internal/sqldriver"
 )
 
 // benchScale keeps each figure sweep tractable under testing.B.
@@ -63,10 +63,11 @@ func BenchmarkFig7b(b *testing.B) { benchFigure(b, "7b") }
 // the unit underlying every Fig. 5 point.
 func batchDetectOnce(b *testing.B, rows int) {
 	b.Helper()
-	batchDetectSigma(b, rows, gen.Constraints())
+	batchDetectIn(b, rows, sqldb.Planned)
 }
 
-func batchDetectSigma(b *testing.B, rows int, sigma []*ECFD) {
+// batchDetectIn times BatchDetect on an engine switched to mode.
+func batchDetectIn(b *testing.B, rows int, mode sqldb.Mode) {
 	b.Helper()
 	name := fmt.Sprintf("bench_unit_%d_%d", rows, rand.Int63())
 	db, err := OpenMemory(name)
@@ -75,7 +76,8 @@ func batchDetectSigma(b *testing.B, rows int, sigma []*ECFD) {
 	}
 	defer db.Close()
 	defer CloseMemory(name)
-	d, err := detect.New(db, gen.Schema(), sigma)
+	sqldriver.Engine(name).SetMode(mode)
+	d, err := detect.New(db, gen.Schema(), gen.Constraints())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,46 +171,14 @@ func BenchmarkMixedRead(b *testing.B) {
 	}
 }
 
-// BenchmarkDecorrelation quantifies the correlated-EXISTS hash-probe
-// optimization (DESIGN.md §5). With a |Tp| = 200 tableau the pattern-
-// set tables hold hundreds of rows per attribute; disabling the
-// decorrelation makes every (tuple, pattern) pair rescan them instead
-// of probing a hash built once per statement.
-func BenchmarkDecorrelation(b *testing.B) {
-	sigma := gen.ConstraintsScaled(200, 1)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sqldb.DisableDecorrelation = mode.disable
-			defer func() { sqldb.DisableDecorrelation = false }()
-			batchDetectSigma(b, 1_000, sigma)
-		})
-	}
-}
-
-// BenchmarkPlanner quantifies the query planner (hash/indexed joins,
-// predicate pushdown, OR-alternative hoisting, semi-join updates):
-// "off" forces every statement through the legacy all-pairs nested
-// loop with a monolithic WHERE closure.
+// BenchmarkPlanner quantifies what the engine's optimizer buys
+// (hash/indexed joins, predicate pushdown, OR-alternative hoisting,
+// batch kernels, decorrelated EXISTS probes, semi-join updates): "off"
+// runs every statement in sqldb.Reference — the all-pairs nested loop
+// over a monolithic WHERE closure, subqueries re-executed per row.
 func BenchmarkPlanner(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sqldb.DisablePlanner = mode.disable
-			defer func() { sqldb.DisablePlanner = false }()
-			batchDetectOnce(b, 1_000)
-		})
-	}
+	b.Run("on", func(b *testing.B) { batchDetectIn(b, 1_000, sqldb.Planned) })
+	b.Run("off", func(b *testing.B) { batchDetectIn(b, 1_000, sqldb.Reference) })
 }
 
 // BenchmarkNaiveDetect is the in-memory oracle on the same workload —

@@ -113,16 +113,12 @@ func explainPlans(seed int64) error {
 
 	eng := sqldriver.Engine(dsn)
 	qsvSelect, qsvUpdate, qmvInsert, mvUpdate := d.SQL()
-	qsvSlice, qmvRange, mvSlice := d.ParallelSQL()
 	type named struct{ name, q string }
 	stmts := []named{
 		{"Qsv (select form)", qsvSelect},
 		{"Qsv (SV update)", qsvUpdate},
 		{"Qmv (Aux insert)", qmvInsert},
 		{"MV update", mvUpdate},
-		{"Qsv RID slice (parallel)", qsvSlice},
-		{"Qmv CID range (parallel)", qmvRange},
-		{"MV RID slice (parallel)", mvSlice},
 		{"Violations (ORDER BY RID)", fmt.Sprintf(
 			"SELECT RID FROM %s WHERE SV = 1 OR MV = 1 ORDER BY RID", d.DataTable())},
 	}

@@ -1,10 +1,8 @@
 // Command ecfddetect finds eCFD violations in CSV data with the
-// SQL-based detectors of §V, running on the embedded in-memory engine
+// SQL-based detector of §V, running on the embedded in-memory engine
 // through database/sql.
 //
 //	ecfddetect -spec sigma.ecfd -data data.csv                # batch
-//	ecfddetect -spec sigma.ecfd -data data.csv -parallel 8    # fan out
-//	ecfddetect -spec sigma.ecfd -data data.csv -shards 4      # shard-per-core
 //	ecfddetect -spec sigma.ecfd -data data.csv -insert dplus.csv
 //	ecfddetect -spec sigma.ecfd -data data.csv -delete 5,9,23
 //
@@ -16,6 +14,7 @@ package main
 
 import (
 	"database/sql"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,61 +25,64 @@ import (
 	"ecfd"
 )
 
-func main() {
-	specPath := flag.String("spec", "", "constraint file (tables + eCFDs)")
-	dataPath := flag.String("data", "", "CSV instance of the constrained table")
-	insertPath := flag.String("insert", "", "CSV batch to insert incrementally")
-	deleteList := flag.String("delete", "", "comma-separated RIDs to delete incrementally")
-	out := flag.String("o", "-", "violation output CSV ('-' = stdout)")
-	quiet := flag.Bool("quiet", false, "suppress the violation listing, print summary only")
-	parallel := flag.Int("parallel", 0, "batch detection workers (0 = serial, -1 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "partition data across N shard stores (volatile only; excludes -parallel/-wal/-resume)")
-	walDir := flag.String("wal", "", "write-ahead-log directory: persist the session and recover it on restart")
-	fsync := flag.String("fsync", "", "WAL fsync policy: always (default), batched, off")
-	checkpoint := flag.Int64("checkpoint", 4<<20, "WAL bytes between checkpoint snapshots (0 = never; needs -wal)")
-	resume := flag.Bool("resume", false, "resume a persisted session from -wal instead of installing and loading -data")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole process: 0 on success, 1 when detection fails, 2 on
+// a command line it cannot accept. Violations go to stdout (or -o),
+// everything else to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ecfddetect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	specPath := fs.String("spec", "", "constraint file (tables + eCFDs)")
+	dataPath := fs.String("data", "", "CSV instance of the constrained table")
+	insertPath := fs.String("insert", "", "CSV batch to insert incrementally")
+	deleteList := fs.String("delete", "", "comma-separated RIDs to delete incrementally")
+	out := fs.String("o", "-", "violation output CSV ('-' = stdout)")
+	quiet := fs.Bool("quiet", false, "suppress the violation listing, print summary only")
+	walDir := fs.String("wal", "", "write-ahead-log directory: persist the session and recover it on restart")
+	fsync := fs.String("fsync", "", "WAL fsync policy: always (default), batched, off")
+	checkpoint := fs.Int64("checkpoint", 4<<20, "WAL bytes between checkpoint snapshots (0 = never; needs -wal)")
+	resume := fs.Bool("resume", false, "resume a persisted session from -wal instead of installing and loading -data")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *specPath == "" || (*dataPath == "" && !*resume) {
-		fmt.Fprintln(os.Stderr, "ecfddetect: -spec and -data are required (-data optional with -resume)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ecfddetect: -spec and -data are required (-data optional with -resume)")
+		return 2
 	}
 	if *resume && *walDir == "" {
-		fmt.Fprintln(os.Stderr, "ecfddetect: -resume needs -wal")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ecfddetect: -resume needs -wal")
+		return 2
 	}
-	if *shards > 0 && (*parallel != 0 || *walDir != "" || *resume) {
-		fmt.Fprintln(os.Stderr, "ecfddetect: -shards runs volatile scatter-gather and excludes -parallel, -wal and -resume")
-		os.Exit(2)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ecfddetect:", err)
+		return 1
 	}
 
 	src, err := os.ReadFile(*specPath)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	spec, err := ecfd.ParseSpec(string(src), nil)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if len(spec.Constraints) == 0 {
-		fail(fmt.Errorf("no constraints in %s", *specPath))
+		return fail(fmt.Errorf("no constraints in %s", *specPath))
 	}
 	schema := spec.Constraints[0].Schema
 	for _, e := range spec.Constraints {
 		if e.Schema.Name != schema.Name {
-			fail(fmt.Errorf("all constraints must target one table; got %s and %s", schema.Name, e.Schema.Name))
+			return fail(fmt.Errorf("all constraints must target one table; got %s and %s", schema.Name, e.Schema.Name))
 		}
 	}
 
 	var inst *ecfd.Relation
 	if *dataPath != "" {
-		f, err := os.Open(*dataPath)
-		if err != nil {
-			fail(err)
-		}
-		inst, err = readCSV(f, schema)
-		f.Close()
-		if err != nil {
-			fail(err)
+		if inst, err = readCSV(*dataPath, schema); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -88,180 +90,119 @@ func main() {
 	dsn := "ecfddetect"
 	if *walDir != "" {
 		db, dsn, err = ecfd.OpenDurable("ecfddetect", *walDir, *fsync, *checkpoint)
-		if err != nil {
-			fail(err)
-		}
-		defer ecfd.CloseMemory(dsn)
 	} else {
 		db, err = ecfd.OpenMemory(dsn)
-		if err != nil {
-			fail(err)
-		}
-		defer ecfd.CloseMemory(dsn)
 	}
+	if err != nil {
+		return fail(err)
+	}
+	defer ecfd.CloseMemory(dsn)
 	defer db.Close()
 
-	// run abstracts over the single-store and sharded detectors; the
-	// flows below only need the shared detection/maintenance surface.
-	var run runner
-	if *shards > 0 {
-		s, err := ecfd.NewShardedDetector(db, schema, spec.Constraints, ecfd.ShardOptions{Shards: *shards})
-		if err != nil {
-			fail(err)
-		}
-		defer s.Close()
-		if err := s.Install(); err != nil {
-			fail(err)
-		}
-		if _, err := s.LoadData(inst); err != nil {
-			fail(err)
-		}
-		run = s
-	} else {
-		d, err := ecfd.NewDetector(db, schema, spec.Constraints)
-		if err != nil {
-			fail(err)
-		}
-		if *walDir != "" {
-			// Each update batch becomes one WAL commit unit: a crash
-			// recovers to a batch boundary, never a half-applied update.
-			d.SetAtomicUpdates(true)
-		}
-		if *resume {
-			if err := d.Resume(); err != nil {
-				fail(err)
-			}
-			st := ecfd.StatsOf(dsn)
-			r := st.Recovery
-			fmt.Fprintf(os.Stderr,
-				"resume: wal gen %d (snapshot gen %d, units replayed %d, torn tail %v, fell back %v); epoch %d, %d live / %d retired epochs, %d retired bytes\n",
-				r.Gen, r.SnapshotGen, r.UnitsReplayed, r.TornTail, r.FellBack,
-				st.EpochSeq, st.LiveEpochs, st.RetiredEpochs, st.RetiredBytes)
-			if inst != nil {
-				if _, err := d.LoadData(inst); err != nil {
-					fail(err)
-				}
-			}
-		} else {
-			if err := d.Install(); err != nil {
-				fail(err)
-			}
-			if _, err := d.LoadData(inst); err != nil {
-				fail(err)
-			}
-		}
-		if *parallel != 0 {
-			run = parallelRunner{d, *parallel}
-		} else {
-			run = d
-		}
+	d, err := ecfd.NewDetector(db, schema, spec.Constraints)
+	if err != nil {
+		return fail(err)
 	}
-
+	if *walDir != "" {
+		// Each update batch becomes one WAL commit unit: a crash
+		// recovers to a batch boundary, never a half-applied update.
+		d.SetAtomicUpdates(true)
+	}
+	if *resume {
+		if err := d.Resume(); err != nil {
+			return fail(err)
+		}
+		st := ecfd.StatsOf(dsn)
+		r := st.Recovery
+		fmt.Fprintf(stderr,
+			"resume: wal gen %d (snapshot gen %d, units replayed %d, torn tail %v, fell back %v); epoch %d, %d live / %d retired epochs, %d retired bytes\n",
+			r.Gen, r.SnapshotGen, r.UnitsReplayed, r.TornTail, r.FellBack,
+			st.EpochSeq, st.LiveEpochs, st.RetiredEpochs, st.RetiredBytes)
+	} else if err := d.Install(); err != nil {
+		return fail(err)
+	}
 	nRows := 0
 	if inst != nil {
+		if _, err := d.LoadData(inst); err != nil {
+			return fail(err)
+		}
 		nRows = inst.Len()
 	}
-	mode := "batch"
-	switch {
-	case *parallel != 0:
-		mode = "parallel batch"
-	case *shards > 0:
-		mode = fmt.Sprintf("sharded batch (%d shards)", *shards)
-	}
-	st, err := run.BatchDetect()
+
+	st, err := d.BatchDetect()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d rows, %d violations (SV %d, MV %d) in %v\n",
-		mode, nRows, st.Total, st.SV, st.MV, st.Elapsed.Round(1e6))
+	fmt.Fprintf(stderr, "batch: %d rows, %d violations (SV %d, MV %d) in %v\n",
+		nRows, st.Total, st.SV, st.MV, st.Elapsed.Round(1e6))
 
 	if *insertPath != "" {
-		f, err := os.Open(*insertPath)
+		batch, err := readCSV(*insertPath, schema)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		batch, err := readCSV(f, schema)
-		f.Close()
+		_, ist, err := d.InsertTuples(batch)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		_, ist, err := run.InsertTuples(batch)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "incremental insert: %d tuples in %v\n", ist.Applied, ist.Elapsed.Round(1e6))
+		fmt.Fprintf(stderr, "incremental insert: %d tuples in %v\n", ist.Applied, ist.Elapsed.Round(1e6))
 	}
 	if *deleteList != "" {
 		var rids []int64
 		for _, s := range strings.Split(*deleteList, ",") {
 			rid, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 			if err != nil {
-				fail(fmt.Errorf("bad RID %q: %w", s, err))
+				return fail(fmt.Errorf("bad RID %q: %w", s, err))
 			}
 			rids = append(rids, rid)
 		}
-		ist, err := run.DeleteTuples(rids)
+		ist, err := d.DeleteTuples(rids)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "incremental delete: %d tuples in %v\n", ist.Applied, ist.Elapsed.Round(1e6))
+		fmt.Fprintf(stderr, "incremental delete: %d tuples in %v\n", ist.Applied, ist.Elapsed.Round(1e6))
 	}
 
 	if *insertPath != "" || *deleteList != "" {
-		sv, mv, total, err := run.Counts()
+		sv, mv, total, err := d.Counts()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "after updates: %d violations (SV %d, MV %d)\n", total, sv, mv)
+		fmt.Fprintf(stderr, "after updates: %d violations (SV %d, MV %d)\n", total, sv, mv)
 	}
 
 	if *quiet {
-		return
+		return 0
 	}
-	vio, err := run.Violations()
+	vio, err := d.Violations()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
+	if *out == "-" {
+		if err := vio.WriteCSV(stdout); err != nil {
+			return fail(err)
 		}
-		defer f.Close()
-		w = f
+		return 0
 	}
-	if err := vio.WriteCSV(w); err != nil {
-		fail(err)
+	f, err := os.Create(*out)
+	if err != nil {
+		return fail(err)
 	}
+	if err := vio.WriteCSV(f); err != nil {
+		f.Close()
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		return fail(err)
+	}
+	return 0
 }
 
-// runner is the detection/maintenance surface shared by *ecfd.Detector
-// and *ecfd.ShardedDetector.
-type runner interface {
-	BatchDetect() (ecfd.BatchStats, error)
-	InsertTuples(batch *ecfd.Relation) ([]int64, ecfd.IncStats, error)
-	DeleteTuples(rids []int64) (ecfd.IncStats, error)
-	Counts() (sv, mv, total int64, err error)
-	Violations() (*ecfd.Relation, error)
-}
-
-// parallelRunner routes BatchDetect through ParallelDetect with a
-// fixed worker count, leaving the rest of the surface untouched.
-type parallelRunner struct {
-	*ecfd.Detector
-	workers int
-}
-
-func (p parallelRunner) BatchDetect() (ecfd.BatchStats, error) {
-	return p.ParallelDetect(p.workers)
-}
-
-func readCSV(r io.Reader, schema *ecfd.Schema) (*ecfd.Relation, error) {
-	return ecfd.ReadCSV(r, schema)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "ecfddetect:", err)
-	os.Exit(1)
+func readCSV(path string, schema *ecfd.Schema) (*ecfd.Relation, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ecfd.ReadCSV(f, schema)
 }

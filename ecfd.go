@@ -30,8 +30,8 @@
 //     over HTTP/JSON with admission control (cmd/ecfdserver is the
 //     standalone binary).
 //
-// See the examples/ directory for runnable walkthroughs and DESIGN.md
-// for the paper-to-code map.
+// See the examples/ directory for runnable walkthroughs and
+// docs/ARCHITECTURE.md for the paper-to-code map.
 package ecfd
 
 import (
@@ -218,26 +218,6 @@ type (
 // DeleteTuples.
 func NewDetector(db *sql.DB, schema *Schema, sigma []*ECFD) (*Detector, error) {
 	return detect.New(db, schema, sigma)
-}
-
-// ShardedDetector partitions the data across K private in-memory
-// stores and runs detection shard-parallel with deterministic
-// scatter-gather — results are byte-identical to a Detector over one
-// store. The handle passed to NewShardedDetector is the coordinator
-// store (Σ, authoritative Aux, durability, RID allocation).
-type ShardedDetector = detect.ShardedDetector
-
-// ShardOptions configures NewShardedDetector (partition count and
-// scatter worker pool; zero values select GOMAXPROCS-based defaults).
-type ShardOptions = detect.ShardOptions
-
-// NewShardedDetector is NewDetector's sharded form: db becomes the
-// coordinator store and opts.Shards private shard stores are created
-// around it. Use Install / LoadData / BatchDetect / InsertTuples /
-// DeleteTuples / Violations as with a Detector, and Close to release
-// the shard stores.
-func NewShardedDetector(db *sql.DB, schema *Schema, sigma []*ECFD, opts ShardOptions) (*ShardedDetector, error) {
-	return detect.NewSharded(db, schema, sigma, opts)
 }
 
 // MemoryDriverName is the database/sql driver name of the embedded

@@ -126,8 +126,8 @@ func (p Pattern) contains(v relation.Value) bool {
 }
 
 // Validate checks the well-formedness rules of §II: In/NotIn sets must
-// be finite, non-empty sets of non-NULL constants; when the attribute
-// has a finite domain the set must be a subset of it.
+// be finite, non-empty sets of non-NULL, non-NaN constants; when the
+// attribute has a finite domain the set must be a subset of it.
 func (p Pattern) Validate(attr relation.Attribute) error {
 	switch p.Op {
 	case Wildcard:
@@ -142,6 +142,11 @@ func (p Pattern) Validate(attr relation.Attribute) error {
 		for _, v := range p.Set {
 			if v.IsNull() {
 				return fmt.Errorf("core: %s pattern for %s contains NULL", p.Op, attr.Name)
+			}
+			if v.K == relation.KindFloat && v.F != v.F {
+				// contains searches by Compare, where NaN is self-equal; the
+				// SQL detectors test VAL = t.A, where it equals nothing.
+				return fmt.Errorf("core: %s pattern for %s contains NaN, which no value equals", p.Op, attr.Name)
 			}
 			if attr.Finite() && !containsValue(attr.Domain, v) {
 				return fmt.Errorf("core: %s pattern for %s: %s outside finite domain", p.Op, attr.Name, v)

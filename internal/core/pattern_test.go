@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +98,9 @@ func TestPatternValidate(t *testing.T) {
 	}
 	if err := InSet(relation.Null()).Validate(inf); err == nil {
 		t.Error("NULL in set must fail")
+	}
+	if err := NotInSet(relation.Float(1), relation.Float(math.NaN())).Validate(inf); err == nil {
+		t.Error("set with NaN must be invalid")
 	}
 	if err := InStrings("x").Validate(fin); err != nil {
 		t.Errorf("in-domain set: %v", err)

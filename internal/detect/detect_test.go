@@ -10,14 +10,20 @@ import (
 
 	"ecfd/internal/core"
 	"ecfd/internal/relation"
-	_ "ecfd/internal/sqldriver"
+	"ecfd/internal/sqldb"
+	"ecfd/internal/sqldriver"
 )
 
 var dsnSeq atomic.Int64
 
-func openDB(t *testing.T) *sql.DB {
+func openDB(t *testing.T) *sql.DB { return openDBIn(t, sqldb.Planned) }
+
+// openDBIn opens a fresh in-memory engine switched to mode.
+func openDBIn(t *testing.T, mode sqldb.Mode) *sql.DB {
 	t.Helper()
-	db, err := sql.Open("ecfdmem", fmt.Sprintf("detect_test_%d", dsnSeq.Add(1)))
+	dsn := fmt.Sprintf("detect_test_%d", dsnSeq.Add(1))
+	sqldriver.Engine(dsn).SetMode(mode)
+	db, err := sql.Open("ecfdmem", dsn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +33,12 @@ func openDB(t *testing.T) *sql.DB {
 
 func newDetector(t *testing.T, sigma []*core.ECFD, inst *relation.Relation) *Detector {
 	t.Helper()
-	db := openDB(t)
+	return newDetectorIn(t, sqldb.Planned, sigma, inst)
+}
+
+func newDetectorIn(t *testing.T, mode sqldb.Mode, sigma []*core.ECFD, inst *relation.Relation) *Detector {
+	t.Helper()
+	db := openDBIn(t, mode)
 	d, err := New(db, inst.Schema, sigma)
 	if err != nil {
 		t.Fatal(err)

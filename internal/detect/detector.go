@@ -183,6 +183,8 @@ func (d *Detector) DataTable() string { return d.dataTable }
 // read-only transaction per slice task, which cost ~20% at 8 workers
 // on one CPU (ROADMAP perf log, PR 9). Purely an optimization: results are
 // identical with or without the binding.
+//
+// Deprecated: only ParallelDetect reads the binding; it goes with it.
 func (d *Detector) BindEngine(eng *sqldb.DB) { d.eng = eng }
 
 // talName / tarName name the per-attribute pattern-set tables.

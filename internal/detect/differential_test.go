@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ecfd/internal/core"
@@ -41,17 +42,19 @@ import (
 // just the same multiset — and the incremental leg's flags must equal
 // the naive §II oracle's on the same rows: the legs share the generated
 // SQL, so a wrong guard in it would move them all together. The whole
-// differential runs with batch kernels on and forced off, pinning every
-// kernel path end to end, over three workloads (diffWorkloads).
+// differential runs with every engine in sqldb.Planned and again in
+// sqldb.RowAtATime (batch kernels on and off), pinning every kernel path
+// end to end, over three workloads (diffWorkloads); the mode belongs to
+// an engine, so the six runs go side by side.
 func TestDetectThreeWayDifferential(t *testing.T) {
-	recoveries := 0
-	run := func(t *testing.T, w diffWorkload) {
+	var recoveries atomic.Int64
+	run := func(t *testing.T, w diffWorkload, mode sqldb.Mode) {
 		rng := rand.New(rand.NewSource(w.seed))
 		for trial := 0; trial < w.trials; trial++ {
 			inst, sigma := w.instance(rng)
-			dInc := newDetector(t, sigma, inst)
-			dBatch := newDetector(t, sigma, inst)
-			dPar := newDetector(t, sigma, inst)
+			dInc := newDetectorIn(t, mode, sigma, inst)
+			dBatch := newDetectorIn(t, mode, sigma, inst)
+			dPar := newDetectorIn(t, mode, sigma, inst)
 			if _, err := dInc.BatchDetect(); err != nil {
 				t.Fatal(err)
 			}
@@ -67,6 +70,7 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			eng.SetMode(mode)
 			sqldriver.RegisterDB(dsn, eng)
 			dbDur, err := sql.Open(sqldriver.DriverName, dsn)
 			if err != nil {
@@ -91,9 +95,12 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 			shardKs := []int{1, 2, 4, 8}
 			sharded := make([]*ShardedDetector, len(shardKs))
 			for i, k := range shardKs {
-				s, err := NewSharded(openDB(t), inst.Schema, sigma, ShardOptions{Shards: k, Workers: 4})
+				s, err := NewSharded(openDBIn(t, mode), inst.Schema, sigma, ShardOptions{Shards: k, Workers: 4})
 				if err != nil {
 					t.Fatal(err)
+				}
+				for _, sh := range s.shards {
+					sh.d.eng.SetMode(mode)
 				}
 				sharded[i] = s
 				if err := s.Install(); err != nil {
@@ -170,12 +177,13 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 				if _, _, err := dDur.ApplyUpdates(batch, doomed); err == nil {
 					fs.Disarm()
 				} else {
-					recoveries++
+					recoveries.Add(1)
 					fs.Crash()
 					dbDur.Close()
 					if eng, err = sqldb.Open(walOpts); err != nil {
 						t.Fatalf("trial %d step %d: recovery open: %v", trial, step, err)
 					}
+					eng.SetMode(mode)
 					sqldriver.RegisterDB(dsn, eng)
 					if dbDur, err = sql.Open(sqldriver.DriverName, dsn); err != nil {
 						t.Fatal(err)
@@ -234,18 +242,15 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 		}
 	}
 	for _, w := range diffWorkloads {
-		w := w
-		t.Run(w.name+"/kernels=on", func(t *testing.T) { run(t, w) })
-		t.Run(w.name+"/kernels=off", func(t *testing.T) {
-			sqldb.DisableBatchKernels = true
-			defer func() { sqldb.DisableBatchKernels = false }()
-			run(t, w)
-		})
+		t.Run(w.name+"/kernels=on", func(t *testing.T) { t.Parallel(); run(t, w, sqldb.Planned) })
+		t.Run(w.name+"/kernels=off", func(t *testing.T) { t.Parallel(); run(t, w, sqldb.RowAtATime) })
 	}
-	if recoveries == 0 {
-		t.Error("no crash ever fired: the durable leg exercised no recovery")
-	}
-	t.Logf("durable leg: %d crash recoveries across both kernel modes", recoveries)
+	t.Cleanup(func() { // runs once the parallel subtests above have finished
+		if recoveries.Load() == 0 {
+			t.Error("no crash ever fired: the durable leg exercised no recovery")
+		}
+		t.Logf("durable leg: %d crash recoveries across both kernel modes", recoveries.Load())
+	})
 }
 
 // diffWorkload is one source of instances, constraint sets and update

@@ -40,6 +40,11 @@ import (
 // single statement, which observes one snapshot by itself.
 //
 // workers <= 0 selects GOMAXPROCS.
+//
+// Deprecated: 1.03–1.22× over BatchDetect at nproc = 2, parked, and off
+// every product surface. It compiles only for benchmark/layers.go's
+// detect.parallel_* metrics and this package's tests; ROADMAP 1(a) drops
+// the metrics, item 2 then deletes this file.
 func (d *Detector) ParallelDetect(workers int) (BatchStats, error) {
 	start := time.Now()
 	if workers <= 0 {

@@ -51,6 +51,11 @@ import (
 // Violations() are byte-identical to a serial BatchDetect regardless of
 // shard count or scheduling (the differential test pins this for
 // K ∈ {1, 2, 4, 8}).
+//
+// Deprecated: 0.97–1.06× over BatchDetect at nproc = 2, parked, and off
+// every product surface. It compiles only for benchmark/layers.go's
+// detect.sharded_* metrics and this package's tests; ROADMAP 1(a) drops
+// the metrics, item 2 then deletes shard.go and shardkey.go.
 type ShardedDetector struct {
 	coord   *Detector
 	shards  []*shardStore
@@ -67,6 +72,8 @@ type shardStore struct {
 }
 
 // ShardOptions configures NewSharded.
+//
+// Deprecated: see ShardedDetector.
 type ShardOptions struct {
 	// Shards is the partition count K. <= 0 selects GOMAXPROCS
 	// (capped at 64).
@@ -82,6 +89,8 @@ var shardSeq atomic.Int64
 // db plus opts.Shards private shard stores, each with the detection
 // statements compiled against its own engine. Call Install, LoadData,
 // then BatchDetect, as with a plain Detector.
+//
+// Deprecated: see ShardedDetector.
 func NewSharded(db *sql.DB, schema *relation.Schema, sigma []*core.ECFD, opts ShardOptions) (*ShardedDetector, error) {
 	coord, err := New(db, schema, sigma)
 	if err != nil {
@@ -120,13 +129,6 @@ func NewSharded(db *sql.DB, schema *relation.Schema, sigma []*core.ECFD, opts Sh
 	}
 	return s, nil
 }
-
-// Shards returns the partition count K.
-func (s *ShardedDetector) Shards() int { return len(s.shards) }
-
-// Coordinator exposes the coordinator-store detector (Σ encoding,
-// authoritative Aux, full data copy).
-func (s *ShardedDetector) Coordinator() *Detector { return s.coord }
 
 // Close releases the shard engines. The coordinator handle stays open —
 // it belongs to the caller.
@@ -644,20 +646,6 @@ func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []in
 	return rids, IncStats{Applied: applied, Elapsed: time.Since(start)}, nil
 }
 
-// InsertTuples applies ΔD⁺ across the shards (see ApplyUpdates).
-func (s *ShardedDetector) InsertTuples(batch *relation.Relation) ([]int64, IncStats, error) {
-	return s.ApplyUpdates(batch, nil)
-}
-
-// DeleteTuples applies ΔD⁻ by RID across the shards (see ApplyUpdates).
-func (s *ShardedDetector) DeleteTuples(rids []int64) (IncStats, error) {
-	if len(rids) == 0 {
-		return IncStats{}, nil
-	}
-	_, st, err := s.ApplyUpdates(nil, rids)
-	return st, err
-}
-
 // --- reads ---
 
 // gatherViolations merges per-shard violation relations by RID. RIDs
@@ -746,26 +734,6 @@ func (s *ShardedDetector) Counts() (sv, mv, total int64, err error) {
 		total += tots[i]
 	}
 	return sv, mv, total, nil
-}
-
-// FlagsByRID merges the per-shard flag maps.
-func (s *ShardedDetector) FlagsByRID() (map[int64][2]bool, error) {
-	maps := make([]map[int64][2]bool, len(s.shards))
-	err := s.eachShard(func(i int, sh *shardStore) error {
-		var err error
-		maps[i], err = sh.d.FlagsByRID()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int64][2]bool)
-	for _, m := range maps {
-		for rid, f := range m {
-			out[rid] = f
-		}
-	}
-	return out, nil
 }
 
 // RIDs returns every row id across the shards, ordered.

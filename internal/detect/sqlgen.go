@@ -122,6 +122,8 @@ func (d *Detector) SQL() (qsvSelect, qsvUpdate, qmvInsert, mvUpdate string) {
 // RID-slice MV matching) for inspection and testing — in particular
 // the EXPLAIN tests asserting that the RID-slice scans are range-
 // pruned through the data table's ordered RID index.
+//
+// Deprecated: goes with ParallelDetect.
 func (d *Detector) ParallelSQL() (qsvRIDsSlice, qmvGroupsCIDRange, mvRIDsSlice string) {
 	return d.stmts.qsvRIDsSlice, d.stmts.qmvGroupsCIDRng, d.stmts.mvRIDsSlice
 }

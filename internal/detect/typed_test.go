@@ -2,12 +2,15 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ecfd/internal/core"
 	"ecfd/internal/gen"
 	"ecfd/internal/relation"
+	"ecfd/internal/sqldb"
 )
 
 // intSchema exercises the '@'-blanking machinery over non-text
@@ -98,13 +101,64 @@ func TestTypedAttributesBatch(t *testing.T) {
 // threshold — where the touched-keys and Aux probes answer from value
 // sets whose members are TOTEXT renderings of numbers, two per-row key
 // parts for the (GRID, NODE) → VOLT groups, NULL LHS cells included —
-// each step against the naive oracle.
+// each step against the naive oracle. The nan cases put NaN readings in
+// VOLT and add an embedded FD keyed on it behind a complement set: SQL's
+// `=` never matches NaN (so it is in no pattern set and outside every
+// complement), while grouping — the oracle's and the macro's TOTEXT
+// keys alike — puts the NaN readings in one group.
 func TestTypedAttributesIncremental(t *testing.T) {
 	s := intSchema()
-	sigma := intSigma(s)
+	for _, c := range []struct {
+		name string
+		mode sqldb.Mode
+		nan  bool
+	}{
+		{"planned", sqldb.Planned, false},
+		{"nan/planned", sqldb.Planned, true},
+		{"nan/row-at-a-time", sqldb.RowAtATime, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			sigma := intSigma(s)
+			if c.nan {
+				sigma = append(sigma, &core.ECFD{
+					// Off the 110 V standard, a reading's voltage names its zone.
+					Name: "byvolt", Schema: s, X: []string{"VOLT"}, Y: []string{"ZONE"},
+					Tableau: []core.PatternTuple{{
+						LHS: []core.Pattern{core.NotInSet(relation.Float(110))},
+						RHS: []core.Pattern{core.Any()},
+					}},
+				})
+			}
+			typedIncremental(t, s, sigma, c.mode, c.nan)
+		})
+	}
+}
+
+// TestNaNPatternConstantRefused: a NaN inside a pattern set would be a
+// member by the oracle's search and of nothing by SQL's `=`, so Σ is
+// refused before either detector sees it.
+func TestNaNPatternConstantRefused(t *testing.T) {
+	s := intSchema()
+	sigma := []*core.ECFD{{
+		Name: "nan", Schema: s, X: []string{"GRID"}, YP: []string{"VOLT"},
+		Tableau: []core.PatternTuple{{
+			LHS: []core.Pattern{core.Any()},
+			RHS: []core.Pattern{core.InSet(relation.Float(110), relation.Float(math.NaN()))},
+		}},
+	}}
+	if _, err := New(openDB(t), s, sigma); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("New accepted a NaN pattern constant: %v", err)
+	}
+	if _, err := core.NaiveDetect(relation.New(s), sigma); err == nil {
+		t.Fatal("the oracle accepted a NaN pattern constant")
+	}
+}
+
+func typedIncremental(t *testing.T, s *relation.Schema, sigma []*core.ECFD, mode sqldb.Mode, nan bool) {
 	inst := relation.New(s)
 	inst.MustInsert(relation.Tuple{relation.Int(1), relation.Int(10), relation.Float(110), relation.Text("core")})
-	d := newDetector(t, sigma, inst)
+	d := newDetectorIn(t, mode, sigma, inst)
 	if st, err := d.BatchDetect(); err != nil || st.Total != 0 {
 		t.Fatalf("clean base: %+v %v", st, err)
 	}
@@ -136,6 +190,9 @@ func TestTypedAttributesIncremental(t *testing.T) {
 			relation.Float(volts[(grid+node)%3]), relation.Text([]string{"core", "edge"}[rng.Intn(2)])}
 		if rng.Intn(20) == 0 {
 			row[2] = relation.Float(volts[rng.Intn(3)]) // a reading off its node's voltage
+		}
+		if nan && rng.Intn(12) == 0 {
+			row[2] = relation.Float(math.NaN())
 		}
 		if rng.Intn(25) == 0 {
 			row[0] = relation.Int(9)

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// BenchmarkValueBoxing is the DESIGN.md §5 ablation: the engine's
+// BenchmarkValueBoxing is the value-representation ablation: the engine's
 // tagged-struct Value versus the interface{} boxing a naive
 // implementation would use. The boxed variant allocates on creation
 // and pays dynamic dispatch on every comparison — on a 100k-row scan

@@ -4,7 +4,7 @@
 //
 // Values are represented as a small tagged struct rather than an
 // interface so that scans over hundreds of thousands of rows do not box
-// every field (see DESIGN.md, "Engine values are unboxed").
+// every field (BenchmarkValueBoxing measures the difference).
 package relation
 
 import (

@@ -73,13 +73,11 @@ type GenSpec struct {
 
 // CreateSessionRequest opens a detection session. Exactly one of Spec
 // (the textual constraint language, all constraints over one table) or
-// Gen must be set. Workers configures the detect fan-out for this
-// session (0 = serial BatchDetect, -1 = GOMAXPROCS).
+// Gen must be set.
 type CreateSessionRequest struct {
-	Name    string   `json:"name,omitempty"`
-	Spec    string   `json:"spec,omitempty"`
-	Gen     *GenSpec `json:"gen,omitempty"`
-	Workers int      `json:"workers,omitempty"`
+	Name string   `json:"name,omitempty"`
+	Spec string   `json:"spec,omitempty"`
+	Gen  *GenSpec `json:"gen,omitempty"`
 }
 
 // ColumnInfo describes one attribute of the session's table.
@@ -95,7 +93,6 @@ type SessionInfo struct {
 	Table       string       `json:"table"`
 	Columns     []ColumnInfo `json:"columns"`
 	Constraints int          `json:"constraints"`
-	Workers     int          `json:"workers"`
 	Rows        int64        `json:"rows"`
 	Created     string       `json:"created"`
 }

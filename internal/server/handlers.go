@@ -35,31 +35,17 @@ func (s *Server) doLoad(ctx context.Context, sess *session, w http.ResponseWrite
 	return nil
 }
 
-// doDetect recomputes the violation flags from scratch: the serial
-// BatchDetect, or ParallelDetect when the session was created with
-// workers set.
+// doDetect recomputes the violation flags from scratch (BatchDetect).
 func (s *Server) doDetect(ctx context.Context, sess *session, w http.ResponseWriter, r *http.Request) *APIError {
 	sess.mu.Lock()
-	var sv, mv, total int64
-	var elapsed time.Duration
-	if sess.workers != 0 {
-		bst, err := sess.det.ParallelDetect(sess.workers)
-		sess.mu.Unlock()
-		if err != nil {
-			return apiErrorf(CodeInternal, "detect: %v", err)
-		}
-		sv, mv, total, elapsed = bst.SV, bst.MV, bst.Total, bst.Elapsed
-	} else {
-		bst, err := sess.det.BatchDetect()
-		sess.mu.Unlock()
-		if err != nil {
-			return apiErrorf(CodeInternal, "detect: %v", err)
-		}
-		sv, mv, total, elapsed = bst.SV, bst.MV, bst.Total, bst.Elapsed
+	bst, err := sess.det.BatchDetect()
+	sess.mu.Unlock()
+	if err != nil {
+		return apiErrorf(CodeInternal, "detect: %v", err)
 	}
 	writeJSON(w, http.StatusOK, DetectResponse{
-		SV: sv, MV: mv, Total: total,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+		SV: bst.SV, MV: bst.MV, Total: bst.Total,
+		ElapsedMS: float64(bst.Elapsed) / float64(time.Millisecond),
 	})
 	return nil
 }

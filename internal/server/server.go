@@ -23,12 +23,12 @@
 // Routes:
 //
 //	GET    /healthz
-//	POST   /v1/sessions                     {name?, spec | gen, workers?}
+//	POST   /v1/sessions                     {name?, spec | gen}
 //	GET    /v1/sessions
 //	GET    /v1/sessions/{id}
 //	DELETE /v1/sessions/{id}
 //	POST   /v1/sessions/{id}/load           {rows: [[...], ...]}
-//	POST   /v1/sessions/{id}/detect         (batch / parallel per session workers)
+//	POST   /v1/sessions/{id}/detect
 //	POST   /v1/sessions/{id}/check          {rows: [[...], ...]}
 //	POST   /v1/sessions/{id}/updates        {insert?: [[...]], delete?: [rids]}
 //	GET    /v1/sessions/{id}/violations?lo=&hi=   (streamed JSON)

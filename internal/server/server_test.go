@@ -207,13 +207,21 @@ func TestServerCreateErrors(t *testing.T) {
 		{"both", CreateSessionRequest{Spec: testSpec, Gen: &GenSpec{Rows: 1}}, CodeBadRequest},
 		{"bad spec", CreateSessionRequest{Spec: "table ???"}, CodeBadRequest},
 		{"unknown field", map[string]any{"bogus": 1}, CodeBadRequest},
+		// The per-session detect fan-out is gone; its field is unknown like any other.
+		{"workers", map[string]any{"gen": GenSpec{Rows: 10, Noise: 5, Seed: 1}, "workers": 4}, CodeBadRequest},
 	}
 	for _, tc := range cases {
-		if _, code := c.do("POST", "/v1/sessions", tc.body, nil); code != tc.code {
-			t.Errorf("%s: got code %q, want %q", tc.name, code, tc.code)
+		if status, code := c.do("POST", "/v1/sessions", tc.body, nil); status != http.StatusBadRequest || code != tc.code {
+			t.Errorf("%s: got %d %q, want 400 %q", tc.name, status, code, tc.code)
 		}
 	}
-	c.mustOK("POST", "/v1/sessions", CreateSessionRequest{Name: "dup", Spec: testSpec}, nil)
+	var created SessionInfo
+	c.mustOK("POST", "/v1/sessions", CreateSessionRequest{Name: "dup", Spec: testSpec}, &created)
+	var info map[string]any
+	c.mustOK("GET", "/v1/sessions/"+created.ID, nil, &info)
+	if _, ok := info["workers"]; ok || info["id"] != created.ID {
+		t.Errorf("session info still prints workers (or lost its id): %v", info)
+	}
 	if _, code := c.do("POST", "/v1/sessions", CreateSessionRequest{Name: "dup", Spec: testSpec}, nil); code != CodeConflict {
 		t.Errorf("duplicate name: got %q, want %q", code, CodeConflict)
 	}

@@ -33,7 +33,6 @@ type session struct {
 	db      *sql.DB
 	eng     *sqldb.DB
 	det     *detect.Detector
-	workers int
 	created time.Time
 
 	mu sync.Mutex
@@ -59,7 +58,6 @@ func (s *session) info() SessionInfo {
 		Table:       s.det.DataTable(),
 		Columns:     cols,
 		Constraints: len(s.det.Sigma()),
-		Workers:     s.workers,
 		Rows:        s.rowCount(),
 		Created:     s.created.UTC().Format(time.RFC3339),
 	}
@@ -183,7 +181,6 @@ func (r *registry) create(req *CreateSessionRequest) (*session, *APIError) {
 	if err := det.Install(); err != nil {
 		return fail(err)
 	}
-	det.BindEngine(sqldriver.Engine(dsn))
 
 	s := &session{
 		id:      fmt.Sprintf("s%d", r.seq.Add(1)),
@@ -192,7 +189,6 @@ func (r *registry) create(req *CreateSessionRequest) (*session, *APIError) {
 		db:      db,
 		eng:     sqldriver.Engine(dsn),
 		det:     det,
-		workers: req.Workers,
 		created: time.Now(),
 	}
 	if data != nil {

@@ -35,12 +35,6 @@ import (
 // the per-chunk bookkeeping.
 const batchChunk = 1024
 
-// DisableBatchKernels forces every predicate back onto the per-row
-// closure path. It exists for the differential property tests and the
-// ablation benchmark; production code must leave it false. Consulted
-// when schedules are built (per execution), not at compile time.
-var DisableBatchKernels = false
-
 // kernOp enumerates the kernel predicate shapes.
 type kernOp uint8
 
@@ -851,11 +845,12 @@ const (
 	probeSetMinCands = 4 * batchChunk
 )
 
-// valueSet is the set of distinct non-NULL values one key column takes
-// among the probe-side rows that agree with an entry's constant key
-// parts. Membership is Identical — what the key encoding and the ordered
-// index implement — and TEXT never is Identical to a number, so the two
-// kinds are kept apart: text compares on the raw string, no encoding.
+// valueSet is the set of distinct values (never NULL, never NaN) one
+// key column takes among the probe-side rows that agree with an entry's
+// constant key parts. Membership is Identical — what the key encoding
+// and the ordered index implement — and TEXT never is Identical to a
+// number, so the two kinds are kept apart: text compares on the raw
+// string, no encoding.
 type valueSet struct {
 	texts  []string
 	nums   []relation.Value
@@ -908,7 +903,7 @@ func (s *valueSet) add(v relation.Value) bool {
 
 // filter keeps the rows of sel whose key value — colv's, seen through
 // part's COALESCE(TOTEXT(col), lit) when it has one — is a member
-// (want) or is not. A NULL key value is a member of nothing.
+// (want) or is not. A NULL or NaN key value is a member of nothing.
 func (s *valueSet) filter(part *kprobePart, colv []relation.Value, sel []int, want bool) []int {
 	coalesce := part.kind == pkCase && part.resKind == resTextCoalesce
 	out := sel[:0]
@@ -1119,7 +1114,7 @@ func (pb *probeInst) bind(en *env, t *Table, cands int, state *uint8) error {
 				return err
 			}
 			pb.vals[i], pb.con[i] = v, true
-			if v.IsNull() {
+			if v.IsNull() || isNaN(v) {
 				constNull = true
 			}
 		case pkCol:
@@ -1141,8 +1136,8 @@ func (pb *probeInst) bind(en *env, t *Table, cands int, state *uint8) error {
 		}
 	}
 	if constNull {
-		// A NULL key part never matches: EXISTS is false for every row,
-		// exactly like the closure's NULL-key check.
+		// A NULL or NaN key part never matches: EXISTS is false for every
+		// row, exactly like the closure's check (probeKey.eval).
 		if k.neg {
 			*state = pAlways
 		} else {
@@ -1151,9 +1146,9 @@ func (pb *probeInst) bind(en *env, t *Table, cands int, state *uint8) error {
 		return nil
 	}
 	// Key plan: pre-encode the constant prefix of the encode order and
-	// remember which parts remain per-row. Constant parts are non-NULL
-	// here (constNull returned above), so the prefix never hides a
-	// NULL-key miss.
+	// remember which parts remain per-row. Constant parts are neither
+	// NULL nor NaN here (constNull returned above), so the prefix never
+	// hides a key that cannot match.
 	pb.pfx = pb.pfx[:0]
 	pb.tail = pb.tail[:0]
 	pb.pfxVals = pb.pfxVals[:0]
@@ -1258,8 +1253,8 @@ rows:
 		for i, col := range k.d.keyCols {
 			switch {
 			case !pb.con[i]:
-				if r[col].IsNull() {
-					continue rows // a NULL key column matches nothing
+				if r[col].IsNull() || isNaN(r[col]) {
+					continue rows // a NULL or NaN key column matches nothing
 				}
 			case !relation.Identical(r[col], pb.vals[i]):
 				continue rows
@@ -1376,7 +1371,7 @@ rowLoop:
 						return nil, err
 					}
 				}
-				if v.IsNull() {
+				if v.IsNull() || isNaN(v) {
 					pb.keyBuf = key
 					if neg {
 						out = append(out, ri)

@@ -50,6 +50,7 @@ func kernelTable(t *testing.T, rng *rand.Rand, rows int) *DB {
 // including NaN and NULL data — and checks the batch, row and
 // nested-loop paths agree on every one.
 func TestKernelClosureDifferential(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(diffSeed(t, 113)))
 	db := kernelTable(t, rng, 120)
 	cols := []string{"a", "f", "s", "flag"}
@@ -109,22 +110,12 @@ func TestKernelClosureDifferential(t *testing.T) {
 // parallel detector's RID-slice shape — including NULL parameters,
 // which must empty the scan exactly like the closure path does.
 func TestKernelParamDifferential(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(127))
 	db := kernelTable(t, rng, 80)
 	run := func(q string, params ...relation.Value) (string, string) {
 		t.Helper()
-		DisableBatchKernels = false
-		b, err := db.Query(q, params...)
-		if err != nil {
-			t.Fatalf("batch %q: %v", q, err)
-		}
-		DisableBatchKernels = true
-		r, err := db.Query(q, params...)
-		DisableBatchKernels = false
-		if err != nil {
-			t.Fatalf("row %q: %v", q, err)
-		}
-		return canonical(b), canonical(r)
+		return canonical(queryIn(t, db, Planned, q, params...)), canonical(queryIn(t, db, RowAtATime, q, params...))
 	}
 	for trial := 0; trial < 30; trial++ {
 		lo := relation.Value(relation.Int(int64(rng.Intn(8))))
@@ -141,8 +132,9 @@ func TestKernelParamDifferential(t *testing.T) {
 
 // TestExplainBatchMode pins the EXPLAIN surface: levels with consumed
 // kernels report batch mode, everything else reports row mode, and
-// flipping DisableBatchKernels flips the marker.
+// RowAtATime flips the marker.
 func TestExplainBatchMode(t *testing.T) {
+	t.Parallel()
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE data (rid INTEGER, city TEXT, sv INTEGER, mv INTEGER)`)
 	mustExec(t, db, `CREATE TABLE enc (cid INTEGER, city_l INTEGER)`)
@@ -197,9 +189,8 @@ func TestExplainBatchMode(t *testing.T) {
 	}
 
 	// Kernels off: everything with predicate work reports row mode.
-	DisableBatchKernels = true
+	db.SetMode(RowAtATime)
 	plan, err = db.Explain(`SELECT rid FROM data WHERE rid >= ? AND rid <= ? AND mv <> 1`)
-	DisableBatchKernels = false
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,6 +401,7 @@ func TestBigIntExactness(t *testing.T) {
 // rows through the planned, batched scan — and the result matches the
 // closure filter.
 func TestUpdatePlannedRowSelection(t *testing.T) {
+	t.Parallel()
 	setup := func() *DB {
 		db := NewDB()
 		mustExec(t, db, `CREATE TABLE ud (rid INTEGER, v INTEGER, flag INTEGER)`)
@@ -433,9 +425,8 @@ func TestUpdatePlannedRowSelection(t *testing.T) {
 	mustExec(t, dbA, q)
 
 	dbB := setup()
-	DisablePlanner = true
+	dbB.SetMode(Reference)
 	mustExec(t, dbB, q)
-	DisablePlanner = false
 
 	a := canonical(mustQuery(t, dbA, `SELECT rid, v, flag FROM ud`))
 	b := canonical(mustQuery(t, dbB, `SELECT rid, v, flag FROM ud`))
@@ -449,6 +440,7 @@ func TestUpdatePlannedRowSelection(t *testing.T) {
 // batch kernel) must agree when NaN appears as an item, as the probed
 // value, or both — under SQL equality NaN matches nothing.
 func TestInListNaNConsistency(t *testing.T) {
+	t.Parallel()
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE ni (x REAL, w INTEGER)`)
 	mustExec(t, db, `INSERT INTO ni VALUES (?, 1)`, relation.Float(math.NaN()))
@@ -458,26 +450,7 @@ func TestInListNaNConsistency(t *testing.T) {
 	run := func(q string, params ...relation.Value) [3]string {
 		t.Helper()
 		var out [3]string
-		DisablePlanner, DisableBatchKernels = false, false
-		r, err := db.Query(q, params...)
-		if err != nil {
-			t.Fatalf("batch %q: %v", q, err)
-		}
-		out[0] = canonical(r)
-		DisableBatchKernels = true
-		r, err = db.Query(q, params...)
-		DisableBatchKernels = false
-		if err != nil {
-			t.Fatalf("row %q: %v", q, err)
-		}
-		out[1] = canonical(r)
-		DisablePlanner = true
-		r, err = db.Query(q, params...)
-		DisablePlanner = false
-		if err != nil {
-			t.Fatalf("nested %q: %v", q, err)
-		}
-		out[2] = canonical(r)
+		out[0], out[1], out[2] = runThreeWays(t, db, q, false, params...)
 		return out
 	}
 	cases := []struct {
@@ -514,6 +487,7 @@ func TestInListNaNConsistency(t *testing.T) {
 // kernel compare paths must match the closure semantics exactly (the
 // engine's ordered compares follow relation.Compare, not IEEE).
 func TestKernelNaNDifferential(t *testing.T) {
+	t.Parallel()
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE nf (x REAL, w INTEGER)`)
 	mustExec(t, db, `INSERT INTO nf VALUES (?, 1)`, relation.Float(math.NaN()))
@@ -538,6 +512,7 @@ func TestKernelNaNDifferential(t *testing.T) {
 // and the forced nested loop, mirroring TestKernelClosureDifferential
 // for the shapes the OR-group kernels claim.
 func TestOrKernelDifferential(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(diffSeed(t, 149)))
 	db := kernelTable(t, rng, 120)
 	// Probe target with an exact-cover (g, v) index, NULLs included, so
@@ -670,6 +645,7 @@ func TestOrKernelPlanClaims(t *testing.T) {
 // earlier one — group kernels bind alternatives lazily, only when a
 // candidate row actually reaches them.
 func TestOrKernelLazyBindErrors(t *testing.T) {
+	t.Parallel()
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE c (z INTEGER)`)
 	mustExec(t, db, `CREATE TABLE tt (a INTEGER)`)
@@ -693,10 +669,8 @@ func TestOrKernelLazyBindErrors(t *testing.T) {
 	if _, err := db.Query(q); err == nil {
 		t.Fatal("batch path must surface the division error when rows reach the alternative")
 	}
-	DisableBatchKernels = true
-	_, err := db.Query(q)
-	DisableBatchKernels = false
-	if err == nil {
+	db.SetMode(RowAtATime)
+	if _, err := db.Query(q); err == nil {
 		t.Fatal("row path must surface the division error when rows reach the alternative")
 	}
 }

@@ -68,6 +68,8 @@ type DB struct {
 
 	// probeRows backs Stats.ProbeRows.
 	probeRows atomic.Int64
+	// mode is the execution Mode (SetMode); zero is Planned.
+	mode atomic.Int32
 }
 
 // epoch is one immutable version of the whole database: the table

@@ -187,17 +187,10 @@ type rowSelect struct {
 	// selection runs through the batched executor (kernel filters over
 	// the column vectors, e.g. the detector's RID-slice and MV = 0
 	// guards) instead of the per-row closure loop. nil when the WHERE
-	// does not plan; the closure loop remains the fallback, and is what
-	// DisablePlanner forces for the differential suites.
+	// does not plan; the closure loop remains the fallback, and is all a
+	// Reference-mode plan has (neither select is compiled).
 	filterSel *compiledSelect
 }
-
-// disableSemiJoinUpdate / forceSemiJoinUpdate are test hooks for the
-// differential suite; production code leaves both false.
-var (
-	disableSemiJoinUpdate = false
-	forceSemiJoinUpdate   = false
-)
 
 // compileRowSelect compiles the WHERE of a DML statement over table
 // (bound as alias when given). The returned compiler resolves names in
@@ -220,6 +213,9 @@ func (db *DB) compileRowSelect(table, alias string, where Expr, ep *epoch) (*row
 	}
 	if rs.where, err = c.compileExpr(where); err != nil {
 		return nil, nil, err
+	}
+	if db.execMode() == Reference {
+		return rs, c, nil
 	}
 	target := TableRef{Table: table, Alias: alias}
 	rs.semi = db.trySemiJoin(target, where, ep)
@@ -329,7 +325,7 @@ func semiJoinable(sub *Select) bool {
 // snapshot) so the reported access path is the one that actually
 // executes.
 func (rs *rowSelect) useSemiJoin(ep *epoch) bool {
-	if rs.semi == nil || DisablePlanner || disableSemiJoinUpdate {
+	if rs.semi == nil {
 		return false
 	}
 	target := len(ep.tds[rs.t].rows)
@@ -339,7 +335,7 @@ func (rs *rowSelect) useSemiJoin(ep *epoch) bool {
 			minSub = n
 		}
 	}
-	return forceSemiJoinUpdate || minSub*4 <= target
+	return minSub*4 <= target
 }
 
 // positions returns the selected target row positions in the writer
@@ -354,7 +350,7 @@ func (rs *rowSelect) positions(db *DB, params []relation.Value) ([]int, error) {
 	switch {
 	case rs.useSemiJoin(db.curW):
 		sel = rs.semi
-	case rs.filterSel != nil && !DisablePlanner:
+	case rs.filterSel != nil:
 		sel = rs.filterSel
 	}
 	if sel != nil {
@@ -410,7 +406,7 @@ func (rs *rowSelect) describe(ep *epoch, b *strings.Builder) {
 	switch {
 	case rs.useSemiJoin(ep):
 		plan("semi-join row selection", rs.semi)
-	case rs.filterSel != nil && !DisablePlanner:
+	case rs.filterSel != nil:
 		plan("planned row selection", rs.filterSel)
 	case rs.where == nil:
 		b.WriteString("  every row (no filter)\n")

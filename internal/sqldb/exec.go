@@ -149,13 +149,7 @@ func (cs *compiledSelect) execExists(en *env) (bool, error) {
 		srcRows[i] = en.rows(src.table)
 	}
 	en.frames = append(en.frames, frame{rows: en.scratchFor(cs)})
-	var err error
-	if DisablePlanner || !cs.planOK {
-		err = cs.joinLoop(en, srcRows, 0, func() error { return errFound })
-	} else {
-		sch := en.scheduleFor(cs, srcRows)
-		err = cs.runPlan(en, sch, srcRows, yieldFound)
-	}
+	err := cs.scan(en, srcRows, func() error { return errFound })
 	en.frames = en.frames[:cs.depth]
 	if err == errFound {
 		return true, nil
@@ -250,7 +244,12 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 		}
 		cs.groupBy = append(cs.groupBy, ge)
 	}
-	cs.streamCols = inner.streamableGroup(sel, cs)
+	// Reference mode groups and projects the plain way, as it joins
+	// (planWhere): streaming and the projection cache are under test.
+	ref := c.db.execMode() == Reference
+	if !ref {
+		cs.streamCols = inner.streamableGroup(sel, cs)
+	}
 
 	// Output expressions. astOuts keeps the AST per output slot (nil
 	// for star-expanded columns) so the batch-aware projection can
@@ -285,7 +284,7 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 	if len(cs.outs) != len(cs.cols) {
 		return nil, fmt.Errorf("sql: internal: %d output exprs for %d columns", len(cs.outs), len(cs.cols))
 	}
-	if !cs.grouped {
+	if !cs.grouped && !ref {
 		// Grouped emission stays row-at-a-time: aggregate outputs read
 		// per-group state that the invariance analysis cannot see.
 		cs.proj = inner.buildProjSpec(astOuts)
@@ -497,11 +496,6 @@ func (s *slab[T]) alloc(n int) []T {
 	return run
 }
 
-// streams reports whether execution takes the streamed grouping. It
-// stays off under DisablePlanner so the forced nested-loop differential
-// leg materializes the source and groups it as an independent reference.
-func (cs *compiledSelect) streams() bool { return cs.streamCols > 0 && !DisablePlanner }
-
 // materialize returns the rows of every FROM source, running the
 // derived ones.
 func (cs *compiledSelect) materialize(en *env) ([][]relation.Tuple, error) {
@@ -522,11 +516,9 @@ func (cs *compiledSelect) materialize(en *env) ([][]relation.Tuple, error) {
 
 // projScratchFor returns the env's cache for the batch-aware projection,
 // which replays site-invariant output parts per pattern row; nil when
-// the select has none. It stays off under DisablePlanner so the forced
-// nested-loop differential leg evaluates the plain outs closures as an
-// independent reference.
+// the select has none.
 func (cs *compiledSelect) projScratchFor(en *env) *projScratch {
-	if cs.proj == nil || DisablePlanner {
+	if cs.proj == nil {
 		return nil
 	}
 	return cs.proj.scratch(en, cs)
@@ -616,7 +608,7 @@ func (cs *compiledSelect) execDistinct(en *env) ([]relation.Tuple, error) {
 func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 	var srcRows [][]relation.Tuple
 	var err error
-	if !cs.streams() { // execStreamed consumes its one source unmaterialized
+	if cs.streamCols == 0 { // execStreamed consumes its one source unmaterialized
 		if srcRows, err = cs.materialize(en); err != nil {
 			return nil, err
 		}
@@ -634,7 +626,7 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 	// equal sort keys may differ from the stable sort's emission order —
 	// SQL leaves it unspecified either way.
 	orderServed := false
-	if len(cs.orderBy) > 0 && !cs.grouped && cs.planOK && !DisablePlanner {
+	if len(cs.orderBy) > 0 && !cs.grouped && cs.planOK {
 		orderServed = en.scheduleFor(cs, srcRows).orderServed
 	}
 
@@ -664,7 +656,7 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 	}
 
 	switch {
-	case cs.streams():
+	case cs.streamCols > 0:
 		err = cs.execStreamed(en, emit)
 	case cs.grouped:
 		err = cs.execGrouped(en, srcRows, emit)

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"strings"
 	"testing"
 
 	"ecfd/internal/relation"
@@ -116,15 +117,42 @@ func TestInsertFromExpression(t *testing.T) {
 	}
 }
 
+// TestDecorrelationDisabledEquivalence: one DB, one Prepared, run under
+// Planned → Reference → Planned. The mode is an input of compilation,
+// so each switch must replace the cached plan — EXPLAIN, which describes
+// that cached plan, shows the decorrelated probe, then the nested loop
+// without it, then the probe again — and the rows never change. A test
+// that only compared rows would pass with the cache serving the
+// decorrelated plan in every mode.
 func TestDecorrelationDisabledEquivalence(t *testing.T) {
+	t.Parallel()
 	db := testDB(t)
 	q := `SELECT e.id FROM emp e WHERE EXISTS (SELECT 1 FROM dept d WHERE d.name = e.dept) ORDER BY e.id`
-	want := flat(mustQuery(t, db, q))
-
-	DisableDecorrelation = true
-	defer func() { DisableDecorrelation = false }()
-	if got := flat(mustQuery(t, db, q)); got != want {
-		t.Errorf("decorrelation changed semantics: %q vs %q", got, want)
+	p, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for i, m := range []Mode{Planned, Reference, Planned, RowAtATime} {
+		db.SetMode(m)
+		res, err := p.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = flat(res)
+		} else if got := flat(res); got != want {
+			t.Errorf("step %d (mode %d) changed the rows: %q vs %q", i, m, got, want)
+		}
+		plan, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := strings.Contains(plan, "value-set probe d")
+		nested := strings.Contains(plan, "nested loop over the WHERE closure")
+		if probe != (m == Planned) || nested != (m == Reference) {
+			t.Errorf("step %d (mode %d): probe kernel %v, nested loop %v in\n%s", i, m, probe, nested, plan)
+		}
 	}
 }
 

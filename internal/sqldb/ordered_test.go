@@ -213,6 +213,7 @@ func TestIncrementalMaintenanceRandomOps(t *testing.T) {
 // with and without a range restriction) to the forced nested-loop
 // path's sorted output.
 func TestOrderedScanMatchesSort(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(73))
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE o (a INTEGER, b INTEGER)`)
@@ -245,12 +246,7 @@ func TestOrderedScanMatchesSort(t *testing.T) {
 		}
 		// ORDER BY covers every output column, so the sequences must be
 		// identical, not just the multisets.
-		DisablePlanner = true
-		n, err := db.Query(q)
-		DisablePlanner = false
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := queryIn(t, db, Reference, q)
 		if p := mustQuery(t, db, q); flat(p) != flat(n) {
 			t.Fatalf("ordered scan sequence diverges on %q:\nplanned %q\nnested  %q", q, flat(p), flat(n))
 		}
@@ -276,6 +272,7 @@ func TestOrderedScanMatchesSort(t *testing.T) {
 // nested loop across operators, strictness, NULL bounds and correlated
 // bounds.
 func TestRangeScanCorrectness(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(79))
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE rt (k INTEGER, v INTEGER)`)
@@ -307,12 +304,7 @@ func TestRangeScanCorrectness(t *testing.T) {
 	// Parameterized slice restriction — the parallel detector's shape.
 	q := `SELECT v FROM rt WHERE k >= ? AND k <= ?`
 	planned := canonical(mustQuery(t, db, q, relation.Int(4), relation.Int(9)))
-	DisablePlanner = true
-	nres, err := db.Query(q, relation.Int(4), relation.Int(9))
-	DisablePlanner = false
-	if err != nil {
-		t.Fatal(err)
-	}
+	nres := queryIn(t, db, Reference, q, relation.Int(4), relation.Int(9))
 	if planned != canonical(nres) {
 		t.Fatalf("parameterized range diverges: %q vs %q", planned, canonical(nres))
 	}
@@ -326,6 +318,7 @@ func TestRangeScanCorrectness(t *testing.T) {
 // ordered and sort.Search could land on a wrong boundary, silently
 // dropping rows the nested loop kept.
 func TestRangeScanNaNConsistency(t *testing.T) {
+	t.Parallel()
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE f (x REAL)`)
 	mustExec(t, db, `CREATE INDEX idx_f_x ON f (x)`)
@@ -453,6 +446,7 @@ func TestOrderedScanSortedOutput(t *testing.T) {
 // (outputs are restricted to the sort keys, so tie groups hold
 // identical rows).
 func TestJoinDriverOrderBy(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(83))
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE big (k INTEGER, v INTEGER)`)
@@ -482,12 +476,7 @@ func TestJoinDriverOrderBy(t *testing.T) {
 		if !strings.Contains(plan, "order by: served by index (join driver)") {
 			t.Fatalf("expected join-driver order service for %q:\n%s", q, plan)
 		}
-		DisablePlanner = true
-		n, err := db.Query(q)
-		DisablePlanner = false
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := queryIn(t, db, Reference, q)
 		if p := mustQuery(t, db, q); flat(p) != flat(n) {
 			t.Fatalf("join-driver ordered sequence diverges on %q:\nplanned %q\nnested  %q", q, flat(p), flat(n))
 		}
@@ -517,6 +506,7 @@ func TestJoinDriverOrderBy(t *testing.T) {
 // rows sorting first), strict/inclusive mixes, BETWEEN, NULL and NaN
 // bounds, and correlated bounds re-evaluated per entry.
 func TestRangeElisionDifferential(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(89))
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE re (k REAL, w INTEGER)`)
@@ -566,12 +556,7 @@ func TestRangeElisionDifferential(t *testing.T) {
 	// number, and the pruned scan must agree with the closure exactly.
 	q := `SELECT w FROM re WHERE k <= ?`
 	p := canonical(mustQuery(t, db, q, relation.Float(math.NaN())))
-	DisablePlanner = true
-	nres, err := db.Query(q, relation.Float(math.NaN()))
-	DisablePlanner = false
-	if err != nil {
-		t.Fatal(err)
-	}
+	nres := queryIn(t, db, Reference, q, relation.Float(math.NaN()))
 	if p != canonical(nres) {
 		t.Fatalf("NaN-bound elision diverges: %q vs %q", p, canonical(nres))
 	}
@@ -585,6 +570,7 @@ func TestRangeElisionDifferential(t *testing.T) {
 // EXISTS closure and the probe kernel — with a twin that only ever
 // built the map, and with an unindexed oracle.
 func TestEqualityProbesFromOrderedIndex(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(79))
 	newTwin := func(indexed bool) *DB {
 		db := NewDB()
@@ -641,8 +627,10 @@ func TestEqualityProbesFromOrderedIndex(t *testing.T) {
 				all(`TRUNCATE TABLE e`)
 			}
 		}
-		for _, kernels := range []bool{true, false} {
-			DisableBatchKernels = !kernels
+		for _, mode := range []Mode{RowAtATime, Planned} { // ends in Planned: the DML above runs with kernels
+			for _, db := range []*DB{ref, ordered, mapped} {
+				db.SetMode(mode)
+			}
 			for _, q := range []string{
 				`SELECT w FROM e WHERE k = ?`,
 				`SELECT w FROM e WHERE k = ? AND g = 1`,
@@ -659,14 +647,13 @@ func TestEqualityProbesFromOrderedIndex(t *testing.T) {
 				for _, ps := range params {
 					want := canonical(mustQuery(t, ref, q, ps...))
 					if got := canonical(mustQuery(t, ordered, q, ps...)); got != want {
-						t.Fatalf("step %d kernels=%v: ordered index diverges on %q %v: %q, want %q", step, kernels, q, ps, got, want)
+						t.Fatalf("step %d mode %d: ordered index diverges on %q %v: %q, want %q", step, mode, q, ps, got, want)
 					}
 					if got := canonical(mustQuery(t, mapped, q, ps...)); got != want {
-						t.Fatalf("step %d kernels=%v: mapped index diverges on %q %v: %q, want %q", step, kernels, q, ps, got, want)
+						t.Fatalf("step %d mode %d: mapped index diverges on %q %v: %q, want %q", step, mode, q, ps, got, want)
 					}
 				}
 			}
-			DisableBatchKernels = false
 		}
 		for _, name := range []string{"idx_e_k", "idx_e_kg"} {
 			verifyIndexConsistent(t, ordered, "e", name)

@@ -37,10 +37,36 @@ import (
 // exactly Truth(WHERE) under SQL three-valued logic. Evaluation order
 // of (side-effect-free) predicates is the only thing that shifts.
 
-// DisablePlanner forces every statement through the legacy all-pairs
-// nested-loop path. It exists for the differential property tests and
-// the ablation benchmark; production code must leave it false.
-var DisablePlanner = false
+// Mode selects how much of the optimizer a DB compiles into its plans.
+// The values are ordered: each one strips what the one before it kept.
+// The differential suites and the ablation benchmark run the same
+// statements under the lesser modes; production code leaves a DB in
+// Planned.
+type Mode int32
+
+const (
+	// Planned is the default: planned joins, batch kernels over the
+	// column cache, decorrelated subqueries.
+	Planned Mode = iota
+	// RowAtATime keeps the planner but extracts no batch kernel: every
+	// scheduled predicate runs as its per-row closure.
+	RowAtATime
+	// Reference is the ground truth the other two are compared with. It
+	// shares no analysis with them: the all-pairs nested loop over the
+	// monolithic WHERE closure, EXISTS re-executed per row, the per-row
+	// DML filter, no streamed grouping, no projection cache.
+	Reference
+)
+
+// SetMode switches the DB's execution mode. The mode is an input of
+// compilation and of nothing else — a cached plan is valid for the mode
+// it was compiled under (planFor), so the next execution of every
+// statement recompiles, and no executor loop ever reads it. Call it
+// between statements: one being compiled while the mode changes may
+// mix the two.
+func (db *DB) SetMode(m Mode) { db.mode.Store(int32(m)) }
+
+func (db *DB) execMode() Mode { return Mode(db.mode.Load()) }
 
 // reorderMinRows is the largest-source threshold below which the
 // planner keeps the syntactic FROM order: for tiny joins reordering
@@ -112,11 +138,12 @@ type rangeSide struct {
 }
 
 // planWhere decomposes the WHERE clause for cs. On any analysis
-// failure it leaves cs.planOK false and the executor falls back to the
-// legacy nested loop over cs.where.
+// failure, and always in Reference mode, it leaves cs.planOK false and
+// the executor runs the nested loop over cs.where.
 func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 	cs.planOK = false
-	if len(cs.sources) == 0 || len(cs.sources) > 64 {
+	mode := c.db.execMode()
+	if len(cs.sources) == 0 || len(cs.sources) > 64 || mode == Reference {
 		return
 	}
 	depth := cs.depth
@@ -148,11 +175,13 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 					return
 				}
 				part := planPart{ex: ex, srcs: mask}
-				if mask != 0 {
+				if mask != 0 && mode == Planned {
 					// Every part that reads a current-scope source gets its
 					// kernel candidates: plain conjuncts consume simple
 					// kernels, and whole OR groups are consumed when every
 					// source-reading part of every alternative kernelizes.
+					// RowAtATime extracts none, so buildSchedule finds no
+					// kernel to place and every predicate stays a closure.
 					part.kp = c.extractKPred(pe, depth)
 				}
 				pt.parts = append(pt.parts, part)
@@ -517,45 +546,43 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 	for i := range claim {
 		claim[i] = -1
 	}
-	if !DisableBatchKernels {
-		for ci, pc := range cs.conjs {
-			if pc.srcs == 0 {
-				continue
+	for ci, pc := range cs.conjs {
+		if pc.srcs == 0 {
+			continue
+		}
+		last := -1
+		for pos, s := range order {
+			if pc.srcs&(srcMask(1)<<uint(s)) != 0 {
+				last = pos
 			}
-			last := -1
-			for pos, s := range order {
-				if pc.srcs&(srcMask(1)<<uint(s)) != 0 {
-					last = pos
+		}
+		s := order[last]
+		if cs.sources[s].table == nil {
+			continue // no column vectors to kernel over
+		}
+		bit := srcMask(1) << uint(s)
+		interesting := len(pc.terms) > 1
+		ok := true
+		for _, t := range pc.terms {
+			for _, p := range t.parts {
+				if p.srcs&bit == 0 {
+					continue
 				}
-			}
-			s := order[last]
-			if cs.sources[s].table == nil {
-				continue // no column vectors to kernel over
-			}
-			bit := srcMask(1) << uint(s)
-			interesting := len(pc.terms) > 1
-			ok := true
-			for _, t := range pc.terms {
-				for _, p := range t.parts {
-					if p.srcs&bit == 0 {
-						continue
-					}
-					k := kpFor(p.kp, s)
-					if k == nil {
-						ok = false
-						break
-					}
-					if k.simple == nil {
-						interesting = true
-					}
-				}
-				if !ok {
+				k := kpFor(p.kp, s)
+				if k == nil {
+					ok = false
 					break
 				}
+				if k.simple == nil {
+					interesting = true
+				}
 			}
-			if ok && interesting {
-				claim[ci] = last
+			if !ok {
+				break
 			}
+		}
+		if ok && interesting {
+			claim[ci] = last
 		}
 	}
 	for ci, pc := range cs.conjs {
@@ -645,7 +672,7 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 				// per outer row on this cached schedule, and the hash the
 				// diversion skips is built once per env while the kernel
 				// would sweep the column on every re-execution.
-				if probe.idx == nil && probe.pfx == nil && !DisableBatchKernels && cs.depth == 0 &&
+				if probe.idx == nil && probe.pfx == nil && cs.depth == 0 &&
 					probeConsts == len(probe.keys) && estEntries(srcRows, order[:pos]) <= constEqKernelMaxEntries {
 					divert := true
 					for _, ci := range probe.conjs {
@@ -724,7 +751,7 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 		// for this source runs as a vector filter over the cached column
 		// vectors instead of per-row closures. Derived sources have no
 		// column vectors.
-		if !DisableBatchKernels && cs.sources[s].table != nil {
+		if cs.sources[s].table != nil {
 			for ci, pc := range cs.conjs {
 				if consumed[ci] || claim[ci] >= 0 || len(pc.terms) != 1 {
 					continue
@@ -887,14 +914,12 @@ func (en *env) scheduleFor(cs *compiledSelect, srcRows [][]relation.Tuple) *sche
 // scan enumerates the row combinations passing WHERE, planned when
 // possible, by nested loop otherwise.
 func (cs *compiledSelect) scan(en *env, srcRows [][]relation.Tuple, yield func() error) error {
-	if DisablePlanner || !cs.planOK {
+	if !cs.planOK {
 		return cs.joinLoop(en, srcRows, 0, yield)
 	}
 	sch := en.scheduleFor(cs, srcRows)
 	return cs.runPlan(en, sch, srcRows, func([]int) error { return yield() })
 }
-
-var yieldFound = func([]int) error { return errFound }
 
 // runPlan executes the planned join. yield receives the current row
 // index per source (indexed by source position, not loop order).
@@ -1321,7 +1346,7 @@ func (cs *compiledSelect) semiScan(en *env, yield func(idx []int) error) error {
 func (cs *compiledSelect) describePlan(ep *epoch) []string {
 	var out []string
 	if !cs.planOK {
-		return []string{"nested loop (WHERE not analyzable; legacy path)"}
+		return []string{"nested loop over the WHERE closure (Reference mode, or WHERE not analyzable)"}
 	}
 	srcRows := make([][]relation.Tuple, len(cs.sources))
 	for i, src := range cs.sources {
@@ -1461,65 +1486,56 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 	return out
 }
 
-// Explain parses and compiles a single statement and reports the plan
-// the engine would run: join order, per-level access paths (scan, hash
-// join, index probe), predicate placement, and for UPDATE and DELETE
-// the row selection that would execute right now (rowSelect.describe
-// mirrors the runtime choice, reading the same table sizes).
+// Explain reports the plan the engine would run for a single statement:
+// join order, per-level access paths (scan, hash join, index probe),
+// predicate placement, and for UPDATE and DELETE the row selection that
+// would execute right now (rowSelect.describe mirrors the runtime
+// choice, reading the same table sizes). It describes the statement's
+// cached plan — the one an execution would pick up, compiled under the
+// DB's current Mode — not a compilation of its own.
 func (db *DB) Explain(sqlText string) (string, error) {
-	stmts, err := ParseScript(sqlText)
+	p, err := db.Prepare(sqlText)
 	if err != nil {
 		return "", err
 	}
-	if len(stmts) != 1 {
-		return "", fmt.Errorf("sql: EXPLAIN wants exactly one statement, got %d", len(stmts))
+	if len(p.stmts) != 1 {
+		return "", fmt.Errorf("sql: EXPLAIN wants exactly one statement, got %d", len(p.stmts))
+	}
+	switch p.stmts[0].(type) {
+	case *Select, *Insert, *Update, *Delete:
+	default:
+		return fmt.Sprintf("%T: no plan\n", p.stmts[0]), nil
 	}
 	// Explain is a reader: it pins the current epoch (no lock) and
-	// compiles/describes against that frozen state.
+	// describes against that frozen state.
 	ep := db.pin()
 	defer db.unpin(ep)
+	plan, err := db.planFor(p, 0, ep)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
-	switch s := stmts[0].(type) {
-	case *Select:
-		c := &compiler{db: db, ep: ep}
-		cs, err := c.compileSubSelect(s)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString("SELECT\n")
+	describe := func(head string, cs *compiledSelect) {
+		b.WriteString(head)
 		for _, line := range cs.describePlan(ep) {
 			b.WriteString("  " + line + "\n")
 		}
-	case *Update:
-		p, err := db.compileUpdate(s, ep)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString("UPDATE " + p.sel.t.Name + "\n")
-		p.sel.describe(ep, &b)
-	case *Delete:
-		p, err := db.compileDelete(s, ep)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString("DELETE " + p.sel.t.Name + "\n")
-		p.sel.describe(ep, &b)
-	case *Insert:
-		if s.Query != nil {
-			c := &compiler{db: db, ep: ep}
-			cs, err := c.compileSubSelect(s.Query)
-			if err != nil {
-				return "", err
-			}
-			b.WriteString("INSERT from SELECT\n")
-			for _, line := range cs.describePlan(ep) {
-				b.WriteString("  " + line + "\n")
-			}
+	}
+	switch pl := plan.(type) {
+	case *compiledSelect:
+		describe("SELECT\n", pl)
+	case *updatePlan:
+		b.WriteString("UPDATE " + pl.sel.t.Name + "\n")
+		pl.sel.describe(ep, &b)
+	case *deletePlan:
+		b.WriteString("DELETE " + pl.sel.t.Name + "\n")
+		pl.sel.describe(ep, &b)
+	case *insertPlan:
+		if pl.query != nil {
+			describe("INSERT from SELECT\n", pl.query)
 		} else {
-			b.WriteString(fmt.Sprintf("INSERT %d literal row(s)\n", len(s.Rows)))
+			fmt.Fprintf(&b, "INSERT %d literal row(s)\n", len(pl.rows))
 		}
-	default:
-		b.WriteString(fmt.Sprintf("%T: no plan\n", s))
 	}
 	return b.String(), nil
 }

@@ -29,18 +29,7 @@ func canonical(res *Result) string {
 // the forced nested loop, returning both canonical results.
 func runBothPaths(t *testing.T, db *DB, q string) (planned, nested string) {
 	t.Helper()
-	DisablePlanner = false
-	p, err := db.Query(q)
-	if err != nil {
-		t.Fatalf("planned %q: %v", q, err)
-	}
-	DisablePlanner = true
-	n, err := db.Query(q)
-	DisablePlanner = false
-	if err != nil {
-		t.Fatalf("nested %q: %v", q, err)
-	}
-	return canonical(p), canonical(n)
+	return canonical(queryIn(t, db, Planned, q)), canonical(queryIn(t, db, Reference, q))
 }
 
 // TestExplainShowsHashJoin: an equality join between two base tables
@@ -95,11 +84,11 @@ func TestExplainShowsIndexProbe(t *testing.T) {
 	}
 }
 
-// TestExplainSemiJoinUpdate: UPDATE ... WHERE EXISTS over base tables
+// TestExplainSemiJoinRowSelection: UPDATE ... WHERE EXISTS over base tables
 // reports the semi-join row selection when the size heuristic would
 // actually take it, and the planned (batched) row selection otherwise —
 // EXPLAIN mirrors runUpdate's runtime choice.
-func TestExplainSemiJoinUpdate(t *testing.T) {
+func TestExplainSemiJoinRowSelection(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE d (id INTEGER, flag INTEGER)`)
 	mustExec(t, db, `CREATE TABLE pat (id INTEGER)`)
@@ -202,9 +191,10 @@ func TestPlanCacheInvalidationOnCreateIndex(t *testing.T) {
 	}
 }
 
-// TestSemiJoinUpdateEquivalence: the semi-join UPDATE strategy and the
+// TestSemiJoinRowSelectionEquivalence: the semi-join UPDATE strategy and the
 // per-row filter produce identical table states.
-func TestSemiJoinUpdateEquivalence(t *testing.T) {
+func TestSemiJoinRowSelectionEquivalence(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 20; trial++ {
 		setup := func() *DB {
@@ -226,15 +216,17 @@ func TestSemiJoinUpdateEquivalence(t *testing.T) {
 		q := fmt.Sprintf(
 			`UPDATE d t SET flag = 1 WHERE t.id < %d AND EXISTS (SELECT 1 FROM pat c WHERE c.p = t.a AND c.q < 2)`, lim)
 
+		// pat holds at most 5 rows against d's 30 or more, so the size
+		// rule (useSemiJoin) picks the semi-join on its own.
 		dbA := setup()
-		forceSemiJoinUpdate = true
+		if plan, err := dbA.Explain(q); err != nil || !strings.Contains(plan, "semi-join row selection") {
+			t.Fatalf("trial %d: expected the semi-join row selection (%v):\n%s", trial, err, plan)
+		}
 		mustExec(t, dbA, q)
-		forceSemiJoinUpdate = false
 
 		dbB := setup()
-		disableSemiJoinUpdate = true
+		dbB.SetMode(Reference)
 		mustExec(t, dbB, q)
-		disableSemiJoinUpdate = false
 
 		a := canonical(mustQuery(t, dbA, `SELECT id, a, flag FROM d`))
 		b := canonical(mustQuery(t, dbB, `SELECT id, a, flag FROM d`))
@@ -245,22 +237,35 @@ func TestSemiJoinUpdateEquivalence(t *testing.T) {
 }
 
 // TestHashJoinNaNConsistency: NaN = NaN is false under SQL equality,
-// so a planned hash join must not pair NaN keys the nested loop
-// rejects.
+// however the equality is spelled and whatever answers it — a planned
+// hash join or index probe must not pair NaN keys the nested loop
+// rejects, and neither may the decorrelated EXISTS probe (hash build or
+// index) that stands in for the same predicate.
 func TestHashJoinNaNConsistency(t *testing.T) {
-	db := NewDB()
-	mustExec(t, db, `CREATE TABLE fa (x REAL)`)
-	mustExec(t, db, `CREATE TABLE fb (y REAL)`)
-	mustExec(t, db, `INSERT INTO fa VALUES (?)`, relation.Float(math.NaN()))
-	mustExec(t, db, `INSERT INTO fa VALUES (1.5)`)
-	mustExec(t, db, `INSERT INTO fb VALUES (?)`, relation.Float(math.NaN()))
-	mustExec(t, db, `INSERT INTO fb VALUES (1.5)`)
-	planned, nested := runBothPaths(t, db, `SELECT fa.x FROM fa, fb WHERE fa.x = fb.y`)
-	if planned != nested {
-		t.Fatalf("NaN keys diverge: planned %q vs nested %q", planned, nested)
-	}
-	if planned != "1.5" {
-		t.Fatalf("NaN must never join: got %q", planned)
+	t.Parallel()
+	for _, indexed := range []bool{false, true} {
+		db := NewDB()
+		mustExec(t, db, `CREATE TABLE fa (x REAL)`)
+		mustExec(t, db, `CREATE TABLE fb (y REAL)`)
+		if indexed {
+			mustExec(t, db, `CREATE INDEX idx_fb_y ON fb (y)`)
+		}
+		mustExec(t, db, `INSERT INTO fa VALUES (?)`, relation.Float(math.NaN()))
+		mustExec(t, db, `INSERT INTO fa VALUES (1.5)`)
+		mustExec(t, db, `INSERT INTO fb VALUES (?)`, relation.Float(math.NaN()))
+		mustExec(t, db, `INSERT INTO fb VALUES (1.5)`)
+		for _, c := range []struct{ q, want string }{
+			{`SELECT fa.x FROM fa, fb WHERE fa.x = fb.y`, "1.5"},
+			{`SELECT fa.x FROM fa WHERE EXISTS (SELECT 1 FROM fb WHERE fb.y = fa.x)`, "1.5"},
+			{`SELECT fa.x FROM fa WHERE fa.x IN (SELECT fb.y FROM fb)`, "1.5"},
+			{`SELECT fa.x FROM fa WHERE NOT EXISTS (SELECT 1 FROM fb WHERE fb.y = fa.x)`, "NaN"},
+		} {
+			batch, row, nested := runThreeWays(t, db, c.q, false)
+			if batch != c.want || row != c.want || nested != c.want {
+				t.Errorf("indexed=%v %q: NaN must equal nothing, want %q:\nbatch  %q\nrow    %q\nnested %q",
+					indexed, c.q, c.want, batch, row, nested)
+			}
+		}
 	}
 }
 
@@ -285,6 +290,7 @@ func TestPreparedNumParams(t *testing.T) {
 // under random predicates over NULL- and NaN-bearing data, whichever
 // side of the size heuristic the tables fall on.
 func TestDeletePlannedSelectionDifferential(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(211))
 	semiSeen := 0
 	for trial := 0; trial < 120; trial++ {
@@ -351,17 +357,14 @@ func TestDeletePlannedSelectionDifferential(t *testing.T) {
 		q := "DELETE FROM d t WHERE " + where
 
 		planned, nested := setup(), setup()
-		forceSemiJoinUpdate = trial%3 == 0
+		nested.SetMode(Reference)
 		if plan, err := planned.Explain(q); err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, q)
 		} else if strings.Contains(plan, "semi-join row selection") {
 			semiSeen++
 		}
 		nPlanned := mustExec(t, planned, q)
-		forceSemiJoinUpdate = false
-		DisablePlanner = true
 		nNested := mustExec(t, nested, q)
-		DisablePlanner = false
 
 		a := canonical(mustQuery(t, planned, `SELECT rid, a, x FROM d`))
 		b := canonical(mustQuery(t, nested, `SELECT rid, a, x FROM d`))

@@ -21,7 +21,8 @@ import (
 //     compiled plans. Plans bind catalog objects (tables, indexes), so
 //     they are invalidated by bumping DB.ddlVersion on CREATE TABLE,
 //     CREATE INDEX, DROP TABLE and LoadRelation; the next execution
-//     recompiles against the current catalog.
+//     recompiles against the current catalog. SetMode invalidates them
+//     the same way: a plan is kept under (ddlVersion, Mode).
 //
 // Both layers are safe under the concurrent read path: the statement
 // cache has its own mutex (db.stmtMu), and each Prepared guards its
@@ -113,8 +114,15 @@ type Prepared struct {
 	// well, which orders the ddlVersion reads below against DDL.
 	mu    sync.Mutex
 	plans []execPlan
-	vers  []uint64
+	keys  []planKey
 	errs  []error
+}
+
+// planKey is what a compiled plan is valid for. The zero key matches
+// nothing: ddlVersion starts at 1.
+type planKey struct {
+	ddlVersion uint64
+	mode       Mode
 }
 
 // Prepare parses sqlText (through the AST cache) and returns the
@@ -138,7 +146,7 @@ func (db *DB) Prepare(sqlText string) (*Prepared, error) {
 		stmts:   stmts,
 		nParams: numParamsStmts(stmts),
 		plans:   make([]execPlan, len(stmts)),
-		vers:    make([]uint64, len(stmts)),
+		keys:    make([]planKey, len(stmts)),
 		errs:    make([]error, len(stmts)),
 	}
 	db.stmtMu.Lock()
@@ -262,15 +270,18 @@ func (db *DB) execPreparedLocked(p *Prepared, i int, params []relation.Value) (i
 }
 
 // planFor returns statement i's plan, compiling (or recompiling after
-// DDL) as needed against ep. Plans are cached per ddlVersion: every
-// epoch of the same version has identical tables/schemas/indexes, so a
-// cached plan is valid for any of them. Compile errors are cached the
+// DDL or SetMode) as needed against ep. Plans are cached per ddlVersion
+// and Mode: every epoch of the same version has identical
+// tables/schemas/indexes, so a cached plan is valid for any of them,
+// and the mode decides what the compiler builds into it. This is the
+// one place an execution reads the mode. Compile errors are cached the
 // same way. Callers need no catalog lock — ep is immutable; p.mu
 // serializes concurrent compilations of the same slot.
 func (db *DB) planFor(p *Prepared, i int, ep *epoch) (execPlan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.vers[i] == ep.ddlVersion {
+	key := planKey{ep.ddlVersion, db.execMode()}
+	if p.keys[i] == key {
 		return p.plans[i], p.errs[i]
 	}
 	var plan execPlan
@@ -300,7 +311,7 @@ func (db *DB) planFor(p *Prepared, i int, ep *epoch) (execPlan, error) {
 	default:
 		err = fmt.Errorf("sql: cannot prepare %T", s)
 	}
-	p.plans[i], p.errs[i], p.vers[i] = plan, err, ep.ddlVersion
+	p.plans[i], p.errs[i], p.keys[i] = plan, err, key
 	return plan, err
 }
 

@@ -249,6 +249,7 @@ func TestQuickRoundTripInsertSelect(t *testing.T) {
 // single-table w queries, join-driver-served when a multi-table
 // ORDER BY's source drives the join).
 func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(97))
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE r (a INTEGER, b INTEGER, s TEXT)`)
@@ -484,35 +485,37 @@ func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 	}
 }
 
-// runThreeWays executes q through (1) the planner with batch kernels,
-// (2) the planner with kernels forced onto the per-row closure path,
-// and (3) the forced all-pairs nested loop. exact compares the emitted
-// sequences byte-for-byte (valid when an ORDER BY pins the order);
-// otherwise results canonicalize to multisets.
+// runThreeWays executes q on db under each Mode — (1) the planner with
+// batch kernels, (2) the planner with every predicate on the per-row
+// closure path, and (3) the Reference all-pairs nested loop — and
+// leaves db in Planned. exact compares the emitted sequences
+// byte-for-byte (valid when an ORDER BY pins the order); otherwise
+// results canonicalize to multisets.
 func runThreeWays(t *testing.T, db *DB, q string, exact bool, params ...relation.Value) (batch, row, nested string) {
 	t.Helper()
 	canon := canonical
 	if exact {
 		canon = flat
 	}
-	DisablePlanner, DisableBatchKernels = false, false
-	b, err := db.Query(q, params...)
-	if err != nil {
-		t.Fatalf("batch %q: %v", q, err)
+	var out [3]string
+	for m := Planned; m <= Reference; m++ {
+		out[m] = canon(queryIn(t, db, m, q, params...))
 	}
-	DisableBatchKernels = true
-	r, err := db.Query(q, params...)
-	DisableBatchKernels = false
+	return out[Planned], out[RowAtATime], out[Reference]
+}
+
+// queryIn runs q with db switched to mode m, and puts db back in
+// Planned. The mode is per DB, so tests that own their DB run in
+// parallel with each other.
+func queryIn(t *testing.T, db *DB, m Mode, q string, params ...relation.Value) *Result {
+	t.Helper()
+	db.SetMode(m)
+	defer db.SetMode(Planned)
+	res, err := db.Query(q, params...)
 	if err != nil {
-		t.Fatalf("row %q: %v", q, err)
+		t.Fatalf("mode %d, %q: %v", m, q, err)
 	}
-	DisablePlanner = true
-	n, err := db.Query(q, params...)
-	DisablePlanner = false
-	if err != nil {
-		t.Fatalf("nested %q: %v", q, err)
-	}
-	return canon(b), canon(r), canon(n)
+	return res
 }
 
 // ORDER BY with mixed directions and an expression key.

@@ -14,7 +14,7 @@ import (
 // grouped select over a lone derived DISTINCT source, keyed by the
 // source's leading columns, consumes the source's matches without
 // materializing them. These tests are its oracle: every query runs
-// planned, with the batch kernels off, and through the DisablePlanner
+// planned, with the batch kernels off, and through the Reference-mode
 // nested loop — which materializes the source and groups it with
 // execGrouped — and the three must agree.
 
@@ -48,6 +48,7 @@ func streamDB(t *testing.T) *DB {
 const streamedMark = "[streamed: distinct source feeds"
 
 func TestStreamedGroupingDifferential(t *testing.T) {
+	t.Parallel()
 	db := streamDB(t)
 	m4 := `(SELECT DISTINCT cat, sub, val, tag FROM ev) m`
 	qmv := `(SELECT DISTINCT p.cid AS cid,
@@ -148,6 +149,7 @@ func TestStreamedGroupingExplain(t *testing.T) {
 // the operator is per execution. The inserts turn a singleton group
 // into a pair, add a group, and repeat an existing row (no change).
 func TestStreamedGroupingReexecution(t *testing.T) {
+	t.Parallel()
 	db := streamDB(t)
 	q := `SELECT cat, sub, COUNT(*), SUM(val), COUNT(DISTINCT tag) FROM (SELECT DISTINCT cat, sub, val, tag FROM ev WHERE val >= ?) m GROUP BY cat, sub HAVING COUNT(*) >= 1`
 	p, err := db.Prepare(q)
@@ -185,15 +187,15 @@ func TestStreamedGroupingReexecution(t *testing.T) {
 // INSERT … SELECT over the streamed grouping — the form the detector's
 // Qmv statement has — stores what the nested loop selects.
 func TestStreamedGroupingFeedsInsert(t *testing.T) {
+	t.Parallel()
 	db := streamDB(t)
 	mustExec(t, db, `CREATE TABLE aux (cat TEXT, sub TEXT)`)
 	ins := `INSERT INTO aux SELECT m.cat, m.sub FROM (SELECT DISTINCT cat, sub, val FROM ev) m GROUP BY m.cat, m.sub HAVING COUNT(*) > 1`
 	n := mustExec(t, db, ins)
 	planned := canonical(mustQuery(t, db, `SELECT * FROM aux`))
 	mustExec(t, db, `DELETE FROM aux`)
-	DisablePlanner = true
+	db.SetMode(Reference)
 	nn := mustExec(t, db, ins)
-	DisablePlanner = false
 	nested := canonical(mustQuery(t, db, `SELECT * FROM aux`))
 	if n != nn || planned != nested || n == 0 {
 		t.Fatalf("INSERT … SELECT diverges: %d rows %s vs nested %d rows %s", n, planned, nn, nested)

@@ -32,10 +32,6 @@ type probeScratch struct {
 	invVals  []relation.Value
 }
 
-// DisableInvariantKeys turns the loop-invariant probe-key cache off,
-// re-evaluating every key expression per probe (for A/B benchmarking).
-var DisableInvariantKeys = false
-
 // probeKey is the compiled key side of a decorrelated probe: one part
 // per key column, analysed for loop-invariance against the *pattern
 // site* — the single outer FROM source (typically the paper's tiny enc
@@ -85,7 +81,7 @@ func (pk *probeKey) scratch(en *env) *probeScratch {
 }
 
 // eval computes the probe-key values into ps.vals. ok is false when a
-// key component is NULL (an equality can never match then). When the
+// key component is NULL or NaN (an equality can never match then). When the
 // pattern-site row is unchanged since the last call, the invariant
 // parts replay from the cache.
 func (pk *probeKey) eval(en *env, ps *probeScratch) (ok bool, err error) {
@@ -138,7 +134,7 @@ func (pk *probeKey) eval(en *env, ps *probeScratch) (ok bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		if v.IsNull() {
+		if v.IsNull() || isNaN(v) {
 			return false, nil
 		}
 		ps.vals[i] = v
@@ -163,7 +159,7 @@ type inBuild struct {
 //  2. Uncorrelated — the subquery never references outer scopes: it is
 //     executed once per statement and its emptiness cached.
 //  3. Naive — re-execute per outer row (correlated in a form we cannot
-//     decorrelate).
+//     decorrelate; every correlated EXISTS in Reference mode).
 func (c *compiler) compileExists(x *Exists) (compiledExpr, error) {
 	if probe, err := c.tryDecorrelate(x); err != nil {
 		return nil, err
@@ -181,8 +177,9 @@ func (c *compiler) compileExists(x *Exists) (compiledExpr, error) {
 	if err := c.depsOfSelect(x.Sub, deps); err != nil {
 		return nil, err
 	}
-	if len(deps) == 0 && !subqueryMutable(x.Sub) {
-		// Uncorrelated: evaluate once per env, cache emptiness.
+	if len(deps) == 0 {
+		// Uncorrelated: evaluate once per env, cache emptiness. Tables
+		// cannot change mid-statement (it reads one pinned epoch).
 		return func(en *env) (relation.Value, error) {
 			b, ok := en.hash[x]
 			if !ok {
@@ -212,22 +209,6 @@ func (c *compiler) compileExists(x *Exists) (compiledExpr, error) {
 		return relation.Bool(found != neg), nil
 	}, nil
 }
-
-// subqueryMutable reports whether caching the subquery result for the
-// duration of one statement would be unsound. Tables cannot change
-// mid-statement in this engine (queries run against a pinned immutable
-// epoch; mutations publish new epochs that in-flight statements never
-// observe), so results are always cacheable.
-func subqueryMutable(*Select) bool { return false }
-
-// DisableIndexProbes turns persistent-index probing off, falling back
-// to per-statement hash builds (for A/B benchmarking).
-var DisableIndexProbes = false
-
-// DisableDecorrelation turns the EXISTS hash-probe optimization off.
-// It exists only so the ablation benchmark (DESIGN.md §5) can measure
-// what the optimization buys; production code must leave it false.
-var DisableDecorrelation = false
 
 // decorrProbe is the analyzed form of a decorrelatable EXISTS: the
 // inner table, the key columns and the matching outer key expressions,
@@ -291,10 +272,12 @@ build:
 
 // analyzeDecorrelate performs the shape analysis of tryDecorrelate and
 // returns the shared probe description, or nil when the subquery does
-// not qualify. Compile errors in qualifying shapes propagate. Results
-// are memoized per compiler (closure and kernel extraction both ask).
+// not qualify — none does in Reference mode, which re-executes every
+// correlated EXISTS per row. Compile errors in qualifying shapes
+// propagate. Results are memoized per compiler (closure and kernel
+// extraction both ask).
 func (c *compiler) analyzeDecorrelate(x *Exists) (*decorrProbe, error) {
-	if DisableDecorrelation {
+	if c.db.execMode() == Reference {
 		return nil, nil
 	}
 	if d, ok := c.decorr[x]; ok {
@@ -393,7 +376,7 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 	// columns replaces the per-statement hash build: the index persists
 	// across statements and only rebuilds after table mutations. The
 	// probe key must follow the index's column order.
-	if len(filters) == 0 && !DisableIndexProbes {
+	if len(filters) == 0 {
 		d.idx, d.perm = probeIndex(c.ep.tds[t], d.keyCols)
 	}
 	return d, nil
@@ -579,7 +562,7 @@ func (c *compiler) buildProbeKey(x *Exists, outer []Expr, innerDepth int) (*prob
 		}
 		pk.parts[i] = probePart{full: full}
 	}
-	if DisableInvariantKeys || len(outer) > 64 {
+	if len(outer) > 64 {
 		return pk, nil
 	}
 	sc := &siteClassifier{c: c, innerDepth: innerDepth}

@@ -29,7 +29,8 @@ func diffSeed(t *testing.T, fixed int64) int64 {
 
 // TestValueSetProbeDifferential fuzzes the probe kernel's value-set
 // path (probeInst.bindSets) against the per-row closure path and the
-// forced nested loop: a data table one row below and one at the
+// Reference nested loop, which re-executes the subquery per pair and so
+// shares no probe with them: a data table one row below and one at the
 // candidate threshold, a pattern table whose flags leave zero, one or
 // several key parts per-row, and a probe side of 0–80 rows — one time in
 // four, of more than can be walked, which an index prefix may still
@@ -40,6 +41,7 @@ func diffSeed(t *testing.T, fixed int64) int64 {
 // statement runs a second time as the same prepared plan after the probe
 // side changed: the sets belong to an execution, never to the plan.
 func TestValueSetProbeDifferential(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(diffSeed(t, 167)))
 	big := int64(1) << 53
 	texts := []relation.Value{relation.Null(), relation.Text("@"), relation.Text("@NULL@"),
@@ -95,7 +97,7 @@ func TestValueSetProbeDifferential(t *testing.T) {
 			cols: []string{"g", "n", "x"},
 			on:   "pt.g = ct.cid AND pt.n = vt.i AND pt.x = vt.r",
 		},
-		{ // one plain column, the set probe of the pattern-set tables: NaN, ±0
+		{ // one plain column, the set probe of the pattern-set tables: NaN matches nothing, itself included; +0 matches -0
 			cols: []string{"g", "x"},
 			on:   "pt.g = ct.cid AND pt.x = vt.r",
 		},

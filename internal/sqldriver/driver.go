@@ -15,9 +15,8 @@
 // goroutine its own connection, every connection is a thin handle on
 // the shared engine, and the engine's MVCC epochs let every SELECT run
 // lock-free against the published snapshot while DML/DDL serialize on
-// the writer side. The parallel detector
-// (internal/detect.ParallelDetect) fans its violation queries through
-// exactly this path.
+// the writer side. The server's concurrent check and violation readers
+// (internal/server) go through exactly this path.
 //
 // A transaction opened with ReadOnly (sql.TxOptions{ReadOnly: true})
 // pins one epoch for its whole lifetime: every query inside it
