@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz bench-short bench-json explain ci
+.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz fuzz bench-short bench-json explain ci
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,13 @@ mvccstress:
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
 	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential' ./internal/sqldb/ -args -seed=$$seed
+
+# Native fuzzing, ten seconds per target: the SQL lexer and parser never
+# panic and every error they return carries a source offset (FuzzParse,
+# seeded with the detector's generated statements). A failure writes its
+# input under internal/sqldb/testdata/fuzz/, which `go test` then replays.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sqldb/
 
 # Quick perf signal: the two acceptance benchmarks plus the planner
 # ablation, a few iterations each.

@@ -17,8 +17,10 @@ type CheckResult struct {
 // the batch is staged into the _ins table and the two fixed detection
 // queries run over the staging table against the current flags and
 // Aux(D). Nothing is merged — the data table, the violation flags and
-// Aux are untouched — so Check costs two indexed read-only queries and
-// can run at request rate between updates (the server's hot path).
+// Aux are untouched — so Check never scans D. It is four statements, a
+// TRUNCATE and an INSERT on the staging table (two epochs published,
+// both touching that table alone) and the two SELECTs, cheap enough to
+// run at request rate between updates (the server's hot path).
 //
 // The verdict's contract:
 //
@@ -65,8 +67,7 @@ func (d *Detector) Check(batch *relation.Relation) ([]CheckResult, error) {
 			}
 			args = append(args, 0, 0)
 		}
-		q := fmt.Sprintf("INSERT INTO %s VALUES %s", d.insTable, placeholderRows(len(chunk), width))
-		if _, err := d.db.Exec(q, args...); err != nil {
+		if _, err := d.db.Exec(d.insertText(d.insTable, len(chunk), width), args...); err != nil {
 			return nil, fmt.Errorf("detect: check: stage batch: %w", err)
 		}
 	}

@@ -153,3 +153,86 @@ func TestCheckStatementsFixed(t *testing.T) {
 		}
 	}
 }
+
+// checkWorkload is the check route's unit of work: one warm detector on
+// 10 000 rows and a batch of 8 generated candidates.
+func checkWorkload(t testing.TB) (*Detector, *relation.Relation, func()) {
+	t.Helper()
+	const rows = 10_000
+	d, cleanup := newBenchDetector(t, rows, 7)
+	if _, err := d.BatchDetect(); err != nil {
+		cleanup()
+		t.Fatal(err)
+	}
+	return d, gen.Updates(gen.Config{Rows: rows, Noise: 5, Seed: 7}, 8, 1_000_000), cleanup
+}
+
+// TestCheckSteadyStateWork states the check route's per-request overhead
+// in counts, which no host drift moves: once warm, a Check lays out no
+// join-plan instance — every select of its statements finds an idle one
+// (sqldb.Stats.SchedBuilds) — renders no statement text, and stays under
+// 300 allocations (585 when every execution rebuilt its schedules).
+func TestCheckSteadyStateWork(t *testing.T) {
+	d, cand, cleanup := checkWorkload(t)
+	eng := d.eng
+	defer cleanup()
+	check := func() {
+		if _, err := d.Check(cand); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		check()
+	}
+	before, texts := eng.Stats(), len(d.insertTexts)
+	for i := 0; i < 200; i++ {
+		check()
+	}
+	after := eng.Stats()
+	if after.SchedBuilds != before.SchedBuilds {
+		t.Errorf("200 warm checks laid out %d instances, want 0", after.SchedBuilds-before.SchedBuilds)
+	}
+	if after.SchedReuses == before.SchedReuses {
+		t.Error("200 warm checks reused no instance: the counter is not wired")
+	}
+	if len(d.insertTexts) != texts {
+		t.Errorf("warm checks rendered %d new statement texts", len(d.insertTexts)-texts)
+	}
+	if allocs := testing.AllocsPerRun(200, check); allocs > 300 {
+		t.Errorf("%.0f allocations per check, want at most 300", allocs)
+	} else {
+		t.Logf("%.0f allocations per check", allocs)
+	}
+}
+
+// TestInsertTextCachedAndBounded: one text per (table, row count), and a
+// client walking through batch sizes cannot grow the cache without bound.
+func TestInsertTextCachedAndBounded(t *testing.T) {
+	d, cleanup := newBenchDetector(t, 10, 1)
+	defer cleanup()
+	a, b := d.insertText(d.insTable, 3, 2), d.insertText(d.insTable, 3, 2)
+	if a != "INSERT INTO "+d.insTable+" VALUES (?, ?), (?, ?), (?, ?)" || a != b {
+		t.Fatalf("insertText = %q, then %q", a, b)
+	}
+	if other := d.insertText(d.delTable, 3, 2); other == a {
+		t.Fatal("texts of two tables collide")
+	}
+	for n := 1; n <= 3*maxInsertTexts; n++ {
+		d.insertText(d.insTable, n, 2)
+	}
+	if len(d.insertTexts) > maxInsertTexts {
+		t.Fatalf("cache holds %d texts, bound is %d", len(d.insertTexts), maxInsertTexts)
+	}
+}
+
+func BenchmarkCheck8On10k(b *testing.B) {
+	d, cand, cleanup := checkWorkload(b)
+	defer cleanup()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Check(cand); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -74,7 +74,21 @@ type Detector struct {
 
 	// pre-generated statements (fixed count, independent of |Σ|)
 	stmts statements
+	// insertTexts holds the staging and load INSERT texts by target table
+	// and row count (insertText).
+	insertTexts map[insertShape]string
 }
+
+// insertShape is what the text of a parameterized multi-row INSERT into
+// one of the detector's tables depends on.
+type insertShape struct {
+	table string
+	rows  int
+}
+
+// maxInsertTexts bounds Detector.insertTexts: a request stream settles
+// on a few batch sizes, and one that does not starts over.
+const maxInsertTexts = 64
 
 type statements struct {
 	qsvSelect    string // Fig. 4 (top): violating tuples
@@ -163,6 +177,7 @@ func New(db *sql.DB, schema *relation.Schema, sigma []*core.ECFD) (*Detector, er
 		keysTable:   schema.Name + "_keys",
 		insTable:    schema.Name + "_ins",
 		delTable:    schema.Name + "_del",
+		insertTexts: make(map[insertShape]string),
 	}
 	d.generateSQL()
 	return d, nil
@@ -351,6 +366,25 @@ func (d *Detector) insertSet(table string, cid int64, set []relation.Value) erro
 	return nil
 }
 
+// insertText returns "INSERT INTO table VALUES (?, …), …" for n rows of
+// width placeholders: the same string for the same table and n, rendered
+// once, so a repeated batch size costs neither the rendering nor — the
+// text being the plan cache's key — a compilation. Check, LoadData and
+// ApplyUpdates all stage through it; like them it is not for concurrent
+// use on one Detector.
+func (d *Detector) insertText(table string, n, width int) string {
+	shape := insertShape{table, n}
+	q, ok := d.insertTexts[shape]
+	if !ok {
+		if len(d.insertTexts) >= maxInsertTexts {
+			clear(d.insertTexts)
+		}
+		q = "INSERT INTO " + table + " VALUES " + placeholderRows(n, width)
+		d.insertTexts[shape] = q
+	}
+	return q
+}
+
 // placeholderRows renders "(?, ?), (?, ?), ..." for n rows of w
 // placeholders each.
 func placeholderRows(n, w int) string {
@@ -424,8 +458,7 @@ func (d *Detector) bulkInsert(ex execer, table string, inst *relation.Relation) 
 	rows := inst.Rows
 	nFull := len(rows) / insertBatch
 	if nFull > 0 {
-		stmt, err := ex.Prepare(fmt.Sprintf("INSERT INTO %s VALUES %s",
-			table, placeholderRows(insertBatch, width)))
+		stmt, err := ex.Prepare(d.insertText(table, insertBatch, width))
 		if err != nil {
 			return nil, fmt.Errorf("detect: load data: %w", err)
 		}
@@ -446,8 +479,7 @@ func (d *Detector) bulkInsert(ex execer, table string, inst *relation.Relation) 
 		for _, row := range tail {
 			appendRow(row)
 		}
-		q := fmt.Sprintf("INSERT INTO %s VALUES %s", table, placeholderRows(len(tail), width))
-		if _, err := ex.Exec(q, args...); err != nil {
+		if _, err := ex.Exec(d.insertText(table, len(tail), width), args...); err != nil {
 			return nil, fmt.Errorf("detect: load data: %w", err)
 		}
 	}

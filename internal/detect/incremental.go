@@ -116,8 +116,8 @@ func (d *Detector) ApplyUpdates(insBatch *relation.Relation, delRids []int64) ([
 }
 
 // loadDelRids fills the ΔD⁻ staging table. The RIDs bind as parameters
-// of the placeholderRows shape bulkInsert uses: one statement text per
-// batch width, so a repeated update size is served by the plan cache.
+// of the insertText shape bulkInsert uses: one statement text per batch
+// width, so a repeated update size is served by the plan cache.
 func (d *Detector) loadDelRids(ex execer, rids []int64) error {
 	if _, err := ex.Exec("TRUNCATE TABLE " + d.delTable); err != nil {
 		return err
@@ -132,8 +132,7 @@ func (d *Detector) loadDelRids(ex execer, rids []int64) error {
 		for i, rid := range chunk {
 			args[i] = rid
 		}
-		q := fmt.Sprintf("INSERT INTO %s VALUES %s", d.delTable, placeholderRows(len(chunk), 1))
-		if _, err := ex.Exec(q, args...); err != nil {
+		if _, err := ex.Exec(d.insertText(d.delTable, len(chunk), 1), args...); err != nil {
 			return err
 		}
 	}

@@ -84,11 +84,14 @@ type kernBind struct {
 	vals    []relation.Value // kernIn, shorter lists: Equal-scan values
 	keyBuf  []byte           // kernIn set lookups: reused key scratch
 	hasNull bool
-	// setBuilt: the IN item state is built once per execution, not per
+	// setBuilt: the IN item state is built once per statement, not per
 	// level entry — the items are literals/params, fixed for the
-	// statement (the bind state lives on the per-env planState).
+	// statement the instance is bound to (reset forgets it).
 	setBuilt bool
 }
+
+// reset forgets what was bound, the IN items included; scratch stays.
+func (b *kernBind) reset() { *b = kernBind{vals: b.vals[:0], keyBuf: b.keyBuf} }
 
 // bind evaluates the kernel's invariant inputs for one level entry.
 func (k *kernelPred) bind(en *env, b *kernBind) error {
@@ -942,6 +945,19 @@ func (s *valueSet) filter(part *kprobePart, colv []relation.Value, sel []int, wa
 	return out
 }
 
+// reset drops what the pred holds of a statement (schedule.reset).
+func (p *predInst) reset() {
+	p.colv = nil
+	p.b.reset()
+	if pb := p.probe; pb != nil {
+		pb.eq, pb.set, pb.vs = eqView{}, nil, nil // vs: only big scans build one
+		clear(pb.colvs)
+	}
+	for i := range p.or {
+		p.or[i].reset()
+	}
+}
+
 // newPredInst instantiates the bind-state tree for a compiled kpred.
 func newPredInst(k *kpred) predInst {
 	p := predInst{k: k}
@@ -1320,7 +1336,7 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, rows []relatio
 // whose hit differs from neg.
 func (pb *probeInst) probeExact(en *env, cs *compiledSelect, src int, rows []relation.Tuple, sel []int, neg bool) ([]int, error) {
 	k := pb.k
-	en.probeRows += int64(len(sel))
+	en.work[wProbeRows] += int64(len(sel))
 	out := sel[:0]
 	var fr *frame
 	if k.needsRow {

@@ -66,8 +66,8 @@ type DB struct {
 	retired      map[*epoch]int64
 	retiredBytes int64
 
-	// probeRows backs Stats.ProbeRows.
-	probeRows atomic.Int64
+	// work backs the work counters of Stats (env.publish adds to it).
+	work [nWork]atomic.Int64
 	// mode is the execution Mode (SetMode); zero is Planned.
 	mode atomic.Int32
 }
@@ -367,6 +367,15 @@ type Stats struct {
 	// It is a work counter, not a clock: the same statements over the same
 	// data always add the same amount.
 	ProbeRows int64
+	// RowsScanned counts the candidate rows handed to join levels — a
+	// whole source, or what an index or hash probe left of it — before any
+	// filter, plus the rows read into hash builds; HashBuilds counts those:
+	// join hashes and the key sets of decorrelated EXISTS.
+	RowsScanned, HashBuilds int64
+	// SchedBuilds counts join-plan instances laid out (buildSchedule),
+	// SchedReuses the selects an idle instance served instead: all a fixed
+	// statement set adds to once it is warm.
+	SchedBuilds, SchedReuses int64
 	// Recovery reports what WAL recovery did when the database opened.
 	Recovery RecoveryStats
 }
@@ -383,7 +392,11 @@ func (db *DB) Stats() Stats {
 		LiveEpochs:    1 + r,
 		RetiredEpochs: r,
 		RetiredBytes:  b,
-		ProbeRows:     db.probeRows.Load(),
+		ProbeRows:     db.work[wProbeRows].Load(),
+		RowsScanned:   db.work[wRowsScanned].Load(),
+		HashBuilds:    db.work[wHashBuilds].Load(),
+		SchedBuilds:   db.work[wSchedBuilds].Load(),
+		SchedReuses:   db.work[wSchedReuses].Load(),
 		Recovery:      db.recov,
 	}
 }

@@ -31,9 +31,10 @@ type env struct {
 	// inLists caches the value sets of long literal/parameter IN lists.
 	inLists map[*InList]*inBuild
 	probes  map[*Exists]*probeScratch
-	// schedules caches one join plan per select for the statement's
-	// lifetime, so hash builds survive across correlated re-executions.
-	schedules map[*compiledSelect]*schedule
+	// schedules holds the join-plan instance of each select the statement
+	// has run — hash builds survive correlated re-executions — until
+	// publish hands them back. A statement runs few selects: no map.
+	schedules []boundSched
 	// projs holds the per-select projection caches of the batch-aware
 	// emit path (site-invariant output parts, see projSpec).
 	projs map[*compiledSelect]*projScratch
@@ -41,18 +42,34 @@ type env struct {
 	// semiScan, one per select (a select cannot contain itself, so reuse
 	// across its sequential invocations within one statement is safe).
 	scratch map[*compiledSelect][]relation.Tuple
-	// probeRows counts the rows this statement sent to an exact probe;
-	// publish adds it to the DB-wide counter (Stats.ProbeRows) once, so
-	// concurrent readers do not share a cache line per selection vector.
-	probeRows int64
+	// work holds the statement's work counters, plain integers that
+	// publish adds to the DB's once: concurrent readers must not share a
+	// cache line per selection vector.
+	work [nWork]int64
 }
 
-// publish folds the statement's work counters into the DB's. Deferred by
-// whoever creates the env of a planned statement.
+// The work counters, by their field of Stats.
+const (
+	wProbeRows = iota
+	wRowsScanned
+	wHashBuilds
+	wSchedBuilds
+	wSchedReuses
+	nWork
+)
+
+// publish ends the statement: the work counters go to the DB's, the
+// join-plan instances back to their selects. Whoever makes an env defers it.
 func (en *env) publish() {
-	if en.probeRows != 0 {
-		en.db.probeRows.Add(en.probeRows)
+	for i, n := range en.work {
+		if n != 0 {
+			en.db.work[i].Add(n)
+		}
 	}
+	for _, b := range en.schedules {
+		b.cs.release(b.sch)
+	}
+	en.schedules = nil
 }
 
 // td returns the epoch's data for a table handle.

@@ -379,6 +379,7 @@ func (rs *rowSelect) positions(db *DB, params []relation.Value) ([]int, error) {
 		return ris, nil
 	}
 	en := newEnv(db, db.curW, params)
+	defer en.publish()
 	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
 	fr := &en.frames[0]
 	for ri, row := range tRows {
@@ -491,6 +492,7 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	var en *env
 	if !allConst {
 		en = newEnv(db, db.curW, params)
+		defer en.publish()
 		en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
 	}
 	var vals [][]relation.Value

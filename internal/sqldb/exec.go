@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ecfd/internal/relation"
 )
@@ -121,6 +122,10 @@ type compiledSelect struct {
 	// detector's Qmv grouping keeps 150 of 42 000 distinct macro rows;
 	// this is what stops it building the other 41 850.
 	streamCols int
+	// free holds the join plan's idle instances (scheduleFor / release);
+	// victim picks the slot a release overwrites when all are taken.
+	free   [schedFreeSlots]atomic.Pointer[schedule]
+	victim atomic.Uint32
 }
 
 // errFound is the sentinel execExists uses to abort the join loop at
@@ -730,6 +735,7 @@ func (cs *compiledSelect) joinLoop(en *env, src [][]relation.Tuple, i int, yield
 		return yield()
 	}
 	fr := &en.frames[cs.depth]
+	en.work[wRowsScanned] += int64(len(src[i]))
 	for _, row := range src[i] {
 		fr.rows[i] = row
 		if err := cs.joinLoop(en, src, i+1, yield); err != nil {

@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-func TestParseErrorsSurface(t *testing.T) {
-	bad := []string{
+// parseBad and parseGood are the inputs of the two table tests below and
+// seeds of FuzzParse.
+var (
+	parseBad = []string{
 		``,
 		`;`,
 		`SELEC x`,
@@ -33,15 +35,7 @@ func TestParseErrorsSurface(t *testing.T) {
 		`SELECT a.b.c FROM t`,
 		`SELECT 99999999999999999999999`,
 	}
-	for _, src := range bad {
-		if _, err := ParseScript(src); err == nil {
-			t.Errorf("expected parse error for %q", src)
-		}
-	}
-}
-
-func TestParseAccepts(t *testing.T) {
-	good := []string{
+	parseGood = []string{
 		`SELECT 1; SELECT 2;`,
 		`SELECT -1.5e3`,
 		`SELECT .5`,
@@ -57,7 +51,18 @@ func TestParseAccepts(t *testing.T) {
 		`TRUNCATE x`,
 		`SELECT MIN(x), MAX(y) FROM t`,
 	}
-	for _, src := range good {
+)
+
+func TestParseErrorsSurface(t *testing.T) {
+	for _, src := range parseBad {
+		if _, err := ParseScript(src); err == nil {
+			t.Errorf("expected parse error for %q", src)
+		}
+	}
+}
+
+func TestParseAccepts(t *testing.T) {
+	for _, src := range parseGood {
 		if _, err := ParseScript(src); err != nil {
 			t.Errorf("unexpected error for %q: %v", src, err)
 		}

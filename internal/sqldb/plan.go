@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -348,10 +349,12 @@ func (c *compiler) planOrderBy(sel *Select, cs *compiledSelect) {
 
 // --- schedule ---
 
-// schedule is the executable join plan for one compiledSelect given
-// concrete source sizes. It is cached per env (one statement), so
-// repeated executions — correlated EXISTS probed per outer row — reuse
-// the hash builds.
+// schedule is one execution instance of a compiledSelect's join plan:
+// the layout buildSchedule derives from what decide decides, plus all
+// the kernel and level scratch an execution mutates. It serves one
+// statement at a time, bound to that statement's env (scheduleFor) — so
+// correlated re-executions reuse the hash builds — and returns to its
+// select's free list, reset, when the statement ends (env.publish).
 type schedule struct {
 	order  []int
 	pre    []preEval
@@ -361,6 +364,14 @@ type schedule struct {
 	// index covering the ORDER BY prefix, so the executor can skip the
 	// final sort entirely.
 	orderServed bool
+	// asked marks the levels whose few-entries bit (decide) the layout
+	// consulted, got the answers. They and order are all it took from
+	// table sizes: the instance fits every execution deciding the same.
+	asked, got uint64
+	// broken is set while a plan runs and stays set if an error or a
+	// panic ends it, leaving scratch (the group filters' row masks)
+	// half-written: release drops the instance.
+	broken bool
 }
 
 // preEval processes the parts of a conjunct's alternatives that read
@@ -510,29 +521,39 @@ func isNaN(v relation.Value) bool {
 // the hash build pays one full-table key-encoding pass up front.
 const constEqKernelMaxEntries = 64
 
-// buildSchedule assigns every conjunct, OR alternative and equi key to
-// a join level for the chosen source order. ep supplies the index
-// inventory (index handles are shared by every epoch of the plan's
-// ddlVersion, so the schedule stays valid for the whole statement).
-func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *schedule {
+// decide takes from the sources' sizes all that a schedule depends on
+// them for. The join order, appended to order: smallest source first
+// once any has reorderMinRows rows, FROM order otherwise and among equals.
+// And, as bit pos of few, whether level pos is entered at most
+// constEqKernelMaxEntries times by the estimate of the const-equality
+// diversion (buildSchedule; top-level selects only): the product of the
+// row counts of the levels driving it, which ignores their selectivity
+// and so errs towards the hash. Every statement runs it: no allocation.
+func (cs *compiledSelect) decide(srcRows [][]relation.Tuple, order []int) ([]int, uint64) {
+	largest := 0
+	for i, rows := range srcRows {
+		order = append(order, i)
+		largest = max(largest, len(rows))
+	}
+	if largest >= reorderMinRows {
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(srcRows[a]), len(srcRows[b])) })
+	}
+	var few uint64
+	entries := 1
+	for pos := 0; cs.depth == 0 && pos < len(order) && entries <= constEqKernelMaxEntries; pos++ {
+		few |= 1 << uint(pos)
+		entries *= len(srcRows[order[pos]])
+	}
+	return order, few
+}
+
+// buildSchedule lays out an instance for what decide decided: it assigns
+// every conjunct, OR alternative and equi key to a join level of the
+// given source order. ep supplies the index inventory (index handles are
+// shared by every epoch of the plan's ddlVersion, so the instance is
+// valid as long as the plan). Only scheduleFor's miss and EXPLAIN call it.
+func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *schedule {
 	n := len(cs.sources)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if n > 1 {
-		max := 0
-		for _, rows := range srcRows {
-			if len(rows) > max {
-				max = len(rows)
-			}
-		}
-		if max >= reorderMinRows {
-			sort.SliceStable(order, func(a, b int) bool {
-				return len(srcRows[order[a]]) < len(srcRows[order[b]])
-			})
-		}
-	}
 	sch := &schedule{order: order}
 	consumed := make([]bool, len(cs.conjs))
 	// OR-group claiming: a conjunct is owned wholly by a group kernel at
@@ -672,14 +693,18 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 				// per outer row on this cached schedule, and the hash the
 				// diversion skips is built once per env while the kernel
 				// would sweep the column on every re-execution.
-				if probe.idx == nil && probe.pfx == nil && cs.depth == 0 &&
-					probeConsts == len(probe.keys) && estEntries(srcRows, order[:pos]) <= constEqKernelMaxEntries {
+				if probe.idx == nil && probe.pfx == nil && cs.depth == 0 && probeConsts == len(probe.keys) {
 					divert := true
 					for _, ci := range probe.conjs {
 						if kpSimpleFor(cs.conjs[ci].terms[0].parts[0].kp, s) == nil {
 							divert = false
 							break
 						}
+					}
+					if bit := uint64(1) << uint(pos); divert {
+						sch.asked |= bit
+						sch.got |= few & bit
+						divert = few&bit != 0
 					}
 					if divert {
 						for _, ci := range probe.conjs {
@@ -821,29 +846,11 @@ func buildSchedule(cs *compiledSelect, srcRows [][]relation.Tuple, ep *epoch) *s
 			sch.state.binds[i] = make([]kernBind, k)
 			sch.state.kcols[i] = make([][]relation.Value, k)
 		}
-		if len(lv.kerns) > 0 || len(lv.groups) > 0 {
-			sch.state.sel[i] = make([]int, 0, batchChunk)
-		}
 		if len(lv.groups) > 0 {
 			sch.state.gsc[i] = &groupScratch{}
 		}
 	}
 	return sch
-}
-
-// estEntries bounds how many times a level will be entered: the product
-// of the candidate row counts of the levels driving it (ignoring their
-// selectivity, so it over-estimates — the diversion heuristic stays
-// conservative).
-func estEntries(srcRows [][]relation.Tuple, outer []int) int {
-	entries := 1
-	for _, s := range outer {
-		entries *= len(srcRows[s])
-		if entries > constEqKernelMaxEntries {
-			return entries
-		}
-	}
-	return entries
 }
 
 // buildRangePlan collects the usable range bounds for source s given
@@ -892,23 +899,91 @@ func buildRangePlan(cs *compiledSelect, td *tableData, s int, bound srcMask, onl
 	return rp
 }
 
-// scheduleFor returns the (per-statement) cached schedule for cs.
+// schedFreeSlots is how many idle instances a select keeps: one per
+// concurrent reader of the plan and per set of decisions its executions
+// alternate between (ApplyUpdates' staging tables change size each time).
+const schedFreeSlots = 4
+
+// boundSched is an instance checked out for the env's statement.
+type boundSched struct {
+	cs  *compiledSelect
+	sch *schedule
+}
+
+// scheduleFor returns the statement's instance for cs: the one bound to
+// the env already, else an idle one laid out for what decide says now —
+// taken by CAS, so concurrent readers of a plan each get their own —
+// else a new one.
 func (en *env) scheduleFor(cs *compiledSelect, srcRows [][]relation.Tuple) *schedule {
-	if en.schedules == nil {
-		en.schedules = make(map[*compiledSelect]*schedule)
-	}
-	sch := en.schedules[cs]
-	if sch == nil {
-		sch = buildSchedule(cs, srcRows, en.ep)
-		en.schedules[cs] = sch
-	} else {
-		for i := range sch.levels {
-			if p := sch.levels[i].probe; p != nil && p.derived {
+	for _, b := range en.schedules {
+		if b.cs != cs {
+			continue
+		}
+		for i := range b.sch.levels {
+			if p := b.sch.levels[i].probe; p != nil && p.derived {
 				p.hash = nil // derived rows rematerialize per execution
 			}
 		}
+		return b.sch
 	}
+	order, few := cs.decide(srcRows, make([]int, 0, 8)) // on the stack
+	var sch *schedule
+	for i := range cs.free {
+		f := cs.free[i].Load()
+		if f != nil && few&f.asked == f.got && slices.Equal(f.order, order) && cs.free[i].CompareAndSwap(f, nil) {
+			sch = f
+			en.work[wSchedReuses]++
+			break
+		}
+	}
+	if sch == nil {
+		sch = buildSchedule(cs, slices.Clone(order), few, en.ep)
+		en.work[wSchedBuilds]++
+	}
+	en.schedules = append(en.schedules, boundSched{cs, sch})
 	return sch
+}
+
+// release resets an instance its statement is done with and parks it on
+// the free list — over another when the list is full, or instances laid
+// out for sizes the tables have grown out of would hold it for good.
+func (cs *compiledSelect) release(sch *schedule) {
+	if sch.broken {
+		return
+	}
+	sch.reset()
+	for i := range cs.free {
+		if cs.free[i].CompareAndSwap(nil, sch) {
+			return
+		}
+	}
+	cs.free[cs.victim.Add(1)%schedFreeSlots].Store(sch)
+}
+
+// reset drops the two kinds of state that outlive a level entry. What is
+// built once per statement — a base-table probe's hash, an IN kernel's
+// item set — would answer for the last statement's rows and parameters.
+// And a reference into the epoch it read (column vectors, index views,
+// hash sets) would keep that epoch's vectors live while the instance
+// idles. Scratch capacity, and a few bound scalars, stay.
+func (sch *schedule) reset() {
+	st := sch.state
+	for pos := range sch.levels {
+		if p := sch.levels[pos].probe; p != nil {
+			p.hash = nil
+		}
+		clear(st.kcols[pos])
+		for i := range st.binds[pos] {
+			st.binds[pos][i].reset()
+		}
+		for _, g := range sch.levels[pos].groups {
+			for ti := range g.terms {
+				for pi := range g.terms[ti].preds {
+					g.terms[ti].preds[pi].reset()
+				}
+			}
+		}
+	}
 }
 
 // scan enumerates the row combinations passing WHERE, planned when
@@ -961,7 +1036,10 @@ func (cs *compiledSelect) runPlan(en *env, sch *schedule, srcRows [][]relation.T
 			return nil // constant-false WHERE
 		}
 	}
-	return cs.planLevel(en, sch, srcRows, 0, yield)
+	sch.broken = true
+	err := cs.planLevel(en, sch, srcRows, 0, yield)
+	sch.broken = err != nil && err != errFound // errFound is execExists' early exit
+	return err
 }
 
 func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows [][]relation.Tuple, pos int, yield func([]int) error) error {
@@ -984,6 +1062,7 @@ func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows [][]relation
 	if !scanAll {
 		n = len(bucket)
 	}
+	en.work[wRowsScanned] += int64(n)
 	for i := 0; i < n; i++ {
 		j := i
 		if lv.desc {
@@ -1099,6 +1178,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 	if n == 0 {
 		return nil // empty candidate set: skip the kernel binds entirely
 	}
+	en.work[wRowsScanned] += int64(n)
 	t := cs.sources[lv.src].table
 	binds := st.binds[pos]
 	kcols := st.kcols[pos]
@@ -1248,6 +1328,8 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows []relation.Tup
 	}
 	if p.hash == nil {
 		p.hash = buildJoinHash(rows, p.buildCols)
+		en.work[wHashBuilds]++
+		en.work[wRowsScanned] += int64(len(rows))
 	}
 	key := p.keyBuf[:0]
 	for _, v := range p.vals {
@@ -1344,7 +1426,6 @@ func (cs *compiledSelect) semiScan(en *env, yield func(idx []int) error) error {
 // line per level, for EXPLAIN output and the plan tests. ep supplies
 // the row counts and index inventory the schedule is sized against.
 func (cs *compiledSelect) describePlan(ep *epoch) []string {
-	var out []string
 	if !cs.planOK {
 		return []string{"nested loop over the WHERE closure (Reference mode, or WHERE not analyzable)"}
 	}
@@ -1354,7 +1435,13 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 			srcRows[i] = ep.tds[src.table].rows
 		}
 	}
-	sch := buildSchedule(cs, srcRows, ep)
+	order, few := cs.decide(srcRows, nil)
+	return cs.describeSchedule(buildSchedule(cs, order, few, ep), ep)
+}
+
+// describeSchedule renders one instance of the select's join plan.
+func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
+	var out []string
 	if len(sch.pre) > 0 {
 		out = append(out, fmt.Sprintf("pre-loop: %d constant conjunct group(s)", len(sch.pre)))
 	}

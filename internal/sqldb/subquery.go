@@ -239,6 +239,8 @@ func (d *decorrProbe) ensureHash(en *env) (*hashBuild, error) {
 	if b != nil && b.version == td.version {
 		return b, nil
 	}
+	en.work[wHashBuilds]++
+	en.work[wRowsScanned] += int64(len(td.rows))
 	set := make(map[string]bool, len(td.rows))
 	key := make([]relation.Value, len(d.keyCols))
 	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
