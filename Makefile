@@ -48,10 +48,16 @@ difffuzz:
 
 # Native fuzzing, ten seconds per target: the SQL lexer and parser never
 # panic and every error they return carries a source offset (FuzzParse,
-# seeded with the detector's generated statements). A failure writes its
-# input under internal/sqldb/testdata/fuzz/, which `go test` then replays.
+# seeded with the detector's generated statements); recovery's two
+# decoders never panic either, fail with ErrCorrupt, and succeed only on
+# input applied in full that leaves rows and indexes the executor can
+# read (FuzzWALUnit, FuzzSnapshot, seeded with real encodings). A failure
+# writes its input under internal/sqldb/testdata/fuzz/, which `go test`
+# then replays.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sqldb/
+	for f in FuzzParse FuzzWALUnit FuzzSnapshot; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=10s ./internal/sqldb/ || exit 1; \
+	done
 
 # Quick perf signal: the two acceptance benchmarks plus the planner
 # ablation, a few iterations each.

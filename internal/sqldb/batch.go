@@ -17,23 +17,37 @@ import (
 // (`t.RID >= ?`, `t.MV = 0`), IN-set probes, flag tests — whose
 // right-hand sides never change while a level iterates. This file
 // adds the second compilation target: such predicates lower to batch
-// kernels that run over the table's cached column vectors
-// (Table.column) and tighten a selection vector chunk-by-chunk, with
-// no closure call per row. Anything else — OR groups, subquery
-// probes, cross-column arithmetic — stays on the compiledExpr path,
-// so semantics never change; the kernels are an exact, not a
-// conservative, evaluation of the conjuncts they consume (verified by
-// the three-way differential oracle).
+// kernels that run over the table's cached column vectors, a segment
+// at a time (colSeg.column), and tighten a selection vector of offsets
+// into the segment, with no closure call per row. Anything else — OR
+// groups, subquery probes, cross-column arithmetic — stays on the
+// compiledExpr path, so semantics never change; the kernels are an
+// exact, not a conservative, evaluation of the conjuncts they consume
+// (verified by the three-way differential oracle).
 //
 // A kernel evaluates its invariant inputs once per level *entry*
-// (bind), then filters fixed-size batches of candidate row positions
-// (filter). NULL semantics collapse the same way the closure path
-// does at filter level: a NULL comparison result keeps the row out.
+// (bind), then filters the level's candidates run by run (filter): a
+// run is the candidates, in order, that fall in one segment (segRun).
+// NULL semantics collapse the same way the closure path does at filter
+// level: a NULL comparison result keeps the row out.
 
 // batchChunk is the selection-vector batch size: small enough that a
 // chunk of positions stays cache-resident, large enough to amortize
 // the per-chunk bookkeeping.
 const batchChunk = 1024
+
+// segRun is what a level's filters see of the segment its current run of
+// candidates falls in: the segment's rows in the reader's epoch — which
+// selection vectors, column vectors and row masks are all offsets into —
+// and its vectors. It lives on planLevelBatch's stack: no schedule keeps
+// a reference to a segment between runs.
+type segRun struct {
+	t    *Table
+	c    *colSeg
+	rows []relation.Tuple
+}
+
+func (r *segRun) column(ci int) []relation.Value { return r.c.column(r.t, ci, r.rows) }
 
 // kernOp enumerates the kernel predicate shapes.
 type kernOp uint8
@@ -161,10 +175,10 @@ func (k *kernelPred) bind(en *env, b *kernBind) error {
 }
 
 // filter tightens the selection vector in place: sel holds candidate
-// row positions, colv the level source's cached column vector, and the
-// surviving positions are returned as a prefix of sel's storage. The
-// relative order of positions is preserved, so kernel filtering
-// composes with range-pruned and order-served scans.
+// row offsets into colv, the current segment's vector of the kernel's
+// column, and the survivors are returned as a prefix of sel's storage.
+// Their relative order is preserved, so kernel filtering composes with
+// range-pruned and order-served scans.
 func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int {
 	out := sel[:0]
 	switch k.op {
@@ -771,7 +785,6 @@ type predInst struct {
 	k     *kpred
 	state uint8
 	b     kernBind
-	colv  []relation.Value
 	probe *probeInst
 	or    []predInst
 	// nested-or scratch: candidate copies and the row-match mask
@@ -792,7 +805,7 @@ type probeInst struct {
 	vals     []relation.Value   // constant part values this entry
 	con      []bool             // part i is constant this entry
 	condT    []bool             // pkCase condition held this entry
-	colvs    [][]relation.Value // column vectors for vectorized parts
+	colvs    [][]relation.Value // the current run's vectors for vectorized parts
 	rowVals  []relation.Value   // per-row key scratch
 	keyBuf   []byte
 	// Per-entry key plan: pfx holds the encoded constant key prefix
@@ -947,7 +960,6 @@ func (s *valueSet) filter(part *kprobePart, colv []relation.Value, sel []int, wa
 
 // reset drops what the pred holds of a statement (schedule.reset).
 func (p *predInst) reset() {
-	p.colv = nil
 	p.b.reset()
 	if pb := p.probe; pb != nil {
 		pb.eq, pb.set, pb.vs = eqView{}, nil, nil // vs: only big scans build one
@@ -1038,7 +1050,7 @@ func (g *orGroupK) enter(cands int) {
 // bindTerm evaluates one alternative's invariant parts and kernel
 // binds for the current entry. Called only when candidate rows reach
 // the alternative.
-func (g *orGroupK) bindTerm(en *env, t *Table, tm *orTermK) error {
+func (g *orGroupK) bindTerm(en *env, tm *orTermK) error {
 	tm.bound, tm.live, tm.always = true, true, true
 	for _, ex := range tm.binds {
 		v, err := ex(en)
@@ -1052,7 +1064,7 @@ func (g *orGroupK) bindTerm(en *env, t *Table, tm *orTermK) error {
 	}
 	for pi := range tm.preds {
 		p := &tm.preds[pi]
-		if err := p.bind(en, t, g.cands); err != nil {
+		if err := p.bind(en, g.cands); err != nil {
 			return err
 		}
 		if p.state == pNever {
@@ -1066,7 +1078,7 @@ func (g *orGroupK) bindTerm(en *env, t *Table, tm *orTermK) error {
 	return nil
 }
 
-func (p *predInst) bind(en *env, t *Table, cands int) error {
+func (p *predInst) bind(en *env, cands int) error {
 	k := p.k
 	switch {
 	case k.inv != nil:
@@ -1088,14 +1100,13 @@ func (p *predInst) bind(en *env, t *Table, cands int) error {
 			return nil
 		}
 		p.state = pNormal
-		p.colv = en.column(t, k.simple.col)
 	case k.probe != nil:
-		return p.probe.bind(en, t, cands, &p.state)
+		return p.probe.bind(en, cands, &p.state)
 	default: // nested OR
 		p.state = pNever
 		for i := range p.or {
 			sub := &p.or[i]
-			if err := sub.bind(en, t, cands); err != nil {
+			if err := sub.bind(en, cands); err != nil {
 				return err
 			}
 			if sub.state == pAlways {
@@ -1113,7 +1124,7 @@ func (p *predInst) bind(en *env, t *Table, cands int) error {
 // bind resolves the probe for one level entry over cands candidate
 // rows: the constant key parts, the key plan of the exact probe and,
 // when they pay (bindSets), the value sets that stand in front of it.
-func (pb *probeInst) bind(en *env, t *Table, cands int, state *uint8) error {
+func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 	k := pb.k
 	if pb.vs != nil {
 		pb.vs.parts = pb.vs.parts[:0] // the previous entry's sets are not this one's
@@ -1133,8 +1144,6 @@ func (pb *probeInst) bind(en *env, t *Table, cands int, state *uint8) error {
 			if v.IsNull() || isNaN(v) {
 				constNull = true
 			}
-		case pkCol:
-			pb.colvs[i] = en.column(t, part.col)
 		case pkCase:
 			cv, err := part.cond(en)
 			if err != nil {
@@ -1146,8 +1155,6 @@ func (pb *probeInst) bind(en *env, t *Table, cands int, state *uint8) error {
 				if part.alt.IsNull() {
 					constNull = true
 				}
-			} else if part.resKind == resCol || part.resKind == resTextCoalesce {
-				pb.colvs[i] = en.column(t, part.col)
 			}
 		}
 	}
@@ -1236,7 +1243,7 @@ func (pb *probeInst) bind(en *env, t *Table, cands int, state *uint8) error {
 // inside all of them needs the exact probe; with a single per-row part
 // membership is the exact answer, and with none, or no agreeing row, the
 // probe is constant for the entry. k.setsOK() holds: every per-row part
-// reads a column vector bind already fetched.
+// reads a column vector.
 //
 // Tiny is at most probeSetRowsMax rows to walk, n of them: bind passes
 // the whole table (pos nil) or, for a larger table whose index order the
@@ -1296,8 +1303,15 @@ rows:
 
 // filter keeps the rows of sel whose probe result (hit != neg) holds.
 // Order is preserved; sel is tightened in place.
-func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, rows []relation.Tuple, sel []int) ([]int, error) {
+func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, sel []int) ([]int, error) {
 	k, vs := pb.k, pb.vs
+	for i := range k.parts {
+		// The parts read per row from a column take the run's vector of it.
+		if p := &k.parts[i]; p.kind == pkCol || p.kind == pkCase && pb.condT[i] && p.resKind != resGeneric {
+			pb.colvs[i] = run.column(p.col)
+		}
+	}
+	rows := run.rows
 	switch {
 	case vs == nil || len(vs.parts) == 0:
 		return pb.probeExact(en, cs, src, rows, sel, k.neg)
@@ -1422,19 +1436,19 @@ rowLoop:
 }
 
 // filter applies one pred to a candidate list, tightening it in place.
-func (p *predInst) filter(en *env, cs *compiledSelect, src int, rows []relation.Tuple, sel []int) ([]int, error) {
+func (p *predInst) filter(en *env, cs *compiledSelect, src int, run *segRun, sel []int) ([]int, error) {
 	k := p.k
 	switch {
 	case k.simple != nil:
-		return k.simple.filter(p.colv, &p.b, sel), nil
+		return k.simple.filter(run.column(k.simple.col), &p.b, sel), nil
 	case k.probe != nil:
-		return p.probe.filter(en, cs, src, rows, sel)
+		return p.probe.filter(en, cs, src, run, sel)
 	}
 	// Nested OR: a row survives when any live atom holds for it. Atoms
-	// test only the rows no earlier atom matched; the row-index mask
-	// restores the original candidate order at the end.
-	if len(p.orMask) < len(rows) {
-		p.orMask = make([]bool, len(rows))
+	// test only the rows no earlier atom matched; the mask over the
+	// segment's rows restores the original candidate order at the end.
+	if len(p.orMask) < len(run.rows) {
+		p.orMask = make([]bool, len(run.rows))
 	}
 	rem := append(p.orRem[:0], sel...)
 	for i := range p.or {
@@ -1443,7 +1457,7 @@ func (p *predInst) filter(en *env, cs *compiledSelect, src int, rows []relation.
 			continue // pAlways was handled at bind; pNever holds nowhere
 		}
 		cur := append(p.orCur[:0], rem...)
-		cur, err := sub.filter(en, cs, src, rows, cur)
+		cur, err := sub.filter(en, cs, src, run, cur)
 		p.orCur = cur[:0]
 		if err != nil {
 			p.orRem = rem[:0]
@@ -1474,7 +1488,8 @@ func (p *predInst) filter(en *env, cs *compiledSelect, src int, rows []relation.
 	return out, nil
 }
 
-// groupScratch is the per-level scratch of the group filters.
+// groupScratch is the per-level scratch of the group filters; mask
+// covers a segment's rows, and is all false between filter calls.
 type groupScratch struct {
 	rem, cur []int
 	mask     []bool
@@ -1485,7 +1500,10 @@ type groupScratch struct {
 // Alternatives test only rows no earlier alternative matched, so the
 // total per-row work is bounded by the first matching alternative —
 // mirroring the row path's short-circuit. Order is preserved.
-func (g *orGroupK) filter(en *env, cs *compiledSelect, src int, t *Table, gs *groupScratch, rows []relation.Tuple, sel []int) ([]int, error) {
+func (g *orGroupK) filter(en *env, cs *compiledSelect, src int, gs *groupScratch, run *segRun, sel []int) ([]int, error) {
+	if len(gs.mask) < len(run.rows) {
+		gs.mask = make([]bool, len(run.rows))
+	}
 	rem := append(gs.rem[:0], sel...)
 	for ti := range g.terms {
 		tm := &g.terms[ti]
@@ -1493,7 +1511,7 @@ func (g *orGroupK) filter(en *env, cs *compiledSelect, src int, t *Table, gs *gr
 			break // every candidate matched: later alternatives never run
 		}
 		if !tm.bound {
-			if err := g.bindTerm(en, t, tm); err != nil {
+			if err := g.bindTerm(en, tm); err != nil {
 				gs.rem = rem[:0]
 				return nil, err
 			}
@@ -1523,7 +1541,7 @@ func (g *orGroupK) filter(en *env, cs *compiledSelect, src int, t *Table, gs *gr
 			if p.state == pAlways {
 				continue
 			}
-			if cur, err = p.filter(en, cs, src, rows, cur); err != nil {
+			if cur, err = p.filter(en, cs, src, run, cur); err != nil {
 				gs.rem, gs.cur = rem[:0], cur[:0]
 				return nil, err
 			}

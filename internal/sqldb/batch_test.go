@@ -199,74 +199,163 @@ func TestExplainBatchMode(t *testing.T) {
 	}
 }
 
-// TestColumnCacheMaintenance hammers a table with random DML and
-// verifies after every step that built column vectors exactly mirror
-// the row store without being fully rebuilt.
+// TestColumnCacheMaintenance hammers a table of several segments with
+// random DML — inserts that seal tails, scattered and ranged updates and
+// deletes, deletes of whole segments, TRUNCATE, rollback — and verifies
+// after every step, on the published epoch and on two older pinned ones,
+// that the segments partition the rows inside the merge bound and that
+// every built vector mirrors the row store (checkSegments); and that DML
+// never has a cell read from rows again: Table.colBuilt grows by exactly
+// the cells that are new. The dense run covers every column after each
+// step, so the count is exact; the sparse run covers one, leaving the
+// others built in some segments, partly in former tails and not at all in
+// new ones, which is what a merge has to complete — there the count is
+// bounded by the cells ever inserted.
 func TestColumnCacheMaintenance(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		t.Run(map[bool]string{false: "dense", true: "sparse"}[sparse], func(t *testing.T) {
+			t.Parallel()
+			columnCacheStorm(t, sparse)
+		})
+	}
+}
+
+func columnCacheStorm(t *testing.T, sparse bool) {
 	rng := rand.New(rand.NewSource(131))
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE cc (k INTEGER, s TEXT, w INTEGER)`)
-	for i := 0; i < 30; i++ {
-		mustExec(t, db, `INSERT INTO cc VALUES (?, ?, ?)`,
-			relation.Int(int64(rng.Intn(9))), relation.Text(string(rune('a'+rng.Intn(4)))), relation.Int(int64(i)))
+	nextW := 0
+	insert := func(n int) {
+		t.Helper()
+		for n > 0 {
+			m := min(n, 400)
+			n -= m
+			vals := make([]string, m)
+			for i := range vals {
+				vals[i] = fmt.Sprintf("(%d, '%c', %d)", rng.Intn(9), 'a'+rng.Intn(4), nextW)
+				nextW++
+			}
+			mustExec(t, db, `INSERT INTO cc VALUES `+strings.Join(vals, ", "))
+		}
 	}
-	// Build two of the three vectors through batched scans.
-	mustQuery(t, db, `SELECT w FROM cc WHERE k >= 2 AND k <= 6`)
-	mustQuery(t, db, `SELECT k FROM cc WHERE s = 'a' AND w < 1000`)
+	insert(6000)
+	tbl := mustTable(t, db, "cc")
+	// Every column through batched scans; cover is what a step re-extends.
+	const all = `SELECT w FROM cc WHERE k >= 0 AND k <= 8 AND s <> 'zz' AND w >= 0`
+	cover := all
+	if sparse {
+		cover = `SELECT w FROM cc WHERE k >= 0 AND k <= 8`
+	}
+	mustQuery(t, db, all)
+	if got := tbl.colBuilt.Load(); got != 3*6000 {
+		t.Fatalf("covering 6000 rows of 3 columns read %d cells", got)
+	}
 
-	tbl, _ := db.cur.Load().tables["cc"]
+	// Two older epochs stay pinned, each read once while it is current so
+	// its tail vectors reach its fence; they are checked after every step
+	// and replaced in turn.
+	var pins [2]*Snap
+	defer func() {
+		for _, s := range pins {
+			s.Close()
+		}
+	}()
+	repin := func(i int) {
+		if pins[i] != nil {
+			pins[i].Close()
+		}
+		pins[i] = db.PinSnapshot()
+	}
+	repin(0)
+	repin(1)
 	verify := func(step int) {
 		t.Helper()
-		td := db.cur.Load().tds[tbl]
-		td.cols.mu.RLock()
-		defer td.cols.mu.RUnlock()
-		for ci, vec := range td.cols.vecs {
-			if vec == nil {
-				continue
-			}
-			// Vectors extend lazily to each reader's fence, so a built
-			// vector may trail the row count — but never exceed it, and
-			// the covered prefix must mirror storage exactly.
-			if len(vec) > len(td.rows) {
-				t.Fatalf("step %d: column %d has %d entries for %d rows", step, ci, len(vec), len(td.rows))
-			}
-			for ri := range vec {
-				if !relation.Identical(vec[ri], td.rows[ri][ci]) {
-					t.Fatalf("step %d: column %d row %d: cached %s, stored %s",
-						step, ci, ri, vec[ri], td.rows[ri][ci])
-				}
+		checkSegments(t, fmt.Sprintf("step %d, published epoch", step), tbl, db.cur.Load().tds[tbl])
+		for i, s := range pins {
+			if td := s.ep.tds[tbl]; td != nil {
+				checkSegments(t, fmt.Sprintf("step %d, pinned epoch %d", step, i), tbl, td)
 			}
 		}
 	}
 	verify(-1)
-	builds := tbl.colRebuilds.Load()
-	if builds == 0 {
-		t.Fatal("no column vector was built before the DML storm")
-	}
 
-	for step := 0; step < 80; step++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3:
-			mustExec(t, db, `INSERT INTO cc VALUES (?, ?, ?)`,
-				relation.Int(int64(rng.Intn(9))), relation.Text(string(rune('a'+rng.Intn(4)))), relation.Int(int64(1000+step)))
-		case 4, 5:
-			mustExec(t, db, `UPDATE cc SET k = ? WHERE w % 5 = ?`,
-				relation.Int(int64(rng.Intn(9))), relation.Int(int64(rng.Intn(5))))
-		case 6, 7:
-			mustExec(t, db, `DELETE FROM cc WHERE k = ? AND w % 3 = ?`,
-				relation.Int(int64(rng.Intn(9))), relation.Int(int64(rng.Intn(3))))
-		default:
-			if rng.Intn(5) == 0 {
+	allowed := int64(3 * 6000) // cells ever stored, or to be covered again after a rollback
+	for step := 0; step < 300; step++ {
+		before := tbl.colBuilt.Load()
+		rowsBefore := len(db.cur.Load().tds[tbl].rows)
+		want := int64(0) // cells this step may have read from rows, dense
+		lo := relation.Int(int64(rng.Intn(nextW + 1)))
+		switch op := rng.Intn(12); op {
+		case 0, 1: // a few rows into the tail
+			n := 1 + rng.Intn(20)
+			insert(n)
+			want = 3 * int64(n)
+		case 2: // enough to seal it, sometimes twice
+			n := 300 + rng.Intn(1500)
+			insert(n)
+			want = 3 * int64(n)
+		case 3: // scattered over every segment
+			mustExec(t, db, `UPDATE cc SET k = ? WHERE w % 97 = ?`, relation.Int(int64(rng.Intn(9))), relation.Int(int64(rng.Intn(97))))
+		case 4: // a run inside one or two
+			mustExec(t, db, `UPDATE cc SET k = ?, s = 'u' WHERE w >= ? AND w < ? + 40`, relation.Int(int64(rng.Intn(9))), lo, lo)
+		case 5, 6:
+			mustExec(t, db, `DELETE FROM cc WHERE w % 53 = ?`, relation.Int(int64(rng.Intn(53))))
+		case 7: // a few neighbours
+			mustExec(t, db, `DELETE FROM cc WHERE w >= ? AND w < ? + 9`, lo, lo)
+		case 8: // whole segments, and the ends of their neighbours
+			mustExec(t, db, `DELETE FROM cc WHERE w >= ? AND w < ? + 2500`, lo, lo)
+		case 9: // the tail
+			mustExec(t, db, `DELETE FROM cc WHERE w >= ?`, relation.Int(int64(nextW-1-rng.Intn(600))))
+		case 10:
+			if rng.Intn(4) == 0 {
 				mustExec(t, db, `TRUNCATE TABLE cc`)
+				insert(4000)
+				want = 3 * 4000
 			}
+		default: // rollback: everything starts over, never built
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, db, `DELETE FROM cc WHERE w % 7 = 3`)
+			mustExec(t, db, `UPDATE cc SET k = 0 WHERE w % 5 = 1`)
+			if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			want = 3 * int64(rowsBefore)
 		}
+		if len(db.cur.Load().tds[tbl].rows) < 3000 {
+			insert(3000) // keep several segments
+			want += 3 * 3000
+		}
+		allowed += want
 		// Re-extend the vectors to the new fence through the batch path,
-		// then check the epoch's cache mirrors its rows.
-		mustQuery(t, db, `SELECT w FROM cc WHERE k >= 0 AND k <= 8`)
+		// then check the epochs' caches mirror their rows.
+		mustQuery(t, db, cover)
 		verify(step)
+		got := tbl.colBuilt.Load() - before
+		if !sparse && got != want {
+			t.Fatalf("step %d: %d cells read from rows, want %d: DML made a reader cover cells again", step, got, want)
+		}
+		if step%40 == 0 {
+			repin(step / 40 % 2)
+		} else if sparse && step%7 == 0 {
+			// An old epoch covers its other columns, in segments the newer
+			// epochs share and in ones they have replaced.
+			p, err := db.Prepare(all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := tbl.colBuilt.Load()
+			if _, err := p.QueryAt(pins[step%2]); err != nil {
+				t.Fatal(err)
+			}
+			allowed += tbl.colBuilt.Load() - before
+			verify(step)
+		}
 	}
-	if tbl.colRebuilds.Load() != builds {
-		t.Fatalf("DML forced a full column rebuild (%d → %d)", builds, tbl.colRebuilds.Load())
+	if got := tbl.colBuilt.Load(); got > allowed {
+		t.Fatalf("%d cells read from rows, %d ever stored or started over", got, allowed)
 	}
 }
 

@@ -2,10 +2,12 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"ecfd/internal/relation"
 )
@@ -106,15 +108,23 @@ func (ep *epoch) table(name string) (*Table, error) {
 	return t, nil
 }
 
-// bytes approximates the epoch's heap footprint for the GC registry:
-// one Tuple header plus Width values per row, 24 bytes per slot. Row
-// arrays shared with other epochs are deliberately double-counted —
-// the registry answers "how much could this pinned epoch be holding
-// live", not an exact accounting.
+// bytes bounds the epoch's heap footprint from above for the GC
+// registry: per row one Tuple header plus Width values, and every cell
+// built into the column segments. Row arrays and segments shared with
+// other epochs are counted in each — the registry answers "how much
+// could this pinned epoch be holding live", not an exact accounting.
 func (ep *epoch) bytes() int64 {
+	const cell = int64(unsafe.Sizeof(relation.Value{}))
 	var b int64
 	for t, td := range ep.tds {
-		b += int64(len(td.rows)) * int64(t.Schema.Width()+1) * 24
+		b += int64(len(td.rows)) * (int64(unsafe.Sizeof(relation.Tuple{})) + int64(t.Schema.Width())*cell)
+		for _, sg := range td.segs {
+			sg.c.mu.RLock()
+			for _, v := range sg.c.vecs {
+				b += int64(len(v)) * cell
+			}
+			sg.c.mu.RUnlock()
+		}
 	}
 	return b
 }
@@ -127,9 +137,11 @@ func (ep *epoch) bytes() int64 {
 type Table struct {
 	Name   string
 	Schema *relation.Schema
-	// colRebuilds counts full (non-incremental) column-vector builds
-	// across all epochs of this table.
-	colRebuilds atomic.Int64
+	// colBuilt counts the cells read out of rows into column vectors,
+	// across all epochs of this table: each cell once when a reader first
+	// covers it, never again because of DML (forks compact and patch what
+	// is built; only wholesale replacement starts over).
+	colBuilt atomic.Int64
 }
 
 // Index is a stable handle for one secondary index: its column list
@@ -160,7 +172,9 @@ type tableData struct {
 	rows []relation.Tuple
 	// version distinguishes row states for per-env hash-build caching.
 	version uint64
-	cols    *colData
+	// segs is the column cache: the segments partition [0, len(rows)) in
+	// position order, at most segRows rows each. See segment.
+	segs    []segment
 	indexes []indexSlot
 }
 
@@ -198,12 +212,37 @@ type indexData struct {
 	sBase  int
 }
 
-// colData is one epoch-lineage's columnar scan cache:
-// vecs[ci][ri] == rows[ri][ci] for every built column, covering rows
-// [0, len(vec)). Batch kernels scan these flat vectors instead of
-// chasing one Tuple pointer per row. nil vec ⇔ never built; a vector
-// is extended lazily to each reader's fence under mu.
-type colData struct {
+// segRows is the most rows a column-cache segment holds — one selection
+// vector (batchChunk), so a batch kernel runs a whole segment at a time.
+// A DELETE or UPDATE copies the built vectors of the segments it touches
+// and shares the rest: on 40 000 gen rows with nine built columns an
+// 8-row DELETE allocated 14.7 MB for the flat vectors this replaced
+// (9 × 40 000 × 40 bytes, 89 % of an 8+8 ApplyUpdates) and allocates
+// 9 × ≤ 40 kB per touched segment now.
+const segRows = batchChunk
+
+// segment is one epoch's entry for a run of consecutive positions: where
+// the run starts in this epoch (a DELETE shifts the segments behind it
+// without touching them) and the vectors it shares with every other
+// epoch listing the same colSeg. It ends where the next one starts, the
+// last — the tail — at len(rows). A table's segments are never empty, and
+// no two neighbours fit in one (segsDeleted merges them), so n rows have
+// at most 2·⌈n/segRows⌉+1.
+type segment struct {
+	start int
+	c     *colSeg
+}
+
+// colSeg holds a segment's column vectors: vecs[ci][i] is column ci of
+// the segment's i-th row for every built column, covering rows
+// [0, len(vec)). nil vec ⇔ never built; a vector is extended lazily to
+// each reader's fence — the segment's row count in the reader's epoch —
+// under mu. Only a tail grows: INSERT fills it to segRows, which seals it
+// by starting the next, and from then on every epoch listing it sees the
+// same rows, so a sealed segment's full vector is never written again.
+// DELETE and UPDATE never write a colSeg either; they replace the ones
+// they touch (rebuildSeg, forkUpdated).
+type colSeg struct {
 	mu   sync.RWMutex
 	vecs [][]relation.Value
 }
@@ -359,7 +398,9 @@ type Stats struct {
 	LiveEpochs int
 	// RetiredEpochs counts superseded epochs kept alive by pins.
 	RetiredEpochs int
-	// RetiredBytes approximates the heap those retired epochs hold.
+	// RetiredBytes bounds the heap those retired epochs hold from above:
+	// their rows and built column segments at 40 bytes a cell, what
+	// several of them share counted once for each.
 	RetiredBytes int64
 	// ProbeRows counts the candidate rows the batch probe kernels sent to
 	// an exact probe — key encoded, hash build or index consulted — since
@@ -376,6 +417,12 @@ type Stats struct {
 	// SchedReuses the selects an idle instance served instead: all a fixed
 	// statement set adds to once it is warm.
 	SchedBuilds, SchedReuses int64
+	// CellsCopied counts the cells DML statements wrote while forking
+	// their epochs — row-array slots, index positions and column-segment
+	// cells, each copied, compacted, patched or re-keyed — and
+	// SegCellsCopied the column-segment share of it: the part that depends
+	// on the rows a statement touches and not on the size of its table.
+	CellsCopied, SegCellsCopied int64
 	// Recovery reports what WAL recovery did when the database opened.
 	Recovery RecoveryStats
 }
@@ -388,16 +435,18 @@ func (db *DB) Stats() Stats {
 	b := db.retiredBytes
 	db.epochMu.Unlock()
 	return Stats{
-		EpochSeq:      ep.seq,
-		LiveEpochs:    1 + r,
-		RetiredEpochs: r,
-		RetiredBytes:  b,
-		ProbeRows:     db.work[wProbeRows].Load(),
-		RowsScanned:   db.work[wRowsScanned].Load(),
-		HashBuilds:    db.work[wHashBuilds].Load(),
-		SchedBuilds:   db.work[wSchedBuilds].Load(),
-		SchedReuses:   db.work[wSchedReuses].Load(),
-		Recovery:      db.recov,
+		EpochSeq:       ep.seq,
+		LiveEpochs:     1 + r,
+		RetiredEpochs:  r,
+		RetiredBytes:   b,
+		ProbeRows:      db.work[wProbeRows].Load(),
+		RowsScanned:    db.work[wRowsScanned].Load(),
+		HashBuilds:     db.work[wHashBuilds].Load(),
+		SchedBuilds:    db.work[wSchedBuilds].Load(),
+		SchedReuses:    db.work[wSchedReuses].Load(),
+		CellsCopied:    db.work[wCellsCopied].Load(),
+		SegCellsCopied: db.work[wSegCellsCopied].Load(),
+		Recovery:       db.recov,
 	}
 }
 
@@ -432,7 +481,7 @@ func (db *DB) CreateTable(name string, cols []ColumnDef, ifNotExists bool) error
 	ne := db.forkEpochW()
 	ne.tables = cloneTables(ne.tables)
 	ne.tables[key] = t
-	ne.tds[t] = newTableData(nil)
+	ne.tds[t] = newTableData(nil, nil)
 	ne.ddlVersion++
 	db.installEpoch(ne)
 	return nil
@@ -473,8 +522,9 @@ func cloneTables(m map[string]*Table) map[string]*Table {
 	return out
 }
 
-func newTableData(rows []relation.Tuple) *tableData {
-	return &tableData{rows: rows, cols: &colData{}}
+// newTableData wraps rows nothing is built over yet.
+func newTableData(rows []relation.Tuple, indexes []indexSlot) *tableData {
+	return &tableData{rows: rows, segs: appendSegs(nil, len(rows)), indexes: indexes}
 }
 
 // table looks a table up in the writer head; callers hold db.mu.
@@ -533,7 +583,7 @@ func (db *DB) LoadRelation(r *relation.Relation) error {
 		ne := db.forkEpochW()
 		ne.tables = cloneTables(ne.tables)
 		ne.tables[key] = t
-		ne.tds[t] = newTableData(rows)
+		ne.tds[t] = newTableData(rows, nil)
 		ne.ddlVersion++
 		db.installEpoch(ne)
 		return nil
@@ -596,7 +646,7 @@ func (db *DB) CreateIndex(name, table string, cols []string) error {
 	nidx := make([]indexSlot, len(td.indexes)+1)
 	copy(nidx, td.indexes)
 	nidx[len(td.indexes)] = indexSlot{idx: idx, data: &indexData{}}
-	ntd := &tableData{rows: td.rows, version: td.version, cols: td.cols, indexes: nidx}
+	ntd := &tableData{rows: td.rows, version: td.version, segs: td.segs, indexes: nidx}
 	ne := db.forkEpochW()
 	ne.tds[t] = ntd
 	ne.ddlVersion++
@@ -617,18 +667,31 @@ func (db *DB) CreateIndex(name, table string, cols []string) error {
 // extend the old one's spare capacity in place: cells beyond the old
 // length are invisible to older epochs, and every non-append
 // transition produces a fresh or capacity-clipped array, so no other
-// lineage can ever write those cells. Index and column structures are
-// shared wholesale — appends are exactly what their lazy fenced
-// extension absorbs.
+// lineage can ever write those cells. Index structures and column
+// segments are shared wholesale — appends are exactly what their lazy
+// fenced extension absorbs; rows past the tail's segRows start fresh
+// segments.
 func (db *DB) applyAppend(t *Table, newRows []relation.Tuple) {
 	td := db.curW.tds[t]
-	ntd := &tableData{
-		rows:    append(td.rows, newRows...),
-		version: td.version + 1,
-		cols:    td.cols,
-		indexes: td.indexes,
+	cells := len(newRows)
+	if len(td.rows)+cells > cap(td.rows) {
+		cells += len(td.rows) // append moves the array
 	}
-	db.installTD(t, ntd)
+	rows := append(td.rows, newRows...)
+	db.copied(cells, 0)
+	db.installTD(t, &tableData{
+		rows:    rows,
+		version: td.version + 1,
+		segs:    appendSegs(td.segs, len(rows)),
+		indexes: td.indexes,
+	})
+}
+
+// copied adds what one DML fork wrote to the CellsCopied counters: cells
+// in all, seg of them into column segments.
+func (db *DB) copied(cells, seg int) {
+	db.work[wCellsCopied].Add(int64(cells))
+	db.work[wSegCellsCopied].Add(int64(seg))
 }
 
 // applyUpdate installs an UPDATE of setCols at row positions pos
@@ -637,9 +700,8 @@ func (db *DB) applyAppend(t *Table, newRows []relation.Tuple) {
 // never written. Indexes reading none of the assigned columns share
 // their structures (this keeps the detector's SV/MV flag writes from
 // ever disturbing the RID index); overlapping indexes fork with the
-// changed positions re-keyed. The column cache forks: assigned built
-// vectors are cloned and patched, unassigned built vectors are shared
-// capacity-clipped so each lineage extends its own copy.
+// changed positions re-keyed. Column segments holding no changed
+// position are shared, the others fork (colSeg.forkUpdated).
 func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.Value) {
 	td := db.curW.tds[t]
 	nrows := make([]relation.Tuple, len(td.rows))
@@ -651,56 +713,61 @@ func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.
 		}
 		nrows[ri] = nr
 	}
-	ntd := &tableData{
-		rows:    nrows,
-		version: td.version + 1,
-		cols:    td.cols.forkUpdated(pos, setCols, vals),
+	ntd := &tableData{rows: nrows, version: td.version + 1, segs: slices.Clone(td.segs)}
+	cells, seg := len(nrows), 0
+	for i, si := 0, 0; i < len(pos); {
+		si = td.segAt(pos[i], si)
+		base, n := td.span(si)
+		j := i + sort.SearchInts(pos[i:], base+n)
+		c, k := td.segs[si].c.forkUpdated(base, pos[i:j], setCols, vals[i:j])
+		ntd.segs[si].c, seg, i = c, seg+k, j
 	}
 	if len(td.indexes) > 0 {
 		ntd.indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
 			if overlaps(sl.idx.Cols, setCols) {
-				ntd.indexes[i] = indexSlot{idx: sl.idx, data: sl.data.forkUpdated(sl.idx, td.rows, nrows, pos)}
+				nd, k := sl.data.forkUpdated(sl.idx, td.rows, nrows, pos)
+				ntd.indexes[i], cells = indexSlot{idx: sl.idx, data: nd}, cells+k
 			} else {
 				ntd.indexes[i] = sl
 			}
 		}
 	}
+	db.copied(cells+seg, seg)
 	db.installTD(t, ntd)
 }
 
 // applyDelete installs a DELETE of the rows at positions dels
 // (ascending, pre-delete positions). Surviving positions shift down
 // by the number of deleted positions below them; neither keys nor
-// relative order change, so every built structure forks by one
-// filter-and-remap pass.
+// relative order change, so every built index structure forks by one
+// filter-and-remap pass, and the column cache by rebuilding the
+// segments that lost rows (segsDeleted).
 func (db *DB) applyDelete(t *Table, dels []int) {
 	td := db.curW.tds[t]
 	nrows := withoutPositions(td.rows, dels)
-	ntd := &tableData{
-		rows:    nrows,
-		version: td.version + 1,
-		cols:    td.cols.forkDeleted(dels),
-	}
+	ntd := &tableData{rows: nrows, version: td.version + 1}
+	cells := len(nrows)
+	var seg int
+	ntd.segs, seg = td.segsDeleted(t, dels, nrows)
 	if len(td.indexes) > 0 {
 		ntd.indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
-			ntd.indexes[i] = indexSlot{idx: sl.idx, data: sl.data.forkDeleted(dels)}
+			nd, k := sl.data.forkDeleted(dels)
+			ntd.indexes[i], cells = indexSlot{idx: sl.idx, data: nd}, cells+k
 		}
 	}
+	db.copied(cells+seg, seg)
 	db.installTD(t, ntd)
 }
 
-// applyTruncate installs an empty row store. Built structures fork to
-// built-empty with fresh allocations (an in-place [:0] would alias
-// backing arrays across lineages); never-built structures stay lazy
-// so an unprobed index keeps costing nothing.
+// applyTruncate installs an empty row store with no segment. Built index
+// structures fork to built-empty with fresh allocations (an in-place
+// [:0] would alias backing arrays across lineages); never-built
+// structures stay lazy so an unprobed index keeps costing nothing.
 func (db *DB) applyTruncate(t *Table) {
 	td := db.curW.tds[t]
-	ntd := &tableData{
-		version: td.version + 1,
-		cols:    td.cols.forkTruncated(),
-	}
+	ntd := &tableData{version: td.version + 1}
 	if len(td.indexes) > 0 {
 		ntd.indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
@@ -716,13 +783,15 @@ func (db *DB) applyTruncate(t *Table) {
 // full rebuild — the epoch version of mark-dirty-and-rebuild.
 func (db *DB) applyWholesale(t *Table, rows []relation.Tuple) {
 	td := db.curW.tds[t]
-	ntd := &tableData{rows: rows, version: td.version + 1, cols: &colData{}}
+	var indexes []indexSlot
 	if len(td.indexes) > 0 {
-		ntd.indexes = make([]indexSlot, len(td.indexes))
+		indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
-			ntd.indexes[i] = indexSlot{idx: sl.idx, data: &indexData{}}
+			indexes[i] = indexSlot{idx: sl.idx, data: &indexData{}}
 		}
 	}
+	ntd := newTableData(rows, indexes)
+	ntd.version = td.version + 1
 	db.installTD(t, ntd)
 }
 
@@ -738,151 +807,215 @@ func overlaps(idxCols, cols []int) bool {
 	return false
 }
 
-// --- column cache: fenced access and forks ---
+// --- column cache: segments, fenced access and forks ---
 
-// column returns the cached value vector for schema position ci,
-// valid for this epoch's rows — built or extended to the fence on
-// first use. The returned slice is immutable to the caller.
-func (td *tableData) column(t *Table, ci int) []relation.Value {
-	d := td.cols
-	f := len(td.rows)
-	d.mu.RLock()
-	if ci < len(d.vecs) {
-		if v := d.vecs[ci]; v != nil && len(v) >= f {
-			d.mu.RUnlock()
+// span returns the positions segment si covers in this epoch: n rows from
+// base.
+func (td *tableData) span(si int) (base, n int) {
+	base, end := td.segs[si].start, len(td.rows)
+	if si+1 < len(td.segs) {
+		end = td.segs[si+1].start
+	}
+	return base, end - base
+}
+
+// segAt returns the segment holding position p, trying hint first: a
+// level's candidates mostly continue where the last one was.
+func (td *tableData) segAt(p, hint int) int {
+	if base, n := td.span(hint); uint(p-base) < uint(n) {
+		return hint
+	}
+	lo, hi := 0, len(td.segs) // the last segment starting at or before p
+	for hi-lo > 1 {
+		if mid := int(uint(lo+hi) >> 1); td.segs[mid].start <= p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// appendSegs extends a segment table to cover n rows: the tail takes
+// rows until it holds segRows, fresh never-built segments the rest.
+func appendSegs(segs []segment, n int) []segment {
+	next := 0
+	if k := len(segs); k > 0 {
+		next = segs[k-1].start + segRows
+	}
+	if next >= n {
+		return segs
+	}
+	segs = segs[:len(segs):len(segs)] // the epoch forked from lists the same array
+	for ; next < n; next += segRows {
+		segs = append(segs, segment{start: next, c: &colSeg{}})
+	}
+	return segs
+}
+
+// column returns the segment's vector for schema position ci, covering
+// rows — the segment's rows in the reader's epoch — built or extended to
+// that fence on first use. The returned slice is immutable to the caller.
+func (s *colSeg) column(t *Table, ci int, rows []relation.Tuple) []relation.Value {
+	f := len(rows)
+	s.mu.RLock()
+	if ci < len(s.vecs) {
+		if v := s.vecs[ci]; len(v) >= f {
+			s.mu.RUnlock()
 			return v[:f]
 		}
 	}
-	d.mu.RUnlock()
-	return d.extend(t, td.rows, ci, f)
-}
-
-// extend builds (or grows) column ci's vector to cover fence f using
-// this epoch's rows. Epochs sharing a colData agree on all cell
-// values over their common prefix, so whichever lineage extends
-// first, the result serves both.
-func (d *colData) extend(t *Table, rows []relation.Tuple, ci, f int) []relation.Value {
-	d.mu.Lock()
-	if d.vecs == nil {
-		d.vecs = make([][]relation.Value, t.Schema.Width())
+	s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.vecs == nil {
+		s.vecs = make([][]relation.Value, t.Schema.Width())
 	}
-	v := d.vecs[ci]
-	if v != nil && len(v) >= f {
-		d.mu.Unlock()
-		return v[:f]
-	}
-	built := v == nil
-	if built {
+	// Epochs sharing a colSeg agree on all cell values over their common
+	// prefix, so whichever extends first, the result serves both.
+	v := s.vecs[ci]
+	if v == nil {
 		v = make([]relation.Value, 0, f)
+	}
+	if n := f - len(v); n > 0 {
+		t.colBuilt.Add(int64(n))
 	}
 	for ri := len(v); ri < f; ri++ {
 		v = append(v, rows[ri][ci])
 	}
-	d.vecs[ci] = v
-	d.mu.Unlock()
-	if built {
-		t.colRebuilds.Add(1)
-	}
+	s.vecs[ci] = v
 	return v[:f]
 }
 
-// forkUpdated forks the cache for an UPDATE: built vectors of
-// assigned columns are cloned and patched; built vectors of other
-// columns are shared capacity-clipped (each lineage's later appends
-// then reallocate instead of racing on spare cells); never-built
-// vectors stay never-built.
-func (d *colData) forkUpdated(pos []int, setCols []int, vals [][]relation.Value) *colData {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	nd := &colData{}
-	if d.vecs == nil {
-		return nd
+// forkUpdated forks the segment, which starts at base, for an UPDATE of
+// setCols at positions pos inside it: built vectors of assigned columns
+// are cloned and patched; built vectors of other columns are shared
+// capacity-clipped (each lineage's later appends then reallocate instead
+// of racing on spare cells); never-built vectors stay never-built.
+// Returns the cells written too.
+func (s *colSeg) forkUpdated(base int, pos []int, setCols []int, vals [][]relation.Value) (*colSeg, int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	ns, cells := &colSeg{}, 0
+	if s.vecs == nil {
+		return ns, 0
 	}
-	nd.vecs = make([][]relation.Value, len(d.vecs))
-	for ci, v := range d.vecs {
+	ns.vecs = make([][]relation.Value, len(s.vecs))
+	for ci, v := range s.vecs {
 		if v == nil {
 			continue
 		}
-		j := -1
-		for k, c := range setCols {
-			if c == ci {
-				j = k
-				break
-			}
-		}
+		j := slices.Index(setCols, ci)
 		if j < 0 {
-			nd.vecs[ci] = v[:len(v):len(v)]
+			ns.vecs[ci] = v[:len(v):len(v)]
 			continue
 		}
-		nv := make([]relation.Value, len(v))
-		copy(nv, v)
+		nv := slices.Clone(v)
 		for i, ri := range pos {
-			if ri < len(nv) {
-				nv[ri] = vals[i][j]
+			if ri-base < len(nv) {
+				nv[ri-base] = vals[i][j]
 			}
 		}
-		nd.vecs[ci] = nv
+		ns.vecs[ci], cells = nv, cells+len(nv)
 	}
-	return nd
+	return ns, cells
 }
 
-// forkDeleted forks the cache for a DELETE: each built vector is
-// compacted run by run; its new length is exactly the compacted cover
-// of the positions it described.
-func (d *colData) forkDeleted(dels []int) *colData {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	nd := &colData{}
-	if d.vecs == nil {
-		return nd
-	}
-	nd.vecs = make([][]relation.Value, len(d.vecs))
-	for ci, v := range d.vecs {
-		if v != nil {
-			nd.vecs[ci] = withoutPositions(v, dels)
+// segPart is one segment's contribution to a rebuilt one: its n rows from
+// position base on, in the epoch forked from, minus those at dels.
+type segPart struct {
+	c       *colSeg
+	base, n int
+	dels    []int
+}
+
+// segsDeleted forks the segment table for a DELETE of positions dels
+// (ascending); nrows are the rows left. A segment that loses no row is
+// shared, at its shifted start; one that loses all of them is dropped;
+// the others are rebuilt, compacted — each together with the neighbours
+// it now fits in one segment with, which keeps the table within its
+// bound (see segment) under any churn. Returns the cells written too.
+func (td *tableData) segsDeleted(t *Table, dels []int, nrows []relation.Tuple) ([]segment, int) {
+	out := make([]segment, 0, len(td.segs))
+	var parts []segPart // the segment being assembled: its parts, first position and rows
+	start, size, cells := 0, 0, 0
+	flush := func() {
+		if len(parts) == 1 && len(parts[0].dels) == 0 {
+			out = append(out, segment{start: start, c: parts[0].c})
+		} else if len(parts) > 0 {
+			c, k := rebuildSeg(t, parts, nrows[start:start+size])
+			out, cells = append(out, segment{start: start, c: c}), cells+k
 		}
+		start, size, parts = start+size, 0, parts[:0]
 	}
-	return nd
+	for si := range td.segs {
+		base, n := td.span(si)
+		k := sort.SearchInts(dels, base+n)
+		if live := n - k; live > 0 {
+			if size+live > segRows {
+				flush()
+			}
+			parts, size = append(parts, segPart{td.segs[si].c, base, n, dels[:k]}), size+live
+		}
+		dels = dels[k:]
+	}
+	flush()
+	return out, cells
+}
+
+// rebuildSeg builds the segment holding what is left of parts, in order;
+// rows are its rows in the new epoch. Every column built in a part is
+// built in the result, compacted: a column stays covered as far as it
+// was, and a part that had not covered what a later one had is completed
+// from rows, so no covered cell is ever read again. Returns the cells
+// written too.
+func rebuildSeg(t *Table, parts []segPart, rows []relation.Tuple) (*colSeg, int) {
+	for _, p := range parts {
+		p.c.mu.RLock()
+		defer p.c.mu.RUnlock()
+	}
+	ns, cells := &colSeg{vecs: make([][]relation.Value, t.Schema.Width())}, 0
+	for ci := range ns.vecs {
+		var v []relation.Value
+		at := 0 // where the part's rows start in the result
+		for _, p := range parts {
+			if ci < len(p.c.vecs) && len(p.c.vecs[ci]) > 0 {
+				if v == nil {
+					v = make([]relation.Value, 0, len(rows))
+				}
+				t.colBuilt.Add(int64(at - len(v)))
+				for len(v) < at {
+					v = append(v, rows[len(v)][ci])
+				}
+				v = appendWithout(v, p.c.vecs[ci][:min(p.n, len(p.c.vecs[ci]))], p.dels, p.base)
+			}
+			at += p.n - len(p.dels)
+		}
+		ns.vecs[ci], cells = v, cells+len(v)
+	}
+	return ns, cells
 }
 
 // withoutPositions returns a fresh copy of v minus the elements at the
-// ascending positions dels (those beyond len(v) are ignored), copying
-// the surviving runs between deleted positions wholesale. The copy
+// ascending positions dels (those beyond len(v) are ignored). The copy
 // keeps room for as many elements as were deleted (up to a quarter of
 // its length, append's own growth step), so a table that deletes and
 // inserts in equal measure does not reallocate on the next append.
-func withoutPositions[T any](v []T, dels []int) []T {
-	dels = dels[:sort.SearchInts(dels, len(v))]
-	n := len(v) - len(dels)
-	spare := len(dels)
-	if spare > n/4 {
-		spare = n / 4
-	}
-	out := make([]T, 0, n+spare)
-	from := 0
-	for _, d := range dels {
-		out = append(out, v[from:d]...)
-		from = d + 1
-	}
-	return append(out, v[from:]...)
+func withoutPositions(v []relation.Tuple, dels []int) []relation.Tuple {
+	n := len(v) - sort.SearchInts(dels, len(v))
+	return appendWithout(make([]relation.Tuple, 0, n+min(len(v)-n, n/4)), v, dels, 0)
 }
 
-// forkTruncated forks the cache for TRUNCATE: built vectors become
-// built-empty with fresh backing, never-built stay never-built.
-func (d *colData) forkTruncated() *colData {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	nd := &colData{}
-	if d.vecs == nil {
-		return nd
+// appendWithout appends v to out minus the elements at the ascending
+// positions dels, which count from base (those beyond v are ignored),
+// copying the surviving runs between deleted positions wholesale.
+func appendWithout[T any](out, v []T, dels []int, base int) []T {
+	from := 0
+	for _, d := range dels[:sort.SearchInts(dels, base+len(v))] {
+		out = append(out, v[from:d-base]...)
+		from = d - base + 1
 	}
-	nd.vecs = make([][]relation.Value, len(d.vecs))
-	for ci, v := range d.vecs {
-		if v != nil {
-			nd.vecs[ci] = make([]relation.Value, 0)
-		}
-	}
-	return nd
+	return append(out, v[from:]...)
 }
 
 // --- index structures: fenced access and forks ---
@@ -1219,8 +1352,8 @@ func (td *tableData) eqPrefixRange(t *Table, idx *Index, vals []relation.Value, 
 // never read in order, buckets) for the covered changed positions are
 // re-keyed against the new rows. Bucket arrays touched by the re-keying
 // are always freshly allocated — the old lineage keeps reading its
-// snapshotted headers.
-func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, pos []int) *indexData {
+// snapshotted headers. Returns the positions written too.
+func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, pos []int) (*indexData, int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
@@ -1243,8 +1376,9 @@ func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, p
 		sort.Slice(add, func(a, b int) bool { return lessPosIn(idx.Cols, newRows, add[a], add[b]) })
 		nd.sorted = mergeSortedIn(idx.Cols, newRows, keep, add)
 		nd.sBase = len(nd.sorted)
-		return nd // equality probes binary-search it: no map to carry
+		return nd, len(nd.sorted) // equality probes binary-search it: no map to carry
 	}
+	cells := 0
 	if d.m != nil {
 		nm := make(map[string][]int, len(d.m))
 		for k, b := range d.m {
@@ -1258,21 +1392,22 @@ func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, p
 			for i, c := range idx.Cols {
 				key[i] = oldRows[ri][c]
 			}
-			bucketRemove(nm, relation.KeyOf(key), ri)
+			cells += bucketRemove(nm, relation.KeyOf(key), ri)
 			for i, c := range idx.Cols {
 				key[i] = newRows[ri][c]
 			}
-			bucketInsert(nm, relation.KeyOf(key), ri)
+			cells += bucketInsert(nm, relation.KeyOf(key), ri)
 		}
 		nd.m, nd.mCover = nm, d.mCover
 	}
-	return nd
+	return nd, cells
 }
 
 // forkDeleted forks the structures for a DELETE: surviving positions
 // are filtered and remapped in one pass — no key encoding, no re-sort,
-// and for an index read in order no per-key work at all.
-func (d *indexData) forkDeleted(dels []int) *indexData {
+// and for an index read in order no per-key work at all. Returns the
+// positions written too.
+func (d *indexData) forkDeleted(dels []int) (*indexData, int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
@@ -1288,7 +1423,7 @@ func (d *indexData) forkDeleted(dels []int) *indexData {
 			}
 		}
 		nd.sorted, nd.sBase = keep, len(keep)
-		return nd // equality probes binary-search it: no map to carry
+		return nd, len(keep) // equality probes binary-search it: no map to carry
 	}
 	if d.m != nil {
 		nm := make(map[string][]int, len(d.m))
@@ -1306,7 +1441,7 @@ func (d *indexData) forkDeleted(dels []int) *indexData {
 		nd.m = nm
 		nd.mCover = d.mCover - below(d.mCover)
 	}
-	return nd
+	return nd, nd.mCover // every covered row sits in one bucket
 }
 
 // forkTruncated forks the structures for TRUNCATE: built becomes
@@ -1326,26 +1461,27 @@ func (d *indexData) forkTruncated() *indexData {
 
 // bucketRemove deletes one position from a bucket, replacing the
 // bucket array (never editing it in place — the source lineage may
-// still be reading it).
-func bucketRemove(m map[string][]int, k string, ri int) {
+// still be reading it). Returns the positions written.
+func bucketRemove(m map[string][]int, k string, ri int) int {
 	b := m[k]
 	at := sort.SearchInts(b, ri)
 	if at >= len(b) || b[at] != ri {
-		return
+		return 0
 	}
 	if len(b) == 1 {
 		delete(m, k)
-		return
+		return 0
 	}
 	nb := make([]int, 0, len(b)-1)
 	nb = append(nb, b[:at]...)
 	nb = append(nb, b[at+1:]...)
 	m[k] = nb
+	return len(nb)
 }
 
 // bucketInsert adds one position to a bucket in ascending order,
-// replacing the bucket array.
-func bucketInsert(m map[string][]int, k string, ri int) {
+// replacing the bucket array. Returns the positions written.
+func bucketInsert(m map[string][]int, k string, ri int) int {
 	b := m[k]
 	at := sort.SearchInts(b, ri)
 	nb := make([]int, 0, len(b)+1)
@@ -1353,6 +1489,7 @@ func bucketInsert(m map[string][]int, k string, ri int) {
 	nb = append(nb, ri)
 	nb = append(nb, b[at:]...)
 	m[k] = nb
+	return len(nb)
 }
 
 // lessPosIn orders two row positions by the index-column values, ties

@@ -55,6 +55,8 @@ const (
 	wHashBuilds
 	wSchedBuilds
 	wSchedReuses
+	wCellsCopied // this and the next: added to by DML forks (DB.copied), which run under no env
+	wSegCellsCopied
 	nWork
 )
 
@@ -77,12 +79,6 @@ func (en *env) td(t *Table) *tableData { return en.ep.tds[t] }
 
 // rows returns the epoch's row slice for a table handle.
 func (en *env) rows(t *Table) []relation.Tuple { return en.ep.tds[t].rows }
-
-// column returns the epoch's column vector for (t, ci), fenced to the
-// epoch's row count (building or extending the shared cache if needed).
-func (en *env) column(t *Table, ci int) []relation.Value {
-	return en.ep.tds[t].column(t, ci)
-}
 
 // scratchFor returns the env's frame row slot for cs.
 func (en *env) scratchFor(cs *compiledSelect) []relation.Tuple {

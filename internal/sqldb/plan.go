@@ -398,10 +398,11 @@ type schedLevel struct {
 	// kerns are the batch kernels consumed at this level: plain (single-
 	// alternative) conjuncts fully decided here whose predicate lowers
 	// to a vector filter. The level then runs in batch mode — candidates
-	// are chunked into selection vectors, kernels tighten them over the
-	// cached column vectors, and only survivors reach the per-row evals
-	// and the deeper levels. Kernel-consumed conjuncts never appear in
-	// evals; the kernels evaluate them exactly.
+	// are cut into selection vectors, one per run inside a column-cache
+	// segment, kernels tighten them over the segment's vectors, and only
+	// survivors reach the per-row evals and the deeper levels.
+	// Kernel-consumed conjuncts never appear in evals; the kernels
+	// evaluate them exactly.
 	kerns []*kernelPred
 	// groups are the OR-group kernels consumed here: whole conjuncts
 	// (all alternatives) owned by the batch path. Alternatives' parts
@@ -500,12 +501,11 @@ type planState struct {
 	idx       []int // current row index per source
 	marks     [][]int
 	deadMarks [][]int
-	// Batch-mode scratch, per level: the selection-vector chunk, the
-	// per-entry kernel bindings, the column vectors fetched once per
-	// level entry, and the OR-group filter scratch.
+	// Batch-mode scratch, per level: the selection vector, the per-entry
+	// kernel bindings and the OR-group filter scratch. None of it grows
+	// with the table: selection vectors and row masks span one segment.
 	sel   [][]int
 	binds [][]kernBind
-	kcols [][][]relation.Value
 	gsc   []*groupScratch
 }
 
@@ -837,14 +837,12 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 		deadMarks: make([][]int, n),
 		sel:       make([][]int, n),
 		binds:     make([][]kernBind, n),
-		kcols:     make([][][]relation.Value, n),
 		gsc:       make([]*groupScratch, n),
 	}
 	for i := range sch.levels {
 		lv := &sch.levels[i]
 		if k := len(lv.kerns); k > 0 {
 			sch.state.binds[i] = make([]kernBind, k)
-			sch.state.kcols[i] = make([][]relation.Value, k)
 		}
 		if len(lv.groups) > 0 {
 			sch.state.gsc[i] = &groupScratch{}
@@ -963,16 +961,15 @@ func (cs *compiledSelect) release(sch *schedule) {
 // reset drops the two kinds of state that outlive a level entry. What is
 // built once per statement — a base-table probe's hash, an IN kernel's
 // item set — would answer for the last statement's rows and parameters.
-// And a reference into the epoch it read (column vectors, index views,
-// hash sets) would keep that epoch's vectors live while the instance
-// idles. Scratch capacity, and a few bound scalars, stay.
+// And a reference into the epoch it read (a probe's segment vectors, index
+// views, hash sets) would keep that epoch's segments live while the
+// instance idles. Scratch capacity, and a few bound scalars, stay.
 func (sch *schedule) reset() {
 	st := sch.state
 	for pos := range sch.levels {
 		if p := sch.levels[pos].probe; p != nil {
 			p.hash = nil
 		}
-		clear(st.kcols[pos])
 		for i := range st.binds[pos] {
 			st.binds[pos][i].reset()
 		}
@@ -1161,14 +1158,18 @@ func (cs *compiledSelect) evalLevelRow(en *env, st *planState, lv *schedLevel, p
 }
 
 // planLevelBatch is the vectorized level driver: candidate positions
-// are chunked into fixed-size selection vectors, the level's kernels
-// tighten each chunk over the table's cached column vectors, OR-group
-// kernels OR-merge their per-alternative filters into the chunk, and
-// only the surviving rows run the per-row machinery and the deeper
-// levels. Kernel and group bindings (the loop-invariant inputs)
-// evaluate once per level entry. Candidate order is preserved end to
-// end — descending order-served scans fill chunks from the tail — so
-// batch mode composes with range-pruned and order-served scans.
+// are cut into runs — the candidates, in order, that fall in one
+// column-cache segment: a whole segment of a full scan, what an index
+// bucket holds of one before it moves to another — the level's kernels
+// tighten each run's selection vector of segment offsets over the
+// segment's vectors, OR-group kernels OR-merge their per-alternative
+// filters into it, and only the surviving rows run the per-row machinery
+// and the deeper levels, under their positions in the table. Kernel and
+// group bindings (the loop-invariant inputs) evaluate once per level
+// entry. Candidate order is preserved end to end — a bucket in index
+// order may change segment with every candidate, descending scans walk
+// segments and buckets from the tail — so batch mode composes with
+// range-pruned and order-served scans.
 func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]relation.Tuple, pos int, lv *schedLevel, rows []relation.Tuple, bucket []int, scanAll bool, yield func([]int) error) error {
 	st := sch.state
 	n := len(rows)
@@ -1180,8 +1181,8 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 	}
 	en.work[wRowsScanned] += int64(n)
 	t := cs.sources[lv.src].table
+	td := en.td(t)
 	binds := st.binds[pos]
-	kcols := st.kcols[pos]
 	for i, k := range lv.kerns {
 		if err := k.bind(en, &binds[i]); err != nil {
 			return err
@@ -1189,71 +1190,69 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 		if binds[i].empty {
 			return nil // NULL bound: the predicate holds for no row
 		}
-		kcols[i] = en.column(t, k.col)
 	}
-	var gs *groupScratch
-	if len(lv.groups) > 0 {
-		for _, g := range lv.groups {
-			g.enter(n) // state reset only; terms bind lazily at filter time
+	for _, g := range lv.groups {
+		g.enter(n) // state reset only; terms bind lazily at filter time
+	}
+	// cand returns the i-th candidate position in level order.
+	cand := func(i int) int {
+		switch {
+		case scanAll: // never descending: that takes an index, a bucket
+			return i
+		case lv.desc:
+			return bucket[n-1-i]
 		}
-		gs = st.gsc[pos]
-		if len(gs.mask) < len(rows) {
-			gs.mask = make([]bool, len(rows))
-		}
+		return bucket[i]
 	}
 	marks := st.marks[pos][:0]
 	deadMarks := st.deadMarks[pos][:0]
 	sel := st.sel[pos]
-	for start := 0; start < n; start += batchChunk {
-		end := start + batchChunk
-		if end > n {
-			end = n
-		}
+	var err error
+	for i, si := 0, 0; i < n && err == nil; {
+		si = td.segAt(cand(i), si)
+		base, m := td.span(si)
+		run := segRun{t: t, c: td.segs[si].c, rows: rows[base : base+m]}
 		sel = sel[:0]
-		switch {
-		case lv.desc && scanAll:
-			for i := start; i < end; i++ {
-				sel = append(sel, n-1-i)
+		if scanAll { // the whole segment
+			for off := 0; off < m; off++ {
+				sel = append(sel, off)
 			}
-		case lv.desc:
-			for i := start; i < end; i++ {
-				sel = append(sel, bucket[n-1-i])
+			i += m
+		} else {
+			for ; i < n; i++ {
+				off := cand(i) - base
+				if uint(off) >= uint(m) {
+					break
+				}
+				sel = append(sel, off)
 			}
-		case scanAll:
-			for ri := start; ri < end; ri++ {
-				sel = append(sel, ri)
-			}
-		default:
-			sel = append(sel, bucket[start:end]...)
 		}
-		for i, k := range lv.kerns {
-			sel = k.filter(kcols[i], &binds[i], sel)
+		for ki, k := range lv.kerns {
 			if len(sel) == 0 {
 				break
 			}
+			sel = k.filter(run.column(k.col), &binds[ki], sel)
 		}
 		for _, g := range lv.groups {
 			if g.pass || len(sel) == 0 {
 				continue
 			}
-			var err error
-			if sel, err = g.filter(en, cs, lv.src, t, gs, rows, sel); err != nil {
-				st.sel[pos] = sel
-				st.marks[pos] = marks
-				st.deadMarks[pos] = deadMarks
-				return err
+			if sel, err = g.filter(en, cs, lv.src, st.gsc[pos], &run, sel); err != nil {
+				break // with no row left in sel
 			}
 		}
-		for _, ri := range sel {
-			if err := cs.stepRow(en, sch, srcRows, pos, lv, rows, ri, &marks, &deadMarks, yield); err != nil {
-				st.sel[pos] = sel
-				st.marks[pos] = marks
-				st.deadMarks[pos] = deadMarks
-				return err
+		for _, off := range sel {
+			if err = cs.stepRow(en, sch, srcRows, pos, lv, rows, base+off, &marks, &deadMarks, yield); err != nil {
+				break
 			}
 		}
 	}
 	st.sel[pos] = sel
+	if err != nil {
+		st.marks[pos] = marks
+		st.deadMarks[pos] = deadMarks
+		return err
+	}
 	st.marks[pos] = marks[:0]
 	st.deadMarks[pos] = deadMarks[:0]
 	return nil

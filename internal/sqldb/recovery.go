@@ -93,7 +93,7 @@ func (db *DB) finishRestore(rs *restoreState) {
 		for i, idx := range rt.indexes {
 			slots[i] = indexSlot{idx: idx, data: &indexData{}}
 		}
-		ep.tds[rt.t] = &tableData{rows: rt.rows, cols: &colData{}, indexes: slots}
+		ep.tds[rt.t] = newTableData(rt.rows, slots)
 	}
 }
 
@@ -335,7 +335,7 @@ func (db *DB) replayWALFile(rs *restoreState, gen uint64) (int64, error) {
 			return 0, fmt.Errorf("sql: wal %s: corrupt record at offset %d: CRC mismatch with %d bytes following", path, off, len(data)-off-walFrameSize-ln)
 		}
 		if err := applyWALUnit(rs, payload); err != nil {
-			return 0, fmt.Errorf("sql: wal %s: record at offset %d: %v", path, off, err)
+			return 0, fmt.Errorf("sql: wal %s: record at offset %d: %w", path, off, err)
 		}
 		db.recov.UnitsReplayed++
 		off += walFrameSize + ln
@@ -360,10 +360,10 @@ func applyWALUnit(rs *restoreState, payload []byte) error {
 	d := &walDecoder{b: payload}
 	for d.more() {
 		if err := applyWALOp(rs, d); err != nil {
-			return err
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
-	return d.err
+	return nil // applyWALOp reports the decoder's error as its own
 }
 
 func applyWALOp(rs *restoreState, d *walDecoder) error {
@@ -379,8 +379,7 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 			return fmt.Errorf("implausible insert count %d", n)
 		}
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			row := d.tuple()
-			if d.err == nil {
+			if row := d.row(rt.t.Schema.Width()); d.err == nil {
 				rt.rows = append(rt.rows, row)
 			}
 		}
@@ -395,9 +394,9 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 		}
 		pos := make([]int, n)
 		for i := range pos {
-			p := int(d.uint())
-			if d.err == nil && (p >= len(rt.rows) || (i > 0 && p <= pos[i-1])) {
-				return fmt.Errorf("delete position %d out of order or range", p)
+			p := d.below(len(rt.rows), "delete position")
+			if d.err == nil && i > 0 && p <= pos[i-1] {
+				return fmt.Errorf("delete position %d out of order", p)
 			}
 			pos[i] = p
 		}
@@ -426,11 +425,7 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 		}
 		cols := make([]int, nc)
 		for i := range cols {
-			c := int(d.uint())
-			if d.err == nil && c >= t.Schema.Width() {
-				return fmt.Errorf("update column %d out of range", c)
-			}
-			cols[i] = c
+			cols[i] = d.below(t.Schema.Width(), "update column")
 		}
 		np := d.uint()
 		if d.err != nil || np > uint64(len(rt.rows)) {
@@ -439,11 +434,7 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 		pos := make([]int, np)
 		vals := make([][]relation.Value, np)
 		for i := range pos {
-			p := int(d.uint())
-			if d.err == nil && p >= len(rt.rows) {
-				return fmt.Errorf("update position %d out of range", p)
-			}
-			pos[i] = p
+			pos[i] = d.below(len(rt.rows), "update position")
 			vals[i] = make([]relation.Value, nc)
 			for j := range vals[i] {
 				vals[i][j] = d.value()
@@ -491,7 +482,7 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 		}
 		t := rt.t
 		nc := d.uint()
-		if d.err != nil || nc > uint64(t.Schema.Width()) {
+		if d.err != nil || nc == 0 || nc > uint64(t.Schema.Width()) {
 			return fmt.Errorf("implausible index width %d", nc)
 		}
 		idx := &Index{Name: name}
@@ -518,7 +509,7 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 		}
 		rows := make([]relation.Tuple, 0, n)
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			rows = append(rows, d.tuple())
+			rows = append(rows, d.row(s.Width()))
 		}
 		if d.err != nil {
 			return d.err
@@ -528,6 +519,8 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 		if !ok {
 			rt = &restoreTable{t: &Table{Name: s.Name, Schema: s}}
 			rs.tables[key] = rt
+		} else if w := rt.t.Schema.Width(); w != s.Width() {
+			return fmt.Errorf("load of %d-column rows into %d-column table %s", s.Width(), w, s.Name)
 		}
 		rt.rows = rows
 	default:

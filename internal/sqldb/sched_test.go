@@ -200,21 +200,20 @@ func TestPooledScheduleHoldsNoEpoch(t *testing.T) {
 
 	// Watch the table data and the column vectors of the epoch the query
 	// read, then supersede all of it.
-	collected := make(chan string, 16)
+	collected := make(chan string, 64)
 	watching := 0
 	ep := db.cur.Load()
 	for name, tbl := range ep.tables {
 		td := ep.tds[tbl]
 		runtime.SetFinalizer(td, func(*tableData) { collected <- "table data of " + name })
 		watching++
-		if td.cols == nil {
-			continue
-		}
-		for ci, vec := range td.cols.vecs {
-			if len(vec) > 0 {
-				what := fmt.Sprintf("column vector %d of %s", ci, name)
-				runtime.SetFinalizer(&vec[0], func(*relation.Value) { collected <- what })
-				watching++
+		for si, sg := range td.segs {
+			for ci, vec := range sg.c.vecs {
+				if len(vec) > 0 {
+					what := fmt.Sprintf("segment %d's vector of column %d of %s", si, ci, name)
+					runtime.SetFinalizer(&vec[0], func(*relation.Value) { collected <- what })
+					watching++
+				}
 			}
 		}
 	}

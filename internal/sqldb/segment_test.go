@@ -1,0 +1,504 @@
+package sqldb
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"ecfd/internal/relation"
+)
+
+// Tests of the column cache's segments: what every epoch's segment table
+// must look like, that churn keeps it short, that a superseded segment
+// lives exactly as long as an epoch listing it is pinned, that runs cut
+// at segment boundaries keep index order, and that a pinned reader stays
+// inside its fence of a tail a writer is filling.
+
+// checkSegmentTable verifies the shape of one epoch's segment table: the
+// segments partition [0, len(rows)) in order, none empty or over segRows,
+// and no two neighbours fit in one — hence the bound on their number.
+func checkSegmentTable(t *testing.T, what string, td *tableData) {
+	t.Helper()
+	n := len(td.rows)
+	if most := 2*((n+segRows-1)/segRows) + 1; len(td.segs) > most {
+		t.Fatalf("%s: %d segments for %d rows, bound %d", what, len(td.segs), n, most)
+	}
+	next, prev := 0, segRows
+	for si := range td.segs {
+		base, m := td.span(si)
+		if base != next || m < 1 || m > segRows {
+			t.Fatalf("%s: segment %d covers [%d, %d+%d), previous ended at %d", what, si, base, base, m, next)
+		}
+		if prev+m <= segRows {
+			t.Fatalf("%s: segments %d and %d hold %d + %d rows: they fit in one", what, si-1, si, prev, m)
+		}
+		next, prev = base+m, m
+	}
+	if next != n {
+		t.Fatalf("%s: segments cover %d of %d rows", what, next, n)
+	}
+}
+
+// checkSegments verifies one epoch's column cache against its rows: the
+// shape of the segment table, and that every built vector mirrors the
+// rows it covers. A vector may trail its segment — it extends lazily —
+// and only a tail's may lead it, extended by readers of a newer epoch
+// that has appended.
+func checkSegments(t *testing.T, what string, tbl *Table, td *tableData) {
+	t.Helper()
+	checkSegmentTable(t, what, td)
+	for si, sg := range td.segs {
+		base, m := td.span(si)
+		sg.c.mu.RLock()
+		for ci, vec := range sg.c.vecs {
+			if len(vec) > m && si < len(td.segs)-1 {
+				t.Fatalf("%s: segment %d column %d has %d cells for %d rows", what, si, ci, len(vec), m)
+			}
+			for i, v := range vec[:min(len(vec), m)] {
+				if !relation.Identical(v, td.rows[base+i][ci]) {
+					t.Fatalf("%s: segment %d column %d row %d (position %d): cached %s, stored %s",
+						what, si, ci, i, base+i, v, td.rows[base+i][ci])
+				}
+			}
+		}
+		sg.c.mu.RUnlock()
+	}
+}
+
+// TestSegmentChurnKeepsMergeBound: 10 000 steps that delete a few random
+// rows and insert as many, |D| constant. Old segments thin out while the
+// tail fills, so without merging their number would grow with the steps;
+// after every step the segment table has its shape — the bound included
+// — and the cache still mirrors the rows.
+func TestSegmentChurnKeepsMergeBound(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(173))
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE ch (id INTEGER, v INTEGER)`)
+	ins, err := db.Prepare(`INSERT INTO ch VALUES (?, ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := db.Prepare(`DELETE FROM ch WHERE id = ?`) // an equality kernel over id: covers it every step
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []int64
+	nextID := int64(0)
+	add := func() {
+		if _, err := ins.Exec(relation.Int(nextID), relation.Int(nextID%13)); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, nextID)
+		nextID++
+	}
+	for len(live) < 5000 {
+		add()
+	}
+	tbl := mustTable(t, db, "ch")
+	most := 0
+	for step := 0; step < 10_000; step++ {
+		k := 1 + rng.Intn(3)
+		for i := 0; i < k; i++ {
+			j := rng.Intn(len(live))
+			if n, err := del.Exec(relation.Int(live[j])); err != nil || n != 1 {
+				t.Fatalf("step %d: delete of id %d: %d rows, %v", step, live[j], n, err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		for i := 0; i < k; i++ {
+			add()
+		}
+		td := db.cur.Load().tds[tbl]
+		if checkSegmentTable(t, fmt.Sprintf("step %d", step), td); step%100 == 99 {
+			checkSegments(t, fmt.Sprintf("step %d", step), tbl, td)
+		}
+		most = max(most, len(td.segs))
+	}
+	t.Logf("at most %d segments for 5000 rows over 10 000 steps", most)
+	if built := tbl.colBuilt.Load(); built > 2*nextID {
+		t.Fatalf("%d cells read from rows for %d rows ever stored", built, nextID)
+	}
+}
+
+// TestSegmentsCollectableAfterUnpin: a segment a DELETE has replaced
+// lives exactly as long as an epoch listing it is pinned. The query
+// leaves a warm pooled instance behind, whose probes were last pointed at
+// the vectors of the segment it scanned last, the tail; the DELETE
+// replaces that one. While a snapshot pins the old epoch the replaced
+// segment and its vectors must not be collected, and once it is closed
+// they must be — nothing the idle instance keeps may reach them. The
+// segments the DELETE did not touch are shared with the new epoch and
+// stay.
+func TestSegmentsCollectableAfterUnpin(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE c (cid INTEGER, g INTEGER)`)
+	mustExec(t, db, `CREATE TABLE s (cid INTEGER, val TEXT)`)
+	mustExec(t, db, `CREATE INDEX idx_s ON s (cid, val)`)
+	mustExec(t, db, `CREATE TABLE d (k INTEGER, a TEXT, mv INTEGER, x INTEGER)`)
+	for i := 0; i < 3; i++ {
+		mustExec(t, db, `INSERT INTO c VALUES (?, ?)`, relation.Int(int64(i)), relation.Int(int64(i%2)))
+		for j := 0; j < 4; j++ {
+			mustExec(t, db, `INSERT INTO s VALUES (?, ?)`, relation.Int(int64(i)), relation.Text(fmt.Sprintf("v%d", i+j)))
+		}
+	}
+	const dRows = 3300 // four segments
+	for i := 0; i < dRows; i += 100 {
+		rows := make([]string, 100)
+		for j := range rows {
+			rows[j] = fmt.Sprintf("(%d, 'v%d', %d, %d)", i+j, (i+j)%9, (i+j)%2, (i+j)%11)
+		}
+		mustExec(t, db, `INSERT INTO d VALUES `+strings.Join(rows, ", "))
+	}
+	const q = `SELECT t.k FROM c, d t WHERE t.mv = 0 AND t.k >= ? AND
+		(c.g <> 1 OR t.x = 7 OR EXISTS (SELECT 1 FROM s WHERE s.cid = c.cid AND s.val = t.a))`
+	run := func() {
+		t.Helper()
+		if n := len(mustQuery(t, db, q, relation.Int(10)).Rows); n == 0 {
+			t.Fatal("query matched nothing")
+		}
+	}
+	run()
+	run()
+	if db.Stats().SchedReuses == 0 {
+		t.Fatal("the second run reused no instance: nothing is pooled")
+	}
+	// What the idle instance keeps is sized by a segment, not by d.
+	p, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := db.planFor(p, 0, db.cur.Load())
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := 0
+	for i := range plan.(*compiledSelect).free {
+		if sch := plan.(*compiledSelect).free[i].Load(); sch != nil {
+			for pos, gs := range sch.state.gsc {
+				if gs != nil && len(gs.mask) > 0 {
+					masks++
+					if len(gs.mask) > segRows || cap(sch.state.sel[pos]) > 2*segRows {
+						t.Errorf("idle instance, level %d: row mask of %d, selection vector of %d for %d-row segments",
+							pos, len(gs.mask), cap(sch.state.sel[pos]), segRows)
+					}
+				}
+			}
+		}
+	}
+	if masks == 0 {
+		t.Fatal("no idle instance with an OR-group row mask")
+	}
+
+	tbl := mustTable(t, db, "d")
+	collected := make(chan string, 64)
+	watch := func(si int) (n int) {
+		sg := db.cur.Load().tds[tbl].segs[si]
+		what := fmt.Sprintf("segment %d", si)
+		runtime.SetFinalizer(sg.c, func(*colSeg) { collected <- what })
+		for ci, vec := range sg.c.vecs {
+			if len(vec) > 0 {
+				what := fmt.Sprintf("segment %d's vector of column %d", si, ci)
+				runtime.SetFinalizer(&vec[0], func(*relation.Value) { collected <- what })
+				n++
+			}
+		}
+		return n + 1
+	}
+	doomed := watch(3)
+	if doomed < 1+4 {
+		t.Fatalf("watching %d objects of segment 3: the query built no vectors there", doomed)
+	}
+	watch(0)
+	watch(2)
+
+	snap := db.PinSnapshot()
+	mustExec(t, db, `DELETE FROM d WHERE k >= ? AND k < ?`, relation.Int(3*segRows+100), relation.Int(3*segRows+140))
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	select {
+	case what := <-collected:
+		t.Fatalf("%s was collected while a snapshot pins its epoch", what)
+	default:
+	}
+	if res, err := db.Prepare(`SELECT COUNT(*) FROM d WHERE k >= 0`); err != nil {
+		t.Fatal(err)
+	} else if got, err := res.QueryAt(snap); err != nil || got.Rows[0][0].I != dRows {
+		t.Fatalf("the pinned epoch counts %v rows, %v", got, err)
+	}
+	snap.Close()
+	deadline := time.After(10 * time.Second)
+	for got := 0; got < doomed; {
+		runtime.GC()
+		select {
+		case what := <-collected:
+			if !strings.HasPrefix(what, "segment 3") {
+				t.Fatalf("%s was collected: the DELETE did not touch it and the published epoch lists it", what)
+			}
+			got++
+		case <-deadline:
+			t.Fatalf("%d of %d objects of the replaced segment were never collected after the unpin", doomed-got, doomed)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	run()
+	if st := db.Stats(); st.RetiredBytes != 0 || st.LiveEpochs != 1 {
+		t.Errorf("RetiredBytes = %d, LiveEpochs = %d; want 0 and 1", st.RetiredBytes, st.LiveEpochs)
+	}
+}
+
+// TestSegmentRunsPreserveOrder: an ORDER BY served by an index on a
+// column that has nothing to do with position hands the batch level a
+// bucket that changes segment with nearly every candidate. Cut into runs
+// — many of length one — and filtered by kernels and an OR group, the
+// rows must come out in exactly the sequence the Reference mode sorts
+// them into, ascending and descending, whole and range-pruned.
+func TestSegmentRunsPreserveOrder(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(179))
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE o (k INTEGER, v INTEGER, f INTEGER)`)
+	mustExec(t, db, `CREATE INDEX idx_o_k ON o (k)`)
+	keys := rng.Perm(4000) // unique: no ties for the two modes to break differently
+	for i := 0; i < len(keys); i += 250 {
+		rows := make([]string, 250)
+		for j := range rows {
+			rows[j] = fmt.Sprintf("(%d, %d, %d)", keys[i+j], rng.Intn(500), rng.Intn(3))
+		}
+		mustExec(t, db, `INSERT INTO o VALUES `+strings.Join(rows, ", "))
+	}
+	// Segments of uneven fill: thin the second out, then append.
+	mustExec(t, db, `DELETE FROM o WHERE k % 3 = 0 AND v < 300 AND f = 1`)
+	mustExec(t, db, `INSERT INTO o VALUES (4000, 7, 1), (4001, 8, 0)`)
+	tbl := mustTable(t, db, "o")
+	if td := db.cur.Load().tds[tbl]; len(td.segs) < 3 {
+		t.Fatalf("%d segments, want at least 3", len(td.segs))
+	}
+	for _, q := range []string{
+		`SELECT k, v FROM o WHERE f <> 1 AND v >= 100 ORDER BY k`,
+		`SELECT k, v FROM o WHERE f <> 1 AND v >= 100 ORDER BY k DESC`,
+		`SELECT k, v FROM o WHERE f = 2 AND (v < 50 OR v > 450 OR k % 7 = 0) ORDER BY k DESC`,
+		`SELECT k FROM o WHERE k > 1000 AND k <= 3000 AND v <> 3 ORDER BY k LIMIT 700`,
+		`SELECT k FROM o WHERE k > 1000 AND k <= 3000 AND v <> 3 ORDER BY k DESC LIMIT 700`,
+	} {
+		plan, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "via idx_o_k") || !strings.Contains(plan, "[batch:") || !strings.Contains(plan, "served by index") {
+			t.Fatalf("%s\nis not a batch level in index order:\n%s", q, plan)
+		}
+		got, want := flat(queryIn(t, db, Planned, q)), flat(queryIn(t, db, Reference, q))
+		if got != want {
+			t.Errorf("%s\nPlanned and Reference sequences differ:\n%.300s\n%.300s", q, got, want)
+		}
+		if len(got) < 1000 {
+			t.Errorf("%s\nreturned next to nothing: %q", q, got)
+		}
+	}
+	checkSegments(t, "after the ordered scans", tbl, db.cur.Load().tds[tbl])
+}
+
+// TestSnapshotStabilityTailFence: a reader pinned to an epoch whose tail
+// segment is half full scans it, building and extending its vectors,
+// while a writer appends into that same segment, seals it and starts the
+// next — and reads in between, which extends the shared vectors past the
+// pinned reader's fence. The pinned reader must keep seeing exactly its
+// own rows.
+func TestSnapshotStabilityTailFence(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE d (id INTEGER, grp INTEGER)`)
+	nextID := 0
+	insert := func(n int) error {
+		rows := make([]string, n)
+		for i := range rows {
+			rows[i] = fmt.Sprintf("(%d, %d)", nextID, nextID%5)
+			nextID++
+		}
+		_, err := db.Exec(`INSERT INTO d VALUES ` + strings.Join(rows, ", "))
+		return err
+	}
+	const pinned = segRows + segRows/2
+	if err := insert(pinned); err != nil {
+		t.Fatal(err)
+	}
+	p, err := db.Prepare(`SELECT COUNT(*), SUM(id) FROM d WHERE grp >= 0 AND id >= 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := db.PinSnapshot() // no vector is built yet: the readers race to
+	defer snap.Close()
+	wantSum := int64(pinned * (pinned - 1) / 2)
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				res, err := p.QueryAt(snap)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if n, sum := res.Rows[0][0].I, res.Rows[0][1].I; n != pinned || sum != wantSum {
+					errs <- fmt.Errorf("pinned read %d: %d rows summing to %d, want %d and %d", i, n, sum, pinned, wantSum)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for nextID < 3*segRows { // fills the pinned tail, seals it, fills another
+			if err := insert(37); err != nil {
+				errs <- err
+				return
+			}
+			res, err := p.Query()
+			if err != nil {
+				errs <- err
+				return
+			}
+			if n := res.Rows[0][0].I; n != int64(nextID) {
+				errs <- fmt.Errorf("live read: %d rows, want %d", n, nextID)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	tbl := mustTable(t, db, "d")
+	checkSegments(t, "pinned epoch", tbl, snap.ep.tds[tbl])
+	checkSegments(t, "published epoch", tbl, db.cur.Load().tds[tbl])
+}
+
+// TestSegmentForksShareUntouched states copy-on-write at its grain: an
+// INSERT shares every segment and adds to the tail, an UPDATE and a
+// DELETE replace the segments holding a position they touch and share
+// all the others — behind a DELETE at their shifted starts — and the
+// SegCellsCopied they report is what the replaced segments hold.
+func TestSegmentForksShareUntouched(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE f (k INTEGER, v INTEGER)`)
+	for i := 0; i < 5*segRows; i += 512 {
+		rows := make([]string, 512)
+		for j := range rows {
+			rows[j] = fmt.Sprintf("(%d, %d)", i+j, (i+j)%7)
+		}
+		mustExec(t, db, `INSERT INTO f VALUES `+strings.Join(rows, ", "))
+	}
+	mustQuery(t, db, `SELECT k FROM f WHERE k >= 0 AND v >= 0`) // both columns, every segment
+	tbl := mustTable(t, db, "f")
+	// fork runs one statement and returns which of the old epoch's
+	// segments the new one still lists, and the segment cells it copied.
+	fork := func(q string) (shared []bool, copied int64) {
+		t.Helper()
+		old, before := db.cur.Load().tds[tbl], db.Stats().SegCellsCopied
+		mustExec(t, db, q)
+		td := db.cur.Load().tds[tbl]
+		checkSegments(t, q, tbl, td)
+		shared = make([]bool, len(old.segs))
+		for i, o := range old.segs {
+			for _, n := range td.segs {
+				shared[i] = shared[i] || n.c == o.c
+			}
+		}
+		return shared, db.Stats().SegCellsCopied - before
+	}
+	want := func(q string, shared []bool, copied int64, replaced []int, cells int64) {
+		t.Helper()
+		for i, s := range shared {
+			if s == slices.Contains(replaced, i) {
+				t.Errorf("%s\nshares segments %v, want all but %v", q, shared, replaced)
+				break
+			}
+		}
+		if copied != cells {
+			t.Errorf("%s\ncopied %d segment cells, want %d", q, copied, cells)
+		}
+	}
+	q := `INSERT INTO f VALUES (-1, 0), (-2, 0)` // a sixth segment: the fifth is full
+	shared, copied := fork(q)
+	want(q, shared, copied, nil, 0)
+	q = fmt.Sprintf(`UPDATE f SET v = 9 WHERE k = %d OR k = %d`, segRows+5, 3*segRows+5) // one column of two segments
+	shared, copied = fork(q)
+	want(q, shared, copied, []int{1, 3}, 2*segRows)
+	q = fmt.Sprintf(`DELETE FROM f WHERE k >= %d AND k < %d`, 2*segRows-3, 2*segRows+4) // the end of one, the start of the next
+	shared, copied = fork(q)
+	want(q, shared, copied, []int{1, 2}, 2*(2*segRows-7))
+	q = fmt.Sprintf(`DELETE FROM f WHERE k >= %d AND k < %d`, 3*segRows, 4*segRows) // a whole segment: dropped, nothing copied
+	shared, copied = fork(q)
+	want(q, shared, copied, []int{3}, 0)
+	q = `DELETE FROM f WHERE k < 0` // the tail's two rows: dropped too
+	shared, copied = fork(q)
+	want(q, shared, copied, []int{4}, 0)
+}
+
+// TestSegmentMergeCompletesFromRows: when a DELETE leaves two neighbours
+// that fit in one segment and a column is covered further in the second
+// than in the first — a former tail whose vector stopped where the
+// appends began — the merge reads the gap from rows, so what the second
+// had covered stays covered, in place. Those cells, and no others, count
+// as built.
+func TestSegmentMergeCompletesFromRows(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE m (k INTEGER, v INTEGER)`)
+	mustExec(t, db, `CREATE INDEX idx_m_k ON m (k)`)
+	next := 0
+	insert := func(n int) {
+		rows := make([]string, n)
+		for i := range rows {
+			rows[i] = fmt.Sprintf("(%d, %d)", next, next%5)
+			next++
+		}
+		mustExec(t, db, `INSERT INTO m VALUES `+strings.Join(rows, ", "))
+	}
+	insert(600)
+	mustQuery(t, db, `SELECT k FROM m WHERE v >= 0`) // the tail's v covers its 600 rows
+	insert(424)                                      // sealed, v still at 600
+	insert(600)
+	// A range scan over the second segment alone: its k bound is the index
+	// range, its v kernel covers that segment's v whole.
+	if n := len(mustQuery(t, db, `SELECT k FROM m WHERE k >= 1100 AND v >= 0`).Rows); n != 524 {
+		t.Fatalf("range scan returned %d rows", n)
+	}
+	tbl := mustTable(t, db, "m")
+	cover := func() (cells []int) {
+		for _, sg := range db.cur.Load().tds[tbl].segs {
+			cells = append(cells, len(sg.c.vecs[1]))
+		}
+		return cells
+	}
+	if got := cover(); !slices.Equal(got, []int{600, 600}) {
+		t.Fatalf("v covers %v cells of the two segments, want 600 of 1024 and 600 of 600", got)
+	}
+	mustQuery(t, db, `SELECT v FROM m WHERE k <> -1`) // k whole, for the DELETE's own scan
+	built := tbl.colBuilt.Load()
+	mustExec(t, db, `DELETE FROM m WHERE k >= 300 AND k < 1000`) // 324 + 600 rows left: one segment
+	td := db.cur.Load().tds[tbl]
+	checkSegments(t, "after the merge", tbl, td)
+	if got := cover(); !slices.Equal(got, []int{924}) {
+		t.Fatalf("v covers %v cells after the merge, want all 924 of one segment", got)
+	}
+	if got := tbl.colBuilt.Load() - built; got != 24 {
+		t.Fatalf("the merge read %d cells from rows, want the 24 between the two covers", got)
+	}
+	got, want := flat(queryIn(t, db, Planned, `SELECT k FROM m WHERE v = 3 ORDER BY k`)), flat(queryIn(t, db, Reference, `SELECT k FROM m WHERE v = 3 ORDER BY k`))
+	if got != want {
+		t.Fatalf("after the merge Planned and Reference differ:\n%.200s\n%.200s", got, want)
+	}
+}

@@ -234,7 +234,12 @@ func encodeSnapshot(ep *epoch, gen uint64) []byte {
 
 // decodeSnapshot validates and rebuilds a snapshot file's catalog
 // into recovery's mutable restore shape.
-func decodeSnapshot(data []byte, wantGen uint64) (map[string]*restoreTable, error) {
+func decodeSnapshot(data []byte, wantGen uint64) (_ map[string]*restoreTable, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}()
 	if len(data) < len(snapFileMagic)+4 {
 		return nil, fmt.Errorf("truncated snapshot (%d bytes)", len(data))
 	}
@@ -267,7 +272,7 @@ func decodeSnapshot(data []byte, wantGen uint64) (map[string]*restoreTable, erro
 		}
 		rt.rows = make([]relation.Tuple, 0, nRows)
 		for r := uint64(0); r < nRows && d.err == nil; r++ {
-			rt.rows = append(rt.rows, d.tuple())
+			rt.rows = append(rt.rows, d.row(s.Width()))
 		}
 		nIdx := d.uint()
 		if d.err != nil || nIdx > uint64(len(body)) {
@@ -277,12 +282,12 @@ func decodeSnapshot(data []byte, wantGen uint64) (map[string]*restoreTable, erro
 		for j := uint64(0); j < nIdx && d.err == nil; j++ {
 			idx := &Index{Name: d.str()}
 			nc := d.uint()
-			if d.err != nil || nc > uint64(s.Width()) {
+			if d.err != nil || nc == 0 || nc > uint64(s.Width()) {
 				d.fail("implausible index width %d", nc)
 				break
 			}
 			for c := uint64(0); c < nc; c++ {
-				idx.Cols = append(idx.Cols, int(d.uint()))
+				idx.Cols = append(idx.Cols, d.below(s.Width(), "index column"))
 			}
 			rt.indexes = append(rt.indexes, idx)
 		}

@@ -88,6 +88,12 @@ const (
 // Match with errors.Is(err, sqldb.ErrReadOnly).
 var ErrReadOnly = errors.New("sql: database is read-only after a WAL failure")
 
+// ErrCorrupt is the sentinel wrapped by every error for a commit unit or
+// a snapshot that does not decode into operations its catalog admits —
+// bytes no crash explains, which Open reports instead of guessing.
+// Match with errors.Is(err, sqldb.ErrCorrupt).
+var ErrCorrupt = errors.New("corrupt")
+
 // walState is the per-DB durability state. All fields are guarded by
 // db.mu (write): every mutation, and therefore every append, runs
 // under the catalog write lock, which is exactly the "existing write
@@ -773,6 +779,26 @@ func (d *walDecoder) tuple() relation.Tuple {
 		row[i] = d.value()
 	}
 	return row
+}
+
+// row decodes a tuple of a table width columns wide: replay and the
+// executor index rows by schema position.
+func (d *walDecoder) row(width int) relation.Tuple {
+	row := d.tuple()
+	if d.err == nil && len(row) != width {
+		d.fail("tuple of %d values for %d columns", len(row), width)
+	}
+	return row
+}
+
+// below decodes an index into something of n elements.
+func (d *walDecoder) below(n int, what string) int {
+	v := d.uint()
+	if d.err == nil && v >= uint64(n) {
+		d.fail("%s %d out of range (%d)", what, v, n)
+		return 0
+	}
+	return int(v)
 }
 
 func (d *walDecoder) schema() *relation.Schema {
