@@ -44,19 +44,23 @@ mvccstress:
 # replays a failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential' ./internal/sqldb/ -args -seed=$$seed
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential' ./internal/sqldb/ -args -seed=$$seed
 
-# Native fuzzing, ten seconds per target: the SQL lexer and parser never
-# panic and every error they return carries a source offset (FuzzParse,
-# seeded with the detector's generated statements); recovery's two
-# decoders never panic either, fail with ErrCorrupt, and succeed only on
-# input applied in full that leaves rows and indexes the executor can
-# read (FuzzWALUnit, FuzzSnapshot, seeded with real encodings). A failure
-# writes its input under internal/sqldb/testdata/fuzz/, which `go test`
-# then replays.
+# Native fuzzing, ten seconds per (package, target) pair: the SQL lexer
+# and parser never panic and every error they return carries a source
+# offset (FuzzParse, seeded with the detector's generated statements);
+# recovery's two decoders never panic either, fail with ErrCorrupt, and
+# succeed only on input applied in full that leaves rows and indexes the
+# executor can read (FuzzWALUnit, FuzzSnapshot, seeded with real
+# encodings); the eCFD spec language never panics and only ever returns
+# constraints that pass Validate (FuzzParseSpec). A failure writes its
+# input under the package's testdata/fuzz/, which `go test` then replays.
+FUZZ_TARGETS = internal/sqldb:FuzzParse internal/sqldb:FuzzWALUnit internal/sqldb:FuzzSnapshot internal/core:FuzzParseSpec
+
 fuzz:
-	for f in FuzzParse FuzzWALUnit FuzzSnapshot; do \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=10s ./internal/sqldb/ || exit 1; \
+	for pt in $(FUZZ_TARGETS); do \
+		pkg=$${pt%%:*}; f=$${pt#*:}; \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=10s ./$$pkg/ || exit 1; \
 	done
 
 # Quick perf signal: the two acceptance benchmarks plus the planner

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,20 +20,39 @@ import (
 	"ecfd/internal/gen"
 )
 
-func main() {
-	rows := flag.Int("rows", 10_000, "number of tuples")
-	noise := flag.Float64("noise", 5, "percentage of corrupted tuples (0-100)")
-	seed := flag.Int64("seed", 42, "generator seed")
-	out := flag.String("o", "-", "output file ('-' = stdout)")
-	constraints := flag.Bool("constraints", false, "emit the Σ of 10 eCFDs instead of data")
-	tableau := flag.Int("tableau", 0, "grow φ1's pattern tableau to this many rows (with -constraints)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	w := io.Writer(os.Stdout)
+// run is the whole process: 0 on success, 1 when writing fails, 2 on a
+// command line it cannot accept.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ecfdgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rows := fs.Int("rows", 10_000, "number of tuples")
+	noise := fs.Float64("noise", 5, "percentage of corrupted tuples (0-100)")
+	seed := fs.Int64("seed", 42, "generator seed")
+	out := fs.String("o", "-", "output file ('-' = stdout)")
+	constraints := fs.Bool("constraints", false, "emit the Σ of 10 eCFDs instead of data")
+	tableau := fs.Int("tableau", 0, "grow φ1's pattern tableau to this many rows (with -constraints)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	cfg := gen.Config{Rows: *rows, Noise: *noise, Seed: *seed}
+	if err := cfg.Validate(); err != nil && !*constraints {
+		fmt.Fprintln(stderr, "ecfdgen:", err)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ecfdgen:", err)
+		return 1
+	}
+
+	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer f.Close()
 		w = f
@@ -58,18 +78,13 @@ func main() {
 			b.WriteString("\n")
 		}
 		if _, err := io.WriteString(w, b.String()); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
-	data := gen.Dataset(gen.Config{Rows: *rows, Noise: *noise, Seed: *seed})
-	if err := data.WriteCSV(w); err != nil {
-		fail(err)
+	if err := gen.Dataset(cfg).WriteCSV(w); err != nil {
+		return fail(err)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "ecfdgen:", err)
-	os.Exit(1)
+	return 0
 }

@@ -19,9 +19,22 @@ type Config struct {
 	PNBase int64
 }
 
+// Validate reports a configuration Dataset cannot honour: a negative row
+// count, or a noise percentage outside 0–100 (NaN included).
+func (cfg Config) Validate() error {
+	if cfg.Rows < 0 {
+		return fmt.Errorf("gen: rows must be >= 0, got %d", cfg.Rows)
+	}
+	if !(cfg.Noise >= 0 && cfg.Noise <= 100) {
+		return fmt.Errorf("gen: noise must be a percentage in [0, 100], got %v", cfg.Noise)
+	}
+	return nil
+}
+
 // Dataset generates a cust instance per §VI. Clean tuples satisfy all
 // ten constraints of Constraints(); noise% of the tuples are then
-// corrupted on the RHS of a randomly chosen eCFD.
+// corrupted on the RHS of a randomly chosen eCFD. cfg must pass
+// Validate: Dataset panics on a configuration it cannot honour.
 func Dataset(cfg Config) *relation.Relation {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	out := relation.New(Schema())

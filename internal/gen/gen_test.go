@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -184,6 +185,30 @@ func TestSchemaShape(t *testing.T) {
 	for _, a := range []string{"AC", "PN", "NM", "STR", "CT", "ZIP", "ITEM", "TYPE", "PRICE"} {
 		if !s.Has(a) {
 			t.Errorf("missing attribute %s", a)
+		}
+	}
+}
+
+// TestConfigValidate: Validate refuses exactly what Dataset cannot honour
+// — a negative row count, a noise percentage outside [0, 100] or NaN —
+// and every configuration it accepts generates.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Rows: 10, Noise: 0}, true},
+		{Config{Rows: 10, Noise: 100}, true},
+		{Config{Rows: 0, Noise: 5}, true},
+		{Config{Rows: 10, Noise: 150}, false},
+		{Config{Rows: 10, Noise: -0.5}, false},
+		{Config{Rows: 10, Noise: math.NaN()}, false},
+		{Config{Rows: -1, Noise: 5}, false},
+	} {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%+v: Validate = %v", c.cfg, err)
+		} else if c.ok && len(Dataset(c.cfg).Rows) != c.cfg.Rows {
+			t.Errorf("%+v: Dataset did not generate %d rows", c.cfg, c.cfg.Rows)
 		}
 	}
 }

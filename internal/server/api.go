@@ -148,8 +148,9 @@ type EngineHealth struct {
 	EpochSeq      uint64 `json:"epoch_seq"`
 	LiveEpochs    int    `json:"live_epochs"`
 	RetiredEpochs int    `json:"retired_epochs"`
-	// RetiredBytes is an upper bound: rows and built column segments of
-	// every retired epoch at 40 bytes a cell, shared ones counted in each.
+	// RetiredBytes is an upper bound: the rows of every retired epoch at
+	// 40 bytes a cell and its built column segments at their real size
+	// (40 bytes a value, 2 a dictionary code), shared ones counted in each.
 	RetiredBytes int64 `json:"retired_bytes"`
 	// Recovery is the engine's crash-recovery report (WAL generation,
 	// units replayed, torn tail) — zero-valued for volatile engines.

@@ -209,6 +209,11 @@ func TestServerCreateErrors(t *testing.T) {
 		{"unknown field", map[string]any{"bogus": 1}, CodeBadRequest},
 		// The per-session detect fan-out is gone; its field is unknown like any other.
 		{"workers", map[string]any{"gen": GenSpec{Rows: 10, Noise: 5, Seed: 1}, "workers": 4}, CodeBadRequest},
+		// Out-of-range gen parameters are refused before generation, which
+		// would panic on them inside the handler.
+		{"gen rows", CreateSessionRequest{Gen: &GenSpec{Rows: -1}}, CodeBadRequest},
+		{"gen noise above 100", CreateSessionRequest{Gen: &GenSpec{Rows: 10, Noise: 150}}, CodeBadRequest},
+		{"gen noise below 0", CreateSessionRequest{Gen: &GenSpec{Rows: 10, Noise: -5}}, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		if status, code := c.do("POST", "/v1/sessions", tc.body, nil); status != http.StatusBadRequest || code != tc.code {
@@ -216,6 +221,7 @@ func TestServerCreateErrors(t *testing.T) {
 		}
 	}
 	var created SessionInfo
+	c.mustOK("POST", "/v1/sessions", CreateSessionRequest{Gen: &GenSpec{Rows: 10, Noise: 100}}, &created) // still serving
 	c.mustOK("POST", "/v1/sessions", CreateSessionRequest{Name: "dup", Spec: testSpec}, &created)
 	var info map[string]any
 	c.mustOK("GET", "/v1/sessions/"+created.ID, nil, &info)

@@ -139,15 +139,14 @@ func (r *registry) create(req *CreateSessionRequest) (*session, *APIError) {
 		}
 		sigma = spec.Constraints
 	case req.Gen != nil:
-		if req.Gen.Rows < 0 {
-			return nil, apiErrorf(CodeBadRequest, "gen.rows must be >= 0")
+		cfg := gen.Config{Rows: req.Gen.Rows, Noise: req.Gen.Noise, Seed: req.Gen.Seed}
+		if err := cfg.Validate(); err != nil {
+			return nil, apiErrorf(CodeBadRequest, "%v", err)
 		}
 		schema = gen.Schema()
 		sigma = gen.Constraints()
-		if req.Gen.Rows > 0 {
-			data = gen.Dataset(gen.Config{
-				Rows: req.Gen.Rows, Noise: req.Gen.Noise, Seed: req.Gen.Seed,
-			})
+		if cfg.Rows > 0 {
+			data = gen.Dataset(cfg)
 		}
 	default:
 		return nil, apiErrorf(CodeBadRequest, "one of spec or gen is required")

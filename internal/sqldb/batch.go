@@ -37,17 +37,18 @@ import (
 const batchChunk = 1024
 
 // segRun is what a level's filters see of the segment its current run of
-// candidates falls in: the segment's rows in the reader's epoch — which
-// selection vectors, column vectors and row masks are all offsets into —
-// and its vectors. It lives on planLevelBatch's stack: no schedule keeps
-// a reference to a segment between runs.
+// candidates falls in: its rows in the reader's epoch — which selection
+// vectors, columns and row masks are offsets into — its columns, and
+// whether it is the epoch's tail. It lives on planLevelBatch's stack: no
+// schedule keeps a reference to a segment between runs.
 type segRun struct {
 	t    *Table
 	c    *colSeg
 	rows []relation.Tuple
+	tail bool
 }
 
-func (r *segRun) column(ci int) []relation.Value { return r.c.column(r.t, ci, r.rows) }
+func (r *segRun) column(ci int) colVec { return r.c.column(r.t, ci, r.rows, r.tail) }
 
 // kernOp enumerates the kernel predicate shapes.
 type kernOp uint8
@@ -102,10 +103,11 @@ type kernBind struct {
 	// level entry — the items are literals/params, fixed for the
 	// statement the instance is bound to (reset forgets it).
 	setBuilt bool
+	byCode   []uint8 // filterRun's scratch: 1 for the codes the predicate holds for
 }
 
 // reset forgets what was bound, the IN items included; scratch stays.
-func (b *kernBind) reset() { *b = kernBind{vals: b.vals[:0], keyBuf: b.keyBuf} }
+func (b *kernBind) reset() { *b = kernBind{vals: b.vals[:0], keyBuf: b.keyBuf, byCode: b.byCode[:0]} }
 
 // bind evaluates the kernel's invariant inputs for one level entry.
 func (k *kernelPred) bind(en *env, b *kernBind) error {
@@ -284,6 +286,54 @@ func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int
 		}
 	}
 	return out
+}
+
+// filterRun is filter over the run's column of the kernel. Over a coded
+// column it runs the unchanged filter — so every op keeps its semantics
+// by construction — on decoded strings: of the whole dictionary when that
+// is smaller than the selection, each row then decided by its code, else
+// of the selected rows. Either way it decodes into 64-value chunks on the
+// stack, so an instance keeps no string of the epoch it read.
+func (k *kernelPred) filterRun(en *env, run *segRun, b *kernBind, sel []int) []int {
+	cv := run.column(k.col)
+	if cv.codes == nil {
+		return k.filter(cv.vals, b, sel)
+	}
+	var dec [64]relation.Value
+	var at [64]int
+	byCode, items := len(cv.dict) < len(sel), len(sel)
+	if byCode {
+		items = len(cv.dict) + 1
+		b.byCode = append(b.byCode[:0], make([]uint8, items)...)
+	}
+	en.work[wTextLookups] += int64(items)
+	out := sel[:0] // never passes the chunk it is filled from
+	for c0 := 0; c0 < items; c0 += len(at) {
+		n := min(items-c0, len(at))
+		for i := range n {
+			if at[i] = i; !byCode {
+				dec[i] = cv.at(sel[c0+i])
+			} else if dec[i] = (relation.Value{}); c0+i > 0 {
+				dec[i] = relation.Text(cv.dict[c0+i-1]) // code c0+i; 0 is NULL
+			}
+		}
+		for _, i := range k.filter(dec[:n], b, at[:n]) {
+			if byCode {
+				b.byCode[c0+i] = 1
+			} else {
+				out = append(out, sel[c0+i])
+			}
+		}
+	}
+	if !byCode {
+		return out
+	}
+	m := 0
+	for _, ri := range sel { // branch-free, like valueSet.filter
+		sel[m] = ri
+		m += int(b.byCode[cv.codes[ri]])
+	}
+	return sel[:m]
 }
 
 // extractKernels compiles the batch-kernel candidates of one plan-part
@@ -802,11 +852,11 @@ type probeInst struct {
 	eq       eqView
 	tailVals []relation.Value
 	set      map[string]bool
-	vals     []relation.Value   // constant part values this entry
-	con      []bool             // part i is constant this entry
-	condT    []bool             // pkCase condition held this entry
-	colvs    [][]relation.Value // the current run's vectors for vectorized parts
-	rowVals  []relation.Value   // per-row key scratch
+	vals     []relation.Value // constant part values this entry
+	con      []bool           // part i is constant this entry
+	condT    []bool           // pkCase condition held this entry
+	colvs    []colVec         // the current run's columns for vectorized parts
+	rowVals  []relation.Value // per-row key scratch
 	keyBuf   []byte
 	// Per-entry key plan: pfx holds the encoded constant key prefix
 	// (the leading parts of the encode order — index column order for
@@ -851,7 +901,8 @@ type probeSets struct {
 //     microseconds against ≥ 4096 exact probes at ~100 ns.
 //   - probeTextScanMax: over 40 000 five-character values a == scan took
 //     0.40 / 0.55 / 1.4 / 2.0 / 6.8 ms at 1 / 2 / 4 / 8 / 24 members, a
-//     map on the raw text 0.75–1.1 ms at any size.
+//     map on the raw text 0.75–1.1 ms at any size. They decide a coded
+//     run's dictionary strings, or its rows where they are fewer.
 //   - probeScanSetMax: numbers have no raw form to hash, so they scan
 //     with Identical up to the size the exact probe wins back.
 const (
@@ -868,10 +919,13 @@ const (
 // number, so the two kinds are kept apart: text compares on the raw
 // string, no encoding.
 type valueSet struct {
-	texts  []string
+	texts  []string // every text member
 	nums   []relation.Value
 	hashed bool                // more than probeTextScanMax texts: m answers
 	m      map[string]struct{} // allocated once per instance, cleared per entry
+	// mask is filter's scratch over a coded run: bit c is set when code c
+	// stands for a member.
+	mask []uint64
 }
 
 func (s *valueSet) reset() {
@@ -886,26 +940,17 @@ func (s *valueSet) reset() {
 // need more than probeScanSetMax numeric members: those only scan
 // linearly, and past that size the exact probe is cheaper.
 func (s *valueSet) add(v relation.Value) bool {
+	if s.has(v) {
+		return true
+	}
 	if v.K != relation.KindText {
-		for _, w := range s.nums {
-			if relation.Identical(v, w) {
-				return true
-			}
-		}
 		s.nums = append(s.nums, v)
 		return len(s.nums) <= probeScanSetMax
 	}
+	s.texts = append(s.texts, v.S)
 	if s.hashed {
 		s.m[v.S] = struct{}{}
-		return true
-	}
-	for _, w := range s.texts {
-		if w == v.S {
-			return true
-		}
-	}
-	s.texts = append(s.texts, v.S)
-	if len(s.texts) > probeTextScanMax {
+	} else if len(s.texts) > probeTextScanMax {
 		if s.m == nil {
 			s.m = make(map[string]struct{}, 2*len(s.texts))
 		}
@@ -917,41 +962,80 @@ func (s *valueSet) add(v relation.Value) bool {
 	return true
 }
 
-// filter keeps the rows of sel whose key value — colv's, seen through
-// part's COALESCE(TOTEXT(col), lit) when it has one — is a member
-// (want) or is not. A NULL or NaN key value is a member of nothing.
-func (s *valueSet) filter(part *kprobePart, colv []relation.Value, sel []int, want bool) []int {
+// has reports whether v is a member. A NULL or NaN is a member of
+// nothing.
+func (s *valueSet) has(v relation.Value) bool {
+	switch {
+	case v.K == relation.KindText && s.hashed:
+		_, in := s.m[v.S]
+		return in
+	case v.K == relation.KindText:
+		return slices.Contains(s.texts, v.S)
+	case v.K != relation.KindNull:
+		return slices.ContainsFunc(s.nums, func(w relation.Value) bool { return relation.Identical(v, w) })
+	}
+	return false
+}
+
+// filter keeps the rows of sel whose key value — the run's cell in cv,
+// seen through part's COALESCE(TOTEXT(col), lit) when it has one — is a
+// member (want) or is not. Over a coded run the members are first
+// translated into the run's codes, as a mask — by binary search per
+// member when the dictionary is sorted, else by a lookup per dictionary
+// string, whichever is fewer — and every row is then one bit test; a
+// selection smaller still looks each row's string up instead. The NULL
+// code stands for what COALESCE makes of it.
+func (s *valueSet) filter(en *env, part *kprobePart, cv colVec, sel []int, want bool) []int {
 	coalesce := part.kind == pkCase && part.resKind == resTextCoalesce
+	en.work[wSetRows] += int64(len(sel))
 	out := sel[:0]
+	cost, byMember := len(cv.dict), len(cv.perm) == len(cv.dict) && len(s.texts) < len(cv.dict)
+	if byMember {
+		cost = len(s.texts)
+	}
+	if cv.codes != nil && cost < len(sel) {
+		s.mask = append(s.mask[:0], make([]uint64, (len(cv.dict)+64)/64)...)
+		if coalesce && s.has(part.nullLit) {
+			s.mask[0] = 1
+		}
+		if byMember {
+			for _, w := range s.texts {
+				if c, ok := cv.search(w); ok {
+					s.mask[c>>6] |= 1 << (c & 63)
+				}
+			}
+		} else {
+			for i, w := range cv.dict {
+				if s.has(relation.Text(w)) {
+					s.mask[(i+1)>>6] |= 1 << ((i + 1) & 63)
+				}
+			}
+		}
+		en.work[wTextLookups] += int64(cost)
+		n, flip := 0, uint64(1)
+		if want {
+			flip = 0
+		}
+		for _, ri := range sel { // branch-free: membership is as good as random per row
+			c := cv.codes[ri]
+			sel[n] = ri
+			n += int(s.mask[c>>6]>>(c&63)&1 ^ flip)
+		}
+		return sel[:n]
+	}
 	for _, ri := range sel {
-		v := &colv[ri]
+		v := cv.at(ri)
 		if coalesce && v.K != relation.KindText {
 			tv := part.nullLit
 			if v.K != relation.KindNull {
 				tv = relation.Text(v.String())
 			}
-			v = &tv
+			v = tv
 		}
-		in := false
-		switch {
-		case v.K == relation.KindText && s.hashed:
-			_, in = s.m[v.S]
-		case v.K == relation.KindText:
-			for _, w := range s.texts {
-				if w == v.S {
-					in = true
-					break
-				}
-			}
-		case v.K != relation.KindNull:
-			for _, w := range s.nums {
-				if relation.Identical(*v, w) {
-					in = true
-					break
-				}
-			}
+		if v.K == relation.KindText {
+			en.work[wTextLookups]++
 		}
-		if in == want {
+		if s.has(v) == want {
 			out = append(out, ri)
 		}
 	}
@@ -980,7 +1064,7 @@ func newPredInst(k *kpred) predInst {
 			vals:    make([]relation.Value, n),
 			con:     make([]bool, n),
 			condT:   make([]bool, n),
-			colvs:   make([][]relation.Value, n),
+			colvs:   make([]colVec, n),
 			rowVals: make([]relation.Value, n),
 		}
 	}
@@ -1317,7 +1401,7 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, s
 		return pb.probeExact(en, cs, src, rows, sel, k.neg)
 	case len(vs.parts) == 1:
 		i := vs.parts[0]
-		return vs.sets[i].filter(&k.parts[i], pb.colvs[i], sel, !k.neg), nil
+		return vs.sets[i].filter(en, &k.parts[i], pb.colvs[i], sel, !k.neg), nil
 	}
 	// Several per-row parts: the sets bound the hits from above, the
 	// exact probe settles the candidates inside all of them.
@@ -1326,7 +1410,7 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, s
 		hits = append(vs.hits[:0], sel...)
 	}
 	for _, i := range vs.parts {
-		hits = vs.sets[i].filter(&k.parts[i], pb.colvs[i], hits, true)
+		hits = vs.sets[i].filter(en, &k.parts[i], pb.colvs[i], hits, true)
 	}
 	hits, err := pb.probeExact(en, cs, src, rows, hits, false)
 	if err != nil || !k.neg {
@@ -1374,13 +1458,13 @@ rowLoop:
 			if !pb.con[i] {
 				switch part.kind {
 				case pkCol:
-					v = pb.colvs[i][ri]
+					v = pb.colvs[i].at(ri)
 				case pkCase:
 					switch part.resKind {
 					case resCol:
-						v = pb.colvs[i][ri]
+						v = pb.colvs[i].at(ri)
 					case resTextCoalesce:
-						cv := pb.colvs[i][ri]
+						cv := pb.colvs[i].at(ri)
 						switch cv.K {
 						case relation.KindNull:
 							v = part.nullLit
@@ -1440,7 +1524,7 @@ func (p *predInst) filter(en *env, cs *compiledSelect, src int, run *segRun, sel
 	k := p.k
 	switch {
 	case k.simple != nil:
-		return k.simple.filter(run.column(k.simple.col), &p.b, sel), nil
+		return k.simple.filterRun(en, run, &p.b, sel), nil
 	case k.probe != nil:
 		return p.probe.filter(en, cs, src, run, sel)
 	}
@@ -1835,6 +1919,7 @@ func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, seen 
 		}
 	}
 	ps.rawBuf = buf
+	en.work[wDistinctKeys]++
 	if seen[string(buf)] {
 		return true, nil
 	}

@@ -109,25 +109,27 @@ func (ep *epoch) table(name string) (*Table, error) {
 }
 
 // bytes bounds the epoch's heap footprint from above for the GC
-// registry: per row one Tuple header plus Width values, and every cell
-// built into the column segments. Row arrays and segments shared with
-// other epochs are counted in each — the registry answers "how much
-// could this pinned epoch be holding live", not an exact accounting.
+// registry: per row one Tuple header plus Width values, and every column
+// built into the segments at its real size (colVec.bytes). Row arrays and
+// segments shared with other epochs are counted in each — the registry
+// answers "how much could this pinned epoch be holding live", not an
+// exact accounting.
 func (ep *epoch) bytes() int64 {
-	const cell = int64(unsafe.Sizeof(relation.Value{}))
 	var b int64
 	for t, td := range ep.tds {
-		b += int64(len(td.rows)) * (int64(unsafe.Sizeof(relation.Tuple{})) + int64(t.Schema.Width())*cell)
+		b += int64(len(td.rows)) * (int64(unsafe.Sizeof(relation.Tuple{})) + int64(t.Schema.Width())*valueBytes)
 		for _, sg := range td.segs {
 			sg.c.mu.RLock()
-			for _, v := range sg.c.vecs {
-				b += int64(len(v)) * cell
+			for i := range sg.c.vecs {
+				b += sg.c.vecs[i].bytes()
 			}
 			sg.c.mu.RUnlock()
 		}
 	}
 	return b
 }
+
+const valueBytes = int64(unsafe.Sizeof(relation.Value{}))
 
 // Table is a stable handle for one base table: the name, the schema,
 // and the maintenance counters the regression tests read. Everything
@@ -233,18 +235,185 @@ type segment struct {
 	c     *colSeg
 }
 
-// colSeg holds a segment's column vectors: vecs[ci][i] is column ci of
-// the segment's i-th row for every built column, covering rows
-// [0, len(vec)). nil vec ⇔ never built; a vector is extended lazily to
-// each reader's fence — the segment's row count in the reader's epoch —
-// under mu. Only a tail grows: INSERT fills it to segRows, which seals it
-// by starting the next, and from then on every epoch listing it sees the
-// same rows, so a sealed segment's full vector is never written again.
-// DELETE and UPDATE never write a colSeg either; they replace the ones
-// they touch (rebuildSeg, forkUpdated).
+// colSeg holds a segment's columns: vecs[ci] is column ci of the
+// segment's rows for every built column, covering rows [0, len()). A
+// column is extended lazily to each reader's fence — the segment's row
+// count in the reader's epoch — under mu. Only a tail grows: INSERT fills
+// it to segRows, which seals it by starting the next, and from then on
+// every epoch listing it sees the same rows, so a sealed segment's full
+// column is never written again. DELETE and UPDATE never write a colSeg
+// either; they replace the ones they touch (rebuildSeg, forkUpdated).
 type colSeg struct {
 	mu   sync.RWMutex
-	vecs [][]relation.Value
+	vecs []colVec
+}
+
+// colVec is one built column of a segment. A declared-TEXT column is
+// dictionary-coded: codes[i] is 0 for NULL, else c for dict[c-1], the
+// segment's distinct strings in first-seen order. Any other column — and
+// a TEXT one holding a non-text cell, which LoadRelation and recovery
+// may store — is a vector of values. Both nil ⇔ never built.
+//
+// A reader copies the headers under mu (column), so its codes never name
+// a string past its dictionary: extension only appends, to both. Whoever
+// extends a tail extends its dictionary, through index once a scan is too
+// long; a reader for which the segment is not the tail drops index and
+// sorts perm, once. Forks share the dictionary (dictBounded).
+type colVec struct {
+	vals  []relation.Value
+	codes []uint16
+	dict  []string
+	perm  []uint16          // sorts dict[:len(perm)]; immutable once set
+	index map[string]uint16 // string → code; only under mu's write lock
+}
+
+// dictScanMax is the most strings a dictionary is searched by a plain
+// scan: below it a column takes no map and no permutation — what
+// Detector.Check's eight staged rows build.
+const dictScanMax = 16
+
+func (v *colVec) len() int { return len(v.vals) + len(v.codes) }
+
+// at decodes cell i.
+func (v *colVec) at(i int) relation.Value {
+	if v.codes == nil {
+		return v.vals[i]
+	}
+	if c := v.codes[i]; c > 0 {
+		return relation.Text(v.dict[c-1])
+	}
+	return relation.Value{}
+}
+
+// bytes is the column's heap size without the strings, which it shares
+// with the rows.
+func (v *colVec) bytes() int64 {
+	return int64(len(v.vals))*valueBytes + 2*int64(len(v.codes)+len(v.perm)) + int64(len(v.dict))*int64(unsafe.Sizeof(""))
+}
+
+// cut is the column's first n cells, with headers no later append writes.
+func (v *colVec) cut(n int) colVec {
+	if v.codes == nil {
+		return colVec{vals: v.vals[:n:n]}
+	}
+	return colVec{codes: v.codes[:n:n], dict: v.dict[:len(v.dict):len(v.dict)], perm: v.perm}
+}
+
+// sealed reports whether the column is as a non-tail reader leaves it.
+func (v *colVec) sealed() bool {
+	return v.index == nil && (len(v.dict) <= dictScanMax || len(v.perm) == len(v.dict))
+}
+
+// seal readies a column no append will reach in the reader's epoch.
+func (v *colVec) seal() {
+	if v.index = nil; v.sealed() {
+		return
+	}
+	perm := make([]uint16, len(v.dict))
+	for i := range perm {
+		perm[i] = uint16(i)
+	}
+	slices.SortFunc(perm, func(a, b uint16) int { return strings.Compare(v.dict[a], v.dict[b]) })
+	v.perm = perm
+}
+
+// find returns the code of s if the dictionary holds it.
+func (v *colVec) find(s string) (uint16, bool) {
+	if v.index == nil && len(v.perm) < len(v.dict) && len(v.dict) > dictScanMax {
+		v.index = make(map[string]uint16, len(v.dict))
+		for i, w := range v.dict {
+			v.index[w] = uint16(i + 1)
+		}
+	}
+	switch {
+	case v.index != nil:
+		c, ok := v.index[s]
+		return c, ok
+	case len(v.perm) == len(v.dict):
+		return v.search(s)
+	}
+	i := slices.Index(v.dict, s)
+	return uint16(i + 1), i >= 0
+}
+
+// search is find by binary search in perm, which must sort the
+// dictionary; it only reads, so readers may search their copy.
+func (v *colVec) search(s string) (uint16, bool) {
+	i, ok := slices.BinarySearchFunc(v.perm, s, func(p uint16, s string) int { return strings.Compare(v.dict[p], s) })
+	if !ok {
+		return 0, false
+	}
+	return v.perm[i] + 1, true
+}
+
+// push appends a cell: as a code while the column is coded and the cell
+// is TEXT or NULL, else as a value — decoding the column first if it was
+// coded.
+func (v *colVec) push(cell relation.Value) {
+	if cell.K != relation.KindText && cell.K != relation.KindNull {
+		v.decode()
+	}
+	if v.codes == nil {
+		v.vals = append(v.vals, cell)
+		return
+	}
+	c, ok := uint16(0), cell.K == relation.KindNull
+	if !ok {
+		if c, ok = v.find(cell.S); !ok {
+			v.dict = append(v.dict, cell.S)
+			c = uint16(len(v.dict))
+			if v.index != nil {
+				v.index[cell.S] = c
+			}
+		}
+	}
+	v.codes = append(v.codes, c)
+}
+
+// decode turns a coded column into a private vector of values.
+func (v *colVec) decode() {
+	if v.codes == nil {
+		return
+	}
+	vals := make([]relation.Value, len(v.codes), cap(v.codes))
+	for i := range vals {
+		vals[i] = v.at(i)
+	}
+	*v = colVec{vals: vals}
+}
+
+// extend covers rows, reading column ci of those past len(); a column
+// never built starts coded if it is declared TEXT.
+func (v *colVec) extend(rows []relation.Tuple, ci int, text bool) {
+	if v.vals == nil && v.codes == nil {
+		if text {
+			v.codes, v.dict = make([]uint16, 0, len(rows)), make([]string, 0, min(len(rows), dictScanMax))
+		} else {
+			v.vals = make([]relation.Value, 0, len(rows))
+		}
+	}
+	for ri := v.len(); ri < len(rows); ri++ {
+		v.push(rows[ri][ci])
+	}
+}
+
+// dictBounded re-codes private codes in first-seen order once the
+// dictionary a fork kept holds more than twice as many strings as the
+// column has rows, so DELETE and UPDATE churn cannot grow it unbounded.
+func (v *colVec) dictBounded() {
+	if len(v.dict) <= 2*len(v.codes) {
+		return
+	}
+	to := make([]uint16, len(v.dict)+1)
+	var dict []string
+	for i, c := range v.codes {
+		if c > 0 && to[c] == 0 {
+			dict = append(dict, v.dict[c-1])
+			to[c] = uint16(len(dict))
+		}
+		v.codes[i] = to[c]
+	}
+	v.dict, v.perm, v.index = dict, nil, nil
 }
 
 func lowerName(s string) string { return strings.ToLower(s) }
@@ -399,7 +568,9 @@ type Stats struct {
 	// RetiredEpochs counts superseded epochs kept alive by pins.
 	RetiredEpochs int
 	// RetiredBytes bounds the heap those retired epochs hold from above:
-	// their rows and built column segments at 40 bytes a cell, what
+	// their rows at 40 bytes a cell, and their built column segments at
+	// their real size — 40 bytes a value, 2 a dictionary code plus a
+	// string header and a permutation entry per dictionary string — what
 	// several of them share counted once for each.
 	RetiredBytes int64
 	// ProbeRows counts the candidate rows the batch probe kernels sent to
@@ -423,6 +594,12 @@ type Stats struct {
 	// SegCellsCopied the column-segment share of it: the part that depends
 	// on the rows a statement touches and not on the size of its table.
 	CellsCopied, SegCellsCopied int64
+	// SetRows counts the rows value sets decided, TextLookups the strings
+	// compared or hashed to decide those, or a kernel over a coded column —
+	// per row, dictionary string or set member. DistinctKeys counts the keys
+	// DISTINCT (raw pre-dedup, aggregates) hashed, Groups the GROUP BY
+	// groups formed, streamed or not.
+	SetRows, TextLookups, DistinctKeys, Groups int64
 	// Recovery reports what WAL recovery did when the database opened.
 	Recovery RecoveryStats
 }
@@ -446,6 +623,10 @@ func (db *DB) Stats() Stats {
 		SchedReuses:    db.work[wSchedReuses].Load(),
 		CellsCopied:    db.work[wCellsCopied].Load(),
 		SegCellsCopied: db.work[wSegCellsCopied].Load(),
+		SetRows:        db.work[wSetRows].Load(),
+		TextLookups:    db.work[wTextLookups].Load(),
+		DistinctKeys:   db.work[wDistinctKeys].Load(),
+		Groups:         db.work[wGroups].Load(),
 		Recovery:       db.recov,
 	}
 }
@@ -853,46 +1034,45 @@ func appendSegs(segs []segment, n int) []segment {
 	return segs
 }
 
-// column returns the segment's vector for schema position ci, covering
+// column returns the segment's column at schema position ci, covering
 // rows — the segment's rows in the reader's epoch — built or extended to
-// that fence on first use. The returned slice is immutable to the caller.
-func (s *colSeg) column(t *Table, ci int, rows []relation.Tuple) []relation.Value {
+// that fence on first use, and sealed unless the segment is the reader's
+// tail. The returned headers are immutable to the caller.
+func (s *colSeg) column(t *Table, ci int, rows []relation.Tuple, tail bool) colVec {
 	f := len(rows)
 	s.mu.RLock()
 	if ci < len(s.vecs) {
-		if v := s.vecs[ci]; len(v) >= f {
-			s.mu.RUnlock()
-			return v[:f]
+		if v := &s.vecs[ci]; v.len() >= f && (tail || v.sealed()) {
+			defer s.mu.RUnlock()
+			return v.cut(f)
 		}
 	}
 	s.mu.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.vecs == nil {
-		s.vecs = make([][]relation.Value, t.Schema.Width())
+		s.vecs = make([]colVec, t.Schema.Width())
 	}
 	// Epochs sharing a colSeg agree on all cell values over their common
 	// prefix, so whichever extends first, the result serves both.
-	v := s.vecs[ci]
-	if v == nil {
-		v = make([]relation.Value, 0, f)
-	}
-	if n := f - len(v); n > 0 {
+	v := &s.vecs[ci]
+	if n := f - v.len(); n > 0 {
 		t.colBuilt.Add(int64(n))
+		v.extend(rows, ci, t.Schema.Attrs[ci].Kind == relation.KindText)
 	}
-	for ri := len(v); ri < f; ri++ {
-		v = append(v, rows[ri][ci])
+	if !tail {
+		v.seal()
 	}
-	s.vecs[ci] = v
-	return v[:f]
+	return v.cut(f)
 }
 
 // forkUpdated forks the segment, which starts at base, for an UPDATE of
-// setCols at positions pos inside it: built vectors of assigned columns
-// are cloned and patched; built vectors of other columns are shared
-// capacity-clipped (each lineage's later appends then reallocate instead
-// of racing on spare cells); never-built vectors stay never-built.
-// Returns the cells written too.
+// setCols at positions pos inside it: built columns that are assigned
+// are cloned and patched, a coded one appending new strings to its
+// dictionary; built columns of other columns are shared capacity-clipped
+// (each lineage's later appends then reallocate instead of racing on
+// spare cells); never-built ones stay never-built. Returns the cells
+// written too.
 func (s *colSeg) forkUpdated(base int, pos []int, setCols []int, vals [][]relation.Value) (*colSeg, int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -900,23 +1080,31 @@ func (s *colSeg) forkUpdated(base int, pos []int, setCols []int, vals [][]relati
 	if s.vecs == nil {
 		return ns, 0
 	}
-	ns.vecs = make([][]relation.Value, len(s.vecs))
-	for ci, v := range s.vecs {
-		if v == nil {
-			continue
-		}
+	ns.vecs = make([]colVec, len(s.vecs))
+	for ci := range s.vecs {
+		v := s.vecs[ci].cut(s.vecs[ci].len())
 		j := slices.Index(setCols, ci)
-		if j < 0 {
-			ns.vecs[ci] = v[:len(v):len(v)]
+		if j < 0 || v.len() == 0 {
+			ns.vecs[ci] = v
 			continue
 		}
-		nv := slices.Clone(v)
+		n := v.len()
+		v.vals, v.codes = slices.Clone(v.vals), slices.Clone(v.codes)
 		for i, ri := range pos {
-			if ri-base < len(nv) {
-				nv[ri-base] = vals[i][j]
+			if ri-base >= n {
+				continue
+			}
+			if w := vals[i][j]; v.codes == nil || w.K != relation.KindText && w.K != relation.KindNull {
+				v.decode()
+				v.vals[ri-base] = w
+			} else {
+				v.codes = v.codes[:ri-base] // push writes the cell in place
+				v.push(w)
+				v.codes = v.codes[:n]
 			}
 		}
-		ns.vecs[ci], cells = nv, cells+len(nv)
+		v.dictBounded()
+		ns.vecs[ci], cells = v, cells+n
 	}
 	return ns, cells
 }
@@ -967,31 +1155,44 @@ func (td *tableData) segsDeleted(t *Table, dels []int, nrows []relation.Tuple) (
 // rows are its rows in the new epoch. Every column built in a part is
 // built in the result, compacted: a column stays covered as far as it
 // was, and a part that had not covered what a later one had is completed
-// from rows, so no covered cell is ever read again. Returns the cells
-// written too.
+// from rows, so no covered cell is ever read again. The first part keeps
+// its dictionary; the cells of the others are pushed onto it. Returns
+// the cells written too.
 func rebuildSeg(t *Table, parts []segPart, rows []relation.Tuple) (*colSeg, int) {
 	for _, p := range parts {
 		p.c.mu.RLock()
 		defer p.c.mu.RUnlock()
 	}
-	ns, cells := &colSeg{vecs: make([][]relation.Value, t.Schema.Width())}, 0
+	ns, cells := &colSeg{vecs: make([]colVec, t.Schema.Width())}, 0
 	for ci := range ns.vecs {
-		var v []relation.Value
+		v := &ns.vecs[ci]
 		at := 0 // where the part's rows start in the result
 		for _, p := range parts {
-			if ci < len(p.c.vecs) && len(p.c.vecs[ci]) > 0 {
-				if v == nil {
-					v = make([]relation.Value, 0, len(rows))
+			if ci < len(p.c.vecs) && p.c.vecs[ci].len() > 0 {
+				pv := p.c.vecs[ci].cut(min(p.n, p.c.vecs[ci].len()))
+				switch {
+				case at > 0: // a later part: pushed, after what the first left uncovered
+					t.colBuilt.Add(int64(at - v.len()))
+					v.extend(rows[:at], ci, t.Schema.Attrs[ci].Kind == relation.KindText)
+					for i, dels := 0, p.dels; i < pv.len(); i++ {
+						if len(dels) > 0 && dels[0] == p.base+i {
+							dels = dels[1:]
+						} else {
+							v.push(pv.at(i))
+						}
+					}
+				case pv.codes == nil: // the first part, compacted
+					*v = pv
+					v.vals = appendWithout(make([]relation.Value, 0, len(rows)), pv.vals, p.dels, p.base)
+				default: // the first part, compacted, its dictionary kept
+					*v = pv
+					v.codes = appendWithout(make([]uint16, 0, len(rows)), pv.codes, p.dels, p.base)
+					v.dictBounded()
 				}
-				t.colBuilt.Add(int64(at - len(v)))
-				for len(v) < at {
-					v = append(v, rows[len(v)][ci])
-				}
-				v = appendWithout(v, p.c.vecs[ci][:min(p.n, len(p.c.vecs[ci]))], p.dels, p.base)
 			}
 			at += p.n - len(p.dels)
 		}
-		ns.vecs[ci], cells = v, cells+len(v)
+		cells += v.len()
 	}
 	return ns, cells
 }

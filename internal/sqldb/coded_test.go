@@ -1,0 +1,276 @@
+package sqldb
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"ecfd/internal/gen"
+	"ecfd/internal/relation"
+)
+
+// Tests of the dictionary-coded TEXT columns of the column cache: that
+// every consumer of a coded segment answers what the nested loop over
+// the rows answers, that churn keeps dictionaries bounded, and what a
+// coded cell costs.
+
+// TestCodedTextDifferential compares Planned with Reference over a TEXT
+// column whose segments take every representation the cache has: one
+// full segment whose UPDATE took its dictionary past 1024 strings, one
+// holding integers LoadRelation planted (a vector of values), one a
+// DELETE compacted, one a DELETE merged with its neighbour, sealed ones
+// with sorted dictionaries, and a tail that grows between the checks.
+// The cells are NULL, '\N' — what COALESCE(TOTEXT(a), '\N') makes of
+// NULL — '@', the empty string, multi-byte strings and heavy duplicates.
+// Every kernel op runs with its negation, and value sets of 1, 4, 5, 24
+// and 256 members decide a probe through the '@'-blanking CASE over
+// COALESCE and through the plain column, under EXISTS and NOT EXISTS.
+// Treating the NULL code as a non-member, or keeping one run's mask for
+// the next, fails it. Part of `make difffuzz`.
+func TestCodedTextDifferential(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(diffSeed(t, 181)))
+	common := []relation.Value{relation.Null(), relation.Text(`\N`), relation.Text("@"), relation.Text(""),
+		relation.Text("ü"), relation.Text("日本"), relation.Text("x"), relation.Text("y"), relation.Text("1")}
+	cell := func(rid int) relation.Value {
+		switch {
+		case rid < segRows:
+			return relation.Text(fmt.Sprintf("d%d", rid)) // 1024 distinct
+		case rid >= 3*segRows && rid < 4*segRows && rid%9 == 0:
+			return relation.Int(int64(rid % 4)) // planted: not coerced
+		case rng.Intn(3) == 0:
+			return relation.Text(fmt.Sprintf("z%d", rng.Intn(40)))
+		}
+		return common[rng.Intn(len(common))]
+	}
+	schema, err := relation.NewSchema("cd",
+		relation.Attribute{Name: "rid", Kind: relation.KindInt},
+		relation.Attribute{Name: "a", Kind: relation.KindText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := relation.New(schema)
+	const n = 6 * segRows
+	for rid := 0; rid < n; rid++ {
+		data.Rows = append(data.Rows, relation.Tuple{relation.Int(int64(rid)), cell(rid)})
+	}
+	db := NewDB()
+	if err := db.LoadRelation(data); err != nil {
+		t.Fatal(err)
+	}
+	nextRID := n
+	insert := func(k int) {
+		for ; k > 0; k-- {
+			mustExec(t, db, `INSERT INTO cd VALUES (?, ?)`, relation.Int(int64(nextRID)), cell(nextRID))
+			nextRID++
+		}
+	}
+
+	// The value sets: member lists of five sizes on a (g, val) index, so
+	// the 256 are narrowed by the entry's g; with '\N' in two of them.
+	pool := []string{`\N`, "@", "", "ü", "日本", "x", "y", "1", "0", "absent"}
+	for i := 0; i < 40; i++ {
+		pool = append(pool, fmt.Sprintf("z%d", i))
+	}
+	for i := 0; i < 400; i++ {
+		pool = append(pool, fmt.Sprintf("d%d", rng.Intn(segRows)), fmt.Sprintf("%d", 100_000+rng.Intn(segRows)))
+	}
+	mustExec(t, db, `CREATE TABLE vs (g INTEGER, val TEXT)`)
+	mustExec(t, db, `CREATE INDEX idx_vs ON vs (g, val)`)
+	mustExec(t, db, `CREATE TABLE cp (cid INTEGER, la INTEGER)`)
+	for g, size := range []int{1, 4, 5, 24, 256} {
+		mustExec(t, db, `INSERT INTO cp VALUES (?, 1)`, relation.Int(int64(g)))
+		members := map[string]bool{}
+		if g == 1 || g == 3 {
+			members[`\N`] = true
+		}
+		for len(members) < size {
+			members[pool[rng.Intn(len(pool))]] = true
+		}
+		for m := range members {
+			mustExec(t, db, `INSERT INTO vs VALUES (?, ?)`, relation.Int(int64(g)), relation.Text(m))
+		}
+	}
+	mustExec(t, db, `INSERT INTO cp VALUES (5, 0)`) // blanked: every row probes '@'
+
+	lit := func() string {
+		switch v := cell(rng.Intn(n)); {
+		case v.IsNull():
+			return "'@'"
+		case rng.Intn(8) == 0:
+			return fmt.Sprint(rng.Intn(3)) // a number against text and planted integers
+		default:
+			return v.SQL()
+		}
+	}
+	lits := func(k int) string {
+		out := make([]string, k)
+		for i := range out {
+			out[i] = lit()
+		}
+		return strings.Join(out, ", ")
+	}
+	kernels := func() []string {
+		var out []string
+		for _, op := range [][2]string{{"=", "<>"}, {"<", ">="}, {">", "<="}} {
+			l := lit()
+			out = append(out, "a "+op[0]+" "+l, "a "+op[1]+" "+l)
+		}
+		lo, hi := lit(), lit()
+		out = append(out, fmt.Sprintf("a BETWEEN %s AND %s", lo, hi), fmt.Sprintf("a NOT BETWEEN %s AND %s", lo, hi))
+		short, long := lits(3), lits(9) // an Equal scan, a hashed set
+		out = append(out, "a IN ("+short+")", "a NOT IN ("+short+")", "a IN ("+long+")", "a NOT IN ("+long+")",
+			"a IS NULL", "a IS NOT NULL")
+		return out
+	}
+	blank := `CASE WHEN c.la > 0 THEN COALESCE(TOTEXT(t.a), '\N') ELSE '@' END`
+	probes := []string{
+		`SELECT t.rid, c.cid FROM cp c, cd t WHERE EXISTS (SELECT 1 FROM vs WHERE vs.g = c.cid AND vs.val = ` + blank + `)`,
+		`SELECT t.rid, c.cid FROM cp c, cd t WHERE NOT EXISTS (SELECT 1 FROM vs WHERE vs.g = c.cid AND vs.val = ` + blank + `)`,
+		`SELECT t.rid, c.cid FROM cp c, cd t WHERE EXISTS (SELECT 1 FROM vs WHERE vs.g = c.cid AND vs.val = t.a)`,
+	}
+	// The probes re-run their subquery per pair under Reference, 10 M rows a
+	// query here: it checks them once, at the end; the steps before compare
+	// with RowAtATime, whose closures read rows and probe a hash build —
+	// nothing of the column cache either.
+	check := func(step string, oracle Mode) {
+		t.Helper()
+		for _, pred := range kernels() {
+			for _, q := range []string{"SELECT rid FROM cd WHERE " + pred,
+				fmt.Sprintf("SELECT rid FROM cd WHERE rid >= %d AND %s", rng.Intn(nextRID), pred)} {
+				if got, want := canonical(queryIn(t, db, Planned, q)), canonical(queryIn(t, db, Reference, q)); got != want {
+					t.Fatalf("%s: %s\nPlanned   %.300s\nReference %.300s", step, q, got, want)
+				}
+			}
+		}
+		for _, q := range probes {
+			before := db.Stats()
+			got := canonical(queryIn(t, db, Planned, q))
+			if st := db.Stats(); st.SetRows-before.SetRows < int64(n) || st.TextLookups-before.TextLookups > (st.SetRows-before.SetRows)/4 {
+				t.Fatalf("%s: %s\ndecided %d rows by value sets with %d text lookups", step, q,
+					st.SetRows-before.SetRows, st.TextLookups-before.TextLookups)
+			}
+			if want := canonical(queryIn(t, db, oracle, q)); got != want {
+				t.Fatalf("%s: %s\nPlanned   %.300s\nmode %d    %.300s", step, q, got, oracle, want)
+			}
+		}
+	}
+	check("loaded", RowAtATime)
+	tbl := mustTable(t, db, "cd")
+	mustExec(t, db, fmt.Sprintf(`UPDATE cd SET a = TOTEXT(rid + 100000) WHERE rid < %d AND rid %% 5 <> 0`, segRows))
+	if v := db.cur.Load().tds[tbl].segs[0].c.vecs[1]; len(v.dict) <= segRows || v.codes == nil {
+		t.Fatalf("after the UPDATE the first segment's dictionary holds %d strings", len(v.dict))
+	}
+	insert(50)
+	check("updated", RowAtATime)
+	mustExec(t, db, `DELETE FROM cd WHERE rid >= ? AND rid < ?`, relation.Int(segRows+100), relation.Int(segRows+300))
+	mustExec(t, db, `DELETE FROM cd WHERE rid >= ? AND rid < ?`, relation.Int(2*segRows-40), relation.Int(3*segRows-60))
+	insert(300)
+	check("compacted and merged", RowAtATime)
+	mustExec(t, db, `UPDATE cd SET a = 'ü' WHERE rid >= ? AND rid < ?`, relation.Int(2*segRows-100), relation.Int(3*segRows))
+	insert(segRows - 200)
+	check("sealed a tail", Reference)
+	td := db.cur.Load().tds[tbl]
+	checkSegments(t, "the end", tbl, td)
+	var coded, plain int
+	for _, sg := range td.segs {
+		if v := sg.c.vecs[1]; v.codes != nil {
+			coded++
+		} else if v.vals != nil {
+			plain++
+		}
+	}
+	if coded < 4 || plain != 1 {
+		t.Fatalf("%d coded and %d plain segments of a, want every one but the planted", coded, plain)
+	}
+}
+
+// TestSegmentDictionaryBoundUnderChurn: 10 000 steps that UPDATE a few
+// rows of a TEXT column to strings never seen before, or DELETE a few —
+// now and then a run of 60 — and INSERT as many. Forks keep their
+// dictionaries — an UPDATE appends, a DELETE compacts the codes only —
+// so without re-coding a segment's dictionary would grow with the steps;
+// every built column keeps at most twice as many strings as its segment
+// has rows, and the cache still mirrors the rows.
+func TestSegmentDictionaryBoundUnderChurn(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(191))
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE dc (id INTEGER, s TEXT)`)
+	nextID := 0
+	insert := func(k int) {
+		for ; k > 0; k-- {
+			mustExec(t, db, `INSERT INTO dc VALUES (?, ?)`, relation.Int(int64(nextID)), relation.Text(fmt.Sprintf("s%d", nextID%50)))
+			nextID++
+		}
+	}
+	insert(3000)
+	tbl := mustTable(t, db, "dc")
+	most := 0.0
+	for step := 0; step < 10_000; step++ {
+		lo := relation.Int(int64(rng.Intn(nextID)))
+		if rng.Intn(2) == 0 {
+			mustExec(t, db, `UPDATE dc SET s = ? WHERE id >= ? AND id < ? + 4`, relation.Text(fmt.Sprintf("u%d", step)), lo, lo)
+		} else {
+			w := relation.Int(int64(3 + 57*(rng.Intn(10)/9)))
+			k := len(mustQuery(t, db, `SELECT id FROM dc WHERE id >= ? AND id < ? + ?`, lo, lo, w).Rows)
+			mustExec(t, db, `DELETE FROM dc WHERE id >= ? AND id < ? + ?`, lo, lo, w)
+			insert(k)
+		}
+		mustQuery(t, db, `SELECT id FROM dc WHERE s <> '-'`) // builds s in every segment
+		td := db.cur.Load().tds[tbl]
+		for si, sg := range td.segs {
+			_, m := td.span(si)
+			if v := sg.c.vecs[1]; len(v.dict) > 2*m {
+				t.Fatalf("step %d: segment %d holds %d strings for %d rows", step, si, len(v.dict), m)
+			} else {
+				most = max(most, float64(len(v.dict))/float64(m))
+			}
+		}
+		if step%500 == 499 {
+			checkSegments(t, fmt.Sprintf("step %d", step), tbl, td)
+		}
+	}
+	t.Logf("at most %.2f dictionary strings per row of a segment over 10 000 steps", most)
+}
+
+// TestColumnCacheBytesPerCell: built over 40 000 gen rows, the TEXT
+// columns of the column cache cost at most 12 bytes a cell on average —
+// a 2-byte code plus a share of the dictionary and its permutation; a
+// vector of values cost 40.
+func TestColumnCacheBytesPerCell(t *testing.T) {
+	t.Parallel()
+	db := NewDB()
+	if err := db.LoadRelation(gen.Dataset(gen.Config{Rows: 40_000, Noise: 5, Seed: 611})); err != nil {
+		t.Fatal(err)
+	}
+	s := gen.Schema()
+	var conds []string
+	for _, a := range s.Attrs {
+		conds = append(conds, a.Name+" <> '-'")
+	}
+	if n := len(mustQuery(t, db, `SELECT PN FROM `+s.Name+` WHERE `+strings.Join(conds, " AND ")).Rows); n != 40_000 {
+		t.Fatalf("the scan kept %d rows", n)
+	}
+	td := db.cur.Load().tds[mustTable(t, db, s.Name)]
+	var bytes, cells int64
+	for _, sg := range td.segs {
+		for ci := range sg.c.vecs {
+			if v := &sg.c.vecs[ci]; s.Attrs[ci].Kind == relation.KindText {
+				if v.codes == nil {
+					t.Fatalf("a built TEXT column of gen data is not coded")
+				}
+				bytes, cells = bytes+v.bytes(), cells+int64(v.len())
+			}
+		}
+	}
+	if want := int64(len(s.Attrs)) * 40_000; cells != want {
+		t.Fatalf("%d TEXT cells built, want %d", cells, want)
+	}
+	perCell := float64(bytes) / float64(cells)
+	t.Logf("%d TEXT cells of %d columns: %.1f bytes a cell", cells, len(s.Attrs), perCell)
+	if perCell > 12 {
+		t.Errorf("built TEXT cells cost %.1f bytes on average, want at most 12", perCell)
+	}
+}

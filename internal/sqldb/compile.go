@@ -57,6 +57,10 @@ const (
 	wSchedReuses
 	wCellsCopied // this and the next: added to by DML forks (DB.copied), which run under no env
 	wSegCellsCopied
+	wSetRows
+	wTextLookups
+	wDistinctKeys
+	wGroups
 	nWork
 )
 

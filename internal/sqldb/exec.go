@@ -596,6 +596,7 @@ func (cs *compiledSelect) execDistinct(en *env) ([]relation.Tuple, error) {
 	var keyBuf []byte
 	err := cs.feedDistinct(en, func(row relation.Tuple) error {
 		keyBuf = relation.AppendKeyOf(keyBuf[:0], row)
+		en.work[wDistinctKeys]++
 		if seen[string(keyBuf)] {
 			return nil
 		}
@@ -677,6 +678,7 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 		seen := make(map[string]bool, len(out))
 		dedup := out[:0]
 		var dedupKeys [][]relation.Value
+		en.work[wDistinctKeys] += int64(len(out))
 		for i, row := range out {
 			k := row.Key()
 			if seen[k] {
@@ -770,6 +772,7 @@ func (cs *compiledSelect) execGrouped(en *env, src [][]relation.Tuple, emit func
 		}
 		gi, ok := index[string(keyBuf)]
 		if !ok {
+			en.work[wGroups]++
 			gi = len(groups)
 			index[string(keyBuf)] = gi
 			groups = append(groups, group{rep: append([]relation.Tuple(nil), fr.rows...), accs: make([]aggAcc, len(cs.aggs))})
@@ -843,8 +846,10 @@ func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
 		keyBuf = relation.AppendKeyOf(keyBuf, row[k:])
 		rem := keyBuf[cut:]
 		g := index[string(keyBuf[:cut])]
+		en.work[wDistinctKeys]++
 		switch {
 		case g == nil:
+			en.work[wGroups]++
 			g = &groups.alloc(1)[0]
 			g.rep, g.accs = reps.alloc(k), accs.alloc(len(cs.aggs))
 			copy(g.rep, row)
@@ -953,6 +958,7 @@ func (a *aggAcc) add(en *env, spec *aggSpec) error {
 	}
 	if spec.distinct {
 		k := v.Key()
+		en.work[wDistinctKeys]++
 		if a.distinct[k] {
 			return nil
 		}

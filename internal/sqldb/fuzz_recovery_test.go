@@ -201,7 +201,7 @@ func FuzzSnapshot(f *testing.F) {
 			for si := range td.segs {
 				base, n := td.span(si)
 				for ci := range rt.t.Schema.Attrs {
-					td.segs[si].c.column(rt.t, ci, td.rows[base:base+n])
+					td.segs[si].c.column(rt.t, ci, td.rows[base:base+n], si == len(td.segs)-1)
 				}
 			}
 			checkSegments(t, "restored "+rt.t.Name, rt.t, td)

@@ -1211,7 +1211,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 	for i, si := 0, 0; i < n && err == nil; {
 		si = td.segAt(cand(i), si)
 		base, m := td.span(si)
-		run := segRun{t: t, c: td.segs[si].c, rows: rows[base : base+m]}
+		run := segRun{t: t, c: td.segs[si].c, rows: rows[base : base+m], tail: si == len(td.segs)-1}
 		sel = sel[:0]
 		if scanAll { // the whole segment
 			for off := 0; off < m; off++ {
@@ -1231,7 +1231,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 			if len(sel) == 0 {
 				break
 			}
-			sel = k.filter(run.column(k.col), &binds[ki], sel)
+			sel = k.filterRun(en, &run, &binds[ki], sel)
 		}
 		for _, g := range lv.groups {
 			if g.pass || len(sel) == 0 {

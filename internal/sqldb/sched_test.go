@@ -208,10 +208,10 @@ func TestPooledScheduleHoldsNoEpoch(t *testing.T) {
 		runtime.SetFinalizer(td, func(*tableData) { collected <- "table data of " + name })
 		watching++
 		for si, sg := range td.segs {
-			for ci, vec := range sg.c.vecs {
-				if len(vec) > 0 {
-					what := fmt.Sprintf("segment %d's vector of column %d of %s", si, ci, name)
-					runtime.SetFinalizer(&vec[0], func(*relation.Value) { collected <- what })
+			for ci := range sg.c.vecs {
+				for _, a := range columnArrays(&sg.c.vecs[ci], fmt.Sprintf("segment %d's column %d of %s", si, ci, name)) {
+					what := a.what
+					a.finalize(func() { collected <- what })
 					watching++
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ecfd/internal/relation"
 )
@@ -45,28 +46,61 @@ func checkSegmentTable(t *testing.T, what string, td *tableData) {
 }
 
 // checkSegments verifies one epoch's column cache against its rows: the
-// shape of the segment table, and that every built vector mirrors the
-// rows it covers. A vector may trail its segment — it extends lazily —
-// and only a tail's may lead it, extended by readers of a newer epoch
-// that has appended.
+// shape of the segment table, and that every built column, decoded,
+// mirrors the rows it covers. A column may trail its segment — it
+// extends lazily — and only a tail's may lead it, extended by readers of
+// a newer epoch that has appended. Each column is checked as a colVec
+// too (checkColVec).
 func checkSegments(t *testing.T, what string, tbl *Table, td *tableData) {
 	t.Helper()
 	checkSegmentTable(t, what, td)
 	for si, sg := range td.segs {
 		base, m := td.span(si)
 		sg.c.mu.RLock()
-		for ci, vec := range sg.c.vecs {
-			if len(vec) > m && si < len(td.segs)-1 {
-				t.Fatalf("%s: segment %d column %d has %d cells for %d rows", what, si, ci, len(vec), m)
+		for ci := range sg.c.vecs {
+			vec := &sg.c.vecs[ci]
+			where := fmt.Sprintf("%s: segment %d column %d", what, si, ci)
+			if vec.len() > m && si < len(td.segs)-1 {
+				t.Fatalf("%s has %d cells for %d rows", where, vec.len(), m)
 			}
-			for i, v := range vec[:min(len(vec), m)] {
-				if !relation.Identical(v, td.rows[base+i][ci]) {
-					t.Fatalf("%s: segment %d column %d row %d (position %d): cached %s, stored %s",
-						what, si, ci, i, base+i, v, td.rows[base+i][ci])
+			checkColVec(t, where, tbl.Schema.Attrs[ci].Kind == relation.KindText, vec)
+			for i := 0; i < min(vec.len(), m); i++ {
+				if v := vec.at(i); !relation.Identical(v, td.rows[base+i][ci]) {
+					t.Fatalf("%s row %d (position %d): cached %s, stored %s", where, i, base+i, v, td.rows[base+i][ci])
 				}
 			}
 		}
 		sg.c.mu.RUnlock()
+	}
+}
+
+// checkColVec verifies a built column's representation: only a
+// declared-TEXT column is coded; codes name dictionary strings, which are
+// distinct and at most twice as many as the column's cells; a
+// permutation sorts the dictionary prefix it covers.
+func checkColVec(t *testing.T, where string, text bool, v *colVec) {
+	t.Helper()
+	if v.codes == nil {
+		return
+	}
+	if !text {
+		t.Fatalf("%s: a non-TEXT column is coded", where)
+	}
+	if n := v.len(); len(v.dict) > 2*n {
+		t.Fatalf("%s: %d dictionary strings for %d cells", where, len(v.dict), n)
+	}
+	for i, c := range v.codes {
+		if int(c) > len(v.dict) {
+			t.Fatalf("%s: cell %d has code %d past a %d-string dictionary", where, i, c, len(v.dict))
+		}
+	}
+	if distinct := len(slices.Compact(slices.Sorted(slices.Values(v.dict)))); distinct != len(v.dict) {
+		t.Fatalf("%s: %d dictionary strings, %d distinct", where, len(v.dict), distinct)
+	}
+	for i := 1; i < len(v.perm); i++ {
+		if v.dict[v.perm[i-1]] >= v.dict[v.perm[i]] {
+			t.Fatalf("%s: the permutation does not sort the dictionary at %d", where, i)
+		}
 	}
 }
 
@@ -130,33 +164,36 @@ func TestSegmentChurnKeepsMergeBound(t *testing.T) {
 // TestSegmentsCollectableAfterUnpin: a segment a DELETE has replaced
 // lives exactly as long as an epoch listing it is pinned. The query
 // leaves a warm pooled instance behind, whose probes were last pointed at
-// the vectors of the segment it scanned last, the tail; the DELETE
-// replaces that one. While a snapshot pins the old epoch the replaced
-// segment and its vectors must not be collected, and once it is closed
-// they must be — nothing the idle instance keeps may reach them. The
-// segments the DELETE did not touch are shared with the new epoch and
-// stay.
+// the columns of the segment it scanned last, the tail, and whose value
+// sets translated their members into the codes of every segment. The
+// DELETE thins the last full segment out until it re-codes and merges
+// with the tail. While a snapshot pins the old epoch neither replaced
+// segment, nor any array of theirs the new epoch does not share — values,
+// codes, dictionaries, permutations — may be collected, and once it is
+// closed all must be: nothing the idle instance keeps may reach them, and
+// it keeps no value set, so no mask. The segments the DELETE did not
+// touch are shared with the new epoch and stay.
 func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE c (cid INTEGER, g INTEGER)`)
 	mustExec(t, db, `CREATE TABLE s (cid INTEGER, val TEXT)`)
 	mustExec(t, db, `CREATE INDEX idx_s ON s (cid, val)`)
-	mustExec(t, db, `CREATE TABLE d (k INTEGER, a TEXT, mv INTEGER, x INTEGER)`)
+	mustExec(t, db, `CREATE TABLE d (k INTEGER, a TEXT, mv INTEGER, x INTEGER, u TEXT)`)
 	for i := 0; i < 3; i++ {
 		mustExec(t, db, `INSERT INTO c VALUES (?, ?)`, relation.Int(int64(i)), relation.Int(int64(i%2)))
 		for j := 0; j < 4; j++ {
 			mustExec(t, db, `INSERT INTO s VALUES (?, ?)`, relation.Int(int64(i)), relation.Text(fmt.Sprintf("v%d", i+j)))
 		}
 	}
-	const dRows = 3300 // four segments
+	const dRows = 4*segRows + 304 // four full segments and a tail: candidates enough for value sets
 	for i := 0; i < dRows; i += 100 {
 		rows := make([]string, 100)
 		for j := range rows {
-			rows[j] = fmt.Sprintf("(%d, 'v%d', %d, %d)", i+j, (i+j)%9, (i+j)%2, (i+j)%11)
+			rows[j] = fmt.Sprintf("(%d, 'v%d', %d, %d, 'u%d')", i+j, (i+j)%9, (i+j)%2, (i+j)%11, i+j)
 		}
 		mustExec(t, db, `INSERT INTO d VALUES `+strings.Join(rows, ", "))
 	}
-	const q = `SELECT t.k FROM c, d t WHERE t.mv = 0 AND t.k >= ? AND
+	const q = `SELECT t.k FROM c, d t WHERE t.mv = 0 AND t.k >= ? AND t.u <> 'none' AND
 		(c.g <> 1 OR t.x = 7 OR EXISTS (SELECT 1 FROM s WHERE s.cid = c.cid AND s.val = t.a))`
 	run := func() {
 		t.Helper()
@@ -166,8 +203,8 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	}
 	run()
 	run()
-	if db.Stats().SchedReuses == 0 {
-		t.Fatal("the second run reused no instance: nothing is pooled")
+	if st := db.Stats(); st.SchedReuses == 0 || st.SetRows == 0 {
+		t.Fatalf("%d instances reused, %d rows decided by value sets: nothing is pooled or nothing translated", st.SchedReuses, st.SetRows)
 	}
 	// What the idle instance keeps is sized by a segment, not by d.
 	p, err := db.Prepare(q)
@@ -179,6 +216,16 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 		t.Fatal(err)
 	}
 	masks := 0
+	var keptSets func(ps []predInst) int
+	keptSets = func(ps []predInst) (n int) {
+		for i := range ps {
+			if ps[i].probe != nil && ps[i].probe.vs != nil {
+				n++
+			}
+			n += keptSets(ps[i].or)
+		}
+		return n
+	}
 	for i := range plan.(*compiledSelect).free {
 		if sch := plan.(*compiledSelect).free[i].Load(); sch != nil {
 			for pos, gs := range sch.state.gsc {
@@ -189,6 +236,13 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 							pos, len(gs.mask), cap(sch.state.sel[pos]), segRows)
 					}
 				}
+				for _, g := range sch.levels[pos].groups {
+					for ti := range g.terms {
+						if n := keptSets(g.terms[ti].preds); n > 0 {
+							t.Errorf("idle instance, level %d: %d probes keep their value sets", pos, n)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -197,29 +251,53 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	}
 
 	tbl := mustTable(t, db, "d")
-	collected := make(chan string, 64)
-	watch := func(si int) (n int) {
-		sg := db.cur.Load().tds[tbl].segs[si]
-		what := fmt.Sprintf("segment %d", si)
-		runtime.SetFinalizer(sg.c, func(*colSeg) { collected <- what })
-		for ci, vec := range sg.c.vecs {
-			if len(vec) > 0 {
-				what := fmt.Sprintf("segment %d's vector of column %d", si, ci)
-				runtime.SetFinalizer(&vec[0], func(*relation.Value) { collected <- what })
-				n++
+	snap := db.PinSnapshot()
+	mustExec(t, db, `DELETE FROM d WHERE k >= ? AND k < ?`, relation.Int(3*segRows+10), relation.Int(4*segRows-14))
+	old, cur := snap.ep.tds[tbl].segs, db.cur.Load().tds[tbl].segs
+	if len(old) != 5 || len(cur) != 4 || cur[0].c != old[0].c || cur[2].c != old[2].c {
+		t.Fatalf("%d segments became %d: the DELETE did not merge the thinned one into the tail", len(old), len(cur))
+	}
+	shared := map[unsafe.Pointer]bool{}
+	for _, sg := range cur {
+		for ci := range sg.c.vecs {
+			for _, a := range columnArrays(&sg.c.vecs[ci], "") {
+				shared[a.p] = true
 			}
 		}
-		return n + 1
 	}
-	doomed := watch(3)
-	if doomed < 1+4 {
-		t.Fatalf("watching %d objects of segment 3: the query built no vectors there", doomed)
+	collected := make(chan string, 64)
+	var doomed []string
+	watch := func(si int, replaced bool) {
+		sg := old[si]
+		if replaced {
+			doomed = append(doomed, fmt.Sprintf("segment %d", si))
+		}
+		what := fmt.Sprintf("segment %d", si)
+		runtime.SetFinalizer(sg.c, func(*colSeg) { collected <- what })
+		for ci := range sg.c.vecs {
+			for _, a := range columnArrays(&sg.c.vecs[ci], fmt.Sprintf("segment %d's column %d", si, ci)) {
+				if replaced && shared[a.p] {
+					continue // the merged segment kept it
+				}
+				what := a.what
+				a.finalize(func() { collected <- what })
+				if replaced {
+					doomed = append(doomed, what)
+				}
+			}
+		}
 	}
-	watch(0)
-	watch(2)
+	watch(3, true)
+	watch(4, true)
+	watch(0, false)
+	watch(2, false)
+	for _, kind := range []string{"values", "codes", "dictionary", "permutation"} {
+		if !slices.ContainsFunc(doomed, func(w string) bool { return strings.HasSuffix(w, kind) }) {
+			t.Fatalf("the replaced segments hold no %s only they reach: %v", kind, doomed)
+		}
+	}
+	old, cur = nil, nil
 
-	snap := db.PinSnapshot()
-	mustExec(t, db, `DELETE FROM d WHERE k >= ? AND k < ?`, relation.Int(3*segRows+100), relation.Int(3*segRows+140))
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
@@ -236,16 +314,16 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	}
 	snap.Close()
 	deadline := time.After(10 * time.Second)
-	for got := 0; got < doomed; {
+	for got := 0; got < len(doomed); {
 		runtime.GC()
 		select {
 		case what := <-collected:
-			if !strings.HasPrefix(what, "segment 3") {
-				t.Fatalf("%s was collected: the DELETE did not touch it and the published epoch lists it", what)
+			if !slices.Contains(doomed, what) {
+				t.Fatalf("%s was collected: the published epoch still reaches it", what)
 			}
 			got++
 		case <-deadline:
-			t.Fatalf("%d of %d objects of the replaced segment were never collected after the unpin", doomed-got, doomed)
+			t.Fatalf("%d of %d objects of the replaced segments were never collected after the unpin", len(doomed)-got, len(doomed))
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -253,6 +331,33 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	if st := db.Stats(); st.RetiredBytes != 0 || st.LiveEpochs != 1 {
 		t.Errorf("RetiredBytes = %d, LiveEpochs = %d; want 0 and 1", st.RetiredBytes, st.LiveEpochs)
 	}
+}
+
+// colArray is one backing array a built column holds.
+type colArray struct {
+	what     string
+	p        unsafe.Pointer
+	finalize func(fire func())
+}
+
+// columnArrays lists the backing arrays of a built column — its values or
+// codes, dictionary and permutation — named after what.
+func columnArrays(v *colVec, what string) []colArray {
+	var out []colArray
+	add := func(kind string, n int, p unsafe.Pointer, fin func(fire func())) {
+		if n > 0 {
+			out = append(out, colArray{what + " " + kind, p, fin})
+		}
+	}
+	add("values", cap(v.vals), unsafe.Pointer(unsafe.SliceData(v.vals)), func(fire func()) { finalizeFirst(v.vals, fire) })
+	add("codes", cap(v.codes), unsafe.Pointer(unsafe.SliceData(v.codes)), func(fire func()) { finalizeFirst(v.codes, fire) })
+	add("dictionary", cap(v.dict), unsafe.Pointer(unsafe.SliceData(v.dict)), func(fire func()) { finalizeFirst(v.dict, fire) })
+	add("permutation", cap(v.perm), unsafe.Pointer(unsafe.SliceData(v.perm)), func(fire func()) { finalizeFirst(v.perm, fire) })
+	return out
+}
+
+func finalizeFirst[T any](s []T, fire func()) {
+	runtime.SetFinalizer(&s[:1][0], func(*T) { fire() })
 }
 
 // TestSegmentRunsPreserveOrder: an ORDER BY served by an index on a
@@ -308,19 +413,20 @@ func TestSegmentRunsPreserveOrder(t *testing.T) {
 }
 
 // TestSnapshotStabilityTailFence: a reader pinned to an epoch whose tail
-// segment is half full scans it, building and extending its vectors,
-// while a writer appends into that same segment, seals it and starts the
-// next — and reads in between, which extends the shared vectors past the
-// pinned reader's fence. The pinned reader must keep seeing exactly its
-// own rows.
+// segment is half full scans it, building and extending its columns —
+// one of them coded, whose dictionary grows with its codes — while a
+// writer appends into that same segment, seals it and starts the next —
+// and reads in between, which extends the shared columns past the pinned
+// reader's fence. The pinned reader must keep seeing exactly its own
+// rows.
 func TestSnapshotStabilityTailFence(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, `CREATE TABLE d (id INTEGER, grp INTEGER)`)
+	mustExec(t, db, `CREATE TABLE d (id INTEGER, grp INTEGER, tag TEXT)`)
 	nextID := 0
 	insert := func(n int) error {
 		rows := make([]string, n)
 		for i := range rows {
-			rows[i] = fmt.Sprintf("(%d, %d)", nextID, nextID%5)
+			rows[i] = fmt.Sprintf("(%d, %d, 't%d')", nextID, nextID%5, nextID%97)
 			nextID++
 		}
 		_, err := db.Exec(`INSERT INTO d VALUES ` + strings.Join(rows, ", "))
@@ -330,13 +436,23 @@ func TestSnapshotStabilityTailFence(t *testing.T) {
 	if err := insert(pinned); err != nil {
 		t.Fatal(err)
 	}
-	p, err := db.Prepare(`SELECT COUNT(*), SUM(id) FROM d WHERE grp >= 0 AND id >= 0`)
+	// tag is coded: the kernel decides each code by its string, so a reader
+	// whose codes named strings past its dictionary would fail or miscount.
+	p, err := db.Prepare(`SELECT COUNT(*), SUM(id) FROM d WHERE grp >= 0 AND id >= 0 AND tag <> 't2'`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := db.PinSnapshot() // no vector is built yet: the readers race to
 	defer snap.Close()
-	wantSum := int64(pinned * (pinned - 1) / 2)
+	want := func(rows int) (n, sum int64) {
+		for id := 0; id < rows; id++ {
+			if id%97 != 2 {
+				n, sum = n+1, sum+int64(id)
+			}
+		}
+		return n, sum
+	}
+	wantN, wantSum := want(pinned)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -350,8 +466,8 @@ func TestSnapshotStabilityTailFence(t *testing.T) {
 					errs <- err
 					return
 				}
-				if n, sum := res.Rows[0][0].I, res.Rows[0][1].I; n != pinned || sum != wantSum {
-					errs <- fmt.Errorf("pinned read %d: %d rows summing to %d, want %d and %d", i, n, sum, pinned, wantSum)
+				if n, sum := res.Rows[0][0].I, res.Rows[0][1].I; n != wantN || sum != wantSum {
+					errs <- fmt.Errorf("pinned read %d: %d rows summing to %d, want %d and %d", i, n, sum, wantN, wantSum)
 					return
 				}
 			}
@@ -370,8 +486,8 @@ func TestSnapshotStabilityTailFence(t *testing.T) {
 				errs <- err
 				return
 			}
-			if n := res.Rows[0][0].I; n != int64(nextID) {
-				errs <- fmt.Errorf("live read: %d rows, want %d", n, nextID)
+			if n, _ := want(nextID); res.Rows[0][0].I != n {
+				errs <- fmt.Errorf("live read: %d rows, want %d", res.Rows[0][0].I, n)
 				return
 			}
 		}
@@ -479,7 +595,7 @@ func TestSegmentMergeCompletesFromRows(t *testing.T) {
 	tbl := mustTable(t, db, "m")
 	cover := func() (cells []int) {
 		for _, sg := range db.cur.Load().tds[tbl].segs {
-			cells = append(cells, len(sg.c.vecs[1]))
+			cells = append(cells, sg.c.vecs[1].len())
 		}
 		return cells
 	}
