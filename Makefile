@@ -44,7 +44,7 @@ mvccstress:
 # replays a failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential' ./internal/sqldb/ -args -seed=$$seed
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential' ./internal/sqldb/ -args -seed=$$seed
 
 # Native fuzzing, ten seconds per (package, target) pair: the SQL lexer
 # and parser never panic and every error they return carries a source

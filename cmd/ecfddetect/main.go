@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nRows := 0
 	if inst != nil {
 		if _, err := d.LoadData(inst); err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("%s: %w", *dataPath, err))
 		}
 		nRows = inst.Len()
 	}
@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		_, ist, err := d.InsertTuples(batch)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("%s: %w", *insertPath, err))
 		}
 		fmt.Fprintf(stderr, "incremental insert: %d tuples in %v\n", ist.Applied, ist.Elapsed.Round(1e6))
 	}

@@ -173,6 +173,26 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestReservedValueRefused: a CSV cell holding the string the detector
+// reserves for NULL fails the run with exit 1, naming the file, the row
+// and the attribute, whether it comes in through -data or -insert.
+func TestReservedValueRefused(t *testing.T) {
+	specPath, dataPath, _ := writeFiles(t)
+	bad := filepath.Join(t.TempDir(), "bad.csv")
+	if err := os.WriteFile(bad, []byte(insertCSV+"@NULL@,8888888,Kim,Lark St.,Albany,12210\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-spec", specPath, "-data", bad},
+		{"-spec", specPath, "-data", dataPath, "-insert", bad},
+	} {
+		code, _, errs := runCLI(args...)
+		if code != 1 || !strings.Contains(errs, bad+": detect: row 4 of the batch: AC holds \"@NULL@\"") {
+			t.Errorf("%v: exit %d, stderr %q; want 1 naming %s, row 4, AC", args, code, errs, bad)
+		}
+	}
+}
+
 // TestWALResume: a -wal run persists the session; -resume recovers it
 // without -data and reports the same violations.
 func TestWALResume(t *testing.T) {

@@ -38,8 +38,8 @@ type CheckResult struct {
 // so callers serialize Check against mutating calls on the same
 // Detector; the server holds its per-session lock across both.
 func (d *Detector) Check(batch *relation.Relation) ([]CheckResult, error) {
-	if batch.Schema.Name != d.schema.Name || batch.Schema.Width() != d.schema.Width() {
-		return nil, fmt.Errorf("detect: batch schema %s does not match %s", batch.Schema, d.schema)
+	if err := d.checkBatch(batch); err != nil {
+		return nil, err
 	}
 	out := make([]CheckResult, batch.Len())
 	if batch.Len() == 0 {

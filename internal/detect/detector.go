@@ -35,14 +35,44 @@ const (
 	ColMV = "MV"
 )
 
-// blankMark is the '@' of the paper: a constant assumed not to appear
-// in the database, used to blank out attributes irrelevant to an
-// embedded FD. nullMark plays the same role for NULLs so that SQL
-// grouping (where NULLs group together) matches the naive semantics.
+// blankMark is the '@' of the paper, used to blank out attributes
+// irrelevant to an embedded FD: a value equal to it is harmless, since a
+// pattern blanks a column in every row or in none. nullMark stands for
+// NULL so that SQL grouping (where NULLs group together) matches the
+// naive semantics; a TEXT value equal to it would group with NULL, so
+// every batch entering the detector is checked for one (checkBatch).
 const (
 	blankMark = "@"
 	nullMark  = "@NULL@"
 )
+
+// ReservedValueError refuses a batch holding a TEXT cell equal to the
+// string the detector's SQL renders NULL as: that cell and a NULL would
+// fall into one group where the eCFD semantics keep them apart.
+type ReservedValueError struct {
+	Row  int // 1-based position in the batch
+	Attr string
+}
+
+func (e *ReservedValueError) Error() string {
+	return fmt.Sprintf("detect: row %d of the batch: %s holds %q, which the detector reserves for NULL", e.Row, e.Attr, nullMark)
+}
+
+// checkBatch refuses a batch of another schema or holding a reserved
+// value, before any of it is staged.
+func (d *Detector) checkBatch(b *relation.Relation) error {
+	if b.Schema.Name != d.schema.Name || b.Schema.Width() != d.schema.Width() {
+		return fmt.Errorf("detect: batch schema %s does not match %s", b.Schema, d.schema)
+	}
+	for i, row := range b.Rows {
+		for j, v := range row {
+			if v.K == relation.KindText && v.S == nullMark {
+				return &ReservedValueError{Row: i + 1, Attr: d.schema.Attrs[j].Name}
+			}
+		}
+	}
+	return nil
+}
 
 var identRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
 
@@ -419,8 +449,8 @@ func valueArg(v relation.Value) any {
 // LoadData inserts the instance into the data table in batches,
 // assigning fresh RIDs and clear flags. It returns the assigned RIDs.
 func (d *Detector) LoadData(inst *relation.Relation) ([]int64, error) {
-	if inst.Schema.Name != d.schema.Name || inst.Schema.Width() != d.schema.Width() {
-		return nil, fmt.Errorf("detect: instance schema %s does not match %s", inst.Schema, d.schema)
+	if err := d.checkBatch(inst); err != nil {
+		return nil, err
 	}
 	var rids []int64
 	err := d.runAtomic(func(ex execer) error {

@@ -51,8 +51,8 @@ func (d *Detector) DeleteTuples(rids []int64) (IncStats, error) {
 // BatchDetect expects when it is "applied to the data after database
 // updates are executed" (§VI, Experiment 2). Returns the new RIDs.
 func (d *Detector) InsertRaw(batch *relation.Relation) ([]int64, error) {
-	if batch.Schema.Name != d.schema.Name || batch.Schema.Width() != d.schema.Width() {
-		return nil, fmt.Errorf("detect: batch schema %s does not match %s", batch.Schema, d.schema)
+	if err := d.checkBatch(batch); err != nil {
+		return nil, err
 	}
 	return d.bulkInsert(d.db, d.dataTable, batch)
 }
@@ -80,6 +80,11 @@ func (d *Detector) DeleteRaw(rids []int64) error {
 // empty. Returns the RIDs assigned to the inserted rows.
 func (d *Detector) ApplyUpdates(insBatch *relation.Relation, delRids []int64) ([]int64, IncStats, error) {
 	start := time.Now()
+	if insBatch != nil && insBatch.Len() > 0 {
+		if err := d.checkBatch(insBatch); err != nil {
+			return nil, IncStats{}, err
+		}
+	}
 	applied := int64(len(delRids))
 	var rids []int64
 	err := d.runAtomic(func(ex execer) error {
@@ -88,9 +93,6 @@ func (d *Detector) ApplyUpdates(insBatch *relation.Relation, delRids []int64) ([
 			return err
 		}
 		if insBatch != nil && insBatch.Len() > 0 {
-			if insBatch.Schema.Name != d.schema.Name || insBatch.Schema.Width() != d.schema.Width() {
-				return fmt.Errorf("detect: batch schema %s does not match %s", insBatch.Schema, d.schema)
-			}
 			var err error
 			if rids, err = d.bulkInsert(ex, d.insTable, insBatch); err != nil {
 				return err

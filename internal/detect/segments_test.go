@@ -178,6 +178,59 @@ func TestValueSetsDecideByCode(t *testing.T) {
 	}
 }
 
+// TestPreDedupDecidesByCode states in counters that the Qmv macro's
+// DISTINCT pre-filter decides repeats by segment codes instead of building
+// a key from every row. A repeat it decides by code alone adds to
+// sqldb.Stats.CodeRepeats; every key it still builds adds to DistinctKeys,
+// with the few the exact dedup and the grouping behind it hash. At 40 000
+// rows a warm 8+8 update decides at least 95 % of its calls by code; from
+// 10 000 to 160 000 rows the keys grow no faster than the segments; and a
+// repeated BatchDetect decides exactly as many by code again.
+func TestPreDedupDecidesByCode(t *testing.T) {
+	const ops = 4
+	sizes := []int{10_000, 40_000, 160_000}
+	var keys []int64
+	for _, rows := range sizes {
+		w, cleanup := newApplyWorkload(t, rows)
+		for i := 0; i < 2; i++ {
+			w.apply(t, 0, 1, 2, 3, 4, 5, 6, 7)
+		}
+		before := w.d.eng.Stats()
+		for i := 0; i < ops; i++ {
+			w.apply(t, 0, 1, 2, 3, 4, 5, 6, 7)
+		}
+		after := w.d.eng.Stats()
+		var batch [2]int64
+		for run := range batch {
+			b := w.d.eng.Stats().CodeRepeats
+			if _, err := w.d.BatchDetect(); err != nil {
+				t.Fatal(err)
+			}
+			batch[run] = w.d.eng.Stats().CodeRepeats - b
+		}
+		cleanup()
+		code, key := (after.CodeRepeats-before.CodeRepeats)/ops, (after.DistinctKeys-before.DistinctKeys)/ops
+		t.Logf("%d rows: an update decides %d repeats by code and hashes %d keys (%.1f %% by code); BatchDetect %d by code",
+			rows, code, key, 100*float64(code)/float64(code+key), batch[0])
+		if code == 0 || batch[0] == 0 {
+			t.Fatalf("%d rows: no repeat decided by code: the counter is not wired", rows)
+		}
+		if rows == 40_000 && 20*code < 19*(code+key) {
+			t.Errorf("%d rows: %d of %d pre-filter decisions by code, fewer than 95 %%", rows, code, code+key)
+		}
+		if batch[1] != batch[0] {
+			t.Errorf("%d rows: BatchDetect decided %d repeats by code, then %d", rows, batch[0], batch[1])
+		}
+		keys = append(keys, key)
+	}
+	segs := func(rows int) int64 { return int64((rows + 1023) / 1024) }
+	for i := 1; i < len(sizes); i++ {
+		if got, bound := float64(keys[i])/float64(keys[0]), float64(segs(sizes[i]))/float64(segs(sizes[0])); got > bound {
+			t.Errorf("keys grow %.1f× from %d to %d rows, the segments %.1f×", got, sizes[0], sizes[i], bound)
+		}
+	}
+}
+
 // TestBatchDetectKeysAndGroups pins what BatchDetect's DISTINCT and
 // GROUP BY do in counters: the keys they hash (sqldb.Stats.DistinctKeys)
 // and the groups they form (Groups) are identical when it runs again over

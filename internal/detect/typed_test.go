@@ -1,9 +1,11 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,6 +227,58 @@ func typedIncremental(t *testing.T, s *relation.Schema, sigma []*core.ECFD, mode
 			t.Fatalf("step %d: %v", step, err)
 		}
 		assertMatchesNaive(t, d, sigma, fmt.Sprintf("step %d", step))
+	}
+}
+
+// TestReservedNullMarkRefused: the Qmv macro renders NULL as nullMark, so
+// a TEXT cell holding that string would group with NULL. Two Boston
+// customers differing only in AC, one NULL and one nullMark, violate φ1's
+// CT → AC for the oracle (MV on both) and, were they admitted, for nobody
+// through SQL. Every entry point a batch comes through refuses one, naming
+// the cell, before anything is staged: the table keeps its row, and the
+// next batch takes the next RID.
+func TestReservedNullMarkRefused(t *testing.T) {
+	sigma := core.Fig2Constraints()
+	cust := func(ac relation.Value) relation.Tuple {
+		return relation.Tuple{ac, relation.Text("5550000"), relation.Text("Ann"), relation.Text("1 Main St"), relation.Text("Boston"), relation.Text("02101")}
+	}
+	batch := relation.New(core.CustSchema())
+	batch.Rows = append(batch.Rows, cust(relation.Null()), cust(relation.Text(nullMark)))
+	if naive, err := core.NaiveDetect(batch, sigma); err != nil || !naive.MV[0] || !naive.MV[1] {
+		t.Fatalf("the oracle flags %+v (%v), want MV on both rows", naive, err)
+	}
+	for _, c := range []struct {
+		name string
+		call func(d *Detector) error
+	}{
+		{"LoadData", func(d *Detector) error { _, err := d.LoadData(batch); return err }},
+		{"InsertRaw", func(d *Detector) error { _, err := d.InsertRaw(batch); return err }},
+		{"ApplyUpdates", func(d *Detector) error { _, _, err := d.ApplyUpdates(batch, []int64{1}); return err }},
+		{"Check", func(d *Detector) error { _, err := d.Check(batch); return err }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			base := relation.New(core.CustSchema())
+			base.Rows = append(base.Rows, cust(relation.Text("617")))
+			d := newDetector(t, sigma, base)
+			if _, err := d.BatchDetect(); err != nil {
+				t.Fatal(err)
+			}
+			var rv *ReservedValueError
+			if err := c.call(d); !errors.As(err, &rv) || rv.Row != 2 || rv.Attr != "AC" {
+				t.Fatalf("%s answered %v, want a ReservedValueError for row 2, AC", c.name, err)
+			}
+			clean := relation.New(core.CustSchema())
+			clean.Rows = append(clean.Rows, cust(relation.Text("617")))
+			rids, _, err := d.ApplyUpdates(clean, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if all, err := d.RIDs(); err != nil || !slices.Equal(all, []int64{1, 2}) || !slices.Equal(rids, []int64{2}) {
+				t.Fatalf("after the refusal and one clean row: RIDs %v (new %v), %v; want [1 2]", all, rids, err)
+			}
+			assertMatchesNaive(t, d, sigma, "after the refusal")
+		})
 	}
 }
 

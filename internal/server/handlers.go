@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"time"
 
+	"ecfd/internal/detect"
 	"ecfd/internal/relation"
 )
 
@@ -25,7 +27,7 @@ func (s *Server) doLoad(ctx context.Context, sess *session, w http.ResponseWrite
 	rids, err := sess.det.LoadData(inst)
 	sess.mu.Unlock()
 	if err != nil {
-		return apiErrorf(CodeInternal, "load: %v", err)
+		return detectError("load", err)
 	}
 	out := RIDRange{Count: int64(len(rids))}
 	if len(rids) > 0 {
@@ -68,7 +70,7 @@ func (s *Server) doCheck(ctx context.Context, sess *session, w http.ResponseWrit
 	res, err := sess.det.Check(inst)
 	sess.mu.Unlock()
 	if err != nil {
-		return apiErrorf(CodeInternal, "check: %v", err)
+		return detectError("check", err)
 	}
 	out := CheckResponse{
 		Results:   make([]CheckVerdict, len(res)),
@@ -103,7 +105,7 @@ func (s *Server) doUpdates(ctx context.Context, sess *session, w http.ResponseWr
 	rids, st, err := sess.det.ApplyUpdates(ins, req.Delete)
 	sess.mu.Unlock()
 	if err != nil {
-		return apiErrorf(CodeInternal, "updates: %v", err)
+		return detectError("updates", err)
 	}
 	out := UpdatesResponse{
 		Applied:   st.Applied,
@@ -115,6 +117,17 @@ func (s *Server) doUpdates(ctx context.Context, sess *session, w http.ResponseWr
 	}
 	writeJSON(w, http.StatusOK, out)
 	return nil
+}
+
+// detectError reports a detector failure: a batch the detector refuses
+// is a bad request, and the session goes on serving; anything else is
+// internal.
+func detectError(op string, err error) *APIError {
+	var rv *detect.ReservedValueError
+	if errors.As(err, &rv) {
+		return apiErrorf(CodeBadRequest, "%s: %v", op, err)
+	}
+	return apiErrorf(CodeInternal, "%s: %v", op, err)
 }
 
 // asAPIError passes typed errors through and wraps anything else as

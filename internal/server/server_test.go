@@ -236,6 +236,36 @@ func TestServerCreateErrors(t *testing.T) {
 	}
 }
 
+// TestReservedValueBadRequest: a row holding the string the detector
+// reserves for NULL is the client's error on every route that takes rows
+// — 400 bad_request, not 500 — and the session keeps serving.
+func TestReservedValueBadRequest(t *testing.T) {
+	c := newTestClient(t, Options{})
+	var sess SessionInfo
+	c.mustOK("POST", "/v1/sessions", CreateSessionRequest{Spec: testSpec}, &sess)
+	base := "/v1/sessions/" + sess.ID
+	good := []any{"617", "5550000", "Ann", "1 Main St", "BOS", "02101"}
+	bad := [][]any{good, {"@NULL@", "5550001", "Bob", "1 Main St", "BOS", "02101"}}
+	for _, r := range []struct {
+		path string
+		body any
+	}{
+		{"/load", RowsPayload{Rows: bad}},
+		{"/check", RowsPayload{Rows: bad}},
+		{"/updates", UpdatesRequest{Insert: bad}},
+	} {
+		if status, code := c.do("POST", base+r.path, r.body, nil); status != http.StatusBadRequest || code != CodeBadRequest {
+			t.Errorf("%s with a reserved value: %d %q, want 400 %q", r.path, status, code, CodeBadRequest)
+		}
+	}
+	var loaded RIDRange
+	c.mustOK("POST", base+"/load", RowsPayload{Rows: [][]any{good}}, &loaded)
+	if loaded.Count != 1 || loaded.FirstRID != 1 {
+		t.Fatalf("load after the refusals: %+v, want RID 1 only", loaded)
+	}
+	c.mustOK("POST", base+"/detect", nil, nil)
+}
+
 // blockSession parks the session's writer lock so the next data-path
 // request occupies a worker slot indefinitely; the returned func
 // releases it.

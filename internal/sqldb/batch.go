@@ -1727,6 +1727,94 @@ type projScratch struct {
 	// previous execution emitted.
 	siteSeq uint64
 	rawBuf  []byte
+	// cols are the columns the active parts read under the current site
+	// row, listed when it is refreshed; src is their source if they share
+	// one, else -1.
+	cols []binding
+	src  int
+}
+
+// rowCursor is what a batch level publishes of the row it binds for its
+// source: the run it is filtering, numbered by seq, and the row's offset
+// in it. Only planLevelBatch writes one — per run, and the offset before
+// each stepRow — and it clears seq and run when the level returns, so a
+// live cursor always describes the source's bound row: every level is
+// inside its own stepRow while the innermost yields. cols caches the
+// run's columns preDedup has read, by schema position, each stamped (at)
+// with the seq it was read for; reset drops them.
+type rowCursor struct {
+	run  segRun
+	seq  uint64
+	off  int
+	cols []colVec
+	at   []uint64
+}
+
+// cursor returns source src's live cursor, or nil: no planned join, no
+// single source, or no batch level binding it now.
+func (st *planState) cursor(src int) *rowCursor {
+	if st == nil || src < 0 || st.cur[src].seq == 0 {
+		return nil
+	}
+	return &st.cur[src]
+}
+
+// column returns the run's column ci, read once per run.
+func (c *rowCursor) column(ci int) *colVec {
+	if c.cols == nil {
+		w := c.run.t.Schema.Width()
+		c.cols, c.at = make([]colVec, w), make([]uint64, w)
+	}
+	if c.at[ci] != c.seq {
+		c.cols[ci], c.at[ci] = c.run.column(ci), c.seq
+	}
+	return &c.cols[ci]
+}
+
+// preMemo is the pre-filter's memo of the packed code tuples seen under
+// one site row in one run: open addressing over memoSlots slots, at most
+// half of which a run's ≤ segRows rows fill, emptied by bumping gen: a run
+// may be one row long, and a memo that cost a sweep to empty would cost
+// more than it saves.
+type preMemo struct {
+	site, run uint64 // the scope: siteSeq and cursor seq
+	gen       uint64
+	keys      []uint64
+	gens      []uint64
+}
+
+const memoBits = 11
+const memoSlots = 1 << memoBits // ≥ 2·segRows
+
+// memoFor returns the memo for the site row and the cursor's run, emptied
+// if it last served another.
+func (st *planState) memoFor(site uint64, cur *rowCursor) *preMemo {
+	m := st.memo
+	if m == nil {
+		m = &preMemo{keys: make([]uint64, memoSlots), gens: make([]uint64, memoSlots)}
+		st.memo = m
+	}
+	if m.site != site || m.run != cur.seq {
+		m.site, m.run, m.gen = site, cur.seq, m.gen+1
+	}
+	return m
+}
+
+// add reports whether key is in the memo, adding it if not. A full memo
+// — no run fills one — answers no: the string key decides instead.
+func (m *preMemo) add(key uint64) bool {
+	i := (key * 0x9e3779b97f4a7c15) >> (64 - memoBits)
+	for range memoSlots {
+		if m.gens[i] != m.gen {
+			m.keys[i], m.gens[i] = key, m.gen
+			return false
+		}
+		if m.keys[i] == key {
+			return true
+		}
+		i = (i + 1) & (memoSlots - 1)
+	}
+	return false
 }
 
 // buildProjSpec classifies the output expressions. astOuts aligns with
@@ -1882,6 +1970,23 @@ func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) er
 			}
 		}
 	}
+	// Only *active* parts read their columns: a condition-false CASE
+	// collapses to its literal and depends on no row value, so the
+	// blanked attributes stay out of the pre-dedup key — this is what
+	// keeps it a few columns wide per pattern tuple.
+	ps.cols, ps.src = ps.cols[:0], -1
+	for i := range sp.parts {
+		if p := &sp.parts[i]; p.mode == projCase && ps.condBits&(1<<uint(i)) != 0 {
+			ps.cols = append(ps.cols, p.resCols...)
+		}
+	}
+	for j, b := range ps.cols {
+		if j > 0 && b.src != ps.src {
+			ps.src = -1
+			break
+		}
+		ps.src = b.src
+	}
 	if len(row) > 0 {
 		ps.patRow = row
 	}
@@ -1895,28 +2000,50 @@ func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) er
 // exact output-key dedup still runs behind this filter, so a false
 // negative only costs one full evaluation, never a duplicate row. seen
 // is owned by the caller and must be scoped to one execution.
-func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, seen map[string]bool) (bool, error) {
+//
+// st, when the select runs a planned join, holds the cursors its batch
+// levels publish. A column whose source has a live one is read from the
+// column cache — a code or a value vector — and not from the row, whose
+// tuple would be one cache miss per candidate. And when the active
+// columns are at most four coded columns of one such source, their codes
+// packed in a uint64 decide repeats first: within one site row and one
+// run, the same code tuple is the same raw values, so a memo hit skips
+// the string key entirely. A miss still builds that key — hits across
+// runs stay exact — and a fresh execution never meets an old run's
+// memo, as every run it cuts gets a new seq.
+func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, st *planState, seen map[string]bool) (bool, error) {
 	if err := sp.refreshSite(en, cs, ps); err != nil {
 		return false, err
+	}
+	if cur := st.cursor(ps.src); cur != nil && len(ps.cols) <= 4 {
+		var key uint64
+		coded := true
+		for _, b := range ps.cols {
+			v := cur.column(b.col)
+			if coded = v.codes != nil; !coded {
+				break // a TEXT column holding a number (LoadRelation, recovery)
+			}
+			key = key<<16 | uint64(v.codes[cur.off])
+		}
+		if coded && st.memoFor(ps.siteSeq, cur).add(key) {
+			en.work[wCodeRepeats]++
+			return true, nil
+		}
 	}
 	buf := ps.rawBuf[:0]
 	seq := ps.siteSeq
 	buf = append(buf, byte(seq), byte(seq>>8), byte(seq>>16), byte(seq>>24),
 		byte(seq>>32), byte(seq>>40), byte(seq>>48), byte(seq>>56))
 	fr := en.frames[cs.depth]
-	for i := range sp.parts {
-		p := &sp.parts[i]
-		// Only *active* parts read their columns: a condition-false CASE
-		// collapses to its literal and depends on no row value, so the
-		// blanked attributes stay out of the key — this is what keeps
-		// the raw key a few columns wide per pattern tuple.
-		if p.mode != projCase || ps.condBits&(1<<uint(i)) == 0 {
-			continue
+	for _, b := range ps.cols {
+		var v relation.Value
+		if cur := st.cursor(b.src); cur != nil {
+			v = cur.column(b.col).at(cur.off)
+		} else {
+			v = fr.rows[b.src][b.col] // no batch level binds the row
 		}
-		for _, b := range p.resCols {
-			buf = relation.AppendKey(buf, fr.rows[b.src][b.col])
-			buf = append(buf, 0x1f)
-		}
+		buf = relation.AppendKey(buf, v)
+		buf = append(buf, 0x1f)
 	}
 	ps.rawBuf = buf
 	en.work[wDistinctKeys]++

@@ -597,9 +597,10 @@ type Stats struct {
 	// SetRows counts the rows value sets decided, TextLookups the strings
 	// compared or hashed to decide those, or a kernel over a coded column —
 	// per row, dictionary string or set member. DistinctKeys counts the keys
-	// DISTINCT (raw pre-dedup, aggregates) hashed, Groups the GROUP BY
-	// groups formed, streamed or not.
-	SetRows, TextLookups, DistinctKeys, Groups int64
+	// DISTINCT (raw pre-dedup, aggregates) hashed, CodeRepeats the rows the
+	// raw pre-dedup skipped as repeats by their segment codes alone, with no
+	// key, and Groups the GROUP BY groups formed, streamed or not.
+	SetRows, TextLookups, DistinctKeys, CodeRepeats, Groups int64
 	// Recovery reports what WAL recovery did when the database opened.
 	Recovery RecoveryStats
 }
@@ -626,6 +627,7 @@ func (db *DB) Stats() Stats {
 		SetRows:        db.work[wSetRows].Load(),
 		TextLookups:    db.work[wTextLookups].Load(),
 		DistinctKeys:   db.work[wDistinctKeys].Load(),
+		CodeRepeats:    db.work[wCodeRepeats].Load(),
 		Groups:         db.work[wGroups].Load(),
 		Recovery:       db.recov,
 	}

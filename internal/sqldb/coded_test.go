@@ -186,6 +186,158 @@ func TestCodedTextDifferential(t *testing.T) {
 	}
 }
 
+// TestCodedPreDedupDifferential compares Planned with Reference on the
+// Qmv macro's shape: SELECT DISTINCT of '@'-blanking CASEs over a data and
+// a pattern table, bare and streamed into GROUP BY … HAVING COUNT(*) > 1,
+// whose DISTINCT pre-filter reads the column cache and decides repeats by
+// a per-run memo of segment codes (projSpec.preDedup). The data carries
+// NULL beside the string COALESCE turns it into, heavy duplicates over
+// many segments, integers LoadRelation planted in a TEXT column, a
+// DELETE-compacted, a merged and an updated segment beside a growing
+// tail. Patterns activate none to all six columns, more than the memo
+// packs. The data table is scanned whole; in the order of an index on a
+// permuted key, which cuts runs of one row; and, as a table of a few rows,
+// outside the pattern loop, so the site row changes inside one run. A
+// correlated subquery re-runs the macro for the same pattern twice in one
+// statement. A memo not emptied on a site or a run change fails it. Part
+// of `make difffuzz`.
+func TestCodedPreDedupDifferential(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(diffSeed(t, 211)))
+	cols := []string{"a", "b", "c", "d", "e", "f"}
+	pools := [][]relation.Value{
+		{relation.Null(), relation.Text("@NULL@"), relation.Text("1"), relation.Text("x")},
+		{relation.Null(), relation.Text("@"), relation.Text(""), relation.Text("ü"), relation.Text("y")},
+		nil, // 40 strings
+		{relation.Text("p"), relation.Text("q")},
+		{relation.Null(), relation.Text("@NULL@"), relation.Text("日本"), relation.Text("r"), relation.Text("s")},
+		nil, // 3000 strings
+	}
+	cell := func(ci int) relation.Value {
+		switch ci {
+		case 2:
+			return relation.Text(fmt.Sprintf("c%d", rng.Intn(40)))
+		case 5:
+			return relation.Text(fmt.Sprintf("f%d", rng.Intn(3000)))
+		}
+		return pools[ci][rng.Intn(len(pools[ci]))]
+	}
+	attrs := []relation.Attribute{{Name: "rid", Kind: relation.KindInt}, {Name: "pk", Kind: relation.KindInt}, {Name: "flag", Kind: relation.KindInt}}
+	for _, c := range cols {
+		attrs = append(attrs, relation.Attribute{Name: c, Kind: relation.KindText})
+	}
+	schema, err := relation.NewSchema("pt", attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6 * segRows
+	perm := rng.Perm(4 * n)
+	row := func(rid int) relation.Tuple {
+		r := relation.Tuple{relation.Int(int64(rid)), relation.Int(int64(perm[rid])), relation.Int(int64(rng.Intn(4) - 1))}
+		for ci := range cols {
+			r = append(r, cell(ci))
+		}
+		if rid >= 3*segRows && rid < 4*segRows && rid%7 == 0 {
+			r[3] = relation.Int(int64(rid % 3)) // planted: TOTEXT gives "1" as a's text "1" does
+		}
+		return r
+	}
+	data := relation.New(schema)
+	for rid := 0; rid < n; rid++ {
+		data.Rows = append(data.Rows, row(rid))
+	}
+	db := NewDB()
+	if err := db.LoadRelation(data); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE INDEX idx_pt_pk ON pt (pk)`)
+	nextRID := n
+	values := func(r relation.Tuple) string {
+		vs := make([]string, len(r))
+		for i, v := range r {
+			vs[i] = v.SQL()
+		}
+		return "(" + strings.Join(vs, ", ") + ")"
+	}
+	insert := func(table string, k int) {
+		for ; k > 0; k-- {
+			mustExec(t, db, `INSERT INTO `+table+` VALUES `+values(row(nextRID)))
+			nextRID++
+		}
+	}
+	mustExec(t, db, `CREATE TABLE pq (rid INTEGER, pk INTEGER, flag INTEGER, a TEXT, b TEXT, c TEXT, d TEXT, e TEXT, f TEXT)`)
+	insert("pq", 60) // fewer than reorderMinRows: it drives pc
+
+	mustExec(t, db, `CREATE TABLE pc (cid INTEGER, la INTEGER, lb INTEGER, lc INTEGER, ld INTEGER, le INTEGER, lf INTEGER)`)
+	for cid, on := range []string{"", "a", "bc", "d", "adef", "abcde", "abcdef", "f", "ae", "bd"} {
+		flags := []string{fmt.Sprint(cid)}
+		for _, c := range cols {
+			flags = append(flags, fmt.Sprint(strings.Count(on, c)))
+		}
+		mustExec(t, db, `INSERT INTO pc VALUES (`+strings.Join(flags, ", ")+`)`)
+	}
+	mustExec(t, db, `CREATE TABLE pr (k INTEGER)`)
+	for _, k := range []int{2, 2, 4, 5, 5, 9} {
+		mustExec(t, db, `INSERT INTO pr VALUES (?)`, relation.Int(int64(k)))
+	}
+
+	macro := func(data, where string) string {
+		outs := []string{"c.cid"}
+		for _, c := range cols {
+			outs = append(outs, fmt.Sprintf("CASE WHEN c.l%s > 0 THEN COALESCE(TOTEXT(t.%s), '@NULL@') ELSE '@' END AS p%s", c, c, c))
+		}
+		return "SELECT DISTINCT " + strings.Join(outs, ", ") + " FROM " + data + " t, pc c WHERE " + where
+	}
+	grouped := func(m string) string {
+		return "SELECT m.cid, m.pa, m.pb FROM (" + m + ") m GROUP BY m.cid, m.pa, m.pb HAVING COUNT(*) > 1"
+	}
+	ranged := macro("pt", "t.pk >= ? AND t.flag >= 0")
+	if plan, err := db.Explain(ranged); err != nil || !strings.Contains(plan, "range scan t via idx_pt_pk") || !strings.Contains(plan, "kernel filter") {
+		t.Fatalf("the permuted key's range is not a batch level: %v\n%s", err, plan)
+	}
+	if plan, err := db.Explain(macro("pq", "t.flag >= 0")); err != nil || !strings.Contains(plan, "scan t (60 rows) [batch") ||
+		strings.Index(plan, "scan t (") > strings.Index(plan, "scan c (") {
+		t.Fatalf("the small table is not a batch level outside the pattern loop: %v\n%s", err, plan)
+	}
+	check := func(step string) {
+		t.Helper()
+		lo := relation.Int(int64(rng.Intn(4 * n)))
+		repeats := db.Stats().CodeRepeats
+		for _, q := range []struct {
+			sql    string
+			params []relation.Value
+		}{
+			{macro("pt", "t.flag >= 0"), nil},
+			{grouped(macro("pt", "t.flag >= 0")), nil},
+			{ranged, []relation.Value{lo}},
+			{grouped(ranged), []relation.Value{lo}},
+			{macro("pq", "t.flag >= 0"), nil},
+			{grouped(macro("pq", "t.flag >= 0")), nil},
+			{"SELECT o.k, (SELECT COUNT(*) FROM (" + macro("pt", "t.flag >= 0 AND c.cid = o.k") + ") m) FROM pr o", nil},
+		} {
+			got, want := canonical(queryIn(t, db, Planned, q.sql, q.params...)), canonical(queryIn(t, db, Reference, q.sql, q.params...))
+			if got != want {
+				t.Fatalf("%s: %s %v\nPlanned   %.300s\nReference %.300s", step, q.sql, q.params, got, want)
+			}
+		}
+		if db.Stats().CodeRepeats == repeats {
+			t.Fatalf("%s: no repeat decided by code", step)
+		}
+	}
+	check("loaded")
+	mustExec(t, db, `UPDATE pt SET b = TOTEXT(rid), e = NULL WHERE rid >= ? AND rid < ?`, relation.Int(segRows+5), relation.Int(segRows+400))
+	insert("pt", 70)
+	check("updated")
+	mustExec(t, db, `DELETE FROM pt WHERE rid >= ? AND rid < ?`, relation.Int(100), relation.Int(300))
+	mustExec(t, db, `DELETE FROM pt WHERE rid >= ? AND rid < ?`, relation.Int(4*segRows-40), relation.Int(5*segRows-60))
+	insert("pt", 300)
+	check("compacted and merged")
+	insert("pt", segRows-200)
+	check("sealed a tail")
+	tbl := mustTable(t, db, "pt")
+	checkSegments(t, "the end", tbl, db.cur.Load().tds[tbl])
+}
+
 // TestSegmentDictionaryBoundUnderChurn: 10 000 steps that UPDATE a few
 // rows of a TEXT column to strings never seen before, or DELETE a few —
 // now and then a run of 60 — and INSERT as many. Forks keep their

@@ -60,6 +60,7 @@ const (
 	wSetRows
 	wTextLookups
 	wDistinctKeys
+	wCodeRepeats
 	wGroups
 	nWork
 )

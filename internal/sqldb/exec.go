@@ -570,13 +570,17 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(row relation.Tuple) er
 
 	ps := cs.projScratchFor(en)
 	var rawSeen map[string]bool // per-execution: see projSpec.preDedup
+	var st *planState           // the batch levels' cursors: ditto
 	if ps != nil && cs.proj.preKeyOK {
 		rawSeen = make(map[string]bool)
+		if cs.planOK {
+			st = en.scheduleFor(cs, srcRows).state // the instance scan runs
+		}
 	}
 	row := make(relation.Tuple, len(cs.outs))
 	return cs.scan(en, srcRows, func() error {
 		if rawSeen != nil {
-			skip, err := cs.proj.preDedup(en, cs, ps, rawSeen)
+			skip, err := cs.proj.preDedup(en, cs, ps, st, rawSeen)
 			if err != nil || skip {
 				return err
 			}

@@ -507,6 +507,12 @@ type planState struct {
 	sel   [][]int
 	binds [][]kernBind
 	gsc   []*groupScratch
+	// The DISTINCT pre-filter's view of the batch levels: cur[s] is source
+	// s's rowCursor, runs numbers the runs they cut — never reset, so no
+	// seq names two — and memo is built on first use (preMemo).
+	cur  []rowCursor
+	runs uint64
+	memo *preMemo
 }
 
 func isNaN(v relation.Value) bool {
@@ -838,6 +844,7 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 		sel:       make([][]int, n),
 		binds:     make([][]kernBind, n),
 		gsc:       make([]*groupScratch, n),
+		cur:       make([]rowCursor, n),
 	}
 	for i := range sch.levels {
 		lv := &sch.levels[i]
@@ -980,6 +987,9 @@ func (sch *schedule) reset() {
 				}
 			}
 		}
+	}
+	for s := range st.cur {
+		clear(st.cur[s].cols) // the run itself goes when its level returns
 	}
 }
 
@@ -1207,11 +1217,14 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 	marks := st.marks[pos][:0]
 	deadMarks := st.deadMarks[pos][:0]
 	sel := st.sel[pos]
+	cur := &st.cur[lv.src] // see rowCursor
 	var err error
 	for i, si := 0, 0; i < n && err == nil; {
 		si = td.segAt(cand(i), si)
 		base, m := td.span(si)
 		run := segRun{t: t, c: td.segs[si].c, rows: rows[base : base+m], tail: si == len(td.segs)-1}
+		st.runs++
+		cur.run, cur.seq = run, st.runs
 		sel = sel[:0]
 		if scanAll { // the whole segment
 			for off := 0; off < m; off++ {
@@ -1242,11 +1255,13 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 			}
 		}
 		for _, off := range sel {
+			cur.off = off
 			if err = cs.stepRow(en, sch, srcRows, pos, lv, rows, base+off, &marks, &deadMarks, yield); err != nil {
 				break
 			}
 		}
 	}
+	cur.run, cur.seq = segRun{}, 0
 	st.sel[pos] = sel
 	if err != nil {
 		st.marks[pos] = marks

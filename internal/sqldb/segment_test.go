@@ -195,26 +195,66 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	}
 	const q = `SELECT t.k FROM c, d t WHERE t.mv = 0 AND t.k >= ? AND t.u <> 'none' AND
 		(c.g <> 1 OR t.x = 7 OR EXISTS (SELECT 1 FROM s WHERE s.cid = c.cid AND s.val = t.a))`
+	// The macro's shape: its DISTINCT pre-filter reads the columns of the
+	// run its batch level filters through that level's cursor, and keeps
+	// a memo of their codes.
+	const qd = `SELECT DISTINCT c.cid, CASE WHEN c.g >= 0 THEN t.a ELSE '@' END, CASE WHEN c.g > 0 THEN t.u ELSE '@' END
+		FROM c, d t WHERE t.mv = 0`
 	run := func() {
 		t.Helper()
 		if n := len(mustQuery(t, db, q, relation.Int(10)).Rows); n == 0 {
 			t.Fatal("query matched nothing")
 		}
+		if n := len(mustQuery(t, db, qd).Rows); n == 0 {
+			t.Fatal("the DISTINCT query matched nothing")
+		}
 	}
 	run()
 	run()
-	if st := db.Stats(); st.SchedReuses == 0 || st.SetRows == 0 {
-		t.Fatalf("%d instances reused, %d rows decided by value sets: nothing is pooled or nothing translated", st.SchedReuses, st.SetRows)
+	if st := db.Stats(); st.SchedReuses == 0 || st.SetRows == 0 || st.CodeRepeats == 0 {
+		t.Fatalf("%d instances reused, %d rows decided by value sets, %d repeats by code: nothing is pooled, translated or memoized",
+			st.SchedReuses, st.SetRows, st.CodeRepeats)
+	}
+	idle := func(q string) []*schedule {
+		t.Helper()
+		p, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := db.planFor(p, 0, db.cur.Load())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*schedule
+		for i := range plan.(*compiledSelect).free {
+			if sch := plan.(*compiledSelect).free[i].Load(); sch != nil {
+				out = append(out, sch)
+			}
+		}
+		return out
+	}
+	// The idle instance of the DISTINCT query keeps its memo and the space
+	// for its cursors' columns, but no cursor is live and no column kept.
+	memos := 0
+	for _, sch := range idle(qd) {
+		if sch.state.memo != nil {
+			memos++
+		}
+		for s, cur := range sch.state.cur {
+			if cur.seq != 0 || cur.run.c != nil || cur.run.rows != nil {
+				t.Errorf("idle instance: the cursor of source %d outlived its level", s)
+			}
+			for ci := range cur.cols {
+				if cur.cols[ci].len() > 0 {
+					t.Errorf("idle instance: the cursor of source %d keeps column %d", s, ci)
+				}
+			}
+		}
+	}
+	if memos == 0 {
+		t.Fatal("no idle instance with a pre-filter memo")
 	}
 	// What the idle instance keeps is sized by a segment, not by d.
-	p, err := db.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := db.planFor(p, 0, db.cur.Load())
-	if err != nil {
-		t.Fatal(err)
-	}
 	masks := 0
 	var keptSets func(ps []predInst) int
 	keptSets = func(ps []predInst) (n int) {
@@ -226,21 +266,19 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 		}
 		return n
 	}
-	for i := range plan.(*compiledSelect).free {
-		if sch := plan.(*compiledSelect).free[i].Load(); sch != nil {
-			for pos, gs := range sch.state.gsc {
-				if gs != nil && len(gs.mask) > 0 {
-					masks++
-					if len(gs.mask) > segRows || cap(sch.state.sel[pos]) > 2*segRows {
-						t.Errorf("idle instance, level %d: row mask of %d, selection vector of %d for %d-row segments",
-							pos, len(gs.mask), cap(sch.state.sel[pos]), segRows)
-					}
+	for _, sch := range idle(q) {
+		for pos, gs := range sch.state.gsc {
+			if gs != nil && len(gs.mask) > 0 {
+				masks++
+				if len(gs.mask) > segRows || cap(sch.state.sel[pos]) > 2*segRows {
+					t.Errorf("idle instance, level %d: row mask of %d, selection vector of %d for %d-row segments",
+						pos, len(gs.mask), cap(sch.state.sel[pos]), segRows)
 				}
-				for _, g := range sch.levels[pos].groups {
-					for ti := range g.terms {
-						if n := keptSets(g.terms[ti].preds); n > 0 {
-							t.Errorf("idle instance, level %d: %d probes keep their value sets", pos, n)
-						}
+			}
+			for _, g := range sch.levels[pos].groups {
+				for ti := range g.terms {
+					if n := keptSets(g.terms[ti].preds); n > 0 {
+						t.Errorf("idle instance, level %d: %d probes keep their value sets", pos, n)
 					}
 				}
 			}
