@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz fuzz bench-short bench-json explain ci
+.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz fuzz covertraffic bench-short bench-json explain ci
 
 build:
 	$(GO) build ./...
@@ -53,15 +53,38 @@ difffuzz:
 # succeed only on input applied in full that leaves rows and indexes the
 # executor can read (FuzzWALUnit, FuzzSnapshot, seeded with real
 # encodings); the eCFD spec language never panics and only ever returns
-# constraints that pass Validate (FuzzParseSpec). A failure writes its
-# input under the package's testdata/fuzz/, which `go test` then replays.
-FUZZ_TARGETS = internal/sqldb:FuzzParse internal/sqldb:FuzzWALUnit internal/sqldb:FuzzSnapshot internal/core:FuzzParseSpec
+# constraints that pass Validate (FuzzParseSpec); the DSN option grammar
+# never panics, quotes the DSN in every error, and registers no engine
+# for a DSN it refuses (FuzzParseDSN). A failure writes its input under
+# the package's testdata/fuzz/, which `go test` then replays.
+FUZZ_TARGETS = internal/sqldb:FuzzParse internal/sqldb:FuzzWALUnit internal/sqldb:FuzzSnapshot internal/core:FuzzParseSpec internal/sqldriver:FuzzParseDSN
 
 fuzz:
 	for pt in $(FUZZ_TARGETS); do \
 		pkg=$${pt%%:*}; f=$${pt#*:}; \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=10s ./$$pkg/ || exit 1; \
 	done
+
+# Which internal/sqldb code product traffic reaches: the four workloads
+# of the repository benchmark (3 s each), `ecfdbench -explain` and
+# `ecfdbench -fig 5c`, run from coverage builds in .bench_build/cover/;
+# prints the internal/sqldb functions none of them entered. Each build's
+# -coverpkg names its main package as well: a binary whose main package
+# is not covered writes no counter file. The benchmark builds from
+# benchmark/ and runs in .bench_build/cover/, where its out/ directory
+# goes: nothing is written under benchmark/.
+COVER = .bench_build/cover
+
+covertraffic:
+	rm -rf $(COVER) && mkdir -p $(COVER)/counters
+	cd benchmark && GOWORK=off $(GO) build -cover -coverpkg=ecfd/benchmark,ecfd/internal/sqldb -o ../$(COVER)/ecfd-benchmark .
+	$(GO) build -cover -coverpkg=ecfd/cmd/ecfdbench,ecfd/internal/sqldb -o $(COVER)/ecfdbench ./cmd/ecfdbench
+	cd $(COVER) && for w in batch_40k inc_40k serve_check_10k serve_mixed_10k; do \
+		GOCOVERDIR=counters ./ecfd-benchmark -workload $$w -seconds 3 -trace 0 > /dev/null || exit 1; \
+	done
+	cd $(COVER) && GOCOVERDIR=counters ./ecfdbench -explain > /dev/null && GOCOVERDIR=counters ./ecfdbench -fig 5c > /dev/null
+	$(GO) tool covdata textfmt -pkg=ecfd/internal/sqldb -i=$(COVER)/counters -o $(COVER)/sqldb.cover
+	@$(GO) tool cover -func=$(COVER)/sqldb.cover | awk '$$NF == "0.0%"'
 
 # Quick perf signal: the two acceptance benchmarks plus the planner
 # ablation, a few iterations each.

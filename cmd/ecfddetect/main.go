@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := d.Resume(); err != nil {
 			return fail(err)
 		}
-		st := ecfd.StatsOf(dsn)
+		st, _ := ecfd.StatsOf(dsn) // opened above
 		r := st.Recovery
 		fmt.Fprintf(stderr,
 			"resume: wal gen %d (snapshot gen %d, units replayed %d, torn tail %v, fell back %v); epoch %d, %d live / %d retired epochs, %d retired bytes\n",

@@ -281,8 +281,15 @@ type EngineStats = sqldb.Stats
 // (generation used, snapshot fallback, units replayed, torn tail).
 type EngineRecoveryStats = sqldb.RecoveryStats
 
-// StatsOf returns the named engine's current operational stats.
-func StatsOf(name string) EngineStats { return sqldriver.Engine(name).Stats() }
+// StatsOf returns the named engine's current operational stats, and
+// false if no engine is open under that name; it never opens one.
+func StatsOf(name string) (EngineStats, bool) {
+	eng, ok := sqldriver.Lookup(name)
+	if !ok {
+		return EngineStats{}, false
+	}
+	return eng.Stats(), true
+}
 
 // Server is the detection-as-a-service HTTP handler: sessions register
 // a schema and Σ once, then load data, detect, apply incremental

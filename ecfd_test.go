@@ -213,6 +213,32 @@ func TestDiscoverRepairRoundTrip(t *testing.T) {
 	_ = schema
 }
 
+// TestStatsOfLooksUp: StatsOf reads the engine open under a name and
+// opens none itself — not for a name nobody opened, not for a DSN whose
+// options do not parse.
+func TestStatsOfLooksUp(t *testing.T) {
+	for _, name := range []string{"stats_of_nobody", "stats_of_bad?fsync=bogus"} {
+		for range 2 { // a lookup that registered an engine would find it the second time
+			if _, ok := StatsOf(name); ok {
+				t.Fatalf("StatsOf(%q) found an engine nobody opened", name)
+			}
+		}
+	}
+	const name = "stats_of_open"
+	db, err := OpenMemory(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer CloseMemory(name)
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE s (a INTEGER)`); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := StatsOf(name); !ok || st.EpochSeq < 2 {
+		t.Fatalf("StatsOf(%q) = %+v, %v after a CREATE TABLE", name, st, ok)
+	}
+}
+
 func TestEngineBulkLoad(t *testing.T) {
 	name := fmt.Sprintf("bulk_%d", 1)
 	defer CloseMemory(name)

@@ -1309,7 +1309,7 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 		// agree with them.
 		pos := pb.eq.s
 		if !pb.eq.ordered() {
-			pos = inner.eqPrefixRange(k.d.t, k.d.idx, pb.pfxVals, relation.Value{}, relation.Value{}, false, false)
+			pos = eqRange(inner.rows, k.d.idx.Cols, inner.orderedOf(k.d.t, k.d.idx), 0, pb.pfxVals)
 		}
 		if len(pos) <= probeSetRowsMax {
 			pb.bindSets(inner.rows, pos, len(pos), state)
@@ -1729,7 +1729,8 @@ type projScratch struct {
 	rawBuf  []byte
 	// cols are the columns the active parts read under the current site
 	// row, listed when it is refreshed; src is their source if they share
-	// one, else -1.
+	// one and are all declared TEXT — so coded in the column cache — else
+	// -1.
 	cols []binding
 	src  int
 }
@@ -1981,7 +1982,7 @@ func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) er
 		}
 	}
 	for j, b := range ps.cols {
-		if j > 0 && b.src != ps.src {
+		if t := cs.sources[b.src].table; j > 0 && b.src != ps.src || t == nil || t.Schema.Attrs[b.col].Kind != relation.KindText {
 			ps.src = -1
 			break
 		}
@@ -2017,15 +2018,10 @@ func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, st *p
 	}
 	if cur := st.cursor(ps.src); cur != nil && len(ps.cols) <= 4 {
 		var key uint64
-		coded := true
 		for _, b := range ps.cols {
-			v := cur.column(b.col)
-			if coded = v.codes != nil; !coded {
-				break // a TEXT column holding a number (LoadRelation, recovery)
-			}
-			key = key<<16 | uint64(v.codes[cur.off])
+			key = key<<16 | uint64(cur.column(b.col).codes[cur.off])
 		}
-		if coded && st.memoFor(ps.siteSeq, cur).add(key) {
+		if st.memoFor(ps.siteSeq, cur).add(key) {
 			en.work[wCodeRepeats]++
 			return true, nil
 		}

@@ -12,8 +12,8 @@ import (
 
 // Tests for the batched execution pipeline: kernel-vs-closure
 // differentials over generated predicates, the columnar scan cache's
-// incremental maintenance, the compound equality-prefix range probe,
-// and the EXPLAIN batch/row surface.
+// incremental maintenance, equality on a leading index column, and the
+// EXPLAIN batch/row surface.
 
 // kernelTable builds a table mixing integer, float, text and NULL
 // values — every kind a kernel compare can meet — plus indexes so
@@ -359,10 +359,11 @@ func columnCacheStorm(t *testing.T, sparse bool) {
 	}
 }
 
-// TestEqPrefixRangeProbe pins the compound access path: a table with
-// only a (p, q) index answers p-equality through the prefix probe and
-// p-equality + q-range through the compound-bound search, both visible
-// in EXPLAIN and both agreeing with the closure paths.
+// TestEqPrefixRangeProbe: a table with only a (p, q) index answers
+// p-equality, alone or with a q-range, without the index — it covers
+// more than the probe's columns — by the const-eq kernel for a constant
+// key and the hash join for a correlated one, in agreement with the
+// closure paths.
 func TestEqPrefixRangeProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	db := NewDB()
@@ -377,19 +378,14 @@ func TestEqPrefixRangeProbe(t *testing.T) {
 			relation.Int(int64(rng.Intn(7))), q, relation.Int(int64(i)))
 	}
 
-	plan, err := db.Explain(`SELECT w FROM cp WHERE p = 3`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "index prefix probe cp via idx_cp_pq (1 eq col(s))") {
-		t.Fatalf("expected a prefix probe:\n%s", plan)
-	}
-	plan, err = db.Explain(`SELECT w FROM cp WHERE p = 3 AND q > 4`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "index prefix range probe cp via idx_cp_pq (1 eq col(s) + range on q)") {
-		t.Fatalf("expected a compound-bound probe:\n%s", plan)
+	for _, q := range []string{`SELECT w FROM cp WHERE p = 3`, `SELECT w FROM cp WHERE p = 3 AND q > 4`} {
+		plan, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "scan cp (120 rows) [batch: ") || !strings.Contains(plan, "1 via const-eq kernel") {
+			t.Fatalf("expected the const-eq kernel for %q:\n%s", q, plan)
+		}
 	}
 
 	for _, q := range []string{
@@ -411,6 +407,9 @@ func TestEqPrefixRangeProbe(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE drv (pp INTEGER, lo INTEGER)`)
 	mustExec(t, db, `INSERT INTO drv VALUES (2, 3), (4, 0), (6, 8)`)
 	q := `SELECT d.pp, c.w FROM drv d, cp c WHERE c.p = d.pp AND c.q >= d.lo`
+	if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "hash join c on 1 key col(s)") {
+		t.Fatalf("expected a hash join: %v\n%s", err, plan)
+	}
 	batch, row, nested := runThreeWays(t, db, q, false)
 	if batch != row || row != nested {
 		t.Fatalf("correlated compound probe diverges:\nbatch  %q\nrow    %q\nnested %q", batch, row, nested)
@@ -419,28 +418,29 @@ func TestEqPrefixRangeProbe(t *testing.T) {
 
 // TestBigIntExactness is the review-found regression: int64 values
 // beyond 2^53 collapse under float widening, so Compare must order
-// integer pairs exactly — otherwise the equality-by-search prefix
-// probe returns rows `=` rejects, and ordering kernels (exact int
-// fast path) diverge from the generic Compare closures.
+// integer pairs exactly — otherwise an equality probe answered by
+// binary search in the index order returns rows `=` rejects, and
+// ordering kernels (exact int fast path) diverge from the generic
+// Compare closures.
 func TestBigIntExactness(t *testing.T) {
 	const big = int64(1) << 53 // 9007199254740992; big+1 rounds to the same float64
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE z (p INTEGER, q INTEGER)`)
-	mustExec(t, db, `CREATE INDEX idx_z_pq ON z (p, q)`)
+	mustExec(t, db, `CREATE INDEX idx_z_p ON z (p)`)
 	mustExec(t, db, `INSERT INTO z VALUES (?, 1)`, relation.Int(big))
 	mustExec(t, db, `INSERT INTO z VALUES (?, 2)`, relation.Int(big+1))
 	mustExec(t, db, `CREATE TABLE k (v INTEGER)`)
 	mustExec(t, db, `INSERT INTO k VALUES (?)`, relation.Int(big))
+	mustQuery(t, db, `SELECT p FROM z ORDER BY p`) // builds the order the probe below searches
 
-	// Prefix probe: equality answered by binary search must match only
-	// the exact key.
+	// Equality answered by binary search must match only the exact key.
 	q := `SELECT z.q FROM k, z WHERE z.p = k.v`
 	batch, row, nested := runThreeWays(t, db, q, false)
 	if batch != row || row != nested {
-		t.Fatalf("prefix probe big-int diverges:\nbatch  %q\nrow    %q\nnested %q", batch, row, nested)
+		t.Fatalf("index probe big-int diverges:\nbatch  %q\nrow    %q\nnested %q", batch, row, nested)
 	}
 	if batch != "1" {
-		t.Fatalf("prefix probe big-int: got %q, want exactly row q=1", batch)
+		t.Fatalf("index probe big-int: got %q, want exactly row q=1", batch)
 	}
 
 	// Ordering kernel vs generic closure: column-vs-column compare with

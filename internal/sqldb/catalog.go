@@ -189,18 +189,19 @@ type indexSlot struct {
 //
 //   - sorted, row positions ordered by the index-column values (ties
 //     by position). sorted[:f] is a valid in-order view of rows
-//     [0, f) for every fence f with sBase <= f <= len(sorted); a
-//     non-monotone extension has to rebuild the array and raises
-//     sBase to its own fence, sending older pinned readers to a
-//     transient sort. It serves range scans, ORDER BY and — by binary
-//     search — equality probes;
+//     [0, f) for every fence f with sBase <= f <= len(sorted); an
+//     append out of key order re-sorts the array at its reader's fence
+//     and raises sBase to it, sending older pinned readers to a
+//     transient sort. It serves range scans, ascending ORDER BY and —
+//     by binary search — equality probes;
 //   - m, a hash map from encoded key to ascending row positions,
 //     covering rows [0, mCover) — answers equality probes in O(1). It
 //     is built only for a reader sorted cannot serve (never built, or
-//     rebased past the reader's fence): see lookupEq. A DELETE/UPDATE/
+//     rebased past the reader's fence): see lookupEq. A DELETE or
 //     TRUNCATE fork carries m over only when sorted is not built, so a
 //     table whose index is read in order never pays per-key bucket
-//     upkeep.
+//     upkeep. An UPDATE that assigns the index's columns forks both
+//     never-built.
 //
 // Both grow monotonically under mu; they are never shrunk or
 // reordered in place, so a header snapshotted under RLock stays
@@ -250,9 +251,9 @@ type colSeg struct {
 
 // colVec is one built column of a segment. A declared-TEXT column is
 // dictionary-coded: codes[i] is 0 for NULL, else c for dict[c-1], the
-// segment's distinct strings in first-seen order. Any other column — and
-// a TEXT one holding a non-text cell, which LoadRelation and recovery
-// may store — is a vector of values. Both nil ⇔ never built.
+// segment's distinct strings in first-seen order — every store coerces
+// cells to their column's kind, so it holds nothing else. Any other column
+// is a vector of values. Both nil ⇔ never built.
 //
 // A reader copies the headers under mu (column), so its codes never name
 // a string past its dictionary: extension only appends, to both. Whoever
@@ -346,13 +347,8 @@ func (v *colVec) search(s string) (uint16, bool) {
 	return v.perm[i] + 1, true
 }
 
-// push appends a cell: as a code while the column is coded and the cell
-// is TEXT or NULL, else as a value — decoding the column first if it was
-// coded.
+// push appends a cell: as a code if the column is coded, else as a value.
 func (v *colVec) push(cell relation.Value) {
-	if cell.K != relation.KindText && cell.K != relation.KindNull {
-		v.decode()
-	}
 	if v.codes == nil {
 		v.vals = append(v.vals, cell)
 		return
@@ -368,18 +364,6 @@ func (v *colVec) push(cell relation.Value) {
 		}
 	}
 	v.codes = append(v.codes, c)
-}
-
-// decode turns a coded column into a private vector of values.
-func (v *colVec) decode() {
-	if v.codes == nil {
-		return
-	}
-	vals := make([]relation.Value, len(v.codes), cap(v.codes))
-	for i := range vals {
-		vals[i] = v.at(i)
-	}
-	*v = colVec{vals: vals}
 }
 
 // extend covers rows, reading column ci of those past len(); a column
@@ -590,7 +574,7 @@ type Stats struct {
 	SchedBuilds, SchedReuses int64
 	// CellsCopied counts the cells DML statements wrote while forking
 	// their epochs — row-array slots, index positions and column-segment
-	// cells, each copied, compacted, patched or re-keyed — and
+	// cells, each copied, compacted or patched — and
 	// SegCellsCopied the column-segment share of it: the part that depends
 	// on the rows a statement touches and not on the size of its table.
 	CellsCopied, SegCellsCopied int64
@@ -740,7 +724,10 @@ func (db *DB) TableLen(name string) (int, error) {
 
 // LoadRelation bulk-creates (or replaces the contents of) a table from
 // an in-memory relation. It is the fast path the benchmarks use to
-// install generated datasets without going through INSERT parsing.
+// install generated datasets without going through INSERT parsing, and
+// it stores what INSERT would: every cell coerced to the kind of its
+// column — the table's over an existing table, the relation's for a new
+// one — or, if one cell cannot be, nothing.
 func (db *DB) LoadRelation(r *relation.Relation) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -753,31 +740,35 @@ func (db *DB) LoadRelation(r *relation.Relation) error {
 		return fmt.Errorf("sql: LoadRelation inside a transaction is not supported")
 	}
 	key := lowerName(r.Schema.Name)
+	t, ok := db.curW.tables[key]
+	schema := r.Schema
+	if ok {
+		if t.Schema.Width() != r.Schema.Width() {
+			return fmt.Errorf("sql: LoadRelation: width mismatch for %s", r.Schema.Name)
+		}
+		schema = t.Schema
+	}
 	rows := make([]relation.Tuple, len(r.Rows))
 	for i, row := range r.Rows {
 		rows[i] = row.Clone()
-	}
-	t, ok := db.curW.tables[key]
-	if !ok {
-		if err := db.logLoadRelation(r); err != nil {
-			return err
+		if err := coerceRow(schema, rows[i]); err != nil {
+			return fmt.Errorf("sql: LoadRelation, row %d: %w", i, err)
 		}
-		t = &Table{Name: r.Schema.Name, Schema: r.Schema}
-		ne := db.forkEpochW()
-		ne.tables = cloneTables(ne.tables)
-		ne.tables[key] = t
-		ne.tds[t] = newTableData(rows, nil)
-		ne.ddlVersion++
-		db.installEpoch(ne)
-		return nil
 	}
-	if t.Schema.Width() != r.Schema.Width() {
-		return fmt.Errorf("sql: LoadRelation: width mismatch for %s", r.Schema.Name)
-	}
-	if err := db.logLoadRelation(r); err != nil {
+	if err := db.logLoadRelation(r.Schema, rows); err != nil {
 		return err
 	}
-	db.applyWholesale(t, rows)
+	if ok {
+		db.applyWholesale(t, rows)
+		return nil
+	}
+	t = &Table{Name: r.Schema.Name, Schema: r.Schema}
+	ne := db.forkEpochW()
+	ne.tables = cloneTables(ne.tables)
+	ne.tables[key] = t
+	ne.tds[t] = newTableData(rows, nil)
+	ne.ddlVersion++
+	db.installEpoch(ne)
 	return nil
 }
 
@@ -882,9 +873,10 @@ func (db *DB) copied(cells, seg int) {
 // Changed tuples are cloned and patched — the old epoch's tuples are
 // never written. Indexes reading none of the assigned columns share
 // their structures (this keeps the detector's SV/MV flag writes from
-// ever disturbing the RID index); overlapping indexes fork with the
-// changed positions re-keyed. Column segments holding no changed
-// position are shared, the others fork (colSeg.forkUpdated).
+// ever disturbing the RID index); overlapping indexes restart
+// never-built, as under applyWholesale, and the next probe rebuilds
+// them. Column segments holding no changed position are shared, the
+// others fork (colSeg.forkUpdated).
 func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.Value) {
 	td := db.curW.tds[t]
 	nrows := make([]relation.Tuple, len(td.rows))
@@ -909,11 +901,9 @@ func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.
 		ntd.indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
 			if overlaps(sl.idx.Cols, setCols) {
-				nd, k := sl.data.forkUpdated(sl.idx, td.rows, nrows, pos)
-				ntd.indexes[i], cells = indexSlot{idx: sl.idx, data: nd}, cells+k
-			} else {
-				ntd.indexes[i] = sl
+				sl.data = &indexData{}
 			}
+			ntd.indexes[i] = sl
 		}
 	}
 	db.copied(cells+seg, seg)
@@ -1096,12 +1086,11 @@ func (s *colSeg) forkUpdated(base int, pos []int, setCols []int, vals [][]relati
 			if ri-base >= n {
 				continue
 			}
-			if w := vals[i][j]; v.codes == nil || w.K != relation.KindText && w.K != relation.KindNull {
-				v.decode()
-				v.vals[ri-base] = w
+			if v.codes == nil {
+				v.vals[ri-base] = vals[i][j]
 			} else {
 				v.codes = v.codes[:ri-base] // push writes the cell in place
-				v.push(w)
+				v.push(vals[i][j])
 				v.codes = v.codes[:n]
 			}
 		}
@@ -1253,11 +1242,11 @@ func (v *eqView) ordered() bool { return v.s != nil }
 // the fence; else the in-order positions if something ranged or
 // ordered over the index built them and they serve the fence — by
 // binary search, nothing encoded or hashed; else the map is built (or
-// extended) now. Since DML forks keep only the order when both exist,
-// an index that is read in order settles on the order and no per-key
-// structure follows its table through DML, while an index only ever
-// probed for equality keeps its O(1) map. Callers probe per row
-// through the view, never holding the structure lock across
+// extended) now. Since DELETE and TRUNCATE forks keep only the order
+// when both exist, an index that is read in order settles on the order
+// and no per-key structure follows its table through DML, while an
+// index only ever probed for equality keeps its O(1) map. Callers probe
+// per row through the view, never holding the structure lock across
 // expression evaluation.
 func (td *tableData) lookupEq(t *Table, idx *Index) eqView {
 	d := td.indexData(idx)
@@ -1412,9 +1401,11 @@ func (td *tableData) orderedOf(t *Table, idx *Index) []int {
 // appended rows are already in key order position by position, the
 // positions are appended verbatim, so sorted[:g] stays a permutation
 // of [0, g) for every g up to the new length — this is the detector's
-// monotone-RID append. A non-monotone batch forces a merge into a
-// fresh array that is only coherent at its own fence, so sBase rises
-// and an older pinned reader falls back to a transient sort.
+// monotone-RID append. Any other extension sorts [0, f) afresh, as the
+// first build does: the array is then only coherent at its own fence,
+// so sBase rises and an older pinned reader falls back to a transient
+// sort. Only a sort that replaces positions counts as a rebuild: the
+// rows appended to the built-empty order TRUNCATE leaves are its build.
 func (d *indexData) extendOrdered(idx *Index, rows []relation.Tuple, f int) []int {
 	d.mu.Lock()
 	s := d.sorted
@@ -1422,63 +1413,54 @@ func (d *indexData) extendOrdered(idx *Index, rows []relation.Tuple, f int) []in
 		d.mu.Unlock()
 		return s[:f]
 	}
-	if s == nil {
-		ns := make([]int, f)
-		for i := range ns {
-			ns[i] = i
-		}
-		sort.Slice(ns, func(a, b int) bool { return lessPosIn(idx.Cols, rows, ns[a], ns[b]) })
-		d.sorted, d.sBase = ns, f
+	if s != nil && f < d.sBase {
 		d.mu.Unlock()
-		idx.rebuilds.Add(1)
-		return ns
+		// This reader pinned its epoch before a re-sort rebased the
+		// shared structure past its fence: sort a private view, uncached
+		// (rare — a racing writer appended out of key order).
+		return sortedPositions(idx.Cols, rows, f)
 	}
-	if f < d.sBase {
-		d.mu.Unlock()
-		// This reader pinned its epoch before a non-monotone merge
-		// rebased the shared structure past its fence: sort a private
-		// view, uncached (rare — a racing writer reordered keys).
-		ns := make([]int, f)
-		for i := range ns {
-			ns[i] = i
-		}
-		sort.Slice(ns, func(a, b int) bool { return lessPosIn(idx.Cols, rows, ns[a], ns[b]) })
-		return ns
-	}
-	L := len(s)
-	mono := true
-	for ri := L; ri < f; ri++ {
-		var prev int
-		switch {
-		case ri > L:
-			prev = ri - 1
-		case L > 0:
-			prev = s[L-1]
-		default:
-			continue
-		}
-		if lessPosIn(idx.Cols, rows, ri, prev) {
-			mono = false
-			break
-		}
-	}
-	if mono {
-		for ri := L; ri < f; ri++ {
+	if s != nil && inKeyOrder(idx.Cols, rows, s, f) {
+		for ri := len(s); ri < f; ri++ {
 			s = append(s, ri)
 		}
 		d.sorted = s
 		d.mu.Unlock()
 		return s[:f]
 	}
-	add := make([]int, f-L)
-	for i := range add {
-		add[i] = L + i
+	if s == nil || len(s) > 0 {
+		idx.rebuilds.Add(1)
 	}
-	sort.Slice(add, func(a, b int) bool { return lessPosIn(idx.Cols, rows, add[a], add[b]) })
-	out := mergeSortedIn(idx.Cols, rows, s[:L:L], add)
-	d.sorted, d.sBase = out, f
+	ns := sortedPositions(idx.Cols, rows, f)
+	d.sorted, d.sBase = ns, f
 	d.mu.Unlock()
-	return out
+	return ns
+}
+
+// inKeyOrder reports whether rows [len(s), f) follow the in-order
+// positions s position by position, so appending them keeps the order.
+func inKeyOrder(cols []int, rows []relation.Tuple, s []int, f int) bool {
+	prev := -1
+	if len(s) > 0 {
+		prev = s[len(s)-1]
+	}
+	for ri := len(s); ri < f; ri++ {
+		if prev >= 0 && lessPosIn(cols, rows, ri, prev) {
+			return false
+		}
+		prev = ri
+	}
+	return true
+}
+
+// sortedPositions returns rows [0, f) in index order.
+func sortedPositions(cols []int, rows []relation.Tuple, f int) []int {
+	ns := make([]int, f)
+	for i := range ns {
+		ns[i] = i
+	}
+	sort.Slice(ns, func(a, b int) bool { return lessPosIn(cols, rows, ns[a], ns[b]) })
+	return ns
 }
 
 // rangeOf returns the positions whose first index column lies between
@@ -1517,93 +1499,6 @@ func (td *tableData) rangeOf(t *Table, idx *Index, lo, hi relation.Value, hasLo,
 		to = from
 	}
 	return s[from:to]
-}
-
-// eqPrefixRange returns the positions whose first k index columns
-// compare equal to vals (one value per index column, in index order;
-// see eqRange) and whose (k+1)-th column lies within lo/hi (each
-// optional), as a subslice of the in-order positions — the
-// compound-bound form of rangeOf. The range bound stays
-// conservative-inclusive like rangeOf — exclusivity is the retained
-// filter's job.
-func (td *tableData) eqPrefixRange(t *Table, idx *Index, vals []relation.Value, lo, hi relation.Value, hasLo, hasHi bool) []int {
-	rows := td.rows
-	s := eqRange(rows, idx.Cols, td.orderedOf(t, idx), 0, vals)
-	if !hasLo && !hasHi {
-		return s
-	}
-	next := idx.Cols[len(vals)]
-	from, to := 0, len(s)
-	if hasLo {
-		from = sort.Search(len(s), func(i int) bool {
-			return relation.Compare(rows[s[i]][next], lo) >= 0
-		})
-	}
-	if hasHi {
-		to = sort.Search(len(s), func(i int) bool {
-			return relation.Compare(rows[s[i]][next], hi) > 0
-		})
-	}
-	if to < from {
-		to = from
-	}
-	return s[from:to]
-}
-
-// forkUpdated forks the structures for an UPDATE that assigned this
-// index's columns at positions pos: order entries (or, for an index
-// never read in order, buckets) for the covered changed positions are
-// re-keyed against the new rows. Bucket arrays touched by the re-keying
-// are always freshly allocated — the old lineage keeps reading its
-// snapshotted headers. Returns the positions written too.
-func (d *indexData) forkUpdated(idx *Index, oldRows, newRows []relation.Tuple, pos []int) (*indexData, int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	nd := &indexData{}
-	if d.sorted != nil {
-		cover := len(d.sorted)
-		doomed := make(map[int]bool, len(pos))
-		var add []int
-		for _, ri := range pos {
-			if ri < cover {
-				doomed[ri] = true
-				add = append(add, ri)
-			}
-		}
-		keep := make([]int, 0, cover)
-		for _, ri := range d.sorted {
-			if !doomed[ri] {
-				keep = append(keep, ri)
-			}
-		}
-		sort.Slice(add, func(a, b int) bool { return lessPosIn(idx.Cols, newRows, add[a], add[b]) })
-		nd.sorted = mergeSortedIn(idx.Cols, newRows, keep, add)
-		nd.sBase = len(nd.sorted)
-		return nd, len(nd.sorted) // equality probes binary-search it: no map to carry
-	}
-	cells := 0
-	if d.m != nil {
-		nm := make(map[string][]int, len(d.m))
-		for k, b := range d.m {
-			nm[k] = b[:len(b):len(b)]
-		}
-		key := make([]relation.Value, len(idx.Cols))
-		for _, ri := range pos {
-			if ri >= d.mCover {
-				continue
-			}
-			for i, c := range idx.Cols {
-				key[i] = oldRows[ri][c]
-			}
-			cells += bucketRemove(nm, relation.KeyOf(key), ri)
-			for i, c := range idx.Cols {
-				key[i] = newRows[ri][c]
-			}
-			cells += bucketInsert(nm, relation.KeyOf(key), ri)
-		}
-		nd.m, nd.mCover = nm, d.mCover
-	}
-	return nd, cells
 }
 
 // forkDeleted forks the structures for a DELETE: surviving positions
@@ -1662,39 +1557,6 @@ func (d *indexData) forkTruncated() *indexData {
 	return nd
 }
 
-// bucketRemove deletes one position from a bucket, replacing the
-// bucket array (never editing it in place — the source lineage may
-// still be reading it). Returns the positions written.
-func bucketRemove(m map[string][]int, k string, ri int) int {
-	b := m[k]
-	at := sort.SearchInts(b, ri)
-	if at >= len(b) || b[at] != ri {
-		return 0
-	}
-	if len(b) == 1 {
-		delete(m, k)
-		return 0
-	}
-	nb := make([]int, 0, len(b)-1)
-	nb = append(nb, b[:at]...)
-	nb = append(nb, b[at+1:]...)
-	m[k] = nb
-	return len(nb)
-}
-
-// bucketInsert adds one position to a bucket in ascending order,
-// replacing the bucket array. Returns the positions written.
-func bucketInsert(m map[string][]int, k string, ri int) int {
-	b := m[k]
-	at := sort.SearchInts(b, ri)
-	nb := make([]int, 0, len(b)+1)
-	nb = append(nb, b[:at]...)
-	nb = append(nb, ri)
-	nb = append(nb, b[at:]...)
-	m[k] = nb
-	return len(nb)
-}
-
 // lessPosIn orders two row positions by the index-column values, ties
 // by position — the sort order of indexData.sorted, evaluated against
 // an explicit row array (each epoch passes its own).
@@ -1706,31 +1568,6 @@ func lessPosIn(cols []int, rows []relation.Tuple, a, b int) bool {
 		}
 	}
 	return a < b
-}
-
-// mergeSortedIn merges two position lists already in lessPosIn order
-// into a fresh-or-have-backed result. have must be private to the
-// caller (fork code passes freshly built arrays).
-func mergeSortedIn(cols []int, rows []relation.Tuple, have, add []int) []int {
-	if len(add) == 0 {
-		return have
-	}
-	if len(have) == 0 || lessPosIn(cols, rows, have[len(have)-1], add[0]) {
-		return append(have, add...)
-	}
-	out := make([]int, 0, len(have)+len(add))
-	i, j := 0, 0
-	for i < len(have) && j < len(add) {
-		if lessPosIn(cols, rows, add[j], have[i]) {
-			out = append(out, add[j])
-			j++
-		} else {
-			out = append(out, have[i])
-			i++
-		}
-	}
-	out = append(out, have[i:]...)
-	return append(out, add[j:]...)
 }
 
 // --- access-path finders (per-epoch: indexes are catalog state) ---
@@ -1758,43 +1595,6 @@ func (td *tableData) findIndex(cols []int) *Index {
 		}
 	}
 	return nil
-}
-
-// findEqPrefixIndex returns an index whose leading columns are exactly
-// the (distinct) probe columns in any order, with at least one more
-// column after them, plus the permutation mapping each prefix position
-// to its probe-key position. The ordered structure then answers the
-// equality by binary search — and a range bound on Cols[len(cols)] can
-// tighten the same search, the "equality prefix + range on the next
-// column" compound access path.
-func (td *tableData) findEqPrefixIndex(cols []int) (*Index, []int) {
-	k := len(cols)
-	if k == 0 {
-		return nil, nil
-	}
-outer:
-	for _, sl := range td.indexes {
-		idx := sl.idx
-		if len(idx.Cols) <= k {
-			continue // exact covers are findIndex territory
-		}
-		perm := make([]int, k)
-		used := make([]bool, k)
-		for j := 0; j < k; j++ {
-			perm[j] = -1
-			for i, c := range cols {
-				if c == idx.Cols[j] && !used[i] {
-					perm[j], used[i] = i, true
-					break
-				}
-			}
-			if perm[j] < 0 {
-				continue outer
-			}
-		}
-		return idx, perm
-	}
-	return nil, nil
 }
 
 // findPrefixIndex returns an index whose column list starts with

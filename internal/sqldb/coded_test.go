@@ -18,7 +18,7 @@ import (
 // TestCodedTextDifferential compares Planned with Reference over a TEXT
 // column whose segments take every representation the cache has: one
 // full segment whose UPDATE took its dictionary past 1024 strings, one
-// holding integers LoadRelation planted (a vector of values), one a
+// holding the text of integers LoadRelation coerced, one a
 // DELETE compacted, one a DELETE merged with its neighbour, sealed ones
 // with sorted dictionaries, and a tail that grows between the checks.
 // The cells are NULL, '\N' — what COALESCE(TOTEXT(a), '\N') makes of
@@ -38,7 +38,7 @@ func TestCodedTextDifferential(t *testing.T) {
 		case rid < segRows:
 			return relation.Text(fmt.Sprintf("d%d", rid)) // 1024 distinct
 		case rid >= 3*segRows && rid < 4*segRows && rid%9 == 0:
-			return relation.Int(int64(rid % 4)) // planted: not coerced
+			return relation.Int(int64(rid % 4)) // planted: LoadRelation stores its text
 		case rng.Intn(3) == 0:
 			return relation.Text(fmt.Sprintf("z%d", rng.Intn(40)))
 		}
@@ -58,6 +58,10 @@ func TestCodedTextDifferential(t *testing.T) {
 	db := NewDB()
 	if err := db.LoadRelation(data); err != nil {
 		t.Fatal(err)
+	}
+	planted := 3*segRows + 6 // rid%9 == 0
+	if got := mustQuery(t, db, `SELECT a FROM cd WHERE rid = ?`, relation.Int(int64(planted))).Rows[0][0]; got != relation.Text(fmt.Sprint(planted%4)) {
+		t.Fatalf("LoadRelation stored planted INTEGER %d as %s %v, want its TEXT", planted%4, got.K, got)
 	}
 	nextRID := n
 	insert := func(k int) {
@@ -181,8 +185,8 @@ func TestCodedTextDifferential(t *testing.T) {
 			plain++
 		}
 	}
-	if coded < 4 || plain != 1 {
-		t.Fatalf("%d coded and %d plain segments of a, want every one but the planted", coded, plain)
+	if coded < 4 || plain != 0 {
+		t.Fatalf("%d coded and %d plain segments of a, want every one coded", coded, plain)
 	}
 }
 
@@ -192,10 +196,11 @@ func TestCodedTextDifferential(t *testing.T) {
 // whose DISTINCT pre-filter reads the column cache and decides repeats by
 // a per-run memo of segment codes (projSpec.preDedup). The data carries
 // NULL beside the string COALESCE turns it into, heavy duplicates over
-// many segments, integers LoadRelation planted in a TEXT column, a
+// many segments, integers LoadRelation coerces into a TEXT column, a
 // DELETE-compacted, a merged and an updated segment beside a growing
 // tail. Patterns activate none to all six columns, more than the memo
-// packs. The data table is scanned whole; in the order of an index on a
+// packs; one variant keys on an INTEGER column beside TEXT ones, which
+// has no codes for the memo to pack. The data table is scanned whole; in the order of an index on a
 // permuted key, which cuts runs of one row; and, as a table of a few rows,
 // outside the pattern loop, so the site row changes inside one run. A
 // correlated subquery re-runs the macro for the same pattern twice in one
@@ -238,7 +243,7 @@ func TestCodedPreDedupDifferential(t *testing.T) {
 			r = append(r, cell(ci))
 		}
 		if rid >= 3*segRows && rid < 4*segRows && rid%7 == 0 {
-			r[3] = relation.Int(int64(rid % 3)) // planted: TOTEXT gives "1" as a's text "1" does
+			r[3] = relation.Int(int64(rid % 3)) // planted: stored as the text "1" beside a's own "1"
 		}
 		return r
 	}
@@ -314,6 +319,7 @@ func TestCodedPreDedupDifferential(t *testing.T) {
 			{macro("pq", "t.flag >= 0"), nil},
 			{grouped(macro("pq", "t.flag >= 0")), nil},
 			{"SELECT o.k, (SELECT COUNT(*) FROM (" + macro("pt", "t.flag >= 0 AND c.cid = o.k") + ") m) FROM pr o", nil},
+			{strings.Replace(macro("pt", "t.flag >= 0"), "TOTEXT(t.c)", "TOTEXT(t.flag)", 1), nil}, // an uncoded column in the key
 		} {
 			got, want := canonical(queryIn(t, db, Planned, q.sql, q.params...)), canonical(queryIn(t, db, Reference, q.sql, q.params...))
 			if got != want {

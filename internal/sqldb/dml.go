@@ -48,6 +48,23 @@ func coerce(v relation.Value, k relation.Kind, col string) (relation.Value, erro
 	return relation.Null(), fmt.Errorf("sql: cannot store %s value %s in %s column %s", v.K, v, k, col)
 }
 
+// coerceRow turns row, in place, into what a table of schema s stores:
+// as wide as s, every cell coerced to its column's kind. LoadRelation and
+// recovery hold their rows to it, as INSERT and UPDATE hold each cell.
+func coerceRow(s *relation.Schema, row relation.Tuple) error {
+	if len(row) != s.Width() {
+		return fmt.Errorf("sql: %d values for the %d columns of %s", len(row), s.Width(), s.Name)
+	}
+	for j, a := range s.Attrs {
+		v, err := coerce(row[j], a.Kind, a.Name)
+		if err != nil {
+			return err
+		}
+		row[j] = v
+	}
+	return nil
+}
+
 // --- INSERT ---
 
 type insertPlan struct {

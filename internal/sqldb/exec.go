@@ -100,13 +100,12 @@ type compiledSelect struct {
 	limit    compiledExpr
 	offset   compiledExpr
 	// Index-served ORDER BY candidate: when ordSrc >= 0, the ORDER BY
-	// keys are plain columns ordCols of that (single, base-table)
-	// source in one uniform direction. buildSchedule checks for an
-	// index with that column prefix and, if the level takes no equality
-	// probe, iterates it in order so exec skips the sort.
+	// keys are plain ascending columns ordCols of that (single,
+	// base-table) source. buildSchedule checks for an index with that
+	// column prefix and, if the level takes no equality probe, iterates
+	// it in order so exec skips the sort.
 	ordSrc  int
 	ordCols []int
-	ordDesc bool
 	// proj, when non-nil, is the batch-aware projection plan: output
 	// parts invariant in one source's row (the detection queries'
 	// pattern site) replay from a per-site-row cache instead of

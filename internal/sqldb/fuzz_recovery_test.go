@@ -15,7 +15,8 @@ import (
 // that checks out: whatever they are handed they must return, never
 // panic; an error must be ErrCorrupt; and success must mean the whole
 // input was applied and left a catalog the executor can index — rows as
-// wide as their schema, index columns inside it.
+// wide as their schema, every cell NULL or of its column's kind, index
+// columns inside the schema.
 
 // fuzzTable is the one table the WAL target's restore state knows.
 func fuzzTable() *restoreState {
@@ -42,6 +43,11 @@ func checkRestored(t *testing.T, tables map[string]*restoreTable) {
 		for i, row := range rt.rows {
 			if len(row) != w {
 				t.Fatalf("table %s row %d has %d values for %d columns", name, i, len(row), w)
+			}
+			for j, v := range row {
+				if a := rt.t.Schema.Attrs[j]; !v.IsNull() && v.K != a.Kind {
+					t.Fatalf("table %s row %d holds %s %v in %s column %s", name, i, v.K, v, a.Kind, a.Name)
+				}
 			}
 		}
 		for _, idx := range rt.indexes {

@@ -209,9 +209,10 @@ func TestIncrementalMaintenanceRandomOps(t *testing.T) {
 	}
 }
 
-// TestOrderedScanMatchesSort pins index-served ORDER BY (ASC and DESC,
-// with and without a range restriction) to the forced nested-loop
-// path's sorted output.
+// TestOrderedScanMatchesSort pins index-served ORDER BY (with and
+// without a range restriction) to the forced nested-loop path's sorted
+// output; DESC, which the index does not serve, must match it through
+// the sort.
 func TestOrderedScanMatchesSort(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(73))
@@ -230,6 +231,7 @@ func TestOrderedScanMatchesSort(t *testing.T) {
 		`SELECT a, b FROM o ORDER BY a DESC, b DESC`,
 		`SELECT a, b FROM o WHERE a >= 3 AND a <= 7 ORDER BY a, b`,
 		`SELECT a, b FROM o WHERE a BETWEEN 2 AND 8 AND b <> 1 ORDER BY a, b`,
+		`SELECT a, b FROM o WHERE a >= 3 AND a <= 7 ORDER BY a DESC, b DESC`,
 		`SELECT DISTINCT a, b FROM o ORDER BY a, b`,
 		`SELECT a, b FROM o ORDER BY a, b LIMIT 7 OFFSET 3`,
 	} {
@@ -237,8 +239,8 @@ func TestOrderedScanMatchesSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan, "no sort") {
-			t.Fatalf("expected index-served ORDER BY for %q:\n%s", q, plan)
+		if strings.Contains(plan, "no sort") == strings.Contains(q, "DESC") {
+			t.Fatalf("expected index-served ORDER BY for %q unless descending:\n%s", q, plan)
 		}
 		planned, nested := runBothPaths(t, db, q)
 		if planned != nested {
@@ -251,8 +253,8 @@ func TestOrderedScanMatchesSort(t *testing.T) {
 			t.Fatalf("ordered scan sequence diverges on %q:\nplanned %q\nnested  %q", q, flat(p), flat(n))
 		}
 	}
-	// Shapes that must NOT claim index order: mixed direction, non-prefix
-	// key, expression key.
+	// Shapes that must NOT claim index order either: mixed direction,
+	// non-prefix key, expression key.
 	for _, q := range []string{
 		`SELECT a, b FROM o ORDER BY a, b DESC`,
 		`SELECT a, b FROM o ORDER BY b`,
@@ -413,7 +415,7 @@ func TestTruncateKeepsBuiltIndexes(t *testing.T) {
 
 // TestOrderedScanSortedOutput double-checks actual sortedness of an
 // index-served ORDER BY (belt and braces beyond the differential
-// comparison), including a DESC iteration.
+// comparison), and of the DESC sort beside it.
 func TestOrderedScanSortedOutput(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE s (n INTEGER)`)
@@ -444,7 +446,7 @@ func TestOrderedScanSortedOutput(t *testing.T) {
 // disappears — visible as `order by: served by index (join driver)` —
 // and the emitted sequence matches the forced nested loop exactly
 // (outputs are restricted to the sort keys, so tie groups hold
-// identical rows).
+// identical rows). A descending ORDER BY is sorted, to the same end.
 func TestJoinDriverOrderBy(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(83))
@@ -473,8 +475,8 @@ func TestJoinDriverOrderBy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan, "order by: served by index (join driver)") {
-			t.Fatalf("expected join-driver order service for %q:\n%s", q, plan)
+		if strings.Contains(plan, "order by: served by index (join driver)") == strings.Contains(q, "DESC") {
+			t.Fatalf("expected join-driver order service for %q unless descending:\n%s", q, plan)
 		}
 		n := queryIn(t, db, Reference, q)
 		if p := mustQuery(t, db, q); flat(p) != flat(n) {
@@ -568,7 +570,8 @@ func TestRangeElisionDifferential(t *testing.T) {
 // / truncate forks it must agree — on NULL, NaN, duplicate and
 // mixed-kind keys, through the planner's join probe, the decorrelated
 // EXISTS closure and the probe kernel — with a twin that only ever
-// built the map, and with an unindexed oracle.
+// built the map, and with an unindexed oracle. An UPDATE of an index's
+// columns restarts it cold in both twins.
 func TestEqualityProbesFromOrderedIndex(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(79))
@@ -607,13 +610,27 @@ func TestEqualityProbesFromOrderedIndex(t *testing.T) {
 	}
 	// Order first: from here on the ordered twin serves every equality
 	// probe from the in-order positions.
-	mustQuery(t, ordered, `SELECT k FROM e ORDER BY k`)
-	mustQuery(t, ordered, `SELECT k, g FROM e ORDER BY k, g`)
+	order := func() {
+		mustQuery(t, ordered, `SELECT k FROM e ORDER BY k`)
+		mustQuery(t, ordered, `SELECT k, g FROM e ORDER BY k, g`)
+	}
+	order()
+	data := func(db *DB, name string) *indexData {
+		_, d, _ := testEpochIndex(t, db, "e", name)
+		return d
+	}
+	// rekeyed lists, per operation, the indexes whose columns it assigns.
+	rekeyed := map[int][]string{6: {"idx_e_k", "idx_e_kg"}, 7: {"idx_e_k", "idx_e_kg"}, 8: {"idx_e_kg"}}
 
 	probes := []relation.Value{relation.Float(0.5), relation.Int(1), relation.Float(1.5),
 		relation.Float(7), relation.Float(math.NaN()), relation.Null()}
 	for step := 0; step < 150; step++ {
-		switch rng.Intn(10) {
+		op := rng.Intn(10)
+		var was []*indexData
+		for _, name := range rekeyed[op] {
+			was = append(was, data(ordered, name), data(mapped, name))
+		}
+		switch op {
 		case 0, 1, 2, 3:
 			insert(1000 + step)
 		case 4, 5:
@@ -626,6 +643,18 @@ func TestEqualityProbesFromOrderedIndex(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				all(`TRUNCATE TABLE e`)
 			}
+		}
+		// An UPDATE that changed rows restarts the indexes it re-keyed cold
+		// in both twins; the ordered twin then orders them again.
+		for i, name := range rekeyed[op] {
+			for j, db := range []*DB{ordered, mapped} {
+				if d := data(db, name); d != was[2*i+j] && (d.m != nil || d.sorted != nil) {
+					t.Fatalf("step %d: %s after an UPDATE of its columns: map built %v, order built %v", step, name, d.m != nil, d.sorted != nil)
+				}
+			}
+		}
+		if len(rekeyed[op]) > 0 {
+			order()
 		}
 		for _, mode := range []Mode{RowAtATime, Planned} { // ends in Planned: the DML above runs with kernels
 			for _, db := range []*DB{ref, ordered, mapped} {

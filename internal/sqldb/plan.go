@@ -302,30 +302,26 @@ func (c *compiler) extractRange(e Expr, depth int, pc *planConjunct) {
 }
 
 // planOrderBy records the index-served ORDER BY candidate on cs: all
-// sort keys are plain columns of one base-table source, in one uniform
-// direction. Whether an index actually covers the column prefix is
-// decided per schedule (indexes can appear via CREATE INDEX, which
-// recompiles plans) in buildSchedule. For multi-table joins the
-// candidate is served only when that source is already the join
-// order's first pick — the driving level then emits rows grouped by
-// its sort keys, every deeper level fans out inside one key group, and
-// the final sort disappears. The planner never *forces* the ordered
-// source to drive: inverting the smallest-first join order would cost
-// far more than the sort saves.
+// sort keys are plain ascending columns of one base-table source (a
+// DESC key leaves the order to the sort). Whether an index actually
+// covers the column prefix is decided per schedule (indexes can appear
+// via CREATE INDEX, which recompiles plans) in buildSchedule. For
+// multi-table joins the candidate is served only when that source is
+// already the join order's first pick — the driving level then emits
+// rows grouped by its sort keys, every deeper level fans out inside one
+// key group, and the final sort disappears. The planner never *forces*
+// the ordered source to drive: inverting the smallest-first join order
+// would cost far more than the sort saves.
 func (c *compiler) planOrderBy(sel *Select, cs *compiledSelect) {
 	cs.ordSrc = -1
 	if !cs.planOK || cs.grouped || len(sel.OrderBy) == 0 {
 		return
 	}
-	desc := sel.OrderBy[0].Desc
 	src := -1
 	var cols []int
 	for _, o := range sel.OrderBy {
-		if o.Desc != desc {
-			return // mixed directions: one index order cannot serve both
-		}
 		ref, ok := o.Expr.(*ColumnRef)
-		if !ok {
+		if o.Desc || !ok {
 			return
 		}
 		bd, err := c.resolve(ref)
@@ -344,7 +340,6 @@ func (c *compiler) planOrderBy(sel *Select, cs *compiledSelect) {
 	}
 	cs.ordSrc = src
 	cs.ordCols = cols
-	cs.ordDesc = desc
 }
 
 // --- schedule ---
@@ -390,11 +385,9 @@ type schedLevel struct {
 	// rng, when set (and probe is nil), prunes the level's scan to the
 	// index-order subslice whose first column lies within the bound
 	// keys. ord, when set, makes the level iterate in full index order.
-	// Both yield in-order candidate lists; desc reverses the iteration
-	// for descending ORDER BY.
-	rng  *rangePlan
-	ord  *Index
-	desc bool
+	// Both yield in-order candidate lists.
+	rng *rangePlan
+	ord *Index
 	// kerns are the batch kernels consumed at this level: plain (single-
 	// alternative) conjuncts fully decided here whose predicate lowers
 	// to a vector filter. The level then runs in batch mode — candidates
@@ -475,20 +468,7 @@ type probePlan struct {
 	derived   bool
 	vals      []relation.Value // scratch
 	keyBuf    []byte           // scratch
-	// Compound-prefix fallback (idx == nil): an ordered index whose
-	// leading columns are exactly the probe columns answers the
-	// equality by binary search — no hash build — and an optional range
-	// bound on the next index column tightens the same search
-	// (multi-column pruning: equality prefix + range). The range
-	// conjunct is never consumed; its retained filter keeps exactness.
-	pfx       *Index
-	pfxPerm   []int // prefix position → probe key position
-	pfxLo     compiledExpr
-	pfxHi     compiledExpr
-	pfxRngCol int // schema position of the ranged column (EXPLAIN)
-	// pfxVals is the probe key in index-column order (scratch), for
-	// either index.
-	pfxVals []relation.Value
+	idxVals   []relation.Value // scratch: the key in index-column order
 }
 
 type planState struct {
@@ -663,32 +643,7 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 			if t := cs.sources[s].table; t != nil {
 				probe.idx, probe.perm = probeIndex(ep.tds[t], probe.buildCols)
 				if probe.idx != nil {
-					probe.pfxVals = make([]relation.Value, len(probe.perm))
-				} else {
-					// No exact-cover index: a compound index whose leading
-					// columns are the probe columns still beats the hash
-					// build — binary-searched equality, optionally tightened
-					// by a range bound on the next index column.
-					if pfx, perm := ep.tds[t].findEqPrefixIndex(probe.buildCols); pfx != nil {
-						probe.pfx, probe.pfxPerm = pfx, perm
-						probe.pfxVals = make([]relation.Value, len(perm))
-						k := len(probe.buildCols)
-						probe.pfxRngCol = pfx.Cols[k]
-						for _, pc := range cs.conjs {
-							for _, rs := range pc.rngs {
-								if rs.src != s || rs.col != pfx.Cols[k] || rs.otherSrcs&^bound != 0 {
-									continue
-								}
-								if rs.lower {
-									if probe.pfxLo == nil {
-										probe.pfxLo = rs.key
-									}
-								} else if probe.pfxHi == nil {
-									probe.pfxHi = rs.key
-								}
-							}
-						}
-					}
+					probe.idxVals = make([]relation.Value, len(probe.perm))
 				}
 				// Const-equality diversion: when no index answers the probe,
 				// every key is constant for the statement (`MV = 0`), the
@@ -699,7 +654,7 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 				// per outer row on this cached schedule, and the hash the
 				// diversion skips is built once per env while the kernel
 				// would sweep the column on every re-execution.
-				if probe.idx == nil && probe.pfx == nil && cs.depth == 0 && probeConsts == len(probe.keys) {
+				if probe.idx == nil && cs.depth == 0 && probeConsts == len(probe.keys) {
 					divert := true
 					for _, ci := range probe.conjs {
 						if kpSimpleFor(cs.conjs[ci].terms[0].parts[0].kp, s) == nil {
@@ -739,7 +694,6 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 				lv.rng = buildRangePlan(cs, ep.tds[t], s, bound, ordIdx)
 				if ordIdx != nil {
 					lv.ord = ordIdx
-					lv.desc = cs.ordDesc
 					sch.orderServed = true
 				}
 				// Filter elision: a conjunct whose inclusive bounds the
@@ -1071,13 +1025,9 @@ func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows [][]relation
 	}
 	en.work[wRowsScanned] += int64(n)
 	for i := 0; i < n; i++ {
-		j := i
-		if lv.desc {
-			j = n - 1 - i
-		}
-		ri := j
+		ri := i
 		if !scanAll {
-			ri = bucket[j]
+			ri = bucket[i]
 		}
 		if err := cs.stepRow(en, sch, srcRows, pos, lv, rows, ri, &marks, &deadMarks, yield); err != nil {
 			st.marks[pos] = marks
@@ -1177,9 +1127,8 @@ func (cs *compiledSelect) evalLevelRow(en *env, st *planState, lv *schedLevel, p
 // and the deeper levels, under their positions in the table. Kernel and
 // group bindings (the loop-invariant inputs) evaluate once per level
 // entry. Candidate order is preserved end to end — a bucket in index
-// order may change segment with every candidate, descending scans walk
-// segments and buckets from the tail — so batch mode composes with
-// range-pruned and order-served scans.
+// order may change segment with every candidate — so batch mode
+// composes with range-pruned and order-served scans.
 func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]relation.Tuple, pos int, lv *schedLevel, rows []relation.Tuple, bucket []int, scanAll bool, yield func([]int) error) error {
 	st := sch.state
 	n := len(rows)
@@ -1204,23 +1153,17 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 	for _, g := range lv.groups {
 		g.enter(n) // state reset only; terms bind lazily at filter time
 	}
-	// cand returns the i-th candidate position in level order.
-	cand := func(i int) int {
-		switch {
-		case scanAll: // never descending: that takes an index, a bucket
-			return i
-		case lv.desc:
-			return bucket[n-1-i]
-		}
-		return bucket[i]
-	}
 	marks := st.marks[pos][:0]
 	deadMarks := st.deadMarks[pos][:0]
 	sel := st.sel[pos]
 	cur := &st.cur[lv.src] // see rowCursor
 	var err error
 	for i, si := 0, 0; i < n && err == nil; {
-		si = td.segAt(cand(i), si)
+		first := i // the run's first candidate: a full scan's i-th is position i
+		if !scanAll {
+			first = bucket[i]
+		}
+		si = td.segAt(first, si)
 		base, m := td.span(si)
 		run := segRun{t: t, c: td.segs[si].c, rows: rows[base : base+m], tail: si == len(td.segs)-1}
 		st.runs++
@@ -1233,7 +1176,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 			i += m
 		} else {
 			for ; i < n; i++ {
-				off := cand(i) - base
+				off := bucket[i] - base
 				if uint(off) >= uint(m) {
 					break
 				}
@@ -1303,42 +1246,9 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows []relation.Tup
 		t := cs.sources[lv.src].table
 		eq := en.td(t).lookupEq(t, p.idx)
 		for j, pi := range p.perm {
-			p.pfxVals[j] = p.vals[pi]
+			p.idxVals[j] = p.vals[pi]
 		}
-		return eq.probe(p.pfxVals, &p.keyBuf), false, nil
-	}
-	if p.pfx != nil {
-		// Compound-prefix probe: binary-searched equality on the index's
-		// leading columns, tightened by the optional range bound on the
-		// next column. A NULL range bound empties the level — `col OP
-		// NULL` never holds, and the retained filter agrees.
-		for j, pi := range p.pfxPerm {
-			p.pfxVals[j] = p.vals[pi]
-		}
-		var lo, hi relation.Value
-		hasLo, hasHi := false, false
-		if p.pfxLo != nil {
-			v, err := p.pfxLo(en)
-			if err != nil {
-				return nil, false, err
-			}
-			if v.IsNull() {
-				return nil, false, nil
-			}
-			lo, hasLo = v, true
-		}
-		if p.pfxHi != nil {
-			v, err := p.pfxHi(en)
-			if err != nil {
-				return nil, false, err
-			}
-			if v.IsNull() {
-				return nil, false, nil
-			}
-			hi, hasHi = v, true
-		}
-		t := cs.sources[lv.src].table
-		return en.td(t).eqPrefixRange(t, p.pfx, p.pfxVals, lo, hi, hasLo, hasHi), false, nil
+		return eq.probe(p.idxVals, &p.keyBuf), false, nil
 	}
 	if p.hash == nil {
 		p.hash = buildJoinHash(rows, p.buildCols)
@@ -1475,13 +1385,6 @@ func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 		switch {
 		case lv.probe != nil && lv.probe.idx != nil:
 			line = fmt.Sprintf("index probe %s via %s%s", label, lv.probe.idx.Name, size)
-		case lv.probe != nil && lv.probe.pfx != nil && (lv.probe.pfxLo != nil || lv.probe.pfxHi != nil):
-			line = fmt.Sprintf("index prefix range probe %s via %s (%d eq col(s) + range on %s)%s",
-				label, lv.probe.pfx.Name, len(lv.probe.buildCols),
-				cs.sources[lv.src].table.Schema.Attrs[lv.probe.pfxRngCol].Name, size)
-		case lv.probe != nil && lv.probe.pfx != nil:
-			line = fmt.Sprintf("index prefix probe %s via %s (%d eq col(s))%s",
-				label, lv.probe.pfx.Name, len(lv.probe.buildCols), size)
 		case lv.probe != nil:
 			line = fmt.Sprintf("hash join %s on %d key col(s)%s", label, len(lv.probe.keys), size)
 		case lv.rng != nil && lv.ord != nil:

@@ -379,7 +379,7 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 			return fmt.Errorf("implausible insert count %d", n)
 		}
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			if row := d.row(rt.t.Schema.Width()); d.err == nil {
+			if row := d.row(rt.t.Schema); d.err == nil {
 				rt.rows = append(rt.rows, row)
 			}
 		}
@@ -437,7 +437,7 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 			pos[i] = d.below(len(rt.rows), "update position")
 			vals[i] = make([]relation.Value, nc)
 			for j := range vals[i] {
-				vals[i][j] = d.value()
+				vals[i][j] = d.cell(t.Schema.Attrs[cols[j]])
 			}
 		}
 		if d.err != nil {
@@ -507,22 +507,21 @@ func applyWALOp(rs *restoreState, d *walDecoder) error {
 		if d.err != nil || n > uint64(len(d.b)) {
 			return fmt.Errorf("implausible load count %d", n)
 		}
-		rows := make([]relation.Tuple, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			rows = append(rows, d.row(s.Width()))
-		}
-		if d.err != nil {
-			return d.err
-		}
 		key := lowerName(s.Name)
 		rt, ok := rs.tables[key]
 		if !ok {
 			rt = &restoreTable{t: &Table{Name: s.Name, Schema: s}}
-			rs.tables[key] = rt
 		} else if w := rt.t.Schema.Width(); w != s.Width() {
 			return fmt.Errorf("load of %d-column rows into %d-column table %s", s.Width(), w, s.Name)
 		}
-		rt.rows = rows
+		rows := make([]relation.Tuple, 0, n)
+		for i := uint64(0); i < n && d.err == nil; i++ {
+			rows = append(rows, d.row(rt.t.Schema)) // the kinds of the table it writes
+		}
+		if d.err != nil {
+			return d.err
+		}
+		rs.tables[key], rt.rows = rt, rows
 	default:
 		return fmt.Errorf("unknown operation code %d", code)
 	}

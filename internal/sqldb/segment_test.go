@@ -403,7 +403,8 @@ func finalizeFirst[T any](s []T, fire func()) {
 // bucket that changes segment with nearly every candidate. Cut into runs
 // — many of length one — and filtered by kernels and an OR group, the
 // rows must come out in exactly the sequence the Reference mode sorts
-// them into, ascending and descending, whole and range-pruned.
+// them into, whole and range-pruned. Descending, which index order does
+// not serve, the batch level's rows go through the sort to the same end.
 func TestSegmentRunsPreserveOrder(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(179))
@@ -436,8 +437,8 @@ func TestSegmentRunsPreserveOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan, "via idx_o_k") || !strings.Contains(plan, "[batch:") || !strings.Contains(plan, "served by index") {
-			t.Fatalf("%s\nis not a batch level in index order:\n%s", q, plan)
+		if desc := strings.Contains(q, "DESC"); !strings.Contains(plan, "[batch:") || strings.Contains(plan, "served by index") == desc {
+			t.Fatalf("%s\nis not a batch level, served by the index unless descending:\n%s", q, plan)
 		}
 		got, want := flat(queryIn(t, db, Planned, q)), flat(queryIn(t, db, Reference, q))
 		if got != want {

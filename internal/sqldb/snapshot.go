@@ -272,7 +272,7 @@ func decodeSnapshot(data []byte, wantGen uint64) (_ map[string]*restoreTable, er
 		}
 		rt.rows = make([]relation.Tuple, 0, nRows)
 		for r := uint64(0); r < nRows && d.err == nil; r++ {
-			rt.rows = append(rt.rows, d.row(s.Width()))
+			rt.rows = append(rt.rows, d.row(s))
 		}
 		nIdx := d.uint()
 		if d.err != nil || nIdx > uint64(len(body)) {

@@ -656,14 +656,14 @@ func (db *DB) logCreateIndex(name, table string, cols []string) error {
 	return db.walLog(op, true)
 }
 
-func (db *DB) logLoadRelation(r *relation.Relation) error {
+func (db *DB) logLoadRelation(s *relation.Schema, rows []relation.Tuple) error {
 	if !db.logging() {
 		return nil
 	}
 	op := []byte{opLoadRelation}
-	op = appendSchema(op, r.Schema)
-	op = appendUint(op, uint64(len(r.Rows)))
-	for _, row := range r.Rows {
+	op = appendSchema(op, s)
+	op = appendUint(op, uint64(len(rows)))
+	for _, row := range rows {
 		op = appendTuple(op, row)
 	}
 	return db.walLog(op, true)
@@ -781,14 +781,30 @@ func (d *walDecoder) tuple() relation.Tuple {
 	return row
 }
 
-// row decodes a tuple of a table width columns wide: replay and the
-// executor index rows by schema position.
-func (d *walDecoder) row(width int) relation.Tuple {
+// row decodes a row of a table of schema s, held to what the table
+// stores (coerceRow): replay and the executor index rows by schema
+// position, and the column cache codes every TEXT column.
+func (d *walDecoder) row(s *relation.Schema) relation.Tuple {
 	row := d.tuple()
-	if d.err == nil && len(row) != width {
-		d.fail("tuple of %d values for %d columns", len(row), width)
+	if d.err == nil {
+		if err := coerceRow(s, row); err != nil {
+			d.fail("%v", err)
+		}
 	}
 	return row
+}
+
+// cell decodes a value stored into the column of attribute a (coerce).
+func (d *walDecoder) cell(a relation.Attribute) relation.Value {
+	v := d.value()
+	if d.err != nil {
+		return v
+	}
+	v, err := coerce(v, a.Kind, a.Name)
+	if err != nil {
+		d.fail("%v", err)
+	}
+	return v
 }
 
 // below decodes an index into something of n elements.

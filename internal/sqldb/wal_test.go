@@ -498,43 +498,89 @@ func TestUpdateWritesOnlyChangedRows(t *testing.T) {
 	}
 }
 
-// "Already holds the value" means kind and value: an INTEGER 1 that a
-// bulk load left in a FLOAT column is rewritten by SET x = 1.0, while
-// NULL over NULL and NaN over NaN are not changes.
-func TestUpdateKindChangeIsAChange(t *testing.T) {
-	db := NewDB()
-	schema, err := relation.NewSchema("r",
-		relation.Attribute{Name: "X", Kind: relation.KindFloat},
-		relation.Attribute{Name: "Y", Kind: relation.KindFloat},
-	)
+// TestLoadRelationCoercesKinds: LoadRelation stores what INSERT would —
+// each cell coerced to its column's kind, the table's over an existing
+// table — refuses what INSERT refuses before it logs anything, and
+// recovery holds a logged load to the same rule. So an INTEGER 1 loaded
+// into a FLOAT column is FLOAT 1 and SET X = 1.0 changes nothing, as
+// NULL over NULL and NaN over NaN do not.
+func TestLoadRelationCoercesKinds(t *testing.T) {
+	fs := NewMemFS(12)
+	db := memOpen(t, fs, WALOptions{Fsync: FsyncAlways})
+	defer db.Close()
+	walExec(t, db, "CREATE TABLE k (a INTEGER)")
+	if _, err := db.Exec("INSERT INTO k VALUES ('x')"); err == nil || !strings.Contains(err.Error(), "cannot store TEXT value x in INTEGER column a") {
+		t.Fatalf("INSERT of TEXT into INTEGER: %v", err)
+	}
+	loose, err := relation.NewSchema("k", relation.Attribute{Name: "a", Kind: relation.KindText})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := relation.New(schema)
-	r.Rows = append(r.Rows, relation.Tuple{relation.Int(1), relation.Float(math.NaN())}, relation.Tuple{relation.Float(1), relation.Null()})
-	if err := db.LoadRelation(r); err != nil {
-		t.Fatal(err)
+	bad := relation.New(loose)
+	bad.Rows = append(bad.Rows, relation.Tuple{relation.Int(3)}, relation.Tuple{relation.Text("x")})
+	_, logged := walFileBytes(t, fs, db)
+	if err := db.LoadRelation(bad); err == nil || !strings.Contains(err.Error(), "cannot store TEXT value x in INTEGER column a") {
+		t.Fatalf("LoadRelation of TEXT into INTEGER: %v", err)
 	}
-	seq := db.Stats().EpochSeq
-	mustExec(t, db, "UPDATE r SET Y = Y")
-	if got := db.Stats().EpochSeq; got != seq {
-		t.Fatalf("NaN over NaN and NULL over NULL published %d epoch(s)", got-seq)
+	if _, now := walFileBytes(t, fs, db); len(now) != len(logged) {
+		t.Fatalf("a refused load logged %d bytes", len(now)-len(logged))
 	}
-	if n := mustExec(t, db, "UPDATE r SET X = 1.0"); n != 2 {
-		t.Fatalf("affected %d rows, want 2", n)
+	if n, _ := db.TableLen("k"); n != 0 {
+		t.Fatalf("a refused load left %d rows", n)
 	}
-	if got := db.Stats().EpochSeq; got != seq+1 {
-		t.Fatalf("INTEGER 1 -> FLOAT 1.0 published %d epoch(s), want 1", got-seq)
-	}
-	snap, err := db.Snapshot("r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range snap.Rows {
-		if row[0].K != relation.KindFloat || row[0].F != 1 {
-			t.Fatalf("row %d holds %v of kind %s, want FLOAT 1", i, row[0], row[0].K)
+
+	// A new table takes the relation's kinds: the INTEGER becomes TEXT.
+	newT := relation.New(mustSchema(t, "n", relation.KindText))
+	newT.Rows = append(newT.Rows, relation.Tuple{relation.Int(3)}, relation.Tuple{relation.Text("x")})
+	floats := relation.New(mustSchema(t, "r", relation.KindFloat, relation.KindFloat))
+	floats.Rows = append(floats.Rows, relation.Tuple{relation.Int(1), relation.Float(math.NaN())}, relation.Tuple{relation.Float(1), relation.Null()})
+	for _, r := range []*relation.Relation{newT, floats} {
+		if err := db.LoadRelation(r); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if got := flat(mustQuery(t, db, "SELECT c0 FROM n WHERE c0 = '3' OR c0 = 'x'")); got != "3;x" {
+		t.Fatalf("loaded TEXT column: %q", got)
+	}
+	seq := db.Stats().EpochSeq
+	mustExec(t, db, "UPDATE r SET c1 = c1")
+	if n := mustExec(t, db, "UPDATE r SET c0 = 1.0"); n != 2 {
+		t.Fatalf("affected %d rows, want 2", n)
+	}
+	if got := db.Stats().EpochSeq; got != seq {
+		t.Fatalf("updates to the values the rows hold published %d epoch(s)", got-seq)
+	}
+	want := fingerprint(db)
+	for _, s := range []string{"table n (c0:TEXT:0,)\n" + relation.Tuple{relation.Text("3")}.Key(), relation.Tuple{relation.Float(1), relation.Float(math.NaN())}.Key()} {
+		if !strings.Contains(want, s) {
+			t.Fatalf("stored state lacks %q:\n%s", s, want)
+		}
+	}
+	if got := fingerprint(memOpen(t, fs, WALOptions{})); got != want {
+		t.Fatalf("recovered state differs:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+
+	// Replay refuses a logged load the table's kinds refuse.
+	rs := fuzzTable() // t (a INTEGER, b TEXT)
+	load := appendTuple(appendUint(appendSchema([]byte{opLoadRelation}, mustSchema(t, "t", relation.KindText, relation.KindText)), 1),
+		relation.Tuple{relation.Text("x"), relation.Text("y")})
+	if err := applyWALUnit(rs, load); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "cannot store TEXT value x in INTEGER column a") {
+		t.Fatalf("replay of a load of TEXT into INTEGER: %v", err)
+	}
+}
+
+// mustSchema is a schema of columns c0, c1, … of the given kinds.
+func mustSchema(t *testing.T, name string, kinds ...relation.Kind) *relation.Schema {
+	t.Helper()
+	attrs := make([]relation.Attribute, len(kinds))
+	for i, k := range kinds {
+		attrs[i] = relation.Attribute{Name: fmt.Sprint("c", i), Kind: k}
+	}
+	s, err := relation.NewSchema(name, attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // Inside a transaction the rule is the same, and rollback restores the

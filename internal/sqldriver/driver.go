@@ -106,6 +106,15 @@ func OpenEngine(dsn string) (*sqldb.DB, error) {
 	return db, nil
 }
 
+// Lookup returns the engine behind a DSN if one is registered; it never
+// creates one.
+func Lookup(dsn string) (*sqldb.DB, bool) {
+	mu.Lock()
+	defer mu.Unlock()
+	db, ok := engines[dsn]
+	return db, ok
+}
+
 // Engine returns the engine behind a DSN, creating it on first use.
 // It is the legacy option-free entry point: a DSN with durability
 // options that fail to apply (bad option syntax, unreadable WAL

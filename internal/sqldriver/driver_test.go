@@ -8,13 +8,18 @@ import (
 	"ecfd/internal/sqldb"
 )
 
+// open opens a DSN no other test uses and drops its engine when the test
+// ends, so a rerun (-count) starts from an empty engine.
 func open(t *testing.T, dsn string) *sql.DB {
 	t.Helper()
 	db, err := sql.Open(DriverName, dsn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	t.Cleanup(func() {
+		db.Close()
+		Unregister(dsn)
+	})
 	return db
 }
 
