@@ -39,12 +39,15 @@ mvccstress:
 	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent' ./internal/sqldb/
 
 # The randomized kernel differentials (batch kernels vs per-row closures
-# vs nested loop) on a seed no earlier run has used. The seed is printed
-# first: `go test ./internal/sqldb/ -run <test> -args -seed=<seed>`
-# replays a failure; without -seed the tests keep their fixed seeds.
+# vs nested loop) and the detector differential's random and transitions
+# workloads (every detector leg vs the naive oracle) on a seed no earlier
+# run has used. The seed is printed first: `go test ./internal/sqldb/
+# -run <test> -args -seed=<seed>` (or ./internal/detect/) replays a
+# failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential' ./internal/sqldb/ -args -seed=$$seed
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential' ./internal/sqldb/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed
 
 # Native fuzzing, ten seconds per (package, target) pair: the SQL lexer
 # and parser never panic and every error they return carries a source

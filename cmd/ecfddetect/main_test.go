@@ -149,6 +149,20 @@ func TestBatchInsertDelete(t *testing.T) {
 	}
 }
 
+// TestDeleteReportsRowsRemoved: the incremental delete line counts the
+// rows removed, not the RIDs named — a repeated RID and one naming no
+// row remove nothing.
+func TestDeleteReportsRowsRemoved(t *testing.T) {
+	specPath, dataPath, _ := writeFiles(t)
+	code, _, errs := runCLI("-spec", specPath, "-data", dataPath, "-delete", "1, 1, 999", "-quiet")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, errs)
+	}
+	if !strings.Contains(errs, "incremental delete: 1 tuples") {
+		t.Errorf("summary does not count one removed row:\n%s", errs)
+	}
+}
+
 // TestUsageErrors: what the command line refuses exits 2 — the two
 // retired detector flags as undefined, like any other.
 func TestUsageErrors(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ecfd/internal/core"
+	"ecfd/internal/gen"
 	"ecfd/internal/relation"
 	"ecfd/internal/sqldb"
 	"ecfd/internal/sqldriver"
@@ -480,6 +481,57 @@ func TestDeleteNothing(t *testing.T) {
 	}
 }
 
+// TestAppliedCountsRows: IncStats.Applied is the tuples inserted plus the
+// rows deleted — what the data table gained and lost. A RID named twice,
+// or naming no row, removes nothing and counts nothing.
+func TestAppliedCountsRows(t *testing.T) {
+	d, cleanup := newBenchDetector(t, 100, 7)
+	defer cleanup()
+	if _, err := d.BatchDetect(); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		var n int64
+		if err := d.db.QueryRow("SELECT COUNT(*) FROM " + d.dataTable).Scan(&n); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	cfg := gen.Config{Rows: 100, Noise: 5, Seed: 7}
+	for i, c := range []struct {
+		ins           int
+		del           []int64
+		applied, grow int64
+	}{
+		{0, []int64{5, 5, 999999, -3}, 1, -1},
+		{2, []int64{8, 8}, 3, 1},
+		{0, []int64{5, 8}, 0, 0}, // both gone already
+		{1, nil, 1, 1},
+	} {
+		var batch *relation.Relation
+		if c.ins > 0 {
+			batch = gen.Updates(cfg, c.ins, int64(i))
+		}
+		before := size()
+		_, st, err := d.ApplyUpdates(batch, c.del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := size() - before; st.Applied != c.applied || got != c.grow {
+			t.Errorf("ApplyUpdates(%d tuples, %v): Applied %d, table grew by %d; want %d and %d", c.ins, c.del, st.Applied, got, c.applied, c.grow)
+		}
+	}
+	before := size()
+	st, err := d.DeleteTuples([]int64{7, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Applied != 1 || size() != before-1 {
+		t.Errorf("DeleteTuples(7, 7): Applied %d, %d rows removed; want 1 and 1", st.Applied, before-size())
+	}
+	assertMatchesNaive(t, d, d.sigma, "after the updates")
+}
+
 // TestIncrementalRepairExample walks the paper's running example:
 // start clean, insert the two dirty tuples, watch violations appear;
 // delete them, watch violations disappear.
@@ -572,6 +624,8 @@ func (r *recordingExecer) Exec(q string, args ...any) (sql.Result, error) {
 func (r *recordingExecer) Prepare(string) (*sql.Stmt, error) {
 	return nil, fmt.Errorf("not prepared in this test")
 }
+
+func (r *recordingExecer) QueryRow(string, ...any) *sql.Row { return nil }
 
 // TestLoadDelRidsTextIndependentOfRIDs: staging ΔD⁻ binds the RIDs as
 // parameters, so two updates of the same size share one statement text

@@ -138,6 +138,7 @@ type statements struct {
 	svOnIns      string
 	mergeIns     string
 	deleteRows   string
+	delExisting  string // the staged ΔD⁻ RIDs that name a row
 	// parallel (read-only) forms, parameterized by RID slice / CID range
 	qsvRIDsSlice    string
 	qmvGroupsCIDRng string

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"database/sql"
+	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,12 +47,13 @@ import (
 // SQL, so a wrong guard in it would move them all together. The whole
 // differential runs with every engine in sqldb.Planned and again in
 // sqldb.RowAtATime (batch kernels on and off), pinning every kernel path
-// end to end, over three workloads (diffWorkloads); the mode belongs to
-// an engine, so the six runs go side by side.
+// end to end, over four workloads (diffWorkloads); the mode belongs to
+// an engine, so the eight runs go side by side. -seed reseeds the
+// workloads (`make difffuzz`).
 func TestDetectThreeWayDifferential(t *testing.T) {
 	var recoveries atomic.Int64
 	run := func(t *testing.T, w diffWorkload, mode sqldb.Mode) {
-		rng := rand.New(rand.NewSource(w.seed))
+		rng := rand.New(rand.NewSource(diffSeed(t, w.seed)))
 		for trial := 0; trial < w.trials; trial++ {
 			inst, sigma := w.instance(rng)
 			dInc := newDetectorIn(t, mode, sigma, inst)
@@ -253,6 +257,22 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 	})
 }
 
+// seedFlag reseeds the detector differential (`make difffuzz`). 0 keeps
+// every workload on its own fixed seed, so plain `go test` runs stay
+// reproducible.
+var seedFlag = flag.Int64("seed", 0, "reseed the detector differential's workloads (0 = each workload's fixed seed)")
+
+// diffSeed returns fixed, or the -seed flag offset by it so the workloads
+// still draw different sequences; the log line names the seed to rerun.
+func diffSeed(t *testing.T, fixed int64) int64 {
+	t.Helper()
+	if *seedFlag == 0 {
+		return fixed
+	}
+	t.Logf("rerun with -seed %d", *seedFlag)
+	return *seedFlag + fixed
+}
+
 // diffWorkload is one source of instances, constraint sets and update
 // sequences for TestDetectThreeWayDifferential.
 type diffWorkload struct {
@@ -373,6 +393,94 @@ var diffWorkloads = []diffWorkload{
 			if len(doomed) > 0 {
 				doomed = append(doomed, doomed[0], doomed[len(doomed)-1], 0, rids[len(rids)-1]+1000)
 			}
+			return batch, doomed
+		},
+	},
+	{
+		// Both MV transitions in every step, under the FDs A → B and
+		// C → D: a violating A group loses the rows off its most common B
+		// and keeps the rest, whose flags must clear (mvClear); a clean A
+		// group of two or more gains a row with another B, whose members
+		// must be flagged (mvSetOld). The groups that move are A = k0…k7,
+		// four violating and four clean at the start; their C and D are
+		// theirs alone, so no other group flags them. Random rows around
+		// them violate either FD at random.
+		name: "transitions", seed: 181, trials: 3,
+		instance: func(rng *rand.Rand) (*relation.Relation, []*core.ECFD) {
+			inst, _ := randomInstanceAndSigma(rng, 20)
+			for g := 0; g < 8; g++ {
+				n := 2 + rng.Intn(3)
+				for i := 0; i < n; i++ {
+					b := "u"
+					if g%2 == 0 && i == n-1 {
+						b = "v"
+					}
+					inst.Rows = append(inst.Rows, relation.Tuple{relation.Text(fmt.Sprintf("k%d", g)), relation.Text(b),
+						relation.Text(fmt.Sprintf("c%d", g)), relation.Text(fmt.Sprintf("d%d", g))})
+				}
+			}
+			fd := func(x, y string) *core.ECFD {
+				return &core.ECFD{Name: x + y, Schema: inst.Schema, X: []string{x}, Y: []string{y},
+					Tableau: []core.PatternTuple{{LHS: []core.Pattern{core.Any()}, RHS: []core.Pattern{core.Any()}}}}
+			}
+			return inst, []*core.ECFD{fd("A", "B"), fd("C", "D")}
+		},
+		update: func(t *testing.T, rng *rand.Rand, d *Detector, _ []*core.ECFD, _ int) (*relation.Relation, []int64) {
+			rids, err := d.RIDs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := d.currentData()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// groups[a][b] lists the positions of the rows with A = a, B = b,
+			// for the A groups that move.
+			groups := make(map[string]map[string][]int)
+			var as []string
+			for i, row := range data.Rows {
+				a, b := row[0].String(), row[1].String()
+				if !strings.HasPrefix(a, "k") {
+					continue
+				}
+				if groups[a] == nil {
+					groups[a] = make(map[string][]int)
+					as = append(as, a)
+				}
+				groups[a][b] = append(groups[a][b], i)
+			}
+			var violating, clean []string
+			for _, a := range as {
+				if len(groups[a]) > 1 {
+					violating = append(violating, a)
+				} else if len(slices.Collect(maps.Values(groups[a]))[0]) > 1 {
+					clean = append(clean, a)
+				}
+			}
+			if len(violating) == 0 || len(clean) == 0 {
+				t.Fatalf("no group left to move: %d violating, %d clean of two or more", len(violating), len(clean))
+			}
+			heal := groups[violating[rng.Intn(len(violating))]]
+			bs := slices.Sorted(maps.Keys(heal))
+			keep := bs[0]
+			for _, b := range bs {
+				if len(heal[b]) > len(heal[keep]) {
+					keep = b
+				}
+			}
+			var doomed []int64
+			for _, b := range bs {
+				if b != keep {
+					for _, i := range heal[b] {
+						doomed = append(doomed, rids[i])
+					}
+				}
+			}
+			split := slices.Collect(maps.Values(groups[clean[rng.Intn(len(clean))]]))[0]
+			row := data.Rows[split[0]].Clone()
+			row[1] = relation.Text(row[1].String() + "'")
+			batch := randomRows(rng, d.schema, rng.Intn(3))
+			batch.Rows = append(batch.Rows, row)
 			return batch, doomed
 		},
 	},
@@ -526,15 +634,17 @@ func TestBatchDetectStatementsFullyBatched(t *testing.T) {
 }
 
 // TestIncrementalStatementsDeltaDriven is the EXPLAIN acceptance for
-// the incremental script: every statement starts from ΔD. No statement
-// scans the whole data table, except the recompute of the touched
-// groups and the MV clearing, which visit it once per FD-bearing
-// pattern tuple only — the FD guard is decided on the pattern tuple,
-// above the data scan, and the scan's touched-keys probe (alias k) is
-// one whose entries answer from the value sets of the few touched keys
-// (TestApplyUpdatesProbeRowsBounded counts what is left); the two
-// statements that start from ΔD⁻ reach their rows from the staged RIDs
-// through the RID index.
+// the incremental script: every statement starts from ΔD. Only the
+// recompute of the touched groups scans the whole data table under the
+// FD guard, once per FD-bearing pattern tuple — the guard is decided on
+// the pattern tuple, above the data scan, and the scan's touched-keys
+// probe (alias k) is one whose entries answer from the value sets of the
+// few touched keys (TestApplyUpdatesProbeRowsBounded counts what is
+// left). The MV clearing scans it only below its aux_old guard (alias
+// g), decided per pattern tuple too, which lets no pattern through on an
+// update that touches no violating group (TestMVClearOnTransitionsOnly);
+// the two statements that start from ΔD⁻ reach their rows from the
+// staged RIDs through the RID index.
 func TestIncrementalStatementsDeltaDriven(t *testing.T) {
 	dsn := fmt.Sprintf("detect_delta_%d", dsnSeq.Add(1))
 	db, err := sql.Open(sqldriver.DriverName, dsn)
@@ -577,19 +687,24 @@ func TestIncrementalStatementsDeltaDriven(t *testing.T) {
 		if err != nil {
 			t.Fatalf("statement %d: %v\n%s", i, err, q)
 		}
-		guarded := false
+		fdGuarded, oldGuarded := false, false
 		for _, line := range strings.Split(plan, "\n") {
 			line = strings.TrimSpace(line)
-			if strings.HasPrefix(line, "scan c ") && strings.Contains(line, fdGuard) {
-				guarded = true
+			if strings.HasPrefix(line, "scan c ") {
+				fdGuarded = fdGuarded || strings.Contains(line, fdGuard)
+				oldGuarded = oldGuarded || strings.Contains(line, "value-set probe g")
 			}
 			if !strings.HasPrefix(line, "scan ") || !strings.Contains(line, wholeData) {
 				continue
 			}
 			switch {
-			case q != d.stmts.auxRecompute && q != d.stmts.mvClear:
+			case q == d.stmts.mvClear:
+				if !oldGuarded {
+					t.Errorf("statement %d scans the data table above the aux_old guard:\n%s", i, plan)
+				}
+			case q != d.stmts.auxRecompute:
 				t.Errorf("statement %d scans the whole data table:\n%s", i, plan)
-			case !guarded:
+			case !fdGuarded:
 				t.Errorf("statement %d scans the data table above the FD guard:\n%s", i, plan)
 			case !strings.Contains(line, "value-set probe k"):
 				t.Errorf("statement %d: the touched-keys probe of the data scan cannot answer from value sets:\n%s", i, plan)
@@ -603,8 +718,9 @@ func TestIncrementalStatementsDeltaDriven(t *testing.T) {
 
 // TestApplyUpdatesProbeRowsBounded pins, on the engine's deterministic
 // work counter, that an update's probes are paid for by the groups it
-// touches, not by |D|: the recompute and the MV clearing still visit the
-// data table once per FD-bearing pattern tuple, but they decide nearly
+// touches, not by |D|: the recompute still visits the data table once
+// per FD-bearing pattern tuple, and the MV clearing once per pattern
+// tuple holding a group that was violating, but they decide nearly
 // every (tuple, pattern) pair from the value sets of the few touched
 // keys, and at most 15 % of the pairs reach an exact probe of the keys
 // table or of Aux. Sending every pair there, as the probe kernel did

@@ -9,7 +9,9 @@ import (
 
 // IncStats reports one incremental maintenance step.
 type IncStats struct {
-	Applied int64 // tuples inserted or deleted
+	// Applied counts the tuples inserted plus the rows deleted: a RID named
+	// twice, or naming no row, removes nothing and counts nothing.
+	Applied int64
 	Elapsed time.Duration
 }
 
@@ -37,8 +39,9 @@ func (d *Detector) InsertTuples(batch *relation.Relation) ([]int64, IncStats, er
 // flags and Aux(D) (paper §V-B, deletions): deletions cannot introduce
 // violations, so the work is collecting the touched group keys from the
 // doomed tuples, removing the rows, recomputing the touched Aux groups,
-// and clearing MV on tuples of touched groups that no longer match any
-// Aux pattern.
+// and clearing MV on members of groups that were violating (aux_old)
+// and match no Aux pattern any more. RIDs that name no row, or repeat,
+// are ignored; IncStats.Applied counts the rows removed.
 func (d *Detector) DeleteTuples(rids []int64) (IncStats, error) {
 	if len(rids) == 0 {
 		return IncStats{}, nil
@@ -61,16 +64,28 @@ func (d *Detector) InsertRaw(batch *relation.Relation) ([]int64, error) {
 // stages the RIDs like ApplyUpdates does and runs the same fixed
 // deletion statement, so the rows are reached through the RID index.
 func (d *Detector) DeleteRaw(rids []int64) error {
+	_, err := d.deleteRaw(rids)
+	return err
+}
+
+// deleteRaw is DeleteRaw returning the number of rows removed.
+func (d *Detector) deleteRaw(rids []int64) (int64, error) {
 	if len(rids) == 0 {
-		return nil
+		return 0, nil
 	}
-	return d.runAtomic(func(ex execer) error {
+	var removed int64
+	err := d.runAtomic(func(ex execer) error {
 		if err := d.loadDelRids(ex, rids); err != nil {
 			return err
 		}
-		_, err := ex.Exec(d.stmts.deleteRows)
+		res, err := ex.Exec(d.stmts.deleteRows)
+		if err != nil {
+			return err
+		}
+		removed, err = res.RowsAffected()
 		return err
 	})
+	return removed, err
 }
 
 // ApplyUpdates applies a combined update ΔD = (ΔD⁻, ΔD⁺) — the shape
@@ -85,7 +100,8 @@ func (d *Detector) ApplyUpdates(insBatch *relation.Relation, delRids []int64) ([
 			return nil, IncStats{}, err
 		}
 	}
-	applied := int64(len(delRids))
+	delRids = distinctRIDs(delRids)
+	var applied int64
 	var rids []int64
 	err := d.runAtomic(func(ex execer) error {
 		firstRID := d.nextRID + 1
@@ -97,10 +113,19 @@ func (d *Detector) ApplyUpdates(insBatch *relation.Relation, delRids []int64) ([
 			if rids, err = d.bulkInsert(ex, d.insTable, insBatch); err != nil {
 				return err
 			}
-			applied += int64(insBatch.Len())
+			applied = int64(insBatch.Len())
 		}
 		if err := d.loadDelRids(ex, delRids); err != nil {
 			return err
+		}
+		if len(delRids) > 0 {
+			// The staged RIDs that name a row: the script deletes exactly
+			// those. The count is driven by _del through the RID index.
+			var removed int64
+			if err := ex.QueryRow(d.stmts.delExisting).Scan(&removed); err != nil {
+				return err
+			}
+			applied += removed
 		}
 
 		// The §V-B maintenance sequence runs as one pipelined script (see
@@ -115,6 +140,20 @@ func (d *Detector) ApplyUpdates(insBatch *relation.Relation, delRids []int64) ([
 		return nil, IncStats{}, err
 	}
 	return rids, IncStats{Applied: applied, Elapsed: time.Since(start)}, nil
+}
+
+// distinctRIDs returns rids without repeats, in first-seen order; rids
+// itself is left as it is.
+func distinctRIDs(rids []int64) []int64 {
+	seen := make(map[int64]bool, len(rids))
+	out := make([]int64, 0, len(rids))
+	for _, rid := range rids {
+		if !seen[rid] {
+			seen[rid] = true
+			out = append(out, rid)
+		}
+	}
+	return out
 }
 
 // loadDelRids fills the ΔD⁻ staging table. The RIDs bind as parameters

@@ -13,6 +13,7 @@ import (
 type execer interface {
 	Exec(query string, args ...any) (sql.Result, error)
 	Prepare(query string) (*sql.Stmt, error)
+	QueryRow(query string, args ...any) *sql.Row
 }
 
 // SetAtomicUpdates selects whether ApplyUpdates and LoadData wrap

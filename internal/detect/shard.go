@@ -498,7 +498,6 @@ func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []in
 	}
 	k := len(s.shards)
 	w := len(s.coord.schema.Attrs)
-	applied := int64(len(delRids))
 
 	// Stage 1a: coordinator write-through. The coordinator allocates the
 	// RIDs the routing needs.
@@ -511,11 +510,12 @@ func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []in
 			return fail(err)
 		}
 		insRows = insBatch.Rows
-		applied += int64(insBatch.Len())
 	}
-	if err := s.coord.DeleteRaw(delRids); err != nil {
+	removed, err := s.coord.deleteRaw(delRids)
+	if err != nil {
 		return fail(err)
 	}
+	applied := int64(len(rids)) + removed
 
 	// Stage 1b: route, stage, flag SV, export touched keys. Every shard
 	// participates — staging tables must be truncated everywhere, or a
@@ -533,7 +533,7 @@ func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []in
 		delPer[sh] = append(delPer[sh], rid)
 	}
 	keySets := make([][]patRow, k)
-	err := s.eachShard(func(i int, sh *shardStore) error {
+	err = s.eachShard(func(i int, sh *shardStore) error {
 		if _, err := sh.d.db.Exec("TRUNCATE TABLE " + sh.d.insTable); err != nil {
 			return err
 		}
@@ -567,9 +567,11 @@ func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []in
 		keySet[r.key()] = true
 	}
 	oldSet := make(map[string]bool)
+	var auxOld []patRow
 	for _, r := range coordAux {
 		if keySet[r.key()] {
 			oldSet[r.key()] = true
+			auxOld = append(auxOld, r)
 		}
 	}
 
@@ -623,19 +625,25 @@ func (s *ShardedDetector) ApplyUpdates(insBatch *relation.Relation, delRids []in
 		return fail(err)
 	}
 
-	// Stage 4b: broadcast the recomputed groups and flag MV shard-local
+	// Stage 4b: broadcast the recomputed groups, the newly-violating ones
+	// and the previously-violating touched ones, and flag MV shard-local
 	// (mvSetNew on the merged batch rows, mvSetOld on pre-existing rows
 	// of newly-violating groups, mvClear on no-longer-matching rows of
-	// touched groups).
+	// previously-violating groups).
 	err = s.eachShard(func(i int, sh *shardStore) error {
 		if err := sh.d.insertPatRows(sh.d.auxTable, recomputed); err != nil {
 			return err
 		}
-		if _, err := sh.d.db.Exec("TRUNCATE TABLE " + sh.d.auxNewTable); err != nil {
-			return err
-		}
-		if err := sh.d.insertPatRows(sh.d.auxNewTable, auxNew); err != nil {
-			return err
+		for _, st := range []struct {
+			table string
+			rows  []patRow
+		}{{sh.d.auxNewTable, auxNew}, {sh.d.auxOldTable, auxOld}} {
+			if _, err := sh.d.db.Exec("TRUNCATE TABLE " + st.table); err != nil {
+				return err
+			}
+			if err := sh.d.insertPatRows(st.table, st.rows); err != nil {
+				return err
+			}
 		}
 		_, err := sh.d.db.Exec(sh.d.stmts.shardIncPost, firstRID, firstRID)
 		return err

@@ -29,6 +29,8 @@ func (d *Detector) generateSQL() {
 		mergeIns:     fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", d.dataTable, d.insTable),
 		deleteRows: fmt.Sprintf("DELETE FROM %s t WHERE t.%s IN (SELECT d.%s FROM %s d)",
 			d.dataTable, ColRID, ColRID, d.delTable),
+		delExisting: fmt.Sprintf("SELECT COUNT(*) FROM %s d, %s t WHERE t.%s = d.%s",
+			d.delTable, d.dataTable, ColRID, ColRID),
 		qsvRIDsSlice:    d.genQsvRIDsSlice(),
 		qmvGroupsCIDRng: d.genQmvGroupsCIDRange(),
 		checkSVRIDs:     d.genCheckSVRIDs(),
@@ -311,9 +313,8 @@ func (d *Detector) genMVRIDsSlice() string {
 	// statement set. DISTINCT collapses tuples matching several
 	// patterns; the parallel driver sorts and dedups the merged slices
 	// anyway, so the result contract is unchanged.
-	cidGuard := fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", d.auxTable)
-	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c WHERE t.%s >= ? AND t.%s <= ? AND %s AND %s",
-		ColRID, d.dataTable, d.encTable, ColRID, ColRID, cidGuard, d.auxProbe(d.auxTable))
+	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c WHERE t.%s >= ? AND t.%s <= ? AND %s",
+		ColRID, d.dataTable, d.encTable, ColRID, ColRID, d.guardedAuxProbe(d.auxTable))
 }
 
 // auxProbe renders "t matches some (cid, p) in table for c's CID": the
@@ -328,15 +329,20 @@ func (d *Detector) auxProbe(table string) string {
 	return fmt.Sprintf("EXISTS (SELECT 1 FROM %s a WHERE %s)", table, strings.Join(conds, " AND "))
 }
 
+// guardedAuxProbe renders auxProbe(table) behind a per-CID guard: the
+// guard reads only the pattern row, so the planner decides it once per
+// pattern tuple and skips the data rows of every CID the table holds
+// no group for.
+func (d *Detector) guardedAuxProbe(table string) string {
+	return fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID) AND %s", table, d.auxProbe(table))
+}
+
 // genMVUpdate flags every tuple matching an Aux pattern: MV := 1. The
-// same per-CID guard as genMVSetOldRows leads the conjunction: it
-// depends only on the pattern row, so the engine's planner evaluates
-// it once per pattern and skips the projection probes for every data
-// tuple when a CID has no violating groups at all.
+// per-CID guard skips the projection probes for every data tuple when a
+// CID has no violating groups at all.
 func (d *Detector) genMVUpdate() string {
-	cidGuard := fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", d.auxTable)
-	return fmt.Sprintf("UPDATE %s t SET %s = 1 WHERE EXISTS (SELECT 1 FROM %s c WHERE %s AND %s)",
-		d.dataTable, ColMV, d.encTable, cidGuard, d.auxProbe(d.auxTable))
+	return fmt.Sprintf("UPDATE %s t SET %s = 1 WHERE EXISTS (SELECT 1 FROM %s c WHERE %s)",
+		d.dataTable, ColMV, d.encTable, d.guardedAuxProbe(d.auxTable))
 }
 
 // --- advisory check (Check) ---
@@ -361,9 +367,8 @@ func (d *Detector) genCheckSVRIDs() string {
 // merge. A tuple that would *newly* tip a clean group into violation
 // is not reported; that transition needs the recompute in ApplyUpdates.
 func (d *Detector) genCheckMVRIDs() string {
-	cidGuard := fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", d.auxTable)
-	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c WHERE %s AND %s",
-		ColRID, d.insTable, d.encTable, cidGuard, d.auxProbe(d.auxTable))
+	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c WHERE %s",
+		ColRID, d.insTable, d.encTable, d.guardedAuxProbe(d.auxTable))
 }
 
 // genKeys collects the group keys touched by an update batch: the
@@ -478,19 +483,28 @@ func (d *Detector) genMVSetNewRows() string {
 // which is the common case; with aux_new empty the statement degrades
 // to one cheap probe per pair.
 func (d *Detector) genMVSetOldRows() string {
-	cidGuard := fmt.Sprintf("EXISTS (SELECT 1 FROM %s g WHERE g.CID = c.CID)", d.auxNewTable)
 	return fmt.Sprintf(
-		"UPDATE %s t SET %s = 1 WHERE t.%s < ? AND t.%s = 0 AND EXISTS (SELECT 1 FROM %s c WHERE %s AND %s)",
-		d.dataTable, ColMV, ColRID, ColMV, d.encTable, cidGuard, d.auxProbe(d.auxNewTable))
+		"UPDATE %s t SET %s = 1 WHERE t.%s < ? AND t.%s = 0 AND EXISTS (SELECT 1 FROM %s c WHERE %s)",
+		d.dataTable, ColMV, ColRID, ColMV, d.encTable, d.guardedAuxProbe(d.auxNewTable))
 }
 
-// genMVClear clears MV on tuples in touched groups that no longer
-// match any Aux pattern at all (they may still be violating through an
-// untouched group, which the NOT EXISTS over the full Aux preserves).
-// Touched keys only ever belong to FD-bearing patterns, so the guard
-// keeps the data scan off the others.
+// genMVClear clears MV on tuples of groups that were violating before
+// the update — members of an aux_old group — and match no Aux pattern
+// at all now (they may still be violating through another group, which
+// the NOT EXISTS over the full Aux preserves). Behind the per-CID guard
+// the data is scanned only for the CIDs aux_old holds, and aux_old is
+// empty unless the update touched a violating group.
+//
+// It clears exactly the rows a probe of every touched key would. A
+// pre-existing row r flagged MV that matches no Aux group now matched a
+// violating group G before the update (the MV invariant). r's
+// projection onto G has not changed and untouched Aux rows survive the
+// recompute, so G was touched; being in Aux and touched, auxSaveOld
+// copied it, so r matches aux_old. Conversely aux_old holds touched
+// keys only, so no other row is cleared; and the rows mvSetNew and
+// mvSetOld flag match Aux, so neither form clears them.
 func (d *Detector) genMVClear() string {
 	return fmt.Sprintf(
-		"UPDATE %s t SET %s = 0 WHERE t.%s = 1 AND EXISTS (SELECT 1 FROM %s c WHERE %s AND %s) AND NOT EXISTS (SELECT 1 FROM %s c WHERE %s)",
-		d.dataTable, ColMV, ColMV, d.encTable, d.fdGuard(), d.keysProbe(), d.encTable, d.auxProbe(d.auxTable))
+		"UPDATE %s t SET %s = 0 WHERE t.%s = 1 AND EXISTS (SELECT 1 FROM %s c WHERE %s) AND NOT EXISTS (SELECT 1 FROM %s c WHERE %s)",
+		d.dataTable, ColMV, ColMV, d.encTable, d.guardedAuxProbe(d.auxOldTable), d.encTable, d.auxProbe(d.auxTable))
 }

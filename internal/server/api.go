@@ -136,7 +136,9 @@ type UpdatesRequest struct {
 	Delete []int64 `json:"delete,omitempty"`
 }
 
-// UpdatesResponse reports one incremental maintenance step.
+// UpdatesResponse reports one incremental maintenance step. Applied
+// counts the rows inserted plus the rows deleted; a RID that repeats or
+// names no row counts nothing.
 type UpdatesResponse struct {
 	Inserted  RIDRange `json:"inserted"`
 	Applied   int64    `json:"applied"`

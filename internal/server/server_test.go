@@ -194,6 +194,35 @@ func TestServerProtocol(t *testing.T) {
 	}
 }
 
+// TestUpdatesAppliedCountsRows: the updates route's "applied" is the
+// rows inserted plus the rows deleted; a RID named twice, or naming no
+// row, counts nothing.
+func TestUpdatesAppliedCountsRows(t *testing.T) {
+	c := newTestClient(t, Options{})
+	var sess SessionInfo
+	c.mustOK("POST", "/v1/sessions", CreateSessionRequest{Name: "cust", Spec: testSpec}, &sess)
+	base := "/v1/sessions/" + sess.ID
+	c.mustOK("POST", base+"/load", RowsPayload{Rows: [][]any{
+		{"212", "5551234", "Ann", "1 Main St", "CHI", "60601"},
+		{"312", "5555678", "Bob", "2 Oak Ave", "CHI", "60602"},
+		{"415", "5550000", "Joe", "4 Pine St", "SF", "94101"},
+	}}, nil)
+	c.mustOK("POST", base+"/detect", nil, nil)
+	for _, tc := range []struct {
+		req  UpdatesRequest
+		want int64
+	}{
+		{UpdatesRequest{Delete: []int64{2, 2, 999}}, 1},
+		{UpdatesRequest{Insert: [][]any{{"212", "7777777", "Zoe", "7 Bay Rd", "NYC", "10002"}}, Delete: []int64{2}}, 1},
+	} {
+		var upd UpdatesResponse
+		c.mustOK("POST", base+"/updates", tc.req, &upd)
+		if upd.Applied != tc.want {
+			t.Errorf("updates %+v: applied %d, want %d", tc.req, upd.Applied, tc.want)
+		}
+	}
+}
+
 // TestServerCreateErrors covers the typed rejection surface of session
 // creation and body decoding.
 func TestServerCreateErrors(t *testing.T) {

@@ -578,6 +578,11 @@ type Stats struct {
 	// SegCellsCopied the column-segment share of it: the part that depends
 	// on the rows a statement touches and not on the size of its table.
 	CellsCopied, SegCellsCopied int64
+	// RowsMatched counts the rows UPDATE and DELETE statements selected,
+	// RowsWritten the rows DML inserted, changed or removed: an UPDATE
+	// whose new values are already in place matches a row without writing
+	// it. TRUNCATE adds to neither.
+	RowsMatched, RowsWritten int64
 	// SetRows counts the rows value sets decided, TextLookups the strings
 	// compared or hashed to decide those, or a kernel over a coded column —
 	// per row, dictionary string or set member. DistinctKeys counts the keys
@@ -608,6 +613,8 @@ func (db *DB) Stats() Stats {
 		SchedReuses:    db.work[wSchedReuses].Load(),
 		CellsCopied:    db.work[wCellsCopied].Load(),
 		SegCellsCopied: db.work[wSegCellsCopied].Load(),
+		RowsMatched:    db.work[wRowsMatched].Load(),
+		RowsWritten:    db.work[wRowsWritten].Load(),
 		SetRows:        db.work[wSetRows].Load(),
 		TextLookups:    db.work[wTextLookups].Load(),
 		DistinctKeys:   db.work[wDistinctKeys].Load(),
@@ -866,6 +873,13 @@ func (db *DB) applyAppend(t *Table, newRows []relation.Tuple) {
 func (db *DB) copied(cells, seg int) {
 	db.work[wCellsCopied].Add(int64(cells))
 	db.work[wSegCellsCopied].Add(int64(seg))
+}
+
+// wrote adds one DML statement's selected and written rows to the
+// RowsMatched / RowsWritten counters.
+func (db *DB) wrote(matched, written int) {
+	db.work[wRowsMatched].Add(int64(matched))
+	db.work[wRowsWritten].Add(int64(written))
 }
 
 // applyUpdate installs an UPDATE of setCols at row positions pos

@@ -55,8 +55,10 @@ const (
 	wHashBuilds
 	wSchedBuilds
 	wSchedReuses
-	wCellsCopied // this and the next: added to by DML forks (DB.copied), which run under no env
+	wCellsCopied // this and the next three: added to by DML (DB.copied, DB.wrote), once per statement
 	wSegCellsCopied
+	wRowsMatched
+	wRowsWritten
 	wSetRows
 	wTextLookups
 	wDistinctKeys

@@ -179,6 +179,7 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 	}
 	db.backupForTx(t)
 	db.applyAppend(t, newRows)
+	db.wrote(0, len(newRows))
 	return int64(len(newRows)), nil
 }
 
@@ -545,6 +546,7 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 		}
 	}
 	if pos = pos[:n]; n == 0 {
+		db.wrote(int(matched), 0)
 		return matched, nil
 	}
 	// applyUpdate forks the next epoch copy-on-write: changed tuples are
@@ -556,6 +558,7 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	}
 	db.backupForTx(t)
 	db.applyUpdate(t, pos, setCols, vals)
+	db.wrote(int(matched), n)
 	return matched, nil
 }
 
@@ -608,5 +611,6 @@ func (db *DB) runDelete(p *deletePlan, params []relation.Value) (int64, error) {
 	// applyDelete compacts the rows copy-on-write and filters/remaps
 	// built indexes instead of rebuilding.
 	db.applyDelete(t, dropped)
+	db.wrote(len(dropped), len(dropped))
 	return int64(len(dropped)), nil
 }

@@ -373,6 +373,34 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestRowsMatchedAndWritten pins the DML counters: UPDATE and DELETE add
+// the rows they select to RowsMatched, and every DML statement adds the
+// rows it inserts, changes or removes to RowsWritten — an UPDATE not the
+// rows already holding their new values. TRUNCATE and SELECT add nothing.
+func TestRowsMatchedAndWritten(t *testing.T) {
+	db := testDB(t)
+	for _, c := range []struct {
+		q                string
+		matched, written int64
+	}{
+		{`INSERT INTO emp VALUES (6, 'fay', 'hr', 70.0), (7, 'gus', 'hr', 70.0)`, 0, 2},
+		{`INSERT INTO dept SELECT dept, name FROM emp WHERE salary > 1000`, 0, 0},
+		{`UPDATE emp SET salary = 80.0 WHERE dept = 'ops' OR dept = 'hr'`, 5, 3},
+		{`UPDATE emp SET salary = 80.0 WHERE dept = 'ops'`, 2, 0},
+		{`UPDATE emp SET salary = 1.0 WHERE id = 999`, 0, 0},
+		{`DELETE FROM emp WHERE EXISTS (SELECT 1 FROM dept WHERE dept.head = emp.name)`, 2, 2},
+		{`SELECT * FROM emp`, 0, 0},
+		{`TRUNCATE TABLE dept`, 0, 0},
+	} {
+		before := db.Stats()
+		mustExec(t, db, c.q)
+		after := db.Stats()
+		if m, w := after.RowsMatched-before.RowsMatched, after.RowsWritten-before.RowsWritten; m != c.matched || w != c.written {
+			t.Errorf("%s: matched %d, wrote %d rows; want %d and %d", c.q, m, w, c.matched, c.written)
+		}
+	}
+}
+
 func TestInsertVariants(t *testing.T) {
 	db := testDB(t)
 	mustExec(t, db, `INSERT INTO dept (name) VALUES ('hr')`)
