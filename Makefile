@@ -58,9 +58,11 @@ difffuzz:
 # encodings); the eCFD spec language never panics and only ever returns
 # constraints that pass Validate (FuzzParseSpec); the DSN option grammar
 # never panics, quotes the DSN in every error, and registers no engine
-# for a DSN it refuses (FuzzParseDSN). A failure writes its input under
-# the package's testdata/fuzz/, which `go test` then replays.
-FUZZ_TARGETS = internal/sqldb:FuzzParse internal/sqldb:FuzzWALUnit internal/sqldb:FuzzSnapshot internal/core:FuzzParseSpec internal/sqldriver:FuzzParseDSN
+# for a DSN it refuses (FuzzParseDSN); two tuples get one grouping key
+# exactly when every position is Identical (FuzzKeyOf). A failure writes
+# its input under the package's testdata/fuzz/, which `go test` then
+# replays.
+FUZZ_TARGETS = internal/sqldb:FuzzParse internal/sqldb:FuzzWALUnit internal/sqldb:FuzzSnapshot internal/core:FuzzParseSpec internal/sqldriver:FuzzParseDSN internal/relation:FuzzKeyOf
 
 fuzz:
 	for pt in $(FUZZ_TARGETS); do \

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ecfd/internal/gen"
+	"ecfd/internal/sqldb"
 )
 
 // applyWorkload is the inc_40k unit at any size: a detector with current
@@ -227,6 +228,51 @@ func TestPreDedupDecidesByCode(t *testing.T) {
 	for i := 1; i < len(sizes); i++ {
 		if got, bound := float64(keys[i])/float64(keys[0]), float64(segs(sizes[i]))/float64(segs(sizes[0])); got > bound {
 			t.Errorf("keys grow %.1f× from %d to %d rows, the segments %.1f×", got, sizes[0], sizes[i], bound)
+		}
+	}
+}
+
+// TestRecomputeStepsFirstOccurrences states in counters that the Aux
+// recompute hands the per-row machinery the rows that can add a key, not
+// every row its levels select. Stepped alone in a warm 8+8 update at
+// 10 000, 40 000 and 160 000 rows, auxRecompute steps
+// (sqldb.Stats.RowsStepped) no more rows than it hashes DISTINCT keys and
+// forms groups: the pattern rows stepped are fewer than the groups, and
+// every data row stepped builds a key. Its repeats, decided by segment
+// codes before a row is stepped (CodeRepeats), are still at least 95 % of
+// the pre-filter's decisions at 40 000 rows, as TestPreDedupDecidesByCode
+// asks of whole updates. While the code memo ran behind stepRow, every
+// repeat was stepped too: about 30 times the bound.
+func TestRecomputeStepsFirstOccurrences(t *testing.T) {
+	const ops = 4
+	for _, rows := range []int{10_000, 40_000, 160_000} {
+		w, cleanup := newApplyWorkload(t, rows)
+		for i := 0; i < 2; i++ {
+			w.apply(t, 0, 1, 2, 3, 4, 5, 6, 7)
+		}
+		var stepped, keys, groups, repeats int64
+		for i := 0; i < ops; i++ {
+			w.stepApply(t, gen.Updates(w.cfg, 8, w.batch), w.live[:8:8], func(q string, before, after sqldb.Stats) {
+				if q == w.d.stmts.auxRecompute {
+					stepped += after.RowsStepped - before.RowsStepped
+					keys += after.DistinctKeys - before.DistinctKeys
+					groups += after.Groups - before.Groups
+					repeats += after.CodeRepeats - before.CodeRepeats
+				}
+			})
+			w.batch++
+		}
+		cleanup()
+		stepped, keys, groups, repeats = stepped/ops, keys/ops, groups/ops, repeats/ops
+		t.Logf("%d rows: auxRecompute steps %d rows, hashes %d keys, forms %d groups, decides %d repeats by code", rows, stepped, keys, groups, repeats)
+		if stepped == 0 || repeats == 0 {
+			t.Fatalf("%d rows: %d rows stepped, %d repeats by code: the counters are not wired", rows, stepped, repeats)
+		}
+		if stepped > keys+groups {
+			t.Errorf("%d rows: auxRecompute stepped %d rows, more than its %d DISTINCT keys and %d groups", rows, stepped, keys, groups)
+		}
+		if rows == 40_000 && 20*repeats < 19*(repeats+keys) {
+			t.Errorf("%d rows: %d of %d pre-filter decisions by code, fewer than 95 %%", rows, repeats, repeats+keys)
 		}
 	}
 }

@@ -318,3 +318,47 @@ func TestNullXGroupsThroughSQL(t *testing.T) {
 		t.Errorf("NULL-keyed group must be MV, k-group clean: %v", flags)
 	}
 }
+
+// TestSeparatorInTextKeepsGroupsApart: two rows whose LHS cells differ,
+// but whose joined cells are the same bytes once a cell holds 0x1f (the
+// separator keys were once joined with) and a kind tag, are two groups of
+// A, B → C. While text keys were not length-prefixed, both the oracle and
+// the SQL detector made them one group with two C values: a phantom MV
+// violation.
+func TestSeparatorInTextKeepsGroupsApart(t *testing.T) {
+	s := relation.MustSchema("sep",
+		relation.Attribute{Name: "A", Kind: relation.KindText},
+		relation.Attribute{Name: "B", Kind: relation.KindText},
+		relation.Attribute{Name: "C", Kind: relation.KindText},
+	)
+	fd := (&core.FD{Schema: s, X: []string{"A", "B"}, Y: []string{"C"}}).AsECFD()
+	fd.Name = "fd"
+	sigma := []*core.ECFD{fd}
+	inst := relation.New(s)
+	inst.MustInsert(relation.Tuple{relation.Text("a\x1f\x00tb"), relation.Text("c"), relation.Text("x")})
+	second := relation.New(s)
+	second.MustInsert(relation.Tuple{relation.Text("a"), relation.Text("b\x1f\x00tc"), relation.Text("y")})
+
+	both := relation.New(s)
+	both.Rows = append(slices.Clone(inst.Rows), second.Rows...)
+	if naive, err := core.NaiveDetect(both, sigma); err != nil || naive.MV[0] || naive.MV[1] {
+		t.Fatalf("the oracle flags MV %v (%v), want no violation", naive.MV, err)
+	}
+	d := newDetector(t, sigma, both)
+	if _, err := d.BatchDetect(); err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesNaive(t, d, sigma, "BatchDetect")
+	if flags, err := d.FlagsByRID(); err != nil || flags[1][1] || flags[2][1] {
+		t.Fatalf("BatchDetect flags %v (%v), want no MV", flags, err)
+	}
+
+	d = newDetector(t, sigma, inst)
+	if _, err := d.BatchDetect(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.ApplyUpdates(second, nil); err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesNaive(t, d, sigma, "ApplyUpdates")
+}

@@ -8,6 +8,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -293,30 +294,21 @@ func sign(i int) int {
 }
 
 // Key returns a map-key representation of v so tuples of values can be
-// grouped and hashed. The encoding is injective across kinds.
+// grouped and hashed: AppendKey's encoding, as a string.
 func (v Value) Key() string {
-	switch v.K {
-	case KindNull:
-		return "\x00n"
-	case KindBool, KindInt:
-		return "\x00i" + strconv.FormatInt(v.I, 10)
-	case KindFloat:
-		f := v.F
-		if f == float64(int64(f)) {
-			// Integral floats hash like ints so 1 and 1.0 group together,
-			// matching Equal's numeric widening.
-			return "\x00i" + strconv.FormatInt(int64(f), 10)
-		}
-		return "\x00f" + strconv.FormatFloat(f, 'b', -1, 64)
-	default:
-		return "\x00t" + v.S
-	}
+	var buf [32]byte
+	return string(AppendKey(buf[:0], v))
 }
 
-// AppendKey appends v's Key encoding to dst without allocating a
+// AppendKey appends v's key encoding to dst without allocating a
 // string; hot paths (hash-probe joins, grouping) use it with a reused
 // buffer and look maps up via string(dst), which Go compiles without a
-// copy.
+// copy. The encoding is injective across kinds — integral floats encode
+// like ints, so 1 and 1.0 group together, matching Equal's numeric
+// widening — and prefix-free: every encoding starts with 0x00, which no
+// number's rendering holds, and text carries its length, so no cell's bytes
+// can end one key and begin the next. A concatenation of keys is
+// therefore the key of the sequence, with no separator (AppendKeyOf).
 func AppendKey(dst []byte, v Value) []byte {
 	switch v.K {
 	case KindNull:
@@ -325,24 +317,25 @@ func AppendKey(dst []byte, v Value) []byte {
 		dst = append(dst, 0x00, 'i')
 		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
-		f := v.F
-		if f == float64(int64(f)) {
+		// The range test first: converting a float outside int64's range
+		// is implementation-defined, and may land back on f.
+		if f := v.F; f >= -1<<63 && f < 1<<63 && f == float64(int64(f)) {
 			dst = append(dst, 0x00, 'i')
 			return strconv.AppendInt(dst, int64(f), 10)
 		}
 		dst = append(dst, 0x00, 'f')
-		return strconv.AppendFloat(dst, f, 'b', -1, 64)
+		return strconv.AppendFloat(dst, v.F, 'b', -1, 64)
 	default:
 		dst = append(dst, 0x00, 't')
+		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 		return append(dst, v.S...)
 	}
 }
 
-// AppendKeyOf appends the joint key of vs to dst.
+// AppendKeyOf appends the joint key of vs to dst: their keys, in order.
 func AppendKeyOf(dst []byte, vs []Value) []byte {
 	for i := range vs {
 		dst = AppendKey(dst, vs[i])
-		dst = append(dst, 0x1f)
 	}
 	return dst
 }

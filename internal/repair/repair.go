@@ -335,7 +335,6 @@ func jointKey(t relation.Tuple, idx []int) string {
 	var buf []byte
 	for _, i := range idx {
 		buf = relation.AppendKey(buf, t[i])
-		buf = append(buf, 0x1f)
 	}
 	return string(buf)
 }

@@ -1268,7 +1268,6 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 		}
 		if inPrefix && pb.con[i] {
 			pb.pfx = relation.AppendKey(pb.pfx, pb.vals[i])
-			pb.pfx = append(pb.pfx, 0x1f)
 			pb.pfxVals = append(pb.pfxVals, pb.vals[i])
 			continue
 		}
@@ -1498,7 +1497,6 @@ rowLoop:
 				continue
 			}
 			key = relation.AppendKey(key, v)
-			key = append(key, 0x1f)
 		}
 		pb.keyBuf = key
 		var hit bool
@@ -1579,11 +1577,30 @@ type groupScratch struct {
 	mask     []bool
 }
 
+// filter tightens sel to the rows every one of the alternative's
+// non-pAlways preds holds for.
+func (tm *orTermK) filter(en *env, cs *compiledSelect, src int, run *segRun, sel []int) ([]int, error) {
+	for pi := range tm.preds {
+		p := &tm.preds[pi]
+		if p.state == pAlways || len(sel) == 0 {
+			continue
+		}
+		var err error
+		if sel, err = p.filter(en, cs, src, run, sel); err != nil {
+			return nil, err
+		}
+	}
+	return sel, nil
+}
+
 // filter OR-merges the group's live alternatives into the selection
 // vector: a row survives when some live alternative's preds all hold.
 // Alternatives test only rows no earlier alternative matched, so the
 // total per-row work is bounded by the first matching alternative —
-// mirroring the row path's short-circuit. Order is preserved.
+// mirroring the row path's short-circuit. Order is preserved. When the
+// last alternative is the first to match any row — every lhsMatch group
+// once the pattern row has decided its first term — the group keeps
+// exactly that alternative's rows, filtered in place with no mask.
 func (g *orGroupK) filter(en *env, cs *compiledSelect, src int, gs *groupScratch, run *segRun, sel []int) ([]int, error) {
 	if len(gs.mask) < len(run.rows) {
 		gs.mask = make([]bool, len(run.rows))
@@ -1618,20 +1635,14 @@ func (g *orGroupK) filter(en *env, cs *compiledSelect, src int, gs *groupScratch
 			rem = rem[:0]
 			break
 		}
-		cur := append(gs.cur[:0], rem...)
-		var err error
-		for pi := range tm.preds {
-			p := &tm.preds[pi]
-			if p.state == pAlways {
-				continue
-			}
-			if cur, err = p.filter(en, cs, src, run, cur); err != nil {
-				gs.rem, gs.cur = rem[:0], cur[:0]
-				return nil, err
-			}
-			if len(cur) == 0 {
-				break
-			}
+		if ti == len(g.terms)-1 && len(rem) == len(sel) {
+			gs.rem = rem[:0]
+			return tm.filter(en, cs, src, run, sel)
+		}
+		cur, err := tm.filter(en, cs, src, run, append(gs.cur[:0], rem...))
+		if err != nil {
+			gs.rem = rem[:0]
+			return nil, err
 		}
 		gs.cur = cur[:0]
 		if len(cur) == 0 {
@@ -1741,8 +1752,8 @@ type projScratch struct {
 // each stepRow — and it clears seq and run when the level returns, so a
 // live cursor always describes the source's bound row: every level is
 // inside its own stepRow while the innermost yields. cols caches the
-// run's columns preDedup has read, by schema position, each stamped (at)
-// with the seq it was read for; reset drops them.
+// run's columns the pre-filter has read, by schema position, each stamped
+// (at) with the seq it was read for; reset drops them.
 type rowCursor struct {
 	run  segRun
 	seq  uint64
@@ -1772,32 +1783,28 @@ func (c *rowCursor) column(ci int) *colVec {
 	return &c.cols[ci]
 }
 
-// preMemo is the pre-filter's memo of the packed code tuples seen under
-// one site row in one run: open addressing over memoSlots slots, at most
-// half of which a run's ≤ segRows rows fill, emptied by bumping gen: a run
-// may be one row long, and a memo that cost a sweep to empty would cost
-// more than it saves.
+// preMemo is dropRepeats' memo of the packed code tuples seen under one
+// site row in one run: open addressing over memoSlots slots, at most half
+// of which a run's ≤ segRows rows fill, emptied by bumping gen: a run may
+// be one row long, and a memo that cost a sweep to empty would cost more
+// than it saves.
 type preMemo struct {
-	site, run uint64 // the scope: siteSeq and cursor seq
-	gen       uint64
-	keys      []uint64
-	gens      []uint64
+	gen  uint64
+	keys []uint64
+	gens []uint64
 }
 
 const memoBits = 11
 const memoSlots = 1 << memoBits // ≥ 2·segRows
 
-// memoFor returns the memo for the site row and the cursor's run, emptied
-// if it last served another.
-func (st *planState) memoFor(site uint64, cur *rowCursor) *preMemo {
+// emptyMemo returns the instance's memo, emptied.
+func (st *planState) emptyMemo() *preMemo {
 	m := st.memo
 	if m == nil {
 		m = &preMemo{keys: make([]uint64, memoSlots), gens: make([]uint64, memoSlots)}
 		st.memo = m
 	}
-	if m.site != site || m.run != cur.seq {
-		m.site, m.run, m.gen = site, cur.seq, m.gen+1
-	}
+	m.gen++
 	return m
 }
 
@@ -1994,6 +2001,42 @@ func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) er
 	return nil
 }
 
+// dropRepeats is the pre-filter's code stage. The innermost batch level
+// of a DISTINCT feed (planLevelBatch) runs it on a run's selection vector
+// once its kernels and groups have filtered it, when an outer level binds
+// the site row and no per-row conjunct is left at the level — so every
+// row it keeps yields. When the active columns are at most four coded
+// columns of the level's source, their codes packed in a uint64 decide
+// repeats: within one site row and one run, the same code tuple is the
+// same raw values, so a row whose tuple an earlier row of the run holds
+// is dropped, and only first occurrences reach stepRow and preDedup's
+// string key, which keeps hits across runs exact.
+func (sp *projSpec) dropRepeats(en *env, cs *compiledSelect, ps *projScratch, st *planState, src int, sel []int) ([]int, error) {
+	if err := sp.refreshSite(en, cs, ps); err != nil {
+		return nil, err
+	}
+	if ps.src != src || len(ps.cols) > 4 {
+		return sel, nil
+	}
+	var codes [4][]uint16
+	for j, b := range ps.cols {
+		codes[j] = st.cur[src].column(b.col).codes
+	}
+	m := st.emptyMemo()
+	out := sel[:0]
+	for _, off := range sel {
+		var key uint64
+		for j := range ps.cols {
+			key = key<<16 | uint64(codes[j][off])
+		}
+		if !m.add(key) {
+			out = append(out, off)
+		}
+	}
+	en.work[wCodeRepeats] += int64(len(sel) - len(out))
+	return out, nil
+}
+
 // preDedup reports whether the current emit's output row is provably
 // identical to one already emitted in this execution: same site row,
 // same raw values in every column the outputs read. Sound because the
@@ -2005,26 +2048,11 @@ func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) er
 // st, when the select runs a planned join, holds the cursors its batch
 // levels publish. A column whose source has a live one is read from the
 // column cache — a code or a value vector — and not from the row, whose
-// tuple would be one cache miss per candidate. And when the active
-// columns are at most four coded columns of one such source, their codes
-// packed in a uint64 decide repeats first: within one site row and one
-// run, the same code tuple is the same raw values, so a memo hit skips
-// the string key entirely. A miss still builds that key — hits across
-// runs stay exact — and a fresh execution never meets an old run's
-// memo, as every run it cuts gets a new seq.
+// tuple would be one cache miss per candidate. Repeats within a run are
+// mostly gone before this: dropRepeats.
 func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, st *planState, seen map[string]bool) (bool, error) {
 	if err := sp.refreshSite(en, cs, ps); err != nil {
 		return false, err
-	}
-	if cur := st.cursor(ps.src); cur != nil && len(ps.cols) <= 4 {
-		var key uint64
-		for _, b := range ps.cols {
-			key = key<<16 | uint64(cur.column(b.col).codes[cur.off])
-		}
-		if st.memoFor(ps.siteSeq, cur).add(key) {
-			en.work[wCodeRepeats]++
-			return true, nil
-		}
 	}
 	buf := ps.rawBuf[:0]
 	seq := ps.siteSeq
@@ -2039,7 +2067,6 @@ func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, st *p
 			v = fr.rows[b.src][b.col] // no batch level binds the row
 		}
 		buf = relation.AppendKey(buf, v)
-		buf = append(buf, 0x1f)
 	}
 	ps.rawBuf = buf
 	en.work[wDistinctKeys]++

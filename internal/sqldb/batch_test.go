@@ -687,6 +687,35 @@ func TestOrKernelDifferential(t *testing.T) {
 				trial, q, batch, row, nested)
 		}
 	}
+	// The last alternative reached with no row matched before it: the
+	// group filters in place. The pattern row decides the first term, as in
+	// the detector's lhsMatch — pat is the outer level, kt has ≥
+	// reorderMinRows rows — so for code 1 or NULL only the last term is
+	// live, and for code 0 the group passes whole. And the last alternative
+	// after an earlier one matched some rows but not all (kt.a < 6 over a in
+	// 0..11 and NULL), with and without a dead term between them: those rows
+	// must survive whatever the last term says of them.
+	mustExec(t, db, `CREATE TABLE pat (code INTEGER)`)
+	mustExec(t, db, `INSERT INTO pat VALUES (1), (0), (NULL), (1)`)
+	for trial := 0; trial < 60; trial++ {
+		last := term()
+		for _, where := range []string{
+			"(p.code <> 1 OR " + last + ")",
+			"(kt.a < 6 OR " + last + ")",
+			"(kt.a < 6 OR p.code <> 1 OR " + last + ")",
+		} {
+			q := "SELECT p.code, kt.a, kt.f, kt.s, kt.flag FROM pat p, kt WHERE " + where
+			batch, row, nested := runThreeWays(t, db, q, false)
+			if batch != row || row != nested {
+				t.Fatalf("trial %d: OR-kernel divergence on %q:\nbatch  %q\nrow    %q\nnested %q",
+					trial, q, batch, row, nested)
+			}
+		}
+	}
+	plan, err := db.Explain("SELECT kt.a FROM pat p, kt WHERE (p.code <> 1 OR kt.a = 3)")
+	if p, k := strings.Index(plan, "scan p "), strings.Index(plan, "scan kt "); err != nil || p < 0 || k < p || !strings.Contains(plan[k:], "or-group(2 terms)") {
+		t.Fatalf("the pattern row does not decide the group's first term (%v):\n%s", err, plan)
+	}
 }
 
 // TestOrKernelPlanClaims pins that the detection-shaped OR group is

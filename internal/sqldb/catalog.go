@@ -568,6 +568,11 @@ type Stats struct {
 	// filter, plus the rows read into hash builds; HashBuilds counts those:
 	// join hashes and the key sets of decorrelated EXISTS.
 	RowsScanned, HashBuilds int64
+	// RowsStepped counts the rows batch join levels handed from their
+	// selection vectors to the per-row machinery: what the kernels, the OR
+	// groups and the DISTINCT pre-filter's code stage left of the rows
+	// they scanned.
+	RowsStepped int64
 	// SchedBuilds counts join-plan instances laid out (buildSchedule),
 	// SchedReuses the selects an idle instance served instead: all a fixed
 	// statement set adds to once it is warm.
@@ -608,6 +613,7 @@ func (db *DB) Stats() Stats {
 		RetiredBytes:   b,
 		ProbeRows:      db.work[wProbeRows].Load(),
 		RowsScanned:    db.work[wRowsScanned].Load(),
+		RowsStepped:    db.work[wRowsStepped].Load(),
 		HashBuilds:     db.work[wHashBuilds].Load(),
 		SchedBuilds:    db.work[wSchedBuilds].Load(),
 		SchedReuses:    db.work[wSchedReuses].Load(),

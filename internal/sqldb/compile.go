@@ -52,6 +52,7 @@ type env struct {
 const (
 	wProbeRows = iota
 	wRowsScanned
+	wRowsStepped
 	wHashBuilds
 	wSchedBuilds
 	wSchedReuses

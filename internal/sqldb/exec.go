@@ -574,6 +574,8 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(row relation.Tuple) er
 		rawSeen = make(map[string]bool)
 		if cs.planOK {
 			st = en.scheduleFor(cs, srcRows).state // the instance scan runs
+			st.dedup = ps
+			defer func() { st.dedup = nil }()
 		}
 	}
 	row := make(relation.Tuple, len(cs.outs))
@@ -771,7 +773,6 @@ func (cs *compiledSelect) execGrouped(en *env, src [][]relation.Tuple, emit func
 				return err
 			}
 			keyBuf = relation.AppendKey(keyBuf, v)
-			keyBuf = append(keyBuf, 0x1f)
 		}
 		gi, ok := index[string(keyBuf)]
 		if !ok {

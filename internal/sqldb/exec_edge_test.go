@@ -202,3 +202,37 @@ func TestCaseInOperandForm(t *testing.T) {
 		t.Errorf("NULL operand got %q", flat(res))
 	}
 }
+
+// TestSeparatorInTextKeys: grouping keys stay apart for TEXT cells that
+// hold 0x1f, the separator keys were once joined with, and a kind tag.
+// Joined so, the cells of both rows below are the same bytes; while text
+// keys were not length-prefixed, DISTINCT kept one row, GROUP BY formed
+// one group of two and the hash join paired every x row with every y
+// row.
+func TestSeparatorInTextKeys(t *testing.T) {
+	t.Parallel()
+	db := NewDB()
+	for _, tbl := range []string{"x", "y"} {
+		mustExec(t, db, `CREATE TABLE `+tbl+` (a TEXT, b TEXT)`)
+		mustExec(t, db, `INSERT INTO `+tbl+` VALUES (?, ?), (?, ?)`,
+			relation.Text("a\x1f\x00tb"), relation.Text("c"), relation.Text("a"), relation.Text("b\x1f\x00tc"))
+	}
+	join := `SELECT COUNT(*) FROM x, y WHERE x.a = y.a AND x.b = y.b`
+	if plan, err := db.Explain(join); err != nil || !strings.Contains(plan, "hash") {
+		t.Fatalf("the join is not a hash join (%v):\n%s", err, plan)
+	}
+	for m := Planned; m <= Reference; m++ {
+		if n := len(queryIn(t, db, m, `SELECT DISTINCT a, b FROM x`).Rows); n != 2 {
+			t.Errorf("mode %d: SELECT DISTINCT a, b returned %d rows, want 2", m, n)
+		}
+		for _, c := range []struct{ q, want string }{
+			{`SELECT COUNT(*) FROM (SELECT DISTINCT a, b FROM x) d`, "2"},
+			{`SELECT COUNT(*) FROM x GROUP BY a, b`, "1;1"},
+			{join, "2"},
+		} {
+			if got := flat(queryIn(t, db, m, c.q)); got != c.want {
+				t.Errorf("mode %d, %s: got %q, want %q", m, c.q, got, c.want)
+			}
+		}
+	}
+}

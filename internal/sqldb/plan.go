@@ -489,10 +489,14 @@ type planState struct {
 	gsc   []*groupScratch
 	// The DISTINCT pre-filter's view of the batch levels: cur[s] is source
 	// s's rowCursor, runs numbers the runs they cut — never reset, so no
-	// seq names two — and memo is built on first use (preMemo).
-	cur  []rowCursor
-	runs uint64
-	memo *preMemo
+	// seq names two — and memo is built on first use (preMemo). dedup is
+	// the projection scratch of the DISTINCT feed running the instance,
+	// nil outside one: its innermost batch level drops repeats by code
+	// (projSpec.dropRepeats).
+	cur   []rowCursor
+	runs  uint64
+	memo  *preMemo
+	dedup *projScratch
 }
 
 func isNaN(v relation.Value) bool {
@@ -1157,6 +1161,12 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 	deadMarks := st.deadMarks[pos][:0]
 	sel := st.sel[pos]
 	cur := &st.cur[lv.src] // see rowCursor
+	pre := st.dedup        // see projSpec.dropRepeats
+	if pre != nil {
+		if site := cs.proj.site; pos < len(sch.levels)-1 || len(lv.evals) > 0 || site.depth == cs.depth && site.src == lv.src {
+			pre = nil
+		}
+	}
 	var err error
 	for i, si := 0, 0; i < n && err == nil; {
 		first := i // the run's first candidate: a full scan's i-th is position i
@@ -1197,6 +1207,10 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 				break // with no row left in sel
 			}
 		}
+		if pre != nil && len(sel) > 0 {
+			sel, err = cs.proj.dropRepeats(en, cs, pre, st, lv.src, sel)
+		}
+		en.work[wRowsStepped] += int64(len(sel))
 		for _, off := range sel {
 			cur.off = off
 			if err = cs.stepRow(en, sch, srcRows, pos, lv, rows, base+off, &marks, &deadMarks, yield); err != nil {
@@ -1255,13 +1269,8 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows []relation.Tup
 		en.work[wHashBuilds]++
 		en.work[wRowsScanned] += int64(len(rows))
 	}
-	key := p.keyBuf[:0]
-	for _, v := range p.vals {
-		key = relation.AppendKey(key, v)
-		key = append(key, 0x1f)
-	}
-	p.keyBuf = key
-	return p.hash[string(key)], false, nil
+	p.keyBuf = relation.AppendKeyOf(p.keyBuf[:0], p.vals)
+	return p.hash[string(p.keyBuf)], false, nil
 }
 
 // rangeRows evaluates a level's range bounds and returns the ordered-
@@ -1312,7 +1321,6 @@ outer:
 				continue outer
 			}
 			buf = relation.AppendKey(buf, v)
-			buf = append(buf, 0x1f)
 		}
 		m[string(buf)] = append(m[string(buf)], ri)
 	}

@@ -430,13 +430,8 @@ func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 		if !ok {
 			return relation.Bool(neg), nil // = NULL never matches
 		}
-		keyBuf := ps.keyBuf[:0]
-		for _, v := range ps.vals {
-			keyBuf = relation.AppendKey(keyBuf, v)
-			keyBuf = append(keyBuf, 0x1f)
-		}
-		ps.keyBuf = keyBuf
-		return relation.Bool(b.set[string(keyBuf)] != neg), nil
+		ps.keyBuf = relation.AppendKeyOf(ps.keyBuf[:0], ps.vals)
+		return relation.Bool(b.set[string(ps.keyBuf)] != neg), nil
 	}, nil
 }
 
