@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz fuzz covertraffic bench-short bench-json explain ci
+.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz fuzz covertraffic bench-short bench-json explain loc ci
 
 build:
 	$(GO) build ./...
@@ -39,15 +39,17 @@ mvccstress:
 	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent' ./internal/sqldb/
 
 # The randomized kernel differentials (batch kernels vs per-row closures
-# vs nested loop) and the detector differential's random and transitions
-# workloads (every detector leg vs the naive oracle) on a seed no earlier
-# run has used. The seed is printed first: `go test ./internal/sqldb/
-# -run <test> -args -seed=<seed>` (or ./internal/detect/) replays a
+# vs nested loop), the detector differential's random and transitions
+# workloads (every detector leg vs the naive oracle) and the naive oracle
+# vs the definitional checker, on a seed no earlier run has used. The
+# seed is printed first: `go test ./internal/sqldb/ -run <test> -args
+# -seed=<seed>` (or ./internal/detect/, ./internal/core/) replays a
 # failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
 	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential' ./internal/sqldb/ -args -seed=$$seed && \
-	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed
+	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed
 
 # Native fuzzing, ten seconds per (package, target) pair: the SQL lexer
 # and parser never panic and every error they return carries a source
@@ -105,5 +107,15 @@ bench-json:
 # Query plans of the detector's fixed statement set.
 explain:
 	$(GO) run ./cmd/ecfdbench -explain
+
+# Non-test Go lines (wc -l): each directory of the tracked set, the
+# tracked set itself, and the root module — everything but benchmark/,
+# a module of its own, and hidden directories (.bench_build/).
+LOC_DIRS = internal/detect internal/sqldb internal/bench cmd
+
+loc:
+	@n() { find "$$@" \( -path './.*' -o -path ./benchmark \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l; }; \
+	for d in $(LOC_DIRS); do printf '%-16s %6d\n' $$d $$(n $$d); done; \
+	printf '%-16s %6d\n' tracked $$(n $(LOC_DIRS)) 'root module' $$(n .)
 
 ci: vet noglobals build test race

@@ -2,6 +2,8 @@ package ecfd
 
 import (
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -89,6 +91,31 @@ ecfd e on t: [A] -> [B] { ({x} || {y}) }
 	}
 	if !v.SV[0] {
 		t.Error("x/z must violate e")
+	}
+}
+
+// TestQuickstartSpecIsFig2: the Σ examples/quickstart reads from its
+// spec file finds exactly the violations Fig2Constraints finds on the
+// Fig. 1 instance.
+func TestQuickstartSpecIsFig2(t *testing.T) {
+	src, err := os.ReadFile("examples/quickstart/fig2.ecfd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSpec(string(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Detect(Fig1Instance(), spec.Constraints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Detect(Fig1Instance(), Fig2Constraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.SV, want.SV) || !slices.Equal(got.MV, want.MV) || want.Count() != 2 {
+		t.Errorf("fig2.ecfd flags SV %v MV %v, Fig2Constraints SV %v MV %v", got.SV, got.MV, want.SV, want.MV)
 	}
 }
 

@@ -1,24 +1,32 @@
 // Quickstart: the paper's running example end to end.
 //
-// We define φ1 and φ2 of Fig. 2 over the cust schema, check the Fig. 1
-// instance D0 in memory, then run the same detection through SQL
-// (BatchDetect) and show that both find exactly the violations of
-// Example 2.2: t1 (Albany with area code 718) and t4 (NYC with area
-// code 100).
+// We read φ1 and φ2 of Fig. 2 over the cust schema from fig2.ecfd,
+// check the Fig. 1 instance D0 in memory, then run the same detection
+// through SQL (BatchDetect) and show that both find exactly the
+// violations of Example 2.2: t1 (Albany with area code 718) and t4 (NYC
+// with area code 100).
 //
 // Run with: go run ./examples/quickstart
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 
 	"ecfd"
 )
 
+//go:embed fig2.ecfd
+var fig2Spec string
+
 func main() {
-	schema := ecfd.CustSchema()
-	sigma := ecfd.Fig2Constraints()
+	spec, err := ecfd.ParseSpec(fig2Spec, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	schema := spec.Schemas["cust"]
+	sigma := spec.Constraints
 	inst := ecfd.Fig1Instance()
 
 	fmt.Println("Constraints (Fig. 2):")

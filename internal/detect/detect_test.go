@@ -17,19 +17,24 @@ import (
 
 var dsnSeq atomic.Int64
 
-func openDB(t *testing.T) *sql.DB { return openDBIn(t, sqldb.Planned) }
+func openDB(t *testing.T) *sql.DB {
+	db, _ := openDBIn(t, sqldb.Planned)
+	return db
+}
 
-// openDBIn opens a fresh in-memory engine switched to mode.
-func openDBIn(t *testing.T, mode sqldb.Mode) *sql.DB {
+// openDBIn opens a fresh in-memory engine switched to mode, returning
+// the handle and the engine behind it.
+func openDBIn(t *testing.T, mode sqldb.Mode) (*sql.DB, *sqldb.DB) {
 	t.Helper()
 	dsn := fmt.Sprintf("detect_test_%d", dsnSeq.Add(1))
-	sqldriver.Engine(dsn).SetMode(mode)
+	eng := sqldriver.Engine(dsn)
+	eng.SetMode(mode)
 	db, err := sql.Open("ecfdmem", dsn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	return db
+	return db, eng
 }
 
 func newDetector(t *testing.T, sigma []*core.ECFD, inst *relation.Relation) *Detector {
@@ -37,13 +42,16 @@ func newDetector(t *testing.T, sigma []*core.ECFD, inst *relation.Relation) *Det
 	return newDetectorIn(t, sqldb.Planned, sigma, inst)
 }
 
+// newDetectorIn builds a loaded detector on a fresh engine in mode,
+// with the engine bound as the benchmark binds it.
 func newDetectorIn(t *testing.T, mode sqldb.Mode, sigma []*core.ECFD, inst *relation.Relation) *Detector {
 	t.Helper()
-	db := openDBIn(t, mode)
+	db, eng := openDBIn(t, mode)
 	d, err := New(db, inst.Schema, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.BindEngine(eng)
 	if err := d.Install(); err != nil {
 		t.Fatal(err)
 	}

@@ -96,10 +96,9 @@ type Detector struct {
 	nextRID int64
 	atomic  bool // wrap LoadData/ApplyUpdates in one transaction
 
-	// eng, when bound, is the embedded engine behind db: ParallelDetect
-	// then pins one MVCC snapshot per read phase and serves every worker
-	// from it (see BindEngine), instead of a read-only transaction per
-	// task.
+	// eng is the embedded engine behind db, set by BindEngine.
+	// ParallelDetect requires it: it pins one MVCC snapshot per read
+	// phase and serves every worker from it.
 	eng *sqldb.DB
 
 	// pre-generated statements (fixed count, independent of |Σ|)
@@ -148,16 +147,10 @@ type statements struct {
 	checkSVRIDs string
 	checkMVRIDs string
 	// sharded scatter-gather forms (ShardedDetector): the shards export
-	// DISTINCT macro rows and touched keys; the coordinator finishes the
-	// grouping in Go and broadcasts the results back.
+	// DISTINCT macro rows; the coordinator finishes the grouping in Go
+	// and broadcasts the violating keys back.
 	qmvMacroCIDRng string // DISTINCT macro rows of a CID range (params: lo, hi)
-	qmvMacroKeys   string // DISTINCT macro rows restricted to the touched keys
-	keysSelect     string // read the collected touched group keys back out
-	auxSelect      string // read Aux back out (the coordinator's copy is authoritative)
 	shardBatchPre  string // per-shard batch phase: reset flags, Qsv, clear Aux
-	shardIncPre    string // per-shard incremental phase 1: SV on ΔD⁺, touched keys
-	shardIncMid    string // per-shard incremental phase 2: Aux trim, apply ΔD
-	shardIncPost   string // per-shard incremental phase 3: MV maintenance (?1, ?2)
 	// pipelined scripts: the fixed statement sequences of BatchDetect
 	// and ApplyUpdates joined into one semicolon-separated text, so the
 	// whole sequence goes through database/sql as a single prepared
@@ -223,12 +216,10 @@ func (d *Detector) DataTable() string { return d.dataTable }
 
 // BindEngine hands the detector the embedded sqldb engine behind its
 // database/sql handle (sqldriver.Engine of the DSN the handle was
-// opened with). With an engine bound, ParallelDetect pins one MVCC
+// opened with). ParallelDetect requires the binding: it pins one MVCC
 // snapshot per read phase and runs every worker's statements directly
-// against it (Prepared.QueryAt) — one pin per pass instead of one
-// read-only transaction per slice task, which cost ~20% at 8 workers
-// on one CPU (ROADMAP perf log, PR 9). Purely an optimization: results are
-// identical with or without the binding.
+// against it (Prepared.QueryAt), and returns an error when no engine is
+// bound. Nothing else reads it.
 //
 // Deprecated: only ParallelDetect reads the binding; it goes with it.
 func (d *Detector) BindEngine(eng *sqldb.DB) { d.eng = eng }
@@ -549,13 +540,6 @@ func (d *Detector) Violations() (*relation.Relation, error) {
 
 // ViolationsVia is Violations reading through q.
 func (d *Detector) ViolationsVia(q Queryer) (*relation.Relation, error) {
-	return d.violationsVia(q, "", nil)
-}
-
-// violationsVia reads the violation set through q, optionally
-// restricted by extraWhere (with its positional args) — the sharded
-// detector's pruned range reads bind a RID range here.
-func (d *Detector) violationsVia(q Queryer, extraWhere string, args []any) (*relation.Relation, error) {
 	cols := []string{ColRID}
 	attrs := []relation.Attribute{{Name: ColRID, Kind: relation.KindInt}}
 	for _, a := range d.schema.Attrs {
@@ -570,13 +554,9 @@ func (d *Detector) violationsVia(q Queryer, extraWhere string, args []any) (*rel
 	if err != nil {
 		return nil, err
 	}
-	where := fmt.Sprintf("(%s = 1 OR %s = 1)", ColSV, ColMV)
-	if extraWhere != "" {
-		where += " AND " + extraWhere
-	}
-	query := fmt.Sprintf("SELECT %s FROM %s WHERE %s ORDER BY %s",
-		strings.Join(cols, ", "), d.dataTable, where, ColRID)
-	rows, err := q.Query(query, args...)
+	query := fmt.Sprintf("SELECT %s FROM %s WHERE (%s = 1 OR %s = 1) ORDER BY %s",
+		strings.Join(cols, ", "), d.dataTable, ColSV, ColMV, ColRID)
+	rows, err := q.Query(query)
 	if err != nil {
 		return nil, err
 	}

@@ -35,9 +35,9 @@ import (
 //     upcoming I/O point, and when it fires the "process" restarts —
 //     reopen, Resume, redo the update if its commit unit did not make
 //     it to the log — and must still land byte-identical;
-//   - the sharded legs run the scatter-gather detector at K ∈
-//     {1, 2, 4, 8} partitions, maintained through the sharded
-//     ApplyUpdates — partition count and scatter scheduling must never
+//   - the sharded legs run the scatter-gather BatchDetect at K ∈
+//     {1, 2, 4, 8} partitions right after load, against d_inc's serial
+//     BatchDetect — partition count and scatter scheduling must never
 //     leak into the violation bytes.
 //
 // All legs assign identical RID sequences (same insert batches in the
@@ -95,18 +95,18 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Sharded legs: one detector per partition count.
-			shardKs := []int{1, 2, 4, 8}
-			sharded := make([]*ShardedDetector, len(shardKs))
-			for i, k := range shardKs {
-				s, err := NewSharded(openDBIn(t, mode), inst.Schema, sigma, ShardOptions{Shards: k, Workers: 4})
+			// Sharded legs: one detector per partition count, compared with
+			// the serial BatchDetect on the loaded instance.
+			vLoad := violationCSV(t, dInc)
+			for _, k := range []int{1, 2, 4, 8} {
+				db, _ := openDBIn(t, mode)
+				s, err := NewSharded(db, inst.Schema, sigma, ShardOptions{Shards: k})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, sh := range s.shards {
 					sh.d.eng.SetMode(mode)
 				}
-				sharded[i] = s
 				if err := s.Install(); err != nil {
 					t.Fatal(err)
 				}
@@ -116,6 +116,11 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 				if _, err := s.BatchDetect(); err != nil {
 					t.Fatal(err)
 				}
+				if vSh := shardedViolationCSV(t, s); !bytes.Equal(vLoad, vSh) {
+					t.Fatalf("trial %d: batch vs sharded K=%d violation sets differ after load\nsigma: %s\nbatch:\n%s\nsharded:\n%s",
+						trial, k, sigmaString(sigma), vLoad, vSh)
+				}
+				s.Close()
 			}
 
 			for step := 0; step < 4; step++ {
@@ -167,11 +172,6 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 				}
 				if _, err := dPar.ParallelDetect(8); err != nil {
 					t.Fatalf("trial %d step %d parallel: %v", trial, step, err)
-				}
-				for i, s := range sharded {
-					if _, _, err := s.ApplyUpdates(batch, doomed); err != nil {
-						t.Fatalf("trial %d step %d sharded K=%d: %v", trial, step, shardKs[i], err)
-					}
 				}
 
 				// Durable leg: crash at a random point inside (or just
@@ -231,15 +231,6 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 					t.Fatalf("trial %d step %d: incremental vs durable violation sets differ\nsigma: %s\ninc:\n%s\ndur:\n%s",
 						trial, step, sigmaString(sigma), vInc, vDur)
 				}
-				for i, s := range sharded {
-					if vSh := shardedViolationCSV(t, s); !bytes.Equal(vBatch, vSh) {
-						t.Fatalf("trial %d step %d: batch vs sharded K=%d violation sets differ\nsigma: %s\nbatch:\n%s\nsharded:\n%s",
-							trial, step, shardKs[i], sigmaString(sigma), vBatch, vSh)
-					}
-				}
-			}
-			for _, s := range sharded {
-				s.Close()
 			}
 			dbDur.Close()
 			sqldriver.Unregister(dsn)

@@ -64,28 +64,16 @@ func (d *Detector) InsertRaw(batch *relation.Relation) ([]int64, error) {
 // stages the RIDs like ApplyUpdates does and runs the same fixed
 // deletion statement, so the rows are reached through the RID index.
 func (d *Detector) DeleteRaw(rids []int64) error {
-	_, err := d.deleteRaw(rids)
-	return err
-}
-
-// deleteRaw is DeleteRaw returning the number of rows removed.
-func (d *Detector) deleteRaw(rids []int64) (int64, error) {
 	if len(rids) == 0 {
-		return 0, nil
+		return nil
 	}
-	var removed int64
-	err := d.runAtomic(func(ex execer) error {
+	return d.runAtomic(func(ex execer) error {
 		if err := d.loadDelRids(ex, rids); err != nil {
 			return err
 		}
-		res, err := ex.Exec(d.stmts.deleteRows)
-		if err != nil {
-			return err
-		}
-		removed, err = res.RowsAffected()
+		_, err := ex.Exec(d.stmts.deleteRows)
 		return err
 	})
-	return removed, err
 }
 
 // ApplyUpdates applies a combined update ΔD = (ΔD⁻, ΔD⁺) — the shape

@@ -153,7 +153,7 @@ func TestShardedDetectSnapshotBalanceOnFailure(t *testing.T) {
 		db.Close()
 		sqldriver.Unregister(dsn)
 	}()
-	s, err := NewSharded(db, gen.Schema(), gen.Constraints(), ShardOptions{Shards: 4, Workers: 4})
+	s, err := NewSharded(db, gen.Schema(), gen.Constraints(), ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

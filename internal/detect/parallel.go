@@ -1,7 +1,7 @@
 package detect
 
 import (
-	"database/sql"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -34,10 +34,10 @@ import (
 // determinism test pins this). Flag writes happen in a short serial
 // phase at the end — reads scale, writes stay exclusive.
 //
-// Each concurrent read phase runs against one pinned MVCC snapshot:
-// with an engine bound (BindEngine) the phase takes a single epoch pin
-// and every worker queries it directly; without one, each task is a
-// single statement, which observes one snapshot by itself.
+// Each concurrent read phase takes a single epoch pin on the engine
+// bound with BindEngine, and every worker queries that snapshot
+// directly. Without a bound engine ParallelDetect returns an error
+// before it writes anything.
 //
 // workers <= 0 selects GOMAXPROCS.
 //
@@ -52,6 +52,9 @@ func (d *Detector) ParallelDetect(workers int) (BatchStats, error) {
 	}
 	fail := func(err error) (BatchStats, error) {
 		return BatchStats{}, fmt.Errorf("detect: parallel: %w", err)
+	}
+	if d.eng == nil {
+		return fail(errors.New("no engine bound"))
 	}
 	if _, err := d.db.Exec(d.stmts.resetFlags); err != nil {
 		return fail(err)
@@ -77,26 +80,24 @@ func (d *Detector) ParallelDetect(workers int) (BatchStats, error) {
 	ranges := cidRanges(len(d.sigma), workers)
 	svSets := make([][]int64, len(slices))
 	groupSets := make([][][]any, len(ranges))
-	rd := d.phaseReader()
+	snap := d.eng.PinSnapshot()
 	var tasks []func() error
 	for si, sl := range slices {
-		si, sl := si, sl
 		tasks = append(tasks, func() error {
-			out, err := rd.queryRIDs(d.stmts.qsvRIDsSlice, sl[0], sl[1])
+			out, err := d.queryRIDs(snap, d.stmts.qsvRIDsSlice, sl[0], sl[1])
 			svSets[si] = out
 			return err
 		})
 	}
 	for ri, cr := range ranges {
-		ri, cr := ri, cr
 		tasks = append(tasks, func() error {
-			rows, err := rd.queryGroups(d.stmts.qmvGroupsCIDRng, cr[0], cr[1])
+			rows, err := d.queryGroups(snap, d.stmts.qmvGroupsCIDRng, cr[0], cr[1])
 			groupSets[ri] = rows
 			return err
 		})
 	}
 	err = runTasks(workers, tasks)
-	rd.close()
+	snap.Close()
 	if err != nil {
 		return fail(err)
 	}
@@ -113,18 +114,17 @@ func (d *Detector) ParallelDetect(workers int) (BatchStats, error) {
 	// fresh pin (it must see the Aux install above), then one serial
 	// flag write.
 	mvSets := make([][]int64, len(slices))
-	rd = d.phaseReader()
+	snap = d.eng.PinSnapshot()
 	tasks = tasks[:0]
 	for si, sl := range slices {
-		si, sl := si, sl
 		tasks = append(tasks, func() error {
-			out, err := rd.queryRIDs(d.stmts.mvRIDsSlice, sl[0], sl[1])
+			out, err := d.queryRIDs(snap, d.stmts.mvRIDsSlice, sl[0], sl[1])
 			mvSets[si] = out
 			return err
 		})
 	}
 	err = runTasks(workers, tasks)
-	rd.close()
+	snap.Close()
 	if err != nil {
 		return fail(err)
 	}
@@ -192,117 +192,55 @@ func runTasks(workers int, tasks []func() error) error {
 	return firstErr
 }
 
-// phaseReader is the read surface of one concurrent phase. With an
-// engine bound it pins one MVCC epoch at construction and every task
-// queries that snapshot through the engine's prepared-plan cache — the
-// per-task read-only-transaction pin (and its connection churn) that
-// crept to ~20% at 8 workers (ROADMAP perf log, PR 9) is gone. Without an
-// engine it falls back to plain handle queries: each task is a single
-// statement, which pins its own snapshot for exactly its duration.
-type phaseReader struct {
-	d    *Detector
-	snap *sqldb.Snap // non-nil iff an engine is bound
-}
-
-func (d *Detector) phaseReader() *phaseReader {
-	r := &phaseReader{d: d}
-	if d.eng != nil {
-		r.snap = d.eng.PinSnapshot()
+// queryAt runs a two-parameter read-only statement against the pinned
+// snapshot through the engine's prepared-plan cache: one pin per phase,
+// where a read-only transaction per task cost ~20% at 8 workers
+// (ROADMAP perf log, PR 9).
+func (d *Detector) queryAt(snap *sqldb.Snap, q string, lo, hi int64) ([]relation.Tuple, error) {
+	p, err := d.eng.Prepare(q)
+	if err != nil {
+		return nil, err
 	}
-	return r
-}
-
-func (r *phaseReader) close() {
-	if r.snap != nil {
-		r.snap.Close()
-		r.snap = nil
+	res, err := p.QueryAt(snap, relation.Int(lo), relation.Int(hi))
+	if err != nil {
+		return nil, err
 	}
+	return res.Rows, nil
 }
 
 // queryRIDs runs a two-parameter RID-collecting query and returns the
 // ids.
-func (r *phaseReader) queryRIDs(q string, lo, hi int64) ([]int64, error) {
-	if r.snap != nil {
-		p, err := r.d.eng.Prepare(q)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.QueryAt(r.snap, relation.Int(lo), relation.Int(hi))
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int64, len(res.Rows))
-		for i, row := range res.Rows {
-			out[i] = row[0].I
-		}
-		return out, nil
-	}
-	rows, err := r.d.db.Query(q, lo, hi)
+func (d *Detector) queryRIDs(snap *sqldb.Snap, q string, lo, hi int64) ([]int64, error) {
+	rows, err := d.queryAt(snap, q, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	var out []int64
-	for rows.Next() {
-		var rid int64
-		if err := rows.Scan(&rid); err != nil {
-			return nil, err
-		}
-		out = append(out, rid)
+	out := make([]int64, len(rows))
+	for i, row := range rows {
+		out[i] = row[0].I
 	}
-	return out, rows.Err()
+	return out, nil
 }
 
 // queryGroups computes the violating Qmv group keys of a CID range.
 // Each returned row is insert-ready: the CID followed by the blanked
 // pattern columns.
-func (r *phaseReader) queryGroups(q string, loCID, hiCID int64) ([][]any, error) {
-	width := 1 + len(r.d.schema.Attrs)
-	if r.snap != nil {
-		p, err := r.d.eng.Prepare(q)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.QueryAt(r.snap, relation.Int(loCID), relation.Int(hiCID))
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]any, len(res.Rows))
-		for i, t := range res.Rows {
-			row := make([]any, width)
-			row[0] = t[0].I
-			for j := 1; j < width; j++ {
-				row[j] = t[j].S // pattern columns are always TEXT
-			}
-			out[i] = row
-		}
-		return out, nil
-	}
-	rows, err := r.d.db.Query(q, loCID, hiCID)
+func (d *Detector) queryGroups(snap *sqldb.Snap, q string, loCID, hiCID int64) ([][]any, error) {
+	rows, err := d.queryAt(snap, q, loCID, hiCID)
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
-	var cid int64
-	cells := make([]string, width-1)
-	ptrs := make([]any, width)
-	ptrs[0] = &cid
-	for i := range cells {
-		ptrs[i+1] = &cells[i]
-	}
-	var out [][]any
-	for rows.Next() {
-		if err := rows.Scan(ptrs...); err != nil {
-			return nil, err
-		}
+	width := 1 + len(d.schema.Attrs)
+	out := make([][]any, len(rows))
+	for i, t := range rows {
 		row := make([]any, width)
-		row[0] = cid
-		for i, s := range cells {
-			row[i+1] = s
+		row[0] = t[0].I
+		for j := 1; j < width; j++ {
+			row[j] = t[j].S // pattern columns are always TEXT
 		}
-		out = append(out, row)
+		out[i] = row
 	}
-	return out, rows.Err()
+	return out, nil
 }
 
 // minSliceRows keeps partitioning worthwhile: below this many rows per
@@ -334,16 +272,6 @@ func ridSlices(rids []int64, workers int) [][2]int64 {
 		out = append(out, [2]int64{rids[a], rids[b-1]})
 	}
 	return out
-}
-
-// ridBounds reports the data table's RID range and row count.
-func (d *Detector) ridBounds() (lo, hi, n int64, err error) {
-	q := fmt.Sprintf("SELECT MIN(%[1]s), MAX(%[1]s), COUNT(*) FROM %[2]s", ColRID, d.dataTable)
-	var loN, hiN sql.NullInt64
-	if err := d.db.QueryRow(q).Scan(&loN, &hiN, &n); err != nil {
-		return 0, 0, 0, err
-	}
-	return loN.Int64, hiN.Int64, n, nil
 }
 
 // cidRanges splits the CID space [1, n] into up to `workers`

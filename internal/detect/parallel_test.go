@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"database/sql"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -203,12 +204,43 @@ func TestParallelDetectEmpty(t *testing.T) {
 	if err := d.Install(); err != nil {
 		t.Fatal(err)
 	}
+	d.BindEngine(sqldriver.Engine(dsn))
 	st, err := d.ParallelDetect(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.SV != 0 || st.MV != 0 || st.Total != 0 {
 		t.Fatalf("empty relation produced violations: %+v", st)
+	}
+}
+
+// TestParallelDetectNeedsEngine: without a bound engine ParallelDetect
+// returns an error before it writes anything — every flag stays as the
+// last BatchDetect left it.
+func TestParallelDetectNeedsEngine(t *testing.T) {
+	d, cleanup := newBenchDetector(t, 1_000, 13)
+	defer cleanup()
+	st, err := d.BatchDetect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Total == 0 {
+		t.Fatal("workload has no violations; test is vacuous")
+	}
+	want, err := d.FlagsByRID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.BindEngine(nil)
+	if _, err := d.ParallelDetect(4); err == nil {
+		t.Fatal("ParallelDetect without an engine returned no error")
+	}
+	got, err := d.FlagsByRID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatal("the refused ParallelDetect changed flags")
 	}
 }
 
@@ -330,7 +362,7 @@ func TestParallelSliceQueriesRangePruned(t *testing.T) {
 	}
 
 	eng := sqldriver.Engine(dsn)
-	qsvSlice, _, mvSlice := d.ParallelSQL()
+	qsvSlice, mvSlice := d.stmts.qsvRIDsSlice, d.stmts.mvRIDsSlice
 	for name, q := range map[string]string{"qsvRIDsSlice": qsvSlice, "mvRIDsSlice": mvSlice} {
 		plan, err := eng.Explain(q)
 		if err != nil {
