@@ -33,13 +33,15 @@ faultmatrix:
 	$(GO) test -count=1 -run 'TestWAL|TestFaultMatrix|TestResume|TestDetectThreeWayDifferential|TestDurableDSN|TestDSNOption' ./internal/sqldb/ ./internal/detect/ ./internal/sqldriver/
 
 # MVCC stress: snapshot stability under racing DML/DDL, epoch GC
-# accounting, and the concurrency suite — all under the race detector,
-# -count=1 so the interleavings actually rerun.
+# accounting, the concurrency suite, and pinned readers scanning the row
+# chunks a writer's forks share (TestRowSegmentsDifferential) — all under
+# the race detector, -count=1 so the interleavings actually rerun.
 mvccstress:
-	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent' ./internal/sqldb/
+	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential' ./internal/sqldb/
 
 # The randomized kernel differentials (batch kernels vs per-row closures
-# vs nested loop), the detector differential's random and transitions
+# vs nested loop), the segmented row store under random DML vs a mirror
+# loaded fresh, the detector differential's random and transitions
 # workloads (every detector leg vs the naive oracle) and the naive oracle
 # vs the definitional checker, on a seed no earlier run has used. The
 # seed is printed first: `go test ./internal/sqldb/ -run <test> -args
@@ -47,7 +49,7 @@ mvccstress:
 # failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential' ./internal/sqldb/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestRowSegmentsDifferential' ./internal/sqldb/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed
 

@@ -118,6 +118,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"resume: wal gen %d (snapshot gen %d, units replayed %d, torn tail %v, fell back %v); epoch %d, %d live / %d retired epochs, %d retired bytes\n",
 			r.Gen, r.SnapshotGen, r.UnitsReplayed, r.TornTail, r.FellBack,
 			st.EpochSeq, st.LiveEpochs, st.RetiredEpochs, st.RetiredBytes)
+		if r.Skipped != "" {
+			fmt.Fprintf(stderr, "resume: skipped %s\n", r.Skipped)
+		}
 	} else if err := d.Install(); err != nil {
 		return fail(err)
 	}

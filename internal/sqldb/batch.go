@@ -1282,8 +1282,8 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 	// so it does not resolve (build, refresh) one either.
 	inner := en.td(k.d.t)
 	sets := cands >= probeSetMinCands && k.setsOK()
-	if sets && len(inner.rows) <= probeSetRowsMax {
-		pb.bindSets(inner.rows, nil, len(inner.rows), state)
+	if sets && inner.n <= probeSetRowsMax {
+		pb.bindSets(&inner.rowSet, nil, inner.n, state)
 		if *state != pNormal || len(pb.vs.parts) == 1 {
 			return nil
 		}
@@ -1308,10 +1308,10 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 		// agree with them.
 		pos := pb.eq.s
 		if !pb.eq.ordered() {
-			pos = eqRange(inner.rows, k.d.idx.Cols, inner.orderedOf(k.d.t, k.d.idx), 0, pb.pfxVals)
+			pos = eqRange(&inner.rowSet, k.d.idx.Cols, inner.orderedOf(k.d.t, k.d.idx), 0, pb.pfxVals)
 		}
 		if len(pos) <= probeSetRowsMax {
-			pb.bindSets(inner.rows, pos, len(pos), state)
+			pb.bindSets(&inner.rowSet, pos, len(pos), state)
 		}
 	}
 	return nil
@@ -1336,7 +1336,7 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 // scan served on such tables (`ecfdbench -fig 5c`, about 2× in two runs);
 // no workload of the repo benchmark has a large tableau, so it is covered
 // by TestValueSetProbeDifferential and otherwise unmeasured.
-func (pb *probeInst) bindSets(rows []relation.Tuple, pos []int, n int, state *uint8) {
+func (pb *probeInst) bindSets(rows *rowSet, pos []int, n int, state *uint8) {
 	k := pb.k
 	if pb.vs == nil {
 		pb.vs = &probeSets{sets: make([]valueSet, len(k.parts))}
@@ -1348,14 +1348,14 @@ func (pb *probeInst) bindSets(rows []relation.Tuple, pos []int, n int, state *ui
 			vs.sets[i].reset()
 		}
 	}
-	agree := false
+	agree, si := false, 0
 rows:
 	for j := 0; j < n; j++ {
 		p := j
 		if pos != nil {
 			p = pos[j]
 		}
-		r := rows[p]
+		r := rows.row(p, &si)
 		for i, col := range k.d.keyCols {
 			switch {
 			case !pb.con[i]:

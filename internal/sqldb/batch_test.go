@@ -282,7 +282,7 @@ func columnCacheStorm(t *testing.T, sparse bool) {
 	allowed := int64(3 * 6000) // cells ever stored, or to be covered again after a rollback
 	for step := 0; step < 300; step++ {
 		before := tbl.colBuilt.Load()
-		rowsBefore := len(db.cur.Load().tds[tbl].rows)
+		rowsBefore := db.cur.Load().tds[tbl].n
 		want := int64(0) // cells this step may have read from rows, dense
 		lo := relation.Int(int64(rng.Intn(nextW + 1)))
 		switch op := rng.Intn(12); op {
@@ -324,7 +324,7 @@ func columnCacheStorm(t *testing.T, sparse bool) {
 			}
 			want = 3 * int64(rowsBefore)
 		}
-		if len(db.cur.Load().tds[tbl].rows) < 3000 {
+		if db.cur.Load().tds[tbl].n < 3000 {
 			insert(3000) // keep several segments
 			want += 3 * 3000
 		}

@@ -117,7 +117,7 @@ func (ep *epoch) table(name string) (*Table, error) {
 func (ep *epoch) bytes() int64 {
 	var b int64
 	for t, td := range ep.tds {
-		b += int64(len(td.rows)) * (int64(unsafe.Sizeof(relation.Tuple{})) + int64(t.Schema.Width())*valueBytes)
+		b += int64(td.n) * (int64(unsafe.Sizeof(relation.Tuple{})) + int64(t.Schema.Width())*valueBytes)
 		for _, sg := range td.segs {
 			sg.c.mu.RLock()
 			for i := range sg.c.vecs {
@@ -144,6 +144,10 @@ type Table struct {
 	// covers it, never again because of DML (forks compact and patch what
 	// is built; only wholesale replacement starts over).
 	colBuilt atomic.Int64
+	// identity is the array every ident order of the table's indexes is a
+	// prefix of (identPrefix): identity[i] == i, written once before it
+	// is stored and never again.
+	identity atomic.Pointer[[]int]
 }
 
 // Index is a stable handle for one secondary index: its column list
@@ -157,27 +161,71 @@ type Index struct {
 	rebuilds atomic.Int64
 }
 
-// tableData is one epoch's view of a table: the frozen row array plus
-// the lazily built index and column structures valid for it. The row
-// array is immutable (appends by a *newer* epoch may fill its spare
-// capacity beyond len, which readers of this epoch never touch).
+// tableData is one epoch's view of a table: its rows, held by the
+// segments that also hold their column cache, plus the lazily built
+// index structures valid for them. Rows are immutable (appends by a
+// *newer* epoch may fill a tail's spare capacity beyond its length, which
+// readers of this epoch never touch).
 //
 // Index/column structures are shared between epochs whenever the
 // epoch transition preserves them (an append extends, a non-indexed
 // UPDATE doesn't disturb an index, ...). Sharing is sound because the
 // structures are *fenced*: every access passes the reader's row count
-// f = len(td.rows), and the structure answers for rows [0, f) only,
+// f = td.n, and the structure answers for rows [0, f) only,
 // extending itself under its own lock if it has not covered f yet.
 // All epochs sharing a structure agree on the cell values it indexes
 // over their common prefix, so extensions commute.
 type tableData struct {
-	rows []relation.Tuple
+	rowSet
 	// version distinguishes row states for per-env hash-build caching.
 	version uint64
-	// segs is the column cache: the segments partition [0, len(rows)) in
-	// position order, at most segRows rows each. See segment.
-	segs    []segment
 	indexes []indexSlot
+}
+
+// rowSet is a source's rows in position order, held by segments: a base
+// table's in one epoch — at most segRows rows a segment, each with its
+// column cache — or the rows a derived table materialized, in one segment
+// without one (derivedRows).
+type rowSet struct {
+	segs []segment
+	n    int
+}
+
+// derivedRows wraps materialized rows as a rowSet.
+func derivedRows(rows []relation.Tuple) rowSet {
+	if len(rows) == 0 {
+		return rowSet{}
+	}
+	return rowSet{segs: []segment{{rows: rows}}, n: len(rows)}
+}
+
+// row returns the row at position p, looking for its segment from *si on
+// and leaving it there: a caller walking positions in order passes the
+// same hint every time.
+func (rs *rowSet) row(p int, si *int) relation.Tuple {
+	*si = rs.segAt(p, *si)
+	sg := &rs.segs[*si]
+	return sg.rows[p-sg.start]
+}
+
+// flat returns rows [0, f) as one slice, for the passes that compare rows
+// at arbitrary positions (a first sort, a rebuilt map): a transient copy
+// of the headers, or the segment's own rows when one holds them all.
+func (rs *rowSet) flat(f int) []relation.Tuple {
+	switch {
+	case f == 0:
+		return nil
+	case len(rs.segs) == 1:
+		return rs.segs[0].rows[:f]
+	}
+	out := make([]relation.Tuple, 0, f)
+	for _, sg := range rs.segs {
+		out = append(out, sg.rows[:min(len(sg.rows), f-sg.start)]...)
+		if sg.start+len(sg.rows) >= f {
+			break
+		}
+	}
+	return out
 }
 
 type indexSlot struct {
@@ -203,6 +251,13 @@ type indexSlot struct {
 //     upkeep. An UPDATE that assigns the index's columns forks both
 //     never-built.
 //
+// An index whose order is position order — the detector's RID index:
+// RIDs ascend on append, and DELETE keeps the order — is ident: sorted is
+// then a prefix of the table's identity array (Table.identPrefix), which
+// nothing writes, and its DELETE and TRUNCATE forks copy no position. An append
+// out of key order ends ident and sorts the order into an array of its
+// own.
+//
 // Both grow monotonically under mu; they are never shrunk or
 // reordered in place, so a header snapshotted under RLock stays
 // readable after release (growth only appends, and bucket arrays are
@@ -213,6 +268,26 @@ type indexData struct {
 	mCover int
 	sorted []int
 	sBase  int
+	ident  bool
+}
+
+// identPrefix returns the positions [0, n) in order, a prefix of the
+// table's identity array, which it replaces by a longer one — by a
+// segment's worth of slack, no more — when n runs past it.
+func (t *Table) identPrefix(n int) []int {
+	for {
+		old := t.identity.Load()
+		if old != nil && len(*old) >= n {
+			return (*old)[:n:n]
+		}
+		ids := make([]int, (n/segRows+1)*segRows)
+		for i := range ids {
+			ids[i] = i
+		}
+		if t.identity.CompareAndSwap(old, &ids) {
+			return ids[:n:n]
+		}
+	}
 }
 
 // segRows is the most rows a column-cache segment holds — one selection
@@ -226,13 +301,18 @@ const segRows = batchChunk
 
 // segment is one epoch's entry for a run of consecutive positions: where
 // the run starts in this epoch (a DELETE shifts the segments behind it
-// without touching them) and the vectors it shares with every other
-// epoch listing the same colSeg. It ends where the next one starts, the
-// last — the tail — at len(rows). A table's segments are never empty, and
-// no two neighbours fit in one (segsDeleted merges them), so n rows have
-// at most 2·⌈n/segRows⌉+1.
+// without touching them), its rows, and the vectors it shares with every
+// other epoch listing the same colSeg. The rows are the segment's own
+// chunk: forks copy the chunks of the segments they touch and share the
+// rest. Only the tail's chunk grows, INSERT appending into its spare
+// capacity — which only the writer head's lineage reaches. The head moves
+// back in two places: a rollback clips the chunks (rowSet.restored), and
+// a failed group fsync leaves the database read-only. A table's segments
+// are never empty, and no two neighbours fit in one (segsDeleted merges
+// them), so n rows have at most 2·⌈n/segRows⌉+1.
 type segment struct {
 	start int
+	rows  []relation.Tuple
 	c     *colSeg
 }
 
@@ -702,9 +782,10 @@ func cloneTables(m map[string]*Table) map[string]*Table {
 	return out
 }
 
-// newTableData wraps rows nothing is built over yet.
+// newTableData wraps rows nothing is built over yet, copied into segments.
 func newTableData(rows []relation.Tuple, indexes []indexSlot) *tableData {
-	return &tableData{rows: rows, segs: appendSegs(nil, len(rows)), indexes: indexes}
+	rs, _ := rowSet{}.appended(rows)
+	return &tableData{rowSet: rs, indexes: indexes}
 }
 
 // table looks a table up in the writer head; callers hold db.mu.
@@ -732,7 +813,7 @@ func (db *DB) TableLen(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(ep.tds[t].rows), nil
+	return ep.tds[t].n, nil
 }
 
 // LoadRelation bulk-creates (or replaces the contents of) a table from
@@ -772,7 +853,8 @@ func (db *DB) LoadRelation(r *relation.Relation) error {
 		return err
 	}
 	if ok {
-		db.applyWholesale(t, rows)
+		rs, _ := rowSet{}.appended(rows)
+		db.applyWholesale(t, rs)
 		return nil
 	}
 	t = &Table{Name: r.Schema.Name, Schema: r.Schema}
@@ -793,11 +875,13 @@ func (db *DB) Snapshot(name string) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := ep.tds[t].rows
+	td := ep.tds[t]
 	out := relation.New(t.Schema)
-	out.Rows = make([]relation.Tuple, len(rows))
-	for i, row := range rows {
-		out.Rows[i] = row.Clone()
+	out.Rows = make([]relation.Tuple, 0, td.n)
+	for _, sg := range td.segs {
+		for _, row := range sg.rows {
+			out.Rows = append(out.Rows, row.Clone())
+		}
 	}
 	return out, nil
 }
@@ -833,7 +917,7 @@ func (db *DB) CreateIndex(name, table string, cols []string) error {
 	nidx := make([]indexSlot, len(td.indexes)+1)
 	copy(nidx, td.indexes)
 	nidx[len(td.indexes)] = indexSlot{idx: idx, data: &indexData{}}
-	ntd := &tableData{rows: td.rows, version: td.version, segs: td.segs, indexes: nidx}
+	ntd := &tableData{rowSet: td.rowSet, version: td.version, indexes: nidx}
 	ne := db.forkEpochW()
 	ne.tds[t] = ntd
 	ne.ddlVersion++
@@ -850,28 +934,43 @@ func (db *DB) CreateIndex(name, table string, cols []string) error {
 // is now the delta applied while building the fork; readers of older
 // epochs keep their frozen view.
 
-// applyAppend installs rows appended to t. The new row array may
-// extend the old one's spare capacity in place: cells beyond the old
-// length are invisible to older epochs, and every non-append
-// transition produces a fresh or capacity-clipped array, so no other
-// lineage can ever write those cells. Index structures and column
+// applyAppend installs rows appended to t. Index structures and column
 // segments are shared wholesale — appends are exactly what their lazy
-// fenced extension absorbs; rows past the tail's segRows start fresh
-// segments.
+// fenced extension absorbs (rowSet.appended).
 func (db *DB) applyAppend(t *Table, newRows []relation.Tuple) {
 	td := db.curW.tds[t]
-	cells := len(newRows)
-	if len(td.rows)+cells > cap(td.rows) {
-		cells += len(td.rows) // append moves the array
-	}
-	rows := append(td.rows, newRows...)
+	rs, cells := td.appended(newRows)
 	db.copied(cells, 0)
-	db.installTD(t, &tableData{
-		rows:    rows,
-		version: td.version + 1,
-		segs:    appendSegs(td.segs, len(rows)),
-		indexes: td.indexes,
-	})
+	db.installTD(t, &tableData{rowSet: rs, version: td.version + 1, indexes: td.indexes})
+}
+
+// appended returns the rows with newRows appended and the row slots it
+// wrote. The tail's chunk takes rows until it holds segRows, in place
+// while its capacity lasts: cells beyond its length are invisible to
+// older epochs, and only the writer head's lineage appends to it (see
+// segment). Past that, chunks are reallocated — a tail's at least doubled
+// — and rows beyond segRows start fresh never-built segments.
+func (rs rowSet) appended(newRows []relation.Tuple) (rowSet, int) {
+	out := rowSet{segs: rs.segs[:len(rs.segs):len(rs.segs)], n: rs.n + len(newRows)} // the epoch forked from lists the same array
+	cells := len(newRows)
+	if k := len(out.segs) - 1; k >= 0 && len(out.segs[k].rows) < segRows && len(newRows) > 0 {
+		rows := out.segs[k].rows
+		m := min(segRows-len(rows), len(newRows))
+		if len(rows)+m > cap(rows) {
+			grown := make([]relation.Tuple, len(rows), min(segRows, max(2*cap(rows), len(rows)+m)))
+			cells += copy(grown, rows)
+			rows = grown
+		}
+		out.segs = slices.Clone(out.segs)
+		out.segs[k].rows = append(rows, newRows[:m]...)
+		newRows = newRows[m:]
+	}
+	for len(newRows) > 0 {
+		m := min(segRows, len(newRows))
+		out.segs = append(out.segs, segment{start: out.n - len(newRows), rows: slices.Clone(newRows[:m]), c: &colSeg{}})
+		newRows = newRows[m:]
+	}
+	return out, cells
 }
 
 // copied adds what one DML fork wrote to the CellsCopied counters: cells
@@ -895,27 +994,28 @@ func (db *DB) wrote(matched, written int) {
 // their structures (this keeps the detector's SV/MV flag writes from
 // ever disturbing the RID index); overlapping indexes restart
 // never-built, as under applyWholesale, and the next probe rebuilds
-// them. Column segments holding no changed position are shared, the
-// others fork (colSeg.forkUpdated).
+// them. Segments holding no changed position are shared, the others fork:
+// their row chunk is copied with the changed tuples replaced, their
+// columns patched (colSeg.forkUpdated).
 func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.Value) {
 	td := db.curW.tds[t]
-	nrows := make([]relation.Tuple, len(td.rows))
-	copy(nrows, td.rows)
-	for i, ri := range pos {
-		nr := td.rows[ri].Clone()
-		for j, c := range setCols {
-			nr[c] = vals[i][j]
-		}
-		nrows[ri] = nr
-	}
-	ntd := &tableData{rows: nrows, version: td.version + 1, segs: slices.Clone(td.segs)}
-	cells, seg := len(nrows), 0
+	ntd := &tableData{rowSet: rowSet{segs: slices.Clone(td.segs), n: td.n}, version: td.version + 1}
+	cells, seg := 0, 0
 	for i, si := 0, 0; i < len(pos); {
 		si = td.segAt(pos[i], si)
 		base, n := td.span(si)
 		j := i + sort.SearchInts(pos[i:], base+n)
+		rows := slices.Clone(td.segs[si].rows)
+		for k, ri := range pos[i:j] {
+			nr := rows[ri-base].Clone()
+			for jj, c := range setCols {
+				nr[c] = vals[i+k][jj]
+			}
+			rows[ri-base] = nr
+		}
 		c, k := td.segs[si].c.forkUpdated(base, pos[i:j], setCols, vals[i:j])
-		ntd.segs[si].c, seg, i = c, seg+k, j
+		ntd.segs[si].rows, ntd.segs[si].c = rows, c
+		cells, seg, i = cells+n, seg+k, j
 	}
 	if len(td.indexes) > 0 {
 		ntd.indexes = make([]indexSlot, len(td.indexes))
@@ -934,23 +1034,21 @@ func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.
 // (ascending, pre-delete positions). Surviving positions shift down
 // by the number of deleted positions below them; neither keys nor
 // relative order change, so every built index structure forks by one
-// filter-and-remap pass, and the column cache by rebuilding the
-// segments that lost rows (segsDeleted).
+// filter-and-remap pass (none for an ident one), and the segments that
+// lost rows are rebuilt, rows and columns (segsDeleted).
 func (db *DB) applyDelete(t *Table, dels []int) {
 	td := db.curW.tds[t]
-	nrows := withoutPositions(td.rows, dels)
-	ntd := &tableData{rows: nrows, version: td.version + 1}
-	cells := len(nrows)
-	var seg int
-	ntd.segs, seg = td.segsDeleted(t, dels, nrows)
+	ntd := &tableData{version: td.version + 1}
+	var cells, seg int
+	ntd.rowSet, cells, seg = td.segsDeleted(t, dels)
 	if len(td.indexes) > 0 {
 		ntd.indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
-			nd, k := sl.data.forkDeleted(dels)
+			nd, k := sl.data.forkDeleted(t, dels)
 			ntd.indexes[i], cells = indexSlot{idx: sl.idx, data: nd}, cells+k
 		}
 	}
-	db.copied(cells+seg, seg)
+	db.copied(cells, seg)
 	db.installTD(t, ntd)
 }
 
@@ -964,7 +1062,7 @@ func (db *DB) applyTruncate(t *Table) {
 	if len(td.indexes) > 0 {
 		ntd.indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
-			ntd.indexes[i] = indexSlot{idx: sl.idx, data: sl.data.forkTruncated()}
+			ntd.indexes[i] = indexSlot{idx: sl.idx, data: sl.data.forkTruncated(t)}
 		}
 	}
 	db.installTD(t, ntd)
@@ -973,19 +1071,31 @@ func (db *DB) applyTruncate(t *Table) {
 // applyWholesale installs a full row replacement (LoadRelation over
 // an existing table, transaction rollback). No per-row delta exists,
 // so every structure forks to never-built and the next probe pays a
-// full rebuild — the epoch version of mark-dirty-and-rebuild.
-func (db *DB) applyWholesale(t *Table, rows []relation.Tuple) {
+// full rebuild — the epoch version of mark-dirty-and-rebuild. The
+// segments of rs must be never-built.
+func (db *DB) applyWholesale(t *Table, rs rowSet) {
 	td := db.curW.tds[t]
-	var indexes []indexSlot
+	ntd := &tableData{rowSet: rs, version: td.version + 1}
 	if len(td.indexes) > 0 {
-		indexes = make([]indexSlot, len(td.indexes))
+		ntd.indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
-			indexes[i] = indexSlot{idx: sl.idx, data: &indexData{}}
+			ntd.indexes[i] = indexSlot{idx: sl.idx, data: &indexData{}}
 		}
 	}
-	ntd := newTableData(rows, indexes)
-	ntd.version = td.version + 1
 	db.installTD(t, ntd)
+}
+
+// restored is rs for a rollback to reinstall: the same row chunks, with
+// no spare capacity — the lineage rolled back may have appended into it,
+// and a pinned reader may still see those rows — and never-built
+// segments, whose columns that lineage may have extended over them too.
+func (rs rowSet) restored() rowSet {
+	segs := slices.Clone(rs.segs)
+	for i := range segs {
+		segs[i].rows = slices.Clip(segs[i].rows)
+		segs[i].c = &colSeg{}
+	}
+	return rowSet{segs: segs, n: rs.n}
 }
 
 // overlaps reports whether an index column list reads any of cols.
@@ -1004,46 +1114,25 @@ func overlaps(idxCols, cols []int) bool {
 
 // span returns the positions segment si covers in this epoch: n rows from
 // base.
-func (td *tableData) span(si int) (base, n int) {
-	base, end := td.segs[si].start, len(td.rows)
-	if si+1 < len(td.segs) {
-		end = td.segs[si+1].start
-	}
-	return base, end - base
+func (rs *rowSet) span(si int) (base, n int) {
+	return rs.segs[si].start, len(rs.segs[si].rows)
 }
 
 // segAt returns the segment holding position p, trying hint first: a
 // level's candidates mostly continue where the last one was.
-func (td *tableData) segAt(p, hint int) int {
-	if base, n := td.span(hint); uint(p-base) < uint(n) {
+func (rs *rowSet) segAt(p, hint int) int {
+	if base, n := rs.span(hint); uint(p-base) < uint(n) {
 		return hint
 	}
-	lo, hi := 0, len(td.segs) // the last segment starting at or before p
+	lo, hi := 0, len(rs.segs) // the last segment starting at or before p
 	for hi-lo > 1 {
-		if mid := int(uint(lo+hi) >> 1); td.segs[mid].start <= p {
+		if mid := int(uint(lo+hi) >> 1); rs.segs[mid].start <= p {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return lo
-}
-
-// appendSegs extends a segment table to cover n rows: the tail takes
-// rows until it holds segRows, fresh never-built segments the rest.
-func appendSegs(segs []segment, n int) []segment {
-	next := 0
-	if k := len(segs); k > 0 {
-		next = segs[k-1].start + segRows
-	}
-	if next >= n {
-		return segs
-	}
-	segs = segs[:len(segs):len(segs)] // the epoch forked from lists the same array
-	for ; next < n; next += segRows {
-		segs = append(segs, segment{start: next, c: &colSeg{}})
-	}
-	return segs
 }
 
 // column returns the segment's column at schema position ci, covering
@@ -1120,46 +1209,53 @@ func (s *colSeg) forkUpdated(base int, pos []int, setCols []int, vals [][]relati
 	return ns, cells
 }
 
-// segPart is one segment's contribution to a rebuilt one: its n rows from
+// segPart is one segment's contribution to a rebuilt one: its rows from
 // position base on, in the epoch forked from, minus those at dels.
 type segPart struct {
-	c       *colSeg
-	base, n int
-	dels    []int
+	segment
+	dels []int
 }
 
-// segsDeleted forks the segment table for a DELETE of positions dels
-// (ascending); nrows are the rows left. A segment that loses no row is
-// shared, at its shifted start; one that loses all of them is dropped;
-// the others are rebuilt, compacted — each together with the neighbours
-// it now fits in one segment with, which keeps the table within its
-// bound (see segment) under any churn. Returns the cells written too.
-func (td *tableData) segsDeleted(t *Table, dels []int, nrows []relation.Tuple) ([]segment, int) {
-	out := make([]segment, 0, len(td.segs))
-	var parts []segPart // the segment being assembled: its parts, first position and rows
-	start, size, cells := 0, 0, 0
+// segsDeleted forks the rows for a DELETE of positions dels (ascending).
+// A segment that loses no row is shared, at its shifted start; one that
+// loses all of them is dropped; the others are rebuilt, rows and columns
+// compacted — each together with the neighbours it now fits in one
+// segment with, which keeps the table within its bound (see segment)
+// under any churn. Returns the cells written too, in all and into column
+// segments.
+func (td *tableData) segsDeleted(t *Table, dels []int) (rowSet, int, int) {
+	out := rowSet{segs: make([]segment, 0, len(td.segs))}
+	var parts []segPart // the segment being assembled: its parts and rows
+	size, cells, seg := 0, 0, 0
 	flush := func() {
+		sg := segment{start: out.n}
 		if len(parts) == 1 && len(parts[0].dels) == 0 {
-			out = append(out, segment{start: start, c: parts[0].c})
-		} else if len(parts) > 0 {
-			c, k := rebuildSeg(t, parts, nrows[start:start+size])
-			out, cells = append(out, segment{start: start, c: c}), cells+k
+			sg.rows, sg.c = parts[0].rows, parts[0].c
+		} else {
+			sg.rows = make([]relation.Tuple, 0, size)
+			for _, p := range parts {
+				sg.rows = appendWithout(sg.rows, p.rows, p.dels, p.start)
+			}
+			var k int
+			sg.c, k = rebuildSeg(t, parts, sg.rows)
+			cells, seg = cells+size+k, seg+k
 		}
-		start, size, parts = start+size, 0, parts[:0]
+		out.segs, out.n, size, parts = append(out.segs, sg), out.n+size, 0, parts[:0]
 	}
-	for si := range td.segs {
-		base, n := td.span(si)
-		k := sort.SearchInts(dels, base+n)
-		if live := n - k; live > 0 {
+	for _, sg := range td.segs {
+		k := sort.SearchInts(dels, sg.start+len(sg.rows))
+		if live := len(sg.rows) - k; live > 0 {
 			if size+live > segRows {
 				flush()
 			}
-			parts, size = append(parts, segPart{td.segs[si].c, base, n, dels[:k]}), size+live
+			parts, size = append(parts, segPart{sg, dels[:k]}), size+live
 		}
 		dels = dels[k:]
 	}
-	flush()
-	return out, cells
+	if len(parts) > 0 {
+		flush()
+	}
+	return out, cells, seg
 }
 
 // rebuildSeg builds the segment holding what is left of parts, in order;
@@ -1180,13 +1276,13 @@ func rebuildSeg(t *Table, parts []segPart, rows []relation.Tuple) (*colSeg, int)
 		at := 0 // where the part's rows start in the result
 		for _, p := range parts {
 			if ci < len(p.c.vecs) && p.c.vecs[ci].len() > 0 {
-				pv := p.c.vecs[ci].cut(min(p.n, p.c.vecs[ci].len()))
+				pv := p.c.vecs[ci].cut(min(len(p.rows), p.c.vecs[ci].len()))
 				switch {
 				case at > 0: // a later part: pushed, after what the first left uncovered
 					t.colBuilt.Add(int64(at - v.len()))
 					v.extend(rows[:at], ci, t.Schema.Attrs[ci].Kind == relation.KindText)
 					for i, dels := 0, p.dels; i < pv.len(); i++ {
-						if len(dels) > 0 && dels[0] == p.base+i {
+						if len(dels) > 0 && dels[0] == p.start+i {
 							dels = dels[1:]
 						} else {
 							v.push(pv.at(i))
@@ -1194,28 +1290,18 @@ func rebuildSeg(t *Table, parts []segPart, rows []relation.Tuple) (*colSeg, int)
 					}
 				case pv.codes == nil: // the first part, compacted
 					*v = pv
-					v.vals = appendWithout(make([]relation.Value, 0, len(rows)), pv.vals, p.dels, p.base)
+					v.vals = appendWithout(make([]relation.Value, 0, len(rows)), pv.vals, p.dels, p.start)
 				default: // the first part, compacted, its dictionary kept
 					*v = pv
-					v.codes = appendWithout(make([]uint16, 0, len(rows)), pv.codes, p.dels, p.base)
+					v.codes = appendWithout(make([]uint16, 0, len(rows)), pv.codes, p.dels, p.start)
 					v.dictBounded()
 				}
 			}
-			at += p.n - len(p.dels)
+			at += len(p.rows) - len(p.dels)
 		}
 		cells += v.len()
 	}
 	return ns, cells
-}
-
-// withoutPositions returns a fresh copy of v minus the elements at the
-// ascending positions dels (those beyond len(v) are ignored). The copy
-// keeps room for as many elements as were deleted (up to a quarter of
-// its length, append's own growth step), so a table that deletes and
-// inserts in equal measure does not reallocate on the next append.
-func withoutPositions(v []relation.Tuple, dels []int) []relation.Tuple {
-	n := len(v) - sort.SearchInts(dels, len(v))
-	return appendWithout(make([]relation.Tuple, 0, n+min(len(v)-n, n/4)), v, dels, 0)
 }
 
 // appendWithout appends v to out minus the elements at the ascending
@@ -1270,7 +1356,7 @@ func (v *eqView) ordered() bool { return v.s != nil }
 // expression evaluation.
 func (td *tableData) lookupEq(t *Table, idx *Index) eqView {
 	d := td.indexData(idx)
-	f := len(td.rows)
+	f := td.n
 	d.mu.RLock()
 	s := d.sorted
 	mapped := d.m != nil && d.mCover >= f
@@ -1283,7 +1369,7 @@ func (td *tableData) lookupEq(t *Table, idx *Index) eqView {
 		return eqView{s: s[:f], td: td, idx: idx}
 	}
 	if !mapped {
-		d.extendEq(idx, td.rows, f)
+		d.extendEq(idx, &td.rowSet, f)
 	}
 	return eqView{td: td, idx: idx, d: d}
 }
@@ -1303,12 +1389,12 @@ func (v *eqView) probe(vals []relation.Value, keyBuf *[]byte) []int {
 // probeKey is probe on the map path, for callers that encode the key
 // themselves.
 func (v *eqView) probeKey(key []byte) []int {
-	return v.d.probe(key, len(v.td.rows))
+	return v.d.probe(key, v.td.n)
 }
 
 // within is eqRange over the view's index, on the ordered path.
 func (v *eqView) within(s []int, k0 int, vals []relation.Value) []int {
-	return eqRange(v.td.rows, v.idx.Cols, s, k0, vals)
+	return eqRange(&v.td.rowSet, v.idx.Cols, s, k0, vals)
 }
 
 // eqRange narrows s — positions in index order that agree on the first
@@ -1317,11 +1403,13 @@ func (v *eqView) within(s []int, k0 int, vals []relation.Value) []int {
 // is what the map's key encoding implements: exact across numeric
 // kinds, NaN self-equal. NULL rows sort outside every equal region of a
 // non-NULL probe, and callers never probe with NULL.
-func eqRange(rows []relation.Tuple, cols []int, s []int, k0 int, vals []relation.Value) []int {
+func eqRange(rs *rowSet, cols []int, s []int, k0 int, vals []relation.Value) []int {
 	// Two hand-rolled binary searches: this runs once per probed row,
-	// and sort.Search would allocate its closure each time.
+	// and sort.Search would allocate its closure each time. Once the
+	// searched range lies in one segment, the hint finds every row.
+	si := 0
 	cmp := func(ri int) int {
-		row := rows[ri]
+		row := rs.row(ri, &si)
 		for j := range vals {
 			if c := relation.Compare(row[cols[k0+j]], vals[j]); c != 0 {
 				return c
@@ -1351,38 +1439,23 @@ func eqRange(rows []relation.Tuple, cols []int, s []int, k0 int, vals []relation
 }
 
 // extendEq builds (or grows) the equality map to cover fence f.
-func (d *indexData) extendEq(idx *Index, rows []relation.Tuple, f int) {
+func (d *indexData) extendEq(idx *Index, rs *rowSet, f int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.m == nil {
-		m := make(map[string][]int, f)
-		key := make([]relation.Value, len(idx.Cols))
-		for ri := 0; ri < f; ri++ {
-			row := rows[ri]
-			for i, c := range idx.Cols {
-				key[i] = row[c]
-			}
-			k := relation.KeyOf(key)
-			m[k] = append(m[k], ri)
-		}
-		d.m = m
-		d.mCover = f
+		d.m = make(map[string][]int, f)
 		idx.rebuilds.Add(1)
-		return
-	}
-	if d.mCover >= f {
-		return
 	}
 	key := make([]relation.Value, len(idx.Cols))
-	for ri := d.mCover; ri < f; ri++ {
-		row := rows[ri]
+	for ri, si := d.mCover, 0; ri < f; ri++ {
+		row := rs.row(ri, &si)
 		for i, c := range idx.Cols {
 			key[i] = row[c]
 		}
 		k := relation.KeyOf(key)
 		d.m[k] = append(d.m[k], ri)
 	}
-	d.mCover = f
+	d.mCover = max(d.mCover, f)
 }
 
 // probe returns the ascending row positions matching an encoded key,
@@ -1405,77 +1478,84 @@ func (d *indexData) probe(key []byte, fence int) []int {
 // immutable to the caller.
 func (td *tableData) orderedOf(t *Table, idx *Index) []int {
 	d := td.indexData(idx)
-	f := len(td.rows)
+	f := td.n
 	d.mu.RLock()
 	s, base := d.sorted, d.sBase
 	d.mu.RUnlock()
 	if s != nil && base <= f && len(s) >= f {
 		return s[:f]
 	}
-	return d.extendOrdered(idx, td.rows, f)
+	return d.extendOrdered(t, idx, &td.rowSet, f)
 }
 
 // extendOrdered builds or grows the in-order positions to fence f.
 //
 // The append fast path keeps every intermediate fence valid: when the
 // appended rows are already in key order position by position, the
-// positions are appended verbatim, so sorted[:g] stays a permutation
-// of [0, g) for every g up to the new length — this is the detector's
-// monotone-RID append. Any other extension sorts [0, f) afresh, as the
-// first build does: the array is then only coherent at its own fence,
-// so sBase rises and an older pinned reader falls back to a transient
-// sort. Only a sort that replaces positions counts as a rebuild: the
-// rows appended to the built-empty order TRUNCATE leaves are its build.
-func (d *indexData) extendOrdered(idx *Index, rows []relation.Tuple, f int) []int {
+// positions are appended verbatim — an ident order takes a longer prefix
+// of the identity instead — so sorted[:g] stays a permutation of [0, g)
+// for every g up to the new length: this is the detector's monotone-RID
+// append. Any other extension builds [0, f) afresh, as the first build
+// does: ident if the rows are in key order, else sorted, in which case
+// the array is only coherent at its own fence, so sBase rises and an
+// older pinned reader falls back to a transient sort. Only a build that
+// replaces positions counts as a rebuild: the rows appended to the
+// built-empty order TRUNCATE leaves are its build.
+func (d *indexData) extendOrdered(t *Table, idx *Index, rs *rowSet, f int) []int {
 	d.mu.Lock()
 	s := d.sorted
-	if s != nil && d.sBase <= f && len(s) >= f {
-		d.mu.Unlock()
-		return s[:f]
-	}
 	if s != nil && f < d.sBase {
 		d.mu.Unlock()
 		// This reader pinned its epoch before a re-sort rebased the
 		// shared structure past its fence: sort a private view, uncached
 		// (rare — a racing writer appended out of key order).
-		return sortedPositions(idx.Cols, rows, f)
+		return sortedPositions(idx.Cols, rs.flat(f))
 	}
-	if s != nil && inKeyOrder(idx.Cols, rows, s, f) {
+	defer d.mu.Unlock()
+	switch {
+	case s != nil && len(s) >= f:
+		return s[:f]
+	case s != nil && inKeyOrder(idx.Cols, rs, s, f):
+		if d.ident {
+			s = t.identPrefix(f)
+		}
 		for ri := len(s); ri < f; ri++ {
 			s = append(s, ri)
 		}
 		d.sorted = s
-		d.mu.Unlock()
-		return s[:f]
-	}
-	if s == nil || len(s) > 0 {
+		return s
+	case s == nil || len(s) > 0:
 		idx.rebuilds.Add(1)
 	}
-	ns := sortedPositions(idx.Cols, rows, f)
-	d.sorted, d.sBase = ns, f
-	d.mu.Unlock()
-	return ns
+	if d.ident = inKeyOrder(idx.Cols, rs, nil, f); d.ident {
+		d.sorted, d.sBase = t.identPrefix(f), 0
+	} else {
+		d.sorted, d.sBase = sortedPositions(idx.Cols, rs.flat(f)), f
+	}
+	return d.sorted
 }
 
 // inKeyOrder reports whether rows [len(s), f) follow the in-order
 // positions s position by position, so appending them keeps the order.
-func inKeyOrder(cols []int, rows []relation.Tuple, s []int, f int) bool {
-	prev := -1
+func inKeyOrder(cols []int, rs *rowSet, s []int, f int) bool {
+	si := 0
+	var prev relation.Tuple
 	if len(s) > 0 {
-		prev = s[len(s)-1]
+		prev = rs.row(s[len(s)-1], &si)
 	}
 	for ri := len(s); ri < f; ri++ {
-		if prev >= 0 && lessPosIn(cols, rows, ri, prev) {
+		row := rs.row(ri, &si)
+		if prev != nil && compareRows(cols, row, prev) < 0 {
 			return false
 		}
-		prev = ri
+		prev = row
 	}
 	return true
 }
 
-// sortedPositions returns rows [0, f) in index order.
-func sortedPositions(cols []int, rows []relation.Tuple, f int) []int {
-	ns := make([]int, f)
+// sortedPositions returns the positions of rows in index order.
+func sortedPositions(cols []int, rows []relation.Tuple) []int {
+	ns := make([]int, len(rows))
 	for i := range ns {
 		ns[i] = i
 	}
@@ -1497,23 +1577,17 @@ func sortedPositions(cols []int, rows []relation.Tuple, f int) []int {
 // NULLs ranking below every bounded value).
 func (td *tableData) rangeOf(t *Table, idx *Index, lo, hi relation.Value, hasLo, hasHi, skipNullLo bool) []int {
 	s := td.orderedOf(t, idx)
-	rows := td.rows
-	c0 := idx.Cols[0]
+	si, c0 := 0, idx.Cols[0]
+	at := func(i int) relation.Value { return td.row(s[i], &si)[c0] }
 	from, to := 0, len(s)
 	switch {
 	case hasLo:
-		from = sort.Search(len(s), func(i int) bool {
-			return relation.Compare(rows[s[i]][c0], lo) >= 0
-		})
+		from = sort.Search(len(s), func(i int) bool { return relation.Compare(at(i), lo) >= 0 })
 	case skipNullLo:
-		from = sort.Search(len(s), func(i int) bool {
-			return rows[s[i]][c0].K != relation.KindNull
-		})
+		from = sort.Search(len(s), func(i int) bool { return at(i).K != relation.KindNull })
 	}
 	if hasHi {
-		to = sort.Search(len(s), func(i int) bool {
-			return relation.Compare(rows[s[i]][c0], hi) > 0
-		})
+		to = sort.Search(len(s), func(i int) bool { return relation.Compare(at(i), hi) > 0 })
 	}
 	if to < from {
 		to = from
@@ -1523,9 +1597,9 @@ func (td *tableData) rangeOf(t *Table, idx *Index, lo, hi relation.Value, hasLo,
 
 // forkDeleted forks the structures for a DELETE: surviving positions
 // are filtered and remapped in one pass — no key encoding, no re-sort,
-// and for an index read in order no per-key work at all. Returns the
-// positions written too.
-func (d *indexData) forkDeleted(dels []int) (*indexData, int) {
+// and for an index read in order no per-key work at all; an ident order
+// stays ident, a shorter prefix. Returns the positions written too.
+func (d *indexData) forkDeleted(t *Table, dels []int) (*indexData, int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
@@ -1533,7 +1607,11 @@ func (d *indexData) forkDeleted(dels []int) (*indexData, int) {
 	// whether ri itself is one, given that count.
 	below := func(ri int) int { return sort.SearchInts(dels, ri) }
 	deleted := func(ri, i int) bool { return i < len(dels) && dels[i] == ri }
-	if d.sorted != nil {
+	switch {
+	case d.ident:
+		nd.sorted, nd.ident = t.identPrefix(len(d.sorted)-below(len(d.sorted))), true
+		return nd, 0
+	case d.sorted != nil:
 		keep := make([]int, 0, len(d.sorted))
 		for _, ri := range d.sorted {
 			if i := below(ri); !deleted(ri, i) {
@@ -1542,8 +1620,7 @@ func (d *indexData) forkDeleted(dels []int) (*indexData, int) {
 		}
 		nd.sorted, nd.sBase = keep, len(keep)
 		return nd, len(keep) // equality probes binary-search it: no map to carry
-	}
-	if d.m != nil {
+	case d.m != nil:
 		nm := make(map[string][]int, len(d.m))
 		for k, b := range d.m {
 			var keep []int
@@ -1562,15 +1639,17 @@ func (d *indexData) forkDeleted(dels []int) (*indexData, int) {
 	return nd, nd.mCover // every covered row sits in one bucket
 }
 
-// forkTruncated forks the structures for TRUNCATE: built becomes
-// built-empty with fresh allocations, never-built stays never-built.
-func (d *indexData) forkTruncated() *indexData {
+// forkTruncated forks the structures for TRUNCATE: a built order becomes
+// the empty ident one, a built map a fresh empty one (an in-place [:0]
+// would alias backing arrays across lineages); never-built stays
+// never-built.
+func (d *indexData) forkTruncated(t *Table) *indexData {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	nd := &indexData{}
 	switch {
 	case d.sorted != nil:
-		nd.sorted = make([]int, 0)
+		nd.sorted, nd.ident = t.identPrefix(0), true
 	case d.m != nil:
 		nd.m = make(map[string][]int)
 	}
@@ -1579,15 +1658,22 @@ func (d *indexData) forkTruncated() *indexData {
 
 // lessPosIn orders two row positions by the index-column values, ties
 // by position — the sort order of indexData.sorted, evaluated against
-// an explicit row array (each epoch passes its own).
+// an explicit row array.
 func lessPosIn(cols []int, rows []relation.Tuple, a, b int) bool {
-	ra, rb := rows[a], rows[b]
-	for _, c := range cols {
-		if cmp := relation.Compare(ra[c], rb[c]); cmp != 0 {
-			return cmp < 0
-		}
+	if c := compareRows(cols, rows[a], rows[b]); c != 0 {
+		return c < 0
 	}
 	return a < b
+}
+
+// compareRows compares two rows by the index columns.
+func compareRows(cols []int, a, b relation.Tuple) int {
+	for _, c := range cols {
+		if cmp := relation.Compare(a[c], b[c]); cmp != 0 {
+			return cmp
+		}
+	}
+	return 0
 }
 
 // --- access-path finders (per-epoch: indexes are catalog state) ---

@@ -85,8 +85,8 @@ func (en *env) publish() {
 // td returns the epoch's data for a table handle.
 func (en *env) td(t *Table) *tableData { return en.ep.tds[t] }
 
-// rows returns the epoch's row slice for a table handle.
-func (en *env) rows(t *Table) []relation.Tuple { return en.ep.tds[t].rows }
+// rows returns the epoch's rows of a table handle.
+func (en *env) rows(t *Table) rowSet { return en.ep.tds[t].rowSet }
 
 // scratchFor returns the env's frame row slot for cs.
 func (en *env) scratchFor(cs *compiledSelect) []relation.Tuple {

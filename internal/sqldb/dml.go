@@ -12,7 +12,7 @@ import (
 // and plan-cache layers hold them across executions) and run in a
 // separate phase, mirroring the compile/exec split of SELECT. All DML
 // executes under db.mu against the writer's in-progress epoch
-// (db.curW): it evaluates against the epoch's frozen row slices, then
+// (db.curW): it evaluates against the epoch's frozen rows, then
 // applies through a copy-on-write transition (applyAppend /
 // applyUpdate / applyDelete) that forks a new epoch off to the side.
 // Concurrent readers keep scanning their pinned epochs untouched; the
@@ -346,10 +346,10 @@ func (rs *rowSelect) useSemiJoin(ep *epoch) bool {
 	if rs.semi == nil {
 		return false
 	}
-	target := len(ep.tds[rs.t].rows)
+	target := ep.tds[rs.t].n
 	minSub := target + 1
 	for _, src := range rs.semi.sources[1:] {
-		if n := len(ep.tds[src.table].rows); n < minSub {
+		if n := ep.tds[src.table].n; n < minSub {
 			minSub = n
 		}
 	}
@@ -360,7 +360,7 @@ func (rs *rowSelect) useSemiJoin(ep *epoch) bool {
 // head, ascending and unique — the order applyUpdate and applyDelete
 // require regardless of the scan's visit order.
 func (rs *rowSelect) positions(db *DB, params []relation.Value) ([]int, error) {
-	tRows := db.curW.tds[rs.t].rows
+	td := db.curW.tds[rs.t]
 	// Planned selection: semi-join (the target joins the subquery
 	// sources, driven from the small side) or the single-source batched
 	// scan (simple WHERE conjuncts run as kernel filters).
@@ -389,9 +389,9 @@ func (rs *rowSelect) positions(db *DB, params []relation.Value) ([]int, error) {
 		sort.Ints(ris)
 		return ris, nil
 	}
-	ris := make([]int, 0, len(tRows))
+	ris := make([]int, 0, td.n)
 	if rs.where == nil {
-		for ri := range tRows {
+		for ri := range td.n {
 			ris = append(ris, ri)
 		}
 		return ris, nil
@@ -400,14 +400,16 @@ func (rs *rowSelect) positions(db *DB, params []relation.Value) ([]int, error) {
 	defer en.publish()
 	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
 	fr := &en.frames[0]
-	for ri, row := range tRows {
-		fr.rows[0] = row
-		v, err := rs.where(en)
-		if err != nil {
-			return nil, err
-		}
-		if v.Truth() {
-			ris = append(ris, ri)
+	for _, sg := range td.segs {
+		for i, row := range sg.rows {
+			fr.rows[0] = row
+			v, err := rs.where(en)
+			if err != nil {
+				return nil, err
+			}
+			if v.Truth() {
+				ris = append(ris, sg.start+i)
+			}
 		}
 	}
 	return ris, nil
@@ -499,7 +501,7 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	// statements match whole slices of D to flip a few percent of it.
 	// Rows-affected stays the matched count.
 	matched := int64(len(pos))
-	tRows := db.curW.tds[t].rows
+	td, si := db.curW.tds[t], 0
 	setCols := make([]int, len(p.setters))
 	rv := make([]relation.Value, len(p.setters)) // shared by every row when all setters are literals
 	allConst := true
@@ -516,7 +518,7 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	var vals [][]relation.Value
 	n := 0
 	for _, ri := range pos {
-		row := tRows[ri]
+		row := td.row(ri, &si)
 		if !allConst {
 			en.frames[0].rows[0] = row
 			for j, s := range p.setters {

@@ -62,7 +62,7 @@ func (db *DB) execDDLLocked(stmt Statement) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		n := int64(len(db.curW.tds[t].rows))
+		n := int64(db.curW.tds[t].n)
 		if n == 0 {
 			return 0, nil // already empty: no WAL record, no epoch
 		}
@@ -148,7 +148,7 @@ func (cs *compiledSelect) execExists(en *env) (bool, error) {
 	if len(en.frames) != cs.depth {
 		return false, fmt.Errorf("sql: internal: frame depth %d, want %d", len(en.frames), cs.depth)
 	}
-	srcRows := make([][]relation.Tuple, len(cs.sources))
+	srcRows := make([]rowSet, len(cs.sources))
 	for i, src := range cs.sources {
 		srcRows[i] = en.rows(src.table)
 	}
@@ -502,8 +502,8 @@ func (s *slab[T]) alloc(n int) []T {
 
 // materialize returns the rows of every FROM source, running the
 // derived ones.
-func (cs *compiledSelect) materialize(en *env) ([][]relation.Tuple, error) {
-	srcRows := make([][]relation.Tuple, len(cs.sources))
+func (cs *compiledSelect) materialize(en *env) ([]rowSet, error) {
+	srcRows := make([]rowSet, len(cs.sources))
 	for i, src := range cs.sources {
 		if src.table != nil {
 			srcRows[i] = en.rows(src.table)
@@ -513,7 +513,7 @@ func (cs *compiledSelect) materialize(en *env) ([][]relation.Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		srcRows[i] = rows
+		srcRows[i] = derivedRows(rows)
 	}
 	return srcRows, nil
 }
@@ -617,7 +617,7 @@ func (cs *compiledSelect) execDistinct(en *env) ([]relation.Tuple, error) {
 // execRows runs every select that does not dedupe inline: joins,
 // grouping, DISTINCT before ORDER BY, sorting.
 func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
-	var srcRows [][]relation.Tuple
+	var srcRows []rowSet
 	var err error
 	if cs.streamCols == 0 { // execStreamed consumes its one source unmaterialized
 		if srcRows, err = cs.materialize(en); err != nil {
@@ -728,7 +728,7 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 
 // joinLoop nested-loops over the FROM sources, calling yield for every
 // combination passing WHERE.
-func (cs *compiledSelect) joinLoop(en *env, src [][]relation.Tuple, i int, yield func() error) error {
+func (cs *compiledSelect) joinLoop(en *env, src []rowSet, i int, yield func() error) error {
 	if i == len(src) {
 		if cs.where != nil {
 			v, err := cs.where(en)
@@ -742,11 +742,13 @@ func (cs *compiledSelect) joinLoop(en *env, src [][]relation.Tuple, i int, yield
 		return yield()
 	}
 	fr := &en.frames[cs.depth]
-	en.work[wRowsScanned] += int64(len(src[i]))
-	for _, row := range src[i] {
-		fr.rows[i] = row
-		if err := cs.joinLoop(en, src, i+1, yield); err != nil {
-			return err
+	en.work[wRowsScanned] += int64(src[i].n)
+	for _, sg := range src[i].segs {
+		for _, row := range sg.rows {
+			fr.rows[i] = row
+			if err := cs.joinLoop(en, src, i+1, yield); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -755,7 +757,7 @@ func (cs *compiledSelect) joinLoop(en *env, src [][]relation.Tuple, i int, yield
 // execGrouped evaluates GROUP BY / aggregate semantics: one output row
 // per group passing HAVING, non-aggregate expressions evaluated on a
 // representative row of the group.
-func (cs *compiledSelect) execGrouped(en *env, src [][]relation.Tuple, emit func() error) error {
+func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) error {
 	type group struct {
 		rep  []relation.Tuple
 		accs []aggAcc

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"ecfd/internal/relation"
@@ -169,8 +170,9 @@ func FuzzWALUnit(f *testing.F) {
 // encoding of a small catalog. The input is the file's body: the target
 // seals it with the checksum a real file carries — the decoder would turn
 // nearly every mutation away at that door otherwise — and also hands it
-// over as it is. What decodes must freeze into table data whose every
-// column vector and index order builds.
+// over as it is. Every error is ErrCorrupt and names an offset into the
+// file it was handed; what decodes must freeze into table data whose
+// every column vector and index order builds.
 func FuzzSnapshot(f *testing.F) {
 	db := NewDB()
 	for _, q := range []string{
@@ -187,15 +189,22 @@ func FuzzSnapshot(f *testing.F) {
 	file := encodeSnapshot(db.cur.Load(), gen)
 	f.Add(file[:len(file)-4])
 	f.Add(encodeSnapshot(NewDB().cur.Load(), gen)[:len(snapFileMagic)+2])
-	f.Fuzz(func(t *testing.T, body []byte) {
-		if _, err := decodeSnapshot(body, gen); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("untyped error: %v", err)
+	// typed fails unless err is ErrCorrupt naming an offset into file.
+	typed := func(t *testing.T, err error, file []byte) {
+		t.Helper()
+		var off int
+		if _, scan := fmt.Sscanf(strings.TrimPrefix(err.Error(), ErrCorrupt.Error()+": snapshot "), "offset %d:", &off); !errors.Is(err, ErrCorrupt) || scan != nil || off < 0 || off > len(file) {
+			t.Fatalf("%d-byte file: the error is not ErrCorrupt naming an offset into it: %v", len(file), err)
 		}
-		tables, err := decodeSnapshot(binary.LittleEndian.AppendUint32(body[:len(body):len(body)], crc32.ChecksumIEEE(body)), gen)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if _, err := decodeSnapshot(body, gen); err != nil {
+			typed(t, err, body)
+		}
+		file := binary.LittleEndian.AppendUint32(body[:len(body):len(body)], crc32.ChecksumIEEE(body))
+		tables, err := decodeSnapshot(file, gen)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped error: %v", err)
-			}
+			typed(t, err, file)
 			return
 		}
 		checkRestored(t, tables)
@@ -205,9 +214,8 @@ func FuzzSnapshot(f *testing.F) {
 		for _, rt := range tables {
 			td := ep.tds[rt.t]
 			for si := range td.segs {
-				base, n := td.span(si)
 				for ci := range rt.t.Schema.Attrs {
-					td.segs[si].c.column(rt.t, ci, td.rows[base:base+n], si == len(td.segs)-1)
+					td.segs[si].c.column(rt.t, ci, td.segs[si].rows, si == len(td.segs)-1)
 				}
 			}
 			checkSegments(t, "restored "+rt.t.Name, rt.t, td)

@@ -519,20 +519,20 @@ const constEqKernelMaxEntries = 64
 // diversion (buildSchedule; top-level selects only): the product of the
 // row counts of the levels driving it, which ignores their selectivity
 // and so errs towards the hash. Every statement runs it: no allocation.
-func (cs *compiledSelect) decide(srcRows [][]relation.Tuple, order []int) ([]int, uint64) {
+func (cs *compiledSelect) decide(srcRows []rowSet, order []int) ([]int, uint64) {
 	largest := 0
-	for i, rows := range srcRows {
+	for i := range srcRows {
 		order = append(order, i)
-		largest = max(largest, len(rows))
+		largest = max(largest, srcRows[i].n)
 	}
 	if largest >= reorderMinRows {
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(srcRows[a]), len(srcRows[b])) })
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(srcRows[a].n, srcRows[b].n) })
 	}
 	var few uint64
 	entries := 1
 	for pos := 0; cs.depth == 0 && pos < len(order) && entries <= constEqKernelMaxEntries; pos++ {
 		few |= 1 << uint(pos)
-		entries *= len(srcRows[order[pos]])
+		entries *= srcRows[order[pos]].n
 	}
 	return order, few
 }
@@ -877,7 +877,7 @@ type boundSched struct {
 // the env already, else an idle one laid out for what decide says now —
 // taken by CAS, so concurrent readers of a plan each get their own —
 // else a new one.
-func (en *env) scheduleFor(cs *compiledSelect, srcRows [][]relation.Tuple) *schedule {
+func (en *env) scheduleFor(cs *compiledSelect, srcRows []rowSet) *schedule {
 	for _, b := range en.schedules {
 		if b.cs != cs {
 			continue
@@ -953,7 +953,7 @@ func (sch *schedule) reset() {
 
 // scan enumerates the row combinations passing WHERE, planned when
 // possible, by nested loop otherwise.
-func (cs *compiledSelect) scan(en *env, srcRows [][]relation.Tuple, yield func() error) error {
+func (cs *compiledSelect) scan(en *env, srcRows []rowSet, yield func() error) error {
 	if !cs.planOK {
 		return cs.joinLoop(en, srcRows, 0, yield)
 	}
@@ -963,7 +963,7 @@ func (cs *compiledSelect) scan(en *env, srcRows [][]relation.Tuple, yield func()
 
 // runPlan executes the planned join. yield receives the current row
 // index per source (indexed by source position, not loop order).
-func (cs *compiledSelect) runPlan(en *env, sch *schedule, srcRows [][]relation.Tuple, yield func(idx []int) error) error {
+func (cs *compiledSelect) runPlan(en *env, sch *schedule, srcRows []rowSet, yield func(idx []int) error) error {
 	st := sch.state
 	for i := range st.satLevel {
 		st.satLevel[i] = -1
@@ -1007,33 +1007,33 @@ func (cs *compiledSelect) runPlan(en *env, sch *schedule, srcRows [][]relation.T
 	return err
 }
 
-func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows [][]relation.Tuple, pos int, yield func([]int) error) error {
+func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows []rowSet, pos int, yield func([]int) error) error {
 	st := sch.state
 	if pos == len(sch.levels) {
 		return yield(st.idx)
 	}
 	lv := &sch.levels[pos]
-	rows := srcRows[lv.src]
+	rows := &srcRows[lv.src]
 	bucket, scanAll, err := cs.probeRows(en, lv, rows)
 	if err != nil {
 		return err
 	}
 	if len(lv.kerns) > 0 || len(lv.groups) > 0 {
-		return cs.planLevelBatch(en, sch, srcRows, pos, lv, rows, bucket, scanAll, yield)
+		return cs.planLevelBatch(en, sch, srcRows, pos, lv, bucket, scanAll, yield)
 	}
 	marks := st.marks[pos][:0]
 	deadMarks := st.deadMarks[pos][:0]
-	n := len(rows)
+	n := rows.n
 	if !scanAll {
 		n = len(bucket)
 	}
 	en.work[wRowsScanned] += int64(n)
-	for i := 0; i < n; i++ {
+	for i, si := 0, 0; i < n; i++ {
 		ri := i
 		if !scanAll {
 			ri = bucket[i]
 		}
-		if err := cs.stepRow(en, sch, srcRows, pos, lv, rows, ri, &marks, &deadMarks, yield); err != nil {
+		if err := cs.stepRow(en, sch, srcRows, pos, lv, rows.row(ri, &si), ri, &marks, &deadMarks, yield); err != nil {
 			st.marks[pos] = marks
 			st.deadMarks[pos] = deadMarks
 			return err
@@ -1048,10 +1048,10 @@ func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows [][]relation
 // candidate row, run the per-row conjunct machinery, recurse into the
 // deeper levels, and unwind the satisfied/dead bookkeeping. On error
 // the caller saves the scratch slices back into the plan state.
-func (cs *compiledSelect) stepRow(en *env, sch *schedule, srcRows [][]relation.Tuple, pos int, lv *schedLevel, rows []relation.Tuple, ri int, marks, deadMarks *[]int, yield func([]int) error) error {
+func (cs *compiledSelect) stepRow(en *env, sch *schedule, srcRows []rowSet, pos int, lv *schedLevel, row relation.Tuple, ri int, marks, deadMarks *[]int, yield func([]int) error) error {
 	st := sch.state
 	fr := &en.frames[cs.depth]
-	fr.rows[lv.src] = rows[ri]
+	fr.rows[lv.src] = row
 	st.idx[lv.src] = ri
 	*marks = (*marks)[:0]
 	*deadMarks = (*deadMarks)[:0]
@@ -1133,9 +1133,10 @@ func (cs *compiledSelect) evalLevelRow(en *env, st *planState, lv *schedLevel, p
 // entry. Candidate order is preserved end to end — a bucket in index
 // order may change segment with every candidate — so batch mode
 // composes with range-pruned and order-served scans.
-func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]relation.Tuple, pos int, lv *schedLevel, rows []relation.Tuple, bucket []int, scanAll bool, yield func([]int) error) error {
+func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSet, pos int, lv *schedLevel, bucket []int, scanAll bool, yield func([]int) error) error {
 	st := sch.state
-	n := len(rows)
+	rows := &srcRows[lv.src]
+	n := rows.n
 	if !scanAll {
 		n = len(bucket)
 	}
@@ -1144,7 +1145,6 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 	}
 	en.work[wRowsScanned] += int64(n)
 	t := cs.sources[lv.src].table
-	td := en.td(t)
 	binds := st.binds[pos]
 	for i, k := range lv.kerns {
 		if err := k.bind(en, &binds[i]); err != nil {
@@ -1173,9 +1173,9 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 		if !scanAll {
 			first = bucket[i]
 		}
-		si = td.segAt(first, si)
-		base, m := td.span(si)
-		run := segRun{t: t, c: td.segs[si].c, rows: rows[base : base+m], tail: si == len(td.segs)-1}
+		si = rows.segAt(first, si)
+		base, m := rows.span(si)
+		run := segRun{t: t, c: rows.segs[si].c, rows: rows.segs[si].rows, tail: si == len(rows.segs)-1}
 		st.runs++
 		cur.run, cur.seq = run, st.runs
 		sel = sel[:0]
@@ -1213,7 +1213,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 		en.work[wRowsStepped] += int64(len(sel))
 		for _, off := range sel {
 			cur.off = off
-			if err = cs.stepRow(en, sch, srcRows, pos, lv, rows, base+off, &marks, &deadMarks, yield); err != nil {
+			if err = cs.stepRow(en, sch, srcRows, pos, lv, run.rows[off], base+off, &marks, &deadMarks, yield); err != nil {
 				break
 			}
 		}
@@ -1234,7 +1234,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows [][]rel
 // true when the level has no probe and no index-backed restriction
 // (full scan). A NULL or NaN key can never satisfy an equality, so it
 // yields an empty candidate set; likewise a NULL range bound.
-func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows []relation.Tuple) (bucket []int, scanAll bool, err error) {
+func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows *rowSet) (bucket []int, scanAll bool, err error) {
 	p := lv.probe
 	if p == nil {
 		if lv.rng != nil {
@@ -1267,7 +1267,7 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows []relation.Tup
 	if p.hash == nil {
 		p.hash = buildJoinHash(rows, p.buildCols)
 		en.work[wHashBuilds]++
-		en.work[wRowsScanned] += int64(len(rows))
+		en.work[wRowsScanned] += int64(rows.n)
 	}
 	p.keyBuf = relation.AppendKeyOf(p.keyBuf[:0], p.vals)
 	return p.hash[string(p.keyBuf)], false, nil
@@ -1309,20 +1309,22 @@ func (cs *compiledSelect) rangeRows(en *env, lv *schedLevel) ([]int, bool, error
 
 // buildJoinHash indexes rows by the join-key columns. Rows with a NULL
 // (or NaN) key column are left out: an equality can never select them.
-func buildJoinHash(rows []relation.Tuple, cols []int) map[string][]int {
-	m := make(map[string][]int, len(rows))
+func buildJoinHash(rows *rowSet, cols []int) map[string][]int {
+	m := make(map[string][]int, rows.n)
 	var buf []byte
-outer:
-	for ri, row := range rows {
-		buf = buf[:0]
-		for _, c := range cols {
-			v := row[c]
-			if v.IsNull() || isNaN(v) {
-				continue outer
+	for _, sg := range rows.segs {
+	outer:
+		for i, row := range sg.rows {
+			buf = buf[:0]
+			for _, c := range cols {
+				v := row[c]
+				if v.IsNull() || isNaN(v) {
+					continue outer
+				}
+				buf = relation.AppendKey(buf, v)
 			}
-			buf = relation.AppendKey(buf, v)
+			m[string(buf)] = append(m[string(buf)], sg.start+i)
 		}
-		m[string(buf)] = append(m[string(buf)], ri)
 	}
 	return m
 }
@@ -1338,7 +1340,7 @@ func (cs *compiledSelect) semiScan(en *env, yield func(idx []int) error) error {
 	if len(en.frames) != cs.depth {
 		return fmt.Errorf("sql: internal: frame depth %d, want %d", len(en.frames), cs.depth)
 	}
-	srcRows := make([][]relation.Tuple, len(cs.sources))
+	srcRows := make([]rowSet, len(cs.sources))
 	for i, src := range cs.sources {
 		if src.table == nil {
 			return fmt.Errorf("sql: internal: semiScan with derived source")
@@ -1361,10 +1363,10 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 	if !cs.planOK {
 		return []string{"nested loop over the WHERE closure (Reference mode, or WHERE not analyzable)"}
 	}
-	srcRows := make([][]relation.Tuple, len(cs.sources))
+	srcRows := make([]rowSet, len(cs.sources))
 	for i, src := range cs.sources {
 		if src.table != nil {
-			srcRows[i] = ep.tds[src.table].rows
+			srcRows[i] = ep.tds[src.table].rowSet
 		}
 	}
 	order, few := cs.decide(srcRows, nil)
@@ -1385,7 +1387,7 @@ func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 		}
 		size := ""
 		if t := cs.sources[lv.src].table; t != nil {
-			size = fmt.Sprintf(" (%d rows)", len(ep.tds[t].rows))
+			size = fmt.Sprintf(" (%d rows)", ep.tds[t].n)
 		} else {
 			size = " (derived)"
 		}

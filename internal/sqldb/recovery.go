@@ -37,8 +37,11 @@ type RecoveryStats struct {
 	// from; 0 when recovery started from an empty catalog.
 	SnapshotGen uint64
 	// FellBack reports that the newest snapshot was missing or damaged
-	// and an older generation was used instead.
+	// and an older generation was used instead; Skipped then names that
+	// snapshot's file and why it was passed over — for one that did not
+	// decode, the offset where decoding stopped.
 	FellBack bool
+	Skipped  string
 	// UnitsReplayed counts the WAL commit units applied on top of the
 	// snapshot.
 	UnitsReplayed int
@@ -173,20 +176,19 @@ func Open(opts WALOptions) (*DB, error) {
 				rs.tables = tables
 				chosen, loaded = g, true
 				db.recov.SnapshotGen = g
-				if i != len(snapGens)-1 {
-					db.recov.FellBack = true
-				}
 				break
 			}
 		}
-		db.recov.FellBack = true
+		if !db.recov.FellBack {
+			db.recov.FellBack, db.recov.Skipped = true, fmt.Sprintf("%s: %v", w.snapPath(g), err)
+		}
 	}
 	if !loaded && len(snapGens) > 0 {
 		// Every snapshot is damaged; recovery from scratch needs the
 		// full WAL history, which pruning only guarantees while a
 		// snapshot covers it.
 		if len(walGens) == 0 || walGens[0] != 1 {
-			return nil, fmt.Errorf("sql: Open: no intact snapshot in %s and WAL history is incomplete", opts.Dir)
+			return nil, fmt.Errorf("sql: Open: no intact snapshot in %s and WAL history is incomplete (newest: %s)", opts.Dir, db.recov.Skipped)
 		}
 	}
 

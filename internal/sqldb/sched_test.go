@@ -253,7 +253,7 @@ func TestScheduleKeyIsDecisions(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE small (k INTEGER)`)
 	grow := func(table string, to int) {
 		t.Helper()
-		for n := len(db.cur.Load().tds[mustTable(t, db, table)].rows); n < to; n++ {
+		for n := db.cur.Load().tds[mustTable(t, db, table)].n; n < to; n++ {
 			if table == "big" {
 				mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, relation.Int(int64(n)), relation.Int(int64(n%2)))
 			} else {
@@ -276,7 +276,7 @@ func TestScheduleKeyIsDecisions(t *testing.T) {
 			t.Fatal(err)
 		}
 		ep := db.cur.Load()
-		want := (min(len(ep.tds[mustTable(t, db, "small")].rows), len(ep.tds[mustTable(t, db, "big")].rows)) + 1) / 2
+		want := (min(ep.tds[mustTable(t, db, "small")].n, ep.tds[mustTable(t, db, "big")].n) + 1) / 2
 		if len(res.Rows) != want {
 			t.Fatalf("%d rows, want %d", len(res.Rows), want)
 		}

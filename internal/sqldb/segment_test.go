@@ -25,7 +25,7 @@ import (
 // and no two neighbours fit in one — hence the bound on their number.
 func checkSegmentTable(t *testing.T, what string, td *tableData) {
 	t.Helper()
-	n := len(td.rows)
+	n := td.n
 	if most := 2*((n+segRows-1)/segRows) + 1; len(td.segs) > most {
 		t.Fatalf("%s: %d segments for %d rows, bound %d", what, len(td.segs), n, most)
 	}
@@ -65,8 +65,8 @@ func checkSegments(t *testing.T, what string, tbl *Table, td *tableData) {
 			}
 			checkColVec(t, where, tbl.Schema.Attrs[ci].Kind == relation.KindText, vec)
 			for i := 0; i < min(vec.len(), m); i++ {
-				if v := vec.at(i); !relation.Identical(v, td.rows[base+i][ci]) {
-					t.Fatalf("%s row %d (position %d): cached %s, stored %s", where, i, base+i, v, td.rows[base+i][ci])
+				if v := vec.at(i); !relation.Identical(v, sg.rows[i][ci]) {
+					t.Fatalf("%s row %d (position %d): cached %s, stored %s", where, i, base+i, v, sg.rows[i][ci])
 				}
 			}
 		}

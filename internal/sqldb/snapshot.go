@@ -216,9 +216,11 @@ func encodeSnapshot(ep *epoch, gen uint64) []byte {
 		t := ep.tables[k]
 		td := ep.tds[t]
 		b = appendSchema(b, t.Schema)
-		b = appendUint(b, uint64(len(td.rows)))
-		for _, row := range td.rows {
-			b = appendTuple(b, row)
+		b = appendUint(b, uint64(td.n))
+		for _, sg := range td.segs {
+			for _, row := range sg.rows {
+				b = appendTuple(b, row)
+			}
 		}
 		b = appendUint(b, uint64(len(td.indexes)))
 		for _, sl := range td.indexes {
@@ -233,32 +235,46 @@ func encodeSnapshot(ep *epoch, gen uint64) []byte {
 }
 
 // decodeSnapshot validates and rebuilds a snapshot file's catalog
-// into recovery's mutable restore shape.
-func decodeSnapshot(data []byte, wantGen uint64) (_ map[string]*restoreTable, err error) {
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}()
+// into recovery's mutable restore shape. Every error is ErrCorrupt and
+// names the offset into data where decoding stopped.
+func decodeSnapshot(data []byte, wantGen uint64) (map[string]*restoreTable, error) {
+	d := &walDecoder{b: data}
 	if len(data) < len(snapFileMagic)+4 {
-		return nil, fmt.Errorf("truncated snapshot (%d bytes)", len(data))
+		d.fail("truncated snapshot (%d bytes)", len(data))
+		return nil, fmt.Errorf("%w: snapshot %v", ErrCorrupt, d.err)
 	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("snapshot CRC mismatch")
+	body := data[:len(data)-4]
+	var tables map[string]*restoreTable
+	switch d.b = body; {
+	case crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]):
+		d.off = len(body)
+		d.fail("CRC mismatch")
+	case string(body[:len(snapFileMagic)]) != snapFileMagic:
+		d.fail("bad magic")
+	default:
+		d.off = len(snapFileMagic)
+		tables = d.snapshotTables(wantGen)
 	}
-	if string(body[:len(snapFileMagic)]) != snapFileMagic {
-		return nil, fmt.Errorf("bad snapshot magic")
+	if d.err == nil && d.off != len(body) {
+		d.fail("%d trailing bytes", len(body)-d.off)
 	}
-	d := &walDecoder{b: body, off: len(snapFileMagic)}
-	if gen := d.uint(); gen != wantGen {
-		return nil, fmt.Errorf("snapshot generation %d under name for generation %d", gen, wantGen)
+	if d.err != nil {
+		return nil, fmt.Errorf("%w: snapshot %v", ErrCorrupt, d.err)
+	}
+	return tables, nil
+}
+
+// snapshotTables decodes a snapshot body past its magic: the generation,
+// which must be wantGen, and every table.
+func (d *walDecoder) snapshotTables(wantGen uint64) map[string]*restoreTable {
+	if gen := d.uint(); d.err == nil && gen != wantGen {
+		d.fail("generation %d under the name of generation %d", gen, wantGen)
 	}
 	nTables := d.uint()
-	if d.err != nil || nTables > uint64(len(body)) {
-		return nil, fmt.Errorf("implausible table count %d", nTables)
+	if d.err == nil && nTables > uint64(len(d.b)) {
+		d.fail("implausible table count %d", nTables)
 	}
-	tables := make(map[string]*restoreTable, nTables)
+	tables := make(map[string]*restoreTable)
 	for i := uint64(0); i < nTables && d.err == nil; i++ {
 		s := d.schema()
 		if s == nil {
@@ -266,7 +282,7 @@ func decodeSnapshot(data []byte, wantGen uint64) (_ map[string]*restoreTable, er
 		}
 		rt := &restoreTable{t: &Table{Name: s.Name, Schema: s}}
 		nRows := d.uint()
-		if d.err != nil || nRows > uint64(len(body)) {
+		if d.err != nil || nRows > uint64(len(d.b)) {
 			d.fail("implausible row count %d", nRows)
 			break
 		}
@@ -275,7 +291,7 @@ func decodeSnapshot(data []byte, wantGen uint64) (_ map[string]*restoreTable, er
 			rt.rows = append(rt.rows, d.row(s))
 		}
 		nIdx := d.uint()
-		if d.err != nil || nIdx > uint64(len(body)) {
+		if d.err != nil || nIdx > uint64(len(d.b)) {
 			d.fail("implausible index count %d", nIdx)
 			break
 		}
@@ -293,11 +309,5 @@ func decodeSnapshot(data []byte, wantGen uint64) (_ map[string]*restoreTable, er
 		}
 		tables[lowerName(rt.t.Name)] = rt
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("snapshot decode: %v", d.err)
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("snapshot has %d trailing bytes", len(body)-d.off)
-	}
-	return tables, nil
+	return tables
 }

@@ -240,31 +240,33 @@ func (d *decorrProbe) ensureHash(en *env) (*hashBuild, error) {
 		return b, nil
 	}
 	en.work[wHashBuilds]++
-	en.work[wRowsScanned] += int64(len(td.rows))
-	set := make(map[string]bool, len(td.rows))
+	en.work[wRowsScanned] += int64(td.n)
+	set := make(map[string]bool, td.n)
 	key := make([]relation.Value, len(d.keyCols))
 	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
 	fr := &en.frames[len(en.frames)-1]
-build:
-	for _, row := range td.rows {
-		fr.rows[0] = row
-		for _, f := range d.filters {
-			v, err := f(en)
-			if err != nil {
-				en.frames = en.frames[:len(en.frames)-1]
-				return nil, err
+	for _, sg := range td.segs {
+	build:
+		for _, row := range sg.rows {
+			fr.rows[0] = row
+			for _, f := range d.filters {
+				v, err := f(en)
+				if err != nil {
+					en.frames = en.frames[:len(en.frames)-1]
+					return nil, err
+				}
+				if !v.Truth() {
+					continue build
+				}
 			}
-			if !v.Truth() {
-				continue build
+			for i, col := range d.keyCols {
+				if row[col].IsNull() {
+					continue build // NULL keys can never match an equality
+				}
+				key[i] = row[col]
 			}
+			set[relation.KeyOf(key)] = true
 		}
-		for i, col := range d.keyCols {
-			if row[col].IsNull() {
-				continue build // NULL keys can never match an equality
-			}
-			key[i] = row[col]
-		}
-		set[relation.KeyOf(key)] = true
 	}
 	en.frames = en.frames[:len(en.frames)-1]
 	b = &hashBuild{version: td.version, set: set}

@@ -1,15 +1,11 @@
 package sqldb
 
-import (
-	"fmt"
-
-	"ecfd/internal/relation"
-)
+import "fmt"
 
 // Tx is a coarse-grained transaction: the first mutation of each table
-// inside the transaction captures its epoch row slice (an O(1) header
-// copy — epochs are immutable, so the slice IS the before-image), and
-// Rollback restores it wholesale. One transaction may be active at a
+// inside the transaction captures its epoch rows (an O(1) header copy —
+// epochs are immutable, so the segments ARE the before-image), and
+// Rollback restores them wholesale. One transaction may be active at a
 // time; Begin/Commit/Rollback and every mutation inside the
 // transaction take db.mu, so transactions serialize with each other
 // while concurrent readers keep scanning their pinned epochs. This
@@ -25,7 +21,7 @@ import (
 // transaction did not happen.
 type Tx struct {
 	db      *DB
-	backups map[string][]relation.Tuple
+	backups map[string]rowSet
 	done    bool
 }
 
@@ -36,7 +32,7 @@ func (db *DB) Begin() (*Tx, error) {
 	if db.activeTx != nil {
 		return nil, fmt.Errorf("sql: a transaction is already active")
 	}
-	tx := &Tx{db: db, backups: make(map[string][]relation.Tuple)}
+	tx := &Tx{db: db, backups: make(map[string]rowSet)}
 	db.activeTx = tx
 	if db.wal != nil {
 		db.wal.pend = db.wal.pend[:0]
@@ -44,12 +40,12 @@ func (db *DB) Begin() (*Tx, error) {
 	return tx, nil
 }
 
-// backupForTx captures a table's row slice the first time it is
-// mutated inside the active transaction. Copy-on-write makes this
-// O(1): tuples already in an epoch are never mutated in place, so the
-// slice header alone is a faithful before-image (the restore path
-// cap-clips it so later in-place appends cannot leak through).
-// Callers hold db.mu.
+// backupForTx captures a table's rows the first time it is mutated
+// inside the active transaction. Copy-on-write makes this O(1): tuples
+// already in an epoch are never mutated in place, so the segment headers
+// alone are a faithful before-image (the restore path cap-clips their
+// chunks so later in-place appends cannot leak through). Callers hold
+// db.mu.
 func (db *DB) backupForTx(t *Table) {
 	tx := db.activeTx
 	if tx == nil {
@@ -59,8 +55,7 @@ func (db *DB) backupForTx(t *Table) {
 	if _, done := tx.backups[key]; done {
 		return
 	}
-	rows := db.curW.tds[t].rows
-	tx.backups[key] = rows[:len(rows):len(rows)]
+	tx.backups[key] = db.curW.tds[t].rowSet
 }
 
 // Commit makes the transaction's changes permanent. Under a WAL the
@@ -122,7 +117,7 @@ func (tx *Tx) Rollback() error {
 	return nil
 }
 
-// restoreLocked puts back the row slices captured by backupForTx via a
+// restoreLocked puts back the rows captured by backupForTx via a
 // wholesale epoch transition (fresh structures; the next probe
 // rebuilds). Callers hold db.mu.
 func (tx *Tx) restoreLocked() {
@@ -131,6 +126,6 @@ func (tx *Tx) restoreLocked() {
 		if !ok {
 			continue // table dropped inside the tx; restoring rows is moot
 		}
-		tx.db.applyWholesale(t, rows)
+		tx.db.applyWholesale(t, rows.restored())
 	}
 }

@@ -672,8 +672,8 @@ func (db *DB) logLoadRelation(s *relation.Schema, rows []relation.Tuple) error {
 // --- operation decoding ---
 
 // walDecoder walks an encoded byte stream; the first malformed read
-// latches err and every later read returns zero values, so decode
-// loops check err once at the end.
+// latches err, which names the offset it failed at, and every later read
+// returns zero values, so decode loops check err once at the end.
 type walDecoder struct {
 	b   []byte
 	off int
@@ -682,7 +682,7 @@ type walDecoder struct {
 
 func (d *walDecoder) fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
+		d.err = fmt.Errorf("offset %d: %s", d.off, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -693,7 +693,7 @@ func (d *walDecoder) byte() byte {
 		return 0
 	}
 	if d.off >= len(d.b) {
-		d.fail("truncated operation at byte %d", d.off)
+		d.fail("truncated operation")
 		return 0
 	}
 	v := d.b[d.off]
@@ -707,7 +707,7 @@ func (d *walDecoder) uint() uint64 {
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
-		d.fail("bad uvarint at byte %d", d.off)
+		d.fail("bad uvarint")
 		return 0
 	}
 	d.off += n
@@ -720,7 +720,7 @@ func (d *walDecoder) int() int64 {
 	}
 	v, n := binary.Varint(d.b[d.off:])
 	if n <= 0 {
-		d.fail("bad varint at byte %d", d.off)
+		d.fail("bad varint")
 		return 0
 	}
 	d.off += n
@@ -733,7 +733,7 @@ func (d *walDecoder) str() string {
 		return ""
 	}
 	if uint64(len(d.b)-d.off) < n {
-		d.fail("truncated string at byte %d", d.off)
+		d.fail("truncated string")
 		return ""
 	}
 	s := string(d.b[d.off : d.off+int(n)])
@@ -755,7 +755,7 @@ func (d *walDecoder) value() relation.Value {
 			return relation.Null()
 		}
 		if len(d.b)-d.off < 8 {
-			d.fail("truncated float at byte %d", d.off)
+			d.fail("truncated float")
 			return relation.Null()
 		}
 		bits := binary.LittleEndian.Uint64(d.b[d.off:])
@@ -764,14 +764,14 @@ func (d *walDecoder) value() relation.Value {
 	case relation.KindText:
 		return relation.Text(d.str())
 	}
-	d.fail("unknown value kind %d at byte %d", k, d.off-1)
+	d.fail("unknown value kind %d", k)
 	return relation.Null()
 }
 
 func (d *walDecoder) tuple() relation.Tuple {
 	n := d.uint()
 	if d.err != nil || n > uint64(len(d.b)-d.off) {
-		d.fail("implausible tuple width %d at byte %d", n, d.off)
+		d.fail("implausible tuple width %d", n)
 		return nil
 	}
 	row := make(relation.Tuple, n)
@@ -821,7 +821,7 @@ func (d *walDecoder) schema() *relation.Schema {
 	name := d.str()
 	n := d.uint()
 	if d.err != nil || n > uint64(len(d.b)-d.off) {
-		d.fail("implausible attribute count %d at byte %d", n, d.off)
+		d.fail("implausible attribute count %d", n)
 		return nil
 	}
 	attrs := make([]relation.Attribute, n)
@@ -830,7 +830,7 @@ func (d *walDecoder) schema() *relation.Schema {
 		attrs[i].Kind = relation.Kind(d.byte())
 		if dn := d.uint(); dn > 0 {
 			if d.err != nil || dn > uint64(len(d.b)-d.off) {
-				d.fail("implausible domain size %d at byte %d", dn, d.off)
+				d.fail("implausible domain size %d", dn)
 				return nil
 			}
 			attrs[i].Domain = make([]relation.Value, dn)

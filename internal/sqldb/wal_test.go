@@ -34,7 +34,7 @@ func fingerprint(db *DB) string {
 			fmt.Fprintf(&b, "%s:%s:%d,", a.Name, a.Kind, len(a.Domain))
 		}
 		b.WriteString(")\n")
-		for _, row := range td.rows {
+		for _, row := range td.flat(td.n) {
 			b.WriteString(row.Key())
 			b.WriteByte('\n')
 		}
@@ -261,6 +261,9 @@ func TestWALSnapshotFallback(t *testing.T) {
 	st := db2.RecoveryStats()
 	if !st.FellBack || st.SnapshotGen != 2 {
 		t.Fatalf("expected fallback to snapshot gen 2, got %+v", st)
+	}
+	if !strings.HasPrefix(st.Skipped, snapPath+": ") || !strings.Contains(st.Skipped, ErrCorrupt.Error()+": snapshot offset ") {
+		t.Fatalf("the fallback should name the damaged file and offset: %q", st.Skipped)
 	}
 
 	// Remove the newest snapshot entirely: same story.
