@@ -33,11 +33,14 @@ faultmatrix:
 	$(GO) test -count=1 -run 'TestWAL|TestFaultMatrix|TestResume|TestDetectThreeWayDifferential|TestDurableDSN|TestDSNOption' ./internal/sqldb/ ./internal/detect/ ./internal/sqldriver/
 
 # MVCC stress: snapshot stability under racing DML/DDL, epoch GC
-# accounting, the concurrency suite, and pinned readers scanning the row
-# chunks a writer's forks share (TestRowSegmentsDifferential) — all under
-# the race detector, -count=1 so the interleavings actually rerun.
+# accounting, the concurrency suite, pinned readers scanning the row
+# chunks a writer's forks share (TestRowSegmentsDifferential), and a
+# pinned reader whose tail newer readers seal with postings past its fence
+# (TestValueSetProbeDifferential/pinned; -skip leaves out its random
+# subtest) — all under the race detector, -count=1 so the interleavings
+# actually rerun.
 mvccstress:
-	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential' ./internal/sqldb/
+	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
 
 # The randomized kernel differentials (batch kernels vs per-row closures
 # vs nested loop), the segmented row store under random DML vs a mirror
@@ -63,10 +66,11 @@ difffuzz:
 # constraints that pass Validate (FuzzParseSpec); the DSN option grammar
 # never panics, quotes the DSN in every error, and registers no engine
 # for a DSN it refuses (FuzzParseDSN); two tuples get one grouping key
-# exactly when every position is Identical (FuzzKeyOf). A failure writes
-# its input under the package's testdata/fuzz/, which `go test` then
-# replays.
-FUZZ_TARGETS = internal/sqldb:FuzzParse internal/sqldb:FuzzWALUnit internal/sqldb:FuzzSnapshot internal/core:FuzzParseSpec internal/sqldriver:FuzzParseDSN internal/relation:FuzzKeyOf
+# exactly when every position is Identical (FuzzKeyOf); the service's
+# check and update bodies never panic in decoding and fail only with a
+# typed bad_request (FuzzDecodeRows). A failure writes its input under the
+# package's testdata/fuzz/, which `go test` then replays.
+FUZZ_TARGETS = internal/sqldb:FuzzParse internal/sqldb:FuzzWALUnit internal/sqldb:FuzzSnapshot internal/core:FuzzParseSpec internal/sqldriver:FuzzParseDSN internal/relation:FuzzKeyOf internal/server:FuzzDecodeRows
 
 fuzz:
 	for pt in $(FUZZ_TARGETS); do \

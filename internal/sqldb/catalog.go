@@ -299,6 +299,15 @@ func (t *Table) identPrefix(n int) []int {
 // 9 × ≤ 40 kB per touched segment now.
 const segRows = batchChunk
 
+// segOffsets is every row offset of a segment, in order, never written:
+// a full scan's selection vector starts as a copy of its prefix.
+var segOffsets = func() (o [segRows]int) {
+	for i := range o {
+		o[i] = i
+	}
+	return o
+}()
+
 // segment is one epoch's entry for a run of consecutive positions: where
 // the run starts in this epoch (a DELETE shifts the segments behind it
 // without touching them), its rows, and the vectors it shares with every
@@ -340,13 +349,23 @@ type colSeg struct {
 // extends a tail extends its dictionary, through index once a scan is too
 // long; a reader for which the segment is not the tail drops index and
 // sorts perm, once. Forks share the dictionary (dictBounded).
+//
+// A sealed coded column also lists its rows by code (post). seal builds
+// them beside perm and they are immutable; they describe
+// codes[:len(post.rows)], so cut keeps them only for the whole column,
+// and whatever rewrites codes drops them.
 type colVec struct {
 	vals  []relation.Value
 	codes []uint16
 	dict  []string
 	perm  []uint16          // sorts dict[:len(perm)]; immutable once set
 	index map[string]uint16 // string → code; only under mu's write lock
+	post  *postings         // a pointer: every column view copies the header
 }
+
+// postings are a column's rows by code, in CSR layout: rows[at[c]:at[c+1]]
+// are the ascending offsets of the rows whose code is c.
+type postings struct{ rows, at []uint16 }
 
 // dictScanMax is the most strings a dictionary is searched by a plain
 // scan: below it a column takes no map and no permutation — what
@@ -369,7 +388,11 @@ func (v *colVec) at(i int) relation.Value {
 // bytes is the column's heap size without the strings, which it shares
 // with the rows.
 func (v *colVec) bytes() int64 {
-	return int64(len(v.vals))*valueBytes + 2*int64(len(v.codes)+len(v.perm)) + int64(len(v.dict))*int64(unsafe.Sizeof(""))
+	b := int64(len(v.vals))*valueBytes + 2*int64(len(v.codes)+len(v.perm)) + int64(len(v.dict))*int64(unsafe.Sizeof(""))
+	if v.post != nil {
+		b += 2 * int64(len(v.post.rows)+len(v.post.at))
+	}
+	return b
 }
 
 // cut is the column's first n cells, with headers no later append writes.
@@ -377,25 +400,51 @@ func (v *colVec) cut(n int) colVec {
 	if v.codes == nil {
 		return colVec{vals: v.vals[:n:n]}
 	}
-	return colVec{codes: v.codes[:n:n], dict: v.dict[:len(v.dict):len(v.dict)], perm: v.perm}
+	c := colVec{codes: v.codes[:n:n], dict: v.dict[:len(v.dict):len(v.dict)], perm: v.perm}
+	if n == len(v.codes) && v.post != nil && n == len(v.post.rows) {
+		c.post = v.post
+	}
+	return c
 }
 
 // sealed reports whether the column is as a non-tail reader leaves it.
 func (v *colVec) sealed() bool {
-	return v.index == nil && (len(v.dict) <= dictScanMax || len(v.perm) == len(v.dict))
+	return v.index == nil && (len(v.dict) <= dictScanMax || len(v.perm) == len(v.dict)) &&
+		(v.codes == nil || v.post != nil && len(v.post.rows) == len(v.codes))
 }
 
-// seal readies a column no append will reach in the reader's epoch.
+// seal readies a column no append will reach in the reader's epoch: a
+// sorted dictionary and the postings.
 func (v *colVec) seal() {
 	if v.index = nil; v.sealed() {
 		return
 	}
-	perm := make([]uint16, len(v.dict))
-	for i := range perm {
-		perm[i] = uint16(i)
+	if len(v.dict) > dictScanMax && len(v.perm) < len(v.dict) {
+		perm := make([]uint16, len(v.dict))
+		for i := range perm {
+			perm[i] = uint16(i)
+		}
+		slices.SortFunc(perm, func(a, b uint16) int { return strings.Compare(v.dict[a], v.dict[b]) })
+		v.perm = perm
 	}
-	slices.SortFunc(perm, func(a, b uint16) int { return strings.Compare(v.dict[a], v.dict[b]) })
-	v.perm = perm
+	// A counting sort: at[c+1] counts code c, then becomes where its rows
+	// end.
+	n := len(v.codes)
+	buf := make([]uint16, n+len(v.dict)+2)
+	rows, at := buf[:n:n], buf[n:]
+	for _, c := range v.codes {
+		at[c+1]++
+	}
+	for c := 1; c < len(at); c++ {
+		at[c] += at[c-1]
+	}
+	for i, c := range v.codes {
+		rows[at[c]] = uint16(i)
+		at[c]++
+	}
+	copy(at[1:], at)
+	at[0] = 0
+	v.post = &postings{rows, at}
 }
 
 // find returns the code of s if the dictionary holds it.
@@ -418,13 +467,21 @@ func (v *colVec) find(s string) (uint16, bool) {
 }
 
 // search is find by binary search in perm, which must sort the
-// dictionary; it only reads, so readers may search their copy.
+// dictionary; it only reads, so readers may search their copy. Written
+// out: slices.BinarySearchFunc's closure cost a third more per search.
 func (v *colVec) search(s string) (uint16, bool) {
-	i, ok := slices.BinarySearchFunc(v.perm, s, func(p uint16, s string) int { return strings.Compare(v.dict[p], s) })
-	if !ok {
+	lo, hi := 0, len(v.perm)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); v.dict[v.perm[m]] < s {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(v.perm) || v.dict[v.perm[lo]] != s {
 		return 0, false
 	}
-	return v.perm[i] + 1, true
+	return v.perm[lo] + 1, true
 }
 
 // push appends a cell: as a code if the column is coded, else as a value.
@@ -477,7 +534,7 @@ func (v *colVec) dictBounded() {
 		}
 		v.codes[i] = to[c]
 	}
-	v.dict, v.perm, v.index = dict, nil, nil
+	v.dict, v.perm, v.index, v.post = dict, nil, nil, nil
 }
 
 func lowerName(s string) string { return strings.ToLower(s) }
@@ -633,9 +690,10 @@ type Stats struct {
 	RetiredEpochs int
 	// RetiredBytes bounds the heap those retired epochs hold from above:
 	// their rows at 40 bytes a cell, and their built column segments at
-	// their real size — 40 bytes a value, 2 a dictionary code plus a
-	// string header and a permutation entry per dictionary string — what
-	// several of them share counted once for each.
+	// their real size — 40 bytes a value, 2 a dictionary code and 2 its
+	// posting, plus a string header, a permutation entry and a posting
+	// offset per dictionary string — what several of them share counted
+	// once for each.
 	RetiredBytes int64
 	// ProbeRows counts the candidate rows the batch probe kernels sent to
 	// an exact probe — key encoded, hash build or index consulted — since
@@ -668,13 +726,15 @@ type Stats struct {
 	// whose new values are already in place matches a row without writing
 	// it. TRUNCATE adds to neither.
 	RowsMatched, RowsWritten int64
-	// SetRows counts the rows value sets decided, TextLookups the strings
-	// compared or hashed to decide those, or a kernel over a coded column —
-	// per row, dictionary string or set member. DistinctKeys counts the keys
-	// DISTINCT (raw pre-dedup, aggregates) hashed, CodeRepeats the rows the
-	// raw pre-dedup skipped as repeats by their segment codes alone, with no
-	// key, and Groups the GROUP BY groups formed, streamed or not.
-	SetRows, TextLookups, DistinctKeys, CodeRepeats, Groups int64
+	// SetRows counts the rows value sets decided, PostingRows those of them
+	// decided from a segment's postings without reading their cells, and
+	// TextLookups the strings compared or hashed to decide those, or a
+	// kernel over a coded column — per row, dictionary string or set
+	// member. DistinctKeys counts the keys DISTINCT (raw pre-dedup,
+	// aggregates) hashed, CodeRepeats the rows the raw pre-dedup skipped as
+	// repeats by their segment codes alone, with no key, and Groups the
+	// GROUP BY groups formed, streamed or not.
+	SetRows, PostingRows, TextLookups, DistinctKeys, CodeRepeats, Groups int64
 	// Recovery reports what WAL recovery did when the database opened.
 	Recovery RecoveryStats
 }
@@ -702,6 +762,7 @@ func (db *DB) Stats() Stats {
 		RowsMatched:    db.work[wRowsMatched].Load(),
 		RowsWritten:    db.work[wRowsWritten].Load(),
 		SetRows:        db.work[wSetRows].Load(),
+		PostingRows:    db.work[wPostingRows].Load(),
 		TextLookups:    db.work[wTextLookups].Load(),
 		DistinctKeys:   db.work[wDistinctKeys].Load(),
 		CodeRepeats:    db.work[wCodeRepeats].Load(),
@@ -1190,7 +1251,7 @@ func (s *colSeg) forkUpdated(base int, pos []int, setCols []int, vals [][]relati
 			continue
 		}
 		n := v.len()
-		v.vals, v.codes = slices.Clone(v.vals), slices.Clone(v.codes)
+		v.vals, v.codes, v.post = slices.Clone(v.vals), slices.Clone(v.codes), nil
 		for i, ri := range pos {
 			if ri-base >= n {
 				continue
@@ -1292,7 +1353,7 @@ func rebuildSeg(t *Table, parts []segPart, rows []relation.Tuple) (*colSeg, int)
 					*v = pv
 					v.vals = appendWithout(make([]relation.Value, 0, len(rows)), pv.vals, p.dels, p.start)
 				default: // the first part, compacted, its dictionary kept
-					*v = pv
+					*v = colVec{dict: pv.dict, perm: pv.perm}
 					v.codes = appendWithout(make([]uint16, 0, len(rows)), pv.codes, p.dels, p.start)
 					v.dictBounded()
 				}

@@ -61,6 +61,7 @@ const (
 	wRowsMatched
 	wRowsWritten
 	wSetRows
+	wPostingRows
 	wTextLookups
 	wDistinctKeys
 	wCodeRepeats

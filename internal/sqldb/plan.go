@@ -1175,14 +1175,12 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 		}
 		si = rows.segAt(first, si)
 		base, m := rows.span(si)
-		run := segRun{t: t, c: rows.segs[si].c, rows: rows.segs[si].rows, tail: si == len(rows.segs)-1}
+		run := segRun{t: t, c: rows.segs[si].c, rows: rows.segs[si].rows, tail: si == len(rows.segs)-1, whole: scanAll}
 		st.runs++
 		cur.run, cur.seq = run, st.runs
 		sel = sel[:0]
 		if scanAll { // the whole segment
-			for off := 0; off < m; off++ {
-				sel = append(sel, off)
-			}
+			sel = append(sel, segOffsets[:m]...)
 			i += m
 		} else {
 			for ; i < n; i++ {

@@ -77,7 +77,8 @@ func checkSegments(t *testing.T, what string, tbl *Table, td *tableData) {
 // checkColVec verifies a built column's representation: only a
 // declared-TEXT column is coded; codes name dictionary strings, which are
 // distinct and at most twice as many as the column's cells; a
-// permutation sorts the dictionary prefix it covers.
+// permutation sorts the dictionary prefix it covers; postings list the
+// cells they cover by code (checkPostings).
 func checkColVec(t *testing.T, where string, text bool, v *colVec) {
 	t.Helper()
 	if v.codes == nil {
@@ -100,6 +101,30 @@ func checkColVec(t *testing.T, where string, text bool, v *colVec) {
 	for i := 1; i < len(v.perm); i++ {
 		if v.dict[v.perm[i-1]] >= v.dict[v.perm[i]] {
 			t.Fatalf("%s: the permutation does not sort the dictionary at %d", where, i)
+		}
+	}
+	checkPostings(t, where, v)
+}
+
+// checkPostings verifies a column's postings, if it has any: under each
+// code the ascending offsets of exactly the cells of codes[:len(post.rows)]
+// that hold it.
+func checkPostings(t *testing.T, where string, v *colVec) {
+	t.Helper()
+	if v.post == nil {
+		return
+	}
+	p := v.post
+	if len(p.rows) > len(v.codes) || len(p.at) < 2 || len(p.at) > len(v.dict)+2 ||
+		p.at[0] != 0 || int(p.at[len(p.at)-1]) != len(p.rows) {
+		t.Fatalf("%s: postings of %d rows over %d offsets for %d cells and %d strings", where, len(p.rows), len(p.at), len(v.codes), len(v.dict))
+	}
+	for c := 0; c+1 < len(p.at); c++ {
+		rows := p.rows[p.at[c]:p.at[c+1]]
+		for i, r := range rows {
+			if int(v.codes[r]) != c || i > 0 && rows[i-1] >= r {
+				t.Fatalf("%s: postings of code %d list row %d (code %d) at %d", where, c, r, v.codes[r], i)
+			}
 		}
 	}
 }

@@ -39,9 +39,17 @@ func diffSeed(t *testing.T, fixed int64) int64 {
 // NULL, NaN, ±0, integers beyond 2^53, the '@' / '@NULL@' marks — with
 // and without an exact-cover index, under EXISTS and NOT EXISTS. Every
 // statement runs a second time as the same prepared plan after the probe
-// side changed: the sets belong to an execution, never to the plan.
+// side changed: the sets belong to an execution, never to the plan. Some
+// executions must decide whole sealed runs from their postings. The
+// pinned subtest reads a segment's postings from an older epoch
+// (valueSetPinnedReader).
 func TestValueSetProbeDifferential(t *testing.T) {
 	t.Parallel()
+	t.Run("random", valueSetRandom)
+	t.Run("pinned", valueSetPinnedReader)
+}
+
+func valueSetRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(diffSeed(t, 167)))
 	big := int64(1) << 53
 	texts := []relation.Value{relation.Null(), relation.Text("@"), relation.Text("@NULL@"),
@@ -132,7 +140,7 @@ func TestValueSetProbeDifferential(t *testing.T) {
 		}
 	}
 
-	reachedSets := 0
+	reachedSets, reachedPostings := 0, 0
 	for trial := 0; trial < 32; trial++ {
 		sh := shapes[rng.Intn(len(shapes))]
 		mustExec(t, db, `DROP TABLE IF EXISTS pt`)
@@ -164,12 +172,15 @@ func TestValueSetProbeDifferential(t *testing.T) {
 			t.Fatalf("trial %d: prepare %q: %v", trial, q, err)
 		}
 		for pass := 0; pass < 2; pass++ {
-			before := db.Stats().ProbeRows
+			before := db.Stats()
 			res, err := p.Query()
 			if err != nil {
 				t.Fatalf("trial %d pass %d: %q: %v", trial, pass, q, err)
 			}
-			probed := db.Stats().ProbeRows - before
+			probed := db.Stats().ProbeRows - before.ProbeRows
+			if db.Stats().PostingRows > before.PostingRows {
+				reachedPostings++
+			}
 			if pairs := int64(sizes[size]) * patterns; size == "at" && probed < pairs/2 {
 				reachedSets++
 			} else if size == "below" && everyPair && probed != pairs {
@@ -187,7 +198,108 @@ func TestValueSetProbeDifferential(t *testing.T) {
 			fillProbeSide(rng.Intn(12))
 		}
 	}
-	if reachedSets == 0 {
-		t.Fatal("no execution at the candidate threshold answered from value sets")
+	if reachedSets == 0 || reachedPostings == 0 {
+		t.Fatalf("of the executions at the candidate threshold, %d answered from value sets, %d from postings", reachedSets, reachedPostings)
+	}
+}
+
+// valueSetPinnedReader: a reader pinned on an epoch whose tail segment
+// holds half a segment of rows keeps reading it — a COALESCE'd text key
+// against a set holding the NULL code's '@NULL@' and a string, under
+// EXISTS and NOT EXISTS — while a writer fills that segment past the
+// reader's fence and newer readers seal it, building postings over rows
+// the pinned epoch does not have. The pinned reader's cut of the column is
+// shorter than those postings and must not use them: every read answers
+// what Reference answered before the writer began. Part of `make
+// mvccstress`, under -race.
+func valueSetPinnedReader(t *testing.T) {
+	rng := rand.New(rand.NewSource(diffSeed(t, 229)))
+	domain := []relation.Value{relation.Null(), relation.Text("x"), relation.Text("y"), relation.Text("@"), relation.Text("z")}
+	schema, err := relation.NewSchema("vp",
+		relation.Attribute{Name: "rid", Kind: relation.KindInt},
+		relation.Attribute{Name: "a", Kind: relation.KindText})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := relation.New(schema)
+	nextRID := 0
+	row := func() []relation.Value {
+		nextRID++
+		return []relation.Value{relation.Int(int64(nextRID)), domain[rng.Intn(len(domain))]}
+	}
+	for len(data.Rows) < 4*segRows+segRows/2 {
+		data.Rows = append(data.Rows, row())
+	}
+	db := NewDB()
+	if err := db.LoadRelation(data); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE pc (cid INTEGER, la INTEGER)`)
+	mustExec(t, db, `INSERT INTO pc VALUES (0, 1), (1, 1)`)
+	mustExec(t, db, `CREATE TABLE pp (g INTEGER, pa TEXT)`)
+	mustExec(t, db, `INSERT INTO pp VALUES (0, '@NULL@'), (0, 'x'), (1, 'z')`)
+	blank := `CASE WHEN pc.la > 0 THEN COALESCE(TOTEXT(vt.a), '@NULL@') ELSE '@' END`
+	var qs []*Prepared
+	var want []string
+	for _, neg := range []string{"", "NOT "} {
+		q := `SELECT vt.rid, pc.cid FROM pc, vp vt WHERE ` + neg + `EXISTS (SELECT 1 FROM pp WHERE pp.g = pc.cid AND pp.pa = ` + blank + `)`
+		p, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, want = append(qs, p), append(want, canonical(queryIn(t, db, Reference, q)))
+	}
+	snap := db.PinSnapshot()
+	defer snap.Close()
+	read := func() error {
+		for i, p := range qs {
+			res, err := p.QueryAt(snap)
+			if err != nil {
+				return err
+			}
+			if got := canonical(res); got != want[i] {
+				return fmt.Errorf("pinned reader of query %d: %.200s, Reference before the writes %.200s", i, got, want[i])
+			}
+		}
+		return nil
+	}
+	if err := read(); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 8 && err == nil; i++ {
+			err = read()
+		}
+		errs <- err
+	}()
+	for step := 0; step < 4; step++ {
+		for k := 0; k < segRows/4; k++ {
+			mustExec(t, db, `INSERT INTO vp VALUES (?, ?)`, row()...)
+		}
+		for _, p := range qs { // the head seals the old tail once the writer has passed it
+			if _, err := p.Query(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if err := read(); err != nil {
+		t.Fatal(err)
+	}
+	if v := db.cur.Load().tds[mustTable(t, db, "vp")].segs[4].c.vecs[1]; v.post == nil || len(v.post.rows) <= segRows/2 {
+		t.Fatalf("the pinned tail's postings cover no more than its %d rows", segRows/2)
+	}
+	for i, p := range qs {
+		before := db.Stats().PostingRows
+		if _, err := p.Query(); err != nil {
+			t.Fatal(err)
+		}
+		if d := db.Stats().PostingRows - before; (d == 0) != (i == 1) {
+			t.Fatalf("query %d (NOT EXISTS: %v) decided %d rows from postings", i, i == 1, d)
+		}
 	}
 }
