@@ -43,7 +43,8 @@ mvccstress:
 	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
 
 # The randomized kernel differentials (batch kernels vs per-row closures
-# vs nested loop), the segmented row store under random DML vs a mirror
+# vs nested loop), the planner's property suite (planned joins, kernels
+# on and off, vs nested loop), the segmented row store under random DML vs a mirror
 # loaded fresh, the detector differential's random and transitions
 # workloads (every detector leg vs the naive oracle) and the naive oracle
 # vs the definitional checker, on a seed no earlier run has used. The
@@ -52,7 +53,7 @@ mvccstress:
 # failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestRowSegmentsDifferential' ./internal/sqldb/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestRowSegmentsDifferential' ./internal/sqldb/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed
 
@@ -81,9 +82,11 @@ fuzz:
 # Which internal/sqldb code product traffic reaches: the four workloads
 # of the repository benchmark (3 s each), `ecfdbench -explain` and
 # `ecfdbench -fig 5c`, run from coverage builds in .bench_build/cover/;
-# prints the internal/sqldb functions none of them entered. Each build's
-# -coverpkg names its main package as well: a binary whose main package
-# is not covered writes no counter file. The benchmark builds from
+# prints the internal/sqldb functions none of them entered, then every
+# block of three or more statements none of them reached in the
+# executor's files (a dead branch inside a function traffic enters).
+# Each build's -coverpkg names its main package as well: a binary whose
+# main package is not covered writes no counter file. The benchmark builds from
 # benchmark/ and runs in .bench_build/cover/, where its out/ directory
 # goes: nothing is written under benchmark/.
 COVER = .bench_build/cover
@@ -98,6 +101,11 @@ covertraffic:
 	cd $(COVER) && GOCOVERDIR=counters ./ecfdbench -explain > /dev/null && GOCOVERDIR=counters ./ecfdbench -fig 5c > /dev/null
 	$(GO) tool covdata textfmt -pkg=ecfd/internal/sqldb -i=$(COVER)/counters -o $(COVER)/sqldb.cover
 	@$(GO) tool cover -func=$(COVER)/sqldb.cover | awk '$$NF == "0.0%"'
+	@echo "unreached blocks of >= 3 statements:"
+	@awk -F'[: ]' '$$1 ~ /\/(batch|plan|compile|subquery|exec|dml)\.go$$/ { \
+		sub(/.*\//, "", $$1); k = $$1 ":" $$2; n[k] = $$3; hit[k] += $$4 } \
+		END { for (k in n) if (!hit[k] && n[k] >= 3) print k, n[k] " stmts" }' \
+		$(COVER)/sqldb.cover | sort -t: -k1,1 -k2,2n
 
 # Quick perf signal: the two acceptance benchmarks plus the planner
 # ablation, a few iterations each.

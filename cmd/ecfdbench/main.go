@@ -12,21 +12,18 @@
 // Scale 1.0 is paper scale (|D| up to 100k tuples); the default 0.1
 // completes the full suite in minutes. -explain skips the sweeps and
 // prints the engine's query plans for the detector's fixed statement
-// set (join order, hash/index access paths, semi-join updates).
+// set (join order, hash/index access paths, semi-join updates;
+// detect.ExplainPlans).
 package main
 
 import (
-	"database/sql"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"ecfd/internal/bench"
 	"ecfd/internal/detect"
-	"ecfd/internal/gen"
-	"ecfd/internal/sqldriver"
 )
 
 func main() {
@@ -38,7 +35,7 @@ func main() {
 	flag.Parse()
 
 	if *explain {
-		if err := explainPlans(*seed); err != nil {
+		if err := detect.ExplainPlans(os.Stdout, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "ecfdbench: explain: %v\n", err)
 			os.Exit(1)
 		}
@@ -74,68 +71,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// explainPlans builds a small detector instance and prints the plans
-// the engine chooses for its fixed statement set — the EXPLAIN-style
-// probe used to sanity-check that the Fig. 4 queries run as planned
-// joins (pattern side driving, probes index-backed) rather than
-// all-pairs nested loops.
-func explainPlans(seed int64) error {
-	const dsn = "bench_explain"
-	db, err := sql.Open(sqldriver.DriverName, dsn)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	defer sqldriver.Unregister(dsn)
-
-	d, err := detect.New(db, gen.Schema(), gen.Constraints())
-	if err != nil {
-		return err
-	}
-	if err := d.Install(); err != nil {
-		return err
-	}
-	cfg := gen.Config{Rows: 1000, Noise: 5, Seed: seed}
-	rids, err := d.LoadData(gen.Dataset(cfg))
-	if err != nil {
-		return err
-	}
-	if _, err := d.BatchDetect(); err != nil {
-		return err
-	}
-	// One 8+8 update leaves the staging tables at their working size, so
-	// the incremental statements plan as they do in a running session.
-	if _, _, err := d.ApplyUpdates(gen.Updates(cfg, 8, 0), rids[:8]); err != nil {
-		return err
-	}
-
-	eng := sqldriver.Engine(dsn)
-	qsvSelect, qsvUpdate, qmvInsert, mvUpdate := d.SQL()
-	type named struct{ name, q string }
-	stmts := []named{
-		{"Qsv (select form)", qsvSelect},
-		{"Qsv (SV update)", qsvUpdate},
-		{"Qmv (Aux insert)", qmvInsert},
-		{"MV update", mvUpdate},
-		{"Violations (ORDER BY RID)", fmt.Sprintf(
-			"SELECT RID FROM %s WHERE SV = 1 OR MV = 1 ORDER BY RID", d.DataTable())},
-	}
-	inc := d.IncrementalSQL()
-	for i, q := range inc {
-		head, _, _ := strings.Cut(q, "\n")
-		if len(head) > 60 {
-			head = head[:60] + "…"
-		}
-		stmts = append(stmts, named{fmt.Sprintf("incremental %d/%d: %s", i+1, len(inc), head), q})
-	}
-	for _, s := range stmts {
-		plan, err := eng.Explain(s.q)
-		if err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
-		}
-		fmt.Printf("-- %s --\n%s\n", s.name, plan)
-	}
-	return nil
 }

@@ -15,7 +15,7 @@ import (
 // predicate as a compiled closure, once per candidate row. For the
 // detection workload that per-row dispatch is pure overhead on the
 // *simple* predicates — column-vs-constant/parameter compares
-// (`t.RID >= ?`, `t.MV = 0`), IN-set probes, flag tests — whose
+// (`t.RID >= ?`, `t.MV = 0`), NULL tests — whose
 // right-hand sides never change while a level iterates. This file
 // adds the second compilation target: such predicates lower to batch
 // kernels that run over the table's cached column vectors, a segment
@@ -64,23 +64,18 @@ const (
 	kernLE
 	kernGT
 	kernGE
-	kernIsNull  // neg: IS NOT NULL
-	kernIn      // neg: NOT IN; items are literals/params only
-	kernBetween // neg: NOT BETWEEN
+	kernIsNull // neg: IS NOT NULL
 )
 
 // kernelPred is one compiled batch kernel: a simple predicate over one
-// column of the level's source. rhs / lo / hi / items read anything
-// *except* that source (outer levels, outer scopes, parameters,
-// constants), so they are loop-invariant for the level and bind once
-// per entry.
+// column of the level's source. rhs reads anything *except* that source
+// (outer levels, outer scopes, parameters, constants), so it is
+// loop-invariant for the level and binds once per entry.
 type kernelPred struct {
-	col    int
-	op     kernOp
-	neg    bool
-	rhs    compiledExpr   // compare ops
-	lo, hi compiledExpr   // kernBetween
-	items  []compiledExpr // kernIn
+	col int
+	op  kernOp
+	neg bool
+	rhs compiledExpr // compare ops
 }
 
 // kernelCand records that a plan part can run as a kernel when source
@@ -95,89 +90,32 @@ type kernBind struct {
 	// empty short-circuits the whole level: a NULL bound means the
 	// predicate holds for no row (col OP NULL is never true), exactly
 	// like the closure returning NULL for every row.
-	empty   bool
-	w       relation.Value
-	wInt    bool // w is integer-like: the compare loop takes the int path
-	lo, hi  relation.Value
-	set     map[string]bool  // kernIn, >= inListHashThreshold items
-	vals    []relation.Value // kernIn, shorter lists: Equal-scan values
-	keyBuf  []byte           // kernIn set lookups: reused key scratch
-	hasNull bool
-	// setBuilt: the IN item state is built once per statement, not per
-	// level entry — the items are literals/params, fixed for the
-	// statement the instance is bound to (reset forgets it).
-	setBuilt bool
-	byCode   []uint8 // filterRun's scratch: 1 for the codes the predicate holds for
+	empty  bool
+	w      relation.Value
+	wInt   bool    // w is integer-like: the compare loop takes the int path
+	byCode []uint8 // filterRun's scratch: 1 for the codes the predicate holds for
 }
 
-// reset forgets what was bound, the IN items included; scratch stays.
-func (b *kernBind) reset() { *b = kernBind{vals: b.vals[:0], keyBuf: b.keyBuf, byCode: b.byCode[:0]} }
+// reset forgets what was bound; scratch stays.
+func (b *kernBind) reset() { *b = kernBind{byCode: b.byCode[:0]} }
 
 // bind evaluates the kernel's invariant inputs for one level entry.
 func (k *kernelPred) bind(en *env, b *kernBind) error {
 	b.empty = false
-	switch k.op {
-	case kernIsNull:
-		return nil
-	case kernBetween:
-		lo, err := k.lo(en)
-		if err != nil {
-			return err
-		}
-		hi, err := k.hi(en)
-		if err != nil {
-			return err
-		}
-		if lo.IsNull() || hi.IsNull() {
-			b.empty = true
-			return nil
-		}
-		b.lo, b.hi = lo, hi
-		return nil
-	case kernIn:
-		if b.setBuilt {
-			return nil
-		}
-		// Mirror the closure path's per-size strategy exactly: short
-		// lists are Equal-scanned, long lists use the Key()-hashed set.
-		// The strategies agree (Equal and Key() are both exact across
-		// numeric kinds), but mirroring keeps batch and row execution
-		// equivalent by construction.
-		if len(k.items) >= inListHashThreshold {
-			b.set = make(map[string]bool, len(k.items))
-			var err error
-			if b.hasNull, err = buildInSet(en, k.items, b.set); err != nil {
-				return err
-			}
-		} else {
-			b.vals = b.vals[:0]
-			for _, it := range k.items {
-				w, err := it(en)
-				if err != nil {
-					return err
-				}
-				if w.IsNull() {
-					b.hasNull = true
-					continue
-				}
-				b.vals = append(b.vals, w)
-			}
-		}
-		b.setBuilt = true
-		return nil
-	default:
-		w, err := k.rhs(en)
-		if err != nil {
-			return err
-		}
-		if w.IsNull() {
-			b.empty = true
-			return nil
-		}
-		b.w = w
-		b.wInt = w.K == relation.KindInt || w.K == relation.KindBool
+	if k.op == kernIsNull {
 		return nil
 	}
+	w, err := k.rhs(en)
+	if err != nil {
+		return err
+	}
+	if w.IsNull() {
+		b.empty = true
+		return nil
+	}
+	b.w = w
+	b.wInt = w.K == relation.KindInt || w.K == relation.KindBool
+	return nil
 }
 
 // filter tightens the selection vector in place: sel holds candidate
@@ -191,48 +129,6 @@ func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int
 	case kernIsNull:
 		for _, ri := range sel {
 			if (colv[ri].K == relation.KindNull) != k.neg {
-				out = append(out, ri)
-			}
-		}
-	case kernIn:
-		for _, ri := range sel {
-			v := colv[ri]
-			if v.K == relation.KindNull {
-				continue // NULL IN (...) is NULL: row out either way
-			}
-			match := false
-			if b.set != nil {
-				b.keyBuf = relation.AppendKey(b.keyBuf[:0], v)
-				match = b.set[string(b.keyBuf)]
-			} else {
-				for _, w := range b.vals {
-					if relation.Equal(v, w) {
-						match = true
-						break
-					}
-				}
-			}
-			switch {
-			case match:
-				if !k.neg {
-					out = append(out, ri)
-				}
-			case b.hasNull:
-				// no match but a NULL item: NULL, row out either way
-			default:
-				if k.neg {
-					out = append(out, ri)
-				}
-			}
-		}
-	case kernBetween:
-		for _, ri := range sel {
-			v := colv[ri]
-			if v.K == relation.KindNull {
-				continue
-			}
-			in := relation.Compare(v, b.lo) >= 0 && relation.Compare(v, b.hi) <= 0
-			if in != k.neg {
 				out = append(out, ri)
 			}
 		}
@@ -348,8 +244,7 @@ func (k *kernelPred) filterRun(en *env, run *segRun, b *kernBind, sel []int) []i
 // closure path, which is always available.
 func (c *compiler) extractKernels(e Expr, depth int) []kernelCand {
 	var out []kernelCand
-	// colOf resolves a ColumnRef at the current depth; invariant checks
-	// that an input expression never reads the given source.
+	// colOf resolves a ColumnRef at the current depth.
 	colOf := func(side Expr) (src, col int, ok bool) {
 		ref, isRef := side.(*ColumnRef)
 		if !isRef {
@@ -360,29 +255,6 @@ func (c *compiler) extractKernels(e Expr, depth int) []kernelCand {
 			return 0, 0, false
 		}
 		return b.src, b.col, true
-	}
-	invariant := func(src int, exprs ...Expr) bool {
-		for _, x := range exprs {
-			ok := true
-			if err := c.walkBindings(x, func(b binding) {
-				if b.depth == depth && b.src == src {
-					ok = false
-				}
-			}); err != nil || !ok {
-				return false
-			}
-		}
-		return true
-	}
-	compileAll := func(exprs ...Expr) ([]compiledExpr, bool) {
-		ces := make([]compiledExpr, len(exprs))
-		for i, x := range exprs {
-			var err error
-			if ces[i], err = c.compileExpr(x); err != nil {
-				return nil, false
-			}
-		}
-		return ces, true
 	}
 
 	switch x := e.(type) {
@@ -417,16 +289,25 @@ func (c *compiler) extractKernels(e Expr, depth int) []kernelCand {
 			}
 			return op
 		}
+		// try takes colSide's column as the kernel's when keySide never
+		// reads that column's source.
 		try := func(colSide, keySide Expr, o kernOp) {
 			src, col, ok := colOf(colSide)
-			if !ok || !invariant(src, keySide) {
-				return
-			}
-			ce, ok := compileAll(keySide)
 			if !ok {
 				return
 			}
-			out = append(out, kernelCand{src: src, k: &kernelPred{col: col, op: o, rhs: ce[0]}})
+			if err := c.walkBindings(keySide, func(b binding) {
+				if b.depth == depth && b.src == src {
+					ok = false
+				}
+			}); err != nil || !ok {
+				return
+			}
+			rhs, err := c.compileExpr(keySide)
+			if err != nil {
+				return
+			}
+			out = append(out, kernelCand{src: src, k: &kernelPred{col: col, op: o, rhs: rhs}})
 		}
 		try(x.L, x.R, op)
 		try(x.R, x.L, flip(op))
@@ -438,35 +319,6 @@ func (c *compiler) extractKernels(e Expr, depth int) []kernelCand {
 			return nil
 		}
 		return []kernelCand{{src: src, k: &kernelPred{col: col, op: kernIsNull, neg: x.Neg}}}
-
-	case *InList:
-		src, col, ok := colOf(x.X)
-		if !ok {
-			return nil
-		}
-		for _, it := range x.List {
-			switch it.(type) {
-			case *Literal, *Param:
-			default:
-				return nil // mirror the closure's "simple list" shape only
-			}
-		}
-		items, ok := compileAll(x.List...)
-		if !ok {
-			return nil
-		}
-		return []kernelCand{{src: src, k: &kernelPred{col: col, op: kernIn, neg: x.Neg, items: items}}}
-
-	case *Between:
-		src, col, ok := colOf(x.X)
-		if !ok || !invariant(src, x.Lo, x.Hi) {
-			return nil
-		}
-		ce, ok := compileAll(x.Lo, x.Hi)
-		if !ok {
-			return nil
-		}
-		return []kernelCand{{src: src, k: &kernelPred{col: col, op: kernBetween, neg: x.Neg, lo: ce[0], hi: ce[1]}}}
 	}
 	return nil
 }
@@ -484,7 +336,7 @@ func (c *compiler) extractKernels(e Expr, depth int) []kernelCand {
 //
 //   - inv: the part never reads the level source — it is loop-invariant
 //     for the level and evaluates once per entry (the guards above);
-//   - simple: the PR-4 kernel shapes (compare, IN, IS NULL, BETWEEN);
+//   - simple: the kernel shapes above (compare, IS NULL);
 //   - probe: a decorrelated EXISTS whose hash/index build and key
 //     scratch resolve once per level entry instead of once per row;
 //   - or: a nested disjunction of kernelizable atoms (the NotIn

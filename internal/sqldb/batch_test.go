@@ -46,9 +46,9 @@ func kernelTable(t *testing.T, rng *rand.Rand, rows int) *DB {
 }
 
 // TestKernelClosureDifferential generates random simple-predicate
-// WHERE clauses — exactly the shapes the kernel compiler targets,
-// including NaN and NULL data — and checks the batch, row and
-// nested-loop paths agree on every one.
+// WHERE clauses — the shapes the kernel compiler targets, beside the IN
+// lists and BETWEEN it leaves to the closures, over NaN and NULL data —
+// and checks the batch, row and nested-loop paths agree on every one.
 func TestKernelClosureDifferential(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(diffSeed(t, 113)))

@@ -672,18 +672,14 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 // IN list switches from the per-row Equal scan to a Key()-hashed set.
 // Equal and Key() agree on every non-NULL, non-NaN value (both are
 // exact across numeric kinds; buildInSet handles the NaN carve-out),
-// so the two strategies return identical rows; the batch kernel still
-// mirrors the same per-size choice so batch and row execution stay
-// equivalent by construction even if the semantics ever drift.
+// so the two strategies return identical rows.
 const inListHashThreshold = 8
 
-// buildInSet evaluates a literal/parameter IN list into a lookup set —
-// the single source of truth for hash-set IN semantics, shared by the
-// long-list closure above and the batch kernel (kernIn). NULL items
-// only set hasNull; NaN items stay out of the set entirely, because
-// Equal(v, NaN) never holds while Key() would encode NaN as
-// self-equal — keeping them out makes the set lookup agree with the
-// short-list Equal scan exactly.
+// buildInSet evaluates a literal/parameter IN list into the long-list
+// closure's lookup set. NULL items only set hasNull; NaN items stay out
+// of the set entirely, because Equal(v, NaN) never holds while Key()
+// would encode NaN as self-equal — keeping them out makes the set
+// lookup agree with the short-list Equal scan exactly.
 func buildInSet(en *env, items []compiledExpr, set map[string]bool) (hasNull bool, err error) {
 	for _, it := range items {
 		w, err := it(en)
@@ -857,9 +853,7 @@ func flattenLogical(op string, e Expr, out *[]Expr) {
 // `c.A_R > 0`, …), skipping the generic literal closure, Equal kind
 // dispatch and Compare ranking. These dominate the eCFD detection
 // scans, where every (tuple, pattern) pair evaluates a few dozen of
-// them. Column-vs-parameter comparisons (`t.RID >= ?` — the parallel
-// detector's RID-slice scans) get the same treatment with the bound
-// value fetched per execution.
+// them.
 func (c *compiler) fastCompare(x *Binary) (compiledExpr, error) {
 	switch x.Op {
 	case "=", "<>", "<", "<=", ">", ">=":
@@ -878,16 +872,6 @@ func (c *compiler) fastCompare(x *Binary) (compiledExpr, error) {
 			return "<="
 		}
 		return op
-	}
-	if ref, ok := x.L.(*ColumnRef); ok {
-		if pr, ok := x.R.(*Param); ok {
-			return c.fastCompareParam(ref, pr, x.Op)
-		}
-	}
-	if pr, ok := x.L.(*Param); ok {
-		if ref, ok := x.R.(*ColumnRef); ok {
-			return c.fastCompareParam(ref, pr, flip(x.Op))
-		}
 	}
 	ref, okL := x.L.(*ColumnRef)
 	lit, okR := x.R.(*Literal)
@@ -971,66 +955,6 @@ func (c *compiler) fastCompare(x *Binary) (compiledExpr, error) {
 			return relation.Bool(res), nil
 		}, nil
 	}
-}
-
-// fastCompareParam compiles `column OP ?`: one closure fetching the
-// row value and the bound parameter directly, with an integer fast
-// path and the generic Equal/Compare semantics otherwise.
-func (c *compiler) fastCompareParam(ref *ColumnRef, pr *Param, op string) (compiledExpr, error) {
-	b, err := c.resolve(ref)
-	if err != nil {
-		return nil, err
-	}
-	pi := pr.Index
-	return func(en *env) (relation.Value, error) {
-		if pi >= len(en.params) {
-			return relation.Null(), fmt.Errorf("sql: missing parameter %d", pi+1)
-		}
-		v := en.frames[b.depth].rows[b.src][b.col]
-		w := en.params[pi]
-		if v.K == relation.KindNull || w.K == relation.KindNull {
-			return relation.Null(), nil
-		}
-		if (v.K == relation.KindInt || v.K == relation.KindBool) &&
-			(w.K == relation.KindInt || w.K == relation.KindBool) {
-			var res bool
-			switch op {
-			case "=":
-				res = v.I == w.I
-			case "<>":
-				res = v.I != w.I
-			case "<":
-				res = v.I < w.I
-			case "<=":
-				res = v.I <= w.I
-			case ">":
-				res = v.I > w.I
-			case ">=":
-				res = v.I >= w.I
-			}
-			return relation.Bool(res), nil
-		}
-		var res bool
-		switch op {
-		case "=":
-			res = relation.Equal(v, w)
-		case "<>":
-			res = !relation.Equal(v, w)
-		default:
-			cmp := relation.Compare(v, w)
-			switch op {
-			case "<":
-				res = cmp < 0
-			case "<=":
-				res = cmp <= 0
-			case ">":
-				res = cmp > 0
-			case ">=":
-				res = cmp >= 0
-			}
-		}
-		return relation.Bool(res), nil
-	}, nil
 }
 
 func arith(op string, a, b relation.Value) (relation.Value, error) {

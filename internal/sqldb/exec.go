@@ -87,7 +87,6 @@ type compiledSelect struct {
 	// planner decomposition of WHERE; planOK false falls back to the
 	// nested loop evaluating the monolithic where closure.
 	conjs    []*planConjunct
-	nTerms   int
 	planOK   bool
 	grouped  bool
 	groupBy  []compiledExpr

@@ -24,17 +24,17 @@ import (
 //     covers the key columns exactly;
 //   - every conjunct is evaluated at the outermost level where all of
 //     its sources are bound (predicate pushdown), pruning the join
-//     subtree as early as possible;
-//   - OR conjuncts are partially evaluated: each alternative runs at
-//     the level where its own sources are bound, and once one
-//     alternative is true the whole conjunct is satisfied for the
-//     entire subtree. This is what makes the paper's Fig. 4 queries
-//     cheap: terms like "c.A_L <> 1" resolve once per pattern tuple,
-//     so the expensive set probes only run for the few attributes a
-//     pattern actually constrains.
+//     subtree as early as possible; one reading no source of the scope
+//     is evaluated once before the loop;
+//   - OR conjuncts run as OR-group kernels at their last level: the
+//     parts of an alternative that never read that level's source bind
+//     once per level entry, so the paper's Fig. 4 guards like
+//     "c.A_L <> 1" resolve once per pattern tuple and the expensive set
+//     probes only run for the few attributes a pattern constrains. A
+//     conjunct no kernel takes is decided whole, per row, at its level.
 //
 // The planner never changes semantics: a row combination is emitted
-// iff every conjunct has at least one true alternative, which is
+// iff every conjunct has an alternative whose parts all hold, which is
 // exactly Truth(WHERE) under SQL three-valued logic. Evaluation order
 // of (side-effect-free) predicates is the only thing that shifts.
 
@@ -79,14 +79,12 @@ const reorderMinRows = 64
 type srcMask uint64
 
 // planTerm is one OR alternative of a conjunct. Its AND factors are
-// kept separate so each can run at the level where its own sources are
-// bound: an alternative like "c.A_R = 1 AND <probe over t>" has its
-// guard evaluated once per c row, and the probe only runs for the few
-// alternatives the guard leaves alive.
+// kept separate so an OR-group kernel can bind the ones that never read
+// its level's source once per entry: an alternative like "c.A_R = 1 AND
+// <probe over t>" has its guard evaluated once per c row, and the probe
+// only runs for the few alternatives the guard leaves alive.
 type planTerm struct {
-	id    int // global index into planState term arrays
 	parts []planPart
-	srcs  srcMask // union of part sources
 }
 
 // planPart is one AND factor of an OR alternative. kp holds the
@@ -112,6 +110,28 @@ type planConjunct struct {
 	// filter redundant — 1 for <= / >=, 2 for BETWEEN (both bounds),
 	// 0 when the predicate can never be elided (strict operators).
 	rngNeed int
+}
+
+// holds decides the conjunct whole for the bound rows: it passes when
+// every part of some alternative is true.
+func (pc *planConjunct) holds(en *env) (bool, error) {
+	for _, t := range pc.terms {
+		ok := true
+		for _, p := range t.parts {
+			v, err := p.ex(en)
+			if err != nil {
+				return false, err
+			}
+			if !v.Truth() {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // equiSide describes sources[src].col = key, with key reading only the
@@ -151,7 +171,6 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 	var conjExprs []Expr
 	splitConjuncts(where, &conjExprs)
 	conjs := make([]*planConjunct, 0, len(conjExprs))
-	nTerms := 0
 	for _, cj := range conjExprs {
 		var termExprs []Expr
 		flattenLogical("OR", cj, &termExprs)
@@ -159,8 +178,7 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 		for _, te := range termExprs {
 			var partExprs []Expr
 			splitConjuncts(te, &partExprs)
-			pt := planTerm{id: nTerms}
-			nTerms++
+			var pt planTerm
 			for _, pe := range partExprs {
 				var mask srcMask
 				err := c.walkBindings(pe, func(b binding) {
@@ -186,10 +204,9 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 					part.kp = c.extractKPred(pe, depth)
 				}
 				pt.parts = append(pt.parts, part)
-				pt.srcs |= mask
+				pc.srcs |= mask
 			}
 			pc.terms = append(pc.terms, pt)
-			pc.srcs |= pt.srcs
 		}
 		if len(pc.terms) == 1 {
 			c.extractEqui(termExprs[0], depth, pc)
@@ -198,7 +215,6 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 		conjs = append(conjs, pc)
 	}
 	cs.conjs = conjs
-	cs.nTerms = nTerms
 	cs.planOK = true
 }
 
@@ -351,8 +367,10 @@ func (c *compiler) planOrderBy(sel *Select, cs *compiledSelect) {
 // correlated re-executions reuse the hash builds — and returns to its
 // select's free list, reset, when the statement ends (env.publish).
 type schedule struct {
-	order  []int
-	pre    []preEval
+	order []int
+	// pre are the conjuncts reading no current-scope source, decided once
+	// before the loop: if one fails the WHERE is false for every row.
+	pre    []int
 	levels []schedLevel
 	state  *planState
 	// orderServed marks that the driving level iterates an ordered
@@ -367,16 +385,6 @@ type schedule struct {
 	// panic ends it, leaving scratch (the group filters' row masks)
 	// half-written: release drops the instance.
 	broken bool
-}
-
-// preEval processes the parts of a conjunct's alternatives that read
-// no current-scope source, once before the loop starts. final marks
-// conjuncts whose every alternative is source-free: if none closes
-// true the WHERE is constant-false.
-type preEval struct {
-	conj  int
-	terms []schedTerm
-	final bool
 }
 
 type schedLevel struct {
@@ -411,7 +419,9 @@ type schedLevel struct {
 	// elided counts range conjuncts whose retained filter was dropped
 	// because the inclusive index prune implies them exactly.
 	elided int
-	evals  []schedEval
+	// evals are the conjuncts no kernel, group, probe or range takes
+	// whose last source is this level's: each row decides them whole.
+	evals []int
 }
 
 // rangePlan restricts a scan level to an ordered-index range. Either
@@ -434,26 +444,6 @@ type rangePlan struct {
 	skipNullLo bool
 }
 
-// schedEval processes one conjunct at one level: the alternatives with
-// parts that become ready here. final means the conjunct has nothing
-// deeper: if it is still unsatisfied afterwards, the subtree is
-// pruned.
-type schedEval struct {
-	conj  int
-	terms []schedTerm
-	final bool
-}
-
-// schedTerm is one OR alternative's contribution to a level: the AND
-// parts ready here. closes means the alternative has no deeper parts —
-// if every part so far held, the alternative is true and satisfies its
-// conjunct. A part that fails kills the alternative for the subtree.
-type schedTerm struct {
-	term   int
-	parts  []compiledExpr
-	closes bool
-}
-
 // probePlan answers "which rows of this source match the bound key"
 // via a persistent index (exact column cover) or an ephemeral hash
 // built once per statement (base tables) or per execution (derived
@@ -472,15 +462,7 @@ type probePlan struct {
 }
 
 type planState struct {
-	// satLevel[c]: -1 pending, -2 satisfied before the loop, otherwise
-	// the level position that satisfied conjunct c.
-	satLevel []int
-	// termDead[t]: some AND part of alternative t failed in the current
-	// subtree, so the alternative can no longer satisfy its conjunct.
-	termDead  []bool
-	idx       []int // current row index per source
-	marks     [][]int
-	deadMarks [][]int
+	idx []int // current row index per source
 	// Batch-mode scratch, per level: the selection vector, the per-entry
 	// kernel bindings and the OR-group filter scratch. None of it grows
 	// with the table: selection vectors and row masks span one segment.
@@ -549,10 +531,9 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 	// OR-group claiming: a conjunct is owned wholly by a group kernel at
 	// the last level of its source set when every alternative part that
 	// reads that source kernelizes (simple / probe / nested-or). Claimed
-	// conjuncts contribute nothing to pre or any level's evals — their
-	// invariant parts bind per level entry instead. Single-part plain
-	// conjuncts stay on the simple kernel/probe/range paths, which
-	// already vectorize them.
+	// conjuncts appear in no level's evals — their invariant parts bind
+	// per level entry instead. Single-part plain conjuncts stay on the
+	// simple kernel/probe/range paths, which already vectorize them.
 	claim := make([]int, len(cs.conjs))
 	for i := range claim {
 		claim[i] = -1
@@ -597,23 +578,8 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 		}
 	}
 	for ci, pc := range cs.conjs {
-		if claim[ci] >= 0 {
-			continue
-		}
-		var terms []schedTerm
-		for _, t := range pc.terms {
-			var parts []compiledExpr
-			for _, p := range t.parts {
-				if p.srcs == 0 {
-					parts = append(parts, p.ex)
-				}
-			}
-			if len(parts) > 0 {
-				terms = append(terms, schedTerm{term: t.id, parts: parts, closes: t.srcs == 0})
-			}
-		}
-		if len(terms) > 0 {
-			sch.pre = append(sch.pre, preEval{conj: ci, terms: terms, final: pc.srcs == 0})
+		if pc.srcs == 0 {
+			sch.pre = append(sch.pre, ci)
 		}
 	}
 	var bound srcMask
@@ -770,39 +736,19 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 			}
 		}
 		for ci, pc := range cs.conjs {
-			if consumed[ci] || claim[ci] >= 0 || pc.srcs == 0 {
-				continue
-			}
-			var terms []schedTerm
-			for _, t := range pc.terms {
-				var parts []compiledExpr
-				for _, p := range t.parts {
-					if p.srcs != 0 && p.srcs&^boundAfter == 0 && p.srcs&bit != 0 {
-						parts = append(parts, p.ex)
-					}
-				}
-				if len(parts) > 0 {
-					terms = append(terms, schedTerm{term: t.id, parts: parts, closes: t.srcs&^boundAfter == 0})
-				}
-			}
-			final := pc.srcs&^boundAfter == 0 && pc.srcs&bit != 0
-			if len(terms) > 0 || final {
-				lv.evals = append(lv.evals, schedEval{conj: ci, terms: terms, final: final})
+			if !consumed[ci] && claim[ci] < 0 && pc.srcs&bit != 0 && pc.srcs&^boundAfter == 0 {
+				lv.evals = append(lv.evals, ci)
 			}
 		}
 		bound = boundAfter
 		sch.levels = append(sch.levels, lv)
 	}
 	sch.state = &planState{
-		satLevel:  make([]int, len(cs.conjs)),
-		termDead:  make([]bool, cs.nTerms),
-		idx:       make([]int, n),
-		marks:     make([][]int, n),
-		deadMarks: make([][]int, n),
-		sel:       make([][]int, n),
-		binds:     make([][]kernBind, n),
-		gsc:       make([]*groupScratch, n),
-		cur:       make([]rowCursor, n),
+		idx:   make([]int, n),
+		sel:   make([][]int, n),
+		binds: make([][]kernBind, n),
+		gsc:   make([]*groupScratch, n),
+		cur:   make([]rowCursor, n),
 	}
 	for i := range sch.levels {
 		lv := &sch.levels[i]
@@ -924,8 +870,8 @@ func (cs *compiledSelect) release(sch *schedule) {
 }
 
 // reset drops the two kinds of state that outlive a level entry. What is
-// built once per statement — a base-table probe's hash, an IN kernel's
-// item set — would answer for the last statement's rows and parameters.
+// built once per statement — a base-table probe's hash — would answer
+// for the last statement's rows and parameters.
 // And a reference into the epoch it read (a probe's segment vectors, index
 // views, hash sets) would keep that epoch's segments live while the
 // instance idles. Scratch capacity, and a few bound scalars, stay.
@@ -964,41 +910,9 @@ func (cs *compiledSelect) scan(en *env, srcRows []rowSet, yield func() error) er
 // runPlan executes the planned join. yield receives the current row
 // index per source (indexed by source position, not loop order).
 func (cs *compiledSelect) runPlan(en *env, sch *schedule, srcRows []rowSet, yield func(idx []int) error) error {
-	st := sch.state
-	for i := range st.satLevel {
-		st.satLevel[i] = -1
-	}
-	for i := range st.termDead {
-		st.termDead[i] = false
-	}
-	for _, pe := range sch.pre {
-		satisfied := false
-		for ti := range pe.terms {
-			tr := &pe.terms[ti]
-			allTrue := true
-			for _, pex := range tr.parts {
-				v, err := pex(en)
-				if err != nil {
-					return err
-				}
-				if !v.Truth() {
-					allTrue = false
-					break
-				}
-			}
-			if !allTrue {
-				st.termDead[tr.term] = true
-				continue
-			}
-			if tr.closes {
-				satisfied = true
-				break
-			}
-		}
-		if satisfied {
-			st.satLevel[pe.conj] = -2
-		} else if pe.final {
-			return nil // constant-false WHERE
+	for _, ci := range sch.pre {
+		if ok, err := cs.conjs[ci].holds(en); !ok {
+			return err // nil: a constant-false WHERE
 		}
 	}
 	sch.broken = true
@@ -1021,8 +935,6 @@ func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows []rowSet, po
 	if len(lv.kerns) > 0 || len(lv.groups) > 0 {
 		return cs.planLevelBatch(en, sch, srcRows, pos, lv, bucket, scanAll, yield)
 	}
-	marks := st.marks[pos][:0]
-	deadMarks := st.deadMarks[pos][:0]
 	n := rows.n
 	if !scanAll {
 		n = len(bucket)
@@ -1033,92 +945,25 @@ func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows []rowSet, po
 		if !scanAll {
 			ri = bucket[i]
 		}
-		if err := cs.stepRow(en, sch, srcRows, pos, lv, rows.row(ri, &si), ri, &marks, &deadMarks, yield); err != nil {
-			st.marks[pos] = marks
-			st.deadMarks[pos] = deadMarks
+		if err := cs.stepRow(en, sch, srcRows, pos, lv, rows.row(ri, &si), ri, yield); err != nil {
 			return err
 		}
 	}
-	st.marks[pos] = marks[:0]
-	st.deadMarks[pos] = deadMarks[:0]
 	return nil
 }
 
 // stepRow is the shared per-row body of both level drivers: bind the
-// candidate row, run the per-row conjunct machinery, recurse into the
-// deeper levels, and unwind the satisfied/dead bookkeeping. On error
-// the caller saves the scratch slices back into the plan state.
-func (cs *compiledSelect) stepRow(en *env, sch *schedule, srcRows []rowSet, pos int, lv *schedLevel, row relation.Tuple, ri int, marks, deadMarks *[]int, yield func([]int) error) error {
-	st := sch.state
-	fr := &en.frames[cs.depth]
-	fr.rows[lv.src] = row
-	st.idx[lv.src] = ri
-	*marks = (*marks)[:0]
-	*deadMarks = (*deadMarks)[:0]
-	ok, err := cs.evalLevelRow(en, st, lv, pos, marks, deadMarks)
-	if err != nil {
-		return err
-	}
-	if ok {
-		if err := cs.planLevel(en, sch, srcRows, pos+1, yield); err != nil {
+// candidate row, decide the level's per-row conjuncts, and recurse into
+// the deeper levels when they all hold.
+func (cs *compiledSelect) stepRow(en *env, sch *schedule, srcRows []rowSet, pos int, lv *schedLevel, row relation.Tuple, ri int, yield func([]int) error) error {
+	en.frames[cs.depth].rows[lv.src] = row
+	sch.state.idx[lv.src] = ri
+	for _, ci := range lv.evals {
+		if ok, err := cs.conjs[ci].holds(en); !ok {
 			return err
 		}
 	}
-	for _, cj := range *marks {
-		st.satLevel[cj] = -1
-	}
-	for _, tm := range *deadMarks {
-		st.termDead[tm] = false
-	}
-	return nil
-}
-
-// evalLevelRow runs one level's per-row conjunct machinery for the
-// currently bound row: evaluates the scheduled OR alternatives,
-// updates the satisfied/dead bookkeeping (collecting the changes in
-// marks/deadMarks for the caller to unwind after the subtree), and
-// reports whether the subtree below this row survives.
-func (cs *compiledSelect) evalLevelRow(en *env, st *planState, lv *schedLevel, pos int, marks, deadMarks *[]int) (bool, error) {
-	for ei := range lv.evals {
-		ev := &lv.evals[ei]
-		if st.satLevel[ev.conj] != -1 {
-			continue
-		}
-		satisfied := false
-		for ti := range ev.terms {
-			tr := &ev.terms[ti]
-			if st.termDead[tr.term] {
-				continue
-			}
-			allTrue := true
-			for _, pex := range tr.parts {
-				v, err := pex(en)
-				if err != nil {
-					return false, err
-				}
-				if !v.Truth() {
-					allTrue = false
-					break
-				}
-			}
-			if !allTrue {
-				st.termDead[tr.term] = true
-				*deadMarks = append(*deadMarks, tr.term)
-				continue
-			}
-			if tr.closes {
-				satisfied = true
-				break
-			}
-		}
-		if satisfied {
-			st.satLevel[ev.conj] = pos
-			*marks = append(*marks, ev.conj)
-		} else if ev.final {
-			return false, nil
-		}
-	}
-	return true, nil
+	return cs.planLevel(en, sch, srcRows, pos+1, yield)
 }
 
 // planLevelBatch is the vectorized level driver: candidate positions
@@ -1157,8 +1002,6 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 	for _, g := range lv.groups {
 		g.enter(n) // state reset only; terms bind lazily at filter time
 	}
-	marks := st.marks[pos][:0]
-	deadMarks := st.deadMarks[pos][:0]
 	sel := st.sel[pos]
 	cur := &st.cur[lv.src] // see rowCursor
 	pre := st.dedup        // see projSpec.dropRepeats
@@ -1211,21 +1054,14 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 		en.work[wRowsStepped] += int64(len(sel))
 		for _, off := range sel {
 			cur.off = off
-			if err = cs.stepRow(en, sch, srcRows, pos, lv, run.rows[off], base+off, &marks, &deadMarks, yield); err != nil {
+			if err = cs.stepRow(en, sch, srcRows, pos, lv, run.rows[off], base+off, yield); err != nil {
 				break
 			}
 		}
 	}
 	cur.run, cur.seq = segRun{}, 0
 	st.sel[pos] = sel
-	if err != nil {
-		st.marks[pos] = marks
-		st.deadMarks[pos] = deadMarks
-		return err
-	}
-	st.marks[pos] = marks[:0]
-	st.deadMarks[pos] = deadMarks[:0]
-	return nil
+	return err
 }
 
 // probeRows returns the candidate row indices at a level. scanAll is
@@ -1375,7 +1211,7 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 	var out []string
 	if len(sch.pre) > 0 {
-		out = append(out, fmt.Sprintf("pre-loop: %d constant conjunct group(s)", len(sch.pre)))
+		out = append(out, fmt.Sprintf("pre-loop: %d constant conjunct(s)", len(sch.pre)))
 	}
 	for _, lv := range sch.levels {
 		name := lv.src
@@ -1454,16 +1290,8 @@ func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 		if lv.elided > 0 {
 			line += fmt.Sprintf(" — %d filter(s) elided: implied by range", lv.elided)
 		}
-		full, partial := 0, 0
-		for _, ev := range lv.evals {
-			if ev.final {
-				full++
-			} else {
-				partial++
-			}
-		}
-		if full+partial > 0 {
-			line += fmt.Sprintf(" — %d conjunct(s) decided here, %d partial OR group(s)", full, partial)
+		if len(lv.evals) > 0 {
+			line += fmt.Sprintf(" — %d conjunct(s) decided here", len(lv.evals))
 		}
 		out = append(out, line)
 		// Descend into derived sources so EXPLAIN shows the access paths

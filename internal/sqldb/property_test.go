@@ -242,15 +242,20 @@ func TestQuickRoundTripInsertSelect(t *testing.T) {
 // kernels claim, plus non-kernelizable mixes that must fall back),
 // const-equality conjuncts (the `MV = 0` diversion shape), correlated
 // EXISTS / NOT EXISTS, IN-subqueries, IN lists, NULL columns,
+// source-free conjuncts and alternative parts (`1 = 1`, `2 < 1`,
+// `NULL = 1`: the pre-loop and the parts a level decides with its
+// conjunct), OR alternatives whose parts read the outer and the inner
+// source of a three-source join (decided whole where the last binds),
 // DISTINCT, grouped aggregates, range predicates (<, <=, >, >=,
 // BETWEEN — range-pruned with inclusive-bound filter elision through
 // the index on w.k, compound equality-prefix + range through the
 // (p, q) index on z) and ORDER BY clauses (index-served on
 // single-table w queries, join-driver-served when a multi-table
-// ORDER BY's source drives the join).
+// ORDER BY's source drives the join). `make difffuzz` runs it on a
+// fresh seed.
 func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 	t.Parallel()
-	rng := rand.New(rand.NewSource(97))
+	rng := rand.New(rand.NewSource(diffSeed(t, 97)))
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE r (a INTEGER, b INTEGER, s TEXT)`)
 	mustExec(t, db, `CREATE TABLE u (x INTEGER, y TEXT)`)
@@ -317,9 +322,14 @@ func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 			cols := pool[idx[i]].intCols
 			return aliases[i] + "." + cols[rng.Intn(len(cols))]
 		}
+		// cmpOn compares a column of source i alone with a constant.
+		cmpOn := func(i int) string {
+			ops := []string{"=", "<>", "<", ">="}
+			return fmt.Sprintf("%s %s %d", intCol(i), ops[rng.Intn(len(ops))], rng.Intn(8))
+		}
 		leaf := func() string {
 			i := rng.Intn(n)
-			switch rng.Intn(7) {
+			switch rng.Intn(8) {
 			case 0:
 				return fmt.Sprintf("%s = %d", intCol(i), rng.Intn(8))
 			case 1:
@@ -339,6 +349,9 @@ func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 					neg = "NOT "
 				}
 				return fmt.Sprintf("%s %sIN (%d, %d, %d)", intCol(i), neg, rng.Intn(8), rng.Intn(8), rng.Intn(8))
+			case 5:
+				// Reads no source: true, false or NULL for every row.
+				return []string{"1 = 1", "2 < 1", "NULL = 1"}[rng.Intn(3)]
 			default:
 				if n > 1 {
 					j := rng.Intn(n)
@@ -362,7 +375,7 @@ func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 		}
 		var conjs []string
 		for k := rng.Intn(4); k > 0; k-- {
-			switch rng.Intn(9) {
+			switch rng.Intn(10) {
 			case 0:
 				conjs = append(conjs, fmt.Sprintf("(%s OR %s)", leaf(), leaf()))
 			case 1:
@@ -396,6 +409,16 @@ func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 				// Constant-equality conjunct: the `MV = 0` shape the
 				// const-eq kernel serves instead of a hash-probe build.
 				conjs = append(conjs, fmt.Sprintf("%s = %d", intCol(rng.Intn(n)), rng.Intn(4)))
+			case 7, 8:
+				if n < 3 {
+					conjs = append(conjs, leaf())
+					break
+				}
+				// Alternatives whose parts read the outer and the inner
+				// source of a three-source join: none holds or fails whole
+				// before the last of them binds.
+				conjs = append(conjs, fmt.Sprintf("((%s AND %s) OR (%s AND %s) OR %s)",
+					cmpOn(0), cmpOn(2), cmpOn(2), cmpOn(1), leaf()))
 			default:
 				conjs = append(conjs, leaf())
 			}

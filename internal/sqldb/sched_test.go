@@ -16,13 +16,13 @@ import (
 // statements, an idle instance references no epoch, and an instance
 // serves exactly the executions that decide what it was laid out for.
 
-// TestPooledScheduleINListParams runs prepared SELECTs whose instances
-// carry per-statement state — the item set of a long IN list, the value
-// list and NULL mark of a short one, the same inside an OR group, the
-// hash of a base-table probe — again and again with other parameters and
-// over other data, and compares every answer with Reference mode. A
-// stale set answers for the previous parameters; a stale hash, for the
-// previous rows.
+// TestPooledScheduleINListParams runs prepared SELECTs that carry
+// per-statement state — the item set of a long IN list, the NULL item of
+// a short one, the same inside an OR, the hash of a base-table probe that
+// the instance keeps — again and again with other parameters and over
+// other data, and compares every answer with Reference mode. A stale set
+// answers for the previous parameters; a stale hash, for the previous
+// rows.
 func TestPooledScheduleINListParams(t *testing.T) {
 	db, ref := NewDB(), NewDB()
 	ref.SetMode(Reference)
@@ -45,14 +45,10 @@ func TestPooledScheduleINListParams(t *testing.T) {
 		qGroup = `SELECT t.k FROM t WHERE t.k < ? OR t.v IN (?, ?, ?, ?, ?, ?, ?, ?)`
 		qHash  = `SELECT t.k, u.w FROM t, u WHERE t.v = u.v AND t.k < ?`
 	)
-	for q, want := range map[string]string{qLong: "kernel filter", qShort: "kernel filter", qGroup: "or-group(2 terms)", qHash: "hash join t"} {
-		plan, err := db.Explain(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(plan, want) {
-			t.Fatalf("%s\nplan lacks %q, the test would pin nothing:\n%s", q, want, plan)
-		}
+	if plan, err := db.Explain(qHash); err != nil {
+		t.Fatal(err)
+	} else if !strings.Contains(plan, "hash join t") {
+		t.Fatalf("%s\nplan lacks a hash join, the test would pin nothing:\n%s", qHash, plan)
 	}
 	// paramsFor derives a parameter set from a number; every third one
 	// puts a NULL into the short list, which empties NOT IN.

@@ -118,6 +118,10 @@ func valueSetRandom(t *testing.T) {
 			on: "pt.g = ct.cid AND pt.n = CASE WHEN ct.li > 0 THEN vt.i ELSE 0 END" +
 				" AND pt.pa = CASE WHEN ct.la > 0 THEN vt.a ELSE '@' END",
 		},
+		{ // a bare coded text column, whatever the pattern: the pinned trial's
+			cols: []string{"g", "pa"},
+			on:   "pt.g = ct.cid AND pt.pa = vt.a",
+		},
 	}
 	mark := func(dom []relation.Value) relation.Value { // a blanked or rendered key cell
 		switch v := pick(dom); {
@@ -142,15 +146,29 @@ func valueSetRandom(t *testing.T) {
 
 	reachedSets, reachedPostings := 0, 0
 	for trial := 0; trial < 32; trial++ {
+		// Trial 0 is pinned to a shape that must read postings: EXISTS over
+		// every pair of the `at` table, whose sealed segments' coded column
+		// vt.a is the key, against one member per CID — an eighth of a run's
+		// rows, where postings beat the bit test.
+		pinned := trial == 0
 		sh := shapes[rng.Intn(len(shapes))]
+		if pinned {
+			sh = shapes[len(shapes)-1]
+		}
 		mustExec(t, db, `DROP TABLE IF EXISTS pt`)
 		mustExec(t, db, `CREATE TABLE pt (g INTEGER, pa TEXT, pb TEXT, pi TEXT, pr TEXT, n INTEGER, x REAL)`)
 		if rng.Intn(3) > 0 {
 			mustExec(t, db, fmt.Sprintf(`CREATE INDEX idx_pt ON pt (%s)`, strings.Join(sh.cols, ", ")))
 		}
-		if rng.Intn(4) > 0 {
+		switch {
+		case pinned:
+			for g := 0; g < 4; g++ {
+				mustExec(t, db, `INSERT INTO pt VALUES (?, ?, '@', '@', '@', NULL, NULL)`,
+					relation.Int(int64(g)), texts[1+rng.Intn(len(texts)-1)])
+			}
+		case rng.Intn(4) > 0:
 			fillProbeSide(rng.Intn(81))
-		} else {
+		default:
 			fillProbeSide(probeSetRowsMax + 1 + rng.Intn(200)) // too many to walk: the index prefix or nothing
 		}
 		size := "below"
@@ -158,11 +176,11 @@ func valueSetRandom(t *testing.T) {
 			size = "at"
 		}
 		neg := ""
-		if rng.Intn(2) == 0 {
+		if rng.Intn(2) == 0 && !pinned {
 			neg = "NOT "
 		}
 		where := fmt.Sprintf("%sEXISTS (SELECT 1 FROM pt WHERE %s)", neg, sh.on)
-		everyPair := rng.Intn(4) > 0 // else an earlier alternative takes some pairs first
+		everyPair := rng.Intn(4) > 0 || pinned // else an earlier alternative takes some pairs first
 		if !everyPair {
 			where = fmt.Sprintf("(vt.rid < %d OR %s)", rng.Intn(sizes[size]), where)
 		}
