@@ -25,22 +25,29 @@ vet:
 noglobals:
 	@! git grep -nE '^(var[ (]|[[:space:]]+)(Disable|disable|force)[A-Za-z]*[[:space:]]*(=|bool)' -- 'internal/sqldb/*.go' ':!*_test.go'
 
-# The crash-recovery matrix: every WAL/snapshot/recovery unit test,
-# the crash-at-every-I/O-point and error-kind fault matrices, and the
-# detect-level crash+resume differential. -count=1 forces the faults
-# to actually fire (no cached results).
+# The crash-recovery matrix: every WAL/snapshot/recovery unit test
+# (TestWALGroupCommitConcurrentWriters: one sync per commit under
+# fsync=always, acknowledged rows survive a power cut), a rolled-back
+# transaction leaving the log untouched, the crash-at-every-I/O-point
+# and error-kind fault matrices, and the detect-level crash+resume
+# differential. -count=1 forces the faults to actually fire (no cached
+# results).
 faultmatrix:
-	$(GO) test -count=1 -run 'TestWAL|TestFaultMatrix|TestResume|TestDetectThreeWayDifferential|TestDurableDSN|TestDSNOption' ./internal/sqldb/ ./internal/detect/ ./internal/sqldriver/
+	$(GO) test -count=1 -run 'TestWAL|TestNoOpUpdateInTransaction|TestFaultMatrix|TestResume|TestDetectThreeWayDifferential|TestDurableDSN|TestDSNOption' ./internal/sqldb/ ./internal/detect/ ./internal/sqldriver/
 
 # MVCC stress: snapshot stability under racing DML/DDL, epoch GC
 # accounting, the concurrency suite, pinned readers scanning the row
-# chunks a writer's forks share (TestRowSegmentsDifferential), and a
+# chunks a writer's forks share (TestRowSegmentsDifferential), a
 # pinned reader whose tail newer readers seal with postings past its fence
 # (TestValueSetProbeDifferential/pinned; -skip leaves out its random
-# subtest) — all under the race detector, -count=1 so the interleavings
-# actually rerun.
+# subtest), the transaction rule (TestTxSemantics: own writes, outside
+# writers wait, a rollback visible to no pin) and concurrent fsync=always
+# writers; then readers beside the detector's updates, in the library
+# and over HTTP, each of which must see one update boundary — all under
+# the race detector, -count=1 so the interleavings actually rerun.
 mvccstress:
-	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
+	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential|TestTxSemantics|TestWALGroupCommitConcurrentWriters' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
+	$(GO) test -race -count=1 -run 'TestReadersSeeWholeUpdates|TestViolationsStreamSeesWholeUpdates' ./internal/detect/ ./internal/server/
 
 # The randomized kernel differentials (batch kernels vs per-row closures
 # vs nested loop), the planner's property suite (planned joins, kernels

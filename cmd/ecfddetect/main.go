@@ -103,11 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if *walDir != "" {
-		// Each update batch becomes one WAL commit unit: a crash
-		// recovers to a batch boundary, never a half-applied update.
-		d.SetAtomicUpdates(true)
-	}
 	if *resume {
 		if err := d.Resume(); err != nil {
 			return fail(err)

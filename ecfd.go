@@ -20,7 +20,9 @@
 //     paper's tableau-as-data encoding and detects violations through
 //     database/sql with a fixed pair of queries (BatchDetect), plus
 //     incremental maintenance under updates (InsertTuples /
-//     DeleteTuples).
+//     DeleteTuples). Every update is one transaction: readers see it
+//     whole or not at all, and on a durable database a crash recovers
+//     to one side of it.
 //   - An embedded SQL engine: OpenMemory returns a database/sql handle
 //     backed by the in-memory engine (driver "ecfdmem") so everything
 //     runs self-contained; any other database/sql driver with the
@@ -215,7 +217,7 @@ type (
 // NewDetector validates Σ and prepares the fixed SQL statement set for
 // its schema. Call Install to create the tables and load the encoding,
 // LoadData to install the instance, then BatchDetect / InsertTuples /
-// DeleteTuples.
+// DeleteTuples. Each of those calls runs as one database transaction.
 func NewDetector(db *sql.DB, schema *Schema, sigma []*ECFD) (*Detector, error) {
 	return detect.New(db, schema, sigma)
 }

@@ -17,10 +17,16 @@ type BatchStats struct {
 // matching tuples. The statement count is fixed — two passes over D —
 // regardless of |Σ|, pattern-tuple counts or set sizes. The whole
 // sequence is submitted as one pipelined script (a single prepared
-// driver round trip); the engine executes the statements in order.
+// driver round trip) inside one transaction: the engine executes the
+// statements in order, and readers see the flags and Aux(D) before the
+// run or after it, never reset halfway.
 func (d *Detector) BatchDetect() (BatchStats, error) {
 	start := time.Now()
-	if _, err := d.db.Exec(d.stmts.batchScript); err != nil {
+	err := d.runAtomic(func(ex execer) error {
+		_, err := ex.Exec(d.stmts.batchScript)
+		return err
+	})
+	if err != nil {
 		return BatchStats{}, fmt.Errorf("detect: batch: %w", err)
 	}
 	sv, mv, total, err := d.Counts()

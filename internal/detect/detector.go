@@ -94,7 +94,6 @@ type Detector struct {
 	delTable    string
 
 	nextRID int64
-	atomic  bool // wrap LoadData/ApplyUpdates in one transaction
 
 	// eng is the embedded engine behind db, set by BindEngine.
 	// ParallelDetect requires it: it pins one MVCC snapshot per read

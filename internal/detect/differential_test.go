@@ -63,7 +63,7 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The durable leg: atomic updates on a MemFS-backed WAL,
+			// The durable leg: updates on a MemFS-backed WAL,
 			// fsync'd every commit so an acknowledged update is never
 			// lost, with a small checkpoint threshold so crashes also
 			// land mid-rotation.
@@ -84,7 +84,6 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dDur.SetAtomicUpdates(true)
 			if err := dDur.Install(); err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +194,6 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 					if dDur, err = New(dbDur, inst.Schema, sigma); err != nil {
 						t.Fatal(err)
 					}
-					dDur.SetAtomicUpdates(true)
 					if err := dDur.Resume(); err != nil {
 						t.Fatalf("trial %d step %d: resume: %v", trial, step, err)
 					}

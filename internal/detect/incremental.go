@@ -57,7 +57,13 @@ func (d *Detector) InsertRaw(batch *relation.Relation) ([]int64, error) {
 	if err := d.checkBatch(batch); err != nil {
 		return nil, err
 	}
-	return d.bulkInsert(d.db, d.dataTable, batch)
+	var rids []int64
+	err := d.runAtomic(func(ex execer) error {
+		var err error
+		rids, err = d.bulkInsert(ex, d.dataTable, batch)
+		return err
+	})
+	return rids, err
 }
 
 // DeleteRaw removes tuples by RID without maintaining flags or Aux. It

@@ -5,24 +5,20 @@ import (
 	"fmt"
 )
 
-// execer is the statement surface shared by *sql.DB and *sql.Tx, so
-// the bulk-load and staging helpers can run either autocommit (every
-// statement its own WAL commit unit) or inside one transaction (the
-// whole update one unit — what crash recovery needs to see an
-// ApplyUpdates as all-or-nothing).
+// execer is the statement surface of *sql.Tx (and *sql.DB) the bulk-load
+// and staging helpers run through: every mutating entry point runs them
+// inside one transaction (runAtomic).
 type execer interface {
 	Exec(query string, args ...any) (sql.Result, error)
 	Prepare(query string) (*sql.Stmt, error)
 	QueryRow(query string, args ...any) *sql.Row
 }
 
-// SetAtomicUpdates selects whether ApplyUpdates and LoadData wrap
-// their statements in a single database transaction. Against a
-// durable engine (sqldriver DSN with wal=) that makes each update one
-// WAL commit unit: a crash mid-update recovers to either the state
-// before the update or after it, never to a half-staged middle. The
-// default is off, matching the paper's autocommit detection scripts.
-func (d *Detector) SetAtomicUpdates(on bool) { d.atomic = on }
+// SetAtomicUpdates does nothing: every mutating call runs as one
+// transaction (runAtomic).
+//
+// Deprecated: every update is one transaction; the switch goes.
+func (d *Detector) SetAtomicUpdates(on bool) {}
 
 // Resume rebinds a detector to tables installed by a previous process
 // — the restart path of a durable session: open the same DSN, rebuild
@@ -55,13 +51,12 @@ func (d *Detector) Resume() error {
 	return nil
 }
 
-// runAtomic executes fn against a transaction when atomic updates are
-// on, restoring the RID allocator if anything — including the commit
-// itself — fails; otherwise fn runs directly against the handle.
+// runAtomic executes fn as one transaction: readers see the database
+// before it or after it, never between its statements, and against a
+// durable engine it is one WAL commit unit, so a crash recovers to
+// either side of it too. The RID allocator is restored if anything —
+// including the commit itself — fails.
 func (d *Detector) runAtomic(fn func(ex execer) error) error {
-	if !d.atomic {
-		return fn(d.db)
-	}
 	savedRID := d.nextRID
 	tx, err := d.db.Begin()
 	if err != nil {

@@ -317,8 +317,11 @@ func columnCacheStorm(t *testing.T, sparse bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustExec(t, db, `DELETE FROM cc WHERE w % 7 = 3`)
-			mustExec(t, db, `UPDATE cc SET k = 0 WHERE w % 5 = 1`)
+			for _, q := range []string{`DELETE FROM cc WHERE w % 7 = 3`, `UPDATE cc SET k = 0 WHERE w % 5 = 1`} {
+				if _, err := tx.Exec(q); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if err := tx.Rollback(); err != nil {
 				t.Fatal(err)
 			}

@@ -34,21 +34,23 @@ type DB struct {
 	// cur is the published epoch: the snapshot new readers pin. Swapped
 	// by publish() under db.mu; loaded by readers without any lock.
 	cur atomic.Pointer[epoch]
-	// curW is the writer's head epoch. It equals cur.Load() except in
-	// the window where a group-committing statement has built its epoch
-	// but the WAL fsync that makes it durable has not completed yet —
-	// readers must not observe state the log might still lose.
+	// curW is the writer's head epoch. The statements of the open
+	// transaction build on it unpublished until the transaction ends, an
+	// autocommit statement until it ends; outside both it is cur.
 	// Guarded by db.mu.
-	curW     *epoch
-	activeTx *Tx
+	curW *epoch
+	// tx is the open transaction, if any; txEnd (on mu) wakes the writers
+	// waiting for it to end.
+	tx    *Tx
+	txEnd *sync.Cond
 	// stmtCache maps statement text → *Prepared. It has its own mutex
 	// so concurrent readers can hit the cache without touching the
 	// writer lock (an LRU get mutates recency order).
 	stmtMu    sync.Mutex
 	stmtCache *lruCache
-	// wal, when non-nil, is the durability layer: every mutation
-	// appends a commit unit before the epoch it describes can publish
-	// (see wal.go). Databases from NewDB stay purely in-memory; Open
+	// wal, when non-nil, is the durability layer: every commit appends
+	// its unit before the epoch it describes publishes (see wal.go).
+	// Databases from NewDB stay purely in-memory; Open
 	// attaches a WAL.
 	wal *walState
 	// roErr, once set, freezes the database read-only: the WAL could
@@ -315,10 +317,9 @@ var segOffsets = func() (o [segRows]int) {
 // chunk: forks copy the chunks of the segments they touch and share the
 // rest. Only the tail's chunk grows, INSERT appending into its spare
 // capacity — which only the writer head's lineage reaches. The head moves
-// back in two places: a rollback clips the chunks (rowSet.restored), and
-// a failed group fsync leaves the database read-only. A table's segments
-// are never empty, and no two neighbours fit in one (segsDeleted merges
-// them), so n rows have at most 2·⌈n/segRows⌉+1.
+// back in one place: a rollback clips the chunks (rowSet.restored). A
+// table's segments are never empty, and no two neighbours fit in one
+// (segsDeleted merges them), so n rows have at most 2·⌈n/segRows⌉+1.
 type segment struct {
 	start int
 	rows  []relation.Tuple
@@ -542,6 +543,7 @@ func lowerName(s string) string { return strings.ToLower(s) }
 // NewDB returns an empty database at epoch 1.
 func NewDB() *DB {
 	db := &DB{retired: make(map[*epoch]int64)}
+	db.txEnd = sync.NewCond(&db.mu)
 	ep := &epoch{
 		seq:        1,
 		ddlVersion: 1,
@@ -584,21 +586,17 @@ func (db *DB) unpin(ep *epoch) {
 	}
 }
 
-// publish makes ne the epoch new readers pin. The CAS loop only moves
-// the pointer forward (seq-monotone): group commit may resolve epochs
-// out of order with respect to a racing checkpoint absorb, and an
-// older epoch must never overwrite a newer one. Callers hold db.mu.
-func (db *DB) publish(ne *epoch) {
-	for {
-		old := db.cur.Load()
-		if old.seq >= ne.seq {
-			return
-		}
-		if db.cur.CompareAndSwap(old, ne) {
-			db.retire(old)
-			return
-		}
+// publish makes the writer head the epoch new readers pin: the one step
+// that makes a commit visible, taken once per commit unit after its WAL
+// append. Callers hold db.mu.
+func (db *DB) publish() {
+	old := db.cur.Load()
+	if old == db.curW {
+		return
 	}
+	db.cur.Store(db.curW)
+	db.work[wEpochsPublished].Add(1)
+	db.retire(old)
 }
 
 // retire registers a superseded epoch still pinned by readers. The
@@ -621,7 +619,7 @@ func (db *DB) retire(old *epoch) {
 
 // forkEpochW clones the writer head into a new epoch: next sequence
 // number, shared catalog, shallow-copied table-data map. Callers hold
-// db.mu and install the fork with installEpoch after editing it.
+// db.mu and make the fork the writer head after editing it.
 func (db *DB) forkEpochW() *epoch {
 	old := db.curW
 	ne := &epoch{
@@ -640,20 +638,7 @@ func (db *DB) forkEpochW() *epoch {
 func (db *DB) installTD(t *Table, ntd *tableData) {
 	ne := db.forkEpochW()
 	ne.tds[t] = ntd
-	db.installEpoch(ne)
-}
-
-// installEpoch advances the writer head and publishes it — unless the
-// statement's WAL commit unit joined a group commit whose fsync is
-// still pending, in which case publication is deferred to the group
-// leader (readers must not observe state the log might lose).
-// Callers hold db.mu.
-func (db *DB) installEpoch(ne *epoch) {
 	db.curW = ne
-	if db.wal != nil && db.wal.curPending != nil {
-		return
-	}
-	db.publish(ne)
 }
 
 // Snap is a pinned read snapshot: every query routed through it
@@ -681,8 +666,13 @@ func (s *Snap) Close() {
 // is, how much superseded state pinned readers are holding live, and
 // what recovery did at Open time.
 type Stats struct {
-	// EpochSeq is the published epoch's sequence number.
+	// EpochSeq is the published epoch's sequence number: it counts the
+	// epochs writers built, published or not.
 	EpochSeq uint64
+	// EpochsPublished counts the epochs made visible to readers: one per
+	// autocommit statement and per transaction that changed something — a
+	// rolled-back one publishes its base's rows put back.
+	EpochsPublished int64
 	// LiveEpochs counts the published epoch plus retired epochs still
 	// pinned by readers.
 	LiveEpochs int
@@ -747,27 +737,28 @@ func (db *DB) Stats() Stats {
 	b := db.retiredBytes
 	db.epochMu.Unlock()
 	return Stats{
-		EpochSeq:       ep.seq,
-		LiveEpochs:     1 + r,
-		RetiredEpochs:  r,
-		RetiredBytes:   b,
-		ProbeRows:      db.work[wProbeRows].Load(),
-		RowsScanned:    db.work[wRowsScanned].Load(),
-		RowsStepped:    db.work[wRowsStepped].Load(),
-		HashBuilds:     db.work[wHashBuilds].Load(),
-		SchedBuilds:    db.work[wSchedBuilds].Load(),
-		SchedReuses:    db.work[wSchedReuses].Load(),
-		CellsCopied:    db.work[wCellsCopied].Load(),
-		SegCellsCopied: db.work[wSegCellsCopied].Load(),
-		RowsMatched:    db.work[wRowsMatched].Load(),
-		RowsWritten:    db.work[wRowsWritten].Load(),
-		SetRows:        db.work[wSetRows].Load(),
-		PostingRows:    db.work[wPostingRows].Load(),
-		TextLookups:    db.work[wTextLookups].Load(),
-		DistinctKeys:   db.work[wDistinctKeys].Load(),
-		CodeRepeats:    db.work[wCodeRepeats].Load(),
-		Groups:         db.work[wGroups].Load(),
-		Recovery:       db.recov,
+		EpochSeq:        ep.seq,
+		EpochsPublished: db.work[wEpochsPublished].Load(),
+		LiveEpochs:      1 + r,
+		RetiredEpochs:   r,
+		RetiredBytes:    b,
+		ProbeRows:       db.work[wProbeRows].Load(),
+		RowsScanned:     db.work[wRowsScanned].Load(),
+		RowsStepped:     db.work[wRowsStepped].Load(),
+		HashBuilds:      db.work[wHashBuilds].Load(),
+		SchedBuilds:     db.work[wSchedBuilds].Load(),
+		SchedReuses:     db.work[wSchedReuses].Load(),
+		CellsCopied:     db.work[wCellsCopied].Load(),
+		SegCellsCopied:  db.work[wSegCellsCopied].Load(),
+		RowsMatched:     db.work[wRowsMatched].Load(),
+		RowsWritten:     db.work[wRowsWritten].Load(),
+		SetRows:         db.work[wSetRows].Load(),
+		PostingRows:     db.work[wPostingRows].Load(),
+		TextLookups:     db.work[wTextLookups].Load(),
+		DistinctKeys:    db.work[wDistinctKeys].Load(),
+		CodeRepeats:     db.work[wCodeRepeats].Load(),
+		Groups:          db.work[wGroups].Load(),
+		Recovery:        db.recov,
 	}
 }
 
@@ -775,8 +766,12 @@ func (db *DB) Stats() Stats {
 
 // CreateTable registers a new table.
 func (db *DB) CreateTable(name string, cols []ColumnDef, ifNotExists bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.lockW(nil)
+	defer db.unlockW(nil)
+	return db.createTable(name, cols, ifNotExists)
+}
+
+func (db *DB) createTable(name string, cols []ColumnDef, ifNotExists bool) error {
 	if err := db.writable(); err != nil {
 		return err
 	}
@@ -804,14 +799,18 @@ func (db *DB) CreateTable(name string, cols []ColumnDef, ifNotExists bool) error
 	ne.tables[key] = t
 	ne.tds[t] = newTableData(nil, nil)
 	ne.ddlVersion++
-	db.installEpoch(ne)
+	db.curW = ne
 	return nil
 }
 
 // DropTable removes a table.
 func (db *DB) DropTable(name string, ifExists bool) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.lockW(nil)
+	defer db.unlockW(nil)
+	return db.dropTable(name, ifExists)
+}
+
+func (db *DB) dropTable(name string, ifExists bool) error {
 	if err := db.writable(); err != nil {
 		return err
 	}
@@ -831,7 +830,7 @@ func (db *DB) DropTable(name string, ifExists bool) error {
 	delete(ne.tables, key)
 	delete(ne.tds, t)
 	ne.ddlVersion++
-	db.installEpoch(ne)
+	db.curW = ne
 	return nil
 }
 
@@ -882,17 +881,13 @@ func (db *DB) TableLen(name string) (int, error) {
 // install generated datasets without going through INSERT parsing, and
 // it stores what INSERT would: every cell coerced to the kind of its
 // column — the table's over an existing table, the relation's for a new
-// one — or, if one cell cannot be, nothing.
+// one — or, if one cell cannot be, nothing. It commits on its own,
+// waiting while a transaction is open.
 func (db *DB) LoadRelation(r *relation.Relation) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.lockW(nil)
+	defer db.unlockW(nil)
 	if err := db.writable(); err != nil {
 		return err
-	}
-	if db.activeTx != nil {
-		// Wholesale replacement has no per-row undo delta, so it cannot
-		// participate in rollback (or be logged consistently with one).
-		return fmt.Errorf("sql: LoadRelation inside a transaction is not supported")
 	}
 	key := lowerName(r.Schema.Name)
 	t, ok := db.curW.tables[key]
@@ -924,7 +919,7 @@ func (db *DB) LoadRelation(r *relation.Relation) error {
 	ne.tables[key] = t
 	ne.tds[t] = newTableData(rows, nil)
 	ne.ddlVersion++
-	db.installEpoch(ne)
+	db.curW = ne
 	return nil
 }
 
@@ -949,8 +944,12 @@ func (db *DB) Snapshot(name string) (*relation.Relation, error) {
 
 // CreateIndex registers a secondary index.
 func (db *DB) CreateIndex(name, table string, cols []string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.lockW(nil)
+	defer db.unlockW(nil)
+	return db.createIndex(name, table, cols)
+}
+
+func (db *DB) createIndex(name, table string, cols []string) error {
 	if err := db.writable(); err != nil {
 		return err
 	}
@@ -982,7 +981,7 @@ func (db *DB) CreateIndex(name, table string, cols []string) error {
 	ne := db.forkEpochW()
 	ne.tds[t] = ntd
 	ne.ddlVersion++
-	db.installEpoch(ne)
+	db.curW = ne
 	return nil
 }
 

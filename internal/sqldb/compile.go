@@ -66,6 +66,7 @@ const (
 	wDistinctKeys
 	wCodeRepeats
 	wGroups
+	wEpochsPublished // added to by publish, not by statements
 	nWork
 )
 

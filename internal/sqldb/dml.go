@@ -177,7 +177,6 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 	if err := db.logInsert(t.Name, newRows); err != nil {
 		return 0, err
 	}
-	db.backupForTx(t)
 	db.applyAppend(t, newRows)
 	db.wrote(0, len(newRows))
 	return int64(len(newRows)), nil
@@ -558,7 +557,6 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	if err := db.logUpdate(t.Name, pos, setCols, vals); err != nil {
 		return 0, err
 	}
-	db.backupForTx(t)
 	db.applyUpdate(t, pos, setCols, vals)
 	db.wrote(int(matched), n)
 	return matched, nil
@@ -609,7 +607,6 @@ func (db *DB) runDelete(p *deletePlan, params []relation.Value) (int64, error) {
 	if err := db.logDelete(t.Name, dropped); err != nil {
 		return 0, err
 	}
-	db.backupForTx(t)
 	// applyDelete compacts the rows copy-on-write and filters/remaps
 	// built indexes instead of rebuilding.
 	db.applyDelete(t, dropped)

@@ -40,20 +40,11 @@ func (db *DB) Exec(sqlText string, params ...relation.Value) (int64, error) {
 func (db *DB) execDDLLocked(stmt Statement) (int64, error) {
 	switch s := stmt.(type) {
 	case *CreateTable:
-		db.mu.Unlock()
-		err := db.CreateTable(s.Name, s.Cols, s.IfNotExists)
-		db.mu.Lock()
-		return 0, err
+		return 0, db.createTable(s.Name, s.Cols, s.IfNotExists)
 	case *CreateIndex:
-		db.mu.Unlock()
-		err := db.CreateIndex(s.Name, s.Table, s.Cols)
-		db.mu.Lock()
-		return 0, err
+		return 0, db.createIndex(s.Name, s.Table, s.Cols)
 	case *DropTable:
-		db.mu.Unlock()
-		err := db.DropTable(s.Name, s.IfExists)
-		db.mu.Lock()
-		return 0, err
+		return 0, db.dropTable(s.Name, s.IfExists)
 	case *TruncateTable:
 		if err := db.writable(); err != nil {
 			return 0, err
@@ -69,7 +60,6 @@ func (db *DB) execDDLLocked(stmt Statement) (int64, error) {
 		if err := db.logTruncate(t.Name); err != nil {
 			return 0, err
 		}
-		db.backupForTx(t)
 		db.applyTruncate(t)
 		return n, nil
 	default:

@@ -58,7 +58,7 @@ func faultScript() []scriptOp {
 			"UPDATE u SET v = 99 WHERE k = 0",
 			"DELETE FROM t WHERE a = 0",
 		} {
-			if _, err := db.Exec(s); err != nil {
+			if _, err := tx.Exec(s); err != nil {
 				tx.Rollback()
 				return err
 			}
@@ -70,7 +70,7 @@ func faultScript() []scriptOp {
 		if err != nil {
 			return err
 		}
-		if _, err := db.Exec("INSERT INTO t VALUES (200, 'ghost', 0.0)"); err != nil {
+		if _, err := tx.Exec("INSERT INTO t VALUES (200, 'ghost', 0.0)"); err != nil {
 			tx.Rollback()
 			return err
 		}
@@ -85,7 +85,7 @@ func faultScript() []scriptOp {
 			"CREATE TABLE scratch (x INT)",
 			"INSERT INTO scratch VALUES (1), (2)",
 		} {
-			if _, err := db.Exec(s); err != nil {
+			if _, err := tx.Exec(s); err != nil {
 				tx.Rollback()
 				return err
 			}

@@ -168,11 +168,21 @@ func (db *DB) Prepare(sqlText string) (*Prepared, error) {
 func (p *Prepared) NumParams() int { return p.nParams }
 
 // Exec runs every statement of the prepared script and returns the
-// total number of affected rows.
+// total number of affected rows. Each statement commits on its own,
+// waiting while a transaction is open.
 func (p *Prepared) Exec(params ...relation.Value) (int64, error) {
+	return p.ExecTx(nil, params...)
+}
+
+// ExecTx is Exec inside tx; a nil tx is Exec.
+func (p *Prepared) ExecTx(tx *Tx, params ...relation.Value) (int64, error) {
 	var total int64
 	for i := range p.stmts {
-		n, err := p.db.execPreparedStmt(p, i, params)
+		if err := p.db.lockW(tx); err != nil {
+			return total, err
+		}
+		n, err := p.db.execPreparedLocked(p, i, params)
+		p.db.unlockW(tx)
 		if err != nil {
 			return total, err
 		}
@@ -189,6 +199,19 @@ func (p *Prepared) Query(params ...relation.Value) (*Result, error) {
 	ep := p.db.pin()
 	defer p.db.unpin(ep)
 	return p.queryEpoch(ep, params)
+}
+
+// QueryTx runs a single prepared SELECT inside tx, against the writer
+// head: the transaction reads its own writes. A nil tx is Query.
+func (p *Prepared) QueryTx(tx *Tx, params ...relation.Value) (*Result, error) {
+	if tx == nil {
+		return p.Query(params...)
+	}
+	if err := p.db.lockW(tx); err != nil {
+		return nil, err
+	}
+	defer p.db.mu.Unlock()
+	return p.queryEpoch(p.db.curW, params)
 }
 
 // QueryAt runs a single prepared SELECT against an explicitly pinned
@@ -219,22 +242,6 @@ func (p *Prepared) queryEpoch(ep *epoch, params []relation.Value) (*Result, erro
 		return nil, err
 	}
 	return &Result{Cols: cs.cols, Rows: rows}, nil
-}
-
-func (db *DB) execPreparedStmt(p *Prepared, i int, params []relation.Value) (int64, error) {
-	db.mu.Lock()
-	n, err := db.execPreparedLocked(p, i, params)
-	// If this statement's WAL unit joined a group commit, wait for the
-	// group fsync (and the epoch publish) outside db.mu, so concurrent
-	// writers share one Sync.
-	wp := db.takePending()
-	db.mu.Unlock()
-	if wp != nil {
-		if werr := db.awaitDurable(wp); werr != nil && err == nil {
-			return 0, werr
-		}
-	}
-	return n, err
 }
 
 func (db *DB) execPreparedLocked(p *Prepared, i int, params []relation.Value) (int64, error) {

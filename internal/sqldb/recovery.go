@@ -250,10 +250,6 @@ func Open(opts WALOptions) (*DB, error) {
 	}
 	w.gen = currentGen
 	w.size = currentSize
-	// Everything on disk up to the valid size is durable by definition;
-	// the group-commit ledger must start there or the first follower
-	// would wait for bytes no sync will ever cover.
-	w.gc.syncedTo = currentSize
 	w.replaying = false
 	db.recov.Gen = currentGen
 	return db, nil
@@ -269,12 +265,7 @@ func (db *DB) Close() error {
 		return nil
 	}
 	var err error
-	if db.roErr == nil {
-		// Commits parked in the group-commit window must reach disk (or
-		// fail loudly) before the file goes away.
-		err = db.absorbPendings()
-	}
-	if err == nil && db.roErr == nil && w.unsynced > 0 {
+	if db.roErr == nil && w.unsynced > 0 {
 		err = w.f.Sync()
 	}
 	if cerr := w.f.Close(); err == nil {

@@ -14,10 +14,10 @@ import (
 // TestRowSegmentsDifferential drives a table whose rows live in the
 // column-cache segments through random DML — inserts that fill, grow and
 // seal tails, head / spread / whole-segment deletes, updates of indexed
-// and unindexed columns, TRUNCATE, and transactions rolled back after an
-// epoch inside them was pinned — and checks after every step the
-// published epoch and two older pinned ones against a mirror the test
-// keeps as plain rows. Each checked epoch answers in Planned mode what a
+// and unindexed columns, TRUNCATE, and transactions rolled back after
+// reading their own rows — and checks after every step the published
+// epoch and two older pinned ones against a mirror the test keeps as
+// plain rows, and inside a transaction its writer head. Each checked epoch answers in Planned mode what a
 // database loaded fresh from the epoch's mirror answers in Reference
 // mode: its rows in position order, ORDER BY served by each index,
 // equality and range probes, and the same encodeSnapshot bytes. The
@@ -37,8 +37,17 @@ func TestRowSegmentsDifferential(t *testing.T) {
 	for _, q := range indexes {
 		mustExec(t, db, q)
 	}
-	var mirror []relation.Tuple // the published epoch's rows, in position order
+	var mirror []relation.Tuple // the writer head's rows, in position order
 	nextW, nextRID, lowRID := int64(0), int64(0), int64(0)
+	var tx *Tx // the open transaction, if any: exec runs through it
+	exec := func(q string, params ...relation.Value) {
+		t.Helper()
+		if tx == nil {
+			mustExec(t, db, q, params...)
+		} else if _, err := tx.Exec(q, params...); err != nil {
+			t.Fatalf("exec %q: %v", q, err)
+		}
+	}
 	insert := func(n int, outOfOrder bool) {
 		t.Helper()
 		vals := make([]string, n)
@@ -53,7 +62,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 			mirror = append(mirror, row)
 			nextW++
 		}
-		mustExec(t, db, `INSERT INTO t VALUES `+strings.Join(vals, ", "))
+		exec(`INSERT INTO t VALUES ` + strings.Join(vals, ", "))
 	}
 	// keep drops the mirror rows drop selects, as a DELETE does.
 	keep := func(drop func(relation.Tuple) bool) {
@@ -126,7 +135,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 	}
 
 	// check compares one epoch with a database loaded from its mirror.
-	check := func(step int, what string, snap *Snap, rows []relation.Tuple) {
+	check := func(step int, what string, ep *epoch, rows []relation.Tuple) {
 		t.Helper()
 		ref := NewDB()
 		mustExec(t, ref, schema)
@@ -145,7 +154,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 				params = q.params()
 			}
 			for _, ps := range params {
-				got, err := prepared[i].QueryAt(snap, ps...)
+				got, err := prepared[i].queryEpoch(ep, ps)
 				if err != nil {
 					t.Fatalf("step %d, %s: %s: %v", step, what, q.q, err)
 				}
@@ -164,7 +173,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 				}
 			}
 		}
-		if got, want := encodeSnapshot(snap.ep, 1), encodeSnapshot(ref.cur.Load(), 1); !bytes.Equal(got, want) {
+		if got, want := encodeSnapshot(ep, 1), encodeSnapshot(ref.cur.Load(), 1); !bytes.Equal(got, want) {
 			t.Fatalf("step %d, %s: the snapshot encodes %d bytes unlike the mirror's %d", step, what, len(got), len(want))
 		}
 	}
@@ -246,23 +255,29 @@ func TestRowSegmentsDifferential(t *testing.T) {
 				mirror = nil
 				insert(1+rng.Intn(30), false)
 			}
-		default: // a transaction rolled back, one of its epochs pinned
+		default: // a transaction that reads its own rows, rolled back
 			before := mirror
-			tx, err := db.Begin()
-			if err != nil {
+			var err error
+			if tx, err = db.Begin(); err != nil {
 				t.Fatal(err)
 			}
 			insert(1+rng.Intn(20), false)
 			if rng.Intn(2) == 0 {
-				mustExec(t, db, `DELETE FROM t WHERE w % 7 = 3`)
+				exec(`DELETE FROM t WHERE w % 7 = 3`)
 				keep(func(r relation.Tuple) bool { return r[0].I%7 == 3 })
 			}
 			read()
-			repin(step % 2) // sees the transaction's rows
-			if err := tx.Rollback(); err != nil {
+			// Reading the head extends the columns and indexes it shares
+			// with the published epoch past that epoch's fence; a pin
+			// taken now sees none of the transaction's rows.
+			check(step, "open transaction", db.curW, mirror)
+			repin(step % 2)
+			pins[step%2].rows = before
+			err = tx.Rollback()
+			if tx = nil; err != nil {
 				t.Fatal(err)
 			}
-			mirror = slices.Clip(before) // the pinned transaction's rows may lie past it
+			mirror = slices.Clip(before) // the rolled-back rows may lie past it
 		}
 		if len(mirror) < 1200 {
 			insert(1500, false)
@@ -273,10 +288,10 @@ func TestRowSegmentsDifferential(t *testing.T) {
 			mustQuery(t, db, q)
 		}
 		snap := db.PinSnapshot()
-		check(step, "published epoch", snap, mirror)
+		check(step, "published epoch", snap.ep, mirror)
 		snap.Close()
 		for i, p := range pins {
-			check(step, fmt.Sprintf("pinned epoch %d", i), p.snap, p.rows)
+			check(step, fmt.Sprintf("pinned epoch %d", i), p.snap.ep, p.rows)
 		}
 		if step%15 == 14 {
 			repin(step / 15 % 2)

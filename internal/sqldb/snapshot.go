@@ -40,9 +40,10 @@ func (w *walState) snapPath(gen uint64) string { return path.Join(w.dir, snapNam
 func (w *walState) walPath(gen uint64) string  { return path.Join(w.dir, walName(gen)) }
 
 // Checkpoint forces a snapshot + WAL rotation now. It takes the
-// catalog write lock, so it serializes with DML like any mutation.
+// catalog write lock, so it serializes with DML like any mutation, and
+// waits while a transaction is open: the snapshot holds committed state.
 func (db *DB) Checkpoint() error {
-	db.mu.Lock()
+	db.lockW(nil)
 	defer db.mu.Unlock()
 	if db.wal == nil {
 		return fmt.Errorf("sql: Checkpoint: database has no WAL")
@@ -64,15 +65,6 @@ func (db *DB) Checkpoint() error {
 // rotation abandoned must not keep receiving appends.
 func (db *DB) checkpointLocked() error {
 	w := db.wal
-	// Commits still parked in the group-commit window must hit disk
-	// before their WAL file is superseded: the snapshot about to be
-	// written includes their effects (they are in curW), so losing
-	// their log bytes to rotation would be fine for THIS generation —
-	// but a fallback to the previous generation replays the old WAL,
-	// which must therefore be complete.
-	if err := db.absorbPendings(); err != nil {
-		return err
-	}
 	newGen := w.gen + 1
 
 	payload := encodeSnapshot(db.curW, newGen)
@@ -112,9 +104,6 @@ func (db *DB) checkpointLocked() error {
 	w.gen = newGen
 	w.size = int64(len(walFileMagic))
 	w.unsynced = 0
-	// Fresh file: its synced header is all that exists, so the group
-	// commit ledger restarts there.
-	w.gc.syncedTo = w.size
 
 	w.pruneGenerations(newGen)
 	return nil

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ecfd/internal/relation"
 )
@@ -488,8 +489,8 @@ func TestTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, db, `DELETE FROM emp WHERE dept = 'eng'`)
-	mustExec(t, db, `UPDATE dept SET head = 'nobody'`)
+	txExec(t, tx, `DELETE FROM emp WHERE dept = 'eng'`)
+	txExec(t, tx, `UPDATE dept SET head = 'nobody'`)
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +505,7 @@ func TestTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, db, `DELETE FROM emp WHERE id = 5`)
+	txExec(t, tx, `DELETE FROM emp WHERE id = 5`)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -515,11 +516,23 @@ func TestTransactions(t *testing.T) {
 		t.Error("double commit must fail")
 	}
 
+	// A second Begin waits until the open transaction ends.
 	tx1, _ := db.Begin()
-	if _, err := db.Begin(); err == nil {
-		t.Error("nested Begin must fail")
+	began := make(chan *Tx, 1)
+	go func() {
+		tx2, _ := db.Begin()
+		began <- tx2
+	}()
+	select {
+	case tx2 := <-began:
+		t.Error("a second Begin must wait while a transaction is open")
+		began <- tx2
+	case <-time.After(50 * time.Millisecond):
 	}
 	if err := tx1.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := (<-began).Rollback(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,131 +1,170 @@
 package sqldb
 
-import "fmt"
+import (
+	"errors"
 
-// Tx is a coarse-grained transaction: the first mutation of each table
-// inside the transaction captures its epoch rows (an O(1) header copy —
-// epochs are immutable, so the segments ARE the before-image), and
-// Rollback restores them wholesale. One transaction may be active at a
-// time; Begin/Commit/Rollback and every mutation inside the
-// transaction take db.mu, so transactions serialize with each other
-// while concurrent readers keep scanning their pinned epochs. This
-// matches the paper's batch/incremental detection scripts, whose
+	"ecfd/internal/relation"
+)
+
+// Tx is a write transaction: its statements run through Tx.Exec /
+// Tx.Query (or Prepared.ExecTx / QueryTx), build epochs on the writer
+// head and publish nothing, so the owner reads its own writes while
+// every other reader keeps the last committed epoch. Commit publishes
+// the head once; Rollback puts the rows back first, so a rolled-back
+// transaction is never visible to any pin. One transaction is open at a time: Begin
+// and every write from outside the open transaction wait until it ends.
+// This matches the paper's batch/incremental detection scripts, whose
 // writes are sequential; the concurrency the detector needs is on the
 // read side.
 //
 // Under a WAL, the transaction is also the durability unit: its
 // operations buffer in memory and Commit appends them as one framed
 // record, so a crash can only ever lose or keep the transaction as a
-// whole (see wal.go). A Commit whose append fails restores the
-// backups — the caller's view and the recovered view agree that the
-// transaction did not happen.
+// whole (see wal.go). A Commit whose append fails undoes the
+// transaction — the caller's view and the recovered view agree that it
+// did not happen.
 type Tx struct {
-	db      *DB
-	backups map[string]rowSet
-	done    bool
+	db *DB
+	// base is the writer head at Begin: what Rollback restores the rows of.
+	base *epoch
 }
 
-// Begin starts a transaction.
-func (db *DB) Begin() (*Tx, error) {
+// errTxDone refuses a statement, Commit or Rollback of a transaction
+// that already ended.
+var errTxDone = errors.New("sql: transaction already finished")
+
+// lockW takes db.mu for a write of tx, or for an autocommit write when
+// tx is nil, which waits while a transaction is open.
+func (db *DB) lockW(tx *Tx) error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.activeTx != nil {
-		return nil, fmt.Errorf("sql: a transaction is already active")
+	for tx == nil && db.tx != nil {
+		db.txEnd.Wait()
 	}
-	tx := &Tx{db: db, backups: make(map[string]rowSet)}
-	db.activeTx = tx
+	if tx != nil && db.tx != tx {
+		db.mu.Unlock()
+		return errTxDone
+	}
+	return nil
+}
+
+// unlockW ends a write: an autocommit write commits, publishing the
+// writer head; a transaction's statement publishes nothing.
+func (db *DB) unlockW(tx *Tx) {
+	if tx == nil {
+		db.publish()
+	}
+	db.mu.Unlock()
+}
+
+// Begin starts a transaction, waiting while another one is open.
+func (db *DB) Begin() (*Tx, error) {
+	db.lockW(nil)
+	defer db.mu.Unlock()
+	tx := &Tx{db: db, base: db.curW}
+	db.tx = tx
 	if db.wal != nil {
 		db.wal.pend = db.wal.pend[:0]
 	}
 	return tx, nil
 }
 
-// backupForTx captures a table's rows the first time it is mutated
-// inside the active transaction. Copy-on-write makes this O(1): tuples
-// already in an epoch are never mutated in place, so the segment headers
-// alone are a faithful before-image (the restore path cap-clips their
-// chunks so later in-place appends cannot leak through). Callers hold
-// db.mu.
-func (db *DB) backupForTx(t *Table) {
-	tx := db.activeTx
-	if tx == nil {
-		return
+// Exec runs one or more statements inside the transaction.
+func (tx *Tx) Exec(sqlText string, params ...relation.Value) (int64, error) {
+	p, err := tx.db.Prepare(sqlText)
+	if err != nil {
+		return 0, err
 	}
-	key := lowerName(t.Name)
-	if _, done := tx.backups[key]; done {
-		return
-	}
-	tx.backups[key] = db.curW.tds[t].rowSet
+	return p.ExecTx(tx, params...)
 }
 
-// Commit makes the transaction's changes permanent. Under a WAL the
-// buffered operations are appended as one commit unit first; if that
-// append fails, the in-memory changes are rolled back and the typed
-// read-only error returned — memory never runs ahead of the log.
-func (tx *Tx) Commit() error {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return fmt.Errorf("sql: transaction already finished")
+// Query runs a SELECT inside the transaction: it reads the transaction's
+// own writes.
+func (tx *Tx) Query(sqlText string, params ...relation.Value) (*Result, error) {
+	p, err := tx.db.Prepare(sqlText)
+	if err != nil {
+		return nil, err
 	}
-	tx.done = true
-	tx.db.activeTx = nil
-	if w := tx.db.wal; w != nil && len(w.pend) > 0 {
-		var unit []byte
-		for _, p := range w.pend {
-			unit = append(unit, p.op...)
-		}
-		w.pend = nil
-		// A transaction commit syncs inline (group=false): its unit can
-		// span DDL and bulk DML, and the caller expects durability on
-		// return without a follower wait.
-		if err := tx.db.walCommit(unit, true, false); err != nil {
-			tx.restoreLocked()
+	return p.QueryTx(tx, params...)
+}
+
+// end closes the transaction: it publishes the writer head — the
+// transaction's epoch after a commit, its base's rows after an undo —
+// and wakes the writers waiting for it. Callers hold db.mu, which end
+// releases.
+func (tx *Tx) end() {
+	tx.db.tx = nil
+	tx.db.txEnd.Broadcast()
+	tx.db.unlockW(nil)
+}
+
+// Commit makes the transaction's changes permanent and visible. Under a
+// WAL the buffered operations are appended as one commit unit, synced
+// per the fsync policy, and only then is the head published; if that
+// append fails, the rows are put back as Rollback does and the typed
+// read-only error returned — no reader sees rows the log lacks.
+func (tx *Tx) Commit() error {
+	db := tx.db
+	if err := db.lockW(tx); err != nil {
+		return err
+	}
+	defer tx.end()
+	if unit := db.takeUnit(false); len(unit) > 0 {
+		if err := db.walCommit(unit, true); err != nil {
+			tx.undoLocked()
 			return err
 		}
 	}
 	return nil
 }
 
-// Rollback restores every table the transaction touched.
+// Rollback undoes the transaction's rows. DDL is not rolled back: a
+// table created inside the transaction survives, empty, and is logged
+// as the rolled-back transaction's only trace.
 func (tx *Tx) Rollback() error {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return fmt.Errorf("sql: transaction already finished")
+	db := tx.db
+	if err := db.lockW(tx); err != nil {
+		return err
 	}
-	tx.done = true
-	tx.db.activeTx = nil
-	tx.restoreLocked()
-	if w := tx.db.wal; w != nil && len(w.pend) > 0 {
-		// DDL is not rolled back by the engine (the restore above skips
-		// catalog changes), so the log keeps exactly the DDL operations
-		// and drops the undone DML.
-		var unit []byte
-		for _, p := range w.pend {
-			if p.ddl {
-				unit = append(unit, p.op...)
-			}
-		}
-		w.pend = nil
-		if len(unit) > 0 {
-			if err := tx.db.walCommit(unit, true, false); err != nil {
-				return err
-			}
-		}
+	defer tx.end()
+	tx.undoLocked()
+	if unit := db.takeUnit(true); len(unit) > 0 {
+		return db.walCommit(unit, true)
 	}
 	return nil
 }
 
-// restoreLocked puts back the rows captured by backupForTx via a
-// wholesale epoch transition (fresh structures; the next probe
-// rebuilds). Callers hold db.mu.
-func (tx *Tx) restoreLocked() {
-	for name, rows := range tx.backups {
-		t, ok := tx.db.curW.tables[name]
-		if !ok {
-			continue // table dropped inside the tx; restoring rows is moot
+// takeUnit empties the transaction's buffered WAL operations into one
+// commit unit: all of them, or the DDL ones alone. Callers hold db.mu.
+func (db *DB) takeUnit(ddlOnly bool) []byte {
+	if db.wal == nil {
+		return nil
+	}
+	var unit []byte
+	for _, p := range db.wal.pend {
+		if p.ddl || !ddlOnly {
+			unit = append(unit, p.op...)
 		}
-		tx.db.applyWholesale(t, rows.restored())
+	}
+	db.wal.pend = nil
+	return unit
+}
+
+// undoLocked puts back, on the writer head, the rows of every table the
+// transaction changed: a table of the base epoch gets the base's rows, a
+// table created since is emptied. The transaction's statements may have
+// appended into the base's spare chunk capacity and extended its shared
+// columns and indexes past the base's fence, so the rows go back through
+// a wholesale transition (fresh structures; the next probe rebuilds)
+// with clipped chunks (rowSet.restored). Callers hold db.mu.
+func (tx *Tx) undoLocked() {
+	head := tx.db.curW
+	for t, td := range head.tds {
+		old := tx.base.tds[t]
+		switch {
+		case old != nil && old != td:
+			tx.db.applyWholesale(t, old.rowSet.restored())
+		case old == nil && td.n > 0:
+			tx.db.applyWholesale(t, rowSet{})
+		}
 	}
 }

@@ -6,15 +6,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sync"
 
 	"ecfd/internal/relation"
 )
 
 // Write-ahead log.
 //
-// Every committed mutation appends one commit unit to the current WAL
-// file before it touches the in-memory catalog. A unit is framed as
+// Every commit appends one commit unit to the current WAL file, and
+// syncs it per the fsync policy, before the epoch it describes is
+// published to readers. A unit is framed as
 //
 //	[u32 payload length][u32 CRC-32 (IEEE) of payload][payload]
 //
@@ -124,55 +124,6 @@ type walState struct {
 	replaying bool
 
 	buf []byte // frame assembly scratch
-
-	// curPending, when non-nil, is the group-commit ticket of the
-	// statement currently executing under db.mu: its unit is appended
-	// but not yet fsynced, so its epoch must not publish until the
-	// group leader (or an absorb) makes it durable. Set by walCommit,
-	// taken by takePending before the statement releases db.mu —
-	// outside a statement's critical section it is always nil.
-	curPending *walPending
-
-	// gc coordinates deferred group commit across statements.
-	gc groupCommit
-}
-
-// walPending is one statement's deferred-durability ticket: the WAL
-// size that must be fsynced before the statement may acknowledge, and
-// the epoch to publish once it is.
-type walPending struct {
-	target int64
-	f      WALFile // generation file holding the unit
-	ep     *epoch  // assigned at takePending (end of statement)
-	done   bool
-	err    error
-}
-
-// groupCommit batches the fsyncs of concurrent autocommit DML under
-// the always policy: each statement appends its unit under db.mu,
-// registers a pending and releases the lock, then waits. The first
-// waiter becomes the leader, issues one Sync covering every
-// registered unit, and resolves the whole group — one disk flush
-// amortized over all concurrent commits.
-//
-// Lock order is strictly db.mu → gc.mu; the leader holds neither
-// during the Sync itself. syncedTo (durable bytes of the current
-// generation) is guarded by db.mu — every writer of it holds db.mu —
-// while pendings/syncing/maxTarget are guarded by gc.mu so waiters
-// can block without db.mu.
-type groupCommit struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	pendings  []*walPending
-	syncing   bool
-	maxTarget int64
-	syncedTo  int64
-}
-
-func (gc *groupCommit) init() {
-	if gc.cond == nil {
-		gc.cond = sync.NewCond(&gc.mu)
-	}
 }
 
 // writable returns nil when mutations are allowed, or the typed
@@ -211,30 +162,22 @@ type pendOp struct {
 func (db *DB) logging() bool { return db.wal != nil && !db.wal.replaying }
 
 // walLog routes one encoded operation: buffered while a transaction is
-// active, otherwise committed as its own unit. Callers hold db.mu and
+// open, otherwise committed as its own unit. Callers hold db.mu and
 // have already passed writable(); they must apply the in-memory
 // mutation only if walLog returns nil — log-before-apply is what keeps
 // a failed append from corrupting state.
 func (db *DB) walLog(op []byte, ddl bool) error {
-	w := db.wal
-	if db.activeTx != nil {
-		w.pend = append(w.pend, pendOp{op: op, ddl: ddl})
+	if db.tx != nil {
+		db.wal.pend = append(db.wal.pend, pendOp{op: op, ddl: ddl})
 		return nil
 	}
-	return db.walCommit(op, false, !ddl)
+	return db.walCommit(op, false)
 }
 
-// walCommit appends one commit unit and runs the fsync policy; on
-// failure the database degrades to read-only and the typed error is
+// walCommit appends one commit unit and syncs it per the fsync policy,
+// all under db.mu, before the caller publishes the epoch it describes;
+// on failure the database degrades to read-only and the typed error is
 // returned.
-//
-// group selects deferred group commit: under the always policy an
-// autocommit DML unit is appended without its own fsync, a pending is
-// registered, and the statement's outer caller waits for the group
-// leader to flush (awaitDurable) after releasing db.mu — so
-// concurrent writers share one Sync. Everything else (DDL,
-// LoadRelation, transaction commit, checkpoint-due units) first
-// absorbs any outstanding group, then syncs inline as before.
 //
 // The threshold checkpoint must preserve the invariant that snapshot
 // generation g captures exactly the units of WAL generations below g:
@@ -245,35 +188,12 @@ func (db *DB) walLog(op []byte, ddl bool) error {
 // checkpoint runs AFTER the append, once snapshot state and logged
 // units agree again. Either way the unit is never stranded in a
 // generation whose snapshot misses it.
-func (db *DB) walCommit(payload []byte, applied, group bool) error {
+func (db *DB) walCommit(payload []byte, applied bool) error {
 	if err := db.writable(); err != nil {
 		return err
 	}
 	w := db.wal
 	due := func() bool { return w.ckpt > 0 && w.size >= w.ckpt }
-	if group && w.policy == FsyncAlways && !due() {
-		pre := w.size
-		if err := w.appendRaw(payload); err != nil {
-			db.roErr = fmt.Errorf("wal append (gen %d): %v", w.gen, err)
-			return db.writable()
-		}
-		if w.size == pre {
-			return nil
-		}
-		p := &walPending{target: w.size, f: w.f}
-		w.gc.init()
-		w.gc.mu.Lock()
-		w.gc.pendings = append(w.gc.pendings, p)
-		if p.target > w.gc.maxTarget {
-			w.gc.maxTarget = p.target
-		}
-		w.gc.mu.Unlock()
-		w.curPending = p
-		return nil
-	}
-	if err := db.absorbPendings(); err != nil {
-		return db.writable()
-	}
 	if !applied && due() {
 		if err := db.checkpointLocked(); err != nil {
 			db.roErr = fmt.Errorf("checkpoint: %v", err)
@@ -294,143 +214,6 @@ func (db *DB) walCommit(payload []byte, applied, group bool) error {
 	return nil
 }
 
-// takePending hands the statement its group-commit ticket, assigning
-// the epoch the group leader publishes once the unit is durable.
-// Called under db.mu at the very end of a mutating statement; the
-// caller must invoke awaitDurable on the result after releasing
-// db.mu.
-func (db *DB) takePending() *walPending {
-	if db.wal == nil || db.wal.curPending == nil {
-		return nil
-	}
-	p := db.wal.curPending
-	db.wal.curPending = nil
-	p.ep = db.curW
-	return p
-}
-
-// awaitDurable blocks until the pending's unit is fsynced (and its
-// epoch published) or the group fails. The first waiter of an
-// unsynced group becomes the leader. Callers hold no locks.
-func (db *DB) awaitDurable(p *walPending) error {
-	gc := &db.wal.gc
-	gc.mu.Lock()
-	for !p.done {
-		if !gc.syncing {
-			gc.syncing = true
-			gc.mu.Unlock()
-			db.leadSync(p.f)
-			gc.mu.Lock()
-			continue
-		}
-		gc.cond.Wait()
-	}
-	err := p.err
-	gc.mu.Unlock()
-	return err
-}
-
-// leadSync is the group leader: one Sync for every unit registered
-// before it started, then resolution under db.mu → gc.mu. Pendings
-// registered during the Sync stay queued; the broadcast wakes their
-// waiters and one of them leads the next round.
-func (db *DB) leadSync(f WALFile) {
-	w := db.wal
-	gc := &w.gc
-	gc.mu.Lock()
-	target := gc.maxTarget
-	gc.mu.Unlock()
-	err := f.Sync()
-	db.mu.Lock()
-	gc.mu.Lock()
-	gc.syncing = false
-	if len(gc.pendings) == 0 {
-		// A checkpoint/Close/inline commit absorbed the group while we
-		// were syncing; nothing left to resolve.
-		gc.cond.Broadcast()
-		gc.mu.Unlock()
-		db.mu.Unlock()
-		return
-	}
-	if err == nil {
-		if target > gc.syncedTo {
-			gc.syncedTo = target
-		}
-		w.unsynced = 0
-		keep := gc.pendings[:0]
-		for _, p := range gc.pendings {
-			if p.target <= gc.syncedTo {
-				db.publish(p.ep)
-				p.done = true
-			} else {
-				keep = append(keep, p)
-			}
-		}
-		gc.pendings = keep
-	} else {
-		db.failGroupLocked(fmt.Errorf("wal group fsync (gen %d): %v", w.gen, err))
-	}
-	gc.cond.Broadcast()
-	gc.mu.Unlock()
-	db.mu.Unlock()
-}
-
-// failGroupLocked handles a group fsync failure: the database
-// degrades to read-only, the unsynced tail (whose durability is
-// indeterminate) is truncated away, the writer head rewinds to the
-// published epoch — discarding the never-published epochs of the
-// failed units — and every pending resolves with the typed error.
-// Callers hold db.mu and gc.mu.
-func (db *DB) failGroupLocked(cause error) {
-	w := db.wal
-	gc := &w.gc
-	db.roErr = cause
-	w.discardTail(gc.syncedTo)
-	db.curW = db.cur.Load()
-	roe := db.writable()
-	for _, p := range gc.pendings {
-		p.err = roe
-		p.done = true
-	}
-	gc.pendings = nil
-}
-
-// absorbPendings resolves any outstanding group with its own inline
-// Sync instead of waiting for a leader (which may need the db.mu we
-// hold — waiting would deadlock). Called under db.mu by every
-// non-group commit path, by checkpoints before rotating the WAL, and
-// by Close. A leader finishing afterwards finds the group empty and
-// becomes a no-op.
-func (db *DB) absorbPendings() error {
-	w := db.wal
-	if w == nil {
-		return nil
-	}
-	gc := &w.gc
-	gc.mu.Lock()
-	n := len(gc.pendings)
-	gc.mu.Unlock()
-	if n == 0 {
-		return nil
-	}
-	err := w.f.Sync()
-	gc.mu.Lock()
-	if err == nil {
-		gc.syncedTo = w.size
-		w.unsynced = 0
-		for _, p := range gc.pendings {
-			db.publish(p.ep)
-			p.done = true
-		}
-		gc.pendings = nil
-	} else {
-		db.failGroupLocked(fmt.Errorf("wal group fsync (gen %d): %v", w.gen, err))
-	}
-	gc.cond.Broadcast()
-	gc.mu.Unlock()
-	return err
-}
-
 // appendUnit frames and writes one unit as a single Write call, then
 // syncs per policy. On any failure the partial unit is truncated away
 // (best-effort): the operation reported an error, so it must not
@@ -445,22 +228,11 @@ func (w *walState) appendUnit(payload []byte) error {
 		return nil // empty payload
 	}
 	w.unsynced++
-	switch w.policy {
-	case FsyncAlways:
+	if w.policy == FsyncAlways || w.policy == FsyncBatched && w.unsynced >= w.every {
 		w.unsynced = 0
 		if err := w.f.Sync(); err != nil {
 			w.discardTail(pre)
 			return err
-		}
-		w.gc.syncedTo = w.size
-	case FsyncBatched:
-		if w.unsynced >= w.every {
-			w.unsynced = 0
-			if err := w.f.Sync(); err != nil {
-				w.discardTail(pre)
-				return err
-			}
-			w.gc.syncedTo = w.size
 		}
 	}
 	return nil

@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ecfd/internal/relation"
 )
@@ -18,8 +16,10 @@ import (
 // fingerprint reduces the whole catalog — schemas, rows in storage
 // order, index definitions — to one comparable string. It reads the
 // published epoch, so no lock is needed.
-func fingerprint(db *DB) string {
-	ep := db.cur.Load()
+func fingerprint(db *DB) string { return fingerprintEpoch(db.cur.Load()) }
+
+// fingerprintEpoch is fingerprint of one epoch.
+func fingerprintEpoch(ep *epoch) string {
 	keys := make([]string, 0, len(ep.tables))
 	for k := range ep.tables {
 		keys = append(keys, k)
@@ -65,6 +65,16 @@ func walExec(t *testing.T, db *DB, stmts ...string) {
 	}
 }
 
+// txExec is walExec inside tx.
+func txExec(t *testing.T, tx *Tx, stmts ...string) {
+	t.Helper()
+	for _, s := range stmts {
+		if _, err := tx.Exec(s); err != nil {
+			t.Fatalf("exec %q: %v", s, err)
+		}
+	}
+}
+
 func seedSmall(t *testing.T, db *DB) {
 	t.Helper()
 	walExec(t, db,
@@ -86,7 +96,7 @@ func TestWALRoundTripMemFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walExec(t, db, "INSERT INTO t VALUES (10, 'ten', 10.5)", "UPDATE t SET c = 0.0 WHERE a = 1")
+	txExec(t, tx, "INSERT INTO t VALUES (10, 'ten', 10.5)", "UPDATE t SET c = 0.0 WHERE a = 1")
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
@@ -95,7 +105,7 @@ func TestWALRoundTripMemFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walExec(t, db, "DELETE FROM t WHERE a >= 0")
+	txExec(t, tx, "DELETE FROM t WHERE a >= 0")
 	if err := tx.Rollback(); err != nil {
 		t.Fatalf("rollback: %v", err)
 	}
@@ -353,7 +363,7 @@ func TestWALTxCommitFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walExec(t, db, "INSERT INTO t VALUES (50, 'fifty', 50.0)", "DELETE FROM t WHERE a = 1")
+	txExec(t, tx, "INSERT INTO t VALUES (50, 'fifty', 50.0)", "DELETE FROM t WHERE a = 1")
 	fs.Arm(FaultWriteErr, 1)
 	if err := tx.Commit(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("commit under write failure: want ErrReadOnly, got %v", err)
@@ -370,7 +380,7 @@ func TestWALRollbackKeepsDDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	walExec(t, db,
+	txExec(t, tx,
 		"CREATE TABLE fresh (x INT)",
 		"INSERT INTO fresh VALUES (1), (2)",
 	)
@@ -600,16 +610,19 @@ func TestNoOpUpdateInTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := db.Stats().EpochSeq
-	walExec(t, db, "UPDATE t SET b = 'TWO' WHERE a = 2")
-	if got := db.Stats().EpochSeq; got != seq {
-		t.Fatalf("no-op UPDATE in a transaction published %d epoch(s)", got-seq)
+	seq := db.curW.seq
+	txExec(t, tx, "UPDATE t SET b = 'TWO' WHERE a = 2")
+	if got := db.curW.seq; got != seq {
+		t.Fatalf("no-op UPDATE in a transaction built %d epoch(s)", got-seq)
 	}
-	if n, err := db.Exec("UPDATE t SET b = 'TWO'"); err != nil || n != 2 {
+	if n, err := tx.Exec("UPDATE t SET b = 'TWO'"); err != nil || n != 2 {
 		t.Fatalf("affected %d, err %v", n, err)
 	}
-	if fingerprint(db) == want {
+	if fingerprintEpoch(db.curW) == want {
 		t.Fatal("the changing UPDATE changed nothing")
+	}
+	if got := fingerprint(db); got != want {
+		t.Fatalf("the open transaction's UPDATE was published:\n%s", got)
 	}
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
@@ -623,7 +636,7 @@ func TestNoOpUpdateInTransaction(t *testing.T) {
 }
 
 // syncGateFS is a WALFS whose files call gate before every Sync, so a
-// test can count the flushes and hold one open while writers queue.
+// test can count the flushes.
 type syncGateFS struct {
 	WALFS
 	gate func()
@@ -649,15 +662,13 @@ func (f syncGateFile) Sync() error {
 	return f.WALFile.Sync()
 }
 
-// TestWALGroupCommitConcurrentWriters drives fsync=always group commit
-// from several goroutines at once: single-row autocommit INSERTs
-// through one Prepared. Each Sync is held until every writer with a
-// statement still to issue has its unit registered, so a leader always
-// finds units that arrived during its flush (they stay queued for the
-// next round) and every other writer waits as a follower. An
-// acknowledged row must be visible to its writer at once and must
-// survive — a power cut on MemFS, Close + reopen on the OS filesystem —
-// and the writers together must have paid fewer flushes than commits.
+// TestWALGroupCommitConcurrentWriters drives fsync=always from several
+// goroutines at once: single-row autocommit INSERTs through one
+// Prepared. Every commit appends and syncs its own unit under the
+// writer lock before it publishes, so the writers together pay exactly
+// one flush per commit. An acknowledged row must be visible to its
+// writer at once and must survive — a power cut on MemFS, Close +
+// reopen on the OS filesystem.
 func TestWALGroupCommitConcurrentWriters(t *testing.T) {
 	const perWriter = 40
 	for _, tc := range []struct {
@@ -671,29 +682,10 @@ func TestWALGroupCommitConcurrentWriters(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var (
-				db     *DB
-				syncs  atomic.Int64
-				active atomic.Int64 // writers with a statement still to issue after their current one
-				stuck  atomic.Bool  // a gate timed out: stop holding syncs, the test has failed
+				db    *DB
+				syncs atomic.Int64
 			)
-			gate := func() {
-				syncs.Add(1)
-				if active.Load() == 0 {
-					return // Open, DDL, Close: no group to wait for
-				}
-				gc := &db.wal.gc
-				for deadline := time.Now().Add(5 * time.Second); !stuck.Load() && time.Now().Before(deadline); runtime.Gosched() {
-					gc.mu.Lock()
-					queued := len(gc.pendings)
-					gc.mu.Unlock()
-					if int64(queued) >= active.Load() {
-						return
-					}
-				}
-				if !stuck.Swap(true) {
-					t.Error("sync gate: the active writers never all registered a unit")
-				}
-			}
+			gate := func() { syncs.Add(1) }
 			opts := WALOptions{Dir: t.TempDir(), FS: syncGateFS{OSFS{}, gate}, Fsync: FsyncAlways}
 			if tc.mem != nil {
 				opts.Dir, opts.FS = "/wal", syncGateFS{tc.mem, gate}
@@ -713,19 +705,12 @@ func TestWALGroupCommitConcurrentWriters(t *testing.T) {
 			}
 
 			before := syncs.Load()
-			active.Store(int64(tc.writers))
 			var wg sync.WaitGroup
 			for w := 0; w < tc.writers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					var left sync.Once
-					leave := func() { left.Do(func() { active.Add(-1) }) }
-					defer leave()
 					for i := 0; i < perWriter; i++ {
-						if i == perWriter-1 {
-							leave()
-						}
 						id := relation.Int(int64(w*perWriter + i))
 						if _, err := ins.Exec(id); err != nil {
 							t.Errorf("writer %d: insert %d: %v", w, i, err)
@@ -739,10 +724,8 @@ func TestWALGroupCommitConcurrentWriters(t *testing.T) {
 			}
 			wg.Wait()
 			commits := int64(tc.writers * perWriter)
-			if n := syncs.Load() - before; tc.writers == 1 && n != commits {
-				t.Errorf("one writer: %d syncs for %d commits, want one each", n, commits)
-			} else if tc.writers > 1 && n >= commits {
-				t.Errorf("%d writers: %d syncs for %d commits, want fewer", tc.writers, n, commits)
+			if n := syncs.Load() - before; n != commits {
+				t.Errorf("%d writer(s): %d syncs for %d commits, want one each", tc.writers, n, commits)
 			}
 
 			if tc.mem != nil {

@@ -18,6 +18,12 @@
 // the writer side. The server's concurrent check and violation readers
 // (internal/server) go through exactly this path.
 //
+// A write transaction belongs to the connection that began it: that
+// connection's Exec and Query run inside the engine's transaction and
+// read its writes, every other connection reads the last committed
+// epoch, and a write from another connection waits until the
+// transaction ends. Commit publishes the transaction's changes at once.
+//
 // A transaction opened with ReadOnly (sql.TxOptions{ReadOnly: true})
 // pins one epoch for its whole lifetime: every query inside it
 // observes exactly that snapshot, no matter how many writers commit
@@ -279,7 +285,7 @@ func (p *prepared) Exec(args []driver.Value) (driver.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := p.p.Exec(params...)
+	n, err := p.p.ExecTx(p.conn.tx, params...)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +301,7 @@ func (p *prepared) Query(args []driver.Value) (driver.Rows, error) {
 	if s := p.conn.snap; s != nil {
 		res, err = p.p.QueryAt(s, params...)
 	} else {
-		res, err = p.p.Query(params...)
+		res, err = p.p.QueryTx(p.conn.tx, params...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sqldriver: %w", err)

@@ -149,6 +149,39 @@ func TestTransactionRollback(t *testing.T) {
 	}
 }
 
+// TestTxRoutesToItsConnection: a write transaction's Exec and Query run
+// on the engine's transaction, so it reads its own writes, while another
+// connection reads the last committed state until Commit.
+func TestTxRoutesToItsConnection(t *testing.T) {
+	db := open(t, "t_tx_route")
+	if _, err := db.Exec(`CREATE TABLE acct (name TEXT, bal INTEGER)`); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(`INSERT INTO acct VALUES (?, ?)`, "a", 100); err != nil {
+		t.Fatal(err)
+	}
+	var inside, outside int64
+	if err := tx.QueryRow(`SELECT COUNT(*) FROM acct`).Scan(&inside); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.QueryRow(`SELECT COUNT(*) FROM acct`).Scan(&outside); err != nil {
+		t.Fatal(err)
+	}
+	if inside != 1 || outside != 0 {
+		t.Fatalf("before commit the transaction counts %d rows, another connection %d; want 1 and 0", inside, outside)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.QueryRow(`SELECT COUNT(*) FROM acct`).Scan(&outside); err != nil || outside != 1 {
+		t.Fatalf("after commit another connection counts %d rows (%v), want 1", outside, err)
+	}
+}
+
 func TestPreparedReuse(t *testing.T) {
 	db := open(t, "t_prep")
 	if _, err := db.Exec(`CREATE TABLE q (x INTEGER)`); err != nil {
