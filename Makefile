@@ -37,16 +37,18 @@ faultmatrix:
 
 # MVCC stress: snapshot stability under racing DML/DDL, epoch GC
 # accounting, the concurrency suite, pinned readers scanning the row
-# chunks a writer's forks share (TestRowSegmentsDifferential), a
-# pinned reader whose tail newer readers seal with postings past its fence
+# segments a writer's forks share (TestRowSegmentsDifferential), a
+# pinned reader whose tail the writer seals with postings past its fence
 # (TestValueSetProbeDifferential/pinned; -skip leaves out its random
-# subtest), the transaction rule (TestTxSemantics: own writes, outside
+# subtest), readers pinned at three fences of a tail the writer appends
+# to, seals and moves past (TestTailSealBesidePinnedReaders), the
+# transaction rule (TestTxSemantics: own writes, outside
 # writers wait, a rollback visible to no pin) and concurrent fsync=always
 # writers; then readers beside the detector's updates, in the library
 # and over HTTP, each of which must see one update boundary — all under
 # the race detector, -count=1 so the interleavings actually rerun.
 mvccstress:
-	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential|TestTxSemantics|TestWALGroupCommitConcurrentWriters' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
+	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential|TestTailSealBesidePinnedReaders|TestTxSemantics|TestWALGroupCommitConcurrentWriters' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
 	$(GO) test -race -count=1 -run 'TestReadersSeeWholeUpdates|TestViolationsStreamSeesWholeUpdates' ./internal/detect/ ./internal/server/
 
 # The randomized kernel differentials (batch kernels vs per-row closures

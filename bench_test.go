@@ -99,9 +99,8 @@ func batchDetectIn(b *testing.B, rows int, mode sqldb.Mode) {
 func BenchmarkBatchDetect2k(b *testing.B)  { batchDetectOnce(b, 2_000) }
 func BenchmarkBatchDetect10k(b *testing.B) { batchDetectOnce(b, 10_000) }
 
-// BenchmarkLargeScaleDetect is BatchDetect over ≥1M rows — the first
-// step toward the ROADMAP's 10M-row target. Generating and loading a
-// million rows takes minutes of setup, so it only runs when
+// BenchmarkLargeScaleDetect is BatchDetect over 1M rows. Generating and
+// loading a million rows takes minutes of setup, so it only runs when
 // ECFD_SLOWBENCH is set:
 //
 //	ECFD_SLOWBENCH=1 go test -bench LargeScaleDetect -benchtime 1x .

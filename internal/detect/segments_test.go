@@ -1,12 +1,16 @@
 package detect
 
 import (
+	"database/sql"
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ecfd/internal/gen"
 	"ecfd/internal/sqldb"
+	"ecfd/internal/sqldriver"
 )
 
 // applyWorkload is the inc_40k unit at any size: a detector with current
@@ -54,24 +58,27 @@ func (w *applyWorkload) apply(t *testing.T, at ...int) {
 // TestDeleteCopiesTouchedSegmentsOnly states the DML half of "work
 // independent of |D|" in cells, which no host moves: the same 8+8
 // ApplyUpdates makes the engine write the same number of cells
-// (sqldb.Stats.CellsCopied: row slots, index positions and column-segment
-// cells) whether the table holds 10 000, 40 000 or 160 000 rows — within
-// one segment of rows and every column, for what differs in how full the
-// touched segments are — both when the eight deleted rows are the oldest
-// (one segment, what the benchmark does) and when they are spread over
-// the table (eight segments at most). The column-segment share
-// (SegCellsCopied) must be counted too, or the counter is not wired.
-// While the rows were one array beside the segments, and the RID index an
-// array of positions, every update copied both whole.
+// (sqldb.Stats.CellsCopied: index positions and column-segment cells)
+// whether the table holds 10 000, 40 000 or 160 000 rows — within one
+// segment of every column, for what differs in how full the touched
+// segments are — both when the eight deleted rows are the oldest (one
+// segment, what the benchmark does) and when they are spread over the
+// table (eight segments at most). The spread deletes compact the
+// segments they touch, so their column-segment share (SegCellsCopied)
+// must be counted, or the counter is not wired; deleting the oldest rows
+// leaves one run of the head segment, which the new segment cuts from the
+// old vectors without a copy. While the rows were one array beside the
+// segments, and the RID index an array of positions, every update copied
+// both whole.
 func TestDeleteCopiesTouchedSegmentsOnly(t *testing.T) {
 	const ops = 4
-	width := int64(gen.Schema().Width() + 3) // RID, R, SV, MV: no more columns can be built
-	segment := int64(1024) * (width + 1)     // sqldb's segRows, in row slots and cells of every column
+	width := int64(gen.Schema().Width() + 3) // RID, the attributes, SV, MV
+	segment := int64(1024) * (width + 1)     // sqldb's segRows, in cells of every column and index positions
 	var head, spread []int64                 // per size, cells per op
 	sizes := []int{10_000, 40_000, 160_000}
 	for _, rows := range sizes {
 		w, cleanup := newApplyWorkload(t, rows)
-		measure := func(at func(i int) int) int64 {
+		measure := func(at func(i int) int, compacts bool) int64 {
 			t.Helper()
 			var all int64
 			for op := 0; op < ops+2; op++ {
@@ -86,14 +93,14 @@ func TestDeleteCopiesTouchedSegmentsOnly(t *testing.T) {
 					continue // the first updates build what the statements read
 				}
 				all += after.CellsCopied - before.CellsCopied
-				if after.SegCellsCopied == before.SegCellsCopied {
+				if compacts && after.SegCellsCopied == before.SegCellsCopied {
 					t.Errorf("%d rows: an update copied no column-segment cell", rows)
 				}
 			}
 			return all / ops
 		}
-		head = append(head, measure(func(i int) int { return i }))
-		spread = append(spread, measure(func(i int) int { return rows/8*i + rows/16 }))
+		head = append(head, measure(func(i int) int { return i }, false))
+		spread = append(spread, measure(func(i int) int { return rows/8*i + rows/16 }, true))
 		cleanup()
 	}
 	t.Logf("cells per 8+8 update at %v rows: oldest RIDs %v, spread RIDs %v (one segment of rows and every column: %d)", sizes, head, spread, segment)
@@ -355,5 +362,98 @@ func TestRecomputeReadsPostings(t *testing.T) {
 		if 2*tested > 3*int64(rows) {
 			t.Errorf("%d rows: auxRecompute tested %d cells, more than 1.5·|D|", rows, tested)
 		}
+	}
+}
+
+// TestStoredRowBytes states the engine's memory per stored row in bytes,
+// which no clock moves: the live heap that Install, LoadData of 40 000
+// generated rows and one BatchDetect leave behind, after a forced GC,
+// divided by the rows. The dataset is generated before the baseline and
+// kept alive, so only what the engine holds counts: the data table, the
+// pattern sets, Aux and the flags' indexes. While every stored row was
+// also a relation.Tuple of 40-byte values beside its segment's columns it
+// read about 700 B; with the columns the only copy it must stay within
+// 350 B.
+func TestStoredRowBytes(t *testing.T) {
+	const rows, limit = 40_000, 350
+	data := gen.Dataset(gen.Config{Rows: rows, Noise: 5, Seed: 611})
+	dsn := fmt.Sprintf("detect_rowbytes_%d", dsnSeq.Add(1))
+	db, err := sql.Open(sqldriver.DriverName, dsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sqldriver.Unregister(dsn)
+	defer db.Close()
+	d, err := New(db, gen.Schema(), gen.Constraints())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	if err := d.Install(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.LoadData(data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.BatchDetect(); err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	runtime.KeepAlive(data)
+	perRow := (int64(after) - int64(before)) / rows
+	t.Logf("%d rows: the engine holds %d B per stored row (%.1f MB)", rows, perRow, float64(int64(after)-int64(before))/(1<<20))
+	if perRow > limit {
+		t.Errorf("the engine holds %d B per stored row, limit %d", perRow, limit)
+	}
+	runtime.KeepAlive(d)
+}
+
+// TestCountedAuxBytes measures what a counted Aux, kept instead of
+// recomputing groups, would hold at 40 000 rows, seed 611: the Qmv
+// macro's distinct rows — one per
+// (CID, blanked LHS, blanked RHS), 41 959 of them, since φ10's key-like
+// FD gives every customer a group — stored with a member count in a
+// 20-column table. As relation.Value tuples that was an estimated 33 MB;
+// as the segments' columns it measures 7.8 MB, 3.4 MB of which are the
+// two INTEGER columns at 40 bytes a cell, and must stay within 9 MB.
+func TestCountedAuxBytes(t *testing.T) {
+	const rows, limit = 40_000, 9 << 20
+	d, cleanup := newBenchDetector(t, rows, 611)
+	defer cleanup()
+	var cols []string
+	for _, a := range d.schema.Attrs {
+		cols = append(cols, a.Name+"_P TEXT")
+	}
+	for _, a := range d.schema.Attrs {
+		cols = append(cols, a.Name+"_RV TEXT")
+	}
+	if _, err := d.db.Exec("CREATE TABLE aux_counted (CID INTEGER, " + strings.Join(cols, ", ") + ", N INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	n, err := d.db.Exec("INSERT INTO aux_counted SELECT m.*, 1 FROM (" + d.macro(d.dataTable, "") + ") m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := heap() - before
+	got, _ := n.RowsAffected()
+	t.Logf("%d macro rows in a 20-column table: %.2f MB of live heap, %d B a row", got, float64(grown)/(1<<20), grown/got)
+	if got != 41_959 {
+		t.Errorf("the macro yields %d distinct rows, want 41 959", got)
+	}
+	if grown > limit {
+		t.Errorf("the counted table holds %.2f MB, limit %.0f MB", float64(grown)/(1<<20), float64(limit)/(1<<20))
 	}
 }

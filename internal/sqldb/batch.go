@@ -18,8 +18,8 @@ import (
 // (`t.RID >= ?`, `t.MV = 0`), NULL tests — whose
 // right-hand sides never change while a level iterates. This file
 // adds the second compilation target: such predicates lower to batch
-// kernels that run over the table's cached column vectors, a segment
-// at a time (colSeg.column), and tighten a selection vector of offsets
+// kernels that run over the table's column vectors, a segment at a
+// time, and tighten a selection vector of offsets
 // into the segment, with no closure call per row. Anything else — OR
 // groups, subquery probes, cross-column arithmetic — stays on the
 // compiledExpr path, so semantics never change; the kernels are an
@@ -38,21 +38,20 @@ import (
 const batchChunk = 1024
 
 // segRun is what a level's filters see of the segment its current run of
-// candidates falls in: its rows in the reader's epoch — which selection
-// vectors, columns and row masks are offsets into — its columns, and
-// whether it is the epoch's tail. It lives on planLevelBatch's stack: no
-// schedule keeps a reference to a segment between runs.
+// candidates falls in: its columns in the reader's epoch, of n rows —
+// which selection vectors and row masks are offsets into. It lives on
+// planLevelBatch's stack: no schedule keeps a reference to a segment
+// between runs.
 type segRun struct {
-	t    *Table
-	c    *colSeg
-	rows []relation.Tuple
-	tail bool
+	cols []colVec
+	n    int
 	// whole: the run's candidates are all its rows, in order — a full
 	// scan's — so a selection as long as the run is the run.
 	whole bool
 }
 
-func (r *segRun) column(ci int) colVec { return r.c.column(r.t, ci, r.rows, r.tail) }
+// column returns the run's column ci, which the caller must not write.
+func (r *segRun) column(ci int) *colVec { return &r.cols[ci] }
 
 // kernOp enumerates the kernel predicate shapes.
 type kernOp uint8
@@ -1280,20 +1279,20 @@ rows:
 		if pos != nil {
 			p = pos[j]
 		}
-		r := rows.row(p, &si)
+		r := rows.ref(p, &si)
 		for i, col := range k.d.keyCols {
-			switch {
+			switch v := r.at(col); {
 			case !pb.con[i]:
-				if r[col].IsNull() || isNaN(r[col]) {
+				if v.IsNull() || isNaN(v) {
 					continue rows // a NULL or NaN key column matches nothing
 				}
-			case !relation.Identical(r[col], pb.vals[i]):
+			case !relation.Identical(v, pb.vals[i]):
 				continue rows
 			}
 		}
 		agree = true
 		for _, i := range vs.parts {
-			if !vs.sets[i].add(r[k.d.keyCols[i]]) {
+			if !vs.sets[i].add(r.at(k.d.keyCols[i])) {
 				vs.parts = vs.parts[:0] // too wide to scan: probe exactly
 				return
 			}
@@ -1316,13 +1315,12 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, s
 	for i := range k.parts {
 		// The parts read per row from a column take the run's vector of it.
 		if p := &k.parts[i]; p.kind == pkCol || p.kind == pkCase && pb.condT[i] && p.resKind != resGeneric {
-			pb.colvs[i] = run.column(p.col)
+			pb.colvs[i] = *run.column(p.col)
 		}
 	}
-	rows := run.rows
 	switch {
 	case vs == nil || len(vs.parts) == 0:
-		return pb.probeExact(en, cs, src, rows, sel, k.neg)
+		return pb.probeExact(en, cs, src, run, sel, k.neg)
 	case len(vs.parts) == 1:
 		i := vs.parts[0]
 		return vs.sets[i].filter(en, &k.parts[i], &pb.colvs[i], sel, !k.neg, run.whole), nil
@@ -1334,7 +1332,7 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, s
 	if k.neg {
 		hits = append(vs.hits[:0], sel...)
 	}
-	if run.whole && len(hits) == len(rows) {
+	if run.whole && len(hits) == run.n {
 		lead, least := 0, len(hits)+1
 		for j, i := range vs.parts {
 			if s, cv := &vs.sets[i], &pb.colvs[i]; cv.post != nil && s.codeMask(en, &k.parts[i], cv, len(hits)) {
@@ -1348,7 +1346,7 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, s
 	for _, i := range vs.parts {
 		hits = vs.sets[i].filter(en, &k.parts[i], &pb.colvs[i], hits, true, run.whole)
 	}
-	hits, err := pb.probeExact(en, cs, src, rows, hits, false)
+	hits, err := pb.probeExact(en, cs, src, run, hits, false)
 	if err != nil || !k.neg {
 		return hits, err
 	}
@@ -1368,7 +1366,7 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, s
 // probeExact answers the probe for every row of sel from the index or
 // the hash build — key encoded or searched per row — and keeps the rows
 // whose hit differs from neg.
-func (pb *probeInst) probeExact(en *env, cs *compiledSelect, src int, rows []relation.Tuple, sel []int, neg bool) ([]int, error) {
+func (pb *probeInst) probeExact(en *env, cs *compiledSelect, src int, run *segRun, sel []int, neg bool) ([]int, error) {
 	k := pb.k
 	en.work[wProbeRows] += int64(len(sel))
 	out := sel[:0]
@@ -1379,7 +1377,7 @@ func (pb *probeInst) probeExact(en *env, cs *compiledSelect, src int, rows []rel
 rowLoop:
 	for _, ri := range sel {
 		if fr != nil {
-			fr.rows[src] = rows[ri]
+			fr.rows[src] = rowRef{cols: run.cols, off: ri}
 		}
 		ordered := pb.eq.ordered() // only ever set for index probes
 		key := pb.keyBuf[:0]
@@ -1466,8 +1464,8 @@ func (p *predInst) filter(en *env, cs *compiledSelect, src int, run *segRun, sel
 	// Nested OR: a row survives when any live atom holds for it. Atoms
 	// test only the rows no earlier atom matched; the mask over the
 	// segment's rows restores the original candidate order at the end.
-	if len(p.orMask) < len(run.rows) {
-		p.orMask = make([]bool, len(run.rows))
+	if len(p.orMask) < run.n {
+		p.orMask = make([]bool, run.n)
 	}
 	rem := append(p.orRem[:0], sel...)
 	for i := range p.or {
@@ -1539,8 +1537,8 @@ func (tm *orTermK) filter(en *env, cs *compiledSelect, src int, run *segRun, sel
 // once the pattern row has decided its first term — the group keeps
 // exactly that alternative's rows, filtered in place with no mask.
 func (g *orGroupK) filter(en *env, cs *compiledSelect, src int, gs *groupScratch, run *segRun, sel []int) ([]int, error) {
-	if len(gs.mask) < len(run.rows) {
-		gs.mask = make([]bool, len(run.rows))
+	if len(gs.mask) < run.n {
+		gs.mask = make([]bool, run.n)
 	}
 	rem := append(gs.rem[:0], sel...)
 	for ti := range g.terms {
@@ -1662,8 +1660,8 @@ type projSpec struct {
 
 // projScratch is the per-env, per-select projection cache.
 type projScratch struct {
-	patRow   relation.Tuple // site row the cache was computed for
-	condBits uint64         // bit i: part i's CASE condition held
+	patRow   rowRef // site row the cache was computed for
+	condBits uint64 // bit i: part i's CASE condition held
 	invVals  []relation.Value
 	// siteSeq distinguishes site rows in the raw pre-dedup key: it
 	// bumps on every site-row refresh, so raw keys never collide across
@@ -1677,47 +1675,9 @@ type projScratch struct {
 	rawBuf  []byte
 	// cols are the columns the active parts read under the current site
 	// row, listed when it is refreshed; src is their source if they share
-	// one and are all declared TEXT — so coded in the column cache — else
-	// -1.
+	// one and are all declared TEXT — so coded in its segments — else -1.
 	cols []binding
 	src  int
-}
-
-// rowCursor is what a batch level publishes of the row it binds for its
-// source: the run it is filtering, numbered by seq, and the row's offset
-// in it. Only planLevelBatch writes one — per run, and the offset before
-// each stepRow — and it clears seq and run when the level returns, so a
-// live cursor always describes the source's bound row: every level is
-// inside its own stepRow while the innermost yields. cols caches the
-// run's columns the pre-filter has read, by schema position, each stamped
-// (at) with the seq it was read for; reset drops them.
-type rowCursor struct {
-	run  segRun
-	seq  uint64
-	off  int
-	cols []colVec
-	at   []uint64
-}
-
-// cursor returns source src's live cursor, or nil: no planned join, no
-// single source, or no batch level binding it now.
-func (st *planState) cursor(src int) *rowCursor {
-	if st == nil || src < 0 || st.cur[src].seq == 0 {
-		return nil
-	}
-	return &st.cur[src]
-}
-
-// column returns the run's column ci, read once per run.
-func (c *rowCursor) column(ci int) *colVec {
-	if c.cols == nil {
-		w := c.run.t.Schema.Width()
-		c.cols, c.at = make([]colVec, w), make([]uint64, w)
-	}
-	if c.at[ci] != c.seq {
-		c.cols[ci], c.at[ci] = c.run.column(ci), c.seq
-	}
-	return &c.cols[ci]
 }
 
 // preMemo is dropRepeats' memo of the packed code tuples seen under one
@@ -1889,11 +1849,11 @@ func (sp *projSpec) scratch(en *env, cs *compiledSelect) *projScratch {
 // conditions re-test, and the raw pre-dedup sequence advances so keys
 // from different site rows can never collide.
 func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) error {
-	row := en.frames[sp.site.depth].rows[sp.site.src]
-	if ps.patRow != nil && len(row) > 0 && &ps.patRow[0] == &row[0] {
+	row := &en.frames[sp.site.depth].rows[sp.site.src]
+	if ps.patRow.same(row) {
 		return nil
 	}
-	ps.patRow = nil // a mid-refresh error must not leave stale state
+	ps.patRow = rowRef{} // a mid-refresh error must not leave stale state
 	ps.condBits = 0
 	ps.siteSeq++
 	for i := range sp.parts {
@@ -1932,9 +1892,7 @@ func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) er
 		}
 		ps.src = b.src
 	}
-	if len(row) > 0 {
-		ps.patRow = row
-	}
+	ps.patRow = *row
 	return nil
 }
 
@@ -1948,7 +1906,7 @@ func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) er
 // same raw values, so a row whose tuple an earlier row of the run holds
 // is dropped, and only first occurrences reach stepRow and preDedup's
 // string key, which keeps hits across runs exact.
-func (sp *projSpec) dropRepeats(en *env, cs *compiledSelect, ps *projScratch, st *planState, src int, sel []int) ([]int, error) {
+func (sp *projSpec) dropRepeats(en *env, cs *compiledSelect, ps *projScratch, st *planState, src int, run *segRun, sel []int) ([]int, error) {
 	if err := sp.refreshSite(en, cs, ps); err != nil {
 		return nil, err
 	}
@@ -1957,7 +1915,7 @@ func (sp *projSpec) dropRepeats(en *env, cs *compiledSelect, ps *projScratch, st
 	}
 	var codes [4][]uint16
 	for j, b := range ps.cols {
-		codes[j] = st.cur[src].column(b.col).codes
+		codes[j] = run.column(b.col).codes
 	}
 	m := st.emptyMemo()
 	out := sel[:0]
@@ -1980,14 +1938,9 @@ func (sp *projSpec) dropRepeats(en *env, cs *compiledSelect, ps *projScratch, st
 // outputs are pure functions of exactly those inputs (preKeyOK); the
 // exact output-key dedup still runs behind this filter, so a false
 // negative only costs one full evaluation, never a duplicate row. seen
-// is owned by the caller and must be scoped to one execution.
-//
-// st, when the select runs a planned join, holds the cursors its batch
-// levels publish. A column whose source has a live one is read from the
-// column cache — a code or a value vector — and not from the row, whose
-// tuple would be one cache miss per candidate. Repeats within a run are
-// mostly gone before this: dropRepeats.
-func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, st *planState, seen map[string]bool) (bool, error) {
+// is owned by the caller and must be scoped to one execution. Repeats
+// within a run are mostly gone before this: dropRepeats.
+func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, seen map[string]bool) (bool, error) {
 	if err := sp.refreshSite(en, cs, ps); err != nil {
 		return false, err
 	}
@@ -1997,13 +1950,7 @@ func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, st *p
 		byte(seq>>32), byte(seq>>40), byte(seq>>48), byte(seq>>56))
 	fr := en.frames[cs.depth]
 	for _, b := range ps.cols {
-		var v relation.Value
-		if cur := st.cursor(b.src); cur != nil {
-			v = cur.column(b.col).at(cur.off)
-		} else {
-			v = fr.rows[b.src][b.col] // no batch level binds the row
-		}
-		buf = relation.AppendKey(buf, v)
+		buf = relation.AppendKey(buf, fr.rows[b.src].at(b.col))
 	}
 	ps.rawBuf = buf
 	en.work[wDistinctKeys]++

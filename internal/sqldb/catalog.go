@@ -61,6 +61,8 @@ type DB struct {
 	roErr error
 	// recov records what recovery did at Open time.
 	recov RecoveryStats
+	// scratch is the writer's cells for new rows (rowScratch), under mu.
+	scratch []relation.Value
 
 	// epochMu guards the retired-epoch registry: superseded epochs
 	// still pinned by in-flight readers, with their approximate byte
@@ -77,12 +79,12 @@ type DB struct {
 }
 
 // epoch is one immutable version of the whole database: the table
-// catalog plus, per table, the row store and cache structures current
-// when the epoch was published. Nothing in an epoch is ever mutated
-// after publication — writers fork a new epoch instead — except the
-// lazily *extended* index/column structures, which grow monotonically
-// under their own locks and are fenced by each reader's row count
-// (see tableData).
+// catalog plus, per table, the rows — column segments — and index
+// structures current when the epoch was published. Nothing in an epoch
+// is ever mutated after publication — writers fork a new epoch instead —
+// except the lazily *extended* index structures, which grow monotonically
+// under their own locks and are fenced by each reader's row count (see
+// tableData).
 type epoch struct {
 	// seq increases by one per epoch; publish() uses it to never move
 	// the published pointer backwards.
@@ -111,21 +113,18 @@ func (ep *epoch) table(name string) (*Table, error) {
 }
 
 // bytes bounds the epoch's heap footprint from above for the GC
-// registry: per row one Tuple header plus Width values, and every column
-// built into the segments at its real size (colVec.bytes). Row arrays and
-// segments shared with other epochs are counted in each — the registry
+// registry: every segment's columns at their real size — vectors,
+// dictionaries and the strings those own (colVec.bytes, strBytes).
+// Segments shared with other epochs are counted in each — the registry
 // answers "how much could this pinned epoch be holding live", not an
 // exact accounting.
 func (ep *epoch) bytes() int64 {
 	var b int64
-	for t, td := range ep.tds {
-		b += int64(td.n) * (int64(unsafe.Sizeof(relation.Tuple{})) + int64(t.Schema.Width())*valueBytes)
+	for _, td := range ep.tds {
 		for _, sg := range td.segs {
-			sg.c.mu.RLock()
-			for i := range sg.c.vecs {
-				b += sg.c.vecs[i].bytes()
+			for i := range sg.cols {
+				b += sg.cols[i].bytes() + sg.cols[i].strBytes()
 			}
-			sg.c.mu.RUnlock()
 		}
 	}
 	return b
@@ -133,19 +132,13 @@ func (ep *epoch) bytes() int64 {
 
 const valueBytes = int64(unsafe.Sizeof(relation.Value{}))
 
-// Table is a stable handle for one base table: the name, the schema,
-// and the maintenance counters the regression tests read. Everything
-// versioned — rows, indexes' built structures, the columnar cache —
-// lives in the per-epoch tableData, so the handle itself never
-// changes and compiled plans can bind it across epochs.
+// Table is a stable handle for one base table: the name and the schema.
+// Everything versioned — rows, indexes' built structures — lives in the
+// per-epoch tableData, so the handle itself never changes and compiled
+// plans can bind it across epochs.
 type Table struct {
 	Name   string
 	Schema *relation.Schema
-	// colBuilt counts the cells read out of rows into column vectors,
-	// across all epochs of this table: each cell once when a reader first
-	// covers it, never again because of DML (forks compact and patch what
-	// is built; only wholesale replacement starts over).
-	colBuilt atomic.Int64
 	// identity is the array every ident order of the table's indexes is a
 	// prefix of (identPrefix): identity[i] == i, written once before it
 	// is stored and never again.
@@ -163,15 +156,15 @@ type Index struct {
 	rebuilds atomic.Int64
 }
 
-// tableData is one epoch's view of a table: its rows, held by the
-// segments that also hold their column cache, plus the lazily built
-// index structures valid for them. Rows are immutable (appends by a
-// *newer* epoch may fill a tail's spare capacity beyond its length, which
-// readers of this epoch never touch).
+// tableData is one epoch's view of a table: its rows, held as the
+// columns of its segments, plus the lazily built index structures valid
+// for them. Rows are immutable (appends by a *newer* epoch may fill a
+// tail's spare capacity beyond its length, which readers of this epoch
+// never touch).
 //
-// Index/column structures are shared between epochs whenever the
-// epoch transition preserves them (an append extends, a non-indexed
-// UPDATE doesn't disturb an index, ...). Sharing is sound because the
+// Index structures are shared between epochs whenever the epoch
+// transition preserves them (an append extends, a non-indexed UPDATE
+// doesn't disturb an index, ...). Sharing is sound because the
 // structures are *fenced*: every access passes the reader's row count
 // f = td.n, and the structure answers for rows [0, f) only,
 // extending itself under its own lock if it has not covered f yet.
@@ -184,50 +177,69 @@ type tableData struct {
 	indexes []indexSlot
 }
 
-// rowSet is a source's rows in position order, held by segments: a base
-// table's in one epoch — at most segRows rows a segment, each with its
-// column cache — or the rows a derived table materialized, in one segment
-// without one (derivedRows).
+// rowSet is a source's rows in position order: a base table's in one
+// epoch, as segments of at most segRows rows whose columns are the only
+// copy of them, or the rows a derived table materialized, as tuples
+// (derivedRows) — transient, so never stored column-wise.
 type rowSet struct {
 	segs []segment
 	n    int
+	tups []relation.Tuple // a derived table's rows; segs is nil then
 }
 
 // derivedRows wraps materialized rows as a rowSet.
 func derivedRows(rows []relation.Tuple) rowSet {
-	if len(rows) == 0 {
-		return rowSet{}
-	}
-	return rowSet{segs: []segment{{rows: rows}}, n: len(rows)}
+	return rowSet{tups: rows, n: len(rows)}
 }
 
-// row returns the row at position p, looking for its segment from *si on
+// ref binds the row at position p, looking for its segment from *si on
 // and leaving it there: a caller walking positions in order passes the
 // same hint every time.
-func (rs *rowSet) row(p int, si *int) relation.Tuple {
+func (rs *rowSet) ref(p int, si *int) rowRef {
+	if rs.tups != nil {
+		return rowRef{tup: rs.tups[p]}
+	}
 	*si = rs.segAt(p, *si)
 	sg := &rs.segs[*si]
-	return sg.rows[p-sg.start]
+	return rowRef{cols: sg.cols, off: p - sg.start}
 }
 
-// flat returns rows [0, f) as one slice, for the passes that compare rows
-// at arbitrary positions (a first sort, a rebuilt map): a transient copy
-// of the headers, or the segment's own rows when one holds them all.
-func (rs *rowSet) flat(f int) []relation.Tuple {
-	switch {
-	case f == 0:
-		return nil
-	case len(rs.segs) == 1:
-		return rs.segs[0].rows[:f]
+// rowRef is a bound row: a stored one as its segment's columns and its
+// offset in them, any other — a derived table's, an aggregate's empty
+// input, a streamed group's key — as a tuple. A frame holds one per FROM
+// source, and compiled column references read through it (at).
+type rowRef struct {
+	cols []colVec
+	off  int
+	tup  relation.Tuple
+}
+
+// at returns column ci of the row.
+func (r *rowRef) at(ci int) relation.Value {
+	if r.tup != nil {
+		return r.tup[ci]
 	}
-	out := make([]relation.Tuple, 0, f)
-	for _, sg := range rs.segs {
-		out = append(out, sg.rows[:min(len(sg.rows), f-sg.start)]...)
-		if sg.start+len(sg.rows) >= f {
-			break
-		}
+	return r.cols[ci].at(r.off)
+}
+
+// bound reports whether the ref names a row with at least one column.
+func (r *rowRef) bound() bool { return len(r.cols) > 0 || len(r.tup) > 0 }
+
+// same reports whether two refs name the same row of one statement's
+// epoch: the same segment and offset, or the same tuple.
+func (r *rowRef) same(o *rowRef) bool {
+	if len(r.cols) > 0 {
+		return len(o.cols) > 0 && &r.cols[0] == &o.cols[0] && r.off == o.off
 	}
-	return out
+	return len(r.tup) > 0 && len(o.tup) > 0 && &r.tup[0] == &o.tup[0]
+}
+
+// tuple appends the row's width cells to dst: a row leaving stored form.
+func (r *rowRef) tuple(dst relation.Tuple, width int) relation.Tuple {
+	for ci := range width {
+		dst = append(dst, r.at(ci))
+	}
+	return dst
 }
 
 type indexSlot struct {
@@ -292,13 +304,13 @@ func (t *Table) identPrefix(n int) []int {
 	}
 }
 
-// segRows is the most rows a column-cache segment holds — one selection
-// vector (batchChunk), so a batch kernel runs a whole segment at a time.
-// A DELETE or UPDATE copies the built vectors of the segments it touches
-// and shares the rest: on 40 000 gen rows with nine built columns an
-// 8-row DELETE allocated 14.7 MB for the flat vectors this replaced
-// (9 × 40 000 × 40 bytes, 89 % of an 8+8 ApplyUpdates) and allocates
-// 9 × ≤ 40 kB per touched segment now.
+// segRows is the most rows a segment holds — one selection vector
+// (batchChunk), so a batch kernel runs a whole segment at a time. A
+// DELETE or UPDATE copies the columns of the segments it touches and
+// shares the rest: on 40 000 gen rows with nine built columns an 8-row
+// DELETE allocated 14.7 MB for the flat vectors this replaced
+// (9 × 40 000 × 40 bytes, 89 % of an 8+8 ApplyUpdates), and at most one
+// segment's columns per touched segment now.
 const segRows = batchChunk
 
 // segOffsets is every row offset of a segment, in order, never written:
@@ -312,66 +324,66 @@ var segOffsets = func() (o [segRows]int) {
 
 // segment is one epoch's entry for a run of consecutive positions: where
 // the run starts in this epoch (a DELETE shifts the segments behind it
-// without touching them), its rows, and the vectors it shares with every
-// other epoch listing the same colSeg. The rows are the segment's own
-// chunk: forks copy the chunks of the segments they touch and share the
-// rest. Only the tail's chunk grows, INSERT appending into its spare
-// capacity — which only the writer head's lineage reaches. The head moves
-// back in one place: a rollback clips the chunks (rowSet.restored). A
-// table's segments are never empty, and no two neighbours fit in one
+// without touching them), how many rows it holds, and its columns —
+// cols[ci] is column ci of those rows, every column of the schema, and
+// the only copy of them. The column headers are the epoch's own and never
+// written once it is published; forks copy the headers of the segments
+// they touch and share the rest. Only the tail's vectors grow, INSERT
+// appending into their spare capacity — which only the writer head's
+// lineage reaches — under a fresh header array; a rollback clips them
+// (rowSet.restored). A segment that is not its table's tail, or is full,
+// is sealed (colVec.seal) before its epoch is published. A table's
+// segments are never empty, and no two neighbours fit in one
 // (segsDeleted merges them), so n rows have at most 2·⌈n/segRows⌉+1.
 type segment struct {
-	start int
-	rows  []relation.Tuple
-	c     *colSeg
+	start, n int
+	cols     []colVec
 }
 
-// colSeg holds a segment's columns: vecs[ci] is column ci of the
-// segment's rows for every built column, covering rows [0, len()). A
-// column is extended lazily to each reader's fence — the segment's row
-// count in the reader's epoch — under mu. Only a tail grows: INSERT fills
-// it to segRows, which seals it by starting the next, and from then on
-// every epoch listing it sees the same rows, so a sealed segment's full
-// column is never written again. DELETE and UPDATE never write a colSeg
-// either; they replace the ones they touch (rebuildSeg, forkUpdated).
-type colSeg struct {
-	mu   sync.RWMutex
-	vecs []colVec
-}
-
-// colVec is one built column of a segment. A declared-TEXT column is
+// colVec is one column of a segment. A declared-TEXT column is
 // dictionary-coded: codes[i] is 0 for NULL, else c for dict[c-1], the
 // segment's distinct strings in first-seen order — every store coerces
 // cells to their column's kind, so it holds nothing else. Any other column
-// is a vector of values. Both nil ⇔ never built.
+// is a vector of values.
 //
-// A reader copies the headers under mu (column), so its codes never name
-// a string past its dictionary: extension only appends, to both. Whoever
-// extends a tail extends its dictionary, through index once a scan is too
-// long; a reader for which the segment is not the tail drops index and
-// sorts perm, once. Forks share the dictionary (dictBounded).
+// Appending extends both codes and dictionary, through index once a scan
+// is too long; index belongs to the writer, and no reader touches it.
+// Forks share the dictionary (dictBounded).
 //
-// A sealed coded column also lists its rows by code (post). seal builds
-// them beside perm and they are immutable; they describe
-// codes[:len(post.rows)], so cut keeps them only for the whole column,
-// and whatever rewrites codes drops them.
+// A sealed coded column sorts its dictionary (perm) and lists its rows by
+// code (post), both immutable; post describes codes[:len(post.rows)], so
+// cut keeps it only for the whole column, and whatever rewrites or
+// appends codes drops it.
 type colVec struct {
 	vals  []relation.Value
 	codes []uint16
 	dict  []string
 	perm  []uint16          // sorts dict[:len(perm)]; immutable once set
-	index map[string]uint16 // string → code; only under mu's write lock
+	index map[string]uint16 // string → code; the writer's
 	post  *postings         // a pointer: every column view copies the header
 }
 
 // postings are a column's rows by code, in CSR layout: rows[at[c]:at[c+1]]
-// are the ascending offsets of the rows whose code is c.
-type postings struct{ rows, at []uint16 }
+// are the ascending offsets of the rows whose code is c. strs is the size
+// of the dictionary's strings, which nothing changes while postings stand.
+type postings struct {
+	rows, at []uint16
+	strs     int64
+}
 
 // dictScanMax is the most strings a dictionary is searched by a plain
 // scan: below it a column takes no map and no permutation — what
 // Detector.Check's eight staged rows build.
 const dictScanMax = 16
+
+// newColVec returns an empty column for an attribute, coded if it is
+// declared TEXT, with room for n cells.
+func newColVec(a relation.Attribute, n int) colVec {
+	if a.Kind == relation.KindText {
+		return colVec{codes: make([]uint16, 0, n), dict: make([]string, 0, min(n, dictScanMax))}
+	}
+	return colVec{vals: make([]relation.Value, 0, n)}
+}
 
 func (v *colVec) len() int { return len(v.vals) + len(v.codes) }
 
@@ -386,12 +398,26 @@ func (v *colVec) at(i int) relation.Value {
 	return relation.Value{}
 }
 
-// bytes is the column's heap size without the strings, which it shares
-// with the rows.
+// bytes is the column's heap size without the strings its dictionary
+// holds (strBytes).
 func (v *colVec) bytes() int64 {
 	b := int64(len(v.vals))*valueBytes + 2*int64(len(v.codes)+len(v.perm)) + int64(len(v.dict))*int64(unsafe.Sizeof(""))
 	if v.post != nil {
 		b += 2 * int64(len(v.post.rows)+len(v.post.at))
+	}
+	return b
+}
+
+// strBytes is the size of the strings the column holds — only a TEXT
+// column holds any, all in its dictionary — counted in every column
+// holding one: summed when sealed, so pricing an epoch reads only its
+// tails' dictionaries string by string.
+func (v *colVec) strBytes() (b int64) {
+	if v.post != nil {
+		return v.post.strs
+	}
+	for _, w := range v.dict {
+		b += int64(len(w))
 	}
 	return b
 }
@@ -408,14 +434,14 @@ func (v *colVec) cut(n int) colVec {
 	return c
 }
 
-// sealed reports whether the column is as a non-tail reader leaves it.
+// sealed reports whether the column is as seal leaves it.
 func (v *colVec) sealed() bool {
 	return v.index == nil && (len(v.dict) <= dictScanMax || len(v.perm) == len(v.dict)) &&
 		(v.codes == nil || v.post != nil && len(v.post.rows) == len(v.codes))
 }
 
-// seal readies a column no append will reach in the reader's epoch: a
-// sorted dictionary and the postings.
+// seal readies a column no append will reach: a sorted dictionary and the
+// postings. The writer runs it on a header no reader sees yet.
 func (v *colVec) seal() {
 	if v.index = nil; v.sealed() {
 		return
@@ -445,7 +471,8 @@ func (v *colVec) seal() {
 	}
 	copy(at[1:], at)
 	at[0] = 0
-	v.post = &postings{rows, at}
+	v.post = nil
+	v.post = &postings{rows: rows, at: at, strs: v.strBytes()}
 }
 
 // find returns the code of s if the dictionary holds it.
@@ -491,6 +518,7 @@ func (v *colVec) push(cell relation.Value) {
 		v.vals = append(v.vals, cell)
 		return
 	}
+	v.post = nil
 	c, ok := uint16(0), cell.K == relation.KindNull
 	if !ok {
 		if c, ok = v.find(cell.S); !ok {
@@ -504,21 +532,6 @@ func (v *colVec) push(cell relation.Value) {
 	v.codes = append(v.codes, c)
 }
 
-// extend covers rows, reading column ci of those past len(); a column
-// never built starts coded if it is declared TEXT.
-func (v *colVec) extend(rows []relation.Tuple, ci int, text bool) {
-	if v.vals == nil && v.codes == nil {
-		if text {
-			v.codes, v.dict = make([]uint16, 0, len(rows)), make([]string, 0, min(len(rows), dictScanMax))
-		} else {
-			v.vals = make([]relation.Value, 0, len(rows))
-		}
-	}
-	for ri := v.len(); ri < len(rows); ri++ {
-		v.push(rows[ri][ci])
-	}
-}
-
 // dictBounded re-codes private codes in first-seen order once the
 // dictionary a fork kept holds more than twice as many strings as the
 // column has rows, so DELETE and UPDATE churn cannot grow it unbounded.
@@ -528,14 +541,15 @@ func (v *colVec) dictBounded() {
 	}
 	to := make([]uint16, len(v.dict)+1)
 	var dict []string
+	codes := make([]uint16, len(v.codes)) // v's may be shared
 	for i, c := range v.codes {
 		if c > 0 && to[c] == 0 {
 			dict = append(dict, v.dict[c-1])
 			to[c] = uint16(len(dict))
 		}
-		v.codes[i] = to[c]
+		codes[i] = to[c]
 	}
-	v.dict, v.perm, v.index, v.post = dict, nil, nil, nil
+	v.codes, v.dict, v.perm, v.index, v.post = codes, dict, nil, nil, nil
 }
 
 func lowerName(s string) string { return strings.ToLower(s) }
@@ -679,11 +693,10 @@ type Stats struct {
 	// RetiredEpochs counts superseded epochs kept alive by pins.
 	RetiredEpochs int
 	// RetiredBytes bounds the heap those retired epochs hold from above:
-	// their rows at 40 bytes a cell, and their built column segments at
-	// their real size — 40 bytes a value, 2 a dictionary code and 2 its
-	// posting, plus a string header, a permutation entry and a posting
-	// offset per dictionary string — what several of them share counted
-	// once for each.
+	// their rows, as the column segments that store them, at their real
+	// size — 40 bytes a value, 2 a dictionary code and 2 its posting, plus
+	// per dictionary string its bytes, its header, a permutation entry and
+	// a posting offset — what several of them share counted once for each.
 	RetiredBytes int64
 	// ProbeRows counts the candidate rows the batch probe kernels sent to
 	// an exact probe — key encoded, hash build or index consulted — since
@@ -706,10 +719,10 @@ type Stats struct {
 	// statement set adds to once it is warm.
 	SchedBuilds, SchedReuses int64
 	// CellsCopied counts the cells DML statements wrote while forking
-	// their epochs — row-array slots, index positions and column-segment
-	// cells, each copied, compacted or patched — and
-	// SegCellsCopied the column-segment share of it: the part that depends
-	// on the rows a statement touches and not on the size of its table.
+	// their epochs — index positions, and column-segment cells appended,
+	// copied, compacted or patched — and SegCellsCopied the segment cells
+	// copied, compacted or patched: the part that depends on the rows a
+	// statement touches and not on the size of its table.
 	CellsCopied, SegCellsCopied int64
 	// RowsMatched counts the rows UPDATE and DELETE statements selected,
 	// RowsWritten the rows DML inserted, changed or removed: an UPDATE
@@ -797,7 +810,7 @@ func (db *DB) createTable(name string, cols []ColumnDef, ifNotExists bool) error
 	ne := db.forkEpochW()
 	ne.tables = cloneTables(ne.tables)
 	ne.tables[key] = t
-	ne.tds[t] = newTableData(nil, nil)
+	ne.tds[t] = newTableData(schema, nil, nil)
 	ne.ddlVersion++
 	db.curW = ne
 	return nil
@@ -842,9 +855,10 @@ func cloneTables(m map[string]*Table) map[string]*Table {
 	return out
 }
 
-// newTableData wraps rows nothing is built over yet, copied into segments.
-func newTableData(rows []relation.Tuple, indexes []indexSlot) *tableData {
-	rs, _ := rowSet{}.appended(rows)
+// newTableData stores rows of schema s into segments, with indexes
+// nothing is built over yet.
+func newTableData(s *relation.Schema, rows []relation.Tuple, indexes []indexSlot) *tableData {
+	rs, _ := rowSet{}.appended(s, rows)
 	return &tableData{rowSet: rs, indexes: indexes}
 }
 
@@ -909,7 +923,7 @@ func (db *DB) LoadRelation(r *relation.Relation) error {
 		return err
 	}
 	if ok {
-		rs, _ := rowSet{}.appended(rows)
+		rs, _ := rowSet{}.appended(schema, rows)
 		db.applyWholesale(t, rs)
 		return nil
 	}
@@ -917,7 +931,7 @@ func (db *DB) LoadRelation(r *relation.Relation) error {
 	ne := db.forkEpochW()
 	ne.tables = cloneTables(ne.tables)
 	ne.tables[key] = t
-	ne.tds[t] = newTableData(rows, nil)
+	ne.tds[t] = newTableData(schema, rows, nil)
 	ne.ddlVersion++
 	db.curW = ne
 	return nil
@@ -933,11 +947,13 @@ func (db *DB) Snapshot(name string) (*relation.Relation, error) {
 	}
 	td := ep.tds[t]
 	out := relation.New(t.Schema)
-	out.Rows = make([]relation.Tuple, 0, td.n)
-	for _, sg := range td.segs {
-		for _, row := range sg.rows {
-			out.Rows = append(out.Rows, row.Clone())
-		}
+	out.Rows = make([]relation.Tuple, td.n)
+	w := t.Schema.Width()
+	cells := make([]relation.Value, 0, td.n*w)
+	for p, si := 0, 0; p < td.n; p++ {
+		r := td.ref(p, &si)
+		cells = r.tuple(cells, w)
+		out.Rows[p] = cells[p*w : (p+1)*w : (p+1)*w]
 	}
 	return out, nil
 }
@@ -994,43 +1010,83 @@ func (db *DB) createIndex(name, table string, cols []string) error {
 // is now the delta applied while building the fork; readers of older
 // epochs keep their frozen view.
 
-// applyAppend installs rows appended to t. Index structures and column
-// segments are shared wholesale — appends are exactly what their lazy
-// fenced extension absorbs (rowSet.appended).
+// applyAppend installs rows appended to t. Index structures are shared
+// wholesale — appends are exactly what their lazy fenced extension
+// absorbs — and the rows go into the segments' columns (rowSet.appended).
 func (db *DB) applyAppend(t *Table, newRows []relation.Tuple) {
 	td := db.curW.tds[t]
-	rs, cells := td.appended(newRows)
+	rs, cells := td.appended(t.Schema, newRows)
 	db.copied(cells, 0)
 	db.installTD(t, &tableData{rowSet: rs, version: td.version + 1, indexes: td.indexes})
 }
 
-// appended returns the rows with newRows appended and the row slots it
-// wrote. The tail's chunk takes rows until it holds segRows, in place
-// while its capacity lasts: cells beyond its length are invisible to
-// older epochs, and only the writer head's lineage appends to it (see
-// segment). Past that, chunks are reallocated — a tail's at least doubled
-// — and rows beyond segRows start fresh never-built segments.
-func (rs rowSet) appended(newRows []relation.Tuple) (rowSet, int) {
+// appended returns the rows with newRows, of schema s, appended, and the
+// cells it wrote. The tail takes rows until it holds segRows, its
+// vectors appended in place while their capacity lasts: cells beyond
+// their lengths are invisible to older epochs, and only the writer head's
+// lineage appends to them (see segment). Rows beyond segRows start fresh
+// segments. A segment that fills, or stops being the tail, is sealed.
+func (rs rowSet) appended(s *relation.Schema, newRows []relation.Tuple) (rowSet, int) {
 	out := rowSet{segs: rs.segs[:len(rs.segs):len(rs.segs)], n: rs.n + len(newRows)} // the epoch forked from lists the same array
-	cells := len(newRows)
-	if k := len(out.segs) - 1; k >= 0 && len(out.segs[k].rows) < segRows && len(newRows) > 0 {
-		rows := out.segs[k].rows
-		m := min(segRows-len(rows), len(newRows))
-		if len(rows)+m > cap(rows) {
-			grown := make([]relation.Tuple, len(rows), min(segRows, max(2*cap(rows), len(rows)+m)))
-			cells += copy(grown, rows)
-			rows = grown
-		}
+	cells := 0
+	if k := len(out.segs) - 1; k >= 0 && len(newRows) > 0 {
 		out.segs = slices.Clone(out.segs)
-		out.segs[k].rows = append(rows, newRows[:m]...)
-		newRows = newRows[m:]
+		sg := &out.segs[k]
+		if m := min(segRows-sg.n, len(newRows)); m > 0 {
+			sg.cols = slices.Clone(sg.cols)
+			cells += sg.push(newRows[:m])
+			newRows = newRows[m:]
+		}
+		sg.seal(len(newRows) > 0)
 	}
 	for len(newRows) > 0 {
 		m := min(segRows, len(newRows))
-		out.segs = append(out.segs, segment{start: out.n - len(newRows), rows: slices.Clone(newRows[:m]), c: &colSeg{}})
+		sg := segment{start: out.n - len(newRows), cols: make([]colVec, s.Width())}
+		for ci, a := range s.Attrs {
+			sg.cols[ci] = newColVec(a, m)
+		}
+		cells += sg.push(newRows[:m])
 		newRows = newRows[m:]
+		sg.seal(len(newRows) > 0)
+		out.segs = append(out.segs, sg)
 	}
 	return out, cells
+}
+
+// push appends rows to the segment's columns, which the caller owns,
+// and returns the cells written.
+func (sg *segment) push(rows []relation.Tuple) int {
+	for ci := range sg.cols {
+		v := &sg.cols[ci]
+		for _, row := range rows {
+			v.push(row[ci])
+		}
+	}
+	sg.n += len(rows)
+	return len(rows) * len(sg.cols)
+}
+
+// seal seals the segment's columns if it is full or, by more, not its
+// table's tail: in place, so its header array must be the caller's —
+// a sealed one is left as it is, and an unsealed one shared with an
+// older epoch is copied first.
+func (sg *segment) seal(more bool) {
+	if !more && sg.n < segRows || sg.sealed() {
+		return
+	}
+	sg.cols = slices.Clone(sg.cols)
+	for ci := range sg.cols {
+		sg.cols[ci].seal()
+	}
+}
+
+func (sg *segment) sealed() bool {
+	for ci := range sg.cols {
+		if !sg.cols[ci].sealed() {
+			return false
+		}
+	}
+	return true
 }
 
 // copied adds what one DML fork wrote to the CellsCopied counters: cells
@@ -1049,33 +1105,22 @@ func (db *DB) wrote(matched, written int) {
 
 // applyUpdate installs an UPDATE of setCols at row positions pos
 // (ascending); vals[i] holds pos[i]'s new values aligned to setCols.
-// Changed tuples are cloned and patched — the old epoch's tuples are
-// never written. Indexes reading none of the assigned columns share
-// their structures (this keeps the detector's SV/MV flag writes from
-// ever disturbing the RID index); overlapping indexes restart
-// never-built, as under applyWholesale, and the next probe rebuilds
-// them. Segments holding no changed position are shared, the others fork:
-// their row chunk is copied with the changed tuples replaced, their
-// columns patched (colSeg.forkUpdated).
+// Indexes reading none of the assigned columns share their structures
+// (this keeps the detector's SV/MV flag writes from ever disturbing the
+// RID index); overlapping indexes restart never-built, as under
+// applyWholesale, and the next probe rebuilds them. Segments holding no
+// changed position are shared, the others fork: their assigned columns
+// are copied and patched, the rest shared (segment.forkUpdated).
 func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.Value) {
 	td := db.curW.tds[t]
 	ntd := &tableData{rowSet: rowSet{segs: slices.Clone(td.segs), n: td.n}, version: td.version + 1}
-	cells, seg := 0, 0
+	cells := 0
 	for i, si := 0, 0; i < len(pos); {
 		si = td.segAt(pos[i], si)
-		base, n := td.span(si)
-		j := i + sort.SearchInts(pos[i:], base+n)
-		rows := slices.Clone(td.segs[si].rows)
-		for k, ri := range pos[i:j] {
-			nr := rows[ri-base].Clone()
-			for jj, c := range setCols {
-				nr[c] = vals[i+k][jj]
-			}
-			rows[ri-base] = nr
-		}
-		c, k := td.segs[si].c.forkUpdated(base, pos[i:j], setCols, vals[i:j])
-		ntd.segs[si].rows, ntd.segs[si].c = rows, c
-		cells, seg, i = cells+n, seg+k, j
+		sg := &ntd.segs[si]
+		j := i + sort.SearchInts(pos[i:], sg.start+sg.n)
+		cells += sg.forkUpdated(pos[i:j], setCols, vals[i:j], si < len(ntd.segs)-1)
+		i = j
 	}
 	if len(td.indexes) > 0 {
 		ntd.indexes = make([]indexSlot, len(td.indexes))
@@ -1086,7 +1131,7 @@ func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.
 			ntd.indexes[i] = sl
 		}
 	}
-	db.copied(cells+seg, seg)
+	db.copied(cells, cells)
 	db.installTD(t, ntd)
 }
 
@@ -1095,12 +1140,13 @@ func (db *DB) applyUpdate(t *Table, pos []int, setCols []int, vals [][]relation.
 // by the number of deleted positions below them; neither keys nor
 // relative order change, so every built index structure forks by one
 // filter-and-remap pass (none for an ident one), and the segments that
-// lost rows are rebuilt, rows and columns (segsDeleted).
+// lost rows are rebuilt (segsDeleted).
 func (db *DB) applyDelete(t *Table, dels []int) {
 	td := db.curW.tds[t]
 	ntd := &tableData{version: td.version + 1}
-	var cells, seg int
-	ntd.rowSet, cells, seg = td.segsDeleted(t, dels)
+	var seg int
+	ntd.rowSet, seg = td.segsDeleted(t, dels)
+	cells := seg
 	if len(td.indexes) > 0 {
 		ntd.indexes = make([]indexSlot, len(td.indexes))
 		for i, sl := range td.indexes {
@@ -1130,9 +1176,8 @@ func (db *DB) applyTruncate(t *Table) {
 
 // applyWholesale installs a full row replacement (LoadRelation over
 // an existing table, transaction rollback). No per-row delta exists,
-// so every structure forks to never-built and the next probe pays a
-// full rebuild — the epoch version of mark-dirty-and-rebuild. The
-// segments of rs must be never-built.
+// so every index forks to never-built and the next probe pays a full
+// rebuild — the epoch version of mark-dirty-and-rebuild.
 func (db *DB) applyWholesale(t *Table, rs rowSet) {
 	td := db.curW.tds[t]
 	ntd := &tableData{rowSet: rs, version: td.version + 1}
@@ -1145,15 +1190,17 @@ func (db *DB) applyWholesale(t *Table, rs rowSet) {
 	db.installTD(t, ntd)
 }
 
-// restored is rs for a rollback to reinstall: the same row chunks, with
-// no spare capacity — the lineage rolled back may have appended into it,
-// and a pinned reader may still see those rows — and never-built
-// segments, whose columns that lineage may have extended over them too.
+// restored is rs for a rollback to reinstall: the same columns, with no
+// spare capacity and no writer's index — the lineage rolled back may
+// have appended into them, and a pinned reader may still see those rows.
 func (rs rowSet) restored() rowSet {
 	segs := slices.Clone(rs.segs)
 	for i := range segs {
-		segs[i].rows = slices.Clip(segs[i].rows)
-		segs[i].c = &colSeg{}
+		cols := make([]colVec, len(segs[i].cols))
+		for ci := range cols {
+			cols[ci] = segs[i].cols[ci].cut(segs[i].n)
+		}
+		segs[i].cols = cols
 	}
 	return rowSet{segs: segs, n: rs.n}
 }
@@ -1170,12 +1217,12 @@ func overlaps(idxCols, cols []int) bool {
 	return false
 }
 
-// --- column cache: segments, fenced access and forks ---
+// --- segments: lookup and forks ---
 
 // span returns the positions segment si covers in this epoch: n rows from
 // base.
 func (rs *rowSet) span(si int) (base, n int) {
-	return rs.segs[si].start, len(rs.segs[si].rows)
+	return rs.segs[si].start, rs.segs[si].n
 }
 
 // segAt returns the segment holding position p, trying hint first: a
@@ -1195,82 +1242,41 @@ func (rs *rowSet) segAt(p, hint int) int {
 	return lo
 }
 
-// column returns the segment's column at schema position ci, covering
-// rows — the segment's rows in the reader's epoch — built or extended to
-// that fence on first use, and sealed unless the segment is the reader's
-// tail. The returned headers are immutable to the caller.
-func (s *colSeg) column(t *Table, ci int, rows []relation.Tuple, tail bool) colVec {
-	f := len(rows)
-	s.mu.RLock()
-	if ci < len(s.vecs) {
-		if v := &s.vecs[ci]; v.len() >= f && (tail || v.sealed()) {
-			defer s.mu.RUnlock()
-			return v.cut(f)
-		}
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.vecs == nil {
-		s.vecs = make([]colVec, t.Schema.Width())
-	}
-	// Epochs sharing a colSeg agree on all cell values over their common
-	// prefix, so whichever extends first, the result serves both.
-	v := &s.vecs[ci]
-	if n := f - v.len(); n > 0 {
-		t.colBuilt.Add(int64(n))
-		v.extend(rows, ci, t.Schema.Attrs[ci].Kind == relation.KindText)
-	}
-	if !tail {
-		v.seal()
-	}
-	return v.cut(f)
-}
-
-// forkUpdated forks the segment, which starts at base, for an UPDATE of
-// setCols at positions pos inside it: built columns that are assigned
-// are cloned and patched, a coded one appending new strings to its
-// dictionary; built columns of other columns are shared capacity-clipped
-// (each lineage's later appends then reallocate instead of racing on
-// spare cells); never-built ones stay never-built. Returns the cells
-// written too.
-func (s *colSeg) forkUpdated(base int, pos []int, setCols []int, vals [][]relation.Value) (*colSeg, int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ns, cells := &colSeg{}, 0
-	if s.vecs == nil {
-		return ns, 0
-	}
-	ns.vecs = make([]colVec, len(s.vecs))
-	for ci := range s.vecs {
-		v := s.vecs[ci].cut(s.vecs[ci].len())
-		j := slices.Index(setCols, ci)
-		if j < 0 || v.len() == 0 {
-			ns.vecs[ci] = v
-			continue
-		}
-		n := v.len()
-		v.vals, v.codes, v.post = slices.Clone(v.vals), slices.Clone(v.codes), nil
-		for i, ri := range pos {
-			if ri-base >= n {
-				continue
+// forkUpdated forks the segment in place — sg is the new epoch's entry —
+// for an UPDATE of setCols at positions pos inside it: the assigned
+// columns are cloned and patched, a coded one appending new strings to
+// its dictionary, and sealed again if the segment is full or inner — not
+// its table's tail; the others are shared capacity-clipped. Returns the
+// cells written.
+func (sg *segment) forkUpdated(pos []int, setCols []int, vals [][]relation.Value, inner bool) int {
+	cols, cells := make([]colVec, len(sg.cols)), 0
+	for ci := range sg.cols {
+		v := sg.cols[ci].cut(sg.n)
+		if j := slices.Index(setCols, ci); j >= 0 {
+			v.vals, v.codes, v.post = slices.Clone(v.vals), slices.Clone(v.codes), nil
+			for i, ri := range pos {
+				if v.codes == nil {
+					v.vals[ri-sg.start] = vals[i][j]
+				} else {
+					v.codes = v.codes[:ri-sg.start] // push writes the cell in place
+					v.push(vals[i][j])
+					v.codes = v.codes[:sg.n]
+				}
 			}
-			if v.codes == nil {
-				v.vals[ri-base] = vals[i][j]
-			} else {
-				v.codes = v.codes[:ri-base] // push writes the cell in place
-				v.push(vals[i][j])
-				v.codes = v.codes[:n]
+			v.dictBounded()
+			if inner || sg.n == segRows {
+				v.seal()
 			}
+			cells += sg.n
 		}
-		v.dictBounded()
-		ns.vecs[ci], cells = v, cells+n
+		cols[ci] = v
 	}
-	return ns, cells
+	sg.cols = cols
+	return cells
 }
 
 // segPart is one segment's contribution to a rebuilt one: its rows from
-// position base on, in the epoch forked from, minus those at dels.
+// position start on, in the epoch forked from, minus those at dels.
 type segPart struct {
 	segment
 	dels []int
@@ -1278,33 +1284,28 @@ type segPart struct {
 
 // segsDeleted forks the rows for a DELETE of positions dels (ascending).
 // A segment that loses no row is shared, at its shifted start; one that
-// loses all of them is dropped; the others are rebuilt, rows and columns
+// loses all of them is dropped; the others are rebuilt, their columns
 // compacted — each together with the neighbours it now fits in one
 // segment with, which keeps the table within its bound (see segment)
-// under any churn. Returns the cells written too, in all and into column
-// segments.
-func (td *tableData) segsDeleted(t *Table, dels []int) (rowSet, int, int) {
+// under any churn. Returns the cells written too.
+func (td *tableData) segsDeleted(t *Table, dels []int) (rowSet, int) {
 	out := rowSet{segs: make([]segment, 0, len(td.segs))}
 	var parts []segPart // the segment being assembled: its parts and rows
-	size, cells, seg := 0, 0, 0
+	size, cells := 0, 0
 	flush := func() {
-		sg := segment{start: out.n}
+		sg := segment{start: out.n, n: size}
 		if len(parts) == 1 && len(parts[0].dels) == 0 {
-			sg.rows, sg.c = parts[0].rows, parts[0].c
+			sg.cols = parts[0].cols
 		} else {
-			sg.rows = make([]relation.Tuple, 0, size)
-			for _, p := range parts {
-				sg.rows = appendWithout(sg.rows, p.rows, p.dels, p.start)
-			}
 			var k int
-			sg.c, k = rebuildSeg(t, parts, sg.rows)
-			cells, seg = cells+size+k, seg+k
+			sg.cols, k = rebuildSeg(t, parts, size)
+			cells += k
 		}
 		out.segs, out.n, size, parts = append(out.segs, sg), out.n+size, 0, parts[:0]
 	}
 	for _, sg := range td.segs {
-		k := sort.SearchInts(dels, sg.start+len(sg.rows))
-		if live := len(sg.rows) - k; live > 0 {
+		k := sort.SearchInts(dels, sg.start+sg.n)
+		if live := sg.n - k; live > 0 {
 			if size+live > segRows {
 				flush()
 			}
@@ -1315,53 +1316,69 @@ func (td *tableData) segsDeleted(t *Table, dels []int) (rowSet, int, int) {
 	if len(parts) > 0 {
 		flush()
 	}
-	return out, cells, seg
+	for i := range out.segs {
+		out.segs[i].seal(i < len(out.segs)-1)
+	}
+	return out, cells
 }
 
-// rebuildSeg builds the segment holding what is left of parts, in order;
-// rows are its rows in the new epoch. Every column built in a part is
-// built in the result, compacted: a column stays covered as far as it
-// was, and a part that had not covered what a later one had is completed
-// from rows, so no covered cell is ever read again. The first part keeps
-// its dictionary; the cells of the others are pushed onto it. Returns
-// the cells written too.
-func rebuildSeg(t *Table, parts []segPart, rows []relation.Tuple) (*colSeg, int) {
-	for _, p := range parts {
-		p.c.mu.RLock()
-		defer p.c.mu.RUnlock()
-	}
-	ns, cells := &colSeg{vecs: make([]colVec, t.Schema.Width())}, 0
-	for ci := range ns.vecs {
-		v := &ns.vecs[ci]
-		at := 0 // where the part's rows start in the result
-		for _, p := range parts {
-			if ci < len(p.c.vecs) && p.c.vecs[ci].len() > 0 {
-				pv := p.c.vecs[ci].cut(min(len(p.rows), p.c.vecs[ci].len()))
-				switch {
-				case at > 0: // a later part: pushed, after what the first left uncovered
-					t.colBuilt.Add(int64(at - v.len()))
-					v.extend(rows[:at], ci, t.Schema.Attrs[ci].Kind == relation.KindText)
-					for i, dels := 0, p.dels; i < pv.len(); i++ {
-						if len(dels) > 0 && dels[0] == p.start+i {
-							dels = dels[1:]
-						} else {
-							v.push(pv.at(i))
-						}
-					}
-				case pv.codes == nil: // the first part, compacted
-					*v = pv
-					v.vals = appendWithout(make([]relation.Value, 0, len(rows)), pv.vals, p.dels, p.start)
-				default: // the first part, compacted, its dictionary kept
-					*v = colVec{dict: pv.dict, perm: pv.perm}
-					v.codes = appendWithout(make([]uint16, 0, len(rows)), pv.codes, p.dels, p.start)
-					v.dictBounded()
-				}
+// rebuildSeg builds the columns of the segment holding what is left of
+// parts, in order: n rows. A lone part whose survivors are one run — the
+// oldest rows deleted, or the newest — shares its vectors cut to the run;
+// otherwise the first part keeps its dictionary and the cells of the
+// others are pushed onto it. Returns the cells written too.
+func rebuildSeg(t *Table, parts []segPart, n int) ([]colVec, int) {
+	cols := make([]colVec, t.Schema.Width())
+	if lo, ok := parts[0].run(); ok && len(parts) == 1 {
+		for ci := range cols {
+			pv := &parts[0].cols[ci]
+			if pv.codes == nil {
+				cols[ci] = colVec{vals: pv.vals[lo : lo+n : lo+n]}
+				continue
 			}
-			at += len(p.rows) - len(p.dels)
+			cols[ci] = colVec{codes: pv.codes[lo : lo+n : lo+n], dict: pv.dict[:len(pv.dict):len(pv.dict)], perm: pv.perm}
+			cols[ci].dictBounded()
 		}
-		cells += v.len()
+		return cols, 0
 	}
-	return ns, cells
+	for ci := range cols {
+		v := &cols[ci]
+		for pi, p := range parts {
+			pv := p.cols[ci].cut(p.n)
+			switch {
+			case pi > 0: // a later part: pushed
+				for i, dels := 0, p.dels; i < p.n; i++ {
+					if len(dels) > 0 && dels[0] == p.start+i {
+						dels = dels[1:]
+					} else {
+						v.push(pv.at(i))
+					}
+				}
+			case pv.codes == nil: // the first part, compacted
+				*v = colVec{vals: appendWithout(make([]relation.Value, 0, n), pv.vals, p.dels, p.start)}
+			default: // the first part, compacted, its dictionary kept
+				*v = colVec{dict: pv.dict, perm: pv.perm}
+				v.codes = appendWithout(make([]uint16, 0, n), pv.codes, p.dels, p.start)
+				v.dictBounded()
+			}
+		}
+	}
+	return cols, n * len(cols)
+}
+
+// run reports whether the part's surviving rows are one run of offsets,
+// and the run's first offset: the deleted ones are a prefix and a suffix.
+func (p *segPart) run() (int, bool) {
+	lo := 0
+	for lo < len(p.dels) && p.dels[lo] == p.start+lo {
+		lo++
+	}
+	for i, d := range p.dels[lo:] {
+		if d != p.start+p.n-len(p.dels)+lo+i {
+			return 0, false
+		}
+	}
+	return lo, true
 }
 
 // appendWithout appends v to out minus the elements at the ascending
@@ -1469,9 +1486,9 @@ func eqRange(rs *rowSet, cols []int, s []int, k0 int, vals []relation.Value) []i
 	// searched range lies in one segment, the hint finds every row.
 	si := 0
 	cmp := func(ri int) int {
-		row := rs.row(ri, &si)
+		row := rs.ref(ri, &si)
 		for j := range vals {
-			if c := relation.Compare(row[cols[k0+j]], vals[j]); c != 0 {
+			if c := relation.Compare(row.at(cols[k0+j]), vals[j]); c != 0 {
 				return c
 			}
 		}
@@ -1508,9 +1525,9 @@ func (d *indexData) extendEq(idx *Index, rs *rowSet, f int) {
 	}
 	key := make([]relation.Value, len(idx.Cols))
 	for ri, si := d.mCover, 0; ri < f; ri++ {
-		row := rs.row(ri, &si)
+		row := rs.ref(ri, &si)
 		for i, c := range idx.Cols {
-			key[i] = row[c]
+			key[i] = row.at(c)
 		}
 		k := relation.KeyOf(key)
 		d.m[k] = append(d.m[k], ri)
@@ -1569,7 +1586,7 @@ func (d *indexData) extendOrdered(t *Table, idx *Index, rs *rowSet, f int) []int
 		// This reader pinned its epoch before a re-sort rebased the
 		// shared structure past its fence: sort a private view, uncached
 		// (rare — a racing writer appended out of key order).
-		return sortedPositions(idx.Cols, rs.flat(f))
+		return sortedPositions(idx.Cols, rs, f)
 	}
 	defer d.mu.Unlock()
 	switch {
@@ -1590,7 +1607,7 @@ func (d *indexData) extendOrdered(t *Table, idx *Index, rs *rowSet, f int) []int
 	if d.ident = inKeyOrder(idx.Cols, rs, nil, f); d.ident {
 		d.sorted, d.sBase = t.identPrefix(f), 0
 	} else {
-		d.sorted, d.sBase = sortedPositions(idx.Cols, rs.flat(f)), f
+		d.sorted, d.sBase = sortedPositions(idx.Cols, rs, f), f
 	}
 	return d.sorted
 }
@@ -1599,13 +1616,13 @@ func (d *indexData) extendOrdered(t *Table, idx *Index, rs *rowSet, f int) []int
 // positions s position by position, so appending them keeps the order.
 func inKeyOrder(cols []int, rs *rowSet, s []int, f int) bool {
 	si := 0
-	var prev relation.Tuple
+	var prev rowRef
 	if len(s) > 0 {
-		prev = rs.row(s[len(s)-1], &si)
+		prev = rs.ref(s[len(s)-1], &si)
 	}
 	for ri := len(s); ri < f; ri++ {
-		row := rs.row(ri, &si)
-		if prev != nil && compareRows(cols, row, prev) < 0 {
+		row := rs.ref(ri, &si)
+		if prev.bound() && compareRows(cols, &row, &prev) < 0 {
 			return false
 		}
 		prev = row
@@ -1613,13 +1630,30 @@ func inKeyOrder(cols []int, rs *rowSet, s []int, f int) bool {
 	return true
 }
 
-// sortedPositions returns the positions of rows in index order.
-func sortedPositions(cols []int, rows []relation.Tuple) []int {
-	ns := make([]int, len(rows))
+// sortedPositions returns positions [0, f) of rs in index order: the
+// sort keys are read out of the columns once.
+func sortedPositions(cols []int, rs *rowSet, f int) []int {
+	keys := make([]relation.Value, 0, f*len(cols))
+	for p, si := 0, 0; p < f; p++ {
+		row := rs.ref(p, &si)
+		for _, c := range cols {
+			keys = append(keys, row.at(c))
+		}
+	}
+	w := len(cols)
+	ns := make([]int, f)
 	for i := range ns {
 		ns[i] = i
 	}
-	sort.Slice(ns, func(a, b int) bool { return lessPosIn(cols, rows, ns[a], ns[b]) })
+	sort.Slice(ns, func(a, b int) bool {
+		ka, kb := keys[ns[a]*w:ns[a]*w+w], keys[ns[b]*w:ns[b]*w+w]
+		for i := range ka {
+			if c := relation.Compare(ka[i], kb[i]); c != 0 {
+				return c < 0
+			}
+		}
+		return ns[a] < ns[b]
+	})
 	return ns
 }
 
@@ -1638,7 +1672,10 @@ func sortedPositions(cols []int, rows []relation.Tuple) []int {
 func (td *tableData) rangeOf(t *Table, idx *Index, lo, hi relation.Value, hasLo, hasHi, skipNullLo bool) []int {
 	s := td.orderedOf(t, idx)
 	si, c0 := 0, idx.Cols[0]
-	at := func(i int) relation.Value { return td.row(s[i], &si)[c0] }
+	at := func(i int) relation.Value {
+		r := td.ref(s[i], &si)
+		return r.at(c0)
+	}
 	from, to := 0, len(s)
 	switch {
 	case hasLo:
@@ -1716,20 +1753,10 @@ func (d *indexData) forkTruncated(t *Table) *indexData {
 	return nd
 }
 
-// lessPosIn orders two row positions by the index-column values, ties
-// by position — the sort order of indexData.sorted, evaluated against
-// an explicit row array.
-func lessPosIn(cols []int, rows []relation.Tuple, a, b int) bool {
-	if c := compareRows(cols, rows[a], rows[b]); c != 0 {
-		return c < 0
-	}
-	return a < b
-}
-
 // compareRows compares two rows by the index columns.
-func compareRows(cols []int, a, b relation.Tuple) int {
+func compareRows(cols []int, a, b *rowRef) int {
 	for _, c := range cols {
-		if cmp := relation.Compare(a[c], b[c]); cmp != 0 {
+		if cmp := relation.Compare(a.at(c), b.at(c)); cmp != 0 {
 			return cmp
 		}
 	}

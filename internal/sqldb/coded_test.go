@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,8 +162,8 @@ func TestCodedTextDifferential(t *testing.T) {
 	tbl := mustTable(t, db, "cd")
 	// The probes re-run their subquery per pair under Reference, 10 M rows a
 	// query here: it checks them once, at the end; the steps before compare
-	// with RowAtATime, whose closures read rows and probe a hash build —
-	// nothing of the column cache either.
+	// with RowAtATime, whose closures read a cell at a time and probe a
+	// hash build — no kernel, value set or postings.
 	check := func(step string, oracle Mode) {
 		t.Helper()
 		for _, pred := range kernels() {
@@ -200,22 +201,22 @@ func TestCodedTextDifferential(t *testing.T) {
 			t.Fatalf("%s: no value set decided a run from postings", step)
 		}
 		td := db.cur.Load().tds[tbl]
-		checkSegments(t, step, tbl, td)
+		checkSegments(t, step, tbl, td, nil)
 		for si, sg := range td.segs[:len(td.segs)-1] {
-			if v := sg.c.vecs[1]; v.post == nil || len(v.post.rows) != len(v.codes) {
+			if v := sg.cols[1]; v.post == nil || len(v.post.rows) != len(v.codes) {
 				t.Fatalf("%s: sealed segment %d has no postings of its %d cells", step, si, len(v.codes))
 			}
 		}
 	}
 	check("loaded", RowAtATime)
 	mustExec(t, db, fmt.Sprintf(`UPDATE cd SET a = TOTEXT(rid + 100000) WHERE rid < %d AND rid %% 5 <> 0`, segRows))
-	if v := db.cur.Load().tds[tbl].segs[0].c.vecs[1]; len(v.dict) <= segRows || v.codes == nil {
+	if v := db.cur.Load().tds[tbl].segs[0].cols[1]; len(v.dict) <= segRows || v.codes == nil {
 		t.Fatalf("after the UPDATE the first segment's dictionary holds %d strings", len(v.dict))
 	}
 	insert(50)
 	check("updated", RowAtATime)
 	mustExec(t, db, fmt.Sprintf(`UPDATE cd SET a = TOTEXT(rid + 200000) WHERE rid < %d AND rid %% 5 <> 0`, segRows))
-	if v := db.cur.Load().tds[tbl].segs[0].c.vecs[1]; len(v.dict) > segRows {
+	if v := db.cur.Load().tds[tbl].segs[0].cols[1]; len(v.dict) > segRows {
 		t.Fatalf("after the second UPDATE the first segment's dictionary holds %d strings: not re-coded", len(v.dict))
 	}
 	check("re-coded", RowAtATime)
@@ -227,10 +228,10 @@ func TestCodedTextDifferential(t *testing.T) {
 	insert(segRows - 200)
 	check("sealed a tail", Reference)
 	td := db.cur.Load().tds[tbl]
-	checkSegments(t, "the end", tbl, td)
+	checkSegments(t, "the end", tbl, td, nil)
 	var coded, plain int
 	for _, sg := range td.segs {
-		if v := sg.c.vecs[1]; v.codes != nil {
+		if v := sg.cols[1]; v.codes != nil {
 			coded++
 		} else if v.vals != nil {
 			plain++
@@ -392,7 +393,7 @@ func TestCodedPreDedupDifferential(t *testing.T) {
 	insert("pt", segRows-200)
 	check("sealed a tail")
 	tbl := mustTable(t, db, "pt")
-	checkSegments(t, "the end", tbl, db.cur.Load().tds[tbl])
+	checkSegments(t, "the end", tbl, db.cur.Load().tds[tbl], nil)
 }
 
 // TestSegmentDictionaryBoundUnderChurn: 10 000 steps that UPDATE a few
@@ -400,19 +401,26 @@ func TestCodedPreDedupDifferential(t *testing.T) {
 // now and then a run of 60 — and INSERT as many. Forks keep their
 // dictionaries — an UPDATE appends, a DELETE compacts the codes only —
 // so without re-coding a segment's dictionary would grow with the steps;
-// every built column keeps at most twice as many strings as its segment
-// has rows, and the cache still mirrors the rows.
+// every column keeps at most twice as many strings as its segment has
+// rows, and the segments still hold the rows a mirror the test keeps
+// does.
 func TestSegmentDictionaryBoundUnderChurn(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(191))
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE dc (id INTEGER, s TEXT)`)
 	nextID := 0
+	var mirror []relation.Tuple
 	insert := func(k int) {
 		for ; k > 0; k-- {
-			mustExec(t, db, `INSERT INTO dc VALUES (?, ?)`, relation.Int(int64(nextID)), relation.Text(fmt.Sprintf("s%d", nextID%50)))
+			row := relation.Tuple{relation.Int(int64(nextID)), relation.Text(fmt.Sprintf("s%d", nextID%50))}
+			mustExec(t, db, `INSERT INTO dc VALUES (?, ?)`, row[0], row[1])
+			mirror = append(mirror, row)
 			nextID++
 		}
+	}
+	in := func(lo, w int64) func(relation.Tuple) bool {
+		return func(r relation.Tuple) bool { return r[0].I >= lo && r[0].I < lo+w }
 	}
 	insert(3000)
 	tbl := mustTable(t, db, "dc")
@@ -420,25 +428,33 @@ func TestSegmentDictionaryBoundUnderChurn(t *testing.T) {
 	for step := 0; step < 10_000; step++ {
 		lo := relation.Int(int64(rng.Intn(nextID)))
 		if rng.Intn(2) == 0 {
-			mustExec(t, db, `UPDATE dc SET s = ? WHERE id >= ? AND id < ? + 4`, relation.Text(fmt.Sprintf("u%d", step)), lo, lo)
+			u := relation.Text(fmt.Sprintf("u%d", step))
+			mustExec(t, db, `UPDATE dc SET s = ? WHERE id >= ? AND id < ? + 4`, u, lo, lo)
+			mirror = slices.Clone(mirror)
+			for i, r := range mirror {
+				if in(lo.I, 4)(r) {
+					mirror[i] = relation.Tuple{r[0], u}
+				}
+			}
 		} else {
 			w := relation.Int(int64(3 + 57*(rng.Intn(10)/9)))
 			k := len(mustQuery(t, db, `SELECT id FROM dc WHERE id >= ? AND id < ? + ?`, lo, lo, w).Rows)
 			mustExec(t, db, `DELETE FROM dc WHERE id >= ? AND id < ? + ?`, lo, lo, w)
+			mirror = slices.DeleteFunc(mirror, in(lo.I, w.I))
 			insert(k)
 		}
-		mustQuery(t, db, `SELECT id FROM dc WHERE s <> '-'`) // builds s in every segment
+		mustQuery(t, db, `SELECT id FROM dc WHERE s <> '-'`)
 		td := db.cur.Load().tds[tbl]
 		for si, sg := range td.segs {
 			_, m := td.span(si)
-			if v := sg.c.vecs[1]; len(v.dict) > 2*m {
+			if v := sg.cols[1]; len(v.dict) > 2*m {
 				t.Fatalf("step %d: segment %d holds %d strings for %d rows", step, si, len(v.dict), m)
 			} else {
 				most = max(most, float64(len(v.dict))/float64(m))
 			}
 		}
 		if step%500 == 499 {
-			checkSegments(t, fmt.Sprintf("step %d", step), tbl, td)
+			checkSegments(t, fmt.Sprintf("step %d", step), tbl, td, mirror)
 		}
 	}
 	t.Logf("at most %.2f dictionary strings per row of a segment over 10 000 steps", most)
@@ -466,8 +482,8 @@ func TestColumnCacheBytesPerCell(t *testing.T) {
 	td := db.cur.Load().tds[mustTable(t, db, s.Name)]
 	var bytes, cells int64
 	for _, sg := range td.segs {
-		for ci := range sg.c.vecs {
-			if v := &sg.c.vecs[ci]; s.Attrs[ci].Kind == relation.KindText {
+		for ci := range sg.cols {
+			if v := &sg.cols[ci]; s.Attrs[ci].Kind == relation.KindText {
 				if v.codes == nil {
 					t.Fatalf("a built TEXT column of gen data is not coded")
 				}

@@ -20,8 +20,8 @@ type env struct {
 	db *DB
 	// ep is the epoch this execution reads: the pinned snapshot for
 	// lock-free queries, or the writer's in-progress epoch (db.curW)
-	// for DML statements running under db.mu. All table data — rows,
-	// column caches, index structures — is reached through it.
+	// for DML statements running under db.mu. All table data — the
+	// segments holding the rows, index structures — is reached through it.
 	ep     *epoch
 	params []relation.Value
 	frames []frame
@@ -41,7 +41,7 @@ type env struct {
 	// scratch holds the reusable frame row slots for execExists and
 	// semiScan, one per select (a select cannot contain itself, so reuse
 	// across its sequential invocations within one statement is safe).
-	scratch map[*compiledSelect][]relation.Tuple
+	scratch map[*compiledSelect][]rowRef
 	// work holds the statement's work counters, plain integers that
 	// publish adds to the DB's once: concurrent readers must not share a
 	// cache line per selection vector.
@@ -91,20 +91,20 @@ func (en *env) td(t *Table) *tableData { return en.ep.tds[t] }
 func (en *env) rows(t *Table) rowSet { return en.ep.tds[t].rowSet }
 
 // scratchFor returns the env's frame row slot for cs.
-func (en *env) scratchFor(cs *compiledSelect) []relation.Tuple {
+func (en *env) scratchFor(cs *compiledSelect) []rowRef {
 	if s, ok := en.scratch[cs]; ok {
 		return s
 	}
 	if en.scratch == nil {
-		en.scratch = make(map[*compiledSelect][]relation.Tuple)
+		en.scratch = make(map[*compiledSelect][]rowRef)
 	}
-	s := make([]relation.Tuple, len(cs.sources))
+	s := make([]rowRef, len(cs.sources))
 	en.scratch[cs] = s
 	return s
 }
 
 type frame struct {
-	rows []relation.Tuple // current row per FROM source
+	rows []rowRef // current row per FROM source
 }
 
 type compiledExpr func(*env) (relation.Value, error)
@@ -440,7 +440,7 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 			return nil, err
 		}
 		return func(en *env) (relation.Value, error) {
-			return en.frames[b.depth].rows[b.src][b.col], nil
+			return en.frames[b.depth].rows[b.src].at(b.col), nil
 		}, nil
 
 	case *Unary:
@@ -900,7 +900,7 @@ func (c *compiler) fastCompare(x *Binary) (compiledExpr, error) {
 	switch op {
 	case "=":
 		return func(en *env) (relation.Value, error) {
-			v := en.frames[b.depth].rows[b.src][b.col]
+			v := en.frames[b.depth].rows[b.src].at(b.col)
 			if v.K == relation.KindInt || v.K == relation.KindBool {
 				return relation.Bool(v.I == want), nil
 			}
@@ -911,7 +911,7 @@ func (c *compiler) fastCompare(x *Binary) (compiledExpr, error) {
 		}, nil
 	case "<>":
 		return func(en *env) (relation.Value, error) {
-			v := en.frames[b.depth].rows[b.src][b.col]
+			v := en.frames[b.depth].rows[b.src].at(b.col)
 			if v.K == relation.KindInt || v.K == relation.KindBool {
 				return relation.Bool(v.I != want), nil
 			}
@@ -923,7 +923,7 @@ func (c *compiler) fastCompare(x *Binary) (compiledExpr, error) {
 	default:
 		opc := op
 		return func(en *env) (relation.Value, error) {
-			v := en.frames[b.depth].rows[b.src][b.col]
+			v := en.frames[b.depth].rows[b.src].at(b.col)
 			if v.K == relation.KindInt || v.K == relation.KindBool {
 				var res bool
 				switch opc {

@@ -122,11 +122,16 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 		return 0, err
 	}
 	t := p.t
+	// The new rows are transient — logged, then pushed into the tail's
+	// columns — so they are cut from the writer's scratch (rowScratch).
+	var cells []relation.Value
 	build := func(vals []relation.Value) (relation.Tuple, error) {
 		if len(vals) != len(p.pos) {
 			return nil, fmt.Errorf("sql: INSERT into %s: %d values for %d columns", p.table, len(vals), len(p.pos))
 		}
-		row := make(relation.Tuple, t.Schema.Width())
+		w := t.Schema.Width()
+		row := relation.Tuple(cells[:w:w])
+		cells = cells[w:]
 		for i, j := range p.pos {
 			v, err := coerce(vals[i], t.Schema.Attrs[j].Kind, t.Schema.Attrs[j].Name)
 			if err != nil {
@@ -145,6 +150,7 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
+		cells = db.rowScratch(len(rows) * t.Schema.Width())
 		for _, r := range rows {
 			row, err := build(r)
 			if err != nil {
@@ -154,6 +160,7 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 		}
 	} else {
 		vals := make([]relation.Value, 0, len(p.pos))
+		cells = db.rowScratch(len(p.rows) * t.Schema.Width())
 		for _, exprRow := range p.rows {
 			vals = vals[:0]
 			for _, ce := range exprRow {
@@ -180,6 +187,24 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 	db.applyAppend(t, newRows)
 	db.wrote(0, len(newRows))
 	return int64(len(newRows)), nil
+}
+
+// rowScratchMax is the most cells the writer keeps for new rows between
+// statements.
+const rowScratchMax = 4096
+
+// rowScratch returns n NULL cells for new rows: the writer's own while
+// they fit in rowScratchMax, which every INSERT reuses. Callers hold
+// db.mu and keep nothing of them past their statement.
+func (db *DB) rowScratch(n int) []relation.Value {
+	if n > rowScratchMax {
+		return make([]relation.Value, n)
+	}
+	if cap(db.scratch) < n {
+		db.scratch = make([]relation.Value, n)
+	}
+	clear(db.scratch[:n])
+	return db.scratch[:n:n]
 }
 
 // --- target-row selection (UPDATE and DELETE) ---
@@ -397,18 +422,16 @@ func (rs *rowSelect) positions(db *DB, params []relation.Value) ([]int, error) {
 	}
 	en := newEnv(db, db.curW, params)
 	defer en.publish()
-	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
+	en.frames = append(en.frames, frame{rows: make([]rowRef, 1)})
 	fr := &en.frames[0]
-	for _, sg := range td.segs {
-		for i, row := range sg.rows {
-			fr.rows[0] = row
-			v, err := rs.where(en)
-			if err != nil {
-				return nil, err
-			}
-			if v.Truth() {
-				ris = append(ris, sg.start+i)
-			}
+	for ri, si := 0, 0; ri < td.n; ri++ {
+		fr.rows[0] = td.ref(ri, &si)
+		v, err := rs.where(en)
+		if err != nil {
+			return nil, err
+		}
+		if v.Truth() {
+			ris = append(ris, ri)
 		}
 	}
 	return ris, nil
@@ -495,7 +518,7 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	// The new values evaluate against the unmodified epoch too. Only rows
 	// the statement changes are written: a matched row whose assigned
 	// cells already hold the new values (sameCell) is neither logged nor
-	// cloned, and when none is left the statement leaves no WAL unit and
+	// written, and when none is left the statement leaves no WAL unit and
 	// no epoch, like an empty INSERT … SELECT. The detector's flag
 	// statements match whole slices of D to flip a few percent of it.
 	// Rows-affected stays the matched count.
@@ -512,12 +535,12 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	if !allConst {
 		en = newEnv(db, db.curW, params)
 		defer en.publish()
-		en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
+		en.frames = append(en.frames, frame{rows: make([]rowRef, 1)})
 	}
 	var vals [][]relation.Value
 	n := 0
 	for _, ri := range pos {
-		row := td.row(ri, &si)
+		row := td.ref(ri, &si)
 		if !allConst {
 			en.frames[0].rows[0] = row
 			for j, s := range p.setters {
@@ -534,7 +557,7 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 			}
 		}
 		for j, c := range setCols {
-			if !sameCell(&row[c], &rv[j]) {
+			if old := row.at(c); !sameCell(&old, &rv[j]) {
 				pos[n] = ri
 				n++
 				if allConst {
@@ -550,10 +573,10 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 		db.wrote(int(matched), 0)
 		return matched, nil
 	}
-	// applyUpdate forks the next epoch copy-on-write: changed tuples are
-	// cloned and patched, shared structures (column vectors, indexes)
-	// fork only where the assigned columns overlap — so a flag update
-	// never touches a RID index.
+	// applyUpdate forks the next epoch copy-on-write: the assigned columns
+	// of the touched segments are copied and patched, and indexes fork
+	// only where the assigned columns overlap — so a flag update never
+	// touches a RID index.
 	if err := db.logUpdate(t.Name, pos, setCols, vals); err != nil {
 		return 0, err
 	}

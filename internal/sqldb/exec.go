@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -260,7 +261,7 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 				for ci := range src.cols {
 					b := binding{depth: cs.depth, src: si, col: ci}
 					cs.outs = append(cs.outs, func(en *env) (relation.Value, error) {
-						return en.frames[b.depth].rows[b.src][b.col], nil
+						return en.frames[b.depth].rows[b.src].at(b.col), nil
 					})
 					astOuts = append(astOuts, nil)
 				}
@@ -553,12 +554,12 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(row relation.Tuple) er
 	if err != nil {
 		return err
 	}
-	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, len(cs.sources))})
+	en.frames = append(en.frames, frame{rows: make([]rowRef, len(cs.sources))})
 	defer func() { en.frames = en.frames[:cs.depth] }()
 
 	ps := cs.projScratchFor(en)
 	var rawSeen map[string]bool // per-execution: see projSpec.preDedup
-	var st *planState           // the batch levels' cursors: ditto
+	var st *planState           // the instance scan runs: see projSpec.dropRepeats
 	if ps != nil && cs.proj.preKeyOK {
 		rawSeen = make(map[string]bool)
 		if cs.planOK {
@@ -570,7 +571,7 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(row relation.Tuple) er
 	row := make(relation.Tuple, len(cs.outs))
 	return cs.scan(en, srcRows, func() error {
 		if rawSeen != nil {
-			skip, err := cs.proj.preDedup(en, cs, ps, st, rawSeen)
+			skip, err := cs.proj.preDedup(en, cs, ps, rawSeen)
 			if err != nil || skip {
 				return err
 			}
@@ -613,7 +614,7 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 			return nil, err
 		}
 	}
-	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, len(cs.sources))})
+	en.frames = append(en.frames, frame{rows: make([]rowRef, len(cs.sources))})
 	defer func() { en.frames = en.frames[:cs.depth] }()
 
 	var out []relation.Tuple
@@ -732,12 +733,10 @@ func (cs *compiledSelect) joinLoop(en *env, src []rowSet, i int, yield func() er
 	}
 	fr := &en.frames[cs.depth]
 	en.work[wRowsScanned] += int64(src[i].n)
-	for _, sg := range src[i].segs {
-		for _, row := range sg.rows {
-			fr.rows[i] = row
-			if err := cs.joinLoop(en, src, i+1, yield); err != nil {
-				return err
-			}
+	for p, si := 0, 0; p < src[i].n; p++ {
+		fr.rows[i] = src[i].ref(p, &si)
+		if err := cs.joinLoop(en, src, i+1, yield); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -745,10 +744,11 @@ func (cs *compiledSelect) joinLoop(en *env, src []rowSet, i int, yield func() er
 
 // execGrouped evaluates GROUP BY / aggregate semantics: one output row
 // per group passing HAVING, non-aggregate expressions evaluated on a
-// representative row of the group.
+// representative row of the group: the rows its first match bound, which
+// the pinned epoch keeps where they are.
 func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) error {
 	type group struct {
-		rep  []relation.Tuple
+		rep  []rowRef
 		accs []aggAcc
 	}
 	index := make(map[string]int)
@@ -770,7 +770,7 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 			en.work[wGroups]++
 			gi = len(groups)
 			index[string(keyBuf)] = gi
-			groups = append(groups, group{rep: append([]relation.Tuple(nil), fr.rows...), accs: make([]aggAcc, len(cs.aggs))})
+			groups = append(groups, group{rep: slices.Clone(fr.rows), accs: make([]aggAcc, len(cs.aggs))})
 		}
 		return cs.accumulate(en, groups[gi].accs)
 	})
@@ -780,9 +780,9 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 
 	// A global aggregate over an empty input still yields one row.
 	if len(groups) == 0 && len(cs.groupBy) == 0 {
-		rep := make([]relation.Tuple, len(cs.sources))
+		rep := make([]rowRef, len(cs.sources))
 		for i, s := range cs.sources {
-			rep[i] = make(relation.Tuple, s.width) // all NULLs
+			rep[i] = rowRef{tup: make(relation.Tuple, s.width)} // all NULLs
 		}
 		groups = append(groups, group{rep: rep, accs: make([]aggAcc, len(cs.aggs))})
 	}
@@ -871,7 +871,7 @@ func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
 			return cs.accumulate(en, g.accs)
 		}
 		inner := en.frames[cs.depth]
-		outer.rows[0] = row
+		outer.rows[0] = rowRef{tup: row}
 		en.frames[cs.depth] = outer
 		err := cs.accumulate(en, g.accs)
 		en.frames[cs.depth] = inner
@@ -885,7 +885,7 @@ func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
 	fin := cs.beginGroups(en)
 	defer delete(en.aggs, cs)
 	for g := first; g != nil; g = g.next {
-		outer.rows[0] = g.rep
+		outer.rows[0] = rowRef{tup: g.rep}
 		if err := cs.finishGroup(en, fin, g.accs, emit); err != nil {
 			return err
 		}

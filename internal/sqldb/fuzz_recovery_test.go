@@ -213,12 +213,7 @@ func FuzzSnapshot(f *testing.F) {
 		ep := got.cur.Load()
 		for _, rt := range tables {
 			td := ep.tds[rt.t]
-			for si := range td.segs {
-				for ci := range rt.t.Schema.Attrs {
-					td.segs[si].c.column(rt.t, ci, td.segs[si].rows, si == len(td.segs)-1)
-				}
-			}
-			checkSegments(t, "restored "+rt.t.Name, rt.t, td)
+			checkSegments(t, "restored "+rt.t.Name, rt.t, td, rt.rows)
 			for _, idx := range rt.indexes {
 				if s := td.orderedOf(rt.t, idx); len(s) != len(rt.rows) {
 					t.Fatalf("table %s index %s orders %d of %d rows", rt.t.Name, idx.Name, len(s), len(rt.rows))

@@ -27,7 +27,7 @@ func testEpochIndex(t *testing.T, db *DB, table, name string) (*Index, *indexDat
 	td := ep.tds[tbl]
 	for _, sl := range td.indexes {
 		if sl.idx.Name == name {
-			return sl.idx, sl.data, td.flat(td.n)
+			return sl.idx, sl.data, storedRows(tbl, td)
 		}
 	}
 	t.Fatalf("no index %s on %s", name, table)

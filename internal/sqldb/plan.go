@@ -47,7 +47,7 @@ type Mode int32
 
 const (
 	// Planned is the default: planned joins, batch kernels over the
-	// column cache, decorrelated subqueries.
+	// segments' columns, decorrelated subqueries.
 	Planned Mode = iota
 	// RowAtATime keeps the planner but extracts no batch kernel: every
 	// scheduled predicate runs as its per-row closure.
@@ -469,14 +469,10 @@ type planState struct {
 	sel   [][]int
 	binds [][]kernBind
 	gsc   []*groupScratch
-	// The DISTINCT pre-filter's view of the batch levels: cur[s] is source
-	// s's rowCursor, runs numbers the runs they cut — never reset, so no
-	// seq names two — and memo is built on first use (preMemo). dedup is
-	// the projection scratch of the DISTINCT feed running the instance,
-	// nil outside one: its innermost batch level drops repeats by code
-	// (projSpec.dropRepeats).
-	cur   []rowCursor
-	runs  uint64
+	// The DISTINCT pre-filter's: memo is built on first use (preMemo), and
+	// dedup is the projection scratch of the DISTINCT feed running the
+	// instance, nil outside one: its innermost batch level drops repeats
+	// by code (projSpec.dropRepeats).
 	memo  *preMemo
 	dedup *projScratch
 }
@@ -487,7 +483,7 @@ func isNaN(v relation.Value) bool {
 
 // constEqKernelMaxEntries bounds the const-equality diversion: a
 // constant-equality conjunct (the `MV = 0` shape) is served by an
-// equality kernel over the column cache instead of a whole-table hash
+// equality kernel over the column's segments instead of a whole-table hash
 // build when the level is estimated to be entered at most this many
 // times. Few entries amortize a per-entry column sweep easily, while
 // the hash build pays one full-table key-encoding pass up front.
@@ -748,7 +744,6 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 		sel:   make([][]int, n),
 		binds: make([][]kernBind, n),
 		gsc:   make([]*groupScratch, n),
-		cur:   make([]rowCursor, n),
 	}
 	for i := range sch.levels {
 		lv := &sch.levels[i]
@@ -892,9 +887,6 @@ func (sch *schedule) reset() {
 			}
 		}
 	}
-	for s := range st.cur {
-		clear(st.cur[s].cols) // the run itself goes when its level returns
-	}
 }
 
 // scan enumerates the row combinations passing WHERE, planned when
@@ -945,7 +937,7 @@ func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows []rowSet, po
 		if !scanAll {
 			ri = bucket[i]
 		}
-		if err := cs.stepRow(en, sch, srcRows, pos, lv, rows.row(ri, &si), ri, yield); err != nil {
+		if err := cs.stepRow(en, sch, srcRows, pos, lv, rows.ref(ri, &si), ri, yield); err != nil {
 			return err
 		}
 	}
@@ -955,7 +947,7 @@ func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows []rowSet, po
 // stepRow is the shared per-row body of both level drivers: bind the
 // candidate row, decide the level's per-row conjuncts, and recurse into
 // the deeper levels when they all hold.
-func (cs *compiledSelect) stepRow(en *env, sch *schedule, srcRows []rowSet, pos int, lv *schedLevel, row relation.Tuple, ri int, yield func([]int) error) error {
+func (cs *compiledSelect) stepRow(en *env, sch *schedule, srcRows []rowSet, pos int, lv *schedLevel, row rowRef, ri int, yield func([]int) error) error {
 	en.frames[cs.depth].rows[lv.src] = row
 	sch.state.idx[lv.src] = ri
 	for _, ci := range lv.evals {
@@ -989,7 +981,6 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 		return nil // empty candidate set: skip the kernel binds entirely
 	}
 	en.work[wRowsScanned] += int64(n)
-	t := cs.sources[lv.src].table
 	binds := st.binds[pos]
 	for i, k := range lv.kerns {
 		if err := k.bind(en, &binds[i]); err != nil {
@@ -1003,8 +994,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 		g.enter(n) // state reset only; terms bind lazily at filter time
 	}
 	sel := st.sel[pos]
-	cur := &st.cur[lv.src] // see rowCursor
-	pre := st.dedup        // see projSpec.dropRepeats
+	pre := st.dedup // see projSpec.dropRepeats
 	if pre != nil {
 		if site := cs.proj.site; pos < len(sch.levels)-1 || len(lv.evals) > 0 || site.depth == cs.depth && site.src == lv.src {
 			pre = nil
@@ -1018,9 +1008,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 		}
 		si = rows.segAt(first, si)
 		base, m := rows.span(si)
-		run := segRun{t: t, c: rows.segs[si].c, rows: rows.segs[si].rows, tail: si == len(rows.segs)-1, whole: scanAll}
-		st.runs++
-		cur.run, cur.seq = run, st.runs
+		run := segRun{cols: rows.segs[si].cols, n: m, whole: scanAll}
 		sel = sel[:0]
 		if scanAll { // the whole segment
 			sel = append(sel, segOffsets[:m]...)
@@ -1049,17 +1037,15 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 			}
 		}
 		if pre != nil && len(sel) > 0 {
-			sel, err = cs.proj.dropRepeats(en, cs, pre, st, lv.src, sel)
+			sel, err = cs.proj.dropRepeats(en, cs, pre, st, lv.src, &run, sel)
 		}
 		en.work[wRowsStepped] += int64(len(sel))
 		for _, off := range sel {
-			cur.off = off
-			if err = cs.stepRow(en, sch, srcRows, pos, lv, run.rows[off], base+off, yield); err != nil {
+			if err = cs.stepRow(en, sch, srcRows, pos, lv, rowRef{cols: run.cols, off: off}, base+off, yield); err != nil {
 				break
 			}
 		}
 	}
-	cur.run, cur.seq = segRun{}, 0
 	st.sel[pos] = sel
 	return err
 }
@@ -1146,19 +1132,18 @@ func (cs *compiledSelect) rangeRows(en *env, lv *schedLevel) ([]int, bool, error
 func buildJoinHash(rows *rowSet, cols []int) map[string][]int {
 	m := make(map[string][]int, rows.n)
 	var buf []byte
-	for _, sg := range rows.segs {
-	outer:
-		for i, row := range sg.rows {
-			buf = buf[:0]
-			for _, c := range cols {
-				v := row[c]
-				if v.IsNull() || isNaN(v) {
-					continue outer
-				}
-				buf = relation.AppendKey(buf, v)
+outer:
+	for p, si := 0, 0; p < rows.n; p++ {
+		row := rows.ref(p, &si)
+		buf = buf[:0]
+		for _, c := range cols {
+			v := row.at(c)
+			if v.IsNull() || isNaN(v) {
+				continue outer
 			}
-			m[string(buf)] = append(m[string(buf)], sg.start+i)
+			buf = relation.AppendKey(buf, v)
 		}
+		m[string(buf)] = append(m[string(buf)], p)
 	}
 	return m
 }

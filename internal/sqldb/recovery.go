@@ -96,7 +96,7 @@ func (db *DB) finishRestore(rs *restoreState) {
 		for i, idx := range rt.indexes {
 			slots[i] = indexSlot{idx: idx, data: &indexData{}}
 		}
-		ep.tds[rt.t] = newTableData(rt.rows, slots)
+		ep.tds[rt.t] = newTableData(rt.t.Schema, rt.rows, slots)
 	}
 }
 

@@ -204,8 +204,8 @@ func TestPooledScheduleHoldsNoEpoch(t *testing.T) {
 		runtime.SetFinalizer(td, func(*tableData) { collected <- "table data of " + name })
 		watching++
 		for si, sg := range td.segs {
-			for ci := range sg.c.vecs {
-				for _, a := range columnArrays(&sg.c.vecs[ci], fmt.Sprintf("segment %d's column %d of %s", si, ci, name)) {
+			for ci := range sg.cols {
+				for _, a := range columnArrays(&sg.cols[ci], fmt.Sprintf("segment %d's column %d of %s", si, ci, name)) {
 					what := a.what
 					a.finalize(func() { collected <- what })
 					watching++

@@ -14,11 +14,32 @@ import (
 	"ecfd/internal/relation"
 )
 
-// Tests of the column cache's segments: what every epoch's segment table
-// must look like, that churn keeps it short, that a superseded segment
-// lives exactly as long as an epoch listing it is pinned, that runs cut
-// at segment boundaries keep index order, and that a pinned reader stays
-// inside its fence of a tail a writer is filling.
+// Tests of the segments that store a table's rows: what every epoch's
+// segment table must look like, that churn keeps it short, that a
+// superseded segment lives exactly as long as an epoch listing it is
+// pinned, that runs cut at segment boundaries keep index order, and that a
+// pinned reader stays inside its fence of a tail a writer is filling.
+
+// storedRows decodes a table's rows in one epoch, in position order.
+func storedRows(tbl *Table, td *tableData) []relation.Tuple {
+	out := make([]relation.Tuple, td.n)
+	for p, si := 0, 0; p < td.n; p++ {
+		r := td.ref(p, &si)
+		out[p] = r.tuple(nil, tbl.Schema.Width())
+	}
+	return out
+}
+
+// lessPosIn orders two row positions by the index-column values, ties
+// by position: the order of indexData.sorted.
+func lessPosIn(cols []int, rows []relation.Tuple, a, b int) bool {
+	for _, c := range cols {
+		if cmp := relation.Compare(rows[a][c], rows[b][c]); cmp != 0 {
+			return cmp < 0
+		}
+	}
+	return a < b
+}
 
 // checkSegmentTable verifies the shape of one epoch's segment table: the
 // segments partition [0, len(rows)) in order, none empty or over segRows,
@@ -45,32 +66,38 @@ func checkSegmentTable(t *testing.T, what string, td *tableData) {
 	}
 }
 
-// checkSegments verifies one epoch's column cache against its rows: the
-// shape of the segment table, and that every built column, decoded,
-// mirrors the rows it covers. A column may trail its segment — it
-// extends lazily — and only a tail's may lead it, extended by readers of
-// a newer epoch that has appended. Each column is checked as a colVec
-// too (checkColVec).
-func checkSegments(t *testing.T, what string, tbl *Table, td *tableData) {
+// checkSegments verifies one epoch's rows as stored: the shape of the
+// segment table; every column of the schema, as long as its segment and
+// checked as a colVec (checkColVec); every segment but a tail that is not
+// full sealed; and, unless want is nil, the rows decoded in position
+// order equal to want, kind for kind.
+func checkSegments(t *testing.T, what string, tbl *Table, td *tableData, want []relation.Tuple) {
 	t.Helper()
 	checkSegmentTable(t, what, td)
+	if want != nil && len(want) != td.n {
+		t.Fatalf("%s: %d rows, want %d", what, td.n, len(want))
+	}
 	for si, sg := range td.segs {
 		base, m := td.span(si)
-		sg.c.mu.RLock()
-		for ci := range sg.c.vecs {
-			vec := &sg.c.vecs[ci]
+		if len(sg.cols) != tbl.Schema.Width() {
+			t.Fatalf("%s: segment %d has %d columns for %d attributes", what, si, len(sg.cols), tbl.Schema.Width())
+		}
+		for ci := range sg.cols {
+			vec := &sg.cols[ci]
 			where := fmt.Sprintf("%s: segment %d column %d", what, si, ci)
-			if vec.len() > m && si < len(td.segs)-1 {
+			if vec.len() != m {
 				t.Fatalf("%s has %d cells for %d rows", where, vec.len(), m)
 			}
+			if (si < len(td.segs)-1 || m == segRows) && !vec.sealed() {
+				t.Fatalf("%s is not the tail and not sealed", where)
+			}
 			checkColVec(t, where, tbl.Schema.Attrs[ci].Kind == relation.KindText, vec)
-			for i := 0; i < min(vec.len(), m); i++ {
-				if v := vec.at(i); !relation.Identical(v, sg.rows[i][ci]) {
-					t.Fatalf("%s row %d (position %d): cached %s, stored %s", where, i, base+i, v, sg.rows[i][ci])
+			for i := 0; want != nil && i < m; i++ {
+				if v, w := vec.at(i), want[base+i][ci]; v.K != w.K || !relation.Identical(v, w) {
+					t.Fatalf("%s row %d (position %d): stored %s, want %s", where, i, base+i, v, w)
 				}
 			}
 		}
-		sg.c.mu.RUnlock()
 	}
 }
 
@@ -108,13 +135,20 @@ func checkColVec(t *testing.T, where string, text bool, v *colVec) {
 
 // checkPostings verifies a column's postings, if it has any: under each
 // code the ascending offsets of exactly the cells of codes[:len(post.rows)]
-// that hold it.
+// that hold it, and the size of the dictionary's strings.
 func checkPostings(t *testing.T, where string, v *colVec) {
 	t.Helper()
 	if v.post == nil {
 		return
 	}
 	p := v.post
+	strs := int64(0)
+	for _, w := range v.dict {
+		strs += int64(len(w))
+	}
+	if p.strs != strs {
+		t.Fatalf("%s: postings price the dictionary's strings at %d bytes, they hold %d", where, p.strs, strs)
+	}
 	if len(p.rows) > len(v.codes) || len(p.at) < 2 || len(p.at) > len(v.dict)+2 ||
 		p.at[0] != 0 || int(p.at[len(p.at)-1]) != len(p.rows) {
 		t.Fatalf("%s: postings of %d rows over %d offsets for %d cells and %d strings", where, len(p.rows), len(p.at), len(v.codes), len(v.dict))
@@ -133,7 +167,8 @@ func checkPostings(t *testing.T, where string, v *colVec) {
 // rows and insert as many, |D| constant. Old segments thin out while the
 // tail fills, so without merging their number would grow with the steps;
 // after every step the segment table has its shape — the bound included
-// — and the cache still mirrors the rows.
+// — and every hundredth step the stored rows are the live ones, in the
+// order they were inserted.
 func TestSegmentChurnKeepsMergeBound(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(173))
@@ -143,7 +178,7 @@ func TestSegmentChurnKeepsMergeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	del, err := db.Prepare(`DELETE FROM ch WHERE id = ?`) // an equality kernel over id: covers it every step
+	del, err := db.Prepare(`DELETE FROM ch WHERE id = ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +211,15 @@ func TestSegmentChurnKeepsMergeBound(t *testing.T) {
 		}
 		td := db.cur.Load().tds[tbl]
 		if checkSegmentTable(t, fmt.Sprintf("step %d", step), td); step%100 == 99 {
-			checkSegments(t, fmt.Sprintf("step %d", step), tbl, td)
+			var mirror []relation.Tuple // ids ascend in insertion order
+			for _, id := range slices.Sorted(slices.Values(live)) {
+				mirror = append(mirror, relation.Tuple{relation.Int(id), relation.Int(id % 13)})
+			}
+			checkSegments(t, fmt.Sprintf("step %d", step), tbl, td, mirror)
 		}
 		most = max(most, len(td.segs))
 	}
 	t.Logf("at most %d segments for 5000 rows over 10 000 steps", most)
-	if built := tbl.colBuilt.Load(); built > 2*nextID {
-		t.Fatalf("%d cells read from rows for %d rows ever stored", built, nextID)
-	}
 }
 
 // TestSegmentsCollectableAfterUnpin: a segment a DELETE has replaced
@@ -220,9 +256,8 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	}
 	const q = `SELECT t.k FROM c, d t WHERE t.mv = 0 AND t.k >= ? AND t.u <> 'none' AND
 		(c.g <> 1 OR t.x = 7 OR EXISTS (SELECT 1 FROM s WHERE s.cid = c.cid AND s.val = t.a))`
-	// The macro's shape: its DISTINCT pre-filter reads the columns of the
-	// run its batch level filters through that level's cursor, and keeps
-	// a memo of their codes.
+	// The macro's shape: its DISTINCT pre-filter reads the codes of the
+	// run its batch level filters, and keeps a memo of them.
 	const qd = `SELECT DISTINCT c.cid, CASE WHEN c.g >= 0 THEN t.a ELSE '@' END, CASE WHEN c.g > 0 THEN t.u ELSE '@' END
 		FROM c, d t WHERE t.mv = 0`
 	run := func() {
@@ -258,22 +293,11 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 		}
 		return out
 	}
-	// The idle instance of the DISTINCT query keeps its memo and the space
-	// for its cursors' columns, but no cursor is live and no column kept.
+	// The idle instance of the DISTINCT query keeps its memo.
 	memos := 0
 	for _, sch := range idle(qd) {
 		if sch.state.memo != nil {
 			memos++
-		}
-		for s, cur := range sch.state.cur {
-			if cur.seq != 0 || cur.run.c != nil || cur.run.rows != nil {
-				t.Errorf("idle instance: the cursor of source %d outlived its level", s)
-			}
-			for ci := range cur.cols {
-				if cur.cols[ci].len() > 0 {
-					t.Errorf("idle instance: the cursor of source %d keeps column %d", s, ci)
-				}
-			}
 		}
 	}
 	if memos == 0 {
@@ -317,13 +341,13 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	snap := db.PinSnapshot()
 	mustExec(t, db, `DELETE FROM d WHERE k >= ? AND k < ?`, relation.Int(3*segRows+10), relation.Int(4*segRows-14))
 	old, cur := snap.ep.tds[tbl].segs, db.cur.Load().tds[tbl].segs
-	if len(old) != 5 || len(cur) != 4 || cur[0].c != old[0].c || cur[2].c != old[2].c {
+	if len(old) != 5 || len(cur) != 4 || &cur[0].cols[0] != &old[0].cols[0] || &cur[2].cols[0] != &old[2].cols[0] {
 		t.Fatalf("%d segments became %d: the DELETE did not merge the thinned one into the tail", len(old), len(cur))
 	}
 	shared := map[unsafe.Pointer]bool{}
 	for _, sg := range cur {
-		for ci := range sg.c.vecs {
-			for _, a := range columnArrays(&sg.c.vecs[ci], "") {
+		for ci := range sg.cols {
+			for _, a := range columnArrays(&sg.cols[ci], "") {
 				shared[a.p] = true
 			}
 		}
@@ -336,9 +360,9 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 			doomed = append(doomed, fmt.Sprintf("segment %d", si))
 		}
 		what := fmt.Sprintf("segment %d", si)
-		runtime.SetFinalizer(sg.c, func(*colSeg) { collected <- what })
-		for ci := range sg.c.vecs {
-			for _, a := range columnArrays(&sg.c.vecs[ci], fmt.Sprintf("segment %d's column %d", si, ci)) {
+		runtime.SetFinalizer(&sg.cols[0], func(*colVec) { collected <- what })
+		for ci := range sg.cols {
+			for _, a := range columnArrays(&sg.cols[ci], fmt.Sprintf("segment %d's column %d", si, ci)) {
 				if replaced && shared[a.p] {
 					continue // the merged segment kept it
 				}
@@ -473,16 +497,15 @@ func TestSegmentRunsPreserveOrder(t *testing.T) {
 			t.Errorf("%s\nreturned next to nothing: %q", q, got)
 		}
 	}
-	checkSegments(t, "after the ordered scans", tbl, db.cur.Load().tds[tbl])
+	checkSegments(t, "after the ordered scans", tbl, db.cur.Load().tds[tbl], nil)
 }
 
-// TestSnapshotStabilityTailFence: a reader pinned to an epoch whose tail
-// segment is half full scans it, building and extending its columns —
-// one of them coded, whose dictionary grows with its codes — while a
-// writer appends into that same segment, seals it and starts the next —
-// and reads in between, which extends the shared columns past the pinned
-// reader's fence. The pinned reader must keep seeing exactly its own
-// rows.
+// TestSnapshotStabilityTailFence: readers pinned to an epoch whose tail
+// segment is half full scan it while a writer appends into that same
+// segment's vectors — one of them coded, whose dictionary grows with its
+// codes — seals it (a sorted dictionary, postings) and starts the next,
+// and reads in between. The pinned readers must keep seeing exactly their
+// own rows, and both epochs hold what was inserted.
 func TestSnapshotStabilityTailFence(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE d (id INTEGER, grp INTEGER, tag TEXT)`)
@@ -506,7 +529,7 @@ func TestSnapshotStabilityTailFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := db.PinSnapshot() // no vector is built yet: the readers race to
+	snap := db.PinSnapshot()
 	defer snap.Close()
 	want := func(rows int) (n, sum int64) {
 		for id := 0; id < rows; id++ {
@@ -562,15 +585,24 @@ func TestSnapshotStabilityTailFence(t *testing.T) {
 		t.Error(err)
 	}
 	tbl := mustTable(t, db, "d")
-	checkSegments(t, "pinned epoch", tbl, snap.ep.tds[tbl])
-	checkSegments(t, "published epoch", tbl, db.cur.Load().tds[tbl])
+	rows := func(n int) (out []relation.Tuple) {
+		for id := range n {
+			out = append(out, relation.Tuple{relation.Int(int64(id)), relation.Int(int64(id % 5)), relation.Text(fmt.Sprintf("t%d", id%97))})
+		}
+		return out
+	}
+	checkSegments(t, "pinned epoch", tbl, snap.ep.tds[tbl], rows(pinned))
+	checkSegments(t, "published epoch", tbl, db.cur.Load().tds[tbl], rows(nextID))
 }
 
 // TestSegmentForksShareUntouched states copy-on-write at its grain: an
 // INSERT shares every segment and adds to the tail, an UPDATE and a
 // DELETE replace the segments holding a position they touch and share
 // all the others — behind a DELETE at their shifted starts — and the
-// SegCellsCopied they report is what the replaced segments hold.
+// SegCellsCopied they report is what the replaced segments copy: the
+// assigned columns of an UPDATE's, every column of a DELETE's, but none
+// where the rows left are one run of the segment's — the oldest or the
+// newest deleted — which the new entry cuts from the old vectors.
 func TestSegmentForksShareUntouched(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE f (k INTEGER, v INTEGER)`)
@@ -581,7 +613,6 @@ func TestSegmentForksShareUntouched(t *testing.T) {
 		}
 		mustExec(t, db, `INSERT INTO f VALUES `+strings.Join(rows, ", "))
 	}
-	mustQuery(t, db, `SELECT k FROM f WHERE k >= 0 AND v >= 0`) // both columns, every segment
 	tbl := mustTable(t, db, "f")
 	// fork runs one statement and returns which of the old epoch's
 	// segments the new one still lists, and the segment cells it copied.
@@ -590,11 +621,11 @@ func TestSegmentForksShareUntouched(t *testing.T) {
 		old, before := db.cur.Load().tds[tbl], db.Stats().SegCellsCopied
 		mustExec(t, db, q)
 		td := db.cur.Load().tds[tbl]
-		checkSegments(t, q, tbl, td)
+		checkSegments(t, q, tbl, td, nil)
 		shared = make([]bool, len(old.segs))
 		for i, o := range old.segs {
 			for _, n := range td.segs {
-				shared[i] = shared[i] || n.c == o.c
+				shared[i] = shared[i] || &n.cols[0] == &o.cols[0]
 			}
 		}
 		return shared, db.Stats().SegCellsCopied - before
@@ -617,9 +648,12 @@ func TestSegmentForksShareUntouched(t *testing.T) {
 	q = fmt.Sprintf(`UPDATE f SET v = 9 WHERE k = %d OR k = %d`, segRows+5, 3*segRows+5) // one column of two segments
 	shared, copied = fork(q)
 	want(q, shared, copied, []int{1, 3}, 2*segRows)
-	q = fmt.Sprintf(`DELETE FROM f WHERE k >= %d AND k < %d`, 2*segRows-3, 2*segRows+4) // the end of one, the start of the next
+	q = fmt.Sprintf(`DELETE FROM f WHERE k >= %d AND k < %d`, 2*segRows-3, 2*segRows+4) // the end of one, the start of the next: cut
 	shared, copied = fork(q)
-	want(q, shared, copied, []int{1, 2}, 2*(2*segRows-7))
+	want(q, shared, copied, []int{1, 2}, 0)
+	q = fmt.Sprintf(`DELETE FROM f WHERE k >= %d AND k < %d`, 10, 20) // inside one: compacted
+	shared, copied = fork(q)
+	want(q, shared, copied, []int{0}, 2*(segRows-10))
 	q = fmt.Sprintf(`DELETE FROM f WHERE k >= %d AND k < %d`, 3*segRows, 4*segRows) // a whole segment: dropped, nothing copied
 	shared, copied = fork(q)
 	want(q, shared, copied, []int{3}, 0)
@@ -628,57 +662,165 @@ func TestSegmentForksShareUntouched(t *testing.T) {
 	want(q, shared, copied, []int{4}, 0)
 }
 
-// TestSegmentMergeCompletesFromRows: when a DELETE leaves two neighbours
-// that fit in one segment and a column is covered further in the second
-// than in the first — a former tail whose vector stopped where the
-// appends began — the merge reads the gap from rows, so what the second
-// had covered stays covered, in place. Those cells, and no others, count
-// as built.
-func TestSegmentMergeCompletesFromRows(t *testing.T) {
+// TestSegmentMergeCompactsColumns: a DELETE that leaves two neighbours
+// fitting in one segment — a full one thinned out and the tail — merges
+// them into one, its columns the survivors of both, in order, the first
+// part's dictionary kept and the second's strings added to it; the merged
+// segment is the new tail and is not sealed, and the epoch pinned before
+// the DELETE still holds both segments as they were.
+func TestSegmentMergeCompactsColumns(t *testing.T) {
 	db := NewDB()
-	mustExec(t, db, `CREATE TABLE m (k INTEGER, v INTEGER)`)
+	mustExec(t, db, `CREATE TABLE m (k INTEGER, v INTEGER, s TEXT)`)
 	mustExec(t, db, `CREATE INDEX idx_m_k ON m (k)`)
-	next := 0
+	var mirror []relation.Tuple
 	insert := func(n int) {
 		rows := make([]string, n)
 		for i := range rows {
-			rows[i] = fmt.Sprintf("(%d, %d)", next, next%5)
-			next++
+			k := len(mirror)
+			mirror = append(mirror, relation.Tuple{relation.Int(int64(k)), relation.Int(int64(k % 5)), relation.Text(fmt.Sprintf("s%d", k%37))})
+			rows[i] = fmt.Sprintf("(%d, %d, 's%d')", k, k%5, k%37)
 		}
 		mustExec(t, db, `INSERT INTO m VALUES `+strings.Join(rows, ", "))
 	}
 	insert(600)
-	mustQuery(t, db, `SELECT k FROM m WHERE v >= 0`) // the tail's v covers its 600 rows
-	insert(424)                                      // sealed, v still at 600
+	insert(424) // fills the first segment, which is sealed
 	insert(600)
-	// A range scan over the second segment alone: its k bound is the index
-	// range, its v kernel covers that segment's v whole.
-	if n := len(mustQuery(t, db, `SELECT k FROM m WHERE k >= 1100 AND v >= 0`).Rows); n != 524 {
-		t.Fatalf("range scan returned %d rows", n)
-	}
 	tbl := mustTable(t, db, "m")
-	cover := func() (cells []int) {
-		for _, sg := range db.cur.Load().tds[tbl].segs {
-			cells = append(cells, sg.c.vecs[1].len())
-		}
-		return cells
+	snap := db.PinSnapshot()
+	defer snap.Close()
+	before := slices.Clone(mirror)
+	checkSegments(t, "before the merge", tbl, snap.ep.tds[tbl], before)
+	if n := len(snap.ep.tds[tbl].segs); n != 2 {
+		t.Fatalf("%d segments before the merge, want 2", n)
 	}
-	if got := cover(); !slices.Equal(got, []int{600, 600}) {
-		t.Fatalf("v covers %v cells of the two segments, want 600 of 1024 and 600 of 600", got)
-	}
-	mustQuery(t, db, `SELECT v FROM m WHERE k <> -1`) // k whole, for the DELETE's own scan
-	built := tbl.colBuilt.Load()
+
 	mustExec(t, db, `DELETE FROM m WHERE k >= 300 AND k < 1000`) // 324 + 600 rows left: one segment
+	mirror = slices.DeleteFunc(slices.Clone(mirror), func(r relation.Tuple) bool { return r[0].I >= 300 && r[0].I < 1000 })
 	td := db.cur.Load().tds[tbl]
-	checkSegments(t, "after the merge", tbl, td)
-	if got := cover(); !slices.Equal(got, []int{924}) {
-		t.Fatalf("v covers %v cells after the merge, want all 924 of one segment", got)
+	checkSegments(t, "after the merge", tbl, td, mirror)
+	if len(td.segs) != 1 || td.segs[0].n != 924 {
+		t.Fatalf("%d segments after the merge, want one of 924 rows", len(td.segs))
 	}
-	if got := tbl.colBuilt.Load() - built; got != 24 {
-		t.Fatalf("the merge read %d cells from rows, want the 24 between the two covers", got)
+	if s := &td.segs[0].cols[2]; s.post != nil || len(s.dict) != 37 {
+		t.Fatalf("the merged tail has postings (%v) or %d strings, want none and 37", s.post != nil, len(s.dict))
 	}
-	got, want := flat(queryIn(t, db, Planned, `SELECT k FROM m WHERE v = 3 ORDER BY k`)), flat(queryIn(t, db, Reference, `SELECT k FROM m WHERE v = 3 ORDER BY k`))
-	if got != want {
-		t.Fatalf("after the merge Planned and Reference differ:\n%.200s\n%.200s", got, want)
+	checkSegments(t, "pinned before the merge", tbl, snap.ep.tds[tbl], before)
+	if n := len(mustQuery(t, db, `SELECT k FROM m WHERE k >= 1000 AND v >= 0`).Rows); n != 624 {
+		t.Fatalf("range scan after the merge returned %d rows, want 624", n)
+	}
+}
+
+// TestTailSealBesidePinnedReaders: readers pinned at three fences inside
+// one tail segment — a quarter, half and three quarters full — scan it,
+// by a kernel over its codes and a decorrelated probe decoding them, while
+// the writer appends into the same vectors row by row, seals the segment
+// once it is full (a sorted dictionary of more than dictScanMax strings,
+// postings) and starts the next. Each pinned reader keeps its answer;
+// afterwards each pinned epoch still holds its own rows, its view of the
+// former tail as unsealed as when it was pinned, while the published
+// epoch's copy is sealed over all segRows rows. Part of `make
+// mvccstress`, under -race.
+func TestTailSealBesidePinnedReaders(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE tl (id INTEGER, tag TEXT)`)
+	mustExec(t, db, `CREATE TABLE ts (tag TEXT)`)
+	mustExec(t, db, `INSERT INTO ts VALUES ('t3'), ('t40'), ('t77')`)
+	ins, err := db.Prepare(`INSERT INTO tl VALUES (?, ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(id int) relation.Tuple {
+		return relation.Tuple{relation.Int(int64(id)), relation.Text(fmt.Sprintf("t%d", id*7%97))}
+	}
+	var mirror []relation.Tuple
+	insert := func() {
+		r := row(len(mirror))
+		if _, err := ins.Exec(r...); err != nil {
+			t.Fatal(err)
+		}
+		mirror = append(mirror, r)
+	}
+	queries := []string{
+		`SELECT COUNT(*), SUM(id) FROM tl WHERE tag <> 't5' AND id >= 0`,
+		`SELECT COUNT(*), SUM(id) FROM tl WHERE EXISTS (SELECT 1 FROM ts WHERE ts.tag = tl.tag)`,
+	}
+	prepared := make([]*Prepared, len(queries))
+	for i, q := range queries {
+		if prepared[i], err = db.Prepare(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type pin struct {
+		snap *Snap
+		rows []relation.Tuple
+		want []string
+	}
+	var pins []pin
+	defer func() {
+		for _, p := range pins {
+			p.snap.Close()
+		}
+	}()
+	for _, fence := range []int{segRows / 4, segRows / 2, 3 * segRows / 4} {
+		for len(mirror) < fence {
+			insert()
+		}
+		p := pin{snap: db.PinSnapshot(), rows: mirror}
+		for _, q := range queries {
+			p.want = append(p.want, flat(queryIn(t, db, Reference, q)))
+		}
+		pins = append(pins, p)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(pins))
+	stop := make(chan struct{})
+	for _, p := range pins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				for i, pq := range prepared {
+					res, err := pq.QueryAt(p.snap)
+					if err == nil && flat(res) != p.want[i] {
+						err = fmt.Errorf("reader pinned at %d rows, read %d: %s\nanswers %s, want %s", len(p.rows), n, queries[i], flat(res), p.want[i])
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for len(mirror) < 2*segRows+segRows/4 { // fills the pinned tail, seals it, fills the next
+		insert()
+		if len(mirror)%64 == 0 {
+			mustQuery(t, db, queries[1])
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	tbl := mustTable(t, db, "tl")
+	td := db.cur.Load().tds[tbl]
+	checkSegments(t, "published epoch", tbl, td, mirror)
+	if v := &td.segs[0].cols[1]; len(v.dict) <= dictScanMax || len(v.perm) != len(v.dict) || v.post == nil || len(v.post.rows) != segRows {
+		t.Fatalf("the former tail is not sealed: %d strings, %d sorted, postings %v", len(v.dict), len(v.perm), v.post != nil)
+	}
+	for _, p := range pins {
+		what := fmt.Sprintf("epoch pinned at %d rows", len(p.rows))
+		ptd := p.snap.ep.tds[tbl]
+		checkSegments(t, what, tbl, ptd, p.rows)
+		if v := &ptd.segs[0].cols[1]; len(ptd.segs) != 1 || v.post != nil {
+			t.Fatalf("%s: %d segments, postings %v: the writer's seal reached it", what, len(ptd.segs), v.post != nil)
+		}
 	}
 }

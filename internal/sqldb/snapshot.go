@@ -206,10 +206,11 @@ func encodeSnapshot(ep *epoch, gen uint64) []byte {
 		td := ep.tds[t]
 		b = appendSchema(b, t.Schema)
 		b = appendUint(b, uint64(td.n))
-		for _, sg := range td.segs {
-			for _, row := range sg.rows {
-				b = appendTuple(b, row)
-			}
+		var row relation.Tuple
+		for p, si := 0, 0; p < td.n; p++ {
+			r := td.ref(p, &si)
+			row = r.tuple(row[:0], t.Schema.Width())
+			b = appendTuple(b, row)
 		}
 		b = appendUint(b, uint64(len(td.indexes)))
 		for _, sl := range td.indexes {

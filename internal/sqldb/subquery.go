@@ -27,7 +27,7 @@ type probeScratch struct {
 	// cached state was computed for; condBits has bit i set when part
 	// i's CASE condition held; invVals holds the values of fully
 	// pattern-invariant parts.
-	patRow   relation.Tuple
+	patRow   rowRef
 	condBits uint64
 	invVals  []relation.Value
 }
@@ -86,9 +86,9 @@ func (pk *probeKey) scratch(en *env) *probeScratch {
 // parts replay from the cache.
 func (pk *probeKey) eval(en *env, ps *probeScratch) (ok bool, err error) {
 	if pk.hasSite {
-		row := en.frames[pk.site.depth].rows[pk.site.src]
-		if ps.patRow == nil || len(row) == 0 || &ps.patRow[0] != &row[0] {
-			ps.patRow = nil // a mid-refresh error must not leave stale state
+		row := &en.frames[pk.site.depth].rows[pk.site.src]
+		if !ps.patRow.same(row) {
+			ps.patRow = rowRef{} // a mid-refresh error must not leave stale state
 			ps.condBits = 0
 			for i := range pk.parts {
 				part := &pk.parts[i]
@@ -109,9 +109,7 @@ func (pk *probeKey) eval(en *env, ps *probeScratch) (ok bool, err error) {
 					}
 				}
 			}
-			if len(row) > 0 {
-				ps.patRow = row
-			}
+			ps.patRow = *row
 		}
 	}
 	for i := range pk.parts {
@@ -243,30 +241,27 @@ func (d *decorrProbe) ensureHash(en *env) (*hashBuild, error) {
 	en.work[wRowsScanned] += int64(td.n)
 	set := make(map[string]bool, td.n)
 	key := make([]relation.Value, len(d.keyCols))
-	en.frames = append(en.frames, frame{rows: make([]relation.Tuple, 1)})
+	en.frames = append(en.frames, frame{rows: make([]rowRef, 1)})
 	fr := &en.frames[len(en.frames)-1]
-	for _, sg := range td.segs {
-	build:
-		for _, row := range sg.rows {
-			fr.rows[0] = row
-			for _, f := range d.filters {
-				v, err := f(en)
-				if err != nil {
-					en.frames = en.frames[:len(en.frames)-1]
-					return nil, err
-				}
-				if !v.Truth() {
-					continue build
-				}
+build:
+	for p, si := 0, 0; p < td.n; p++ {
+		fr.rows[0] = td.ref(p, &si)
+		for _, f := range d.filters {
+			v, err := f(en)
+			if err != nil {
+				en.frames = en.frames[:len(en.frames)-1]
+				return nil, err
 			}
-			for i, col := range d.keyCols {
-				if row[col].IsNull() {
-					continue build // NULL keys can never match an equality
-				}
-				key[i] = row[col]
+			if !v.Truth() {
+				continue build
 			}
-			set[relation.KeyOf(key)] = true
 		}
+		for i, col := range d.keyCols {
+			if key[i] = fr.rows[0].at(col); key[i].IsNull() {
+				continue build // NULL keys can never match an equality
+			}
+		}
+		set[relation.KeyOf(key)] = true
 	}
 	en.frames = en.frames[:len(en.frames)-1]
 	b = &hashBuild{version: td.version, set: set}

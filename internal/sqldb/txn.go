@@ -152,10 +152,10 @@ func (db *DB) takeUnit(ddlOnly bool) []byte {
 // undoLocked puts back, on the writer head, the rows of every table the
 // transaction changed: a table of the base epoch gets the base's rows, a
 // table created since is emptied. The transaction's statements may have
-// appended into the base's spare chunk capacity and extended its shared
-// columns and indexes past the base's fence, so the rows go back through
-// a wholesale transition (fresh structures; the next probe rebuilds)
-// with clipped chunks (rowSet.restored). Callers hold db.mu.
+// appended into the spare capacity of the base's columns and extended
+// its shared indexes past the base's fence, so the rows go back through
+// a wholesale transition (fresh indexes; the next probe rebuilds) with
+// clipped columns (rowSet.restored). Callers hold db.mu.
 func (tx *Tx) undoLocked() {
 	head := tx.db.curW
 	for t, td := range head.tds {

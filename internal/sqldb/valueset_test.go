@@ -225,9 +225,9 @@ func valueSetRandom(t *testing.T) {
 // holds half a segment of rows keeps reading it — a COALESCE'd text key
 // against a set holding the NULL code's '@NULL@' and a string, under
 // EXISTS and NOT EXISTS — while a writer fills that segment past the
-// reader's fence and newer readers seal it, building postings over rows
-// the pinned epoch does not have. The pinned reader's cut of the column is
-// shorter than those postings and must not use them: every read answers
+// reader's fence and seals it, building postings over rows the pinned
+// epoch does not have. The pinned reader's view of the column is
+// shorter than those postings and has none: every read answers
 // what Reference answered before the writer began. Part of `make
 // mvccstress`, under -race.
 func valueSetPinnedReader(t *testing.T) {
@@ -296,7 +296,7 @@ func valueSetPinnedReader(t *testing.T) {
 		for k := 0; k < segRows/4; k++ {
 			mustExec(t, db, `INSERT INTO vp VALUES (?, ?)`, row()...)
 		}
-		for _, p := range qs { // the head seals the old tail once the writer has passed it
+		for _, p := range qs {
 			if _, err := p.Query(); err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +308,7 @@ func valueSetPinnedReader(t *testing.T) {
 	if err := read(); err != nil {
 		t.Fatal(err)
 	}
-	if v := db.cur.Load().tds[mustTable(t, db, "vp")].segs[4].c.vecs[1]; v.post == nil || len(v.post.rows) <= segRows/2 {
+	if v := db.cur.Load().tds[mustTable(t, db, "vp")].segs[4].cols[1]; v.post == nil || len(v.post.rows) <= segRows/2 {
 		t.Fatalf("the pinned tail's postings cover no more than its %d rows", segRows/2)
 	}
 	for i, p := range qs {

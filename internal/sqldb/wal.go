@@ -555,7 +555,7 @@ func (d *walDecoder) tuple() relation.Tuple {
 
 // row decodes a row of a table of schema s, held to what the table
 // stores (coerceRow): replay and the executor index rows by schema
-// position, and the column cache codes every TEXT column.
+// position, and the segments code every TEXT column.
 func (d *walDecoder) row(s *relation.Schema) relation.Tuple {
 	row := d.tuple()
 	if d.err == nil {

@@ -34,7 +34,7 @@ func fingerprintEpoch(ep *epoch) string {
 			fmt.Fprintf(&b, "%s:%s:%d,", a.Name, a.Kind, len(a.Domain))
 		}
 		b.WriteString(")\n")
-		for _, row := range td.flat(td.n) {
+		for _, row := range storedRows(t, td) {
 			b.WriteString(row.Key())
 			b.WriteByte('\n')
 		}
