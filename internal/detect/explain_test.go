@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden from ExplainPlans")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden and testdata/work.golden")
 
 // TestPlansGolden pins the plans of the detector's fixed statement set —
 // what `ecfdbench -explain` prints — to testdata/plans.golden: a change
