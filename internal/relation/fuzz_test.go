@@ -77,7 +77,7 @@ func fuzzEncode(vs ...Value) []byte {
 	return out
 }
 
-// FuzzKeyOf states what grouping, DISTINCT and the hash joins rely on:
+// FuzzKeyOf states what grouping, DISTINCT and the index probes rely on:
 // two tuples of one width get the same KeyOf exactly when every position
 // is Identical — which folds Int, Float and Bool by numeric value, and
 // takes NULL to NULL and NaN to NaN. Seeded with TEXT cells holding

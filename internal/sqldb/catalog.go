@@ -705,9 +705,9 @@ type Stats struct {
 	// data always add the same amount.
 	ProbeRows int64
 	// RowsScanned counts the candidate rows handed to join levels — a
-	// whole source, or what an index or hash probe left of it — before any
-	// filter, plus the rows read into hash builds; HashBuilds counts those:
-	// join hashes and the key sets of decorrelated EXISTS.
+	// whole source, or what an index probe or range left of it — before
+	// any filter, plus the rows read into hash builds; HashBuilds counts
+	// those: the key sets of decorrelated EXISTS.
 	RowsScanned, HashBuilds int64
 	// RowsStepped counts the rows batch join levels handed from their
 	// selection vectors to the per-row machinery: what the kernels, the OR

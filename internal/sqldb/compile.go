@@ -32,7 +32,7 @@ type env struct {
 	inLists map[*InList]*inBuild
 	probes  map[*Exists]*probeScratch
 	// schedules holds the join-plan instance of each select the statement
-	// has run — hash builds survive correlated re-executions — until
+	// has run — correlated re-executions share it — until
 	// publish hands them back. A statement runs few selects: no map.
 	schedules []boundSched
 	// projs holds the per-select projection caches of the batch-aware

@@ -207,8 +207,9 @@ func TestCaseInOperandForm(t *testing.T) {
 // hold 0x1f, the separator keys were once joined with, and a kind tag.
 // Joined so, the cells of both rows below are the same bytes; while text
 // keys were not length-prefixed, DISTINCT kept one row, GROUP BY formed
-// one group of two and the hash join paired every x row with every y
-// row.
+// one group of two and the join, then a hash join and now a probe of the
+// index's equality map over the same keys, paired every x row with every
+// y row.
 func TestSeparatorInTextKeys(t *testing.T) {
 	t.Parallel()
 	db := NewDB()
@@ -217,9 +218,10 @@ func TestSeparatorInTextKeys(t *testing.T) {
 		mustExec(t, db, `INSERT INTO `+tbl+` VALUES (?, ?), (?, ?)`,
 			relation.Text("a\x1f\x00tb"), relation.Text("c"), relation.Text("a"), relation.Text("b\x1f\x00tc"))
 	}
+	mustExec(t, db, `CREATE INDEX idx_y_ab ON y (a, b)`)
 	join := `SELECT COUNT(*) FROM x, y WHERE x.a = y.a AND x.b = y.b`
-	if plan, err := db.Explain(join); err != nil || !strings.Contains(plan, "hash") {
-		t.Fatalf("the join is not a hash join (%v):\n%s", err, plan)
+	if plan, err := db.Explain(join); err != nil || !strings.Contains(plan, "index probe y via idx_y_ab") {
+		t.Fatalf("the join is not an index probe (%v):\n%s", err, plan)
 	}
 	for m := Planned; m <= Reference; m++ {
 		if n := len(queryIn(t, db, m, `SELECT DISTINCT a, b FROM x`).Rows); n != 2 {

@@ -19,9 +19,9 @@ import (
 //   - sources are visited smallest-first, so a 10-row pattern table
 //     drives the loop over a 100k-row data table and not the reverse;
 //   - equality conjuncts between a source and already-bound values
-//     become hash probes — built once per statement over the build
-//     side, or answered by a persistent secondary index when one
-//     covers the key columns exactly;
+//     become index probes when a persistent secondary index covers the
+//     key columns exactly, and filters of the level like any other
+//     conjunct otherwise;
 //   - every conjunct is evaluated at the outermost level where all of
 //     its sources are bound (predicate pushdown), pruning the join
 //     subtree as early as possible; one reading no source of the scope
@@ -361,11 +361,11 @@ func (c *compiler) planOrderBy(sel *Select, cs *compiledSelect) {
 // --- schedule ---
 
 // schedule is one execution instance of a compiledSelect's join plan:
-// the layout buildSchedule derives from what decide decides, plus all
-// the kernel and level scratch an execution mutates. It serves one
-// statement at a time, bound to that statement's env (scheduleFor) — so
-// correlated re-executions reuse the hash builds — and returns to its
-// select's free list, reset, when the statement ends (env.publish).
+// the layout buildSchedule derives from the join order decide decides,
+// plus all the kernel and level scratch an execution mutates. It serves
+// one statement at a time, bound to that statement's env (scheduleFor) —
+// so correlated re-executions share it — and returns to its select's free
+// list, reset, when the statement ends (env.publish).
 type schedule struct {
 	order []int
 	// pre are the conjuncts reading no current-scope source, decided once
@@ -377,10 +377,6 @@ type schedule struct {
 	// index covering the ORDER BY prefix, so the executor can skip the
 	// final sort entirely.
 	orderServed bool
-	// asked marks the levels whose few-entries bit (decide) the layout
-	// consulted, got the answers. They and order are all it took from
-	// table sizes: the instance fits every execution deciding the same.
-	asked, got uint64
 	// broken is set while a plan runs and stays set if an error or a
 	// panic ends it, leaving scratch (the group filters' row masks)
 	// half-written: release drops the instance.
@@ -412,10 +408,6 @@ type schedLevel struct {
 	// selection vector. Group-consumed conjuncts appear in no eval at
 	// any level.
 	groups []*orGroupK
-	// constEq counts kernels serving constant-equality conjuncts that a
-	// hash probe would otherwise answer with a whole-table build (the
-	// `MV = 0` shape) — EXPLAIN reports them as `const-eq kernel`.
-	constEq int
 	// elided counts range conjuncts whose retained filter was dropped
 	// because the inclusive index prune implies them exactly.
 	elided int
@@ -445,20 +437,12 @@ type rangePlan struct {
 }
 
 // probePlan answers "which rows of this source match the bound key"
-// via a persistent index (exact column cover) or an ephemeral hash
-// built once per statement (base tables) or per execution (derived
-// tables, whose rows rematerialize each run).
+// from the index whose columns are exactly the key's.
 type probePlan struct {
-	keys      []compiledExpr
-	buildCols []int
-	conjs     []int // conjunct ids the probe satisfies
-	idx       *Index
-	perm      []int // probe position per index column (idx != nil)
-	hash      map[string][]int
-	derived   bool
-	vals      []relation.Value // scratch
-	keyBuf    []byte           // scratch
-	idxVals   []relation.Value // scratch: the key in index-column order
+	idx    *Index
+	keys   []compiledExpr   // in index-column order
+	vals   []relation.Value // scratch
+	keyBuf []byte           // scratch
 }
 
 type planState struct {
@@ -481,23 +465,11 @@ func isNaN(v relation.Value) bool {
 	return v.K == relation.KindFloat && v.F != v.F
 }
 
-// constEqKernelMaxEntries bounds the const-equality diversion: a
-// constant-equality conjunct (the `MV = 0` shape) is served by an
-// equality kernel over the column's segments instead of a whole-table hash
-// build when the level is estimated to be entered at most this many
-// times. Few entries amortize a per-entry column sweep easily, while
-// the hash build pays one full-table key-encoding pass up front.
-const constEqKernelMaxEntries = 64
-
-// decide takes from the sources' sizes all that a schedule depends on
-// them for. The join order, appended to order: smallest source first
+// decide takes from the sources' sizes the one thing a schedule depends
+// on them for: the join order, appended to order — smallest source first
 // once any has reorderMinRows rows, FROM order otherwise and among equals.
-// And, as bit pos of few, whether level pos is entered at most
-// constEqKernelMaxEntries times by the estimate of the const-equality
-// diversion (buildSchedule; top-level selects only): the product of the
-// row counts of the levels driving it, which ignores their selectivity
-// and so errs towards the hash. Every statement runs it: no allocation.
-func (cs *compiledSelect) decide(srcRows []rowSet, order []int) ([]int, uint64) {
+// Every statement runs it: no allocation.
+func decide(srcRows []rowSet, order []int) []int {
 	largest := 0
 	for i := range srcRows {
 		order = append(order, i)
@@ -506,21 +478,15 @@ func (cs *compiledSelect) decide(srcRows []rowSet, order []int) ([]int, uint64) 
 	if largest >= reorderMinRows {
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(srcRows[a].n, srcRows[b].n) })
 	}
-	var few uint64
-	entries := 1
-	for pos := 0; cs.depth == 0 && pos < len(order) && entries <= constEqKernelMaxEntries; pos++ {
-		few |= 1 << uint(pos)
-		entries *= srcRows[order[pos]].n
-	}
-	return order, few
+	return order
 }
 
-// buildSchedule lays out an instance for what decide decided: it assigns
-// every conjunct, OR alternative and equi key to a join level of the
-// given source order. ep supplies the index inventory (index handles are
+// buildSchedule lays out an instance for the join order decide decided:
+// it assigns every conjunct, OR alternative and equi key to a join level
+// of that order. ep supplies the index inventory (index handles are
 // shared by every epoch of the plan's ddlVersion, so the instance is
 // valid as long as the plan). Only scheduleFor's miss and EXPLAIN call it.
-func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *schedule {
+func buildSchedule(cs *compiledSelect, order []int, ep *epoch) *schedule {
 	n := len(cs.sources)
 	sch := &schedule{order: order}
 	consumed := make([]bool, len(cs.conjs))
@@ -582,64 +548,32 @@ func buildSchedule(cs *compiledSelect, order []int, few uint64, ep *epoch) *sche
 	for pos, s := range order {
 		lv := schedLevel{src: s}
 		bit := srcMask(1) << uint(s)
+		// Equi-join probe: the equalities whose other side is bound when
+		// the level is entered become an index lookup if one index covers
+		// exactly their columns. Otherwise they stay filters of the level,
+		// decided by its kernels or evals like any other conjunct.
 		var probe *probePlan
-		var probeConsts int // probe keys reading no current-scope source
-		for ci, pc := range cs.conjs {
-			if consumed[ci] || claim[ci] >= 0 || len(pc.eqs) == 0 {
-				continue
+		if t := cs.sources[s].table; t != nil {
+			var keys []compiledExpr
+			var cols, conjs []int
+			for ci, pc := range cs.conjs {
+				if consumed[ci] || claim[ci] >= 0 {
+					continue
+				}
+				for _, eq := range pc.eqs {
+					if eq.src == s && eq.otherSrcs&^bound == 0 {
+						keys, cols, conjs = append(keys, eq.key), append(cols, eq.col), append(conjs, ci)
+						break
+					}
+				}
 			}
-			for _, eq := range pc.eqs {
-				if eq.src == s && eq.otherSrcs&^bound == 0 {
-					if probe == nil {
-						probe = &probePlan{derived: cs.sources[s].sub != nil}
-					}
-					probe.keys = append(probe.keys, eq.key)
-					probe.buildCols = append(probe.buildCols, eq.col)
-					probe.conjs = append(probe.conjs, ci)
-					if eq.otherSrcs == 0 {
-						probeConsts++
-					}
+			if idx, perm := probeIndex(ep.tds[t], cols); idx != nil {
+				probe = &probePlan{idx: idx, vals: make([]relation.Value, len(perm))}
+				for _, pi := range perm {
+					probe.keys = append(probe.keys, keys[pi])
+				}
+				for _, ci := range conjs {
 					consumed[ci] = true
-					break
-				}
-			}
-		}
-		if probe != nil {
-			probe.vals = make([]relation.Value, len(probe.keys))
-			if t := cs.sources[s].table; t != nil {
-				probe.idx, probe.perm = probeIndex(ep.tds[t], probe.buildCols)
-				if probe.idx != nil {
-					probe.idxVals = make([]relation.Value, len(probe.perm))
-				}
-				// Const-equality diversion: when no index answers the probe,
-				// every key is constant for the statement (`MV = 0`), the
-				// conjuncts kernelize, and the level is entered few enough
-				// times, a column-cache equality kernel beats building a
-				// whole-table hash just to bucket on a constant. Top-level
-				// selects only: a subquery (depth > 0) can re-execute once
-				// per outer row on this cached schedule, and the hash the
-				// diversion skips is built once per env while the kernel
-				// would sweep the column on every re-execution.
-				if probe.idx == nil && cs.depth == 0 && probeConsts == len(probe.keys) {
-					divert := true
-					for _, ci := range probe.conjs {
-						if kpSimpleFor(cs.conjs[ci].terms[0].parts[0].kp, s) == nil {
-							divert = false
-							break
-						}
-					}
-					if bit := uint64(1) << uint(pos); divert {
-						sch.asked |= bit
-						sch.got |= few & bit
-						divert = few&bit != 0
-					}
-					if divert {
-						for _, ci := range probe.conjs {
-							consumed[ci] = false
-						}
-						lv.constEq = len(probe.conjs)
-						probe = nil
-					}
 				}
 			}
 		}
@@ -820,28 +754,22 @@ type boundSched struct {
 // else a new one.
 func (en *env) scheduleFor(cs *compiledSelect, srcRows []rowSet) *schedule {
 	for _, b := range en.schedules {
-		if b.cs != cs {
-			continue
+		if b.cs == cs {
+			return b.sch
 		}
-		for i := range b.sch.levels {
-			if p := b.sch.levels[i].probe; p != nil && p.derived {
-				p.hash = nil // derived rows rematerialize per execution
-			}
-		}
-		return b.sch
 	}
-	order, few := cs.decide(srcRows, make([]int, 0, 8)) // on the stack
+	order := decide(srcRows, make([]int, 0, 8)) // on the stack
 	var sch *schedule
 	for i := range cs.free {
 		f := cs.free[i].Load()
-		if f != nil && few&f.asked == f.got && slices.Equal(f.order, order) && cs.free[i].CompareAndSwap(f, nil) {
+		if f != nil && slices.Equal(f.order, order) && cs.free[i].CompareAndSwap(f, nil) {
 			sch = f
 			en.work[wSchedReuses]++
 			break
 		}
 	}
 	if sch == nil {
-		sch = buildSchedule(cs, slices.Clone(order), few, en.ep)
+		sch = buildSchedule(cs, slices.Clone(order), en.ep)
 		en.work[wSchedBuilds]++
 	}
 	en.schedules = append(en.schedules, boundSched{cs, sch})
@@ -864,18 +792,13 @@ func (cs *compiledSelect) release(sch *schedule) {
 	cs.free[cs.victim.Add(1)%schedFreeSlots].Store(sch)
 }
 
-// reset drops the two kinds of state that outlive a level entry. What is
-// built once per statement — a base-table probe's hash — would answer
-// for the last statement's rows and parameters.
-// And a reference into the epoch it read (a probe's segment vectors, index
-// views, hash sets) would keep that epoch's segments live while the
-// instance idles. Scratch capacity, and a few bound scalars, stay.
+// reset drops the state that outlives a level entry: a reference into
+// the epoch it read (a probe's segment vectors, index views, hash sets)
+// would keep that epoch's segments live while the instance idles.
+// Scratch capacity, and a few bound scalars, stay.
 func (sch *schedule) reset() {
 	st := sch.state
 	for pos := range sch.levels {
-		if p := sch.levels[pos].probe; p != nil {
-			p.hash = nil
-		}
 		for i := range st.binds[pos] {
 			st.binds[pos][i].reset()
 		}
@@ -920,7 +843,7 @@ func (cs *compiledSelect) planLevel(en *env, sch *schedule, srcRows []rowSet, po
 	}
 	lv := &sch.levels[pos]
 	rows := &srcRows[lv.src]
-	bucket, scanAll, err := cs.probeRows(en, lv, rows)
+	bucket, scanAll, err := cs.probeRows(en, lv)
 	if err != nil {
 		return err
 	}
@@ -1054,7 +977,7 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 // true when the level has no probe and no index-backed restriction
 // (full scan). A NULL or NaN key can never satisfy an equality, so it
 // yields an empty candidate set; likewise a NULL range bound.
-func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows *rowSet) (bucket []int, scanAll bool, err error) {
+func (cs *compiledSelect) probeRows(en *env, lv *schedLevel) (bucket []int, scanAll bool, err error) {
 	p := lv.probe
 	if p == nil {
 		if lv.rng != nil {
@@ -1076,21 +999,9 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel, rows *rowSet) (buck
 		}
 		p.vals[i] = v
 	}
-	if p.idx != nil {
-		t := cs.sources[lv.src].table
-		eq := en.td(t).lookupEq(t, p.idx)
-		for j, pi := range p.perm {
-			p.idxVals[j] = p.vals[pi]
-		}
-		return eq.probe(p.idxVals, &p.keyBuf), false, nil
-	}
-	if p.hash == nil {
-		p.hash = buildJoinHash(rows, p.buildCols)
-		en.work[wHashBuilds]++
-		en.work[wRowsScanned] += int64(rows.n)
-	}
-	p.keyBuf = relation.AppendKeyOf(p.keyBuf[:0], p.vals)
-	return p.hash[string(p.keyBuf)], false, nil
+	t := cs.sources[lv.src].table
+	eq := en.td(t).lookupEq(t, p.idx)
+	return eq.probe(p.vals, &p.keyBuf), false, nil
 }
 
 // rangeRows evaluates a level's range bounds and returns the ordered-
@@ -1125,27 +1036,6 @@ func (cs *compiledSelect) rangeRows(en *env, lv *schedLevel) ([]int, bool, error
 	}
 	t := cs.sources[lv.src].table
 	return en.td(t).rangeOf(t, rp.idx, lo, hi, hasLo, hasHi, rp.skipNullLo), false, nil
-}
-
-// buildJoinHash indexes rows by the join-key columns. Rows with a NULL
-// (or NaN) key column are left out: an equality can never select them.
-func buildJoinHash(rows *rowSet, cols []int) map[string][]int {
-	m := make(map[string][]int, rows.n)
-	var buf []byte
-outer:
-	for p, si := 0, 0; p < rows.n; p++ {
-		row := rows.ref(p, &si)
-		buf = buf[:0]
-		for _, c := range cols {
-			v := row.at(c)
-			if v.IsNull() || isNaN(v) {
-				continue outer
-			}
-			buf = relation.AppendKey(buf, v)
-		}
-		m[string(buf)] = append(m[string(buf)], p)
-	}
-	return m
 }
 
 // semiScan runs the planned join over base-table sources and yields
@@ -1188,8 +1078,7 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 			srcRows[i] = ep.tds[src.table].rowSet
 		}
 	}
-	order, few := cs.decide(srcRows, nil)
-	return cs.describeSchedule(buildSchedule(cs, order, few, ep), ep)
+	return cs.describeSchedule(buildSchedule(cs, decide(srcRows, nil), ep), ep)
 }
 
 // describeSchedule renders one instance of the select's join plan.
@@ -1212,10 +1101,8 @@ func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 		}
 		var line string
 		switch {
-		case lv.probe != nil && lv.probe.idx != nil:
-			line = fmt.Sprintf("index probe %s via %s%s", label, lv.probe.idx.Name, size)
 		case lv.probe != nil:
-			line = fmt.Sprintf("hash join %s on %d key col(s)%s", label, len(lv.probe.keys), size)
+			line = fmt.Sprintf("index probe %s via %s%s", label, lv.probe.idx.Name, size)
 		case lv.rng != nil && lv.ord != nil:
 			line = fmt.Sprintf("ordered range scan %s via %s on %s%s",
 				label, lv.rng.idx.Name, cs.sources[lv.src].table.Schema.Attrs[lv.rng.col].Name, size)
@@ -1234,11 +1121,7 @@ func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 		// join driver — carries no marker.
 		var batchBits []string
 		if k := len(lv.kerns); k > 0 {
-			bit := fmt.Sprintf("%d kernel filter(s)", k)
-			if lv.constEq > 0 {
-				bit += fmt.Sprintf(", %d via const-eq kernel", lv.constEq)
-			}
-			batchBits = append(batchBits, bit)
+			batchBits = append(batchBits, fmt.Sprintf("%d kernel filter(s)", k))
 		}
 		if len(lv.groups) > 0 {
 			// Aggregate groups that render alike, `3 × or-group(2 terms)`,
@@ -1312,7 +1195,7 @@ func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 }
 
 // Explain reports the plan the engine would run for a single statement:
-// join order, per-level access paths (scan, hash join, index probe),
+// join order, per-level access paths (scan, range, index probe),
 // predicate placement, and for UPDATE and DELETE the row selection that
 // would execute right now (rowSelect.describe mirrors the runtime
 // choice, reading the same table sizes). It describes the statement's

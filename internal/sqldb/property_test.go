@@ -240,7 +240,7 @@ func TestQuickRoundTripInsertSelect(t *testing.T) {
 // kernels (2–5 alternatives, mixed simple predicates / correlated
 // EXISTS probe terms / nested disjunctions — the shapes the group
 // kernels claim, plus non-kernelizable mixes that must fall back),
-// const-equality conjuncts (the `MV = 0` diversion shape), correlated
+// const-equality conjuncts (the `MV = 0` shape), correlated
 // EXISTS / NOT EXISTS, IN-subqueries, IN lists, NULL columns,
 // source-free conjuncts and alternative parts (`1 = 1`, `2 < 1`,
 // `NULL = 1`: the pre-loop and the parts a level decides with its
@@ -406,8 +406,8 @@ func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 				}
 				conjs = append(conjs, "("+strings.Join(terms, " OR ")+")")
 			case 6:
-				// Constant-equality conjunct: the `MV = 0` shape the
-				// const-eq kernel serves instead of a hash-probe build.
+				// Constant-equality conjunct: the `MV = 0` shape, an
+				// equality kernel unless an index covers the column.
 				conjs = append(conjs, fmt.Sprintf("%s = %d", intCol(rng.Intn(n)), rng.Intn(4)))
 			case 7, 8:
 				if n < 3 {

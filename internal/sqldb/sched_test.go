@@ -18,10 +18,10 @@ import (
 
 // TestPooledScheduleINListParams runs prepared SELECTs that carry
 // per-statement state — the item set of a long IN list, the NULL item of
-// a short one, the same inside an OR, the hash of a base-table probe that
-// the instance keeps — again and again with other parameters and over
-// other data, and compares every answer with Reference mode. A stale set
-// answers for the previous parameters; a stale hash, for the previous
+// a short one, the same inside an OR, the key of an index probe the
+// instance keeps — again and again with other parameters and over other
+// data, and compares every answer with Reference mode. A stale set
+// answers for the previous parameters; a stale probe, for the previous
 // rows.
 func TestPooledScheduleINListParams(t *testing.T) {
 	db, ref := NewDB(), NewDB()
@@ -32,7 +32,8 @@ func TestPooledScheduleINListParams(t *testing.T) {
 		mustExec(t, ref, q, params...)
 	}
 	both(`CREATE TABLE t (k INTEGER, v INTEGER)`)
-	both(`CREATE TABLE u (v INTEGER, w INTEGER)`) // no index: u is probed through a hash
+	both(`CREATE TABLE u (v INTEGER, w INTEGER)`)
+	both(`CREATE INDEX idx_t_v ON t (v)`) // u drives, t is probed through it
 	for i := 0; i < 200; i++ {
 		both(`INSERT INTO t VALUES (?, ?)`, relation.Int(int64(i)), relation.Int(int64(i%40)))
 	}
@@ -43,12 +44,12 @@ func TestPooledScheduleINListParams(t *testing.T) {
 		qLong  = `SELECT t.k FROM t WHERE t.v IN (?, ?, ?, ?, ?, ?, ?, ?)`
 		qShort = `SELECT t.k FROM t WHERE t.v NOT IN (?, ?, ?)`
 		qGroup = `SELECT t.k FROM t WHERE t.k < ? OR t.v IN (?, ?, ?, ?, ?, ?, ?, ?)`
-		qHash  = `SELECT t.k, u.w FROM t, u WHERE t.v = u.v AND t.k < ?`
+		qProbe = `SELECT t.k, u.w FROM t, u WHERE t.v = u.v AND t.k < ?`
 	)
-	if plan, err := db.Explain(qHash); err != nil {
+	if plan, err := db.Explain(qProbe); err != nil {
 		t.Fatal(err)
-	} else if !strings.Contains(plan, "hash join t") {
-		t.Fatalf("%s\nplan lacks a hash join, the test would pin nothing:\n%s", qHash, plan)
+	} else if !strings.Contains(plan, "index probe t via idx_t_v") {
+		t.Fatalf("%s\nplan lacks an index probe, the test would pin nothing:\n%s", qProbe, plan)
 	}
 	// paramsFor derives a parameter set from a number; every third one
 	// puts a NULL into the short list, which empties NOT IN.
@@ -66,7 +67,7 @@ func TestPooledScheduleINListParams(t *testing.T) {
 			qLong:  list,
 			qShort: short,
 			qGroup: append([]relation.Value{bound}, list...),
-			qHash:  {bound},
+			qProbe: {bound},
 		}
 	}
 	check := func(t *testing.T, n int, want map[string]string) {
@@ -238,11 +239,10 @@ func TestPooledScheduleHoldsNoEpoch(t *testing.T) {
 }
 
 // TestScheduleKeyIsDecisions: an instance is reused exactly when the
-// sizes of the sources lead to the decisions it was laid out for. Growth
-// that changes none of them reuses it; growth across reorderMinRows (the
-// join order) or across constEqKernelMaxEntries (the const-equality
-// diversion) lays out another, and what then runs is what EXPLAIN — a
-// fresh build — shows.
+// sizes of the sources lead to the join order it was laid out for, the
+// one decision they make. Growth across reorderMinRows lays out another,
+// and what then runs is what EXPLAIN — a fresh build — shows; any other
+// growth reuses it.
 func TestScheduleKeyIsDecisions(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE big (k INTEGER, mv INTEGER)`)
@@ -318,18 +318,16 @@ func TestScheduleKeyIsDecisions(t *testing.T) {
 	}
 	grow("big", 40)
 	grow("small", 10)
-	step("first run", 1, 0, "scan b", "const-eq kernel") // below reorderMinRows: FROM order
+	step("first run", 1, 0, "scan b", "kernel filter(s)") // below reorderMinRows: FROM order
 	grow("big", 50)
-	step("both below reorderMinRows", 0, 1, "scan b", "const-eq kernel")
+	step("both below reorderMinRows", 0, 1, "scan b", "kernel filter(s)")
 	grow("big", reorderMinRows+10)
-	step("big crossed reorderMinRows", 1, 0, "scan s", "const-eq kernel") // smallest first now
+	step("big crossed reorderMinRows", 1, 0, "scan s", "kernel filter(s)") // smallest first now
 	grow("big", 200)
-	grow("small", constEqKernelMaxEntries-4)
-	step("growth that decides the same", 0, 1, "scan s", "const-eq kernel")
-	grow("small", constEqKernelMaxEntries+1)
-	step("level estimate crossed constEqKernelMaxEntries", 1, 0, "scan s", "hash join b")
-	grow("small", constEqKernelMaxEntries+20)
-	step("growth that decides the same", 0, 1, "scan s", "hash join b")
+	grow("small", reorderMinRows+20)
+	step("growth that keeps the order", 0, 1, "scan s", "kernel filter(s)")
+	grow("small", 150)
+	step("growth that keeps the order", 0, 1, "scan s", "kernel filter(s)")
 }
 
 func mustTable(t *testing.T, db *DB, name string) *Table {
