@@ -26,11 +26,11 @@ noglobals:
 	@! git grep -nE '^(var[ (]|[[:space:]]+)(Disable|disable|force)[A-Za-z]*[[:space:]]*(=|bool)' -- 'internal/sqldb/*.go' ':!*_test.go'
 
 # The crash-recovery matrix: every WAL/snapshot/recovery unit test
-# (TestWALGroupCommitConcurrentWriters: one sync per commit under
-# fsync=always, acknowledged rows survive a power cut), a rolled-back
-# transaction leaving the log untouched, the crash-at-every-I/O-point
-# and error-kind fault matrices, and the detect-level crash+resume
-# differential. -count=1 forces the faults to actually fire (no cached
+# (TestWALOneSyncPerCommit: one sync per commit under fsync=always, from
+# one writer or several, and acknowledged rows survive a power cut), a
+# rolled-back transaction leaving the log untouched, the
+# crash-at-every-I/O-point and error-kind fault matrices, and the
+# detect-level crash+resume differential. -count=1 forces the faults to actually fire (no cached
 # results).
 faultmatrix:
 	$(GO) test -count=1 -run 'TestWAL|TestNoOpUpdateInTransaction|TestFaultMatrix|TestResume|TestDetectThreeWayDifferential|TestDurableDSN|TestDSNOption' ./internal/sqldb/ ./internal/detect/ ./internal/sqldriver/
@@ -48,7 +48,7 @@ faultmatrix:
 # and over HTTP, each of which must see one update boundary — all under
 # the race detector, -count=1 so the interleavings actually rerun.
 mvccstress:
-	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential|TestTailSealBesidePinnedReaders|TestTxSemantics|TestWALGroupCommitConcurrentWriters' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
+	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential|TestTailSealBesidePinnedReaders|TestTxSemantics|TestWALOneSyncPerCommit' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
 	$(GO) test -race -count=1 -run 'TestReadersSeeWholeUpdates|TestViolationsStreamSeesWholeUpdates' ./internal/detect/ ./internal/server/
 
 # The randomized kernel differentials (batch kernels vs per-row closures

@@ -662,14 +662,14 @@ func (f syncGateFile) Sync() error {
 	return f.WALFile.Sync()
 }
 
-// TestWALGroupCommitConcurrentWriters drives fsync=always from several
+// TestWALOneSyncPerCommit drives fsync=always from one or several
 // goroutines at once: single-row autocommit INSERTs through one
 // Prepared. Every commit appends and syncs its own unit under the
 // writer lock before it publishes, so the writers together pay exactly
 // one flush per commit. An acknowledged row must be visible to its
 // writer at once and must survive — a power cut on MemFS, Close +
 // reopen on the OS filesystem.
-func TestWALGroupCommitConcurrentWriters(t *testing.T) {
+func TestWALOneSyncPerCommit(t *testing.T) {
 	const perWriter = 40
 	for _, tc := range []struct {
 		name    string
