@@ -13,18 +13,15 @@ import (
 	"ecfd/internal/sqldb"
 )
 
-// ledgerGauges are the int64 fields of sqldb.Stats that describe the
-// epoch registry's state rather than count work; the ledger leaves them
-// out, with Recovery and the int-typed epoch gauges.
-var ledgerGauges = map[string]bool{"RetiredBytes": true}
-
 // workCounters lists the work counters of sqldb.Stats by reflection, so a
-// counter added to Stats joins the ledger without an edit here.
+// counter added to Stats joins the ledger without an edit here: its int64
+// fields but RetiredBytes, which with the int-typed epoch counts and
+// Recovery describes the epoch registry's state rather than work.
 func workCounters() []string {
 	var names []string
 	st := reflect.TypeOf(sqldb.Stats{})
 	for i := 0; i < st.NumField(); i++ {
-		if f := st.Field(i); f.Type.Kind() == reflect.Int64 && !ledgerGauges[f.Name] {
+		if f := st.Field(i); f.Type.Kind() == reflect.Int64 && f.Name != "RetiredBytes" {
 			names = append(names, f.Name)
 		}
 	}

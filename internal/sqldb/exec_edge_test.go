@@ -207,9 +207,9 @@ func TestCaseInOperandForm(t *testing.T) {
 // hold 0x1f, the separator keys were once joined with, and a kind tag.
 // Joined so, the cells of both rows below are the same bytes; while text
 // keys were not length-prefixed, DISTINCT kept one row, GROUP BY formed
-// one group of two and the join, then a hash join and now a probe of the
-// index's equality map over the same keys, paired every x row with every
-// y row.
+// one group of two and a join probing those keys paired every x row with
+// every y row. The join probes the index's equality map, which encodes
+// its keys the same way.
 func TestSeparatorInTextKeys(t *testing.T) {
 	t.Parallel()
 	db := NewDB()
