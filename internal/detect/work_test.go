@@ -51,13 +51,17 @@ func incNames(d *Detector) map[string]string {
 	}
 }
 
+// batchNames names the batch script's statements for the ledger, in the
+// order BatchDetect runs them.
+var batchNames = []string{"resetFlags", "qsvUpdate", "truncateAux", "qmvInsert", "mvUpdate"}
+
 // TestWorkLedger records what each unit of the benchmark's workloads
 // costs the engine in counters — every work counter of sqldb.Stats, at
 // 10 000, 40 000 and 160 000 rows (seed 611) — in
 // testdata/work.golden, one line per (unit, counter, |D|). The units
-// are a warm BatchDetect, a warm 8+8 ApplyUpdates, each statement of
-// the same update's incremental script, a warm 8-tuple Check and
-// Counts. The counters count work, not time, so every line is exact: a
+// are a warm BatchDetect, each statement of its batch script, a warm
+// 8+8 ApplyUpdates, each statement of the same update's incremental
+// script, a warm 8-tuple Check and Counts. The counters count work, not time, so every line is exact: a
 // change that moves work moves lines of the diff, and the ratio of a
 // line's 160 000-row value to its 40 000-row one is the paper's
 // incremental bound (work in |ΔD|, not |D|) read in counters.
@@ -94,6 +98,19 @@ func TestWorkLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		// The same script one statement at a time, as stepApply steps the
+		// incremental one.
+		script := strings.Split(d.stmts.batchScript, ";\n")
+		if len(script) != len(batchNames) {
+			t.Fatalf("the batch script has %d statements, the ledger names %d", len(script), len(batchNames))
+		}
+		for i, q := range script {
+			measure(w, fmt.Sprintf("BatchDetect/%02d-%s", i+1, batchNames[i]), func() {
+				if _, err := d.db.Exec(q); err != nil {
+					t.Fatalf("%v\n%s", err, q)
+				}
+			})
+		}
 		oldest := []int{0, 1, 2, 3, 4, 5, 6, 7}
 		for i := 0; i < 2; i++ {
 			w.apply(t, oldest...) // the first updates build what the statements read
