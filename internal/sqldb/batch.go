@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -91,7 +92,7 @@ type kernBind struct {
 	// like the closure returning NULL for every row.
 	empty  bool
 	w      relation.Value
-	wInt   bool    // w is integer-like: the compare loop takes the int path
+	wInt   bool    // w is integer-like: filterRun compares an integer column's words with w.I
 	byCode []uint8 // filterRun's scratch: 1 for the codes the predicate holds for
 }
 
@@ -118,10 +119,10 @@ func (k *kernelPred) bind(en *env, b *kernBind) error {
 }
 
 // filter tightens the selection vector in place: sel holds candidate
-// row offsets into colv, the current segment's vector of the kernel's
-// column, and the survivors are returned as a prefix of sel's storage.
-// Their relative order is preserved, so kernel filtering composes with
-// range-pruned and order-served scans.
+// row offsets into colv, decoded cells of the kernel's column, and the
+// survivors are returned as a prefix of sel's storage. Their relative
+// order is preserved, so kernel filtering composes with range-pruned and
+// order-served scans.
 func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int {
 	out := sel[:0]
 	switch k.op {
@@ -134,17 +135,7 @@ func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int
 	case kernEQ, kernNE:
 		want := k.op == kernEQ
 		for _, ri := range sel {
-			v := colv[ri]
-			if v.K == relation.KindNull {
-				continue
-			}
-			var eq bool
-			if b.wInt && (v.K == relation.KindInt || v.K == relation.KindBool) {
-				eq = v.I == b.w.I
-			} else {
-				eq = relation.Equal(v, b.w)
-			}
-			if eq == want {
+			if v := colv[ri]; v.K != relation.KindNull && relation.Equal(v, b.w) == want {
 				out = append(out, ri)
 			}
 		}
@@ -154,32 +145,7 @@ func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int
 			if v.K == relation.KindNull {
 				continue
 			}
-			var res bool
-			if b.wInt && (v.K == relation.KindInt || v.K == relation.KindBool) {
-				switch k.op {
-				case kernLT:
-					res = v.I < b.w.I
-				case kernLE:
-					res = v.I <= b.w.I
-				case kernGT:
-					res = v.I > b.w.I
-				case kernGE:
-					res = v.I >= b.w.I
-				}
-			} else {
-				c := relation.Compare(v, b.w)
-				switch k.op {
-				case kernLT:
-					res = c < 0
-				case kernLE:
-					res = c <= 0
-				case kernGT:
-					res = c > 0
-				case kernGE:
-					res = c >= 0
-				}
-			}
-			if res {
+			if ordered(k.op, relation.Compare(v, b.w)) {
 				out = append(out, ri)
 			}
 		}
@@ -187,25 +153,42 @@ func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int
 	return out
 }
 
-// filterRun is filter over the run's column of the kernel. Over a coded
-// column it runs the unchanged filter — so every op keeps its semantics
-// by construction — on decoded strings: of the whole dictionary when that
-// is smaller than the selection, each row then decided by its code, else
-// of the selected rows. Either way it decodes into 64-value chunks on the
-// stack, so an instance keeps no string of the epoch it read.
+// ordered reports whether an ordering op holds for a comparison result c.
+func ordered(op kernOp, c int) bool {
+	switch op {
+	case kernLT:
+		return c < 0
+	case kernLE:
+		return c <= 0
+	case kernGT:
+		return c > 0
+	}
+	return c >= 0
+}
+
+// filterRun is filter over the run's column of the kernel. An INTEGER or
+// BOOLEAN column compared with an integer bound is decided on its words.
+// Any other column runs the unchanged filter — so every op keeps its
+// semantics by construction — on decoded cells: over a coded column, of
+// the whole dictionary when that is smaller than the selection, each row
+// then decided by its code, else of the selected rows. Either way it
+// decodes into 64-value chunks on the stack, so an instance keeps no
+// string of the epoch it read.
 func (k *kernelPred) filterRun(en *env, run *segRun, b *kernBind, sel []int) []int {
 	cv := run.column(k.col)
-	if cv.codes == nil {
-		return k.filter(cv.vals, b, sel)
+	if cv.codes == nil && b.wInt && (cv.kind == relation.KindInt || cv.kind == relation.KindBool) {
+		return k.filterInts(cv, b.w.I, sel)
 	}
 	var dec [64]relation.Value
 	var at [64]int
-	byCode, items := len(cv.dict) < len(sel), len(sel)
+	byCode, items := cv.codes != nil && len(cv.dict) < len(sel), len(sel)
 	if byCode {
 		items = len(cv.dict) + 1
 		b.byCode = append(b.byCode[:0], make([]uint8, items)...)
 	}
-	en.work[wTextLookups] += int64(items)
+	if cv.codes != nil {
+		en.work[wTextLookups] += int64(items)
+	}
 	out := sel[:0] // never passes the chunk it is filled from
 	for c0 := 0; c0 < items; c0 += len(at) {
 		n := min(items-c0, len(at))
@@ -233,6 +216,31 @@ func (k *kernelPred) filterRun(en *env, run *segRun, b *kernBind, sel []int) []i
 		m += int(b.byCode[cv.codes[ri]])
 	}
 	return sel[:m]
+}
+
+// filterInts is filter over an INTEGER or BOOLEAN column's words against
+// the integer w, a compare op's bound; IS NULL binds none.
+func (k *kernelPred) filterInts(cv *colVec, w int64, sel []int) []int {
+	out := sel[:0]
+	for _, ri := range sel {
+		if cv.nulls != nil && cv.nulls[ri] {
+			continue
+		}
+		x := int64(cv.words[ri])
+		var res bool
+		switch k.op {
+		case kernEQ:
+			res = x == w
+		case kernNE:
+			res = x != w
+		default:
+			res = ordered(k.op, cmp.Compare(x, w))
+		}
+		if res {
+			out = append(out, ri)
+		}
+	}
+	return out
 }
 
 // extractKernels compiles the batch-kernel candidates of one plan-part

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -129,8 +130,6 @@ func (ep *epoch) bytes() int64 {
 	}
 	return b
 }
-
-const valueBytes = int64(unsafe.Sizeof(relation.Value{}))
 
 // Table is a stable handle for one base table: the name and the schema.
 // Everything versioned — rows, indexes' built structures — lives in the
@@ -340,11 +339,16 @@ type segment struct {
 	cols     []colVec
 }
 
-// colVec is one column of a segment. A declared-TEXT column is
-// dictionary-coded: codes[i] is 0 for NULL, else c for dict[c-1], the
-// segment's distinct strings in first-seen order — every store coerces
-// cells to their column's kind, so it holds nothing else. Any other column
-// is a vector of values.
+// colVec is one column of a segment, of the column's declared kind —
+// every store coerces cells to it, so a column holds that kind or NULL
+// and nothing else. A TEXT column is dictionary-coded: codes[i] is 0 for
+// NULL, else c for dict[c-1], the segment's distinct strings in
+// first-seen order. Any other column is 8-byte words: words[i] holds the
+// int64 bits of an INTEGER or BOOLEAN cell, the float64 bits of a REAL
+// one, and nulls[i] is true for a NULL — nulls stays nil until the
+// column's first NULL. A cell per mask byte rather than a bit keeps
+// appends off the bytes a reader's capacity-clipped view shares with
+// the writer.
 //
 // Appending extends both codes and dictionary, through index once a scan
 // is too long; index belongs to the writer, and no reader touches it.
@@ -355,7 +359,9 @@ type segment struct {
 // cut keeps it only for the whole column, and whatever rewrites or
 // appends codes drops it.
 type colVec struct {
-	vals  []relation.Value
+	kind  relation.Kind
+	words []uint64
+	nulls []bool
 	codes []uint16
 	dict  []string
 	perm  []uint16          // sorts dict[:len(perm)]; immutable once set
@@ -380,28 +386,36 @@ const dictScanMax = 16
 // declared TEXT, with room for n cells.
 func newColVec(a relation.Attribute, n int) colVec {
 	if a.Kind == relation.KindText {
-		return colVec{codes: make([]uint16, 0, n), dict: make([]string, 0, min(n, dictScanMax))}
+		return colVec{kind: a.Kind, codes: make([]uint16, 0, n), dict: make([]string, 0, min(n, dictScanMax))}
 	}
-	return colVec{vals: make([]relation.Value, 0, n)}
+	return colVec{kind: a.Kind, words: make([]uint64, 0, n)}
 }
 
-func (v *colVec) len() int { return len(v.vals) + len(v.codes) }
+func (v *colVec) len() int { return len(v.words) + len(v.codes) }
 
-// at decodes cell i.
+// at decodes cell i. It stays within the inliner's budget, where an
+// out-of-line call alone would cost more than half of it.
 func (v *colVec) at(i int) relation.Value {
-	if v.codes == nil {
-		return v.vals[i]
+	if v.codes != nil {
+		if c := v.codes[i]; c > 0 {
+			return relation.Text(v.dict[c-1])
+		}
+		return relation.Value{}
 	}
-	if c := v.codes[i]; c > 0 {
-		return relation.Text(v.dict[c-1])
+	if v.nulls != nil && v.nulls[i] {
+		return relation.Value{}
 	}
-	return relation.Value{}
+	w := v.words[i]
+	if v.kind == relation.KindFloat {
+		return relation.Value{K: relation.KindFloat, F: math.Float64frombits(w)}
+	}
+	return relation.Value{K: v.kind, I: int64(w)}
 }
 
 // bytes is the column's heap size without the strings its dictionary
 // holds (strBytes).
 func (v *colVec) bytes() int64 {
-	b := int64(len(v.vals))*valueBytes + 2*int64(len(v.codes)+len(v.perm)) + int64(len(v.dict))*int64(unsafe.Sizeof(""))
+	b := 8*int64(len(v.words)) + int64(len(v.nulls)) + 2*int64(len(v.codes)+len(v.perm)) + int64(len(v.dict))*int64(unsafe.Sizeof(""))
 	if v.post != nil {
 		b += 2 * int64(len(v.post.rows)+len(v.post.at))
 	}
@@ -422,13 +436,19 @@ func (v *colVec) strBytes() (b int64) {
 	return b
 }
 
-// cut is the column's first n cells, with headers no later append writes.
-func (v *colVec) cut(n int) colVec {
+// cut is the column's n cells from lo on, with headers no later append
+// writes.
+func (v *colVec) cut(lo, n int) colVec {
+	hi := lo + n
 	if v.codes == nil {
-		return colVec{vals: v.vals[:n:n]}
+		c := colVec{kind: v.kind, words: v.words[lo:hi:hi]}
+		if v.nulls != nil {
+			c.nulls = v.nulls[lo:hi:hi]
+		}
+		return c
 	}
-	c := colVec{codes: v.codes[:n:n], dict: v.dict[:len(v.dict):len(v.dict)], perm: v.perm}
-	if n == len(v.codes) && v.post != nil && n == len(v.post.rows) {
+	c := colVec{kind: v.kind, codes: v.codes[lo:hi:hi], dict: v.dict[:len(v.dict):len(v.dict)], perm: v.perm}
+	if lo == 0 && hi == len(v.codes) && v.post != nil && hi == len(v.post.rows) {
 		c.post = v.post
 	}
 	return c
@@ -512,10 +532,21 @@ func (v *colVec) search(s string) (uint16, bool) {
 	return v.perm[lo] + 1, true
 }
 
-// push appends a cell: as a code if the column is coded, else as a value.
+// push appends a cell: as a code if the column is coded, else as a word.
 func (v *colVec) push(cell relation.Value) {
 	if v.codes == nil {
-		v.vals = append(v.vals, cell)
+		null := cell.K == relation.KindNull
+		if null && v.nulls == nil {
+			v.nulls = make([]bool, len(v.words), cap(v.words))
+		}
+		if v.nulls != nil {
+			v.nulls = append(v.nulls, null)
+		}
+		w := uint64(cell.I)
+		if cell.K == relation.KindFloat {
+			w = math.Float64bits(cell.F)
+		}
+		v.words = append(v.words, w)
 		return
 	}
 	v.post = nil
@@ -530,6 +561,18 @@ func (v *colVec) push(cell relation.Value) {
 		}
 	}
 	v.codes = append(v.codes, c)
+}
+
+// resize sets the column's length to n, within its capacity.
+func (v *colVec) resize(n int) {
+	if v.codes != nil {
+		v.codes = v.codes[:n]
+		return
+	}
+	v.words = v.words[:n]
+	if v.nulls != nil {
+		v.nulls = v.nulls[:n]
+	}
 }
 
 // dictBounded re-codes private codes in first-seen order once the
@@ -694,9 +737,10 @@ type Stats struct {
 	RetiredEpochs int
 	// RetiredBytes bounds the heap those retired epochs hold from above:
 	// their rows, as the column segments that store them, at their real
-	// size — 40 bytes a value, 2 a dictionary code and 2 its posting, plus
-	// per dictionary string its bytes, its header, a permutation entry and
-	// a posting offset — what several of them share counted once for each.
+	// size — 8 bytes a word and 1 its NULL-mask cell, 2 a dictionary code
+	// and 2 its posting, plus per dictionary string its bytes, its header,
+	// a permutation entry and a posting offset — what several of them
+	// share counted once for each.
 	RetiredBytes int64
 	// ProbeRows counts the candidate rows the batch probe kernels sent to
 	// an exact probe — key encoded, hash build or index consulted — since
@@ -1198,7 +1242,7 @@ func (rs rowSet) restored() rowSet {
 	for i := range segs {
 		cols := make([]colVec, len(segs[i].cols))
 		for ci := range cols {
-			cols[ci] = segs[i].cols[ci].cut(segs[i].n)
+			cols[ci] = segs[i].cols[ci].cut(0, segs[i].n)
 		}
 		segs[i].cols = cols
 	}
@@ -1251,17 +1295,13 @@ func (rs *rowSet) segAt(p, hint int) int {
 func (sg *segment) forkUpdated(pos []int, setCols []int, vals [][]relation.Value, inner bool) int {
 	cols, cells := make([]colVec, len(sg.cols)), 0
 	for ci := range sg.cols {
-		v := sg.cols[ci].cut(sg.n)
+		v := sg.cols[ci].cut(0, sg.n)
 		if j := slices.Index(setCols, ci); j >= 0 {
-			v.vals, v.codes, v.post = slices.Clone(v.vals), slices.Clone(v.codes), nil
+			v.words, v.nulls, v.codes, v.post = slices.Clone(v.words), slices.Clone(v.nulls), slices.Clone(v.codes), nil
 			for i, ri := range pos {
-				if v.codes == nil {
-					v.vals[ri-sg.start] = vals[i][j]
-				} else {
-					v.codes = v.codes[:ri-sg.start] // push writes the cell in place
-					v.push(vals[i][j])
-					v.codes = v.codes[:sg.n]
-				}
+				v.resize(ri - sg.start) // push writes the cell in place
+				v.push(vals[i][j])
+				v.resize(sg.n)
 			}
 			v.dictBounded()
 			if inner || sg.n == segRows {
@@ -1331,12 +1371,7 @@ func rebuildSeg(t *Table, parts []segPart, n int) ([]colVec, int) {
 	cols := make([]colVec, t.Schema.Width())
 	if lo, ok := parts[0].run(); ok && len(parts) == 1 {
 		for ci := range cols {
-			pv := &parts[0].cols[ci]
-			if pv.codes == nil {
-				cols[ci] = colVec{vals: pv.vals[lo : lo+n : lo+n]}
-				continue
-			}
-			cols[ci] = colVec{codes: pv.codes[lo : lo+n : lo+n], dict: pv.dict[:len(pv.dict):len(pv.dict)], perm: pv.perm}
+			cols[ci] = parts[0].cols[ci].cut(lo, n)
 			cols[ci].dictBounded()
 		}
 		return cols, 0
@@ -1344,7 +1379,7 @@ func rebuildSeg(t *Table, parts []segPart, n int) ([]colVec, int) {
 	for ci := range cols {
 		v := &cols[ci]
 		for pi, p := range parts {
-			pv := p.cols[ci].cut(p.n)
+			pv := p.cols[ci].cut(0, p.n)
 			switch {
 			case pi > 0: // a later part: pushed
 				for i, dels := 0, p.dels; i < p.n; i++ {
@@ -1355,9 +1390,12 @@ func rebuildSeg(t *Table, parts []segPart, n int) ([]colVec, int) {
 					}
 				}
 			case pv.codes == nil: // the first part, compacted
-				*v = colVec{vals: appendWithout(make([]relation.Value, 0, n), pv.vals, p.dels, p.start)}
+				*v = colVec{kind: pv.kind, words: appendWithout(make([]uint64, 0, n), pv.words, p.dels, p.start)}
+				if pv.nulls != nil {
+					v.nulls = appendWithout(make([]bool, 0, n), pv.nulls, p.dels, p.start)
+				}
 			default: // the first part, compacted, its dictionary kept
-				*v = colVec{dict: pv.dict, perm: pv.perm}
+				*v = colVec{kind: pv.kind, dict: pv.dict, perm: pv.perm}
 				v.codes = appendWithout(make([]uint16, 0, n), pv.codes, p.dels, p.start)
 				v.dictBounded()
 			}

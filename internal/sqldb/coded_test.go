@@ -233,7 +233,7 @@ func TestCodedTextDifferential(t *testing.T) {
 	for _, sg := range td.segs {
 		if v := sg.cols[1]; v.codes != nil {
 			coded++
-		} else if v.vals != nil {
+		} else if v.words != nil {
 			plain++
 		}
 	}

@@ -378,7 +378,7 @@ func TestSegmentsCollectableAfterUnpin(t *testing.T) {
 	watch(4, true)
 	watch(0, false)
 	watch(2, false)
-	for _, kind := range []string{"values", "codes", "dictionary", "permutation"} {
+	for _, kind := range []string{"words", "codes", "dictionary", "permutation"} {
 		if !slices.ContainsFunc(doomed, func(w string) bool { return strings.HasSuffix(w, kind) }) {
 			t.Fatalf("the replaced segments hold no %s only they reach: %v", kind, doomed)
 		}
@@ -427,8 +427,8 @@ type colArray struct {
 	finalize func(fire func())
 }
 
-// columnArrays lists the backing arrays of a built column — its values or
-// codes, dictionary and permutation — named after what.
+// columnArrays lists the backing arrays of a built column — its words and
+// NULL mask or its codes, dictionary and permutation — named after what.
 func columnArrays(v *colVec, what string) []colArray {
 	var out []colArray
 	add := func(kind string, n int, p unsafe.Pointer, fin func(fire func())) {
@@ -436,7 +436,8 @@ func columnArrays(v *colVec, what string) []colArray {
 			out = append(out, colArray{what + " " + kind, p, fin})
 		}
 	}
-	add("values", cap(v.vals), unsafe.Pointer(unsafe.SliceData(v.vals)), func(fire func()) { finalizeFirst(v.vals, fire) })
+	add("words", cap(v.words), unsafe.Pointer(unsafe.SliceData(v.words)), func(fire func()) { finalizeFirst(v.words, fire) })
+	add("nulls", cap(v.nulls), unsafe.Pointer(unsafe.SliceData(v.nulls)), func(fire func()) { finalizeFirst(v.nulls, fire) })
 	add("codes", cap(v.codes), unsafe.Pointer(unsafe.SliceData(v.codes)), func(fire func()) { finalizeFirst(v.codes, fire) })
 	add("dictionary", cap(v.dict), unsafe.Pointer(unsafe.SliceData(v.dict)), func(fire func()) { finalizeFirst(v.dict, fire) })
 	add("permutation", cap(v.perm), unsafe.Pointer(unsafe.SliceData(v.perm)), func(fire func()) { finalizeFirst(v.perm, fire) })
