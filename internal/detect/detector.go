@@ -465,7 +465,7 @@ func (d *Detector) bulkInsert(ex execer, table string, inst *relation.Relation) 
 	// varies but its text is shared across calls too.
 	width := d.schema.Width() + 3 // RID + R + SV + MV
 	rids := make([]int64, 0, inst.Len())
-	args := make([]any, 0, insertBatch*width)
+	args := make([]any, 0, min(len(inst.Rows), insertBatch)*width)
 	appendRow := func(row relation.Tuple) {
 		d.nextRID++
 		rids = append(rids, d.nextRID)

@@ -120,13 +120,14 @@ func TestDeleteCopiesTouchedSegmentsOnly(t *testing.T) {
 }
 
 // TestApplyUpdatesAllocBudget keeps the gain where every run sees it, not
-// only the benchmark's: a warm 8+8 ApplyUpdates allocates at most 512 kB,
+// only the benchmark's: a warm 8+8 ApplyUpdates allocates at most 256 kB,
 // on 40 000 rows and on 160 000. It was 15.6 MB at 40 000 while a DELETE
-// copied every built column vector whole, and 1.6 MB while it still copied
-// the row array and the RID index's positions. Not parallel: TotalAlloc
-// is the process's.
+// copied every built column vector whole, 1.6 MB while it still copied
+// the row array and the RID index's positions, and about 270 kB while
+// bulkInsert sized its argument buffer for a full 500-row batch whatever
+// the rows. Not parallel: TotalAlloc is the process's.
 func TestApplyUpdatesAllocBudget(t *testing.T) {
-	const ops, budget = 50, 512 << 10
+	const ops, budget = 50, 256 << 10
 	for _, rows := range []int{40_000, 160_000} {
 		w, cleanup := newApplyWorkload(t, rows)
 		for i := 0; i < 3; i++ {
@@ -372,10 +373,11 @@ func TestRecomputeReadsPostings(t *testing.T) {
 // kept alive, so only what the engine holds counts: the data table, the
 // pattern sets, Aux and the flags' indexes. While every stored row was
 // also a relation.Tuple of 40-byte values beside its segment's columns it
-// read about 700 B; with the columns the only copy it must stay within
-// 350 B.
+// read about 700 B, and 248 B with the columns the only copy but RID, SV
+// and MV still 40-byte values; with every non-TEXT cell an 8-byte word it
+// reads about 137 B and must stay within 175 B.
 func TestStoredRowBytes(t *testing.T) {
-	const rows, limit = 40_000, 350
+	const rows, limit = 40_000, 175
 	data := gen.Dataset(gen.Config{Rows: rows, Noise: 5, Seed: 611})
 	dsn := fmt.Sprintf("detect_rowbytes_%d", dsnSeq.Add(1))
 	db, err := sql.Open(sqldriver.DriverName, dsn)
@@ -420,10 +422,11 @@ func TestStoredRowBytes(t *testing.T) {
 // (CID, blanked LHS, blanked RHS), 41 959 of them, since φ10's key-like
 // FD gives every customer a group — stored with a member count in a
 // 20-column table. As relation.Value tuples that was an estimated 33 MB;
-// as the segments' columns it measures 7.8 MB, 3.4 MB of which are the
-// two INTEGER columns at 40 bytes a cell, and must stay within 9 MB.
+// as the segments' columns with 40-byte INTEGER cells it measured 7.8 MB.
+// With the two INTEGER columns 8-byte words it measures 5.2 MB and must
+// stay within 6 MB.
 func TestCountedAuxBytes(t *testing.T) {
-	const rows, limit = 40_000, 9 << 20
+	const rows, limit = 40_000, 6 << 20
 	d, cleanup := newBenchDetector(t, rows, 611)
 	defer cleanup()
 	var cols []string
