@@ -17,13 +17,13 @@ import (
 // incremental maintenance, equality on a leading index column, and the
 // EXPLAIN batch/row surface.
 
-// kernelTable builds a table mixing integer, float, text and NULL
-// values — every kind a kernel compare can meet — plus indexes so
+// kernelTable builds a table mixing integer, float, text, boolean and
+// NULL values — every kind a kernel compare can meet — plus indexes so
 // kernels compose with range pruning and probes.
 func kernelTable(t *testing.T, rng *rand.Rand, rows int) *DB {
 	t.Helper()
 	db := NewDB()
-	mustExec(t, db, `CREATE TABLE kt (a INTEGER, f REAL, s TEXT, flag INTEGER)`)
+	mustExec(t, db, `CREATE TABLE kt (a INTEGER, f REAL, s TEXT, flag INTEGER, b BOOLEAN)`)
 	mustExec(t, db, `CREATE INDEX idx_kt_a ON kt (a)`)
 	for i := 0; i < rows; i++ {
 		a := relation.Int(int64(rng.Intn(12)))
@@ -41,8 +41,12 @@ func kernelTable(t *testing.T, rng *rand.Rand, rows int) *DB {
 		if rng.Intn(10) == 0 {
 			s = relation.Null()
 		}
-		mustExec(t, db, `INSERT INTO kt VALUES (?, ?, ?, ?)`,
-			a, f, s, relation.Int(int64(rng.Intn(2))))
+		b := relation.Bool(rng.Intn(2) == 0)
+		if rng.Intn(8) == 0 {
+			b = relation.Null()
+		}
+		mustExec(t, db, `INSERT INTO kt VALUES (?, ?, ?, ?, ?)`,
+			a, f, s, relation.Int(int64(rng.Intn(2))), b)
 	}
 	return db
 }
@@ -51,11 +55,25 @@ func kernelTable(t *testing.T, rng *rand.Rand, rows int) *DB {
 // WHERE clauses — the shapes the kernel compiler targets, beside the IN
 // lists and BETWEEN it leaves to the closures, over NaN and NULL data —
 // and checks the batch, row and nested-loop paths agree on every one.
+// The compares meet INTEGER, REAL and BOOLEAN columns, which hold NULLs,
+// with integer, float, boolean and NULL bounds: the word kernel and the
+// decoded cells both.
 func TestKernelClosureDifferential(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(diffSeed(t, 113)))
 	db := kernelTable(t, rng, 120)
-	cols := []string{"a", "f", "s", "flag"}
+	cols := []string{"a", "f", "s", "flag", "b"}
+	bound := func() string {
+		switch rng.Intn(6) {
+		case 0:
+			return fmt.Sprintf("%d.5", rng.Intn(10))
+		case 1:
+			return "NULL"
+		case 2:
+			return []string{"TRUE", "FALSE"}[rng.Intn(2)]
+		}
+		return fmt.Sprint(rng.Intn(10) - 1)
+	}
 	leaf := func() string {
 		col := cols[rng.Intn(len(cols))]
 		switch rng.Intn(6) {
@@ -64,7 +82,7 @@ func TestKernelClosureDifferential(t *testing.T) {
 			if col == "s" {
 				return fmt.Sprintf("s %s '%c'", ops[rng.Intn(len(ops))], rune('a'+rng.Intn(5)))
 			}
-			return fmt.Sprintf("%s %s %d", col, ops[rng.Intn(len(ops))], rng.Intn(10))
+			return fmt.Sprintf("%s %s %s", col, ops[rng.Intn(len(ops))], bound())
 		case 1:
 			neg := ""
 			if rng.Intn(2) == 0 {
@@ -89,17 +107,30 @@ func TestKernelClosureDifferential(t *testing.T) {
 			return fmt.Sprintf("%s %sBETWEEN %d AND %d", col, neg, lo, lo+rng.Intn(5))
 		case 4:
 			// literal OP column: the flipped orientation
-			return fmt.Sprintf("%d <= %s", rng.Intn(10), col)
+			return fmt.Sprintf("%s <= %s", bound(), col)
 		default:
 			return fmt.Sprintf("%s = %d", col, rng.Intn(10))
 		}
 	}
-	for trial := 0; trial < 120; trial++ {
-		var conjs []string
-		for k := 1 + rng.Intn(3); k > 0; k-- {
-			conjs = append(conjs, leaf())
+	var every []string // each word column against each op and kind of bound
+	for _, col := range []string{"a", "f", "flag", "b"} {
+		every = append(every, col+" IS NULL", col+" IS NOT NULL")
+		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+			for _, w := range []string{"-1", "0", "1", "3", "2.5", "TRUE", "FALSE", "NULL"} {
+				every = append(every, col+" "+op+" "+w)
+			}
 		}
-		q := "SELECT a, f, s, flag FROM kt WHERE " + strings.Join(conjs, " AND ")
+	}
+	for trial := 0; trial < len(every)+120; trial++ {
+		var conjs []string
+		if trial < len(every) {
+			conjs = every[trial : trial+1]
+		} else {
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				conjs = append(conjs, leaf())
+			}
+		}
+		q := "SELECT a, f, s, flag, b FROM kt WHERE " + strings.Join(conjs, " AND ")
 		batch, row, nested := runThreeWays(t, db, q, false)
 		if batch != row || row != nested {
 			t.Fatalf("trial %d: divergence on %q:\nbatch  %q\nrow    %q\nnested %q",

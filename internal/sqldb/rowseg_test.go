@@ -26,11 +26,14 @@ import (
 // or TRUNCATE forks without a copy), and idx_k, which never is. A pinned
 // epoch sharing a tail chunk whose spare capacity a later insert fills,
 // or an order still served as ident after a rid out of order, gives
-// itself away as a row or an order the mirror does not have.
+// itself away as a row or an order the mirror does not have. The word
+// columns n, r and b (INTEGER, REAL, BOOLEAN) take NULLs in some inserts
+// and updates and none in others, so every fork meets columns whose NULL
+// mask is still nil beside columns that have one.
 func TestRowSegmentsDifferential(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(diffSeed(t, 211)))
-	const schema = `CREATE TABLE t (w INTEGER, rid INTEGER, k INTEGER, s TEXT)`
+	const schema = `CREATE TABLE t (w INTEGER, rid INTEGER, k INTEGER, s TEXT, n INTEGER, r REAL, b BOOLEAN)`
 	indexes := []string{`CREATE INDEX idx_rid ON t (rid)`, `CREATE INDEX idx_k ON t (k)`}
 	db := NewDB()
 	mustExec(t, db, schema)
@@ -48,17 +51,28 @@ func TestRowSegmentsDifferential(t *testing.T) {
 			t.Fatalf("exec %q: %v", q, err)
 		}
 	}
+	// words draws n, r and b, NULL one time in nulls (never for 0).
+	words := func(nulls int) relation.Tuple {
+		row := relation.Tuple{relation.Int(int64(rng.Intn(50) - 25)), relation.Float(float64(rng.Intn(40)) / 4), relation.Bool(rng.Intn(2) == 0)}
+		for i := range row {
+			if nulls > 0 && rng.Intn(nulls) == 0 {
+				row[i] = relation.Null()
+			}
+		}
+		return row
+	}
 	insert := func(n int, outOfOrder bool) {
 		t.Helper()
 		vals := make([]string, n)
+		nulls := []int{0, 3, 40}[rng.Intn(3)]
 		for i := range vals {
 			rid := nextRID
 			if nextRID++; outOfOrder && i == n/2 {
 				lowRID-- // below every rid so far: the order is no longer position order
 				rid = lowRID
 			}
-			row := relation.Tuple{relation.Int(nextW), relation.Int(rid), relation.Int(int64(rng.Intn(7))), relation.Text(fmt.Sprintf("s%d", rng.Intn(40)))}
-			vals[i] = fmt.Sprintf("(%d, %d, %d, '%s')", row[0].I, row[1].I, row[2].I, row[3].S)
+			row := append(relation.Tuple{relation.Int(nextW), relation.Int(rid), relation.Int(int64(rng.Intn(7))), relation.Text(fmt.Sprintf("s%d", rng.Intn(40)))}, words(nulls)...)
+			vals[i] = fmt.Sprintf("(%d, %d, %d, '%s', %s, %s, %s)", row[0].I, row[1].I, row[2].I, row[3].S, row[4].SQL(), row[5].SQL(), row[6].SQL())
 			mirror = append(mirror, row)
 			nextW++
 		}
@@ -103,7 +117,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 		q      string
 		params func() [][]relation.Value
 	}{
-		{`SELECT w, rid, k, s FROM t`, nil},
+		{`SELECT w, rid, k, s, n, r, b FROM t`, nil},
 		{`SELECT w, rid FROM t ORDER BY rid`, nil},
 		{`SELECT w, k FROM t ORDER BY k`, nil},
 		{`SELECT w, s FROM t WHERE rid = ?`, func() (ps [][]relation.Value) {
@@ -118,6 +132,9 @@ func TestRowSegmentsDifferential(t *testing.T) {
 		{`SELECT w FROM t WHERE rid >= ? AND rid < ? ORDER BY rid`, func() [][]relation.Value {
 			lo := lowRID + rng.Int63n(nextRID-lowRID+1)
 			return [][]relation.Value{{relation.Int(lo), relation.Int(lo + int64(rng.Intn(700)))}}
+		}},
+		{`SELECT w, n, r FROM t WHERE n >= ? AND r < ? AND b IS NOT NULL`, func() [][]relation.Value {
+			return [][]relation.Value{{relation.Int(int64(rng.Intn(50) - 25)), relation.Float(float64(rng.Intn(40)) / 4)}}
 		}},
 	}
 	prepared := make([]*Prepared, len(queries))
@@ -210,7 +227,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 		if len(mirror) > 0 {
 			lo = mirror[rng.Intn(len(mirror))][0].I
 		}
-		switch rng.Intn(14) {
+		switch rng.Intn(15) {
 		case 0, 1, 2: // a few rows into the tail, in or out of rid order
 			insert(1+rng.Intn(40), rng.Intn(4) == 0)
 		case 3: // enough to seal the tail
@@ -249,6 +266,11 @@ func TestRowSegmentsDifferential(t *testing.T) {
 			mustExec(t, db, `UPDATE t SET rid = ? WHERE w = ?`, relation.Int(rid), relation.Int(lo))
 			set(func(r relation.Tuple) bool { return r[0].I == lo },
 				func(r relation.Tuple) relation.Tuple { r[1] = relation.Int(rid); return r })
+		case 12: // the word columns, scattered: NULLs in and out
+			m, to := int64(rng.Intn(31)), words([]int{0, 2}[rng.Intn(2)])
+			mustExec(t, db, `UPDATE t SET n = ?, r = ?, b = ? WHERE w % 31 = ?`, to[0], to[1], to[2], relation.Int(m))
+			set(func(row relation.Tuple) bool { return row[0].I%31 == m },
+				func(row relation.Tuple) relation.Tuple { copy(row[4:], to); return row })
 		case 11:
 			if rng.Intn(3) == 0 {
 				mustExec(t, db, `TRUNCATE TABLE t`)
@@ -284,7 +306,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 		}
 		read()
 		// Readers extend the indexes and columns of the published epoch.
-		for _, q := range []string{queries[1].q, queries[2].q, `SELECT w FROM t WHERE k >= 0 AND s <> 'x'`} {
+		for _, q := range []string{queries[1].q, queries[2].q, `SELECT w FROM t WHERE k >= 0 AND s <> 'x' AND n <> 3`} {
 			mustQuery(t, db, q)
 		}
 		snap := db.PinSnapshot()
