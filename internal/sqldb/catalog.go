@@ -394,7 +394,9 @@ func newColVec(a relation.Attribute, n int) colVec {
 func (v *colVec) len() int { return len(v.words) + len(v.codes) }
 
 // at decodes cell i. It stays within the inliner's budget, where an
-// out-of-line call alone would cost more than half of it.
+// out-of-line call alone would cost more than half of it; rowRef.at,
+// which inlines it, is over that budget, so the column-read closure
+// (compileExpr's ColumnRef) writes rowRef.at out.
 func (v *colVec) at(i int) relation.Value {
 	if v.codes != nil {
 		if c := v.codes[i]; c > 0 {

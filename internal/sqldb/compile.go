@@ -439,8 +439,15 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 		if err != nil {
 			return nil, err
 		}
+		// rowRef.at written out: it is over the inliner's budget once
+		// colVec.at is inlined into it, and this closure reads every
+		// column a plan reads.
 		return func(en *env) (relation.Value, error) {
-			return en.frames[b.depth].rows[b.src].at(b.col), nil
+			r := &en.frames[b.depth].rows[b.src]
+			if r.tup != nil {
+				return r.tup[b.col], nil
+			}
+			return r.cols[b.col].at(r.off), nil
 		}, nil
 
 	case *Unary:
