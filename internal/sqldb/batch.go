@@ -145,7 +145,7 @@ func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int
 			if v.K == relation.KindNull {
 				continue
 			}
-			if ordered(k.op, relation.Compare(v, b.w)) {
+			if holds(k.op, relation.Compare(v, b.w)) {
 				out = append(out, ri)
 			}
 		}
@@ -153,9 +153,13 @@ func (k *kernelPred) filter(colv []relation.Value, b *kernBind, sel []int) []int
 	return out
 }
 
-// ordered reports whether an ordering op holds for a comparison result c.
-func ordered(op kernOp, c int) bool {
+// holds reports whether a compare op holds for a comparison result c.
+func holds(op kernOp, c int) bool {
 	switch op {
+	case kernEQ:
+		return c == 0
+	case kernNE:
+		return c != 0
 	case kernLT:
 		return c < 0
 	case kernLE:
@@ -223,20 +227,7 @@ func (k *kernelPred) filterRun(en *env, run *segRun, b *kernBind, sel []int) []i
 func (k *kernelPred) filterInts(cv *colVec, w int64, sel []int) []int {
 	out := sel[:0]
 	for _, ri := range sel {
-		if cv.nulls != nil && cv.nulls[ri] {
-			continue
-		}
-		x := int64(cv.words[ri])
-		var res bool
-		switch k.op {
-		case kernEQ:
-			res = x == w
-		case kernNE:
-			res = x != w
-		default:
-			res = ordered(k.op, cmp.Compare(x, w))
-		}
-		if res {
+		if (cv.nulls == nil || !cv.nulls[ri]) && holds(k.op, cmp.Compare(int64(cv.words[ri]), w)) {
 			out = append(out, ri)
 		}
 	}
