@@ -223,7 +223,7 @@ func (k *kernelPred) filterRun(en *env, run *segRun, b *kernBind, sel []int) []i
 }
 
 // filterInts is filter over an INTEGER or BOOLEAN column's words against
-// the integer w, a compare op's bound; IS NULL binds none.
+// w, the integer bound of a compare op.
 func (k *kernelPred) filterInts(cv *colVec, w int64, sel []int) []int {
 	out := sel[:0]
 	for _, ri := range sel {
