@@ -1208,10 +1208,12 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 	if sets && inner.n <= probeSetRowsMax {
 		pb.bindSets(&inner.rowSet, nil, inner.n, state)
 		if *state != pNormal || len(pb.vs.parts) == 1 {
+			en.work[wSetBinds]++
 			return nil
 		}
 		sets = false
 	}
+	en.work[wExactBinds]++
 	if k.d.idx == nil {
 		hb, err := k.d.ensureHash(en)
 		if err != nil {

@@ -750,6 +750,10 @@ type Stats struct {
 	// It is a work counter, not a clock: the same statements over the same
 	// data always add the same amount.
 	ProbeRows int64
+	// SetBinds counts the probe kernels' level entries answered by value
+	// sets alone (probeInst.bindSets), ExactBinds those that probe the
+	// index or the hash build.
+	SetBinds, ExactBinds int64
 	// RowsScanned counts the candidate rows handed to join levels — a
 	// whole source, or what an index probe or range left of it — before
 	// any filter, plus the rows read into hash builds; HashBuilds counts
@@ -760,6 +764,10 @@ type Stats struct {
 	// groups and the DISTINCT pre-filter's code stage left of the rows
 	// they scanned.
 	RowsStepped int64
+	// RowConjuncts counts the conjunct decisions join levels made row by
+	// row, whole (planConjunct.holds): what no kernel, OR group, probe or
+	// range took.
+	RowConjuncts int64
 	// SchedBuilds counts join-plan instances laid out (buildSchedule),
 	// SchedReuses the selects an idle instance served instead: all a fixed
 	// statement set adds to once it is warm.
@@ -802,8 +810,11 @@ func (db *DB) Stats() Stats {
 		RetiredEpochs:   r,
 		RetiredBytes:    b,
 		ProbeRows:       db.work[wProbeRows].Load(),
+		SetBinds:        db.work[wSetBinds].Load(),
+		ExactBinds:      db.work[wExactBinds].Load(),
 		RowsScanned:     db.work[wRowsScanned].Load(),
 		RowsStepped:     db.work[wRowsStepped].Load(),
+		RowConjuncts:    db.work[wRowConjuncts].Load(),
 		HashBuilds:      db.work[wHashBuilds].Load(),
 		SchedBuilds:     db.work[wSchedBuilds].Load(),
 		SchedReuses:     db.work[wSchedReuses].Load(),

@@ -51,8 +51,11 @@ type env struct {
 // The work counters, by their field of Stats.
 const (
 	wProbeRows = iota
+	wSetBinds
+	wExactBinds
 	wRowsScanned
 	wRowsStepped
+	wRowConjuncts
 	wHashBuilds
 	wSchedBuilds
 	wSchedReuses

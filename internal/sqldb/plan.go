@@ -874,6 +874,7 @@ func (cs *compiledSelect) stepRow(en *env, sch *schedule, srcRows []rowSet, pos 
 	en.frames[cs.depth].rows[lv.src] = row
 	sch.state.idx[lv.src] = ri
 	for _, ci := range lv.evals {
+		en.work[wRowConjuncts]++
 		if ok, err := cs.conjs[ci].holds(en); !ok {
 			return err
 		}
