@@ -53,7 +53,8 @@ mvccstress:
 
 # The randomized kernel differentials (batch kernels vs per-row closures
 # vs nested loop), the planner's property suite (planned joins, kernels
-# on and off, vs nested loop), the segmented row store under random DML vs a mirror
+# on and off, vs nested loop), tiny joins in every FROM order (the lead
+# order, vs nested loop), the segmented row store under random DML vs a mirror
 # loaded fresh, the detector differential's random and transitions
 # workloads (every detector leg vs the naive oracle) and the naive oracle
 # vs the definitional checker, on a seed no earlier run has used. The
@@ -62,7 +63,7 @@ mvccstress:
 # failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestRowSegmentsDifferential' ./internal/sqldb/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential' ./internal/sqldb/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed
 

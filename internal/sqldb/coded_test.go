@@ -323,7 +323,7 @@ func TestCodedPreDedupDifferential(t *testing.T) {
 		}
 	}
 	mustExec(t, db, `CREATE TABLE pq (rid INTEGER, pk INTEGER, flag INTEGER, a TEXT, b TEXT, c TEXT, d TEXT, e TEXT, f TEXT)`)
-	insert("pq", 60) // fewer than reorderMinRows: it drives pc
+	insert("pq", 60) // fewer than reorderMinRows: its filter makes it lead pc (leadOrder)
 
 	mustExec(t, db, `CREATE TABLE pc (cid INTEGER, la INTEGER, lb INTEGER, lc INTEGER, ld INTEGER, le INTEGER, lf INTEGER)`)
 	for cid, on := range []string{"", "a", "bc", "d", "adef", "abcde", "abcdef", "f", "ae", "bd"} {

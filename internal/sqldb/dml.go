@@ -362,8 +362,12 @@ func semiJoinable(sub *Select) bool {
 // useSemiJoin reports whether the selection would take the semi-join
 // path given the epoch's table sizes: worth it when a subquery source
 // is meaningfully smaller than the target, so the join is driven from
-// that side instead of probing the subquery once per target row. Shared
-// by positions (against db.curW) and EXPLAIN (against a pinned
+// that side instead of probing the subquery once per target row, and
+// when the whole joint join is tiny, every source below reorderMinRows
+// rows, so its lead order (decide) drives it from the source its guards
+// read. A tiny target alone is not enough: over a large unindexed
+// subquery table the joint join pays |target|·|subquery| in kernels.
+// Shared by positions (against db.curW) and EXPLAIN (against a pinned
 // snapshot) so the reported access path is the one that actually
 // executes.
 func (rs *rowSelect) useSemiJoin(ep *epoch) bool {
@@ -371,13 +375,12 @@ func (rs *rowSelect) useSemiJoin(ep *epoch) bool {
 		return false
 	}
 	target := ep.tds[rs.t].n
-	minSub := target + 1
+	minSub, maxSub := target+1, target
 	for _, src := range rs.semi.sources[1:] {
-		if n := ep.tds[src.table].n; n < minSub {
-			minSub = n
-		}
+		n := ep.tds[src.table].n
+		minSub, maxSub = min(minSub, n), max(maxSub, n)
 	}
-	return minSub*4 <= target
+	return minSub*4 <= target || maxSub < reorderMinRows
 }
 
 // positions returns the selected target row positions in the writer

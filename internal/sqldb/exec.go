@@ -77,8 +77,11 @@ type compiledSelect struct {
 	where    compiledExpr
 	// planner decomposition of WHERE; planOK false falls back to the
 	// nested loop evaluating the monolithic where closure.
-	conjs    []*planConjunct
-	planOK   bool
+	conjs  []*planConjunct
+	planOK bool
+	// lead is the join order of a tiny join (decide): the sources by how
+	// many parts read them alone, most first (leadOrder).
+	lead     []int
 	grouped  bool
 	groupBy  []compiledExpr
 	having   compiledExpr

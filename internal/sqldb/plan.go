@@ -3,6 +3,7 @@ package sqldb
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -18,6 +19,8 @@ import (
 //
 //   - sources are visited smallest-first, so a 10-row pattern table
 //     drives the loop over a 100k-row data table and not the reverse;
+//     below reorderMinRows rows the source the most parts read alone
+//     drives (leadOrder), so the pattern table drives an 8-row batch too;
 //   - equality conjuncts between a source and already-bound values
 //     become index probes when a persistent secondary index covers the
 //     key columns exactly, and filters of the level like any other
@@ -69,10 +72,12 @@ func (db *DB) SetMode(m Mode) { db.mode.Store(int32(m)) }
 
 func (db *DB) execMode() Mode { return Mode(db.mode.Load()) }
 
-// reorderMinRows is the largest-source threshold below which the
-// planner keeps the syntactic FROM order: for tiny joins reordering
-// buys nothing and would perturb the (unspecified but convenient)
-// result order small tests rely on.
+// reorderMinRows is the largest-source threshold below which sizes do
+// not order the join: a tiny join is ordered by its parts (leadOrder).
+// Reordering it is not free of gain: the detector's pattern joins — an
+// 8-row staged batch against Σ's pattern rows — run their OR-group
+// kernels only with the pattern table outermost, and decide their guards
+// once per (tuple, pattern) pair in the FROM order, t first.
 const reorderMinRows = 64
 
 // srcMask is a bitset over the FROM sources of one SELECT scope.
@@ -215,7 +220,33 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 		conjs = append(conjs, pc)
 	}
 	cs.conjs = conjs
+	cs.lead = leadOrder(conjs, len(cs.sources))
 	cs.planOK = true
+}
+
+// leadOrder ranks the sources for a tiny join: by how many parts read
+// that source alone, most first, FROM order among equals. Such parts are
+// an alternative's guards — the pattern row's "c.A_L <> 1", a per-CID
+// EXISTS — and one-source filters: leading, their source decides them
+// once per row of its own, and the OR-group kernels below bind them once
+// per entry instead of per (row, pattern) pair.
+func leadOrder(conjs []*planConjunct, n int) []int {
+	alone := make([]int, n)
+	for _, pc := range conjs {
+		for _, t := range pc.terms {
+			for _, p := range t.parts {
+				if p.srcs != 0 && p.srcs&(p.srcs-1) == 0 {
+					alone[bits.TrailingZeros64(uint64(p.srcs))]++
+				}
+			}
+		}
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(alone[b], alone[a]) })
+	return order
 }
 
 // extractEqui records the join-key shapes of a single-term equality
@@ -466,18 +497,22 @@ func isNaN(v relation.Value) bool {
 }
 
 // decide takes from the sources' sizes the one thing a schedule depends
-// on them for: the join order, appended to order — smallest source first
-// once any has reorderMinRows rows, FROM order otherwise and among equals.
-// Every statement runs it: no allocation.
-func decide(srcRows []rowSet, order []int) []int {
+// on them for: the join order, appended to order — smallest source first,
+// FROM order among equals, once any has reorderMinRows rows; the plan's
+// lead order (leadOrder) below that. Every statement runs it: no
+// allocation.
+func decide(lead []int, srcRows []rowSet, order []int) []int {
 	largest := 0
 	for i := range srcRows {
-		order = append(order, i)
 		largest = max(largest, srcRows[i].n)
 	}
-	if largest >= reorderMinRows {
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(srcRows[a].n, srcRows[b].n) })
+	if largest < reorderMinRows {
+		return append(order, lead...)
 	}
+	for i := range srcRows {
+		order = append(order, i)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(srcRows[a].n, srcRows[b].n) })
 	return order
 }
 
@@ -758,7 +793,7 @@ func (en *env) scheduleFor(cs *compiledSelect, srcRows []rowSet) *schedule {
 			return b.sch
 		}
 	}
-	order := decide(srcRows, make([]int, 0, 8)) // on the stack
+	order := decide(cs.lead, srcRows, make([]int, 0, 8)) // on the stack
 	var sch *schedule
 	for i := range cs.free {
 		f := cs.free[i].Load()
@@ -1079,7 +1114,7 @@ func (cs *compiledSelect) describePlan(ep *epoch) []string {
 			srcRows[i] = ep.tds[src.table].rowSet
 		}
 	}
-	return cs.describeSchedule(buildSchedule(cs, decide(srcRows, nil), ep), ep)
+	return cs.describeSchedule(buildSchedule(cs, decide(cs.lead, srcRows, nil), ep), ep)
 }
 
 // describeSchedule renders one instance of the select's join plan.

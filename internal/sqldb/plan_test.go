@@ -90,35 +90,58 @@ func TestExplainShowsIndexProbe(t *testing.T) {
 // TestExplainSemiJoinRowSelection: UPDATE ... WHERE EXISTS over base tables
 // reports the semi-join row selection when the size heuristic would
 // actually take it, and the planned (batched) row selection otherwise —
-// EXPLAIN mirrors runUpdate's runtime choice.
+// EXPLAIN mirrors runUpdate's runtime choice, and both run the same rows.
+// The heuristic's two rules: a subquery source a quarter of the target or
+// less drives the joint join; and a joint join whose every source is
+// below reorderMinRows rows takes it too, but a tiny target alone does
+// not — over a large unindexed subquery table the joint join's kernels
+// would pay |target|·|subquery|.
 func TestExplainSemiJoinRowSelection(t *testing.T) {
 	db := NewDB()
+	fill := func(table string, rows, from int) {
+		for i := 0; i < rows; i++ {
+			mustExec(t, db, `INSERT INTO `+table+` VALUES (?)`, relation.Int(int64(from+i)))
+		}
+	}
 	mustExec(t, db, `CREATE TABLE d (id INTEGER, flag INTEGER)`)
-	mustExec(t, db, `CREATE TABLE pat (id INTEGER)`)
-	for i := 0; i < 12; i++ {
+	for i := 0; i < reorderMinRows+16; i++ {
 		mustExec(t, db, `INSERT INTO d VALUES (?, 0)`, relation.Int(int64(i)))
 	}
-	mustExec(t, db, `INSERT INTO pat VALUES (2)`)
-	q := `UPDATE d t SET flag = 1 WHERE EXISTS (SELECT 1 FROM pat p WHERE p.id = t.id)`
-	plan, err := db.Explain(q)
-	if err != nil {
-		t.Fatal(err)
+	mustExec(t, db, `CREATE TABLE small (id INTEGER, flag INTEGER)`)
+	for i := 0; i < 12; i++ {
+		mustExec(t, db, `INSERT INTO small VALUES (?, 0)`, relation.Int(int64(i)))
 	}
-	if !strings.Contains(plan, "semi-join row selection") {
-		t.Fatalf("expected semi-join in plan:\n%s", plan)
+	mustExec(t, db, `CREATE TABLE pat (id INTEGER)`)
+	fill("pat", 1, 2)
+	mustExec(t, db, `CREATE TABLE wide (id INTEGER)`)
+	fill("wide", reorderMinRows+36, 5)
+	check := func(name, q, want string, flagged int) {
+		t.Helper()
+		plan, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, want) {
+			t.Fatalf("%s: expected the %s:\n%s", name, want, plan)
+		}
+		n, err := db.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(flagged) {
+			t.Fatalf("%s: %d rows changed, want %d", name, n, flagged)
+		}
 	}
-	// Grow the subquery side past the heuristic: the same statement now
-	// executes (and reports) the planned row selection instead.
-	for i := 0; i < 40; i++ {
-		mustExec(t, db, `INSERT INTO pat VALUES (?)`, relation.Int(int64(100+i)))
+	upd := func(target, sub string) string {
+		return `UPDATE ` + target + ` t SET flag = 1 - flag WHERE EXISTS (SELECT 1 FROM ` + sub + ` p WHERE p.id = t.id)`
 	}
-	plan, err = db.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "semi-join row selection") || !strings.Contains(plan, "planned row selection") {
-		t.Fatalf("expected the planned row selection once the subquery side dominates:\n%s", plan)
-	}
+	check("large target, tiny subquery", upd("d", "pat"), "semi-join row selection", 1)
+	// Grow the subquery side past a quarter of the target: the same
+	// statement now executes (and reports) the planned row selection.
+	fill("pat", 40, 100)
+	check("large target, subquery past a quarter", upd("d", "pat"), "planned row selection", 1)
+	check("tiny joint join", upd("small", "pat"), "semi-join row selection", 1)
+	check("tiny target, large unindexed subquery", upd("small", "wide"), "planned row selection", 7)
 }
 
 // TestPlanCacheInvalidationOnDDL: a cached prepared statement must see

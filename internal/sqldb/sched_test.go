@@ -318,7 +318,7 @@ func TestScheduleKeyIsDecisions(t *testing.T) {
 	}
 	grow("big", 40)
 	grow("small", 10)
-	step("first run", 1, 0, "scan b", "kernel filter(s)") // below reorderMinRows: FROM order
+	step("first run", 1, 0, "scan b", "kernel filter(s)") // below reorderMinRows: b.mv = 0 reads b alone, b leads
 	grow("big", 50)
 	step("both below reorderMinRows", 0, 1, "scan b", "kernel filter(s)")
 	grow("big", reorderMinRows+10)
