@@ -743,12 +743,11 @@ type probeSets struct {
 //
 //   - probeSetMinCands: the walk is paid per entry, so the entry's
 //     candidates have to pay it back. Detector.Check enters these probes
-//     once per pattern row over the staged tuples (8 candidates; it
-//     entered them once per (staged tuple, pattern) pair before tiny
-//     joins took their lead order): with no floor serve_check_10k
-//     allocated 1.3 % more per request in 3 runs of 3 and gained nothing
-//     (a cruder prototype lost 6.6 % p50 there). A few selection vectors
-//     is above every staging table and below every data scan.
+//     once per pattern row over its 8 staged tuples: with no floor
+//     serve_check_10k allocated 1.3 % more per request in 3 runs of 3 and
+//     gained nothing (a cruder prototype lost 6.6 % p50 there). A few
+//     selection vectors is above every staging table and below every data
+//     scan.
 //   - probeSetRowsMax: at 64 the 8+8 update already ran at 0.45× the
 //     parent, but the 64+64 update and every Aux probe stayed exact; 256
 //     took that update's recompute from 30–50 ms to 21–23 ms and

@@ -73,11 +73,10 @@ func (db *DB) SetMode(m Mode) { db.mode.Store(int32(m)) }
 func (db *DB) execMode() Mode { return Mode(db.mode.Load()) }
 
 // reorderMinRows is the largest-source threshold below which sizes do
-// not order the join: a tiny join is ordered by its parts (leadOrder).
-// Reordering it is not free of gain: the detector's pattern joins — an
-// 8-row staged batch against Σ's pattern rows — run their OR-group
-// kernels only with the pattern table outermost, and decide their guards
-// once per (tuple, pattern) pair in the FROM order, t first.
+// not order the join: a tiny join takes its lead order (leadOrder). That
+// still matters there: over an 8-row staged batch it puts the detector's
+// pattern table outermost, so the OR-group kernels decide each guard once
+// per pattern row rather than once per (tuple, pattern) pair.
 const reorderMinRows = 64
 
 // srcMask is a bitset over the FROM sources of one SELECT scope.
@@ -235,7 +234,7 @@ func leadOrder(conjs []*planConjunct, n int) []int {
 	for _, pc := range conjs {
 		for _, t := range pc.terms {
 			for _, p := range t.parts {
-				if p.srcs != 0 && p.srcs&(p.srcs-1) == 0 {
+				if bits.OnesCount64(uint64(p.srcs)) == 1 {
 					alone[bits.TrailingZeros64(uint64(p.srcs))]++
 				}
 			}
