@@ -727,12 +727,11 @@ type probeInst struct {
 
 // probeSets is the value-set state of a probe instance: parts lists the
 // per-row key parts of the current entry — empty when the entry probes
-// every candidate exactly — sets[i] holds the values part i can take in
-// a matching probe-side row, and hits is the NOT EXISTS scratch.
+// every candidate exactly — and sets[i] holds the values part i can take
+// in a matching probe-side row.
 type probeSets struct {
 	parts []int
 	sets  []valueSet
-	hits  []int
 }
 
 // The value-set thresholds: an entry builds sets when its level is about
@@ -757,8 +756,6 @@ type probeSets struct {
 //     0.40 / 0.55 / 1.4 / 2.0 / 6.8 ms at 1 / 2 / 4 / 8 / 24 members, a
 //     map on the raw text 0.75–1.1 ms at any size. They decide a coded
 //     run's dictionary strings, or its rows where they are fewer.
-//   - probeScanSetMax: numbers have no raw form to hash, so they scan
-//     with Identical up to the size the exact probe wins back.
 //   - probePostingsDiv: a whole run's selection comes from the members'
 //     postings when they hold at most 1/probePostingsDiv of its rows, else
 //     from a bit test per row. On a sealed 1024-row run (2-CPU Intel Xeon)
@@ -767,22 +764,20 @@ type probeSets struct {
 //     keys (a third of each run) read postings too: 0.20·|D| cells tested
 //     a warm 8+8 update at 40 000 rows, not 1.20·|D|.
 const (
-	probeScanSetMax  = 24
 	probeTextScanMax = 4
 	probeSetRowsMax  = 256
 	probeSetMinCands = 4 * batchChunk
 	probePostingsDiv = 2
 )
 
-// valueSet is the set of distinct values (never NULL, never NaN) one
-// key column takes among the probe-side rows that agree with an entry's
-// constant key parts. Membership is Identical — what the key encoding
-// and the ordered index implement — and TEXT never is Identical to a
-// number, so the two kinds are kept apart: text compares on the raw
-// string, no encoding.
+// valueSet is the set of distinct TEXT values one key column takes among
+// the probe-side rows that agree with an entry's constant key parts.
+// Membership is Identical — what the key encoding and the ordered index
+// implement — and TEXT never is Identical to anything else, so members
+// compare on the raw string, no encoding. A column holding a non-TEXT
+// value there has no set: the entry probes exactly.
 type valueSet struct {
-	texts  []string // every text member
-	nums   []relation.Value
+	texts  []string // every member
 	hashed bool                // more than probeTextScanMax texts: m answers
 	m      map[string]struct{} // allocated once per instance, cleared per entry
 	// mask is filter's scratch over a coded run: bit c is set when code c
@@ -794,23 +789,21 @@ type valueSet struct {
 }
 
 func (s *valueSet) reset() {
-	s.texts, s.nums, s.maskOf = s.texts[:0], s.nums[:0], nil
+	s.texts, s.maskOf = s.texts[:0], nil
 	if s.hashed {
 		clear(s.m)
 		s.hashed = false
 	}
 }
 
-// add inserts a non-NULL value. It reports false when the set would
-// need more than probeScanSetMax numeric members: those only scan
-// linearly, and past that size the exact probe is cheaper.
+// add inserts a value. It refuses, reporting false, one that is not
+// TEXT.
 func (s *valueSet) add(v relation.Value) bool {
+	if v.K != relation.KindText {
+		return false
+	}
 	if s.has(v) {
 		return true
-	}
-	if v.K != relation.KindText {
-		s.nums = append(s.nums, v)
-		return len(s.nums) <= probeScanSetMax
 	}
 	s.texts = append(s.texts, v.S)
 	if s.hashed {
@@ -827,19 +820,16 @@ func (s *valueSet) add(v relation.Value) bool {
 	return true
 }
 
-// has reports whether v is a member. A NULL or NaN is a member of
-// nothing.
+// has reports whether v is a member. Only TEXT is.
 func (s *valueSet) has(v relation.Value) bool {
 	switch {
-	case v.K == relation.KindText && s.hashed:
+	case v.K != relation.KindText:
+		return false
+	case s.hashed:
 		_, in := s.m[v.S]
 		return in
-	case v.K == relation.KindText:
-		return slices.Contains(s.texts, v.S)
-	case v.K != relation.KindNull:
-		return slices.ContainsFunc(s.nums, func(w relation.Value) bool { return relation.Identical(v, w) })
 	}
-	return false
+	return slices.Contains(s.texts, v.S)
 }
 
 // codeMask makes s.mask the members among the coded run cv's codes — by
@@ -1294,7 +1284,7 @@ rows:
 		agree = true
 		for _, i := range vs.parts {
 			if !vs.sets[i].add(r.at(k.d.keyCols[i])) {
-				vs.parts = vs.parts[:0] // too wide to scan: probe exactly
+				vs.parts = vs.parts[:0] // not TEXT: probe exactly
 				return
 			}
 		}
@@ -1320,19 +1310,17 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, s
 		}
 	}
 	switch {
-	case vs == nil || len(vs.parts) == 0:
+	case vs == nil || len(vs.parts) == 0 || k.neg && len(vs.parts) > 1:
 		return pb.probeExact(en, cs, src, run, sel, k.neg)
 	case len(vs.parts) == 1:
 		i := vs.parts[0]
 		return vs.sets[i].filter(en, &k.parts[i], &pb.colvs[i], sel, !k.neg, run.whole), nil
 	}
-	// Several per-row parts: the sets bound the hits from above, the
-	// exact probe settles the candidates inside all of them. Over a whole
-	// run the part whose postings hold the fewest rows filters first.
+	// EXISTS over several per-row parts: the sets bound the hits from
+	// above, the exact probe settles the candidates inside all of them.
+	// Over a whole run the part whose postings hold the fewest rows
+	// filters first.
 	hits := sel
-	if k.neg {
-		hits = append(vs.hits[:0], sel...)
-	}
 	if run.whole && len(hits) == run.n {
 		lead, least := 0, len(hits)+1
 		for j, i := range vs.parts {
@@ -1347,21 +1335,7 @@ func (pb *probeInst) filter(en *env, cs *compiledSelect, src int, run *segRun, s
 	for _, i := range vs.parts {
 		hits = vs.sets[i].filter(en, &k.parts[i], &pb.colvs[i], hits, true, run.whole)
 	}
-	hits, err := pb.probeExact(en, cs, src, run, hits, false)
-	if err != nil || !k.neg {
-		return hits, err
-	}
-	// NOT EXISTS keeps everything but the hits, an ordered subsequence.
-	vs.hits = hits[:0]
-	out := sel[:0]
-	for _, ri := range sel {
-		if len(hits) > 0 && hits[0] == ri {
-			hits = hits[1:]
-			continue
-		}
-		out = append(out, ri)
-	}
-	return out, nil
+	return pb.probeExact(en, cs, src, run, hits, false)
 }
 
 // probeExact answers the probe for every row of sel from the index or
