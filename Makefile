@@ -51,10 +51,11 @@ mvccstress:
 	$(GO) test -race -count=1 -run 'TestSnapshotStability|TestSnapshotStable|TestEpochGC|TestConcurrent|TestRowSegmentsDifferential|TestValueSetProbeDifferential|TestTailSealBesidePinnedReaders|TestTxSemantics|TestWALOneSyncPerCommit' -skip 'TestValueSetProbeDifferential/random' ./internal/sqldb/
 	$(GO) test -race -count=1 -run 'TestReadersSeeWholeUpdates|TestViolationsStreamSeesWholeUpdates' ./internal/detect/ ./internal/server/
 
-# The randomized kernel differentials (batch kernels vs per-row closures
-# vs nested loop), the planner's property suite (planned joins, kernels
-# on and off, vs nested loop), tiny joins in every FROM order (the lead
-# order, vs nested loop), the segmented row store under random DML vs a mirror
+# The randomized kernel differentials (batch kernels vs nested loop), the
+# planner's property suite (planned joins vs nested loop), the
+# decorrelated EXISTS closure where no kernel takes it (vs nested loop),
+# tiny joins in every FROM order (the lead order, vs nested loop), the
+# segmented row store under random DML vs a mirror
 # loaded fresh, the detector differential's random and transitions
 # workloads (every detector leg vs the naive oracle) and the naive oracle
 # vs the definitional checker, on a seed no earlier run has used. The
@@ -63,7 +64,7 @@ mvccstress:
 # failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential' ./internal/sqldb/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential|TestDecorrelatedClosureDifferential' ./internal/sqldb/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed
 

@@ -171,7 +171,7 @@ func BenchmarkMixedRead(b *testing.B) {
 }
 
 // BenchmarkPlanner quantifies what the engine's optimizer buys
-// (hash/indexed joins, predicate pushdown, OR-alternative hoisting,
+// (index-probe joins, predicate pushdown, OR-alternative hoisting,
 // batch kernels, decorrelated EXISTS probes, semi-join updates): "off"
 // runs every statement in sqldb.Reference — the all-pairs nested loop
 // over a monolithic WHERE closure, subqueries re-executed per row.

@@ -117,7 +117,7 @@ func TestTypedAttributesIncremental(t *testing.T) {
 	}{
 		{"planned", sqldb.Planned, false},
 		{"nan/planned", sqldb.Planned, true},
-		{"nan/row-at-a-time", sqldb.RowAtATime, true},
+		{"nan/reference", sqldb.Reference, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()

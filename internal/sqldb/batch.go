@@ -25,7 +25,7 @@ import (
 // groups, subquery probes, cross-column arithmetic — stays on the
 // compiledExpr path, so semantics never change; the kernels are an
 // exact, not a conservative, evaluation of the conjuncts they consume
-// (verified by the three-way differential oracle).
+// (verified by the differentials against the Reference mode).
 //
 // A kernel evaluates its invariant inputs once per level *entry*
 // (bind), then filters the level's candidates run by run (filter): a
@@ -410,8 +410,9 @@ type kprobePart struct {
 
 // kprobe is the compiled batch form of a decorrelated EXISTS for one
 // level source: the shared decorrProbe plus the per-part vectorization
-// classes. Semantics mirror the closure path exactly — same build set
-// or index, same key encoding, NULL key parts never match.
+// classes. It answers what the closure (tryDecorrelate) answers: the
+// same build set or index, the same key encoding, and a NULL or NaN key
+// part never matches.
 type kprobe struct {
 	d        *decorrProbe
 	neg      bool
@@ -777,7 +778,7 @@ const (
 // compare on the raw string, no encoding. A column holding a non-TEXT
 // value there has no set: the entry probes exactly.
 type valueSet struct {
-	texts  []string // every member
+	texts  []string            // every member
 	hashed bool                // more than probeTextScanMax texts: m answers
 	m      map[string]struct{} // allocated once per instance, cleared per entry
 	// mask is filter's scratch over a coded run: bit c is set when code c
@@ -1157,7 +1158,7 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 	}
 	if constNull {
 		// A NULL or NaN key part never matches: EXISTS is false for every
-		// row, exactly like the closure's check (probeKey.eval).
+		// row, exactly as in the closure (tryDecorrelate).
 		if k.neg {
 			*state = pAlways
 		} else {

@@ -54,7 +54,7 @@ func kernelTable(t *testing.T, rng *rand.Rand, rows int) *DB {
 // TestKernelClosureDifferential generates random simple-predicate
 // WHERE clauses — the shapes the kernel compiler targets, beside the IN
 // lists and BETWEEN it leaves to the closures, over NaN and NULL data —
-// and checks the batch, row and nested-loop paths agree on every one.
+// and checks the Planned and Reference modes agree on every one.
 // The compares meet INTEGER, REAL and BOOLEAN columns, which hold NULLs,
 // with integer, float, boolean and NULL bounds: the word kernel and the
 // decoded cells both.
@@ -131,24 +131,24 @@ func TestKernelClosureDifferential(t *testing.T) {
 			}
 		}
 		q := "SELECT a, f, s, flag, b FROM kt WHERE " + strings.Join(conjs, " AND ")
-		batch, row, nested := runThreeWays(t, db, q, false)
-		if batch != row || row != nested {
-			t.Fatalf("trial %d: divergence on %q:\nbatch  %q\nrow    %q\nnested %q",
-				trial, q, batch, row, nested)
+		batch, nested := runBothWays(t, db, q, false)
+		if batch != nested {
+			t.Fatalf("trial %d: divergence on %q:\nbatch  %q\nnested %q",
+				trial, q, batch, nested)
 		}
 	}
 }
 
 // TestKernelParamDifferential covers parameterized kernel bounds — the
 // parallel detector's RID-slice shape — including NULL parameters,
-// which must empty the scan exactly like the closure path does.
+// which must empty the scan exactly like the nested loop does.
 func TestKernelParamDifferential(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(127))
 	db := kernelTable(t, rng, 80)
 	run := func(q string, params ...relation.Value) (string, string) {
 		t.Helper()
-		return canonical(queryIn(t, db, Planned, q, params...)), canonical(queryIn(t, db, RowAtATime, q, params...))
+		return canonical(queryIn(t, db, Planned, q, params...)), canonical(queryIn(t, db, Reference, q, params...))
 	}
 	for trial := 0; trial < 30; trial++ {
 		lo := relation.Value(relation.Int(int64(rng.Intn(8))))
@@ -164,8 +164,7 @@ func TestKernelParamDifferential(t *testing.T) {
 }
 
 // TestExplainBatchMode pins the EXPLAIN surface: levels with consumed
-// kernels report batch mode, everything else reports row mode, and
-// RowAtATime flips the marker.
+// kernels report batch mode, everything else reports row mode.
 func TestExplainBatchMode(t *testing.T) {
 	t.Parallel()
 	db := NewDB()
@@ -215,16 +214,6 @@ func TestExplainBatchMode(t *testing.T) {
 	}
 	if !strings.Contains(plan, "scan c (2 rows)\n") || strings.Contains(plan, "scan c (2 rows) [row]") {
 		t.Fatalf("expected the pattern side as a marker-free pure driver:\n%s", plan)
-	}
-
-	// Kernels off: everything with predicate work reports row mode.
-	db.SetMode(RowAtATime)
-	plan, err = db.Explain(`SELECT rid FROM data WHERE rid >= ? AND rid <= ? AND mv <> 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "batch:") || !strings.Contains(plan, "[row]") {
-		t.Fatalf("expected row mode with kernels disabled:\n%s", plan)
 	}
 }
 
@@ -386,7 +375,7 @@ func TestColumnCacheMaintenance(t *testing.T) {
 // p-equality, alone or with a q-range, without the index — it covers
 // more than the probe's columns — by a scan whose kernels decide the
 // equality, for a constant key and for a correlated one, in agreement
-// with the closure paths.
+// with the nested loop.
 func TestEqPrefixRangeProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	db := NewDB()
@@ -419,9 +408,9 @@ func TestEqPrefixRangeProbe(t *testing.T) {
 		`SELECT w FROM cp WHERE p = 99 AND q < 3`,
 		`SELECT w FROM cp WHERE p = 1 AND q > NULL`,
 	} {
-		batch, row, nested := runThreeWays(t, db, q, false)
-		if batch != row || row != nested {
-			t.Fatalf("compound probe diverges on %q:\nbatch  %q\nrow    %q\nnested %q", q, batch, row, nested)
+		batch, nested := runBothWays(t, db, q, false)
+		if batch != nested {
+			t.Fatalf("compound probe diverges on %q:\nbatch  %q\nnested %q", q, batch, nested)
 		}
 	}
 
@@ -433,9 +422,9 @@ func TestEqPrefixRangeProbe(t *testing.T) {
 	if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "scan c (120 rows) [batch: ") {
 		t.Fatalf("expected a batch scan: %v\n%s", err, plan)
 	}
-	batch, row, nested := runThreeWays(t, db, q, false)
-	if batch != row || row != nested {
-		t.Fatalf("correlated compound probe diverges:\nbatch  %q\nrow    %q\nnested %q", batch, row, nested)
+	batch, nested := runBothWays(t, db, q, false)
+	if batch != nested {
+		t.Fatalf("correlated compound probe diverges:\nbatch  %q\nnested %q", batch, nested)
 	}
 }
 
@@ -458,9 +447,9 @@ func TestBigIntExactness(t *testing.T) {
 
 	// Equality answered by binary search must match only the exact key.
 	q := `SELECT z.q FROM k, z WHERE z.p = k.v`
-	batch, row, nested := runThreeWays(t, db, q, false)
-	if batch != row || row != nested {
-		t.Fatalf("index probe big-int diverges:\nbatch  %q\nrow    %q\nnested %q", batch, row, nested)
+	batch, nested := runBothWays(t, db, q, false)
+	if batch != nested {
+		t.Fatalf("index probe big-int diverges:\nbatch  %q\nnested %q", batch, nested)
 	}
 	if batch != "1" {
 		t.Fatalf("index probe big-int: got %q, want exactly row q=1", batch)
@@ -469,9 +458,9 @@ func TestBigIntExactness(t *testing.T) {
 	// Ordering kernel vs generic closure: column-vs-column compare with
 	// adjacent big ints.
 	q = `SELECT z.q FROM k, z WHERE z.p > k.v`
-	batch, row, nested = runThreeWays(t, db, q, false)
-	if batch != row || row != nested {
-		t.Fatalf("ordering kernel big-int diverges:\nbatch  %q\nrow    %q\nnested %q", batch, row, nested)
+	batch, nested = runBothWays(t, db, q, false)
+	if batch != nested {
+		t.Fatalf("ordering kernel big-int diverges:\nbatch  %q\nnested %q", batch, nested)
 	}
 	if batch != "2" {
 		t.Fatalf("big-int > compare: got %q, want exactly row q=2", batch)
@@ -480,15 +469,15 @@ func TestBigIntExactness(t *testing.T) {
 	// IN lists across the hash threshold with a mixed float/big-int
 	// pair: comparison is exact across kinds, so Float(2^53) never
 	// matches the Int(2^53+1) item — for both list sizes (Equal scan
-	// and Key()-hashed set) and all three execution paths.
+	// and Key()-hashed set) and both execution modes.
 	mustExec(t, db, `CREATE TABLE f (x REAL)`)
 	mustExec(t, db, `INSERT INTO f VALUES (?)`, relation.Float(float64(big)))
 	short := `SELECT x FROM f WHERE x IN (9007199254740993, 1)`
 	long := `SELECT x FROM f WHERE x IN (9007199254740993, 1, 2, 3, 4, 5, 6, 7)`
 	for _, q := range []string{short, long} {
-		b, r, n := runThreeWays(t, db, q, false)
-		if b != r || r != n {
-			t.Fatalf("mixed-kind IN diverges on %q:\nbatch  %q\nrow    %q\nnested %q", q, b, r, n)
+		b, n := runBothWays(t, db, q, false)
+		if b != n {
+			t.Fatalf("mixed-kind IN diverges on %q:\nbatch  %q\nnested %q", q, b, n)
 		}
 		if b != "" {
 			t.Fatalf("mixed-kind IN on %q: got %q, want no match (exact comparison)", q, b)
@@ -559,10 +548,10 @@ func TestInListNaNConsistency(t *testing.T) {
 	mustExec(t, db, `INSERT INTO ni VALUES (1.5, 2), (3.0, 3)`)
 	nan := relation.Float(math.NaN())
 
-	run := func(q string, params ...relation.Value) [3]string {
+	run := func(q string, params ...relation.Value) [2]string {
 		t.Helper()
-		var out [3]string
-		out[0], out[1], out[2] = runThreeWays(t, db, q, false, params...)
+		var out [2]string
+		out[0], out[1] = runBothWays(t, db, q, false, params...)
 		return out
 	}
 	cases := []struct {
@@ -580,8 +569,8 @@ func TestInListNaNConsistency(t *testing.T) {
 	}
 	for _, tc := range cases {
 		got := run(tc.q, tc.params...)
-		if got[0] != got[1] || got[1] != got[2] {
-			t.Fatalf("IN NaN diverges on %q: batch %q, row %q, nested %q", tc.q, got[0], got[1], got[2])
+		if got[0] != got[1] {
+			t.Fatalf("IN NaN diverges on %q: batch %q, nested %q", tc.q, got[0], got[1])
 		}
 		// And NaN must never have matched: the NaN data row appears only
 		// in NOT IN results, the NaN item selects nothing.
@@ -610,9 +599,9 @@ func TestKernelNaNDifferential(t *testing.T) {
 		`SELECT w FROM nf WHERE x = 1.5 AND w <> 0`,
 		`SELECT w FROM nf WHERE x BETWEEN 0 AND 9`,
 	} {
-		batch, row, nested := runThreeWays(t, db, q, false)
-		if batch != row || row != nested {
-			t.Fatalf("NaN kernel diverges on %q:\nbatch  %q\nrow    %q\nnested %q", q, batch, row, nested)
+		batch, nested := runBothWays(t, db, q, false)
+		if batch != nested {
+			t.Fatalf("NaN kernel diverges on %q:\nbatch  %q\nnested %q", q, batch, nested)
 		}
 	}
 }
@@ -620,8 +609,8 @@ func TestKernelNaNDifferential(t *testing.T) {
 // TestOrKernelDifferential fuzzes OR groups — 2 to 5 alternatives
 // mixing simple predicates, correlated [NOT] EXISTS probe terms,
 // AND-pairs and nested disjunctions over NULL/NaN-bearing columns —
-// and checks the group-kernel path against the per-row closure path
-// and the forced nested loop, mirroring TestKernelClosureDifferential
+// and checks the group-kernel path against the forced nested loop,
+// mirroring TestKernelClosureDifferential
 // for the shapes the OR-group kernels claim.
 func TestOrKernelDifferential(t *testing.T) {
 	t.Parallel()
@@ -704,10 +693,10 @@ func TestOrKernelDifferential(t *testing.T) {
 			conjs = append(conjs, leaf())
 		}
 		q := "SELECT a, f, s, flag FROM kt WHERE " + strings.Join(conjs, " AND ")
-		batch, row, nested := runThreeWays(t, db, q, false)
-		if batch != row || row != nested {
-			t.Fatalf("trial %d: OR-kernel divergence on %q:\nbatch  %q\nrow    %q\nnested %q",
-				trial, q, batch, row, nested)
+		batch, nested := runBothWays(t, db, q, false)
+		if batch != nested {
+			t.Fatalf("trial %d: OR-kernel divergence on %q:\nbatch  %q\nnested %q",
+				trial, q, batch, nested)
 		}
 	}
 	// The last alternative reached with no row matched before it: the
@@ -728,10 +717,10 @@ func TestOrKernelDifferential(t *testing.T) {
 			"(kt.a < 6 OR p.code <> 1 OR " + last + ")",
 		} {
 			q := "SELECT p.code, kt.a, kt.f, kt.s, kt.flag FROM pat p, kt WHERE " + where
-			batch, row, nested := runThreeWays(t, db, q, false)
-			if batch != row || row != nested {
-				t.Fatalf("trial %d: OR-kernel divergence on %q:\nbatch  %q\nrow    %q\nnested %q",
-					trial, q, batch, row, nested)
+			batch, nested := runBothWays(t, db, q, false)
+			if batch != nested {
+				t.Fatalf("trial %d: OR-kernel divergence on %q:\nbatch  %q\nnested %q",
+					trial, q, batch, nested)
 			}
 		}
 	}
@@ -796,9 +785,9 @@ func TestOrKernelLazyBindErrors(t *testing.T) {
 	// Every row satisfies the first alternative, so 10 / c.z (division
 	// by zero) must never evaluate — on either path.
 	q := `SELECT tt.a FROM c, tt WHERE (tt.a = 1 OR tt.a < 10 / c.z)`
-	batch, row, nested := runThreeWays(t, db, q, false)
-	if batch != row || row != nested {
-		t.Fatalf("lazy-bind divergence:\nbatch  %q\nrow    %q\nnested %q", batch, row, nested)
+	batch, nested := runBothWays(t, db, q, false)
+	if batch != nested {
+		t.Fatalf("lazy-bind divergence:\nbatch  %q\nnested %q", batch, nested)
 	}
 	if batch != "1;1" {
 		t.Fatalf("got %q, want both rows", batch)
@@ -810,9 +799,9 @@ func TestOrKernelLazyBindErrors(t *testing.T) {
 	if _, err := db.Query(q); err == nil {
 		t.Fatal("batch path must surface the division error when rows reach the alternative")
 	}
-	db.SetMode(RowAtATime)
+	db.SetMode(Reference)
 	if _, err := db.Query(q); err == nil {
-		t.Fatal("row path must surface the division error when rows reach the alternative")
+		t.Fatal("nested loop must surface the division error when rows reach the alternative")
 	}
 }
 
@@ -830,9 +819,9 @@ func TestDistinctPreDedupCorrelated(t *testing.T) {
 	mustExec(t, db, `INSERT INTO p VALUES (1)`)
 
 	q := `SELECT o.id FROM o WHERE o.v IN (SELECT DISTINCT CASE WHEN p.x = 1 THEN tt.a ELSE '@' END FROM tt, p WHERE tt.b = o.b)`
-	batch, row, nested := runThreeWays(t, db, q, false)
-	if batch != row || row != nested {
-		t.Fatalf("pre-dedup divergence:\nbatch  %q\nrow    %q\nnested %q", batch, row, nested)
+	batch, nested := runBothWays(t, db, q, false)
+	if batch != nested {
+		t.Fatalf("pre-dedup divergence:\nbatch  %q\nnested %q", batch, nested)
 	}
 	if batch != "1;2" {
 		t.Fatalf("got %q, want both outer rows", batch)

@@ -133,7 +133,7 @@ func TestDecorrelationDisabledEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want string
-	for i, m := range []Mode{Planned, Reference, Planned, RowAtATime} {
+	for i, m := range []Mode{Planned, Reference, Planned} {
 		db.SetMode(m)
 		res, err := p.Query()
 		if err != nil {

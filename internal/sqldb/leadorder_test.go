@@ -16,7 +16,7 @@ import (
 // value-set EXISTS, a guarded NOT EXISTS, ABS(col) = k guards, a per-CID
 // EXISTS, one-source filters and a third source joined on the pattern's
 // CID, over NULL-bearing columns. Each query runs in every FROM
-// permutation under Planned, RowAtATime and Reference: every result must
+// permutation under Planned and Reference: every result must
 // be the first one. The UPDATE form (the semi-join row selection a tiny
 // joint join takes) must leave the same table under Planned and
 // Reference. Through EXPLAIN, some planned trials must be driven by a
@@ -126,12 +126,12 @@ func TestTinyJoinOrderDifferential(t *testing.T) {
 		var want string
 		permute(from, func(order []string) {
 			q := fmt.Sprintf("SELECT %s%s FROM %s WHERE %s", distinct, cols, strings.Join(order, ", "), where)
-			batch, row, nested := runThreeWays(t, db, q, false)
+			batch, nested := runBothWays(t, db, q, false)
 			if want == "" {
 				want = nested
 			}
-			if batch != want || row != want || nested != want {
-				t.Fatalf("trial %d (seed %d) %q:\nbatch  %q\nrow    %q\nnested %q\nwant   %q", trial, seed, q, batch, row, nested, want)
+			if batch != want || nested != want {
+				t.Fatalf("trial %d (seed %d) %q:\nbatch  %q\nnested %q\nwant   %q", trial, seed, q, batch, nested, want)
 			}
 			plan, err := db.Explain(q)
 			if err != nil {

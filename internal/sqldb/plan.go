@@ -41,24 +41,19 @@ import (
 // exactly Truth(WHERE) under SQL three-valued logic. Evaluation order
 // of (side-effect-free) predicates is the only thing that shifts.
 
-// Mode selects how much of the optimizer a DB compiles into its plans.
-// The values are ordered: each one strips what the one before it kept.
-// The differential suites and the ablation benchmark run the same
-// statements under the lesser modes; production code leaves a DB in
-// Planned.
+// Mode selects whether a DB compiles the optimizer into its plans. The
+// differential suites and the ablation benchmark run the same statements
+// under Reference; production code leaves a DB in Planned.
 type Mode int32
 
 const (
 	// Planned is the default: planned joins, batch kernels over the
 	// segments' columns, decorrelated subqueries.
 	Planned Mode = iota
-	// RowAtATime keeps the planner but extracts no batch kernel: every
-	// scheduled predicate runs as its per-row closure.
-	RowAtATime
-	// Reference is the ground truth the other two are compared with. It
-	// shares no analysis with them: the all-pairs nested loop over the
-	// monolithic WHERE closure, EXISTS re-executed per row, the per-row
-	// DML filter, no streamed grouping, no projection cache.
+	// Reference is the ground truth Planned is compared with. It shares
+	// no analysis with it: the all-pairs nested loop over the monolithic
+	// WHERE closure, EXISTS re-executed per row, the per-row DML filter,
+	// no streamed grouping, no projection cache.
 	Reference
 )
 
@@ -167,8 +162,7 @@ type rangeSide struct {
 // the executor runs the nested loop over cs.where.
 func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 	cs.planOK = false
-	mode := c.db.execMode()
-	if len(cs.sources) == 0 || len(cs.sources) > 64 || mode == Reference {
+	if len(cs.sources) == 0 || len(cs.sources) > 64 || c.db.execMode() == Reference {
 		return
 	}
 	depth := cs.depth
@@ -198,13 +192,11 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 					return
 				}
 				part := planPart{ex: ex, srcs: mask}
-				if mask != 0 && mode == Planned {
+				if mask != 0 {
 					// Every part that reads a current-scope source gets its
 					// kernel candidates: plain conjuncts consume simple
 					// kernels, and whole OR groups are consumed when every
 					// source-reading part of every alternative kernelizes.
-					// RowAtATime extracts none, so buildSchedule finds no
-					// kernel to place and every predicate stays a closure.
 					part.kp = c.extractKPred(pe, depth)
 				}
 				pt.parts = append(pt.parts, part)

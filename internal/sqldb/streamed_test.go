@@ -14,9 +14,9 @@ import (
 // grouped select over a lone derived DISTINCT source, keyed by the
 // source's leading columns, consumes the source's matches without
 // materializing them. These tests are its oracle: every query runs
-// planned, with the batch kernels off, and through the Reference-mode
-// nested loop — which materializes the source and groups it with
-// execGrouped — and the three must agree.
+// planned and through the Reference-mode nested loop — which
+// materializes the source and groups it with execGrouped — and the two
+// must agree.
 
 // streamDB builds a table with enough duplication that the DISTINCT
 // sub-select dedupes heavily and the grouped outer sees repeats, NULL
@@ -122,9 +122,9 @@ func TestStreamedGroupingDifferential(t *testing.T) {
 				t.Errorf("streamed = %v, want %v:\n%s\n%s", got, c.streamed, c.q, plan)
 			}
 		}
-		planned, rowMode, nested := runThreeWays(t, db, c.q, false, c.params...)
-		if planned != nested || rowMode != nested {
-			t.Errorf("results diverge for %s:\nplanned:     %s\nkernels off: %s\nnested:      %s", c.q, planned, rowMode, nested)
+		planned, nested := runBothWays(t, db, c.q, false, c.params...)
+		if planned != nested {
+			t.Errorf("results diverge for %s:\nplanned: %s\nnested:  %s", c.q, planned, nested)
 		}
 		if c.streamed && !strings.Contains(c.q, "val > 100") && planned == "" {
 			t.Errorf("no rows, the case checks nothing: %s", c.q)
@@ -163,9 +163,9 @@ func TestStreamedGroupingReexecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := canonical(r)
-		_, rowMode, nested := runThreeWays(t, db, q, false, relation.Int(1))
-		if got != nested || rowMode != nested {
-			t.Fatalf("%s: prepared execution diverges:\nprepared:    %s\nkernels off: %s\nnested:      %s", step, got, rowMode, nested)
+		_, nested := runBothWays(t, db, q, false, relation.Int(1))
+		if got != nested {
+			t.Fatalf("%s: prepared execution diverges:\nprepared: %s\nnested:   %s", step, got, nested)
 		}
 		return got
 	}

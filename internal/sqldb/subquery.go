@@ -16,128 +16,12 @@ type hashBuild struct {
 }
 
 // probeScratch is the per-env scratch of one decorrelated probe site:
-// the evaluated key values, the reusable key buffer, and the cached
-// loop-invariant key state (see probeKey). Keyed by the *Exists node on
-// the env, so concurrent executions of the same plan never share it.
+// the evaluated key values and the reusable key buffer. Keyed by the
+// *Exists node on the env, so concurrent executions of the same plan
+// never share it.
 type probeScratch struct {
-	vals    []relation.Value
-	idxVals []relation.Value // vals in index-column order (index probes)
-	keyBuf  []byte
-	// Invariant-key cache: patRow identifies the pattern-site row the
-	// cached state was computed for; condBits has bit i set when part
-	// i's CASE condition held; invVals holds the values of fully
-	// pattern-invariant parts.
-	patRow   rowRef
-	condBits uint64
-	invVals  []relation.Value
-}
-
-// probeKey is the compiled key side of a decorrelated probe: one part
-// per key column, analysed for loop-invariance against the *pattern
-// site* — the single outer FROM source (typically the paper's tiny enc
-// pattern table) that the invariant inputs read. The detection queries
-// probe with keys like
-//
-//	(c.CID, CASE WHEN c.A_L > 0 THEN TOTEXT(t.A) ELSE '@' END, …)
-//
-// where c is bound in an outer loop over ten-odd pattern tuples and t
-// is the inner 100k-row data scan. c.CID and every CASE condition (and
-// its constant ELSE arm) depend only on c, so they are evaluated once
-// per pattern tuple and replayed from the env scratch for the 100k
-// probes underneath — only the THEN projections of the few attributes a
-// pattern actually constrains run per probe.
-type probeKey struct {
-	x       *Exists
-	parts   []probePart
-	site    binding // depth/src of the pattern site (col unused)
-	hasSite bool
-}
-
-type probePart struct {
-	full compiledExpr // the whole expression; fallback when not cached
-	inv  bool         // whole part reads only the pattern site
-	// One-armed CASE with a pattern-site-only condition and a literal
-	// ELSE: cond/res are its compiled halves, alt the ELSE value.
-	cond compiledExpr
-	res  compiledExpr
-	alt  relation.Value
-}
-
-// scratch returns the env's scratch for this probe site.
-func (pk *probeKey) scratch(en *env) *probeScratch {
-	ps := en.probes[pk.x]
-	if ps == nil {
-		if en.probes == nil {
-			en.probes = make(map[*Exists]*probeScratch)
-		}
-		ps = &probeScratch{
-			vals:    make([]relation.Value, len(pk.parts)),
-			idxVals: make([]relation.Value, len(pk.parts)),
-			invVals: make([]relation.Value, len(pk.parts)),
-		}
-		en.probes[pk.x] = ps
-	}
-	return ps
-}
-
-// eval computes the probe-key values into ps.vals. ok is false when a
-// key component is NULL or NaN (an equality can never match then). When the
-// pattern-site row is unchanged since the last call, the invariant
-// parts replay from the cache.
-func (pk *probeKey) eval(en *env, ps *probeScratch) (ok bool, err error) {
-	if pk.hasSite {
-		row := &en.frames[pk.site.depth].rows[pk.site.src]
-		if !ps.patRow.same(row) {
-			ps.patRow = rowRef{} // a mid-refresh error must not leave stale state
-			ps.condBits = 0
-			for i := range pk.parts {
-				part := &pk.parts[i]
-				switch {
-				case part.inv:
-					v, err := part.full(en)
-					if err != nil {
-						return false, err
-					}
-					ps.invVals[i] = v
-				case part.cond != nil:
-					cv, err := part.cond(en)
-					if err != nil {
-						return false, err
-					}
-					if cv.Truth() {
-						ps.condBits |= 1 << uint(i)
-					}
-				}
-			}
-			ps.patRow = *row
-		}
-	}
-	for i := range pk.parts {
-		part := &pk.parts[i]
-		var v relation.Value
-		switch {
-		case !pk.hasSite:
-			v, err = part.full(en)
-		case part.inv:
-			v = ps.invVals[i]
-		case part.cond != nil:
-			if ps.condBits&(1<<uint(i)) != 0 {
-				v, err = part.res(en)
-			} else {
-				v = part.alt
-			}
-		default:
-			v, err = part.full(en)
-		}
-		if err != nil {
-			return false, err
-		}
-		if v.IsNull() || isNaN(v) {
-			return false, nil
-		}
-		ps.vals[i] = v
-	}
-	return true, nil
+	vals   []relation.Value
+	keyBuf []byte
 }
 
 // inBuild caches the value set of an uncorrelated IN (SELECT ...).
@@ -148,12 +32,14 @@ type inBuild struct {
 
 // compileExists lowers [NOT] EXISTS (SELECT ...). Three strategies:
 //
-//  1. Decorrelated hash probe — the subquery is a single-table select
-//     whose WHERE is a conjunction of (a) inner-column = outer-expr
-//     equalities and (b) inner-only filters. One hash build over the
-//     inner table per statement, O(1) probe per outer row. This is the
-//     path the eCFD detection queries take (t.A = TA.A AND c.CID =
-//     TA.CID) and what keeps BatchDetect at two passes over D.
+//  1. Decorrelated probe — the subquery is a single-table select whose
+//     WHERE is a conjunction of (a) inner-column = outer-expr equalities
+//     and (b) inner-only filters. A persistent index or one hash build
+//     over the inner table per statement answers, O(1) per outer row.
+//     The eCFD detection queries' EXISTS (t.A = TA.A AND c.CID = TA.CID)
+//     all run as probe kernels over the same analysis (kprobe); this
+//     closure decides the parts no kernel takes, and it spares every
+//     EXISTS part the sub-select compilation strategy 3 would build.
 //  2. Uncorrelated — the subquery never references outer scopes: it is
 //     executed once per statement and its emptiness cached.
 //  3. Naive — re-execute per outer row (correlated in a form we cannot
@@ -213,7 +99,7 @@ func (c *compiler) compileExists(x *Exists) (compiledExpr, error) {
 // the inner-only build filters, and — when no filters apply and a
 // secondary index covers the key columns exactly — the persistent
 // index answering the probe. It is the single source of truth for the
-// decorrelated semantics, shared by the per-row closure (compileExists)
+// decorrelated semantics, shared by the per-row closure (tryDecorrelate)
 // and the batch probe kernel (kprobe): both resolve the same env hash
 // build (keyed by x) or the same index, and encode keys identically.
 type decorrProbe struct {
@@ -223,7 +109,6 @@ type decorrProbe struct {
 	keyCols []int
 	outer   []Expr // outer key expressions, aligned with keyCols
 	filters []compiledExpr
-	pk      *probeKey
 	idx     *Index // exact-cover index (filters empty), or nil
 	perm    []int  // index column order → outer key position
 }
@@ -367,9 +252,6 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 		d.keyCols[i] = p.col
 		d.outer[i] = p.outer
 	}
-	if d.pk, err = ic.buildProbeKey(x, d.outer, innerDepth); err != nil {
-		return nil, err
-	}
 	d.filters = filters
 	// With no build-time filters, a secondary index on exactly the key
 	// columns replaces the per-statement hash build: the index persists
@@ -381,54 +263,63 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 	return d, nil
 }
 
-// tryDecorrelate returns a hash-probe closure for x, or nil when the
-// subquery shape does not qualify.
+// tryDecorrelate returns the probe closure for x, or nil when the
+// subquery shape does not qualify. Per row it evaluates the outer key
+// expressions — in the index's column order when an index answers — and
+// looks the key up once; a NULL or NaN key part never matches.
 func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 	d, err := c.analyzeDecorrelate(x)
 	if err != nil || d == nil {
 		return nil, err
 	}
-	pk, neg := d.pk, d.neg
-
-	if d.idx != nil {
-		idx, perm, t := d.idx, d.perm, d.t
-		return func(en *env) (relation.Value, error) {
-			// lookupEq resolves how the epoch's index answers the probe
-			// (in-order positions, or the shared map built or extended
-			// under its own lock); no structure lock is ever held across
-			// key evaluation. The key scratch is per env: closures are
-			// shared across goroutines.
-			eq := en.td(t).lookupEq(t, idx)
-			ps := pk.scratch(en)
-			ok, err := pk.eval(en, ps)
+	keys := make([]compiledExpr, len(d.outer))
+	for j := range keys {
+		i := j
+		if d.idx != nil {
+			i = d.perm[j]
+		}
+		if keys[j], err = c.compileExpr(d.outer[i]); err != nil {
+			return nil, err
+		}
+	}
+	neg := d.neg
+	return func(en *env) (relation.Value, error) {
+		// The index view or the hash build resolves first, under its own
+		// lock: none is held across key evaluation.
+		var eq eqView
+		var set map[string]bool
+		if d.idx != nil {
+			eq = en.td(d.t).lookupEq(d.t, d.idx)
+		} else {
+			b, err := d.ensureHash(en)
 			if err != nil {
 				return relation.Null(), err
 			}
-			if !ok {
-				return relation.Bool(neg), nil // NULL key never matches
-			}
-			for j, pi := range perm {
-				ps.idxVals[j] = ps.vals[pi]
-			}
-			return relation.Bool((len(eq.probe(ps.idxVals, &ps.keyBuf)) > 0) != neg), nil
-		}, nil
-	}
-
-	return func(en *env) (relation.Value, error) {
-		b, err := d.ensureHash(en)
-		if err != nil {
-			return relation.Null(), err
+			set = b.set
 		}
-		ps := pk.scratch(en)
-		ok, err := pk.eval(en, ps)
-		if err != nil {
-			return relation.Null(), err
+		ps := en.probes[x]
+		if ps == nil {
+			if en.probes == nil {
+				en.probes = make(map[*Exists]*probeScratch)
+			}
+			ps = &probeScratch{vals: make([]relation.Value, len(keys))}
+			en.probes[x] = ps
 		}
-		if !ok {
-			return relation.Bool(neg), nil // = NULL never matches
+		for j, key := range keys {
+			v, err := key(en)
+			if err != nil {
+				return relation.Null(), err
+			}
+			if v.IsNull() || isNaN(v) {
+				return relation.Bool(neg), nil
+			}
+			ps.vals[j] = v
+		}
+		if d.idx != nil {
+			return relation.Bool((len(eq.probe(ps.vals, &ps.keyBuf)) > 0) != neg), nil
 		}
 		ps.keyBuf = relation.AppendKeyOf(ps.keyBuf[:0], ps.vals)
-		return relation.Bool(b.set[string(ps.keyBuf)] != neg), nil
+		return relation.Bool(set[string(ps.keyBuf)] != neg), nil
 	}, nil
 }
 
@@ -483,11 +374,9 @@ func (c *compiler) probeSides(eq *Binary, innerDepth int) (col int, outer Expr, 
 // siteClassifier fixes one invariance site across a sequence of
 // expressions and recognizes the two cacheable shapes — whole-
 // expression site-invariance, and the one-armed searched CASE whose
-// condition is site-only with a literal ELSE. It is the single source
-// of truth for the invariance rules, shared by the decorrelated
-// probe keys (buildProbeKey) and the batch-aware projection
-// (buildProjSpec). The first qualifying expression fixes the site;
-// expressions reading other sites stay on the general path.
+// condition is site-only with a literal ELSE — for the batch-aware
+// projection (buildProjSpec). The first qualifying expression fixes the
+// site; expressions reading other sites stay on the general path.
 type siteClassifier struct {
 	c          *compiler
 	innerDepth int
@@ -540,41 +429,6 @@ func (sc *siteClassifier) splitCase(e Expr) (cond, res compiledExpr, alt relatio
 		return nil, nil, relation.Value{}, false, err
 	}
 	return cond, res, lit.Val, true, nil
-}
-
-// buildProbeKey compiles the outer (key) expressions of a decorrelated
-// probe and classifies each for loop-invariance against the pattern
-// site (siteClassifier): invariant parts cache per pattern tuple,
-// split CASEs cache their condition and evaluate only the THEN branch
-// per probe, everything else stays on the general path.
-func (c *compiler) buildProbeKey(x *Exists, outer []Expr, innerDepth int) (*probeKey, error) {
-	pk := &probeKey{x: x, parts: make([]probePart, len(outer))}
-	for i, e := range outer {
-		full, err := c.compileExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		pk.parts[i] = probePart{full: full}
-	}
-	if len(outer) > 64 {
-		return pk, nil
-	}
-	sc := &siteClassifier{c: c, innerDepth: innerDepth}
-	for i, e := range outer {
-		if sc.adopt(e) {
-			pk.parts[i].inv = true
-			continue
-		}
-		cond, res, alt, ok, err := sc.splitCase(e)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			pk.parts[i].cond, pk.parts[i].res, pk.parts[i].alt = cond, res, alt
-		}
-	}
-	pk.site, pk.hasSite = sc.site, sc.hasSite
-	return pk, nil
 }
 
 // singleSite reports the unique outer (depth, src) binding site an
