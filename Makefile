@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz fuzz covertraffic bench-short bench-json explain loc ci
+.PHONY: build test race vet noglobals faultmatrix mvccstress difffuzz fuzz covertraffic bench-short bench-json ab explain loc ci
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,7 @@ mvccstress:
 # The randomized kernel differentials (batch kernels vs nested loop), the
 # planner's property suite (planned joins vs nested loop), the
 # decorrelated EXISTS closure where no kernel takes it (vs nested loop),
+# the id-keyed DISTINCT and streamed grouping (vs nested loop),
 # tiny joins in every FROM order (the lead order, vs nested loop), the
 # segmented row store under random DML vs a mirror
 # loaded fresh, the detector differential's random and transitions
@@ -64,7 +65,7 @@ mvccstress:
 # failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential|TestDecorrelatedClosureDifferential' ./internal/sqldb/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestInternedGroupKeyDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential|TestDecorrelatedClosureDifferential' ./internal/sqldb/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed
 
@@ -128,6 +129,14 @@ bench-short:
 # `bash benchmark/run.sh` (BENCHMARK.json, benchmark/README.md).
 bench-json:
 	$(GO) run ./cmd/ecfdbench -scale 0.1 -json
+
+# Interleaved A/B of the repository benchmark against commit REF: PAIRS
+# pairs per workload (default 10) on seeds SEED0, SEED0+1, … (default
+# 101), each side 24 s a run; prints per metric the medians, quartiles,
+# pairs won and holds / moves / worse / unresolved against BENCHMARK.json.
+# `make ab REF=HEAD~1`; see scripts/ab.sh.
+ab:
+	bash scripts/ab.sh $(REF) $(or $(PAIRS),10) $(or $(SEED0),101)
 
 # Query plans of the detector's fixed statement set.
 explain:

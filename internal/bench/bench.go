@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync/atomic"
 
 	"ecfd/internal/core"
@@ -286,9 +287,29 @@ func incVsBatch(sigma []*core.ECFD, cfg gen.Config, delta int, opt Options) (map
 
 var incSeries = []string{"inc-ins", "batch-ins", "inc-del", "batch-del"}
 
+// incTitle is the title of Fig. 6(a)–(c): the update size ΔD they hold
+// fixed, 10k at paper scale, as opt scales it.
+func incTitle(by string, opt Options) string {
+	return fmt.Sprintf("INCDETECT vs BATCHDETECT in %s (ΔD = %s)", by, sized(opt.scale(10_000)))
+}
+
+// updateTitle is the title of Fig. 7(a): the data size |D| it holds
+// fixed, 100k at paper scale, as opt scales it.
+func updateTitle(opt Options) string {
+	return fmt.Sprintf("Effect of update size (|D| = %s fixed)", sized(opt.scale(100_000)))
+}
+
+// sized renders a tuple count as the titles print it: 10k, 1.5k, 100.
+func sized(n int) string {
+	if n < 1000 {
+		return fmt.Sprint(n)
+	}
+	return strconv.FormatFloat(float64(n)/1000, 'f', -1, 64) + "k"
+}
+
 // Fig6a — incremental vs batch across |D|, ΔD⁺ = ΔD⁻ = 10k.
 func Fig6a(opt Options) (*Figure, error) {
-	f := &Figure{ID: "6a", Title: "INCDETECT vs BATCHDETECT in |D| (ΔD = 10k)",
+	f := &Figure{ID: "6a", Title: incTitle("|D|", opt),
 		XLabel: "|D|", YLabel: "seconds", Names: incSeries}
 	delta := opt.scale(10_000)
 	for _, rows := range sweep(opt, 10_000, 100_000, 10_000) {
@@ -304,7 +325,7 @@ func Fig6a(opt Options) (*Figure, error) {
 
 // Fig6b — incremental vs batch across noise%, |D| = 100k.
 func Fig6b(opt Options) (*Figure, error) {
-	f := &Figure{ID: "6b", Title: "INCDETECT vs BATCHDETECT in noise (ΔD = 10k)",
+	f := &Figure{ID: "6b", Title: incTitle("noise", opt),
 		XLabel: "noise%", YLabel: "seconds", Names: incSeries}
 	rows := opt.scale(100_000)
 	delta := opt.scale(10_000)
@@ -321,7 +342,7 @@ func Fig6b(opt Options) (*Figure, error) {
 
 // Fig6c — incremental vs batch across |Tp|, |D| = 100k.
 func Fig6c(opt Options) (*Figure, error) {
-	f := &Figure{ID: "6c", Title: "INCDETECT vs BATCHDETECT in |Tp| (ΔD = 10k)",
+	f := &Figure{ID: "6c", Title: incTitle("|Tp|", opt),
 		XLabel: "|Tp|", YLabel: "seconds", Names: incSeries}
 	rows := opt.scale(100_000)
 	delta := opt.scale(10_000)
@@ -353,7 +374,7 @@ func deltaSweep(opt Options) []int {
 // (equal numbers of deletions and insertions). The paper's observation:
 // IncDetect wins until roughly half the data is updated.
 func Fig7a(opt Options) (*Figure, error) {
-	f := &Figure{ID: "7a", Title: "Effect of update size (|D| = 100k fixed)",
+	f := &Figure{ID: "7a", Title: updateTitle(opt),
 		XLabel: "|ΔD|", YLabel: "seconds", Names: []string{"inc", "batch"}}
 	rows := opt.scale(100_000)
 	cfg := gen.Config{Rows: rows, Noise: 5, Seed: opt.Seed}

@@ -155,3 +155,20 @@ func TestFig7IncrementalBeatsBatch(t *testing.T) {
 		t.Errorf("incremental maintenance of a %d+%d update took %v, not under half of BatchDetect's %v", delta, delta, mi, mb)
 	}
 }
+
+// TestTitlesFollowScale: the sizes Fig. 6(a)–(c) and 7(a) hold fixed are
+// printed as scaled, not at paper scale.
+func TestTitlesFollowScale(t *testing.T) {
+	for _, c := range []struct {
+		scale       float64
+		delta, rows string
+	}{{0.1, "ΔD = 1k)", "|D| = 10k fixed"}, {1, "ΔD = 10k)", "|D| = 100k fixed"}, {0.015, "ΔD = 150)", "|D| = 1.5k fixed"}} {
+		opt := Options{Scale: c.scale, Seed: 1}
+		if got := incTitle("|D|", opt); !strings.HasSuffix(got, c.delta) {
+			t.Errorf("scale %g: Fig. 6 title %q, want it to end %q", c.scale, got, c.delta)
+		}
+		if got := updateTitle(opt); !strings.Contains(got, c.rows) {
+			t.Errorf("scale %g: Fig. 7(a) title %q, want %q", c.scale, got, c.rows)
+		}
+	}
+}

@@ -148,6 +148,34 @@ func TestApplyUpdatesAllocBudget(t *testing.T) {
 	}
 }
 
+// TestBatchDetectAllocBudget bounds what a warm BatchDetect allocates at
+// 40 000 rows. Its Qmv grouping keys the DISTINCT macro's rows by interned
+// ids and decodes values for new groups only; while it built a string key
+// per row and a row per group, the call allocated about 39 MB.
+func TestBatchDetectAllocBudget(t *testing.T) {
+	const ops, budget = 3, 38 << 20
+	d, cleanup := newBenchDetector(t, 40_000, 611)
+	defer cleanup()
+	for i := 0; i < 2; i++ {
+		if _, err := d.BatchDetect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		if _, err := d.BatchDetect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+	t.Logf("40000 rows: %d kB allocated per BatchDetect (about 39 MB with string keys)", perOp>>10)
+	if perOp > budget {
+		t.Errorf("%d bytes allocated per BatchDetect on 40000 rows, budget %d", perOp, budget)
+	}
+}
+
 // TestValueSetsDecideByCode states in counters that the value sets of an
 // update decide a segment by its codes, not by hashing every row's
 // string. Over a coded segment a set translates its members into codes
@@ -190,17 +218,20 @@ func TestValueSetsDecideByCode(t *testing.T) {
 }
 
 // TestPreDedupDecidesByCode states in counters that the Qmv macro's
-// DISTINCT pre-filter decides repeats by segment codes instead of building
-// a key from every row. A repeat it decides by code alone adds to
-// sqldb.Stats.CodeRepeats; every key it still builds adds to DistinctKeys,
-// with the few the exact dedup and the grouping behind it hash. At 40 000
-// rows a warm 8+8 update decides at least 95 % of its calls by code; from
-// 10 000 to 160 000 rows the keys grow no faster than the segments; and a
-// repeated BatchDetect decides exactly as many by code again.
+// DISTINCT decides its repeats by interned ids at the batch level, before
+// a row is stepped, and that the ids cost a translation per segment code,
+// not per row. Every row a DISTINCT feed keys adds to
+// sqldb.Stats.DistinctKeys, those a batch level finds in the id table to
+// CodeRepeats, and every segment code turned into an id to
+// CodeTranslations. At 40 000 rows a warm 8+8 update decides at least 95 %
+// of its keys as repeats before stepping them; from 10 000 to 160 000 rows
+// its translations grow no faster than the segments (the active columns
+// are the same at every size) and its keys no faster than the rows; and a
+// repeated BatchDetect decides exactly as many repeats again.
 func TestPreDedupDecidesByCode(t *testing.T) {
 	const ops = 4
 	sizes := []int{10_000, 40_000, 160_000}
-	var keys []int64
+	var keys, codes []int64
 	for _, rows := range sizes {
 		w, cleanup := newApplyWorkload(t, rows)
 		for i := 0; i < 2; i++ {
@@ -220,39 +251,43 @@ func TestPreDedupDecidesByCode(t *testing.T) {
 			batch[run] = w.d.eng.Stats().CodeRepeats - b
 		}
 		cleanup()
-		code, key := (after.CodeRepeats-before.CodeRepeats)/ops, (after.DistinctKeys-before.DistinctKeys)/ops
-		t.Logf("%d rows: an update decides %d repeats by code and hashes %d keys (%.1f %% by code); BatchDetect %d by code",
-			rows, code, key, 100*float64(code)/float64(code+key), batch[0])
-		if code == 0 || batch[0] == 0 {
-			t.Fatalf("%d rows: no repeat decided by code: the counter is not wired", rows)
+		rep, key := (after.CodeRepeats-before.CodeRepeats)/ops, (after.DistinctKeys-before.DistinctKeys)/ops
+		code := (after.CodeTranslations - before.CodeTranslations) / ops
+		t.Logf("%d rows: an update keys %d rows, drops %d as repeats before stepping (%.1f %%), translates %d codes; BatchDetect drops %d",
+			rows, key, rep, 100*float64(rep)/float64(key), code, batch[0])
+		if rep == 0 || code == 0 || batch[0] == 0 {
+			t.Fatalf("%d rows: %d repeats, %d translations: the counters are not wired", rows, rep, code)
 		}
-		if rows == 40_000 && 20*code < 19*(code+key) {
-			t.Errorf("%d rows: %d of %d pre-filter decisions by code, fewer than 95 %%", rows, code, code+key)
+		if rows == 40_000 && 20*rep < 19*key {
+			t.Errorf("%d rows: %d of %d keyed rows dropped before stepping, fewer than 95 %%", rows, rep, key)
 		}
 		if batch[1] != batch[0] {
-			t.Errorf("%d rows: BatchDetect decided %d repeats by code, then %d", rows, batch[0], batch[1])
+			t.Errorf("%d rows: BatchDetect dropped %d repeats, then %d", rows, batch[0], batch[1])
 		}
-		keys = append(keys, key)
+		keys, codes = append(keys, key), append(codes, code)
 	}
 	segs := func(rows int) int64 { return int64((rows + 1023) / 1024) }
 	for i := 1; i < len(sizes); i++ {
-		if got, bound := float64(keys[i])/float64(keys[0]), float64(segs(sizes[i]))/float64(segs(sizes[0])); got > bound {
-			t.Errorf("keys grow %.1f× from %d to %d rows, the segments %.1f×", got, sizes[0], sizes[i], bound)
+		if got, bound := float64(codes[i])/float64(codes[0]), float64(segs(sizes[i]))/float64(segs(sizes[0])); got > bound {
+			t.Errorf("translations grow %.1f× from %d to %d rows, the segments %.1f×", got, sizes[0], sizes[i], bound)
+		}
+		if got, bound := float64(keys[i])/float64(keys[0]), 1.1*float64(sizes[i])/float64(sizes[0]); got > bound {
+			t.Errorf("keys grow %.1f× from %d to %d rows, more than the rows' %.1f×", got, sizes[0], sizes[i], bound/1.1)
 		}
 	}
 }
 
 // TestRecomputeStepsFirstOccurrences states in counters that the Aux
-// recompute hands the per-row machinery the rows that can add a key, not
+// recompute hands the per-row machinery only the rows that add a key, not
 // every row its levels select. Stepped alone in a warm 8+8 update at
 // 10 000, 40 000 and 160 000 rows, auxRecompute steps
-// (sqldb.Stats.RowsStepped) no more rows than it hashes DISTINCT keys and
-// forms groups: the pattern rows stepped are fewer than the groups, and
-// every data row stepped builds a key. Its repeats, decided by segment
-// codes before a row is stepped (CodeRepeats), are still at least 95 % of
-// the pre-filter's decisions at 40 000 rows, as TestPreDedupDecidesByCode
-// asks of whole updates. While the code memo ran behind stepRow, every
-// repeat was stepped too: about 30 times the bound.
+// (sqldb.Stats.RowsStepped) no more rows than it adds to the id table —
+// its keys (DistinctKeys) less the repeats a batch level dropped
+// (CodeRepeats) — and groups it forms: the pattern rows stepped are fewer
+// than the groups, and every data row stepped is a new key. Its repeats
+// are still at least 95 % of its keys at 40 000 rows, as
+// TestPreDedupDecidesByCode asks of whole updates. While a code memo ran
+// behind stepRow, every repeat was stepped too: about 30 times the bound.
 func TestRecomputeStepsFirstOccurrences(t *testing.T) {
 	const ops = 4
 	for _, rows := range []int{10_000, 40_000, 160_000} {
@@ -274,27 +309,29 @@ func TestRecomputeStepsFirstOccurrences(t *testing.T) {
 		}
 		cleanup()
 		stepped, keys, groups, repeats = stepped/ops, keys/ops, groups/ops, repeats/ops
-		t.Logf("%d rows: auxRecompute steps %d rows, hashes %d keys, forms %d groups, decides %d repeats by code", rows, stepped, keys, groups, repeats)
+		t.Logf("%d rows: auxRecompute steps %d rows, keys %d, drops %d as repeats, forms %d groups", rows, stepped, keys, repeats, groups)
 		if stepped == 0 || repeats == 0 {
-			t.Fatalf("%d rows: %d rows stepped, %d repeats by code: the counters are not wired", rows, stepped, repeats)
+			t.Fatalf("%d rows: %d rows stepped, %d repeats dropped: the counters are not wired", rows, stepped, repeats)
 		}
-		if stepped > keys+groups {
-			t.Errorf("%d rows: auxRecompute stepped %d rows, more than its %d DISTINCT keys and %d groups", rows, stepped, keys, groups)
+		if stepped > keys-repeats+groups {
+			t.Errorf("%d rows: auxRecompute stepped %d rows, more than its %d new keys and %d groups", rows, stepped, keys-repeats, groups)
 		}
-		if rows == 40_000 && 20*repeats < 19*(repeats+keys) {
-			t.Errorf("%d rows: %d of %d pre-filter decisions by code, fewer than 95 %%", rows, repeats, repeats+keys)
+		if rows == 40_000 && 20*repeats < 19*keys {
+			t.Errorf("%d rows: %d of %d keyed rows dropped before stepping, fewer than 95 %%", rows, repeats, keys)
 		}
 	}
 }
 
 // TestBatchDetectKeysAndGroups pins what BatchDetect's DISTINCT and
-// GROUP BY do in counters: the keys they hash (sqldb.Stats.DistinctKeys)
-// and the groups they form (Groups) are identical when it runs again over
-// the same data, and grow linearly with it from 10 000 to 40 000 rows: no
-// faster than 4× and a tenth, no slower than 3× — the groups of the
-// constraints whose LHS takes few values (CT → AC) do not grow at all.
+// GROUP BY do in counters: the rows its DISTINCT keys by interned ids
+// (sqldb.Stats.DistinctKeys) and the groups it forms (Groups) are
+// identical when it runs again over the same data, and grow linearly with
+// it from 10 000 to 40 000 rows: no faster than 4× and a tenth, no slower
+// than 3× — the groups of the constraints whose LHS takes few values
+// (CT → AC) do not grow at all. The segment codes it translates to ids
+// (CodeTranslations) grow no faster than the segments, and a twentieth.
 func TestBatchDetectKeysAndGroups(t *testing.T) {
-	measure := func(rows int) (keys, groups int64) {
+	measure := func(rows int) (keys, groups, codes int64) {
 		d, cleanup := newBenchDetector(t, rows, 611)
 		defer cleanup()
 		for run := 0; run < 2; run++ {
@@ -305,18 +342,21 @@ func TestBatchDetectKeysAndGroups(t *testing.T) {
 			after := d.eng.Stats()
 			k, g := after.DistinctKeys-before.DistinctKeys, after.Groups-before.Groups
 			if run == 1 && (k != keys || g != groups) {
-				t.Errorf("%d rows: BatchDetect hashed %d DISTINCT keys and formed %d groups, then %d and %d", rows, keys, groups, k, g)
+				t.Errorf("%d rows: BatchDetect keyed %d DISTINCT rows and formed %d groups, then %d and %d", rows, keys, groups, k, g)
 			}
-			keys, groups = k, g
+			keys, groups, codes = k, g, after.CodeTranslations-before.CodeTranslations
 		}
-		if keys == 0 || groups == 0 {
-			t.Fatalf("%d rows: %d DISTINCT keys, %d groups: the counters are not wired", rows, keys, groups)
+		if keys == 0 || groups == 0 || codes == 0 {
+			t.Fatalf("%d rows: %d DISTINCT keys, %d groups, %d translations: the counters are not wired", rows, keys, groups, codes)
 		}
-		return keys, groups
+		return keys, groups, codes
 	}
-	k10, g10 := measure(10_000)
-	k40, g40 := measure(40_000)
-	t.Logf("DISTINCT keys %d → %d, groups %d → %d from 10 000 to 40 000 rows", k10, k40, g10, g40)
+	k10, g10, c10 := measure(10_000)
+	k40, g40, c40 := measure(40_000)
+	t.Logf("DISTINCT keys %d → %d, groups %d → %d, translations %d → %d from 10 000 to 40 000 rows", k10, k40, g10, g40, c10, c40)
+	if r := float64(c40) / float64(c10); r > 4*1.05 {
+		t.Errorf("translations grow %.2f× for 4× the segments", r)
+	}
 	for _, c := range []struct {
 		what     string
 		from, to int64

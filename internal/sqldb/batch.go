@@ -3,6 +3,8 @@ package sqldb
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -1591,14 +1593,13 @@ func (g *orGroupK) filter(en *env, cs *compiledSelect, src int, gs *groupScratch
 // Every CASE condition (and c.CID itself) reads only the pattern site
 // c, bound in an outer level over ten-odd pattern tuples, while the
 // surviving data rows stream underneath. projSpec classifies each
-// output expression once at compile time — pattern-invariant, split
-// CASE, or general — and the emit path then re-evaluates per row only
-// the THEN projections of the few attributes the current pattern
-// actually constrains; everything else replays from a per-pattern
-// cache keyed on the site row's identity. Semantics are unchanged
-// (the same sub-closures run, just not per row); the differential
-// oracle pins this, with the nested-loop leg evaluating the plain
-// outs closures as the independent reference.
+// output expression of an inline DISTINCT once at compile time —
+// pattern-invariant, split CASE, or general — and its id keys then key
+// per row only the THEN projections of the few attributes the current
+// pattern actually constrains; everything else is fixed per site row,
+// cached on the site row's identity. The differential oracle pins this,
+// with the nested-loop leg evaluating the plain outs closures as the
+// independent reference.
 
 type projMode uint8
 
@@ -1613,9 +1614,10 @@ type projPart struct {
 	cond compiledExpr
 	res  compiledExpr
 	alt  relation.Value
-	// resCols are the current-scope columns the THEN arm reads — the
-	// raw inputs of this output when its condition holds. Feeds the
-	// DISTINCT pre-dedup key (preKeyOK).
+	// resCols are the current-scope columns the THEN arm reads, nil when
+	// it reads anything else (an outer scope, a subquery). With exactly
+	// one, the active part's output is a function of that cell, so of its
+	// segment code (idKeys.translate).
 	resCols []binding
 }
 
@@ -1623,79 +1625,6 @@ type projPart struct {
 type projSpec struct {
 	site  binding
 	parts []projPart
-	// preKeyOK gates the raw-value DISTINCT pre-filter: every output is
-	// site-invariant or a split CASE whose THEN arm reads a known set
-	// of current-scope columns (resCols), so for a fixed site row the
-	// output row is a pure function of the raw values in the *active*
-	// parts' columns (condition-false parts collapse to their literal).
-	// Two emits with the same site row and identical active raw values
-	// therefore produce byte-identical output rows, and the second is
-	// skipped before evaluating or hashing a single output.
-	preKeyOK bool
-}
-
-// projScratch is the per-env, per-select projection cache.
-type projScratch struct {
-	patRow   rowRef // site row the cache was computed for
-	condBits uint64 // bit i: part i's CASE condition held
-	invVals  []relation.Value
-	// siteSeq distinguishes site rows in the raw pre-dedup key: it
-	// bumps on every site-row refresh, so raw keys never collide across
-	// pattern tuples (a revisited site row gets a fresh sequence, which
-	// only costs pre-filter hits, never correctness — the exact
-	// output-key dedup still runs behind the pre-filter). The seen-set
-	// itself lives in exec, scoped to one execution: a correlated
-	// subquery re-executing in the same env must not suppress rows its
-	// previous execution emitted.
-	siteSeq uint64
-	rawBuf  []byte
-	// cols are the columns the active parts read under the current site
-	// row, listed when it is refreshed; src is their source if they share
-	// one and are all declared TEXT — so coded in its segments — else -1.
-	cols []binding
-	src  int
-}
-
-// preMemo is dropRepeats' memo of the packed code tuples seen under one
-// site row in one run: open addressing over memoSlots slots, at most half
-// of which a run's ≤ segRows rows fill, emptied by bumping gen: a run may
-// be one row long, and a memo that cost a sweep to empty would cost more
-// than it saves.
-type preMemo struct {
-	gen  uint64
-	keys []uint64
-	gens []uint64
-}
-
-const memoBits = 11
-const memoSlots = 1 << memoBits // ≥ 2·segRows
-
-// emptyMemo returns the instance's memo, emptied.
-func (st *planState) emptyMemo() *preMemo {
-	m := st.memo
-	if m == nil {
-		m = &preMemo{keys: make([]uint64, memoSlots), gens: make([]uint64, memoSlots)}
-		st.memo = m
-	}
-	m.gen++
-	return m
-}
-
-// add reports whether key is in the memo, adding it if not. A full memo
-// — no run fills one — answers no: the string key decides instead.
-func (m *preMemo) add(key uint64) bool {
-	i := (key * 0x9e3779b97f4a7c15) >> (64 - memoBits)
-	for range memoSlots {
-		if m.gens[i] != m.gen {
-			m.keys[i], m.gens[i] = key, m.gen
-			return false
-		}
-		if m.keys[i] == key {
-			return true
-		}
-		i = (i + 1) & (memoSlots - 1)
-	}
-	return false
 }
 
 // buildProjSpec classifies the output expressions. astOuts aligns with
@@ -1752,28 +1681,23 @@ func (c *compiler) buildProjSpec(astOuts []Expr) *projSpec {
 		sc.site, sc.hasSite = tallies[best].site, true
 	}
 	useful := false
-	sp.preKeyOK = true
-	resCols := func(e Expr) ([]binding, bool) {
+	resCols := func(e Expr) []binding {
 		if exprHasSubquery(e) {
-			return nil, false
+			return nil
 		}
 		var cols []binding
 		ok := true
 		if err := c.walkBindings(e, func(b binding) {
-			if b.depth != depth {
-				ok = false // outer reads vary across re-executions
-				return
-			}
+			ok = ok && b.depth == depth
 			cols = append(cols, b)
 		}); err != nil || !ok {
-			return nil, false
+			return nil
 		}
-		return cols, true
+		return cols
 	}
 	for i, e := range astOuts {
 		if e == nil {
-			sp.preKeyOK = false // star expansion stays general
-			continue
+			continue // star expansion stays general
 		}
 		if sc.adopt(e) {
 			sp.parts[i].mode = projInv
@@ -1782,15 +1706,10 @@ func (c *compiler) buildProjSpec(astOuts []Expr) *projSpec {
 		}
 		cond, res, alt, ok, err := sc.splitCase(e)
 		if err != nil || !ok {
-			sp.preKeyOK = false // general outputs defeat the raw pre-key
-			continue            // an uncompilable half just stays general
+			continue // an uncompilable half just stays general
 		}
 		cse, _ := cacheableCase(e)
-		cols, colsOK := resCols(cse.Whens[0].Result)
-		if !colsOK {
-			sp.preKeyOK = false
-		}
-		sp.parts[i] = projPart{mode: projCase, cond: cond, res: res, alt: alt, resCols: cols}
+		sp.parts[i] = projPart{mode: projCase, cond: cond, res: res, alt: alt, resCols: resCols(cse.Whens[0].Result)}
 		useful = true
 	}
 	if !useful || !sc.hasSite {
@@ -1807,160 +1726,379 @@ func (c *compiler) buildProjSpec(astOuts []Expr) *projSpec {
 	return sp
 }
 
-// scratch returns the env's projection cache for cs.
-func (sp *projSpec) scratch(en *env, cs *compiledSelect) *projScratch {
-	ps := en.projs[cs]
-	if ps == nil {
-		if en.projs == nil {
-			en.projs = make(map[*compiledSelect]*projScratch)
-		}
-		ps = &projScratch{invVals: make([]relation.Value, len(sp.parts))}
-		en.projs[cs] = ps
-	}
-	return ps
+// --- id-keyed DISTINCT ---
+//
+// A Planned DISTINCT feed (feedDistinct) keys each output row by the
+// interned ids of its values: an id stands for one value up to its key
+// encoding, which DISTINCT compares, so two rows are one DISTINCT row
+// exactly when their ids are. One open-addressed table of id vectors
+// dedupes the rows and finds the streamed grouping's groups; values are
+// decoded from the ids for new rows only.
+
+// interner numbers one execution's output values. A TEXT value is found by
+// its string's hash in texts (hash<<32 | id, 0 when empty, under half
+// full), which keeps the strings out of the probes; any other value by its
+// key encoding in keys.
+type interner struct {
+	texts []uint64
+	keys  map[string]uint32
+	vals  []relation.Value // id-1 → the value first interned under it
+	// mixed: some id stands for two representations of a number (1 and
+	// 1.0, 0 and -0.0), so decode evaluates numbers on the bound row.
+	mixed bool
+	buf   []byte
 }
 
-// refreshSite recomputes the per-site-row cache when the site row has
-// changed since the previous emit: invariant outputs re-evaluate, CASE
-// conditions re-test, and the raw pre-dedup sequence advances so keys
-// from different site rows can never collide.
-func (sp *projSpec) refreshSite(en *env, cs *compiledSelect, ps *projScratch) error {
-	row := &en.frames[sp.site.depth].rows[sp.site.src]
-	if ps.patRow.same(row) {
+var textSeed = maphash.MakeSeed()
+
+// id returns v's id, adding it if new. Ids count from 1.
+func (in *interner) id(v relation.Value) uint32 {
+	if v.K != relation.KindText {
+		in.buf = relation.AppendKey(in.buf[:0], v)
+		id, ok := in.keys[string(in.buf)]
+		if !ok {
+			if in.keys == nil {
+				in.keys = make(map[string]uint32)
+			}
+			id = in.add(v)
+			in.keys[string(in.buf)] = id
+		} else if u := in.vals[id-1]; u.K != v.K || u.I != v.I || math.Float64bits(u.F) != math.Float64bits(v.F) {
+			in.mixed = true
+		}
+		return id
+	}
+	if 2*len(in.vals) >= len(in.texts) {
+		old := in.texts
+		in.texts = make([]uint64, max(16, 2*len(old)))
+		for _, s := range old {
+			i := s >> 32
+			for ; s != 0 && in.texts[i&uint64(len(in.texts)-1)] != 0; i++ {
+			}
+			in.texts[i&uint64(len(in.texts)-1)] |= s
+		}
+	}
+	h := uint64(uint32(maphash.String(textSeed, v.S)))
+	for i, mask := h, uint64(len(in.texts)-1); ; i++ {
+		s := in.texts[i&mask]
+		if s == 0 {
+			id := in.add(v)
+			in.texts[i&mask] = h<<32 | uint64(id)
+			return id
+		}
+		if s>>32 == h && in.vals[uint32(s)-1].S == v.S {
+			return uint32(s)
+		}
+	}
+}
+
+func (in *interner) add(v relation.Value) uint32 {
+	if len(in.vals) == cap(in.vals) {
+		in.vals = slices.Grow(in.vals, max(16, len(in.vals)))
+	}
+	in.vals = append(in.vals, v)
+	return uint32(len(in.vals))
+}
+
+// codeIDs translates a live column's codes in the segment column seg:
+// xlat[code] is the id of the output for a row holding code, 0 until
+// translated; used lists the codes set, which a new seg clears.
+type codeIDs struct {
+	seg  *colVec
+	xlat []uint32
+	used []uint16
+}
+
+// idKeys is one execution's id-keyed DISTINCT. It holds the segments it
+// met until the execution ends; nothing of it outlives the execution.
+//
+// Its table holds three kinds of keys. A site key is siteMark, then per
+// column the id fixed under a site row, or 0 where the column is live. A
+// row key is its site key's entry·2, then its live ids in column order; a
+// group key is its first row's site key's entry·2+1, then those of the
+// row's live ids among its first n. No id is 0 and no entry number reaches
+// 2³¹−1, so no two kinds share a key. A row or group key hashes as the ids
+// it stands for, and two under different site keys compare by those ids
+// (sameIDs): a column fixed under one site row may be live under another
+// and hold the same id.
+type idKeys struct {
+	cs     *compiledSelect
+	patRow rowRef // the site row fixed is for
+	in     interner
+	codes  []codeIDs // by column
+	live   []int     // the live columns under the site row
+	fixed  []uint32  // the site key
+	hfix   uint64    // the fixed ids' share of a row key's hash (rowTerm)
+	vec    []uint32  // the row key
+	gvec   []uint32  // the group key being looked up, of its rows' first n ids
+	n      int
+	xvec   []uint32 // scratch for expand
+	yvec   []uint32
+	run    []*codeIDs // per live column, its translation when dropRepeats's run is its segment
+	tab    idTable
+	// next and pending hand the feed's yields, in order, the entries of
+	// the rows the last dropRepeats added; groups counts group keys.
+	next, pending, groups int
+}
+
+const siteMark = ^uint32(0)
+
+// newIDKeys returns id keys for an execution of cs. With a plan instance
+// st, the column translations' arrays are st's, kept for its next
+// execution without their segments (release).
+func newIDKeys(cs *compiledSelect, st *planState) *idKeys {
+	w := len(cs.outs)
+	k := &idKeys{cs: cs, fixed: make([]uint32, w+1), vec: make([]uint32, 1, w+1)}
+	k.fixed[0], k.tab.same = siteMark, k.sameIDs
+	if cs.proj != nil {
+		if st != nil && len(st.codes) == w {
+			k.codes = st.codes
+		} else if k.codes = make([]codeIDs, w); st != nil {
+			st.codes = k.codes
+		}
+		return k
+	}
+	for i := range w {
+		k.live = append(k.live, i)
+	}
+	e, _ := k.tab.insert(k.fixed)
+	k.vec[0] = uint32(e) << 1
+	return k
+}
+
+// release hands st back its translations' arrays, emptied, and forgets
+// the segments they were set to.
+func (k *idKeys) release(st *planState) {
+	st.dedup = nil
+	for i := range k.codes {
+		c := &k.codes[i]
+		for _, code := range c.used {
+			c.xlat[code] = 0
+		}
+		c.seg, c.used = nil, c.used[:0]
+	}
+}
+
+// site re-keys the site row when the bound one is another: the columns
+// fixed under it — invariant outputs, and CASEs whose condition fails —
+// are interned, the others listed live.
+func (k *idKeys) site(en *env) error {
+	sp := k.cs.proj
+	if sp == nil {
 		return nil
 	}
-	ps.patRow = rowRef{} // a mid-refresh error must not leave stale state
-	ps.condBits = 0
-	ps.siteSeq++
+	row := &en.frames[sp.site.depth].rows[sp.site.src]
+	if k.patRow.same(row) {
+		return nil
+	}
+	k.patRow, k.live, k.hfix = rowRef{}, k.live[:0], 0 // a mid-refresh error leaves nothing stale
 	for i := range sp.parts {
 		p := &sp.parts[i]
+		live, v := p.mode == projGeneral, p.alt
+		var err error
 		switch p.mode {
 		case projInv:
-			v, err := cs.outs[i](en)
-			if err != nil {
-				return err
-			}
-			ps.invVals[i] = v
+			v, err = k.cs.outs[i](en)
 		case projCase:
-			cv, err := p.cond(en)
-			if err != nil {
-				return err
-			}
-			if cv.Truth() {
-				ps.condBits |= 1 << uint(i)
-			}
+			v, err = p.cond(en)
+			live, v = v.Truth(), p.alt
+		}
+		if err != nil {
+			return err
+		}
+		if k.fixed[1+i] = 0; live {
+			k.live = append(k.live, i)
+		} else {
+			k.fixed[1+i] = k.in.id(v)
+			k.hfix += rowTerm(i, k.fixed[1+i])
 		}
 	}
-	// Only *active* parts read their columns: a condition-false CASE
-	// collapses to its literal and depends on no row value, so the
-	// blanked attributes stay out of the pre-dedup key — this is what
-	// keeps it a few columns wide per pattern tuple.
-	ps.cols, ps.src = ps.cols[:0], -1
-	for i := range sp.parts {
-		if p := &sp.parts[i]; p.mode == projCase && ps.condBits&(1<<uint(i)) != 0 {
-			ps.cols = append(ps.cols, p.resCols...)
-		}
-	}
-	for j, b := range ps.cols {
-		if t := cs.sources[b.src].table; j > 0 && b.src != ps.src || t == nil || t.Schema.Attrs[b.col].Kind != relation.KindText {
-			ps.src = -1
-			break
-		}
-		ps.src = b.src
-	}
-	ps.patRow = *row
+	e, _ := k.tab.insert(k.fixed)
+	k.vec[0], k.patRow = uint32(e)<<1, *row
 	return nil
 }
 
-// dropRepeats is the pre-filter's code stage. The innermost batch level
-// of a DISTINCT feed (planLevelBatch) runs it on a run's selection vector
-// once its kernels and groups have filtered it, when an outer level binds
-// the site row and no per-row conjunct is left at the level — so every
-// row it keeps yields. When the active columns are at most four coded
-// columns of the level's source, their codes packed in a uint64 decide
-// repeats: within one site row and one run, the same code tuple is the
-// same raw values, so a row whose tuple an earlier row of the run holds
-// is dropped, and only first occurrences reach stepRow and preDedup's
-// string key, which keeps hits across runs exact.
-func (sp *projSpec) dropRepeats(en *env, cs *compiledSelect, ps *projScratch, st *planState, src int, run *segRun, sel []int) ([]int, error) {
-	if err := sp.refreshSite(en, cs, ps); err != nil {
+// coded returns the one column live column i's output is a function of —
+// so of its segment code — if it has one.
+func (k *idKeys) coded(i int) *binding {
+	if k.cs.proj != nil && len(k.cs.proj.parts[i].resCols) == 1 {
+		return &k.cs.proj.parts[i].resCols[0]
+	}
+	return nil
+}
+
+// liveID returns live column i's id for the bound row.
+func (k *idKeys) liveID(en *env, i int) (uint32, error) {
+	if b := k.coded(i); b != nil {
+		if r := &en.frames[b.depth].rows[b.src]; r.cols != nil && r.cols[b.col].codes != nil {
+			c, code := k.xlat(i, &r.cols[b.col]), r.cols[b.col].codes[r.off]
+			if id := c.xlat[code]; id != 0 {
+				return id, nil
+			}
+			return k.translate(en, i, c, code)
+		}
+	}
+	out := k.cs.outs[i]
+	if k.cs.proj != nil && k.cs.proj.parts[i].mode == projCase {
+		out = k.cs.proj.parts[i].res
+	}
+	v, err := out(en)
+	if err != nil {
+		return 0, err
+	}
+	return k.in.id(v), nil
+}
+
+// xlat returns column i's translation, set to the codes of cv.
+func (k *idKeys) xlat(i int, cv *colVec) *codeIDs {
+	c := &k.codes[i]
+	if c.seg != cv {
+		for _, code := range c.used {
+			c.xlat[code] = 0
+		}
+		c.seg, c.used = cv, c.used[:0]
+		if n := len(cv.dict) + 1; len(c.xlat) < n {
+			c.xlat = make([]uint32, max(n, 2*len(c.xlat)))
+		}
+	}
+	return c
+}
+
+// translate evaluates live column i's THEN arm on the bound row, which
+// holds code, and records its id: once per code of a segment column.
+func (k *idKeys) translate(en *env, i int, c *codeIDs, code uint16) (uint32, error) {
+	v, err := k.cs.proj.parts[i].res(en)
+	if err != nil {
+		return 0, err
+	}
+	c.xlat[code] = k.in.id(v)
+	c.used = append(c.used, code)
+	en.work[wCodeTranslations]++
+	return c.xlat[code], nil
+}
+
+// dropRepeats keys a run's selection vector at the innermost batch level
+// of a DISTINCT feed (planLevelBatch), once its kernels and groups have
+// filtered it, when an outer level binds the site row and no per-row
+// conjunct is left at the level — so every row it keeps yields, once. It
+// keeps only the rows new to the table: repeats never reach stepRow. A row
+// is bound only to translate a code, or for a column no code decides.
+func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel []int) ([]int, error) {
+	if err := k.site(en); err != nil {
 		return nil, err
 	}
-	if ps.src != src || len(ps.cols) > 4 {
-		return sel, nil
+	k.run = k.run[:0]
+	packs := len(k.live) <= 4 // the run's code tuples fit a word: see runSeen
+	for _, i := range k.live {
+		var c *codeIDs
+		if b := k.coded(i); b != nil && b.depth == k.cs.depth && b.src == src && run.column(b.col).codes != nil {
+			c = k.xlat(i, run.column(b.col))
+		}
+		k.run, packs = append(k.run, c), packs && c != nil
 	}
-	var codes [4][]uint16
-	for j, b := range ps.cols {
-		codes[j] = run.column(b.col).codes
+	var seen *runSeen
+	if packs {
+		if st.memo == nil {
+			st.memo = new(runSeen)
+		}
+		seen = st.memo
+		seen.gen++
 	}
-	m := st.emptyMemo()
+	fr := &en.frames[k.cs.depth]
+	k.next = len(k.tab.aux)
+	vec := k.vec[:1+len(k.run)]
 	out := sel[:0]
 	for _, off := range sel {
-		var key uint64
-		for j := range ps.cols {
-			key = key<<16 | uint64(codes[j][off])
+		if seen != nil {
+			var codes uint64
+			for _, c := range k.run {
+				codes = codes<<16 | uint64(c.seg.codes[off])
+			}
+			if seen.add(codes) {
+				continue
+			}
 		}
-		if !m.add(key) {
+		h := k.hfix
+		for j, c := range k.run {
+			var id uint32
+			if c != nil {
+				id = c.xlat[c.seg.codes[off]]
+			}
+			if id == 0 {
+				fr.rows[src] = rowRef{cols: run.cols, off: off}
+				var err error
+				if id, err = k.liveID(en, k.live[j]); err != nil {
+					return nil, err
+				}
+			}
+			vec[1+j], h = id, h+rowTerm(k.live[j], id)
+		}
+		if _, added := k.tab.insertHashed(vec, idHash(h, 0)); added {
 			out = append(out, off)
 		}
 	}
+	k.vec, k.pending = vec, len(out)
+	en.work[wDistinctKeys] += int64(len(sel))
 	en.work[wCodeRepeats] += int64(len(sel) - len(out))
 	return out, nil
 }
 
-// preDedup reports whether the current emit's output row is provably
-// identical to one already emitted in this execution: same site row,
-// same raw values in every column the outputs read. Sound because the
-// outputs are pure functions of exactly those inputs (preKeyOK); the
-// exact output-key dedup still runs behind this filter, so a false
-// negative only costs one full evaluation, never a duplicate row. seen
-// is owned by the caller and must be scoped to one execution. Repeats
-// within a run are mostly gone before this: dropRepeats.
-func (sp *projSpec) preDedup(en *env, cs *compiledSelect, ps *projScratch, seen map[string]bool) (bool, error) {
-	if err := sp.refreshSite(en, cs, ps); err != nil {
-		return false, err
-	}
-	buf := ps.rawBuf[:0]
-	seq := ps.siteSeq
-	buf = append(buf, byte(seq), byte(seq>>8), byte(seq>>16), byte(seq>>24),
-		byte(seq>>32), byte(seq>>40), byte(seq>>48), byte(seq>>56))
-	fr := en.frames[cs.depth]
-	for _, b := range ps.cols {
-		buf = relation.AppendKey(buf, fr.rows[b.src].at(b.col))
-	}
-	ps.rawBuf = buf
-	en.work[wDistinctKeys]++
-	if seen[string(buf)] {
-		return true, nil
-	}
-	seen[string(buf)] = true
-	return false, nil
+// runSeen is the set of the code tuples a run has shown, packed: within a
+// run and a site row one code tuple is one row, already keyed, so a later
+// row showing it is dropped without its ids — most of the ~23 000 rows an
+// update's Aux recompute keys at 40 000 rows. Open addressing over twice
+// a run's rows, emptied by bumping gen; a plan instance keeps one.
+type runSeen struct {
+	gen        uint64
+	keys, gens [2 * segRows]uint64
 }
 
-// evalOuts evaluates the output row into dst, replaying the
-// site-invariant parts from the cache when the site row is unchanged
-// since the previous emit.
-func (sp *projSpec) evalOuts(en *env, cs *compiledSelect, ps *projScratch, dst relation.Tuple) error {
-	if err := sp.refreshSite(en, cs, ps); err != nil {
-		return err
+// add reports whether the run showed codes already, adding them if not.
+func (m *runSeen) add(codes uint64) bool {
+	for i := codes * 0x9e3779b97f4a7c15 >> 32 % (2 * segRows); ; i = (i + 1) % (2 * segRows) {
+		if m.gens[i] != m.gen {
+			m.keys[i], m.gens[i] = codes, m.gen
+			return false
+		}
+		if m.keys[i] == codes {
+			return true
+		}
 	}
-	for i := range sp.parts {
-		p := &sp.parts[i]
-		switch p.mode {
-		case projInv:
-			dst[i] = ps.invVals[i]
-		case projCase:
-			if ps.condBits&(1<<uint(i)) != 0 {
-				v, err := p.res(en)
-				if err != nil {
-					return err
-				}
-				dst[i] = v
-			} else {
-				dst[i] = p.alt
-			}
-		default:
-			v, err := cs.outs[i](en)
+}
+
+// add returns the bound row's entry and whether it is new: the one
+// dropRepeats added for it, or a lookup of its own.
+func (k *idKeys) add(en *env) (int, bool, error) {
+	if k.pending > 0 {
+		k.next, k.pending = k.next+1, k.pending-1
+		return k.next - 1, true, nil
+	}
+	if err := k.site(en); err != nil {
+		return 0, false, err
+	}
+	k.vec = k.vec[:1]
+	h := k.hfix
+	for _, i := range k.live {
+		id, err := k.liveID(en, i)
+		if err != nil {
+			return 0, false, err
+		}
+		k.vec, h = append(k.vec, id), h+rowTerm(i, id)
+	}
+	en.work[wDistinctKeys]++
+	e, added := k.tab.insertHashed(k.vec, idHash(h, 0))
+	return e, added, nil
+}
+
+// decode writes row entry e's first len(dst) columns into dst. On the
+// match that added e (en non-nil), while some id stands for two
+// representations of a number, numbers are evaluated on the bound row;
+// with en nil the ids alone are exact for an entry added before any did.
+func (k *idKeys) decode(en *env, e int, dst relation.Tuple) error {
+	k.xvec = k.expand(k.xvec[:0], k.tab.key(e), len(dst))
+	for i, id := range k.xvec {
+		dst[i] = k.in.vals[id-1]
+		if en != nil && k.in.mixed && dst[i].K != relation.KindText {
+			v, err := k.cs.outs[i](en)
 			if err != nil {
 				return err
 			}
@@ -1968,4 +2106,118 @@ func (sp *projSpec) evalOuts(en *env, cs *compiledSelect, ps *projScratch, dst r
 		}
 	}
 	return nil
+}
+
+// group returns the group of row entry e — the rows agreeing on its first
+// n ids — numbered in first-seen order, and whether e opened it.
+func (k *idKeys) group(e, n int) (int, bool) {
+	r, live, h := k.tab.key(e), 0, uint64(0)
+	for i, id := range k.tab.key(int(r[0] >> 1))[1 : 1+n] {
+		if id == 0 {
+			id, live = r[1+live], live+1
+		}
+		h += rowTerm(i, id)
+	}
+	k.gvec, k.n = append(append(k.gvec[:0], r[0]|1), r[1:1+live]...), n
+	ge, added := k.tab.insertHashed(k.gvec, idHash(h, 0))
+	if added {
+		k.tab.aux[ge] = int32(k.groups)
+		k.groups++
+	}
+	return int(k.tab.aux[ge]), added
+}
+
+// expand appends the first n ids row key r stands for to dst.
+func (k *idKeys) expand(dst, r []uint32, n int) []uint32 {
+	live := r[1:]
+	for _, id := range k.tab.key(int(r[0] >> 1))[1 : 1+n] {
+		if id == 0 {
+			id, live = live[0], live[1:]
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// sameIDs reports whether the row keys, or the group keys, a and b stand
+// for the same ids under different site keys.
+func (k *idKeys) sameIDs(a, b []uint32) bool {
+	if a[0] == b[0] || a[0] == siteMark || b[0] == siteMark || (a[0]^b[0])&1 != 0 {
+		return false
+	}
+	n := len(k.fixed) - 1
+	if a[0]&1 != 0 {
+		n = k.n
+	}
+	k.xvec, k.yvec = k.expand(k.xvec[:0], a, n), k.expand(k.yvec[:0], b, n)
+	return slices.Equal(k.xvec, k.yvec)
+}
+
+// rowTerm is column i's share, with id, of a row or group key's hash: the
+// sum over its columns, fixed and live alike.
+func rowTerm(i int, id uint32) uint64 { return (uint64(id)<<32 | uint64(i)) * 0xbf58476d1ce4e5b9 }
+
+// idTable is an open-addressed set of id vectors, numbered in insertion
+// order, with one int32 per entry for the caller.
+type idTable struct {
+	keys  []uint32 // entry e is keys[at[e]:at[e+1]]
+	at    []int32
+	aux   []int32
+	slots []idSlot                 // a power of two, under half full
+	same  func(a, b []uint32) bool // unequal keys that are one entry
+}
+
+type idSlot struct {
+	h, e uint32 // the key's hash and entry+1; e is 0 when the slot is empty
+}
+
+func (t *idTable) key(e int) []uint32 { return t.keys[t.at[e]:t.at[e+1]] }
+
+// idHash folds id into a vector's hash, which starts at its length.
+func idHash(h uint64, id uint32) uint64 { return (h ^ uint64(id)) * 0x9e3779b97f4a7c15 }
+
+// insert returns vec's entry, adding a copy if it is new.
+func (t *idTable) insert(vec []uint32) (int, bool) {
+	h := uint64(len(vec))
+	for _, x := range vec {
+		h = idHash(h, x)
+	}
+	return t.insertHashed(vec, h)
+}
+
+// insertHashed is insert with vec's hash.
+func (t *idTable) insertHashed(vec []uint32, h uint64) (int, bool) {
+	if 2*len(t.aux) >= len(t.slots) {
+		old := t.slots
+		t.slots = make([]idSlot, max(16, 2*len(old)))
+		for _, s := range old {
+			if s.e != 0 {
+				i := s.h
+				for ; t.slots[i&uint32(len(t.slots)-1)].e != 0; i++ {
+				}
+				t.slots[i&uint32(len(t.slots)-1)] = s
+			}
+		}
+		if t.at == nil {
+			t.at = []int32{0}
+		}
+		t.aux = slices.Grow(t.aux, len(t.slots)/2-len(t.aux))
+		t.at = slices.Grow(t.at, len(t.slots)/2+1-len(t.at))
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := uint32(h>>32) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if e := int(s.e) - 1; s.e != 0 && s.h == uint32(h>>32) && (slices.Equal(t.key(e), vec) || t.same != nil && t.same(t.key(e), vec)) {
+			return e, false
+		} else if s.e == 0 {
+			e = len(t.aux)
+			s.h, s.e = uint32(h>>32), uint32(e+1)
+			if len(t.keys)+len(vec) > cap(t.keys) {
+				t.keys = slices.Grow(t.keys, max(len(vec), len(t.keys)))
+			}
+			t.keys = append(t.keys, vec...)
+			t.aux, t.at = append(t.aux, 0), append(t.at, int32(len(t.keys)))
+			return e, true
+		}
+	}
 }

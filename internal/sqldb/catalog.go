@@ -761,8 +761,8 @@ type Stats struct {
 	RowsScanned, HashBuilds int64
 	// RowsStepped counts the rows batch join levels handed from their
 	// selection vectors to the per-row machinery: what the kernels, the OR
-	// groups and the DISTINCT pre-filter's code stage left of the rows
-	// they scanned.
+	// groups and the DISTINCT id keys' repeat drop left of the rows they
+	// scanned.
 	RowsStepped int64
 	// RowConjuncts counts the conjunct decisions join levels made row by
 	// row, whole (planConjunct.holds): what no kernel, OR group, probe or
@@ -787,11 +787,12 @@ type Stats struct {
 	// decided from a segment's postings without reading their cells, and
 	// TextLookups the strings compared or hashed to decide those, or a
 	// kernel over a coded column — per row, dictionary string or set
-	// member. DistinctKeys counts the keys DISTINCT (raw pre-dedup,
-	// aggregates) hashed, CodeRepeats the rows the raw pre-dedup skipped as
-	// repeats by their segment codes alone, with no key, and Groups the
-	// GROUP BY groups formed, streamed or not.
-	SetRows, PostingRows, TextLookups, DistinctKeys, CodeRepeats, Groups int64
+	// member. DistinctKeys counts the DISTINCT keys looked up (a row's
+	// ids, a Reference row's or an aggregate's encoded key), CodeRepeats
+	// the rows a batch level dropped as repeats before stepping them,
+	// CodeTranslations the segment codes the id keys turned into ids, and
+	// Groups the GROUP BY groups formed, streamed or not.
+	SetRows, PostingRows, TextLookups, DistinctKeys, CodeRepeats, CodeTranslations, Groups int64
 	// Recovery reports what WAL recovery did when the database opened.
 	Recovery RecoveryStats
 }
@@ -804,31 +805,32 @@ func (db *DB) Stats() Stats {
 	b := db.retiredBytes
 	db.epochMu.Unlock()
 	return Stats{
-		EpochSeq:        ep.seq,
-		EpochsPublished: db.work[wEpochsPublished].Load(),
-		LiveEpochs:      1 + r,
-		RetiredEpochs:   r,
-		RetiredBytes:    b,
-		ProbeRows:       db.work[wProbeRows].Load(),
-		SetBinds:        db.work[wSetBinds].Load(),
-		ExactBinds:      db.work[wExactBinds].Load(),
-		RowsScanned:     db.work[wRowsScanned].Load(),
-		RowsStepped:     db.work[wRowsStepped].Load(),
-		RowConjuncts:    db.work[wRowConjuncts].Load(),
-		HashBuilds:      db.work[wHashBuilds].Load(),
-		SchedBuilds:     db.work[wSchedBuilds].Load(),
-		SchedReuses:     db.work[wSchedReuses].Load(),
-		CellsCopied:     db.work[wCellsCopied].Load(),
-		SegCellsCopied:  db.work[wSegCellsCopied].Load(),
-		RowsMatched:     db.work[wRowsMatched].Load(),
-		RowsWritten:     db.work[wRowsWritten].Load(),
-		SetRows:         db.work[wSetRows].Load(),
-		PostingRows:     db.work[wPostingRows].Load(),
-		TextLookups:     db.work[wTextLookups].Load(),
-		DistinctKeys:    db.work[wDistinctKeys].Load(),
-		CodeRepeats:     db.work[wCodeRepeats].Load(),
-		Groups:          db.work[wGroups].Load(),
-		Recovery:        db.recov,
+		EpochSeq:         ep.seq,
+		EpochsPublished:  db.work[wEpochsPublished].Load(),
+		LiveEpochs:       1 + r,
+		RetiredEpochs:    r,
+		RetiredBytes:     b,
+		ProbeRows:        db.work[wProbeRows].Load(),
+		SetBinds:         db.work[wSetBinds].Load(),
+		ExactBinds:       db.work[wExactBinds].Load(),
+		RowsScanned:      db.work[wRowsScanned].Load(),
+		RowsStepped:      db.work[wRowsStepped].Load(),
+		RowConjuncts:     db.work[wRowConjuncts].Load(),
+		HashBuilds:       db.work[wHashBuilds].Load(),
+		SchedBuilds:      db.work[wSchedBuilds].Load(),
+		SchedReuses:      db.work[wSchedReuses].Load(),
+		CellsCopied:      db.work[wCellsCopied].Load(),
+		SegCellsCopied:   db.work[wSegCellsCopied].Load(),
+		RowsMatched:      db.work[wRowsMatched].Load(),
+		RowsWritten:      db.work[wRowsWritten].Load(),
+		SetRows:          db.work[wSetRows].Load(),
+		PostingRows:      db.work[wPostingRows].Load(),
+		TextLookups:      db.work[wTextLookups].Load(),
+		DistinctKeys:     db.work[wDistinctKeys].Load(),
+		CodeRepeats:      db.work[wCodeRepeats].Load(),
+		CodeTranslations: db.work[wCodeTranslations].Load(),
+		Groups:           db.work[wGroups].Load(),
+		Recovery:         db.recov,
 	}
 }
 

@@ -35,9 +35,6 @@ type env struct {
 	// has run — correlated re-executions share it — until
 	// publish hands them back. A statement runs few selects: no map.
 	schedules []boundSched
-	// projs holds the per-select projection caches of the batch-aware
-	// emit path (site-invariant output parts, see projSpec).
-	projs map[*compiledSelect]*projScratch
 	// scratch holds the reusable frame row slots for execExists and
 	// semiScan, one per select (a select cannot contain itself, so reuse
 	// across its sequential invocations within one statement is safe).
@@ -68,6 +65,7 @@ const (
 	wTextLookups
 	wDistinctKeys
 	wCodeRepeats
+	wCodeTranslations
 	wGroups
 	wEpochsPublished // added to by publish, not by statements
 	nWork

@@ -89,6 +89,7 @@ type compiledSelect struct {
 	cols     []string
 	outs     []compiledExpr
 	distinct bool
+	inline   bool // see dedupsInline
 	orderBy  []compiledOrder
 	limit    compiledExpr
 	offset   compiledExpr
@@ -99,10 +100,10 @@ type compiledSelect struct {
 	// it in order so exec skips the sort.
 	ordSrc  int
 	ordCols []int
-	// proj, when non-nil, is the batch-aware projection plan: output
-	// parts invariant in one source's row (the detection queries'
-	// pattern site) replay from a per-site-row cache instead of
-	// re-evaluating per emitted row. Built for ungrouped selects only.
+	// proj, when non-nil, is the batch-aware projection plan of an
+	// inline DISTINCT: output parts invariant in one source's row (the
+	// detection queries' pattern site) are keyed once per site row
+	// (idKeys) instead of per emitted row.
 	proj *projSpec
 	// Streamed grouping: when streamCols > 0, this grouped select has no
 	// WHERE, its GROUP BY is exactly the first streamCols output columns
@@ -114,6 +115,9 @@ type compiledSelect struct {
 	// detector's Qmv grouping keeps 150 of 42 000 distinct macro rows;
 	// this is what stops it building the other 41 850.
 	streamCols int
+	// keyedHaving: the streamed grouping's HAVING reads a column of the
+	// group outside an aggregate, so a group's key is decoded before it.
+	keyedHaving bool
 	// free holds the join plan's idle instances (scheduleFor / release);
 	// victim picks the slot a release overwrites when all are taken.
 	free   [schedFreeSlots]atomic.Pointer[schedule]
@@ -281,11 +285,6 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 	if len(cs.outs) != len(cs.cols) {
 		return nil, fmt.Errorf("sql: internal: %d output exprs for %d columns", len(cs.outs), len(cs.cols))
 	}
-	if !cs.grouped && !ref {
-		// Grouped emission stays row-at-a-time: aggregate outputs read
-		// per-group state that the invariance analysis cannot see.
-		cs.proj = inner.buildProjSpec(astOuts)
-	}
 
 	if sel.Having != nil {
 		if cs.having, err = inner.compileExpr(sel.Having); err != nil {
@@ -306,6 +305,9 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 		cs.orderBy = append(cs.orderBy, co)
 	}
 	inner.planOrderBy(sel, cs)
+	if cs.inline = cs.distinct && len(cs.orderBy) == 0 && !cs.grouped && !ref; cs.inline {
+		cs.proj = inner.buildProjSpec(astOuts)
+	}
 	if sel.Limit != nil {
 		if cs.limit, err = inner.compileExpr(sel.Limit); err != nil {
 			return nil, err
@@ -351,15 +353,13 @@ func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
 	}
 	bare := &compiler{db: c.db, ep: c.ep, scopes: c.scopes, skipAggArgs: true}
 	keyOnly := true
-	check := func(e Expr) {
+	check := func(e Expr) (reads bool) { // any column of the source
 		err := bare.walkBindings(e, func(b binding) {
-			if b.depth == cs.depth && b.col >= k {
-				keyOnly = false
-			}
+			reads = reads || b.depth == cs.depth
+			keyOnly = keyOnly && (b.depth != cs.depth || b.col < k)
 		})
-		if err != nil {
-			keyOnly = false
-		}
+		keyOnly = keyOnly && err == nil
+		return reads || err != nil
 	}
 	for _, se := range sel.Exprs {
 		if se.Star {
@@ -368,7 +368,7 @@ func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
 		}
 		check(se.Expr)
 	}
-	check(sel.Having)
+	cs.keyedHaving = check(sel.Having)
 	for _, o := range sel.OrderBy {
 		check(o.Expr)
 	}
@@ -511,48 +511,19 @@ func (cs *compiledSelect) materialize(en *env) ([]rowSet, error) {
 	return srcRows, nil
 }
 
-// projScratchFor returns the env's cache for the batch-aware projection,
-// which replays site-invariant output parts per pattern row; nil when
-// the select has none.
-func (cs *compiledSelect) projScratchFor(en *env) *projScratch {
-	if cs.proj == nil {
-		return nil
-	}
-	return cs.proj.scratch(en, cs)
-}
+// dedupsInline: a Planned DISTINCT without ORDER BY dedupes while it
+// scans, on id keys (feedDistinct). The Fig. 4 macro emits one row per
+// (tuple, pattern) match but only |Aux|-many distinct ones, so this skips
+// almost all of the row building. Reference materializes every row and
+// dedupes them on their encoded keys (execRows).
+func (cs *compiledSelect) dedupsInline() bool { return cs.inline }
 
-// evalOuts evaluates the output row of the current frame into dst.
-func (cs *compiledSelect) evalOuts(en *env, ps *projScratch, dst relation.Tuple) error {
-	if ps != nil {
-		return cs.proj.evalOuts(en, cs, ps, dst)
-	}
-	for i, oe := range cs.outs {
-		v, err := oe(en)
-		if err != nil {
-			return err
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
-// dedupsInline: DISTINCT without ORDER BY dedupes while it scans. The
-// Fig. 4 macro emits one row per (tuple, pattern) match but only
-// |Aux|-many distinct ones, so this skips almost all of the row
-// allocation.
-func (cs *compiledSelect) dedupsInline() bool {
-	return cs.distinct && len(cs.orderBy) == 0 && !cs.grouped
-}
-
-// feedDistinct scans a select that dedupes inline and hands sink the
-// output row of every match, in a scratch row the next match
-// overwrites; the sink decides new-vs-duplicate on the exact key.
-// Matches the raw pre-dedup proves to be repeats never reach it: when
-// the projection plan shows the output row is a pure function of (site
-// row, a known set of scan columns), a repeated raw combination skips
-// output evaluation and key encoding entirely — the Qmv macro's matches
-// are overwhelmingly repeats of a few distinct pattern projections.
-func (cs *compiledSelect) feedDistinct(en *env, sink func(row relation.Tuple) error) error {
+// feedDistinct scans a select that dedupes inline and hands sink each
+// distinct output row once, on the match that first yields it, as its
+// entry in the execution's id keys; sink decodes what it needs of the row.
+// The innermost batch level drops repeats before they are stepped
+// (idKeys.dropRepeats); a match no batch level decided is keyed here.
+func (cs *compiledSelect) feedDistinct(en *env, sink func(k *idKeys, e int) error) error {
 	srcRows, err := cs.materialize(en)
 	if err != nil {
 		return err
@@ -560,49 +531,32 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(row relation.Tuple) er
 	en.frames = append(en.frames, frame{rows: make([]rowRef, len(cs.sources))})
 	defer func() { en.frames = en.frames[:cs.depth] }()
 
-	ps := cs.projScratchFor(en)
-	var rawSeen map[string]bool // per-execution: see projSpec.preDedup
-	var st *planState           // the instance scan runs: see projSpec.dropRepeats
-	if ps != nil && cs.proj.preKeyOK {
-		rawSeen = make(map[string]bool)
-		if cs.planOK {
-			st = en.scheduleFor(cs, srcRows).state // the instance scan runs
-			st.dedup = ps
-			defer func() { st.dedup = nil }()
-		}
+	var st *planState
+	if cs.planOK {
+		st = en.scheduleFor(cs, srcRows).state // the instance scan runs
 	}
-	row := make(relation.Tuple, len(cs.outs))
+	k := newIDKeys(cs, st)
+	if st != nil {
+		st.dedup = k
+		defer k.release(st)
+	}
 	return cs.scan(en, srcRows, func() error {
-		if rawSeen != nil {
-			skip, err := cs.proj.preDedup(en, cs, ps, rawSeen)
-			if err != nil || skip {
-				return err
-			}
-		}
-		if err := cs.evalOuts(en, ps, row); err != nil {
+		e, added, err := k.add(en)
+		if err != nil || !added {
 			return err
 		}
-		return sink(row)
+		return sink(k, e)
 	})
 }
 
 // execDistinct materializes the first occurrence of each distinct row.
 func (cs *compiledSelect) execDistinct(en *env) ([]relation.Tuple, error) {
 	var out []relation.Tuple
-	seen := make(map[string]bool)
 	var rows slab[relation.Value]
-	var keyBuf []byte
-	err := cs.feedDistinct(en, func(row relation.Tuple) error {
-		keyBuf = relation.AppendKeyOf(keyBuf[:0], row)
-		en.work[wDistinctKeys]++
-		if seen[string(keyBuf)] {
-			return nil
-		}
-		seen[string(keyBuf)] = true
-		kept := rows.alloc(len(row))
-		copy(kept, row)
-		out = append(out, kept)
-		return nil
+	err := cs.feedDistinct(en, func(k *idKeys, e int) error {
+		row := rows.alloc(len(cs.outs))
+		out = append(out, row)
+		return k.decode(en, e, row)
 	})
 	return out, err
 }
@@ -634,11 +588,14 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 		orderServed = en.scheduleFor(cs, srcRows).orderServed
 	}
 
-	ps := cs.projScratchFor(en)
 	emit := func() error {
 		row := relation.Tuple(rows.alloc(len(cs.outs)))
-		if err := cs.evalOuts(en, ps, row); err != nil {
-			return err
+		for i, oe := range cs.outs {
+			v, err := oe(en)
+			if err != nil {
+				return err
+			}
+			row[i] = v
 		}
 		if len(cs.orderBy) > 0 && !orderServed {
 			keys := make([]relation.Value, len(cs.orderBy))
@@ -794,7 +751,13 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 	defer delete(en.aggs, cs)
 	for _, g := range groups {
 		copy(fr.rows, g.rep)
-		if err := cs.finishGroup(en, fin, g.accs, emit); err != nil {
+		if ok, err := cs.settle(en, fin, g.accs); !ok {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		if err := emit(); err != nil {
 			return err
 		}
 	}
@@ -802,76 +765,59 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 }
 
 // execStreamed is execGrouped for the streamed shape (streamCols): the
-// derived DISTINCT source feeds its matches through feedDistinct instead
-// of returning rows, and one map lookup per match both dedupes it and
-// finds its group. A match's dedup key is encoded once, as the group
-// key (the first streamCols columns) followed by the remainder; the
-// group's state remembers the remainders seen — the first inline, a set
-// allocated only if a second distinct one arrives — so a
-// repeat is recognised without a set of full keys, and a new row is
-// accumulated at once from the scratch row. A group keeps its
-// accumulators and, as representative, only its key columns: the shape
-// guarantees nothing else of the representative is ever read. Groups
-// finalise in first-seen order, like execGrouped's.
+// derived DISTINCT source feeds its distinct rows through feedDistinct
+// instead of returning them, and the id table that dedupes a row finds
+// its group too, by the row's first streamCols ids. A new row is decoded
+// only for aggregates that read it, and a group's key columns — its
+// representative: the shape guarantees nothing else of it is read — only
+// when the group is finalised, after a HAVING that reads none of them
+// passed. Groups finalise in first-seen order, like execGrouped's.
 func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
 	type group struct {
-		rep      relation.Tuple // key columns only
-		accs     []aggAcc
-		rem      string // remainder of the group's first row
-		moreRems map[string]struct{}
-		next     *group // first-seen order
+		e    int            // the entry of the group's first row
+		rep  relation.Tuple // key columns, once decoded
+		accs []aggAcc
 	}
-	k := cs.streamCols
-	index := make(map[string]*group)
-	var first, last *group
+	n := cs.streamCols
+	sub := cs.sources[0].sub
+	var gs []*group // first-seen order
 	var groups slab[group]
 	var reps slab[relation.Value]
 	var accs slab[aggAcc]
-	readsRow := false
+	var keys *idKeys
+	var row relation.Tuple // the new row, when an aggregate reads it
 	for _, spec := range cs.aggs {
-		readsRow = readsRow || !spec.star
+		if !spec.star {
+			row = make(relation.Tuple, len(sub.outs))
+		}
 	}
 
 	// The source is compiled at this select's depth: it runs in place of
 	// the frame exec pushed, which comes back for the aggregate arguments
-	// (bound to the scratch row) and for finalisation.
+	// (bound to the decoded row) and for finalisation.
 	outer := en.frames[cs.depth]
 	en.frames = en.frames[:cs.depth]
-	var keyBuf []byte
-	err := cs.sources[0].sub.feedDistinct(en, func(row relation.Tuple) error {
-		keyBuf = relation.AppendKeyOf(keyBuf[:0], row[:k])
-		cut := len(keyBuf)
-		keyBuf = relation.AppendKeyOf(keyBuf, row[k:])
-		rem := keyBuf[cut:]
-		g := index[string(keyBuf[:cut])]
-		en.work[wDistinctKeys]++
-		switch {
-		case g == nil:
+	err := sub.feedDistinct(en, func(k *idKeys, e int) error {
+		keys = k
+		gi, added := k.group(e, n)
+		if added {
 			en.work[wGroups]++
-			g = &groups.alloc(1)[0]
-			g.rep, g.accs = reps.alloc(k), accs.alloc(len(cs.aggs))
-			copy(g.rep, row)
-			key := string(keyBuf) // one string per group: map key and first remainder
-			index[key[:cut]], g.rem = g, key[cut:]
-			if last == nil {
-				first = g
-			} else {
-				last.next = g
+			g := &groups.alloc(1)[0]
+			g.e, g.accs = e, accs.alloc(len(cs.aggs))
+			if k.in.mixed { // decoded later, a number might not be this row's
+				g.rep = reps.alloc(n)
+				if err := k.decode(en, e, g.rep); err != nil {
+					return err
+				}
 			}
-			last = g
-		case g.rem == string(rem):
-			return nil
-		default:
-			if _, dup := g.moreRems[string(rem)]; dup {
-				return nil
-			}
-			if g.moreRems == nil {
-				g.moreRems = make(map[string]struct{})
-			}
-			g.moreRems[string(rem)] = struct{}{}
+			gs = append(gs, g)
 		}
-		if !readsRow {
+		g := gs[gi]
+		if row == nil {
 			return cs.accumulate(en, g.accs)
+		}
+		if err := k.decode(en, e, row); err != nil {
+			return err
 		}
 		inner := en.frames[cs.depth]
 		outer.rows[0] = rowRef{tup: row}
@@ -885,11 +831,27 @@ func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
 		return err
 	}
 
+	bind := func(g *group) {
+		if g.rep == nil {
+			g.rep = reps.alloc(n)
+			_ = keys.decode(nil, g.e, g.rep) // from the ids alone: no error
+		}
+		outer.rows[0] = rowRef{tup: g.rep}
+	}
 	fin := cs.beginGroups(en)
 	defer delete(en.aggs, cs)
-	for g := first; g != nil; g = g.next {
-		outer.rows[0] = rowRef{tup: g.rep}
-		if err := cs.finishGroup(en, fin, g.accs, emit); err != nil {
+	for _, g := range gs {
+		if cs.keyedHaving {
+			bind(g)
+		}
+		if ok, err := cs.settle(en, fin, g.accs); !ok {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		bind(g)
+		if err := emit(); err != nil {
 			return err
 		}
 	}
@@ -907,7 +869,7 @@ func (cs *compiledSelect) accumulate(en *env, accs []aggAcc) error {
 }
 
 // beginGroups installs the slot the aggregate closures read their
-// group's final values from; finishGroup refills it per group, and the
+// group's final values from; settle refills it per group, and the
 // caller deletes en.aggs[cs] when the last group is out.
 func (cs *compiledSelect) beginGroups(en *env) []relation.Value {
 	fin := make([]relation.Value, len(cs.aggs))
@@ -915,19 +877,17 @@ func (cs *compiledSelect) beginGroups(en *env) []relation.Value {
 	return fin
 }
 
-// finishGroup finalises one group whose representative the caller has
-// bound in the frame: aggregate values, HAVING, emit.
-func (cs *compiledSelect) finishGroup(en *env, fin []relation.Value, accs []aggAcc, emit func() error) error {
+// settle finalises one group's aggregate values and reports whether it
+// passes HAVING, which reads the representative the caller has bound.
+func (cs *compiledSelect) settle(en *env, fin []relation.Value, accs []aggAcc) (bool, error) {
 	for i, spec := range cs.aggs {
 		fin[i] = accs[i].final(spec)
 	}
-	if cs.having != nil {
-		hv, err := cs.having(en)
-		if err != nil || !hv.Truth() {
-			return err
-		}
+	if cs.having == nil {
+		return true, nil
 	}
-	return emit()
+	hv, err := cs.having(en)
+	return err == nil && hv.Truth(), err
 }
 
 // aggAcc accumulates one aggregate over one group; the zero value is

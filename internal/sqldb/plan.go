@@ -475,12 +475,12 @@ type planState struct {
 	sel   [][]int
 	binds [][]kernBind
 	gsc   []*groupScratch
-	// The DISTINCT pre-filter's: memo is built on first use (preMemo), and
-	// dedup is the projection scratch of the DISTINCT feed running the
-	// instance, nil outside one: its innermost batch level drops repeats
-	// by code (projSpec.dropRepeats).
-	memo  *preMemo
-	dedup *projScratch
+	// dedup is the id keys of the DISTINCT feed running the instance, nil
+	// outside one (idKeys.dropRepeats); memo and codes, its run filter and
+	// translations' arrays, are made on their first use and kept.
+	dedup *idKeys
+	memo  *runSeen
+	codes []codeIDs
 }
 
 func isNaN(v relation.Value) bool {
@@ -944,11 +944,9 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 		g.enter(n) // state reset only; terms bind lazily at filter time
 	}
 	sel := st.sel[pos]
-	pre := st.dedup // see projSpec.dropRepeats
-	if pre != nil {
-		if site := cs.proj.site; pos < len(sch.levels)-1 || len(lv.evals) > 0 || site.depth == cs.depth && site.src == lv.src {
-			pre = nil
-		}
+	keys := st.dedup // see idKeys.dropRepeats
+	if keys != nil && (pos < len(sch.levels)-1 || len(lv.evals) > 0 || cs.proj != nil && cs.proj.site.depth == cs.depth && cs.proj.site.src == lv.src) {
+		keys = nil
 	}
 	var err error
 	for i, si := 0, 0; i < n && err == nil; {
@@ -986,8 +984,8 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 				break // with no row left in sel
 			}
 		}
-		if pre != nil && len(sel) > 0 {
-			sel, err = cs.proj.dropRepeats(en, cs, pre, st, lv.src, &run, sel)
+		if keys != nil && len(sel) > 0 {
+			sel, err = keys.dropRepeats(en, st, lv.src, &run, sel)
 		}
 		en.work[wRowsStepped] += int64(len(sel))
 		for _, off := range sel {
