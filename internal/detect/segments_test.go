@@ -150,10 +150,13 @@ func TestApplyUpdatesAllocBudget(t *testing.T) {
 
 // TestBatchDetectAllocBudget bounds what a warm BatchDetect allocates at
 // 40 000 rows. Its Qmv grouping keys the DISTINCT macro's rows by interned
-// ids and decodes values for new groups only; while it built a string key
-// per row and a row per group, the call allocated about 39 MB.
+// ids in flat tables allocated once at their final size, a group is a
+// count, and values are decoded for the groups that pass HAVING only: about
+// 8.4 MB. While the grouping built a string key per row and a row per
+// group, the call allocated about 39 MB; while it kept a value per id, an
+// accumulator per group and grew its tables by doubling, 26.8 MB.
 func TestBatchDetectAllocBudget(t *testing.T) {
-	const ops, budget = 3, 38 << 20
+	const ops, budget = 3, 12 << 20
 	d, cleanup := newBenchDetector(t, 40_000, 611)
 	defer cleanup()
 	for i := 0; i < 2; i++ {
@@ -170,9 +173,38 @@ func TestBatchDetectAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
-	t.Logf("40000 rows: %d kB allocated per BatchDetect (about 39 MB with string keys)", perOp>>10)
+	t.Logf("40000 rows: %d kB allocated per BatchDetect (26.8 MB with a value per id and an object per group, about 39 MB with string keys)", perOp>>10)
 	if perOp > budget {
 		t.Errorf("%d bytes allocated per BatchDetect on 40000 rows, budget %d", perOp, budget)
+	}
+}
+
+// TestRecomputeSkipsDeadPatterns states in counters that a pattern row
+// the touched-keys probe rules out skips the data scan: over an empty keys
+// table, auxRecompute at 40 000 rows scans the pattern rows and no data
+// row. While the dead or-group still filtered every segment of the data
+// for each pattern row, it scanned 200 013 rows.
+func TestRecomputeSkipsDeadPatterns(t *testing.T) {
+	d, cleanup := newBenchDetector(t, 40_000, 611)
+	defer cleanup()
+	if _, err := d.BatchDetect(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.db.Exec("TRUNCATE TABLE " + d.keysTable); err != nil {
+		t.Fatal(err)
+	}
+	var patterns int64
+	if err := d.db.QueryRow("SELECT COUNT(*) FROM " + d.encTable).Scan(&patterns); err != nil {
+		t.Fatal(err)
+	}
+	before := d.eng.Stats()
+	if _, err := d.db.Exec(d.stmts.auxRecompute); err != nil {
+		t.Fatal(err)
+	}
+	scanned := d.eng.Stats().RowsScanned - before.RowsScanned
+	t.Logf("40000 rows, empty keys table: auxRecompute scans %d rows over %d pattern rows", scanned, patterns)
+	if scanned > patterns {
+		t.Errorf("auxRecompute over an empty keys table scans %d rows, more than the %d pattern rows", scanned, patterns)
 	}
 }
 
@@ -464,7 +496,13 @@ func TestStoredRowBytes(t *testing.T) {
 // 20-column table. As relation.Value tuples that was an estimated 33 MB;
 // as the segments' columns with 40-byte INTEGER cells it measured 7.8 MB.
 // With the two INTEGER columns 8-byte words it measures 5.2 MB and must
-// stay within 6 MB.
+// stay within 6 MB (5.6–5.7 MB beside the code translations the macro's
+// plan instance keeps between executions).
+//
+// A group of one member pair — one (pattern, tuple) match — can never
+// violate, and 37 657 of the 41 738 groups have one: a counted Aux of the
+// others holds 4 302 macro rows, about 0.55–0.6 MB at the bytes a row
+// measures here.
 func TestCountedAuxBytes(t *testing.T) {
 	const rows, limit = 40_000, 6 << 20
 	d, cleanup := newBenchDetector(t, rows, 611)
@@ -495,6 +533,35 @@ func TestCountedAuxBytes(t *testing.T) {
 	t.Logf("%d macro rows in a 20-column table: %.2f MB of live heap, %d B a row", got, float64(grown)/(1<<20), grown/got)
 	if got != 41_959 {
 		t.Errorf("the macro yields %d distinct rows, want 41 959", got)
+	}
+	// The groups by their member pairs: the macro's (pattern, tuple)
+	// matches, before DISTINCT.
+	keyCols, on := []string{"CID"}, []string{"g.CID = a.CID"}
+	for _, a := range d.schema.Attrs {
+		keyCols, on = append(keyCols, a.Name+"_P"), append(on, fmt.Sprintf("g.%s_P = a.%s_P", a.Name, a.Name))
+	}
+	key := strings.Join(keyCols, ", ")
+	pairs := strings.Replace(d.macro(d.dataTable, ""), "SELECT DISTINCT", "SELECT", 1)
+	if _, err := d.db.Exec("CREATE TABLE pair_groups (CID INTEGER, " + strings.Join(cols[:len(d.schema.Attrs)], ", ") + ", N INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.db.Exec("INSERT INTO pair_groups SELECT " + key + ", COUNT(*) FROM (" + pairs + ") m GROUP BY " + key); err != nil {
+		t.Fatal(err)
+	}
+	var groups, singles, multi int64
+	if err := d.db.QueryRow("SELECT COUNT(*) FROM pair_groups").Scan(&groups); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.db.QueryRow("SELECT COUNT(*) FROM pair_groups WHERE N = 1").Scan(&singles); err != nil {
+		t.Fatal(err)
+	}
+	q := "SELECT COUNT(*) FROM aux_counted a WHERE EXISTS (SELECT 1 FROM pair_groups g WHERE g.N > 1 AND " + strings.Join(on, " AND ") + ")"
+	if err := d.db.QueryRow(q).Scan(&multi); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d groups, %d of one member pair: the %d macro rows of the others would hold about %.2f MB", groups, singles, multi, float64(multi*grown/got)/(1<<20))
+	if groups != 41_738 || singles != 37_657 || multi != 4_302 {
+		t.Errorf("%d groups, %d of one member pair, %d macro rows in the others; want 41 738, 37 657 and 4 302", groups, singles, multi)
 	}
 	if grown > limit {
 		t.Errorf("the counted table holds %.2f MB, limit %.0f MB", float64(grown)/(1<<20), float64(limit)/(1<<20))

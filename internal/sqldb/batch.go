@@ -1047,6 +1047,30 @@ func (g *orGroupK) enter(cands int) {
 	}
 }
 
+// bindLeading binds, for an entry whose every candidate row reaches the
+// group, the alternatives such a row binds before one is live.
+func (g *orGroupK) bindLeading(en *env) error {
+	for ti := range g.terms {
+		if tm := &g.terms[ti]; !tm.bound {
+			if err := g.bindTerm(en, tm); err != nil || tm.live {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// dead reports whether the group passes no row of the entry: every
+// alternative is bound, and none is live.
+func (g *orGroupK) dead() bool {
+	for ti := range g.terms {
+		if tm := &g.terms[ti]; !tm.bound || tm.live {
+			return false
+		}
+	}
+	return true
+}
+
 // bindTerm evaluates one alternative's invariant parts and kernel
 // binds for the current entry. Called only when candidate rows reach
 // the alternative.
@@ -1733,83 +1757,143 @@ func (c *compiler) buildProjSpec(astOuts []Expr) *projSpec {
 // encoding, which DISTINCT compares, so two rows are one DISTINCT row
 // exactly when their ids are. One open-addressed table of id vectors
 // dedupes the rows and finds the streamed grouping's groups; values are
-// decoded from the ids for new rows only.
+// decoded from the ids for new rows only. An execution's tables hold no
+// pointer and are allocated once, at the size the plan instance's last
+// execution reached (idSizes).
 
-// interner numbers one execution's output values. A TEXT value is found by
-// its string's hash in texts (hash<<32 | id, 0 when empty, under half
-// full), which keeps the strings out of the probes; any other value by its
-// key encoding in keys.
+// interner numbers one execution's output values. An id is a kind and a
+// word: an integer's I, a float's bits, or a TEXT's offset<<32 | length
+// in text, which holds the strings back to back. Ids are found by their
+// hash in slots.
 type interner struct {
-	texts []uint64
-	keys  map[string]uint32
-	vals  []relation.Value // id-1 → the value first interned under it
+	slots []idSlot
+	kinds []relation.Kind // id-1 → the kind of the value first interned under it
+	bits  []uint64
+	text  []byte
 	// mixed: some id stands for two representations of a number (1 and
-	// 1.0, 0 and -0.0), so decode evaluates numbers on the bound row.
+	// 1.0, 0 and -0.0), so ids no longer decode an entry added since.
 	mixed bool
-	buf   []byte
 }
 
 var textSeed = maphash.MakeSeed()
 
+// slotsFor is the size of an open-addressed table that holds n keys
+// under half full.
+func slotsFor(n int) int { return 1 << bits.Len(uint(max(2*n-2, 15))) }
+
+// numKey is a non-TEXT value's key encoding as a class and a word: NULL,
+// an integer (Bool, Int and integral Float alike) or a float's bits, one
+// for every NaN.
+func numKey(v relation.Value) (byte, uint64) {
+	switch f := v.F; {
+	case v.K == relation.KindNull:
+		return 'n', 0
+	case v.K != relation.KindFloat:
+		return 'i', uint64(v.I)
+	case f >= -1<<63 && f < 1<<63 && f == float64(int64(f)):
+		return 'i', uint64(int64(f))
+	case f != f:
+		return 'f', math.Float64bits(math.NaN())
+	}
+	return 'f', math.Float64bits(v.F)
+}
+
 // id returns v's id, adding it if new. Ids count from 1.
 func (in *interner) id(v relation.Value) uint32 {
-	if v.K != relation.KindText {
-		in.buf = relation.AppendKey(in.buf[:0], v)
-		id, ok := in.keys[string(in.buf)]
-		if !ok {
-			if in.keys == nil {
-				in.keys = make(map[string]uint32)
+	if 2*len(in.kinds) >= len(in.slots) {
+		in.slots = growSlots(in.slots)
+	}
+	text := v.K == relation.KindText
+	var h uint32
+	var cls byte
+	var w uint64
+	if text {
+		h = uint32(maphash.String(textSeed, v.S))
+	} else {
+		cls, w = numKey(v)
+		h = uint32((w ^ uint64(cls)<<56) * 0x9e3779b97f4a7c15 >> 32)
+	}
+	for i, mask := h, uint32(len(in.slots)-1); ; i++ {
+		s := &in.slots[i&mask]
+		if s.e == 0 {
+			s.h, s.e = h, in.add(v)
+			return s.e
+		}
+		id := s.e
+		if s.h != h || (in.kinds[id-1] == relation.KindText) != text {
+			continue
+		}
+		if text {
+			if string(in.textOf(id)) == v.S {
+				return id
 			}
-			id = in.add(v)
-			in.keys[string(in.buf)] = id
-		} else if u := in.vals[id-1]; u.K != v.K || u.I != v.I || math.Float64bits(u.F) != math.Float64bits(v.F) {
+			continue
+		}
+		u := in.value(id)
+		if c, x := numKey(u); c != cls || x != w {
+			continue
+		}
+		if u.K != v.K || u.I != v.I || math.Float64bits(u.F) != math.Float64bits(v.F) {
 			in.mixed = true
 		}
 		return id
 	}
-	if 2*len(in.vals) >= len(in.texts) {
-		old := in.texts
-		in.texts = make([]uint64, max(16, 2*len(old)))
-		for _, s := range old {
-			i := s >> 32
-			for ; s != 0 && in.texts[i&uint64(len(in.texts)-1)] != 0; i++ {
-			}
-			in.texts[i&uint64(len(in.texts)-1)] |= s
-		}
-	}
-	h := uint64(uint32(maphash.String(textSeed, v.S)))
-	for i, mask := h, uint64(len(in.texts)-1); ; i++ {
-		s := in.texts[i&mask]
-		if s == 0 {
-			id := in.add(v)
-			in.texts[i&mask] = h<<32 | uint64(id)
-			return id
-		}
-		if s>>32 == h && in.vals[uint32(s)-1].S == v.S {
-			return uint32(s)
-		}
-	}
 }
 
 func (in *interner) add(v relation.Value) uint32 {
-	if len(in.vals) == cap(in.vals) {
-		in.vals = slices.Grow(in.vals, max(16, len(in.vals)))
+	b := uint64(v.I)
+	switch v.K {
+	case relation.KindFloat:
+		b = math.Float64bits(v.F)
+	case relation.KindText:
+		b = uint64(len(in.text))<<32 | uint64(len(v.S))
+		in.text = append(in.text, v.S...)
 	}
-	in.vals = append(in.vals, v)
-	return uint32(len(in.vals))
+	in.kinds, in.bits = append(in.kinds, v.K), append(in.bits, b)
+	return uint32(len(in.kinds))
 }
 
-// codeIDs translates a live column's codes in the segment column seg:
-// xlat[code] is the id of the output for a row holding code, 0 until
-// translated; used lists the codes set, which a new seg clears.
+// textOf returns TEXT id's bytes.
+func (in *interner) textOf(id uint32) []byte {
+	b := in.bits[id-1]
+	return in.text[b>>32 : b>>32+b&(1<<32-1)]
+}
+
+// value decodes id, a TEXT one into a string of its own.
+func (in *interner) value(id uint32) relation.Value {
+	switch k, b := in.kinds[id-1], in.bits[id-1]; k {
+	case relation.KindText:
+		return relation.Text(string(in.textOf(id)))
+	case relation.KindFloat:
+		return relation.Float(math.Float64frombits(b))
+	default:
+		return relation.Value{K: k, I: int64(b)}
+	}
+}
+
+// codeIDs is a live column's translation of the codes of the segment
+// column seg: idKeys.xlats[base+code] is the id of the output for a row
+// holding code, 0 until translated.
 type codeIDs struct {
 	seg  *colVec
-	xlat []uint32
-	used []uint16
+	base int
 }
 
+// xlatKey names live column i's translation of a segment column.
+type xlatKey struct {
+	i   int
+	seg *colVec
+}
+
+// idSizes is what an execution's id keys held at its end: table entries
+// and their ids, interned ids and their TEXT bytes, and groups. A plan
+// instance keeps the last execution's, and the next allocates its tables
+// at that size.
+type idSizes struct{ entries, words, ids, text, groups int }
+
 // idKeys is one execution's id-keyed DISTINCT. It holds the segments it
-// met until the execution ends; nothing of it outlives the execution.
+// met until the execution ends; nothing of it outlives the execution but
+// its sizes and its translations' array, emptied (release).
 //
 // Its table holds three kinds of keys. A site key is siteMark, then per
 // column the id fixed under a site row, or 0 where the column is live. A
@@ -1824,37 +1908,46 @@ type idKeys struct {
 	cs     *compiledSelect
 	patRow rowRef // the site row fixed is for
 	in     interner
-	codes  []codeIDs // by column
-	live   []int     // the live columns under the site row
-	fixed  []uint32  // the site key
-	hfix   uint64    // the fixed ids' share of a row key's hash (rowTerm)
-	vec    []uint32  // the row key
-	gvec   []uint32  // the group key being looked up, of its rows' first n ids
+	// xlats holds the execution's translations back to back, each where
+	// xlatAt says: a live column's THEN arm reads only its data column, so
+	// a (column, segment column) translation serves every site row.
+	xlats  []uint32
+	xlatAt map[xlatKey]int
+	live   []int    // the live columns under the site row
+	fixed  []uint32 // the site key
+	hfix   uint64   // the fixed ids' share of a row key's hash (rowTerm)
+	vec    []uint32 // the row key
+	gvec   []uint32 // the group key being looked up, of its rows' first n ids
 	n      int
 	xvec   []uint32 // scratch for expand
 	yvec   []uint32
-	run    []*codeIDs // per live column, its translation when dropRepeats's run is its segment
+	run    []codeIDs // per live column, its translation when dropRepeats's run is its segment
 	tab    idTable
+	groups []int32 // the group keys' entries in first-seen order (group)
 	// next and pending hand the feed's yields, in order, the entries of
-	// the rows the last dropRepeats added; groups counts group keys.
-	next, pending, groups int
+	// the rows the last dropRepeats added.
+	next, pending int
 }
 
 const siteMark = ^uint32(0)
 
-// newIDKeys returns id keys for an execution of cs. With a plan instance
-// st, the column translations' arrays are st's, kept for its next
-// execution without their segments (release).
+// newIDKeys returns id keys for an execution of cs by the plan instance
+// st, sized by st's last execution. The translations' array and their
+// index are st's.
 func newIDKeys(cs *compiledSelect, st *planState) *idKeys {
-	w := len(cs.outs)
+	w, sz := len(cs.outs), st.sizes
 	k := &idKeys{cs: cs, fixed: make([]uint32, w+1), vec: make([]uint32, 1, w+1)}
-	k.fixed[0], k.tab.same = siteMark, k.sameIDs
+	k.fixed[0] = siteMark
+	k.tab = idTable{slots: make([]idSlot, slotsFor(sz.entries)), keys: make([]uint32, 0, sz.words),
+		at: append(make([]int32, 0, sz.entries+1), 0), aux: make([]int32, 0, sz.entries), same: k.sameIDs}
+	k.in = interner{slots: make([]idSlot, slotsFor(sz.ids)), kinds: make([]relation.Kind, 0, sz.ids),
+		bits: make([]uint64, 0, sz.ids), text: make([]byte, 0, sz.text)}
+	k.groups = make([]int32, 0, sz.groups)
 	if cs.proj != nil {
-		if st != nil && len(st.codes) == w {
-			k.codes = st.codes
-		} else if k.codes = make([]codeIDs, w); st != nil {
-			st.codes = k.codes
+		if st.xlatAt == nil {
+			st.xlatAt = make(map[xlatKey]int)
 		}
+		k.xlats, k.xlatAt = st.xlats, st.xlatAt
 		return k
 	}
 	for i := range w {
@@ -1865,17 +1958,13 @@ func newIDKeys(cs *compiledSelect, st *planState) *idKeys {
 	return k
 }
 
-// release hands st back its translations' arrays, emptied, and forgets
-// the segments they were set to.
+// release hands st the execution's sizes and its translations' array,
+// emptied, and forgets the segments they were for.
 func (k *idKeys) release(st *planState) {
 	st.dedup = nil
-	for i := range k.codes {
-		c := &k.codes[i]
-		for _, code := range c.used {
-			c.xlat[code] = 0
-		}
-		c.seg, c.used = nil, c.used[:0]
-	}
+	st.sizes = idSizes{len(k.tab.aux), len(k.tab.keys), len(k.in.kinds), len(k.in.text), len(k.groups)}
+	clear(k.xlatAt)
+	st.xlats = k.xlats[:0]
 }
 
 // site re-keys the site row when the bound one is another: the columns
@@ -1926,17 +2015,9 @@ func (k *idKeys) coded(i int) *binding {
 	return nil
 }
 
-// liveID returns live column i's id for the bound row.
+// liveID returns live column i's id for the bound row, evaluated: a row
+// dropRepeats keys translates its codes instead.
 func (k *idKeys) liveID(en *env, i int) (uint32, error) {
-	if b := k.coded(i); b != nil {
-		if r := &en.frames[b.depth].rows[b.src]; r.cols != nil && r.cols[b.col].codes != nil {
-			c, code := k.xlat(i, &r.cols[b.col]), r.cols[b.col].codes[r.off]
-			if id := c.xlat[code]; id != 0 {
-				return id, nil
-			}
-			return k.translate(en, i, c, code)
-		}
-	}
 	out := k.cs.outs[i]
 	if k.cs.proj != nil && k.cs.proj.parts[i].mode == projCase {
 		out = k.cs.proj.parts[i].res
@@ -1948,32 +2029,30 @@ func (k *idKeys) liveID(en *env, i int) (uint32, error) {
 	return k.in.id(v), nil
 }
 
-// xlat returns column i's translation, set to the codes of cv.
-func (k *idKeys) xlat(i int, cv *colVec) *codeIDs {
-	c := &k.codes[i]
-	if c.seg != cv {
-		for _, code := range c.used {
-			c.xlat[code] = 0
-		}
-		c.seg, c.used = cv, c.used[:0]
-		if n := len(cv.dict) + 1; len(c.xlat) < n {
-			c.xlat = make([]uint32, max(n, 2*len(c.xlat)))
-		}
+// xlat returns column i's translation of cv's codes, which the execution
+// starts empty the first time it meets cv under column i.
+func (k *idKeys) xlat(i int, cv *colVec) codeIDs {
+	base, ok := k.xlatAt[xlatKey{i, cv}]
+	if !ok {
+		base = len(k.xlats)
+		k.xlatAt[xlatKey{i, cv}] = base
+		k.xlats = append(k.xlats, make([]uint32, len(cv.dict)+1)...)
 	}
-	return c
+	return codeIDs{cv, base}
 }
 
 // translate evaluates live column i's THEN arm on the bound row, which
-// holds code, and records its id: once per code of a segment column.
-func (k *idKeys) translate(en *env, i int, c *codeIDs, code uint16) (uint32, error) {
+// holds code in c's segment column, and records its id: once per code of
+// a segment column in an execution.
+func (k *idKeys) translate(en *env, i int, c codeIDs, code uint16) (uint32, error) {
 	v, err := k.cs.proj.parts[i].res(en)
 	if err != nil {
 		return 0, err
 	}
-	c.xlat[code] = k.in.id(v)
-	c.used = append(c.used, code)
+	id := k.in.id(v)
+	k.xlats[c.base+int(code)] = id
 	en.work[wCodeTranslations]++
-	return c.xlat[code], nil
+	return id, nil
 }
 
 // dropRepeats keys a run's selection vector at the innermost batch level
@@ -1989,11 +2068,11 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 	k.run = k.run[:0]
 	packs := len(k.live) <= 4 // the run's code tuples fit a word: see runSeen
 	for _, i := range k.live {
-		var c *codeIDs
+		var c codeIDs
 		if b := k.coded(i); b != nil && b.depth == k.cs.depth && b.src == src && run.column(b.col).codes != nil {
 			c = k.xlat(i, run.column(b.col))
 		}
-		k.run, packs = append(k.run, c), packs && c != nil
+		k.run, packs = append(k.run, c), packs && c.seg != nil
 	}
 	var seen *runSeen
 	if packs {
@@ -2020,13 +2099,18 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 		h := k.hfix
 		for j, c := range k.run {
 			var id uint32
-			if c != nil {
-				id = c.xlat[c.seg.codes[off]]
+			var err error
+			if c.seg != nil {
+				id = k.xlats[c.base+int(c.seg.codes[off])]
 			}
 			if id == 0 {
 				fr.rows[src] = rowRef{cols: run.cols, off: off}
-				var err error
-				if id, err = k.liveID(en, k.live[j]); err != nil {
+				if c.seg != nil {
+					id, err = k.translate(en, k.live[j], c, c.seg.codes[off])
+				} else {
+					id, err = k.liveID(en, k.live[j])
+				}
+				if err != nil {
 					return nil, err
 				}
 			}
@@ -2089,28 +2173,20 @@ func (k *idKeys) add(en *env) (int, bool, error) {
 	return e, added, nil
 }
 
-// decode writes row entry e's first len(dst) columns into dst. On the
-// match that added e (en non-nil), while some id stands for two
-// representations of a number, numbers are evaluated on the bound row;
-// with en nil the ids alone are exact for an entry added before any did.
-func (k *idKeys) decode(en *env, e int, dst relation.Tuple) error {
+// decode writes row or group entry e's first len(dst) columns into dst
+// from its ids, which is exact for an entry added while every id stood
+// for one representation (interner.mixed).
+func (k *idKeys) decode(e int, dst relation.Tuple) {
 	k.xvec = k.expand(k.xvec[:0], k.tab.key(e), len(dst))
 	for i, id := range k.xvec {
-		dst[i] = k.in.vals[id-1]
-		if en != nil && k.in.mixed && dst[i].K != relation.KindText {
-			v, err := k.cs.outs[i](en)
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-		}
+		dst[i] = k.in.value(id)
 	}
-	return nil
 }
 
-// group returns the group of row entry e — the rows agreeing on its first
-// n ids — numbered in first-seen order, and whether e opened it.
-func (k *idKeys) group(e, n int) (int, bool) {
+// group counts row entry e in its group — the rows agreeing on its first
+// n ids — and reports whether e opened it. A group is its key's entry,
+// listed in groups, and its rows, counted in the entry's aux.
+func (k *idKeys) group(e, n int) bool {
 	r, live, h := k.tab.key(e), 0, uint64(0)
 	for i, id := range k.tab.key(int(r[0] >> 1))[1 : 1+n] {
 		if id == 0 {
@@ -2121,10 +2197,10 @@ func (k *idKeys) group(e, n int) (int, bool) {
 	k.gvec, k.n = append(append(k.gvec[:0], r[0]|1), r[1:1+live]...), n
 	ge, added := k.tab.insertHashed(k.gvec, idHash(h, 0))
 	if added {
-		k.tab.aux[ge] = int32(k.groups)
-		k.groups++
+		k.groups = append(k.groups, int32(ge))
 	}
-	return int(k.tab.aux[ge]), added
+	k.tab.aux[ge]++
+	return added
 }
 
 // expand appends the first n ids row key r stands for to dst.
@@ -2167,8 +2243,24 @@ type idTable struct {
 	same  func(a, b []uint32) bool // unequal keys that are one entry
 }
 
+// idSlot is a slot of an open-addressed table whose size is a power of
+// two, kept under half full.
 type idSlot struct {
-	h, e uint32 // the key's hash and entry+1; e is 0 when the slot is empty
+	h, e uint32 // the key's hash and entry+1 (an id); e is 0 when the slot is empty
+}
+
+// growSlots doubles a slot table.
+func growSlots(old []idSlot) []idSlot {
+	slots, mask := make([]idSlot, 2*len(old)), uint32(2*len(old)-1)
+	for _, s := range old {
+		for i := s.h; s.e != 0; i++ {
+			if slots[i&mask].e == 0 {
+				slots[i&mask] = s
+				break
+			}
+		}
+	}
+	return slots
 }
 
 func (t *idTable) key(e int) []uint32 { return t.keys[t.at[e]:t.at[e+1]] }
@@ -2188,21 +2280,7 @@ func (t *idTable) insert(vec []uint32) (int, bool) {
 // insertHashed is insert with vec's hash.
 func (t *idTable) insertHashed(vec []uint32, h uint64) (int, bool) {
 	if 2*len(t.aux) >= len(t.slots) {
-		old := t.slots
-		t.slots = make([]idSlot, max(16, 2*len(old)))
-		for _, s := range old {
-			if s.e != 0 {
-				i := s.h
-				for ; t.slots[i&uint32(len(t.slots)-1)].e != 0; i++ {
-				}
-				t.slots[i&uint32(len(t.slots)-1)] = s
-			}
-		}
-		if t.at == nil {
-			t.at = []int32{0}
-		}
-		t.aux = slices.Grow(t.aux, len(t.slots)/2-len(t.aux))
-		t.at = slices.Grow(t.at, len(t.slots)/2+1-len(t.at))
+		t.slots = growSlots(t.slots)
 	}
 	mask := uint32(len(t.slots) - 1)
 	for i := uint32(h>>32) & mask; ; i = (i + 1) & mask {
@@ -2212,9 +2290,6 @@ func (t *idTable) insertHashed(vec []uint32, h uint64) (int, bool) {
 		} else if s.e == 0 {
 			e = len(t.aux)
 			s.h, s.e = uint32(h>>32), uint32(e+1)
-			if len(t.keys)+len(vec) > cap(t.keys) {
-				t.keys = slices.Grow(t.keys, max(len(vec), len(t.keys)))
-			}
 			t.keys = append(t.keys, vec...)
 			t.aux, t.at = append(t.aux, 0), append(t.at, int32(len(t.keys)))
 			return e, true

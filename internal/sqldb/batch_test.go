@@ -803,6 +803,20 @@ func TestOrKernelLazyBindErrors(t *testing.T) {
 	if _, err := db.Query(q); err == nil {
 		t.Fatal("nested loop must surface the division error when rows reach the alternative")
 	}
+
+	// Scanned under the pattern row, the group is its level's first and,
+	// with no kernel before it, binds at the level's entry: only the
+	// alternatives a row meets before one is live, as the first run would.
+	db.SetMode(Planned)
+	mustExec(t, db, `CREATE TABLE big (a INTEGER)`)
+	mustExec(t, db, `INSERT INTO big VALUES `+strings.TrimSuffix(strings.Repeat("(1), ", 200), ", "))
+	q = `SELECT big.a FROM c, big WHERE (big.a = 1 OR big.a < 10 / c.z)`
+	if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "scan big (200 rows) [batch: or-group(2 terms)]") {
+		t.Fatalf("the group is not the scanned level's first: %v\n%s", err, plan)
+	}
+	if batch, nested := runBothWays(t, db, q, false); batch != nested || strings.Count(batch, "1") != 200 {
+		t.Fatalf("lazy-bind divergence at a level entry:\nbatch  %q\nnested %q", batch, nested)
+	}
 }
 
 // TestDistinctPreDedupCorrelated is the review-found regression: the

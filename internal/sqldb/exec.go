@@ -107,13 +107,13 @@ type compiledSelect struct {
 	proj *projSpec
 	// Streamed grouping: when streamCols > 0, this grouped select has no
 	// WHERE, its GROUP BY is exactly the first streamCols output columns
-	// (in order) of its single derived DISTINCT source, and outside
-	// aggregate arguments it reads no other column of that source (see
-	// streamableGroup). The source then materializes nothing: execStreamed
-	// consumes its matches one scratch row at a time, and the group key of
-	// a row is the leading part of the dedup key it encodes anyway. The
-	// detector's Qmv grouping keeps 150 of 42 000 distinct macro rows;
-	// this is what stops it building the other 41 850.
+	// (in order) of its single derived DISTINCT source, its only
+	// aggregate is COUNT(*), and it reads no other column of that source
+	// (see streamableGroup). The source then materializes nothing:
+	// execStreamed counts its distinct rows into groups found by the
+	// leading ids of their dedup keys. The detector's Qmv grouping keeps
+	// 150 of 42 000 distinct macro rows; this is what stops it building
+	// the other 41 850.
 	streamCols int
 	// keyedHaving: the streamed grouping's HAVING reads a column of the
 	// group outside an aggregate, so a group's key is decoded before it.
@@ -248,9 +248,6 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 	// Reference mode groups and projects the plain way, as it joins
 	// (planWhere): streaming and the projection cache are under test.
 	ref := c.db.execMode() == Reference
-	if !ref {
-		cs.streamCols = inner.streamableGroup(sel, cs)
-	}
 
 	// Output expressions. astOuts keeps the AST per output slot (nil
 	// for star-expanded columns) so the batch-aware projection can
@@ -321,22 +318,31 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 	if len(cs.aggs) == 0 && inner.aggSink != nil {
 		cs.aggs = inner.aggSink.specs
 	}
+	if !ref {
+		cs.streamCols = inner.streamableGroup(sel, cs)
+	}
 	return cs, nil
 }
 
-// streamableGroup returns the GROUP BY width k when sel (compiled so
-// far into cs, with c holding its scope) takes the streamed grouping —
-// see compiledSelect.streamCols — and 0 otherwise. The shape: no WHERE,
-// one derived source that is DISTINCT and emits its dedup set unsliced
+// streamableGroup returns the GROUP BY width k when sel (compiled into
+// cs, with c holding its scope) takes the streamed grouping — see
+// compiledSelect.streamCols — and 0 otherwise. The shape: no WHERE, one
+// derived source that is DISTINCT and emits its dedup set unsliced
 // (ungrouped, no ORDER BY, LIMIT or OFFSET), GROUP BY naming that
-// source's first k columns in order. And because a streamed group keeps
-// only those k columns of its representative, nothing outside an
-// aggregate argument — select list, HAVING, ORDER BY, correlated
-// subqueries included — may read any other column of the source.
+// source's first k columns in order, and no aggregate but COUNT(*) — a
+// group is a count, never a row's values. And because a streamed group
+// keeps only those k columns of its representative, nothing — select
+// list, HAVING, ORDER BY, correlated subqueries included — may read any
+// other column of the source.
 func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
 	k := len(sel.GroupBy)
 	if k == 0 || sel.Where != nil || len(cs.sources) != 1 {
 		return 0
+	}
+	for _, a := range cs.aggs {
+		if a.name != "COUNT" || !a.star {
+			return 0
+		}
 	}
 	sub := cs.sources[0].sub
 	if sub == nil || !sub.dedupsInline() || sub.limit != nil || sub.offset != nil || k > len(sub.cols) {
@@ -474,7 +480,7 @@ func (cs *compiledSelect) exec(en *env) ([]relation.Tuple, error) {
 }
 
 // slab cuts runs of T from shared chunks: high-cardinality
-// materializations (distinct projections, per-group state) otherwise pay
+// materializations (distinct and emitted output rows) otherwise pay
 // one allocator round trip per run, which the profile shows as pure GC
 // overhead. Chunks start at two runs and quadruple up to 512, so a
 // three-row result does not zero 512 rows.
@@ -534,12 +540,12 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(k *idKeys, e int) erro
 	var st *planState
 	if cs.planOK {
 		st = en.scheduleFor(cs, srcRows).state // the instance scan runs
+	} else {
+		st = new(planState) // the nested loop keeps nothing between executions
 	}
 	k := newIDKeys(cs, st)
-	if st != nil {
-		st.dedup = k
-		defer k.release(st)
-	}
+	st.dedup = k
+	defer k.release(st)
 	return cs.scan(en, srcRows, func() error {
 		e, added, err := k.add(en)
 		if err != nil || !added {
@@ -556,9 +562,19 @@ func (cs *compiledSelect) execDistinct(en *env) ([]relation.Tuple, error) {
 	err := cs.feedDistinct(en, func(k *idKeys, e int) error {
 		row := rows.alloc(len(cs.outs))
 		out = append(out, row)
-		return k.decode(en, e, row)
+		return cs.evalOuts(en, row)
 	})
 	return out, err
+}
+
+// evalOuts writes the bound row's first len(dst) output columns into dst.
+func (cs *compiledSelect) evalOuts(en *env, dst relation.Tuple) (err error) {
+	for i := range dst {
+		if dst[i], err = cs.outs[i](en); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // execRows runs every select that does not dedupe inline: joins,
@@ -590,12 +606,8 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 
 	emit := func() error {
 		row := relation.Tuple(rows.alloc(len(cs.outs)))
-		for i, oe := range cs.outs {
-			v, err := oe(en)
-			if err != nil {
-				return err
-			}
-			row[i] = v
+		if err := cs.evalOuts(en, row); err != nil {
+			return err
 		}
 		if len(cs.orderBy) > 0 && !orderServed {
 			keys := make([]relation.Value, len(cs.orderBy))
@@ -732,7 +744,12 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 			index[string(keyBuf)] = gi
 			groups = append(groups, group{rep: slices.Clone(fr.rows), accs: make([]aggAcc, len(cs.aggs))})
 		}
-		return cs.accumulate(en, groups[gi].accs)
+		for i, spec := range cs.aggs {
+			if err := groups[gi].accs[i].add(en, spec); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -751,7 +768,10 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 	defer delete(en.aggs, cs)
 	for _, g := range groups {
 		copy(fr.rows, g.rep)
-		if ok, err := cs.settle(en, fin, g.accs); !ok {
+		for i, spec := range cs.aggs {
+			fin[i] = g.accs[i].final(spec)
+		}
+		if ok, err := cs.passes(en); !ok {
 			if err != nil {
 				return err
 			}
@@ -767,90 +787,71 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 // execStreamed is execGrouped for the streamed shape (streamCols): the
 // derived DISTINCT source feeds its distinct rows through feedDistinct
 // instead of returning them, and the id table that dedupes a row finds
-// its group too, by the row's first streamCols ids. A new row is decoded
-// only for aggregates that read it, and a group's key columns — its
-// representative: the shape guarantees nothing else of it is read — only
-// when the group is finalised, after a HAVING that reads none of them
-// passed. Groups finalise in first-seen order, like execGrouped's.
+// its group too, by the row's first streamCols ids. Every aggregate is
+// COUNT(*), so a group is its key's entry and its count
+// (idKeys.group), and its key columns — its representative: the shape
+// guarantees nothing else of it is read — are decoded only when the group
+// is finalised, after a HAVING that reads none of them passed. Groups
+// finalise in first-seen order, like execGrouped's.
 func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
-	type group struct {
-		e    int            // the entry of the group's first row
-		rep  relation.Tuple // key columns, once decoded
-		accs []aggAcc
-	}
 	n := cs.streamCols
-	sub := cs.sources[0].sub
-	var gs []*group // first-seen order
-	var groups slab[group]
-	var reps slab[relation.Value]
-	var accs slab[aggAcc]
 	var keys *idKeys
-	var row relation.Tuple // the new row, when an aggregate reads it
-	for _, spec := range cs.aggs {
-		if !spec.star {
-			row = make(relation.Tuple, len(sub.outs))
-		}
-	}
+	// Once some id stands for two representations of a number, a group's
+	// key is evaluated on the row that opens it: reps holds those of the
+	// groups from mixed on, n values each.
+	var reps []relation.Value
+	mixed := -1
 
 	// The source is compiled at this select's depth: it runs in place of
-	// the frame exec pushed, which comes back for the aggregate arguments
-	// (bound to the decoded row) and for finalisation.
+	// the frame exec pushed, which comes back for finalisation.
 	outer := en.frames[cs.depth]
 	en.frames = en.frames[:cs.depth]
-	err := sub.feedDistinct(en, func(k *idKeys, e int) error {
-		keys = k
-		gi, added := k.group(e, n)
-		if added {
-			en.work[wGroups]++
-			g := &groups.alloc(1)[0]
-			g.e, g.accs = e, accs.alloc(len(cs.aggs))
-			if k.in.mixed { // decoded later, a number might not be this row's
-				g.rep = reps.alloc(n)
-				if err := k.decode(en, e, g.rep); err != nil {
-					return err
-				}
-			}
-			gs = append(gs, g)
+	err := cs.sources[0].sub.feedDistinct(en, func(k *idKeys, e int) error {
+		if keys = k; !k.group(e, n) {
+			return nil
 		}
-		g := gs[gi]
-		if row == nil {
-			return cs.accumulate(en, g.accs)
+		en.work[wGroups]++
+		if !k.in.mixed {
+			return nil
 		}
-		if err := k.decode(en, e, row); err != nil {
-			return err
+		if mixed < 0 {
+			mixed = len(k.groups) - 1
 		}
-		inner := en.frames[cs.depth]
-		outer.rows[0] = rowRef{tup: row}
-		en.frames[cs.depth] = outer
-		err := cs.accumulate(en, g.accs)
-		en.frames[cs.depth] = inner
-		return err
+		reps = append(reps, make([]relation.Value, n)...)
+		return cs.sources[0].sub.evalOuts(en, reps[len(reps)-n:])
 	})
 	en.frames = append(en.frames, outer)
-	if err != nil {
+	if err != nil || keys == nil {
 		return err
 	}
 
-	bind := func(g *group) {
-		if g.rep == nil {
-			g.rep = reps.alloc(n)
-			_ = keys.decode(nil, g.e, g.rep) // from the ids alone: no error
+	rep := make(relation.Tuple, n)
+	bind := func(g int) {
+		if mixed >= 0 && g >= mixed {
+			outer.rows[0] = rowRef{tup: reps[(g-mixed)*n : (g-mixed+1)*n]}
+			return
 		}
-		outer.rows[0] = rowRef{tup: g.rep}
+		keys.decode(int(keys.groups[g]), rep)
+		outer.rows[0] = rowRef{tup: rep}
 	}
 	fin := cs.beginGroups(en)
 	defer delete(en.aggs, cs)
-	for _, g := range gs {
+	for g, ge := range keys.groups {
+		for i := range fin {
+			fin[i] = relation.Int(int64(keys.tab.aux[ge]))
+		}
 		if cs.keyedHaving {
 			bind(g)
 		}
-		if ok, err := cs.settle(en, fin, g.accs); !ok {
+		if ok, err := cs.passes(en); !ok {
 			if err != nil {
 				return err
 			}
 			continue
 		}
-		bind(g)
+		if !cs.keyedHaving {
+			bind(g)
+		}
 		if err := emit(); err != nil {
 			return err
 		}
@@ -858,18 +859,8 @@ func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
 	return nil
 }
 
-// accumulate feeds the current frame's row to one group's accumulators.
-func (cs *compiledSelect) accumulate(en *env, accs []aggAcc) error {
-	for i, spec := range cs.aggs {
-		if err := accs[i].add(en, spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // beginGroups installs the slot the aggregate closures read their
-// group's final values from; settle refills it per group, and the
+// group's final values from; the caller refills it per group, and the
 // caller deletes en.aggs[cs] when the last group is out.
 func (cs *compiledSelect) beginGroups(en *env) []relation.Value {
 	fin := make([]relation.Value, len(cs.aggs))
@@ -877,12 +868,9 @@ func (cs *compiledSelect) beginGroups(en *env) []relation.Value {
 	return fin
 }
 
-// settle finalises one group's aggregate values and reports whether it
-// passes HAVING, which reads the representative the caller has bound.
-func (cs *compiledSelect) settle(en *env, fin []relation.Value, accs []aggAcc) (bool, error) {
-	for i, spec := range cs.aggs {
-		fin[i] = accs[i].final(spec)
-	}
+// passes reports whether the group whose aggregate values fin holds passes
+// HAVING, which reads the representative the caller has bound.
+func (cs *compiledSelect) passes(en *env) (bool, error) {
 	if cs.having == nil {
 		return true, nil
 	}

@@ -84,7 +84,9 @@ func TestInternedGroupKeyDifferential(t *testing.T) {
 		"SELECT DISTINCT r, n, f FROM it WHERE rid >= ?",
 		"SELECT r, COUNT(*) FROM (SELECT DISTINCT r, f FROM it WHERE rid >= ?) m GROUP BY r",
 	}
-	for _, q := range append(queries[1:4:4], queries[5]) {
+	// queries[2]'s aggregates read the rows: it groups the materialised
+	// source, and the DISTINCT under it still keys by ids.
+	for _, q := range []string{queries[1], queries[3], queries[5]} {
 		if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, streamedMark) {
 			t.Fatalf("not streamed: %v\n%s\n%s", err, q, plan)
 		}

@@ -476,11 +476,14 @@ type planState struct {
 	binds [][]kernBind
 	gsc   []*groupScratch
 	// dedup is the id keys of the DISTINCT feed running the instance, nil
-	// outside one (idKeys.dropRepeats); memo and codes, its run filter and
-	// translations' arrays, are made on their first use and kept.
-	dedup *idKeys
-	memo  *runSeen
-	codes []codeIDs
+	// outside one (idKeys.dropRepeats). Its run filter (memo) and its
+	// translations' array and index (xlats, xlatAt) are made on their
+	// first use and kept, emptied; of its tables only their sizes are kept.
+	dedup  *idKeys
+	memo   *runSeen
+	xlats  []uint32
+	xlatAt map[xlatKey]int
+	sizes  idSizes
 }
 
 func isNaN(v relation.Value) bool {
@@ -930,7 +933,6 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 	if n == 0 {
 		return nil // empty candidate set: skip the kernel binds entirely
 	}
-	en.work[wRowsScanned] += int64(n)
 	binds := st.binds[pos]
 	for i, k := range lv.kerns {
 		if err := k.bind(en, &binds[i]); err != nil {
@@ -943,6 +945,12 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 	for _, g := range lv.groups {
 		g.enter(n) // state reset only; terms bind lazily at filter time
 	}
+	if len(lv.kerns) == 0 && len(lv.groups) > 0 { // every candidate meets the first group
+		if err := lv.groups[0].bindLeading(en); err != nil || lv.groups[0].dead() {
+			return err
+		}
+	}
+	en.work[wRowsScanned] += int64(n)
 	sel := st.sel[pos]
 	keys := st.dedup // see idKeys.dropRepeats
 	if keys != nil && (pos < len(sch.levels)-1 || len(lv.evals) > 0 || cs.proj != nil && cs.proj.site.depth == cs.depth && cs.proj.site.src == lv.src) {
@@ -983,6 +991,9 @@ func (cs *compiledSelect) planLevelBatch(en *env, sch *schedule, srcRows []rowSe
 			if sel, err = g.filter(en, cs, lv.src, st.gsc[pos], &run, sel); err != nil {
 				break // with no row left in sel
 			}
+		}
+		if len(lv.groups) > 0 && lv.groups[0].dead() {
+			i = n // only kernels, which cannot fail, come before it: no later run yields
 		}
 		if keys != nil && len(sel) > 0 {
 			sel, err = keys.dropRepeats(en, st, lv.src, &run, sel)
