@@ -96,7 +96,8 @@ fuzz:
 # `ecfdbench -fig 5c`, run from coverage builds in .bench_build/cover/;
 # prints the internal/sqldb functions none of them entered, then every
 # block of three or more statements none of them reached in the
-# executor's files (a dead branch inside a function traffic enters).
+# executor's and the grammar's files (a dead branch inside a function
+# traffic enters, a parser branch no product statement takes).
 # Each build's -coverpkg names its main package as well: a binary whose
 # main package is not covered writes no counter file. The benchmark builds from
 # benchmark/ and runs in .bench_build/cover/, where its out/ directory
@@ -114,7 +115,7 @@ covertraffic:
 	$(GO) tool covdata textfmt -pkg=ecfd/internal/sqldb -i=$(COVER)/counters -o $(COVER)/sqldb.cover
 	@$(GO) tool cover -func=$(COVER)/sqldb.cover | awk '$$NF == "0.0%"'
 	@echo "unreached blocks of >= 3 statements:"
-	@awk -F'[: ]' '$$1 ~ /\/(batch|plan|compile|subquery|exec|dml)\.go$$/ { \
+	@awk -F'[: ]' '$$1 ~ /\/(batch|plan|compile|subquery|exec|dml|parser|lexer)\.go$$/ { \
 		sub(/.*\//, "", $$1); k = $$1 ":" $$2; n[k] = $$3; hit[k] += $$4 } \
 		END { for (k in n) if (!hit[k] && n[k] >= 3) print k, n[k] " stmts" }' \
 		$(COVER)/sqldb.cover | sort -t: -k1,1 -k2,2n

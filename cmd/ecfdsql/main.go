@@ -1,14 +1,17 @@
 // Command ecfdsql is a small interactive shell for the embedded
 // in-memory SQL engine — useful for poking at detector tables and for
-// demos. It reads one statement per line (ending in ';' optional) and
-// supports two meta-commands:
+// demos. It speaks the engine's dialect, the SQL the detector writes
+// (internal/sqldb/README.md, "The dialect"); anything else is refused
+// with the offset of the token the parser stopped at. It reads one
+// statement per line (ending in ';' optional) and supports three
+// meta-commands:
 //
 //	\tables              list tables
 //	\load <table> <csv>  bulk-load a CSV file into a new table (TEXT columns)
-//	\quit                exit
+//	\quit                exit (also \q)
 //
 // A statement prefixed with EXPLAIN prints the engine's query plan
-// (join order, hash/index access paths, semi-join updates) instead of
+// (join order, index access paths, semi-join updates) instead of
 // running it.
 package main
 
@@ -16,6 +19,7 @@ import (
 	"bufio"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,74 +28,76 @@ import (
 )
 
 func main() {
-	db := sqldb.NewDB()
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Println("ecfdsql — embedded SQL engine shell (\\quit to exit)")
-	for {
-		fmt.Print("sql> ")
-		if !in.Scan() {
-			break
-		}
-		line := strings.TrimSpace(in.Text())
-		switch {
-		case line == "":
-			continue
-		case line == `\quit`, line == `\q`:
-			return
-		case line == `\tables`:
-			for _, name := range db.TableNames() {
-				n, _ := db.TableLen(name)
-				fmt.Printf("  %s (%d rows)\n", name, n)
-			}
-			continue
-		case strings.HasPrefix(line, `\load `):
-			if err := load(db, line); err != nil {
-				fmt.Println("error:", err)
-			}
-			continue
-		}
-		run(db, line)
-	}
-	if err := in.Err(); err != nil {
+	if err := shell(sqldb.NewDB(), os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ecfdsql:", err)
 		os.Exit(1)
 	}
 }
 
-func run(db *sqldb.DB, stmt string) {
+// shell runs the session: it reads lines from in until \quit or the end
+// of the input and writes every answer to out.
+func shell(db *sqldb.DB, in io.Reader, out io.Writer) error {
+	lines := bufio.NewScanner(in)
+	lines.Buffer(make([]byte, 1<<20), 1<<20)
+	for {
+		fmt.Fprint(out, "sql> ")
+		if !lines.Scan() {
+			return lines.Err()
+		}
+		line := strings.TrimSpace(lines.Text())
+		switch {
+		case line == "":
+		case line == `\quit`, line == `\q`:
+			return nil
+		case line == `\tables`:
+			for _, name := range db.TableNames() {
+				n, _ := db.TableLen(name)
+				fmt.Fprintf(out, "  %s (%d rows)\n", name, n)
+			}
+		case strings.HasPrefix(line, `\load `):
+			if err := load(db, out, line); err != nil {
+				fmt.Fprintln(out, "error:", err)
+			}
+		default:
+			run(db, out, line)
+		}
+	}
+}
+
+func run(db *sqldb.DB, out io.Writer, stmt string) {
 	if rest, ok := stripExplain(stmt); ok {
 		plan, err := db.Explain(rest)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 			return
 		}
-		fmt.Print(plan)
+		fmt.Fprint(out, plan)
 		return
 	}
 	if isQuery(stmt) {
 		res, err := db.Query(stmt)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(out, "error:", err)
 			return
 		}
-		fmt.Println(strings.Join(res.Cols, " | "))
+		fmt.Fprintln(out, strings.Join(res.Cols, " | "))
 		for _, row := range res.Rows {
 			cells := make([]string, len(row))
 			for i, v := range row {
 				cells[i] = v.String()
 			}
-			fmt.Println(strings.Join(cells, " | "))
+			fmt.Fprintln(out, strings.Join(cells, " | "))
 		}
-		fmt.Printf("(%d rows)\n", len(res.Rows))
+		fmt.Fprintf(out, "(%d rows)\n", len(res.Rows))
 		return
 	}
 	n, err := db.Exec(stmt)
 	if err != nil {
-		fmt.Println("error:", err)
+		fmt.Fprintln(out, "error:", err)
 		return
 	}
-	fmt.Printf("ok (%d rows affected)\n", n)
+	fmt.Fprintf(out, "ok (%d rows affected)\n", n)
 }
 
 func isQuery(stmt string) bool {
@@ -109,7 +115,7 @@ func stripExplain(stmt string) (string, bool) {
 }
 
 // load implements \load table file.csv: every column becomes TEXT.
-func load(db *sqldb.DB, line string) error {
+func load(db *sqldb.DB, out io.Writer, line string) error {
 	parts := strings.Fields(line)
 	if len(parts) != 3 {
 		return fmt.Errorf(`usage: \load <table> <file.csv>`)
@@ -142,6 +148,6 @@ func load(db *sqldb.DB, line string) error {
 	if err := db.LoadRelation(rel); err != nil {
 		return err
 	}
-	fmt.Printf("loaded %d rows into %s\n", rel.Len(), table)
+	fmt.Fprintf(out, "loaded %d rows into %s\n", rel.Len(), table)
 	return nil
 }

@@ -26,7 +26,8 @@
 //   - An embedded SQL engine: OpenMemory returns a database/sql handle
 //     backed by the in-memory engine (driver "ecfdmem") so everything
 //     runs self-contained; any other database/sql driver with the
-//     needed SQL subset works too.
+//     needed SQL subset works too. The engine speaks exactly the SQL
+//     the detector writes (internal/sqldb/README.md, "The dialect").
 //   - Detection as a service: NewServer exposes sessions, detection,
 //     incremental updates, advisory checks and streamed violations
 //     over HTTP/JSON with admission control (cmd/ecfdserver is the
@@ -228,7 +229,9 @@ const MemoryDriverName = sqldriver.DriverName
 
 // OpenMemory opens a database/sql handle onto a named embedded
 // in-memory database. The same name returns the same database;
-// CloseMemory releases it.
+// CloseMemory releases it. The handle speaks the engine's dialect, the
+// SQL the detector writes (internal/sqldb/README.md, "The dialect"),
+// and refuses any other SQL with a positioned error.
 func OpenMemory(name string) (*sql.DB, error) {
 	db, err := sql.Open(sqldriver.DriverName, name)
 	if err != nil {

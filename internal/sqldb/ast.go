@@ -13,11 +13,10 @@ type ColumnDef struct {
 	Kind relation.Kind
 }
 
-// CreateTable is CREATE TABLE [IF NOT EXISTS] name (cols...).
+// CreateTable is CREATE TABLE name (cols...).
 type CreateTable struct {
-	Name        string
-	Cols        []ColumnDef
-	IfNotExists bool
+	Name string
+	Cols []ColumnDef
 }
 
 // CreateIndex is CREATE INDEX name ON table (cols...).
@@ -44,10 +43,10 @@ type Insert struct {
 	Query *Select
 }
 
-// Assignment is one SET col = expr clause.
+// Assignment is one SET col = literal clause.
 type Assignment struct {
 	Column string
-	Value  Expr
+	Value  relation.Value
 }
 
 // Update is UPDATE t [alias] SET ... [WHERE ...].
@@ -73,23 +72,19 @@ type Select struct {
 	Where    Expr
 	GroupBy  []Expr
 	Having   Expr
-	OrderBy  []OrderItem
-	Limit    Expr // nil when absent
-	Offset   Expr
+	OrderBy  []*ColumnRef // ascending
+	Limit    Expr         // nil when absent
 }
 
-// SelectExpr is one item of the select list. Star selects all columns
-// (of StarTable when set).
+// SelectExpr is one item of the select list. Star selects all columns.
 type SelectExpr struct {
-	Expr      Expr
-	Alias     string
-	Star      bool
-	StarTable string
+	Expr  Expr
+	Alias string
+	Star  bool
 }
 
 // TableRef is one entry of the FROM list: a base table or a derived
-// table (subquery) with an alias. Joins are expressed as comma lists
-// or INNER JOIN ... ON (the ON predicate is folded into WHERE).
+// table (subquery) with an alias. Joins are comma lists.
 type TableRef struct {
 	Table string
 	Alias string
@@ -104,12 +99,6 @@ func (tr TableRef) Name() string {
 	return tr.Table
 }
 
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	Expr Expr
-	Desc bool
-}
-
 func (*CreateTable) stmt()   {}
 func (*CreateIndex) stmt()   {}
 func (*DropTable) stmt()     {}
@@ -122,7 +111,7 @@ func (*Select) stmt()        {}
 // Expr is any SQL expression node.
 type Expr interface{ expr() }
 
-// Literal is a constant value.
+// Literal is a constant value. A negative number is one literal.
 type Literal struct{ Val relation.Value }
 
 // Param is the i-th '?' placeholder (0-based).
@@ -131,15 +120,9 @@ type Param struct{ Index int }
 // ColumnRef names a column, optionally qualified by table alias.
 type ColumnRef struct{ Table, Column string }
 
-// Unary is NOT x or -x.
-type Unary struct {
-	Op string // "NOT", "-"
-	X  Expr
-}
-
 // Binary is a binary operator application.
 type Binary struct {
-	Op   string // AND OR = <> < <= > >= + - * / % ||
+	Op   string // AND OR = <> < <= > >=
 	L, R Expr
 }
 
@@ -149,18 +132,16 @@ type IsNull struct {
 	Neg bool
 }
 
-// InList is x [NOT] IN (e1, e2, ...).
+// InList is x IN (e1, e2, ...).
 type InList struct {
 	X    Expr
 	List []Expr
-	Neg  bool
 }
 
-// InSelect is x [NOT] IN (SELECT ...).
+// InSelect is x IN (SELECT ...).
 type InSelect struct {
 	X   Expr
 	Sub *Select
-	Neg bool
 }
 
 // Exists is [NOT] EXISTS (SELECT ...).
@@ -169,44 +150,20 @@ type Exists struct {
 	Neg bool
 }
 
-// When is one WHEN ... THEN ... arm of a CASE.
-type When struct{ Cond, Result Expr }
-
-// Case is CASE [operand] WHEN ... THEN ... [ELSE ...] END.
-type Case struct {
-	Operand Expr // nil for searched CASE
-	Whens   []When
-	Else    Expr
-}
+// Case is CASE WHEN Cond THEN Then ELSE Else END.
+type Case struct{ Cond, Then, Else Expr }
 
 // FuncCall is a scalar or aggregate function application. Star is
-// COUNT(*); Distinct is COUNT(DISTINCT x) etc.
+// COUNT(*).
 type FuncCall struct {
-	Name     string // upper-cased
-	Args     []Expr
-	Star     bool
-	Distinct bool
-}
-
-// ScalarSub is a subquery used as a scalar value.
-type ScalarSub struct{ Sub *Select }
-
-// Like is x [NOT] LIKE pattern (with % and _ wildcards).
-type Like struct {
-	X, Pattern Expr
-	Neg        bool
-}
-
-// Between is x [NOT] BETWEEN lo AND hi.
-type Between struct {
-	X, Lo, Hi Expr
-	Neg       bool
+	Name string // upper-cased
+	Args []Expr
+	Star bool
 }
 
 func (*Literal) expr()   {}
 func (*Param) expr()     {}
 func (*ColumnRef) expr() {}
-func (*Unary) expr()     {}
 func (*Binary) expr()    {}
 func (*IsNull) expr()    {}
 func (*InList) expr()    {}
@@ -214,6 +171,3 @@ func (*InSelect) expr()  {}
 func (*Exists) expr()    {}
 func (*Case) expr()      {}
 func (*FuncCall) expr()  {}
-func (*ScalarSub) expr() {}
-func (*Like) expr()      {}
-func (*Between) expr()   {}

@@ -24,7 +24,7 @@ import (
 // kernels that run over the table's column vectors, a segment at a
 // time, and tighten a selection vector of offsets
 // into the segment, with no closure call per row. Anything else — OR
-// groups, subquery probes, cross-column arithmetic — stays on the
+// groups, subquery probes, cross-column compares — stays on the
 // compiledExpr path, so semantics never change; the kernels are an
 // exact, not a conservative, evaluation of the conjuncts they consume
 // (verified by the differentials against the Reference mode).
@@ -589,19 +589,19 @@ func (c *compiler) classifyCasePart(p *kprobePart, e Expr, depth, src int, bit s
 		return false
 	}
 	var cm srcMask
-	if err := c.walkBindings(cse.Whens[0].Cond, func(b binding) {
+	if err := c.walkBindings(cse.Cond, func(b binding) {
 		if b.depth == depth {
 			cm |= 1 << uint(b.src)
 		}
 	}); err != nil || cm&bit != 0 {
 		return false
 	}
-	cond, err := c.compileExpr(cse.Whens[0].Cond)
+	cond, err := c.compileExpr(cse.Cond)
 	if err != nil {
 		return false
 	}
 	p.kind, p.cond, p.alt = pkCase, cond, cse.Else.(*Literal).Val
-	res := cse.Whens[0].Result
+	res := cse.Then
 	if col, lit, ok := c.textCoalesceCol(res, depth, src); ok {
 		p.resKind, p.col, p.nullLit = resTextCoalesce, col, lit
 		return true
@@ -621,16 +621,16 @@ func (c *compiler) classifyCasePart(p *kprobePart, e Expr, depth, src int, bit s
 	return true
 }
 
-// textCoalesceCol matches COALESCE(TOTEXT(col), lit) / IFNULL(...) over
+// textCoalesceCol matches COALESCE(TOTEXT(col), lit) over
 // a column of the given source — the Qmv macro's NULL-marking idiom —
 // returning the column and the fallback literal.
 func (c *compiler) textCoalesceCol(e Expr, depth, src int) (int, relation.Value, bool) {
 	fc, ok := e.(*FuncCall)
-	if !ok || (fc.Name != "COALESCE" && fc.Name != "IFNULL") || len(fc.Args) != 2 {
+	if !ok || fc.Name != "COALESCE" {
 		return 0, relation.Value{}, false
 	}
 	tt, ok := fc.Args[0].(*FuncCall)
-	if !ok || tt.Name != "TOTEXT" || len(tt.Args) != 1 {
+	if !ok || tt.Name != "TOTEXT" {
 		return 0, relation.Value{}, false
 	}
 	ref, ok := tt.Args[0].(*ColumnRef)
@@ -1679,7 +1679,7 @@ func (c *compiler) buildProjSpec(astOuts []Expr) *projSpec {
 		if !ok {
 			continue
 		}
-		site, ok := c.singleSite(cse.Whens[0].Cond, depth+1)
+		site, ok := c.singleSite(cse.Cond, depth+1)
 		if !ok {
 			continue
 		}
@@ -1733,7 +1733,7 @@ func (c *compiler) buildProjSpec(astOuts []Expr) *projSpec {
 			continue // an uncompilable half just stays general
 		}
 		cse, _ := cacheableCase(e)
-		sp.parts[i] = projPart{mode: projCase, cond: cond, res: res, alt: alt, resCols: resCols(cse.Whens[0].Result)}
+		sp.parts[i] = projPart{mode: projCase, cond: cond, res: res, alt: alt, resCols: resCols(cse.Then)}
 		useful = true
 	}
 	if !useful || !sc.hasSite {

@@ -53,7 +53,7 @@ func kernelTable(t *testing.T, rng *rand.Rand, rows int) *DB {
 
 // TestKernelClosureDifferential generates random simple-predicate
 // WHERE clauses — the shapes the kernel compiler targets, beside the IN
-// lists and BETWEEN it leaves to the closures, over NaN and NULL data —
+// lists it leaves to the closures, over NaN and NULL data —
 // and checks the Planned and Reference modes agree on every one.
 // The compares meet INTEGER, REAL and BOOLEAN columns, which hold NULLs,
 // with integer, float, boolean and NULL bounds: the word kernel and the
@@ -90,21 +90,23 @@ func TestKernelClosureDifferential(t *testing.T) {
 			}
 			return fmt.Sprintf("%s IS %sNULL", col, neg)
 		case 2:
-			neg := ""
+			// x NOT IN (…) is written x <> … AND x <> …
+			in := "%[1]s IN (%[2]s, %[3]s, %[4]s)"
 			if rng.Intn(2) == 0 {
-				neg = "NOT "
+				in = "(%[1]s <> %[2]s AND %[1]s <> %[3]s AND %[1]s <> %[4]s)"
 			}
 			if col == "s" {
-				return fmt.Sprintf("s %sIN ('a', 'c', 'e')", neg)
+				return fmt.Sprintf(in, "s", "'a'", "'c'", "'e'")
 			}
-			return fmt.Sprintf("%s %sIN (%d, %d, %d)", col, neg, rng.Intn(10), rng.Intn(10), rng.Intn(10))
+			return fmt.Sprintf(in, col, fmt.Sprint(rng.Intn(10)), fmt.Sprint(rng.Intn(10)), fmt.Sprint(rng.Intn(10)))
 		case 3:
-			neg := ""
+			// x [NOT] BETWEEN lo AND hi, written as its range.
+			between := "%[1]s >= %[2]d AND %[1]s <= %[3]d"
 			if rng.Intn(3) == 0 {
-				neg = "NOT "
+				between = "(%[1]s < %[2]d OR %[1]s > %[3]d)"
 			}
 			lo := rng.Intn(8)
-			return fmt.Sprintf("%s %sBETWEEN %d AND %d", col, neg, lo, lo+rng.Intn(5))
+			return fmt.Sprintf(between, col, lo, lo+rng.Intn(5))
 		case 4:
 			// literal OP column: the flipped orientation
 			return fmt.Sprintf("%s <= %s", bound(), col)
@@ -319,22 +321,22 @@ func TestColumnCacheMaintenance(t *testing.T) {
 			insert(300 + rng.Intn(1500))
 		case 3: // scattered over every segment
 			k, r := int64(rng.Intn(9)), int64(rng.Intn(97))
-			mustExec(t, db, `UPDATE cc SET k = ? WHERE w % 97 = ?`, relation.Int(k), relation.Int(r))
+			mustExec(t, db, fmt.Sprintf(`UPDATE cc SET k = %d WHERE w IN (%s)`, k, residues(97, r, nextW)))
 			set(func(row relation.Tuple) bool { return row[2].I%97 == r }, func(row relation.Tuple) { row[0] = relation.Int(k) })
 		case 4: // a run inside one or two
 			k := int64(rng.Intn(9))
-			mustExec(t, db, `UPDATE cc SET k = ?, s = 'u' WHERE w >= ? AND w < ? + 40`, relation.Int(k), relation.Int(lo), relation.Int(lo))
+			mustExec(t, db, fmt.Sprintf(`UPDATE cc SET k = %d, s = 'u' WHERE w >= ? AND w < ?`, k), relation.Int(lo), relation.Int(lo+40))
 			set(func(row relation.Tuple) bool { return row[2].I >= lo && row[2].I < lo+40 },
 				func(row relation.Tuple) { row[0], row[1] = relation.Int(k), relation.Text("u") })
 		case 5, 6:
 			r := int64(rng.Intn(53))
-			mustExec(t, db, `DELETE FROM cc WHERE w % 53 = ?`, relation.Int(r))
+			mustExec(t, db, `DELETE FROM cc WHERE w IN (`+residues(53, r, nextW)+`)`)
 			keep(func(row relation.Tuple) bool { return row[2].I%53 == r })
 		case 7: // a few neighbours
-			mustExec(t, db, `DELETE FROM cc WHERE w >= ? AND w < ? + 9`, relation.Int(lo), relation.Int(lo))
+			mustExec(t, db, `DELETE FROM cc WHERE w >= ? AND w < ?`, relation.Int(lo), relation.Int(lo+9))
 			keep(func(row relation.Tuple) bool { return row[2].I >= lo && row[2].I < lo+9 })
 		case 8: // whole segments, and the ends of their neighbours
-			mustExec(t, db, `DELETE FROM cc WHERE w >= ? AND w < ? + 2500`, relation.Int(lo), relation.Int(lo))
+			mustExec(t, db, `DELETE FROM cc WHERE w >= ? AND w < ?`, relation.Int(lo), relation.Int(lo+2500))
 			keep(func(row relation.Tuple) bool { return row[2].I >= lo && row[2].I < lo+2500 })
 		case 9: // the tail
 			cut := int64(nextW - 1 - rng.Intn(600))
@@ -351,7 +353,8 @@ func TestColumnCacheMaintenance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, q := range []string{`DELETE FROM cc WHERE w % 7 = 3`, `UPDATE cc SET k = 0 WHERE w % 5 = 1`, `INSERT INTO cc VALUES (1, 'z', -1)`} {
+			for _, q := range []string{`DELETE FROM cc WHERE w IN (` + residues(7, 3, nextW) + `)`,
+				`UPDATE cc SET k = 0 WHERE w IN (` + residues(5, 1, nextW) + `)`, `INSERT INTO cc VALUES (1, 'z', -1)`} {
 				if _, err := tx.Exec(q); err != nil {
 					t.Fatal(err)
 				}
@@ -369,6 +372,20 @@ func TestColumnCacheMaintenance(t *testing.T) {
 			repin(step / 40 % 2)
 		}
 	}
+}
+
+// residues lists, for an IN list, the integers in [0, n) that are r
+// modulo m: the rows `w % m = r` selects where w counts the rows
+// inserted. The dialect has no arithmetic. An empty list holds -1.
+func residues[N int | int64](m, r int64, n N) string {
+	var out []string
+	for w := r; w < int64(n); w += m {
+		out = append(out, fmt.Sprint(w))
+	}
+	if out == nil {
+		return "-1"
+	}
+	return strings.Join(out, ", ")
 }
 
 // TestEqPrefixRangeProbe: a table with only a (p, q) index answers
@@ -404,7 +421,7 @@ func TestEqPrefixRangeProbe(t *testing.T) {
 		`SELECT w FROM cp WHERE p = 3`,
 		`SELECT w FROM cp WHERE p = 3 AND q > 4`,
 		`SELECT w FROM cp WHERE p = 2 AND q >= 1 AND q <= 6`,
-		`SELECT w FROM cp WHERE p = 5 AND q BETWEEN 2 AND 7`,
+		`SELECT w FROM cp WHERE p = 5 AND q >= 2 AND q <= 7`,
 		`SELECT w FROM cp WHERE p = 99 AND q < 3`,
 		`SELECT w FROM cp WHERE p = 1 AND q > NULL`,
 	} {
@@ -560,11 +577,8 @@ func TestInListNaNConsistency(t *testing.T) {
 	}{
 		// short list (Equal scan) with a NaN parameter
 		{`SELECT w FROM ni WHERE x IN (?, ?)`, []relation.Value{nan, relation.Float(1.5)}},
-		{`SELECT w FROM ni WHERE x NOT IN (?, ?)`, []relation.Value{nan, relation.Float(1.5)}},
 		// long list (>= 8 items: Key()-set) with a NaN parameter
 		{`SELECT w FROM ni WHERE x IN (?, 10, 11, 12, 13, 14, 15, ?)`,
-			[]relation.Value{nan, relation.Float(1.5)}},
-		{`SELECT w FROM ni WHERE x NOT IN (?, 10, 11, 12, 13, 14, 15, ?)`,
 			[]relation.Value{nan, relation.Float(1.5)}},
 	}
 	for _, tc := range cases {
@@ -572,13 +586,8 @@ func TestInListNaNConsistency(t *testing.T) {
 		if got[0] != got[1] {
 			t.Fatalf("IN NaN diverges on %q: batch %q, nested %q", tc.q, got[0], got[1])
 		}
-		// And NaN must never have matched: the NaN data row appears only
-		// in NOT IN results, the NaN item selects nothing.
-		if strings.Contains(tc.q, "NOT IN") {
-			if got[0] != "1;3" {
-				t.Fatalf("NOT IN with NaN on %q: got %q, want rows 1 and 3", tc.q, got[0])
-			}
-		} else if got[0] != "2" {
+		// And NaN must never have matched: the NaN item selects nothing.
+		if got[0] != "2" {
 			t.Fatalf("IN with NaN on %q: got %q, want row 2 only", tc.q, got[0])
 		}
 	}
@@ -597,7 +606,7 @@ func TestKernelNaNDifferential(t *testing.T) {
 		`SELECT w FROM nf WHERE x > 2`,
 		`SELECT w FROM nf WHERE x <= 2`,
 		`SELECT w FROM nf WHERE x = 1.5 AND w <> 0`,
-		`SELECT w FROM nf WHERE x BETWEEN 0 AND 9`,
+		`SELECT w FROM nf WHERE x >= 0 AND x <= 9`,
 	} {
 		batch, nested := runBothWays(t, db, q, false)
 		if batch != nested {
@@ -648,9 +657,9 @@ func TestOrKernelDifferential(t *testing.T) {
 				return "s IN ('a', 'd')"
 			}
 			return fmt.Sprintf("%s IN (%d, %d)", col, rng.Intn(10), rng.Intn(10))
-		default:
+		default: // col BETWEEN lo AND hi
 			lo := rng.Intn(8)
-			return fmt.Sprintf("%s BETWEEN %d AND %d", col, lo, lo+rng.Intn(5))
+			return fmt.Sprintf("(%[1]s >= %[2]d AND %[1]s <= %[3]d)", col, lo, lo+rng.Intn(5))
 		}
 	}
 	probe := func() string {
@@ -749,18 +758,9 @@ func TestOrKernelPlanClaims(t *testing.T) {
 		t.Fatalf("detection-shaped OR group not claimed by the group kernel:\n%s", plan)
 	}
 
-	// A loop-invariant scalar subquery RHS kernelizes (it binds once per
-	// level entry instead of evaluating per row)...
-	plan, err = db.Explain(`SELECT kt.a FROM kt WHERE (kt.flag = 1 OR kt.a = (SELECT MAX(val) FROM pat))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "or-group(2 terms)") {
-		t.Fatalf("invariant-scalar-sub OR group should kernelize:\n%s", plan)
-	}
-	// ...but a cross-column arithmetic alternative cannot: the whole
-	// group must fall back to the per-row path.
-	plan, err = db.Explain(`SELECT kt.a FROM kt WHERE (kt.flag = 1 OR kt.a + kt.flag = 5)`)
+	// A cross-column alternative cannot kernelize: the whole group must
+	// fall back to the per-row path.
+	plan, err = db.Explain(`SELECT kt.a FROM kt WHERE (kt.flag = 1 OR kt.a = kt.flag)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,9 +782,9 @@ func TestOrKernelLazyBindErrors(t *testing.T) {
 	mustExec(t, db, `INSERT INTO c VALUES (0)`)
 	mustExec(t, db, `INSERT INTO tt VALUES (1), (1)`)
 
-	// Every row satisfies the first alternative, so 10 / c.z (division
-	// by zero) must never evaluate — on either path.
-	q := `SELECT tt.a FROM c, tt WHERE (tt.a = 1 OR tt.a < 10 / c.z)`
+	// Every row satisfies the first alternative, so its parameter, which
+	// the statement is not given, must never evaluate — on either path.
+	q := `SELECT tt.a FROM c, tt WHERE (tt.a = 1 OR tt.a < ?)`
 	batch, nested := runBothWays(t, db, q, false)
 	if batch != nested {
 		t.Fatalf("lazy-bind divergence:\nbatch  %q\nnested %q", batch, nested)
@@ -795,13 +795,13 @@ func TestOrKernelLazyBindErrors(t *testing.T) {
 
 	// When rows do reach the second alternative, both paths must report
 	// the same error.
-	q = `SELECT tt.a FROM c, tt WHERE (tt.a = 2 OR tt.a < 10 / c.z)`
+	q = `SELECT tt.a FROM c, tt WHERE (tt.a = 2 OR tt.a < ?)`
 	if _, err := db.Query(q); err == nil {
-		t.Fatal("batch path must surface the division error when rows reach the alternative")
+		t.Fatal("batch path must surface the missing parameter when rows reach the alternative")
 	}
 	db.SetMode(Reference)
 	if _, err := db.Query(q); err == nil {
-		t.Fatal("nested loop must surface the division error when rows reach the alternative")
+		t.Fatal("nested loop must surface the missing parameter when rows reach the alternative")
 	}
 
 	// Scanned under the pattern row, the group is its level's first and,
@@ -810,7 +810,7 @@ func TestOrKernelLazyBindErrors(t *testing.T) {
 	db.SetMode(Planned)
 	mustExec(t, db, `CREATE TABLE big (a INTEGER)`)
 	mustExec(t, db, `INSERT INTO big VALUES `+strings.TrimSuffix(strings.Repeat("(1), ", 200), ", "))
-	q = `SELECT big.a FROM c, big WHERE (big.a = 1 OR big.a < 10 / c.z)`
+	q = `SELECT big.a FROM c, big WHERE (big.a = 1 OR big.a < ?)`
 	if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "scan big (200 rows) [batch: or-group(2 terms)]") {
 		t.Fatalf("the group is not the scanned level's first: %v\n%s", err, plan)
 	}

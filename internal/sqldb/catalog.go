@@ -788,7 +788,7 @@ type Stats struct {
 	// TextLookups the strings compared or hashed to decide those, or a
 	// kernel over a coded column — per row, dictionary string or set
 	// member. DistinctKeys counts the DISTINCT keys looked up (a row's
-	// ids, a Reference row's or an aggregate's encoded key), CodeRepeats
+	// ids or a Reference row's encoded key), CodeRepeats
 	// the rows a batch level dropped as repeats before stepping them,
 	// CodeTranslations the segment codes the id keys turned into ids, and
 	// Groups the GROUP BY groups formed, streamed or not.
@@ -837,21 +837,18 @@ func (db *DB) Stats() Stats {
 // --- DDL ---
 
 // CreateTable registers a new table.
-func (db *DB) CreateTable(name string, cols []ColumnDef, ifNotExists bool) error {
+func (db *DB) CreateTable(name string, cols []ColumnDef) error {
 	db.lockW(nil)
 	defer db.unlockW(nil)
-	return db.createTable(name, cols, ifNotExists)
+	return db.createTable(name, cols)
 }
 
-func (db *DB) createTable(name string, cols []ColumnDef, ifNotExists bool) error {
+func (db *DB) createTable(name string, cols []ColumnDef) error {
 	if err := db.writable(); err != nil {
 		return err
 	}
 	key := lowerName(name)
 	if _, ok := db.curW.tables[key]; ok {
-		if ifNotExists {
-			return nil
-		}
 		return fmt.Errorf("sql: table %s already exists", name)
 	}
 	attrs := make([]relation.Attribute, len(cols))

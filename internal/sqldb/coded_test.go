@@ -146,13 +146,16 @@ func TestCodedTextDifferential(t *testing.T) {
 			return v.SQL()
 		}
 	}
-	lits := func(k int) string {
+	lits := func(k int) []string {
 		out := make([]string, k)
 		for i := range out {
 			out[i] = lit()
 		}
-		return strings.Join(out, ", ")
+		return out
 	}
+	// in and notIn write x [NOT] IN (…); NOT IN as a <> … AND a <> ….
+	in := func(items []string) string { return "a IN (" + strings.Join(items, ", ") + ")" }
+	notIn := func(items []string) string { return "(a <> " + strings.Join(items, " AND a <> ") + ")" }
 	kernels := func() []string {
 		var out []string
 		for _, op := range [][2]string{{"=", "<>"}, {"<", ">="}, {">", "<="}} {
@@ -160,10 +163,10 @@ func TestCodedTextDifferential(t *testing.T) {
 			out = append(out, "a "+op[0]+" "+l, "a "+op[1]+" "+l)
 		}
 		lo, hi := lit(), lit()
-		out = append(out, fmt.Sprintf("a BETWEEN %s AND %s", lo, hi), fmt.Sprintf("a NOT BETWEEN %s AND %s", lo, hi))
+		// a [NOT] BETWEEN lo AND hi, as its range
+		out = append(out, fmt.Sprintf("a >= %s AND a <= %s", lo, hi), fmt.Sprintf("(a < %s OR a > %s)", lo, hi))
 		short, long := lits(3), lits(9) // an Equal scan, a hashed set
-		out = append(out, "a IN ("+short+")", "a NOT IN ("+short+")", "a IN ("+long+")", "a NOT IN ("+long+")",
-			"a IS NULL", "a IS NOT NULL")
+		out = append(out, in(short), notIn(short), in(long), notIn(long), "a IS NULL", "a IS NOT NULL")
 		return out
 	}
 	blank := `CASE WHEN c.la > 0 THEN COALESCE(TOTEXT(t.a), '\N') ELSE '@' END`
@@ -268,15 +271,32 @@ func TestCodedTextDifferential(t *testing.T) {
 			return relation.Text(fmt.Sprint(rid + base))
 		}
 	}
-	update(fmt.Sprintf(`UPDATE cd SET a = TOTEXT(rid + 100000) WHERE rid < %d AND rid %% 5 <> 0`, segRows), 0, segRows, recode(100_000))
+	// Every row of the first segment but each fifth takes a string of its
+	// own, one UPDATE a row: each fork appends one string to the
+	// dictionary, until one holds more than twice the segment's rows and
+	// re-codes. recodeAll reports the largest dictionary it saw and
+	// whether one was re-coded.
+	recodeAll := func(base int) (most int, recoded bool) {
+		for rid := 0; rid < segRows; rid++ {
+			if rid%5 != 0 {
+				was := len(db.cur.Load().tds[tbl].segs[0].cols[1].dict)
+				update(fmt.Sprintf(`UPDATE cd SET a = '%d' WHERE rid = %d`, rid+base, rid), rid, rid+1, recode(base))
+				n := len(db.cur.Load().tds[tbl].segs[0].cols[1].dict)
+				most, recoded = max(most, n), recoded || n < was
+			}
+		}
+		return most, recoded
+	}
+	if _, recoded := recodeAll(100_000); recoded {
+		t.Fatal("the first UPDATEs re-coded a dictionary of fewer strings than twice its rows")
+	}
 	if v := db.cur.Load().tds[tbl].segs[0].cols[1]; len(v.dict) <= segRows || v.codes == nil {
-		t.Fatalf("after the UPDATE the first segment's dictionary holds %d strings", len(v.dict))
+		t.Fatalf("after the UPDATEs the first segment's dictionary holds %d strings", len(v.dict))
 	}
 	insert(50)
 	check("updated")
-	update(fmt.Sprintf(`UPDATE cd SET a = TOTEXT(rid + 200000) WHERE rid < %d AND rid %% 5 <> 0`, segRows), 0, segRows, recode(200_000))
-	if v := db.cur.Load().tds[tbl].segs[0].cols[1]; len(v.dict) > segRows {
-		t.Fatalf("after the second UPDATE the first segment's dictionary holds %d strings: not re-coded", len(v.dict))
+	if most, recoded := recodeAll(200_000); !recoded || most > 2*segRows {
+		t.Fatalf("the second UPDATEs: dictionaries of up to %d strings, re-coded %v", most, recoded)
 	}
 	check("re-coded")
 	remove(segRows+100, segRows+300)
@@ -430,7 +450,8 @@ func TestCodedPreDedupDifferential(t *testing.T) {
 			{grouped(ranged), []relation.Value{lo}},
 			{macro("pq", "t.flag >= 0"), nil},
 			{grouped(macro("pq", "t.flag >= 0")), nil},
-			{"SELECT o.k, (SELECT COUNT(*) FROM (" + macro("pt", "t.flag >= 0 AND c.cid = o.k") + ") m) FROM pr o", nil},
+			// re-executed per outer row, pr's repeated keys included
+			{"SELECT o.k FROM pr o WHERE o.k IN (SELECT m.cid FROM (" + macro("pt", "t.flag >= 0 AND c.cid = o.k") + ") m)", nil},
 			{strings.Replace(macro("pt", "t.flag >= 0"), "TOTEXT(t.c)", "TOTEXT(t.flag)", 1), nil}, // an uncoded column in the key
 		} {
 			got, want := canonical(queryIn(t, db, Planned, q.sql, q.params...)), canonical(queryIn(t, db, Reference, q.sql, q.params...))
@@ -443,7 +464,9 @@ func TestCodedPreDedupDifferential(t *testing.T) {
 		}
 	}
 	check("loaded")
-	mustExec(t, db, `UPDATE pt SET b = TOTEXT(rid), e = NULL WHERE rid >= ? AND rid < ?`, relation.Int(segRows+5), relation.Int(segRows+400))
+	for lo := segRows + 5; lo < segRows+400; lo += 50 { // b takes strings the column has not held
+		mustExec(t, db, fmt.Sprintf(`UPDATE pt SET b = 'u%d', e = NULL WHERE rid >= ? AND rid < ?`, lo), relation.Int(int64(lo)), relation.Int(int64(min(lo+50, segRows+400))))
+	}
 	insert("pt", 70)
 	check("updated")
 	mustExec(t, db, `DELETE FROM pt WHERE rid >= ? AND rid < ?`, relation.Int(100), relation.Int(300))
@@ -489,7 +512,7 @@ func TestSegmentDictionaryBoundUnderChurn(t *testing.T) {
 		lo := relation.Int(int64(rng.Intn(nextID)))
 		if rng.Intn(2) == 0 {
 			u := relation.Text(fmt.Sprintf("u%d", step))
-			mustExec(t, db, `UPDATE dc SET s = ? WHERE id >= ? AND id < ? + 4`, u, lo, lo)
+			mustExec(t, db, `UPDATE dc SET s = `+u.SQL()+` WHERE id >= ? AND id < ?`, lo, relation.Int(lo.I+4))
 			mirror = slices.Clone(mirror)
 			for i, r := range mirror {
 				if in(lo.I, 4)(r) {
@@ -498,8 +521,9 @@ func TestSegmentDictionaryBoundUnderChurn(t *testing.T) {
 			}
 		} else {
 			w := relation.Int(int64(3 + 57*(rng.Intn(10)/9)))
-			k := len(mustQuery(t, db, `SELECT id FROM dc WHERE id >= ? AND id < ? + ?`, lo, lo, w).Rows)
-			mustExec(t, db, `DELETE FROM dc WHERE id >= ? AND id < ? + ?`, lo, lo, w)
+			hi := relation.Int(lo.I + w.I)
+			k := len(mustQuery(t, db, `SELECT id FROM dc WHERE id >= ? AND id < ?`, lo, hi).Rows)
+			mustExec(t, db, `DELETE FROM dc WHERE id >= ? AND id < ?`, lo, hi)
 			mirror = slices.DeleteFunc(mirror, in(lo.I, w.I))
 			insert(k)
 		}

@@ -161,10 +161,9 @@ type aggCollector struct {
 }
 
 type aggSpec struct {
-	name     string // COUNT, SUM, AVG, MIN, MAX
-	star     bool
-	distinct bool
-	arg      compiledExpr // nil when star
+	name string       // COUNT, SUM, MAX
+	star bool         // COUNT(*)
+	arg  compiledExpr // nil when star
 }
 
 // binding locates a column: frame depth, source index, column index.
@@ -239,8 +238,6 @@ func (c *compiler) walkBindings(e Expr, report func(binding)) error {
 		}
 		report(b)
 		return nil
-	case *Unary:
-		return c.walkBindings(x.X, report)
 	case *Binary:
 		if err := c.walkBindings(x.L, report); err != nil {
 			return err
@@ -258,32 +255,13 @@ func (c *compiler) walkBindings(e Expr, report func(binding)) error {
 			}
 		}
 		return nil
-	case *Like:
-		if err := c.walkBindings(x.X, report); err != nil {
-			return err
-		}
-		return c.walkBindings(x.Pattern, report)
-	case *Between:
-		if err := c.walkBindings(x.X, report); err != nil {
-			return err
-		}
-		if err := c.walkBindings(x.Lo, report); err != nil {
-			return err
-		}
-		return c.walkBindings(x.Hi, report)
 	case *Case:
-		if err := c.walkBindings(x.Operand, report); err != nil {
-			return err
-		}
-		for _, w := range x.Whens {
-			if err := c.walkBindings(w.Cond, report); err != nil {
-				return err
-			}
-			if err := c.walkBindings(w.Result, report); err != nil {
+		for _, e := range []Expr{x.Cond, x.Then, x.Else} {
+			if err := c.walkBindings(e, report); err != nil {
 				return err
 			}
 		}
-		return c.walkBindings(x.Else, report)
+		return nil
 	case *FuncCall:
 		if c.skipAggArgs && aggNames[x.Name] {
 			return nil
@@ -300,8 +278,6 @@ func (c *compiler) walkBindings(e Expr, report func(binding)) error {
 		if err := c.walkBindings(x.X, report); err != nil {
 			return err
 		}
-		return c.walkSelectBindings(x.Sub, report)
-	case *ScalarSub:
 		return c.walkSelectBindings(x.Sub, report)
 	default:
 		return fmt.Errorf("sql: walkBindings: unhandled %T", e)
@@ -331,7 +307,7 @@ func (c *compiler) walkSelectBindings(sel *Select, report func(binding)) error {
 			}
 		}
 	}
-	for _, e := range []Expr{sel.Where, sel.Having, sel.Limit, sel.Offset} {
+	for _, e := range []Expr{sel.Where, sel.Having, sel.Limit} {
 		if err := collect(e); err != nil {
 			return err
 		}
@@ -342,7 +318,7 @@ func (c *compiler) walkSelectBindings(sel *Select, report func(binding)) error {
 		}
 	}
 	for _, o := range sel.OrderBy {
-		if err := collect(o.Expr); err != nil {
+		if err := collect(o); err != nil {
 			return err
 		}
 	}
@@ -390,20 +366,9 @@ func outputColumns(c *compiler, sel *Select) ([]string, error) {
 	n := 0
 	for _, se := range sel.Exprs {
 		switch {
-		case se.Star && se.StarTable == "":
+		case se.Star:
 			for _, src := range scope.sources {
 				out = append(out, src.cols...)
-			}
-		case se.Star:
-			found := false
-			for _, src := range scope.sources {
-				if strings.EqualFold(src.name, se.StarTable) {
-					out = append(out, src.cols...)
-					found = true
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("sql: unknown table %s in %s.*", se.StarTable, se.StarTable)
 			}
 		case se.Alias != "":
 			out = append(out, se.Alias)
@@ -451,35 +416,6 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 			return r.cols[b.col].at(r.off), nil
 		}, nil
 
-	case *Unary:
-		inner, err := c.compileExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "NOT":
-			return func(en *env) (relation.Value, error) {
-				v, err := inner(en)
-				if err != nil || v.IsNull() {
-					return relation.Null(), err
-				}
-				return relation.Bool(!v.Truth()), nil
-			}, nil
-		case "-":
-			return func(en *env) (relation.Value, error) {
-				v, err := inner(en)
-				if err != nil || v.IsNull() {
-					return relation.Null(), err
-				}
-				if v.K == relation.KindFloat {
-					return relation.Float(-v.F), nil
-				}
-				return relation.Int(-v.I), nil
-			}, nil
-		default:
-			return nil, fmt.Errorf("sql: unknown unary op %s", x.Op)
-		}
-
 	case *Binary:
 		return c.compileBinary(x)
 
@@ -514,7 +450,6 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 				simple = false
 			}
 		}
-		neg := x.Neg
 		// A long list of literals/parameters (`RID IN (?, ?, …)` — the
 		// parallel detector's flag writes) builds a hash set once per
 		// execution instead of scanning the list per row. Literal and
@@ -542,12 +477,12 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 					return relation.Null(), nil
 				}
 				if b.set[v.Key()] {
-					return relation.Bool(!neg), nil
+					return relation.Bool(true), nil
 				}
 				if b.hasNull {
 					return relation.Null(), nil
 				}
-				return relation.Bool(neg), nil
+				return relation.Bool(false), nil
 			}, nil
 		}
 		return func(en *env) (relation.Value, error) {
@@ -569,73 +504,13 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 					continue
 				}
 				if relation.Equal(v, w) {
-					return relation.Bool(!neg), nil
+					return relation.Bool(true), nil
 				}
 			}
 			if sawNull {
 				return relation.Null(), nil
 			}
-			return relation.Bool(neg), nil
-		}, nil
-
-	case *Like:
-		lhs, err := c.compileExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		pat, err := c.compileExpr(x.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		neg := x.Neg
-		return func(en *env) (relation.Value, error) {
-			v, err := lhs(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			p, err := pat(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if v.IsNull() || p.IsNull() {
-				return relation.Null(), nil
-			}
-			ok := likeMatch(p.String(), v.String())
-			return relation.Bool(ok != neg), nil
-		}, nil
-
-	case *Between:
-		lhs, err := c.compileExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := c.compileExpr(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.compileExpr(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		neg := x.Neg
-		return func(en *env) (relation.Value, error) {
-			v, err := lhs(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			l, err := lo(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			h, err := hi(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if v.IsNull() || l.IsNull() || h.IsNull() {
-				return relation.Null(), nil
-			}
-			in := relation.Compare(v, l) >= 0 && relation.Compare(v, h) <= 0
-			return relation.Bool(in != neg), nil
+			return relation.Bool(false), nil
 		}, nil
 
 	case *Case:
@@ -649,28 +524,6 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 
 	case *InSelect:
 		return c.compileInSelect(x)
-
-	case *ScalarSub:
-		cs, err := c.compileSubSelect(x.Sub)
-		if err != nil {
-			return nil, err
-		}
-		return func(en *env) (relation.Value, error) {
-			rows, err := cs.exec(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if len(rows) == 0 {
-				return relation.Null(), nil
-			}
-			if len(rows) > 1 {
-				return relation.Null(), fmt.Errorf("sql: scalar subquery returned %d rows", len(rows))
-			}
-			if len(rows[0]) != 1 {
-				return relation.Null(), fmt.Errorf("sql: scalar subquery returned %d columns", len(rows[0]))
-			}
-			return rows[0][0], nil
-		}, nil
 
 	default:
 		return nil, fmt.Errorf("sql: cannot compile %T", e)
@@ -811,37 +664,6 @@ func (c *compiler) compileBinary(x *Binary) (compiledExpr, error) {
 			}
 			return relation.Bool(res), nil
 		}, nil
-	case "+", "-", "*", "/", "%":
-		op := x.Op
-		return func(en *env) (relation.Value, error) {
-			lv, err := l(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			rv, err := r(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return relation.Null(), nil
-			}
-			return arith(op, lv, rv)
-		}, nil
-	case "||":
-		return func(en *env) (relation.Value, error) {
-			lv, err := l(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			rv, err := r(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return relation.Null(), nil
-			}
-			return relation.Text(lv.String() + rv.String()), nil
-		}, nil
 	default:
 		return nil, fmt.Errorf("sql: unknown binary op %s", x.Op)
 	}
@@ -966,128 +788,42 @@ func (c *compiler) fastCompare(x *Binary) (compiledExpr, error) {
 	}
 }
 
-func arith(op string, a, b relation.Value) (relation.Value, error) {
-	useFloat := a.K == relation.KindFloat || b.K == relation.KindFloat
-	if op == "/" && !useFloat && b.I == 0 {
-		return relation.Null(), fmt.Errorf("sql: integer division by zero")
-	}
-	if op == "%" {
-		if b.I == 0 {
-			return relation.Null(), fmt.Errorf("sql: modulo by zero")
-		}
-		return relation.Int(a.I % b.I), nil
-	}
-	if useFloat {
-		af, bf := a.AsFloat(), b.AsFloat()
-		switch op {
-		case "+":
-			return relation.Float(af + bf), nil
-		case "-":
-			return relation.Float(af - bf), nil
-		case "*":
-			return relation.Float(af * bf), nil
-		case "/":
-			if bf == 0 {
-				return relation.Null(), fmt.Errorf("sql: division by zero")
-			}
-			return relation.Float(af / bf), nil
-		}
-	}
-	switch op {
-	case "+":
-		return relation.Int(a.I + b.I), nil
-	case "-":
-		return relation.Int(a.I - b.I), nil
-	case "*":
-		return relation.Int(a.I * b.I), nil
-	case "/":
-		return relation.Int(a.I / b.I), nil
-	}
-	return relation.Null(), fmt.Errorf("sql: unknown arithmetic op %s", op)
-}
-
+// compileCase lowers CASE WHEN c THEN a ELSE b END, the shape of the
+// paper's '@'-blanking projections.
 func (c *compiler) compileCase(x *Case) (compiledExpr, error) {
-	var operand compiledExpr
-	var err error
-	if x.Operand != nil {
-		if operand, err = c.compileExpr(x.Operand); err != nil {
-			return nil, err
-		}
+	cond, err := c.compileExpr(x.Cond)
+	if err != nil {
+		return nil, err
 	}
-	conds := make([]compiledExpr, len(x.Whens))
-	results := make([]compiledExpr, len(x.Whens))
-	for i, w := range x.Whens {
-		if conds[i], err = c.compileExpr(w.Cond); err != nil {
-			return nil, err
-		}
-		if results[i], err = c.compileExpr(w.Result); err != nil {
-			return nil, err
-		}
+	res, err := c.compileExpr(x.Then)
+	if err != nil {
+		return nil, err
 	}
-	var elseEx compiledExpr
-	if x.Else != nil {
-		if elseEx, err = c.compileExpr(x.Else); err != nil {
-			return nil, err
-		}
-	}
-	// The searched one-armed CASE ... WHEN c THEN a ELSE b END is the
-	// shape of the paper's '@'-blanking projections, evaluated once per
-	// (tuple, pattern) pair; a direct closure skips the arm loop.
-	if x.Operand == nil && len(x.Whens) == 1 && elseEx != nil {
-		cond, res, alt := conds[0], results[0], elseEx
-		return func(en *env) (relation.Value, error) {
-			cv, err := cond(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if cv.Truth() {
-				return res(en)
-			}
-			return alt(en)
-		}, nil
+	alt, err := c.compileExpr(x.Else)
+	if err != nil {
+		return nil, err
 	}
 	return func(en *env) (relation.Value, error) {
-		var opv relation.Value
-		if operand != nil {
-			var err error
-			if opv, err = operand(en); err != nil {
-				return relation.Null(), err
-			}
+		cv, err := cond(en)
+		if err != nil {
+			return relation.Null(), err
 		}
-		for i := range conds {
-			cv, err := conds[i](en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			hit := false
-			if operand != nil {
-				hit = !opv.IsNull() && !cv.IsNull() && relation.Equal(opv, cv)
-			} else {
-				hit = cv.Truth()
-			}
-			if hit {
-				return results[i](en)
-			}
+		if cv.Truth() {
+			return res(en)
 		}
-		if elseEx != nil {
-			return elseEx(en)
-		}
-		return relation.Null(), nil
+		return alt(en)
 	}, nil
 }
 
-var aggNames = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
+var aggNames = map[string]bool{"COUNT": true, "SUM": true, "MAX": true}
 
 func (c *compiler) compileFunc(x *FuncCall) (compiledExpr, error) {
 	if aggNames[x.Name] {
 		if c.aggSink == nil {
 			return nil, fmt.Errorf("sql: aggregate %s not allowed here", x.Name)
 		}
-		spec := &aggSpec{name: x.Name, star: x.Star, distinct: x.Distinct}
+		spec := &aggSpec{name: x.Name, star: x.Star}
 		if !x.Star {
-			if len(x.Args) != 1 {
-				return nil, fmt.Errorf("sql: %s takes one argument", x.Name)
-			}
 			// The aggregate's argument is evaluated in row context — no
 			// nested aggregates.
 			sink := c.aggSink
@@ -1119,17 +855,8 @@ func (c *compiler) compileFunc(x *FuncCall) (compiledExpr, error) {
 			return nil, err
 		}
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("sql: %s takes %d argument(s), got %d", x.Name, n, len(args))
-		}
-		return nil
-	}
 	switch x.Name {
 	case "ABS":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return func(en *env) (relation.Value, error) {
 			v, err := args[0](en)
 			if err != nil || v.IsNull() {
@@ -1143,93 +870,44 @@ func (c *compiler) compileFunc(x *FuncCall) (compiledExpr, error) {
 			}
 			return relation.Int(v.I), nil
 		}, nil
-	case "COALESCE", "IFNULL":
-		if len(args) == 0 {
-			return nil, fmt.Errorf("sql: %s needs arguments", x.Name)
-		}
+	case "COALESCE":
 		// COALESCE(TOTEXT(e), 'lit') is the paper's NULL-marking idiom,
 		// evaluated once per (tuple, pattern) pair in the Fig. 4 macro;
 		// fuse it into a single closure.
-		if len(x.Args) == 2 {
-			if tt, ok := x.Args[0].(*FuncCall); ok && tt.Name == "TOTEXT" && len(tt.Args) == 1 {
-				if lit, ok := x.Args[1].(*Literal); ok {
-					inner, err := c.compileExpr(tt.Args[0])
-					if err != nil {
-						return nil, err
-					}
-					alt := lit.Val
-					return func(en *env) (relation.Value, error) {
-						v, err := inner(en)
-						if err != nil {
-							return relation.Null(), err
-						}
-						if v.K == relation.KindNull {
-							return alt, nil
-						}
-						if v.K == relation.KindText {
-							return v, nil
-						}
-						return relation.Text(v.String()), nil
-					}, nil
-				}
-			}
-		}
-		if len(args) == 2 {
-			a, b := args[0], args[1]
-			return func(en *env) (relation.Value, error) {
-				v, err := a(en)
-				if err != nil || !v.IsNull() {
-					return v, err
-				}
-				return b(en)
-			}, nil
-		}
-		return func(en *env) (relation.Value, error) {
-			for _, a := range args {
-				v, err := a(en)
+		if tt, ok := x.Args[0].(*FuncCall); ok && tt.Name == "TOTEXT" {
+			if lit, ok := x.Args[1].(*Literal); ok {
+				inner, err := c.compileExpr(tt.Args[0])
 				if err != nil {
-					return relation.Null(), err
+					return nil, err
 				}
-				if !v.IsNull() {
-					return v, nil
-				}
+				alt := lit.Val
+				return func(en *env) (relation.Value, error) {
+					v, err := inner(en)
+					if err != nil {
+						return relation.Null(), err
+					}
+					if v.K == relation.KindNull {
+						return alt, nil
+					}
+					if v.K == relation.KindText {
+						return v, nil
+					}
+					return relation.Text(v.String()), nil
+				}, nil
 			}
-			return relation.Null(), nil
-		}, nil
-	case "LENGTH":
-		if err := need(1); err != nil {
-			return nil, err
 		}
+		a, b := args[0], args[1]
 		return func(en *env) (relation.Value, error) {
-			v, err := args[0](en)
-			if err != nil || v.IsNull() {
-				return relation.Null(), err
+			v, err := a(en)
+			if err != nil || !v.IsNull() {
+				return v, err
 			}
-			return relation.Int(int64(len(v.String()))), nil
-		}, nil
-	case "UPPER", "LOWER":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		up := x.Name == "UPPER"
-		return func(en *env) (relation.Value, error) {
-			v, err := args[0](en)
-			if err != nil || v.IsNull() {
-				return relation.Null(), err
-			}
-			s := v.String()
-			if up {
-				return relation.Text(strings.ToUpper(s)), nil
-			}
-			return relation.Text(strings.ToLower(s)), nil
+			return b(en)
 		}, nil
 	case "TOTEXT":
 		// TOTEXT renders any value as TEXT (NULL stays NULL). The eCFD
 		// detection queries use it so the '@'-blanking CASE trick of the
 		// paper works over non-text attributes.
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return func(en *env) (relation.Value, error) {
 			v, err := args[0](en)
 			if err != nil || v.IsNull() {
@@ -1237,56 +915,7 @@ func (c *compiler) compileFunc(x *FuncCall) (compiledExpr, error) {
 			}
 			return relation.Text(v.String()), nil
 		}, nil
-	case "NULLIF":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return func(en *env) (relation.Value, error) {
-			a, err := args[0](en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			b, err := args[1](en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if !a.IsNull() && !b.IsNull() && relation.Equal(a, b) {
-				return relation.Null(), nil
-			}
-			return a, nil
-		}, nil
 	default:
 		return nil, fmt.Errorf("sql: unknown function %s", x.Name)
 	}
-}
-
-// likeMatch implements SQL LIKE with % (any run) and _ (any one rune).
-func likeMatch(pattern, s string) bool {
-	p, t := []rune(pattern), []rune(s)
-	var match func(pi, ti int) bool
-	match = func(pi, ti int) bool {
-		for pi < len(p) {
-			switch p[pi] {
-			case '%':
-				for skip := ti; skip <= len(t); skip++ {
-					if match(pi+1, skip) {
-						return true
-					}
-				}
-				return false
-			case '_':
-				if ti >= len(t) {
-					return false
-				}
-				pi, ti = pi+1, ti+1
-			default:
-				if ti >= len(t) || t[ti] != p[pi] {
-					return false
-				}
-				pi, ti = pi+1, ti+1
-			}
-		}
-		return ti == len(t)
-	}
-	return match(0, 0)
 }

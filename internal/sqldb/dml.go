@@ -235,12 +235,11 @@ type rowSelect struct {
 }
 
 // compileRowSelect compiles the WHERE of a DML statement over table
-// (bound as alias when given). The returned compiler resolves names in
-// the target's scope, for the caller's own expressions (SET values).
-func (db *DB) compileRowSelect(table, alias string, where Expr, ep *epoch) (*rowSelect, *compiler, error) {
+// (bound as alias when given).
+func (db *DB) compileRowSelect(table, alias string, where Expr, ep *epoch) (*rowSelect, error) {
 	t, err := ep.table(table)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	name := alias
 	if name == "" {
@@ -251,13 +250,13 @@ func (db *DB) compileRowSelect(table, alias string, where Expr, ep *epoch) (*row
 	}}
 	rs := &rowSelect{t: t}
 	if where == nil {
-		return rs, c, nil
+		return rs, nil
 	}
 	if rs.where, err = c.compileExpr(where); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if db.execMode() == Reference {
-		return rs, c, nil
+		return rs, nil
 	}
 	target := TableRef{Table: table, Alias: alias}
 	rs.semi = db.trySemiJoin(target, where, ep)
@@ -270,7 +269,7 @@ func (db *DB) compileRowSelect(table, alias string, where Expr, ep *epoch) (*row
 	if cs, err := fc.compileSubSelect(synth); err == nil && cs.planOK && !cs.grouped {
 		rs.filterSel = cs
 	}
-	return rs, c, nil
+	return rs, nil
 }
 
 // trySemiJoin builds the joint semi-join select for a DML statement
@@ -295,7 +294,7 @@ func (db *DB) trySemiJoin(target TableRef, where Expr, ep *epoch) *compiledSelec
 			}
 			cand = x.Sub
 		case *InSelect:
-			if x.Neg || len(x.Sub.Exprs) != 1 || x.Sub.Exprs[0].Star {
+			if len(x.Sub.Exprs) != 1 || x.Sub.Exprs[0].Star {
 				continue
 			}
 			cand = x.Sub
@@ -348,7 +347,7 @@ func (db *DB) trySemiJoin(target TableRef, where Expr, ep *epoch) *compiledSelec
 // emptiness semantics or row multiplicity guarantees).
 func semiJoinable(sub *Select) bool {
 	if len(sub.From) == 0 || len(sub.GroupBy) > 0 || sub.Having != nil ||
-		sub.Limit != nil || sub.Offset != nil || selectHasAggregate(sub) {
+		sub.Limit != nil || selectHasAggregate(sub) {
 		return false
 	}
 	for _, tr := range sub.From {
@@ -463,45 +462,32 @@ func (rs *rowSelect) describe(ep *epoch, b *strings.Builder) {
 
 // --- UPDATE ---
 
-type setter struct {
-	col int
-	ex  compiledExpr
-	// isConst marks a literal assignment (SET SV = 0); the coerced
-	// value is computed at compile time and shared by every changed
-	// row, so flag resets do not evaluate or allocate per row.
-	isConst  bool
-	constVal relation.Value
-}
-
+// updatePlan assigns literals (SET SV = 0): the coerced values are
+// computed at compile time and shared by every changed row, so flag
+// resets do not evaluate or allocate per row.
 type updatePlan struct {
-	sel     *rowSelect
-	setters []setter
+	sel  *rowSelect
+	cols []int
+	vals []relation.Value
 }
 
 func (db *DB) compileUpdate(up *Update, ep *epoch) (*updatePlan, error) {
-	sel, c, err := db.compileRowSelect(up.Table, up.Alias, up.Where, ep)
+	sel, err := db.compileRowSelect(up.Table, up.Alias, up.Where, ep)
 	if err != nil {
 		return nil, err
 	}
 	t := sel.t
 	p := &updatePlan{sel: sel}
-	p.setters = make([]setter, len(up.Set))
-	for i, a := range up.Set {
+	for _, a := range up.Set {
 		j := t.Schema.Index(a.Column)
 		if j < 0 {
 			return nil, fmt.Errorf("sql: no column %s in %s", a.Column, up.Table)
 		}
-		ex, err := c.compileExpr(a.Value)
+		v, err := coerce(a.Value, t.Schema.Attrs[j].Kind, t.Schema.Attrs[j].Name)
 		if err != nil {
 			return nil, err
 		}
-		p.setters[i] = setter{col: j, ex: ex}
-		if lit, ok := a.Value.(*Literal); ok {
-			if cv, err := coerce(lit.Val, t.Schema.Attrs[j].Kind, t.Schema.Attrs[j].Name); err == nil {
-				p.setters[i].isConst = true
-				p.setters[i].constVal = cv
-			}
-		}
+		p.cols, p.vals = append(p.cols, j), append(p.vals, v)
 	}
 	return p, nil
 }
@@ -527,47 +513,15 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	// Rows-affected stays the matched count.
 	matched := int64(len(pos))
 	td, si := db.curW.tds[t], 0
-	setCols := make([]int, len(p.setters))
-	rv := make([]relation.Value, len(p.setters)) // shared by every row when all setters are literals
-	allConst := true
-	for j, s := range p.setters {
-		setCols[j], rv[j] = s.col, s.constVal
-		allConst = allConst && s.isConst
-	}
-	var en *env
-	if !allConst {
-		en = newEnv(db, db.curW, params)
-		defer en.publish()
-		en.frames = append(en.frames, frame{rows: make([]rowRef, 1)})
-	}
 	var vals [][]relation.Value
 	n := 0
 	for _, ri := range pos {
 		row := td.ref(ri, &si)
-		if !allConst {
-			en.frames[0].rows[0] = row
-			for j, s := range p.setters {
-				if s.isConst {
-					continue
-				}
-				v, err := s.ex(en)
-				if err != nil {
-					return 0, err
-				}
-				if rv[j], err = coerce(v, t.Schema.Attrs[s.col].Kind, t.Schema.Attrs[s.col].Name); err != nil {
-					return 0, err
-				}
-			}
-		}
-		for j, c := range setCols {
-			if old := row.at(c); !sameCell(&old, &rv[j]) {
+		for j, c := range p.cols {
+			if old := row.at(c); !sameCell(&old, &p.vals[j]) {
 				pos[n] = ri
 				n++
-				if allConst {
-					vals = append(vals, rv)
-				} else {
-					vals = append(vals, append([]relation.Value(nil), rv...))
-				}
+				vals = append(vals, p.vals)
 				break
 			}
 		}
@@ -580,10 +534,10 @@ func (db *DB) runUpdate(p *updatePlan, params []relation.Value) (int64, error) {
 	// of the touched segments are copied and patched, and indexes fork
 	// only where the assigned columns overlap — so a flag update never
 	// touches a RID index.
-	if err := db.logUpdate(t.Name, pos, setCols, vals); err != nil {
+	if err := db.logUpdate(t.Name, pos, p.cols, vals); err != nil {
 		return 0, err
 	}
-	db.applyUpdate(t, pos, setCols, vals)
+	db.applyUpdate(t, pos, p.cols, vals)
 	db.wrote(int(matched), n)
 	return matched, nil
 }
@@ -611,7 +565,7 @@ type deletePlan struct {
 }
 
 func (db *DB) compileDelete(del *Delete, ep *epoch) (*deletePlan, error) {
-	sel, _, err := db.compileRowSelect(del.Table, del.Alias, del.Where, ep)
+	sel, err := db.compileRowSelect(del.Table, del.Alias, del.Where, ep)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"ecfd/internal/relation"
@@ -41,7 +40,7 @@ func (db *DB) Exec(sqlText string, params ...relation.Value) (int64, error) {
 func (db *DB) execDDLLocked(stmt Statement) (int64, error) {
 	switch s := stmt.(type) {
 	case *CreateTable:
-		return 0, db.createTable(s.Name, s.Cols, s.IfNotExists)
+		return 0, db.createTable(s.Name, s.Cols)
 	case *CreateIndex:
 		return 0, db.createIndex(s.Name, s.Table, s.Cols)
 	case *DropTable:
@@ -89,10 +88,9 @@ type compiledSelect struct {
 	cols     []string
 	outs     []compiledExpr
 	distinct bool
-	inline   bool // see dedupsInline
-	orderBy  []compiledOrder
+	inline   bool           // see dedupsInline
+	orderBy  []compiledExpr // ascending keys
 	limit    compiledExpr
-	offset   compiledExpr
 	// Index-served ORDER BY candidate: when ordSrc >= 0, the ORDER BY
 	// keys are plain ascending columns ordCols of that (single,
 	// base-table) source. buildSchedule checks for an index with that
@@ -132,7 +130,7 @@ var errFound = fmt.Errorf("sqldb: row found")
 // without materializing output rows. Grouped or derived-table shapes
 // fall back to full execution.
 func (cs *compiledSelect) execExists(en *env) (bool, error) {
-	if cs.grouped || cs.limit != nil || cs.offset != nil {
+	if cs.grouped || cs.limit != nil {
 		rows, err := cs.exec(en)
 		return len(rows) > 0, err
 	}
@@ -156,12 +154,6 @@ func (cs *compiledSelect) execExists(en *env) (bool, error) {
 		return true, nil
 	}
 	return false, err
-}
-
-type compiledOrder struct {
-	ex      compiledExpr
-	ordinal int // 1-based output column when > 0
-	desc    bool
 }
 
 type compiledSource struct {
@@ -259,9 +251,6 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 	for _, se := range sel.Exprs {
 		if se.Star {
 			for si, src := range scope.sources {
-				if se.StarTable != "" && !strings.EqualFold(src.name, se.StarTable) {
-					continue
-				}
 				for ci := range src.cols {
 					b := binding{depth: cs.depth, src: si, col: ci}
 					cs.outs = append(cs.outs, func(en *env) (relation.Value, error) {
@@ -290,16 +279,11 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 	}
 	cs.distinct = sel.Distinct
 	for _, o := range sel.OrderBy {
-		co := compiledOrder{desc: o.Desc}
-		if lit, ok := o.Expr.(*Literal); ok && lit.Val.K == relation.KindInt {
-			co.ordinal = int(lit.Val.I)
-			if co.ordinal < 1 || co.ordinal > len(cs.cols) {
-				return nil, fmt.Errorf("sql: ORDER BY ordinal %d out of range", co.ordinal)
-			}
-		} else if co.ex, err = inner.compileExpr(o.Expr); err != nil {
+		oe, err := inner.compileExpr(o)
+		if err != nil {
 			return nil, err
 		}
-		cs.orderBy = append(cs.orderBy, co)
+		cs.orderBy = append(cs.orderBy, oe)
 	}
 	inner.planOrderBy(sel, cs)
 	if cs.inline = cs.distinct && len(cs.orderBy) == 0 && !cs.grouped && !ref; cs.inline {
@@ -307,11 +291,6 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 	}
 	if sel.Limit != nil {
 		if cs.limit, err = inner.compileExpr(sel.Limit); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Offset != nil {
-		if cs.offset, err = inner.compileExpr(sel.Offset); err != nil {
 			return nil, err
 		}
 	}
@@ -328,7 +307,7 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 // cs, with c holding its scope) takes the streamed grouping — see
 // compiledSelect.streamCols — and 0 otherwise. The shape: no WHERE, one
 // derived source that is DISTINCT and emits its dedup set unsliced
-// (ungrouped, no ORDER BY, LIMIT or OFFSET), GROUP BY naming that
+// (ungrouped, no ORDER BY or LIMIT), GROUP BY naming that
 // source's first k columns in order, and no aggregate but COUNT(*) — a
 // group is a count, never a row's values. And because a streamed group
 // keeps only those k columns of its representative, nothing — select
@@ -345,7 +324,7 @@ func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
 		}
 	}
 	sub := cs.sources[0].sub
-	if sub == nil || !sub.dedupsInline() || sub.limit != nil || sub.offset != nil || k > len(sub.cols) {
+	if sub == nil || !sub.dedupsInline() || sub.limit != nil || k > len(sub.cols) {
 		return 0
 	}
 	for i, g := range sel.GroupBy {
@@ -376,7 +355,7 @@ func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
 	}
 	cs.keyedHaving = check(sel.Having)
 	for _, o := range sel.OrderBy {
-		check(o.Expr)
+		check(o)
 	}
 	if !keyOnly {
 		return 0
@@ -400,8 +379,6 @@ func selectHasAggregate(sel *Select) bool {
 			for _, a := range x.Args {
 				walk(a)
 			}
-		case *Unary:
-			walk(x.X)
 		case *Binary:
 			walk(x.L)
 			walk(x.R)
@@ -412,19 +389,9 @@ func selectHasAggregate(sel *Select) bool {
 			for _, it := range x.List {
 				walk(it)
 			}
-		case *Like:
-			walk(x.X)
-			walk(x.Pattern)
-		case *Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
 		case *Case:
-			walk(x.Operand)
-			for _, w := range x.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
+			walk(x.Cond)
+			walk(x.Then)
 			walk(x.Else)
 		}
 		// Subqueries keep their own aggregate scope.
@@ -453,20 +420,6 @@ func (cs *compiledSelect) exec(en *env) ([]relation.Tuple, error) {
 		return nil, err
 	}
 
-	// OFFSET / LIMIT.
-	if cs.offset != nil {
-		v, err := cs.offset(en)
-		if err != nil {
-			return nil, err
-		}
-		n := int(v.I)
-		if n > len(out) {
-			n = len(out)
-		}
-		if n > 0 {
-			out = out[n:]
-		}
-	}
 	if cs.limit != nil {
 		v, err := cs.limit(en)
 		if err != nil {
@@ -612,11 +565,7 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 		if len(cs.orderBy) > 0 && !orderServed {
 			keys := make([]relation.Value, len(cs.orderBy))
 			for i, o := range cs.orderBy {
-				if o.ordinal > 0 {
-					keys[i] = row[o.ordinal-1]
-					continue
-				}
-				v, err := o.ex(en)
+				v, err := o(en)
 				if err != nil {
 					return err
 				}
@@ -668,12 +617,8 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 		}
 		sort.SliceStable(idx, func(a, b int) bool {
 			ka, kb := sortKeys[idx[a]], sortKeys[idx[b]]
-			for i, o := range cs.orderBy {
-				cmp := relation.Compare(ka[i], kb[i])
-				if o.desc {
-					cmp = -cmp
-				}
-				if cmp != 0 {
+			for i := range cs.orderBy {
+				if cmp := relation.Compare(ka[i], kb[i]); cmp != 0 {
 					return cmp < 0
 				}
 			}
@@ -881,13 +826,12 @@ func (cs *compiledSelect) passes(en *env) (bool, error) {
 // aggAcc accumulates one aggregate over one group; the zero value is
 // ready to use.
 type aggAcc struct {
-	rows     int64
-	nonNull  int64
-	sumI     int64
-	sumF     float64
-	isFloat  bool
-	extreme  relation.Value  // MIN or MAX so far, by spec.name
-	distinct map[string]bool // COUNT(DISTINCT x) etc.: made on first use
+	rows    int64
+	nonNull int64
+	sumI    int64
+	sumF    float64
+	isFloat bool
+	max     relation.Value // MAX so far
 }
 
 func (a *aggAcc) add(en *env, spec *aggSpec) error {
@@ -902,17 +846,6 @@ func (a *aggAcc) add(en *env, spec *aggSpec) error {
 	if v.IsNull() {
 		return nil
 	}
-	if spec.distinct {
-		k := v.Key()
-		en.work[wDistinctKeys]++
-		if a.distinct[k] {
-			return nil
-		}
-		if a.distinct == nil {
-			a.distinct = make(map[string]bool)
-		}
-		a.distinct[k] = true
-	}
 	a.nonNull++
 	switch v.K {
 	case relation.KindFloat:
@@ -922,15 +855,8 @@ func (a *aggAcc) add(en *env, spec *aggSpec) error {
 		a.sumI += v.I
 		a.sumF += float64(v.I)
 	}
-	switch spec.name {
-	case "MIN":
-		if a.extreme.IsNull() || relation.Compare(v, a.extreme) < 0 {
-			a.extreme = v
-		}
-	case "MAX":
-		if a.extreme.IsNull() || relation.Compare(v, a.extreme) > 0 {
-			a.extreme = v
-		}
+	if spec.name == "MAX" && (a.max.IsNull() || relation.Compare(v, a.max) > 0) {
+		a.max = v
 	}
 	return nil
 }
@@ -938,10 +864,7 @@ func (a *aggAcc) add(en *env, spec *aggSpec) error {
 func (a *aggAcc) final(spec *aggSpec) relation.Value {
 	switch spec.name {
 	case "COUNT":
-		if spec.star {
-			return relation.Int(a.rows)
-		}
-		return relation.Int(a.nonNull)
+		return relation.Int(a.rows)
 	case "SUM":
 		if a.nonNull == 0 {
 			return relation.Null()
@@ -950,14 +873,7 @@ func (a *aggAcc) final(spec *aggSpec) relation.Value {
 			return relation.Float(a.sumF)
 		}
 		return relation.Int(a.sumI)
-	case "AVG":
-		if a.nonNull == 0 {
-			return relation.Null()
-		}
-		return relation.Float(a.sumF / float64(a.nonNull))
-	case "MIN", "MAX":
-		return a.extreme
-	default:
-		return relation.Null()
+	default: // MAX
+		return a.max
 	}
 }

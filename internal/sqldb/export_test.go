@@ -4,7 +4,13 @@ import "errors"
 
 // ParseSeeds are the parser table tests' inputs, for the external fuzz
 // target.
-var ParseSeeds = append(append([]string(nil), parseBad...), parseGood...)
+var ParseSeeds = func() []string {
+	var out []string
+	for _, c := range parseBad {
+		out = append(out, c.src)
+	}
+	return append(out, parseGood...)
+}()
 
 // ParseErrorOffset returns the source offset a lexer or parser error
 // carries; ok is false for any other error.
@@ -14,4 +20,18 @@ func ParseErrorOffset(err error) (offset int, ok bool) {
 		return le.pos, true
 	}
 	return 0, false
+}
+
+// DrainParsed empties the process-wide parse cache and returns the
+// statement texts it held: every text the engine parsed since the last
+// drain (a text a DB had already prepared is not parsed again).
+func DrainParsed() []string {
+	parseMu.Lock()
+	defer parseMu.Unlock()
+	out := make([]string, 0, len(parseCache.m))
+	for text := range parseCache.m {
+		out = append(out, text)
+	}
+	parseCache = newLRU(parseCacheSize)
+	return out
 }

@@ -30,9 +30,9 @@ func faultScript() []scriptOp {
 	var ops []scriptOp
 	add := func(name, sqlText string) { ops = append(ops, sqlOp(name, sqlText)) }
 
-	add("create-t", "CREATE TABLE t (a INT, b TEXT, c FLOAT)")
+	add("create-t", "CREATE TABLE t (a INTEGER, b TEXT, c REAL)")
 	add("index-t", "CREATE INDEX it_a ON t (a)")
-	add("create-u", "CREATE TABLE u (k INT, v INT)")
+	add("create-u", "CREATE TABLE u (k INTEGER, v INTEGER)")
 	for i := 0; i < 5; i++ {
 		add(fmt.Sprintf("ins-t-%d", i), fmt.Sprintf(
 			"INSERT INTO t VALUES (%d, 'alpha-%d', %d.25), (%d, 'beta-%d', %d.75)",
@@ -82,7 +82,7 @@ func faultScript() []scriptOp {
 			return err
 		}
 		for _, s := range []string{
-			"CREATE TABLE scratch (x INT)",
+			"CREATE TABLE scratch (x INTEGER)",
 			"INSERT INTO scratch VALUES (1), (2)",
 		} {
 			if _, err := tx.Exec(s); err != nil {
@@ -96,7 +96,7 @@ func faultScript() []scriptOp {
 	add("trunc-u", "TRUNCATE TABLE u")
 	add("refill-u", "INSERT INTO u VALUES (50, 500), (51, 510)")
 	add("drop-t", "DROP TABLE t")
-	add("recreate-t", "CREATE TABLE t (a INT, b TEXT)")
+	add("recreate-t", "CREATE TABLE t (a INTEGER, b TEXT)")
 	add("reindex-t", "CREATE INDEX it_a ON t (a)")
 	add("refill-t", "INSERT INTO t VALUES (1, 'reborn'), (2, 'again')")
 

@@ -1,13 +1,11 @@
 package sqldb_test
 
 import (
-	"database/sql"
+	"maps"
+	"slices"
 	"testing"
 
-	"ecfd/internal/detect"
-	"ecfd/internal/gen"
 	"ecfd/internal/sqldb"
-	"ecfd/internal/sqldriver"
 )
 
 // FuzzParse feeds the lexer and parser arbitrary text. They are the
@@ -15,24 +13,15 @@ import (
 // statements today, ecfdsql whatever is typed — so whatever the input
 // they must return, never panic, and an error must say where: every
 // lexer and parser error carries an offset into the text. The corpus
-// starts from the statements the detector generates for the benchmark's
-// schema (the SQL this repository exists to run) and from the parser
-// tests' accepted and rejected inputs.
+// starts from every statement the product sends the engine (the census
+// of TestDialectCensus: the SQL this repository exists to run) and from
+// the parser tests' accepted and rejected inputs, one of the latter per
+// production the dialect refuses.
 func FuzzParse(f *testing.F) {
-	const dsn = "sqldb_fuzz_parse_seeds"
-	db, err := sql.Open(sqldriver.DriverName, dsn)
-	if err != nil {
-		f.Fatal(err)
+	for _, text := range slices.Sorted(maps.Keys(census(f))) {
+		f.Add(text)
 	}
-	d, err := detect.New(db, gen.Schema(), gen.Constraints())
-	db.Close()
-	sqldriver.Unregister(dsn)
-	if err != nil {
-		f.Fatal(err)
-	}
-	qsvSelect, qsvUpdate, qmvInsert, mvUpdate := d.SQL()
-	seeds := append([]string{qsvSelect, qsvUpdate, qmvInsert, mvUpdate}, d.IncrementalSQL()...)
-	for _, src := range append(seeds, sqldb.ParseSeeds...) {
+	for _, src := range sqldb.ParseSeeds {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

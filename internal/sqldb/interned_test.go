@@ -71,12 +71,12 @@ func TestInternedGroupKeyDifferential(t *testing.T) {
 	macro := "SELECT DISTINCT c.cid AS cid, " + strings.Join([]string{
 		blank("la", "TOTEXT(t.a)") + " AS pa", blank("lb", "TOTEXT(t.b)") + " AS pb",
 		blank("ln", "TOTEXT(t.n)") + " AS pn", blank("lr", "TOTEXT(t.r)") + " AS pr",
-		blank("lf", "TOTEXT(t.f)") + " AS pf", "CASE WHEN c.lb > 1 THEN COALESCE(t.a || t.b, '@NULL@') ELSE '@' END AS pab",
+		blank("lf", "TOTEXT(t.f)") + " AS pf", "CASE WHEN c.lb > 1 THEN COALESCE(t.a, t.b) ELSE '@' END AS pab",
 	}, ", ") + " FROM it t, ip c WHERE t.rid >= ?"
 	queries := []string{
 		macro,
 		"SELECT m.cid, m.pa, m.pb, COUNT(*) FROM (" + macro + ") m GROUP BY m.cid, m.pa, m.pb HAVING COUNT(*) > 1",
-		"SELECT m.cid, m.pa, COUNT(*), MIN(m.pr), MAX(m.pab), COUNT(DISTINCT m.pn) FROM (" + macro + ") m GROUP BY m.cid, m.pa",
+		"SELECT m.cid, m.pa, COUNT(*), MAX(m.pr), MAX(m.pab), SUM(m.pn) FROM (" + macro + ") m GROUP BY m.cid, m.pa",
 		"SELECT m.cid, m.pa, m.pb, m.pn, COUNT(*) FROM (" + macro + ") m GROUP BY m.cid, m.pa, m.pb, m.pn HAVING m.pa <> '@' AND COUNT(*) >= 1",
 		"SELECT DISTINCT " + blank("la", "TOTEXT(t.a)") + ", " + blank("lb", "TOTEXT(t.b)") + " FROM it t, ip c WHERE t.rid >= ?",
 		"SELECT m.pa, COUNT(*) FROM (SELECT DISTINCT " + blank("la", "TOTEXT(t.a)") + " AS pa, " + blank("lf", "TOTEXT(t.f)") +
@@ -121,8 +121,8 @@ func TestInternedGroupKeyDifferential(t *testing.T) {
 		}
 	}
 	check("loaded")
-	mustExec(t, db, `UPDATE it SET a = '@NULL@', r = ? WHERE rid % 7 = 0`, relation.Float(math.Copysign(0, -1)))
-	mustExec(t, db, `UPDATE it SET a = NULL, b = '@' WHERE rid % 11 = 0`)
+	mustExec(t, db, `UPDATE it SET a = '@NULL@', r = -0.0 WHERE rid IN (`+residues(7, 0, nextRID)+`)`)
+	mustExec(t, db, `UPDATE it SET a = NULL, b = '@' WHERE rid IN (`+residues(11, 0, nextRID)+`)`)
 	check("updated")
 	mustExec(t, db, `DELETE FROM it WHERE rid >= ? AND rid < ?`, relation.Int(segRows-100), relation.Int(2*segRows+40))
 	check("deleted")

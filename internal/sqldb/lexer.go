@@ -3,7 +3,8 @@
 // (§VI): the eCFD detection algorithms only *generate* SQL, so any
 // engine that executes the generated dialect — multi-table FROM lists,
 // correlated EXISTS / NOT EXISTS, GROUP BY / HAVING, CASE, DISTINCT,
-// UPDATE ... WHERE — reproduces them faithfully.
+// UPDATE ... WHERE — reproduces them faithfully. It parses that dialect
+// and nothing else (README.md, "The dialect").
 //
 // The pipeline is conventional: lexer → recursive-descent parser → AST
 // → compiler (expressions become closures with resolved column
@@ -43,22 +44,30 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// keywords are the reserved words of the dialect (README.md, "The
+// dialect"). Type and function names are identifiers.
 var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"OFFSET": true, "AS": true, "DISTINCT": true, "ALL": true, "AND": true,
-	"OR": true, "NOT": true, "IN": true, "EXISTS": true, "IS": true,
+	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true, "GROUP": true,
+	"BY": true, "HAVING": true, "ORDER": true, "LIMIT": true, "AS": true,
+	"AND": true, "OR": true, "NOT": true, "IN": true, "EXISTS": true, "IS": true,
 	"NULL": true, "TRUE": true, "FALSE": true, "CASE": true, "WHEN": true,
-	"THEN": true, "ELSE": true, "END": true, "BETWEEN": true, "LIKE": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true, "DROP": true,
-	"IF": true, "ON": true, "JOIN": true, "INNER": true, "LEFT": true,
-	"OUTER": true, "CROSS": true, "UNION": true, "PRIMARY": true, "KEY": true,
-	"INTEGER": true, "INT": true, "TEXT": true, "VARCHAR": true, "REAL": true,
-	"FLOAT": true, "BOOLEAN": true, "BOOL": true, "COUNT": true, "SUM": true,
-	"AVG": true, "MIN": true, "MAX": true, "BEGIN": true, "COMMIT": true,
-	"ROLLBACK": true, "TRUNCATE": true,
+	"THEN": true, "ELSE": true, "END": true, "INSERT": true, "INTO": true,
+	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true, "CREATE": true,
+	"TABLE": true, "INDEX": true, "ON": true, "DROP": true, "IF": true,
+	"TRUNCATE": true,
 }
+
+// refused are the keywords and operators of SQL the dialect leaves out:
+// the lexer stops at one with a positioned error, so no statement that
+// uses one reaches the parser.
+var refused = map[string]bool{
+	"LIKE": true, "BETWEEN": true, "JOIN": true, "CROSS": true, "INNER": true,
+	"OFFSET": true, "ASC": true, "DESC": true, "ALL": true,
+	"+": true, "/": true, "%": true, "||": true, "!=": true,
+}
+
+// notSupported is the error for a refused keyword, operator or function.
+func notSupported(pos int, what string) error { return errAt(pos, "%s is not supported", what) }
 
 type lexer struct {
 	src string
@@ -78,28 +87,12 @@ func errAt(pos int, format string, args ...any) error {
 }
 
 func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
-			}
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			end := strings.Index(l.src[l.pos+2:], "*/")
-			if end < 0 {
-				return token{}, errAt(l.pos, "unterminated block comment")
-			}
-			l.pos += 2 + end + 2
-		default:
-			goto scan
-		}
+	for l.pos < len(l.src) && strings.IndexByte(" \t\n\r", l.src[l.pos]) >= 0 {
+		l.pos++
 	}
-	return token{kind: tokEOF, pos: l.pos}, nil
-
-scan:
+	if l.pos == len(l.src) {
+		return token{kind: tokEOF, pos: l.pos}, nil
+	}
 	start := l.pos
 	c := l.src[l.pos]
 	switch {
@@ -122,16 +115,6 @@ scan:
 		}
 		return token{}, errAt(start, "unterminated string literal")
 
-	case c == '"': // quoted identifier
-		l.pos++
-		end := strings.IndexByte(l.src[l.pos:], '"')
-		if end < 0 {
-			return token{}, errAt(start, "unterminated quoted identifier")
-		}
-		text := l.src[l.pos : l.pos+end]
-		l.pos += end + 1
-		return token{kind: tokIdent, text: text, pos: start}, nil
-
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.' ||
 			l.src[l.pos] == 'e' || l.src[l.pos] == 'E' ||
@@ -150,24 +133,28 @@ scan:
 		}
 		word := l.src[start:l.pos]
 		up := strings.ToUpper(word)
+		if refused[up] {
+			return token{}, notSupported(start, up)
+		}
 		if keywords[up] {
 			return token{kind: tokKeyword, text: up, pos: start}, nil
 		}
 		return token{kind: tokIdent, text: word, pos: start}, nil
-
-	default:
-		for _, op := range [...]string{"<>", "<=", ">=", "!=", "||"} {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				l.pos += 2
-				return token{kind: tokPunct, text: op, pos: start}, nil
-			}
+	}
+	op := l.src[l.pos : l.pos+1]
+	for _, two := range [...]string{"<>", "<=", ">=", "!=", "||"} {
+		if strings.HasPrefix(l.src[l.pos:], two) {
+			op = two
 		}
-		if strings.ContainsRune("(),.*=<>+-/%;", rune(c)) {
-			l.pos++
-			return token{kind: tokPunct, text: string(c), pos: start}, nil
-		}
+	}
+	if refused[op] {
+		return token{}, notSupported(start, op)
+	}
+	if len(op) == 1 && !strings.Contains("(),.*=<>-;", op) {
 		return token{}, errAt(start, "unexpected character %q", c)
 	}
+	l.pos += len(op)
+	return token{kind: tokPunct, text: op, pos: start}, nil
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }

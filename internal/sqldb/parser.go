@@ -32,13 +32,13 @@ func ParseScript(src string) ([]Statement, error) {
 			break
 		}
 		s, err := p.statement()
+		if p.err != nil { // a lexer error ends the input where it stands
+			return nil, p.err
+		}
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, s)
-		if p.err != nil {
-			return nil, p.err
-		}
 		if p.tok.kind != tokEOF && !p.isPunct(";") {
 			return nil, errAt(p.tok.pos, "unexpected %s after statement", p.tok)
 		}
@@ -101,20 +101,31 @@ func (p *parser) expectPunct(s string) error {
 }
 
 func (p *parser) ident() (string, error) {
-	// Non-reserved keywords (type names, function names) may be used as
-	// identifiers in practice; we allow a safe subset.
-	if p.tok.kind == tokIdent ||
-		(p.tok.kind == tokKeyword && relaxedIdent[p.tok.text]) {
-		s := p.tok.text
-		p.bump()
-		return s, nil
+	if p.tok.kind != tokIdent {
+		return "", errAt(p.tok.pos, "expected identifier, got %s", p.tok)
 	}
-	return "", errAt(p.tok.pos, "expected identifier, got %s", p.tok)
+	s := p.tok.text
+	p.bump()
+	return s, nil
 }
 
-var relaxedIdent = map[string]bool{
-	"KEY": true, "INDEX": true, "COUNT": true, "SUM": true, "MIN": true,
-	"MAX": true, "AVG": true, "TEXT": true, "INT": true, "REAL": true,
+// identList parses ( ident, ... ).
+func (p *parser) identList() ([]string, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	var out []string
+	for {
+		name, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, name)
+		if !p.isPunct(",") {
+			return out, p.expectPunct(")")
+		}
+		p.bump()
+	}
 }
 
 func (p *parser) statement() (Statement, error) {
@@ -127,7 +138,9 @@ func (p *parser) statement() (Statement, error) {
 		return p.dropStmt()
 	case p.isKeyword("TRUNCATE"):
 		p.bump()
-		p.accept("TABLE")
+		if err := p.expectKeyword("TABLE"); err != nil {
+			return nil, err
+		}
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -144,27 +157,21 @@ func (p *parser) statement() (Statement, error) {
 	}
 }
 
+// columnTypes are the column types of CREATE TABLE.
+var columnTypes = map[string]relation.Kind{
+	"INTEGER": relation.KindInt, "TEXT": relation.KindText,
+	"REAL": relation.KindFloat, "BOOLEAN": relation.KindBool,
+}
+
 func (p *parser) createStmt() (Statement, error) {
 	p.bump() // CREATE
 	switch {
-	case p.isKeyword("TABLE"):
-		p.bump()
-		ct := &CreateTable{}
-		if p.isKeyword("IF") {
-			p.bump()
-			if err := p.expectKeyword("NOT"); err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("EXISTS"); err != nil {
-				return nil, err
-			}
-			ct.IfNotExists = true
-		}
+	case p.accept("TABLE"):
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		ct.Name = name
+		ct := &CreateTable{Name: name}
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
@@ -173,27 +180,18 @@ func (p *parser) createStmt() (Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			kind, err := p.columnType()
-			if err != nil {
-				return nil, err
+			kind, ok := columnTypes[strings.ToUpper(p.tok.text)]
+			if p.tok.kind != tokIdent || !ok {
+				return nil, errAt(p.tok.pos, "expected column type, got %s", p.tok)
 			}
+			p.bump()
 			ct.Cols = append(ct.Cols, ColumnDef{Name: col, Kind: kind})
-			// Swallow simple column constraints.
-			for p.isKeyword("PRIMARY") || p.isKeyword("KEY") || p.isKeyword("NOT") || p.isKeyword("NULL") {
-				p.bump()
+			if !p.isPunct(",") {
+				return ct, p.expectPunct(")")
 			}
-			if p.isPunct(",") {
-				p.bump()
-				continue
-			}
-			break
+			p.bump()
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return ct, nil
-	case p.isKeyword("INDEX"):
-		p.bump()
+	case p.accept("INDEX"):
 		name, err := p.ident()
 		if err != nil {
 			return nil, err
@@ -205,60 +203,11 @@ func (p *parser) createStmt() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		ci := &CreateIndex{Name: name, Table: table}
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			ci.Cols = append(ci.Cols, col)
-			if p.isPunct(",") {
-				p.bump()
-				continue
-			}
-			break
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return ci, nil
+		cols, err := p.identList()
+		return &CreateIndex{Name: name, Table: table, Cols: cols}, err
 	default:
 		return nil, errAt(p.tok.pos, "expected TABLE or INDEX after CREATE, got %s", p.tok)
 	}
-}
-
-func (p *parser) columnType() (relation.Kind, error) {
-	if p.tok.kind != tokKeyword {
-		return 0, errAt(p.tok.pos, "expected column type, got %s", p.tok)
-	}
-	var k relation.Kind
-	switch p.tok.text {
-	case "INTEGER", "INT":
-		k = relation.KindInt
-	case "TEXT", "VARCHAR":
-		k = relation.KindText
-	case "REAL", "FLOAT":
-		k = relation.KindFloat
-	case "BOOLEAN", "BOOL":
-		k = relation.KindBool
-	default:
-		return 0, errAt(p.tok.pos, "unknown column type %s", p.tok)
-	}
-	p.bump()
-	if p.isPunct("(") { // VARCHAR(255) — size is ignored
-		p.bump()
-		if p.tok.kind != tokNumber {
-			return 0, errAt(p.tok.pos, "expected size, got %s", p.tok)
-		}
-		p.bump()
-		if err := p.expectPunct(")"); err != nil {
-			return 0, err
-		}
-	}
-	return k, nil
 }
 
 func (p *parser) dropStmt() (Statement, error) {
@@ -267,19 +216,15 @@ func (p *parser) dropStmt() (Statement, error) {
 		return nil, err
 	}
 	dt := &DropTable{}
-	if p.isKeyword("IF") {
-		p.bump()
+	if p.accept("IF") {
 		if err := p.expectKeyword("EXISTS"); err != nil {
 			return nil, err
 		}
 		dt.IfExists = true
 	}
 	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
 	dt.Name = name
-	return dt, nil
+	return dt, err
 }
 
 func (p *parser) insertStmt() (Statement, error) {
@@ -293,63 +238,47 @@ func (p *parser) insertStmt() (Statement, error) {
 	}
 	ins := &Insert{Table: name}
 	if p.isPunct("(") {
-		p.bump()
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			ins.Cols = append(ins.Cols, col)
-			if p.isPunct(",") {
-				p.bump()
-				continue
-			}
-			break
-		}
-		if err := p.expectPunct(")"); err != nil {
+		if ins.Cols, err = p.identList(); err != nil {
 			return nil, err
 		}
 	}
 	switch {
-	case p.isKeyword("VALUES"):
-		p.bump()
+	case p.accept("VALUES"):
 		for {
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.expression()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if p.isPunct(",") {
-					p.bump()
-					continue
-				}
-				break
-			}
-			if err := p.expectPunct(")"); err != nil {
+			row, err := p.exprList()
+			if err != nil {
 				return nil, err
 			}
 			ins.Rows = append(ins.Rows, row)
-			if p.isPunct(",") {
-				p.bump()
-				continue
+			if !p.isPunct(",") {
+				return ins, nil
 			}
-			break
+			p.bump()
 		}
-		return ins, nil
 	case p.isKeyword("SELECT"):
-		sel, err := p.selectStmt()
+		ins.Query, err = p.selectStmt()
+		return ins, err
+	default:
+		return nil, errAt(p.tok.pos, "expected VALUES or SELECT, got %s", p.tok)
+	}
+}
+
+// exprList parses ( expr, ... ).
+func (p *parser) exprList() ([]Expr, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	var out []Expr
+	for {
+		e, err := p.expression()
 		if err != nil {
 			return nil, err
 		}
-		ins.Query = sel
-		return ins, nil
-	default:
-		return nil, errAt(p.tok.pos, "expected VALUES or SELECT, got %s", p.tok)
+		out = append(out, e)
+		if !p.isPunct(",") {
+			return out, p.expectPunct(")")
+		}
+		p.bump()
 	}
 }
 
@@ -375,16 +304,18 @@ func (p *parser) updateStmt() (Statement, error) {
 		if err := p.expectPunct("="); err != nil {
 			return nil, err
 		}
-		val, err := p.expression()
-		if err != nil {
-			return nil, err
+		lit, ok := p.literal()
+		if !ok {
+			return nil, errAt(p.tok.pos, "expected a literal, got %s", p.tok)
 		}
-		up.Set = append(up.Set, Assignment{Column: col, Value: val})
-		if p.isPunct(",") {
-			p.bump()
-			continue
+		if p.err != nil {
+			return nil, p.err
 		}
-		break
+		up.Set = append(up.Set, Assignment{Column: col, Value: lit.Val})
+		if !p.isPunct(",") {
+			break
+		}
+		p.bump()
 	}
 	if p.accept("WHERE") {
 		if up.Where, err = p.expression(); err != nil {
@@ -420,69 +351,46 @@ func (p *parser) selectStmt() (*Select, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
-	sel := &Select{}
-	if p.accept("DISTINCT") {
-		sel.Distinct = true
-	} else {
-		p.accept("ALL")
-	}
+	sel := &Select{Distinct: p.accept("DISTINCT")}
 	for {
-		se, err := p.selectExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Exprs = append(sel.Exprs, se)
-		if p.isPunct(",") {
+		se := SelectExpr{Star: p.isPunct("*")}
+		if se.Star {
 			p.bump()
-			continue
-		}
-		break
-	}
-	if p.accept("FROM") {
-		tr, err := p.tableRef()
-		if err != nil {
-			return nil, err
-		}
-		sel.From = append(sel.From, tr)
-	fromList:
-		for {
-			switch {
-			case p.isPunct(","):
-				p.bump()
-				tr, err := p.tableRef()
-				if err != nil {
+		} else {
+			var err error
+			if se.Expr, err = p.expression(); err != nil {
+				return nil, err
+			}
+			if p.accept("AS") {
+				if se.Alias, err = p.ident(); err != nil {
 					return nil, err
 				}
-				sel.From = append(sel.From, tr)
-			case p.isKeyword("CROSS"), p.isKeyword("INNER"), p.isKeyword("JOIN"):
-				p.accept("CROSS")
-				p.accept("INNER")
-				if err := p.expectKeyword("JOIN"); err != nil {
-					return nil, err
-				}
-				tr, err := p.tableRef()
-				if err != nil {
-					return nil, err
-				}
-				sel.From = append(sel.From, tr)
-				if p.accept("ON") {
-					cond, err := p.expression()
-					if err != nil {
-						return nil, err
-					}
-					sel.Where = conjoin(sel.Where, cond)
-				}
-			default:
-				break fromList
 			}
 		}
+		sel.Exprs = append(sel.Exprs, se)
+		if !p.isPunct(",") {
+			break
+		}
+		p.bump()
 	}
+	if p.accept("FROM") {
+		for {
+			tr, err := p.tableRef()
+			if err != nil {
+				return nil, err
+			}
+			sel.From = append(sel.From, tr)
+			if !p.isPunct(",") {
+				break
+			}
+			p.bump()
+		}
+	}
+	var err error
 	if p.accept("WHERE") {
-		w, err := p.expression()
-		if err != nil {
+		if sel.Where, err = p.expression(); err != nil {
 			return nil, err
 		}
-		sel.Where = conjoin(sel.Where, w)
 	}
 	if p.accept("GROUP") {
 		if err := p.expectKeyword("BY"); err != nil {
@@ -494,56 +402,41 @@ func (p *parser) selectStmt() (*Select, error) {
 				return nil, err
 			}
 			sel.GroupBy = append(sel.GroupBy, e)
-			if p.isPunct(",") {
-				p.bump()
-				continue
+			if !p.isPunct(",") {
+				break
 			}
-			break
+			p.bump()
 		}
 	}
 	if p.accept("HAVING") {
-		h, err := p.expression()
-		if err != nil {
+		if sel.Having, err = p.expression(); err != nil {
 			return nil, err
 		}
-		sel.Having = h
 	}
 	if p.accept("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
 		for {
-			e, err := p.expression()
+			name, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			item := OrderItem{Expr: e}
-			if p.accept("DESC") {
-				item.Desc = true
-			} else {
-				p.accept("ASC")
+			ref, err := p.columnRef(name)
+			if err != nil {
+				return nil, err
 			}
-			sel.OrderBy = append(sel.OrderBy, item)
-			if p.isPunct(",") {
-				p.bump()
-				continue
+			sel.OrderBy = append(sel.OrderBy, ref)
+			if !p.isPunct(",") {
+				break
 			}
-			break
+			p.bump()
 		}
 	}
 	if p.accept("LIMIT") {
-		e, err := p.expression()
-		if err != nil {
+		if sel.Limit, err = p.expression(); err != nil {
 			return nil, err
 		}
-		sel.Limit = e
-	}
-	if p.accept("OFFSET") {
-		e, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		sel.Offset = e
 	}
 	return sel, nil
 }
@@ -558,71 +451,19 @@ func conjoin(a, b Expr) Expr {
 	return &Binary{Op: "AND", L: a, R: b}
 }
 
-func (p *parser) selectExpr() (SelectExpr, error) {
-	if p.isPunct("*") {
-		p.bump()
-		return SelectExpr{Star: true}, nil
-	}
-	// t.* form: identifier '.' '*'
-	if p.tok.kind == tokIdent {
-		save := *p.lex
-		saveTok := p.tok
-		name := p.tok.text
-		p.bump()
-		if p.isPunct(".") {
-			p.bump()
-			if p.isPunct("*") {
-				p.bump()
-				return SelectExpr{Star: true, StarTable: name}, nil
-			}
-		}
-		*p.lex = save
-		p.tok = saveTok
-	}
-	e, err := p.expression()
-	if err != nil {
-		return SelectExpr{}, err
-	}
-	se := SelectExpr{Expr: e}
-	if p.accept("AS") {
-		alias, err := p.ident()
-		if err != nil {
-			return SelectExpr{}, err
-		}
-		se.Alias = alias
-	} else if p.tok.kind == tokIdent {
-		se.Alias = p.tok.text
-		p.bump()
-	}
-	return se, nil
-}
-
+// tableRef parses a base table or a derived table (subquery), each with
+// an optional alias — required for a derived table.
 func (p *parser) tableRef() (TableRef, error) {
 	var tr TableRef
+	var err error
 	if p.isPunct("(") {
-		p.bump()
-		sub, err := p.selectStmt()
-		if err != nil {
+		if tr.Sub, err = p.subquery(); err != nil {
 			return tr, err
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return tr, err
-		}
-		tr.Sub = sub
-	} else {
-		name, err := p.ident()
-		if err != nil {
-			return tr, err
-		}
-		tr.Table = name
+	} else if tr.Table, err = p.ident(); err != nil {
+		return tr, err
 	}
-	if p.accept("AS") {
-		alias, err := p.ident()
-		if err != nil {
-			return tr, err
-		}
-		tr.Alias = alias
-	} else if p.tok.kind == tokIdent {
+	if p.tok.kind == tokIdent {
 		tr.Alias = p.tok.text
 		p.bump()
 	}
@@ -641,8 +482,7 @@ func (p *parser) orExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.isKeyword("OR") {
-		p.bump()
+	for p.accept("OR") {
 		r, err := p.andExpr()
 		if err != nil {
 			return nil, err
@@ -653,13 +493,12 @@ func (p *parser) orExpr() (Expr, error) {
 }
 
 func (p *parser) andExpr() (Expr, error) {
-	l, err := p.notExpr()
+	l, err := p.comparison()
 	if err != nil {
 		return nil, err
 	}
-	for p.isKeyword("AND") {
-		p.bump()
-		r, err := p.notExpr()
+	for p.accept("AND") {
+		r, err := p.comparison()
 		if err != nil {
 			return nil, err
 		}
@@ -668,147 +507,55 @@ func (p *parser) andExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) notExpr() (Expr, error) {
-	if p.isKeyword("NOT") && !p.peekIsExists() {
-		p.bump()
-		x, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "NOT", X: x}, nil
-	}
-	return p.comparison()
-}
-
-// peekIsExists reports whether the current NOT begins NOT EXISTS (...),
-// which comparison() handles so Exists carries its own negation flag.
-func (p *parser) peekIsExists() bool {
-	if !p.isKeyword("NOT") {
-		return false
-	}
-	save := *p.lex
-	saveTok := p.tok
-	p.bump()
-	isExists := p.isKeyword("EXISTS")
-	*p.lex = save
-	p.tok = saveTok
-	return isExists
-}
-
+// comparison parses [NOT] EXISTS (SELECT ...), or an operand followed
+// by comparisons, IS [NOT] NULL and IN.
 func (p *parser) comparison() (Expr, error) {
-	if p.isKeyword("EXISTS") || (p.isKeyword("NOT") && p.peekIsExists()) {
+	if p.isKeyword("EXISTS") || p.isKeyword("NOT") {
 		neg := p.accept("NOT")
 		if err := p.expectKeyword("EXISTS"); err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		sub, err := p.selectStmt()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return &Exists{Sub: sub, Neg: neg}, nil
+		sub, err := p.subquery()
+		return &Exists{Sub: sub, Neg: neg}, err
 	}
 
-	l, err := p.additive()
+	l, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		switch {
-		case p.isPunct("=") || p.isPunct("<>") || p.isPunct("!=") ||
+		case p.isPunct("=") || p.isPunct("<>") ||
 			p.isPunct("<") || p.isPunct("<=") || p.isPunct(">") || p.isPunct(">="):
 			op := p.tok.text
-			if op == "!=" {
-				op = "<>"
-			}
 			p.bump()
-			r, err := p.additive()
+			r, err := p.primary()
 			if err != nil {
 				return nil, err
 			}
 			l = &Binary{Op: op, L: l, R: r}
 
-		case p.isKeyword("IS"):
-			p.bump()
+		case p.accept("IS"):
 			neg := p.accept("NOT")
 			if err := p.expectKeyword("NULL"); err != nil {
 				return nil, err
 			}
 			l = &IsNull{X: l, Neg: neg}
 
-		case p.isKeyword("IN"), p.isKeyword("NOT"), p.isKeyword("LIKE"), p.isKeyword("BETWEEN"):
-			neg := false
-			if p.isKeyword("NOT") {
-				save := *p.lex
-				saveTok := p.tok
-				p.bump()
-				if !p.isKeyword("IN") && !p.isKeyword("LIKE") && !p.isKeyword("BETWEEN") {
-					*p.lex = save
-					p.tok = saveTok
-					return l, nil
+		case p.accept("IN"):
+			if p.isPunct("(") && p.peekSelect() {
+				sub, err := p.subquery()
+				if err != nil {
+					return nil, err
 				}
-				neg = true
+				l = &InSelect{X: l, Sub: sub}
+				continue
 			}
-			switch {
-			case p.accept("IN"):
-				if err := p.expectPunct("("); err != nil {
-					return nil, err
-				}
-				if p.isKeyword("SELECT") {
-					sub, err := p.selectStmt()
-					if err != nil {
-						return nil, err
-					}
-					if err := p.expectPunct(")"); err != nil {
-						return nil, err
-					}
-					l = &InSelect{X: l, Sub: sub, Neg: neg}
-				} else {
-					var list []Expr
-					for {
-						e, err := p.expression()
-						if err != nil {
-							return nil, err
-						}
-						list = append(list, e)
-						if p.isPunct(",") {
-							p.bump()
-							continue
-						}
-						break
-					}
-					if err := p.expectPunct(")"); err != nil {
-						return nil, err
-					}
-					l = &InList{X: l, List: list, Neg: neg}
-				}
-			case p.accept("LIKE"):
-				pat, err := p.additive()
-				if err != nil {
-					return nil, err
-				}
-				l = &Like{X: l, Pattern: pat, Neg: neg}
-			case p.accept("BETWEEN"):
-				lo, err := p.additive()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectKeyword("AND"); err != nil {
-					return nil, err
-				}
-				hi, err := p.additive()
-				if err != nil {
-					return nil, err
-				}
-				l = &Between{X: l, Lo: lo, Hi: hi, Neg: neg}
-			default:
-				return nil, errAt(p.tok.pos, "expected IN, LIKE or BETWEEN, got %s", p.tok)
+			list, err := p.exprList()
+			if err != nil {
+				return nil, err
 			}
+			l = &InList{X: l, List: list}
 
 		default:
 			return l, nil
@@ -816,220 +563,159 @@ func (p *parser) comparison() (Expr, error) {
 	}
 }
 
-func (p *parser) additive() (Expr, error) {
-	l, err := p.multiplicative()
+// peekSelect reports whether the token after the current one is SELECT.
+func (p *parser) peekSelect() bool {
+	save, saveTok := *p.lex, p.tok
+	p.bump()
+	is := p.isKeyword("SELECT")
+	*p.lex, p.tok, p.err = save, saveTok, nil
+	return is
+}
+
+// subquery parses ( SELECT ... ).
+func (p *parser) subquery() (*Select, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	sub, err := p.selectStmt()
 	if err != nil {
 		return nil, err
 	}
-	for p.isPunct("+") || p.isPunct("-") || p.isPunct("||") {
-		op := p.tok.text
-		p.bump()
-		r, err := p.multiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-	return l, nil
+	return sub, p.expectPunct(")")
 }
 
-func (p *parser) multiplicative() (Expr, error) {
-	l, err := p.unary()
-	if err != nil {
-		return nil, err
-	}
-	for p.isPunct("*") || p.isPunct("/") || p.isPunct("%") {
-		op := p.tok.text
-		p.bump()
-		r, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) unary() (Expr, error) {
-	if p.isPunct("-") {
-		p.bump()
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "-", X: x}, nil
-	}
-	if p.isPunct("+") {
-		p.bump()
-		return p.unary()
-	}
-	return p.primary()
-}
-
-func (p *parser) primary() (Expr, error) {
+// literal consumes a literal — a number (negative after a minus), a
+// string, NULL, TRUE or FALSE — when one is next. A malformed number
+// leaves its error in p.err.
+func (p *parser) literal() (*Literal, bool) {
 	tok := p.tok
 	switch {
+	case tok.kind == tokPunct && tok.text == "-":
+		p.bump()
+		if p.tok.kind != tokNumber {
+			p.err = errAt(p.tok.pos, "expected a number after -, got %s", p.tok)
+			return nil, true
+		}
+		lit, _ := p.literal()
+		if lit != nil {
+			lit.Val.I, lit.Val.F = -lit.Val.I, -lit.Val.F
+		}
+		return lit, true
 	case tok.kind == tokNumber:
 		p.bump()
 		if strings.ContainsAny(tok.text, ".eE") {
 			f, err := strconv.ParseFloat(tok.text, 64)
 			if err != nil {
-				return nil, errAt(tok.pos, "bad number %q", tok.text)
+				p.err = errAt(tok.pos, "bad number %q", tok.text)
 			}
-			return &Literal{Val: relation.Float(f)}, nil
+			return &Literal{Val: relation.Float(f)}, true
 		}
 		i, err := strconv.ParseInt(tok.text, 10, 64)
 		if err != nil {
-			return nil, errAt(tok.pos, "bad integer %q", tok.text)
+			p.err = errAt(tok.pos, "bad integer %q", tok.text)
 		}
-		return &Literal{Val: relation.Int(i)}, nil
-
+		return &Literal{Val: relation.Int(i)}, true
 	case tok.kind == tokString:
 		p.bump()
-		return &Literal{Val: relation.Text(tok.text)}, nil
+		return &Literal{Val: relation.Text(tok.text)}, true
+	case p.accept("NULL"):
+		return &Literal{Val: relation.Null()}, true
+	case p.accept("TRUE"):
+		return &Literal{Val: relation.Bool(true)}, true
+	case p.accept("FALSE"):
+		return &Literal{Val: relation.Bool(false)}, true
+	}
+	return nil, false
+}
 
+// functions are the dialect's functions by name: their argument count,
+// or 0 for COUNT, which takes only *.
+var functions = map[string]int{"COUNT": 0, "SUM": 1, "MAX": 1, "ABS": 1, "TOTEXT": 1, "COALESCE": 2}
+
+func (p *parser) primary() (Expr, error) {
+	tok := p.tok
+	if lit, ok := p.literal(); ok {
+		if p.err != nil {
+			return nil, p.err
+		}
+		return lit, nil
+	}
+	switch {
 	case tok.kind == tokParam:
 		p.bump()
 		e := &Param{Index: p.params}
 		p.params++
 		return e, nil
 
-	case p.isKeyword("NULL"):
-		p.bump()
-		return &Literal{Val: relation.Null()}, nil
-	case p.isKeyword("TRUE"):
-		p.bump()
-		return &Literal{Val: relation.Bool(true)}, nil
-	case p.isKeyword("FALSE"):
-		p.bump()
-		return &Literal{Val: relation.Bool(false)}, nil
-
 	case p.isKeyword("CASE"):
 		return p.caseExpr()
 
-	case p.isKeyword("COUNT") || p.isKeyword("SUM") || p.isKeyword("AVG") ||
-		p.isKeyword("MIN") || p.isKeyword("MAX"):
-		name := tok.text
-		p.bump()
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		fc := &FuncCall{Name: name}
-		if p.isPunct("*") {
-			p.bump()
-			fc.Star = true
-		} else {
-			if p.accept("DISTINCT") {
-				fc.Distinct = true
-			}
-			arg, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			fc.Args = []Expr{arg}
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return fc, nil
-
 	case p.isPunct("("):
 		p.bump()
-		if p.isKeyword("SELECT") {
-			sub, err := p.selectStmt()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			return &ScalarSub{Sub: sub}, nil
-		}
 		e, err := p.expression()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return e, p.expectPunct(")")
 
 	case tok.kind == tokIdent:
-		name := tok.text
 		p.bump()
-		if p.isPunct("(") { // scalar function
+		if !p.isPunct("(") {
+			return p.columnRef(tok.text)
+		}
+		name := strings.ToUpper(tok.text)
+		n, ok := functions[name]
+		if !ok {
+			return nil, notSupported(tok.pos, name)
+		}
+		fc := &FuncCall{Name: name}
+		if n == 0 {
 			p.bump()
-			fc := &FuncCall{Name: strings.ToUpper(name)}
-			if !p.isPunct(")") {
-				for {
-					arg, err := p.expression()
-					if err != nil {
-						return nil, err
-					}
-					fc.Args = append(fc.Args, arg)
-					if p.isPunct(",") {
-						p.bump()
-						continue
-					}
-					break
-				}
-			}
-			if err := p.expectPunct(")"); err != nil {
+			if err := p.expectPunct("*"); err != nil {
 				return nil, err
 			}
-			return fc, nil
+			fc.Star = true
+			return fc, p.expectPunct(")")
 		}
-		if p.isPunct(".") {
-			p.bump()
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return &ColumnRef{Table: name, Column: col}, nil
+		args, err := p.exprList()
+		if err == nil && len(args) != n {
+			err = errAt(tok.pos, "%s takes %d argument(s), got %d", name, n, len(args))
 		}
-		return &ColumnRef{Column: name}, nil
+		fc.Args = args
+		return fc, err
 
 	default:
 		return nil, errAt(tok.pos, "unexpected %s in expression", tok)
 	}
 }
 
+// columnRef parses the rest of a column reference whose first name the
+// caller consumed: name or table.name.
+func (p *parser) columnRef(name string) (*ColumnRef, error) {
+	if !p.isPunct(".") {
+		return &ColumnRef{Column: name}, nil
+	}
+	p.bump()
+	col, err := p.ident()
+	return &ColumnRef{Table: name, Column: col}, err
+}
+
+// caseExpr parses CASE WHEN cond THEN e ELSE e END.
 func (p *parser) caseExpr() (Expr, error) {
 	p.bump() // CASE
 	c := &Case{}
-	if !p.isKeyword("WHEN") {
-		op, err := p.expression()
-		if err != nil {
+	for _, part := range []struct {
+		kw  string
+		dst *Expr
+	}{{"WHEN", &c.Cond}, {"THEN", &c.Then}, {"ELSE", &c.Else}} {
+		if err := p.expectKeyword(part.kw); err != nil {
 			return nil, err
 		}
-		c.Operand = op
-	}
-	for p.accept("WHEN") {
-		cond, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("THEN"); err != nil {
-			return nil, err
-		}
-		res, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		c.Whens = append(c.Whens, When{Cond: cond, Result: res})
-	}
-	if len(c.Whens) == 0 {
-		return nil, errAt(p.tok.pos, "CASE requires at least one WHEN")
-	}
-	if p.accept("ELSE") {
 		e, err := p.expression()
 		if err != nil {
 			return nil, err
 		}
-		c.Else = e
+		*part.dst = e
 	}
-	if err := p.expectKeyword("END"); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c, p.expectKeyword("END")
 }

@@ -104,11 +104,10 @@ type planConjunct struct {
 	srcs  srcMask
 	eqs   []equiSide  // equality shapes usable as join/probe keys
 	rngs  []rangeSide // inequality shapes usable as range-scan bounds
-	// rngNeed is the elision contract of a single-predicate range
-	// conjunct: how many adopted inclusive bounds make the retained
-	// filter redundant — 1 for <= / >=, 2 for BETWEEN (both bounds),
-	// 0 when the predicate can never be elided (strict operators).
-	rngNeed int
+	// rngIncl marks a single inclusive bound (<= / >=): adopted by a
+	// range scan, it makes the retained filter redundant. A strict bound
+	// never does.
+	rngIncl bool
 }
 
 // holds decides the conjunct whole for the bound rows: it passes when
@@ -144,15 +143,13 @@ type equiSide struct {
 // rangeSide describes a single-term inequality bound on a column:
 // sources[src].col >= key (lower true) or <= key (lower false), with
 // key reading only otherSrcs. Bounds are recorded inclusively — range
-// pruning is conservative — but strict carries the operator's
-// strictness: a strict bound (<, >) prunes inclusively and keeps its
-// filter, while an inclusive bound adopted by the scan is *exactly*
-// implied by the prune, so buildSchedule elides the redundant filter
-// (the strictness flag exists precisely to tell the two apart).
+// pruning is conservative: a strict bound (<, >) prunes inclusively and
+// keeps its filter, while an inclusive bound adopted by the scan is
+// *exactly* implied by the prune, so buildSchedule elides the redundant
+// filter (planConjunct.rngIncl tells the two apart).
 type rangeSide struct {
 	src, col  int
 	lower     bool
-	strict    bool
 	otherSrcs srcMask
 	key       compiledExpr
 }
@@ -278,14 +275,14 @@ func (c *compiler) extractEqui(e Expr, depth int, pc *planConjunct) {
 }
 
 // extractRange records the range-bound shapes of a single-term
-// inequality conjunct (<, <=, >, >= and BETWEEN). The bound key must
+// inequality conjunct (<, <=, >, >=). The bound key must
 // not read the bounded source itself; outer scopes, parameters and
 // constants are fine. Strict bounds are never consumed — range pruning
 // restricts the scan, the retained filter enforces exact semantics.
-// Inclusive bounds set pc.rngNeed, and buildSchedule elides the filter
-// when the index prune adopts enough of them to imply the predicate.
+// An inclusive bound sets pc.rngIncl, and buildSchedule elides the
+// filter when the index prune adopts it.
 func (c *compiler) extractRange(e Expr, depth int, pc *planConjunct) {
-	record := func(colSide, keySide Expr, lower, strict bool) {
+	record := func(colSide, keySide Expr, lower bool) {
 		ref, ok := colSide.(*ColumnRef)
 		if !ok {
 			return
@@ -309,39 +306,27 @@ func (c *compiler) extractRange(e Expr, depth int, pc *planConjunct) {
 		if err != nil {
 			return
 		}
-		pc.rngs = append(pc.rngs, rangeSide{src: bd.src, col: bd.col, lower: lower, strict: strict, otherSrcs: keyMask, key: kex})
+		pc.rngs = append(pc.rngs, rangeSide{src: bd.src, col: bd.col, lower: lower, otherSrcs: keyMask, key: kex})
 	}
-	switch x := e.(type) {
-	case *Binary:
-		strict := x.Op == "<" || x.Op == ">"
-		switch x.Op {
-		case "<", "<=":
-			record(x.L, x.R, false, strict) // col <= key: upper bound
-			record(x.R, x.L, true, strict)  // key <= col: lower bound
-		case ">", ">=":
-			record(x.L, x.R, true, strict)
-			record(x.R, x.L, false, strict)
-		default:
-			return
-		}
-		if !strict && len(pc.rngs) > 0 {
-			pc.rngNeed = 1 // one adopted inclusive bound implies the predicate
-		}
-	case *Between:
-		if x.Neg {
-			return // NOT BETWEEN is a disjunction of ranges, not a bound
-		}
-		record(x.X, x.Lo, true, false)
-		record(x.X, x.Hi, false, false)
-		if len(pc.rngs) == 2 {
-			pc.rngNeed = 2 // both bounds must be adopted to imply BETWEEN
-		}
+	x, ok := e.(*Binary)
+	if !ok {
+		return
 	}
+	switch x.Op {
+	case "<", "<=":
+		record(x.L, x.R, false) // col <= key: upper bound
+		record(x.R, x.L, true)  // key <= col: lower bound
+	case ">", ">=":
+		record(x.L, x.R, true)
+		record(x.R, x.L, false)
+	default:
+		return
+	}
+	pc.rngIncl = (x.Op == "<=" || x.Op == ">=") && len(pc.rngs) > 0
 }
 
 // planOrderBy records the index-served ORDER BY candidate on cs: all
-// sort keys are plain ascending columns of one base-table source (a
-// DESC key leaves the order to the sort). Whether an index actually
+// sort keys are columns of one base-table source. Whether an index actually
 // covers the column prefix is decided per schedule (indexes can appear
 // via CREATE INDEX, which recompiles plans) in buildSchedule. For
 // multi-table joins the candidate is served only when that source is
@@ -357,11 +342,7 @@ func (c *compiler) planOrderBy(sel *Select, cs *compiledSelect) {
 	}
 	src := -1
 	var cols []int
-	for _, o := range sel.OrderBy {
-		ref, ok := o.Expr.(*ColumnRef)
-		if o.Desc || !ok {
-			return
-		}
+	for _, ref := range sel.OrderBy {
 		bd, err := c.resolve(ref)
 		if err != nil || bd.depth != cs.depth {
 			return
@@ -448,10 +429,8 @@ type rangePlan struct {
 	col    int // schema position of idx.Cols[0], for EXPLAIN
 	lo, hi compiledExpr
 	// Adoption bookkeeping for filter elision: which conjunct supplied
-	// each bound (-1 none) and whether that bound's operator was strict
-	// (strict bounds prune inclusively and never justify elision).
-	loConj, hiConj     int
-	loStrict, hiStrict bool
+	// each bound (-1 none).
+	loConj, hiConj int
 	// skipNullLo: an upper-bound filter was elided with no lower bound
 	// present, so the scan itself must exclude the NULL rows that sort
 	// before every bounded value (the filter would have rejected them).
@@ -634,15 +613,7 @@ func buildSchedule(cs *compiledSelect, order []int, ep *epoch) *schedule {
 						if ci < 0 || consumed[ci] {
 							return
 						}
-						pc := cs.conjs[ci]
-						adopted := 0
-						if rp.loConj == ci && !rp.loStrict {
-							adopted++
-						}
-						if rp.hiConj == ci && !rp.hiStrict {
-							adopted++
-						}
-						if pc.rngNeed == 0 || adopted < pc.rngNeed {
+						if !cs.conjs[ci].rngIncl {
 							return
 						}
 						consumed[ci] = true
@@ -753,10 +724,10 @@ func buildRangePlan(cs *compiledSelect, td *tableData, s int, bound srcMask, onl
 			}
 			if rs.lower {
 				if rp.lo == nil {
-					rp.lo, rp.loConj, rp.loStrict = rs.key, ci, rs.strict
+					rp.lo, rp.loConj = rs.key, ci
 				}
 			} else if rp.hi == nil {
-				rp.hi, rp.hiConj, rp.hiStrict = rs.key, ci, rs.strict
+				rp.hi, rp.hiConj = rs.key, ci
 			}
 		}
 	}
@@ -1079,7 +1050,7 @@ func (cs *compiledSelect) rangeRows(en *env, lv *schedLevel) ([]int, bool, error
 // materializing output rows. DML row selection (rowSelect) uses it to
 // collect the target row set.
 func (cs *compiledSelect) semiScan(en *env, yield func(idx []int) error) error {
-	if !cs.planOK || cs.grouped || cs.limit != nil || cs.offset != nil {
+	if !cs.planOK || cs.grouped || cs.limit != nil {
 		return fmt.Errorf("sql: internal: semiScan on unplannable select")
 	}
 	if len(en.frames) != cs.depth {

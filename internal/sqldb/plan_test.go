@@ -133,7 +133,7 @@ func TestExplainSemiJoinRowSelection(t *testing.T) {
 		}
 	}
 	upd := func(target, sub string) string {
-		return `UPDATE ` + target + ` t SET flag = 1 - flag WHERE EXISTS (SELECT 1 FROM ` + sub + ` p WHERE p.id = t.id)`
+		return `UPDATE ` + target + ` t SET flag = 1 WHERE EXISTS (SELECT 1 FROM ` + sub + ` p WHERE p.id = t.id)`
 	}
 	check("large target, tiny subquery", upd("d", "pat"), "semi-join row selection", 1)
 	// Grow the subquery side past a quarter of the target: the same
@@ -367,7 +367,7 @@ func TestDeletePlannedSelectionDifferential(t *testing.T) {
 			case 6:
 				return "EXISTS (SELECT 1 FROM pat c WHERE c.p = t.rid AND c.q >= 1)"
 			case 7:
-				return "t.a NOT IN (SELECT c.p FROM pat c)"
+				return "NOT EXISTS (SELECT 1 FROM pat c WHERE c.p = t.a)"
 			default:
 				return "t.x IS NULL"
 			}

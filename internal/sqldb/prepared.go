@@ -353,9 +353,6 @@ func walkStmtExprs(stmt Statement, fn func(Expr)) {
 			walkSelectTree(s.Query, fn)
 		}
 	case *Update:
-		for _, a := range s.Set {
-			walkExprTree(a.Value, fn)
-		}
 		walkExprTree(s.Where, fn)
 	case *Delete:
 		walkExprTree(s.Where, fn)
@@ -378,11 +375,7 @@ func walkSelectTree(sel *Select, fn func(Expr)) {
 		walkExprTree(g, fn)
 	}
 	walkExprTree(sel.Having, fn)
-	for _, o := range sel.OrderBy {
-		walkExprTree(o.Expr, fn)
-	}
 	walkExprTree(sel.Limit, fn)
-	walkExprTree(sel.Offset, fn)
 }
 
 func walkExprTree(e Expr, fn func(Expr)) {
@@ -391,8 +384,6 @@ func walkExprTree(e Expr, fn func(Expr)) {
 	}
 	fn(e)
 	switch x := e.(type) {
-	case *Unary:
-		walkExprTree(x.X, fn)
 	case *Binary:
 		walkExprTree(x.L, fn)
 		walkExprTree(x.R, fn)
@@ -403,19 +394,9 @@ func walkExprTree(e Expr, fn func(Expr)) {
 		for _, it := range x.List {
 			walkExprTree(it, fn)
 		}
-	case *Like:
-		walkExprTree(x.X, fn)
-		walkExprTree(x.Pattern, fn)
-	case *Between:
-		walkExprTree(x.X, fn)
-		walkExprTree(x.Lo, fn)
-		walkExprTree(x.Hi, fn)
 	case *Case:
-		walkExprTree(x.Operand, fn)
-		for _, w := range x.Whens {
-			walkExprTree(w.Cond, fn)
-			walkExprTree(w.Result, fn)
-		}
+		walkExprTree(x.Cond, fn)
+		walkExprTree(x.Then, fn)
 		walkExprTree(x.Else, fn)
 	case *FuncCall:
 		for _, a := range x.Args {
@@ -425,8 +406,6 @@ func walkExprTree(e Expr, fn func(Expr)) {
 		walkSelectTree(x.Sub, fn)
 	case *InSelect:
 		walkExprTree(x.X, fn)
-		walkSelectTree(x.Sub, fn)
-	case *ScalarSub:
 		walkSelectTree(x.Sub, fn)
 	}
 }

@@ -72,10 +72,6 @@ func TestSelectStar(t *testing.T) {
 	if flat(res) != "eng,ann;ops,cat" {
 		t.Errorf("got %q", flat(res))
 	}
-	res = mustQuery(t, db, `SELECT d.* FROM dept d ORDER BY 1 DESC`)
-	if flat(res) != "ops,cat;eng,ann" {
-		t.Errorf("got %q", flat(res))
-	}
 }
 
 func TestWhereOperators(t *testing.T) {
@@ -84,18 +80,10 @@ func TestWhereOperators(t *testing.T) {
 		`SELECT id FROM emp WHERE salary > 85 ORDER BY id`:                    "1;2",
 		`SELECT id FROM emp WHERE salary >= 80 AND dept <> 'eng' ORDER BY id`: "3;4",
 		`SELECT id FROM emp WHERE dept = 'eng' OR dept = 'hr' ORDER BY id`:    "1;2;5",
-		`SELECT id FROM emp WHERE NOT (dept = 'eng') ORDER BY id`:             "3;4;5",
 		`SELECT id FROM emp WHERE salary IS NULL`:                             "5",
 		`SELECT id FROM emp WHERE salary IS NOT NULL ORDER BY id`:             "1;2;3;4",
 		`SELECT id FROM emp WHERE id IN (2, 4, 99) ORDER BY id`:               "2;4",
-		`SELECT id FROM emp WHERE id NOT IN (1, 2, 3, 5)`:                     "4",
-		`SELECT id FROM emp WHERE name LIKE '%a%' ORDER BY id`:                "1;3;4",
-		`SELECT id FROM emp WHERE name LIKE '_a_' ORDER BY id`:                "3;4",
-		`SELECT id FROM emp WHERE name NOT LIKE '%a%' ORDER BY id`:            "2;5",
-		`SELECT id FROM emp WHERE salary BETWEEN 80 AND 95 ORDER BY id`:       "2;3;4",
-		`SELECT id FROM emp WHERE salary NOT BETWEEN 80 AND 95 ORDER BY id`:   "1",
-		`SELECT id FROM emp WHERE id % 2 = 0 ORDER BY id`:                     "2;4",
-		`SELECT id FROM emp WHERE id != 1 AND id < 3`:                         "2",
+		`SELECT id FROM emp WHERE id <> 1 AND id < 3`:                         "2",
 	}
 	for q, want := range cases {
 		if got := flat(mustQuery(t, db, q)); got != want {
@@ -113,64 +101,45 @@ func TestNullComparisonNeverMatches(t *testing.T) {
 	if got := flat(mustQuery(t, db, `SELECT id FROM emp WHERE salary <> NULL`)); got != "" {
 		t.Errorf("<> NULL matched %q", got)
 	}
-	// NOT IN with a NULL in the list is never true.
-	if got := flat(mustQuery(t, db, `SELECT id FROM emp WHERE id NOT IN (1, NULL)`)); got != "" {
-		t.Errorf("NOT IN (…, NULL) matched %q", got)
-	}
 	// IN with NULL still matches listed values.
 	if got := flat(mustQuery(t, db, `SELECT id FROM emp WHERE id IN (1, NULL)`)); got != "1" {
 		t.Errorf("IN (1, NULL) = %q", got)
 	}
 }
 
+// TestArithmeticAndFunctions: the dialect's functions evaluate, and
+// arithmetic, which it leaves out, is refused.
 func TestArithmeticAndFunctions(t *testing.T) {
 	db := testDB(t)
 	cases := map[string]string{
-		`SELECT 1 + 2 * 3`:                             "7",
-		`SELECT (1 + 2) * 3`:                           "9",
-		`SELECT -5 + 2`:                                "-3",
-		`SELECT 7 / 2`:                                 "3",
-		`SELECT 7.0 / 2`:                               "3.5",
-		`SELECT 7 % 3`:                                 "1",
-		`SELECT ABS(-4)`:                               "4",
-		`SELECT ABS(-4.5)`:                             "4.5",
-		`SELECT COALESCE(NULL, NULL, 3)`:               "3",
-		`SELECT COALESCE(NULL, 'x')`:                   "x",
-		`SELECT LENGTH('hello')`:                       "5",
-		`SELECT UPPER('aBc')`:                          "ABC",
-		`SELECT LOWER('aBc')`:                          "abc",
-		`SELECT NULLIF(3, 3)`:                          "NULL",
-		`SELECT NULLIF(3, 4)`:                          "3",
-		`SELECT 'a' || 'b' || 'c'`:                     "abc",
-		`SELECT TRUE`:                                  "TRUE",
-		`SELECT FALSE OR TRUE`:                         "TRUE",
+		`SELECT -5`:                  "-5",
+		`SELECT ABS(-4)`:             "4",
+		`SELECT ABS(-4.5)`:           "4.5",
+		`SELECT COALESCE(NULL, 'x')`: "x",
+		`SELECT COALESCE(3, 'x')`:    "3",
+		`SELECT TOTEXT(3)`:           "3",
+		`SELECT TRUE`:                "TRUE",
+		`SELECT FALSE OR TRUE`:       "TRUE",
 		`SELECT CASE WHEN 1 > 2 THEN 'x' ELSE 'y' END`: "y",
-		`SELECT CASE 2 WHEN 1 THEN 'a' WHEN 2 THEN 'b' END`: "b",
-		`SELECT CASE 9 WHEN 1 THEN 'a' END`:                 "NULL",
 	}
 	for q, want := range cases {
 		if got := flat(mustQuery(t, db, q)); got != want {
 			t.Errorf("%s = %q, want %q", q, got, want)
 		}
 	}
-	if _, err := db.Query(`SELECT 1 / 0`); err == nil {
-		t.Error("division by zero must error")
-	}
-	if _, err := db.Query(`SELECT 1 % 0`); err == nil {
-		t.Error("modulo by zero must error")
+	for _, q := range []string{`SELECT 1 + 2`, `SELECT 7 / 2`, `SELECT 7 % 3`, `SELECT 'a' || 'b'`} {
+		if _, err := db.Query(q); err == nil {
+			t.Errorf("%s: arithmetic must be refused", q)
+		}
 	}
 }
 
 func TestJoins(t *testing.T) {
 	db := testDB(t)
 	want := "ann,ann;cat,cat"
-	q1 := `SELECT e.name, d.head FROM emp e, dept d WHERE e.dept = d.name AND e.name = d.head ORDER BY e.name`
-	q2 := `SELECT e.name, d.head FROM emp e JOIN dept d ON e.dept = d.name WHERE e.name = d.head ORDER BY e.name`
-	q3 := `SELECT e.name, d.head FROM emp e INNER JOIN dept d ON e.dept = d.name WHERE e.name = d.head ORDER BY e.name`
-	for _, q := range []string{q1, q2, q3} {
-		if got := flat(mustQuery(t, db, q)); got != want {
-			t.Errorf("%s = %q, want %q", q, got, want)
-		}
+	q := `SELECT e.name, d.head FROM emp e, dept d WHERE e.dept = d.name AND e.name = d.head ORDER BY e.name`
+	if got := flat(mustQuery(t, db, q)); got != want {
+		t.Errorf("%s = %q, want %q", q, got, want)
 	}
 	// Cross join cardinality.
 	res := mustQuery(t, db, `SELECT COUNT(*) FROM emp, dept`)
@@ -181,21 +150,13 @@ func TestJoins(t *testing.T) {
 
 func TestGroupByHaving(t *testing.T) {
 	db := testDB(t)
-	res := mustQuery(t, db, `SELECT dept, COUNT(*), SUM(salary), MIN(salary), MAX(salary) FROM emp GROUP BY dept ORDER BY dept`)
-	if flat(res) != "eng,2,190,90,100;hr,1,NULL,NULL,NULL;ops,2,160,80,80" {
+	res := mustQuery(t, db, `SELECT dept, COUNT(*), SUM(salary), MAX(salary) FROM emp GROUP BY dept ORDER BY dept`)
+	if flat(res) != "eng,2,190,100;hr,1,NULL,NULL;ops,2,160,80" {
 		t.Errorf("got %q", flat(res))
 	}
 	res = mustQuery(t, db, `SELECT dept FROM emp GROUP BY dept HAVING COUNT(*) > 1 ORDER BY dept`)
 	if flat(res) != "eng;ops" {
 		t.Errorf("HAVING got %q", flat(res))
-	}
-	res = mustQuery(t, db, `SELECT dept, COUNT(DISTINCT salary) FROM emp GROUP BY dept ORDER BY dept`)
-	if flat(res) != "eng,2;hr,0;ops,1" {
-		t.Errorf("COUNT DISTINCT got %q", flat(res))
-	}
-	res = mustQuery(t, db, `SELECT AVG(salary) FROM emp WHERE dept = 'ops'`)
-	if flat(res) != "80" {
-		t.Errorf("AVG got %q", flat(res))
 	}
 	// Global aggregate over empty input yields one row.
 	res = mustQuery(t, db, `SELECT COUNT(*), SUM(salary) FROM emp WHERE id > 100`)
@@ -206,11 +167,6 @@ func TestGroupByHaving(t *testing.T) {
 	res = mustQuery(t, db, `SELECT dept, COUNT(*) FROM emp WHERE id > 100 GROUP BY dept`)
 	if len(res.Rows) != 0 {
 		t.Errorf("empty grouped query returned %d rows", len(res.Rows))
-	}
-	// COUNT(col) skips NULLs.
-	res = mustQuery(t, db, `SELECT COUNT(salary), COUNT(*) FROM emp`)
-	if flat(res) != "4,5" {
-		t.Errorf("COUNT null handling got %q", flat(res))
 	}
 }
 
@@ -226,24 +182,23 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestOrderLimitOffset: ORDER BY sorts ascending on every key, LIMIT
+// cuts, and OFFSET, which the dialect leaves out, is refused.
 func TestOrderLimitOffset(t *testing.T) {
 	db := testDB(t)
-	res := mustQuery(t, db, `SELECT id FROM emp ORDER BY salary DESC, id ASC`)
-	// NULL sorts first ascending, so DESC puts it last.
-	if flat(res) != "1;2;3;4;5" {
+	res := mustQuery(t, db, `SELECT id FROM emp ORDER BY salary, id`)
+	// NULL sorts first.
+	if flat(res) != "5;3;4;2;1" {
 		t.Errorf("got %q", flat(res))
 	}
 	res = mustQuery(t, db, `SELECT id FROM emp ORDER BY id LIMIT 2`)
 	if flat(res) != "1;2" {
 		t.Errorf("LIMIT got %q", flat(res))
 	}
-	res = mustQuery(t, db, `SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 3`)
-	if flat(res) != "4;5" {
-		t.Errorf("OFFSET got %q", flat(res))
-	}
-	res = mustQuery(t, db, `SELECT id FROM emp ORDER BY id LIMIT 100 OFFSET 100`)
-	if flat(res) != "" {
-		t.Errorf("past-end OFFSET got %q", flat(res))
+	for _, q := range []string{`SELECT id FROM emp ORDER BY id DESC`, `SELECT id FROM emp ORDER BY id LIMIT 2 OFFSET 3`} {
+		if _, err := db.Query(q); err == nil {
+			t.Errorf("%s must be refused", q)
+		}
 	}
 }
 
@@ -297,27 +252,8 @@ func TestInSelect(t *testing.T) {
 	if flat(res) != "1;2;3;4" {
 		t.Errorf("IN subquery got %q", flat(res))
 	}
-	res = mustQuery(t, db, `SELECT id FROM emp WHERE dept NOT IN (SELECT name FROM dept)`)
-	if flat(res) != "5" {
-		t.Errorf("NOT IN subquery got %q", flat(res))
-	}
 	if _, err := db.Query(`SELECT id FROM emp WHERE dept IN (SELECT name, head FROM dept)`); err == nil {
 		t.Error("multi-column IN subquery must error")
-	}
-}
-
-func TestScalarSubquery(t *testing.T) {
-	db := testDB(t)
-	res := mustQuery(t, db, `SELECT (SELECT COUNT(*) FROM dept)`)
-	if flat(res) != "2" {
-		t.Errorf("got %q", flat(res))
-	}
-	res = mustQuery(t, db, `SELECT e.name FROM emp e WHERE e.salary = (SELECT MAX(salary) FROM emp)`)
-	if flat(res) != "ann" {
-		t.Errorf("got %q", flat(res))
-	}
-	if _, err := db.Query(`SELECT (SELECT id FROM emp)`); err == nil {
-		t.Error("scalar subquery with many rows must error")
 	}
 }
 
@@ -336,7 +272,7 @@ func TestDerivedTable(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	db := testDB(t)
-	n := mustExec(t, db, `UPDATE emp SET salary = salary + 10 WHERE dept = 'eng'`)
+	n := mustExec(t, db, `UPDATE emp SET salary = 110 WHERE dept = 'eng'`)
 	if n != 2 {
 		t.Errorf("affected %d, want 2", n)
 	}
@@ -345,13 +281,13 @@ func TestUpdate(t *testing.T) {
 		t.Errorf("got %q", flat(res))
 	}
 	// UPDATE with correlated EXISTS, the shape IncDetect uses.
-	n = mustExec(t, db, `UPDATE emp SET name = UPPER(name) WHERE EXISTS
+	n = mustExec(t, db, `UPDATE emp SET name = 'HEAD' WHERE EXISTS
 		(SELECT 1 FROM dept WHERE dept.name = emp.dept AND dept.head = emp.name)`)
 	if n != 2 {
 		t.Errorf("EXISTS update affected %d, want 2", n)
 	}
 	res = mustQuery(t, db, `SELECT name FROM emp WHERE id IN (1, 3) ORDER BY id`)
-	if flat(res) != "ANN;CAT" {
+	if flat(res) != "HEAD;HEAD" {
 		t.Errorf("got %q", flat(res))
 	}
 	if n := mustExec(t, db, `UPDATE emp SET salary = 0 WHERE id = 999`); n != 0 {
@@ -474,10 +410,6 @@ func TestTruncateAndDrop(t *testing.T) {
 	if _, err := db.Exec(`DROP TABLE dept`); err == nil {
 		t.Error("dropping a missing table must fail")
 	}
-	mustExec(t, db, `CREATE TABLE IF NOT EXISTS emp (x INTEGER)`) // exists: no-op
-	if got := flat(mustQuery(t, db, `SELECT COUNT(*) FROM emp`)); got != "5" {
-		t.Errorf("IF NOT EXISTS must not clobber: %q", got)
-	}
 	if _, err := db.Exec(`CREATE TABLE emp (x INTEGER)`); err == nil {
 		t.Error("duplicate create must fail")
 	}
@@ -593,30 +525,6 @@ func TestAggregateOutsideGrouping(t *testing.T) {
 	db := testDB(t)
 	if _, err := db.Query(`SELECT id FROM emp WHERE COUNT(*) > 1`); err == nil {
 		t.Error("aggregate in WHERE must error")
-	}
-}
-
-func TestLikeMatcher(t *testing.T) {
-	cases := []struct {
-		pat, s string
-		want   bool
-	}{
-		{"abc", "abc", true},
-		{"abc", "abd", false},
-		{"a%", "abc", true},
-		{"%c", "abc", true},
-		{"%b%", "abc", true},
-		{"a_c", "abc", true},
-		{"a_c", "abbc", false},
-		{"%", "", true},
-		{"_", "", false},
-		{"a%b%c", "aXbYc", true},
-		{"", "", true},
-	}
-	for _, c := range cases {
-		if got := likeMatch(c.pat, c.s); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
-		}
 	}
 }
 

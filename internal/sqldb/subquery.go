@@ -30,7 +30,7 @@ type inBuild struct {
 	hasNull bool
 }
 
-// compileExists lowers [NOT] EXISTS (SELECT ...). Three strategies:
+// compileExists lowers [NOT] EXISTS (SELECT ...). Two strategies:
 //
 //  1. Decorrelated probe — the subquery is a single-table select whose
 //     WHERE is a conjunction of (a) inner-column = outer-expr equalities
@@ -39,11 +39,9 @@ type inBuild struct {
 //     The eCFD detection queries' EXISTS (t.A = TA.A AND c.CID = TA.CID)
 //     all run as probe kernels over the same analysis (kprobe); this
 //     closure decides the parts no kernel takes, and it spares every
-//     EXISTS part the sub-select compilation strategy 3 would build.
-//  2. Uncorrelated — the subquery never references outer scopes: it is
-//     executed once per statement and its emptiness cached.
-//  3. Naive — re-execute per outer row (correlated in a form we cannot
-//     decorrelate; every correlated EXISTS in Reference mode).
+//     EXISTS part the sub-select compilation strategy 2 would build.
+//  2. Naive — re-execute per outer row (any other shape, an
+//     uncorrelated subquery among them; every EXISTS in Reference mode).
 func (c *compiler) compileExists(x *Exists) (compiledExpr, error) {
 	if probe, err := c.tryDecorrelate(x); err != nil {
 		return nil, err
@@ -56,35 +54,6 @@ func (c *compiler) compileExists(x *Exists) (compiledExpr, error) {
 		return nil, err
 	}
 	neg := x.Neg
-
-	deps := map[int]bool{}
-	if err := c.depsOfSelect(x.Sub, deps); err != nil {
-		return nil, err
-	}
-	if len(deps) == 0 {
-		// Uncorrelated: evaluate once per env, cache emptiness. Tables
-		// cannot change mid-statement (it reads one pinned epoch).
-		return func(en *env) (relation.Value, error) {
-			b, ok := en.hash[x]
-			if !ok {
-				// Frames beyond the subquery's depth must be hidden while
-				// executing an uncorrelated subquery compiled at depth
-				// len(c.scopes). They are restored by the deferred pop in
-				// exec, so only truncate here.
-				saved := en.frames
-				en.frames = en.frames[:cs.depth]
-				rows, err := cs.exec(en)
-				en.frames = saved
-				if err != nil {
-					return relation.Null(), err
-				}
-				b = &hashBuild{set: map[string]bool{"": len(rows) > 0}}
-				en.hash[x] = b
-			}
-			return relation.Bool(b.set[""] != neg), nil
-		}, nil
-	}
-
 	return func(en *env) (relation.Value, error) {
 		found, err := cs.execExists(en)
 		if err != nil {
@@ -182,7 +151,7 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 	sub := x.Sub
 	if len(sub.From) != 1 || sub.From[0].Sub != nil ||
 		len(sub.GroupBy) > 0 || sub.Having != nil || sub.Limit != nil ||
-		sub.Offset != nil || selectHasAggregate(sub) {
+		selectHasAggregate(sub) {
 		return nil, nil
 	}
 	t, err := c.ep.table(sub.From[0].Table)
@@ -397,13 +366,13 @@ func (sc *siteClassifier) adopt(e Expr) bool {
 	return site == sc.site
 }
 
-// cacheableCase reports the one-armed searched CASE with a literal
-// ELSE — the only CASE shape splitCase can split — without compiling
+// cacheableCase reports a CASE with a literal ELSE — the only CASE
+// shape splitCase can split — without compiling
 // or adopting anything. Shared by splitCase and buildProjSpec's
 // site-fixing pre-pass so the two can never drift apart.
 func cacheableCase(e Expr) (*Case, bool) {
 	cse, ok := e.(*Case)
-	if !ok || cse.Operand != nil || len(cse.Whens) != 1 {
+	if !ok {
 		return nil, false
 	}
 	if _, ok := cse.Else.(*Literal); !ok {
@@ -418,14 +387,14 @@ func cacheableCase(e Expr) (*Case, bool) {
 // shapes.
 func (sc *siteClassifier) splitCase(e Expr) (cond, res compiledExpr, alt relation.Value, ok bool, err error) {
 	cse, isCase := cacheableCase(e)
-	if !isCase || !sc.adopt(cse.Whens[0].Cond) {
+	if !isCase || !sc.adopt(cse.Cond) {
 		return
 	}
 	lit := cse.Else.(*Literal)
-	if cond, err = sc.c.compileExpr(cse.Whens[0].Cond); err != nil {
+	if cond, err = sc.c.compileExpr(cse.Cond); err != nil {
 		return nil, nil, relation.Value{}, false, err
 	}
-	if res, err = sc.c.compileExpr(cse.Whens[0].Result); err != nil {
+	if res, err = sc.c.compileExpr(cse.Then); err != nil {
 		return nil, nil, relation.Value{}, false, err
 	}
 	return cond, res, lit.Val, true, nil
@@ -456,13 +425,13 @@ func (c *compiler) singleSite(e Expr, innerDepth int) (binding, bool) {
 	return site, ok && site.depth >= 0
 }
 
-// exprHasSubquery reports whether e contains EXISTS, IN (SELECT) or a
-// scalar subquery anywhere.
+// exprHasSubquery reports whether e contains EXISTS or IN (SELECT)
+// anywhere.
 func exprHasSubquery(e Expr) bool {
 	found := false
 	walkExprTree(e, func(x Expr) {
 		switch x.(type) {
-		case *Exists, *InSelect, *ScalarSub:
+		case *Exists, *InSelect:
 			found = true
 		}
 	})
@@ -482,7 +451,7 @@ func splitConjuncts(e Expr, out *[]Expr) {
 	*out = append(*out, e)
 }
 
-// compileInSelect lowers x [NOT] IN (SELECT ...). Uncorrelated
+// compileInSelect lowers x IN (SELECT ...). Uncorrelated
 // subqueries are executed once per statement and cached as a value set;
 // correlated ones are re-executed per row.
 func (c *compiler) compileInSelect(x *InSelect) (compiledExpr, error) {
@@ -497,8 +466,6 @@ func (c *compiler) compileInSelect(x *InSelect) (compiledExpr, error) {
 	if len(cs.cols) != 1 {
 		return nil, fmt.Errorf("sql: IN subquery must return one column, got %d", len(cs.cols))
 	}
-	neg := x.Neg
-
 	deps := map[int]bool{}
 	if err := c.depsOfSelect(x.Sub, deps); err != nil {
 		return nil, err
@@ -553,11 +520,11 @@ func (c *compiler) compileInSelect(x *InSelect) (compiledExpr, error) {
 			return relation.Null(), nil
 		}
 		if b.set[v.Key()] {
-			return relation.Bool(!neg), nil
+			return relation.Bool(true), nil
 		}
 		if b.hasNull {
 			return relation.Null(), nil
 		}
-		return relation.Bool(neg), nil
+		return relation.Bool(false), nil
 	}, nil
 }

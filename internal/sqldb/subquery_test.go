@@ -64,7 +64,7 @@ func TestDecorrelatedClosureDifferential(t *testing.T) {
 	sites := []string{
 		`SELECT o.id, %s FROM o`,
 		`SELECT o.id, CASE WHEN %s THEN 'in' ELSE 'out' END FROM o`,
-		`SELECT o.id FROM o WHERE o.a LIKE 'x%%' OR %s`,
+		`SELECT o.id FROM o WHERE o.a = o.b OR %s`,
 		`SELECT o.id FROM (SELECT id, a, b, n FROM o) o WHERE %s`,
 	}
 	indexed, hashed := 0, 0

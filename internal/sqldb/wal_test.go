@@ -78,7 +78,7 @@ func txExec(t *testing.T, tx *Tx, stmts ...string) {
 func seedSmall(t *testing.T, db *DB) {
 	t.Helper()
 	walExec(t, db,
-		"CREATE TABLE t (a INT, b TEXT, c FLOAT)",
+		"CREATE TABLE t (a INTEGER, b TEXT, c REAL)",
 		"CREATE INDEX it_a ON t (a)",
 		"INSERT INTO t VALUES (1, 'one', 1.5), (2, 'two', 2.5), (3, 'three', 3.5)",
 		"UPDATE t SET b = 'TWO' WHERE a = 2",
@@ -289,7 +289,7 @@ func TestWALSnapshotFallback(t *testing.T) {
 func TestWALCheckpointThresholdAndPruning(t *testing.T) {
 	fs := NewMemFS(6)
 	db := memOpen(t, fs, WALOptions{Fsync: FsyncAlways, CheckpointBytes: 512})
-	walExec(t, db, "CREATE TABLE t (a INT, b TEXT)")
+	walExec(t, db, "CREATE TABLE t (a INTEGER, b TEXT)")
 	for i := 0; i < 40; i++ {
 		walExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, 'row-%d-padding-padding')", i, i))
 	}
@@ -381,7 +381,7 @@ func TestWALRollbackKeepsDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	txExec(t, tx,
-		"CREATE TABLE fresh (x INT)",
+		"CREATE TABLE fresh (x INTEGER)",
 		"INSERT INTO fresh VALUES (1), (2)",
 	)
 	if err := tx.Rollback(); err != nil {
@@ -430,7 +430,7 @@ func TestNoOpStatementsLeaveNoTrace(t *testing.T) {
 	fs := NewMemFS(7)
 	db := memOpen(t, fs, WALOptions{Fsync: FsyncAlways})
 	seedSmall(t, db) // t = (1, 'one', 1.5), (2, 'TWO', 2.5)
-	walExec(t, db, "CREATE TABLE scratch (a INT)")
+	walExec(t, db, "CREATE TABLE scratch (a INTEGER)")
 
 	_, before := walFileBytes(t, fs, db)
 	seq := db.Stats().EpochSeq
@@ -444,7 +444,7 @@ func TestNoOpStatementsLeaveNoTrace(t *testing.T) {
 		{"DELETE FROM t WHERE a > 100", 0},
 		{"DELETE FROM scratch", 0},
 		{"UPDATE t SET b = 'TWO' WHERE a = 2", 1},
-		{"UPDATE t SET a = a + 0, c = c * 1", 2},
+		{"UPDATE t SET a = 1, c = 1.5 WHERE a = 1", 1},
 		{"UPDATE t SET b = 'TWO', c = 2.5 WHERE EXISTS (SELECT 1 FROM t u WHERE u.a = t.a AND u.b = 'TWO')", 1},
 	} {
 		if n, err := db.Exec(c.q); err != nil || n != c.matched {
@@ -515,7 +515,7 @@ func TestUpdateWritesOnlyChangedRows(t *testing.T) {
 // each cell coerced to its column's kind, the table's over an existing
 // table — refuses what INSERT refuses before it logs anything, and
 // recovery holds a logged load to the same rule. So an INTEGER 1 loaded
-// into a FLOAT column is FLOAT 1 and SET X = 1.0 changes nothing, as
+// into a REAL column is REAL 1 and SET X = 1.0 changes nothing, as
 // NULL over NULL and NaN over NaN do not.
 func TestLoadRelationCoercesKinds(t *testing.T) {
 	fs := NewMemFS(12)
@@ -556,7 +556,7 @@ func TestLoadRelationCoercesKinds(t *testing.T) {
 		t.Fatalf("loaded TEXT column: %q", got)
 	}
 	seq := db.Stats().EpochSeq
-	mustExec(t, db, "UPDATE r SET c1 = c1")
+	mustExec(t, db, "UPDATE r SET c1 = NULL WHERE c1 IS NULL")
 	if n := mustExec(t, db, "UPDATE r SET c0 = 1.0"); n != 2 {
 		t.Fatalf("affected %d rows, want 2", n)
 	}
