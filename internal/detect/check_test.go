@@ -174,7 +174,7 @@ func checkWorkload(t testing.TB) (*Detector, *relation.Relation, func()) {
 // 300 allocations (585 when every execution rebuilt its schedules).
 func TestCheckSteadyStateWork(t *testing.T) {
 	d, cand, cleanup := checkWorkload(t)
-	eng := d.eng
+	eng := engOf(d)
 	defer cleanup()
 	check := func() {
 		if _, err := d.Check(cand); err != nil {

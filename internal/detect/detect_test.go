@@ -1,10 +1,12 @@
 package detect
 
 import (
+	"bytes"
 	"database/sql"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -16,6 +18,15 @@ import (
 )
 
 var dsnSeq atomic.Int64
+
+// engines maps each detector the helpers below build to the engine
+// behind its handle, for the tests that read the engine's counters.
+var engines sync.Map // *Detector → *sqldb.DB
+
+func engOf(d *Detector) *sqldb.DB {
+	eng, _ := engines.Load(d)
+	return eng.(*sqldb.DB)
+}
 
 func openDB(t *testing.T) *sql.DB {
 	db, _ := openDBIn(t, sqldb.Planned)
@@ -42,8 +53,7 @@ func newDetector(t *testing.T, sigma []*core.ECFD, inst *relation.Relation) *Det
 	return newDetectorIn(t, sqldb.Planned, sigma, inst)
 }
 
-// newDetectorIn builds a loaded detector on a fresh engine in mode,
-// with the engine bound as the benchmark binds it.
+// newDetectorIn builds a loaded detector on a fresh engine in mode.
 func newDetectorIn(t *testing.T, mode sqldb.Mode, sigma []*core.ECFD, inst *relation.Relation) *Detector {
 	t.Helper()
 	db, eng := openDBIn(t, mode)
@@ -51,7 +61,8 @@ func newDetectorIn(t *testing.T, mode sqldb.Mode, sigma []*core.ECFD, inst *rela
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.BindEngine(eng)
+	engines.Store(d, eng)
+	t.Cleanup(func() { engines.Delete(d) })
 	if err := d.Install(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +70,58 @@ func newDetectorIn(t *testing.T, mode sqldb.Mode, sigma []*core.ECFD, inst *rela
 		t.Fatal(err)
 	}
 	return d
+}
+
+// newBenchDetector builds a detector over the generator's schema and
+// constraint set with a loaded dataset — the Fig. 5 workload shape.
+func newBenchDetector(t testing.TB, rows int, seed int64) (*Detector, func()) {
+	t.Helper()
+	dsn := fmt.Sprintf("detect_bench_%d_%d_%d", rows, seed, dsnSeq.Add(1))
+	db, err := sql.Open(sqldriver.DriverName, dsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanup := func() {
+		db.Close()
+		sqldriver.Unregister(dsn)
+	}
+	d, err := New(db, gen.Schema(), gen.Constraints())
+	if err != nil {
+		cleanup()
+		t.Fatal(err)
+	}
+	if err := d.Install(); err != nil {
+		cleanup()
+		t.Fatal(err)
+	}
+	if _, err := d.LoadData(gen.Dataset(gen.Config{Rows: rows, Noise: 5, Seed: seed})); err != nil {
+		cleanup()
+		t.Fatal(err)
+	}
+	engines.Store(d, sqldriver.Engine(dsn))
+	return d, func() { engines.Delete(d); cleanup() }
+}
+
+// violationCSV renders the full violation set for byte-level
+// comparison across runs.
+func violationCSV(t *testing.T, d *Detector) []byte {
+	t.Helper()
+	return violationCSVVia(t, d, d.db)
+}
+
+// violationCSVVia renders the violation set as seen through q —
+// typically a read-only transaction pinning one snapshot.
+func violationCSVVia(t *testing.T, d *Detector, q Queryer) []byte {
+	t.Helper()
+	vio, err := d.ViolationsVia(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := vio.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestEncodingFig3 is the golden test for Fig. 3: φ1 and φ2 encode into

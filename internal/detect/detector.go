@@ -22,7 +22,6 @@ import (
 
 	"ecfd/internal/core"
 	"ecfd/internal/relation"
-	"ecfd/internal/sqldb"
 )
 
 // Reserved columns the detector adds to the data table.
@@ -95,11 +94,6 @@ type Detector struct {
 
 	nextRID int64
 
-	// eng is the embedded engine behind db, set by BindEngine.
-	// ParallelDetect requires it: it pins one MVCC snapshot per read
-	// phase and serves every worker from it.
-	eng *sqldb.DB
-
 	// pre-generated statements (fixed count, independent of |Σ|)
 	stmts statements
 	// insertTexts holds the staging and load INSERT texts by target table
@@ -137,19 +131,10 @@ type statements struct {
 	mergeIns     string
 	deleteRows   string
 	delExisting  string // the staged ΔD⁻ RIDs that name a row
-	// parallel (read-only) forms, parameterized by RID slice / CID range
-	qsvRIDsSlice    string
-	qmvGroupsCIDRng string
-	mvRIDsSlice     string
 	// advisory-check forms (Check): Qsv and the Aux probe over the
 	// staging table alone — read cost, no merge.
 	checkSVRIDs string
 	checkMVRIDs string
-	// sharded scatter-gather forms (ShardedDetector): the shards export
-	// DISTINCT macro rows; the coordinator finishes the grouping in Go
-	// and broadcasts the violating keys back.
-	qmvMacroCIDRng string // DISTINCT macro rows of a CID range (params: lo, hi)
-	shardBatchPre  string // per-shard batch phase: reset flags, Qsv, clear Aux
 	// pipelined scripts: the fixed statement sequences of BatchDetect
 	// and ApplyUpdates joined into one semicolon-separated text, so the
 	// whole sequence goes through database/sql as a single prepared
@@ -212,16 +197,6 @@ func (d *Detector) Sigma() []*core.ECFD { return d.sigma }
 
 // DataTable returns the name of the SV/MV-extended data table.
 func (d *Detector) DataTable() string { return d.dataTable }
-
-// BindEngine hands the detector the embedded sqldb engine behind its
-// database/sql handle (sqldriver.Engine of the DSN the handle was
-// opened with). ParallelDetect requires the binding: it pins one MVCC
-// snapshot per read phase and runs every worker's statements directly
-// against it (Prepared.QueryAt), and returns an error when no engine is
-// bound. Nothing else reads it.
-//
-// Deprecated: only ParallelDetect reads the binding; it goes with it.
-func (d *Detector) BindEngine(eng *sqldb.DB) { d.eng = eng }
 
 // talName / tarName name the per-attribute pattern-set tables.
 func (d *Detector) talName(attr string) string { return fmt.Sprintf("%s_t_%s_l", d.schema.Name, attr) }
@@ -318,11 +293,10 @@ func (d *Detector) Install() error {
 		ddl = append(ddl, fmt.Sprintf("CREATE INDEX idx_%s ON %s (%s)", tbl, tbl, strings.Join(probeCols, ", ")))
 	}
 
-	// Ordered RID index on the data table: the parallel detector's
-	// RID-slice tasks and the incremental path's RID-range statements
-	// (mvSetNew/mvSetOld) prune to their slice through it instead of
-	// scanning the whole table, and ORDER BY RID reads (Violations,
-	// RIDs) iterate it in order with no sort. The engine maintains it
+	// Ordered RID index on the data table: the incremental path's
+	// RID-range statements (mvSetNew/mvSetOld) prune to their range
+	// through it instead of scanning the whole table, and ORDER BY RID
+	// reads (Violations, RIDs) iterate it in order with no sort. The engine maintains it
 	// incrementally: appends merge at the tail (RIDs are monotone) and
 	// SV/MV flag updates never touch it since RID is not among the set
 	// columns.

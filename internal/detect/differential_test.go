@@ -28,17 +28,11 @@ import (
 //     incrementally (ApplyUpdates) — the §V-B path;
 //   - d_batch applies the same changes raw (no maintenance) and
 //     recomputes with BatchDetect after each step;
-//   - d_par applies the same raw changes and recomputes with
-//     ParallelDetect(8);
 //   - d_dur runs the incremental path on a durable engine over a
 //     fault-injected filesystem: every step arms a crash at a random
 //     upcoming I/O point, and when it fires the "process" restarts —
 //     reopen, Resume, redo the update if its commit unit did not make
-//     it to the log — and must still land byte-identical;
-//   - the sharded legs run the scatter-gather BatchDetect at K ∈
-//     {1, 2, 4, 8} partitions right after load, against d_inc's serial
-//     BatchDetect — partition count and scatter scheduling must never
-//     leak into the violation bytes.
+//     it to the log — and must still land byte-identical.
 //
 // All legs assign identical RID sequences (same insert batches in the
 // same order), so Violations() must render to the same bytes — not
@@ -58,7 +52,6 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 			inst, sigma := w.instance(rng)
 			dInc := newDetectorIn(t, mode, sigma, inst)
 			dBatch := newDetectorIn(t, mode, sigma, inst)
-			dPar := newDetectorIn(t, mode, sigma, inst)
 			if _, err := dInc.BatchDetect(); err != nil {
 				t.Fatal(err)
 			}
@@ -94,38 +87,10 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Sharded legs: one detector per partition count, compared with
-			// the serial BatchDetect on the loaded instance.
-			vLoad := violationCSV(t, dInc)
-			for _, k := range []int{1, 2, 4, 8} {
-				db, _ := openDBIn(t, mode)
-				s, err := NewSharded(db, inst.Schema, sigma, ShardOptions{Shards: k})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, sh := range s.shards {
-					sh.d.eng.SetMode(mode)
-				}
-				if err := s.Install(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.LoadData(inst); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.BatchDetect(); err != nil {
-					t.Fatal(err)
-				}
-				if vSh := shardedViolationCSV(t, s); !bytes.Equal(vLoad, vSh) {
-					t.Fatalf("trial %d: batch vs sharded K=%d violation sets differ after load\nsigma: %s\nbatch:\n%s\nsharded:\n%s",
-						trial, k, sigmaString(sigma), vLoad, vSh)
-				}
-				s.Close()
-			}
-
 			for step := 0; step < 4; step++ {
 				batch, doomed := w.update(t, rng, dInc, sigma, step)
 
-				// Fifth leg — MVCC snapshot stability: a reader that pinned
+				// Fourth leg — MVCC snapshot stability: a reader that pinned
 				// its snapshot (read-only transaction) before the update
 				// must render the pre-update violation set byte for byte,
 				// however its reads interleave with the concurrent
@@ -156,21 +121,16 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 						trial, step, before, after)
 				}
 				preTx.Rollback()
-				for _, d := range []*Detector{dBatch, dPar} {
-					if err := d.DeleteRaw(doomed); err != nil {
+				if err := dBatch.DeleteRaw(doomed); err != nil {
+					t.Fatal(err)
+				}
+				if batch != nil {
+					if _, err := dBatch.InsertRaw(batch); err != nil {
 						t.Fatal(err)
-					}
-					if batch != nil {
-						if _, err := d.InsertRaw(batch); err != nil {
-							t.Fatal(err)
-						}
 					}
 				}
 				if _, err := dBatch.BatchDetect(); err != nil {
 					t.Fatalf("trial %d step %d batch: %v", trial, step, err)
-				}
-				if _, err := dPar.ParallelDetect(8); err != nil {
-					t.Fatalf("trial %d step %d parallel: %v", trial, step, err)
 				}
 
 				// Durable leg: crash at a random point inside (or just
@@ -215,15 +175,10 @@ func TestDetectThreeWayDifferential(t *testing.T) {
 				assertMatchesNaive(t, dInc, sigma, fmt.Sprintf("%s trial %d step %d", w.name, trial, step))
 				vInc := violationCSV(t, dInc)
 				vBatch := violationCSV(t, dBatch)
-				vPar := violationCSV(t, dPar)
 				vDur := violationCSV(t, dDur)
 				if !bytes.Equal(vInc, vBatch) {
 					t.Fatalf("trial %d step %d: incremental vs batch violation sets differ\nsigma: %s\ninc:\n%s\nbatch:\n%s",
 						trial, step, sigmaString(sigma), vInc, vBatch)
-				}
-				if !bytes.Equal(vBatch, vPar) {
-					t.Fatalf("trial %d step %d: batch vs parallel(8) violation sets differ\nbatch:\n%s\npar:\n%s",
-						trial, step, vBatch, vPar)
 				}
 				if !bytes.Equal(vInc, vDur) {
 					t.Fatalf("trial %d step %d: incremental vs durable violation sets differ\nsigma: %s\ninc:\n%s\ndur:\n%s",
@@ -591,12 +546,6 @@ func TestBatchDetectStatementsFullyBatched(t *testing.T) {
 		"qmvInsert":  d.stmts.qmvInsert,
 		"mvUpdate":   d.stmts.mvUpdate,
 		"truncAux":   "TRUNCATE TABLE " + d.auxTable,
-		// The parallel statement set rides the same kernels: since
-		// mvRIDsSlice was flattened from EXISTS-over-conjunction to a
-		// semi-join, none of the three may fall back to a [row] scan.
-		"qsvRIDsSlice":    d.stmts.qsvRIDsSlice,
-		"qmvGroupsCIDRng": d.stmts.qmvGroupsCIDRng,
-		"mvRIDsSlice":     d.stmts.mvRIDsSlice,
 	}
 	for name, q := range stmts {
 		plan, err := eng.Explain(q)
@@ -615,15 +564,12 @@ func TestBatchDetectStatementsFullyBatched(t *testing.T) {
 			t.Fatalf("%s carries no OR-group kernels:\n%s", name, plan)
 		}
 	}
-	// The Qmv groupings must stream the macro's DISTINCT rows into their
+	// The Qmv grouping must stream the macro's DISTINCT rows into its
 	// groups: the 10-column group key (CID + 9 blanked-LHS columns) leads
 	// the 19-column dedup key, and no macro row is materialised to be
 	// grouped and, all but ~150 of 42 000 at 40k rows, thrown away.
-	for _, name := range []string{"qmvInsert", "qmvGroupsCIDRng"} {
-		plan, _ := eng.Explain(stmts[name])
-		if !strings.Contains(plan, "[streamed: distinct source feeds 10-col groups, no rows materialised]") {
-			t.Fatalf("%s grouping does not stream its distinct source:\n%s", name, plan)
-		}
+	if plan, _ := eng.Explain(stmts["qmvInsert"]); !strings.Contains(plan, "[streamed: distinct source feeds 10-col groups, no rows materialised]") {
+		t.Fatalf("qmvInsert grouping does not stream its distinct source:\n%s", plan)
 	}
 }
 

@@ -196,11 +196,11 @@ func TestOneEpochPerDetectorCall(t *testing.T) {
 			{"DeleteRaw", func() error { return w.d.DeleteRaw(w.live[:8]) }},
 		}
 		for _, c := range calls {
-			before := w.d.eng.Stats().EpochsPublished
+			before := engOf(w.d).Stats().EpochsPublished
 			if err := c.run(); err != nil {
 				t.Fatal(err)
 			}
-			if n := w.d.eng.Stats().EpochsPublished - before; n != 1 {
+			if n := engOf(w.d).Stats().EpochsPublished - before; n != 1 {
 				t.Errorf("%d rows: %s published %d epochs, want 1", rows, c.name, n)
 			}
 		}

@@ -86,9 +86,9 @@ func TestDeleteCopiesTouchedSegmentsOnly(t *testing.T) {
 				for i := range pos {
 					pos[i] = at(i)
 				}
-				before := w.d.eng.Stats()
+				before := engOf(w.d).Stats()
 				w.apply(t, pos[:]...)
-				after := w.d.eng.Stats()
+				after := engOf(w.d).Stats()
 				if op < 2 {
 					continue // the first updates build what the statements read
 				}
@@ -197,11 +197,11 @@ func TestRecomputeSkipsDeadPatterns(t *testing.T) {
 	if err := d.db.QueryRow("SELECT COUNT(*) FROM " + d.encTable).Scan(&patterns); err != nil {
 		t.Fatal(err)
 	}
-	before := d.eng.Stats()
+	before := engOf(d).Stats()
 	if _, err := d.db.Exec(d.stmts.auxRecompute); err != nil {
 		t.Fatal(err)
 	}
-	scanned := d.eng.Stats().RowsScanned - before.RowsScanned
+	scanned := engOf(d).Stats().RowsScanned - before.RowsScanned
 	t.Logf("40000 rows, empty keys table: auxRecompute scans %d rows over %d pattern rows", scanned, patterns)
 	if scanned > patterns {
 		t.Errorf("auxRecompute over an empty keys table scans %d rows, more than the %d pattern rows", scanned, patterns)
@@ -225,11 +225,11 @@ func TestValueSetsDecideByCode(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			w.apply(t, 0, 1, 2, 3, 4, 5, 6, 7)
 		}
-		before := w.d.eng.Stats()
+		before := engOf(w.d).Stats()
 		for i := 0; i < ops; i++ {
 			w.apply(t, 0, 1, 2, 3, 4, 5, 6, 7)
 		}
-		after := w.d.eng.Stats()
+		after := engOf(w.d).Stats()
 		cleanup()
 		set, text := (after.SetRows-before.SetRows)/ops, (after.TextLookups-before.TextLookups)/ops
 		t.Logf("%d rows: value sets decide %d rows per update with %d text lookups (%.1f %%)", rows, set, text, 100*float64(text)/float64(set))
@@ -269,18 +269,18 @@ func TestPreDedupDecidesByCode(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			w.apply(t, 0, 1, 2, 3, 4, 5, 6, 7)
 		}
-		before := w.d.eng.Stats()
+		before := engOf(w.d).Stats()
 		for i := 0; i < ops; i++ {
 			w.apply(t, 0, 1, 2, 3, 4, 5, 6, 7)
 		}
-		after := w.d.eng.Stats()
+		after := engOf(w.d).Stats()
 		var batch [2]int64
 		for run := range batch {
-			b := w.d.eng.Stats().CodeRepeats
+			b := engOf(w.d).Stats().CodeRepeats
 			if _, err := w.d.BatchDetect(); err != nil {
 				t.Fatal(err)
 			}
-			batch[run] = w.d.eng.Stats().CodeRepeats - b
+			batch[run] = engOf(w.d).Stats().CodeRepeats - b
 		}
 		cleanup()
 		rep, key := (after.CodeRepeats-before.CodeRepeats)/ops, (after.DistinctKeys-before.DistinctKeys)/ops
@@ -367,11 +367,11 @@ func TestBatchDetectKeysAndGroups(t *testing.T) {
 		d, cleanup := newBenchDetector(t, rows, 611)
 		defer cleanup()
 		for run := 0; run < 2; run++ {
-			before := d.eng.Stats()
+			before := engOf(d).Stats()
 			if _, err := d.BatchDetect(); err != nil {
 				t.Fatal(err)
 			}
-			after := d.eng.Stats()
+			after := engOf(d).Stats()
 			k, g := after.DistinctKeys-before.DistinctKeys, after.Groups-before.Groups
 			if run == 1 && (k != keys || g != groups) {
 				t.Errorf("%d rows: BatchDetect keyed %d DISTINCT rows and formed %d groups, then %d and %d", rows, keys, groups, k, g)
@@ -528,7 +528,7 @@ func TestCountedAuxBytes(t *testing.T) {
 	for _, c := range cols {
 		outs = append(outs, "m."+strings.TrimSuffix(c, " TEXT"))
 	}
-	n, err := d.db.Exec("INSERT INTO aux_counted SELECT " + strings.Join(outs, ", ") + ", 1 FROM (" + d.macro(d.dataTable, "") + ") m")
+	n, err := d.db.Exec("INSERT INTO aux_counted SELECT " + strings.Join(outs, ", ") + ", 1 FROM (" + d.macro("") + ") m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestCountedAuxBytes(t *testing.T) {
 		keyCols, on = append(keyCols, a.Name+"_P"), append(on, fmt.Sprintf("g.%s_P = a.%s_P", a.Name, a.Name))
 	}
 	key := strings.Join(keyCols, ", ")
-	pairs := strings.Replace(d.macro(d.dataTable, ""), "SELECT DISTINCT", "SELECT", 1)
+	pairs := strings.Replace(d.macro(""), "SELECT DISTINCT", "SELECT", 1)
 	if _, err := d.db.Exec("CREATE TABLE pair_groups (CID INTEGER, " + strings.Join(cols[:len(d.schema.Attrs)], ", ") + ", N INTEGER)"); err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,6 @@ type execer interface {
 	QueryRow(query string, args ...any) *sql.Row
 }
 
-// SetAtomicUpdates does nothing: every mutating call runs as one
-// transaction (runAtomic).
-//
-// Deprecated: every update is one transaction; the switch goes.
-func (d *Detector) SetAtomicUpdates(on bool) {}
-
 // Resume rebinds a detector to tables installed by a previous process
 // — the restart path of a durable session: open the same DSN, rebuild
 // the Detector with the same schema and Σ, and Resume instead of

@@ -31,12 +31,8 @@ func (d *Detector) generateSQL() {
 			d.dataTable, ColRID, ColRID, d.delTable),
 		delExisting: fmt.Sprintf("SELECT COUNT(*) FROM %s d, %s t WHERE t.%s = d.%s",
 			d.delTable, d.dataTable, ColRID, ColRID),
-		qsvRIDsSlice:    d.genQsvRIDsSlice(),
-		qmvGroupsCIDRng: d.genQmvGroupsCIDRange(),
-		checkSVRIDs:     d.genCheckSVRIDs(),
-		checkMVRIDs:     d.genCheckMVRIDs(),
-		mvRIDsSlice:     d.genMVRIDsSlice(),
-		qmvMacroCIDRng:  d.macro(d.dataTable, "c.CID >= ? AND c.CID <= ?"),
+		checkSVRIDs: d.genCheckSVRIDs(),
+		checkMVRIDs: d.genCheckMVRIDs(),
 	}
 	// The batch-detection pipeline: the five fixed statements of
 	// BatchDetect as one script, submitted in a single driver round
@@ -70,16 +66,6 @@ func (d *Detector) generateSQL() {
 		d.stmts.mvClear,
 	}
 	d.stmts.incScript = strings.Join(d.stmts.incStmts, ";\n")
-	// The sharded batch (ShardedDetector): each shard runs the batch
-	// script's first three statements over its partition. The Qmv
-	// grouping cannot run per shard — a group's members span shards — so
-	// the shards export DISTINCT macro rows (qmvMacroCIDRng) and the
-	// coordinator finishes the aggregation.
-	d.stmts.shardBatchPre = strings.Join([]string{
-		d.stmts.resetFlags,
-		d.stmts.qsvUpdate,
-		"TRUNCATE TABLE " + d.auxTable,
-	}, ";\n")
 }
 
 // SQL returns the generated batch-detection queries (Qsv select form,
@@ -172,7 +158,7 @@ func (d *Detector) caseProj(side, attr string) string {
 // (pattern tuple, matching data tuple), with attributes irrelevant to
 // the embedded FD blanked out. extraWhere, when non-empty, is placed
 // first so cheap restrictions short-circuit the pattern matching.
-func (d *Detector) macro(dataTable, extraWhere string) string {
+func (d *Detector) macro(extraWhere string) string {
 	cols := []string{"c.CID AS CID"}
 	for _, a := range d.schema.Attrs {
 		cols = append(cols, fmt.Sprintf("%s AS %s_P", d.caseProj("L", a.Name), a.Name))
@@ -185,7 +171,7 @@ func (d *Detector) macro(dataTable, extraWhere string) string {
 		where = extraWhere + "\n    AND " + where
 	}
 	return fmt.Sprintf("SELECT DISTINCT %s\n  FROM %s t, %s c\n  WHERE %s",
-		strings.Join(cols, ",\n    "), dataTable, d.encTable, where)
+		strings.Join(cols, ",\n    "), d.dataTable, d.encTable, where)
 }
 
 // fdGuard renders "pattern tuple c carries an embedded FD": some
@@ -229,50 +215,7 @@ func (d *Detector) genQmvInsertRestricted(extraWhere string) string {
 func (d *Detector) genQmvSelect(extraWhere string) string {
 	g := d.groupCols()
 	return fmt.Sprintf("SELECT %s FROM (%s\n) m\nGROUP BY %s\nHAVING COUNT(*) > 1",
-		strings.Join(g, ", "), d.macro(d.dataTable, extraWhere), strings.Join(g, ", "))
-}
-
-// --- parallel detection (ParallelDetect) ---
-//
-// The parallel mode decomposes the two fixed detection queries into
-// read-only violation queries that many workers can run concurrently
-// under the engine's shared read lock: the Qsv scan partitions over
-// RID slices of the data, the Qmv grouping fans over CID ranges of Σ
-// (groups never span CIDs — the CID is part of the group key), and the
-// MV flagging partitions over RID slices again. The statement texts
-// stay fixed; slice and range bounds bind as parameters, so every task
-// hits the compiled-plan cache.
-
-// genQsvRIDsSlice finds the RIDs of single-tuple violators within a
-// RID slice (params: lo, hi).
-func (d *Detector) genQsvRIDsSlice() string {
-	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c\nWHERE t.%s >= ? AND t.%s <= ?\n  AND %s\n  AND (%s)",
-		ColRID, d.dataTable, d.encTable, ColRID, ColRID, d.lhsMatch(), d.rhsViolate())
-}
-
-// genQmvGroupsCIDRange computes the violating group keys of a
-// contiguous CID range (params: lo, hi). Grouping partitions cleanly
-// along CIDs because the CID is part of every group key; ranging
-// rather than going one-CID-at-a-time keeps the total scan count at
-// the worker count, so a one-worker run does exactly the serial
-// amount of work.
-func (d *Detector) genQmvGroupsCIDRange() string {
-	return d.genQmvSelect("c.CID >= ? AND c.CID <= ?")
-}
-
-// genMVRIDsSlice finds the RIDs matching any Aux pattern within a RID
-// slice (params: lo, hi) — the read-only form of the MV update, with
-// the same per-CID guard.
-func (d *Detector) genMVRIDsSlice() string {
-	// Flat semi-join form: the data slice joins enc directly instead of
-	// sitting under an outer EXISTS, so the scan of the slice is a plain
-	// conjunctive filter the engine's batch kernels handle — the EXISTS
-	// wrapper forced the last row-at-a-time data scan in the parallel
-	// statement set. DISTINCT collapses tuples matching several
-	// patterns; the parallel driver sorts and dedups the merged slices
-	// anyway, so the result contract is unchanged.
-	return fmt.Sprintf("SELECT DISTINCT t.%s FROM %s t, %s c WHERE t.%s >= ? AND t.%s <= ? AND %s",
-		ColRID, d.dataTable, d.encTable, ColRID, ColRID, d.guardedAuxProbe(d.auxTable))
+		strings.Join(g, ", "), d.macro(extraWhere), strings.Join(g, ", "))
 }
 
 // auxProbe renders "t matches some (cid, p) in table for c's CID": the

@@ -36,11 +36,11 @@ func (w *applyWorkload) stepApply(t *testing.T, batch *relation.Relation, del []
 		if q == d.stmts.mvSetNew || q == d.stmts.mvSetOld {
 			args = []any{firstRID}
 		}
-		before := d.eng.Stats()
+		before := engOf(d).Stats()
 		if _, err := d.db.Exec(q, args...); err != nil {
 			t.Fatalf("%v\n%s", err, q)
 		}
-		visit(q, before, d.eng.Stats())
+		visit(q, before, engOf(d).Stats())
 	}
 	w.live = slices.DeleteFunc(w.live, func(rid int64) bool { return slices.Contains(del, rid) })
 	w.live = append(w.live, rids...)
@@ -160,9 +160,9 @@ func TestMVClearOnTransitionsOnly(t *testing.T) {
 
 		var scanned int64
 		for i := 0; i < ops; i++ {
-			before := d.eng.Stats()
+			before := engOf(d).Stats()
 			w.apply(t, 0, 1, 2, 3, 4, 5, 6, 7)
-			if s := d.eng.Stats().RowsScanned - before.RowsScanned; s > scanned {
+			if s := engOf(d).Stats().RowsScanned - before.RowsScanned; s > scanned {
 				scanned = s
 			}
 		}

@@ -85,9 +85,9 @@ func TestWorkLedger(t *testing.T) {
 	}
 	measure := func(w *applyWorkload, unit string, op func()) {
 		t.Helper()
-		before := w.d.eng.Stats()
+		before := engOf(w.d).Stats()
 		op()
-		record(unit, before, w.d.eng.Stats())
+		record(unit, before, engOf(w.d).Stats())
 	}
 	sizes := []int{10_000, 40_000, 160_000}
 	for _, rows := range sizes {

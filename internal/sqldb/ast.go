@@ -132,12 +132,6 @@ type IsNull struct {
 	Neg bool
 }
 
-// InList is x IN (e1, e2, ...).
-type InList struct {
-	X    Expr
-	List []Expr
-}
-
 // InSelect is x IN (SELECT ...).
 type InSelect struct {
 	X   Expr
@@ -166,7 +160,6 @@ func (*Param) expr()     {}
 func (*ColumnRef) expr() {}
 func (*Binary) expr()    {}
 func (*IsNull) expr()    {}
-func (*InList) expr()    {}
 func (*InSelect) expr()  {}
 func (*Exists) expr()    {}
 func (*Case) expr()      {}

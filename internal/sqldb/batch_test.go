@@ -90,8 +90,8 @@ func TestKernelClosureDifferential(t *testing.T) {
 			}
 			return fmt.Sprintf("%s IS %sNULL", col, neg)
 		case 2:
-			// x NOT IN (…) is written x <> … AND x <> …
-			in := "%[1]s IN (%[2]s, %[3]s, %[4]s)"
+			// x [NOT] IN (…) is written x = … OR x = … (x <> … AND x <> …)
+			in := "(%[1]s = %[2]s OR %[1]s = %[3]s OR %[1]s = %[4]s)"
 			if rng.Intn(2) == 0 {
 				in = "(%[1]s <> %[2]s AND %[1]s <> %[3]s AND %[1]s <> %[4]s)"
 			}
@@ -321,7 +321,7 @@ func TestColumnCacheMaintenance(t *testing.T) {
 			insert(300 + rng.Intn(1500))
 		case 3: // scattered over every segment
 			k, r := int64(rng.Intn(9)), int64(rng.Intn(97))
-			mustExec(t, db, fmt.Sprintf(`UPDATE cc SET k = %d WHERE w IN (%s)`, k, residues(97, r, nextW)))
+			mustExec(t, db, fmt.Sprintf(`UPDATE cc SET k = %d WHERE %s`, k, residues("w", 97, r, nextW)))
 			set(func(row relation.Tuple) bool { return row[2].I%97 == r }, func(row relation.Tuple) { row[0] = relation.Int(k) })
 		case 4: // a run inside one or two
 			k := int64(rng.Intn(9))
@@ -330,7 +330,7 @@ func TestColumnCacheMaintenance(t *testing.T) {
 				func(row relation.Tuple) { row[0], row[1] = relation.Int(k), relation.Text("u") })
 		case 5, 6:
 			r := int64(rng.Intn(53))
-			mustExec(t, db, `DELETE FROM cc WHERE w IN (`+residues(53, r, nextW)+`)`)
+			mustExec(t, db, `DELETE FROM cc WHERE `+residues("w", 53, r, nextW))
 			keep(func(row relation.Tuple) bool { return row[2].I%53 == r })
 		case 7: // a few neighbours
 			mustExec(t, db, `DELETE FROM cc WHERE w >= ? AND w < ?`, relation.Int(lo), relation.Int(lo+9))
@@ -353,8 +353,8 @@ func TestColumnCacheMaintenance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, q := range []string{`DELETE FROM cc WHERE w IN (` + residues(7, 3, nextW) + `)`,
-				`UPDATE cc SET k = 0 WHERE w IN (` + residues(5, 1, nextW) + `)`, `INSERT INTO cc VALUES (1, 'z', -1)`} {
+			for _, q := range []string{`DELETE FROM cc WHERE ` + residues("w", 7, 3, nextW),
+				`UPDATE cc SET k = 0 WHERE ` + residues("w", 5, 1, nextW), `INSERT INTO cc VALUES (1, 'z', -1)`} {
 				if _, err := tx.Exec(q); err != nil {
 					t.Fatal(err)
 				}
@@ -377,15 +377,15 @@ func TestColumnCacheMaintenance(t *testing.T) {
 // residues lists, for an IN list, the integers in [0, n) that are r
 // modulo m: the rows `w % m = r` selects where w counts the rows
 // inserted. The dialect has no arithmetic. An empty list holds -1.
-func residues[N int | int64](m, r int64, n N) string {
+func residues[N int | int64](col string, m, r int64, n N) string {
 	var out []string
 	for w := r; w < int64(n); w += m {
-		out = append(out, fmt.Sprint(w))
+		out = append(out, fmt.Sprintf("%s = %d", col, w))
 	}
 	if out == nil {
-		return "-1"
+		return col + " = -1"
 	}
-	return strings.Join(out, ", ")
+	return "(" + strings.Join(out, " OR ") + ")"
 }
 
 // TestEqPrefixRangeProbe: a table with only a (p, q) index answers
@@ -483,22 +483,18 @@ func TestBigIntExactness(t *testing.T) {
 		t.Fatalf("big-int > compare: got %q, want exactly row q=2", batch)
 	}
 
-	// IN lists across the hash threshold with a mixed float/big-int
-	// pair: comparison is exact across kinds, so Float(2^53) never
-	// matches the Int(2^53+1) item — for both list sizes (Equal scan
-	// and Key()-hashed set) and both execution modes.
+	// A disjunction of equalities with a mixed float/big-int pair:
+	// comparison is exact across kinds, so Float(2^53) never matches the
+	// Int(2^53+1) arm, in both execution modes.
 	mustExec(t, db, `CREATE TABLE f (x REAL)`)
 	mustExec(t, db, `INSERT INTO f VALUES (?)`, relation.Float(float64(big)))
-	short := `SELECT x FROM f WHERE x IN (9007199254740993, 1)`
-	long := `SELECT x FROM f WHERE x IN (9007199254740993, 1, 2, 3, 4, 5, 6, 7)`
-	for _, q := range []string{short, long} {
-		b, n := runBothWays(t, db, q, false)
-		if b != n {
-			t.Fatalf("mixed-kind IN diverges on %q:\nbatch  %q\nnested %q", q, b, n)
-		}
-		if b != "" {
-			t.Fatalf("mixed-kind IN on %q: got %q, want no match (exact comparison)", q, b)
-		}
+	q = `SELECT x FROM f WHERE x = 9007199254740993 OR x = 1`
+	b, n := runBothWays(t, db, q, false)
+	if b != n {
+		t.Fatalf("mixed-kind OR diverges on %q:\nbatch  %q\nnested %q", q, b, n)
+	}
+	if b != "" {
+		t.Fatalf("mixed-kind OR on %q: got %q, want no match (exact comparison)", q, b)
 	}
 
 	// Transitivity of the order itself: big ints and floats mixed in
@@ -550,46 +546,6 @@ func TestUpdatePlannedRowSelection(t *testing.T) {
 	b := canonical(mustQuery(t, dbB, `SELECT rid, v, flag FROM ud`))
 	if a != b {
 		t.Fatalf("planned UPDATE selection diverges:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// TestInListNaNConsistency is the review-found regression: the three
-// IN implementations (short-list Equal scan, long-list Key()-set,
-// batch kernel) must agree when NaN appears as an item, as the probed
-// value, or both — under SQL equality NaN matches nothing.
-func TestInListNaNConsistency(t *testing.T) {
-	t.Parallel()
-	db := NewDB()
-	mustExec(t, db, `CREATE TABLE ni (x REAL, w INTEGER)`)
-	mustExec(t, db, `INSERT INTO ni VALUES (?, 1)`, relation.Float(math.NaN()))
-	mustExec(t, db, `INSERT INTO ni VALUES (1.5, 2), (3.0, 3)`)
-	nan := relation.Float(math.NaN())
-
-	run := func(q string, params ...relation.Value) [2]string {
-		t.Helper()
-		var out [2]string
-		out[0], out[1] = runBothWays(t, db, q, false, params...)
-		return out
-	}
-	cases := []struct {
-		q      string
-		params []relation.Value
-	}{
-		// short list (Equal scan) with a NaN parameter
-		{`SELECT w FROM ni WHERE x IN (?, ?)`, []relation.Value{nan, relation.Float(1.5)}},
-		// long list (>= 8 items: Key()-set) with a NaN parameter
-		{`SELECT w FROM ni WHERE x IN (?, 10, 11, 12, 13, 14, 15, ?)`,
-			[]relation.Value{nan, relation.Float(1.5)}},
-	}
-	for _, tc := range cases {
-		got := run(tc.q, tc.params...)
-		if got[0] != got[1] {
-			t.Fatalf("IN NaN diverges on %q: batch %q, nested %q", tc.q, got[0], got[1])
-		}
-		// And NaN must never have matched: the NaN item selects nothing.
-		if got[0] != "2" {
-			t.Fatalf("IN with NaN on %q: got %q, want row 2 only", tc.q, got[0])
-		}
 	}
 }
 
@@ -654,9 +610,9 @@ func TestOrKernelDifferential(t *testing.T) {
 			return fmt.Sprintf("%s IS %sNULL", col, neg)
 		case 2:
 			if col == "s" {
-				return "s IN ('a', 'd')"
+				return "(s = 'a' OR s = 'd')"
 			}
-			return fmt.Sprintf("%s IN (%d, %d)", col, rng.Intn(10), rng.Intn(10))
+			return fmt.Sprintf("(%[1]s = %[2]d OR %[1]s = %[3]d)", col, rng.Intn(10), rng.Intn(10))
 		default: // col BETWEEN lo AND hi
 			lo := rng.Intn(8)
 			return fmt.Sprintf("(%[1]s >= %[2]d AND %[1]s <= %[3]d)", col, lo, lo+rng.Intn(5))

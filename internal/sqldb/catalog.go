@@ -391,8 +391,6 @@ func newColVec(a relation.Attribute, n int) colVec {
 	return colVec{kind: a.Kind, words: make([]uint64, 0, n)}
 }
 
-func (v *colVec) len() int { return len(v.words) + len(v.codes) }
-
 // at decodes cell i. It stays within the inliner's budget, where an
 // out-of-line call alone would cost more than half of it; rowRef.at,
 // which inlines it, is over that budget, so the column-read closure
@@ -836,13 +834,7 @@ func (db *DB) Stats() Stats {
 
 // --- DDL ---
 
-// CreateTable registers a new table.
-func (db *DB) CreateTable(name string, cols []ColumnDef) error {
-	db.lockW(nil)
-	defer db.unlockW(nil)
-	return db.createTable(name, cols)
-}
-
+// createTable registers a new table; callers hold db.mu.
 func (db *DB) createTable(name string, cols []ColumnDef) error {
 	if err := db.writable(); err != nil {
 		return err
@@ -872,13 +864,7 @@ func (db *DB) createTable(name string, cols []ColumnDef) error {
 	return nil
 }
 
-// DropTable removes a table.
-func (db *DB) DropTable(name string, ifExists bool) error {
-	db.lockW(nil)
-	defer db.unlockW(nil)
-	return db.dropTable(name, ifExists)
-}
-
+// dropTable removes a table; callers hold db.mu.
 func (db *DB) dropTable(name string, ifExists bool) error {
 	if err := db.writable(); err != nil {
 		return err
@@ -1014,13 +1000,7 @@ func (db *DB) Snapshot(name string) (*relation.Relation, error) {
 	return out, nil
 }
 
-// CreateIndex registers a secondary index.
-func (db *DB) CreateIndex(name, table string, cols []string) error {
-	db.lockW(nil)
-	defer db.unlockW(nil)
-	return db.createIndex(name, table, cols)
-}
-
+// createIndex registers a secondary index; callers hold db.mu.
 func (db *DB) createIndex(name, table string, cols []string) error {
 	if err := db.writable(); err != nil {
 		return err

@@ -153,8 +153,8 @@ func TestCodedTextDifferential(t *testing.T) {
 		}
 		return out
 	}
-	// in and notIn write x [NOT] IN (…); NOT IN as a <> … AND a <> ….
-	in := func(items []string) string { return "a IN (" + strings.Join(items, ", ") + ")" }
+	// in and notIn write x [NOT] IN (…) as a = … OR a = … (a <> … AND a <> …).
+	in := func(items []string) string { return "(a = " + strings.Join(items, " OR a = ") + ")" }
 	notIn := func(items []string) string { return "(a <> " + strings.Join(items, " AND a <> ") + ")" }
 	kernels := func() []string {
 		var out []string
@@ -165,7 +165,7 @@ func TestCodedTextDifferential(t *testing.T) {
 		lo, hi := lit(), lit()
 		// a [NOT] BETWEEN lo AND hi, as its range
 		out = append(out, fmt.Sprintf("a >= %s AND a <= %s", lo, hi), fmt.Sprintf("(a < %s OR a > %s)", lo, hi))
-		short, long := lits(3), lits(9) // an Equal scan, a hashed set
+		short, long := lits(3), lits(9)
 		out = append(out, in(short), notIn(short), in(long), notIn(long), "a IS NULL", "a IS NOT NULL")
 		return out
 	}

@@ -28,9 +28,7 @@ type env struct {
 	aggs   map[*compiledSelect][]relation.Value
 	hash   map[*Exists]*hashBuild
 	inSets map[*InSelect]*inBuild
-	// inLists caches the value sets of long literal/parameter IN lists.
-	inLists map[*InList]*inBuild
-	probes  map[*Exists]*probeScratch
+	probes map[*Exists]*probeScratch
 	// schedules holds the join-plan instance of each select the statement
 	// has run — correlated re-executions share it — until
 	// publish hands them back. A statement runs few selects: no map.
@@ -245,16 +243,6 @@ func (c *compiler) walkBindings(e Expr, report func(binding)) error {
 		return c.walkBindings(x.R, report)
 	case *IsNull:
 		return c.walkBindings(x.X, report)
-	case *InList:
-		if err := c.walkBindings(x.X, report); err != nil {
-			return err
-		}
-		for _, it := range x.List {
-			if err := c.walkBindings(it, report); err != nil {
-				return err
-			}
-		}
-		return nil
 	case *Case:
 		for _, e := range []Expr{x.Cond, x.Then, x.Else} {
 			if err := c.walkBindings(e, report); err != nil {
@@ -433,86 +421,6 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 			return relation.Bool(v.IsNull() != neg), nil
 		}, nil
 
-	case *InList:
-		lhs, err := c.compileExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		items := make([]compiledExpr, len(x.List))
-		simple := true
-		for i, it := range x.List {
-			if items[i], err = c.compileExpr(it); err != nil {
-				return nil, err
-			}
-			switch it.(type) {
-			case *Literal, *Param:
-			default:
-				simple = false
-			}
-		}
-		// A long list of literals/parameters (`RID IN (?, ?, …)` — the
-		// parallel detector's flag writes) builds a hash set once per
-		// execution instead of scanning the list per row. Literal and
-		// parameter values are fixed for the execution, so the set is
-		// sound to cache on the env.
-		if simple && len(items) >= inListHashThreshold {
-			return func(en *env) (relation.Value, error) {
-				b := en.inLists[x]
-				if b == nil {
-					if en.inLists == nil {
-						en.inLists = make(map[*InList]*inBuild)
-					}
-					b = &inBuild{set: make(map[string]bool, len(items))}
-					var err error
-					if b.hasNull, err = buildInSet(en, items, b.set); err != nil {
-						return relation.Null(), err
-					}
-					en.inLists[x] = b
-				}
-				v, err := lhs(en)
-				if err != nil {
-					return relation.Null(), err
-				}
-				if v.IsNull() {
-					return relation.Null(), nil
-				}
-				if b.set[v.Key()] {
-					return relation.Bool(true), nil
-				}
-				if b.hasNull {
-					return relation.Null(), nil
-				}
-				return relation.Bool(false), nil
-			}, nil
-		}
-		return func(en *env) (relation.Value, error) {
-			v, err := lhs(en)
-			if err != nil {
-				return relation.Null(), err
-			}
-			if v.IsNull() {
-				return relation.Null(), nil
-			}
-			sawNull := false
-			for _, it := range items {
-				w, err := it(en)
-				if err != nil {
-					return relation.Null(), err
-				}
-				if w.IsNull() {
-					sawNull = true
-					continue
-				}
-				if relation.Equal(v, w) {
-					return relation.Bool(true), nil
-				}
-			}
-			if sawNull {
-				return relation.Null(), nil
-			}
-			return relation.Bool(false), nil
-		}, nil
-
 	case *Case:
 		return c.compileCase(x)
 
@@ -528,36 +436,6 @@ func (c *compiler) compileExpr(e Expr) (compiledExpr, error) {
 	default:
 		return nil, fmt.Errorf("sql: cannot compile %T", e)
 	}
-}
-
-// inListHashThreshold is the item count at which a literal/parameter
-// IN list switches from the per-row Equal scan to a Key()-hashed set.
-// Equal and Key() agree on every non-NULL, non-NaN value (both are
-// exact across numeric kinds; buildInSet handles the NaN carve-out),
-// so the two strategies return identical rows.
-const inListHashThreshold = 8
-
-// buildInSet evaluates a literal/parameter IN list into the long-list
-// closure's lookup set. NULL items only set hasNull; NaN items stay out
-// of the set entirely, because Equal(v, NaN) never holds while Key()
-// would encode NaN as self-equal — keeping them out makes the set
-// lookup agree with the short-list Equal scan exactly.
-func buildInSet(en *env, items []compiledExpr, set map[string]bool) (hasNull bool, err error) {
-	for _, it := range items {
-		w, err := it(en)
-		if err != nil {
-			return false, err
-		}
-		if w.IsNull() {
-			hasNull = true
-			continue
-		}
-		if isNaN(w) {
-			continue
-		}
-		set[w.Key()] = true
-	}
-	return hasNull, nil
 }
 
 func (c *compiler) compileBinary(x *Binary) (compiledExpr, error) {

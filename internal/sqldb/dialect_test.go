@@ -94,45 +94,11 @@ func census(t testing.TB) map[string]map[string]bool {
 			_, err = d.Violations()
 			return err
 		})
-		run("ParallelDetect", func() error {
-			d.BindEngine(sqldriver.Engine(dsn))
-			_, err := d.ParallelDetect(2)
-			return err
-		})
 		db.Close()
 		sqldriver.Unregister(dsn)
 	}
 
 	run("ecfdbench -explain", func() error { return detect.ExplainPlans(io.Discard, 1) })
-
-	run("NewSharded", func() error {
-		dsn := "sqldb_census_sharded"
-		db, err := sql.Open(sqldriver.DriverName, dsn)
-		if err != nil {
-			return err
-		}
-		defer sqldriver.Unregister(dsn)
-		defer db.Close()
-		s, err := detect.NewSharded(db, gen.Schema(), gen.Constraints(), detect.ShardOptions{Shards: 2})
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		if err := s.Install(); err != nil {
-			return err
-		}
-		if _, err := s.LoadData(gen.Dataset(gen.Config{Rows: 200, Noise: 10, Seed: 4})); err != nil {
-			return err
-		}
-		if _, err := s.BatchDetect(); err != nil {
-			return err
-		}
-		if _, _, _, err := s.Counts(); err != nil {
-			return err
-		}
-		_, err = s.Violations()
-		return err
-	})
 
 	// Resume: a durable session written by one engine, resumed by a
 	// fresh one over the same directory.
@@ -307,12 +273,6 @@ func productions(stmt sqldb.Statement) []string {
 		case *sqldb.IsNull:
 			use("e IS [NOT] NULL")
 			expr(x.X)
-		case *sqldb.InList:
-			use("e IN (e, …)")
-			expr(x.X)
-			for _, it := range x.List {
-				expr(it)
-			}
 		case *sqldb.InSelect:
 			use("e IN (SELECT …)")
 			expr(x.X)

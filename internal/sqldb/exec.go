@@ -384,11 +384,6 @@ func selectHasAggregate(sel *Select) bool {
 			walk(x.R)
 		case *IsNull:
 			walk(x.X)
-		case *InList:
-			walk(x.X)
-			for _, it := range x.List {
-				walk(it)
-			}
 		case *Case:
 			walk(x.Cond)
 			walk(x.Then)

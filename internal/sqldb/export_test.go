@@ -35,3 +35,6 @@ func DrainParsed() []string {
 	parseCache = newLRU(parseCacheSize)
 	return out
 }
+
+// len is the column's cell count.
+func (v *colVec) len() int { return len(v.words) + len(v.codes) }

@@ -121,8 +121,8 @@ func TestInternedGroupKeyDifferential(t *testing.T) {
 		}
 	}
 	check("loaded")
-	mustExec(t, db, `UPDATE it SET a = '@NULL@', r = -0.0 WHERE rid IN (`+residues(7, 0, nextRID)+`)`)
-	mustExec(t, db, `UPDATE it SET a = NULL, b = '@' WHERE rid IN (`+residues(11, 0, nextRID)+`)`)
+	mustExec(t, db, `UPDATE it SET a = '@NULL@', r = -0.0 WHERE `+residues("rid", 7, 0, nextRID))
+	mustExec(t, db, `UPDATE it SET a = NULL, b = '@' WHERE `+residues("rid", 11, 0, nextRID))
 	check("updated")
 	mustExec(t, db, `DELETE FROM it WHERE rid >= ? AND rid < ?`, relation.Int(segRows-100), relation.Int(2*segRows+40))
 	check("deleted")

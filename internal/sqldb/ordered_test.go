@@ -184,13 +184,13 @@ func TestIncrementalMaintenanceRandomOps(t *testing.T) {
 				relation.Int(int64(rng.Intn(12))), relation.Text(string(rune('a'+rng.Intn(4)))), relation.Int(int64(1000+step)))
 		case 4, 5: // w % 7 = r, as the list of the w values it selects
 			k := rng.Intn(12)
-			both(fmt.Sprintf(`UPDATE h SET k = %d WHERE w IN (%s)`, k, residues(7, int64(rng.Intn(7)), maxW)))
+			both(fmt.Sprintf(`UPDATE h SET k = %d WHERE %s`, k, residues("w", 7, int64(rng.Intn(7)), maxW)))
 		case 6:
 			s := string(rune('a' + rng.Intn(4)))
 			both(fmt.Sprintf(`UPDATE h SET s = '%s', w = %d WHERE k = ?`, s, 2000+step), relation.Int(int64(rng.Intn(12))))
 		case 7, 8:
 			k := relation.Int(int64(rng.Intn(12)))
-			both(`DELETE FROM h WHERE k = ? AND w IN (`+residues(3, int64(rng.Intn(3)), maxW)+`)`, k)
+			both(`DELETE FROM h WHERE k = ? AND `+residues("w", 3, int64(rng.Intn(3)), maxW), k)
 		default:
 			if rng.Intn(4) == 0 {
 				both(`TRUNCATE TABLE h`)
@@ -623,13 +623,13 @@ func TestEqualityProbesFromOrderedIndex(t *testing.T) {
 		case 0, 1, 2, 3:
 			insert(1000 + step)
 		case 4, 5: // w % 5 = r, as the list of the w values it selects
-			all(`DELETE FROM e WHERE w IN (` + residues(5, int64(rng.Intn(5)), 1000+step) + `)`)
+			all(`DELETE FROM e WHERE ` + residues("w", 5, int64(rng.Intn(5)), 1000+step))
 		case 6, 7:
 			k := key().SQL()
 			if k == "NaN" { // no literal writes NaN: inserts place them
 				k = "NULL"
 			}
-			all(fmt.Sprintf(`UPDATE e SET k = %s WHERE w IN (%s)`, k, residues(4, int64(rng.Intn(4)), 1000+step)))
+			all(fmt.Sprintf(`UPDATE e SET k = %s WHERE %s`, k, residues("w", 4, int64(rng.Intn(4)), 1000+step)))
 		case 8:
 			all(fmt.Sprintf(`UPDATE e SET g = %d WHERE k = ?`, step%3), key())
 		default:

@@ -543,19 +543,14 @@ func (p *parser) comparison() (Expr, error) {
 			l = &IsNull{X: l, Neg: neg}
 
 		case p.accept("IN"):
-			if p.isPunct("(") && p.peekSelect() {
-				sub, err := p.subquery()
-				if err != nil {
-					return nil, err
-				}
-				l = &InSelect{X: l, Sub: sub}
-				continue
+			if p.isPunct("(") && !p.peekSelect() {
+				return nil, notSupported(p.tok.pos, "an IN list")
 			}
-			list, err := p.exprList()
+			sub, err := p.subquery()
 			if err != nil {
 				return nil, err
 			}
-			l = &InList{X: l, List: list}
+			l = &InSelect{X: l, Sub: sub}
 
 		default:
 			return l, nil

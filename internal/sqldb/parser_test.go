@@ -73,6 +73,7 @@ var (
 		{`SELECT CASE WHEN a = 1 THEN 1 WHEN a = 2 THEN 2 ELSE 3 END FROM t`, 30},
 		{`SELECT CASE WHEN a = 1 THEN 1 END FROM t`, 30},
 		{`SELECT a FROM t WHERE a NOT IN (1, 2)`, 24},
+		{`SELECT a FROM t WHERE a IN (1, 2)`, 27},
 		{`SELECT a FROM t ORDER BY a DESC`, 27},
 		{`SELECT a FROM t ORDER BY a ASC`, 27},
 		{`SELECT a FROM t ORDER BY 1`, 25},
@@ -100,7 +101,7 @@ var (
 		`SELECT .5`,
 		`SELECT x FROM t WHERE x IS NOT NULL AND NOT EXISTS (SELECT 1 FROM u WHERE u.y = t.x)`,
 		`CREATE TABLE v (a INTEGER, b TEXT, c REAL, d BOOLEAN)`,
-		`SELECT DISTINCT x AS y FROM t, u v WHERE x IN (1, ?) ORDER BY x, v.y LIMIT 1`,
+		`SELECT DISTINCT x AS y FROM t, u v WHERE x = 1 OR x = ? ORDER BY x, v.y LIMIT 1`,
 		`SELECT CASE WHEN a THEN 1 ELSE 'x' END FROM t`,
 		`SELECT m.a, COUNT(*), SUM(m.b), MAX(m.b) FROM (SELECT a, b FROM t) m GROUP BY m.a HAVING COUNT(*) > 1`,
 		`SELECT COALESCE(TOTEXT(a), '@'), ABS(b) FROM t WHERE a IN (SELECT c FROM u)`,
@@ -154,7 +155,7 @@ func TestTokenAndErrorStrings(t *testing.T) {
 }
 
 func TestParamCounting(t *testing.T) {
-	stmt, err := Parse(`SELECT * FROM t WHERE a = ? AND b = ? AND c IN (?, ?)`)
+	stmt, err := Parse(`SELECT * FROM t WHERE a = ? AND b = ? AND (c = ? OR c = ?)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +166,8 @@ func TestParamCounting(t *testing.T) {
 	if len(conj) != 3 {
 		t.Fatalf("conjuncts = %d", len(conj))
 	}
-	inList := conj[2].(*InList)
-	if inList.List[0].(*Param).Index != 2 || inList.List[1].(*Param).Index != 3 {
+	or := conj[2].(*Binary)
+	if or.L.(*Binary).R.(*Param).Index != 2 || or.R.(*Binary).R.(*Param).Index != 3 {
 		t.Error("param indexes must ascend in source order")
 	}
 }

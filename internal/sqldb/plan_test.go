@@ -357,7 +357,7 @@ func TestDeletePlannedSelectionDifferential(t *testing.T) {
 			case 1:
 				return fmt.Sprintf("t.rid >= %d", rng.Intn(60))
 			case 2:
-				return fmt.Sprintf("t.rid IN (%d, %d, %d)", rng.Intn(60), rng.Intn(60), rng.Intn(60))
+				return fmt.Sprintf("(t.rid = %d OR t.rid = %d OR t.rid = %d)", rng.Intn(60), rng.Intn(60), rng.Intn(60))
 			case 3:
 				return "t.rid IN (SELECT c.p FROM pat c)"
 			case 4:

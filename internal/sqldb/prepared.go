@@ -389,11 +389,6 @@ func walkExprTree(e Expr, fn func(Expr)) {
 		walkExprTree(x.R, fn)
 	case *IsNull:
 		walkExprTree(x.X, fn)
-	case *InList:
-		walkExprTree(x.X, fn)
-		for _, it := range x.List {
-			walkExprTree(it, fn)
-		}
 	case *Case:
 		walkExprTree(x.Cond, fn)
 		walkExprTree(x.Then, fn)

@@ -337,8 +337,8 @@ func TestPropertyPlannerNestedLoopEquivalence(t *testing.T) {
 				return fmt.Sprintf("(%s >= %d AND %[1]s <= %d)", c, lo, lo+rng.Intn(5))
 			case 3:
 				return fmt.Sprintf("%s IS NOT NULL", intCol(i))
-			case 4: // x NOT IN (…) is written x <> … AND x <> …
-				in := "%[1]s IN (%[2]d, %[3]d, %[4]d)"
+			case 4: // x [NOT] IN (…) is written x = … OR x = … (x <> … AND x <> …)
+				in := "(%[1]s = %[2]d OR %[1]s = %[3]d OR %[1]s = %[4]d)"
 				if rng.Intn(3) == 0 {
 					in = "(%[1]s <> %[2]d AND %[1]s <> %[3]d AND %[1]s <> %[4]d)"
 				}

@@ -241,7 +241,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 		case 5: // spread over every segment
 			m := int64(50 + rng.Intn(200))
 			r := rng.Int63n(m)
-			mustExec(t, db, `DELETE FROM t WHERE w IN (`+residues(m, r, nextW)+`)`)
+			mustExec(t, db, `DELETE FROM t WHERE `+residues("w", m, r, nextW))
 			keep(func(row relation.Tuple) bool { return row[0].I%m == r })
 		case 6: // whole segments and the ends of their neighbours
 			mustExec(t, db, `DELETE FROM t WHERE w >= ? AND w < ?`, relation.Int(lo), relation.Int(lo+1100))
@@ -257,7 +257,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 				func(r relation.Tuple) relation.Tuple { r[3] = relation.Text(s); return r })
 		case 9: // idx_k's column, scattered
 			k, r := int64(rng.Intn(7)), int64(rng.Intn(31))
-			mustExec(t, db, fmt.Sprintf(`UPDATE t SET k = %d WHERE w IN (%s)`, k, residues(31, r, nextW)))
+			mustExec(t, db, fmt.Sprintf(`UPDATE t SET k = %d WHERE %s`, k, residues("w", 31, r, nextW)))
 			set(func(row relation.Tuple) bool { return row[0].I%31 == r },
 				func(row relation.Tuple) relation.Tuple { row[2] = relation.Int(k); return row })
 		case 10: // idx_rid's column: the order starts over
@@ -268,7 +268,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 				func(r relation.Tuple) relation.Tuple { r[1] = relation.Int(rid); return r })
 		case 12: // the word columns, scattered: NULLs in and out
 			m, to := int64(rng.Intn(31)), words([]int{0, 2}[rng.Intn(2)])
-			mustExec(t, db, fmt.Sprintf(`UPDATE t SET n = %s, r = %s, b = %s WHERE w IN (%s)`, to[0].SQL(), to[1].SQL(), to[2].SQL(), residues(31, m, nextW)))
+			mustExec(t, db, fmt.Sprintf(`UPDATE t SET n = %s, r = %s, b = %s WHERE %s`, to[0].SQL(), to[1].SQL(), to[2].SQL(), residues("w", 31, m, nextW)))
 			set(func(row relation.Tuple) bool { return row[0].I%31 == m },
 				func(row relation.Tuple) relation.Tuple { copy(row[4:], to); return row })
 		case 11:
@@ -285,7 +285,7 @@ func TestRowSegmentsDifferential(t *testing.T) {
 			}
 			insert(1+rng.Intn(20), false)
 			if rng.Intn(2) == 0 {
-				exec(`DELETE FROM t WHERE w IN (` + residues(7, 3, nextW) + `)`)
+				exec(`DELETE FROM t WHERE ` + residues("w", 7, 3, nextW))
 				keep(func(r relation.Tuple) bool { return r[0].I%7 == 3 })
 			}
 			read()

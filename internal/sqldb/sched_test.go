@@ -17,12 +17,12 @@ import (
 // serves exactly the executions that decide what it was laid out for.
 
 // TestPooledScheduleINListParams runs prepared SELECTs that carry
-// per-statement state — the item set of a long IN list, the NULL item of
-// a short one, the same inside an OR, the key of an index probe the
-// instance keeps — again and again with other parameters and over other
-// data, and compares every answer with Reference mode. A stale set
-// answers for the previous parameters; a stale probe, for the previous
-// rows.
+// per-statement state — the parameters of an IN list written as a
+// disjunction of equalities, long and short (one with a NULL item), the
+// same inside a wider OR, the key of an index probe the instance keeps —
+// again and again with other parameters and over other data, and
+// compares every answer with Reference mode. A stale list answers for
+// the previous parameters; a stale probe, for the previous rows.
 func TestPooledScheduleINListParams(t *testing.T) {
 	db, ref := NewDB(), NewDB()
 	ref.SetMode(Reference)
@@ -41,9 +41,10 @@ func TestPooledScheduleINListParams(t *testing.T) {
 		both(`INSERT INTO u VALUES (?, ?)`, relation.Int(int64(i)), relation.Int(int64(1000+i)))
 	}
 	const (
-		qLong  = `SELECT t.k FROM t WHERE t.v IN (?, ?, ?, ?, ?, ?, ?, ?)`
-		qShort = `SELECT t.k FROM t WHERE t.v IN (?, ?, ?)`
-		qGroup = `SELECT t.k FROM t WHERE t.k < ? OR t.v IN (?, ?, ?, ?, ?, ?, ?, ?)`
+		in8    = `t.v = ? OR t.v = ? OR t.v = ? OR t.v = ? OR t.v = ? OR t.v = ? OR t.v = ? OR t.v = ?`
+		qLong  = `SELECT t.k FROM t WHERE ` + in8
+		qShort = `SELECT t.k FROM t WHERE t.v = ? OR t.v = ? OR t.v = ?`
+		qGroup = `SELECT t.k FROM t WHERE t.k < ? OR ` + in8
 		qProbe = `SELECT t.k, u.w FROM t, u WHERE t.v = u.v AND t.k < ?`
 	)
 	if plan, err := db.Explain(qProbe); err != nil {
@@ -52,7 +53,7 @@ func TestPooledScheduleINListParams(t *testing.T) {
 		t.Fatalf("%s\nplan lacks an index probe, the test would pin nothing:\n%s", qProbe, plan)
 	}
 	// paramsFor derives a parameter set from a number; every third one
-	// puts a NULL into the short list, which the list's scan passes over.
+	// puts a NULL into the short list, whose arm then matches nothing.
 	paramsFor := func(n int) map[string][]relation.Value {
 		list := make([]relation.Value, 8)
 		for i := range list {

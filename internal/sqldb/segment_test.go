@@ -469,7 +469,7 @@ func TestSegmentRunsPreserveOrder(t *testing.T) {
 		mustExec(t, db, `INSERT INTO o VALUES `+strings.Join(rows, ", "))
 	}
 	// Segments of uneven fill: thin the second out, then append.
-	mustExec(t, db, `DELETE FROM o WHERE k IN (`+residues(3, 0, 4000)+`) AND v < 300 AND f = 1`)
+	mustExec(t, db, `DELETE FROM o WHERE `+residues("k", 3, 0, 4000)+` AND v < 300 AND f = 1`)
 	mustExec(t, db, `INSERT INTO o VALUES (4000, 7, 1), (4001, 8, 0)`)
 	tbl := mustTable(t, db, "o")
 	if td := db.cur.Load().tds[tbl]; len(td.segs) < 3 {
@@ -477,7 +477,7 @@ func TestSegmentRunsPreserveOrder(t *testing.T) {
 	}
 	for _, q := range []string{
 		`SELECT k, v FROM o WHERE f <> 1 AND v >= 100 ORDER BY k`,
-		`SELECT k, v FROM o WHERE f = 2 AND (v < 50 OR v > 450 OR k IN (` + residues(7, 0, 4000) + `)) ORDER BY k`,
+		`SELECT k, v FROM o WHERE f = 2 AND (v < 50 OR v > 450 OR ` + residues("k", 7, 0, 4000) + `) ORDER BY k`,
 		`SELECT k FROM o WHERE k > 1000 AND k <= 3000 AND v <> 3 ORDER BY k LIMIT 700`,
 	} {
 		plan, err := db.Explain(q)
