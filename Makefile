@@ -57,7 +57,8 @@ mvccstress:
 # the id-keyed DISTINCT and streamed grouping (vs nested loop),
 # tiny joins in every FROM order (the lead order, vs nested loop), the
 # segmented row store under random DML vs a mirror
-# loaded fresh, the detector differential's random and transitions
+# loaded fresh, a pooled plan instance re-executed after every kind of
+# change to the tables it keeps bind outcomes and a hash build of, the detector differential's random and transitions
 # workloads (every detector leg vs the naive oracle) and the naive oracle
 # vs the definitional checker, on a seed no earlier run has used. The
 # seed is printed first: `go test ./internal/sqldb/ -run <test> -args
@@ -65,7 +66,7 @@ mvccstress:
 # failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestInternedGroupKeyDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential|TestDecorrelatedClosureDifferential' ./internal/sqldb/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestInternedGroupKeyDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential|TestDecorrelatedClosureDifferential|TestPooledScheduleStaleness' ./internal/sqldb/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed
 

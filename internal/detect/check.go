@@ -20,7 +20,12 @@ type CheckResult struct {
 // Aux are untouched — so Check never scans D. It is four statements, a
 // TRUNCATE and an INSERT on the staging table (two epochs published,
 // both touching that table alone) and the two SELECTs, cheap enough to
-// run at request rate between updates (the server's hot path).
+// run at request rate between updates (the server's hot path). Warm, the
+// SELECTs re-derive nothing from the pattern table or Aux: their plan
+// instances keep the pattern rows' guard outcomes and the hash build of
+// Aux for as long as those tables keep their version (sqldb's "What an
+// idle plan instance may keep"), so a warm Check evaluates no guard,
+// reads no Aux row, and does the same work at any |D| (work.golden).
 //
 // The verdict's contract:
 //

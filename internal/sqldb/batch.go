@@ -678,6 +678,11 @@ type orGroupK struct {
 
 type orTermK struct {
 	binds []compiledExpr // parts not reading the level source: all must bind true
+	// memo, when every bind reads one base-table source's row and nothing
+	// else (planPart.rowOnly), is the instance's memo for that source: it
+	// keeps their outcome per row under slot (bindsHold).
+	memo  *bindMemo
+	slot  int
 	preds []predInst
 	bound bool // binds evaluated and preds bound for this entry
 	live  bool
@@ -726,6 +731,10 @@ type probeInst struct {
 	// vs is the value-set prefilter (bindSets), nil until an entry builds
 	// one: most instances never do, and pay one word for it.
 	vs *probeSets
+	// hb is the hash build the entry probes (k.d.idx == nil), kept across
+	// the instance's executions when its table has at most keepMaxRows
+	// rows: the next execution over the same version probes it again.
+	hb *hashBuild
 }
 
 // probeSets is the value-set state of a probe instance: parts lists the
@@ -963,6 +972,9 @@ func (p *predInst) reset() {
 	p.b.reset()
 	if pb := p.probe; pb != nil {
 		pb.eq, pb.set, pb.vs = eqView{}, nil, nil // vs: only big scans build one
+		if pb.hb != nil && pb.hb.n > keepMaxRows {
+			pb.hb = nil
+		}
 		clear(pb.colvs)
 	}
 	for i := range p.or {
@@ -990,19 +1002,26 @@ func newPredInst(k *kpred) predInst {
 	return p
 }
 
-// newOrGroupK builds the group instance for conjunct ci consumed at
-// the level scanning source s.
-func newOrGroupK(pc *planConjunct, ci, s int) *orGroupK {
+// newOrGroupK builds the group instance for conjunct ci of cs consumed
+// at the level scanning source s, for the schedule whose state is st.
+func newOrGroupK(cs *compiledSelect, st *planState, pc *planConjunct, ci, s int) *orGroupK {
 	bit := srcMask(1) << uint(s)
 	g := &orGroupK{conj: ci, nTerms: len(pc.terms)}
 	for _, t := range pc.terms {
 		tm := orTermK{}
+		var read srcMask
+		rowOnly := true
 		for _, p := range t.parts {
 			if p.srcs&bit == 0 {
 				tm.binds = append(tm.binds, p.ex)
+				read |= p.srcs
+				rowOnly = rowOnly && p.rowOnly
 				continue
 			}
 			tm.preds = append(tm.preds, newPredInst(kpFor(p.kp, s)))
+		}
+		if site := bits.TrailingZeros64(uint64(read)); rowOnly && bits.OnesCount64(uint64(read)) == 1 && cs.sources[site].table != nil {
+			tm.memo, tm.slot = st.memoFor(cs, site)
 		}
 		g.terms = append(g.terms, tm)
 	}
@@ -1076,15 +1095,9 @@ func (g *orGroupK) dead() bool {
 // the alternative.
 func (g *orGroupK) bindTerm(en *env, tm *orTermK) error {
 	tm.bound, tm.live, tm.always = true, true, true
-	for _, ex := range tm.binds {
-		v, err := ex(en)
-		if err != nil {
-			return err
-		}
-		if !v.Truth() {
-			tm.live = false
-			return nil
-		}
+	if live, err := tm.bindsHold(en); err != nil || !live {
+		tm.live = false
+		return err
 	}
 	for pi := range tm.preds {
 		p := &tm.preds[pi]
@@ -1100,6 +1113,36 @@ func (g *orGroupK) bindTerm(en *env, tm *orTermK) error {
 		}
 	}
 	return nil
+}
+
+// bindsHold reports whether every bind of the alternative holds for the
+// bound rows, evaluating them in order up to the first that does not —
+// unless the memo already holds the outcome for the site row, which
+// evaluating them would only repeat. An error is never kept: the next
+// entry evaluates again, and fails the same way.
+func (tm *orTermK) bindsHold(en *env) (bool, error) {
+	var cell *uint8
+	if m := tm.memo; m != nil && len(m.out) > 0 {
+		if cell = &m.out[tm.slot*m.rows+m.idx[m.src]]; *cell != memoUnknown {
+			return *cell == memoTrue, nil
+		}
+	}
+	outcome := memoTrue
+	for _, ex := range tm.binds {
+		en.work[wBindEvals]++
+		v, err := ex(en)
+		if err != nil {
+			return false, err
+		}
+		if !v.Truth() {
+			outcome = memoFalse
+			break
+		}
+	}
+	if cell != nil {
+		*cell = outcome
+	}
+	return outcome == memoTrue, nil
 }
 
 func (p *predInst) bind(en *env, cands int) error {
@@ -1232,11 +1275,11 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 	}
 	en.work[wExactBinds]++
 	if k.d.idx == nil {
-		hb, err := k.d.ensureHash(en)
+		hb, err := k.d.ensureHash(en, pb.hb)
 		if err != nil {
 			return err
 		}
-		pb.set = hb.set
+		pb.hb, pb.set = hb, hb.set
 		return nil
 	}
 	pb.eq = inner.lookupEq(k.d.t, k.d.idx)
@@ -1643,6 +1686,10 @@ type projPart struct {
 	// one, the active part's output is a function of that cell, so of its
 	// segment code (idKeys.translate).
 	resCols []binding
+	// coalesce: the THEN arm is COALESCE(TOTEXT(col), nullLit) over that
+	// one column, so a dictionary code translates with no evaluation.
+	coalesce bool
+	nullLit  relation.Value
 }
 
 // projSpec is the compiled projection plan of one select.
@@ -1733,7 +1780,12 @@ func (c *compiler) buildProjSpec(astOuts []Expr) *projSpec {
 			continue // an uncompilable half just stays general
 		}
 		cse, _ := cacheableCase(e)
-		sp.parts[i] = projPart{mode: projCase, cond: cond, res: res, alt: alt, resCols: resCols(cse.Then)}
+		p := projPart{mode: projCase, cond: cond, res: res, alt: alt, resCols: resCols(cse.Then)}
+		if len(p.resCols) == 1 {
+			col, lit, ok := c.textCoalesceCol(cse.Then, depth, p.resCols[0].src)
+			p.coalesce, p.nullLit = ok && col == p.resCols[0].col, lit
+		}
+		sp.parts[i] = p
 		useful = true
 	}
 	if !useful || !sc.hasSite {
@@ -2036,18 +2088,31 @@ func (k *idKeys) xlat(i int, cv *colVec) codeIDs {
 	if !ok {
 		base = len(k.xlats)
 		k.xlatAt[xlatKey{i, cv}] = base
-		k.xlats = append(k.xlats, make([]uint32, len(cv.dict)+1)...)
+		n := len(cv.dict) + 1
+		k.xlats = slices.Grow(k.xlats, n)[:base+n]
+		clear(k.xlats[base:])
 	}
 	return codeIDs{cv, base}
 }
 
 // translate evaluates live column i's THEN arm on the bound row, which
 // holds code in c's segment column, and records its id: once per code of
-// a segment column in an execution.
+// a segment column in an execution. The '@'-blanking arm over a coded
+// column — which holds TEXT or NULL, and COALESCE(TOTEXT(·), lit) keeps
+// TEXT as it is — is read off the dictionary instead: the code's string,
+// or the fallback literal for the NULL code 0.
 func (k *idKeys) translate(en *env, i int, c codeIDs, code uint16) (uint32, error) {
-	v, err := k.cs.proj.parts[i].res(en)
-	if err != nil {
-		return 0, err
+	var v relation.Value
+	switch p := &k.cs.proj.parts[i]; {
+	case p.coalesce && code == 0:
+		v = p.nullLit
+	case p.coalesce:
+		v = relation.Text(c.seg.dict[code-1])
+	default:
+		var err error
+		if v, err = p.res(en); err != nil {
+			return 0, err
+		}
 	}
 	id := k.in.id(v)
 	k.xlats[c.base+int(code)] = id

@@ -766,6 +766,13 @@ type Stats struct {
 	// row, whole (planConjunct.holds): what no kernel, OR group, probe or
 	// range took.
 	RowConjuncts int64
+	// BindEvals counts the evaluations of OR-alternative parts that read
+	// no row of the level they filter — the pattern row's guards, such as
+	// "c.A_L <> 1" — which an OR group decides once per level entry
+	// (orGroupK.bindTerm), unless its plan instance kept their outcome for
+	// that row from an earlier execution over the same table version
+	// (bindMemo).
+	BindEvals int64
 	// SchedBuilds counts join-plan instances laid out (buildSchedule),
 	// SchedReuses the selects an idle instance served instead: all a fixed
 	// statement set adds to once it is warm.
@@ -814,6 +821,7 @@ func (db *DB) Stats() Stats {
 		RowsScanned:      db.work[wRowsScanned].Load(),
 		RowsStepped:      db.work[wRowsStepped].Load(),
 		RowConjuncts:     db.work[wRowConjuncts].Load(),
+		BindEvals:        db.work[wBindEvals].Load(),
 		HashBuilds:       db.work[wHashBuilds].Load(),
 		SchedBuilds:      db.work[wSchedBuilds].Load(),
 		SchedReuses:      db.work[wSchedReuses].Load(),

@@ -51,6 +51,7 @@ const (
 	wRowsScanned
 	wRowsStepped
 	wRowConjuncts
+	wBindEvals
 	wHashBuilds
 	wSchedBuilds
 	wSchedReuses

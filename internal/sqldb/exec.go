@@ -168,7 +168,6 @@ func newEnv(db *DB, ep *epoch, params []relation.Value) *env {
 		ep:     ep,
 		params: params,
 		aggs:   make(map[*compiledSelect][]relation.Value),
-		hash:   make(map[*Exists]*hashBuild),
 		inSets: make(map[*InSelect]*inBuild),
 	}
 }

@@ -96,6 +96,10 @@ type planPart struct {
 	ex   compiledExpr
 	srcs srcMask
 	kp   []kpredCand
+	// rowOnly: the part reads the rows of srcs and literals and nothing
+	// else — no parameter, outer scope or subquery — so over one table
+	// version a row of its one source decides it for good (bindMemo).
+	rowOnly bool
 }
 
 // planConjunct is one AND conjunct of the WHERE clause.
@@ -188,7 +192,7 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 				if err != nil {
 					return
 				}
-				part := planPart{ex: ex, srcs: mask}
+				part := planPart{ex: ex, srcs: mask, rowOnly: c.rowOnly(pe, depth)}
 				if mask != 0 {
 					// Every part that reads a current-scope source gets its
 					// kernel candidates: plain conjuncts consume simple
@@ -210,6 +214,19 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 	cs.conjs = conjs
 	cs.lead = leadOrder(conjs, len(cs.sources))
 	cs.planOK = true
+}
+
+// rowOnly reports whether e reads only literals and columns of the
+// scope at depth: no parameter, no outer-scope column, no subquery.
+func (c *compiler) rowOnly(e Expr, depth int) bool {
+	ok := true
+	walkExprTree(e, func(x Expr) {
+		switch x.(type) {
+		case *Param, *Exists, *InSelect:
+			ok = false
+		}
+	})
+	return ok && c.walkBindings(e, func(b binding) { ok = ok && b.depth == depth }) == nil && ok
 }
 
 // leadOrder ranks the sources for a tiny join: by how many parts read
@@ -463,6 +480,8 @@ type planState struct {
 	xlats  []uint32
 	xlatAt map[xlatKey]int
 	sizes  idSizes
+	// memos keep bind outcomes between executions, one per site source.
+	memos []*bindMemo
 }
 
 func isNaN(v relation.Value) bool {
@@ -496,7 +515,12 @@ func decide(lead []int, srcRows []rowSet, order []int) []int {
 // valid as long as the plan). Only scheduleFor's miss and EXPLAIN call it.
 func buildSchedule(cs *compiledSelect, order []int, ep *epoch) *schedule {
 	n := len(cs.sources)
-	sch := &schedule{order: order}
+	sch := &schedule{order: order, state: &planState{
+		idx:   make([]int, n),
+		sel:   make([][]int, n),
+		binds: make([][]kernBind, n),
+		gsc:   make([]*groupScratch, n),
+	}}
 	consumed := make([]bool, len(cs.conjs))
 	// OR-group claiming: a conjunct is owned wholly by a group kernel at
 	// the last level of its source set when every alternative part that
@@ -661,7 +685,7 @@ func buildSchedule(cs *compiledSelect, order []int, ep *epoch) *schedule {
 				if claim[ci] != pos || consumed[ci] {
 					continue
 				}
-				lv.groups = append(lv.groups, newOrGroupK(pc, ci, s))
+				lv.groups = append(lv.groups, newOrGroupK(cs, sch.state, pc, ci, s))
 				consumed[ci] = true
 			}
 		}
@@ -673,12 +697,6 @@ func buildSchedule(cs *compiledSelect, order []int, ep *epoch) *schedule {
 		bound = boundAfter
 		sch.levels = append(sch.levels, lv)
 	}
-	sch.state = &planState{
-		idx:   make([]int, n),
-		sel:   make([][]int, n),
-		binds: make([][]kernBind, n),
-		gsc:   make([]*groupScratch, n),
-	}
 	for i := range sch.levels {
 		lv := &sch.levels[i]
 		if k := len(lv.kerns); k > 0 {
@@ -689,6 +707,82 @@ func buildSchedule(cs *compiledSelect, order []int, ep *epoch) *schedule {
 		}
 	}
 	return sch
+}
+
+// keepMaxRows bounds what an idle plan instance keeps of its executions
+// beyond scratch: the bind outcomes of at most this many site rows
+// (bindMemo), and a hash build over a table of at most this many rows
+// (probeInst.hb). A data-sized table keeps neither: a kept memo is at
+// most a kilobyte per alternative, a kept build at most 1024 keys. The
+// detector's pattern table holds a few rows per constraint, its Aux table
+// a few hundred rows at 160 000 data rows.
+const keepMaxRows = segRows
+
+// bindMemo keeps, from one execution of a plan instance to the next, the
+// outcome of the binds of every OR-group alternative that reads one row
+// of the base table t and nothing else (orTermK.memo): per (alternative,
+// row position) whether they all hold. The pattern row's guards of the
+// detection queries are such binds, and their table does not change after
+// Install, so a warm statement evaluates none of them.
+//
+// The outcome is a function of the row's cells, and the memo is valid for
+// the table version it was stamped with. One (table, version) never
+// stands for two row sets: the version lives in tableData and every
+// transition that changes a table's rows — INSERT, UPDATE, DELETE,
+// TRUNCATE, LoadRelation, and Rollback or a failed Commit putting rows
+// back (applyWholesale) — installs data one version above the data it
+// replaces, on the writer head, which is the only epoch writers fork and
+// only ever moves forward; so the versions of a table's lineage never
+// repeat, a rollback included. The table handle is the plan's own: DROP
+// and CREATE under the same name make a new handle and recompile the
+// plan, whose instances go with it. The memo holds the handle and the
+// stamp, never the epoch or anything of its data, so an idle instance
+// pins nothing (TestPooledScheduleHoldsNoEpoch); and it keeps outcomes
+// for at most keepMaxRows rows.
+type bindMemo struct {
+	src     int
+	t       *Table
+	idx     []int // the instance's current row per source (planState.idx)
+	slots   int   // alternatives keeping their outcome here
+	stamped bool
+	version uint64
+	rows    int
+	// out holds slot·rows + position → memoUnknown / memoTrue / memoFalse;
+	// empty while the stamped version has more than keepMaxRows rows.
+	out []uint8
+}
+
+const (
+	memoUnknown uint8 = iota
+	memoTrue
+	memoFalse
+)
+
+// memoFor returns the instance's memo for source src, making it on first
+// use, with a slot of it taken for one more alternative.
+func (st *planState) memoFor(cs *compiledSelect, src int) (*bindMemo, int) {
+	i := slices.IndexFunc(st.memos, func(m *bindMemo) bool { return m.src == src })
+	if i < 0 {
+		i = len(st.memos)
+		st.memos = append(st.memos, &bindMemo{src: src, t: cs.sources[src].table, idx: st.idx})
+	}
+	m := st.memos[i]
+	m.slots++
+	return m, m.slots - 1
+}
+
+// stamp makes the memo valid for td, the version of its table that the
+// execution reads: a version other than the stamped one empties it.
+func (m *bindMemo) stamp(td *tableData) {
+	if m.stamped && m.version == td.version {
+		return
+	}
+	m.stamped, m.version, m.rows = true, td.version, td.n
+	m.out = m.out[:0]
+	if td.n <= keepMaxRows {
+		m.out = slices.Grow(m.out, m.slots*td.n)[:m.slots*td.n]
+		clear(m.out)
+	}
 }
 
 // buildRangePlan collects the usable range bounds for source s given
@@ -793,9 +887,12 @@ func (cs *compiledSelect) release(sch *schedule) {
 }
 
 // reset drops the state that outlives a level entry: a reference into
-// the epoch it read (a probe's segment vectors, index views, hash sets)
+// the epoch it read (a probe's segment vectors, index views, value sets)
 // would keep that epoch's segments live while the instance idles.
-// Scratch capacity, and a few bound scalars, stay.
+// Scratch capacity, a few bound scalars, and what is stamped with a
+// table version and bounded — the bind outcomes (bindMemo) and a small
+// table's hash build (probeInst.hb), none of which points into an
+// epoch — stay.
 func (sch *schedule) reset() {
 	st := sch.state
 	for pos := range sch.levels {
@@ -825,6 +922,9 @@ func (cs *compiledSelect) scan(en *env, srcRows []rowSet, yield func() error) er
 // runPlan executes the planned join. yield receives the current row
 // index per source (indexed by source position, not loop order).
 func (cs *compiledSelect) runPlan(en *env, sch *schedule, srcRows []rowSet, yield func(idx []int) error) error {
+	for _, m := range sch.state.memos {
+		m.stamp(en.td(m.t))
+	}
 	for _, ci := range sch.pre {
 		if ok, err := cs.conjs[ci].holds(en); !ok {
 			return err // nil: a constant-false WHERE

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -338,4 +339,221 @@ func mustTable(t *testing.T, db *DB, name string) *Table {
 		t.Fatal(err)
 	}
 	return tbl
+}
+
+// TestPooledScheduleStaleness: a plan instance keeps two things between
+// executions — the pattern-only binds' outcome per site row (bindMemo)
+// and its probes' hash builds (probeInst.hb) — each valid for the version
+// of the table it was made from. One prepared statement, of the Qsv shape
+// (a small site table c outside, guards that read only c, EXISTS probes
+// into s, which has no index and so is hash-built), is re-executed after
+// DML on the site table, on the build table and on the data table, after
+// a rolled-back transaction on each of the first two, beside a reader
+// pinned at an older epoch, and after DROP TABLE and CREATE TABLE under
+// the same names; every answer, inside the transactions and at the pin
+// too, must equal Reference mode's byte for byte. The counters show the
+// instance answering from what it kept: a warm run, and a run after DML
+// on the data table alone, evaluates no bind and builds no hash. `make
+// difffuzz` runs it on a fresh seed.
+func TestPooledScheduleStaleness(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(diffSeed(t, 461)))
+	texts := []relation.Value{relation.Null(), relation.Text("x"), relation.Text("y"), relation.Text("z"), relation.Text("@")}
+	pick := func(vs []relation.Value) relation.Value { return vs[rng.Intn(len(vs))] }
+	small := func(n int) relation.Value {
+		if rng.Intn(8) == 0 {
+			return relation.Null()
+		}
+		return relation.Int(int64(rng.Intn(n)))
+	}
+	// lit renders a value for SET, which takes literals only.
+	lit := func(v relation.Value) string {
+		switch v.K {
+		case relation.KindNull:
+			return "NULL"
+		case relation.KindText:
+			return "'" + v.S + "'"
+		}
+		return v.String()
+	}
+	db, ref := NewDB(), NewDB()
+	ref.SetMode(Reference)
+	both := func(q string, params ...relation.Value) {
+		t.Helper()
+		mustExec(t, db, q, params...)
+		mustExec(t, ref, q, params...)
+	}
+	// Pattern rows keep c smaller than d, so c stays the outer level.
+	fillC := func() {
+		for cid := 0; cid < 6+rng.Intn(6); cid++ {
+			both(`INSERT INTO c VALUES (?, ?, ?)`, relation.Int(int64(cid%4)), small(3), small(4))
+		}
+	}
+	fillS := func() {
+		for i := 0; i < 10+rng.Intn(20); i++ {
+			both(`INSERT INTO s VALUES (?, ?)`, small(4), pick(texts))
+		}
+	}
+	both(`CREATE TABLE c (cid INTEGER, g INTEGER, h INTEGER)`)
+	both(`CREATE TABLE s (cid INTEGER, val TEXT)`)
+	both(`CREATE TABLE d (k INTEGER, a TEXT, x INTEGER)`)
+	fillC()
+	fillS()
+	for k := 0; k < 100; k++ {
+		both(`INSERT INTO d VALUES (?, ?, ?)`, relation.Int(int64(k)), pick(texts), small(3))
+	}
+	const q = `SELECT DISTINCT t.k FROM d t, c
+		WHERE (c.g <> 1 OR EXISTS (SELECT 1 FROM s WHERE s.cid = c.cid AND s.val = t.a))
+		AND (ABS(c.h) = 1 AND t.x = 0
+			OR ABS(c.h) = 2 AND NOT EXISTS (SELECT 1 FROM s WHERE s.cid = c.cid AND s.val = t.a)
+			OR c.h = 3)`
+	if plan, err := db.Explain(q); err != nil {
+		t.Fatal(err)
+	} else if !strings.Contains(plan, "scan c") || !strings.Contains(plan, "scan t (100 rows) [batch: or-group") {
+		t.Fatalf("plan does not bind c's guards outside t's groups, the test would pin nothing:\n%s", plan)
+	}
+	p, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := ref.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashBuilt := false
+	// check runs the statement on both engines and compares; kept says
+	// that nothing the instance keeps is stale, so the run must evaluate
+	// no bind and build no hash.
+	check := func(step string, kept bool) {
+		t.Helper()
+		before := db.Stats()
+		res, err := p.Query()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		st := db.Stats()
+		want, err := pr.Query()
+		if err != nil {
+			t.Fatalf("%s: Reference: %v", step, err)
+		}
+		if got, want := canonical(res), canonical(want); got != want {
+			t.Fatalf("after %s:\nPlanned   %q\nReference %q", step, got, want)
+		}
+		evals, builds := st.BindEvals-before.BindEvals, st.HashBuilds-before.HashBuilds
+		if kept && (evals != 0 || builds != 0) {
+			t.Fatalf("after %s: %d bind evaluations and %d hash builds; want none from a warm instance", step, evals, builds)
+		}
+		hashBuilt = hashBuilt || builds > 0
+	}
+	// inTx runs one statement in a transaction on both engines, compares
+	// the statement's answer inside it, and rolls back.
+	inTx := func(step, dml string) {
+		t.Helper()
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rtx, err := ref.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []*Tx{tx, rtx} {
+			if _, err := x.Exec(dml); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		}
+		got, err := tx.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rtx.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := canonical(got), canonical(want); g != w {
+			t.Fatalf("inside %s:\nPlanned   %q\nReference %q", step, g, w)
+		}
+		for _, x := range []*Tx{tx, rtx} {
+			if err := x.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("rolled-back "+step, false)
+	}
+	check("the first run", false)
+	check("a warm run", true)
+	for round := 0; round < 6; round++ {
+		cid, v := rng.Intn(4), rng.Intn(4)
+		switch rng.Intn(3) {
+		case 0:
+			both(fmt.Sprintf(`UPDATE c SET g = %s, h = %s WHERE c.cid = ?`, lit(small(3)), lit(small(4))), relation.Int(int64(cid)))
+		case 1:
+			both(`INSERT INTO c VALUES (?, ?, ?)`, relation.Int(int64(cid)), small(3), small(4))
+		default:
+			both(`DELETE FROM c WHERE c.h = ?`, relation.Int(int64(v)))
+		}
+		check("DML on the site table", false)
+		check("a warm run", true)
+		switch rng.Intn(3) {
+		case 0:
+			both(fmt.Sprintf(`UPDATE s SET val = %s WHERE s.cid = ?`, lit(pick(texts))), relation.Int(int64(cid)))
+		case 1:
+			both(`INSERT INTO s VALUES (?, ?)`, relation.Int(int64(cid)), pick(texts))
+		default:
+			both(`DELETE FROM s WHERE s.cid = ?`, relation.Int(int64(cid)))
+		}
+		check("DML on the build table", false)
+		both(fmt.Sprintf(`UPDATE d SET a = %s, x = %s WHERE d.k = ?`, lit(pick(texts)), lit(small(3))), relation.Int(int64(rng.Intn(100))))
+		check("DML on the data table", true)
+		inTx("UPDATE of the site table", fmt.Sprintf(`UPDATE c SET g = %d, h = %d WHERE c.cid = %d`, rng.Intn(3), rng.Intn(4), cid))
+		inTx("DELETE from the build table", fmt.Sprintf(`DELETE FROM s WHERE s.cid = %d`, (cid+1)%4))
+
+		// A reader pinned before a change re-executes the statement beside
+		// the writer and the current readers: each version, in turn, is the
+		// one the instance it checks out last saw.
+		snap, rsnap := db.PinSnapshot(), ref.PinSnapshot()
+		res, err := pr.QueryAt(rsnap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pinned := canonical(res)
+		both(fmt.Sprintf(`UPDATE c SET g = %s WHERE c.cid = ?`, lit(small(3))), relation.Int(int64(cid)))
+		both(`INSERT INTO s VALUES (?, ?)`, relation.Int(int64(v)), pick(texts))
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				res, err := p.QueryAt(snap)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := canonical(res); got != pinned {
+					t.Errorf("pinned reader, run %d:\nPlanned   %q\nReference %q", i, got, pinned)
+					return
+				}
+			}
+		}()
+		for i := 0; i < 5; i++ {
+			check("DML beside a pinned reader", false)
+		}
+		wg.Wait()
+		snap.Close()
+		rsnap.Close()
+	}
+	// The same names over new tables: the plan recompiles, and no
+	// instance of the old one may answer for them.
+	both(`DROP TABLE s`)
+	both(`CREATE TABLE s (cid INTEGER, val TEXT)`)
+	fillS()
+	check("DROP and CREATE of the build table", false)
+	both(`DROP TABLE c`)
+	both(`CREATE TABLE c (cid INTEGER, g INTEGER, h INTEGER)`)
+	fillC()
+	check("DROP and CREATE of the site table", false)
+	check("a warm run", true)
+	if !hashBuilt {
+		t.Fatal("no run built a hash: the statement probes no hash build")
+	}
 }

@@ -6,12 +6,18 @@ import (
 	"ecfd/internal/relation"
 )
 
-// hashBuild is the cached build side of a decorrelated EXISTS: the set
-// of key tuples present in the inner table (after inner-only filters).
-// It lives on the env (one per statement execution), so concurrent
-// executions of the same compiled plan never share it.
+// hashBuild is the build side of a decorrelated EXISTS: the set of key
+// tuples present in the inner table t (after inner-only filters) at one
+// version of its rows, n of them. An execution keeps its builds on its env
+// (one per statement execution), so concurrent executions of the same
+// compiled plan never share one; a probe kernel's plan instance also keeps
+// its last, when it is small, for the next execution over the same
+// version (probeInst.hb). The set is its own strings: it holds nothing of
+// the epoch it was built from.
 type hashBuild struct {
+	t       *Table
 	version uint64
+	n       int
 	set     map[string]bool
 }
 
@@ -82,11 +88,18 @@ type decorrProbe struct {
 	perm    []int  // index column order → outer key position
 }
 
-// ensureHash returns the env's build-side key set for the probe,
-// building it on first use (and after table mutations). Shared by the
-// hash-probe closure and the probe kernel so the two can never drift.
-func (d *decorrProbe) ensureHash(en *env) (*hashBuild, error) {
+// ensureHash returns the build-side key set of the probe for the version
+// of its table the execution reads: kept, when a plan instance kept one
+// of that version (nil if none), else the env's, else a new one, which
+// the env keeps for the rest of the statement. Shared by the hash-probe
+// closure and the probe kernel so the two can never drift. A (table,
+// version) pair never stands for two row sets (bindMemo says why), so a
+// build of the same pair is the build this one would make.
+func (d *decorrProbe) ensureHash(en *env, kept *hashBuild) (*hashBuild, error) {
 	td := en.td(d.t)
+	if kept != nil && kept.t == d.t && kept.version == td.version {
+		return kept, nil
+	}
 	b := en.hash[d.x]
 	if b != nil && b.version == td.version {
 		return b, nil
@@ -118,7 +131,10 @@ build:
 		set[relation.KeyOf(key)] = true
 	}
 	en.frames = en.frames[:len(en.frames)-1]
-	b = &hashBuild{version: td.version, set: set}
+	b = &hashBuild{t: d.t, version: td.version, n: td.n, set: set}
+	if en.hash == nil {
+		en.hash = make(map[*Exists]*hashBuild)
+	}
 	en.hash[d.x] = b
 	return b, nil
 }
@@ -260,7 +276,7 @@ func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 		if d.idx != nil {
 			eq = en.td(d.t).lookupEq(d.t, d.idx)
 		} else {
-			b, err := d.ensureHash(en)
+			b, err := d.ensureHash(en, nil)
 			if err != nil {
 				return relation.Null(), err
 			}

@@ -321,3 +321,47 @@ func valueSetPinnedReader(t *testing.T) {
 		}
 	}
 }
+
+// TestValueSetNullMember: a NULL in a probe-side key column matches no
+// candidate, so an entry that walks it into value sets skips that row
+// (probeInst.bindSets): beside TEXT members the entry still answers from
+// its one set, and with only the NULL row agreeing it is constant — no
+// row of the entry matches. Each of the three pattern rows is one level
+// entry answered by value sets alone (SetBinds) and none probes exactly;
+// taking the NULL row into the walk would refuse the set and send such an
+// entry to the exact probe (ExactBinds). The answer is Reference mode's.
+func TestValueSetNullMember(t *testing.T) {
+	db, ref := NewDB(), NewDB()
+	ref.SetMode(Reference)
+	for _, e := range []*DB{db, ref} {
+		mustExec(t, e, `CREATE TABLE c (cid INTEGER)`)
+		mustExec(t, e, `CREATE TABLE s (cid INTEGER, val TEXT)`)
+		mustExec(t, e, `CREATE TABLE d (k INTEGER, a TEXT)`)
+		// cid 0: a NULL member beside TEXT ones; 1: only a NULL member; 2: none.
+		mustExec(t, e, `INSERT INTO c VALUES (0), (1), (2)`)
+		mustExec(t, e, `INSERT INTO s VALUES (0, 'x'), (0, NULL), (0, 'y'), (1, NULL)`)
+		for k := 0; k < probeSetMinCands; k += 256 {
+			rows := make([]string, 256)
+			for j := range rows {
+				a := []string{"'x'", "'y'", "'z'", "NULL"}[(k+j)%4]
+				rows[j] = fmt.Sprintf("(%d, %s)", k+j, a)
+			}
+			mustExec(t, e, `INSERT INTO d VALUES `+strings.Join(rows, ", "))
+		}
+	}
+	const q = `SELECT c.cid, t.k FROM c, d t WHERE EXISTS (SELECT 1 FROM s WHERE s.cid = c.cid AND s.val = t.a)`
+	if plan, err := db.Explain(q); err != nil {
+		t.Fatal(err)
+	} else if !strings.Contains(plan, "value-set probe s") {
+		t.Fatalf("the probe may not answer from value sets, the test would pin nothing:\n%s", plan)
+	}
+	before := db.Stats()
+	got := canonical(mustQuery(t, db, q))
+	st := db.Stats()
+	if want := canonical(mustQuery(t, ref, q)); got != want {
+		t.Fatalf("Planned\n%.200s\nReference\n%.200s", got, want)
+	}
+	if sets, exact := st.SetBinds-before.SetBinds, st.ExactBinds-before.ExactBinds; sets != 3 || exact != 0 {
+		t.Errorf("SetBinds %d, ExactBinds %d; want 3 and 0: an entry with a NULL set member probed exactly", sets, exact)
+	}
+}
