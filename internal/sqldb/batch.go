@@ -732,8 +732,9 @@ type probeInst struct {
 	// one: most instances never do, and pay one word for it.
 	vs *probeSets
 	// hb is the hash build the entry probes (k.d.idx == nil), kept across
-	// the instance's executions when its table has at most keepMaxRows
-	// rows: the next execution over the same version probes it again.
+	// the instance's executions when the probe's filters read only the
+	// build row (k.d.keep) and its table has at most keepMaxRows rows: the
+	// next execution over the same version probes it again.
 	hb *hashBuild
 }
 
@@ -1279,7 +1280,10 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 		if err != nil {
 			return err
 		}
-		pb.hb, pb.set = hb, hb.set
+		pb.set = hb.set
+		if k.d.keep {
+			pb.hb = hb
+		}
 		return nil
 	}
 	pb.eq = inner.lookupEq(k.d.t, k.d.idx)

@@ -217,16 +217,32 @@ func (c *compiler) planWhere(where Expr, cs *compiledSelect) {
 }
 
 // rowOnly reports whether e reads only literals and columns of the
-// scope at depth: no parameter, no outer-scope column, no subquery.
+// scope at depth: no parameter, no outer-scope column, no subquery. Its
+// value is then fixed by one row of that scope, so a plan instance may
+// keep what it derives from it across executions (bindMemo, and the
+// filters of a kept hash build, decorrProbe.keep).
 func (c *compiler) rowOnly(e Expr, depth int) bool {
-	ok := true
-	walkExprTree(e, func(x Expr) {
-		switch x.(type) {
-		case *Param, *Exists, *InSelect:
-			ok = false
+	switch x := e.(type) {
+	case nil, *Literal:
+		return true
+	case *ColumnRef:
+		b, err := c.resolve(x)
+		return err == nil && b.depth == depth
+	case *Binary:
+		return c.rowOnly(x.L, depth) && c.rowOnly(x.R, depth)
+	case *IsNull:
+		return c.rowOnly(x.X, depth)
+	case *Case:
+		return c.rowOnly(x.Cond, depth) && c.rowOnly(x.Then, depth) && c.rowOnly(x.Else, depth)
+	case *FuncCall:
+		for _, a := range x.Args {
+			if !c.rowOnly(a, depth) {
+				return false
+			}
 		}
-	})
-	return ok && c.walkBindings(e, func(b binding) { ok = ok && b.depth == depth }) == nil && ok
+		return true
+	}
+	return false // *Param, *Exists, *InSelect
 }
 
 // leadOrder ranks the sources for a tiny join: by how many parts read

@@ -353,8 +353,11 @@ func mustTable(t *testing.T, db *DB, name string) *Table {
 // the same names; every answer, inside the transactions and at the pin
 // too, must equal Reference mode's byte for byte. The counters show the
 // instance answering from what it kept: a warm run, and a run after DML
-// on the data table alone, evaluates no bind and builds no hash. `make
-// difffuzz` runs it on a fresh seed.
+// on the data table alone, evaluates no bind and builds no hash. Last,
+// two probes whose build filter reads a parameter, or a subquery over
+// another table, are re-executed with a new parameter and after DML on
+// that table: neither may answer from the previous execution's build.
+// `make difffuzz` runs it on a fresh seed.
 func TestPooledScheduleStaleness(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(diffSeed(t, 461)))
@@ -556,4 +559,53 @@ func TestPooledScheduleStaleness(t *testing.T) {
 	if !hashBuilt {
 		t.Fatal("no run built a hash: the statement probes no hash build")
 	}
+
+	// A build filter that reads a parameter or another table is not fixed
+	// by the version of the build table: an instance re-executed with a
+	// new parameter, or after DML on that other table, must build again.
+	// 'p' and 'q' are in no random row, so the two answers differ.
+	both(`INSERT INTO s VALUES (1, 'p'), (2, 'q')`)
+	both(`CREATE TABLE u (v TEXT)`)
+	both(`INSERT INTO u VALUES ('p')`)
+	rerun := func(step, q string, between func(), params ...[]relation.Value) {
+		t.Helper()
+		p, err := db.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := ref.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, args := range params {
+			if i > 0 {
+				between()
+			}
+			before := db.Stats().HashBuilds
+			res, err := p.Query(args...)
+			if err != nil {
+				t.Fatalf("%s, run %d: %v", step, i, err)
+			}
+			if i == 0 && db.Stats().HashBuilds == before {
+				t.Fatalf("%s: the first run built no hash, the case would pin nothing", step)
+			}
+			want, err := pr.Query(args...)
+			if err != nil {
+				t.Fatalf("%s, run %d: Reference: %v", step, i, err)
+			}
+			if got, want := canonical(res), canonical(want); got != want {
+				t.Errorf("%s, run %d:\nPlanned   %q\nReference %q", step, i, got, want)
+				return
+			}
+		}
+	}
+	rerun("a parameter in the build filter",
+		`SELECT t.k FROM d t WHERE EXISTS (SELECT 1 FROM s WHERE s.cid = t.k AND s.val = ?)`,
+		func() {}, []relation.Value{relation.Text("p")}, []relation.Value{relation.Text("q")})
+	rerun("a subquery in the build filter",
+		`SELECT t.k FROM d t WHERE EXISTS (SELECT 1 FROM s WHERE s.cid = t.k AND s.val IN (SELECT u.v FROM u))`,
+		func() {
+			both(`DELETE FROM u`)
+			both(`INSERT INTO u VALUES ('q')`)
+		}, nil, nil)
 }

@@ -7,15 +7,15 @@ import (
 )
 
 // hashBuild is the build side of a decorrelated EXISTS: the set of key
-// tuples present in the inner table t (after inner-only filters) at one
-// version of its rows, n of them. An execution keeps its builds on its env
-// (one per statement execution), so concurrent executions of the same
+// tuples present in the probe's inner table (after inner-only filters) at
+// one version of its rows, n of them. An execution keeps its builds on its
+// env (one per statement execution), so concurrent executions of the same
 // compiled plan never share one; a probe kernel's plan instance also keeps
-// its last, when it is small, for the next execution over the same
-// version (probeInst.hb). The set is its own strings: it holds nothing of
-// the epoch it was built from.
+// its last, when it is small and its filters read nothing but the row
+// (decorrProbe.keep), for the next execution over the same version
+// (probeInst.hb). The set is its own strings: it holds nothing of the
+// epoch it was built from.
 type hashBuild struct {
-	t       *Table
 	version uint64
 	n       int
 	set     map[string]bool
@@ -84,20 +84,28 @@ type decorrProbe struct {
 	keyCols []int
 	outer   []Expr // outer key expressions, aligned with keyCols
 	filters []compiledExpr
-	idx     *Index // exact-cover index (filters empty), or nil
-	perm    []int  // index column order → outer key position
+	// keep: every filter reads only the inner row and literals
+	// (compiler.rowOnly), so a build is fixed by the version of t alone
+	// and a plan instance may keep it across executions. A filter that
+	// reads a parameter, or a subquery over another table, differs
+	// between executions over the same version of t.
+	keep bool
+	idx  *Index // exact-cover index (filters empty), or nil
+	perm []int  // index column order → outer key position
 }
 
 // ensureHash returns the build-side key set of the probe for the version
-// of its table the execution reads: kept, when a plan instance kept one
-// of that version (nil if none), else the env's, else a new one, which
-// the env keeps for the rest of the statement. Shared by the hash-probe
-// closure and the probe kernel so the two can never drift. A (table,
-// version) pair never stands for two row sets (bindMemo says why), so a
-// build of the same pair is the build this one would make.
+// of its table the execution reads: kept, when a plan instance of this
+// probe kept one of that version (nil if none; only a d.keep probe's
+// instance keeps one), else the env's, else a new one, which the env
+// keeps for the rest of the statement. Shared by the hash-probe closure
+// and the probe kernel so the two can never drift. The table is d.t, fixed
+// when the plan compiles, and a version of it never stands for two row
+// sets (bindMemo says why), so with filters that read only the row, a
+// build of the same version is the build this one would make.
 func (d *decorrProbe) ensureHash(en *env, kept *hashBuild) (*hashBuild, error) {
 	td := en.td(d.t)
-	if kept != nil && kept.t == d.t && kept.version == td.version {
+	if kept != nil && kept.version == td.version {
 		return kept, nil
 	}
 	b := en.hash[d.x]
@@ -131,7 +139,7 @@ build:
 		set[relation.KeyOf(key)] = true
 	}
 	en.frames = en.frames[:len(en.frames)-1]
-	b = &hashBuild{t: d.t, version: td.version, n: td.n, set: set}
+	b = &hashBuild{version: td.version, n: td.n, set: set}
 	if en.hash == nil {
 		en.hash = make(map[*Exists]*hashBuild)
 	}
@@ -188,6 +196,7 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 	}
 	var probes []probe
 	var filters []compiledExpr
+	keep := true
 
 	for _, cj := range conjuncts {
 		deps := map[int]bool{}
@@ -209,6 +218,7 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 				return nil, err
 			}
 			filters = append(filters, f)
+			keep = keep && ic.rowOnly(cj, innerDepth)
 		case outerDeps && innerDeps:
 			eq, ok := cj.(*Binary)
 			if !ok || eq.Op != "=" {
@@ -230,7 +240,7 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 		return nil, nil
 	}
 
-	d := &decorrProbe{x: x, neg: x.Neg, t: t}
+	d := &decorrProbe{x: x, neg: x.Neg, t: t, keep: keep}
 	d.keyCols = make([]int, len(probes))
 	d.outer = make([]Expr, len(probes))
 	for i, p := range probes {
