@@ -59,7 +59,9 @@ mvccstress:
 # segmented row store under random DML vs a mirror
 # loaded fresh, a pooled plan instance re-executed after every kind of
 # change to the tables it keeps bind outcomes and a hash build of, the detector differential's random and transitions
-# workloads (every detector leg vs the naive oracle) and the naive oracle
+# workloads (every detector leg vs the naive oracle), the rep table's
+# cases (TestRepInvariant: flags and violations vs the naive oracle after
+# every update that could leave a rep row stale) and the naive oracle
 # vs the definitional checker, on a seed no earlier run has used. The
 # seed is printed first: `go test ./internal/sqldb/ -run <test> -args
 # -seed=<seed>` (or ./internal/detect/, ./internal/core/) replays a
@@ -68,6 +70,7 @@ difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
 	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestInternedGroupKeyDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential|TestDecorrelatedClosureDifferential|TestPooledScheduleStaleness' ./internal/sqldb/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestRepInvariant' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed
 
 # Native fuzzing, ten seconds per (package, target) pair: the SQL lexer

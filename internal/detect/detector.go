@@ -18,6 +18,7 @@ import (
 	"database/sql"
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 
 	"ecfd/internal/core"
@@ -89,6 +90,8 @@ type Detector struct {
 	auxOldTable string // affected Aux rows saved before a recompute
 	auxNewTable string // groups that became violating in this step
 	keysTable   string
+	repTable    string // a clean group's one blanked RHS (genRepRecompute)
+	stageTable  string // the recompute's (group, RHS) rows and their counts
 	insTable    string
 	delTable    string
 
@@ -121,9 +124,12 @@ type statements struct {
 	keysFromIns  string
 	keysFromDel  string
 	auxDeleteAff string
+	repDeleteAff string
 	auxSaveOld   string
 	auxNewComp   string
+	stageRecomp  string // the touched groups' one pass over D
 	auxRecompute string
+	repRecompute string
 	mvSetNew     string // parameterized by the first RID of the batch
 	mvSetOld     string // parameterized likewise
 	mvClear      string
@@ -183,6 +189,8 @@ func New(db *sql.DB, schema *relation.Schema, sigma []*core.ECFD) (*Detector, er
 		auxOldTable: schema.Name + "_aux_old",
 		auxNewTable: schema.Name + "_aux_new",
 		keysTable:   schema.Name + "_keys",
+		repTable:    schema.Name + "_rep",
+		stageTable:  schema.Name + "_stage",
 		insTable:    schema.Name + "_ins",
 		delTable:    schema.Name + "_del",
 		insertTexts: make(map[insertShape]string),
@@ -226,6 +234,8 @@ func (d *Detector) Install() error {
 	drop(d.auxOldTable)
 	drop(d.auxNewTable)
 	drop(d.keysTable)
+	drop(d.repTable)
+	drop(d.stageTable)
 	drop(d.insTable)
 	drop(d.delTable)
 	for _, a := range d.schema.Attrs {
@@ -274,6 +284,16 @@ func (d *Detector) Install() error {
 		fmt.Sprintf("CREATE TABLE %s (%s)", d.auxNewTable, strings.Join(auxCols, ", ")),
 		fmt.Sprintf("CREATE TABLE %s (%s)", d.keysTable, strings.Join(auxCols, ", ")),
 	)
+	// rep and the recompute's stage: the Aux columns, then one blanked RHS
+	// column per attribute, and the stage's member count.
+	repCols := slices.Clone(auxCols)
+	for _, a := range d.schema.Attrs {
+		repCols = append(repCols, a.Name+"_RV TEXT")
+	}
+	ddl = append(ddl,
+		fmt.Sprintf("CREATE TABLE %s (%s)", d.repTable, strings.Join(repCols, ", ")),
+		fmt.Sprintf("CREATE TABLE %s (%s, N INTEGER)", d.stageTable, strings.Join(repCols, ", ")),
+	)
 
 	// Secondary indexes on every probe target: the engine's
 	// decorrelated EXISTS probes then hit persistent hash indexes that
@@ -292,6 +312,10 @@ func (d *Detector) Install() error {
 	for _, tbl := range []string{d.auxTable, d.auxOldTable, d.auxNewTable, d.keysTable} {
 		ddl = append(ddl, fmt.Sprintf("CREATE INDEX idx_%s ON %s (%s)", tbl, tbl, strings.Join(probeCols, ", ")))
 	}
+	for _, a := range d.schema.Attrs {
+		probeCols = append(probeCols, a.Name+"_RV")
+	}
+	ddl = append(ddl, fmt.Sprintf("CREATE INDEX idx_%s ON %s (%s)", d.repTable, d.repTable, strings.Join(probeCols, ", ")))
 
 	// Ordered RID index on the data table: the incremental path's
 	// RID-range statements (mvSetNew/mvSetOld) prune to their range

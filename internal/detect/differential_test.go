@@ -619,7 +619,7 @@ func TestIncrementalStatementsDeltaDriven(t *testing.T) {
 	ridProbe := fmt.Sprintf("index probe t via idx_%s_rid", d.dataTable)
 
 	stmts := d.IncrementalSQL()
-	if len(stmts) > 15 {
+	if len(stmts) > 19 {
 		t.Fatalf("the incremental script grew to %d statements", len(stmts))
 	}
 	for i, q := range stmts {
@@ -642,7 +642,7 @@ func TestIncrementalStatementsDeltaDriven(t *testing.T) {
 				if !oldGuarded {
 					t.Errorf("statement %d scans the data table above the aux_old guard:\n%s", i, plan)
 				}
-			case q != d.stmts.auxRecompute:
+			case q != d.stmts.stageRecomp:
 				t.Errorf("statement %d scans the whole data table:\n%s", i, plan)
 			case !fdGuarded:
 				t.Errorf("statement %d scans the data table above the FD guard:\n%s", i, plan)

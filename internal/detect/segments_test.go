@@ -181,7 +181,7 @@ func TestBatchDetectAllocBudget(t *testing.T) {
 
 // TestRecomputeSkipsDeadPatterns states in counters that a pattern row
 // the touched-keys probe rules out skips the data scan: over an empty keys
-// table, auxRecompute at 40 000 rows scans the pattern rows and no data
+// table, stageRecomp at 40 000 rows scans the pattern rows and no data
 // row. While the dead or-group still filtered every segment of the data
 // for each pattern row, it scanned 200 013 rows.
 func TestRecomputeSkipsDeadPatterns(t *testing.T) {
@@ -198,13 +198,13 @@ func TestRecomputeSkipsDeadPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := engOf(d).Stats()
-	if _, err := d.db.Exec(d.stmts.auxRecompute); err != nil {
+	if _, err := d.db.Exec(d.stmts.stageRecomp); err != nil {
 		t.Fatal(err)
 	}
 	scanned := engOf(d).Stats().RowsScanned - before.RowsScanned
-	t.Logf("40000 rows, empty keys table: auxRecompute scans %d rows over %d pattern rows", scanned, patterns)
+	t.Logf("40000 rows, empty keys table: stageRecomp scans %d rows over %d pattern rows", scanned, patterns)
 	if scanned > patterns {
-		t.Errorf("auxRecompute over an empty keys table scans %d rows, more than the %d pattern rows", scanned, patterns)
+		t.Errorf("stageRecomp over an empty keys table scans %d rows, more than the %d pattern rows", scanned, patterns)
 	}
 }
 
@@ -312,7 +312,7 @@ func TestPreDedupDecidesByCode(t *testing.T) {
 // TestRecomputeStepsFirstOccurrences states in counters that the Aux
 // recompute hands the per-row machinery only the rows that add a key, not
 // every row its levels select. Stepped alone in a warm 8+8 update at
-// 10 000, 40 000 and 160 000 rows, auxRecompute steps
+// 10 000, 40 000 and 160 000 rows, stageRecomp steps
 // (sqldb.Stats.RowsStepped) no more rows than it adds to the id table —
 // its keys (DistinctKeys) less the repeats a batch level dropped
 // (CodeRepeats) — and groups it forms: the pattern rows stepped are fewer
@@ -330,7 +330,7 @@ func TestRecomputeStepsFirstOccurrences(t *testing.T) {
 		var stepped, keys, groups, repeats int64
 		for i := 0; i < ops; i++ {
 			w.stepApply(t, gen.Updates(w.cfg, 8, w.batch), w.live[:8:8], func(q string, before, after sqldb.Stats) {
-				if q == w.d.stmts.auxRecompute {
+				if q == w.d.stmts.stageRecomp {
 					stepped += after.RowsStepped - before.RowsStepped
 					keys += after.DistinctKeys - before.DistinctKeys
 					groups += after.Groups - before.Groups
@@ -341,12 +341,12 @@ func TestRecomputeStepsFirstOccurrences(t *testing.T) {
 		}
 		cleanup()
 		stepped, keys, groups, repeats = stepped/ops, keys/ops, groups/ops, repeats/ops
-		t.Logf("%d rows: auxRecompute steps %d rows, keys %d, drops %d as repeats, forms %d groups", rows, stepped, keys, repeats, groups)
+		t.Logf("%d rows: stageRecomp steps %d rows, keys %d, drops %d as repeats, forms %d groups", rows, stepped, keys, repeats, groups)
 		if stepped == 0 || repeats == 0 {
 			t.Fatalf("%d rows: %d rows stepped, %d repeats dropped: the counters are not wired", rows, stepped, repeats)
 		}
 		if stepped > keys-repeats+groups {
-			t.Errorf("%d rows: auxRecompute stepped %d rows, more than its %d new keys and %d groups", rows, stepped, keys-repeats, groups)
+			t.Errorf("%d rows: stageRecomp stepped %d rows, more than its %d new keys and %d groups", rows, stepped, keys-repeats, groups)
 		}
 		if rows == 40_000 && 20*repeats < 19*keys {
 			t.Errorf("%d rows: %d of %d keyed rows dropped before stepping, fewer than 95 %%", rows, repeats, keys)
@@ -402,7 +402,7 @@ func TestBatchDetectKeysAndGroups(t *testing.T) {
 // TestRecomputeReadsPostings states in counters that the Aux recompute
 // reads only the rows its touched keys name, not every cell of every
 // FD-bearing pattern's pass over D. Stepped alone in a warm 8+8 update
-// at 10 000, 40 000 and 160 000 rows, the cells auxRecompute's value sets
+// at 10 000, 40 000 and 160 000 rows, the cells stageRecomp's value sets
 // test — the rows they decide (sqldb.Stats.SetRows) less those decided
 // from a sealed segment's postings without reading the cell
 // (PostingRows) — are at most 1.5·|D|. While every set filter tested
@@ -417,7 +417,7 @@ func TestRecomputeReadsPostings(t *testing.T) {
 		var set, posted int64
 		for i := 0; i < ops; i++ {
 			w.stepApply(t, gen.Updates(w.cfg, 8, w.batch), w.live[:8:8], func(q string, before, after sqldb.Stats) {
-				if q == w.d.stmts.auxRecompute {
+				if q == w.d.stmts.stageRecomp {
 					set += after.SetRows - before.SetRows
 					posted += after.PostingRows - before.PostingRows
 				}
@@ -427,13 +427,13 @@ func TestRecomputeReadsPostings(t *testing.T) {
 		cleanup()
 		set, posted = set/ops, posted/ops
 		tested := set - posted
-		t.Logf("%d rows: auxRecompute's value sets decide %d rows, %d from postings, and test %d cells (%.2f·|D|)",
+		t.Logf("%d rows: stageRecomp's value sets decide %d rows, %d from postings, and test %d cells (%.2f·|D|)",
 			rows, set, posted, tested, float64(tested)/float64(rows))
 		if posted == 0 {
 			t.Fatalf("%d rows: no row decided from postings: the counter is not wired", rows)
 		}
 		if 2*tested > 3*int64(rows) {
-			t.Errorf("%d rows: auxRecompute tested %d cells, more than 1.5·|D|", rows, tested)
+			t.Errorf("%d rows: stageRecomp tested %d cells, more than 1.5·|D|", rows, tested)
 		}
 	}
 }
@@ -528,7 +528,7 @@ func TestCountedAuxBytes(t *testing.T) {
 	for _, c := range cols {
 		outs = append(outs, "m."+strings.TrimSuffix(c, " TEXT"))
 	}
-	n, err := d.db.Exec("INSERT INTO aux_counted SELECT " + strings.Join(outs, ", ") + ", 1 FROM (" + d.macro("") + ") m")
+	n, err := d.db.Exec("INSERT INTO aux_counted SELECT " + strings.Join(outs, ", ") + ", 1 FROM (" + d.macro() + ") m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestCountedAuxBytes(t *testing.T) {
 		keyCols, on = append(keyCols, a.Name+"_P"), append(on, fmt.Sprintf("g.%s_P = a.%s_P", a.Name, a.Name))
 	}
 	key := strings.Join(keyCols, ", ")
-	pairs := strings.Replace(d.macro(""), "SELECT DISTINCT", "SELECT", 1)
+	pairs := "SELECT " + d.macroRows("")
 	if _, err := d.db.Exec("CREATE TABLE pair_groups (CID INTEGER, " + strings.Join(cols[:len(d.schema.Attrs)], ", ") + ", N INTEGER)"); err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,12 @@ func (d *Detector) generateSQL() {
 		keysFromIns:  d.genKeysFromIns(),
 		keysFromDel:  d.genKeysFromDel(),
 		auxDeleteAff: d.genAuxDeleteAffected(),
+		repDeleteAff: d.genRepDeleteAffected(),
 		auxSaveOld:   d.genAuxSaveOld(),
 		auxNewComp:   d.genAuxNewCompute(),
+		stageRecomp:  d.genStageRecompute(),
 		auxRecompute: d.genAuxRecompute(),
+		repRecompute: d.genRepRecompute(),
 		mvSetNew:     d.genMVSetNewRows(),
 		mvSetOld:     d.genMVSetOldRows(),
 		mvClear:      d.genMVClear(),
@@ -34,7 +37,7 @@ func (d *Detector) generateSQL() {
 		checkSVRIDs: d.genCheckSVRIDs(),
 		checkMVRIDs: d.genCheckMVRIDs(),
 	}
-	// The batch-detection pipeline: the five fixed statements of
+	// The batch-detection pipeline: the six fixed statements of
 	// BatchDetect as one script, submitted in a single driver round
 	// trip. The statement set stays fixed and Σ-independent; only the
 	// packaging changes.
@@ -42,6 +45,7 @@ func (d *Detector) generateSQL() {
 		d.stmts.resetFlags,
 		d.stmts.qsvUpdate,
 		"TRUNCATE TABLE " + d.auxTable,
+		"TRUNCATE TABLE " + d.repTable,
 		d.stmts.qmvInsert,
 		d.stmts.mvUpdate,
 	}, ";\n")
@@ -56,9 +60,13 @@ func (d *Detector) generateSQL() {
 		"TRUNCATE TABLE " + d.auxOldTable,
 		d.stmts.auxSaveOld,
 		d.stmts.auxDeleteAff,
+		d.stmts.repDeleteAff,
 		d.stmts.deleteRows,
 		d.stmts.mergeIns,
+		"TRUNCATE TABLE " + d.stageTable,
+		d.stmts.stageRecomp,
 		d.stmts.auxRecompute,
+		d.stmts.repRecompute,
 		"TRUNCATE TABLE " + d.auxNewTable,
 		d.stmts.auxNewComp,
 		d.stmts.mvSetNew,
@@ -156,9 +164,13 @@ func (d *Detector) caseProj(side, attr string) string {
 
 // macro renders the derived table of Fig. 4 (bottom): one row per
 // (pattern tuple, matching data tuple), with attributes irrelevant to
-// the embedded FD blanked out. extraWhere, when non-empty, is placed
-// first so cheap restrictions short-circuit the pattern matching.
-func (d *Detector) macro(extraWhere string) string {
+// the embedded FD blanked out, each distinct row once.
+func (d *Detector) macro() string { return "SELECT DISTINCT " + d.macroRows("") }
+
+// macroRows is the macro's select list and body, every matching
+// (pattern tuple, data tuple) pair a row. extraWhere, when non-empty, is
+// placed first so cheap restrictions short-circuit the pattern matching.
+func (d *Detector) macroRows(extraWhere string) string {
 	cols := []string{"c.CID AS CID"}
 	for _, a := range d.schema.Attrs {
 		cols = append(cols, fmt.Sprintf("%s AS %s_P", d.caseProj("L", a.Name), a.Name))
@@ -170,7 +182,7 @@ func (d *Detector) macro(extraWhere string) string {
 	if extraWhere != "" {
 		where = extraWhere + "\n    AND " + where
 	}
-	return fmt.Sprintf("SELECT DISTINCT %s\n  FROM %s t, %s c\n  WHERE %s",
+	return fmt.Sprintf("%s\n  FROM %s t, %s c\n  WHERE %s",
 		strings.Join(cols, ",\n    "), d.dataTable, d.encTable, where)
 }
 
@@ -190,10 +202,19 @@ func (d *Detector) fdGuard() string {
 
 // groupCols lists the Aux grouping key: CID plus every blanked LHS
 // column.
-func (d *Detector) groupCols() []string {
-	cols := []string{"m.CID"}
+func (d *Detector) groupCols() []string { return d.projCols("m", false) }
+
+// projCols lists alias's CID and blanked LHS columns, then its blanked
+// RHS columns when rhs is set: the Aux key, or a whole macro row.
+func (d *Detector) projCols(alias string, rhs bool) []string {
+	cols := []string{alias + ".CID"}
 	for _, a := range d.schema.Attrs {
-		cols = append(cols, "m."+a.Name+"_P")
+		cols = append(cols, alias+"."+a.Name+"_P")
+	}
+	if rhs {
+		for _, a := range d.schema.Attrs {
+			cols = append(cols, alias+"."+a.Name+"_RV")
+		}
 	}
 	return cols
 }
@@ -203,31 +224,31 @@ func (d *Detector) groupCols() []string {
 // agree on the (blanked) LHS but contain more than one distinct
 // (blanked) RHS combination.
 func (d *Detector) genQmvInsert() string {
-	return d.genQmvInsertRestricted("")
-}
-
-func (d *Detector) genQmvInsertRestricted(extraWhere string) string {
-	return fmt.Sprintf("INSERT INTO %s %s", d.auxTable, d.genQmvSelect(extraWhere))
-}
-
-// genQmvSelect is the bare SELECT form of the Qmv grouping: the
-// violating (cid, p) group keys, optionally restricted by extraWhere.
-func (d *Detector) genQmvSelect(extraWhere string) string {
-	g := d.groupCols()
-	return fmt.Sprintf("SELECT %s FROM (%s\n) m\nGROUP BY %s\nHAVING COUNT(*) > 1",
-		strings.Join(g, ", "), d.macro(extraWhere), strings.Join(g, ", "))
+	g := strings.Join(d.groupCols(), ", ")
+	return fmt.Sprintf("INSERT INTO %s SELECT %s FROM (%s\n) m\nGROUP BY %s\nHAVING COUNT(*) > 1",
+		d.auxTable, g, d.macro(), g)
 }
 
 // auxProbe renders "t matches some (cid, p) in table for c's CID": the
 // equality of every blanked projection with the stored pattern. The
 // whole conjunction is equality-over-outer-expressions, which the
 // engine decorrelates into a single hash probe.
-func (d *Detector) auxProbe(table string) string {
-	conds := []string{"a.CID = c.CID"}
+func (d *Detector) auxProbe(table string) string { return d.projProbe(table, "a", false) }
+
+// projProbe renders "t's projection for c is a row of table": the
+// blanked LHS, and the blanked RHS too when rhs is set, each equal to
+// table's column under alias.
+func (d *Detector) projProbe(table, alias string, rhs bool) string {
+	conds := []string{alias + ".CID = c.CID"}
 	for _, at := range d.schema.Attrs {
-		conds = append(conds, fmt.Sprintf("a.%s_P = %s", at.Name, d.caseProj("L", at.Name)))
+		conds = append(conds, fmt.Sprintf("%s.%s_P = %s", alias, at.Name, d.caseProj("L", at.Name)))
 	}
-	return fmt.Sprintf("EXISTS (SELECT 1 FROM %s a WHERE %s)", table, strings.Join(conds, " AND "))
+	if rhs {
+		for _, at := range d.schema.Attrs {
+			conds = append(conds, fmt.Sprintf("%s.%s_RV = %s", alias, at.Name, d.caseProj("R", at.Name)))
+		}
+	}
+	return fmt.Sprintf("EXISTS (SELECT 1 FROM %s %s WHERE %s)", table, alias, strings.Join(conds, " AND "))
 }
 
 // guardedAuxProbe renders auxProbe(table) behind a per-CID guard: the
@@ -293,9 +314,11 @@ func (d *Detector) genKeys(from, where string) string {
 // collected by whichever side can change it.)
 
 // genKeysFromIns collects the keys ΔD⁺ touches that are not violating
-// yet.
+// yet, but for the (tuple, pattern) pairs whose whole projection is a rep
+// row: such a tuple agrees with every member of its clean group (the rep
+// invariant, genRepRecompute), so the group stays clean.
 func (d *Detector) genKeysFromIns() string {
-	return d.genKeys(d.insTable+" t", "NOT "+d.auxProbe(d.auxTable))
+	return d.genKeys(d.insTable+" t", "NOT "+d.auxProbe(d.auxTable)+"\n    AND NOT "+d.projProbe(d.repTable, "r", true))
 }
 
 // genKeysFromDel collects the keys of currently violating groups ΔD⁻
@@ -328,13 +351,8 @@ func (d *Detector) genAuxDeleteAffected() string {
 // the insert path can tell groups that *became* violating apart from
 // groups that already were.
 func (d *Detector) genAuxSaveOld() string {
-	cols := d.groupCols() // m.CID, m.A_P... — reuse with alias m
-	sel := make([]string, len(cols))
-	for i, c := range cols {
-		sel[i] = strings.Replace(c, "m.", "m0.", 1)
-	}
 	return fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s m0 WHERE EXISTS (SELECT 1 FROM %s k WHERE %s)",
-		d.auxOldTable, strings.Join(sel, ", "), d.auxTable, d.keysTable, d.auxMatch("k", "m0"))
+		d.auxOldTable, strings.Join(d.projCols("m0", false), ", "), d.auxTable, d.keysTable, d.auxMatch("k", "m0"))
 }
 
 // genAuxNewCompute collects the recomputed groups that were not
@@ -342,32 +360,58 @@ func (d *Detector) genAuxSaveOld() string {
 // the snapshot. Only the members of these groups can need an MV flip
 // among pre-existing tuples.
 func (d *Detector) genAuxNewCompute() string {
-	cols := d.groupCols()
-	sel := make([]string, len(cols))
-	for i, c := range cols {
-		sel[i] = strings.Replace(c, "m.", "m0.", 1)
-	}
 	return fmt.Sprintf(
 		"INSERT INTO %s SELECT %s FROM %s m0 WHERE EXISTS (SELECT 1 FROM %s k WHERE %s) AND NOT EXISTS (SELECT 1 FROM %s o WHERE %s)",
-		d.auxNewTable, strings.Join(sel, ", "), d.auxTable,
+		d.auxNewTable, strings.Join(d.projCols("m0", false), ", "), d.auxTable,
 		d.keysTable, d.auxMatch("k", "m0"),
 		d.auxOldTable, d.auxMatch("o", "m0"))
 }
 
+// genRepDeleteAffected drops the rep rows of the touched keys:
+// genRepRecompute writes them again from the recompute's result.
+func (d *Detector) genRepDeleteAffected() string {
+	return fmt.Sprintf("DELETE FROM %s WHERE EXISTS (SELECT 1 FROM %s k WHERE %s)",
+		d.repTable, d.keysTable, d.auxMatch("k", d.repTable))
+}
+
+// genStageRecompute is the one pass over D that rebuilds the touched
+// groups: the macro rows of the touched keys, each distinct (group, RHS)
+// row once with its member count N. Aux and rep are derived from this
+// stage, which holds a few rows per touched key.
+func (d *Detector) genStageRecompute() string {
+	cols := strings.Join(d.projCols("m", true), ", ")
+	return fmt.Sprintf("INSERT INTO %s SELECT %s, COUNT(*) FROM (SELECT %s\n) m\nGROUP BY %s",
+		d.stageTable, cols, d.macroRows(d.keysProbe()), cols)
+}
+
+// genAuxRecompute writes the touched groups that violate — more than one
+// distinct RHS — into Aux: Qmv's grouping over the stage.
 func (d *Detector) genAuxRecompute() string {
-	return d.genQmvInsertRestricted(d.keysProbe())
+	g := strings.Join(d.projCols("s", false), ", ")
+	return fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s s GROUP BY %s HAVING COUNT(*) > 1",
+		d.auxTable, g, d.stageTable, g)
+}
+
+// genRepRecompute writes the rep rows of the touched groups that are
+// clean — not in Aux, so one distinct RHS — and hold at least three
+// member rows. It keeps the rep invariant: every current member of a
+// group outside Aux has its rep row's RHS. An agreeing insert keeps it,
+// a deletion cannot break it (vacuously once the group is empty), and
+// every other change to a group's members recomputes its key, whose rep
+// row repDeleteAff dropped. Nothing ages a rep row out but a recompute or
+// BatchDetect, so a row is written only where it pays: a singleton's next
+// member is a recompute either way, and φ10's (AC, PN) groups — a tuple
+// and its duplicate, at most — would add a row per duplicate that
+// outlives both, about 200 rows per 1 000 generated 8+8 updates.
+func (d *Detector) genRepRecompute() string {
+	return fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s s WHERE s.N > 2 AND NOT EXISTS (SELECT 1 FROM %s a WHERE %s)",
+		d.repTable, strings.Join(d.projCols("s", true), ", "), d.stageTable, d.auxTable, d.auxMatch("a", "s"))
 }
 
 // keysProbe renders "the (c, t) pair projects onto a touched group
 // key" — a decorrelated hash probe placed first in conjunctions so
 // untouched pairs are dismissed in O(1).
-func (d *Detector) keysProbe() string {
-	conds := []string{"k.CID = c.CID"}
-	for _, a := range d.schema.Attrs {
-		conds = append(conds, fmt.Sprintf("k.%s_P = %s", a.Name, d.caseProj("L", a.Name)))
-	}
-	return fmt.Sprintf("EXISTS (SELECT 1 FROM %s k WHERE %s)", d.keysTable, strings.Join(conds, " AND "))
-}
+func (d *Detector) keysProbe() string { return d.projProbe(d.keysTable, "k", false) }
 
 // genMVSetNewRows flags freshly merged tuples (RID ≥ the ?-bound batch
 // start) that match any Aux pattern. The RID range guard keeps the

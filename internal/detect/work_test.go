@@ -40,9 +40,13 @@ func incNames(d *Detector) map[string]string {
 		"TRUNCATE TABLE " + d.auxOldTable: "truncateAuxOld",
 		s.auxSaveOld:                      "auxSaveOld",
 		s.auxDeleteAff:                    "auxDeleteAff",
+		s.repDeleteAff:                    "repDeleteAff",
 		s.deleteRows:                      "deleteRows",
 		s.mergeIns:                        "mergeIns",
+		"TRUNCATE TABLE " + d.stageTable:  "truncateStage",
+		s.stageRecomp:                     "stageRecomp",
 		s.auxRecompute:                    "auxRecompute",
+		s.repRecompute:                    "repRecompute",
 		"TRUNCATE TABLE " + d.auxNewTable: "truncateAuxNew",
 		s.auxNewComp:                      "auxNewComp",
 		s.mvSetNew:                        "mvSetNew",
@@ -51,17 +55,33 @@ func incNames(d *Detector) map[string]string {
 	}
 }
 
+// deltaSizes are the update sizes k of the ledger's k+k units.
+var deltaSizes = []int{64, 512, 2048}
+
+// firstN returns 0, 1, …, n-1.
+func firstN(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
 // batchNames names the batch script's statements for the ledger, in the
 // order BatchDetect runs them.
-var batchNames = []string{"resetFlags", "qsvUpdate", "truncateAux", "qmvInsert", "mvUpdate"}
+var batchNames = []string{"resetFlags", "qsvUpdate", "truncateAux", "truncateRep", "qmvInsert", "mvUpdate"}
 
 // TestWorkLedger records what each unit of the benchmark's workloads
 // costs the engine in counters — every work counter of sqldb.Stats, at
 // 10 000, 40 000 and 160 000 rows (seed 611) — in
 // testdata/work.golden, one line per (unit, counter, |D|). The units
 // are a warm BatchDetect, each statement of its batch script, a warm
-// 8+8 ApplyUpdates, each statement of the same update's incremental
-// script, a warm 8-tuple Check and Counts. The counters count work, not time, so every line is exact: a
+// 8+8 ApplyUpdates, each statement of the next update's incremental
+// script, a warm 8-tuple Check and Counts; and at 10 000 rows only, a
+// k+k ApplyUpdates and each statement of one, for k = 64, 512 and 2 048,
+// each right after a BatchDetect: the cold path, with rep empty. A stepped
+// script is stepped once unrecorded first, so that its statements, like
+// the whole script's, run on warm plan instances. The counters count work, not time, so every line is exact: a
 // change that moves work moves lines of the diff, and the ratio of a
 // line's 160 000-row value to its 40 000-row one is the paper's
 // incremental bound (work in |ΔD|, not |D|) read in counters.
@@ -104,12 +124,19 @@ func TestWorkLedger(t *testing.T) {
 		if len(script) != len(batchNames) {
 			t.Fatalf("the batch script has %d statements, the ledger names %d", len(script), len(batchNames))
 		}
-		for i, q := range script {
-			measure(w, fmt.Sprintf("BatchDetect/%02d-%s", i+1, batchNames[i]), func() {
-				if _, err := d.db.Exec(q); err != nil {
-					t.Fatalf("%v\n%s", err, q)
+		for _, record := range []bool{false, true} {
+			for i, q := range script {
+				step := func() {
+					if _, err := d.db.Exec(q); err != nil {
+						t.Fatalf("%v\n%s", err, q)
+					}
 				}
-			})
+				if !record {
+					step()
+					continue
+				}
+				measure(w, fmt.Sprintf("BatchDetect/%02d-%s", i+1, batchNames[i]), step)
+			}
 		}
 		oldest := []int{0, 1, 2, 3, 4, 5, 6, 7}
 		for i := 0; i < 2; i++ {
@@ -117,16 +144,24 @@ func TestWorkLedger(t *testing.T) {
 		}
 		measure(w, "ApplyUpdates", func() { w.apply(t, oldest...) })
 		names := incNames(d)
-		seq := 0
-		w.stepApply(t, gen.Updates(w.cfg, 8, w.batch), w.live[:8:8], func(q string, before, after sqldb.Stats) {
-			seq++
-			name, ok := names[q]
-			if !ok {
-				t.Fatalf("incremental statement %d has no ledger name:\n%s", seq, q)
-			}
-			record(fmt.Sprintf("ApplyUpdates/%02d-%s", seq, name), before, after)
-		})
-		w.batch++
+		// stepped steps the next k+k update, recording its statements under
+		// unit unless unit is empty.
+		stepped := func(unit string, k int) {
+			seq := 0
+			w.stepApply(t, gen.Updates(w.cfg, k, w.batch), w.live[:k:k], func(q string, before, after sqldb.Stats) {
+				seq++
+				name, ok := names[q]
+				if !ok {
+					t.Fatalf("incremental statement %d has no ledger name:\n%s", seq, q)
+				}
+				if unit != "" {
+					record(fmt.Sprintf("%s/%02d-%s", unit, seq, name), before, after)
+				}
+			})
+			w.batch++
+		}
+		stepped("", 8)
+		stepped("ApplyUpdates", 8)
 		cand := gen.Updates(w.cfg, 8, w.batch)
 		check := func() {
 			if _, err := d.Check(cand); err != nil {
@@ -142,6 +177,21 @@ func TestWorkLedger(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		for _, k := range deltaSizes {
+			if rows != sizes[0] {
+				break
+			}
+			batch := func() {
+				if _, err := d.BatchDetect(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unit := fmt.Sprintf("ApplyUpdates%d", k)
+			batch()
+			measure(w, unit, func() { w.apply(t, firstN(k)...) })
+			batch()
+			stepped(unit, k)
+		}
 		cleanup()
 	}
 

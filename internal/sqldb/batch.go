@@ -1980,6 +1980,10 @@ type idKeys struct {
 	run    []codeIDs // per live column, its translation when dropRepeats's run is its segment
 	tab    idTable
 	groups []int32 // the group keys' entries in first-seen order (group)
+	// counts: the select is counted (compiledSelect.counted). A row is its
+	// own group, and its entry's aux counts every match that yields it,
+	// those dropRepeats and add find in the table included.
+	counts bool
 	// next and pending hand the feed's yields, in order, the entries of
 	// the rows the last dropRepeats added.
 	next, pending int
@@ -1992,7 +1996,7 @@ const siteMark = ^uint32(0)
 // index are st's.
 func newIDKeys(cs *compiledSelect, st *planState) *idKeys {
 	w, sz := len(cs.outs), st.sizes
-	k := &idKeys{cs: cs, fixed: make([]uint32, w+1), vec: make([]uint32, 1, w+1)}
+	k := &idKeys{cs: cs, fixed: make([]uint32, w+1), vec: make([]uint32, 1, w+1), counts: cs.counted}
 	k.fixed[0] = siteMark
 	k.tab = idTable{slots: make([]idSlot, slotsFor(sz.entries)), keys: make([]uint32, 0, sz.words),
 		at: append(make([]int32, 0, sz.entries+1), 0), aux: make([]int32, 0, sz.entries), same: k.sameIDs}
@@ -2150,18 +2154,26 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 		}
 		seen = st.memo
 		seen.gen++
+		if k.counts && seen.ents == nil {
+			seen.ents = make([]int32, 2*segRows)
+		}
 	}
 	fr := &en.frames[k.cs.depth]
 	k.next = len(k.tab.aux)
 	vec := k.vec[:1+len(k.run)]
 	out := sel[:0]
 	for _, off := range sel {
+		slot := -1
 		if seen != nil {
 			var codes uint64
 			for _, c := range k.run {
 				codes = codes<<16 | uint64(c.seg.codes[off])
 			}
-			if seen.add(codes) {
+			var repeat bool
+			if slot, repeat = seen.add(codes); repeat {
+				if k.counts {
+					k.tab.aux[seen.ents[slot]]++
+				}
 				continue
 			}
 		}
@@ -2185,8 +2197,15 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 			}
 			vec[1+j], h = id, h+rowTerm(k.live[j], id)
 		}
-		if _, added := k.tab.insertHashed(vec, idHash(h, 0)); added {
+		e, added := k.tab.insertHashed(vec, idHash(h, 0))
+		if added {
 			out = append(out, off)
+		}
+		if k.counts {
+			k.tab.aux[e]++
+		}
+		if k.counts && slot >= 0 {
+			seen.ents[slot] = int32(e)
 		}
 	}
 	k.vec, k.pending = vec, len(out)
@@ -2199,21 +2218,25 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 // run and a site row one code tuple is one row, already keyed, so a later
 // row showing it is dropped without its ids — most of the ~23 000 rows an
 // update's Aux recompute keys at 40 000 rows. Open addressing over twice
-// a run's rows, emptied by bumping gen; a plan instance keeps one.
+// a run's rows, emptied by bumping gen; a plan instance keeps one. A
+// counted feed's keeps each tuple's entry in the id table too (ents), for
+// its repeats to count in.
 type runSeen struct {
 	gen        uint64
 	keys, gens [2 * segRows]uint64
+	ents       []int32
 }
 
-// add reports whether the run showed codes already, adding them if not.
-func (m *runSeen) add(codes uint64) bool {
+// add returns codes' slot and whether the run showed them already,
+// adding them if not.
+func (m *runSeen) add(codes uint64) (int, bool) {
 	for i := codes * 0x9e3779b97f4a7c15 >> 32 % (2 * segRows); ; i = (i + 1) % (2 * segRows) {
 		if m.gens[i] != m.gen {
 			m.keys[i], m.gens[i] = codes, m.gen
-			return false
+			return int(i), false
 		}
 		if m.keys[i] == codes {
-			return true
+			return int(i), true
 		}
 	}
 }
@@ -2239,6 +2262,9 @@ func (k *idKeys) add(en *env) (int, bool, error) {
 	}
 	en.work[wDistinctKeys]++
 	e, added := k.tab.insertHashed(k.vec, idHash(h, 0))
+	if k.counts {
+		k.tab.aux[e]++
+	}
 	return e, added, nil
 }
 
@@ -2254,8 +2280,13 @@ func (k *idKeys) decode(e int, dst relation.Tuple) {
 
 // group counts row entry e in its group — the rows agreeing on its first
 // n ids — and reports whether e opened it. A group is its key's entry,
-// listed in groups, and its rows, counted in the entry's aux.
+// listed in groups, and its rows, counted in the entry's aux. A counted
+// feed's row is its own group, counted as it is found.
 func (k *idKeys) group(e, n int) bool {
+	if k.counts {
+		k.groups = append(k.groups, int32(e))
+		return true
+	}
 	r, live, h := k.tab.key(e), 0, uint64(0)
 	for i, id := range k.tab.key(int(r[0] >> 1))[1 : 1+n] {
 		if id == 0 {

@@ -37,6 +37,10 @@ type env struct {
 	// semiScan, one per select (a select cannot contain itself, so reuse
 	// across its sequential invocations within one statement is safe).
 	scratch map[*compiledSelect][]rowRef
+	// out, when set, is the slab every select of the statement cuts its
+	// output rows from: an INSERT … SELECT's rows die with the statement,
+	// so it lends the writer's scratch (runInsert).
+	out *slab[relation.Value]
 	// work holds the statement's work counters, plain integers that
 	// publish adds to the DB's once: concurrent readers must not share a
 	// cache line per selection vector.

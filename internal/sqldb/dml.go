@@ -71,6 +71,7 @@ type insertPlan struct {
 	t     *Table
 	table string
 	pos   []int // schema position per inserted column
+	whole bool  // no column list: pos is every column in order
 	query *compiledSelect
 	rows  [][]compiledExpr
 }
@@ -83,7 +84,7 @@ func (db *DB) compileInsert(ins *Insert, ep *epoch) (*insertPlan, error) {
 	p := &insertPlan{t: t, table: ins.Table}
 
 	// Map the column list (or the full schema) to schema positions.
-	if len(ins.Cols) == 0 {
+	if p.whole = len(ins.Cols) == 0; p.whole {
 		for i := range t.Schema.Attrs {
 			p.pos = append(p.pos, i)
 		}
@@ -124,14 +125,18 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 	t := p.t
 	// The new rows are transient — logged, then pushed into the tail's
 	// columns — so they are cut from the writer's scratch (rowScratch).
+	// A selected row of the whole width is the execution's own, and is
+	// coerced in place (own).
 	var cells []relation.Value
-	build := func(vals []relation.Value) (relation.Tuple, error) {
+	build := func(vals []relation.Value, own bool) (relation.Tuple, error) {
 		if len(vals) != len(p.pos) {
 			return nil, fmt.Errorf("sql: INSERT into %s: %d values for %d columns", p.table, len(vals), len(p.pos))
 		}
-		w := t.Schema.Width()
-		row := relation.Tuple(cells[:w:w])
-		cells = cells[w:]
+		row := relation.Tuple(vals)
+		if !own {
+			w := t.Schema.Width()
+			row, cells = cells[:w:w], cells[w:]
+		}
 		for i, j := range p.pos {
 			v, err := coerce(vals[i], t.Schema.Attrs[j].Kind, t.Schema.Attrs[j].Name)
 			if err != nil {
@@ -146,13 +151,27 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 	en := newEnv(db, db.curW, params)
 	defer en.publish()
 	if p.query != nil {
+		if p.whole {
+			// The selected rows are coerced in place and pushed into the
+			// columns: nothing keeps them, so they are cut from the
+			// writer's scratch, which grows to what a statement used, up
+			// to outScratchMax cells.
+			en.out = &slab[relation.Value]{free: db.scratch[:cap(db.scratch)]}
+			defer func() {
+				if n := en.out.used; n > cap(db.scratch) && n <= outScratchMax {
+					db.scratch = make([]relation.Value, n)
+				}
+			}()
+		}
 		rows, err := p.query.exec(en)
 		if err != nil {
 			return 0, err
 		}
-		cells = db.rowScratch(len(rows) * t.Schema.Width())
+		if !p.whole {
+			cells = db.rowScratch(len(rows) * t.Schema.Width())
+		}
 		for _, r := range rows {
-			row, err := build(r)
+			row, err := build(r, p.whole)
 			if err != nil {
 				return 0, err
 			}
@@ -170,7 +189,7 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 				}
 				vals = append(vals, v)
 			}
-			row, err := build(vals)
+			row, err := build(vals, false)
 			if err != nil {
 				return 0, err
 			}
@@ -192,6 +211,12 @@ func (db *DB) runInsert(p *insertPlan, params []relation.Value) (int64, error) {
 // rowScratchMax is the most cells the writer keeps for new rows between
 // statements.
 const rowScratchMax = 4096
+
+// outScratchMax is the most cells an INSERT … SELECT grows the writer's
+// scratch to: what one warm incremental update's statements select, and
+// not what a BatchDetect's Qmv or a cold update's recompute does, which
+// would stay on the heap between updates.
+const outScratchMax = 1024
 
 // rowScratch returns n NULL cells for new rows: the writer's own while
 // they fit in rowScratchMax, which every INSERT reuses. Callers hold

@@ -116,6 +116,11 @@ type compiledSelect struct {
 	// keyedHaving: the streamed grouping's HAVING reads a column of the
 	// group outside an aggregate, so a group's key is decoded before it.
 	keyedHaving bool
+	// countable: this select is not DISTINCT but could feed its parent's
+	// streamed grouping as if it were (compileSelect). counted: the parent
+	// does, grouping by every column, so a group is one distinct row and
+	// its COUNT(*) the matches that yield it (idKeys.counts).
+	countable, counted bool
 	// free holds the join plan's idle instances (scheduleFor / release);
 	// victim picks the slot a release overwrites when all are taken.
 	free   [schedFreeSlots]atomic.Pointer[schedule]
@@ -175,6 +180,13 @@ func newEnv(db *DB, ep *epoch, params []relation.Value) *env {
 // compileSubSelect compiles sel in a child scope of the compiler's
 // current scope stack.
 func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
+	return c.compileSelect(sel, false)
+}
+
+// compileSelect is compileSubSelect; countable says that sel is the one
+// derived source of a select that groups it with no WHERE, so it may be
+// fed by id keys although it is not DISTINCT (streamableGroup decides).
+func (c *compiler) compileSelect(sel *Select, countable bool) (*compiledSelect, error) {
 	scope, err := c.scopeFor(sel)
 	if err != nil {
 		return nil, err
@@ -190,7 +202,7 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 		var src compiledSource
 		if tr.Sub != nil {
 			// Derived tables see only outer scopes, not siblings.
-			sub, err := c.compileSubSelect(tr.Sub)
+			sub, err := c.compileSelect(tr.Sub, len(sel.From) == 1 && sel.Where == nil && len(sel.GroupBy) > 0)
 			if err != nil {
 				return nil, err
 			}
@@ -285,7 +297,9 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 		cs.orderBy = append(cs.orderBy, oe)
 	}
 	inner.planOrderBy(sel, cs)
-	if cs.inline = cs.distinct && len(cs.orderBy) == 0 && !cs.grouped && !ref; cs.inline {
+	keyable := len(cs.orderBy) == 0 && !cs.grouped && !ref
+	cs.inline = cs.distinct && keyable
+	if cs.countable = !cs.distinct && keyable && countable && sel.Limit == nil; cs.inline || cs.countable {
 		cs.proj = inner.buildProjSpec(astOuts)
 	}
 	if sel.Limit != nil {
@@ -297,7 +311,10 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 		cs.aggs = inner.aggSink.specs
 	}
 	if !ref {
-		cs.streamCols = inner.streamableGroup(sel, cs)
+		if cs.streamCols = inner.streamableGroup(sel, cs); cs.streamCols > 0 {
+			sub := cs.sources[0].sub
+			sub.counted = !sub.distinct
+		}
 	}
 	return cs, nil
 }
@@ -311,7 +328,9 @@ func (c *compiler) compileSubSelect(sel *Select) (*compiledSelect, error) {
 // group is a count, never a row's values. And because a streamed group
 // keeps only those k columns of its representative, nothing — select
 // list, HAVING, ORDER BY, correlated subqueries included — may read any
-// other column of the source.
+// other column of the source. A source that is not DISTINCT takes it
+// when GROUP BY names every one of its columns: its groups are its
+// distinct rows, each counted (compiledSelect.counted).
 func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
 	k := len(sel.GroupBy)
 	if k == 0 || sel.Where != nil || len(cs.sources) != 1 {
@@ -323,7 +342,7 @@ func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
 		}
 	}
 	sub := cs.sources[0].sub
-	if sub == nil || !sub.dedupsInline() || sub.limit != nil || k > len(sub.cols) {
+	if sub == nil || sub.limit != nil || k > len(sub.cols) || !sub.dedupsInline() && !(sub.countable && k == len(sub.cols)) {
 		return 0
 	}
 	for i, g := range sel.GroupBy {
@@ -434,6 +453,7 @@ func (cs *compiledSelect) exec(en *env) ([]relation.Tuple, error) {
 type slab[T any] struct {
 	chunk int // elements in the latest chunk
 	free  []T
+	used  int // elements handed out
 }
 
 func (s *slab[T]) alloc(n int) []T {
@@ -443,7 +463,17 @@ func (s *slab[T]) alloc(n int) []T {
 	}
 	run := s.free[:n:n]
 	s.free = s.free[n:]
+	s.used += n
 	return run
+}
+
+// outSlab returns the slab a select cuts its output rows from: the
+// statement's (env.out) if it has one, else one of the select's own.
+func (en *env) outSlab() *slab[relation.Value] {
+	if en.out != nil {
+		return en.out
+	}
+	return new(slab[relation.Value])
 }
 
 // materialize returns the rows of every FROM source, running the
@@ -471,11 +501,12 @@ func (cs *compiledSelect) materialize(en *env) ([]rowSet, error) {
 // dedupes them on their encoded keys (execRows).
 func (cs *compiledSelect) dedupsInline() bool { return cs.inline }
 
-// feedDistinct scans a select that dedupes inline and hands sink each
-// distinct output row once, on the match that first yields it, as its
-// entry in the execution's id keys; sink decodes what it needs of the row.
-// The innermost batch level drops repeats before they are stepped
-// (idKeys.dropRepeats); a match no batch level decided is keyed here.
+// feedDistinct scans a select that dedupes inline, or is counted, and
+// hands sink each distinct output row once, on the match that first
+// yields it, as its entry in the execution's id keys; sink decodes what it
+// needs of the row. The innermost batch level drops repeats before they
+// are stepped (idKeys.dropRepeats); a match no batch level decided is
+// keyed here.
 func (cs *compiledSelect) feedDistinct(en *env, sink func(k *idKeys, e int) error) error {
 	srcRows, err := cs.materialize(en)
 	if err != nil {
@@ -505,7 +536,7 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(k *idKeys, e int) erro
 // execDistinct materializes the first occurrence of each distinct row.
 func (cs *compiledSelect) execDistinct(en *env) ([]relation.Tuple, error) {
 	var out []relation.Tuple
-	var rows slab[relation.Value]
+	rows := en.outSlab()
 	err := cs.feedDistinct(en, func(k *idKeys, e int) error {
 		row := rows.alloc(len(cs.outs))
 		out = append(out, row)
@@ -539,7 +570,7 @@ func (cs *compiledSelect) execRows(en *env) ([]relation.Tuple, error) {
 
 	var out []relation.Tuple
 	var sortKeys [][]relation.Value
-	var rows slab[relation.Value]
+	rows := en.outSlab()
 
 	// When the planner serves ORDER BY through in-order index iteration
 	// (schedule.orderServed), rows are emitted already sorted: skip key
@@ -731,7 +762,9 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 // (idKeys.group), and its key columns — its representative: the shape
 // guarantees nothing else of it is read — are decoded only when the group
 // is finalised, after a HAVING that reads none of them passed. Groups
-// finalise in first-seen order, like execGrouped's.
+// finalise in first-seen order, like execGrouped's. A counted source
+// (compiledSelect.counted) feeds the same way, its rows being its groups
+// and their counts its matches.
 func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
 	n := cs.streamCols
 	var keys *idKeys

@@ -83,10 +83,14 @@ func TestInternedGroupKeyDifferential(t *testing.T) {
 			" AS pf FROM it t, ip c WHERE t.rid >= ?) m GROUP BY m.pa",
 		"SELECT DISTINCT r, n, f FROM it WHERE rid >= ?",
 		"SELECT r, COUNT(*) FROM (SELECT DISTINCT r, f FROM it WHERE rid >= ?) m GROUP BY r",
+		// Counted: the macro without DISTINCT, grouped by every column.
+		"SELECT m.cid, m.pa, m.pb, m.pn, m.pr, m.pf, m.pab, COUNT(*) FROM (" + strings.Replace(macro, "SELECT DISTINCT", "SELECT", 1) +
+			") m GROUP BY m.cid, m.pa, m.pb, m.pn, m.pr, m.pf, m.pab HAVING COUNT(*) > 1",
+		"SELECT r, n, COUNT(*) FROM (SELECT r, n FROM it WHERE rid >= ?) m GROUP BY r, n",
 	}
 	// queries[2]'s aggregates read the rows: it groups the materialised
 	// source, and the DISTINCT under it still keys by ids.
-	for _, q := range []string{queries[1], queries[3], queries[5]} {
+	for _, q := range []string{queries[1], queries[3], queries[5], queries[8], queries[9]} {
 		if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, streamedMark) {
 			t.Fatalf("not streamed: %v\n%s\n%s", err, q, plan)
 		}

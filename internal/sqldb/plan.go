@@ -1296,7 +1296,11 @@ func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 	}
 	if cs.grouped {
 		if cs.streamCols > 0 {
-			out = append(out, fmt.Sprintf("group/aggregate [streamed: distinct source feeds %d-col groups, no rows materialised]", cs.streamCols))
+			feed := "distinct"
+			if cs.sources[0].sub.counted {
+				feed = "counted"
+			}
+			out = append(out, fmt.Sprintf("group/aggregate [streamed: %s source feeds %d-col groups, no rows materialised]", feed, cs.streamCols))
 		} else {
 			out = append(out, "group/aggregate")
 		}

@@ -45,7 +45,11 @@ func streamDB(t *testing.T) *DB {
 	return db
 }
 
-const streamedMark = "[streamed: distinct source feeds"
+const streamedMark = "[streamed: "
+
+// countedMark names the counted shape: a source that is not DISTINCT,
+// grouped by every column.
+const countedMark = "[streamed: counted source feeds"
 
 func TestStreamedGroupingDifferential(t *testing.T) {
 	t.Parallel()
@@ -57,9 +61,9 @@ func TestStreamedGroupingDifferential(t *testing.T) {
 	           CASE WHEN p.a = 0 THEN COALESCE(e.tag, '@NULL@') ELSE '@' END AS r
 	         FROM ev e, pat p WHERE (p.a > 0 OR p.b > 0) AND (p.a <> 1 OR e.val > 0)) m`
 	cases := []struct {
-		q        string
-		streamed bool
-		params   []relation.Value
+		q                 string
+		streamed, counted bool
+		params            []relation.Value
 	}{
 		// The Qmv shape, and the same with singleton groups admitted —
 		// by HAVING, and by its absence.
@@ -109,6 +113,17 @@ func TestStreamedGroupingDifferential(t *testing.T) {
 		{q: `SELECT cat, COUNT(*) FROM (SELECT cat, sub FROM ev) m GROUP BY cat`},
 		{q: `SELECT cat, COUNT(*) FROM (SELECT DISTINCT cat, sub FROM ev ORDER BY sub LIMIT 7) m GROUP BY cat`},
 		{q: `SELECT COUNT(*) FROM (SELECT DISTINCT cat, sub FROM ev) m GROUP BY COALESCE(cat, sub)`},
+		// A source that is not DISTINCT, grouped by every column: its
+		// distinct rows are the groups, and COUNT(*) counts every match —
+		// the Qmv macro's (group, RHS) rows with their member counts.
+		{q: `SELECT cat, sub, COUNT(*) FROM (SELECT cat, sub FROM ev) m GROUP BY cat, sub`, streamed: true, counted: true},
+		{q: `SELECT m.cid, m.a, m.b, m.r, COUNT(*) FROM ` + strings.Replace(qmv, "SELECT DISTINCT", "SELECT", 1) +
+			` GROUP BY m.cid, m.a, m.b, m.r HAVING COUNT(*) > 1`, streamed: true, counted: true},
+		{q: `SELECT val, w, COUNT(*) FROM (SELECT val, w FROM ev WHERE val >= ?) m GROUP BY val, w`, streamed: true, counted: true, params: []relation.Value{relation.Int(1)}},
+		{q: `SELECT * FROM (SELECT cat, sub FROM ev) m GROUP BY cat, sub`, streamed: true, counted: true},
+		// ... but not by a prefix, nor when it is sliced.
+		{q: `SELECT cat, sub, COUNT(*) FROM (SELECT cat, sub, val FROM ev) m GROUP BY cat, sub`},
+		{q: `SELECT cat, sub, COUNT(*) FROM (SELECT cat, sub FROM ev LIMIT 9) m GROUP BY cat, sub`},
 	}
 	for _, c := range cases {
 		if strings.Contains(c.q, " lim ") {
@@ -125,6 +140,9 @@ func TestStreamedGroupingDifferential(t *testing.T) {
 			}
 			if got := strings.Contains(plan, streamedMark); got != c.streamed {
 				t.Errorf("streamed = %v, want %v:\n%s\n%s", got, c.streamed, c.q, plan)
+			}
+			if got := strings.Contains(plan, countedMark); got != c.counted {
+				t.Errorf("counted = %v, want %v:\n%s\n%s", got, c.counted, c.q, plan)
 			}
 		}
 		planned, nested := runBothWays(t, db, c.q, false, c.params...)
