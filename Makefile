@@ -58,7 +58,10 @@ mvccstress:
 # tiny joins in every FROM order (the lead order, vs nested loop), the
 # segmented row store under random DML vs a mirror
 # loaded fresh, a pooled plan instance re-executed after every kind of
-# change to the tables it keeps bind outcomes and a hash build of, the detector differential's random and transitions
+# change to the tables it keeps bind outcomes, a hash build and index
+# positions of, equality probes through an index covering a strict subset
+# of their columns and the word compares of binary searches over an
+# INTEGER column (vs nested loop), the detector differential's random and transitions
 # workloads (every detector leg vs the naive oracle), the rep table's
 # cases (TestRepInvariant: flags and violations vs the naive oracle after
 # every update that could leave a rep row stale) and the naive oracle
@@ -68,7 +71,7 @@ mvccstress:
 # failure; without -seed the tests keep their fixed seeds.
 difffuzz:
 	@seed=$$(date +%s); echo "difffuzz: -seed=$$seed"; \
-	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestInternedGroupKeyDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential|TestDecorrelatedClosureDifferential|TestPooledScheduleStaleness' ./internal/sqldb/ -args -seed=$$seed && \
+	$(GO) test -count=1 -run 'TestKernelClosureDifferential|TestOrKernelDifferential|TestPropertyPlannerNestedLoopEquivalence|TestValueSetProbeDifferential|TestCodedTextDifferential|TestCodedPreDedupDifferential|TestInternedGroupKeyDifferential|TestRowSegmentsDifferential|TestTinyJoinOrderDifferential|TestDecorrelatedClosureDifferential|TestPooledScheduleStaleness|TestSubsetIndexProbeDifferential|TestWordSearchDifferential' ./internal/sqldb/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestDetectThreeWayDifferential/^(random|transitions)$$/' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestRepInvariant' ./internal/detect/ -args -seed=$$seed && \
 	$(GO) test -count=1 -run 'TestNaiveDetectMatchesDefinition' ./internal/core/ -args -seed=$$seed

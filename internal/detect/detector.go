@@ -223,8 +223,12 @@ func sqlKind(k relation.Kind) string {
 	}
 }
 
-// Install creates every table the detector needs and loads the
-// encoding of Σ. Existing detector tables are dropped first.
+// Install creates every table the detector needs, with one secondary
+// index on each table the statements probe — its columns the ones every
+// probe of it binds (rep's is its group key, which keysFromIns's probe
+// binds together with the RHS columns it checks on the row found) — and
+// the RID index on the data table, and loads the encoding of Σ. Existing
+// detector tables are dropped first.
 func (d *Detector) Install() error {
 	var ddl []string
 	drop := func(name string) { ddl = append(ddl, "DROP TABLE IF EXISTS "+name) }
@@ -309,13 +313,12 @@ func (d *Detector) Install() error {
 	for _, a := range d.schema.Attrs {
 		probeCols = append(probeCols, a.Name+"_P")
 	}
-	for _, tbl := range []string{d.auxTable, d.auxOldTable, d.auxNewTable, d.keysTable} {
+	// rep's index is its group key alone: repDeleteAff probes it once per
+	// touched key, and keysFromIns's probe, which also binds the RHS
+	// columns, checks them on the one row the key finds.
+	for _, tbl := range []string{d.auxTable, d.auxOldTable, d.auxNewTable, d.keysTable, d.repTable} {
 		ddl = append(ddl, fmt.Sprintf("CREATE INDEX idx_%s ON %s (%s)", tbl, tbl, strings.Join(probeCols, ", ")))
 	}
-	for _, a := range d.schema.Attrs {
-		probeCols = append(probeCols, a.Name+"_RV")
-	}
-	ddl = append(ddl, fmt.Sprintf("CREATE INDEX idx_%s ON %s (%s)", d.repTable, d.repTable, strings.Join(probeCols, ", ")))
 
 	// Ordered RID index on the data table: the incremental path's
 	// RID-range statements (mvSetNew/mvSetOld) prune to their range

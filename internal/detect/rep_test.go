@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"ecfd/internal/core"
 	"ecfd/internal/gen"
 	"ecfd/internal/relation"
+	"ecfd/internal/sqldb"
 )
 
 // The rep table holds, for a group outside Aux, the one blanked RHS its
@@ -334,5 +336,52 @@ func TestRepBounded(t *testing.T) {
 	}
 	if n := repRows(t, d); n != 0 {
 		t.Fatalf("BatchDetect left %d rep rows", n)
+	}
+}
+
+// TestIncrementalProbesBounded states, in counters, that the incremental
+// script's probes into rep and into the data table cost what ΔD touches
+// and not what those tables hold. It starts from rep 96 % full: 2 000 warm
+// 8+8 updates at 40 000 rows fill it to about 2 720 of its roughly 2 820
+// rows (TestWorkLedger's warmUpdates). Over the next 20 updates, stepped:
+//
+//   - repDeleteAff scans at most 4·|keys| rows: the keys, and through
+//     rep's index on its group key the one rep row of each. Without that
+//     index it scanned rep once per key, |keys|·|rep| rows, about 22 000;
+//   - keysFromDel seeks the data table's RID index at most once per staged
+//     RID: its data level is entered once per (RID, pattern row), with the
+//     same RID for every pattern row, and reuses the positions of its last
+//     seek; without that it sought five times per RID, 40 per update.
+func TestIncrementalProbesBounded(t *testing.T) {
+	const rows, warm, updates = 40_000, 2_000, 20
+	w, cleanup := newApplyWorkload(t, rows)
+	defer cleanup()
+	d := w.d
+	oldest := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for range warm {
+		w.apply(t, oldest...)
+	}
+	if n := repRows(t, d); n < 2_600 {
+		t.Fatalf("rep holds %d rows after %d updates; the bounds would hold for a small rep too", n, warm)
+	}
+	for u := range updates {
+		del := slices.Clone(w.live[:len(oldest)])
+		w.stepApply(t, gen.Updates(w.cfg, len(oldest), w.batch), del, func(q string, before, after sqldb.Stats) {
+			switch q {
+			case d.stmts.repDeleteAff:
+				var keys int64
+				if err := d.db.QueryRow("SELECT COUNT(*) FROM " + d.keysTable).Scan(&keys); err != nil {
+					t.Fatal(err)
+				}
+				if n := after.RowsScanned - before.RowsScanned; n > 4*keys {
+					t.Errorf("update %d: repDeleteAff scanned %d rows for %d keys", u, n, keys)
+				}
+			case d.stmts.keysFromDel:
+				if n := after.IndexSeeks - before.IndexSeeks; n > int64(len(del)) {
+					t.Errorf("update %d: keysFromDel made %d index seeks for %d staged RIDs", u, n, len(del))
+				}
+			}
+		})
+		w.batch++
 	}
 }

@@ -58,6 +58,12 @@ func incNames(d *Detector) map[string]string {
 // deltaSizes are the update sizes k of the ledger's k+k units.
 var deltaSizes = []int{64, 512, 2048}
 
+// warmUpdates is how many 8+8 updates (deleting the oldest rows) fill rep
+// to within 5 % of its plateau at 10 000 and at 40 000 gen rows (seed
+// 611): about 2 820 rows after 8 000 updates at either size, 2 693 and
+// 2 785 after these 4 000.
+const warmUpdates = 4_000
+
 // firstN returns 0, 1, …, n-1.
 func firstN(n int) []int {
 	s := make([]int, n)
@@ -79,9 +85,12 @@ var batchNames = []string{"resetFlags", "qsvUpdate", "truncateAux", "truncateRep
 // 8+8 ApplyUpdates, each statement of the next update's incremental
 // script, a warm 8-tuple Check and Counts; and at 10 000 rows only, a
 // k+k ApplyUpdates and each statement of one, for k = 64, 512 and 2 048,
-// each right after a BatchDetect: the cold path, with rep empty. A stepped
-// script is stepped once unrecorded first, so that its statements, like
-// the whole script's, run on warm plan instances. The counters count work, not time, so every line is exact: a
+// each right after a BatchDetect: the cold path, with rep empty; and at
+// 10 000 and 40 000 rows, last, a warm 8+8 ApplyUpdates and each statement
+// of one after warmUpdates more updates (ApplyUpdatesWarm), when rep is
+// near its plateau and the statements that probe it pay for its size. A
+// stepped script is stepped once unrecorded first, so that its
+// statements, like the whole script's, run on warm plan instances. The counters count work, not time, so every line is exact: a
 // change that moves work moves lines of the diff, and the ratio of a
 // line's 160 000-row value to its 40 000-row one is the paper's
 // incremental bound (work in |ΔD|, not |D|) read in counters.
@@ -191,6 +200,14 @@ func TestWorkLedger(t *testing.T) {
 			measure(w, unit, func() { w.apply(t, firstN(k)...) })
 			batch()
 			stepped(unit, k)
+		}
+		if rows <= 40_000 {
+			for i := 0; i < warmUpdates; i++ {
+				w.apply(t, oldest...)
+			}
+			measure(w, "ApplyUpdatesWarm", func() { w.apply(t, oldest...) })
+			stepped("", 8)
+			stepped("ApplyUpdatesWarm", 8)
 		}
 		cleanup()
 	}

@@ -724,9 +724,11 @@ type probeInst struct {
 	// (the leading parts of the encode order — index column order for
 	// index probes, natural order for hash probes — that are constant
 	// for the entry, e.g. the pattern's CID), tail the part indices
-	// still encoded per row.
+	// still read per row: its first nKey are encoded, and the rest are
+	// the key positions the index leaves out (decorrProbe.rest).
 	pfx     []byte
 	tail    []int
+	nKey    int
 	pfxVals []relation.Value
 	// vs is the value-set prefilter (bindSets), nil until an entry builds
 	// one: most instances never do, and pay one word for it.
@@ -1244,6 +1246,9 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 	pb.tail = pb.tail[:0]
 	pb.pfxVals = pb.pfxVals[:0]
 	n := len(k.parts)
+	if k.d.idx != nil {
+		n = len(k.d.perm)
+	}
 	inPrefix := true
 	for j := 0; j < n; j++ {
 		i := j
@@ -1256,6 +1261,15 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 			continue
 		}
 		inPrefix = false
+		pb.tail = append(pb.tail, i)
+		if pb.con[i] {
+			pb.rowVals[i] = pb.vals[i]
+		}
+	}
+	// The key positions the index leaves out follow, read per row like
+	// the tail but checked on the rows the index finds (matchRest).
+	pb.nKey = len(pb.tail)
+	for _, i := range k.d.rest {
 		pb.tail = append(pb.tail, i)
 		if pb.con[i] {
 			pb.rowVals[i] = pb.vals[i]
@@ -1289,6 +1303,7 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 	pb.eq = inner.lookupEq(k.d.t, k.d.idx)
 	if pb.eq.ordered() {
 		// The ordered path searches only below the constant prefix.
+		en.work[wIndexSeeks]++
 		pb.eq.s = pb.eq.within(pb.eq.s, 0, pb.pfxVals)
 	}
 	if sets && len(pb.pfxVals) > 0 {
@@ -1297,6 +1312,7 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 		// agree with them.
 		pos := pb.eq.s
 		if !pb.eq.ordered() {
+			en.work[wIndexSeeks]++
 			pos = eqRange(&inner.rowSet, k.d.idx.Cols, inner.orderedOf(k.d.t, k.d.idx), 0, pb.pfxVals)
 		}
 		if len(pos) <= probeSetRowsMax {
@@ -1435,7 +1451,7 @@ rowLoop:
 		} else {
 			key = append(key, pb.pfx...)
 		}
-		for _, i := range pb.tail {
+		for ti, i := range pb.tail {
 			part := &k.parts[i]
 			v := pb.rowVals[i] // constants were planted at bind
 			if !pb.con[i] {
@@ -1476,21 +1492,24 @@ rowLoop:
 					continue rowLoop
 				}
 			}
-			if ordered {
+			switch {
+			case ti >= pb.nKey:
+				pb.rowVals[i] = v
+			case ordered:
 				pb.tailVals = append(pb.tailVals, v)
-				continue
+			default:
+				key = relation.AppendKey(key, v)
 			}
-			key = relation.AppendKey(key, v)
 		}
 		pb.keyBuf = key
 		var hit bool
 		switch {
 		case ordered:
-			hit = len(pb.eq.within(pb.eq.s, len(pb.pfxVals), pb.tailVals)) > 0
+			hit = k.d.matchRest(&pb.eq.td.rowSet, pb.eq.within(pb.eq.s, len(pb.pfxVals), pb.tailVals), pb.rowVals)
 		case k.d.idx != nil:
 			// Per-probe locking inside probe(): no structure lock is held
 			// across the surrounding closure evaluations.
-			hit = len(pb.eq.probeKey(key)) > 0
+			hit = k.d.matchRest(&pb.eq.td.rowSet, pb.eq.probeKey(key), pb.rowVals)
 		default:
 			hit = pb.set[string(key)]
 		}

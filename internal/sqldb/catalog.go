@@ -798,6 +798,13 @@ type Stats struct {
 	// CodeTranslations the segment codes the id keys turned into ids, and
 	// Groups the GROUP BY groups formed, streamed or not.
 	SetRows, PostingRows, TextLookups, DistinctKeys, CodeRepeats, CodeTranslations, Groups int64
+	// IndexSeeks counts equality-map lookups and the binary searches
+	// finding one key's or range's positions in index order, made by a
+	// join level's probe or range scan (none when it reuses its last
+	// entry's, seekMemo), a probe kernel's entry narrowing to its constant
+	// key prefix, or a decorrelated EXISTS's closure. A probe kernel's
+	// per-row lookups are ProbeRows'.
+	IndexSeeks int64
 	// Recovery reports what WAL recovery did when the database opened.
 	Recovery RecoveryStats
 }
@@ -836,6 +843,7 @@ func (db *DB) Stats() Stats {
 		CodeRepeats:      db.work[wCodeRepeats].Load(),
 		CodeTranslations: db.work[wCodeTranslations].Load(),
 		Groups:           db.work[wGroups].Load(),
+		IndexSeeks:       db.work[wIndexSeeks].Load(),
 		Recovery:         db.recov,
 	}
 }
@@ -1519,6 +1527,10 @@ func (v *eqView) within(s []int, k0 int, vals []relation.Value) []int {
 // kinds, NaN self-equal. NULL rows sort outside every equal region of a
 // non-NULL probe, and callers never probe with NULL.
 func eqRange(rs *rowSet, cols []int, s []int, k0 int, vals []relation.Value) []int {
+	if len(vals) == 1 && vals[0].K == relation.KindInt && rs.wordCol(cols[k0]) {
+		from := wordBound(rs, cols[k0], s, vals[0].I, false)
+		return s[from : from+wordBound(rs, cols[k0], s[from:], vals[0].I, true)]
+	}
 	// Two hand-rolled binary searches: this runs once per probed row,
 	// and sort.Search would allocate its closure each time. Once the
 	// searched range lies in one segment, the hint finds every row.
@@ -1551,6 +1563,39 @@ func eqRange(rs *rowSet, cols []int, s []int, k0 int, vals []relation.Value) []i
 		}
 	}
 	return s[from:lo]
+}
+
+// wordCol reports whether column col of rs is an INTEGER column, whose
+// binary searches for an INTEGER compare words (wordBound): Compare
+// orders its cells as their int64s, NULL first. A search for any other
+// kind — REAL, NaN, BOOLEAN — or over any other column goes by Compare.
+func (rs *rowSet) wordCol(col int) bool {
+	return len(rs.segs) > 0 && rs.segs[0].cols[col].kind == relation.KindInt
+}
+
+// wordBound returns the first i of s — positions in the order of the
+// INTEGER column col — whose cell is at least v, or above v if past:
+// NULL cells sort before every value.
+func wordBound(rs *rowSet, col int, s []int, v int64, past bool) int {
+	lo, hi, si := 0, len(s), 0
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		p := s[mid]
+		si = rs.segAt(p, si)
+		sg := &rs.segs[si]
+		cv, off := &sg.cols[col], p-sg.start
+		below := cv.nulls != nil && cv.nulls[off]
+		if !below {
+			w := int64(cv.words[off])
+			below = w < v || past && w == v
+		}
+		if below {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // extendEq builds (or grows) the equality map to cover fence f.
@@ -1709,25 +1754,34 @@ func sortedPositions(cols []int, rs *rowSet, f int) []int {
 // NULLs ranking below every bounded value).
 func (td *tableData) rangeOf(t *Table, idx *Index, lo, hi relation.Value, hasLo, hasHi, skipNullLo bool) []int {
 	s := td.orderedOf(t, idx)
-	si, c0 := 0, idx.Cols[0]
-	at := func(i int) relation.Value {
-		r := td.ref(s[i], &si)
-		return r.at(c0)
+	rs, c0, si := &td.rowSet, idx.Cols[0], 0
+	words := rs.wordCol(c0) && (!hasLo || lo.K == relation.KindInt) && (!hasHi || hi.K == relation.KindInt)
+	// from returns the first i of s whose cell is at least v, or above v
+	// if past; with v NULL and past, the first non-NULL cell.
+	from := func(v relation.Value, past bool) int {
+		switch {
+		case words && v.K == relation.KindNull:
+			return wordBound(rs, c0, s, math.MinInt64, false)
+		case words:
+			return wordBound(rs, c0, s, v.I, past)
+		}
+		return sort.Search(len(s), func(i int) bool {
+			r := rs.ref(s[i], &si)
+			c := relation.Compare(r.at(c0), v)
+			return c > 0 || c == 0 && !past
+		})
 	}
-	from, to := 0, len(s)
+	i, j := 0, len(s)
 	switch {
 	case hasLo:
-		from = sort.Search(len(s), func(i int) bool { return relation.Compare(at(i), lo) >= 0 })
+		i = from(lo, false)
 	case skipNullLo:
-		from = sort.Search(len(s), func(i int) bool { return at(i).K != relation.KindNull })
+		i = from(relation.Null(), true)
 	}
 	if hasHi {
-		to = sort.Search(len(s), func(i int) bool { return relation.Compare(at(i), hi) > 0 })
+		j = max(i, from(hi, true))
 	}
-	if to < from {
-		to = from
-	}
-	return s[from:to]
+	return s[i:j]
 }
 
 // forkDeleted forks the structures for a DELETE: surviving positions
@@ -1803,34 +1857,9 @@ func compareRows(cols []int, a, b *rowRef) int {
 
 // --- access-path finders (per-epoch: indexes are catalog state) ---
 
-// findIndex returns an index whose column set is exactly cols (in any
-// order), or nil. Callers probe through lookupEq.
-func (td *tableData) findIndex(cols []int) *Index {
-	want := append([]int(nil), cols...)
-	sort.Ints(want)
-	for _, sl := range td.indexes {
-		have := append([]int(nil), sl.idx.Cols...)
-		sort.Ints(have)
-		if len(have) != len(want) {
-			continue
-		}
-		same := true
-		for i := range have {
-			if have[i] != want[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return sl.idx
-		}
-	}
-	return nil
-}
-
 // findPrefixIndex returns an index whose column list starts with
-// exactly cols (in order), or nil. Unlike findIndex, order matters:
-// in-order iteration only serves ORDER BY for a prefix match.
+// exactly cols (in order), or nil. Order matters: in-order iteration
+// only serves ORDER BY for a prefix match.
 func (td *tableData) findPrefixIndex(cols []int) *Index {
 	for _, sl := range td.indexes {
 		idx := sl.idx

@@ -22,9 +22,10 @@ import (
 //     below reorderMinRows rows the source the most parts read alone
 //     drives (leadOrder), so the pattern table drives an 8-row batch too;
 //   - equality conjuncts between a source and already-bound values
-//     become index probes when a persistent secondary index covers the
-//     key columns exactly, and filters of the level like any other
-//     conjunct otherwise;
+//     become an index probe when they bind every column of a persistent
+//     secondary index (the widest such, probeIndex); the ones it leaves
+//     out, like every equality when none qualifies, stay filters of the
+//     level like any other conjunct;
 //   - every conjunct is evaluated at the outermost level where all of
 //     its sources are bound (predicate pushdown), pruning the join
 //     subtree as early as possible; one reading no source of the scope
@@ -422,6 +423,9 @@ type schedule struct {
 type schedLevel struct {
 	src   int
 	probe *probePlan
+	// seek is the level's last index seek in this execution, probe or
+	// range, which an entry with the same key reuses.
+	seek seekMemo
 	// rng, when set (and probe is nil), prunes the level's scan to the
 	// index-order subslice whose first column lies within the bound
 	// keys. ord, when set, makes the level iterate in full index order.
@@ -470,8 +474,54 @@ type rangePlan struct {
 	skipNullLo bool
 }
 
+// seekMemo is a probe or range level's last seek in the current
+// execution of its plan instance: the epoch's data it sought in, its key
+// — a probe's values, a range's bounds, NULL for an absent one — and the
+// positions found. An entry with an Identical key over the same data
+// takes the positions instead of seeking again: keysFromDel's data level
+// is entered once per (staged RID, pattern row), with the same RID for
+// every pattern row. runPlan forgets the seek when an execution starts
+// and reset when the instance goes idle, so it never outlives the
+// statement that read the epoch.
+//
+// pos is a subslice of the index's own structures — a map bucket or the
+// in-order positions — which every reader of the epoch shares. Nothing
+// writes through it: the level drivers read candidates out of it into
+// their own selection vectors, and the index itself only ever appends
+// past a fence or replaces an array wholesale (indexData).
+type seekMemo struct {
+	td  *tableData
+	key []relation.Value
+	pos []int
+}
+
+// found reports whether the last seek was over td with an Identical key.
+func (m *seekMemo) found(td *tableData, key ...relation.Value) bool {
+	if m.td != td || len(m.key) != len(key) {
+		return false
+	}
+	for i := range key {
+		if !relation.Identical(m.key[i], key[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// keep records a seek and returns its positions.
+func (m *seekMemo) keep(td *tableData, pos []int, key ...relation.Value) []int {
+	m.td, m.key, m.pos = td, append(m.key[:0], key...), pos
+	return pos
+}
+
+// forget drops the seek and what it points into.
+func (m *seekMemo) forget() {
+	clear(m.key) // a TEXT key's string may be the epoch's
+	m.td, m.pos = nil, nil
+}
+
 // probePlan answers "which rows of this source match the bound key"
-// from the index whose columns are exactly the key's.
+// from an index whose every column the key binds.
 type probePlan struct {
 	idx    *Index
 	keys   []compiledExpr   // in index-column order
@@ -597,9 +647,10 @@ func buildSchedule(cs *compiledSelect, order []int, ep *epoch) *schedule {
 		lv := schedLevel{src: s}
 		bit := srcMask(1) << uint(s)
 		// Equi-join probe: the equalities whose other side is bound when
-		// the level is entered become an index lookup if one index covers
-		// exactly their columns. Otherwise they stay filters of the level,
-		// decided by its kernels or evals like any other conjunct.
+		// the level is entered become an index lookup if they bind every
+		// column of an index. The ones that index leaves out, and all of
+		// them when none qualifies, stay filters of the level, decided by
+		// its kernels or evals like any other conjunct.
 		var probe *probePlan
 		if t := cs.sources[s].table; t != nil {
 			var keys []compiledExpr
@@ -619,9 +670,7 @@ func buildSchedule(cs *compiledSelect, order []int, ep *epoch) *schedule {
 				probe = &probePlan{idx: idx, vals: make([]relation.Value, len(perm))}
 				for _, pi := range perm {
 					probe.keys = append(probe.keys, keys[pi])
-				}
-				for _, ci := range conjs {
-					consumed[ci] = true
+					consumed[conjs[pi]] = true
 				}
 			}
 		}
@@ -912,6 +961,7 @@ func (cs *compiledSelect) release(sch *schedule) {
 func (sch *schedule) reset() {
 	st := sch.state
 	for pos := range sch.levels {
+		sch.levels[pos].seek.forget()
 		for i := range st.binds[pos] {
 			st.binds[pos][i].reset()
 		}
@@ -940,6 +990,9 @@ func (cs *compiledSelect) scan(en *env, srcRows []rowSet, yield func() error) er
 func (cs *compiledSelect) runPlan(en *env, sch *schedule, srcRows []rowSet, yield func(idx []int) error) error {
 	for _, m := range sch.state.memos {
 		m.stamp(en.td(m.t))
+	}
+	for i := range sch.levels {
+		sch.levels[i].seek.forget()
 	}
 	for _, ci := range sch.pre {
 		if ok, err := cs.conjs[ci].holds(en); !ok {
@@ -1123,8 +1176,13 @@ func (cs *compiledSelect) probeRows(en *env, lv *schedLevel) (bucket []int, scan
 		p.vals[i] = v
 	}
 	t := cs.sources[lv.src].table
-	eq := en.td(t).lookupEq(t, p.idx)
-	return eq.probe(p.vals, &p.keyBuf), false, nil
+	td := en.td(t)
+	if lv.seek.found(td, p.vals...) {
+		return lv.seek.pos, false, nil
+	}
+	en.work[wIndexSeeks]++
+	eq := td.lookupEq(t, p.idx)
+	return lv.seek.keep(td, eq.probe(p.vals, &p.keyBuf), p.vals...), false, nil
 }
 
 // rangeRows evaluates a level's range bounds and returns the ordered-
@@ -1158,7 +1216,12 @@ func (cs *compiledSelect) rangeRows(en *env, lv *schedLevel) ([]int, bool, error
 		hi, hasHi = v, true
 	}
 	t := cs.sources[lv.src].table
-	return en.td(t).rangeOf(t, rp.idx, lo, hi, hasLo, hasHi, rp.skipNullLo), false, nil
+	td := en.td(t)
+	if lv.seek.found(td, lo, hi) {
+		return lv.seek.pos, false, nil
+	}
+	en.work[wIndexSeeks]++
+	return lv.seek.keep(td, td.rangeOf(t, rp.idx, lo, hi, hasLo, hasHi, rp.skipNullLo), lo, hi), false, nil
 }
 
 // semiScan runs the planned join over base-table sources and yields

@@ -357,6 +357,12 @@ func mustTable(t *testing.T, db *DB, name string) *Table {
 // two probes whose build filter reads a parameter, or a subquery over
 // another table, are re-executed with a new parameter and after DML on
 // that table: neither may answer from the previous execution's build.
+// Then the positions a probe or range level keeps from its last seek
+// (seekMemo): statements whose key repeats within an execution, and from
+// one execution to the next, are re-executed after DML on the probed
+// table, and a correlated subquery that no probe decorrelates is
+// re-entered per outer row with keys that repeat; none may answer from
+// the positions of another version of the table.
 // `make difffuzz` runs it on a fresh seed.
 func TestPooledScheduleStaleness(t *testing.T) {
 	t.Parallel()
@@ -608,4 +614,50 @@ func TestPooledScheduleStaleness(t *testing.T) {
 			both(`DELETE FROM u`)
 			both(`INSERT INTO u VALUES ('q')`)
 		}, nil, nil)
+
+	// The same key from one execution to the next, and from one level
+	// entry to the next: d's x holds three values and NULL over 100 rows, and the
+	// correlated EXISTS, which LIMIT keeps from being decorrelated, seeks
+	// in w once per entry of its own plan, for each row of d.
+	both(`CREATE TABLE w (k INTEGER, v INTEGER)`)
+	both(`CREATE INDEX idx_w ON w (k)`)
+	fillW := func() {
+		for i := 0; i < 70+rng.Intn(20); i++ {
+			both(`INSERT INTO w VALUES (?, ?)`, small(4), relation.Int(int64(rng.Intn(100))))
+		}
+	}
+	fillW()
+	seekSites := []struct {
+		q    string
+		args []relation.Value
+	}{
+		{`SELECT w.v FROM w WHERE w.k = ?`, []relation.Value{relation.Int(1)}},
+		{`SELECT w.v FROM w WHERE w.k >= ? AND w.k <= ?`, []relation.Value{relation.Int(1), relation.Int(2)}},
+		{`SELECT t.k, w.v FROM d t, w WHERE w.k = t.x`, nil},
+		{`SELECT t.k FROM d t WHERE EXISTS (SELECT 1 FROM w WHERE w.k = t.x AND w.v > t.k LIMIT 1)`, nil},
+	}
+	for _, site := range seekSites {
+		p, err := db.Prepare(site.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 4; round++ {
+			res, err := p.Query(site.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonical(res), canonical(mustQuery(t, ref, site.q, site.args...)); got != want {
+				t.Fatalf("%s, run %d:\nPlanned   %q\nReference %q", site.q, round, got, want)
+			}
+			switch round {
+			case 0:
+				both(`INSERT INTO w VALUES (1, 99), (2, 98), (0, 97)`)
+			case 1:
+				both(`DELETE FROM w WHERE w.k = 1`)
+			case 2:
+				both(`TRUNCATE TABLE w`)
+				fillW()
+			}
+		}
+	}
 }

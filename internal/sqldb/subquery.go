@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 
 	"ecfd/internal/relation"
 )
@@ -22,12 +23,12 @@ type hashBuild struct {
 }
 
 // probeScratch is the per-env scratch of one decorrelated probe site:
-// the evaluated key values and the reusable key buffer. Keyed by the
-// *Exists node on the env, so concurrent executions of the same plan
-// never share it.
+// the evaluated key values, by key position and in index column order,
+// and the reusable key buffer. Keyed by the *Exists node on the env, so
+// concurrent executions of the same plan never share it.
 type probeScratch struct {
-	vals   []relation.Value
-	keyBuf []byte
+	vals, idxVals []relation.Value
+	keyBuf        []byte
 }
 
 // inBuild caches the value set of an uncorrelated IN (SELECT ...).
@@ -71,8 +72,8 @@ func (c *compiler) compileExists(x *Exists) (compiledExpr, error) {
 
 // decorrProbe is the analyzed form of a decorrelatable EXISTS: the
 // inner table, the key columns and the matching outer key expressions,
-// the inner-only build filters, and — when no filters apply and a
-// secondary index covers the key columns exactly — the persistent
+// the inner-only build filters, and — when no filters apply and the key
+// binds every column of a secondary index (probeIndex) — the persistent
 // index answering the probe. It is the single source of truth for the
 // decorrelated semantics, shared by the per-row closure (tryDecorrelate)
 // and the batch probe kernel (kprobe): both resolve the same env hash
@@ -90,8 +91,11 @@ type decorrProbe struct {
 	// reads a parameter, or a subquery over another table, differs
 	// between executions over the same version of t.
 	keep bool
-	idx  *Index // exact-cover index (filters empty), or nil
+	idx  *Index // the index answering the probe (filters empty), or nil
 	perm []int  // index column order → outer key position
+	// rest are the key positions the index does not cover: a row the
+	// index finds must also hold them (matchRest).
+	rest []int
 }
 
 // ensureHash returns the build-side key set of the probe for the version
@@ -248,32 +252,56 @@ func (c *compiler) analyzeDecorrelateUncached(x *Exists) (*decorrProbe, error) {
 		d.outer[i] = p.outer
 	}
 	d.filters = filters
-	// With no build-time filters, a secondary index on exactly the key
-	// columns replaces the per-statement hash build: the index persists
+	// With no build-time filters, a secondary index whose columns the key
+	// binds replaces the per-statement hash build: the index persists
 	// across statements and only rebuilds after table mutations. The
-	// probe key must follow the index's column order.
+	// probe key must follow the index's column order; the key columns it
+	// leaves out are checked on the rows it finds.
 	if len(filters) == 0 {
 		d.idx, d.perm = probeIndex(c.ep.tds[t], d.keyCols)
+		for i := range d.keyCols {
+			if !slices.Contains(d.perm, i) {
+				d.rest = append(d.rest, i)
+			}
+		}
 	}
 	return d, nil
 }
 
+// matchRest reports whether a row at one of pos holds vals — the probe's
+// key by key position, none NULL or NaN — in every key column the index
+// leaves out (d.rest): Identical, the equality the index answers its own
+// columns with, so a NULL or NaN cell matches nothing.
+func (d *decorrProbe) matchRest(rs *rowSet, pos []int, vals []relation.Value) bool {
+	if len(d.rest) == 0 {
+		return len(pos) > 0
+	}
+	si := 0
+rows:
+	for _, p := range pos {
+		r := rs.ref(p, &si)
+		for _, i := range d.rest {
+			if !relation.Identical(r.at(d.keyCols[i]), vals[i]) {
+				continue rows
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // tryDecorrelate returns the probe closure for x, or nil when the
 // subquery shape does not qualify. Per row it evaluates the outer key
-// expressions — in the index's column order when an index answers — and
-// looks the key up once; a NULL or NaN key part never matches.
+// expressions and looks the key up once — through the index, in its
+// column order, when one answers; a NULL or NaN key part never matches.
 func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 	d, err := c.analyzeDecorrelate(x)
 	if err != nil || d == nil {
 		return nil, err
 	}
 	keys := make([]compiledExpr, len(d.outer))
-	for j := range keys {
-		i := j
-		if d.idx != nil {
-			i = d.perm[j]
-		}
-		if keys[j], err = c.compileExpr(d.outer[i]); err != nil {
+	for i := range keys {
+		if keys[i], err = c.compileExpr(d.outer[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -297,7 +325,7 @@ func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 			if en.probes == nil {
 				en.probes = make(map[*Exists]*probeScratch)
 			}
-			ps = &probeScratch{vals: make([]relation.Value, len(keys))}
+			ps = &probeScratch{vals: make([]relation.Value, len(keys)), idxVals: make([]relation.Value, len(d.perm))}
 			en.probes[x] = ps
 		}
 		for j, key := range keys {
@@ -311,35 +339,40 @@ func (c *compiler) tryDecorrelate(x *Exists) (compiledExpr, error) {
 			ps.vals[j] = v
 		}
 		if d.idx != nil {
-			return relation.Bool((len(eq.probe(ps.vals, &ps.keyBuf)) > 0) != neg), nil
+			for j, i := range d.perm {
+				ps.idxVals[j] = ps.vals[i]
+			}
+			en.work[wIndexSeeks]++
+			return relation.Bool(d.matchRest(&eq.td.rowSet, eq.probe(ps.idxVals, &ps.keyBuf), ps.vals) != neg), nil
 		}
 		ps.keyBuf = relation.AppendKeyOf(ps.keyBuf[:0], ps.vals)
 		return relation.Bool(set[string(ps.keyBuf)] != neg), nil
 	}, nil
 }
 
-// probeIndex finds a secondary index covering exactly the probe
-// columns and computes the permutation mapping probe positions to the
-// index's column order.
+// probeIndex picks the index answering an equality probe on keyCols: of
+// the indexes whose every column keyCols binds, the one with the most
+// columns, the first such in catalog order on a tie; nil if none. perm
+// maps its columns, in order, to positions of keyCols; the positions it
+// leaves out are the caller's to check on the rows found.
 func probeIndex(td *tableData, keyCols []int) (*Index, []int) {
-	idx := td.findIndex(keyCols)
-	if idx == nil {
-		return nil, nil
-	}
-	perm := make([]int, len(idx.Cols))
-	for j, col := range idx.Cols {
-		perm[j] = -1
-		for i, kc := range keyCols {
-			if kc == col {
-				perm[j] = i
-				break
+	var best *Index
+	var perm []int
+next:
+	for _, sl := range td.indexes {
+		idx := sl.idx
+		if best != nil && len(idx.Cols) <= len(best.Cols) {
+			continue
+		}
+		p := make([]int, len(idx.Cols))
+		for j, col := range idx.Cols {
+			if p[j] = slices.Index(keyCols, col); p[j] < 0 {
+				continue next
 			}
 		}
-		if perm[j] < 0 {
-			return nil, nil
-		}
+		best, perm = idx, p
 	}
-	return idx, perm
+	return best, perm
 }
 
 // probeSides identifies which side of an equality is the inner column
