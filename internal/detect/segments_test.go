@@ -356,43 +356,63 @@ func TestRecomputeStepsFirstOccurrences(t *testing.T) {
 
 // TestBatchDetectKeysAndGroups pins what BatchDetect's DISTINCT and
 // GROUP BY do in counters: the rows its DISTINCT keys by interned ids
-// (sqldb.Stats.DistinctKeys) and the groups it forms (Groups) are
-// identical when it runs again over the same data, and grow linearly with
-// it from 10 000 to 40 000 rows: no faster than 4× and a tenth, no slower
-// than 3× — the groups of the constraints whose LHS takes few values
-// (CT → AC) do not grow at all. The segment codes it translates to ids
-// (CodeTranslations) grow no faster than the segments, and a twentieth.
+// (sqldb.Stats.DistinctKeys) and its group keys — the groups it forms
+// (Groups) and the rows it holds and never keys, each a group of one row
+// (SingletonRows) — are identical when it runs again over the same data,
+// and grow linearly with it from 10 000 to 40 000 rows: no faster than 4×
+// and a tenth, no slower than 3× — the groups of the constraints whose LHS
+// takes few values (CT → AC) do not grow at all. Its group keys are those
+// of the Qmv macro grouped with no HAVING, which holds no row, plus the
+// one group of Counts' COUNT(*). That grouping translates every segment
+// code its rows hold (CodeTranslations) — no faster than the segments
+// grow, and a twentieth — and BatchDetect, which translates only the codes
+// of the rows it keys, no more.
 func TestBatchDetectKeysAndGroups(t *testing.T) {
 	measure := func(rows int) (keys, groups, codes int64) {
 		d, cleanup := newBenchDetector(t, rows, 611)
 		defer cleanup()
+		var held int64
 		for run := 0; run < 2; run++ {
 			before := engOf(d).Stats()
 			if _, err := d.BatchDetect(); err != nil {
 				t.Fatal(err)
 			}
 			after := engOf(d).Stats()
-			k, g := after.DistinctKeys-before.DistinctKeys, after.Groups-before.Groups
+			k, g := after.DistinctKeys-before.DistinctKeys, after.Groups-before.Groups+after.SingletonRows-before.SingletonRows
 			if run == 1 && (k != keys || g != groups) {
-				t.Errorf("%d rows: BatchDetect keyed %d DISTINCT rows and formed %d groups, then %d and %d", rows, keys, groups, k, g)
+				t.Errorf("%d rows: BatchDetect keyed %d DISTINCT rows and found %d group keys, then %d and %d", rows, keys, groups, k, g)
 			}
-			keys, groups, codes = k, g, after.CodeTranslations-before.CodeTranslations
+			keys, groups, held = k, g, after.CodeTranslations-before.CodeTranslations
 		}
-		if keys == 0 || groups == 0 || codes == 0 {
-			t.Fatalf("%d rows: %d DISTINCT keys, %d groups, %d translations: the counters are not wired", rows, keys, groups, codes)
+		g := strings.Join(d.groupCols(), ", ")
+		before := engOf(d).Stats()
+		if _, err := engOf(d).Query(fmt.Sprintf("SELECT %s, COUNT(*) FROM (%s\n) m GROUP BY %s", g, d.macro(), g)); err != nil {
+			t.Fatal(err)
 		}
+		after := engOf(d).Stats()
+		codes = after.CodeTranslations - before.CodeTranslations
+		if all := after.Groups - before.Groups; groups != all+1 {
+			t.Errorf("%d rows: BatchDetect found %d group keys, the macro grouped with no HAVING %d", rows, groups, all)
+		}
+		if held > codes {
+			t.Errorf("%d rows: BatchDetect translated %d codes, more than the %d of the macro keying every row", rows, held, codes)
+		}
+		if keys == 0 || groups == 0 || codes == 0 || held == 0 {
+			t.Fatalf("%d rows: %d DISTINCT keys, %d group keys, %d and %d translations: the counters are not wired", rows, keys, groups, held, codes)
+		}
+		t.Logf("%d rows: BatchDetect translated %d codes, the macro keying every row %d", rows, held, codes)
 		return keys, groups, codes
 	}
 	k10, g10, c10 := measure(10_000)
 	k40, g40, c40 := measure(40_000)
-	t.Logf("DISTINCT keys %d → %d, groups %d → %d, translations %d → %d from 10 000 to 40 000 rows", k10, k40, g10, g40, c10, c40)
+	t.Logf("DISTINCT keys %d → %d, group keys %d → %d, translations %d → %d from 10 000 to 40 000 rows", k10, k40, g10, g40, c10, c40)
 	if r := float64(c40) / float64(c10); r > 4*1.05 {
 		t.Errorf("translations grow %.2f× for 4× the segments", r)
 	}
 	for _, c := range []struct {
 		what     string
 		from, to int64
-	}{{"DISTINCT keys", k10, k40}, {"groups", g10, g40}} {
+	}{{"DISTINCT keys", k10, k40}, {"group keys", g10, g40}} {
 		if r := float64(c.to) / float64(c.from); r < 3 || r > 4.4 {
 			t.Errorf("%s grow %.2f× for 4× the rows", c.what, r)
 		}

@@ -15,7 +15,7 @@ func (d *Detector) generateSQL() {
 		qsvUpdate:    d.genQsvUpdate(),
 		qmvInsert:    d.genQmvInsert(),
 		mvUpdate:     d.genMVUpdate(),
-		resetFlags:   fmt.Sprintf("UPDATE %s SET %s = 0, %s = 0", d.dataTable, ColSV, ColMV),
+		resetFlags:   d.genResetFlags(),
 		keysFromIns:  d.genKeysFromIns(),
 		keysFromDel:  d.genKeysFromDel(),
 		auxDeleteAff: d.genAuxDeleteAffected(),
@@ -74,6 +74,15 @@ func (d *Detector) generateSQL() {
 		d.stmts.mvClear,
 	}
 	d.stmts.incScript = strings.Join(d.stmts.incStmts, ";\n")
+}
+
+// genResetFlags clears both flags before batch detection, matching only
+// the rows that carry one. That is exact: Install declares both flags
+// INTEGER, LoadData writes 0, and only the detector writes them, 0 or 1,
+// so a row matched by neither disjunct already reads 0, 0. Nothing reads
+// the script's rows-affected count.
+func (d *Detector) genResetFlags() string {
+	return fmt.Sprintf("UPDATE %s SET %s = 0, %s = 0 WHERE %s = 1 OR %s = 1", d.dataTable, ColSV, ColMV, ColSV, ColMV)
 }
 
 // SQL returns the generated batch-detection queries (Qsv select form,

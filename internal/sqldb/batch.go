@@ -1313,7 +1313,7 @@ func (pb *probeInst) bind(en *env, cands int, state *uint8) error {
 		pos := pb.eq.s
 		if !pb.eq.ordered() {
 			en.work[wIndexSeeks]++
-			pos = eqRange(&inner.rowSet, k.d.idx.Cols, inner.orderedOf(k.d.t, k.d.idx), 0, pb.pfxVals)
+			pos = eqRange(&inner.rowSet, k.d.idx.Cols, inner.prefixOrder(k.d.idx), 0, pb.pfxVals)
 		}
 		if len(pos) <= probeSetRowsMax {
 			pb.bindSets(&inner.rowSet, pos, len(pos), state)
@@ -1873,6 +1873,19 @@ func numKey(v relation.Value) (byte, uint64) {
 	return 'f', math.Float64bits(v.F)
 }
 
+// keyHash is v's share of a group key's hash (idKeys.held), agreeing with
+// ids: TEXT by its bytes, any other value by numKey. Never 0.
+func keyHash(v relation.Value) uint64 {
+	if v.K == relation.KindText {
+		return maphash.String(textSeed, v.S) | 1
+	}
+	cls, w := numKey(v)
+	return (w^uint64(cls)<<56)*0x9e3779b97f4a7c15 | 1
+}
+
+// keyTerm is column i's share, with value hash h, of a group key's hash.
+func keyTerm(i int, h uint64) uint64 { return (h ^ uint64(i)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9 }
+
 // id returns v's id, adding it if new. Ids count from 1.
 func (in *interner) id(v relation.Value) uint32 {
 	if 2*len(in.kinds) >= len(in.slots) {
@@ -1961,10 +1974,10 @@ type xlatKey struct {
 }
 
 // idSizes is what an execution's id keys held at its end: table entries
-// and their ids, interned ids and their TEXT bytes, and groups. A plan
-// instance keeps the last execution's, and the next allocates its tables
-// at that size.
-type idSizes struct{ entries, words, ids, text, groups int }
+// and their ids, interned ids and their TEXT bytes, groups, and a hold's
+// group key hashes and code hashes. A plan instance keeps the last
+// execution's, and the next allocates its tables at that size.
+type idSizes struct{ entries, words, ids, text, groups, firsts, hashes int }
 
 // idKeys is one execution's id-keyed DISTINCT. It holds the segments it
 // met until the execution ends; nothing of it outlives the execution but
@@ -1979,6 +1992,9 @@ type idSizes struct{ entries, words, ids, text, groups int }
 // it stands for, and two under different site keys compare by those ids
 // (sameIDs): a column fixed under one site row may be live under another
 // and hold the same id.
+//
+// A hold (compiledSelect.singles; the sqldb README's "Groups of one row")
+// keys a row only once a second row shows its group key's hash (held).
 type idKeys struct {
 	cs     *compiledSelect
 	patRow rowRef // the site row fixed is for
@@ -2004,8 +2020,44 @@ type idKeys struct {
 	// those dropRepeats and add find in the table included.
 	counts bool
 	// next and pending hand the feed's yields, in order, the entries of
-	// the rows the last dropRepeats added.
+	// the rows the last dropRepeats added; under a hold it opens their
+	// groups itself (open).
 	next, pending int
+
+	hold  bool
+	width int    // the group key's columns: the first width
+	nkey  int    // its live ones in the run: the first nkey of live
+	ghfix uint64 // its fixed ones' share of its hash
+	hmask uint64 // the hash bits kept (DB.narrowKeyHash)
+	src   int    // the source dropRepeats keys
+	first []firstSlot
+	nhash int
+	xhash []uint64  // per translation slot, its code's keyHash, 0 until hashed
+	runs  []heldRun // the runs rows were held in: a held row is run·segRows+offset
+	codes []codeIDs // the runs' translations
+	// reps holds, once some id stands for two representations of a
+	// number, the first n values of each group opened from the mixed-th on,
+	// evaluated on the row that opens it (open).
+	reps  []relation.Value
+	mixed int
+}
+
+// firstSlot is a slot of a hold's first-seen table, open-addressed by
+// group key hash: the hash and its held row+1, or keyedMark once its rows
+// are keyed; e is 0 while the slot is empty. One slot is the whole probe.
+type firstSlot struct {
+	h uint64
+	e uint32
+}
+
+const keyedMark = ^uint32(0)
+
+// heldRun is a run a hold met: its site row, its translations' start in
+// codes, and its segment's columns.
+type heldRun struct {
+	site rowRef
+	at   int
+	cols []colVec
 }
 
 const siteMark = ^uint32(0)
@@ -2015,10 +2067,10 @@ const siteMark = ^uint32(0)
 // index are st's.
 func newIDKeys(cs *compiledSelect, st *planState) *idKeys {
 	w, sz := len(cs.outs), st.sizes
-	k := &idKeys{cs: cs, fixed: make([]uint32, w+1), vec: make([]uint32, 1, w+1), counts: cs.counted}
+	k := &idKeys{cs: cs, fixed: make([]uint32, w+1), vec: make([]uint32, 1, w+1), counts: cs.counted, mixed: -1}
 	k.fixed[0] = siteMark
-	k.tab = idTable{slots: make([]idSlot, slotsFor(sz.entries)), keys: make([]uint32, 0, sz.words),
-		at: append(make([]int32, 0, sz.entries+1), 0), aux: make([]int32, 0, sz.entries), same: k.sameIDs}
+	k.tab = newIDTable(sz.entries, sz.words)
+	k.tab.same = k.sameIDs
 	k.in = interner{slots: make([]idSlot, slotsFor(sz.ids)), kinds: make([]relation.Kind, 0, sz.ids),
 		bits: make([]uint64, 0, sz.ids), text: make([]byte, 0, sz.text)}
 	k.groups = make([]int32, 0, sz.groups)
@@ -2027,6 +2079,9 @@ func newIDKeys(cs *compiledSelect, st *planState) *idKeys {
 			st.xlatAt = make(map[xlatKey]int)
 		}
 		k.xlats, k.xlatAt = st.xlats, st.xlatAt
+		if k.hold, k.width = cs.singles > 0, cs.singles; k.hold {
+			k.first, k.xhash = make([]firstSlot, slotsFor(sz.firsts)), make([]uint64, 0, sz.hashes)
+		}
 		return k
 	}
 	for i := range w {
@@ -2041,7 +2096,7 @@ func newIDKeys(cs *compiledSelect, st *planState) *idKeys {
 // emptied, and forgets the segments they were for.
 func (k *idKeys) release(st *planState) {
 	st.dedup = nil
-	st.sizes = idSizes{len(k.tab.aux), len(k.tab.keys), len(k.in.kinds), len(k.in.text), len(k.groups)}
+	st.sizes = idSizes{len(k.tab.aux), len(k.tab.keys), len(k.in.kinds), len(k.in.text), len(k.groups), k.nhash, len(k.xhash)}
 	clear(k.xlatAt)
 	st.xlats = k.xlats[:0]
 }
@@ -2058,7 +2113,7 @@ func (k *idKeys) site(en *env) error {
 	if k.patRow.same(row) {
 		return nil
 	}
-	k.patRow, k.live, k.hfix = rowRef{}, k.live[:0], 0 // a mid-refresh error leaves nothing stale
+	k.patRow, k.live, k.hfix, k.ghfix = rowRef{}, k.live[:0], 0, 0 // a mid-refresh error leaves nothing stale
 	for i := range sp.parts {
 		p := &sp.parts[i]
 		live, v := p.mode == projGeneral, p.alt
@@ -2078,6 +2133,9 @@ func (k *idKeys) site(en *env) error {
 		} else {
 			k.fixed[1+i] = k.in.id(v)
 			k.hfix += rowTerm(i, k.fixed[1+i])
+			if i < k.width {
+				k.ghfix += keyTerm(i, keyHash(v))
+			}
 		}
 	}
 	e, _ := k.tab.insert(k.fixed)
@@ -2118,6 +2176,10 @@ func (k *idKeys) xlat(i int, cv *colVec) codeIDs {
 		n := len(cv.dict) + 1
 		k.xlats = slices.Grow(k.xlats, n)[:base+n]
 		clear(k.xlats[base:])
+		if k.hold {
+			k.xhash = slices.Grow(k.xhash, n)[:base+n]
+			clear(k.xhash[base:])
+		}
 	}
 	return codeIDs{cv, base}
 }
@@ -2157,7 +2219,7 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 	if err := k.site(en); err != nil {
 		return nil, err
 	}
-	k.run = k.run[:0]
+	k.src, k.run = src, k.run[:0]
 	packs := len(k.live) <= 4 // the run's code tuples fit a word: see runSeen
 	for _, i := range k.live {
 		var c codeIDs
@@ -2165,6 +2227,9 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 			c = k.xlat(i, run.column(b.col))
 		}
 		k.run, packs = append(k.run, c), packs && c.seg != nil
+	}
+	if err := k.holdRun(en, run); err != nil {
+		return nil, err
 	}
 	var seen *runSeen
 	if packs {
@@ -2177,10 +2242,8 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 			seen.ents = make([]int32, 2*segRows)
 		}
 	}
-	fr := &en.frames[k.cs.depth]
 	k.next = len(k.tab.aux)
-	vec := k.vec[:1+len(k.run)]
-	out := sel[:0]
+	out, repeats := sel[:0], 0
 	for _, off := range sel {
 		slot := -1
 		if seen != nil {
@@ -2193,44 +2256,194 @@ func (k *idKeys) dropRepeats(en *env, st *planState, src int, run *segRun, sel [
 				if k.counts {
 					k.tab.aux[seen.ents[slot]]++
 				}
+				repeats++
 				continue
 			}
 		}
-		h := k.hfix
-		for j, c := range k.run {
-			var id uint32
-			var err error
-			if c.seg != nil {
-				id = k.xlats[c.base+int(c.seg.codes[off])]
-			}
-			if id == 0 {
-				fr.rows[src] = rowRef{cols: run.cols, off: off}
-				if c.seg != nil {
-					id, err = k.translate(en, k.live[j], c, c.seg.codes[off])
-				} else {
-					id, err = k.liveID(en, k.live[j])
-				}
-				if err != nil {
-					return nil, err
-				}
-			}
-			vec[1+j], h = id, h+rowTerm(k.live[j], id)
+		if held, err := k.held(en, off); err != nil {
+			return nil, err
+		} else if held {
+			continue
 		}
-		e, added := k.tab.insertHashed(vec, idHash(h, 0))
-		if added {
+		e, added, err := k.key(en, k.run, run.cols, off)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case !added:
+			repeats++
+		case k.hold: // a held row keyed above took entries between the new ones
+			en.frames[k.cs.depth].rows[src] = rowRef{cols: run.cols, off: off}
+			if err := k.open(en, e, k.width); err != nil {
+				return nil, err
+			}
+		default:
 			out = append(out, off)
-		}
-		if k.counts {
-			k.tab.aux[e]++
 		}
 		if k.counts && slot >= 0 {
 			seen.ents[slot] = int32(e)
 		}
 	}
-	k.vec, k.pending = vec, len(out)
+	k.pending = len(out)
 	en.work[wDistinctKeys] += int64(len(sel))
-	en.work[wCodeRepeats] += int64(len(sel) - len(out))
+	en.work[wCodeRepeats] += int64(repeats)
 	return out, nil
+}
+
+// key keys the row at off of a run whose live columns' translations are
+// c, binding it to translate a code or evaluate a column no code decides,
+// and returns its entry and whether it is new.
+func (k *idKeys) key(en *env, c []codeIDs, cols []colVec, off int) (int, bool, error) {
+	vec := k.vec[:1+len(c)]
+	h := k.hfix
+	for j, c := range c {
+		var id uint32
+		if c.seg != nil {
+			id = k.xlats[c.base+int(c.seg.codes[off])]
+		}
+		if id == 0 {
+			en.frames[k.cs.depth].rows[k.src] = rowRef{cols: cols, off: off}
+			var err error
+			if c.seg != nil {
+				id, err = k.translate(en, k.live[j], c, c.seg.codes[off])
+			} else {
+				id, err = k.liveID(en, k.live[j])
+			}
+			if err != nil {
+				return 0, false, err
+			}
+		}
+		vec[1+j], h = id, h+rowTerm(k.live[j], id)
+	}
+	k.vec = vec
+	e, added := k.tab.insertHashed(vec, idHash(h, 0))
+	if k.counts {
+		k.tab.aux[e]++
+	}
+	return e, added, nil
+}
+
+// holdRun lets a hold hold the current run's rows, noting the run, when
+// a coded COALESCE(TOTEXT(col), lit) decides each live group key column;
+// it ends the hold otherwise.
+func (k *idKeys) holdRun(en *env, run *segRun) error {
+	if !k.hold {
+		return nil
+	}
+	k.nkey, _ = slices.BinarySearch(k.live, k.width)
+	ok := len(k.runs) < int(keyedMark/segRows)-1
+	for j, c := range k.run[:k.nkey] {
+		ok = ok && c.seg != nil && k.cs.proj.parts[k.live[j]].coalesce
+	}
+	if !ok {
+		return k.unhold(en)
+	}
+	if n := len(k.runs); n == 0 || !k.runs[n-1].site.same(&k.patRow) || &k.runs[n-1].cols[0] != &run.cols[0] {
+		k.runs = append(k.runs, heldRun{k.patRow, len(k.codes), run.cols})
+		k.codes = append(k.codes, k.run...)
+	}
+	return nil
+}
+
+// codeHash is the keyHash of what live column i reads off code of c's
+// segment column: its string, or the COALESCE literal for NULL's code 0.
+func (k *idKeys) codeHash(i int, c codeIDs, code uint16) uint64 {
+	h := &k.xhash[c.base+int(code)]
+	if *h == 0 {
+		v := k.cs.proj.parts[i].nullLit
+		if code != 0 {
+			v = relation.Text(c.seg.dict[code-1])
+		}
+		*h = keyHash(v)
+	}
+	return *h
+}
+
+// held holds the current run's row at off under a hold and reports true
+// when its group key's hash is new; the hash's second showing keys the
+// row held.
+func (k *idKeys) held(en *env, off int) (bool, error) {
+	if !k.hold {
+		return false, nil
+	}
+	h := k.ghfix
+	for j, c := range k.run[:k.nkey] {
+		h += keyTerm(k.live[j], k.codeHash(k.live[j], c, c.seg.codes[off]))
+	}
+	h &= k.hmask
+	if 2*k.nhash >= len(k.first) {
+		old := k.first
+		k.first = make([]firstSlot, 2*len(old))
+		for _, s := range old {
+			if s.e != 0 {
+				*k.slot(s.h) = s
+			}
+		}
+	}
+	switch s := k.slot(h); s.e {
+	case 0:
+		s.h, s.e = h, uint32((len(k.runs)-1)*segRows+off)+1
+		k.nhash++
+		en.work[wSingletonRows]++
+		return true, nil
+	case keyedMark:
+		return false, nil
+	default:
+		x := s.e - 1
+		s.e = keyedMark
+		return false, k.keyHeld(en, x)
+	}
+}
+
+// slot returns hash h's slot in the first-seen table, or the empty one it
+// would take.
+func (k *idKeys) slot(h uint64) *firstSlot {
+	mask := uint64(len(k.first) - 1)
+	for i := h >> 32 & mask; ; i = (i + 1) & mask {
+		if s := &k.first[i]; s.e == 0 || s.h == h {
+			return s
+		}
+	}
+}
+
+// keyHeld keys held row x, bound with its site row as the feed bound
+// them, opens its group if it is new, and binds back what it found.
+func (k *idKeys) keyHeld(en *env, x uint32) error {
+	en.work[wSingletonRows]--
+	r, off := &k.runs[x/segRows], int(x%segRows)
+	sp := k.cs.proj
+	site, row := &en.frames[sp.site.depth].rows[sp.site.src], &en.frames[k.cs.depth].rows[k.src]
+	was, wasRow := *site, *row
+	*site, *row = r.site, rowRef{cols: r.cols, off: off}
+	e, added, err := 0, false, k.site(en)
+	if err == nil {
+		e, added, err = k.key(en, k.codes[r.at:r.at+len(k.live)], r.cols, off)
+	}
+	if err == nil && added {
+		err = k.open(en, e, k.width)
+	}
+	if *site, *row = was, wasRow; err == nil {
+		err = k.site(en)
+	}
+	return err
+}
+
+// unhold keys every held row, in the order they were held; no more are.
+func (k *idKeys) unhold(en *env) error {
+	k.hold = false
+	var held []uint32
+	for _, s := range k.first {
+		if s.e != 0 && s.e != keyedMark {
+			held = append(held, s.e-1)
+		}
+	}
+	slices.Sort(held)
+	for _, x := range held {
+		if err := k.keyHeld(en, x); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runSeen is the set of the code tuples a run has shown, packed: within a
@@ -2266,6 +2479,11 @@ func (k *idKeys) add(en *env) (int, bool, error) {
 	if k.pending > 0 {
 		k.next, k.pending = k.next+1, k.pending-1
 		return k.next - 1, true, nil
+	}
+	if k.hold {
+		if err := k.unhold(en); err != nil {
+			return 0, false, err
+		}
 	}
 	if err := k.site(en); err != nil {
 		return 0, false, err
@@ -2320,6 +2538,24 @@ func (k *idKeys) group(e, n int) bool {
 	}
 	k.tab.aux[ge]++
 	return added
+}
+
+// open is group for a streamed grouping, which counts its groups; once
+// some id stands for two representations of a number, a group it opens
+// keeps the bound row's first n values (reps), which decode cannot give.
+func (k *idKeys) open(en *env, e, n int) error {
+	if !k.group(e, n) {
+		return nil
+	}
+	en.work[wGroups]++
+	if !k.in.mixed {
+		return nil
+	}
+	if k.mixed < 0 {
+		k.mixed = len(k.groups) - 1
+	}
+	k.reps = append(k.reps, make([]relation.Value, n)...)
+	return k.cs.evalOuts(en, k.reps[len(k.reps)-n:])
 }
 
 // expand appends the first n ids row key r stands for to dst.
@@ -2386,6 +2622,13 @@ func (t *idTable) key(e int) []uint32 { return t.keys[t.at[e]:t.at[e+1]] }
 
 // idHash folds id into a vector's hash, which starts at its length.
 func idHash(h uint64, id uint32) uint64 { return (h ^ uint64(id)) * 0x9e3779b97f4a7c15 }
+
+// newIDTable returns a table sized for entries entries of words ids in
+// all.
+func newIDTable(entries, words int) idTable {
+	return idTable{slots: make([]idSlot, slotsFor(entries)), keys: make([]uint32, 0, words),
+		at: append(make([]int32, 0, entries+1), 0), aux: make([]int32, 0, entries)}
+}
 
 // insert returns vec's entry, adding a copy if it is new.
 func (t *idTable) insert(vec []uint32) (int, bool) {

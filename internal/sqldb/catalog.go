@@ -77,6 +77,9 @@ type DB struct {
 	work [nWork]atomic.Int64
 	// mode is the execution Mode (SetMode); zero is Planned.
 	mode atomic.Int32
+	// narrowKeyHash is the bits a hold clears from every group key hash
+	// (idKeys.hold): none but in tests, which force collisions with it.
+	narrowKeyHash uint64
 }
 
 // epoch is one immutable version of the whole database: the table
@@ -282,6 +285,9 @@ type indexData struct {
 	sorted []int
 	sBase  int
 	ident  bool
+	// pfx is rows [0, len(pfx)) in index order for a probe's constant
+	// prefix (prefixOrder): not sorted, which would make forks drop m.
+	pfx []int
 }
 
 // identPrefix returns the positions [0, n) in order, a prefix of the
@@ -798,6 +804,10 @@ type Stats struct {
 	// CodeTranslations the segment codes the id keys turned into ids, and
 	// Groups the GROUP BY groups formed, streamed or not.
 	SetRows, PostingRows, TextLookups, DistinctKeys, CodeRepeats, CodeTranslations, Groups int64
+	// SingletonRows counts the rows a streamed grouping held and never
+	// keyed, each the one row of its group, which HAVING fails
+	// (idKeys.hold); Groups does not count those groups.
+	SingletonRows int64
 	// IndexSeeks counts equality-map lookups and the binary searches
 	// finding one key's or range's positions in index order, made by a
 	// join level's probe or range scan (none when it reuses its last
@@ -843,6 +853,7 @@ func (db *DB) Stats() Stats {
 		CodeRepeats:      db.work[wCodeRepeats].Load(),
 		CodeTranslations: db.work[wCodeTranslations].Load(),
 		Groups:           db.work[wGroups].Load(),
+		SingletonRows:    db.work[wSingletonRows].Load(),
 		IndexSeeks:       db.work[wIndexSeeks].Load(),
 		Recovery:         db.recov,
 	}
@@ -1646,6 +1657,18 @@ func (td *tableData) orderedOf(t *Table, idx *Index) []int {
 		return s[:f]
 	}
 	return d.extendOrdered(t, idx, &td.rowSet, f)
+}
+
+// prefixOrder returns this epoch's row positions in index order, as
+// orderedOf does, for an index whose equality probes its map answers.
+func (td *tableData) prefixOrder(idx *Index) []int {
+	d := td.indexData(idx)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.pfx) != td.n {
+		d.pfx = sortedPositions(idx.Cols, &td.rowSet, td.n)
+	}
+	return d.pfx
 }
 
 // extendOrdered builds or grows the in-order positions to fence f.

@@ -70,6 +70,7 @@ const (
 	wCodeRepeats
 	wCodeTranslations
 	wGroups
+	wSingletonRows
 	wIndexSeeks
 	wEpochsPublished // added to by publish, not by statements
 	nWork

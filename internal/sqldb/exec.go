@@ -121,6 +121,11 @@ type compiledSelect struct {
 	// does, grouping by every column, so a group is one distinct row and
 	// its COUNT(*) the matches that yield it (idKeys.counts).
 	countable, counted bool
+	// singles > 0: this DISTINCT feeds a streamed grouping by its first
+	// singles columns whose HAVING fails every group of one row
+	// (dropsSingles), and its site row and one other row decide its
+	// outputs: a row is keyed once a second shows its group key (idKeys).
+	singles int
 	// free holds the join plan's idle instances (scheduleFor / release);
 	// victim picks the slot a release overwrites when all are taken.
 	free   [schedFreeSlots]atomic.Pointer[schedule]
@@ -314,6 +319,10 @@ func (c *compiler) compileSelect(sel *Select, countable bool) (*compiledSelect, 
 		if cs.streamCols = inner.streamableGroup(sel, cs); cs.streamCols > 0 {
 			sub := cs.sources[0].sub
 			sub.counted = !sub.distinct
+			if sp := sub.proj; sp != nil && !sub.counted && dropsSingles(sel.Having) &&
+				(len(sub.sources) == 1 || len(sub.sources) == 2 && sp.site.depth == sub.depth) {
+				sub.singles = cs.streamCols
+			}
 		}
 	}
 	return cs, nil
@@ -379,6 +388,26 @@ func (c *compiler) streamableGroup(sel *Select, cs *compiledSelect) int {
 		return 0
 	}
 	return k
+}
+
+// dropsSingles reports whether HAVING e fails every group of one row:
+// COUNT(*) > c with c ≥ 1, or COUNT(*) >= c with c > 1, alone or ANDed
+// with anything.
+func dropsSingles(e Expr) bool {
+	b, ok := e.(*Binary)
+	if !ok {
+		return false
+	}
+	if b.Op == "AND" {
+		return dropsSingles(b.L) || dropsSingles(b.R)
+	}
+	fc, _ := b.L.(*FuncCall)
+	lit, _ := b.R.(*Literal)
+	if fc == nil || lit == nil || fc.Name != "COUNT" || !fc.Star || lit.Val.K != relation.KindInt && lit.Val.K != relation.KindFloat {
+		return false
+	}
+	c := lit.Val.AsFloat()
+	return b.Op == ">" && c >= 1 || b.Op == ">=" && c > 1
 }
 
 func selectHasAggregate(sel *Select) bool {
@@ -507,10 +536,10 @@ func (cs *compiledSelect) dedupsInline() bool { return cs.inline }
 // needs of the row. The innermost batch level drops repeats before they
 // are stepped (idKeys.dropRepeats); a match no batch level decided is
 // keyed here.
-func (cs *compiledSelect) feedDistinct(en *env, sink func(k *idKeys, e int) error) error {
+func (cs *compiledSelect) feedDistinct(en *env, sink func(k *idKeys, e int) error) (*idKeys, error) {
 	srcRows, err := cs.materialize(en)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	en.frames = append(en.frames, frame{rows: make([]rowRef, len(cs.sources))})
 	defer func() { en.frames = en.frames[:cs.depth] }()
@@ -522,9 +551,10 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(k *idKeys, e int) erro
 		st = new(planState) // the nested loop keeps nothing between executions
 	}
 	k := newIDKeys(cs, st)
+	k.hmask = ^en.db.narrowKeyHash
 	st.dedup = k
 	defer k.release(st)
-	return cs.scan(en, srcRows, func() error {
+	return k, cs.scan(en, srcRows, func() error {
 		e, added, err := k.add(en)
 		if err != nil || !added {
 			return err
@@ -537,7 +567,7 @@ func (cs *compiledSelect) feedDistinct(en *env, sink func(k *idKeys, e int) erro
 func (cs *compiledSelect) execDistinct(en *env) ([]relation.Tuple, error) {
 	var out []relation.Tuple
 	rows := en.outSlab()
-	err := cs.feedDistinct(en, func(k *idKeys, e int) error {
+	_, err := cs.feedDistinct(en, func(k *idKeys, e int) error {
 		row := rows.alloc(len(cs.outs))
 		out = append(out, row)
 		return cs.evalOuts(en, row)
@@ -762,45 +792,27 @@ func (cs *compiledSelect) execGrouped(en *env, src []rowSet, emit func() error) 
 // (idKeys.group), and its key columns — its representative: the shape
 // guarantees nothing else of it is read — are decoded only when the group
 // is finalised, after a HAVING that reads none of them passed. Groups
-// finalise in first-seen order, like execGrouped's. A counted source
+// finalise in the order they open: at their first row, like execGrouped's,
+// or, when the source holds rows (compiledSelect.singles), at their
+// second, and a group of one row never opens. A counted source
 // (compiledSelect.counted) feeds the same way, its rows being its groups
 // and their counts its matches.
 func (cs *compiledSelect) execStreamed(en *env, emit func() error) error {
 	n := cs.streamCols
-	var keys *idKeys
-	// Once some id stands for two representations of a number, a group's
-	// key is evaluated on the row that opens it: reps holds those of the
-	// groups from mixed on, n values each.
-	var reps []relation.Value
-	mixed := -1
-
 	// The source is compiled at this select's depth: it runs in place of
 	// the frame exec pushed, which comes back for finalisation.
 	outer := en.frames[cs.depth]
 	en.frames = en.frames[:cs.depth]
-	err := cs.sources[0].sub.feedDistinct(en, func(k *idKeys, e int) error {
-		if keys = k; !k.group(e, n) {
-			return nil
-		}
-		en.work[wGroups]++
-		if !k.in.mixed {
-			return nil
-		}
-		if mixed < 0 {
-			mixed = len(k.groups) - 1
-		}
-		reps = append(reps, make([]relation.Value, n)...)
-		return cs.sources[0].sub.evalOuts(en, reps[len(reps)-n:])
-	})
+	keys, err := cs.sources[0].sub.feedDistinct(en, func(k *idKeys, e int) error { return k.open(en, e, n) })
 	en.frames = append(en.frames, outer)
-	if err != nil || keys == nil {
+	if err != nil {
 		return err
 	}
 
 	rep := make(relation.Tuple, n)
 	bind := func(g int) {
-		if mixed >= 0 && g >= mixed {
-			outer.rows[0] = rowRef{tup: reps[(g-mixed)*n : (g-mixed+1)*n]}
+		if m := keys.mixed; m >= 0 && g >= m {
+			outer.rows[0] = rowRef{tup: keys.reps[(g-m)*n : (g-m+1)*n]}
 			return
 		}
 		keys.decode(int(keys.groups[g]), rep)

@@ -38,3 +38,7 @@ func DrainParsed() []string {
 
 // len is the column's cell count.
 func (v *colVec) len() int { return len(v.words) + len(v.codes) }
+
+// narrowKeyHashTo keeps the low bits of every group key hash a hold
+// looks up (idKeys.hold), so that distinct keys collide: 64 keeps all.
+func (db *DB) narrowKeyHashTo(bits uint) { db.narrowKeyHash = ^uint64(0) << bits }

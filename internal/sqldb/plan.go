@@ -1363,7 +1363,11 @@ func (cs *compiledSelect) describeSchedule(sch *schedule, ep *epoch) []string {
 			if cs.sources[0].sub.counted {
 				feed = "counted"
 			}
-			out = append(out, fmt.Sprintf("group/aggregate [streamed: %s source feeds %d-col groups, no rows materialised]", feed, cs.streamCols))
+			line := fmt.Sprintf("group/aggregate [streamed: %s source feeds %d-col groups, no rows materialised", feed, cs.streamCols)
+			if cs.sources[0].sub.singles > 0 {
+				line += ", groups of one row never keyed"
+			}
+			out = append(out, line+"]")
 		} else {
 			out = append(out, "group/aggregate")
 		}
